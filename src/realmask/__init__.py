@@ -1,9 +1,10 @@
 """Masking a real ququart into path/polarization correlations.
 
 Subpackages: `qcore` (states and exact algebra), `masker` (the masking
-isometry), `walk` (the coined-walk realization), `optics` (the Jones-calculus
-table), `measure` (finite-shot sampling), `estimate` (fidelity verification,
-tomography, correlation decoding), `experiments`/`cli` (figure pipelines).
+isometry), `walk` (the coined-walk realization and the sparse rail engine),
+`optics` (the Jones-calculus table, run on that engine), `measure`
+(finite-shot sampling), `estimate` (fidelity verification, tomography,
+correlation decoding), `experiments`/`cli` (figure pipelines).
 """
 from .estimate import agresti_coull, decode_real_state, qsv_run, tomography_1q
 from .masker import build_hr_d4, mask_pure, mask_state, masker_matrix, u_of_c

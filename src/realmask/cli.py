@@ -6,37 +6,102 @@ phase), `equiv` (masker / walk / optics cross-check, nonzero exit on breach),
 and `angles` (waveplate angle solutions for preparation and measurement).
 
 Option precedence: command-line flags override the --config file, which
-overrides built-in defaults.
+overrides built-in defaults.  Flag and config-file values go through the same
+checks; a bad value is a one-line error, never a silent coercion.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import experiments, optics
 from .experiments import ExperimentConfig
 
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"must be an integer, got {v!r}")
+    return v
+
+
+def _positive(v) -> int:
+    if _integer(v) < 1:
+        raise ValueError(f"must be a positive integer, got {v!r}")
+    return v
+
+
+def _probability(v) -> float:
+    if not _is_number(v) or not 0.0 <= v <= 1.0:
+        raise ValueError(f"must be a number in [0, 1], got {v!r}")
+    return float(v)
+
+
+def _phases(v) -> tuple[float, ...]:
+    if not isinstance(v, (list, tuple)) or not v or not all(_is_number(x) and math.isfinite(x) for x in v):
+        raise ValueError(f"must be a non-empty list of finite numbers, got {v!r}")
+    return tuple(float(x) for x in v)
+
+
+def _flag(v) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError(f"must be true or false, got {v!r}")
+    return v
+
+
+def _text(v) -> str:
+    if not isinstance(v, str):
+        raise ValueError(f"must be a string, got {v!r}")
+    return v
+
+
 _CONFIG_KEYS = {
-    "seed": int,
-    "shots_per_setting": int,
-    "qsv_tests": int,
-    "noise_p": float,
-    "phi_grid_deg": lambda v: tuple(float(x) for x in v),
-    "analytic": bool,
-    "output_path": str,
+    "seed": _integer,
+    "shots_per_setting": _positive,
+    "qsv_tests": _positive,
+    "noise_p": _probability,
+    "phi_grid_deg": _phases,
+    "analytic": _flag,
+    "output_path": _text,
 }
 
 
 def _load_config_file(path: str) -> dict:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"config file {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise SystemExit(f"config file {path} must hold a JSON object")
     unknown = set(doc) - set(_CONFIG_KEYS) - {"experiment"}
     if unknown:
         raise SystemExit(f"config file {path} has unknown keys: {sorted(unknown)}")
-    return {k: _CONFIG_KEYS[k](v) for k, v in doc.items() if k in _CONFIG_KEYS}
+    values = {}
+    for key, v in doc.items():
+        if key in _CONFIG_KEYS:
+            try:
+                values[key] = _CONFIG_KEYS[key](v)
+            except ValueError as exc:
+                raise SystemExit(f"config file {path}: {key} {exc}") from None
+    return values
+
+
+def _flag_type(parse, check):
+    """argparse `type=`: parse the flag text, then apply a config-value check."""
+
+    def convert(text: str):
+        try:
+            return check(parse(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -52,7 +117,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.noise_p is not None:
         values["noise_p"] = args.noise_p
     if getattr(args, "phi_grid", None):
-        values["phi_grid_deg"] = tuple(float(x) for x in args.phi_grid.split(","))
+        values["phi_grid_deg"] = args.phi_grid
     if args.analytic:
         values["analytic"] = True
     if args.out is not None:
@@ -142,7 +207,7 @@ def _cmd_angles(args) -> int:
         setting = optics.MeasSetting(*parts)
         label = "custom basis"
     if setting is not None:
-        compiled = optics.compile_measurement(setting, seed=args.seed or 0)
+        compiled = optics.compile_measurement(setting)
         print(f"measurement setting {label} "
               f"(gamma={setting.gamma:.6f}, zeta={setting.zeta:.6f}, "
               f"alpha={setting.alpha:.6f}, beta={setting.beta:.6f} rad)")
@@ -166,9 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser):
         p.add_argument("--seed", type=int, default=None, help="master seed (default 20404)")
-        p.add_argument("--shots", type=int, default=None, help="shots per measurement setting")
-        p.add_argument("--qsv-tests", type=int, default=None, help="verification tests per probe")
-        p.add_argument("--noise-p", type=float, default=None, help="depolarizing noise strength")
+        p.add_argument("--shots", type=_flag_type(int, _positive), default=None,
+                       help="shots per measurement setting")
+        p.add_argument("--qsv-tests", type=_flag_type(int, _positive), default=None,
+                       help="verification tests per probe")
+        p.add_argument("--noise-p", type=_flag_type(float, _probability), default=None,
+                       help="depolarizing noise strength")
         p.add_argument("--analytic", action="store_true", help="infinite-shot mode (no sampling)")
         p.add_argument("--out", type=str, default=None, help="output directory for CSV/JSON reports")
         p.add_argument("--config", type=str, default=None, help="JSON config file (flags override it)")
@@ -184,13 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p5 = sub.add_parser("fig5", help="concurrence of the masked phase probes")
     add_common(p5)
-    p5.add_argument("--phi-grid", type=str, default=None,
-                    help="comma-separated phases in degrees (default 0,15,...,90)")
+    p5.add_argument("--phi-grid", type=_flag_type(lambda t: [float(x) for x in t.split(",")], _phases),
+                    default=None, help="comma-separated phases in degrees (default 0,15,...,90)")
     p5.set_defaults(func=_cmd_fig5)
 
     pe = sub.add_parser("equiv", help="masker / walk / optics equivalence check")
     add_common(pe)
-    pe.add_argument("--n-inputs", type=int, default=100)
+    pe.add_argument("--n-inputs", type=_flag_type(int, _positive), default=100)
     pe.set_defaults(func=_cmd_equiv)
 
     pa = sub.add_parser("angles", help="waveplate angle solutions")
@@ -200,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--setting", type=str, default=None, help="Pauli pair, e.g. XY")
     pa.add_argument("--basis", type=str, default=None,
                     help="raw product-basis parameters gamma,zeta,alpha,beta (radians)")
-    pa.add_argument("--seed", type=int, default=0, help="seed for the angle solver restarts")
     pa.set_defaults(func=_cmd_angles)
 
     return parser

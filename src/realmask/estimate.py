@@ -35,7 +35,6 @@ from .qcore import (
     kron,
     purity,
     require_unitary,
-    trace_distance,
 )
 
 
@@ -408,12 +407,6 @@ def decode_real_state(t, input_state: StateVector | None = None) -> DecodeResult
     projected = project_to_density(rho)
     fid = fidelity_with_pure(projected, input_state) if input_state is not None else None
     return DecodeResult(rho_hat=rho, rho_proj=projected, fidelity_vs_input=fid)
-
-
-def decode_round_trip_error(rho_real: DensityMatrix, t: np.ndarray) -> float:
-    """Trace distance between the pre-projection decode and the true state."""
-    raw = decode_real_state(t).rho_hat
-    return trace_distance(raw.astype(complex), rho_real)
 
 
 # ---------------------------------------------------------------------------

@@ -203,26 +203,35 @@ def tables_to_csv(tables: Sequence[CountsTable]) -> str:
 
 
 def tables_from_csv(text: str) -> list[CountsTable]:
+    """Parse `tables_to_csv` output; rows sharing (setting, shots, seed) form one table."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if tuple(header or ()) != CSV_HEADER:
         raise ValueError(f"expected header {','.join(CSV_HEADER)}")
     grouped: dict[tuple[str, int, int], dict[str, int]] = {}
-    order: list[tuple[str, int, int]] = []
-    for row in reader:
+    for line, row in enumerate(reader, start=2):
         if not row:
             continue
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"CSV line {line}: expected {len(CSV_HEADER)} fields, got {row}")
         setting, outcome, count, shots, seed = row
-        key = (setting, int(shots), int(seed))
-        if key not in grouped:
-            grouped[key] = {}
-            order.append(key)
-        grouped[key][outcome] = int(count)
+        if outcome not in OUTCOMES_PAIR + OUTCOMES_SINGLE:
+            raise ValueError(f"CSV line {line}: unknown outcome label {outcome!r}")
+        by_outcome = grouped.setdefault((setting, int(shots), int(seed)), {})
+        if outcome in by_outcome:
+            raise ValueError(
+                f"CSV line {line}: repeated outcome {outcome!r} for setting {setting}, "
+                f"shots {shots}, seed {seed}"
+            )
+        by_outcome[outcome] = int(count)
     tables = []
-    for key in order:
-        setting, shots, seed = key
-        by_outcome = grouped[key]
+    for (setting, shots, seed), by_outcome in grouped.items():
         labels = OUTCOMES_PAIR if len(by_outcome) == 4 else OUTCOMES_SINGLE
+        if set(by_outcome) != set(labels):
+            raise ValueError(
+                f"table for setting {setting}, shots {shots}, seed {seed} has outcomes "
+                f"{sorted(by_outcome)}, expected {', '.join(labels)}"
+            )
         counts = tuple(by_outcome[label] for label in labels)
         tables.append(CountsTable(setting=setting, counts=counts, shots=shots, seed=seed))
     return tables

@@ -23,26 +23,32 @@ three modules use different orientations: the preparation module displaces H
 by -4 then V by +2 (matching the -3,-1,1,3 rail labels), while the masking
 module uses the symmetric (-1, +1) form so that rail labels coincide with
 walker positions at every step.
+
+The table runs on the walk's sparse engine: a rail state is a
+`walk.RailState` keyed by (rail, H|V), a waveplate lowers onto
+`walk.apply_local` and a beam displacer onto `walk.shift`.  The element
+sequences stay independent of the walk schedule, which is what the
+masker / walk / optics cross-check tests.  Polarizing beam splitters are not
+modelled as elements: `detector_distribution` reads the H/V ports directly.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .qcore import EPS_EXACT, StateVector
-from .walk import COIN_C1, COIN_C2
+from .walk import COIN_C1, COIN_C2, RailState, apply_local, embed_two_qubit, extract_two_qubit, run, shift
 
 H, V = 0, 1
 POL_LABELS = ("H", "V")
 
 
 class SolverError(RuntimeError):
-    """Numeric angle solve did not reach the required residual."""
+    """Angle solve did not reach the required residual."""
 
 
 def hwp_jones(theta_deg: float) -> np.ndarray:
@@ -57,32 +63,6 @@ def qwp_jones(theta_deg: float) -> np.ndarray:
     t = math.radians(theta_deg)
     c, s = math.cos(2 * t), math.sin(2 * t)
     return np.array([[1 - 1j * c, -1j * s], [-1j * s, 1 + 1j * c]], dtype=complex) / np.sqrt(2)
-
-
-@dataclass(frozen=True, eq=False)
-class PathPolState:
-    """Sparse rail/polarization amplitudes: {(rail, H|V): amplitude}."""
-
-    amplitudes: Mapping[tuple[int, int], complex]
-
-    def __init__(self, amplitudes: Mapping[tuple[int, int], complex], *, _skip_check: bool = False):
-        amps = {}
-        for (x, p), a in amplitudes.items():
-            if p not in (H, V):
-                raise ValueError(f"polarization must be {H} (H) or {V} (V), got {p}")
-            if a != 0:
-                amps[(int(x), int(p))] = complex(a)
-        if not _skip_check:
-            norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-            if abs(norm - 1.0) > EPS_EXACT:
-                raise ValueError(f"state norm {norm} deviates from 1 by more than {EPS_EXACT}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def amplitude(self, rail: int, pol: int) -> complex:
-        return self.amplitudes.get((rail, pol), 0j)
-
-    def rails(self) -> set[int]:
-        return {x for (x, _p) in self.amplitudes}
 
 
 @dataclass(frozen=True)
@@ -106,6 +86,9 @@ class Waveplate:
             return qwp_jones(self.angle_deg)
         return hwp_jones(self.angle_deg)
 
+    def apply(self, state: RailState) -> RailState:
+        return apply_local(state, self.jones(), self.paths)
+
 
 def xplate(paths: Iterable[int] | None = None) -> Waveplate:
     """45-degree HWP (the X / NOT gate on polarization)."""
@@ -119,49 +102,15 @@ class BeamDisplacer:
     h_shift: int
     v_shift: int
 
-
-@dataclass(frozen=True)
-class PolarizingBS:
-    """Ideal polarizing beam splitter; modeled as the identity on amplitudes
-    (perfect H/V separation happens at the detector mapping)."""
-
-    paths: frozenset[int] | None = None
+    def apply(self, state: RailState) -> RailState:
+        return shift(state, self.h_shift, self.v_shift)
 
 
-Element = Union[Waveplate, BeamDisplacer, PolarizingBS]
-
-
-def apply_element(state: PathPolState, element: Element) -> PathPolState:
-    if isinstance(element, PolarizingBS):
-        return state
-    out: dict[tuple[int, int], complex] = {}
-    if isinstance(element, BeamDisplacer):
-        for (x, p), a in state.amplitudes.items():
-            key = (x + (element.h_shift if p == H else element.v_shift), p)
-            if key in out:
-                raise ValueError(f"beam displacer routed two amplitudes onto {key}")
-            out[key] = a
-        return PathPolState(out, _skip_check=True)
-    mat = element.jones()
-    for (x, p), a in state.amplitudes.items():
-        if element.paths is not None and x not in element.paths:
-            out[(x, p)] = out.get((x, p), 0j) + a
-            continue
-        for p2 in (H, V):
-            amp = mat[p2, p] * a
-            if amp != 0:
-                out[(x, p2)] = out.get((x, p2), 0j) + amp
-    return PathPolState(out, _skip_check=True)
-
-
-def run_layout(state: PathPolState, layout: Sequence[Element]) -> PathPolState:
-    for element in layout:
-        state = apply_element(state, element)
-    return state
+Element = Union[Waveplate, BeamDisplacer]
 
 
 # ---------------------------------------------------------------------------
-# Preparation module: PBS -> H1 -> BD -> {H2 @ -3, H3 @ 1} [-> Q1 @ -3] -> BD
+# Preparation module: H1 -> BD -> {H2 @ -3, H3 @ 1} [-> Q1 @ -3] -> BD
 #                      -> X-plates @ {-3, 1}
 
 @dataclass(frozen=True)
@@ -199,12 +148,11 @@ def phase_prep_angles(phi_deg: float) -> PrepAngles:
     return PrepAngles(h1=0.0, h2=phi_deg / 4.0 + 22.5, h3=0.0)
 
 
-PREP_INPUT_RAIL = 1  # rail carrying the |H>-polarized photon out of the PBS
+PREP_INPUT_RAIL = 1  # rail carrying the |H>-polarized input photon
 
 
 def preparation_layout(angles: PrepAngles, q1_deg: float | None = None) -> tuple[Element, ...]:
     elems: list[Element] = [
-        PolarizingBS(),
         Waveplate("HWP", angles.h1, frozenset({PREP_INPUT_RAIL})),
         BeamDisplacer(h_shift=-4, v_shift=0),
         Waveplate("HWP", angles.h2, frozenset({-3})),
@@ -216,13 +164,13 @@ def preparation_layout(angles: PrepAngles, q1_deg: float | None = None) -> tuple
     return tuple(elems)
 
 
-def simulate_preparation(angles: PrepAngles, q1_deg: float | None = None) -> PathPolState:
+def simulate_preparation(angles: PrepAngles, q1_deg: float | None = None) -> RailState:
     """Run the preparation module on the fixed |rail 1, H> input."""
-    start = PathPolState({(PREP_INPUT_RAIL, H): 1.0 + 0j})
-    return run_layout(start, preparation_layout(angles, q1_deg))
+    start = RailState({(PREP_INPUT_RAIL, H): 1.0 + 0j})
+    return run(start, preparation_layout(angles, q1_deg))
 
 
-def prepared_amplitudes(state: PathPolState) -> np.ndarray:
+def prepared_amplitudes(state: RailState) -> np.ndarray:
     """Collapse a prepared all-V state on rails -3,-1,1,3 to its 4 amplitudes."""
     vec = np.zeros(4, dtype=complex)
     rail_index = {-3: 0, -1: 1, 1: 2, 3: 3}
@@ -290,41 +238,11 @@ def masking_layout() -> tuple[Element, ...]:
     return tuple(elems)
 
 
-def extract_two_qubit(state: PathPolState, *, tol: float = EPS_EXACT) -> StateVector:
-    """Rails +1/-1 as qubit A (+1 -> |0>), polarization as qubit B (H -> |0>)."""
-    stray = max(
-        (abs(a) for (x, _p), a in state.amplitudes.items() if x not in (1, -1)),
-        default=0.0,
-    )
-    if stray > tol:
-        raise ValueError(f"support outside rails +/-1 with amplitude {stray:.3e}")
-    vec = np.zeros(4, dtype=complex)
-    for (x, p), a in state.amplitudes.items():
-        if x in (1, -1):
-            qa = 0 if x == 1 else 1
-            vec[2 * qa + p] = a
-    return StateVector.normalized(vec)
-
-
-def embed_two_qubit(psi: StateVector) -> PathPolState:
-    """Inverse of extract_two_qubit: put a two-qubit state onto rails +/-1."""
-    if psi.dim != 4:
-        raise ValueError("expected a two-qubit state")
-    amps = {}
-    for qa in (0, 1):
-        for p in (H, V):
-            a = psi.amplitudes[2 * qa + p]
-            if a != 0:
-                amps[(1 if qa == 0 else -1, p)] = a
-    return PathPolState(amps)
-
-
 def simulate_masking(a=None, *, q1_deg: float | None = None, angles: PrepAngles | None = None) -> StateVector:
     """Full table: preparation (solved from real `a` unless `angles` given) + masking module."""
     if angles is None:
         angles = solve_prep_angles(a)
-    state = simulate_preparation(angles, q1_deg)
-    state = run_layout(state, masking_layout())
+    state = run(simulate_preparation(angles, q1_deg), masking_layout())
     return extract_two_qubit(state)
 
 
@@ -391,7 +309,7 @@ class MeasAngles:
 
 
 def _horizontal_seed(target: np.ndarray) -> np.ndarray:
-    """Closed-form starting point for the angle solve.
+    """Closed-form QWP/HWP angles (degrees) that turn `target` into |H>.
 
     Writing the target as (cos a, e^{ib} sin a) up to a global phase, the pair
     S = asin(-sin 2a sin b), D = atan2(sin 2a cos b, cos 2a) gives exact angles
@@ -405,49 +323,28 @@ def _horizontal_seed(target: np.ndarray) -> np.ndarray:
     return np.array([math.degrees(big_d / 2.0), math.degrees((big_s + big_d) / 4.0)])
 
 
-def _solve_to_horizontal(target: np.ndarray, seed: int, *, tol: float, restarts: int) -> tuple[float, float, float]:
-    """Find QWP/HWP angles with HWP(h) QWP(q) |target> proportional to |H>.
+def _solve_to_horizontal(target: np.ndarray, *, tol: float) -> tuple[float, float, float]:
+    """QWP/HWP angles with HWP(h) QWP(q) |target> proportional to |H>.
 
-    Nelder-Mead on the infidelity 1 - |<H|achieved>|^2, started from the
-    closed-form seed and falling back to seeded random restarts; the final
-    residual is always re-checked against `tol`.
+    The closed form is exact; its residual 1 - |<H|achieved>|^2 is still
+    re-checked against `tol`.
     """
-
-    def residual(x):
-        v = hwp_jones(x[1]) @ qwp_jones(x[0]) @ target
-        return 1.0 - abs(v[0]) ** 2
-
-    opts = dict(fatol=1e-18, xatol=1e-13, maxiter=4000)
-    best_x = _horizontal_seed(target)
-    best_f = residual(best_x)
-    if best_f >= tol / 100.0:
-        rng = np.random.default_rng(seed)
-        starts = [best_x] + [rng.uniform(0.0, 180.0, size=2) for _ in range(restarts)]
-        for x0 in starts:
-            res = minimize(residual, x0, method="Nelder-Mead", options=opts)
-            if res.fun < best_f:
-                best_x, best_f = res.x, res.fun
-            if best_f < 1e-14:
-                break
-        # Restarting from the incumbent rebuilds the simplex and polishes the tail.
-        res = minimize(residual, best_x, method="Nelder-Mead", options=opts)
-        if res.fun < best_f:
-            best_x, best_f = res.x, res.fun
-    if best_f > tol:
-        raise SolverError(f"angle solve stalled at residual {best_f:.3e} (tolerance {tol:.1e})")
-    return float(best_x[0] % 180.0), float(best_x[1] % 180.0), float(best_f)
+    q, h = _horizontal_seed(target)
+    v = hwp_jones(h) @ qwp_jones(q) @ target
+    residual = 1.0 - abs(v[0]) ** 2
+    if residual > tol:
+        raise SolverError(f"closed-form angles leave residual {residual:.3e} (tolerance {tol:.1e})")
+    return float(q % 180.0), float(h % 180.0), float(residual)
 
 
-def compile_measurement(setting: MeasSetting, *, seed: int = 0, tol: float = 1e-10, restarts: int = 20) -> MeasAngles:
+def compile_measurement(setting: MeasSetting, *, tol: float = 1e-10) -> MeasAngles:
     """Waveplate angles sending the setting's basis onto the four detectors.
 
     Q2/H4 rotate the polarization basis onto (H, V); Q3/H5 do the same for the
     path basis after the displacer pair has moved it onto polarization.
     """
-    psi0 = setting.pol_basis()[0]
-    phi0 = setting.path_basis()[0]
-    q2, h4, r1 = _solve_to_horizontal(psi0, seed, tol=tol, restarts=restarts)
-    q3, h5, r2 = _solve_to_horizontal(phi0, seed + 1, tol=tol, restarts=restarts)
+    q2, h4, r1 = _solve_to_horizontal(setting.pol_basis()[0], tol=tol)
+    q3, h5, r2 = _solve_to_horizontal(setting.path_basis()[0], tol=tol)
     return MeasAngles(q2=q2, h4=h4, q3=q3, h5=h5, residual=max(r1, r2))
 
 
@@ -461,7 +358,6 @@ def measurement_layout(angles: MeasAngles) -> tuple[Element, ...]:
         BeamDisplacer(h_shift=0, v_shift=2),
         Waveplate("QWP", angles.q3),
         Waveplate("HWP", angles.h5),
-        PolarizingBS(),
     )
 
 
@@ -470,7 +366,7 @@ def measurement_layout(angles: MeasAngles) -> tuple[Element, ...]:
 _SPCM_PORTS = ((3, H), (3, V), (1, H), (1, V))
 
 
-def detector_distribution(state: PathPolState) -> np.ndarray:
+def detector_distribution(state: RailState) -> np.ndarray:
     """Click probabilities at SPCM 0..3 for a measurement-module output."""
     probs = np.array([abs(state.amplitude(x, p)) ** 2 for x, p in _SPCM_PORTS])
     leak = 1.0 - probs.sum()
@@ -479,16 +375,14 @@ def detector_distribution(state: PathPolState) -> np.ndarray:
     return probs
 
 
-def simulate_measurement(psi: StateVector, setting: MeasSetting, *, seed: int = 0) -> np.ndarray:
+def simulate_measurement(psi: StateVector, setting: MeasSetting) -> np.ndarray:
     """End-to-end module simulation; returns SPCM 0..3 probabilities.
 
     SPCM (0, 1, 2, 3) see |a1|^2, |a3|^2, |a0|^2, |a2|^2 where a_j are the
     coefficients of the state in the setting's product basis.
     """
-    angles = compile_measurement(setting, seed=seed)
-    state = embed_two_qubit(psi)
-    state = run_layout(state, measurement_layout(angles))
-    return detector_distribution(state)
+    angles = compile_measurement(setting)
+    return detector_distribution(run(embed_two_qubit(psi), measurement_layout(angles)))
 
 
 def spcm_to_outcome_order(spcm_probs: np.ndarray) -> np.ndarray:
@@ -520,8 +414,6 @@ def layout_to_text(layout: Sequence[Element]) -> str:
             lines.append(f"{el.kind},{el.angle_deg:.6f},{_paths_str(el.paths)},")
         elif isinstance(el, BeamDisplacer):
             lines.append(f"BD,,,h={el.h_shift};v={el.v_shift}")
-        elif isinstance(el, PolarizingBS):
-            lines.append(f"PBS,,{_paths_str(el.paths)},")
         else:
             raise TypeError(f"unknown element {el!r}")
     return "\n".join(lines) + "\n"
@@ -540,8 +432,6 @@ def layout_from_text(text: str) -> tuple[Element, ...]:
         elif kind == "BD":
             shifts = dict(part.split("=") for part in extra.split(";"))
             elems.append(BeamDisplacer(h_shift=int(shifts["h"]), v_shift=int(shifts["v"])))
-        elif kind == "PBS":
-            elems.append(PolarizingBS(scope))
         else:
             raise ValueError(f"unknown element kind {kind!r}")
     return tuple(elems)

@@ -245,11 +245,6 @@ def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
     return StateVector.normalized(v)
 
 
-def random_real_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
 def random_real_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Full-support real density matrix G^T G / tr(G^T G)."""
     g = rng.normal(size=(dim, dim))

@@ -7,6 +7,12 @@ position, identity elsewhere) or the translation.  The shipped default
 schedule masks a ququart whose amplitudes sit on the odd positions
 -3,-1,1,3 (coin |1>) into a hybrid two-qubit state on positions +/-1.
 
+This module also holds the sparse engine that the optical table reuses: a
+state {(site, qubit): amplitude} and two primitives, a local 2x2 on some or
+all sites and a qubit-conditional shift (s0, s1).  Coin layers and the
+translation lower onto these here; waveplates and beam displacers lower onto
+the same two in `optics`.
+
 Coin placements for the default schedule: the four-step geometry is pinned by
 requiring that the composite map equal the masker column-for-column under the
 position identification +1 -> |0>_A, -1 -> |1>_A (coin = qubit B), including
@@ -24,11 +30,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Collection, Iterable, Mapping, Union
 
 import numpy as np
 
-from .masker import masker_matrix
 from .qcore import (
     EPS_EXACT,
     PAULI_X,
@@ -45,12 +50,16 @@ COIN_XZ = PAULI_X @ PAULI_Z
 
 
 class ExtractionError(ValueError):
-    """Walk state has support outside the extractable positions."""
+    """State has support outside the extractable sites +/-1."""
 
 
 @dataclass(frozen=True, eq=False)
-class WalkState:
-    """Sparse walker-coin amplitudes: {(position, coin): amplitude}."""
+class RailState:
+    """Sparse site/qubit amplitudes: {(site, qubit): amplitude}.
+
+    The walk reads (site, qubit) as (position, coin); the optical table reads
+    it as (rail, polarization) with H = 0, V = 1.
+    """
 
     amplitudes: Mapping[tuple[int, int], complex]
 
@@ -58,23 +67,57 @@ class WalkState:
         amps = {}
         for (x, c), a in amplitudes.items():
             if c not in (0, 1):
-                raise ValueError(f"coin index must be 0 or 1, got {c}")
+                raise ValueError(f"qubit index must be 0 or 1, got {c}")
             if a != 0:
                 amps[(int(x), int(c))] = complex(a)
         if not _skip_check:
             norm = np.sqrt(sum(abs(a) ** 2 for a in amps.values()))
             if abs(norm - 1.0) > EPS_EXACT:
-                raise ValueError(f"walk state norm {norm} deviates from 1 by more than {EPS_EXACT}")
+                raise ValueError(f"state norm {norm} deviates from 1 by more than {EPS_EXACT}")
         object.__setattr__(self, "amplitudes", amps)
 
     def norm(self) -> float:
         return float(np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values())))
 
-    def positions(self) -> set[int]:
+    def sites(self) -> set[int]:
         return {x for (x, _c) in self.amplitudes}
 
-    def amplitude(self, position: int, coin: int) -> complex:
-        return self.amplitudes.get((position, coin), 0j)
+    def amplitude(self, site: int, qubit: int) -> complex:
+        return self.amplitudes.get((site, qubit), 0j)
+
+
+def apply_local(state: RailState, u: np.ndarray, sites: Collection[int] | None = None) -> RailState:
+    """Multiply the qubit spinor at each listed site (every site if None) by `u`."""
+    out: dict[tuple[int, int], complex] = {}
+    for (x, c), a in state.amplitudes.items():
+        if sites is not None and x not in sites:
+            out[(x, c)] = out.get((x, c), 0j) + a
+            continue
+        for c2 in (0, 1):
+            amp = u[c2, c] * a
+            if amp != 0:
+                out[(x, c2)] = out.get((x, c2), 0j) + amp
+    return RailState(out, _skip_check=True)
+
+
+def shift(state: RailState, s0: int, s1: int) -> RailState:
+    """Move qubit-0 amplitudes by s0 sites and qubit-1 amplitudes by s1 sites.
+
+    The map is injective on (site, qubit), so amplitudes never merge and the
+    norm is preserved exactly.
+    """
+    return RailState(
+        {(x + (s1 if c else s0), c): a for (x, c), a in state.amplitudes.items()},
+        _skip_check=True,
+    )
+
+
+def run(state: RailState, steps: Iterable) -> RailState:
+    """Apply walk layers or optical elements in order; each lowers itself onto
+    `apply_local` and `shift` through its `apply` method."""
+    for step in steps:
+        state = step.apply(state)
+    return state
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,10 +137,20 @@ class CoinLayer:
             checked[int(x)] = arr
         object.__setattr__(self, "coins", checked)
 
+    def apply(self, state: RailState) -> RailState:
+        # Coins sit on distinct positions, so one local pass per position
+        # gives the same amplitudes as a single pass over the whole layer.
+        for x, u in self.coins.items():
+            state = apply_local(state, u, (x,))
+        return state
+
 
 @dataclass(frozen=True)
 class Translate:
     """Marker layer for the conditional translation."""
+
+    def apply(self, state: RailState) -> RailState:
+        return shift(state, -1, +1)
 
 
 TRANSLATE = Translate()
@@ -122,37 +175,11 @@ class WalkSchedule:
         return sum(1 for layer in self.layers if isinstance(layer, Translate))
 
 
-def translate(state: WalkState) -> WalkState:
-    """|x,0> -> |x-1,0>, |x,1> -> |x+1,1>; exactly norm preserving."""
-    out: dict[tuple[int, int], complex] = {}
-    for (x, c), a in state.amplitudes.items():
-        nx = x - 1 if c == 0 else x + 1
-        out[(nx, c)] = out.get((nx, c), 0j) + a
-    return WalkState(out, _skip_check=True)
+def run_schedule(state: RailState, schedule: WalkSchedule) -> RailState:
+    return run(state, schedule.layers)
 
 
-def apply_coin_layer(state: WalkState, layer: CoinLayer) -> WalkState:
-    """Multiply the coin spinor at each position by that position's coin."""
-    out: dict[tuple[int, int], complex] = {}
-    for (x, c), a in state.amplitudes.items():
-        u = layer.coins.get(x)
-        if u is None:
-            out[(x, c)] = out.get((x, c), 0j) + a
-            continue
-        for c2 in (0, 1):
-            amp = u[c2, c] * a
-            if amp != 0:
-                out[(x, c2)] = out.get((x, c2), 0j) + amp
-    return WalkState(out, _skip_check=True)
-
-
-def run_schedule(state: WalkState, schedule: WalkSchedule) -> WalkState:
-    for layer in schedule.layers:
-        state = translate(state) if isinstance(layer, Translate) else apply_coin_layer(state, layer)
-    return state
-
-
-def encode_input(a) -> WalkState:
+def encode_input(a) -> RailState:
     """Ququart amplitudes onto the odd positions, coin |1>:
     a0|-3,1> + a1|-1,1> + a2|1,1> + a3|3,1>."""
     vec = np.asarray(a, dtype=complex)
@@ -160,7 +187,7 @@ def encode_input(a) -> WalkState:
         raise ValueError("input must have 4 amplitudes")
     if abs(np.linalg.norm(vec) - 1.0) > EPS_EXACT:
         raise ValueError("input amplitudes must be normalized")
-    return WalkState({(-3, 1): vec[0], (-1, 1): vec[1], (1, 1): vec[2], (3, 1): vec[3]})
+    return RailState({(-3, 1): vec[0], (-1, 1): vec[1], (1, 1): vec[2], (3, 1): vec[3]})
 
 
 def masking_schedule() -> WalkSchedule:
@@ -180,14 +207,14 @@ def masking_schedule() -> WalkSchedule:
     )
 
 
-def extract_two_qubit(state: WalkState, *, tol: float = EPS_EXACT) -> StateVector:
-    """Read positions +/-1 as qubit A (+1 -> |0>, -1 -> |1>); coin is qubit B."""
+def extract_two_qubit(state: RailState, *, tol: float = EPS_EXACT) -> StateVector:
+    """Read sites +/-1 as qubit A (+1 -> |0>, -1 -> |1>); the site's qubit is qubit B."""
     stray = max(
         (abs(a) for (x, _c), a in state.amplitudes.items() if x not in (1, -1)),
         default=0.0,
     )
     if stray > tol:
-        raise ExtractionError(f"support outside positions +/-1 with amplitude {stray:.3e}")
+        raise ExtractionError(f"support outside sites +/-1 with amplitude {stray:.3e}")
     vec = np.zeros(4, dtype=complex)
     for (x, c), a in state.amplitudes.items():
         if x in (1, -1):
@@ -196,14 +223,22 @@ def extract_two_qubit(state: WalkState, *, tol: float = EPS_EXACT) -> StateVecto
     return StateVector.normalized(vec)
 
 
+def embed_two_qubit(psi: StateVector) -> RailState:
+    """Inverse of extract_two_qubit: put a two-qubit state onto sites +/-1."""
+    if psi.dim != 4:
+        raise ValueError("expected a two-qubit state")
+    amps = {}
+    for qa in (0, 1):
+        for c in (0, 1):
+            a = psi.amplitudes[2 * qa + c]
+            if a != 0:
+                amps[(1 if qa == 0 else -1, c)] = a
+    return RailState(amps)
+
+
 def run_masking_walk(a) -> StateVector:
     """encode -> default schedule -> extract, as a two-qubit state."""
     return extract_two_qubit(run_schedule(encode_input(a), masking_schedule()))
-
-
-def masked_state_reference(a) -> StateVector:
-    """Direct masker image of the same input (oracle for the walk)."""
-    return StateVector(masker_matrix().matrix @ np.asarray(a, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

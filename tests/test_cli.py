@@ -197,6 +197,55 @@ class TestCommandLine:
         with pytest.raises(SystemExit):
             cli.main(["fig4", "--config", str(cfg_path)])
 
+    @pytest.mark.parametrize("doc", [
+        {"analytic": "false"},
+        {"analytic": 0},
+        {"seed": 1.7},
+        {"seed": True},
+        {"seed": "7"},
+        {"shots_per_setting": 400.0},
+        {"shots_per_setting": 0},
+        {"qsv_tests": False},
+        {"noise_p": "0.1"},
+        {"noise_p": 1.5},
+        {"phi_grid_deg": ["0", "45"]},
+        {"output_path": 3},
+    ])
+    def test_config_file_rejects_mistyped_values(self, tmp_path, doc):
+        # {"analytic": "false", "seed": 1.7} used to run in analytic mode with seed 1.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fig4", "--config", str(cfg_path)])
+        key = next(iter(doc))
+        assert isinstance(exc.value.code, str) and key in exc.value.code
+
+    def test_unreadable_config_file_is_a_clean_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{seed: 1")
+        for path in (bad, tmp_path / "missing.json"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["fig4", "--config", str(path)])
+            assert isinstance(exc.value.code, str) and str(path) in exc.value.code
+
+    @pytest.mark.parametrize("argv", [
+        ["fig3", "--noise-p", "1.5"],
+        ["fig3", "--noise-p", "nan"],
+        ["fig3", "--qsv-tests", "0"],
+        ["fig4", "--shots", "0"],
+        ["fig4", "--shots", "2.5"],
+        ["fig5", "--phi-grid", "0,x"],
+        ["fig5", "--phi-grid", "0,inf"],
+        ["equiv", "--n-inputs", "0"],
+    ])
+    def test_bad_flag_values_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {argv[1]}:" in err
+        assert "Traceback" not in err
+
     def test_angles_subcommand(self, capsys):
         rc = cli.main(["angles", "--state", "1,1,1,1", "--phi", "90", "--setting", "ZZ"])
         assert rc == 0
@@ -230,6 +279,14 @@ class TestCommandLine:
             )
             outs.append((out_dir / "fig5.json").read_bytes() + (out_dir / "fig5.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_experiments_import_does_not_load_scipy(self):
+        import subprocess
+        import sys
+
+        code = "import sys, realmask.experiments; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
 
     def test_byte_identical_files_for_same_config(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

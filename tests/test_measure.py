@@ -207,6 +207,26 @@ class TestCountsTable:
         with pytest.raises(ValueError):
             tables_from_csv("a,b,c\n")
 
+    def test_csv_rejects_repeated_row(self):
+        # A repeated (setting, outcome, shots, seed) row used to overwrite the earlier count.
+        text = "setting,outcome,count,shots,seed\nZ,+,7,10,43\nZ,-,3,10,43\nZ,+,9,10,43\n"
+        with pytest.raises(ValueError, match="line 4: repeated outcome"):
+            tables_from_csv(text)
+
+    def test_csv_rejects_unknown_outcome_label(self):
+        text = "setting,outcome,count,shots,seed\nZ,+,7,10,43\nZ,0,3,10,43\n"
+        with pytest.raises(ValueError, match="line 3: unknown outcome label '0'"):
+            tables_from_csv(text)
+
+    def test_csv_rejects_incomplete_table(self):
+        text = "setting,outcome,count,shots,seed\nXX,++,7,10,43\nXX,+-,3,10,43\nXX,-+,0,10,43\n"
+        with pytest.raises(ValueError, match="setting XX, shots 10, seed 43"):
+            tables_from_csv(text)
+
+    def test_csv_rejects_short_row(self):
+        with pytest.raises(ValueError, match="line 2"):
+            tables_from_csv("setting,outcome,count,shots,seed\nZ,+,7\n")
+
 
 class TestSeeds:
     def test_derive_seed_is_stable(self):

@@ -9,16 +9,11 @@ from realmask.optics import (
     V,
     BeamDisplacer,
     MeasSetting,
-    PathPolState,
-    PolarizingBS,
     SolverError,
     Waveplate,
-    apply_element,
     born_product_probs,
     compile_measurement,
     detector_distribution,
-    embed_two_qubit,
-    extract_two_qubit,
     hwp_jones,
     layout_from_text,
     layout_to_text,
@@ -29,7 +24,6 @@ from realmask.optics import (
     preparation_layout,
     prepared_amplitudes,
     qwp_jones,
-    run_layout,
     simulate_masking,
     simulate_measurement,
     simulate_preparation,
@@ -38,6 +32,7 @@ from realmask.optics import (
     xplate,
 )
 from realmask.qcore import PAULI_X, PAULI_Z, StateVector, haar_state
+from realmask.walk import RailState, embed_two_qubit, extract_two_qubit, run
 
 SQRT2 = np.sqrt(2)
 
@@ -143,8 +138,8 @@ class TestElements:
                 k += 1
                 amps[(rail, pol)] = k
         norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-        state = PathPolState({key: a / norm for key, a in amps.items()})
-        out = apply_element(state, BeamDisplacer(h_shift=0, v_shift=2))
+        state = RailState({key: a / norm for key, a in amps.items()})
+        out = BeamDisplacer(h_shift=0, v_shift=2).apply(state)
         assert len(out.amplitudes) == len(state.amplitudes)
         assert sorted(abs(a) for a in out.amplitudes.values()) == pytest.approx(
             sorted(abs(a) for a in state.amplitudes.values())
@@ -153,15 +148,11 @@ class TestElements:
     def test_bd_routing_is_injective_in_layouts(self):
         # Walk through the masking layout tracking basis states one at a time.
         for rail in (-3, -1, 1, 3):
-            state = PathPolState({(rail, V): 1.0})
-            out = run_layout(state, masking_layout())
+            state = RailState({(rail, V): 1.0})
+            out = run(state, masking_layout())
             assert out.norm() if hasattr(out, "norm") else True
             total = sum(abs(a) ** 2 for a in out.amplitudes.values())
             assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_pbs_is_identity_placeholder(self):
-        state = PathPolState({(1, H): 1.0})
-        assert apply_element(state, PolarizingBS()).amplitudes == state.amplitudes
 
     def test_xplate_fixed_angle(self):
         with pytest.raises(ValueError):
@@ -215,7 +206,7 @@ class TestMeasurement:
 
     def test_detector_distribution_order(self):
         # A module output sitting entirely on (rail 3, H) is SPCM 0.
-        state = PathPolState({(3, H): 1.0})
+        state = RailState({(3, H): 1.0})
         assert detector_distribution(state)[0] == 1.0
 
     def test_uniform_input_gives_uniform_detectors(self):
@@ -225,13 +216,13 @@ class TestMeasurement:
         assert np.abs(probs - 0.25).max() < 1e-10
 
     def test_simulation_matches_born_rule(self, rng):
-        for trial in range(100):
+        for _ in range(100):
             setting = MeasSetting(
                 gamma=rng.uniform(0, math.pi / 2), zeta=rng.uniform(0, 2 * math.pi),
                 alpha=rng.uniform(0, math.pi / 2), beta=rng.uniform(0, 2 * math.pi),
             )
             psi = haar_state(4, rng)
-            spcm = simulate_measurement(psi, setting, seed=trial)
+            spcm = simulate_measurement(psi, setting)
             got = spcm_to_outcome_order(spcm)
             want = born_product_probs(psi, setting)
             assert np.abs(got - want).max() < 1e-8
@@ -242,7 +233,7 @@ class TestMeasurement:
 
     def test_solver_error_on_impossible_tolerance(self):
         with pytest.raises(SolverError):
-            compile_measurement(pauli_meas_setting("X", "Y"), tol=-1.0, restarts=1)
+            compile_measurement(pauli_meas_setting("X", "Y"), tol=-1.0)
 
 
 class TestLayoutFile:
@@ -252,7 +243,6 @@ class TestLayoutFile:
             Waveplate("QWP", 45.0, None),
             BeamDisplacer(h_shift=-4, v_shift=0),
             xplate({-3, 1}),
-            PolarizingBS(),
         )
         text = layout_to_text(layout)
         again = layout_from_text(text)
@@ -268,8 +258,12 @@ class TestLayoutFile:
         text = layout_to_text(measurement_layout(compiled))
         assert "BD,,,h=0;v=2" in text
         again = layout_from_text(text)
-        assert len(again) == 8
+        assert len(again) == 7
 
     def test_rejects_bad_header(self):
         with pytest.raises(ValueError):
             layout_from_text("nope\nHWP,0.000000,,")
+
+    def test_rejects_unknown_element_kind(self):
+        with pytest.raises(ValueError):
+            layout_from_text("kind,angle,paths,extra\nPBS,,,")

@@ -13,9 +13,9 @@ from realmask.walk import (
     TRANSLATE,
     CoinLayer,
     ExtractionError,
+    RailState,
     WalkSchedule,
-    WalkState,
-    apply_coin_layer,
+    apply_local,
     encode_input,
     extract_two_qubit,
     load_schedule,
@@ -25,27 +25,27 @@ from realmask.walk import (
     save_schedule,
     schedule_from_dict,
     schedule_to_dict,
-    translate,
+    shift,
 )
 
 SQRT2 = np.sqrt(2)
 
 
-def amp(state: WalkState, x: int, c: int) -> complex:
+def amp(state: RailState, x: int, c: int) -> complex:
     return state.amplitude(x, c)
 
 
 class TestTranslate:
     def test_coin_zero_moves_left(self):
-        out = translate(WalkState({(0, 0): 1.0}))
+        out = TRANSLATE.apply(RailState({(0, 0): 1.0}))
         assert amp(out, -1, 0) == 1.0
 
     def test_coin_one_moves_right(self):
-        out = translate(WalkState({(0, 1): 1.0}))
+        out = TRANSLATE.apply(RailState({(0, 1): 1.0}))
         assert amp(out, 1, 1) == 1.0
 
     def test_superposition_termwise(self):
-        out = translate(WalkState({(2, 0): 1 / SQRT2, (2, 1): 1 / SQRT2}))
+        out = TRANSLATE.apply(RailState({(2, 0): 1 / SQRT2, (2, 1): 1 / SQRT2}))
         assert amp(out, 1, 0) == pytest.approx(1 / SQRT2)
         assert amp(out, 3, 1) == pytest.approx(1 / SQRT2)
 
@@ -57,28 +57,51 @@ class TestTranslate:
     ))
     def test_norm_and_position_shift(self, raw):
         norm = np.sqrt(sum(abs(a) ** 2 for a in raw.values()))
-        state = WalkState({k: v / norm for k, v in raw.items()})
-        out = translate(state)
+        state = RailState({k: v / norm for k, v in raw.items()})
+        out = TRANSLATE.apply(state)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
         for (x, c), a in state.amplitudes.items():
             assert amp(out, x - 1 if c == 0 else x + 1, c) == a
 
 
+class TestEngine:
+    def test_local_acts_on_every_site_when_none_listed(self):
+        state = RailState({(0, 0): 1 / SQRT2, (5, 1): 1 / SQRT2})
+        out = apply_local(state, COIN_X)
+        assert out.amplitudes == {(0, 1): 1 / SQRT2, (5, 0): 1 / SQRT2}
+
+    def test_local_leaves_unlisted_sites_alone(self):
+        state = RailState({(0, 0): 1 / SQRT2, (5, 1): 1 / SQRT2})
+        out = apply_local(state, COIN_X, {0})
+        assert out.amplitudes == {(0, 1): 1 / SQRT2, (5, 1): 1 / SQRT2}
+
+    def test_shift_moves_each_qubit_by_its_own_offset(self):
+        state = RailState({(1, 0): 0.6, (1, 1): 0.8j})
+        out = shift(state, -4, 2)
+        assert out.amplitudes == {(-3, 0): 0.6, (3, 1): 0.8j}
+
+    def test_rejects_bad_qubit_index(self):
+        with pytest.raises(ValueError):
+            RailState({(0, 2): 1.0})
+
+    def test_rejects_unnormalized_state(self):
+        with pytest.raises(ValueError):
+            RailState({(0, 0): 1.0, (1, 0): 1.0})
+
+
 class TestCoinLayer:
     def test_x_at_position(self):
-        layer = CoinLayer({3: COIN_X})
-        out = apply_coin_layer(WalkState({(3, 1): 1.0}), layer)
+        out = CoinLayer({3: COIN_X}).apply(RailState({(3, 1): 1.0}))
         assert amp(out, 3, 0) == 1.0
 
     def test_c2_column(self):
-        layer = CoinLayer({-2: COIN_C2})
-        out = apply_coin_layer(WalkState({(-2, 1): 1.0}), layer)
+        out = CoinLayer({-2: COIN_C2}).apply(RailState({(-2, 1): 1.0}))
         assert amp(out, -2, 0) == pytest.approx(1j / SQRT2)
         assert amp(out, -2, 1) == pytest.approx(1j / SQRT2)
 
     def test_identity_layer_is_noop(self):
-        state = WalkState({(0, 0): 1 / SQRT2, (2, 1): 1j / SQRT2})
-        out = apply_coin_layer(state, CoinLayer({}))
+        state = RailState({(0, 0): 1 / SQRT2, (2, 1): 1j / SQRT2})
+        out = CoinLayer({}).apply(state)
         assert out.amplitudes == state.amplitudes
 
     def test_rejects_non_unitary_coin(self):
@@ -102,16 +125,16 @@ class TestEncodeExtract:
             encode_input([1, 1, 0, 0])
 
     def test_extract_identification(self):
-        assert np.allclose(extract_two_qubit(WalkState({(1, 0): 1.0})).amplitudes, [1, 0, 0, 0])
-        assert np.allclose(extract_two_qubit(WalkState({(-1, 1): 1.0})).amplitudes, [0, 0, 0, 1])
+        assert np.allclose(extract_two_qubit(RailState({(1, 0): 1.0})).amplitudes, [1, 0, 0, 0])
+        assert np.allclose(extract_two_qubit(RailState({(-1, 1): 1.0})).amplitudes, [0, 0, 0, 1])
 
     def test_extract_bell(self):
-        out = extract_two_qubit(WalkState({(1, 0): 1 / SQRT2, (-1, 1): 1 / SQRT2}))
+        out = extract_two_qubit(RailState({(1, 0): 1 / SQRT2, (-1, 1): 1 / SQRT2}))
         assert np.allclose(out.amplitudes, np.array([1, 0, 0, 1]) / SQRT2)
 
     def test_extract_rejects_stray_support(self):
         with pytest.raises(ExtractionError):
-            extract_two_qubit(WalkState({(1, 0): np.sqrt(0.5), (3, 0): np.sqrt(0.5)}))
+            extract_two_qubit(RailState({(1, 0): np.sqrt(0.5), (3, 0): np.sqrt(0.5)}))
 
 
 class TestMaskingSchedule:
@@ -153,8 +176,8 @@ class TestMaskingSchedule:
             a /= np.linalg.norm(a)
             state = encode_input(a)
             for layer in schedule.layers:
-                state = translate(state) if layer is TRANSLATE else apply_coin_layer(state, layer)
-                assert all(-5 <= x <= 5 for x in state.positions())
+                state = layer.apply(state)
+                assert all(-5 <= x <= 5 for x in state.sites())
 
     def test_exact_masker_equality_including_phase(self, rng):
         m = masker_matrix().matrix
@@ -180,7 +203,7 @@ class TestRunSchedule:
         assert out.amplitudes == state.amplitudes
 
     def test_single_translate(self):
-        out = run_schedule(WalkState({(0, 1): 1.0}), WalkSchedule("t", (TRANSLATE,)))
+        out = run_schedule(RailState({(0, 1): 1.0}), WalkSchedule("t", (TRANSLATE,)))
         assert amp(out, 1, 1) == 1.0
 
     def test_norm_preserved_on_random_schedules(self, rng):
@@ -193,7 +216,7 @@ class TestRunSchedule:
                     positions = rng.choice(np.arange(-4, 5), size=rng.integers(1, 4), replace=False)
                     layers.append(CoinLayer({int(x): random_unitary(2, rng) for x in positions}))
             schedule = WalkSchedule("rand", tuple(layers))
-            start = WalkState({(int(rng.integers(-4, 5)), int(rng.integers(0, 2))): 1.0})
+            start = RailState({(int(rng.integers(-4, 5)), int(rng.integers(0, 2))): 1.0})
             out = run_schedule(start, schedule)
             assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
