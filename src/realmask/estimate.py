@@ -6,9 +6,9 @@ Three pipelines:
   pass rate maps linearly onto the infidelity, eps = (3/2)(1 - p_succ), with
   an Agresti-Coull confidence interval transported through the same linear
   map;
-* single-qubit tomography: iterative R rho R maximum likelihood over X/Y/Z
-  counts, cross-checked against linear inversion, with Poisson-resampling
-  bootstrap error bars;
+* single-qubit tomography: exact maximum likelihood over X/Y/Z counts,
+  cross-checked against linear inversion, with Poisson-resampling bootstrap
+  error bars;
 * correlation decoding: the nine Pauli-pair correlators of the masked state
   determine the real input density matrix entry by entry; the reconstruction
   is real symmetric by construction and is projected onto the nearest density
@@ -16,6 +16,7 @@ Three pipelines:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Callable, Sequence, Union
@@ -36,10 +37,6 @@ from .qcore import (
     purity,
     require_unitary,
 )
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative estimator hit its iteration cap before the tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -180,37 +177,58 @@ def agresti_coull(passed: int, total: int, confidence: float = 0.95) -> tuple[fl
 
 _AXES = ("X", "Y", "Z")
 _SIGMAS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
-# Projectors indexed [axis, outcome, i, j]; outcome 0 is the +1 eigenspace.
-_PROJECTORS = np.stack(
-    [np.stack([(np.eye(2) + s * sig) / 2 for s in (+1, -1)]) for sig in _SIGMAS]
-)
 
 
-def _rr_step(rho: np.ndarray, freq: np.ndarray) -> np.ndarray:
-    probs = np.einsum("bij,koji->bko", rho, _PROJECTORS).real
-    weights = np.divide(freq, probs, out=np.zeros_like(freq), where=freq > 0)
-    r_op = np.einsum("bko,koij->bij", weights, _PROJECTORS)
-    new = r_op @ rho @ r_op
-    new = 0.5 * (new + np.conj(np.swapaxes(new, 1, 2)))
-    return new / np.trace(new, axis1=1, axis2=2).real[:, None, None]
+def _sphere_fit(n_plus: list[float], n_minus: list[float]) -> list[float]:
+    """Bloch vector of the MLE of one item whose linear inversion leaves the ball.
+
+    With a = max(n+, n-) and b = min(n+, n-), |r_k| at multiplier lam is the
+    root in [0, 1] of the convex cubic p(s) = (1 - s)(a - 2 lam s (1 + s)) -
+    b (1 + s), which Newton's method climbs to monotonically from below; the
+    factored form stays accurate next to s = 1.  |r(lam)| falls as lam grows,
+    and lam <= N/4 for N counts in all (2 lam = sum_k r_k g_k(r_k) at the
+    optimum, each term at most n_k/2).  Bisection runs to adjacent floats and
+    returns the radii at the upper end, where |r| <= 1.
+    """
+    axes = [(max(a, b), min(a, b)) for a, b in zip(n_plus, n_minus)]
+
+    def radii(lam: float, start: list[float]) -> list[float]:
+        out = []
+        for (a, b), s in zip(axes, start):
+            while True:
+                q = a - 2.0 * lam * s * (1.0 + s)
+                p = (1.0 - s) * q - b * (1.0 + s)
+                if p <= 0.0:
+                    break
+                new = min(s - p / (-q - 2.0 * lam * (1.0 - s) * (1.0 + 2.0 * s) - b), 1.0)
+                if new <= s:
+                    break
+                s = new
+            out.append(s)
+        return out
+
+    lo, hi = 0.0, (sum(n_plus) + sum(n_minus)) / 4.0
+    s_hi = radii(hi, [0.0, 0.0, 0.0])
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        # |r| only falls with lam, so the radii at hi lie below the new ones.
+        s = radii(mid, s_hi)
+        if s[0] * s[0] + s[1] * s[1] + s[2] * s[2] > 1.0:
+            lo = mid
+        else:
+            hi, s_hi = mid, s
+    return [math.copysign(s, a - b) for s, a, b in zip(s_hi, n_plus, n_minus)]
 
 
-def _log_likelihood(rho: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    probs = np.einsum("bij,koji->bko", rho, _PROJECTORS).real
-    terms = np.where(counts > 0, counts * np.log(np.clip(probs, 1e-300, None)), 0.0)
-    return terms.sum(axis=(1, 2))
+def mle_qubit_batch(counts: np.ndarray) -> np.ndarray:
+    """Exact maximum-likelihood qubit states for X/Y/Z counts of shape (batch, 3, 2).
 
-
-def mle_qubit_batch(counts: np.ndarray, *, tol: float = 1e-10, max_iter: int = 5000) -> np.ndarray:
-    """Iterative R rho R fixed point for a batch of X/Y/Z count triples.
-
-    `counts` has shape (batch, 3, 2); returns (batch, 2, 2) density matrices.
-    Converged when successive iterates move less than `tol` in trace
-    distance.  Boundary-of-the-Bloch-ball fits approach their fixed point
-    sublinearly, so when the iteration cap is reached the estimate is still
-    accepted if the log-likelihood has verifiably flattened (gain below
-    1e-12 per sweep); a genuinely unconverged fit raises ConvergenceError
-    with the residual.
+    Outcome 0 is +1; returns (batch, 2, 2) density matrices.  The concave
+    log-likelihood sum_k n+_k log(1 + r_k) + n-_k log(1 - r_k) of the Bloch
+    vector r peaks at the linear inversion r_k = (n+_k - n-_k)/n_k, the MLE
+    whenever it lies in the Bloch ball.  Otherwise the MLE is the unique point
+    of the sphere with g_k(r_k) = n+_k/(1 + r_k) - n-_k/(1 - r_k) = 2 lam r_k on
+    every axis, lam >= 0.  An axis with no counts gets r_k = 0, the maximally
+    mixed value.  Items are solved one by one, bit-identical in any batch.
     """
     c = np.asarray(counts, dtype=float)
     if c.ndim == 2:
@@ -219,22 +237,14 @@ def mle_qubit_batch(counts: np.ndarray, *, tol: float = 1e-10, max_iter: int = 5
         raise ValueError("counts must have shape (batch, 3, 2)")
     if np.any(c < 0):
         raise ValueError("counts must be nonnegative")
-    freq = c / c.sum(axis=(1, 2), keepdims=True)
-    rho = np.broadcast_to(np.eye(2, dtype=complex) / 2, (c.shape[0], 2, 2)).copy()
-    delta = np.inf
-    for _ in range(max_iter):
-        new = _rr_step(rho, freq)
-        diff = new - rho
-        # Trace distance of a traceless Hermitian 2x2: sqrt(|a|^2 + |b|^2).
-        delta = float(np.sqrt(np.abs(diff[:, 0, 0]) ** 2 + np.abs(diff[:, 0, 1]) ** 2).max())
-        rho = new
-        if delta < tol:
-            return rho
-    before = _log_likelihood(rho, c)
-    after = _log_likelihood(_rr_step(rho, freq), c)
-    if np.all(after - before < 1e-12 * (np.abs(before) + 1.0)):
-        return rho
-    raise ConvergenceError(f"tomography stalled: residual {delta:.3e} after {max_iter} iterations")
+    n_plus, n_minus = c[:, :, 0], c[:, :, 1]
+    n = n_plus + n_minus
+    r = np.divide(n_plus - n_minus, n, out=np.zeros_like(n), where=n > 0)
+    outside = r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2] > 1.0
+    for i in np.flatnonzero(outside):
+        r[i] = _sphere_fit(n_plus[i].tolist(), n_minus[i].tolist())
+    x, y, z = r.T
+    return (np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=1) / 2).reshape(-1, 2, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,24 +262,11 @@ class TomoResult:
             raise ValueError("reconstructed Bloch vector outside the ball")
 
 
-def _counts_array(counts_x: CountsTable, counts_y: CountsTable, counts_z: CountsTable) -> np.ndarray:
-    arr = []
-    for t in (counts_x, counts_y, counts_z):
-        if len(t.counts) != 2:
-            raise ValueError("tomography expects two-outcome tables")
-        if t.shots <= 0:
-            raise ValueError("tomography tables need shots > 0")
-        arr.append(t.counts)
-    return np.asarray(arr, dtype=float)
-
-
 def tomography_1q(
     counts_x: CountsTable,
     counts_y: CountsTable,
     counts_z: CountsTable,
     *,
-    tol: float = 1e-10,
-    max_iter: int = 5000,
     bootstrap_resamples: int | None = None,
     bootstrap_seed: int = 0,
 ) -> TomoResult:
@@ -278,29 +275,29 @@ def tomography_1q(
     Pass `bootstrap_resamples` to also fill std_purity from Poisson
     resampling of the three tables.
     """
-    counts = _counts_array(counts_x, counts_y, counts_z)
-    rho = mle_qubit_batch(counts, tol=tol, max_iter=max_iter)[0]
-    dm = DensityMatrix(rho)
+    tables = (counts_x, counts_y, counts_z)
+    if any(len(t.counts) != 2 or t.shots == 0 for t in tables):
+        raise ValueError("tomography needs two-outcome tables with shots > 0")
+    counts = np.array([t.counts for t in tables], dtype=float)
+    dm = DensityMatrix(mle_qubit_batch(counts)[0])
     bloch = np.array([np.trace(dm.mat @ sig).real for sig in _SIGMAS])
     bloch_linear = (counts[:, 0] - counts[:, 1]) / counts.sum(axis=1)
-    std = None
-    if bootstrap_resamples is not None:
-
-        def mle_purity(tables) -> float:
-            c = np.asarray([t.counts for t in tables], dtype=float)
-            r = mle_qubit_batch(c[None], tol=tol, max_iter=max_iter)[0]
-            return float(np.trace(r @ r).real)
-
-        std = bootstrap_std(mle_purity, (counts_x, counts_y, counts_z),
-                            resamples=bootstrap_resamples, seed=bootstrap_seed)
+    std = None if bootstrap_resamples is None else bootstrap_std(
+        purity_from_tables, tables, resamples=bootstrap_resamples, seed=bootstrap_seed)
     return TomoResult(bloch=bloch, bloch_linear=bloch_linear, rho_hat=dm,
                       purity=purity(dm), std_purity=std)
 
 
-def purity_from_counts(counts: np.ndarray, **kwargs) -> np.ndarray:
+def purity_from_counts(counts: np.ndarray) -> np.ndarray:
     """Batch shortcut: MLE purities for counts of shape (batch, 3, 2)."""
-    rho = mle_qubit_batch(counts, **kwargs)
+    rho = mle_qubit_batch(counts)
     return np.einsum("bij,bji->b", rho, rho).real
+
+
+def purity_from_tables(tables: Sequence[CountsTable]) -> float:
+    """MLE purity of one qubit from its X, Y and Z tables."""
+    counts = np.array([t.counts for t in tables], dtype=float)
+    return float(purity_from_counts(counts[None])[0])
 
 
 def bootstrap_std(

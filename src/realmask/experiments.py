@@ -25,6 +25,10 @@ from .masker import mask_pure, masker_matrix
 from .measure import CountsTable, NoiseSpec, PauliSetting, derive_seed, generator
 from .qcore import DensityMatrix, StateVector, fidelity_with_pure, partial_trace, purity
 
+# Version of the JSON reports, bumped whenever the layout or the numbers that a
+# fixed config produces change.
+REPORT_SCHEMA = 2
+
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
 DEFAULT_NOISE_P = 0.01
@@ -92,11 +96,6 @@ def _tomography_tables(
     return tables
 
 
-def _purity_of_tables(tables: Sequence[CountsTable]) -> float:
-    counts = np.array([t.counts for t in tables], dtype=float)
-    return float(estimate.purity_from_counts(counts[None])[0])
-
-
 # ---------------------------------------------------------------------------
 # fig3: verification fidelity + reduced-state purity for the four probes.
 
@@ -135,11 +134,11 @@ def run_fig3(config: ExperimentConfig) -> dict:
             )
             tables_a = _tomography_tables(partial_trace(rho, "A"), shots, config.seed, "fig3.tomo", idx, "path")
             tables_b = _tomography_tables(partial_trace(rho, "B"), shots, config.seed, "fig3.tomo", idx, "pol")
-            pur_a = _purity_of_tables(tables_a)
-            pur_b = _purity_of_tables(tables_b)
+            pur_a = estimate.purity_from_tables(tables_a)
+            pur_b = estimate.purity_from_tables(tables_b)
 
             def avg_purity(tabs: Sequence[CountsTable]) -> float:
-                return 0.5 * (_purity_of_tables(tabs[:3]) + _purity_of_tables(tabs[3:]))
+                return 0.5 * (estimate.purity_from_tables(tabs[:3]) + estimate.purity_from_tables(tabs[3:]))
 
             std = estimate.bootstrap_std(
                 avg_purity, [*tables_a, *tables_b], resamples=BOOTSTRAP_RESAMPLES,
@@ -242,7 +241,7 @@ def run_fig5(config: ExperimentConfig, *, bootstrap: bool = True) -> dict:
             tables = _tomography_tables(rho_path, shots, config.seed, "fig5.tomo", i)
 
             def conc(tabs: Sequence[CountsTable]) -> float:
-                return concurrence_from_purity(_purity_of_tables(tabs))
+                return concurrence_from_purity(estimate.purity_from_tables(tabs))
 
             est = conc(tables)
             std = (
@@ -319,7 +318,9 @@ def _round_floats(obj):
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(_round_floats(report), indent=2) + "\n"
+    """JSON text of a report under a top-level "schema" key; NaN or infinity raises ValueError."""
+    doc = {"schema": REPORT_SCHEMA, **_round_floats(report)}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _fmt(x) -> str:

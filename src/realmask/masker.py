@@ -57,10 +57,6 @@ class HurwitzRadonSet:
         """[U_0 = 1, U_1, ...]."""
         return [ID2, *self.matrices]
 
-    @property
-    def masked_dim(self) -> int:
-        return len(self.matrices) + 1
-
 
 def build_hr_d4() -> HurwitzRadonSet:
     """The Pauli construction {iZ, iX, iY} for the ququart masker."""

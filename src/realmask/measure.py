@@ -161,11 +161,15 @@ def sample_counts(probs, shots: int, seed: int, setting: str = "") -> CountsTabl
 
 
 def correlator_estimate(table: CountsTable) -> float:
-    """(n++ - n+- - n-+ + n--)/shots for a pair table."""
+    """(n++ - n+- - n-+ + n--)/shots for a pair table.
+
+    A table with no shots carries no information and gives 0.0, the value of
+    an uncorrelated pair; a zero-count bootstrap resample is one.
+    """
     if len(table.counts) != 4:
         raise ValueError("correlator needs a four-outcome table")
-    if table.shots <= 0:
-        raise ValueError("shots must be positive")
+    if table.shots == 0:
+        return 0.0
     npp, npm, nmp, nmm = table.counts
     return (npp - npm - nmp + nmm) / table.shots
 

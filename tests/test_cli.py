@@ -114,6 +114,15 @@ class TestReportFiles:
         doc = json.loads((tmp_path / "fig3.json").read_text())
         assert doc["experiment"] == "fig3"
 
+    def test_report_carries_schema_version(self):
+        doc = json.loads(report_json(run_fig4(ExperimentConfig(seed=3, analytic=True))))
+        assert next(iter(doc)) == "schema"
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 2
+
+    def test_non_finite_value_is_refused(self):
+        with pytest.raises(ValueError):
+            report_json({"experiment": "fig5", "points": [{"estimate": 0.5, "error": float("nan")}]})
+
     def test_floats_rendered_at_twelve_digits(self):
         cfg = ExperimentConfig(seed=3, analytic=True, noise_p=1 / 3)
         text = report_json(run_fig4(cfg))
@@ -245,6 +254,21 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "usage:" in err and f"argument {argv[1]}:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("experiment", ["fig3", "fig4", "fig5"])
+    @pytest.mark.parametrize("shots", ["1", "2"])
+    def test_one_or_two_shots_give_finite_reports(self, experiment, shots, tmp_path):
+        # Many Poisson resamples of such tables hold no counts at all; each
+        # must still give a finite estimate and a valid report.
+        rc = cli.main([experiment, "--shots", shots, "--qsv-tests", "50", "--out", str(tmp_path)])
+        assert rc == 0
+
+        def reject(token):
+            raise ValueError(f"{token} in report")
+
+        doc = json.loads((tmp_path / f"{experiment}.json").read_text(), parse_constant=reject)
+        assert doc["shots_per_setting"] == int(shots)
+        assert "nan" not in (tmp_path / f"{experiment}.csv").read_text()
 
     def test_angles_subcommand(self, capsys):
         rc = cli.main(["angles", "--state", "1,1,1,1", "--phi", "90", "--setting", "ZZ"])

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from realmask.estimate import (
-    ConvergenceError,
     EstimationReport,
     QsvResult,
     agresti_coull,
@@ -45,6 +44,35 @@ def bell_counts(rho: DensityMatrix, shots: int, seed: int) -> list[CountsTable]:
         sample_counts(single_qubit_probs(rho, ax), shots, derive_seed(seed, ax), setting=ax)
         for ax in ("X", "Y", "Z")
     ]
+
+
+def bloch_of(rho: np.ndarray) -> np.ndarray:
+    return np.array([2 * rho[0, 1].real, -2 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real])
+
+
+def linear_inversion(counts: np.ndarray) -> np.ndarray:
+    """(n+ - n-)/n per axis, 0 on an axis without counts."""
+    n = counts.sum(axis=1)
+    return np.divide(counts[:, 0] - counts[:, 1], n, out=np.zeros(3), where=n > 0)
+
+
+def likelihood_gradient(r: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    plus, minus = counts[:, 0], counts[:, 1]
+    return (np.divide(plus, 1 + r, out=np.zeros(3), where=plus > 0)
+            - np.divide(minus, 1 - r, out=np.zeros(3), where=minus > 0))
+
+
+def log_likelihood(r: np.ndarray, counts: np.ndarray) -> float:
+    plus, minus = counts[:, 0], counts[:, 1]
+    return float(np.sum(plus * np.log1p(r) + minus * np.log1p(-r)))
+
+
+def lagrange_condition(r: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    """Multiplier lam of grad = 2 lam r on the unit sphere, and the relative
+    size of the gradient's part tangent to the sphere."""
+    grad = likelihood_gradient(r, counts)
+    lam = float(grad @ r) / 2
+    return lam, float(np.linalg.norm(grad - 2 * lam * r) / np.linalg.norm(grad))
 
 
 class TestVerificationOperator:
@@ -208,23 +236,34 @@ class TestTomography:
                    + bloch[2] * np.diag([1, -1])) / 2
             assert trace_distance(rho, lin) < 1e-6
 
-    def test_iteration_cap_raises(self):
-        tabs = [CountsTable(ax, (600, 400), 1000, 0) for ax in ("X", "Y", "Z")]
-        with pytest.raises(ConvergenceError):
-            tomography_1q(*tabs, tol=0.0, max_iter=2)
-
-    def test_boundary_fit_accepted_at_cap(self):
-        # Data pushing the linear inversion outside the Bloch ball: the fixed
-        # point sits on the boundary and the sweep residual decays slowly, but
-        # the likelihood flattens, so the estimate is accepted.
+    def test_boundary_fit_is_exact(self, rng):
+        # The linear inversion (0.05, -0.055, 1) lies outside the Bloch ball,
+        # so the estimate is the point of the sphere where the likelihood
+        # gradient is normal to it.
         tabs = [
             CountsTable("X", (210, 190), 400, 0),
             CountsTable("Y", (189, 211), 400, 0),
-            CountsTable("Z", (399, 1), 400, 0),
+            CountsTable("Z", (400, 0), 400, 0),
         ]
+        counts = np.array([t.counts for t in tabs], dtype=float)
         res = tomography_1q(*tabs)
-        assert np.linalg.norm(res.bloch) <= 1.0 + 1e-10
-        assert res.purity <= 1.0 + 1e-12
+        assert np.linalg.norm(res.bloch_linear) > 1.0
+        assert np.linalg.norm(res.bloch) == pytest.approx(1.0, abs=1e-12)
+        assert res.purity == pytest.approx(1.0, abs=1e-12)
+        lam, residual = lagrange_condition(res.bloch, counts)
+        assert lam > 0.0
+        assert residual <= 1e-12
+        # No nearby point of the sphere is more likely.
+        best = log_likelihood(res.bloch, counts)
+        for step in rng.normal(scale=1e-3, size=(200, 3)):
+            other = (res.bloch + step) / np.linalg.norm(res.bloch + step)
+            assert log_likelihood(other, counts) <= best
+
+    def test_empty_axes_are_maximally_mixed(self):
+        counts = np.array([[[0.0, 0.0], [0.0, 0.0], [3.0, 1.0]], [[0.0, 0.0]] * 3])
+        rhos = mle_qubit_batch(counts)
+        assert np.array_equal(rhos[0], np.array([[0.75, 0.0], [0.0, 0.25]], dtype=complex))
+        assert np.array_equal(rhos[1], np.eye(2, dtype=complex) / 2)
 
     def test_batch_shape(self):
         counts = np.tile(np.array([[500.0, 500.0]] * 3), (7, 1, 1))
@@ -238,6 +277,47 @@ class TestTomography:
         assert res.std_purity is not None
         assert 0.0 < res.std_purity < 0.02
         assert tomography_1q(*tabs).std_purity is None
+
+
+def axis_counts(max_shots: int):
+    return st.integers(0, max_shots).flatmap(lambda n: st.integers(0, n).map(lambda k: (k, n - k)))
+
+
+@st.composite
+def near_pure_counts(draw):
+    """X/Y/Z counts of an almost pure state, so the linear inversion lands
+    near the Bloch sphere, on either side of it."""
+    direction = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    assume(np.linalg.norm(direction) > 1e-3)
+    direction /= np.linalg.norm(direction)
+    items = []
+    for b in direction:
+        shots = draw(st.integers(1, 10_000))
+        plus = min(max(round(shots * (1 + b) / 2) + draw(st.integers(-3, 3)), 0), shots)
+        items.append((plus, shots - plus))
+    return tuple(items)
+
+
+class TestExactMle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.tuples(*[axis_counts(10)] * 3), near_pure_counts()),
+                    min_size=1, max_size=6))
+    def test_exact_mle_properties(self, items):
+        counts = np.array(items, dtype=float)
+        rhos = mle_qubit_batch(counts)
+        for i, rho in enumerate(rhos):
+            assert np.abs(rho - rho.conj().T).max() == 0.0
+            assert abs(np.trace(rho) - 1.0) <= 1e-15
+            assert np.linalg.eigvalsh(rho).min() >= -1e-15
+            r, r_lin = bloch_of(rho), linear_inversion(counts[i])
+            if (r_lin * r_lin).sum() <= 1.0:
+                assert np.abs(r - r_lin).max() <= 1e-15
+            else:
+                assert abs(np.linalg.norm(r) - 1.0) <= 1e-12
+                lam, residual = lagrange_condition(r, counts[i])
+                assert lam >= 0.0
+                assert residual <= 1e-10
+            assert mle_qubit_batch(counts[i:i + 1])[0].tobytes() == rho.tobytes()
 
 
 class TestBootstrap:
