@@ -49,6 +49,26 @@ def _phases(v) -> tuple[float, ...]:
     return tuple(float(x) for x in v)
 
 
+def _finite(v) -> float:
+    if not _is_number(v) or not math.isfinite(v):
+        raise ValueError(f"must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _four_finite(v) -> tuple[float, ...]:
+    if len(v) != 4 or not all(math.isfinite(x) for x in v):
+        raise ValueError(f"must be four comma-separated finite numbers, got {v!r}")
+    return tuple(v)
+
+
+def _real_state(v) -> tuple[float, ...]:
+    parts = _four_finite(v)
+    norm = math.hypot(*parts)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"must have a finite nonzero norm, got {v!r}")
+    return tuple(x / norm for x in parts)
+
+
 def _flag(v) -> bool:
     if not isinstance(v, bool):
         raise ValueError(f"must be true or false, got {v!r}")
@@ -104,6 +124,10 @@ def _flag_type(parse, check):
     return convert
 
 
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if args.config:
@@ -134,54 +158,22 @@ def _emit(report: dict, config: ExperimentConfig) -> None:
         sys.stdout.write(experiments.report_json(report))
 
 
-def _cmd_fig3(args) -> int:
+def _cmd_experiment(args) -> int:
     config = _build_config(args)
-    _emit(experiments.run_fig3(config), config)
-    return 0
-
-
-def _cmd_fig4(args) -> int:
-    config = _build_config(args)
-    _emit(experiments.run_fig4(config, probe=args.probe), config)
-    return 0
-
-
-def _cmd_fig5(args) -> int:
-    config = _build_config(args)
-    _emit(experiments.run_fig5(config), config)
-    return 0
-
-
-def _cmd_equiv(args) -> int:
-    config = _build_config(args)
-    report = experiments.run_equivalence(config, n_inputs=args.n_inputs)
+    report = args.run(config, args)
     _emit(report, config)
-    if not report["pass"]:
+    if report.get("pass") is False:
         print(f"equivalence FAILED: max infidelity {report['max_infidelity']:.3e} "
               f"exceeds {report['threshold']:.1e}", file=sys.stderr)
         return 2
     return 0
 
 
-def _parse_state(text: str):
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 4:
-        raise SystemExit("state must be four comma-separated real amplitudes")
-    import numpy as np
-
-    v = np.asarray(parts)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise SystemExit("state must be nonzero")
-    return v / norm
-
-
 def _cmd_angles(args) -> int:
     did_something = False
-    if args.state:
-        a = _parse_state(args.state)
-        angles = optics.solve_prep_angles(a)
-        print(f"preparation target a = ({', '.join(f'{x:.6f}' for x in a)})")
+    if args.state is not None:
+        angles = optics.solve_prep_angles(args.state)
+        print(f"preparation target a = ({', '.join(f'{x:.6f}' for x in args.state)})")
         print(f"  H1 = {angles.h1:.6f} deg")
         print(f"  H2 = {angles.h2:.6f} deg")
         print(f"  H3 = {angles.h3:.6f} deg")
@@ -200,11 +192,8 @@ def _cmd_angles(args) -> int:
         if len(label) != 2 or any(c not in "XYZ" for c in label):
             raise SystemExit("setting must be a Pauli pair like XX, XY, ..., ZZ")
         setting = optics.pauli_meas_setting(label[0], label[1])
-    elif args.basis:
-        parts = [float(x) for x in args.basis.split(",")]
-        if len(parts) != 4:
-            raise SystemExit("basis must be gamma,zeta,alpha,beta in radians")
-        setting = optics.MeasSetting(*parts)
+    elif args.basis is not None:
+        setting = optics.MeasSetting(*args.basis)
         label = "custom basis"
     if setting is not None:
         compiled = optics.compile_measurement(setting)
@@ -243,30 +232,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p3 = sub.add_parser("fig3", help="verification fidelity and reduced purities for the four probes")
     add_common(p3)
-    p3.set_defaults(func=_cmd_fig3)
+    p3.set_defaults(func=_cmd_experiment, run=lambda config, args: experiments.run_fig3(config))
 
     p4 = sub.add_parser("fig4", help="correlation decoding of a masked probe")
     add_common(p4)
     p4.add_argument("--probe", type=int, default=4, choices=(1, 2, 3, 4))
-    p4.set_defaults(func=_cmd_fig4)
+    p4.set_defaults(func=_cmd_experiment, run=lambda config, args: experiments.run_fig4(config, args.probe))
 
     p5 = sub.add_parser("fig5", help="concurrence of the masked phase probes")
     add_common(p5)
-    p5.add_argument("--phi-grid", type=_flag_type(lambda t: [float(x) for x in t.split(",")], _phases),
+    p5.add_argument("--phi-grid", type=_flag_type(_floats, _phases),
                     default=None, help="comma-separated phases in degrees (default 0,15,...,90)")
-    p5.set_defaults(func=_cmd_fig5)
+    p5.set_defaults(func=_cmd_experiment, run=lambda config, args: experiments.run_fig5(config))
 
     pe = sub.add_parser("equiv", help="masker / walk / optics equivalence check")
     add_common(pe)
     pe.add_argument("--n-inputs", type=_flag_type(int, _positive), default=100)
-    pe.set_defaults(func=_cmd_equiv)
+    pe.set_defaults(func=_cmd_experiment,
+                    run=lambda config, args: experiments.run_equivalence(config, n_inputs=args.n_inputs))
 
     pa = sub.add_parser("angles", help="waveplate angle solutions")
-    pa.add_argument("--state", type=str, default=None,
+    pa.add_argument("--state", type=_flag_type(_floats, _real_state), default=None,
                     help="four comma-separated real amplitudes (normalized automatically)")
-    pa.add_argument("--phi", type=float, default=None, help="phase-probe phase in degrees")
+    pa.add_argument("--phi", type=_flag_type(float, _finite), default=None,
+                    help="phase-probe phase in degrees")
     pa.add_argument("--setting", type=str, default=None, help="Pauli pair, e.g. XY")
-    pa.add_argument("--basis", type=str, default=None,
+    pa.add_argument("--basis", type=_flag_type(_floats, _four_finite), default=None,
                     help="raw product-basis parameters gamma,zeta,alpha,beta (radians)")
     pa.set_defaults(func=_cmd_angles)
 

@@ -8,7 +8,7 @@ Three pipelines:
   map;
 * single-qubit tomography: exact maximum likelihood over X/Y/Z counts,
   cross-checked against linear inversion, with Poisson-resampling bootstrap
-  error bars;
+  error bars (one seeded draw stacks all resamples of a count array);
 * correlation decoding: the nine Pauli-pair correlators of the masked state
   determine the real input density matrix entry by entry; the reconstruction
   is real symmetric by construction and is projected onto the nearest density
@@ -24,7 +24,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .masker import build_hr_d4, u_of_c
-from .measure import CountsTable, correlator_estimate, derive_seed, generator, poisson_resample
+from .measure import CountsTable, correlator_estimate, generator, poisson_resample
 from .qcore import (
     EPS_EXACT,
     PAULI_X,
@@ -283,7 +283,7 @@ def tomography_1q(
     bloch = np.array([np.trace(dm.mat @ sig).real for sig in _SIGMAS])
     bloch_linear = (counts[:, 0] - counts[:, 1]) / counts.sum(axis=1)
     std = None if bootstrap_resamples is None else bootstrap_std(
-        purity_from_tables, tables, resamples=bootstrap_resamples, seed=bootstrap_seed)
+        purity_from_counts, counts, resamples=bootstrap_resamples, seed=bootstrap_seed)
     return TomoResult(bloch=bloch, bloch_linear=bloch_linear, rho_hat=dm,
                       purity=purity(dm), std_purity=std)
 
@@ -294,25 +294,22 @@ def purity_from_counts(counts: np.ndarray) -> np.ndarray:
     return np.einsum("bij,bji->b", rho, rho).real
 
 
-def purity_from_tables(tables: Sequence[CountsTable]) -> float:
-    """MLE purity of one qubit from its X, Y and Z tables."""
-    counts = np.array([t.counts for t in tables], dtype=float)
-    return float(purity_from_counts(counts[None])[0])
-
-
 def bootstrap_std(
-    quantity: Callable[[Sequence[CountsTable]], float],
-    tables: Sequence[CountsTable],
+    quantity: Callable[[np.ndarray], np.ndarray],
+    counts,
     resamples: int = 100,
     seed: int = 0,
 ) -> float:
-    """Standard deviation of `quantity` over Poisson resamples of all tables."""
+    """Standard deviation of `quantity` over Poisson resamples of a count array.
+
+    One seeded draw gives all resamples as an array of shape
+    (resamples, *counts.shape); `quantity` maps it to one value per resample.
+    """
     if resamples < 2:
         raise ValueError("need at least 2 resamples")
-    values = np.empty(resamples)
-    for r in range(resamples):
-        redrawn = [poisson_resample(t, derive_seed(seed, "boot", r, i)) for i, t in enumerate(tables)]
-        values[r] = quantity(redrawn)
+    values = np.asarray(quantity(poisson_resample(counts, resamples, seed)))
+    if values.shape != (resamples,):
+        raise ValueError(f"quantity gave shape {values.shape}, expected ({resamples},)")
     return float(np.std(values, ddof=1))
 
 

@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .qcore import DensityMatrix, StateVector, fidelity_with_pure, partial_trace
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
@@ -114,13 +113,8 @@ def run_fig3(config: ExperimentConfig) -> dict:
                 noise_p=config.noise_p,
                 extra={"eps_hat": eps, "eps_low": eps, "eps_high": eps, "passed": None, "tests": None},
             )
-            purities = [purity(partial_trace(rho, k)) for k in ("A", "B")]
-            pur = EstimationReport(
-                experiment="fig3", target=f"probe {idx} avg purity", estimate=float(np.mean(purities)),
-                error=0.0, error_kind="std", n=None, shots=None, seed=config.seed,
-                noise_p=config.noise_p,
-                extra={"path_purity": purities[0], "pol_purity": purities[1], "resamples": None},
-            )
+            pur_a, pur_b = (purity(partial_trace(rho, k)) for k in ("A", "B"))
+            std, resamples = 0.0, None
         else:
             qsv = estimate.qsv_run(rho, a, config.qsv_tests, derive_seed(config.seed, "fig3.qsv", idx))
             fid = EstimationReport(
@@ -132,24 +126,23 @@ def run_fig3(config: ExperimentConfig) -> dict:
                     "passed": qsv.passed, "tests": qsv.total,
                 },
             )
-            tables_a = _tomography_tables(partial_trace(rho, "A"), shots, config.seed, "fig3.tomo", idx, "path")
-            tables_b = _tomography_tables(partial_trace(rho, "B"), shots, config.seed, "fig3.tomo", idx, "pol")
-            pur_a = estimate.purity_from_tables(tables_a)
-            pur_b = estimate.purity_from_tables(tables_b)
-
-            def avg_purity(tabs: Sequence[CountsTable]) -> float:
-                return 0.5 * (estimate.purity_from_tables(tabs[:3]) + estimate.purity_from_tables(tabs[3:]))
-
+            tables = [
+                _tomography_tables(partial_trace(rho, k), shots, config.seed, "fig3.tomo", idx, tag)
+                for k, tag in (("A", "path"), ("B", "pol"))
+            ]
+            counts = np.array([[t.counts for t in tabs] for tabs in tables])
+            pur_a, pur_b = estimate.purity_from_counts(counts).tolist()
+            resamples = BOOTSTRAP_RESAMPLES
             std = estimate.bootstrap_std(
-                avg_purity, [*tables_a, *tables_b], resamples=BOOTSTRAP_RESAMPLES,
-                seed=derive_seed(config.seed, "fig3.boot", idx),
+                lambda c: estimate.purity_from_counts(c.reshape(-1, 3, 2)).reshape(-1, 2).mean(axis=1),
+                counts, resamples=resamples, seed=derive_seed(config.seed, "fig3.boot", idx),
             )
-            pur = EstimationReport(
-                experiment="fig3", target=f"probe {idx} avg purity", estimate=0.5 * (pur_a + pur_b),
-                error=std, error_kind="std", n=None, shots=shots, seed=config.seed,
-                noise_p=config.noise_p,
-                extra={"path_purity": pur_a, "pol_purity": pur_b, "resamples": BOOTSTRAP_RESAMPLES},
-            )
+        pur = EstimationReport(
+            experiment="fig3", target=f"probe {idx} avg purity", estimate=0.5 * (pur_a + pur_b),
+            error=std, error_kind="std", n=None, shots=None if config.analytic else shots,
+            seed=config.seed, noise_p=config.noise_p,
+            extra={"path_purity": pur_a, "pol_purity": pur_b, "resamples": resamples},
+        )
         rows.append({
             "probe": idx,
             "target": PROBE_LABELS[idx],
@@ -190,11 +183,12 @@ def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
                 tables.append(measure.sample_counts(probs, shots, seed, setting=setting.label))
         t = estimate.correlation_matrix(tables)
 
-        def decode_fidelity(tabs: Sequence[CountsTable]) -> float:
-            return estimate.decode_real_state(estimate.correlation_matrix(tabs), target).fidelity_vs_input
+        def decode_fidelity(stack: np.ndarray) -> np.ndarray:
+            ts = measure.correlators(stack).reshape(-1, 3, 3)
+            return np.array([estimate.decode_real_state(r, target).fidelity_vs_input for r in ts])
 
         fid_std = estimate.bootstrap_std(
-            decode_fidelity, tables, resamples=BOOTSTRAP_RESAMPLES,
+            decode_fidelity, np.array([tab.counts for tab in tables]), resamples=BOOTSTRAP_RESAMPLES,
             seed=derive_seed(config.seed, "fig4.boot", probe),
         )
     decoded = estimate.decode_real_state(t, input_state=target)
@@ -222,8 +216,9 @@ def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
 # ---------------------------------------------------------------------------
 # fig5: concurrence of the masked phase probes vs the cosine prediction.
 
-def concurrence_from_purity(p: float) -> float:
-    return float(np.sqrt(max(0.0, 2.0 * (1.0 - p))))
+def concurrence_from_purity(p) -> np.ndarray:
+    """sqrt(2 (1 - p)) elementwise, 0 where the purity exceeds 1."""
+    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.asarray(p))))
 
 
 def run_fig5(config: ExperimentConfig, *, bootstrap: bool = True) -> dict:
@@ -236,16 +231,17 @@ def run_fig5(config: ExperimentConfig, *, bootstrap: bool = True) -> dict:
         rho_path = partial_trace(rho, "A")
         theory = math.cos(math.radians(phi))
         if config.analytic:
-            est, std = concurrence_from_purity(purity(rho_path)), 0.0
+            est, std = float(concurrence_from_purity(purity(rho_path))), 0.0
         else:
             tables = _tomography_tables(rho_path, shots, config.seed, "fig5.tomo", i)
+            counts = np.array([t.counts for t in tables])
 
-            def conc(tabs: Sequence[CountsTable]) -> float:
-                return concurrence_from_purity(estimate.purity_from_tables(tabs))
+            def conc(c: np.ndarray) -> np.ndarray:
+                return concurrence_from_purity(estimate.purity_from_counts(c))
 
-            est = conc(tables)
+            est = float(conc(counts[None])[0])
             std = (
-                estimate.bootstrap_std(conc, tables, resamples=BOOTSTRAP_RESAMPLES,
+                estimate.bootstrap_std(conc, counts, resamples=BOOTSTRAP_RESAMPLES,
                                        seed=derive_seed(config.seed, "fig5.boot", i))
                 if bootstrap else 0.0
             )

@@ -3,20 +3,20 @@
 Counting model: each Pauli-pair (or single-qubit) setting is measured a fixed
 number of times, drawn as one multinomial over the Born probabilities.
 Poisson fluctuation enters only through the resampling step used for error
-bars, mirroring the analysis pipeline rather than a physical source model.
+bars (one draw over a count array per estimate), mirroring the analysis
+pipeline rather than a physical source model.
 
 Reproducibility: all randomness flows through numpy's counter-based Philox
-generator keyed by a 64-bit sub-seed derived as
-SHA-256(master_seed, module_tag, trial_index...), so results are bit-for-bit
-identical across runs and independent of scheduling when trials run
-concurrently.
+generator keyed by a 64-bit sub-seed, SHA-256 over the length-prefixed master
+seed and stream tags (module tag, trial indices), so distinct tag tuples give
+distinct streams and results are bit-for-bit identical across runs.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,12 +28,13 @@ OUTCOMES_SINGLE = ("+", "-")
 
 
 def derive_seed(master_seed: int, *parts) -> int:
-    """64-bit stream-split sub-seed: SHA-256 over the master seed and tags."""
+    """64-bit stream-split sub-seed: SHA-256 over the master seed and tags, each
+    part's `str` text behind its 8-byte length, so the encoding is injective."""
     h = hashlib.sha256()
-    h.update(str(int(master_seed)).encode())
-    for p in parts:
-        h.update(b"/")
-        h.update(str(p).encode())
+    for part in (int(master_seed), *parts):
+        text = str(part).encode()
+        h.update(len(text).to_bytes(8, "little"))
+        h.update(text)
     return int.from_bytes(h.digest()[:8], "little")
 
 
@@ -160,18 +161,23 @@ def sample_counts(probs, shots: int, seed: int, setting: str = "") -> CountsTabl
     return CountsTable(setting=setting, counts=tuple(int(c) for c in counts), shots=int(shots), seed=int(seed))
 
 
-def correlator_estimate(table: CountsTable) -> float:
-    """(n++ - n+- - n-+ + n--)/shots for a pair table.
+def correlators(counts) -> np.ndarray:
+    """(n++ - n+- - n-+ + n--)/shots over the last axis of pair counts.
 
     A table with no shots carries no information and gives 0.0, the value of
     an uncorrelated pair; a zero-count bootstrap resample is one.
     """
+    c = np.asarray(counts, dtype=float)
+    shots = c.sum(axis=-1)
+    diff = c[..., 0] - c[..., 1] - c[..., 2] + c[..., 3]
+    return np.divide(diff, shots, out=np.zeros_like(shots), where=shots > 0)
+
+
+def correlator_estimate(table: CountsTable) -> float:
+    """Correlator of one pair table; see `correlators`."""
     if len(table.counts) != 4:
         raise ValueError("correlator needs a four-outcome table")
-    if table.shots == 0:
-        return 0.0
-    npp, npm, nmp, nmm = table.counts
-    return (npp - npm - nmp + nmm) / table.shots
+    return float(correlators(table.counts))
 
 
 def apply_depolarizing(rho, p: float) -> DensityMatrix:
@@ -183,11 +189,11 @@ def apply_depolarizing(rho, p: float) -> DensityMatrix:
     return DensityMatrix((1.0 - p) * arr + p * np.eye(d) / d)
 
 
-def poisson_resample(table: CountsTable, seed: int) -> CountsTable:
-    """Replace each count by a Poisson draw with that mean; shots follows."""
-    rng = generator(seed)
-    new_counts = tuple(int(rng.poisson(c)) for c in table.counts)
-    return replace(table, counts=new_counts, shots=sum(new_counts), seed=int(seed))
+def poisson_resample(counts, resamples: int, seed: int) -> np.ndarray:
+    """`resamples` redraws of a count array, each count replaced by a Poisson
+    draw with that mean: one draw of shape (resamples, *counts.shape)."""
+    counts = np.asarray(counts)
+    return generator(seed).poisson(counts, size=(resamples, *counts.shape))
 
 
 # ---------------------------------------------------------------------------

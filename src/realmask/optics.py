@@ -133,6 +133,8 @@ def solve_prep_angles(a) -> PrepAngles:
     vec = np.asarray(a, dtype=float)
     if vec.shape != (4,):
         raise ValueError("target must be a real 4-vector")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"target must be finite, got {vec}")
     if abs(np.linalg.norm(vec) - 1.0) > EPS_EXACT:
         raise ValueError("target must be normalized")
     r01 = math.hypot(vec[0], vec[1])
@@ -218,8 +220,9 @@ def _coin_triple_elements(name: str, rail: int) -> list[Element]:
     ]
 
 
+@lru_cache(maxsize=None)
 def masking_layout() -> tuple[Element, ...]:
-    """Optical layout of the masker; rail labels track walker positions."""
+    """Optical layout of the masker (built once); rail labels track walker positions."""
     step = BeamDisplacer(h_shift=-1, v_shift=+1)
     elems: list[Element] = [
         xplate({-1, 3}),
@@ -327,12 +330,12 @@ def _solve_to_horizontal(target: np.ndarray, *, tol: float) -> tuple[float, floa
     """QWP/HWP angles with HWP(h) QWP(q) |target> proportional to |H>.
 
     The closed form is exact; its residual 1 - |<H|achieved>|^2 is still
-    re-checked against `tol`.
+    re-checked against `tol`; a NaN residual fails the check.
     """
     q, h = _horizontal_seed(target)
     v = hwp_jones(h) @ qwp_jones(q) @ target
     residual = 1.0 - abs(v[0]) ** 2
-    if residual > tol:
+    if not residual <= tol:
         raise SolverError(f"closed-form angles leave residual {residual:.3e} (tolerance {tol:.1e})")
     return float(q % 180.0), float(h % 180.0), float(residual)
 

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 from typing import Collection, Iterable, Mapping, Union
 
 import numpy as np
@@ -122,7 +124,7 @@ def run(state: RailState, steps: Iterable) -> RailState:
 
 @dataclass(frozen=True, eq=False)
 class CoinLayer:
-    """Position-dependent coin operators; unspecified positions get identity."""
+    """Position-dependent coin operators (read-only); other positions get identity."""
 
     coins: Mapping[int, np.ndarray]
 
@@ -135,7 +137,7 @@ class CoinLayer:
             arr = arr.copy()
             arr.setflags(write=False)
             checked[int(x)] = arr
-        object.__setattr__(self, "coins", checked)
+        object.__setattr__(self, "coins", MappingProxyType(checked))
 
     def apply(self, state: RailState) -> RailState:
         # Coins sit on distinct positions, so one local pass per position
@@ -190,8 +192,9 @@ def encode_input(a) -> RailState:
     return RailState({(-3, 1): vec[0], (-1, 1): vec[1], (1, 1): vec[2], (3, 1): vec[3]})
 
 
+@lru_cache(maxsize=None)
 def masking_schedule() -> WalkSchedule:
-    """Default schedule realizing the ququart masker on positions -3..3."""
+    """Default schedule realizing the ququart masker on positions -3..3 (built once)."""
     return WalkSchedule(
         name="mask-real-ququart",
         layers=(

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realmask import cli, experiments
 from realmask.experiments import (
@@ -117,7 +121,7 @@ class TestReportFiles:
     def test_report_carries_schema_version(self):
         doc = json.loads(report_json(run_fig4(ExperimentConfig(seed=3, analytic=True))))
         assert next(iter(doc)) == "schema"
-        assert doc["schema"] == experiments.REPORT_SCHEMA == 2
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 3
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError):
@@ -246,6 +250,15 @@ class TestCommandLine:
         ["fig5", "--phi-grid", "0,x"],
         ["fig5", "--phi-grid", "0,inf"],
         ["equiv", "--n-inputs", "0"],
+        # Each of these used to end in a traceback or print nan angles.
+        ["angles", "--state", "a,b,c,d"],
+        ["angles", "--basis", "x,1,2,3"],
+        ["angles", "--state", "nan,1,1,1"],
+        ["angles", "--state", "inf,1,1,1"],
+        ["angles", "--phi", "nan"],
+        ["angles", "--basis", "nan,0,0,0"],
+        ["angles", "--state", "0,0,0,0"],
+        ["angles", "--state", "1,1,1"],
     ])
     def test_bad_flag_values_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -269,6 +282,34 @@ class TestCommandLine:
         doc = json.loads((tmp_path / f"{experiment}.json").read_text(), parse_constant=reject)
         assert doc["shots_per_setting"] == int(shots)
         assert "nan" not in (tmp_path / f"{experiment}.csv").read_text()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_every_accepted_config_writes_valid_json(self, data):
+        command = data.draw(st.sampled_from(["fig3", "fig4", "fig5", "equiv"]))
+        argv = [
+            command,
+            f"--seed={data.draw(st.integers(-2**63, 2**64))}",
+            f"--shots={data.draw(st.integers(1, 50))}",
+            f"--qsv-tests={data.draw(st.integers(1, 50))}",
+            f"--noise-p={data.draw(st.floats(0.0, 1.0))!r}",
+        ]
+        if command == "fig5":
+            phases = data.draw(st.lists(st.floats(-720.0, 720.0), min_size=1, max_size=3))
+            argv.append("--phi-grid=" + ",".join(repr(x) for x in phases))
+        if command == "equiv":
+            argv.append("--n-inputs=5")
+        if data.draw(st.booleans()):
+            argv.append("--analytic")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} in report")
+
+        doc = json.loads(out.getvalue(), parse_constant=reject)
+        assert doc["schema"] == experiments.REPORT_SCHEMA
 
     def test_angles_subcommand(self, capsys):
         rc = cli.main(["angles", "--state", "1,1,1,1", "--phi", "90", "--setting", "ZZ"])

@@ -12,6 +12,7 @@ from realmask.estimate import (
     decode_real_state,
     mle_qubit_batch,
     project_to_density,
+    purity_from_counts,
     qsv_run,
     tomography_1q,
     verification_operator,
@@ -23,6 +24,7 @@ from realmask.measure import (
     PauliSetting,
     apply_depolarizing,
     derive_seed,
+    generator,
     outcome_probs,
     pauli_correlations,
     sample_counts,
@@ -322,41 +324,52 @@ class TestExactMle:
 
 class TestBootstrap:
     def test_constant_quantity_has_zero_std(self):
-        tabs = [CountsTable("Z", (100, 100), 200, 0)]
-        assert bootstrap_std(lambda ts: 1.0, tabs, resamples=50, seed=0) == 0.0
+        counts = np.array([[100, 100]])
+        assert bootstrap_std(lambda c: np.ones(len(c)), counts, resamples=50, seed=0) == 0.0
 
     def test_purity_std_scale_for_mixed_data(self):
         n = 4000
-        tabs = [CountsTable(ax, (n // 2, n // 2), n, 0) for ax in ("X", "Y", "Z")]
-
-        def purity_quantity(ts):
-            counts = np.array([t.counts for t in ts], dtype=float)
-            rho = mle_qubit_batch(counts[None])[0]
-            return float(np.trace(rho @ rho).real)
-
-        std = bootstrap_std(purity_quantity, tabs, resamples=100, seed=1)
+        counts = np.full((3, 2), n // 2)
+        std = bootstrap_std(purity_from_counts, counts, resamples=100, seed=1)
         assert 0.0 < std < 0.02
 
     def test_resamples_minimum(self):
         with pytest.raises(ValueError):
-            bootstrap_std(lambda ts: 0.0, [], resamples=1, seed=0)
+            bootstrap_std(lambda c: c.sum(axis=1), np.zeros(2), resamples=1, seed=0)
 
     def test_concurrence_std_at_zero_phase(self):
         # Masked (|0>+|1>)/sqrt(2): path qubit maximally mixed, concurrence 1.
+        from realmask.experiments import concurrence_from_purity
         from realmask.masker import mask_pure
         from realmask.qcore import partial_trace
 
         psi = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)
         rho_path = partial_trace(mask_pure(psi).density(), "A")
-        tabs = bell_counts(rho_path, 10_000, seed=31)
+        counts = np.array([t.counts for t in bell_counts(rho_path, 10_000, seed=31)])
 
-        def concurrence(ts):
-            counts = np.array([t.counts for t in ts], dtype=float)
-            p = float(np.einsum("ij,ji->", *(mle_qubit_batch(counts[None])[0],) * 2).real)
-            return np.sqrt(max(0.0, 2 * (1 - p)))
+        def concurrence(c):
+            return concurrence_from_purity(purity_from_counts(c))
 
-        std = bootstrap_std(concurrence, tabs, resamples=100, seed=32)
+        std = bootstrap_std(concurrence, counts, resamples=100, seed=32)
         assert 0.0 < std < 0.02
+
+    def test_one_poisson_draw_per_estimate(self):
+        # The quantity sees exactly generator(seed).poisson(counts, size=(R, ...)).
+        counts = np.array([[[30, 10], [0, 0]], [[5, 7], [1, 0]]])
+        seen = []
+
+        def first_count(c):
+            seen.append(c)
+            return c[:, 0, 0, 0].astype(float)
+
+        std = bootstrap_std(first_count, counts, resamples=40, seed=9)
+        want = generator(9).poisson(counts, size=(40, 2, 2, 2))
+        assert len(seen) == 1 and np.array_equal(seen[0], want)
+        assert std == float(np.std(want[:, 0, 0, 0], ddof=1))
+
+    def test_quantity_must_give_one_value_per_resample(self):
+        with pytest.raises(ValueError, match="shape"):
+            bootstrap_std(lambda c: c.sum(), np.array([[5, 5]]), resamples=10, seed=0)
 
 
 class TestMaskedOutputTomography:

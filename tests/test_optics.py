@@ -100,6 +100,12 @@ class TestPrepAngles:
         with pytest.raises(ValueError):
             solve_prep_angles([1, 1, 0, 0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_target(self, bad):
+        # A NaN norm used to slip past the normalization check.
+        with pytest.raises(ValueError, match="finite"):
+            solve_prep_angles([bad, 0.0, 0.0, 0.0])
+
 
 class TestPreparation:
     def test_basis_state_lands_on_rail_minus3(self):
@@ -161,6 +167,9 @@ class TestElements:
 
 
 class TestMaskingLayout:
+    def test_layout_is_built_once(self):
+        assert masking_layout() is masking_layout()
+
     def test_full_table_matches_masker(self, rng):
         m = masker_matrix().matrix
         for _ in range(100):
@@ -234,6 +243,15 @@ class TestMeasurement:
     def test_solver_error_on_impossible_tolerance(self):
         with pytest.raises(SolverError):
             compile_measurement(pauli_meas_setting("X", "Y"), tol=-1.0)
+
+    @pytest.mark.parametrize("setting", [
+        MeasSetting(math.nan, 0.0, 0.0, 0.0),
+        MeasSetting(0.0, 0.0, 0.0, math.nan),
+    ])
+    def test_solver_error_on_nan_residual(self, setting):
+        # A NaN residual used to pass `residual > tol` and max() dropped it.
+        with pytest.raises(SolverError, match="nan"):
+            compile_measurement(setting)
 
 
 class TestLayoutFile:

@@ -138,6 +138,15 @@ class TestEncodeExtract:
 
 
 class TestMaskingSchedule:
+    def test_schedule_is_built_once_and_read_only(self):
+        schedule = masking_schedule()
+        assert masking_schedule() is schedule
+        layer = schedule.layers[0]
+        with pytest.raises(TypeError):
+            layer.coins[0] = np.eye(2)
+        with pytest.raises(ValueError):
+            layer.coins[-1][0, 0] = 0.0
+
     def test_intermediate_after_two_steps(self):
         # First four layers are the two coined steps.
         partial = WalkSchedule("half", masking_schedule().layers[:4])
