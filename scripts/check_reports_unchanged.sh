@@ -1,0 +1,44 @@
+#!/usr/bin/env bash
+# Fail when the figure reports of the working tree differ from those of
+# BASE_REV while both carry the same report schema.
+#
+# Usage: scripts/check_reports_unchanged.sh BASE_REV
+#
+# Runs scripts/reproduce_figures.py at seeds 1 and 9173 on a temporary
+# `git worktree` of BASE_REV and on the working tree, then compares the two
+# output trees with `diff -r`.  A change that moves report numbers must bump
+# experiments.REPORT_SCHEMA; when the schemas differ the diff is skipped, so a
+# schema bump passes and a silent re-baseline fails.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 BASE_REV" >&2
+    exit 2
+fi
+base_rev=$1
+repo=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+trap 'git -C "$repo" worktree remove --force "$tmp/base" >/dev/null 2>&1 || true; rm -rf "$tmp"' EXIT
+
+git -C "$repo" worktree add --detach --quiet "$tmp/base" "$base_rev"
+
+for seed in 1 9173; do
+    python3 "$tmp/base/scripts/reproduce_figures.py" --seed "$seed" --out "$tmp/out_base/seed$seed" >/dev/null
+    python3 "$repo/scripts/reproduce_figures.py" --seed "$seed" --out "$tmp/out_head/seed$seed" >/dev/null
+done
+
+schema() {
+    python3 -c 'import json, sys; print(json.load(open(sys.argv[1])).get("schema"))' "$1/seed1/fig3.json"
+}
+base_schema=$(schema "$tmp/out_base")
+head_schema=$(schema "$tmp/out_head")
+if [ "$base_schema" != "$head_schema" ]; then
+    echo "report schema $base_schema -> $head_schema: reports may differ, not compared"
+    exit 0
+fi
+if ! diff -r "$tmp/out_base" "$tmp/out_head"; then
+    echo "reports differ from $base_rev under the same schema $head_schema;" \
+         "bump experiments.REPORT_SCHEMA if the change is meant to move them" >&2
+    exit 1
+fi
+echo "reports identical to $base_rev (schema $head_schema, seeds 1 and 9173)"

@@ -8,7 +8,7 @@ correlation decoding), `experiments`/`cli` (figure pipelines).
 """
 from .estimate import agresti_coull, decode_real_state, qsv_run, tomography_1q
 from .masker import build_hr_d4, mask_pure, mask_state, masker_matrix, u_of_c
-from .measure import CountsTable, PauliSetting, derive_seed, generator, sample_counts
+from .measure import PauliSetting, derive_seed, generator, sample_counts
 from .qcore import (
     DensityMatrix,
     StateVector,
@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DensityMatrix",
     "StateVector",
-    "CountsTable",
     "PauliSetting",
     "agresti_coull",
     "build_hr_d4",

@@ -92,7 +92,7 @@ _CONFIG_KEYS = {
 }
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
@@ -102,6 +102,8 @@ def _load_config_file(path: str) -> dict:
     unknown = set(doc) - set(_CONFIG_KEYS) - {"experiment"}
     if unknown:
         raise SystemExit(f"config file {path} has unknown keys: {sorted(unknown)}")
+    if doc.get("experiment", command) != command:
+        raise SystemExit(f"config file {path}: experiment must be {command!r}, got {doc['experiment']!r}")
     values = {}
     for key, v in doc.items():
         if key in _CONFIG_KEYS:
@@ -131,7 +133,7 @@ def _floats(text: str) -> list[float]:
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if args.config:
-        values.update(_load_config_file(args.config))
+        values.update(_load_config_file(args.config, args.command))
     if args.seed is not None:
         values["seed"] = args.seed
     if args.shots is not None:
@@ -146,7 +148,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         values["analytic"] = True
     if args.out is not None:
         values["output_path"] = args.out
-    return ExperimentConfig(experiment=args.command, **values)
+    return ExperimentConfig(**values)
 
 
 def _emit(report: dict, config: ExperimentConfig) -> None:

@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .masker import build_hr_d4, u_of_c
-from .measure import CountsTable, correlator_estimate, generator, poisson_resample
+from .measure import CountsTable, correlators, generator, poisson_resample
 from .qcore import (
     EPS_EXACT,
     PAULI_X,
@@ -107,11 +107,8 @@ class QsvResult:
         return max(self.eps_hat - self.ci_low, self.ci_high - self.eps_hat)
 
 
-StateSource = Union[DensityMatrix, Callable[[], DensityMatrix]]
-
-
 def qsv_run(
-    state_source: StateSource,
+    rho: DensityMatrix,
     target,
     n_tests: int,
     seed: int,
@@ -120,8 +117,7 @@ def qsv_run(
     """Run `n_tests` randomly chosen local tests against the rotated target.
 
     `target` is a magic-basis index 0..3, a real coefficient 4-vector, or the
-    2x2 rotation itself.  `state_source` is either a fixed two-qubit density
-    matrix or a callable producing one per round.
+    2x2 rotation itself; `rho` is the two-qubit state every round measures.
     """
     if n_tests < 1:
         raise ValueError("n_tests must be >= 1")
@@ -129,15 +125,8 @@ def qsv_run(
     rng = generator(seed)
     which = rng.integers(0, 3, size=n_tests)
     draws = rng.random(n_tests)
-    if isinstance(state_source, DensityMatrix):
-        pass_probs = np.array([np.trace(state_source.mat @ p).real for p in projs])
-        passed = int(np.count_nonzero(draws < pass_probs[which]))
-    else:
-        passed = 0
-        for t, u in zip(which, draws):
-            rho = state_source()
-            if u < np.trace(rho.mat @ projs[t]).real:
-                passed += 1
+    pass_probs = np.array([np.trace(rho.mat @ p).real for p in projs])
+    passed = int(np.count_nonzero(draws < pass_probs[which]))
     p_hat = passed / n_tests
     eps_hat = 1.5 * (1.0 - p_hat)
     lo, hi = agresti_coull(passed, n_tests, confidence)
@@ -316,28 +305,28 @@ def bootstrap_std(
 # ---------------------------------------------------------------------------
 # Correlation-matrix decoding of the real input state.
 
-_AXIS_INDEX = {"X": 0, "Y": 1, "Z": 2}
-
-
 def correlation_matrix(tables: Sequence[CountsTable]) -> np.ndarray:
-    """3x3 correlator estimates from the nine Pauli-pair tables.
+    """3x3 correlator estimates from the nine labelled Pauli-pair tables, such
+    as a parsed CSV.
 
     Tables are identified by their setting labels 'XX'..'ZZ'; every pair must
     be present exactly once.
     """
-    t = np.full((3, 3), np.nan)
+    by_label = {}
     for table in tables:
         label = table.setting
-        if len(label) != 2 or label[0] not in _AXIS_INDEX or label[1] not in _AXIS_INDEX:
+        if len(label) != 2 or label[0] not in _AXES or label[1] not in _AXES:
             raise ValueError(f"not a Pauli-pair setting label: {label!r}")
-        j, k = _AXIS_INDEX[label[0]], _AXIS_INDEX[label[1]]
-        if not np.isnan(t[j, k]):
+        if len(table.counts) != 4:
+            raise ValueError(f"setting {label}: a correlator needs a four-outcome table")
+        if label in by_label:
             raise ValueError(f"duplicate setting {label}")
-        t[j, k] = correlator_estimate(table)
-    if np.isnan(t).any():
-        missing = [f"{a}{b}" for a in _AXES for b in _AXES if np.isnan(t[_AXIS_INDEX[a], _AXIS_INDEX[b]])]
+        by_label[label] = table.counts
+    labels = [a + b for a in _AXES for b in _AXES]
+    missing = [label for label in labels if label not in by_label]
+    if missing:
         raise ValueError(f"missing settings: {', '.join(missing)}")
-    return validate_correlation_matrix(t)
+    return validate_correlation_matrix(correlators([by_label[label] for label in labels]).reshape(3, 3))
 
 
 def validate_correlation_matrix(t) -> np.ndarray:

@@ -5,7 +5,9 @@ through a sub-seed derived from (config.seed, stream tag, indices), so a rerun
 with the same config produces byte-identical report files.  Estimates are
 never emitted bare: fidelity errors are 95% confidence half-widths, purity and
 concurrence errors are bootstrap standard deviations, and each report row says
-which via its error_kind field.
+which via its error_kind field.  Sampled counts stay integer arrays from the
+draw to the estimate: one array per figure point feeds both the point
+estimate and its bootstrap.
 """
 from __future__ import annotations
 
@@ -21,8 +23,15 @@ import numpy as np
 from . import estimate, measure, optics, walk
 from .estimate import EstimationReport
 from .masker import mask_pure, masker_matrix
-from .measure import CountsTable, NoiseSpec, PauliSetting, derive_seed, generator
-from .qcore import DensityMatrix, StateVector, fidelity_with_pure, partial_trace, purity
+from .measure import PauliSetting, derive_seed, generator
+from .qcore import (
+    DensityMatrix,
+    StateVector,
+    concurrence_from_purity,
+    fidelity_with_pure,
+    partial_trace,
+    purity,
+)
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
@@ -59,7 +68,6 @@ def phase_probe(phi_deg: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str = ""
     seed: int = DEFAULT_SEED
     shots_per_setting: int | None = None  # resolved per experiment
     qsv_tests: int = DEFAULT_QSV_TESTS
@@ -73,26 +81,22 @@ class ExperimentConfig:
             return self.shots_per_setting
         return DEFAULT_SHOTS[experiment]
 
-    def noise(self) -> NoiseSpec:
-        if self.noise_p == 0.0:
-            return NoiseSpec("none", 0.0)
-        return NoiseSpec("depolarizing", self.noise_p)
 
-
-def _masked_probe(a, noise: NoiseSpec) -> tuple[StateVector, DensityMatrix]:
+def _masked_probe(a, noise_p: float) -> tuple[StateVector, DensityMatrix]:
+    """The ideal masked probe and its state under depolarizing noise; at p = 0
+    the ideal density itself, which the depolarizing rebuild could perturb."""
     ideal = mask_pure(a)
-    return ideal, noise.apply(ideal.density())
+    rho = ideal.density()
+    return ideal, rho if noise_p == 0.0 else measure.apply_depolarizing(rho, noise_p)
 
 
-def _tomography_tables(
-    rho_qubit: DensityMatrix, shots: int, master_seed: int, *tags
-) -> list[CountsTable]:
-    tables = []
-    for axis in ("X", "Y", "Z"):
-        probs = measure.single_qubit_probs(rho_qubit, axis)
-        seed = derive_seed(master_seed, *tags, axis)
-        tables.append(measure.sample_counts(probs, shots, seed, setting=axis))
-    return tables
+def _tomography_counts(rho_qubit: DensityMatrix, shots: int, master_seed: int, *tags) -> np.ndarray:
+    """(3, 2) X/Y/Z counts of a qubit, each axis drawn from its own sub-seed."""
+    return np.array([
+        measure.sample_counts(measure.single_qubit_probs(rho_qubit, axis), shots,
+                              derive_seed(master_seed, *tags, axis))
+        for axis in ("X", "Y", "Z")
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +104,10 @@ def _tomography_tables(
 
 def run_fig3(config: ExperimentConfig) -> dict:
     shots = config.shots("fig3")
-    noise = config.noise()
     rows = []
     for idx in (1, 2, 3, 4):
         a = probe_vector(idx)
-        ideal, rho = _masked_probe(a, noise)
+        ideal, rho = _masked_probe(a, config.noise_p)
         if config.analytic:
             eps = 1.0 - fidelity_with_pure(rho, ideal)
             fid = EstimationReport(
@@ -126,11 +129,10 @@ def run_fig3(config: ExperimentConfig) -> dict:
                     "passed": qsv.passed, "tests": qsv.total,
                 },
             )
-            tables = [
-                _tomography_tables(partial_trace(rho, k), shots, config.seed, "fig3.tomo", idx, tag)
+            counts = np.array([
+                _tomography_counts(partial_trace(rho, k), shots, config.seed, "fig3.tomo", idx, tag)
                 for k, tag in (("A", "path"), ("B", "pol"))
-            ]
-            counts = np.array([[t.counts for t in tabs] for tabs in tables])
+            ])
             pur_a, pur_b = estimate.purity_from_counts(counts).tolist()
             resamples = BOOTSTRAP_RESAMPLES
             std = estimate.bootstrap_std(
@@ -165,30 +167,27 @@ def run_fig3(config: ExperimentConfig) -> dict:
 
 def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
     shots = config.shots("fig4")
-    noise = config.noise()
     a = probe_vector(probe)
-    _ideal, rho = _masked_probe(a, noise)
+    _ideal, rho = _masked_probe(a, config.noise_p)
     target = StateVector(a.astype(complex))
     axes = ("X", "Y", "Z")
     if config.analytic:
         t = measure.pauli_correlations(rho)
         fid_std = 0.0
     else:
-        tables = []
-        for j in axes:
-            for k in axes:
-                setting = PauliSetting(j, k)
-                probs = measure.outcome_probs(rho, setting)
-                seed = derive_seed(config.seed, "fig4", probe, setting.label)
-                tables.append(measure.sample_counts(probs, shots, seed, setting=setting.label))
-        t = estimate.correlation_matrix(tables)
+        counts = np.array([
+            measure.sample_counts(measure.outcome_probs(rho, setting), shots,
+                                  derive_seed(config.seed, "fig4", probe, setting.label))
+            for setting in (PauliSetting(j, k) for j in axes for k in axes)
+        ])
+        t = estimate.validate_correlation_matrix(measure.correlators(counts).reshape(3, 3))
 
         def decode_fidelity(stack: np.ndarray) -> np.ndarray:
             ts = measure.correlators(stack).reshape(-1, 3, 3)
             return np.array([estimate.decode_real_state(r, target).fidelity_vs_input for r in ts])
 
         fid_std = estimate.bootstrap_std(
-            decode_fidelity, np.array([tab.counts for tab in tables]), resamples=BOOTSTRAP_RESAMPLES,
+            decode_fidelity, counts, resamples=BOOTSTRAP_RESAMPLES,
             seed=derive_seed(config.seed, "fig4.boot", probe),
         )
     decoded = estimate.decode_real_state(t, input_state=target)
@@ -216,35 +215,25 @@ def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
 # ---------------------------------------------------------------------------
 # fig5: concurrence of the masked phase probes vs the cosine prediction.
 
-def concurrence_from_purity(p) -> np.ndarray:
-    """sqrt(2 (1 - p)) elementwise, 0 where the purity exceeds 1."""
-    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.asarray(p))))
-
-
-def run_fig5(config: ExperimentConfig, *, bootstrap: bool = True) -> dict:
+def run_fig5(config: ExperimentConfig) -> dict:
     shots = config.shots("fig5")
-    noise = config.noise()
     points = []
     for i, phi in enumerate(config.phi_grid_deg):
         c = phase_probe(phi)
-        _ideal, rho = _masked_probe(c, noise)
+        _ideal, rho = _masked_probe(c, config.noise_p)
         rho_path = partial_trace(rho, "A")
         theory = math.cos(math.radians(phi))
         if config.analytic:
             est, std = float(concurrence_from_purity(purity(rho_path))), 0.0
         else:
-            tables = _tomography_tables(rho_path, shots, config.seed, "fig5.tomo", i)
-            counts = np.array([t.counts for t in tables])
+            counts = _tomography_counts(rho_path, shots, config.seed, "fig5.tomo", i)
 
             def conc(c: np.ndarray) -> np.ndarray:
                 return concurrence_from_purity(estimate.purity_from_counts(c))
 
             est = float(conc(counts[None])[0])
-            std = (
-                estimate.bootstrap_std(conc, counts, resamples=BOOTSTRAP_RESAMPLES,
-                                       seed=derive_seed(config.seed, "fig5.boot", i))
-                if bootstrap else 0.0
-            )
+            std = estimate.bootstrap_std(conc, counts, resamples=BOOTSTRAP_RESAMPLES,
+                                         seed=derive_seed(config.seed, "fig5.boot", i))
         row = EstimationReport(
             experiment="fig5", target=f"phi = {phi} deg", estimate=est, error=std,
             error_kind="std", n=None, shots=None if config.analytic else shots,

@@ -24,6 +24,7 @@ from .qcore import (
     PAULI_Z,
     DensityMatrix,
     StateVector,
+    _rho_array,
     concurrence_pure,
     kron,
     partial_trace,
@@ -129,7 +130,7 @@ def mask_pure(psi) -> StateVector:
 
 def mask_state(rho) -> DensityMatrix:
     """M rho M† as a two-qubit density matrix."""
-    arr = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    arr = _rho_array(rho)
     if arr.shape != (4, 4):
         raise ValueError("mask_state expects a 4x4 density matrix")
     m = masker_matrix().matrix

@@ -1,10 +1,12 @@
 """Finite-shot measurement simulation.
 
 Counting model: each Pauli-pair (or single-qubit) setting is measured a fixed
-number of times, drawn as one multinomial over the Born probabilities.
-Poisson fluctuation enters only through the resampling step used for error
-bars (one draw over a count array per estimate), mirroring the analysis
-pipeline rather than a physical source model.
+number of times, drawn as one multinomial over the Born probabilities into an
+integer count array.  Poisson fluctuation enters only through the resampling
+step used for error bars (one draw over a count array per estimate),
+mirroring the analysis pipeline rather than a physical source model.  The
+pipelines carry bare count arrays; `CountsTable` is the labelled record that
+the CSV reader and writer exchange.
 
 Reproducibility: all randomness flows through numpy's counter-based Philox
 generator keyed by a 64-bit sub-seed, SHA-256 over the length-prefixed master
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import PAULIS, DensityMatrix, kron
+from .qcore import PAULIS, DensityMatrix, _rho_array, kron
 
 OUTCOMES_PAIR = ("++", "+-", "-+", "--")
 OUTCOMES_SINGLE = ("+", "-")
@@ -62,27 +64,9 @@ class PauliSetting:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    """Single-parameter channel emulating experimental imperfection."""
-
-    kind: str = "none"  # "none" | "depolarizing"
-    p: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "depolarizing"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"noise probability {self.p} outside [0, 1]")
-
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        if self.kind == "none" or self.p == 0.0:
-            return rho
-        return apply_depolarizing(rho, self.p)
-
-
-@dataclass(frozen=True)
 class CountsTable:
-    """Outcome counts for one measurement setting, with seed provenance."""
+    """Outcome counts for one measurement setting, with seed provenance: one
+    CSV record of `tables_to_csv` / `tables_from_csv`."""
 
     setting: str
     counts: tuple[int, ...]
@@ -102,13 +86,9 @@ class CountsTable:
         return OUTCOMES_PAIR if len(self.counts) == 4 else OUTCOMES_SINGLE
 
 
-def _rho_mat(rho) -> np.ndarray:
-    return rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-
-
 def outcome_probs(rho, setting: PauliSetting) -> np.ndarray:
     """Joint (+1,+1), (+1,-1), (-1,+1), (-1,-1) eigenvalue probabilities."""
-    arr = _rho_mat(rho)
+    arr = _rho_array(rho)
     if arr.shape != (4, 4):
         raise ValueError("outcome_probs expects a two-qubit state")
     p1 = PAULIS[setting.first]
@@ -128,7 +108,7 @@ def outcome_probs(rho, setting: PauliSetting) -> np.ndarray:
 
 def single_qubit_probs(rho, axis: str) -> np.ndarray:
     """(+1, -1) probabilities for one Pauli measurement on a qubit."""
-    arr = _rho_mat(rho)
+    arr = _rho_array(rho)
     if arr.shape != (2, 2):
         raise ValueError("single_qubit_probs expects a qubit state")
     pauli = PAULIS[axis]
@@ -138,15 +118,16 @@ def single_qubit_probs(rho, axis: str) -> np.ndarray:
 
 def pauli_correlations(rho) -> np.ndarray:
     """Exact 3x3 correlation matrix <sigma_j x sigma_k>, rows/cols x, y, z."""
-    arr = _rho_mat(rho)
+    arr = _rho_array(rho)
     axes = ("X", "Y", "Z")
     return np.array(
         [[np.trace(arr @ PauliSetting(j, k).matrix()).real for k in axes] for j in axes]
     )
 
 
-def sample_counts(probs, shots: int, seed: int, setting: str = "") -> CountsTable:
-    """One multinomial draw over the outcome distribution; deterministic per seed."""
+def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
+    """Integer counts from one multinomial draw over the outcome distribution;
+    deterministic per seed."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or len(p) not in (2, 4):
         raise ValueError("probs must have 2 or 4 entries")
@@ -157,8 +138,7 @@ def sample_counts(probs, shots: int, seed: int, setting: str = "") -> CountsTabl
     if shots < 1:
         raise ValueError("shots must be >= 1")
     p = np.clip(p, 0.0, None)
-    counts = generator(seed).multinomial(shots, p / p.sum())
-    return CountsTable(setting=setting, counts=tuple(int(c) for c in counts), shots=int(shots), seed=int(seed))
+    return generator(seed).multinomial(shots, p / p.sum())
 
 
 def correlators(counts) -> np.ndarray:
@@ -173,18 +153,11 @@ def correlators(counts) -> np.ndarray:
     return np.divide(diff, shots, out=np.zeros_like(shots), where=shots > 0)
 
 
-def correlator_estimate(table: CountsTable) -> float:
-    """Correlator of one pair table; see `correlators`."""
-    if len(table.counts) != 4:
-        raise ValueError("correlator needs a four-outcome table")
-    return float(correlators(table.counts))
-
-
 def apply_depolarizing(rho, p: float) -> DensityMatrix:
     """(1-p) rho + p 1/d."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p = {p} outside [0, 1]")
-    arr = _rho_mat(rho)
+    arr = _rho_array(rho)
     d = arr.shape[0]
     return DensityMatrix((1.0 - p) * arr + p * np.eye(d) / d)
 

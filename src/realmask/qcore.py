@@ -201,12 +201,16 @@ def trace_distance(a, b) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
+def concurrence_from_purity(p) -> np.ndarray:
+    """sqrt(2 (1 - p)) elementwise, 0 where the purity exceeds 1."""
+    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.asarray(p))))
+
+
 def concurrence_pure(psi: StateVector) -> float:
     """Entanglement of a two-qubit pure state: sqrt(2(1 - tr rho_A^2))."""
     if psi.dim != 4:
         raise DimensionError("concurrence_pure expects a two-qubit state")
-    red = partial_trace(psi.density(), keep="A")
-    return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity(red)))))
+    return float(concurrence_from_purity(purity(partial_trace(psi.density(), keep="A"))))
 
 
 def spin_flip_concurrence(psi: StateVector) -> float:

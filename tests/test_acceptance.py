@@ -16,7 +16,6 @@ import numpy as np
 from realmask import measure, optics, walk
 from realmask.estimate import (
     agresti_coull,
-    correlation_matrix,
     decode_real_state,
     mle_qubit_batch,
     qsv_run,
@@ -27,6 +26,7 @@ from realmask.masker import build_hr_d4, magic_basis, mask_pure, mask_state, mas
 from realmask.measure import (
     PauliSetting,
     apply_depolarizing,
+    correlators,
     derive_seed,
     outcome_probs,
     pauli_correlations,
@@ -199,11 +199,11 @@ def test_criterion_9_fig4_decoding():
     probs = {j + k: outcome_probs(rho, PauliSetting(j, k)) for j in "XYZ" for k in "XYZ"}
     fids = []
     for s in range(100):
-        tables = [
-            sample_counts(probs[j + k], 4000, derive_seed(SEED, "accept9", s, j, k), setting=j + k)
+        counts = np.array([
+            sample_counts(probs[j + k], 4000, derive_seed(SEED, "accept9", s, j, k))
             for j in "XYZ" for k in "XYZ"
-        ]
-        t = correlation_matrix(tables)
+        ])
+        t = correlators(counts).reshape(3, 3)
         fids.append(decode_real_state(t, target).fidelity_vs_input)
     median = float(np.median(fids))
     assert 0.980 <= median <= 0.995
@@ -224,7 +224,7 @@ def test_criterion_10_fig5_curve():
             for k, ax in enumerate("XYZ"):
                 counts[i, k] = sample_counts(
                     prob_table[i][k], 10_000, derive_seed(SEED, "accept10", s, i, ax)
-                ).counts
+                )
         rhos = mle_qubit_batch(counts)
         pur = np.einsum("bij,bji->b", rhos, rhos).real
         c_est = np.sqrt(np.clip(2 * (1 - pur), 0.0, None))

@@ -51,8 +51,8 @@ class TestDeterminism:
     def test_fig5_seed_changes_counts(self):
         fast = ExperimentConfig(seed=1, shots_per_setting=500, phi_grid_deg=(30.0,))
         other = ExperimentConfig(seed=2, shots_per_setting=500, phi_grid_deg=(30.0,))
-        r1 = run_fig5(fast, bootstrap=False)
-        r2 = run_fig5(other, bootstrap=False)
+        r1 = run_fig5(fast)
+        r2 = run_fig5(other)
         assert r1["points"][0]["estimate"] != r2["points"][0]["estimate"]
 
     def test_fig3_analytic_noiseless(self):
@@ -138,7 +138,7 @@ class TestReportFiles:
         for row in rep3["probes"]:
             assert row["fidelity"]["error_kind"] in ("ci95", "std")
             assert row["purity"]["error_kind"] in ("ci95", "std")
-        rep5 = run_fig5(ExperimentConfig(seed=5, shots_per_setting=200, phi_grid_deg=(10.0,)), bootstrap=False)
+        rep5 = run_fig5(ExperimentConfig(seed=5, shots_per_setting=200, phi_grid_deg=(10.0,)))
         assert rep5["points"][0]["error_kind"] == "std"
 
 
@@ -223,15 +223,24 @@ class TestCommandLine:
         {"noise_p": 1.5},
         {"phi_grid_deg": ["0", "45"]},
         {"output_path": 3},
+        {"experiment": 7},
+        {"experiment": "fig5"},
     ])
     def test_config_file_rejects_mistyped_values(self, tmp_path, doc):
-        # {"analytic": "false", "seed": 1.7} used to run in analytic mode with seed 1.
+        # {"analytic": "false", "seed": 1.7} used to run in analytic mode with seed 1,
+        # and an "experiment" key of any value was ignored.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         with pytest.raises(SystemExit) as exc:
             cli.main(["fig4", "--config", str(cfg_path)])
         key = next(iter(doc))
         assert isinstance(exc.value.code, str) and key in exc.value.code
+
+    def test_config_experiment_key_may_name_the_subcommand(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "fig4", "seed": 3}))
+        assert cli.main(["fig4", "--analytic", "--config", str(cfg_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 3
 
     def test_unreadable_config_file_is_a_clean_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from realmask.masker import mask_state
 from realmask.measure import (
     CountsTable,
-    NoiseSpec,
     PauliSetting,
     apply_depolarizing,
-    correlator_estimate,
     correlators,
     derive_seed,
     generator,
@@ -74,31 +72,36 @@ class TestOutcomeProbs:
 
 class TestSampleCounts:
     def test_deterministic_outcome(self):
-        t = sample_counts([1, 0, 0, 0], shots=1234, seed=1, setting="ZZ")
-        assert t.counts == (1234, 0, 0, 0)
+        counts = sample_counts([1, 0, 0, 0], shots=1234, seed=1)
+        assert counts.dtype.kind == "i"
+        assert counts.tolist() == [1234, 0, 0, 0]
 
     def test_zero_probability_outcomes_never_drawn(self):
-        t = sample_counts([0.5, 0, 0, 0.5], shots=4000, seed=2, setting="ZZ")
-        assert t.counts[1] == 0 and t.counts[2] == 0
-        assert t.counts[0] + t.counts[3] == 4000
+        counts = sample_counts([0.5, 0, 0, 0.5], shots=4000, seed=2)
+        assert counts[1] == 0 and counts[2] == 0
+        assert counts[0] + counts[3] == 4000
 
     def test_large_sample_correlator(self):
         # <Z ⊗ Z> of the Bell state is +1 (its outcome distribution only
         # populates the ++/-- cells, so the estimate is exact at any shots).
         probs = outcome_probs(BELL.density(), PauliSetting("Z", "Z"))
-        t = sample_counts(probs, shots=1_000_000, seed=3, setting="ZZ")
-        assert abs(correlator_estimate(t) - 1.0) < 0.005
+        counts = sample_counts(probs, shots=1_000_000, seed=3)
+        assert abs(correlators(counts) - 1.0) < 0.005
         # <X ⊗ Z> vanishes; a genuinely fluctuating law-of-large-numbers check.
         probs = outcome_probs(BELL.density(), PauliSetting("X", "Z"))
-        t = sample_counts(probs, shots=1_000_000, seed=3, setting="XZ")
-        assert abs(correlator_estimate(t)) < 0.005
+        counts = sample_counts(probs, shots=1_000_000, seed=3)
+        assert abs(correlators(counts)) < 0.005
 
     def test_seed_determinism(self):
         a = sample_counts([0.3, 0.3, 0.2, 0.2], 1000, seed=99)
         b = sample_counts([0.3, 0.3, 0.2, 0.2], 1000, seed=99)
         c = sample_counts([0.3, 0.3, 0.2, 0.2], 1000, seed=100)
-        assert a.counts == b.counts
-        assert a.counts != c.counts
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    def test_one_multinomial_draw(self):
+        p = np.array([0.3, 0.3, 0.2, 0.2])
+        assert np.array_equal(sample_counts(p, 1000, seed=99), generator(99).multinomial(1000, p / p.sum()))
 
     def test_frequency_concentration(self, rng):
         p = np.array([0.4, 0.3, 0.2, 0.1])
@@ -107,8 +110,7 @@ class TestSampleCounts:
         hits = 0
         trials = 1000
         for i in range(trials):
-            t = sample_counts(p, shots, seed=derive_seed(17, "freq", i))
-            freqs = np.array(t.counts) / shots
+            freqs = sample_counts(p, shots, seed=derive_seed(17, "freq", i)) / shots
             if np.all(np.abs(freqs - p) <= bound):
                 hits += 1
         assert hits >= 0.99 * trials
@@ -127,16 +129,14 @@ class TestCorrelator:
         ((2000, 0, 0, 2000), 1.0),
     ])
     def test_literal_values(self, counts, value):
-        t = CountsTable("ZZ", counts, sum(counts), 0)
-        assert correlator_estimate(t) == value
+        assert correlators(counts) == value
 
     @settings(max_examples=100, deadline=None)
     @given(st.tuples(*[st.integers(0, 10_000)] * 4))
     def test_bounded(self, counts):
         if sum(counts) == 0:
             return
-        t = CountsTable("XY", counts, sum(counts), 0)
-        assert -1.0 <= correlator_estimate(t) <= 1.0
+        assert -1.0 <= correlators(counts) <= 1.0
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(*[st.integers(0, 10_000)] * 4), min_size=1, max_size=9))
@@ -149,7 +149,7 @@ class TestCorrelator:
             assert value == ((npp - npm - nmp + nmm) / shots if shots else 0.0)
 
     def test_zero_shot_table_reads_zero(self):
-        assert correlator_estimate(CountsTable("ZZ", (0, 0, 0, 0), 0, 0)) == 0.0
+        assert correlators((0, 0, 0, 0)) == 0.0
         stack = np.array([[[0, 0, 0, 0], [3, 0, 0, 1]]] * 2)
         assert np.array_equal(correlators(stack), [[0.0, 1.0]] * 2)
 
@@ -173,7 +173,7 @@ class TestDepolarizing:
         with pytest.raises(ValueError):
             apply_depolarizing(np.eye(4) / 4, 1.5)
         with pytest.raises(ValueError):
-            NoiseSpec("depolarizing", -0.1)
+            apply_depolarizing(np.eye(4) / 4, -0.1)
 
 
 class TestPoissonResample:
