@@ -11,14 +11,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from realmask import experiments
+from realmask import cli, experiments
 from realmask.experiments import ExperimentConfig
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
-    parser.add_argument("--noise-p", type=float, default=experiments.DEFAULT_NOISE_P)
+    parser.add_argument("--noise-p", type=cli._flag_type(float, cli._probability),
+                        default=experiments.DEFAULT_NOISE_P)
     parser.add_argument("--out", type=Path, default=Path("results"))
     args = parser.parse_args()
 

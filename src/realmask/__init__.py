@@ -1,8 +1,8 @@
 """Masking a real ququart into path/polarization correlations.
 
 Subpackages: `qcore` (states and exact algebra), `masker` (the masking
-isometry), `walk` (the coined-walk realization and the sparse rail engine),
-`optics` (the Jones-calculus table, run on that engine), `measure`
+isometry), `walk` (the coined-walk realization and the dense, batched rail
+engine), `optics` (the Jones-calculus table, run on that engine), `measure`
 (finite-shot sampling), `estimate` (fidelity verification, tomography,
 correlation decoding), `experiments`/`cli` (figure pipelines).
 """

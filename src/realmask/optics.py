@@ -24,12 +24,13 @@ by -4 then V by +2 (matching the -3,-1,1,3 rail labels), while the masking
 module uses the symmetric (-1, +1) form so that rail labels coincide with
 walker positions at every step.
 
-The table runs on the walk's sparse engine: a rail state is a
-`walk.RailState` keyed by (rail, H|V), a waveplate lowers onto
-`walk.apply_local` and a beam displacer onto `walk.shift`.  The element
-sequences stay independent of the walk schedule, which is what the
-masker / walk / optics cross-check tests.  Polarizing beam splitters are not
-modelled as elements: `detector_distribution` reads the H/V ports directly.
+The table runs on the walk's dense engine: a `walk.RailState` array indexed
+by (..., rail, H|V), where a waveplate (whose angle may hold one value per
+batch item) lowers onto `walk.apply_local` and a beam displacer onto
+`walk.shift`.  The element sequences stay independent of the walk schedule,
+which is what the masker / walk / optics cross-check tests.  Polarizing beam
+splitters are not modelled as elements: `detector_distribution` reads the
+H/V ports directly.
 """
 from __future__ import annotations
 
@@ -40,29 +41,25 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .qcore import EPS_EXACT, StateVector
+from .qcore import EPS_EXACT, PAULI_X, PAULI_Z, StateVector
 from .walk import COIN_C1, COIN_C2, RailState, apply_local, embed_two_qubit, extract_two_qubit, run, shift
 
 H, V = 0, 1
-POL_LABELS = ("H", "V")
 
 
 class SolverError(RuntimeError):
     """Angle solve did not reach the required residual."""
 
 
-def hwp_jones(theta_deg: float) -> np.ndarray:
-    """Half-wave plate at `theta_deg` from horizontal, in the (H, V) basis."""
-    t = math.radians(theta_deg)
-    c, s = math.cos(2 * t), math.sin(2 * t)
-    return np.array([[c, s], [s, -c]], dtype=complex)
+def hwp_jones(theta_deg) -> np.ndarray:
+    """Half-wave plate at `theta_deg` from horizontal in the (H, V) basis; angle arrays give a stack."""
+    t = 2 * np.radians(theta_deg)
+    return np.multiply.outer(np.cos(t), PAULI_Z) + np.multiply.outer(np.sin(t), PAULI_X)
 
 
-def qwp_jones(theta_deg: float) -> np.ndarray:
-    """Quarter-wave plate at `theta_deg`; see the module docstring for the sign convention."""
-    t = math.radians(theta_deg)
-    c, s = math.cos(2 * t), math.sin(2 * t)
-    return np.array([[1 - 1j * c, -1j * s], [-1j * s, 1 + 1j * c]], dtype=complex) / np.sqrt(2)
+def qwp_jones(theta_deg) -> np.ndarray:
+    """Quarter-wave plate at `theta_deg`, (1 - i HWP(theta))/sqrt(2) in the module docstring's convention."""
+    return (np.eye(2) - 1j * hwp_jones(theta_deg)) / np.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -115,7 +112,7 @@ Element = Union[Waveplate, BeamDisplacer]
 
 @dataclass(frozen=True)
 class PrepAngles:
-    """Half-wave-plate angles (degrees) that set the four real amplitudes."""
+    """Half-wave-plate angles (degrees) that set the four real amplitudes (floats or per-item arrays)."""
 
     h1: float
     h2: float
@@ -123,7 +120,7 @@ class PrepAngles:
 
 
 def solve_prep_angles(a) -> PrepAngles:
-    """Invert the preparation pipeline for a real normalized target.
+    """Invert the preparation pipeline for real normalized (..., 4) targets.
 
     Branch choice: h1 in [0, 45] so cos(2 h1), sin(2 h1) >= 0; then
     2 h2 = atan2(a1, a0) and 2 h3 = atan2(a2, -a3), each angle folded into
@@ -131,17 +128,18 @@ def solve_prep_angles(a) -> PrepAngles:
     unconstrained angle at 0.
     """
     vec = np.asarray(a, dtype=float)
-    if vec.shape != (4,):
+    if vec.shape[-1:] != (4,):
         raise ValueError("target must be a real 4-vector")
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"target must be finite, got {vec}")
-    if abs(np.linalg.norm(vec) - 1.0) > EPS_EXACT:
+    if np.abs(np.linalg.norm(vec, axis=-1) - 1.0).max() > EPS_EXACT:
         raise ValueError("target must be normalized")
-    r01 = math.hypot(vec[0], vec[1])
-    r23 = math.hypot(vec[2], vec[3])
-    h1 = math.degrees(math.atan2(r23, r01)) / 2.0
-    h2 = math.degrees(math.atan2(vec[1], vec[0])) / 2.0 if r01 > EPS_EXACT else 0.0
-    h3 = math.degrees(math.atan2(vec[2], -vec[3])) / 2.0 if r23 > EPS_EXACT else 0.0
+    a0, a1, a2, a3 = (vec[..., k] for k in range(4))
+    r01 = np.hypot(a0, a1)
+    r23 = np.hypot(a2, a3)
+    h1 = np.degrees(np.arctan2(r23, r01)) / 2.0
+    h2 = np.where(r01 > EPS_EXACT, np.degrees(np.arctan2(a1, a0)) / 2.0, 0.0)
+    h3 = np.where(r23 > EPS_EXACT, np.degrees(np.arctan2(a2, -a3)) / 2.0, 0.0)
     return PrepAngles(h1 % 180.0, h2 % 180.0, h3 % 180.0)
 
 
@@ -167,22 +165,17 @@ def preparation_layout(angles: PrepAngles, q1_deg: float | None = None) -> tuple
 
 
 def simulate_preparation(angles: PrepAngles, q1_deg: float | None = None) -> RailState:
-    """Run the preparation module on the fixed |rail 1, H> input."""
-    start = RailState({(PREP_INPUT_RAIL, H): 1.0 + 0j})
-    return run(start, preparation_layout(angles, q1_deg))
+    """Run the preparation module on the fixed |rail 1, H> input; angle arrays give a batch."""
+    return run(RailState.of({(PREP_INPUT_RAIL, H): 1.0}), preparation_layout(angles, q1_deg))
 
 
 def prepared_amplitudes(state: RailState) -> np.ndarray:
-    """Collapse a prepared all-V state on rails -3,-1,1,3 to its 4 amplitudes."""
-    vec = np.zeros(4, dtype=complex)
-    rail_index = {-3: 0, -1: 1, 1: 2, 3: 3}
-    for (x, p), a in state.amplitudes.items():
-        if abs(a) <= EPS_EXACT:
-            continue
-        if p != V or x not in rail_index:
-            raise ValueError(f"unexpected amplitude at rail {x} pol {POL_LABELS[p]}")
-        vec[rail_index[x]] = a
-    return vec
+    """Collapse prepared all-V states on rails -3,-1,1,3 to their (..., 4) amplitudes."""
+    rails = (-3, -1, 1, 3)
+    stray = state.max_outside(rails, (V,))
+    if stray > EPS_EXACT:
+        raise ValueError(f"prepared state has amplitude {stray:.3e} off the V modes of rails {rails}")
+    return np.stack([state.amplitude(x, V) for x in rails], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +234,8 @@ def masking_layout() -> tuple[Element, ...]:
     return tuple(elems)
 
 
-def simulate_masking(a=None, *, q1_deg: float | None = None, angles: PrepAngles | None = None) -> StateVector:
-    """Full table: preparation (solved from real `a` unless `angles` given) + masking module."""
+def simulate_masking(a=None, *, q1_deg: float | None = None, angles: PrepAngles | None = None) -> np.ndarray:
+    """Full table: preparation (solved from real (..., 4) `a` unless `angles` given) + masking module."""
     if angles is None:
         angles = solve_prep_angles(a)
     state = run(simulate_preparation(angles, q1_deg), masking_layout())
@@ -370,9 +363,9 @@ _SPCM_PORTS = ((3, H), (3, V), (1, H), (1, V))
 
 
 def detector_distribution(state: RailState) -> np.ndarray:
-    """Click probabilities at SPCM 0..3 for a measurement-module output."""
-    probs = np.array([abs(state.amplitude(x, p)) ** 2 for x, p in _SPCM_PORTS])
-    leak = 1.0 - probs.sum()
+    """Click probabilities (..., 4) at SPCM 0..3 for measurement-module outputs."""
+    probs = np.abs(np.stack([state.amplitude(x, p) for x, p in _SPCM_PORTS], axis=-1)) ** 2
+    leak = (1.0 - probs.sum(axis=-1)).max(initial=0.0)
     if leak > 1e-9:
         raise ValueError(f"probability {leak:.3e} outside the four detector ports")
     return probs
@@ -385,7 +378,7 @@ def simulate_measurement(psi: StateVector, setting: MeasSetting) -> np.ndarray:
     coefficients of the state in the setting's product basis.
     """
     angles = compile_measurement(setting)
-    return detector_distribution(run(embed_two_qubit(psi), measurement_layout(angles)))
+    return detector_distribution(run(embed_two_qubit(psi.amplitudes), measurement_layout(angles)))
 
 
 def spcm_to_outcome_order(spcm_probs: np.ndarray) -> np.ndarray:

@@ -7,11 +7,11 @@ position, identity elsewhere) or the translation.  The shipped default
 schedule masks a ququart whose amplitudes sit on the odd positions
 -3,-1,1,3 (coin |1>) into a hybrid two-qubit state on positions +/-1.
 
-This module also holds the sparse engine that the optical table reuses: a
-state {(site, qubit): amplitude} and two primitives, a local 2x2 on some or
-all sites and a qubit-conditional shift (s0, s1).  Coin layers and the
-translation lower onto these here; waveplates and beam displacers lower onto
-the same two in `optics`.
+This module also holds the dense engine that the optical table reuses: a
+complex (..., sites, 2) array whose leading axes index a batch of inputs, and
+two primitives, a local 2x2 on some or all sites and a qubit-conditional
+shift (s0, s1).  Coin layers and the translation lower onto these here;
+waveplates and beam displacers lower onto the same two in `optics`.
 
 Coin placements for the default schedule: the four-step geometry is pinned by
 requiring that the composite map equal the masker column-for-column under the
@@ -36,13 +36,7 @@ from typing import Collection, Iterable, Mapping, Union
 
 import numpy as np
 
-from .qcore import (
-    EPS_EXACT,
-    PAULI_X,
-    PAULI_Z,
-    StateVector,
-    require_unitary,
-)
+from .qcore import EPS_EXACT, PAULI_X, PAULI_Z, require_unitary
 
 COIN_X = PAULI_X
 COIN_Z = PAULI_Z
@@ -57,61 +51,71 @@ class ExtractionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RailState:
-    """Sparse site/qubit amplitudes: {(site, qubit): amplitude}.
-
-    The walk reads (site, qubit) as (position, coin); the optical table reads
-    it as (rail, polarization) with H = 0, V = 1.
+    """`amps[..., i, q]` is the amplitude of qubit q on site lo + i (zero off
+    the window); leading axes index a batch.  The walk reads (site, qubit) as
+    (position, coin); the optical table reads it as (rail, polarization) with
+    H = 0, V = 1.
     """
 
-    amplitudes: Mapping[tuple[int, int], complex]
+    lo: int
+    amps: np.ndarray
 
-    def __init__(self, amplitudes: Mapping[tuple[int, int], complex], *, _skip_check: bool = False):
-        amps = {}
+    @staticmethod
+    def of(amplitudes: Mapping[tuple[int, int], complex]) -> "RailState":
+        """A single normalized state from {(site, qubit): amplitude}."""
+        lo = min(x for x, _c in amplitudes)
+        amps = np.zeros((max(x for x, _c in amplitudes) - lo + 1, 2), dtype=complex)
         for (x, c), a in amplitudes.items():
             if c not in (0, 1):
                 raise ValueError(f"qubit index must be 0 or 1, got {c}")
-            if a != 0:
-                amps[(int(x), int(c))] = complex(a)
-        if not _skip_check:
-            norm = np.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-            if abs(norm - 1.0) > EPS_EXACT:
-                raise ValueError(f"state norm {norm} deviates from 1 by more than {EPS_EXACT}")
-        object.__setattr__(self, "amplitudes", amps)
+            amps[x - lo, c] = a
+        norm = np.linalg.norm(amps)
+        if abs(norm - 1.0) > EPS_EXACT:
+            raise ValueError(f"state norm {norm} deviates from 1 by more than {EPS_EXACT}")
+        return RailState(lo, amps)
 
-    def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values())))
+    def amplitude(self, site: int, qubit: int) -> np.ndarray:
+        """Amplitudes of `qubit` on `site`, one per batch item."""
+        i = site - self.lo
+        if 0 <= i < self.amps.shape[-2]:
+            return self.amps[..., i, qubit]
+        return np.zeros(self.amps.shape[:-2], dtype=complex)
 
-    def sites(self) -> set[int]:
-        return {x for (x, _c) in self.amplitudes}
-
-    def amplitude(self, site: int, qubit: int) -> complex:
-        return self.amplitudes.get((site, qubit), 0j)
+    def max_outside(self, sites: Collection[int], qubits: Collection[int] = (0, 1)) -> float:
+        """Largest |amplitude| over the batch anywhere but on `qubits` of `sites`."""
+        on = np.zeros(self.amps.shape[-2:], dtype=bool)
+        for x in sites:
+            if 0 <= x - self.lo < len(on):
+                on[x - self.lo, list(qubits)] = True
+        return float(np.abs(self.amps[..., ~on]).max(initial=0.0))
 
 
 def apply_local(state: RailState, u: np.ndarray, sites: Collection[int] | None = None) -> RailState:
-    """Multiply the qubit spinor at each listed site (every site if None) by `u`."""
-    out: dict[tuple[int, int], complex] = {}
-    for (x, c), a in state.amplitudes.items():
-        if sites is not None and x not in sites:
-            out[(x, c)] = out.get((x, c), 0j) + a
-            continue
-        for c2 in (0, 1):
-            amp = u[c2, c] * a
-            if amp != 0:
-                out[(x, c2)] = out.get((x, c2), 0j) + amp
-    return RailState(out, _skip_check=True)
+    """Multiply the qubit spinor at each listed site (every site if None) by `u`, a
+    (2, 2) matrix or a (..., 2, 2) stack that broadcasts against the batch axes."""
+    n = state.amps.shape[-2]
+    idx = slice(None) if sites is None else [x - state.lo for x in sorted(sites) if 0 <= x - state.lo < n]
+    u = np.asarray(u)[..., None, :, :]
+    a = state.amps[..., idx, :]
+    new = u[..., 0] * a[..., 0, None] + u[..., 1] * a[..., 1, None]
+    out = np.empty(new.shape[:-2] + state.amps.shape[-2:], dtype=complex)
+    out[...] = state.amps
+    out[..., idx, :] = new
+    return RailState(state.lo, out)
 
 
 def shift(state: RailState, s0: int, s1: int) -> RailState:
     """Move qubit-0 amplitudes by s0 sites and qubit-1 amplitudes by s1 sites.
 
-    The map is injective on (site, qubit), so amplitudes never merge and the
-    norm is preserved exactly.
+    The window grows to hold both shifted copies, so no amplitude is dropped
+    or merged and the norm is preserved exactly.
     """
-    return RailState(
-        {(x + (s1 if c else s0), c): a for (x, c), a in state.amplitudes.items()},
-        _skip_check=True,
-    )
+    lo, hi = min(s0, s1, 0), max(s0, s1, 0)
+    n = state.amps.shape[-2]
+    out = np.zeros(state.amps.shape[:-2] + (n + hi - lo, 2), dtype=complex)
+    out[..., s0 - lo:s0 - lo + n, 0] = state.amps[..., 0]
+    out[..., s1 - lo:s1 - lo + n, 1] = state.amps[..., 1]
+    return RailState(state.lo + lo, out)
 
 
 def run(state: RailState, steps: Iterable) -> RailState:
@@ -182,14 +186,16 @@ def run_schedule(state: RailState, schedule: WalkSchedule) -> RailState:
 
 
 def encode_input(a) -> RailState:
-    """Ququart amplitudes onto the odd positions, coin |1>:
+    """Ququart amplitudes (..., 4) onto the odd positions, coin |1>:
     a0|-3,1> + a1|-1,1> + a2|1,1> + a3|3,1>."""
     vec = np.asarray(a, dtype=complex)
-    if vec.shape != (4,):
+    if vec.shape[-1:] != (4,):
         raise ValueError("input must have 4 amplitudes")
-    if abs(np.linalg.norm(vec) - 1.0) > EPS_EXACT:
+    if np.abs(np.linalg.norm(vec, axis=-1) - 1.0).max() > EPS_EXACT:
         raise ValueError("input amplitudes must be normalized")
-    return RailState({(-3, 1): vec[0], (-1, 1): vec[1], (1, 1): vec[2], (3, 1): vec[3]})
+    amps = np.zeros(vec.shape[:-1] + (7, 2), dtype=complex)
+    amps[..., ::2, 1] = vec
+    return RailState(-3, amps)
 
 
 @lru_cache(maxsize=None)
@@ -210,37 +216,26 @@ def masking_schedule() -> WalkSchedule:
     )
 
 
-def extract_two_qubit(state: RailState, *, tol: float = EPS_EXACT) -> StateVector:
-    """Read sites +/-1 as qubit A (+1 -> |0>, -1 -> |1>); the site's qubit is qubit B."""
-    stray = max(
-        (abs(a) for (x, _c), a in state.amplitudes.items() if x not in (1, -1)),
-        default=0.0,
-    )
+def extract_two_qubit(state: RailState, *, tol: float = EPS_EXACT) -> np.ndarray:
+    """Read sites +/-1 as qubit A (+1 -> |0>, -1 -> |1>); the site's qubit is qubit B.
+    Returns normalized (..., 4) amplitudes."""
+    stray = state.max_outside((1, -1))
     if stray > tol:
         raise ExtractionError(f"support outside sites +/-1 with amplitude {stray:.3e}")
-    vec = np.zeros(4, dtype=complex)
-    for (x, c), a in state.amplitudes.items():
-        if x in (1, -1):
-            qa = 0 if x == 1 else 1
-            vec[2 * qa + c] = a
-    return StateVector.normalized(vec)
+    vec = np.stack([state.amplitude(x, c) for x in (1, -1) for c in (0, 1)], axis=-1)
+    return vec / np.linalg.norm(vec, axis=-1, keepdims=True)
 
 
-def embed_two_qubit(psi: StateVector) -> RailState:
-    """Inverse of extract_two_qubit: put a two-qubit state onto sites +/-1."""
-    if psi.dim != 4:
+def embed_two_qubit(psi) -> RailState:
+    """Inverse of extract_two_qubit: put (..., 4) two-qubit amplitudes onto sites +/-1."""
+    vec = np.asarray(psi, dtype=complex)
+    if vec.shape[-1:] != (4,):
         raise ValueError("expected a two-qubit state")
-    amps = {}
-    for qa in (0, 1):
-        for c in (0, 1):
-            a = psi.amplitudes[2 * qa + c]
-            if a != 0:
-                amps[(1 if qa == 0 else -1, c)] = a
-    return RailState(amps)
+    return RailState(-1, np.stack([vec[..., 2:], np.zeros_like(vec[..., :2]), vec[..., :2]], axis=-2))
 
 
-def run_masking_walk(a) -> StateVector:
-    """encode -> default schedule -> extract, as a two-qubit state."""
+def run_masking_walk(a) -> np.ndarray:
+    """encode -> default schedule -> extract, as (..., 4) two-qubit amplitudes."""
     return extract_two_qubit(run_schedule(encode_input(a), masking_schedule()))
 
 
@@ -278,18 +273,22 @@ def schedule_to_dict(schedule: WalkSchedule) -> dict:
 
 
 def schedule_from_dict(doc: dict) -> WalkSchedule:
-    if not isinstance(doc, dict) or "layers" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
         raise ValueError("schedule document must be an object with a 'layers' list")
     layers: list[Layer] = []
     for i, entry in enumerate(doc["layers"]):
-        kind = entry.get("type")
-        if kind == "translate":
-            layers.append(TRANSLATE)
-        elif kind == "coins":
-            coins = {int(c["position"]): _matrix_from_reals(c["matrix"]) for c in entry["coins"]}
-            layers.append(CoinLayer(coins))
-        else:
-            raise ValueError(f"layer {i}: unknown type {kind!r}")
+        try:
+            if entry["type"] == "translate":
+                layers.append(TRANSLATE)
+            elif entry["type"] == "coins":
+                coins = {int(c["position"]): _matrix_from_reals(c["matrix"]) for c in entry["coins"]}
+                layers.append(CoinLayer(coins))
+            else:
+                raise ValueError(f"unknown type {entry['type']!r}")
+        except KeyError as exc:
+            raise ValueError(f"layer {i}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"layer {i}: {exc}") from None
     return WalkSchedule(name=str(doc.get("name", "unnamed")), layers=tuple(layers))
 
 

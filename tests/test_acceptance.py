@@ -61,8 +61,8 @@ def test_criterion_1_triple_equivalence():
         a = rng.normal(size=4)
         a /= np.linalg.norm(a)
         ref = StateVector(m @ a)
-        via_walk = walk.run_masking_walk(a)
-        via_optics = optics.simulate_masking(a)
+        via_walk = StateVector(walk.run_masking_walk(a))
+        via_optics = StateVector(optics.simulate_masking(a))
         worst = max(
             worst,
             1 - ref.fidelity(via_walk),

@@ -121,7 +121,7 @@ class TestReportFiles:
     def test_report_carries_schema_version(self):
         doc = json.loads(report_json(run_fig4(ExperimentConfig(seed=3, analytic=True))))
         assert next(iter(doc)) == "schema"
-        assert doc["schema"] == experiments.REPORT_SCHEMA == 3
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 4
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError):
@@ -162,6 +162,41 @@ class TestEquivalence:
     def test_impossible_threshold_fails(self):
         rep = run_equivalence(ExperimentConfig(seed=9), n_inputs=5, threshold=0.0)
         assert rep["pass"] is False
+
+    def test_blocks_keep_the_input_stream(self, monkeypatch):
+        # Blocks draw the same inputs, in the same order, as one draw per input.
+        seen = []
+        real_walk = experiments.walk.run_masking_walk
+
+        def recording_walk(a):
+            seen.append(np.array(a))
+            return real_walk(a)
+
+        monkeypatch.setattr(experiments, "EQUIV_BLOCK", 4)
+        monkeypatch.setattr(experiments.walk, "run_masking_walk", recording_walk)
+        run_equivalence(ExperimentConfig(seed=9), n_inputs=10)
+        rng = experiments.generator(experiments.derive_seed(9, "equiv"))
+        real = np.array([rng.normal(size=4) for _ in range(10)])
+        cplx = np.array([rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(10)])
+        want = [real[:4], real[4:8], real[8:], cplx]
+        assert [len(a) for a in seen] == [4, 4, 2, 10]
+        for got, w in zip(seen, want):
+            assert np.allclose(got, w / np.linalg.norm(w, axis=-1, keepdims=True), rtol=0, atol=1e-15)
+
+    def test_optics_fault_is_reported(self, monkeypatch):
+        real_optics = experiments.optics.simulate_masking
+        monkeypatch.setattr(experiments.optics, "simulate_masking", lambda a: np.roll(real_optics(a), 1, axis=-1))
+        rep = run_equivalence(ExperimentConfig(seed=9), n_inputs=20)
+        assert rep["pass"] is False
+        assert rep["max_infidelity_masker_walk"] < 1e-10
+        assert rep["max_infidelity_masker_optics"] > 1e-10
+        assert rep["max_infidelity_walk_optics"] > 1e-10
+
+    def test_block_boundary(self):
+        n = experiments.EQUIV_BLOCK + 1
+        rep = run_equivalence(ExperimentConfig(seed=9), n_inputs=n)
+        assert rep["pass"] is True and rep["n_inputs"] == n
+        json.loads(report_json(rep))  # refuses NaN and infinity
 
 
 class TestCommandLine:
@@ -353,6 +388,21 @@ class TestCommandLine:
             )
             outs.append((out_dir / "fig5.json").read_bytes() + (out_dir / "fig5.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("value", ["2", "nan", "-1"])
+    def test_reproduce_figures_rejects_bad_noise_p(self, tmp_path, value):
+        # An out-of-range --noise-p used to end in a ValueError traceback.
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+        out = subprocess.run([sys.executable, str(script), "--noise-p", value, "--out", str(tmp_path / "out")],
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 2
+        assert "usage:" in out.stderr and "--noise-p" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_experiments_import_does_not_load_scipy(self):
         import subprocess

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from realmask.masker import masker_matrix
 from realmask.qcore import StateVector, random_unitary
 from realmask.walk import (
+    COIN_C1,
     COIN_C2,
     COIN_X,
     TRANSLATE,
@@ -35,17 +36,22 @@ def amp(state: RailState, x: int, c: int) -> complex:
     return state.amplitude(x, c)
 
 
+def nonzero(state: RailState) -> dict:
+    """{(site, qubit): amplitude} of a single state's nonzero entries."""
+    return {(state.lo + int(i), int(c)): state.amps[i, c] for i, c in zip(*np.nonzero(state.amps))}
+
+
 class TestTranslate:
     def test_coin_zero_moves_left(self):
-        out = TRANSLATE.apply(RailState({(0, 0): 1.0}))
+        out = TRANSLATE.apply(RailState.of({(0, 0): 1.0}))
         assert amp(out, -1, 0) == 1.0
 
     def test_coin_one_moves_right(self):
-        out = TRANSLATE.apply(RailState({(0, 1): 1.0}))
+        out = TRANSLATE.apply(RailState.of({(0, 1): 1.0}))
         assert amp(out, 1, 1) == 1.0
 
     def test_superposition_termwise(self):
-        out = TRANSLATE.apply(RailState({(2, 0): 1 / SQRT2, (2, 1): 1 / SQRT2}))
+        out = TRANSLATE.apply(RailState.of({(2, 0): 1 / SQRT2, (2, 1): 1 / SQRT2}))
         assert amp(out, 1, 0) == pytest.approx(1 / SQRT2)
         assert amp(out, 3, 1) == pytest.approx(1 / SQRT2)
 
@@ -57,52 +63,52 @@ class TestTranslate:
     ))
     def test_norm_and_position_shift(self, raw):
         norm = np.sqrt(sum(abs(a) ** 2 for a in raw.values()))
-        state = RailState({k: v / norm for k, v in raw.items()})
+        state = RailState.of({k: v / norm for k, v in raw.items()})
         out = TRANSLATE.apply(state)
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
-        for (x, c), a in state.amplitudes.items():
+        assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-12)
+        for (x, c), a in nonzero(state).items():
             assert amp(out, x - 1 if c == 0 else x + 1, c) == a
 
 
 class TestEngine:
     def test_local_acts_on_every_site_when_none_listed(self):
-        state = RailState({(0, 0): 1 / SQRT2, (5, 1): 1 / SQRT2})
+        state = RailState.of({(0, 0): 1 / SQRT2, (5, 1): 1 / SQRT2})
         out = apply_local(state, COIN_X)
-        assert out.amplitudes == {(0, 1): 1 / SQRT2, (5, 0): 1 / SQRT2}
+        assert nonzero(out) == {(0, 1): 1 / SQRT2, (5, 0): 1 / SQRT2}
 
     def test_local_leaves_unlisted_sites_alone(self):
-        state = RailState({(0, 0): 1 / SQRT2, (5, 1): 1 / SQRT2})
+        state = RailState.of({(0, 0): 1 / SQRT2, (5, 1): 1 / SQRT2})
         out = apply_local(state, COIN_X, {0})
-        assert out.amplitudes == {(0, 1): 1 / SQRT2, (5, 1): 1 / SQRT2}
+        assert nonzero(out) == {(0, 1): 1 / SQRT2, (5, 1): 1 / SQRT2}
 
     def test_shift_moves_each_qubit_by_its_own_offset(self):
-        state = RailState({(1, 0): 0.6, (1, 1): 0.8j})
+        state = RailState.of({(1, 0): 0.6, (1, 1): 0.8j})
         out = shift(state, -4, 2)
-        assert out.amplitudes == {(-3, 0): 0.6, (3, 1): 0.8j}
+        assert nonzero(out) == {(-3, 0): 0.6, (3, 1): 0.8j}
 
     def test_rejects_bad_qubit_index(self):
         with pytest.raises(ValueError):
-            RailState({(0, 2): 1.0})
+            RailState.of({(0, 2): 1.0})
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError):
-            RailState({(0, 0): 1.0, (1, 0): 1.0})
+            RailState.of({(0, 0): 1.0, (1, 0): 1.0})
 
 
 class TestCoinLayer:
     def test_x_at_position(self):
-        out = CoinLayer({3: COIN_X}).apply(RailState({(3, 1): 1.0}))
+        out = CoinLayer({3: COIN_X}).apply(RailState.of({(3, 1): 1.0}))
         assert amp(out, 3, 0) == 1.0
 
     def test_c2_column(self):
-        out = CoinLayer({-2: COIN_C2}).apply(RailState({(-2, 1): 1.0}))
+        out = CoinLayer({-2: COIN_C2}).apply(RailState.of({(-2, 1): 1.0}))
         assert amp(out, -2, 0) == pytest.approx(1j / SQRT2)
         assert amp(out, -2, 1) == pytest.approx(1j / SQRT2)
 
     def test_identity_layer_is_noop(self):
-        state = RailState({(0, 0): 1 / SQRT2, (2, 1): 1j / SQRT2})
+        state = RailState.of({(0, 0): 1 / SQRT2, (2, 1): 1j / SQRT2})
         out = CoinLayer({}).apply(state)
-        assert out.amplitudes == state.amplitudes
+        assert nonzero(out) == nonzero(state)
 
     def test_rejects_non_unitary_coin(self):
         with pytest.raises(ValueError):
@@ -125,16 +131,16 @@ class TestEncodeExtract:
             encode_input([1, 1, 0, 0])
 
     def test_extract_identification(self):
-        assert np.allclose(extract_two_qubit(RailState({(1, 0): 1.0})).amplitudes, [1, 0, 0, 0])
-        assert np.allclose(extract_two_qubit(RailState({(-1, 1): 1.0})).amplitudes, [0, 0, 0, 1])
+        assert np.allclose(extract_two_qubit(RailState.of({(1, 0): 1.0})), [1, 0, 0, 0])
+        assert np.allclose(extract_two_qubit(RailState.of({(-1, 1): 1.0})), [0, 0, 0, 1])
 
     def test_extract_bell(self):
-        out = extract_two_qubit(RailState({(1, 0): 1 / SQRT2, (-1, 1): 1 / SQRT2}))
-        assert np.allclose(out.amplitudes, np.array([1, 0, 0, 1]) / SQRT2)
+        out = extract_two_qubit(RailState.of({(1, 0): 1 / SQRT2, (-1, 1): 1 / SQRT2}))
+        assert np.allclose(out, np.array([1, 0, 0, 1]) / SQRT2)
 
     def test_extract_rejects_stray_support(self):
         with pytest.raises(ExtractionError):
-            extract_two_qubit(RailState({(1, 0): np.sqrt(0.5), (3, 0): np.sqrt(0.5)}))
+            extract_two_qubit(RailState.of({(1, 0): np.sqrt(0.5), (3, 0): np.sqrt(0.5)}))
 
 
 class TestMaskingSchedule:
@@ -179,14 +185,13 @@ class TestMaskingSchedule:
         assert amp(out, -1, 0) == pytest.approx((1 + 1j) / r8, abs=1e-15)
 
     def test_positions_stay_in_artifact_window(self, rng):
-        schedule = masking_schedule()
-        for _ in range(20):
-            a = rng.normal(size=4)
-            a /= np.linalg.norm(a)
-            state = encode_input(a)
-            for layer in schedule.layers:
-                state = layer.apply(state)
-                assert all(-5 <= x <= 5 for x in state.sites())
+        a = rng.normal(size=(20, 4))
+        a /= np.linalg.norm(a, axis=-1, keepdims=True)
+        state = encode_input(a)
+        for layer in masking_schedule().layers:
+            state = layer.apply(state)
+            occupied = state.lo + np.flatnonzero(np.abs(state.amps).max(axis=(0, 2)))
+            assert all(-5 <= x <= 5 for x in occupied)
 
     def test_exact_masker_equality_including_phase(self, rng):
         m = masker_matrix().matrix
@@ -194,7 +199,7 @@ class TestMaskingSchedule:
             a = rng.normal(size=4)
             a /= np.linalg.norm(a)
             got = run_masking_walk(a)
-            assert np.abs(got.amplitudes - m @ a).max() < 1e-12
+            assert np.abs(got - m @ a).max() < 1e-12
 
     def test_equivalence_for_complex_inputs(self, rng):
         m = masker_matrix().matrix
@@ -202,17 +207,63 @@ class TestMaskingSchedule:
             a = rng.normal(size=4) + 1j * rng.normal(size=4)
             a /= np.linalg.norm(a)
             got = run_masking_walk(a)
-            assert StateVector(m @ a).fidelity(got) > 1 - 1e-12
+            assert StateVector(m @ a).fidelity(StateVector(got)) > 1 - 1e-12
+
+
+def _worst_masker_infidelity(schedule: WalkSchedule, a: np.ndarray) -> float:
+    """Largest masker-vs-walk infidelity over the (N, 4) inputs `a`; amplitude
+    left off the read-out sites counts as total disagreement."""
+    try:
+        got = extract_two_qubit(run_schedule(encode_input(a), schedule))
+    except ExtractionError:
+        return 1.0
+    ref = a @ masker_matrix().matrix.T
+    return float((1 - np.abs(np.sum(ref.conj() * got, axis=-1)) ** 2).max())
+
+
+_DEFAULT_COINS = [
+    (i, x) for i, layer in enumerate(masking_schedule().layers)
+    if isinstance(layer, CoinLayer) for x in layer.coins
+]
+
+
+class TestCrossCheckSharpness:
+    """A fault in any coin of the schedule must break the 1e-10 equiv threshold."""
+
+    @pytest.fixture
+    def inputs(self, rng):
+        a = rng.normal(size=(64, 4))
+        return a / np.linalg.norm(a, axis=-1, keepdims=True)
+
+    def test_default_schedule_agrees(self, inputs):
+        assert _worst_masker_infidelity(masking_schedule(), inputs) < 1e-10
+
+    @pytest.mark.parametrize("layer,position", _DEFAULT_COINS)
+    def test_haar_random_coin_is_caught(self, layer, position, inputs, rng):
+        layers = list(masking_schedule().layers)
+        layers[layer] = CoinLayer({**layers[layer].coins, position: random_unitary(2, rng)})
+        assert _worst_masker_infidelity(WalkSchedule("faulty", tuple(layers)), inputs) > 1e-10
+
+    def test_swapped_c1_c2_is_caught(self, inputs):
+        layers = list(masking_schedule().layers)
+        assert set(layers[2].coins) == {-2, 2}
+        layers[2] = CoinLayer({-2: COIN_C1, 2: COIN_C2})
+        assert _worst_masker_infidelity(WalkSchedule("swapped", tuple(layers)), inputs) > 1e-10
+
+    def test_batch_matches_single_inputs(self, inputs):
+        batch = run_masking_walk(inputs)
+        for a, got in zip(inputs, batch):
+            assert np.array_equal(run_masking_walk(a), got)
 
 
 class TestRunSchedule:
     def test_empty_schedule(self):
         state = encode_input([0, 1, 0, 0])
         out = run_schedule(state, WalkSchedule("empty", ()))
-        assert out.amplitudes == state.amplitudes
+        assert out.lo == state.lo and np.array_equal(out.amps, state.amps)
 
     def test_single_translate(self):
-        out = run_schedule(RailState({(0, 1): 1.0}), WalkSchedule("t", (TRANSLATE,)))
+        out = run_schedule(RailState.of({(0, 1): 1.0}), WalkSchedule("t", (TRANSLATE,)))
         assert amp(out, 1, 1) == 1.0
 
     def test_norm_preserved_on_random_schedules(self, rng):
@@ -225,9 +276,9 @@ class TestRunSchedule:
                     positions = rng.choice(np.arange(-4, 5), size=rng.integers(1, 4), replace=False)
                     layers.append(CoinLayer({int(x): random_unitary(2, rng) for x in positions}))
             schedule = WalkSchedule("rand", tuple(layers))
-            start = RailState({(int(rng.integers(-4, 5)), int(rng.integers(0, 2))): 1.0})
+            start = RailState.of({(int(rng.integers(-4, 5)), int(rng.integers(0, 2))): 1.0})
             out = run_schedule(start, schedule)
-            assert out.norm() == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestScheduleFile:
@@ -259,7 +310,7 @@ class TestScheduleFile:
         a /= np.linalg.norm(a)
         out = run_schedule(encode_input(a), loaded)
         want = run_schedule(encode_input(a), masking_schedule())
-        assert out.amplitudes == want.amplitudes
+        assert out.lo == want.lo and np.array_equal(out.amps, want.amps)
 
     def test_steps_counts_translations(self):
         assert masking_schedule().steps == 4
@@ -272,6 +323,16 @@ class TestScheduleFile:
         bad_matrix = {"name": "x", "layers": [{"type": "coins", "coins": [{"position": 0, "matrix": [1, 0]}]}]}
         with pytest.raises(ValueError):
             schedule_from_dict(bad_matrix)
+
+    @pytest.mark.parametrize("doc,where", [
+        ({"layers": 5}, "layers"),
+        ({"layers": [5]}, "layer 0"),
+        ({"layers": [{"type": "translate"}, {"type": "coins", "coins": [{"position": 0}]}]}, "layer 1"),
+    ])
+    def test_malformed_layers_are_value_errors(self, doc, where):
+        # These used to raise TypeError, AttributeError and KeyError: 'matrix'.
+        with pytest.raises(ValueError, match=where):
+            schedule_from_dict(doc)
 
     def test_document_matches_schema_shape(self):
         doc = schedule_to_dict(masking_schedule())
