@@ -10,21 +10,25 @@ Three pipelines:
   cross-checked against linear inversion, with Poisson-resampling bootstrap
   error bars (one seeded draw stacks all resamples of a count array);
 * correlation decoding: the nine Pauli-pair correlators of the masked state
-  determine the real input density matrix entry by entry; the reconstruction
-  is real symmetric by construction and is projected onto the nearest density
-  matrix when shot noise pushes it slightly outside the cone.
+  determine the real input density matrix through one constant linear map,
+  derived from the masker by inverting T_jk = tr(M rho M† sigma_j⊗sigma_k)
+  over real symmetric unit-trace rho; the reconstruction is real symmetric by
+  construction and is projected onto the nearest density matrix when shot
+  noise pushes it slightly outside the cone.  A stack of correlation matrices
+  decodes in one call, each item exactly as it would alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .masker import build_hr_d4, u_of_c
-from .measure import CountsTable, correlators, generator, poisson_resample
+from .masker import build_hr_d4, masker_matrix, u_of_c
+from .measure import CountsTable, PauliSetting, correlators, generator, poisson_resample
 from .qcore import (
     EPS_EXACT,
     PAULI_X,
@@ -32,6 +36,8 @@ from .qcore import (
     PAULI_Z,
     DensityMatrix,
     StateVector,
+    _dagger,
+    checked_density,
     fidelity_with_pure,
     kron,
     purity,
@@ -330,63 +336,91 @@ def correlation_matrix(tables: Sequence[CountsTable]) -> np.ndarray:
 
 
 def validate_correlation_matrix(t) -> np.ndarray:
+    """A 3x3 correlation matrix or a (..., 3, 3) stack of them, every entry
+    at most 1 in magnitude."""
     arr = np.asarray(t, dtype=float)
-    if arr.shape != (3, 3):
+    if arr.shape[-2:] != (3, 3):
         raise ValueError("correlation matrix must be 3x3")
-    if np.abs(arr).max() > 1.0 + 1e-9:
+    if np.abs(arr).max(initial=0.0) > 1.0 + 1e-9:
         raise ValueError("correlator magnitude exceeds 1 beyond tolerance")
     return arr
 
 
 def _simplex_projection(vals: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
-    srt = np.sort(vals)[::-1]
-    cumul = np.cumsum(srt)
-    ks = np.arange(1, len(vals) + 1)
+    """Euclidean projection of each real vector along the last axis onto the
+    probability simplex."""
+    srt = np.sort(vals, axis=-1)[..., ::-1]
+    cumul = np.cumsum(srt, axis=-1)
+    ks = np.arange(1, vals.shape[-1] + 1)
     shifted = srt + (1.0 - cumul) / ks
-    k = int(np.max(np.nonzero(shifted > 0)[0])) + 1
-    shift = (1.0 - cumul[k - 1]) / k
+    # k is one past the last index where shifted > 0; shifted[0] is 1 up to rounding.
+    k = vals.shape[-1] - np.argmax(shifted[..., ::-1] > 0, axis=-1, keepdims=True)
+    shift = (1.0 - np.take_along_axis(cumul, k - 1, axis=-1)) / k
     return np.clip(vals + shift, 0.0, None)
 
 
-def project_to_density(mat: np.ndarray) -> DensityMatrix:
-    """Nearest density matrix in Frobenius norm (eigenvalue simplex projection)."""
+def project_to_density(mat: np.ndarray) -> np.ndarray:
+    """Nearest density matrix in Frobenius norm (eigenvalue simplex projection)
+    to each matrix of a (..., d, d) stack."""
     arr = np.asarray(mat, dtype=complex)
-    arr = 0.5 * (arr + arr.conj().T)
+    arr = 0.5 * (arr + _dagger(arr))
     vals, vecs = np.linalg.eigh(arr)
-    vals = _simplex_projection(vals.real)
-    return DensityMatrix((vecs * vals) @ vecs.conj().T)
+    vals = _simplex_projection(vals)
+    return checked_density((vecs * vals[..., None, :]) @ _dagger(vecs))
+
+
+@lru_cache(maxsize=None)
+def _decode_map() -> np.ndarray:
+    """(4, 4, 10) map K with rho = K @ (1, T_xx, T_xy, ..., T_zz).
+
+    The sixteen two-qubit Paulis P obey tr(P P') = 4 delta and M is unitary,
+    so rho = sum_P tr(M rho M† P) M† P M / 4.  The map keeps the identity and
+    the nine Pauli pairs; it is checked to invert T_jk = tr(M rho M†
+    sigma_j⊗sigma_k) with tr(rho) = 1 on the ten real symmetric basis matrices
+    E_ii and E_ij + E_ji, which also shows the six dropped terms vanish for
+    real symmetric rho.  Every entry of K is a multiple of 1/4, so K is stored
+    rounded to that grid.
+    """
+    m = masker_matrix().matrix
+    paulis = np.stack([np.eye(4), *(PauliSetting(j, k).matrix() for j in _AXES for k in _AXES)])
+    exact = np.einsum("ki,nkl,lj->ijn", m.conj(), paulis, m) / 4
+    kmap = np.round(4.0 * exact.real) / 4.0
+    rows, cols = np.triu_indices(4)
+    basis = np.zeros((len(rows), 4, 4))
+    basis[np.arange(len(rows)), rows, cols] = basis[np.arange(len(rows)), cols, rows] = 1.0
+    forward = np.einsum("nij,bji->nb", paulis, m @ basis @ m.conj().T).real
+    residual = max(np.abs(exact - kmap).max(),
+                   np.abs(np.einsum("ijn,nb->bij", kmap, forward) - basis).max())
+    if residual > 1e-12:
+        raise AssertionError(f"decode map is off the 1/4 grid or fails to invert by {residual:.3e}")
+    kmap.setflags(write=False)
+    return kmap
 
 
 @dataclass(frozen=True, eq=False)
 class DecodeResult:
-    """Real reconstruction before and after the positivity projection."""
+    """Real reconstruction before and after the positivity projection, of
+    shape (..., 4, 4) like the correlators; the fidelity has shape (...)."""
 
     rho_hat: np.ndarray
-    rho_proj: DensityMatrix
-    fidelity_vs_input: float | None = None
+    rho_proj: np.ndarray
+    fidelity_vs_input: np.ndarray | float | None = None
 
 
 def decode_real_state(t, input_state: StateVector | None = None) -> DecodeResult:
     """Rebuild the real ququart density matrix from the masked correlators.
 
-    Diagonal entries come from the diagonal correlators, e.g.
-    rho_00 = (1 + T_xx - T_yy + T_zz)/4; off-diagonals from the skew pairs,
-    e.g. rho_01 = -(T_yx + T_xy)/4.  The imaginary part is identically zero
-    by construction.
+    `t` is a 3x3 correlation matrix or a (..., 3, 3) stack; each item maps
+    through the constant `_decode_map`, every entry of rho a signed sum of
+    quarters of 1 and the T_jk, then projects onto the density matrices.
+    The imaginary part is identically zero by construction.
     """
     t = validate_correlation_matrix(t)
-    rho = np.zeros((4, 4))
-    rho[0, 0] = (1 + t[0, 0] - t[1, 1] + t[2, 2]) / 4
-    rho[1, 1] = (1 - t[0, 0] + t[1, 1] + t[2, 2]) / 4
-    rho[2, 2] = (1 + t[0, 0] + t[1, 1] - t[2, 2]) / 4
-    rho[3, 3] = (1 - t[0, 0] - t[1, 1] - t[2, 2]) / 4
-    rho[0, 1] = rho[1, 0] = -(t[1, 0] + t[0, 1]) / 4
-    rho[0, 2] = rho[2, 0] = (t[1, 2] + t[2, 1]) / 4
-    rho[0, 3] = rho[3, 0] = (t[2, 0] - t[0, 2]) / 4
-    rho[1, 2] = rho[2, 1] = (t[0, 2] + t[2, 0]) / 4
-    rho[1, 3] = rho[3, 1] = (t[1, 2] - t[2, 1]) / 4
-    rho[2, 3] = rho[3, 2] = (t[1, 0] - t[0, 1]) / 4
+    ones = np.ones(t.shape[:-2] + (1,))
+    v = np.concatenate([ones, t.reshape(t.shape[:-2] + (9,))], axis=-1)
+    # An elementwise product summed over the last axis adds each item's ten
+    # terms in the same order whatever the stack, unlike a BLAS product.
+    rho = (v[..., None, None, :] * _decode_map()).sum(axis=-1)
     projected = project_to_density(rho)
     fid = fidelity_with_pure(projected, input_state) if input_state is not None else None
     return DecodeResult(rho_hat=rho, rho_proj=projected, fidelity_vs_input=fid)

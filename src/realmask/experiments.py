@@ -35,7 +35,7 @@ from .qcore import (
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 4
+REPORT_SCHEMA = 5
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
@@ -187,7 +187,7 @@ def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
 
         def decode_fidelity(stack: np.ndarray) -> np.ndarray:
             ts = measure.correlators(stack).reshape(-1, 3, 3)
-            return np.array([estimate.decode_real_state(r, target).fidelity_vs_input for r in ts])
+            return estimate.decode_real_state(ts, target).fidelity_vs_input
 
         fid_std = estimate.bootstrap_std(
             decode_fidelity, counts, resamples=BOOTSTRAP_RESAMPLES,
@@ -210,7 +210,7 @@ def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
         "target": PROBE_LABELS[probe],
         "correlators": t.tolist(),
         "rho_raw": decoded.rho_hat.tolist(),
-        "rho_decoded": decoded.rho_proj.mat.real.tolist(),
+        "rho_decoded": decoded.rho_proj.real.tolist(),
         "fidelity": fid.to_dict(),
     }
 
@@ -263,6 +263,8 @@ def _worst_infidelity(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def run_equivalence(config: ExperimentConfig, n_inputs: int = 100, threshold: float = 1e-10) -> dict:
+    if n_inputs < 1:
+        raise ValueError(f"n_inputs must be >= 1, got {n_inputs}")
     rng = generator(derive_seed(config.seed, "equiv"))
     m = masker_matrix().matrix
     worst = {"walk": 0.0, "optics": 0.0, "walk_optics": 0.0}

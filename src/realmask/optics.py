@@ -407,6 +407,8 @@ def layout_to_text(layout: Sequence[Element]) -> str:
     lines = ["kind,angle,paths,extra"]
     for el in layout:
         if isinstance(el, Waveplate):
+            if np.ndim(el.angle_deg) != 0:
+                raise ValueError("a layout with array angles must be serialised one item at a time")
             lines.append(f"{el.kind},{el.angle_deg:.6f},{_paths_str(el.paths)},")
         elif isinstance(el, BeamDisplacer):
             lines.append(f"BD,,,h={el.h_shift};v={el.v_shift}")

@@ -100,31 +100,46 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __init__(self, mat):
-        arr = _as_complex_array(mat, "density matrix")
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        arr = checked_density(mat)
+        if arr.ndim != 2:
             raise ValueError("density matrix must be square")
-        if np.abs(arr - arr.conj().T).max() > EPS_EXACT:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        tr = np.trace(arr).real
-        if abs(tr - 1.0) > EPS_EXACT:
-            raise ValueError(f"density matrix trace {tr} deviates from 1 by more than {EPS_EXACT}")
-        arr = 0.5 * (arr + arr.conj().T)
-        lo = np.linalg.eigvalsh(arr).min()
-        if lo < -EPS_NUMERIC:
-            raise ValueError(f"density matrix has eigenvalue {lo} < -{EPS_NUMERIC}")
-        if lo < 0.0:
-            # Round-off repair: clip the slightly negative tail and rescale.
-            vals, vecs = np.linalg.eigh(arr)
-            vals = np.clip(vals, 0.0, None)
-            vals /= vals.sum()
-            arr = (vecs * vals) @ vecs.conj().T
-            arr = 0.5 * (arr + arr.conj().T)
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def _dagger(arr: np.ndarray) -> np.ndarray:
+    return arr.conj().swapaxes(-1, -2)
+
+
+def checked_density(mat) -> np.ndarray:
+    """The DensityMatrix checks and round-off repair, applied to each matrix
+    of a (..., d, d) stack; returns the Hermitian-symmetrized stack."""
+    arr = _as_complex_array(mat, "density matrix")
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError("density matrix must be square")
+    if np.abs(arr - _dagger(arr)).max(initial=0.0) > EPS_EXACT:
+        raise ValueError("density matrix is not Hermitian within 1e-12")
+    tr = np.trace(arr, axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0) > EPS_EXACT
+    if off.any():
+        raise ValueError(f"density matrix trace {tr[off].flat[0]} deviates from 1 by more than {EPS_EXACT}")
+    arr = 0.5 * (arr + _dagger(arr))
+    lo = np.linalg.eigvalsh(arr).min(axis=-1)
+    if (lo < -EPS_NUMERIC).any():
+        raise ValueError(f"density matrix has eigenvalue {lo.min()} < -{EPS_NUMERIC}")
+    neg = lo < 0.0
+    if neg.any():
+        # Round-off repair: clip the slightly negative tail and rescale.
+        vals, vecs = np.linalg.eigh(arr[neg])
+        vals = np.clip(vals, 0.0, None)
+        vals /= vals.sum(axis=-1, keepdims=True)
+        fixed = (vecs * vals[..., None, :]) @ _dagger(vecs)
+        arr[neg] = 0.5 * (fixed + _dagger(fixed))
+    return arr
 
 
 def require_unitary(u: np.ndarray, *, eps: float = EPS_EXACT, what: str = "matrix") -> np.ndarray:
@@ -184,15 +199,18 @@ def purity(rho) -> float:
     return float(np.trace(arr @ arr).real)
 
 
-def fidelity_with_pure(rho, target: StateVector) -> float:
-    """<target| rho |target> for a pure target."""
+def fidelity_with_pure(rho, target: StateVector):
+    """<target| rho |target> for a pure target; one value per matrix of a
+    (..., d, d) stack, a float for a single matrix."""
     arr = _rho_array(rho)
-    if arr.shape[0] != target.dim:
-        raise DimensionError(f"dimension mismatch: {arr.shape[0]} vs {target.dim}")
-    val = np.vdot(target.amplitudes, arr @ target.amplitudes)
-    if abs(val.imag) > EPS_EXACT:
-        raise ValueError(f"fidelity has spurious imaginary part {val.imag:.3e}")
-    return float(val.real)
+    if arr.shape[-1] != target.dim:
+        raise DimensionError(f"dimension mismatch: {arr.shape[-1]} vs {target.dim}")
+    a = target.amplitudes
+    val = np.einsum("i,...ij,j->...", a.conj(), arr, a)
+    spurious = np.abs(val.imag).max(initial=0.0)
+    if spurious > EPS_EXACT:
+        raise ValueError(f"fidelity has spurious imaginary part {spurious:.3e}")
+    return val.real
 
 
 def trace_distance(a, b) -> float:

@@ -121,7 +121,7 @@ class TestReportFiles:
     def test_report_carries_schema_version(self):
         doc = json.loads(report_json(run_fig4(ExperimentConfig(seed=3, analytic=True))))
         assert next(iter(doc)) == "schema"
-        assert doc["schema"] == experiments.REPORT_SCHEMA == 4
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 5
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError):
@@ -158,6 +158,12 @@ class TestEquivalence:
         rep = run_equivalence(ExperimentConfig(seed=9), n_inputs=25)
         assert rep["pass"] is True
         assert rep["max_infidelity"] < 1e-10
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_rejects_empty_run(self, n):
+        # A run over no inputs would pass after checking nothing.
+        with pytest.raises(ValueError, match="n_inputs must be >= 1"):
+            run_equivalence(ExperimentConfig(seed=9), n_inputs=n)
 
     def test_impossible_threshold_fails(self):
         rep = run_equivalence(ExperimentConfig(seed=9), n_inputs=5, threshold=0.0)

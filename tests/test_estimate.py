@@ -66,6 +66,29 @@ def likelihood_gradient(r: np.ndarray, counts: np.ndarray) -> np.ndarray:
             - np.divide(minus, 1 - r, out=np.zeros(3), where=minus > 0))
 
 
+def hand_decode(t: np.ndarray) -> np.ndarray:
+    """The decode written out entry by entry: the oracle for the derived map."""
+    rho = np.zeros((4, 4))
+    rho[0, 0] = (1 + t[0, 0] - t[1, 1] + t[2, 2]) / 4
+    rho[1, 1] = (1 - t[0, 0] + t[1, 1] + t[2, 2]) / 4
+    rho[2, 2] = (1 + t[0, 0] + t[1, 1] - t[2, 2]) / 4
+    rho[3, 3] = (1 - t[0, 0] - t[1, 1] - t[2, 2]) / 4
+    rho[0, 1] = rho[1, 0] = -(t[1, 0] + t[0, 1]) / 4
+    rho[0, 2] = rho[2, 0] = (t[1, 2] + t[2, 1]) / 4
+    rho[0, 3] = rho[3, 0] = (t[2, 0] - t[0, 2]) / 4
+    rho[1, 2] = rho[2, 1] = (t[0, 2] + t[2, 0]) / 4
+    rho[1, 3] = rho[3, 1] = (t[1, 2] - t[2, 1]) / 4
+    rho[2, 3] = rho[3, 2] = (t[1, 0] - t[0, 1]) / 4
+    return rho
+
+
+def correlator_stacks(max_items: int = 6):
+    """(n, 3, 3) correlation stacks with entries on a 1e-6 grid in [-1, 1]."""
+    entry = st.integers(-10**6, 10**6).map(lambda k: k / 10**6)
+    return st.integers(1, max_items).flatmap(
+        lambda n: st.lists(entry, min_size=9 * n, max_size=9 * n).map(lambda v: np.reshape(v, (n, 3, 3))))
+
+
 def log_likelihood(r: np.ndarray, counts: np.ndarray) -> float:
     plus, minus = counts[:, 0], counts[:, 1]
     return float(np.sum(plus * np.log1p(r) + minus * np.log1p(-r)))
@@ -455,11 +478,11 @@ class TestDecode:
         assert np.abs(res.rho_hat - 0.25).max() < 1e-12
 
     def test_round_trip_exact(self, rng):
-        for _ in range(300):
-            rho = random_real_density(4, rng)
-            t = pauli_correlations(mask_state(rho))
-            res = decode_real_state(t)
-            assert trace_distance(res.rho_hat.astype(complex), rho) < 1e-12
+        rhos = [random_real_density(4, rng) for _ in range(300)]
+        ts = np.array([pauli_correlations(mask_state(rho)) for rho in rhos])
+        raw = decode_real_state(ts).rho_hat
+        for got, rho in zip(raw, rhos):
+            assert trace_distance(got.astype(complex), rho) < 1e-12
 
     def test_fidelity_field(self):
         c = np.ones(4) / 2
@@ -474,6 +497,55 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode_real_state(np.full((3, 3), 1.5))
 
+    def test_rejects_one_oversized_item_of_a_stack(self):
+        ts = np.zeros((4, 3, 3))
+        ts[2, 1, 0] = -1.5
+        with pytest.raises(ValueError, match="magnitude"):
+            decode_real_state(ts)
+
+    def test_map_is_derived_once(self):
+        from realmask.estimate import _decode_map
+
+        kmap = _decode_map()
+        assert kmap is _decode_map()
+        assert not kmap.flags.writeable
+        assert np.array_equal(kmap * 4, np.round(kmap * 4))
+
+    @settings(max_examples=100, deadline=None)
+    @given(correlator_stacks())
+    def test_map_matches_hand_formulas(self, ts):
+        got = decode_real_state(ts).rho_hat
+        assert np.array_equal(got, np.array([hand_decode(t) for t in ts]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1, 1, allow_nan=False), min_size=16, max_size=16))
+    def test_round_trip_random_real_state(self, entries):
+        g = np.reshape(entries, (4, 4))
+        m = g.T @ g
+        assume(np.trace(m) > 1e-3)
+        rho = m / np.trace(m)
+        res = decode_real_state(pauli_correlations(mask_state(rho)))
+        assert np.abs(res.rho_hat - rho).max() < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(correlator_stacks())
+    def test_stack_rows_match_single_decodes(self, ts):
+        target = StateVector(np.ones(4, dtype=complex) / 2)
+        res = decode_real_state(ts, target)
+        for i, t in enumerate(ts):
+            one = decode_real_state(t, target)
+            assert np.array_equal(res.rho_hat[i], one.rho_hat)
+            assert np.array_equal(res.rho_proj[i], one.rho_proj)
+            assert res.fidelity_vs_input[i] == one.fidelity_vs_input
+
+    def test_zero_stack_decodes_to_maximally_mixed(self):
+        # A resample in which every setting drew no shots has all-zero correlators.
+        target = StateVector(np.ones(4, dtype=complex) / 2)
+        res = decode_real_state(np.zeros((5, 3, 3)), target)
+        assert np.isfinite(res.rho_proj).all()
+        assert np.abs(res.rho_proj - np.eye(4) / 4).max() < 1e-15
+        assert np.abs(res.fidelity_vs_input - 0.25).max() < 1e-15
+
 
 class TestProjection:
     def test_valid_state_unchanged(self, rng):
@@ -484,9 +556,9 @@ class TestProjection:
     def test_repairs_negative_eigenvalue(self):
         mat = np.diag([0.7, 0.4, -0.1, 0.0])
         out = project_to_density(mat)
-        vals = np.linalg.eigvalsh(out.mat)
+        vals = np.linalg.eigvalsh(out)
         assert vals.min() >= -1e-14
-        assert np.trace(out.mat).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-2, 2, allow_nan=False), min_size=2, max_size=6))
@@ -499,6 +571,28 @@ class TestProjection:
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
         # Projection is idempotent.
         assert np.abs(_simplex_projection(p) - p).max() < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_simplex_projection_rows_match_single(self, n, d, seed):
+        from realmask.estimate import _simplex_projection
+
+        v = np.random.default_rng(seed).normal(size=(n, d))
+        out = _simplex_projection(v)
+        for row, x in zip(out, v):
+            assert np.array_equal(row, _simplex_projection(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_projection_rows_match_single(self, n, seed):
+        # Unit-trace real symmetric matrices, many with negative eigenvalues.
+        g = np.random.default_rng(seed).normal(size=(n, 4, 4))
+        sym = g + g.swapaxes(1, 2)
+        sym -= np.trace(sym, axis1=1, axis2=2)[:, None, None] * np.eye(4) / 4
+        mats = np.eye(4) / 4 + 0.1 * sym
+        out = project_to_density(mats)
+        for row, mat in zip(out, mats):
+            assert np.array_equal(row, project_to_density(mat))
 
 
 class TestEstimationReport:

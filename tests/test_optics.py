@@ -293,6 +293,11 @@ class TestLayoutFile:
         assert "HWP,22.500000,-3," in text
         assert text.splitlines()[0] == "kind,angle,paths,extra"
 
+    def test_batched_layout_rejected(self):
+        layout = preparation_layout(solve_prep_angles(np.eye(4)[:2]))
+        with pytest.raises(ValueError, match="one item at a time"):
+            layout_to_text(layout)
+
     def test_measurement_layout_serializes(self):
         compiled = compile_measurement(pauli_meas_setting("Z", "Z"))
         text = layout_to_text(measurement_layout(compiled))

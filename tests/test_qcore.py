@@ -11,6 +11,7 @@ from realmask.qcore import (
     DensityMatrix,
     DimensionError,
     StateVector,
+    checked_density,
     concurrence_pure,
     fidelity_with_pure,
     haar_state,
@@ -133,6 +134,19 @@ class TestPurityFidelity:
         with pytest.raises(DimensionError):
             fidelity_with_pure(np.eye(2) / 2, BELL)
 
+    def test_stack_gives_one_value_per_item(self, rng):
+        rhos = np.array([random_density(4, rng).mat for _ in range(5)])
+        fids = fidelity_with_pure(rhos, BELL)
+        assert fids.shape == (5,)
+        for fid, rho in zip(fids, rhos):
+            assert fid == fidelity_with_pure(rho, BELL)
+
+    def test_rejects_spurious_imaginary_part(self):
+        # A non-Hermitian item: <00| rho |00> = 1/4 + 1e-9 i.
+        rho = np.eye(4) / 4 + 1e-9j * kron(PAULI_Z, PAULI_Z)
+        with pytest.raises(ValueError, match="spurious imaginary"):
+            fidelity_with_pure(np.stack([np.eye(4) / 4, rho]), StateVector(np.array([1, 0, 0, 0])))
+
 
 class TestConcurrence:
     def test_bell_is_maximal(self):
@@ -200,6 +214,20 @@ class TestValueTypes:
     def test_density_rejects_genuinely_negative(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.2, -0.2]).astype(complex))
+
+    def test_stack_checks_every_item(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            checked_density(np.stack([np.eye(2) / 2, [[0.5, 0.1], [0.0, 0.5]]]))
+        with pytest.raises(ValueError, match="trace"):
+            checked_density(np.stack([np.eye(2) / 2, np.eye(2)]))
+        with pytest.raises(ValueError, match="eigenvalue"):
+            checked_density(np.stack([np.eye(2) / 2, np.diag([1.2, -0.2])]))
+
+    def test_stack_repairs_each_item_as_alone(self):
+        mats = np.stack([np.diag([1.0 + 5e-11, -5e-11]), np.eye(2) / 2, np.diag([-3e-11, 1.0 + 3e-11])])
+        out = checked_density(mats)
+        for row, mat in zip(out, mats):
+            assert np.array_equal(row, DensityMatrix(mat).mat)
 
     def test_immutable_amplitudes(self):
         sv = ket(1, 0)
