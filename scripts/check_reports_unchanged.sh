@@ -4,9 +4,10 @@
 #
 # Usage: scripts/check_reports_unchanged.sh BASE_REV
 #
-# Runs scripts/reproduce_figures.py at seeds 1 and 9173 on a temporary
-# `git worktree` of BASE_REV and on the working tree, then compares the two
-# output trees with `diff -r`.  A change that moves report numbers must bump
+# Runs scripts/reproduce_figures.py at seeds 1 and 9173, and
+# `realmask fig3|fig4|fig5 --analytic --seed 1`, on a temporary `git worktree`
+# of BASE_REV and on the working tree, then compares the two output trees
+# with `diff -r`.  A change that moves report numbers must bump
 # experiments.REPORT_SCHEMA; when the schemas differ the diff is skipped, so a
 # schema bump passes and a silent re-baseline fails.
 set -euo pipefail
@@ -22,10 +23,17 @@ trap 'git -C "$repo" worktree remove --force "$tmp/base" >/dev/null 2>&1 || true
 
 git -C "$repo" worktree add --detach --quiet "$tmp/base" "$base_rev"
 
-for seed in 1 9173; do
-    python3 "$tmp/base/scripts/reproduce_figures.py" --seed "$seed" --out "$tmp/out_base/seed$seed" >/dev/null
-    python3 "$repo/scripts/reproduce_figures.py" --seed "$seed" --out "$tmp/out_head/seed$seed" >/dev/null
-done
+# Sampled and analytic reports of the tree at $1, written under $2.
+reports() {
+    for seed in 1 9173; do
+        python3 "$1/scripts/reproduce_figures.py" --seed "$seed" --out "$2/seed$seed" >/dev/null
+    done
+    for fig in fig3 fig4 fig5; do
+        PYTHONPATH="$1/src" python3 -m realmask.cli "$fig" --analytic --seed 1 --out "$2/analytic" >/dev/null
+    done
+}
+reports "$tmp/base" "$tmp/out_base"
+reports "$repo" "$tmp/out_head"
 
 schema() {
     python3 -c 'import json, sys; print(json.load(open(sys.argv[1])).get("schema"))' "$1/seed1/fig3.json"
@@ -41,4 +49,4 @@ if ! diff -r "$tmp/out_base" "$tmp/out_head"; then
          "bump experiments.REPORT_SCHEMA if the change is meant to move them" >&2
     exit 1
 fi
-echo "reports identical to $base_rev (schema $head_schema, seeds 1 and 9173)"
+echo "reports identical to $base_rev (schema $head_schema, seeds 1 and 9173, analytic at seed 1)"

@@ -26,23 +26,23 @@ def main() -> int:
     cfg = ExperimentConfig(seed=args.seed, noise_p=args.noise_p)
 
     rep3 = experiments.run_fig3(cfg)
-    experiments.write_report(rep3, args.out)
+    cli.write_report_or_exit(rep3, args.out)
     fids = [row["fidelity"]["estimate"] for row in rep3["probes"]]
     purs = [row["purity"]["estimate"] for row in rep3["probes"]]
     print(f"fig3: fidelities {[f'{f:.4f}' for f in fids]}, avg purities {[f'{p:.4f}' for p in purs]}")
 
     rep4 = experiments.run_fig4(cfg)
-    experiments.write_report(rep4, args.out)
+    cli.write_report_or_exit(rep4, args.out)
     print(f"fig4: decoding fidelity {rep4['fidelity']['estimate']:.4f} "
           f"+/- {rep4['fidelity']['error']:.4f} (bootstrap std)")
 
     rep5 = experiments.run_fig5(cfg)
-    experiments.write_report(rep5, args.out)
+    cli.write_report_or_exit(rep5, args.out)
     pairs = [(p["phi_deg"], p["estimate"]) for p in rep5["points"]]
     print("fig5: concurrence " + ", ".join(f"{phi:.0f}deg={c:.3f}" for phi, c in pairs))
 
     repe = experiments.run_equivalence(cfg)
-    experiments.write_report(repe, args.out)
+    cli.write_report_or_exit(repe, args.out)
     print(f"equiv: max infidelity {repe['max_infidelity']:.2e} (pass={repe['pass']})")
 
     print(f"reports written to {args.out}/")

@@ -3,12 +3,13 @@
 Subpackages: `qcore` (states and exact algebra), `masker` (the masking
 isometry), `walk` (the coined-walk realization and the dense, batched rail
 engine), `optics` (the Jones-calculus table, run on that engine), `measure`
-(finite-shot sampling), `estimate` (fidelity verification, tomography,
-correlation decoding), `experiments`/`cli` (figure pipelines).
+(Pauli probability tables and finite-shot sampling), `estimate` (fidelity
+verification, tomography, correlation decoding), `experiments`/`cli` (figure
+pipelines).
 """
-from .estimate import agresti_coull, decode_real_state, qsv_run, tomography_1q
+from .estimate import agresti_coull, decode_real_state, qsv_run
 from .masker import build_hr_d4, mask_pure, mask_state, masker_matrix, u_of_c
-from .measure import PauliSetting, derive_seed, generator, sample_counts
+from .measure import derive_seed, generator, sample_counts
 from .qcore import (
     DensityMatrix,
     StateVector,
@@ -25,7 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DensityMatrix",
     "StateVector",
-    "PauliSetting",
     "agresti_coull",
     "build_hr_d4",
     "concurrence_pure",
@@ -45,7 +45,6 @@ __all__ = [
     "robustness_of_imaginarity",
     "run_schedule",
     "sample_counts",
-    "tomography_1q",
     "u_of_c",
     "__version__",
 ]

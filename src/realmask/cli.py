@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import experiments, optics
+from . import experiments, measure, optics
 from .experiments import ExperimentConfig
 
 
@@ -151,10 +151,17 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+def write_report_or_exit(report: dict, out_dir) -> list[Path]:
+    """`experiments.write_report`, with a file-system error as a one-line exit."""
+    try:
+        return experiments.write_report(report, out_dir)
+    except OSError as exc:
+        raise SystemExit(f"cannot write reports to {out_dir}: {exc}") from None
+
+
 def _emit(report: dict, config: ExperimentConfig) -> None:
     if config.output_path:
-        paths = experiments.write_report(report, config.output_path)
-        for p in paths:
+        for p in write_report_or_exit(report, config.output_path):
             print(f"wrote {p}")
     else:
         sys.stdout.write(experiments.report_json(report))
@@ -191,7 +198,7 @@ def _cmd_angles(args) -> int:
     label = None
     if args.setting:
         label = args.setting.upper()
-        if len(label) != 2 or any(c not in "XYZ" for c in label):
+        if label not in measure.PAIRS:
             raise SystemExit("setting must be a Pauli pair like XX, XY, ..., ZZ")
         setting = optics.pauli_meas_setting(label[0], label[1])
     elif args.basis is not None:

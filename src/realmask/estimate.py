@@ -6,15 +6,17 @@ Three pipelines:
   pass rate maps linearly onto the infidelity, eps = (3/2)(1 - p_succ), with
   an Agresti-Coull confidence interval transported through the same linear
   map;
-* single-qubit tomography: exact maximum likelihood over X/Y/Z counts,
-  cross-checked against linear inversion, with Poisson-resampling bootstrap
-  error bars (one seeded draw stacks all resamples of a count array);
+* single-qubit tomography: exact maximum likelihood over (batch, 3, 2) count
+  arrays, rows in `measure.AXES` order (`mle_qubit_batch`,
+  `purity_from_counts`), with Poisson-resampling bootstrap error bars
+  (`bootstrap_std`: one seeded draw stacks all resamples of a count array);
 * correlation decoding: the nine Pauli-pair correlators of the masked state
-  determine the real input density matrix through one constant linear map,
-  derived from the masker by inverting T_jk = tr(M rho M† sigma_j⊗sigma_k)
-  over real symmetric unit-trace rho; the reconstruction is real symmetric by
-  construction and is projected onto the nearest density matrix when shot
-  noise pushes it slightly outside the cone.  A stack of correlation matrices
+  (rows and columns in `measure.AXES` order) determine the real input density
+  matrix through one constant linear map, derived from the masker by
+  inverting T_jk = tr(M rho M† sigma_j⊗sigma_k) over real symmetric
+  unit-trace rho; the reconstruction is real symmetric by construction and
+  is projected onto the nearest density matrix when shot noise pushes it
+  slightly outside the cone.  A stack of correlation matrices
   decodes in one call, each item exactly as it would alone.
 """
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .masker import build_hr_d4, masker_matrix, u_of_c
-from .measure import CountsTable, PauliSetting, correlators, generator, poisson_resample
+from .measure import PAIR_PAULIS, PAIRS, CountsTable, correlators, generator, poisson_resample
 from .qcore import (
     EPS_EXACT,
     PAULI_X,
@@ -40,7 +42,6 @@ from .qcore import (
     checked_density,
     fidelity_with_pure,
     kron,
-    purity,
     require_unitary,
 )
 
@@ -170,10 +171,6 @@ def agresti_coull(passed: int, total: int, confidence: float = 0.95) -> tuple[fl
 # ---------------------------------------------------------------------------
 # Single-qubit maximum-likelihood tomography.
 
-_AXES = ("X", "Y", "Z")
-_SIGMAS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
-
-
 def _sphere_fit(n_plus: list[float], n_minus: list[float]) -> list[float]:
     """Bloch vector of the MLE of one item whose linear inversion leaves the ball.
 
@@ -242,47 +239,6 @@ def mle_qubit_batch(counts: np.ndarray) -> np.ndarray:
     return (np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=1) / 2).reshape(-1, 2, 2)
 
 
-@dataclass(frozen=True, eq=False)
-class TomoResult:
-    """Reconstructed qubit with its linear-inversion cross-check."""
-
-    bloch: np.ndarray
-    bloch_linear: np.ndarray
-    rho_hat: DensityMatrix
-    purity: float
-    std_purity: float | None = None
-
-    def __post_init__(self):
-        if np.linalg.norm(self.bloch) > 1.0 + 1e-10:
-            raise ValueError("reconstructed Bloch vector outside the ball")
-
-
-def tomography_1q(
-    counts_x: CountsTable,
-    counts_y: CountsTable,
-    counts_z: CountsTable,
-    *,
-    bootstrap_resamples: int | None = None,
-    bootstrap_seed: int = 0,
-) -> TomoResult:
-    """Maximum-likelihood qubit reconstruction from X, Y, Z counts.
-
-    Pass `bootstrap_resamples` to also fill std_purity from Poisson
-    resampling of the three tables.
-    """
-    tables = (counts_x, counts_y, counts_z)
-    if any(len(t.counts) != 2 or t.shots == 0 for t in tables):
-        raise ValueError("tomography needs two-outcome tables with shots > 0")
-    counts = np.array([t.counts for t in tables], dtype=float)
-    dm = DensityMatrix(mle_qubit_batch(counts)[0])
-    bloch = np.array([np.trace(dm.mat @ sig).real for sig in _SIGMAS])
-    bloch_linear = (counts[:, 0] - counts[:, 1]) / counts.sum(axis=1)
-    std = None if bootstrap_resamples is None else bootstrap_std(
-        purity_from_counts, counts, resamples=bootstrap_resamples, seed=bootstrap_seed)
-    return TomoResult(bloch=bloch, bloch_linear=bloch_linear, rho_hat=dm,
-                      purity=purity(dm), std_purity=std)
-
-
 def purity_from_counts(counts: np.ndarray) -> np.ndarray:
     """Batch shortcut: MLE purities for counts of shape (batch, 3, 2)."""
     rho = mle_qubit_batch(counts)
@@ -321,26 +277,27 @@ def correlation_matrix(tables: Sequence[CountsTable]) -> np.ndarray:
     by_label = {}
     for table in tables:
         label = table.setting
-        if len(label) != 2 or label[0] not in _AXES or label[1] not in _AXES:
+        if label not in PAIRS:
             raise ValueError(f"not a Pauli-pair setting label: {label!r}")
         if len(table.counts) != 4:
             raise ValueError(f"setting {label}: a correlator needs a four-outcome table")
         if label in by_label:
             raise ValueError(f"duplicate setting {label}")
         by_label[label] = table.counts
-    labels = [a + b for a in _AXES for b in _AXES]
-    missing = [label for label in labels if label not in by_label]
+    missing = [label for label in PAIRS if label not in by_label]
     if missing:
         raise ValueError(f"missing settings: {', '.join(missing)}")
-    return validate_correlation_matrix(correlators([by_label[label] for label in labels]).reshape(3, 3))
+    return validate_correlation_matrix(correlators([by_label[label] for label in PAIRS]).reshape(3, 3))
 
 
 def validate_correlation_matrix(t) -> np.ndarray:
     """A 3x3 correlation matrix or a (..., 3, 3) stack of them, every entry
-    at most 1 in magnitude."""
+    finite and at most 1 in magnitude."""
     arr = np.asarray(t, dtype=float)
     if arr.shape[-2:] != (3, 3):
         raise ValueError("correlation matrix must be 3x3")
+    if not np.isfinite(arr).all():
+        raise ValueError("correlation matrix has a NaN or infinite entry")
     if np.abs(arr).max(initial=0.0) > 1.0 + 1e-9:
         raise ValueError("correlator magnitude exceeds 1 beyond tolerance")
     return arr
@@ -382,7 +339,7 @@ def _decode_map() -> np.ndarray:
     rounded to that grid.
     """
     m = masker_matrix().matrix
-    paulis = np.stack([np.eye(4), *(PauliSetting(j, k).matrix() for j in _AXES for k in _AXES)])
+    paulis = np.concatenate([np.eye(4)[None], PAIR_PAULIS])
     exact = np.einsum("ki,nkl,lj->ijn", m.conj(), paulis, m) / 4
     kmap = np.round(4.0 * exact.real) / 4.0
     rows, cols = np.triu_indices(4)

@@ -23,7 +23,7 @@ import numpy as np
 from . import estimate, measure, optics, walk
 from .estimate import EstimationReport
 from .masker import mask_pure, masker_matrix
-from .measure import PauliSetting, derive_seed, generator
+from .measure import derive_seed, generator
 from .qcore import (
     DensityMatrix,
     StateVector,
@@ -35,7 +35,7 @@ from .qcore import (
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 5
+REPORT_SCHEMA = 6
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
@@ -93,12 +93,17 @@ def _masked_probe(a, noise_p: float) -> tuple[StateVector, DensityMatrix]:
     return ideal, rho if noise_p == 0.0 else measure.apply_depolarizing(rho, noise_p)
 
 
-def _tomography_counts(rho_qubit: DensityMatrix, shots: int, master_seed: int, *tags) -> np.ndarray:
-    """(3, 2) X/Y/Z counts of a qubit, each axis drawn from its own sub-seed."""
+def _pauli_counts(rho: DensityMatrix, shots: int, master_seed: int, *tags) -> np.ndarray:
+    """Counts of every Pauli setting: (3, 2) for a qubit, (9, 4) for a pair.
+
+    Each row is one `sample_counts` draw from its own sub-seed, tagged with
+    the row's `measure.AXES` or `measure.PAIRS` label.
+    """
+    labels, probs = ((measure.AXES, measure.axis_probs) if rho.dim == 2
+                     else (measure.PAIRS, measure.pair_probs))
     return np.array([
-        measure.sample_counts(measure.single_qubit_probs(rho_qubit, axis), shots,
-                              derive_seed(master_seed, *tags, axis))
-        for axis in ("X", "Y", "Z")
+        measure.sample_counts(p, shots, derive_seed(master_seed, *tags, label))
+        for label, p in zip(labels, probs(rho))
     ])
 
 
@@ -133,7 +138,7 @@ def run_fig3(config: ExperimentConfig) -> dict:
                 },
             )
             counts = np.array([
-                _tomography_counts(partial_trace(rho, k), shots, config.seed, "fig3.tomo", idx, tag)
+                _pauli_counts(partial_trace(rho, k), shots, config.seed, "fig3.tomo", idx, tag)
                 for k, tag in (("A", "path"), ("B", "pol"))
             ])
             pur_a, pur_b = estimate.purity_from_counts(counts).tolist()
@@ -173,16 +178,11 @@ def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
     a = probe_vector(probe)
     _ideal, rho = _masked_probe(a, config.noise_p)
     target = StateVector(a.astype(complex))
-    axes = ("X", "Y", "Z")
     if config.analytic:
-        t = measure.pauli_correlations(rho)
+        t = measure.correlators(measure.pair_probs(rho)).reshape(3, 3)
         fid_std = 0.0
     else:
-        counts = np.array([
-            measure.sample_counts(measure.outcome_probs(rho, setting), shots,
-                                  derive_seed(config.seed, "fig4", probe, setting.label))
-            for setting in (PauliSetting(j, k) for j in axes for k in axes)
-        ])
+        counts = _pauli_counts(rho, shots, config.seed, "fig4", probe)
         t = estimate.validate_correlation_matrix(measure.correlators(counts).reshape(3, 3))
 
         def decode_fidelity(stack: np.ndarray) -> np.ndarray:
@@ -229,7 +229,7 @@ def run_fig5(config: ExperimentConfig) -> dict:
         if config.analytic:
             est, std = float(concurrence_from_purity(purity(rho_path))), 0.0
         else:
-            counts = _tomography_counts(rho_path, shots, config.seed, "fig5.tomo", i)
+            counts = _pauli_counts(rho_path, shots, config.seed, "fig5.tomo", i)
 
             def conc(c: np.ndarray) -> np.ndarray:
                 return concurrence_from_purity(estimate.purity_from_counts(c))
@@ -340,11 +340,9 @@ def report_csv(report: dict) -> str:
             ])
     elif kind == "fig4":
         writer.writerow(["setting", "correlator"])
-        axes = ("x", "y", "z")
-        t = report["correlators"]
-        for j, aj in enumerate(axes):
-            for k, ak in enumerate(axes):
-                writer.writerow([aj + ak, _fmt(t[j][k])])
+        values = (value for row in report["correlators"] for value in row)
+        for label, value in zip(measure.PAIRS, values):
+            writer.writerow([label.lower(), _fmt(value)])
         writer.writerow(["fidelity", _fmt(report["fidelity"]["estimate"])])
         writer.writerow(["fidelity_std", _fmt(report["fidelity"]["error"])])
     elif kind == "fig5":

@@ -1,5 +1,12 @@
 """Finite-shot measurement simulation.
 
+Settings: every pipeline measures fixed Pauli settings, X/Y/Z on a qubit and
+the nine pairs XX..ZZ on a qubit pair.  `axis_probs` gives a qubit's (3, 2)
+table of (+, -) probabilities and `pair_probs` a pair's (9, 4) table of
+(++, +-, -+, --) probabilities, rows in `AXES` and `PAIRS` order.  Analytic
+and sampled runs read the same rows: probabilities are counts scaled to one
+shot, so `correlators` serves both.
+
 Counting model: each Pauli-pair (or single-qubit) setting is measured a fixed
 number of times, drawn as one multinomial over the Born probabilities into an
 integer count array.  Poisson fluctuation enters only through the resampling
@@ -25,8 +32,28 @@ import numpy as np
 
 from .qcore import PAULIS, DensityMatrix, _rho_array, kron
 
+# The Pauli measurement convention every pipeline shares: axis and pair
+# labels, outcome labels, and the eigenprojectors the probability tables read.
+AXES = ("X", "Y", "Z")
+PAIRS = tuple(j + k for j in AXES for k in AXES)
 OUTCOMES_PAIR = ("++", "+-", "-+", "--")
 OUTCOMES_SINGLE = ("+", "-")
+
+
+def _eigenprojectors(axis: str) -> tuple[np.ndarray, np.ndarray]:
+    """Projectors onto the +1 and -1 eigenspaces of one Pauli."""
+    eye = np.eye(2)
+    return (eye + PAULIS[axis]) / 2, (eye - PAULIS[axis]) / 2
+
+
+_AXIS_PLUS = np.stack([_eigenprojectors(a)[0] for a in AXES])
+_PAIR_PROJECTORS = np.stack([
+    [kron(p, q) for p in _eigenprojectors(pair[0]) for q in _eigenprojectors(pair[1])]
+    for pair in PAIRS
+])
+# sigma_j ⊗ sigma_k for every pair, the observables whose means `correlators` estimates.
+PAIR_PAULIS = np.stack([kron(PAULIS[pair[0]], PAULIS[pair[1]]) for pair in PAIRS])
+PAIR_PAULIS.setflags(write=False)
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -43,24 +70,6 @@ def derive_seed(master_seed: int, *parts) -> int:
 def generator(seed: int) -> np.random.Generator:
     """Philox generator keyed by `seed` (counter-based, platform independent)."""
     return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
-
-
-@dataclass(frozen=True)
-class PauliSetting:
-    first: str
-    second: str
-
-    def __post_init__(self):
-        for axis in (self.first, self.second):
-            if axis not in ("X", "Y", "Z"):
-                raise ValueError(f"Pauli axis must be X, Y or Z, got {axis!r}")
-
-    @property
-    def label(self) -> str:
-        return self.first + self.second
-
-    def matrix(self) -> np.ndarray:
-        return kron(PAULIS[self.first], PAULIS[self.second])
 
 
 @dataclass(frozen=True)
@@ -86,43 +95,31 @@ class CountsTable:
         return OUTCOMES_PAIR if len(self.counts) == 4 else OUTCOMES_SINGLE
 
 
-def outcome_probs(rho, setting: PauliSetting) -> np.ndarray:
-    """Joint (+1,+1), (+1,-1), (-1,+1), (-1,-1) eigenvalue probabilities."""
+def _projector_probs(rho, projectors: np.ndarray) -> np.ndarray:
+    """tr(rho P) for every projector P of a (..., d, d) stack."""
     arr = _rho_array(rho)
-    if arr.shape != (4, 4):
-        raise ValueError("outcome_probs expects a two-qubit state")
-    p1 = PAULIS[setting.first]
-    p2 = PAULIS[setting.second]
-    eye = np.eye(2)
-    probs = []
-    for s1 in (+1, -1):
-        proj1 = (eye + s1 * p1) / 2
-        for s2 in (+1, -1):
-            proj2 = (eye + s2 * p2) / 2
-            probs.append(np.trace(arr @ kron(proj1, proj2)).real)
-    out = np.array(probs)
-    if abs(out.sum() - 1.0) > 1e-9:
-        raise ValueError(f"outcome probabilities sum to {out.sum()}")
-    return out
+    d = projectors.shape[-1]
+    if arr.shape != (d, d):
+        raise ValueError(f"expected a {d}x{d} density matrix, got shape {arr.shape}")
+    return np.trace(arr @ projectors, axis1=-2, axis2=-1).real
 
 
-def single_qubit_probs(rho, axis: str) -> np.ndarray:
-    """(+1, -1) probabilities for one Pauli measurement on a qubit."""
-    arr = _rho_array(rho)
-    if arr.shape != (2, 2):
-        raise ValueError("single_qubit_probs expects a qubit state")
-    pauli = PAULIS[axis]
-    plus = np.trace(arr @ (np.eye(2) + pauli) / 2).real
-    return np.array([plus, 1.0 - plus])
+def axis_probs(rho) -> np.ndarray:
+    """(3, 2) table of (+, -) probabilities of a qubit, rows in `AXES` order.
+
+    Each row is [p, 1 - p] with p from the + projector.  A separate trace for
+    the - outcome can differ from 1 - p in the last bit, and that moves the
+    multinomial draw at p = 1/2, where the reduced qubits of masked real states
+    sit.
+    """
+    plus = _projector_probs(rho, _AXIS_PLUS)
+    return np.stack([plus, 1.0 - plus], axis=-1)
 
 
-def pauli_correlations(rho) -> np.ndarray:
-    """Exact 3x3 correlation matrix <sigma_j x sigma_k>, rows/cols x, y, z."""
-    arr = _rho_array(rho)
-    axes = ("X", "Y", "Z")
-    return np.array(
-        [[np.trace(arr @ PauliSetting(j, k).matrix()).real for k in axes] for j in axes]
-    )
+def pair_probs(rho) -> np.ndarray:
+    """(9, 4) table of (++, +-, -+, --) probabilities of a qubit pair, rows in
+    `PAIRS` order."""
+    return _projector_probs(rho, _PAIR_PROJECTORS)
 
 
 def sample_counts(probs, shots: int, seed: int) -> np.ndarray:

@@ -260,7 +260,7 @@ def robustness_of_imaginarity(rho) -> float:
     return value
 
 
-# Random-object helpers shared by the equivalence runner and the test-suite.
+# Random-object helpers for the test-suite.
 
 def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)

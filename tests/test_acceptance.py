@@ -24,14 +24,14 @@ from realmask.estimate import (
 from realmask.experiments import ExperimentConfig, phase_probe, probe_vector, run_fig3
 from realmask.masker import build_hr_d4, magic_basis, mask_pure, mask_state, masker_matrix
 from realmask.measure import (
-    PauliSetting,
+    AXES,
+    PAIRS,
     apply_depolarizing,
+    axis_probs,
     correlators,
     derive_seed,
-    outcome_probs,
-    pauli_correlations,
+    pair_probs,
     sample_counts,
-    single_qubit_probs,
 )
 from realmask.qcore import (
     BELL_PHI,
@@ -107,7 +107,8 @@ def test_criterion_4_decode_round_trip():
     """Correlator decoding inverts the masker exactly on 1000 real states."""
     rng = np.random.default_rng(SEED + 3)
     rhos = [random_real_density(4, rng) for _ in range(1000)]
-    raw = decode_real_state(np.array([pauli_correlations(mask_state(rho)) for rho in rhos])).rho_hat
+    ts = np.array([correlators(pair_probs(mask_state(rho))).reshape(3, 3) for rho in rhos])
+    raw = decode_real_state(ts).rho_hat
     worst = max(trace_distance(r.astype(complex), rho) for r, rho in zip(raw, rhos))
     assert worst < 1e-12
     _report(4, f"decode round-trip on 1000 real states: max trace distance {worst:.2e}")
@@ -193,12 +194,12 @@ def test_criterion_9_fig4_decoding():
     a = probe_vector(4)
     target = StateVector(a.astype(complex))
     rho = apply_depolarizing(mask_pure(a).density(), 0.01)
-    probs = {j + k: outcome_probs(rho, PauliSetting(j, k)) for j in "XYZ" for k in "XYZ"}
+    probs = pair_probs(rho)
     fids = []
     for s in range(100):
         counts = np.array([
-            sample_counts(probs[j + k], 4000, derive_seed(SEED, "accept9", s, j, k))
-            for j in "XYZ" for k in "XYZ"
+            sample_counts(p, 4000, derive_seed(SEED, "accept9", s, pair[0], pair[1]))
+            for pair, p in zip(PAIRS, probs)
         ])
         t = correlators(counts).reshape(3, 3)
         fids.append(decode_real_state(t, target).fidelity_vs_input)
@@ -211,14 +212,14 @@ def test_criterion_10_fig5_curve():
     """Noiseless concurrence tracks cos(phi) within 0.03 in >= 95% of 50 runs."""
     phis = (0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0)
     reduced = [partial_trace(mask_pure(phase_probe(p)).density(), "A") for p in phis]
-    prob_table = [[single_qubit_probs(rp, ax) for ax in "XYZ"] for rp in reduced]
+    prob_table = [axis_probs(rp) for rp in reduced]
     theory = np.cos(np.radians(phis))
     runs_ok = 0
     worst = 0.0
     for s in range(50):
         counts = np.empty((len(phis), 3, 2))
         for i in range(len(phis)):
-            for k, ax in enumerate("XYZ"):
+            for k, ax in enumerate(AXES):
                 counts[i, k] = sample_counts(
                     prob_table[i][k], 10_000, derive_seed(SEED, "accept10", s, i, ax)
                 )

@@ -121,7 +121,7 @@ class TestReportFiles:
     def test_report_carries_schema_version(self):
         doc = json.loads(report_json(run_fig4(ExperimentConfig(seed=3, analytic=True))))
         assert next(iter(doc)) == "schema"
-        assert doc["schema"] == experiments.REPORT_SCHEMA == 5
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 6
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError):
@@ -373,6 +373,21 @@ class TestCommandLine:
         with pytest.raises(SystemExit):
             cli.main(["angles"])
 
+    @pytest.mark.parametrize("setting", ["XW", "X", "XYZ"])
+    def test_angles_rejects_a_non_pauli_setting(self, setting):
+        with pytest.raises(SystemExit, match="Pauli pair"):
+            cli.main(["angles", "--setting", setting])
+
+    def test_out_naming_a_file_is_a_clean_error(self, tmp_path):
+        # Report writing under an existing regular file used to end in a
+        # FileExistsError traceback.
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fig4", "--analytic", "--out", str(taken)])
+        assert isinstance(exc.value.code, str)
+        assert exc.value.code.startswith(f"cannot write reports to {taken}:")
+
     def test_angles_raw_basis(self, capsys):
         rc = cli.main(["angles", "--basis", "0.785398,0,0.785398,1.570796"])
         assert rc == 0
@@ -409,6 +424,20 @@ class TestCommandLine:
         assert "usage:" in out.stderr and "--noise-p" in out.stderr
         assert "Traceback" not in out.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_reproduce_figures_out_naming_a_file_is_a_clean_error(self, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = subprocess.run([sys.executable, str(script), "--out", str(taken)],
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 1
+        assert out.stderr.startswith(f"cannot write reports to {taken}:")
+        assert "Traceback" not in out.stderr
 
     def test_experiments_import_does_not_load_scipy(self):
         import subprocess

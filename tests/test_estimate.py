@@ -14,22 +14,21 @@ from realmask.estimate import (
     project_to_density,
     purity_from_counts,
     qsv_run,
-    tomography_1q,
     verification_operator,
 )
 from realmask.estimate import test_projectors as qsv_test_projectors
 from realmask.masker import magic_basis, mask_state, masker_matrix, u_of_c
 from realmask.measure import (
+    AXES,
+    PAIRS,
     CountsTable,
-    PauliSetting,
     apply_depolarizing,
+    axis_probs,
     correlators,
     derive_seed,
     generator,
-    outcome_probs,
-    pauli_correlations,
+    pair_probs,
     sample_counts,
-    single_qubit_probs,
 )
 from realmask.qcore import (
     BELL_PHI,
@@ -45,9 +44,13 @@ BELL = StateVector(BELL_PHI)
 def bell_counts(rho: DensityMatrix, shots: int, seed: int) -> np.ndarray:
     """(3, 2) X/Y/Z counts of a qubit."""
     return np.array([
-        sample_counts(single_qubit_probs(rho, ax), shots, derive_seed(seed, ax))
-        for ax in ("X", "Y", "Z")
+        sample_counts(p, shots, derive_seed(seed, ax)) for ax, p in zip(AXES, axis_probs(rho))
     ])
+
+
+def exact_correlators(rho) -> np.ndarray:
+    """3x3 correlators of a two-qubit state: its probability table read as counts."""
+    return correlators(pair_probs(rho)).reshape(3, 3)
 
 
 def bloch_of(rho: np.ndarray) -> np.ndarray:
@@ -217,21 +220,15 @@ class TestAgrestiCoull:
 class TestTomography:
     def test_flat_counts_give_maximally_mixed(self):
         n = 4000
-        tabs = [CountsTable(ax, (n // 2, n // 2), n, 0) for ax in ("X", "Y", "Z")]
-        res = tomography_1q(*tabs)
-        assert np.abs(res.rho_hat.mat - np.eye(2) / 2).max() < 1e-9
-        assert res.purity == pytest.approx(0.5, abs=1e-9)
+        counts = np.full((1, 3, 2), n // 2)
+        assert np.abs(mle_qubit_batch(counts)[0] - np.eye(2) / 2).max() < 1e-9
+        assert purity_from_counts(counts)[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_pure_z_counts_give_ground_state(self):
         n = 4000
-        tabs = [
-            CountsTable("X", (n // 2, n // 2), n, 0),
-            CountsTable("Y", (n // 2, n // 2), n, 0),
-            CountsTable("Z", (n, 0), n, 0),
-        ]
-        res = tomography_1q(*tabs)
-        assert np.abs(res.rho_hat.mat - np.diag([1.0, 0.0])).max() < 1e-6
-        assert res.purity == pytest.approx(1.0, abs=1e-6)
+        counts = np.array([[[n // 2, n // 2], [n // 2, n // 2], [n, 0]]])
+        assert np.abs(mle_qubit_batch(counts)[0] - np.diag([1.0, 0.0])).max() < 1e-6
+        assert purity_from_counts(counts)[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_simulate_then_reconstruct(self, rng):
         for _ in range(5):
@@ -241,8 +238,7 @@ class TestTomography:
                                  + bloch[1] * np.array([[0, -1j], [1j, 0]])
                                  + bloch[2] * np.diag([1, -1])) / 2)
             counts = bell_counts(rho, 1_000_000, seed=int(rng.integers(2**32)))
-            res = tomography_1q(*(CountsTable(ax, tuple(c), 1_000_000, 0) for ax, c in zip("XYZ", counts)))
-            assert trace_distance(res.rho_hat, rho) < 0.005
+            assert trace_distance(mle_qubit_batch(counts[None])[0], rho) < 0.005
 
     def test_mle_matches_linear_inversion_inside_ball(self, rng):
         for trial in range(20):
@@ -262,23 +258,18 @@ class TestTomography:
         # The linear inversion (0.05, -0.055, 1) lies outside the Bloch ball,
         # so the estimate is the point of the sphere where the likelihood
         # gradient is normal to it.
-        tabs = [
-            CountsTable("X", (210, 190), 400, 0),
-            CountsTable("Y", (189, 211), 400, 0),
-            CountsTable("Z", (400, 0), 400, 0),
-        ]
-        counts = np.array([t.counts for t in tabs], dtype=float)
-        res = tomography_1q(*tabs)
-        assert np.linalg.norm(res.bloch_linear) > 1.0
-        assert np.linalg.norm(res.bloch) == pytest.approx(1.0, abs=1e-12)
-        assert res.purity == pytest.approx(1.0, abs=1e-12)
-        lam, residual = lagrange_condition(res.bloch, counts)
+        counts = np.array([[210.0, 190.0], [189.0, 211.0], [400.0, 0.0]])
+        bloch = bloch_of(mle_qubit_batch(counts[None])[0])
+        assert np.linalg.norm(linear_inversion(counts)) > 1.0
+        assert np.linalg.norm(bloch) == pytest.approx(1.0, abs=1e-12)
+        assert purity_from_counts(counts[None])[0] == pytest.approx(1.0, abs=1e-12)
+        lam, residual = lagrange_condition(bloch, counts)
         assert lam > 0.0
         assert residual <= 1e-12
         # No nearby point of the sphere is more likely.
-        best = log_likelihood(res.bloch, counts)
+        best = log_likelihood(bloch, counts)
         for step in rng.normal(scale=1e-3, size=(200, 3)):
-            other = (res.bloch + step) / np.linalg.norm(res.bloch + step)
+            other = (bloch + step) / np.linalg.norm(bloch + step)
             assert log_likelihood(other, counts) <= best
 
     def test_empty_axes_are_maximally_mixed(self):
@@ -294,11 +285,8 @@ class TestTomography:
 
     def test_optional_bootstrap_fills_std_purity(self):
         n = 4000
-        tabs = [CountsTable(ax, (n // 2, n // 2), n, 0) for ax in ("X", "Y", "Z")]
-        res = tomography_1q(*tabs, bootstrap_resamples=50, bootstrap_seed=2)
-        assert res.std_purity is not None
-        assert 0.0 < res.std_purity < 0.02
-        assert tomography_1q(*tabs).std_purity is None
+        std = bootstrap_std(purity_from_counts, np.full((3, 2), n // 2), resamples=50, seed=2)
+        assert 0.0 < std < 0.02
 
 
 def axis_counts(max_shots: int):
@@ -415,24 +403,24 @@ class TestMaskedOutputTomography:
 
 class TestCorrelationMatrix:
     def test_exact_bell_correlators(self):
-        t = pauli_correlations(BELL.density())
+        t = exact_correlators(BELL.density())
         assert np.abs(t - np.diag([1.0, -1.0, 1.0])).max() < 1e-12
 
     def test_exact_masked_uniform_input(self):
         c = np.ones(4) / 2
         rho = mask_state(np.outer(c, c))
-        t = pauli_correlations(rho)
+        t = exact_correlators(rho)
         want = np.array([[0, -1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
         assert np.abs(t - want).max() < 1e-12
 
     def test_maximally_mixed_vanishes(self):
-        t = pauli_correlations(np.eye(4) / 4)
+        t = exact_correlators(np.eye(4) / 4)
         assert np.abs(t).max() < 1e-12
 
     def test_counts_path_matches_exact_at_degenerate_probs(self):
         counts = np.array([
-            sample_counts(outcome_probs(BELL.density(), PauliSetting(j, k)), 4000, derive_seed(5, j, k))
-            for j in "XYZ" for k in "XYZ"
+            sample_counts(p, 4000, derive_seed(5, pair[0], pair[1]))
+            for pair, p in zip(PAIRS, pair_probs(BELL.density()))
         ])
         t = correlators(counts).reshape(3, 3)
         # Diagonal correlators are degenerate (probabilities 0/0.5): exact.
@@ -479,14 +467,14 @@ class TestDecode:
 
     def test_round_trip_exact(self, rng):
         rhos = [random_real_density(4, rng) for _ in range(300)]
-        ts = np.array([pauli_correlations(mask_state(rho)) for rho in rhos])
+        ts = np.array([exact_correlators(mask_state(rho)) for rho in rhos])
         raw = decode_real_state(ts).rho_hat
         for got, rho in zip(raw, rhos):
             assert trace_distance(got.astype(complex), rho) < 1e-12
 
     def test_fidelity_field(self):
         c = np.ones(4) / 2
-        t = pauli_correlations(mask_state(np.outer(c, c)))
+        t = exact_correlators(mask_state(np.outer(c, c)))
         res = decode_real_state(t, input_state=StateVector(c.astype(complex)))
         assert res.fidelity_vs_input == pytest.approx(1.0, abs=1e-12)
 
@@ -496,6 +484,14 @@ class TestDecode:
     def test_rejects_oversized_correlators(self):
         with pytest.raises(ValueError):
             decode_real_state(np.full((3, 3), 1.5))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_correlators(self, value):
+        # A NaN entry used to pass the magnitude check and fail inside eigh.
+        ts = np.zeros((2, 3, 3))
+        ts[1, 2, 0] = value
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            decode_real_state(ts)
 
     def test_rejects_one_oversized_item_of_a_stack(self):
         ts = np.zeros((4, 3, 3))
@@ -524,7 +520,7 @@ class TestDecode:
         m = g.T @ g
         assume(np.trace(m) > 1e-3)
         rho = m / np.trace(m)
-        res = decode_real_state(pauli_correlations(mask_state(rho)))
+        res = decode_real_state(exact_correlators(mask_state(rho)))
         assert np.abs(res.rho_hat - rho).max() < 1e-12
 
     @settings(max_examples=60, deadline=None)

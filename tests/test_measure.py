@@ -1,26 +1,31 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from realmask.estimate import correlation_matrix
 from realmask.masker import mask_state
 from realmask.measure import (
+    AXES,
+    PAIR_PAULIS,
+    PAIRS,
     CountsTable,
-    PauliSetting,
     apply_depolarizing,
+    axis_probs,
     correlators,
     derive_seed,
     generator,
-    outcome_probs,
-    pauli_correlations,
+    pair_probs,
     poisson_resample,
     sample_counts,
-    single_qubit_probs,
     tables_from_csv,
     tables_to_csv,
 )
 from realmask.qcore import (
+    PAULIS,
+    DensityMatrix,
     StateVector,
+    kron,
     partial_trace,
     random_density,
     random_real_density,
@@ -29,45 +34,105 @@ from realmask.qcore import (
 BELL = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2))
 
 
+def oracle_pair_probs(rho: DensityMatrix) -> np.ndarray:
+    """Per-setting projector formula: tr(rho (1 + s1 sigma_j)/2 ⊗ (1 + s2 sigma_k)/2)
+    for each pair jk and signs (s1, s2) in ++, +-, -+, -- order."""
+    eye = np.eye(2)
+    rows = []
+    for j in "XYZ":
+        for k in "XYZ":
+            row = []
+            for s1 in (+1, -1):
+                proj1 = (eye + s1 * PAULIS[j]) / 2
+                for s2 in (+1, -1):
+                    proj2 = (eye + s2 * PAULIS[k]) / 2
+                    row.append(np.trace(rho.mat @ kron(proj1, proj2)).real)
+            rows.append(row)
+    return np.array(rows)
+
+
+def oracle_axis_plus(rho: DensityMatrix) -> np.ndarray:
+    """tr(rho (1 + sigma)/2) for sigma = X, Y, Z."""
+    return np.array([np.trace(rho.mat @ (np.eye(2) + PAULIS[a]) / 2).real for a in "XYZ"])
+
+
+@st.composite
+def densities(draw, dim: int) -> DensityMatrix:
+    """G G† / tr(G G†) for a random complex G."""
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    re = np.reshape(draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim)), (dim, dim))
+    im = np.reshape(draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim)), (dim, dim))
+    g = re + 1j * im
+    m = g @ g.conj().T
+    tr = np.trace(m).real
+    assume(tr > 1e-3)
+    return DensityMatrix(m / tr)
+
+
 class TestOutcomeProbs:
+    def test_labels(self):
+        assert AXES == ("X", "Y", "Z")
+        assert PAIRS == tuple(j + k for j in "XYZ" for k in "XYZ")
+        for pauli, pair in zip(PAIR_PAULIS, PAIRS):
+            assert np.array_equal(pauli, kron(PAULIS[pair[0]], PAULIS[pair[1]]))
+
     def test_bell_zz(self):
-        probs = outcome_probs(BELL.density(), PauliSetting("Z", "Z"))
+        probs = pair_probs(BELL.density())[PAIRS.index("ZZ")]
         assert np.abs(probs - [0.5, 0, 0, 0.5]).max() < 1e-12
 
     def test_bell_yy(self):
-        probs = outcome_probs(BELL.density(), PauliSetting("Y", "Y"))
+        probs = pair_probs(BELL.density())[PAIRS.index("YY")]
         assert np.abs(probs - [0, 0.5, 0.5, 0]).max() < 1e-12
 
     def test_maximally_mixed_uniform(self):
-        for first in "XYZ":
-            for second in "XYZ":
-                probs = outcome_probs(np.eye(4) / 4, PauliSetting(first, second))
-                assert np.abs(probs - 0.25).max() < 1e-12
+        probs = pair_probs(np.eye(4) / 4)
+        assert probs.shape == (9, 4)
+        assert np.abs(probs - 0.25).max() < 1e-12
 
-    def test_marginals_match_reduced_states(self, rng):
-        for _ in range(100):
-            rho = random_density(4, rng)
-            for axis in "XYZ":
-                joint = outcome_probs(rho, PauliSetting(axis, "Z"))
-                marg_first = np.array([joint[0] + joint[1], joint[2] + joint[3]])
-                want = single_qubit_probs(partial_trace(rho, "A"), axis)
-                assert np.abs(marg_first - want).max() < 1e-12
-                joint = outcome_probs(rho, PauliSetting("Z", axis))
-                marg_second = np.array([joint[0] + joint[2], joint[1] + joint[3]])
-                want = single_qubit_probs(partial_trace(rho, "B"), axis)
-                assert np.abs(marg_second - want).max() < 1e-12
+    @settings(max_examples=200, deadline=None)
+    @given(densities(4))
+    def test_pair_probs_match_oracle(self, rho):
+        assert np.array_equal(pair_probs(rho), oracle_pair_probs(rho))
+
+    @settings(max_examples=200, deadline=None)
+    @given(densities(2))
+    def test_axis_rows_are_plus_and_its_complement(self, rho):
+        probs = axis_probs(rho)
+        plus = oracle_axis_plus(rho)
+        assert probs.shape == (3, 2)
+        assert np.array_equal(probs[:, 0], plus)
+        assert np.array_equal(probs[:, 1], 1.0 - plus)
+
+    @settings(max_examples=100, deadline=None)
+    @given(densities(4))
+    def test_marginals_match_reduced_states(self, rho):
+        joint = pair_probs(rho).reshape(3, 3, 2, 2)  # first axis, second axis, s1, s2
+        want_a = axis_probs(partial_trace(rho, "A"))
+        want_b = axis_probs(partial_trace(rho, "B"))
+        for j in range(3):
+            for k in range(3):
+                assert np.abs(joint[j, k].sum(axis=1) - want_a[j]).max() < 1e-12
+                assert np.abs(joint[j, k].sum(axis=0) - want_b[k]).max() < 1e-12
 
     def test_masked_real_states_have_flat_marginals(self, rng):
         for _ in range(50):
             out = mask_state(random_real_density(4, rng))
-            for axis in "XYZ":
-                for qubit in ("A", "B"):
-                    probs = single_qubit_probs(partial_trace(out, qubit), axis)
-                    assert np.abs(probs - 0.5).max() < 1e-12
+            for qubit in ("A", "B"):
+                probs = axis_probs(partial_trace(out, qubit))
+                assert np.abs(probs - 0.5).max() < 1e-12
 
     def test_invalid_axis_rejected(self):
-        with pytest.raises(ValueError):
-            PauliSetting("X", "W")
+        # Settings are named by the PAIRS labels only; a table with any other
+        # label is refused where labelled counts are read.
+        tables = [CountsTable(label, (1, 0, 0, 0), 1, 0) for label in PAIRS[:-1]]
+        with pytest.raises(ValueError, match="'XW'"):
+            correlation_matrix(tables + [CountsTable("XW", (1, 0, 0, 0), 1, 0)])
+
+    def test_wrong_dimension_rejected(self):
+        with pytest.raises(ValueError, match="4x4"):
+            pair_probs(np.eye(2) / 2)
+        with pytest.raises(ValueError, match="2x2"):
+            axis_probs(np.eye(4) / 4)
 
 
 class TestSampleCounts:
@@ -84,12 +149,11 @@ class TestSampleCounts:
     def test_large_sample_correlator(self):
         # <Z ⊗ Z> of the Bell state is +1 (its outcome distribution only
         # populates the ++/-- cells, so the estimate is exact at any shots).
-        probs = outcome_probs(BELL.density(), PauliSetting("Z", "Z"))
-        counts = sample_counts(probs, shots=1_000_000, seed=3)
+        probs = pair_probs(BELL.density())
+        counts = sample_counts(probs[PAIRS.index("ZZ")], shots=1_000_000, seed=3)
         assert abs(correlators(counts) - 1.0) < 0.005
         # <X ⊗ Z> vanishes; a genuinely fluctuating law-of-large-numbers check.
-        probs = outcome_probs(BELL.density(), PauliSetting("X", "Z"))
-        counts = sample_counts(probs, shots=1_000_000, seed=3)
+        counts = sample_counts(probs[PAIRS.index("XZ")], shots=1_000_000, seed=3)
         assert abs(correlators(counts)) < 0.005
 
     def test_seed_determinism(self):
@@ -267,5 +331,5 @@ class TestSeeds:
         assert not np.allclose(a, b)
 
     def test_exact_correlations_of_bell(self):
-        t = pauli_correlations(BELL.density())
+        t = correlators(pair_probs(BELL.density())).reshape(3, 3)
         assert np.abs(t - np.diag([1.0, -1.0, 1.0])).max() < 1e-12

@@ -5,7 +5,7 @@ import pytest
 
 from realmask.experiments import probe_vector
 from realmask.masker import mask_pure, masker_matrix
-from realmask.measure import PauliSetting, outcome_probs
+from realmask.measure import PAIRS, pair_probs
 from realmask.optics import (
     H,
     V,
@@ -249,14 +249,12 @@ class TestMeasurement:
 
     @pytest.mark.parametrize("probe", [1, 2, 3, 4])
     def test_matches_pipeline_outcome_probs(self, probe):
-        # The pipelines sample measure.outcome_probs; the optical module must
+        # The pipelines sample measure.pair_probs; the optical module must
         # give the same distribution for every masked probe and Pauli pair.
         psi = mask_pure(probe_vector(probe))
-        for j in "XYZ":
-            for k in "XYZ":
-                got = spcm_to_outcome_order(simulate_measurement(psi, pauli_meas_setting(j, k)))
-                want = outcome_probs(psi.density(), PauliSetting(j, k))
-                assert np.abs(got - want).max() < 1e-12
+        for pair, want in zip(PAIRS, pair_probs(psi.density())):
+            got = spcm_to_outcome_order(simulate_measurement(psi, pauli_meas_setting(pair[0], pair[1])))
+            assert np.abs(got - want).max() < 1e-12
 
     def test_compile_reports_residual(self):
         compiled = compile_measurement(pauli_meas_setting("X", "Y"))
