@@ -4,10 +4,12 @@
 #
 # Usage: scripts/check_reports_unchanged.sh BASE_REV
 #
-# Runs scripts/reproduce_figures.py at seeds 1 and 9173, and
-# `realmask fig3|fig4|fig5 --analytic --seed 1`, on a temporary `git worktree`
-# of BASE_REV and on the working tree, then compares the two output trees
-# with `diff -r`.  A change that moves report numbers must bump
+# Runs scripts/reproduce_figures.py at seeds 1 and 9173,
+# `realmask fig3|fig4|fig5 --analytic --seed 1` and
+# `realmask fig5 --noise-p 0 --seed 1` (whose pure phase probes are the only
+# reports here with boundary fits in the qubit MLE), on a temporary
+# `git worktree` of BASE_REV and on the working tree, then compares the two
+# output trees with `diff -r`.  A change that moves report numbers must bump
 # experiments.REPORT_SCHEMA; when the schemas differ the diff is skipped, so a
 # schema bump passes and a silent re-baseline fails.
 set -euo pipefail
@@ -31,6 +33,7 @@ reports() {
     for fig in fig3 fig4 fig5; do
         PYTHONPATH="$1/src" python3 -m realmask.cli "$fig" --analytic --seed 1 --out "$2/analytic" >/dev/null
     done
+    PYTHONPATH="$1/src" python3 -m realmask.cli fig5 --noise-p 0 --seed 1 --out "$2/noiseless" >/dev/null
 }
 reports "$tmp/base" "$tmp/out_base"
 reports "$repo" "$tmp/out_head"
@@ -49,4 +52,4 @@ if ! diff -r "$tmp/out_base" "$tmp/out_head"; then
          "bump experiments.REPORT_SCHEMA if the change is meant to move them" >&2
     exit 1
 fi
-echo "reports identical to $base_rev (schema $head_schema, seeds 1 and 9173, analytic at seed 1)"
+echo "reports identical to $base_rev (schema $head_schema, seeds 1 and 9173, analytic and noiseless fig5 at seed 1)"

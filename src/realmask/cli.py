@@ -148,6 +148,9 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         values["analytic"] = True
     if args.out is not None:
         values["output_path"] = args.out
+    if values.get("output_path") == "":
+        print("realmask: the output path (--out or output_path) must not be empty", file=sys.stderr)
+        raise SystemExit(2)
     return ExperimentConfig(**values)
 
 

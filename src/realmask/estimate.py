@@ -8,7 +8,8 @@ Three pipelines:
   map;
 * single-qubit tomography: exact maximum likelihood over (batch, 3, 2) count
   arrays, rows in `measure.AXES` order (`mle_qubit_batch`,
-  `purity_from_counts`), with Poisson-resampling bootstrap error bars
+  `purity_from_counts`), every boundary fit of a batch solved together by
+  one array iteration, with Poisson-resampling bootstrap error bars
   (`bootstrap_std`: one seeded draw stacks all resamples of a count array);
 * correlation decoding: the nine Pauli-pair correlators of the masked state
   (rows and columns in `measure.AXES` order) determine the real input density
@@ -21,7 +22,6 @@ Three pipelines:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from statistics import NormalDist
@@ -171,70 +171,130 @@ def agresti_coull(passed: int, total: int, confidence: float = 0.95) -> tuple[fl
 # ---------------------------------------------------------------------------
 # Single-qubit maximum-likelihood tomography.
 
-def _sphere_fit(n_plus: list[float], n_minus: list[float]) -> list[float]:
-    """Bloch vector of the MLE of one item whose linear inversion leaves the ball.
+_EPS = float(np.finfo(float).eps)
 
-    With a = max(n+, n-) and b = min(n+, n-), |r_k| at multiplier lam is the
-    root in [0, 1] of the convex cubic p(s) = (1 - s)(a - 2 lam s (1 + s)) -
-    b (1 + s), which Newton's method climbs to monotonically from below; the
-    factored form stays accurate next to s = 1.  |r(lam)| falls as lam grows,
-    and lam <= N/4 for N counts in all (2 lam = sum_k r_k g_k(r_k) at the
-    optimum, each term at most n_k/2).  Bisection runs to adjacent floats and
-    returns the radii at the upper end, where |r| <= 1.
+
+def _sum_sq(s: np.ndarray) -> np.ndarray:
+    """|r|^2 of each row of an (m, 3) array, summed in a fixed order."""
+    return s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1] + s[:, 2] * s[:, 2]
+
+
+def _radii(a: np.ndarray, b: np.ndarray, lam: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """|r_k| at multiplier lam for axis counts a = max(n+, n-), b = min(n+, n-).
+
+    Each is the root in [0, 1] of the convex cubic p(s) = (1 - s)(a - 2 lam s
+    (1 + s)) - b (1 + s), which Newton's method climbs to monotonically from a
+    start `s` below it, such as the radii at a larger lam; the factored form
+    stays accurate next to s = 1.  With b = 0 the root is min(1, x / (1 +
+    sqrt(1 + 2x))), x = a/lam, in closed form: Newton would crawl next to the
+    double root at lam = a/4.  An element that stops moving stays put on
+    later passes, so each is solved as it would be alone.
     """
-    axes = [(max(a, b), min(a, b)) for a, b in zip(n_plus, n_minus)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = a / lam
+        closed = np.where(a > 0.0, np.minimum(x / (1.0 + np.sqrt(1.0 + 2.0 * x)), 1.0), 0.0)
+        s = np.where(b > 0.0, s, closed)
+        lam2 = 2.0 * lam
+        while True:
+            plus, minus = 1.0 + s, 1.0 - s
+            q = a - lam2 * s * plus
+            p = minus * q - b * plus
+            # The Newton step s - p/p' with p' = -(q + 2 lam (1 - s)(1 + 2s) + b).
+            new = np.minimum(s + p / (q + lam2 * minus * (1.0 + 2.0 * s) + b), 1.0)
+            move = (p > 0.0) & (new > s)
+            if not move.any():
+                return s
+            s = np.where(move, new, s)
 
-    def radii(lam: float, start: list[float]) -> list[float]:
-        out = []
-        for (a, b), s in zip(axes, start):
-            while True:
-                q = a - 2.0 * lam * s * (1.0 + s)
-                p = (1.0 - s) * q - b * (1.0 + s)
-                if p <= 0.0:
-                    break
-                new = min(s - p / (-q - 2.0 * lam * (1.0 - s) * (1.0 + 2.0 * s) - b), 1.0)
-                if new <= s:
-                    break
-                s = new
-            out.append(s)
-        return out
 
-    lo, hi = 0.0, (sum(n_plus) + sum(n_minus)) / 4.0
-    s_hi = radii(hi, [0.0, 0.0, 0.0])
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        # |r| only falls with lam, so the radii at hi lie below the new ones.
-        s = radii(mid, s_hi)
-        if s[0] * s[0] + s[1] * s[1] + s[2] * s[2] > 1.0:
-            lo = mid
-        else:
-            hi, s_hi = mid, s
-    return [math.copysign(s, a - b) for s, a, b in zip(s_hi, n_plus, n_minus)]
+def _d_sum_sq(a: np.ndarray, b: np.ndarray, lam: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d|r|^2/dlam at the radii `s` of `_radii`.
+
+    Differentiating p(s) = 0 and using the root to drop the cancelling terms
+    gives ds/dlam = -s (1 + s) w / (b + lam (1 + 2s) w) with w = (1 - s)^2; for
+    b = 0 the factor w cancels, which keeps the slope just above lam = a/4,
+    where s leaves 1.  An axis with no counts at lam = 0 contributes 0.
+    """
+    w = np.where(b > 0.0, (1.0 - s) * (1.0 - s), 1.0)
+    den = b + lam * (1.0 + 2.0 * s) * w
+    ds = np.divide(-s * (1.0 + s) * w, den, out=np.zeros_like(s), where=den > 0.0)
+    return 2.0 * (s[:, 0] * ds[:, 0] + s[:, 1] * ds[:, 1] + s[:, 2] * ds[:, 2])
+
+
+def _sphere_fit(n_plus: np.ndarray, n_minus: np.ndarray) -> np.ndarray:
+    """Bloch vectors, shape (m, 3), of the MLE of items whose linear inversion
+    leaves the ball, all solved together.
+
+    |r(lam)| falls as lam grows.  The optimum lies in [lam0, N/4] for N counts:
+    2 lam = sum_k r_k g_k(r_k) there, each term at most n_k/2, and below lam0 =
+    max a/4 over the axes with b = 0 (0 if none) such an axis sits at |r_k| =
+    1.  Each item takes Newton steps on the secular function phi(lam) = 1/|r|
+    - 1 (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553, 1983) from lam0
+    upward, lam += 2S(1 - S) / ((1 + sqrt S) dS/dlam) with S = |r|^2: the step
+    2S(1 - sqrt S)/(dS/dlam) written with the exact difference 1 - S, so it
+    does not stall at S = 1 + eps.  A step that is not finite or leaves the
+    bracket (lo, hi) of the last points outside and inside the ball bisects
+    it instead.  An item finishes at a point with 1 - 4 eps <= S <= 1, or when
+    the bracket has closed to adjacent floats, and returns the radii at its
+    last point inside the ball.  All arithmetic is elementwise and finished
+    items are dropped, so an item gives the same bits in any batch.
+    """
+    a, b = np.maximum(n_plus, n_minus), np.minimum(n_plus, n_minus)
+    n = a + b
+    lo = np.where(b > 0.0, 0.0, a).max(axis=1) / 4.0
+    hi = (n[:, 0] + n[:, 1] + n[:, 2]) / 4.0
+    s_hi = _radii(a, b, hi[:, None], np.zeros_like(a))
+    # |r| only falls with lam, so the radii at hi lie below those at any lam < hi.
+    lam, s = lo.copy(), _radii(a, b, lo[:, None], s_hi)
+    act = np.arange(len(a))
+    while True:
+        sq = _sum_sq(s[act])
+        inside = sq <= 1.0
+        hi[act[inside]], s_hi[act[inside]] = lam[act[inside]], s[act[inside]]
+        lo[act[~inside]] = lam[act[~inside]]
+        keep = ~inside | (1.0 - sq > 4.0 * _EPS)
+        act, sq = act[keep], sq[keep]
+        if not act.size:
+            break
+        l, h = lo[act], hi[act]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = _d_sum_sq(a[act], b[act], lam[act, None], s[act])
+            step = lam[act] + 2.0 * sq * (1.0 - sq) / ((1.0 + np.sqrt(sq)) * slope)
+        step = np.where((l < step) & (step < h), step, 0.5 * (l + h))
+        live = (l < step) & (step < h)
+        act, step = act[live], step[live]
+        lam[act], s[act] = step, _radii(a[act], b[act], step[:, None], s_hi[act])
+    return np.copysign(s_hi, n_plus - n_minus)
 
 
 def mle_qubit_batch(counts: np.ndarray) -> np.ndarray:
     """Exact maximum-likelihood qubit states for X/Y/Z counts of shape (batch, 3, 2).
 
-    Outcome 0 is +1; returns (batch, 2, 2) density matrices.  The concave
-    log-likelihood sum_k n+_k log(1 + r_k) + n-_k log(1 - r_k) of the Bloch
-    vector r peaks at the linear inversion r_k = (n+_k - n-_k)/n_k, the MLE
-    whenever it lies in the Bloch ball.  Otherwise the MLE is the unique point
-    of the sphere with g_k(r_k) = n+_k/(1 + r_k) - n-_k/(1 - r_k) = 2 lam r_k on
-    every axis, lam >= 0.  An axis with no counts gets r_k = 0, the maximally
-    mixed value.  Items are solved one by one, bit-identical in any batch.
+    Outcome 0 is +1; returns (batch, 2, 2) density matrices.  Counts must be
+    finite and nonnegative.  The concave log-likelihood sum_k n+_k log(1 +
+    r_k) + n-_k log(1 - r_k) of the Bloch vector r peaks at the linear
+    inversion r_k = (n+_k - n-_k)/n_k, the MLE whenever it lies in the Bloch
+    ball.  Otherwise the MLE is the unique point of the sphere with g_k(r_k) =
+    n+_k/(1 + r_k) - n-_k/(1 - r_k) = 2 lam r_k on every axis, lam >= 0.  An
+    axis with no counts gets r_k = 0, the maximally mixed value.  All items
+    outside the ball are solved together by `_sphere_fit`; each item's
+    result is bit-identical in any batch.
     """
     c = np.asarray(counts, dtype=float)
     if c.ndim == 2:
         c = c[None]
     if c.shape[1:] != (3, 2):
         raise ValueError("counts must have shape (batch, 3, 2)")
+    if not np.isfinite(c).all():
+        raise ValueError("counts must be finite, got a NaN or infinite count")
     if np.any(c < 0):
         raise ValueError("counts must be nonnegative")
     n_plus, n_minus = c[:, :, 0], c[:, :, 1]
     n = n_plus + n_minus
     r = np.divide(n_plus - n_minus, n, out=np.zeros_like(n), where=n > 0)
-    outside = r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2] > 1.0
-    for i in np.flatnonzero(outside):
-        r[i] = _sphere_fit(n_plus[i].tolist(), n_minus[i].tolist())
+    outside = _sum_sq(r) > 1.0
+    if outside.any():
+        r[outside] = _sphere_fit(n_plus[outside], n_minus[outside])
     x, y, z = r.T
     return (np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=1) / 2).reshape(-1, 2, 2)
 

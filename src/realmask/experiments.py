@@ -35,7 +35,7 @@ from .qcore import (
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 6
+REPORT_SCHEMA = 7
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000

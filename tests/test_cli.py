@@ -121,7 +121,7 @@ class TestReportFiles:
     def test_report_carries_schema_version(self):
         doc = json.loads(report_json(run_fig4(ExperimentConfig(seed=3, analytic=True))))
         assert next(iter(doc)) == "schema"
-        assert doc["schema"] == experiments.REPORT_SCHEMA == 6
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 7
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError):
@@ -387,6 +387,23 @@ class TestCommandLine:
             cli.main(["fig4", "--analytic", "--out", str(taken)])
         assert isinstance(exc.value.code, str)
         assert exc.value.code.startswith(f"cannot write reports to {taken}:")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_output_path_is_a_usage_error(self, tmp_path, source, capsys):
+        # An empty path used to print the report to stdout and exit 0.
+        argv = ["fig4", "--analytic"]
+        if source == "flag":
+            argv += ["--out", ""]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"output_path": ""}))
+            argv += ["--config", str(cfg_path)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "must not be empty" in captured.err
 
     def test_angles_raw_basis(self, capsys):
         rc = cli.main(["angles", "--basis", "0.785398,0,0.785398,1.570796"])

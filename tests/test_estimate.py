@@ -1,3 +1,6 @@
+import math
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -83,6 +86,61 @@ def hand_decode(t: np.ndarray) -> np.ndarray:
     rho[1, 3] = rho[3, 1] = (t[1, 2] - t[2, 1]) / 4
     rho[2, 3] = rho[3, 2] = (t[1, 0] - t[0, 1]) / 4
     return rho
+
+
+def bisect_sphere_fit(n_plus: list[float], n_minus: list[float]) -> list[float]:
+    """The boundary fit one item at a time by plain bisection of lam to
+    adjacent floats: the oracle for the batched Newton solve.
+
+    |r_k| at lam is the root in [0, 1] of p(s) = (1 - s)(a - 2 lam s (1 + s))
+    - b (1 + s), a = max(n+, n-), b = min(n+, n-), climbed to by monotone
+    Newton from below; the radii at the upper end have |r| <= 1.
+    """
+    axes = [(max(a, b), min(a, b)) for a, b in zip(n_plus, n_minus)]
+
+    def radii(lam: float, start: list[float]) -> list[float]:
+        out = []
+        for (a, b), s in zip(axes, start):
+            while True:
+                q = a - 2.0 * lam * s * (1.0 + s)
+                p = (1.0 - s) * q - b * (1.0 + s)
+                if p <= 0.0:
+                    break
+                new = min(s - p / (-q - 2.0 * lam * (1.0 - s) * (1.0 + 2.0 * s) - b), 1.0)
+                if new <= s:
+                    break
+                s = new
+            out.append(s)
+        return out
+
+    lo, hi = 0.0, (sum(n_plus) + sum(n_minus)) / 4.0
+    s_hi = radii(hi, [0.0, 0.0, 0.0])
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        s = radii(mid, s_hi)
+        if s[0] * s[0] + s[1] * s[1] + s[2] * s[2] > 1.0:
+            lo = mid
+        else:
+            hi, s_hi = mid, s
+    return [math.copysign(s, a - b) for s, a, b in zip(s_hi, n_plus, n_minus)]
+
+
+@lru_cache(maxsize=None)
+def seeded_boundary_counts(n_items: int, seed: int, max_shots: int = 10_000) -> np.ndarray:
+    """(n_items, 3, 2) counts of almost pure states whose linear inversion
+    leaves the Bloch ball, up to `max_shots` shots per axis."""
+    rng = generator(seed)
+    items = []
+    while len(items) < n_items:
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        shots = rng.integers(1, max_shots + 1, size=3)
+        plus = np.clip(np.round(shots * (1 + direction) / 2) + rng.integers(-3, 4, size=3), 0, shots)
+        counts = np.stack([plus, shots - plus], axis=1).astype(float)
+        if np.linalg.norm(linear_inversion(counts)) > 1.0:
+            items.append(counts)
+    out = np.array(items)
+    out.setflags(write=False)
+    return out
 
 
 def correlator_stacks(max_items: int = 6):
@@ -328,6 +386,72 @@ class TestExactMle:
                 assert lam >= 0.0
                 assert residual <= 1e-10
             assert mle_qubit_batch(counts[i:i + 1])[0].tobytes() == rho.tobytes()
+
+    def test_matches_bisection_oracle(self):
+        counts = seeded_boundary_counts(5000, seed=91)
+        got = np.array([bloch_of(rho) for rho in mle_qubit_batch(counts)])
+        want = np.array([bisect_sphere_fit(c[:, 0].tolist(), c[:, 1].tolist()) for c in counts])
+        assert np.abs(got - want).max() <= 1e-14
+        for r, r_oracle, c in zip(got, want, counts):
+            best = log_likelihood(r_oracle, c)
+            assert best - log_likelihood(r, c) <= 1e-12 * abs(best)
+
+    def test_batch_rows_match_batches_of_one(self):
+        counts = seeded_boundary_counts(5000, seed=91)[:4000]
+        rhos = mle_qubit_batch(counts)
+        for i, rho in enumerate(rhos):
+            assert mle_qubit_batch(counts[i:i + 1])[0].tobytes() == rho.tobytes()
+
+    @pytest.mark.parametrize("item", [
+        # b = 0 on every axis
+        [[5, 0], [3, 0], [7, 0]],
+        [[1, 0], [1, 0], [1, 0]],
+        [[0, 9], [4, 0], [10**9, 0]],
+        # 1-shot axes
+        [[1, 0], [0, 1], [1, 0]],
+        [[0, 1], [1, 0], [2, 1]],
+        # an empty axis beside a boundary pair
+        [[1, 0], [0, 1], [0, 0]],
+        [[4000, 0], [0, 0], [2, 1]],
+        [[10, 0], [0, 0], [0, 10]],
+        [[10**9, 1], [0, 3], [0, 0]],
+        # counts up to 1e9
+        [[10**9, 1], [0, 10**9], [3, 0]],
+        [[123456789, 1], [987654321, 2], [0, 7]],
+        [[1, 0], [1, 0], [10**9, 0]],
+        [[10**9, 0], [6 * 10**8, 4 * 10**8], [0, 0]],
+    ])
+    def test_edge_items_end_on_the_sphere(self, item):
+        counts = np.array(item, dtype=float)
+        assert np.linalg.norm(linear_inversion(counts)) > 1.0
+        rho = mle_qubit_batch(counts[None])[0]
+        r = bloch_of(rho)
+        assert np.isfinite(rho).all()
+        assert 1.0 - 1e-15 <= np.linalg.norm(r) <= 1.0 + 1e-15
+        assert np.linalg.eigvalsh(rho).min() >= -1e-15
+
+    def test_small_multiplier_item_is_exact(self, rng):
+        # The linear inversion lies just outside the ball, so lam is near 0 and
+        # the relative KKT residual is ill-conditioned (8.4e-9 here); check the
+        # fit against nearby sphere points instead.
+        counts = np.array([[6766.0, 1474.0], [6313.0, 2308.0], [7910.0, 1918.0]])
+        bloch = bloch_of(mle_qubit_batch(counts[None])[0])
+        assert np.linalg.norm(linear_inversion(counts)) > 1.0
+        assert np.linalg.norm(bloch) == pytest.approx(1.0, abs=1e-12)
+        best = log_likelihood(bloch, counts)
+        for step in rng.normal(scale=1e-3, size=(200, 3)):
+            other = (bloch + step) / np.linalg.norm(bloch + step)
+            assert log_likelihood(other, counts) <= best
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_counts(self, bad):
+        counts = np.full((2, 3, 2), 10.0)
+        counts[1, 2, 0] = bad
+        for estimator in (mle_qubit_batch, purity_from_counts):
+            with pytest.raises(ValueError, match="finite"):
+                estimator(counts)
+        with pytest.raises(ValueError, match="finite"):
+            purity_from_counts(np.full((1, 3, 2), bad))
 
 
 class TestBootstrap:
