@@ -5,11 +5,14 @@
 # Usage: scripts/check_reports_unchanged.sh BASE_REV
 #
 # Runs scripts/reproduce_figures.py at seeds 1 and 9173,
-# `realmask fig3|fig4|fig5 --analytic --seed 1` and
+# `realmask fig3|fig4|fig5 --analytic --seed 1`,
 # `realmask fig5 --noise-p 0 --seed 1` (whose pure phase probes are the only
-# reports here with boundary fits in the qubit MLE), on a temporary
-# `git worktree` of BASE_REV and on the working tree, then compares the two
-# output trees with `diff -r`.  A change that moves report numbers must bump
+# reports here with boundary fits in the qubit MLE),
+# `realmask fig3 --noise-p 0 --seed 1` (noiseless masked states, used without
+# the depolarizing rebuild) and `realmask fig5 --shots 1 --seed 1` (axes with
+# zero counts in the bootstrap resamples), on a temporary `git worktree` of
+# BASE_REV and on the working tree, then compares the two output trees with
+# `diff -r`.  A change that moves report numbers must bump
 # experiments.REPORT_SCHEMA; when the schemas differ the diff is skipped, so a
 # schema bump passes and a silent re-baseline fails.
 set -euo pipefail
@@ -34,6 +37,8 @@ reports() {
         PYTHONPATH="$1/src" python3 -m realmask.cli "$fig" --analytic --seed 1 --out "$2/analytic" >/dev/null
     done
     PYTHONPATH="$1/src" python3 -m realmask.cli fig5 --noise-p 0 --seed 1 --out "$2/noiseless" >/dev/null
+    PYTHONPATH="$1/src" python3 -m realmask.cli fig3 --noise-p 0 --seed 1 --out "$2/noiseless" >/dev/null
+    PYTHONPATH="$1/src" python3 -m realmask.cli fig5 --shots 1 --seed 1 --out "$2/one_shot" >/dev/null
 }
 reports "$tmp/base" "$tmp/out_base"
 reports "$repo" "$tmp/out_head"
@@ -52,4 +57,4 @@ if ! diff -r "$tmp/out_base" "$tmp/out_head"; then
          "bump experiments.REPORT_SCHEMA if the change is meant to move them" >&2
     exit 1
 fi
-echo "reports identical to $base_rev (schema $head_schema, seeds 1 and 9173, analytic and noiseless fig5 at seed 1)"
+echo "reports identical to $base_rev (schema $head_schema, seeds 1 and 9173, analytic, noiseless fig3 and fig5, one-shot fig5 at seed 1)"

@@ -10,7 +10,8 @@ Three pipelines:
   arrays, rows in `measure.AXES` order (`mle_qubit_batch`,
   `purity_from_counts`), every boundary fit of a batch solved together by
   one array iteration, with Poisson-resampling bootstrap error bars
-  (`bootstrap_std`: one seeded draw stacks all resamples of a count array);
+  (`bootstrap_std`: one seeded draw per count array of a stack, all
+  resamples of the stack estimated in one call);
 * correlation decoding: the nine Pauli-pair correlators of the masked state
   (rows and columns in `measure.AXES` order) determine the real input density
   matrix through one constant linear map, derived from the masker by
@@ -39,6 +40,7 @@ from .qcore import (
     DensityMatrix,
     StateVector,
     _dagger,
+    _rho_array,
     checked_density,
     fidelity_with_pure,
     kron,
@@ -124,15 +126,20 @@ def qsv_run(
     """Run `n_tests` randomly chosen local tests against the rotated target.
 
     `target` is a magic-basis index 0..3, a real coefficient 4-vector, or the
-    2x2 rotation itself; `rho` is the two-qubit state every round measures.
+    2x2 rotation itself; `rho` is the two-qubit state every round measures, a
+    DensityMatrix or a 4x4 array, checked like one.
     """
     if n_tests < 1:
         raise ValueError("n_tests must be >= 1")
+    arr = _rho_array(rho)
+    if arr.shape != (4, 4):
+        raise ValueError(f"rho must be a 4x4 density matrix, got shape {arr.shape}")
+    arr = checked_density(arr)
     projs = test_projectors(_resolve_target_unitary(target))
     rng = generator(seed)
     which = rng.integers(0, 3, size=n_tests)
     draws = rng.random(n_tests)
-    pass_probs = np.array([np.trace(rho.mat @ p).real for p in projs])
+    pass_probs = np.array([np.trace(arr @ p).real for p in projs])
     passed = int(np.count_nonzero(draws < pass_probs[which]))
     p_hat = passed / n_tests
     eps_hat = 1.5 * (1.0 - p_hat)
@@ -308,20 +315,28 @@ def purity_from_counts(counts: np.ndarray) -> np.ndarray:
 def bootstrap_std(
     quantity: Callable[[np.ndarray], np.ndarray],
     counts,
+    seeds: Sequence[int],
     resamples: int = 100,
-    seed: int = 0,
-) -> float:
-    """Standard deviation of `quantity` over Poisson resamples of a count array.
+) -> np.ndarray:
+    """Standard deviation of `quantity` over Poisson resamples of each count
+    array of a stack, one seed per item; returns one value per item.
 
-    One seeded draw gives all resamples as an array of shape
-    (resamples, *counts.shape); `quantity` maps it to one value per resample.
+    Each item's resamples come from one seeded draw of shape (resamples,
+    *item shape).  `quantity` maps the stack of all items' resamples to one
+    value per count array in one call, so each item's value is what it would
+    be alone whenever `quantity` treats its rows independently.
     """
     if resamples < 2:
         raise ValueError("need at least 2 resamples")
-    values = np.asarray(quantity(poisson_resample(counts, resamples, seed)))
-    if values.shape != (resamples,):
-        raise ValueError(f"quantity gave shape {values.shape}, expected ({resamples},)")
-    return float(np.std(values, ddof=1))
+    counts = np.asarray(counts)
+    if counts.ndim < 1 or len(seeds) != len(counts):
+        raise ValueError(f"need one seed per count array, got {len(seeds)} seeds "
+                         f"for a stack of shape {counts.shape}")
+    draws = np.array([poisson_resample(c, resamples, seed) for c, seed in zip(counts, seeds)])
+    values = np.asarray(quantity(draws.reshape(-1, *counts.shape[1:])))
+    if values.shape != (len(counts) * resamples,):
+        raise ValueError(f"quantity gave shape {values.shape}, expected ({len(counts) * resamples},)")
+    return np.std(values.reshape(len(counts), resamples), axis=-1, ddof=1)
 
 
 # ---------------------------------------------------------------------------

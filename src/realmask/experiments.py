@@ -5,9 +5,13 @@ through a sub-seed derived from (config.seed, stream tag, indices), so a rerun
 with the same config produces byte-identical report files.  Estimates are
 never emitted bare: fidelity errors are 95% confidence half-widths, purity and
 concurrence errors are bootstrap standard deviations, and each report row says
-which via its error_kind field.  Sampled counts stay integer arrays from the
-draw to the estimate: one array per figure point feeds both the point
-estimate and its bootstrap.
+which via its error_kind field.
+
+Each figure runs its points as one stack: the masked states of all points
+form one (n, 4, 4) array, checked once; the point estimates of a figure take
+one MLE call and its bootstrap resamples one more.  Only the seeded draws
+stay per point, each from its own sub-seed.  Sampled counts stay integer
+arrays from the draw to the estimate.
 """
 from __future__ import annotations
 
@@ -22,16 +26,9 @@ import numpy as np
 
 from . import estimate, measure, optics, walk
 from .estimate import EstimationReport
-from .masker import mask_pure, masker_matrix
+from .masker import masker_matrix
 from .measure import derive_seed, generator
-from .qcore import (
-    DensityMatrix,
-    StateVector,
-    concurrence_from_purity,
-    fidelity_with_pure,
-    partial_trace,
-    purity,
-)
+from .qcore import StateVector, checked_density, concurrence_from_purity, partial_trace, purity
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
@@ -85,79 +82,92 @@ class ExperimentConfig:
         return DEFAULT_SHOTS[experiment]
 
 
-def _masked_probe(a, noise_p: float) -> tuple[StateVector, DensityMatrix]:
-    """The ideal masked probe and its state under depolarizing noise; at p = 0
-    the ideal density itself, which the depolarizing rebuild could perturb."""
-    ideal = mask_pure(a)
-    rho = ideal.density()
-    return ideal, rho if noise_p == 0.0 else measure.apply_depolarizing(rho, noise_p)
+def _masked_states(probes: np.ndarray, noise_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The masked probes of an (n, 4) stack as (n, 4) vectors, and their
+    (n, 4, 4) densities under depolarizing noise, each stack checked once; at
+    p = 0 the ideal densities themselves, which the depolarizing rebuild could
+    perturb."""
+    vecs = (masker_matrix().matrix @ probes[..., None])[..., 0]
+    ideal = checked_density(vecs[:, :, None] * vecs[:, None, :].conj())
+    return vecs, ideal if noise_p == 0.0 else measure.apply_depolarizing(ideal, noise_p)
 
 
-def _pauli_counts(rho: DensityMatrix, shots: int, master_seed: int, *tags) -> np.ndarray:
-    """Counts of every Pauli setting: (3, 2) for a qubit, (9, 4) for a pair.
+def _pauli_counts(probs: np.ndarray, shots: int, master_seed: int, *tags) -> np.ndarray:
+    """Counts of every row of a probability table: (3, 2) for a qubit, (9, 4)
+    for a pair.
 
     Each row is one `sample_counts` draw from its own sub-seed, tagged with
     the row's `measure.AXES` or `measure.PAIRS` label.
     """
-    labels, probs = ((measure.AXES, measure.axis_probs) if rho.dim == 2
-                     else (measure.PAIRS, measure.pair_probs))
+    labels = measure.AXES if len(probs) == len(measure.AXES) else measure.PAIRS
     return np.array([
         measure.sample_counts(p, shots, derive_seed(master_seed, *tags, label))
-        for label, p in zip(labels, probs(rho))
+        for label, p in zip(labels, probs)
     ])
 
 
 # ---------------------------------------------------------------------------
 # fig3: verification fidelity + reduced-state purity for the four probes.
 
+PROBES = (1, 2, 3, 4)
+
+
+def _avg_purity(counts: np.ndarray) -> np.ndarray:
+    """Mean MLE purity of the two qubits of each (2, 3, 2) count array of a stack."""
+    return estimate.purity_from_counts(counts.reshape(-1, 3, 2)).reshape(-1, 2).mean(axis=1)
+
+
+def _fidelity_row(config: ExperimentConfig, idx: int, fidelity: float, error: float,
+                  tests: int | None, eps: tuple[float, float, float], passed: int | None) -> dict:
+    eps_hat, eps_low, eps_high = eps
+    return EstimationReport(
+        experiment="fig3", target=f"probe {idx} fidelity", estimate=fidelity, error=error,
+        error_kind="ci95", n=tests, shots=None, seed=config.seed, noise_p=config.noise_p,
+        extra={"eps_hat": eps_hat, "eps_low": eps_low, "eps_high": eps_high,
+               "passed": passed, "tests": tests},
+    ).to_dict()
+
+
 def run_fig3(config: ExperimentConfig) -> dict:
     shots = config.shots("fig3")
+    probes = np.array([probe_vector(idx) for idx in PROBES])
+    ideal, rho = _masked_states(probes, config.noise_p)
+    # (probe, qubit, 2, 2): the path (A) and polarization (B) qubit of each probe.
+    reduced = np.stack([partial_trace(rho, k) for k in ("A", "B")], axis=1)
+    if config.analytic:
+        eps = 1.0 - np.einsum("ni,nij,nj->n", ideal.conj(), rho, ideal).real
+        fids = [_fidelity_row(config, idx, 1.0 - e, 0.0, None, (e, e, e), None)
+                for idx, e in zip(PROBES, eps.tolist())]
+        pur, std, resamples = purity(reduced), np.zeros(len(PROBES)), None
+    else:
+        probs = measure.axis_probs(reduced)
+        fids, counts, seeds = [], [], []
+        for i, idx in enumerate(PROBES):
+            qsv = estimate.qsv_run(rho[i], probes[i], config.qsv_tests,
+                                   derive_seed(config.seed, "fig3.qsv", idx))
+            fids.append(_fidelity_row(config, idx, qsv.fidelity, qsv.error, qsv.total,
+                                      (qsv.eps_hat, qsv.ci_low, qsv.ci_high), qsv.passed))
+            counts.append([_pauli_counts(probs[i, q], shots, config.seed, "fig3.tomo", idx, tag)
+                           for q, tag in enumerate(("path", "pol"))])
+            seeds.append(derive_seed(config.seed, "fig3.boot", idx))
+        counts = np.array(counts)
+        pur = estimate.purity_from_counts(counts.reshape(-1, 3, 2)).reshape(-1, 2)
+        resamples = BOOTSTRAP_RESAMPLES
+        std = estimate.bootstrap_std(_avg_purity, counts, seeds, resamples=resamples)
     rows = []
-    for idx in (1, 2, 3, 4):
-        a = probe_vector(idx)
-        ideal, rho = _masked_probe(a, config.noise_p)
-        if config.analytic:
-            eps = 1.0 - fidelity_with_pure(rho, ideal)
-            fid = EstimationReport(
-                experiment="fig3", target=f"probe {idx} fidelity", estimate=1.0 - eps,
-                error=0.0, error_kind="ci95", n=None, shots=None, seed=config.seed,
-                noise_p=config.noise_p,
-                extra={"eps_hat": eps, "eps_low": eps, "eps_high": eps, "passed": None, "tests": None},
-            )
-            pur_a, pur_b = (purity(partial_trace(rho, k)) for k in ("A", "B"))
-            std, resamples = 0.0, None
-        else:
-            qsv = estimate.qsv_run(rho, a, config.qsv_tests, derive_seed(config.seed, "fig3.qsv", idx))
-            fid = EstimationReport(
-                experiment="fig3", target=f"probe {idx} fidelity", estimate=qsv.fidelity,
-                error=qsv.error, error_kind="ci95", n=qsv.total, shots=None, seed=config.seed,
-                noise_p=config.noise_p,
-                extra={
-                    "eps_hat": qsv.eps_hat, "eps_low": qsv.ci_low, "eps_high": qsv.ci_high,
-                    "passed": qsv.passed, "tests": qsv.total,
-                },
-            )
-            counts = np.array([
-                _pauli_counts(partial_trace(rho, k), shots, config.seed, "fig3.tomo", idx, tag)
-                for k, tag in (("A", "path"), ("B", "pol"))
-            ])
-            pur_a, pur_b = estimate.purity_from_counts(counts).tolist()
-            resamples = BOOTSTRAP_RESAMPLES
-            std = estimate.bootstrap_std(
-                lambda c: estimate.purity_from_counts(c.reshape(-1, 3, 2)).reshape(-1, 2).mean(axis=1),
-                counts, resamples=resamples, seed=derive_seed(config.seed, "fig3.boot", idx),
-            )
-        pur = EstimationReport(
+    for i, idx in enumerate(PROBES):
+        pur_a, pur_b = pur[i].tolist()
+        avg = EstimationReport(
             experiment="fig3", target=f"probe {idx} avg purity", estimate=0.5 * (pur_a + pur_b),
-            error=std, error_kind="std", n=None, shots=None if config.analytic else shots,
+            error=float(std[i]), error_kind="std", n=None, shots=None if config.analytic else shots,
             seed=config.seed, noise_p=config.noise_p,
             extra={"path_purity": pur_a, "pol_purity": pur_b, "resamples": resamples},
         )
         rows.append({
             "probe": idx,
             "target": PROBE_LABELS[idx],
-            "fidelity": fid.to_dict(),
-            "purity": pur.to_dict(),
+            "fidelity": fids[i],
+            "purity": avg.to_dict(),
         })
     return {
         "experiment": "fig3",
@@ -176,23 +186,23 @@ def run_fig3(config: ExperimentConfig) -> dict:
 def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
     shots = config.shots("fig4")
     a = probe_vector(probe)
-    _ideal, rho = _masked_probe(a, config.noise_p)
+    probs = measure.pair_probs(_masked_states(a[None], config.noise_p)[1][0])
     target = StateVector(a.astype(complex))
     if config.analytic:
-        t = measure.correlators(measure.pair_probs(rho)).reshape(3, 3)
+        t = measure.correlators(probs).reshape(3, 3)
         fid_std = 0.0
     else:
-        counts = _pauli_counts(rho, shots, config.seed, "fig4", probe)
+        counts = _pauli_counts(probs, shots, config.seed, "fig4", probe)
         t = estimate.validate_correlation_matrix(measure.correlators(counts).reshape(3, 3))
 
         def decode_fidelity(stack: np.ndarray) -> np.ndarray:
             ts = measure.correlators(stack).reshape(-1, 3, 3)
             return estimate.decode_real_state(ts, target).fidelity_vs_input
 
-        fid_std = estimate.bootstrap_std(
-            decode_fidelity, counts, resamples=BOOTSTRAP_RESAMPLES,
-            seed=derive_seed(config.seed, "fig4.boot", probe),
-        )
+        fid_std = float(estimate.bootstrap_std(
+            decode_fidelity, counts[None], [derive_seed(config.seed, "fig4.boot", probe)],
+            resamples=BOOTSTRAP_RESAMPLES,
+        )[0])
     decoded = estimate.decode_real_state(t, input_state=target)
     fid = EstimationReport(
         experiment="fig4", target=f"probe {probe} decode fidelity",
@@ -218,32 +228,35 @@ def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
 # ---------------------------------------------------------------------------
 # fig5: concurrence of the masked phase probes vs the cosine prediction.
 
+def _concurrence(counts: np.ndarray) -> np.ndarray:
+    """Concurrence from the MLE purity of each (3, 2) count array of a stack."""
+    return concurrence_from_purity(estimate.purity_from_counts(counts))
+
+
 def run_fig5(config: ExperimentConfig) -> dict:
     shots = config.shots("fig5")
-    points = []
-    for i, phi in enumerate(config.phi_grid_deg):
-        c = phase_probe(phi)
-        _ideal, rho = _masked_probe(c, config.noise_p)
-        rho_path = partial_trace(rho, "A")
-        theory = math.cos(math.radians(phi))
-        if config.analytic:
-            est, std = float(concurrence_from_purity(purity(rho_path))), 0.0
-        else:
-            counts = _pauli_counts(rho_path, shots, config.seed, "fig5.tomo", i)
-
-            def conc(c: np.ndarray) -> np.ndarray:
-                return concurrence_from_purity(estimate.purity_from_counts(c))
-
-            est = float(conc(counts[None])[0])
-            std = estimate.bootstrap_std(conc, counts, resamples=BOOTSTRAP_RESAMPLES,
-                                         seed=derive_seed(config.seed, "fig5.boot", i))
-        row = EstimationReport(
-            experiment="fig5", target=f"phi = {phi} deg", estimate=est, error=std,
-            error_kind="std", n=None, shots=None if config.analytic else shots,
-            seed=config.seed, noise_p=config.noise_p,
-            extra={"phi_deg": phi, "theory_cos": theory},
-        )
-        points.append(row.to_dict())
+    phis = config.phi_grid_deg
+    probes = np.array([phase_probe(phi) for phi in phis]).reshape(-1, 4)
+    rho_path = partial_trace(_masked_states(probes, config.noise_p)[1], "A")
+    if config.analytic:
+        est, std = concurrence_from_purity(purity(rho_path)), np.zeros(len(phis))
+    else:
+        counts, seeds = [], []
+        for i, probs in enumerate(measure.axis_probs(rho_path)):
+            counts.append(_pauli_counts(probs, shots, config.seed, "fig5.tomo", i))
+            seeds.append(derive_seed(config.seed, "fig5.boot", i))
+        counts = np.array(counts).reshape(-1, 3, 2)
+        est = _concurrence(counts)
+        std = estimate.bootstrap_std(_concurrence, counts, seeds, resamples=BOOTSTRAP_RESAMPLES)
+    points = [
+        EstimationReport(
+            experiment="fig5", target=f"phi = {phi} deg", estimate=float(est[i]),
+            error=float(std[i]), error_kind="std", n=None,
+            shots=None if config.analytic else shots, seed=config.seed, noise_p=config.noise_p,
+            extra={"phi_deg": phi, "theory_cos": math.cos(math.radians(phi))},
+        ).to_dict()
+        for i, phi in enumerate(phis)
+    ]
     return {
         "experiment": "fig5",
         "seed": config.seed,

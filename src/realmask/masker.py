@@ -38,13 +38,14 @@ from .qcore import (
 class HurwitzRadonSet:
     """Anticommuting unitaries on a qubit; the identity U_0 is implicit.
 
-    Validates U_j U_k + U_k U_j = -2 delta_jk within 1e-12 at construction.
+    Validates U_j U_k + U_k U_j = -2 delta_jk within 1e-12 at construction
+    and stores read-only copies of the matrices.
     """
 
     matrices: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = tuple(require_unitary(m, what=f"HR matrix {i + 1}") for i, m in enumerate(self.matrices))
+        mats = tuple(require_unitary(m, what=f"HR matrix {i + 1}").copy() for i, m in enumerate(self.matrices))
         for j, uj in enumerate(mats):
             for k, uk in enumerate(mats):
                 anti = uj @ uk + uk @ uj
@@ -52,6 +53,8 @@ class HurwitzRadonSet:
                 dev = np.abs(anti - want).max()
                 if dev > EPS_EXACT:
                     raise ValueError(f"anticommutation violated at ({j + 1},{k + 1}): deviation {dev:.3e}")
+        for m in mats:
+            m.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
 
     def with_identity(self) -> list[np.ndarray]:
@@ -59,13 +62,17 @@ class HurwitzRadonSet:
         return [ID2, *self.matrices]
 
 
+@lru_cache(maxsize=None)
 def build_hr_d4() -> HurwitzRadonSet:
-    """The Pauli construction {iZ, iX, iY} for the ququart masker."""
+    """The Pauli construction {iZ, iX, iY} for the ququart masker, built and
+    checked once."""
     return HurwitzRadonSet((1j * PAULI_Z, 1j * PAULI_X, 1j * PAULI_Y))
 
 
+@lru_cache(maxsize=None)
 def build_hr_d2() -> HurwitzRadonSet:
-    """Single HR matrix iY: masks the real qubit.  Cross-dimension extension."""
+    """Single HR matrix iY: masks the real qubit.  Cross-dimension extension,
+    built and checked once."""
     return HurwitzRadonSet((1j * PAULI_Y,))
 
 

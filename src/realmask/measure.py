@@ -3,9 +3,10 @@
 Settings: every pipeline measures fixed Pauli settings, X/Y/Z on a qubit and
 the nine pairs XX..ZZ on a qubit pair.  `axis_probs` gives a qubit's (3, 2)
 table of (+, -) probabilities and `pair_probs` a pair's (9, 4) table of
-(++, +-, -+, --) probabilities, rows in `AXES` and `PAIRS` order.  Analytic
-and sampled runs read the same rows: probabilities are counts scaled to one
-shot, so `correlators` serves both.
+(++, +-, -+, --) probabilities, rows in `AXES` and `PAIRS` order; a stack of
+states gives a stack of tables.  Analytic and sampled runs read the same
+rows: probabilities are counts scaled to one shot, so `correlators` serves
+both.
 
 Counting model: each Pauli-pair (or single-qubit) setting is measured a fixed
 number of times, drawn as one multinomial over the Born probabilities into an
@@ -30,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import PAULIS, DensityMatrix, _rho_array, kron
+from .qcore import PAULIS, _density_or_stack, _rho_array, kron
 
 # The Pauli measurement convention every pipeline shares: axis and pair
 # labels, outcome labels, and the eigenprojectors the probability tables read.
@@ -85,27 +86,36 @@ class CountsTable:
     def __post_init__(self):
         if len(self.counts) not in (2, 4):
             raise ValueError("counts must have 2 (single-qubit) or 4 (pair) entries")
-        if any(c < 0 for c in self.counts):
+        try:
+            ints = tuple(map(int, self.counts))
+        except (TypeError, ValueError, OverflowError):
+            ints = None
+        if ints != tuple(self.counts):
+            raise ValueError(f"counts must be whole numbers, got {tuple(self.counts)}")
+        if any(c < 0 for c in ints):
             raise ValueError("counts must be nonnegative")
-        if sum(self.counts) != self.shots:
-            raise ValueError(f"counts sum {sum(self.counts)} != shots {self.shots}")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        if sum(ints) != self.shots:
+            raise ValueError(f"counts sum {sum(ints)} != shots {self.shots}")
+        object.__setattr__(self, "counts", ints)
 
     def outcome_labels(self) -> tuple[str, ...]:
         return OUTCOMES_PAIR if len(self.counts) == 4 else OUTCOMES_SINGLE
 
 
 def _projector_probs(rho, projectors: np.ndarray) -> np.ndarray:
-    """tr(rho P) for every projector P of a (..., d, d) stack."""
+    """tr(rho P) for every projector P of a (*k, d, d) stack and every matrix
+    of a (..., d, d) stack of states: shape (..., *k)."""
     arr = _rho_array(rho)
     d = projectors.shape[-1]
-    if arr.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} density matrix, got shape {arr.shape}")
+    if arr.shape[-2:] != (d, d):
+        raise ValueError(f"expected {d}x{d} density matrices, got shape {arr.shape}")
+    arr = arr.reshape(arr.shape[:-2] + (1,) * (projectors.ndim - 2) + (d, d))
     return np.trace(arr @ projectors, axis1=-2, axis2=-1).real
 
 
 def axis_probs(rho) -> np.ndarray:
-    """(3, 2) table of (+, -) probabilities of a qubit, rows in `AXES` order.
+    """(3, 2) table of (+, -) probabilities of a qubit, rows in `AXES` order;
+    (..., 3, 2) for a (..., 2, 2) stack.
 
     Each row is [p, 1 - p] with p from the + projector.  A separate trace for
     the - outcome can differ from 1 - p in the last bit, and that moves the
@@ -118,7 +128,7 @@ def axis_probs(rho) -> np.ndarray:
 
 def pair_probs(rho) -> np.ndarray:
     """(9, 4) table of (++, +-, -+, --) probabilities of a qubit pair, rows in
-    `PAIRS` order."""
+    `PAIRS` order; (..., 9, 4) for a (..., 4, 4) stack."""
     return _projector_probs(rho, _PAIR_PROJECTORS)
 
 
@@ -150,13 +160,14 @@ def correlators(counts) -> np.ndarray:
     return np.divide(diff, shots, out=np.zeros_like(shots), where=shots > 0)
 
 
-def apply_depolarizing(rho, p: float) -> DensityMatrix:
-    """(1-p) rho + p 1/d."""
+def apply_depolarizing(rho, p: float):
+    """(1-p) rho + p 1/d: a DensityMatrix, or for a (..., d, d) stack the
+    checked stack."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p = {p} outside [0, 1]")
     arr = _rho_array(rho)
-    d = arr.shape[0]
-    return DensityMatrix((1.0 - p) * arr + p * np.eye(d) / d)
+    d = arr.shape[-1]
+    return _density_or_stack((1.0 - p) * arr + p * np.eye(d) / d)
 
 
 def poisson_resample(counts, resamples: int, seed: int) -> np.ndarray:
@@ -197,13 +208,20 @@ def tables_from_csv(text: str) -> list[CountsTable]:
         setting, outcome, count, shots, seed = row
         if outcome not in OUTCOMES_PAIR + OUTCOMES_SINGLE:
             raise ValueError(f"CSV line {line}: unknown outcome label {outcome!r}")
-        by_outcome = grouped.setdefault((setting, int(shots), int(seed)), {})
+        try:
+            key, value = (setting, int(shots), int(seed)), int(count)
+        except ValueError:
+            raise ValueError(
+                f"CSV line {line}: count, shots and seed must be integers, got {count!r}, "
+                f"{shots!r}, {seed!r}"
+            ) from None
+        by_outcome = grouped.setdefault(key, {})
         if outcome in by_outcome:
             raise ValueError(
                 f"CSV line {line}: repeated outcome {outcome!r} for setting {setting}, "
                 f"shots {shots}, seed {seed}"
             )
-        by_outcome[outcome] = int(count)
+        by_outcome[outcome] = value
     tables = []
     for (setting, shots, seed), by_outcome in grouped.items():
         labels = OUTCOMES_PAIR if len(by_outcome) == 4 else OUTCOMES_SINGLE
@@ -213,5 +231,8 @@ def tables_from_csv(text: str) -> list[CountsTable]:
                 f"{sorted(by_outcome)}, expected {', '.join(labels)}"
             )
         counts = tuple(by_outcome[label] for label in labels)
-        tables.append(CountsTable(setting=setting, counts=counts, shots=shots, seed=seed))
+        try:
+            tables.append(CountsTable(setting=setting, counts=counts, shots=shots, seed=seed))
+        except ValueError as err:
+            raise ValueError(f"table for setting {setting}, shots {shots}, seed {seed}: {err}") from None
     return tables

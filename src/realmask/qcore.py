@@ -21,6 +21,7 @@ EPS_NUMERIC = 1e-10
 
 # Pauli convention: basis order |0>,|1>.
 ID2 = np.eye(2, dtype=complex)
+ID2.setflags(write=False)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -142,6 +143,12 @@ def checked_density(mat) -> np.ndarray:
     return arr
 
 
+def _density_or_stack(arr: np.ndarray):
+    """A DensityMatrix for one matrix, the `checked_density` array for a
+    (..., d, d) stack."""
+    return DensityMatrix(arr) if arr.ndim == 2 else checked_density(arr)
+
+
 def require_unitary(u: np.ndarray, *, eps: float = EPS_EXACT, what: str = "matrix") -> np.ndarray:
     """Validate U†U = 1 within `eps` and return U as a complex array."""
     arr = _as_complex_array(u, what)
@@ -172,14 +179,16 @@ def _subsystem_index(keep) -> int:
     raise ValueError(f"keep must be 0/'A' or 1/'B', got {keep!r}")
 
 
-def partial_trace(rho, keep, dims: tuple[int, int] | None = None) -> DensityMatrix:
-    """Reduced state of one factor of a bipartite density matrix.
+def partial_trace(rho, keep, dims: tuple[int, int] | None = None):
+    """Reduced state of one factor of a bipartite density matrix: a
+    DensityMatrix, or for a (..., d, d) stack the checked stack of reduced
+    states.
 
     `dims` gives the factor dimensions (dA, dB); by default both factors are
     qubits.  Raises DimensionError when the total dimension does not factor.
     """
     arr = _rho_array(rho)
-    d = arr.shape[0]
+    d = arr.shape[-1]
     if dims is None:
         if d % 2 != 0:
             raise DimensionError(f"dimension {d} does not factor into 2 x {d}/2")
@@ -188,15 +197,15 @@ def partial_trace(rho, keep, dims: tuple[int, int] | None = None) -> DensityMatr
     if da * db != d:
         raise DimensionError(f"dimension {d} does not factor as {da} x {db}")
     which = _subsystem_index(keep)
-    blocks = arr.reshape(da, db, da, db)
-    reduced = np.einsum("ikjk->ij", blocks) if which == 0 else np.einsum("kikj->ij", blocks)
-    return DensityMatrix(reduced)
+    blocks = arr.reshape(arr.shape[:-2] + (da, db, da, db))
+    reduced = np.einsum("...ikjk->...ij", blocks) if which == 0 else np.einsum("...kikj->...ij", blocks)
+    return _density_or_stack(reduced)
 
 
-def purity(rho) -> float:
-    """tr(rho^2)."""
+def purity(rho):
+    """tr(rho^2); one value per matrix of a (..., d, d) stack."""
     arr = _rho_array(rho)
-    return float(np.trace(arr @ arr).real)
+    return np.trace(arr @ arr, axis1=-2, axis2=-1).real
 
 
 def fidelity_with_pure(rho, target: StateVector):

@@ -217,6 +217,20 @@ class TestQsvRun:
         with pytest.raises(ValueError):
             qsv_run(DensityMatrix(np.eye(4) / 4), 7, n_tests=10, seed=0)
 
+    def test_array_state_matches_density_matrix(self):
+        rho = apply_depolarizing(BELL.density(), 0.1)
+        assert qsv_run(rho.mat, 0, n_tests=500, seed=3) == qsv_run(rho, 0, n_tests=500, seed=3)
+
+    @pytest.mark.parametrize("bad, match", [
+        (np.eye(4), "trace"),
+        (np.diag([1.2, -0.2, 0.0, 0.0]), "eigenvalue"),
+        (np.triu(np.ones((4, 4))) / 4, "Hermitian"),
+        (np.eye(2) / 2, "4x4"),
+    ])
+    def test_rejects_what_is_not_a_two_qubit_density(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            qsv_run(bad, 0, n_tests=10, seed=0)
+
     def test_experiment_scale_arithmetic(self):
         # S = 4986 of N = 5000 maps to eps_hat = 0.0042, fidelity 0.9958.
         lo, hi = agresti_coull(4986, 5000)
@@ -343,7 +357,7 @@ class TestTomography:
 
     def test_optional_bootstrap_fills_std_purity(self):
         n = 4000
-        std = bootstrap_std(purity_from_counts, np.full((3, 2), n // 2), resamples=50, seed=2)
+        (std,) = bootstrap_std(purity_from_counts, np.full((1, 3, 2), n // 2), [2], resamples=50)
         assert 0.0 < std < 0.02
 
 
@@ -457,17 +471,17 @@ class TestExactMle:
 class TestBootstrap:
     def test_constant_quantity_has_zero_std(self):
         counts = np.array([[100, 100]])
-        assert bootstrap_std(lambda c: np.ones(len(c)), counts, resamples=50, seed=0) == 0.0
+        assert bootstrap_std(lambda c: np.ones(len(c)), counts, [0], resamples=50)[0] == 0.0
 
     def test_purity_std_scale_for_mixed_data(self):
         n = 4000
-        counts = np.full((3, 2), n // 2)
-        std = bootstrap_std(purity_from_counts, counts, resamples=100, seed=1)
+        counts = np.full((1, 3, 2), n // 2)
+        (std,) = bootstrap_std(purity_from_counts, counts, [1], resamples=100)
         assert 0.0 < std < 0.02
 
     def test_resamples_minimum(self):
         with pytest.raises(ValueError):
-            bootstrap_std(lambda c: c.sum(axis=1), np.zeros(2), resamples=1, seed=0)
+            bootstrap_std(lambda c: c.sum(axis=1), np.zeros((1, 2)), [0], resamples=1)
 
     def test_concurrence_std_at_zero_phase(self):
         # Masked (|0>+|1>)/sqrt(2): path qubit maximally mixed, concurrence 1.
@@ -481,7 +495,7 @@ class TestBootstrap:
         def concurrence(c):
             return concurrence_from_purity(purity_from_counts(c))
 
-        std = bootstrap_std(concurrence, counts, resamples=100, seed=32)
+        (std,) = bootstrap_std(concurrence, counts[None], [32], resamples=100)
         assert 0.0 < std < 0.02
 
     def test_one_poisson_draw_per_estimate(self):
@@ -493,14 +507,48 @@ class TestBootstrap:
             seen.append(c)
             return c[:, 0, 0, 0].astype(float)
 
-        std = bootstrap_std(first_count, counts, resamples=40, seed=9)
+        (std,) = bootstrap_std(first_count, counts[None], [9], resamples=40)
         want = generator(9).poisson(counts, size=(40, 2, 2, 2))
         assert len(seen) == 1 and np.array_equal(seen[0], want)
         assert std == float(np.std(want[:, 0, 0, 0], ddof=1))
 
     def test_quantity_must_give_one_value_per_resample(self):
         with pytest.raises(ValueError, match="shape"):
-            bootstrap_std(lambda c: c.sum(), np.array([[5, 5]]), resamples=10, seed=0)
+            bootstrap_std(lambda c: c.sum(), np.array([[5, 5]]), [0], resamples=10)
+
+    def test_stacked_items_match_items_alone(self, rng):
+        # Zero-count axes, a boundary item and 1-shot axes beside ordinary ones.
+        counts = np.concatenate([
+            rng.integers(0, 400, size=(6, 3, 2)),
+            [[[0, 0], [0, 0], [0, 0]], [[1, 0], [0, 1], [1, 0]], [[900, 0], [450, 450], [450, 450]]],
+        ])
+        seeds = [derive_seed(3, "stack", i) for i in range(len(counts))]
+        stacked = bootstrap_std(purity_from_counts, counts, seeds, resamples=100)
+        alone = [bootstrap_std(purity_from_counts, c[None], [s], resamples=100)[0]
+                 for c, s in zip(counts, seeds)]
+        assert stacked.shape == (len(counts),)
+        assert np.array_equal(stacked, alone)
+
+    def test_each_item_draws_from_its_own_seed(self):
+        counts = np.array([[[30, 10]], [[5, 7]]])
+        seen = []
+
+        def total(c):
+            seen.append(c)
+            return c.sum(axis=(1, 2)).astype(float)
+
+        bootstrap_std(total, counts, [4, 8], resamples=5)
+        want = np.concatenate([generator(4).poisson(counts[0], size=(5, 1, 2)),
+                               generator(8).poisson(counts[1], size=(5, 1, 2))])
+        assert len(seen) == 1 and np.array_equal(seen[0], want)
+
+    def test_needs_one_seed_per_item(self):
+        with pytest.raises(ValueError, match="one seed per count array"):
+            bootstrap_std(purity_from_counts, np.full((2, 3, 2), 5), [1], resamples=10)
+
+    def test_empty_stack_gives_no_values(self):
+        out = bootstrap_std(purity_from_counts, np.zeros((0, 3, 2)), [], resamples=10)
+        assert out.shape == (0,)
 
 
 class TestMaskedOutputTomography:

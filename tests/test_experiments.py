@@ -1,0 +1,165 @@
+"""The stacked fig3/fig5 pipelines against per-point oracles.
+
+The oracles below run each probe or phase point on its own, with its own
+density matrices, MLE calls and bootstrap, as the pipelines did before they
+processed a figure as one stack.  Every sampling call keeps its seed, so the
+reports must agree byte for byte.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from realmask import estimate, measure
+from realmask.estimate import EstimationReport
+from realmask.experiments import (
+    BOOTSTRAP_RESAMPLES,
+    PROBE_LABELS,
+    ExperimentConfig,
+    phase_probe,
+    probe_vector,
+    report_json,
+    run_fig3,
+    run_fig4,
+    run_fig5,
+)
+from realmask.masker import mask_pure
+from realmask.measure import derive_seed
+from realmask.qcore import concurrence_from_purity, fidelity_with_pure, partial_trace, purity
+
+
+def oracle_masked_probe(a, noise_p):
+    ideal = mask_pure(a)
+    rho = ideal.density()
+    return ideal, rho if noise_p == 0.0 else measure.apply_depolarizing(rho, noise_p)
+
+
+def oracle_pauli_counts(rho, shots, master_seed, *tags):
+    labels, probs = ((measure.AXES, measure.axis_probs) if rho.dim == 2
+                     else (measure.PAIRS, measure.pair_probs))
+    return np.array([
+        measure.sample_counts(p, shots, derive_seed(master_seed, *tags, label))
+        for label, p in zip(labels, probs(rho))
+    ])
+
+
+def oracle_bootstrap(quantity, counts, seed):
+    values = quantity(measure.poisson_resample(counts, BOOTSTRAP_RESAMPLES, seed))
+    return float(np.std(values, ddof=1))
+
+
+def oracle_fig3(config):
+    shots = config.shots("fig3")
+    rows = []
+    for idx in (1, 2, 3, 4):
+        a = probe_vector(idx)
+        ideal, rho = oracle_masked_probe(a, config.noise_p)
+        if config.analytic:
+            eps = 1.0 - fidelity_with_pure(rho, ideal)
+            fid = EstimationReport(
+                experiment="fig3", target=f"probe {idx} fidelity", estimate=1.0 - eps,
+                error=0.0, error_kind="ci95", n=None, shots=None, seed=config.seed,
+                noise_p=config.noise_p,
+                extra={"eps_hat": eps, "eps_low": eps, "eps_high": eps, "passed": None, "tests": None},
+            )
+            pur_a, pur_b = (purity(partial_trace(rho, k)) for k in ("A", "B"))
+            std, resamples = 0.0, None
+        else:
+            qsv = estimate.qsv_run(rho, a, config.qsv_tests, derive_seed(config.seed, "fig3.qsv", idx))
+            fid = EstimationReport(
+                experiment="fig3", target=f"probe {idx} fidelity", estimate=qsv.fidelity,
+                error=qsv.error, error_kind="ci95", n=qsv.total, shots=None, seed=config.seed,
+                noise_p=config.noise_p,
+                extra={
+                    "eps_hat": qsv.eps_hat, "eps_low": qsv.ci_low, "eps_high": qsv.ci_high,
+                    "passed": qsv.passed, "tests": qsv.total,
+                },
+            )
+            counts = np.array([
+                oracle_pauli_counts(partial_trace(rho, k), shots, config.seed, "fig3.tomo", idx, tag)
+                for k, tag in (("A", "path"), ("B", "pol"))
+            ])
+            pur_a, pur_b = estimate.purity_from_counts(counts).tolist()
+            resamples = BOOTSTRAP_RESAMPLES
+            std = oracle_bootstrap(
+                lambda c: estimate.purity_from_counts(c.reshape(-1, 3, 2)).reshape(-1, 2).mean(axis=1),
+                counts, derive_seed(config.seed, "fig3.boot", idx),
+            )
+        pur = EstimationReport(
+            experiment="fig3", target=f"probe {idx} avg purity", estimate=0.5 * (pur_a + pur_b),
+            error=std, error_kind="std", n=None, shots=None if config.analytic else shots,
+            seed=config.seed, noise_p=config.noise_p,
+            extra={"path_purity": pur_a, "pol_purity": pur_b, "resamples": resamples},
+        )
+        rows.append({"probe": idx, "target": PROBE_LABELS[idx],
+                     "fidelity": fid.to_dict(), "purity": pur.to_dict()})
+    return {
+        "experiment": "fig3", "seed": config.seed, "noise_p": config.noise_p,
+        "qsv_tests": config.qsv_tests, "shots_per_setting": shots,
+        "analytic": config.analytic, "probes": rows,
+    }
+
+
+def oracle_fig5(config):
+    shots = config.shots("fig5")
+    points = []
+    for i, phi in enumerate(config.phi_grid_deg):
+        _ideal, rho = oracle_masked_probe(phase_probe(phi), config.noise_p)
+        rho_path = partial_trace(rho, "A")
+
+        def conc(c):
+            return concurrence_from_purity(estimate.purity_from_counts(c))
+
+        if config.analytic:
+            est, std = float(concurrence_from_purity(purity(rho_path))), 0.0
+        else:
+            counts = oracle_pauli_counts(rho_path, shots, config.seed, "fig5.tomo", i)
+            est = float(conc(counts[None])[0])
+            std = oracle_bootstrap(conc, counts, derive_seed(config.seed, "fig5.boot", i))
+        points.append(EstimationReport(
+            experiment="fig5", target=f"phi = {phi} deg", estimate=est, error=std,
+            error_kind="std", n=None, shots=None if config.analytic else shots,
+            seed=config.seed, noise_p=config.noise_p,
+            extra={"phi_deg": phi, "theory_cos": math.cos(math.radians(phi))},
+        ).to_dict())
+    return {
+        "experiment": "fig5", "seed": config.seed, "noise_p": config.noise_p,
+        "shots_per_setting": shots, "analytic": config.analytic, "points": points,
+    }
+
+
+CONFIGS = {
+    "seed 1": ExperimentConfig(seed=1),
+    "seed 9173": ExperimentConfig(seed=9173),
+    "seed 20404": ExperimentConfig(seed=20404),
+    "noiseless": ExperimentConfig(seed=1, noise_p=0.0),
+    "one shot": ExperimentConfig(seed=1, shots_per_setting=1),
+    "analytic": ExperimentConfig(seed=1, analytic=True),
+    "analytic noiseless": ExperimentConfig(seed=1, noise_p=0.0, analytic=True),
+}
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+@pytest.mark.parametrize("run, oracle", [(run_fig3, oracle_fig3), (run_fig5, oracle_fig5)],
+                         ids=["fig3", "fig5"])
+def test_stacked_figure_matches_per_point_oracle(run, oracle, config):
+    assert report_json(run(config)) == report_json(oracle(config))
+
+
+def test_fig5_off_default_grid_matches_oracle():
+    config = ExperimentConfig(seed=5, shots_per_setting=300, phi_grid_deg=(180.0, -45.0, 33.3, 90.0))
+    assert report_json(run_fig5(config)) == report_json(oracle_fig5(config))
+
+
+@pytest.mark.parametrize("analytic", [False, True])
+def test_fig5_empty_grid_gives_no_points(analytic):
+    assert run_fig5(ExperimentConfig(seed=1, phi_grid_deg=(), analytic=analytic))["points"] == []
+
+
+def test_fig4_is_a_stack_of_one():
+    # fig4 goes through the same stacked states; its report must not move.
+    config = ExperimentConfig(seed=1, noise_p=0.0)
+    rep = run_fig4(config)
+    _ideal, rho = oracle_masked_probe(probe_vector(4), 0.0)
+    counts = oracle_pauli_counts(rho, config.shots("fig4"), config.seed, "fig4", 4)
+    assert rep["correlators"] == measure.correlators(counts).reshape(3, 3).tolist()

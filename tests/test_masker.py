@@ -3,6 +3,7 @@ import pytest
 
 from realmask.masker import (
     HurwitzRadonSet,
+    build_hr_d2,
     build_hr_d4,
     check_concurrence_relation,
     magic_basis,
@@ -49,6 +50,19 @@ class TestHurwitzRadon:
     def test_rejects_non_anticommuting_set(self):
         with pytest.raises(ValueError):
             HurwitzRadonSet((1j * PAULI_Z, 1j * PAULI_Z))
+
+    @pytest.mark.parametrize("build", [build_hr_d4, build_hr_d2])
+    def test_cached_matrices_are_read_only(self, build):
+        hr = build()
+        assert build() is hr
+        for u in hr.with_identity():
+            with pytest.raises(ValueError, match="read-only"):
+                u[0, 0] = 0.0
+
+    def test_construction_copies_the_inputs(self):
+        u = 1j * PAULI_Y
+        HurwitzRadonSet((u,))
+        u[0, 0] = 1.0  # the caller's array stays writable
 
     def test_rejects_commuting_pair(self):
         # Unitary but U1 U2 + U2 U1 != 0.

@@ -128,6 +128,14 @@ class TestOutcomeProbs:
         with pytest.raises(ValueError, match="'XW'"):
             correlation_matrix(tables + [CountsTable("XW", (1, 0, 0, 0), 1, 0)])
 
+    def test_stack_rows_match_items_alone(self, rng):
+        rhos = np.stack([random_density(4, rng).mat for _ in range(5)])
+        assert np.array_equal(pair_probs(rhos), [pair_probs(r) for r in rhos])
+        reduced = np.stack([partial_trace(rhos, "A"), partial_trace(rhos, "B")], axis=1)
+        probs = axis_probs(reduced)
+        assert probs.shape == (5, 2, 3, 2)
+        assert np.array_equal(probs, [[axis_probs(r) for r in row] for row in reduced])
+
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="4x4"):
             pair_probs(np.eye(2) / 2)
@@ -233,6 +241,11 @@ class TestDepolarizing:
         out = apply_depolarizing(BELL.density(), 0.0056)
         assert fidelity_with_pure(out, BELL) == pytest.approx(0.9958, abs=1e-12)
 
+    def test_stack_matches_items_alone(self, rng):
+        rhos = np.stack([random_density(4, rng).mat for _ in range(5)])
+        out = apply_depolarizing(rhos, 0.3)
+        assert np.array_equal(out, [apply_depolarizing(r, 0.3).mat for r in rhos])
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             apply_depolarizing(np.eye(4) / 4, 1.5)
@@ -307,6 +320,26 @@ class TestCountsTable:
     def test_csv_rejects_short_row(self):
         with pytest.raises(ValueError, match="line 2"):
             tables_from_csv("setting,outcome,count,shots,seed\nZ,+,7\n")
+
+    @pytest.mark.parametrize("counts", [(1.5, 2.5), (1, 2.5), (float("nan"), 4), ("1", "3")])
+    def test_non_integral_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="whole numbers"):
+            CountsTable("Z", counts, 4, 0)
+
+    def test_whole_float_counts_become_ints(self):
+        table = CountsTable("Z", (1.0, np.int64(3)), 4, 0)
+        assert table.counts == (1, 3) and all(type(c) is int for c in table.counts)
+
+    @pytest.mark.parametrize("row, line", [("Z,+,x,4,0", 2), ("Z,+,7.0,10,1", 2), ("Z,+,3,4,s", 2)])
+    def test_csv_rejects_non_integer_cell(self, row, line):
+        text = f"setting,outcome,count,shots,seed\n{row}\nZ,-,1,4,0\n"
+        with pytest.raises(ValueError, match=f"^CSV line {line}: count, shots and seed must be integers"):
+            tables_from_csv(text)
+
+    def test_csv_sum_mismatch_names_the_table(self):
+        text = "setting,outcome,count,shots,seed\nZ,+,3,5,9\nZ,-,1,5,9\n"
+        with pytest.raises(ValueError, match="^table for setting Z, shots 5, seed 9: counts sum 4 != shots 5$"):
+            tables_from_csv(text)
 
 
 class TestSeeds:

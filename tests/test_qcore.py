@@ -107,6 +107,18 @@ class TestPartialTrace:
         red = partial_trace(rho, "B", dims=(2, 3))
         assert red.dim == 3
 
+    def test_stack_matches_items_alone(self, rng):
+        rhos = np.stack([random_density(4, rng).mat for _ in range(6)]).reshape(2, 3, 4, 4)
+        for keep in ("A", "B"):
+            red = partial_trace(rhos, keep)
+            assert red.shape == (2, 3, 2, 2)
+            assert np.array_equal(red, [[partial_trace(r, keep).mat for r in row] for row in rhos])
+            assert np.array_equal(purity(red), [[purity(r) for r in row] for row in red])
+
+    def test_stack_checks_every_reduced_state(self):
+        with pytest.raises(ValueError, match="trace"):
+            partial_trace(np.stack([np.eye(4) / 4, np.eye(4) / 2]), "A")
+
 
 class TestPurityFidelity:
     def test_maximally_mixed(self):
