@@ -9,12 +9,17 @@
 # `realmask fig5 --noise-p 0 --seed 1` (whose pure phase probes are the only
 # reports here with boundary fits in the qubit MLE),
 # `realmask fig3 --noise-p 0 --seed 1` (noiseless masked states, used without
-# the depolarizing rebuild) and `realmask fig5 --shots 1 --seed 1` (axes with
-# zero counts in the bootstrap resamples), on a temporary `git worktree` of
+# the depolarizing rebuild), `realmask fig5 --shots 1 --seed 1` (axes with
+# zero counts in the bootstrap resamples) and `realmask fig3 --qsv-tests 100000
+# --seed 1` (a large verification run), on a temporary `git worktree` of
 # BASE_REV and on the working tree, then compares the two output trees with
 # `diff -r`.  A change that moves report numbers must bump
 # experiments.REPORT_SCHEMA; when the schemas differ the diff is skipped, so a
 # schema bump passes and a silent re-baseline fails.
+#
+# The stdout of `realmask angles --state 1,2,3,4 --phi 30 --setting XY` and of
+# `realmask angles --basis 0.3,0.5,1.1,0.2` (the optical angle solvers) carries
+# no schema, so it is compared whatever the schemas.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -39,9 +44,18 @@ reports() {
     PYTHONPATH="$1/src" python3 -m realmask.cli fig5 --noise-p 0 --seed 1 --out "$2/noiseless" >/dev/null
     PYTHONPATH="$1/src" python3 -m realmask.cli fig3 --noise-p 0 --seed 1 --out "$2/noiseless" >/dev/null
     PYTHONPATH="$1/src" python3 -m realmask.cli fig5 --shots 1 --seed 1 --out "$2/one_shot" >/dev/null
+    PYTHONPATH="$1/src" python3 -m realmask.cli fig3 --qsv-tests 100000 --seed 1 --out "$2/qsv_large" >/dev/null
+    mkdir -p "$2.angles"
+    PYTHONPATH="$1/src" python3 -m realmask.cli angles --state 1,2,3,4 --phi 30 --setting XY > "$2.angles/state.txt"
+    PYTHONPATH="$1/src" python3 -m realmask.cli angles --basis 0.3,0.5,1.1,0.2 > "$2.angles/basis.txt"
 }
 reports "$tmp/base" "$tmp/out_base"
 reports "$repo" "$tmp/out_head"
+
+if ! diff -r "$tmp/out_base.angles" "$tmp/out_head.angles"; then
+    echo "angle solver output differs from $base_rev" >&2
+    exit 1
+fi
 
 schema() {
     python3 -c 'import json, sys; print(json.load(open(sys.argv[1])).get("schema"))' "$1/seed1/fig3.json"
@@ -57,4 +71,5 @@ if ! diff -r "$tmp/out_base" "$tmp/out_head"; then
          "bump experiments.REPORT_SCHEMA if the change is meant to move them" >&2
     exit 1
 fi
-echo "reports identical to $base_rev (schema $head_schema, seeds 1 and 9173, analytic, noiseless fig3 and fig5, one-shot fig5 at seed 1)"
+echo "reports identical to $base_rev (schema $head_schema, seeds 1 and 9173, analytic, noiseless fig3 and fig5," \
+     "one-shot fig5 and 100,000-test fig3 at seed 1, angle solver output)"

@@ -32,44 +32,17 @@ import numpy as np
 
 from .masker import build_hr_d4, masker_matrix, u_of_c
 from .measure import PAIR_PAULIS, PAIRS, CountsTable, correlators, generator, poisson_resample
-from .qcore import (
-    EPS_EXACT,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    DensityMatrix,
-    StateVector,
-    _dagger,
-    _rho_array,
-    checked_density,
-    fidelity_with_pure,
-    kron,
-    require_unitary,
-)
+from .qcore import ID2, _dagger, _rho_array, checked_density, fidelity_with_pure, kron, require_unitary
 
 
 # ---------------------------------------------------------------------------
 # Verification-based fidelity estimation.
 
-def test_projectors(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three local tests for the target (U ⊗ 1)|Phi>:
-    (1 + X'⊗X)/2, (1 - Y'⊗Y)/2, (1 + Z'⊗Z)/2 with O' = U O U†."""
-    u = require_unitary(u, what="target rotation")
-    eye = np.eye(4)
-    xp = u @ PAULI_X @ u.conj().T
-    yp = u @ PAULI_Y @ u.conj().T
-    zp = u @ PAULI_Z @ u.conj().T
-    return (
-        (eye + kron(xp, PAULI_X)) / 2,
-        (eye - kron(yp, PAULI_Y)) / 2,
-        (eye + kron(zp, PAULI_Z)) / 2,
-    )
-
-
-def verification_operator(u: np.ndarray) -> np.ndarray:
-    """Average test operator; equals P_target + (1 - P_target)/3."""
-    p1, p2, p3 = test_projectors(u)
-    return (p1 + p2 + p3) / 3.0
+# The three local tests for the target (U ⊗ 1)|Phi> are (1 + s_k O'_k ⊗ O_k)/2
+# with O' = U O U†, (O_k, s_k) = (X, +1), (Y, -1), (Z, +1): the XX, YY and ZZ
+# rows of `measure.PAIR_PAULIS` and their signs.
+_TEST_PAULIS = PAIR_PAULIS[[PAIRS.index(label) for label in ("XX", "YY", "ZZ")]]
+_TEST_SIGNS = np.array([1.0, -1.0, 1.0])
 
 
 def _resolve_target_unitary(target) -> np.ndarray:
@@ -79,9 +52,7 @@ def _resolve_target_unitary(target) -> np.ndarray:
         return build_hr_d4().with_identity()[int(target)]
     arr = np.asarray(target)
     if arr.shape == (4,):
-        if np.iscomplexobj(arr) and np.abs(arr.imag).max() > EPS_EXACT:
-            raise ValueError("coefficient targets must be real (unitary combinations)")
-        return u_of_c(arr.real)
+        return u_of_c(arr)
     if arr.shape == (2, 2):
         return require_unitary(arr, what="target rotation")
     raise ValueError("target must be an index 0..3, a real 4-vector, or a 2x2 unitary")
@@ -117,7 +88,7 @@ class QsvResult:
 
 
 def qsv_run(
-    rho: DensityMatrix,
+    rho,
     target,
     n_tests: int,
     seed: int,
@@ -127,19 +98,21 @@ def qsv_run(
 
     `target` is a magic-basis index 0..3, a real coefficient 4-vector, or the
     2x2 rotation itself; `rho` is the two-qubit state every round measures, a
-    DensityMatrix or a 4x4 array, checked like one.
+    DensityMatrix or a 4x4 array, checked like one.  Test k passes with
+    probability (1 + s_k tr(R† rho R O_k ⊗ O_k))/2, R = U ⊗ 1, read from the
+    state rotated once.
     """
     if n_tests < 1:
         raise ValueError("n_tests must be >= 1")
     arr = _rho_array(rho)
     if arr.shape != (4, 4):
         raise ValueError(f"rho must be a 4x4 density matrix, got shape {arr.shape}")
-    arr = checked_density(arr)
-    projs = test_projectors(_resolve_target_unitary(target))
+    r = kron(_resolve_target_unitary(target), ID2)
+    rotated = _dagger(r) @ checked_density(arr) @ r
     rng = generator(seed)
     which = rng.integers(0, 3, size=n_tests)
     draws = rng.random(n_tests)
-    pass_probs = np.array([np.trace(arr @ p).real for p in projs])
+    pass_probs = (1.0 + _TEST_SIGNS * np.trace(rotated @ _TEST_PAULIS, axis1=-2, axis2=-1).real) / 2
     passed = int(np.count_nonzero(draws < pass_probs[which]))
     p_hat = passed / n_tests
     eps_hat = 1.5 * (1.0 - p_hat)
@@ -413,7 +386,7 @@ def _decode_map() -> np.ndarray:
     real symmetric rho.  Every entry of K is a multiple of 1/4, so K is stored
     rounded to that grid.
     """
-    m = masker_matrix().matrix
+    m = masker_matrix()
     paulis = np.concatenate([np.eye(4)[None], PAIR_PAULIS])
     exact = np.einsum("ki,nkl,lj->ijn", m.conj(), paulis, m) / 4
     kmap = np.round(4.0 * exact.real) / 4.0
@@ -439,13 +412,15 @@ class DecodeResult:
     fidelity_vs_input: np.ndarray | float | None = None
 
 
-def decode_real_state(t, input_state: StateVector | None = None) -> DecodeResult:
+def decode_real_state(t, input_state=None) -> DecodeResult:
     """Rebuild the real ququart density matrix from the masked correlators.
 
     `t` is a 3x3 correlation matrix or a (..., 3, 3) stack; each item maps
     through the constant `_decode_map`, every entry of rho a signed sum of
     quarters of 1 and the T_jk, then projects onto the density matrices.
-    The imaginary part is identically zero by construction.
+    The imaginary part is identically zero by construction.  With a pure
+    `input_state` (a StateVector or a (4,) array) the result also carries
+    each item's fidelity with it.
     """
     t = validate_correlation_matrix(t)
     ones = np.ones(t.shape[:-2] + (1,))

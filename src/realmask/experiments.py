@@ -28,7 +28,7 @@ from . import estimate, measure, optics, walk
 from .estimate import EstimationReport
 from .masker import masker_matrix
 from .measure import derive_seed, generator
-from .qcore import StateVector, checked_density, concurrence_from_purity, partial_trace, purity
+from .qcore import checked_density, concurrence_from_purity, partial_trace, purity
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
@@ -87,7 +87,7 @@ def _masked_states(probes: np.ndarray, noise_p: float) -> tuple[np.ndarray, np.n
     (n, 4, 4) densities under depolarizing noise, each stack checked once; at
     p = 0 the ideal densities themselves, which the depolarizing rebuild could
     perturb."""
-    vecs = (masker_matrix().matrix @ probes[..., None])[..., 0]
+    vecs = (masker_matrix() @ probes[..., None])[..., 0]
     ideal = checked_density(vecs[:, :, None] * vecs[:, None, :].conj())
     return vecs, ideal if noise_p == 0.0 else measure.apply_depolarizing(ideal, noise_p)
 
@@ -187,7 +187,6 @@ def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
     shots = config.shots("fig4")
     a = probe_vector(probe)
     probs = measure.pair_probs(_masked_states(a[None], config.noise_p)[1][0])
-    target = StateVector(a.astype(complex))
     if config.analytic:
         t = measure.correlators(probs).reshape(3, 3)
         fid_std = 0.0
@@ -197,13 +196,13 @@ def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
 
         def decode_fidelity(stack: np.ndarray) -> np.ndarray:
             ts = measure.correlators(stack).reshape(-1, 3, 3)
-            return estimate.decode_real_state(ts, target).fidelity_vs_input
+            return estimate.decode_real_state(ts, a).fidelity_vs_input
 
         fid_std = float(estimate.bootstrap_std(
             decode_fidelity, counts[None], [derive_seed(config.seed, "fig4.boot", probe)],
             resamples=BOOTSTRAP_RESAMPLES,
         )[0])
-    decoded = estimate.decode_real_state(t, input_state=target)
+    decoded = estimate.decode_real_state(t, input_state=a)
     fid = EstimationReport(
         experiment="fig4", target=f"probe {probe} decode fidelity",
         estimate=decoded.fidelity_vs_input, error=fid_std, error_kind="std",
@@ -279,7 +278,7 @@ def run_equivalence(config: ExperimentConfig, n_inputs: int = 100, threshold: fl
     if n_inputs < 1:
         raise ValueError(f"n_inputs must be >= 1, got {n_inputs}")
     rng = generator(derive_seed(config.seed, "equiv"))
-    m = masker_matrix().matrix
+    m = masker_matrix()
     worst = {"walk": 0.0, "optics": 0.0, "walk_optics": 0.0}
     for start in range(0, n_inputs, EQUIV_BLOCK):
         a = rng.normal(size=(min(EQUIV_BLOCK, n_inputs - start), 4))

@@ -22,15 +22,13 @@ from .qcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    DensityMatrix,
-    StateVector,
+    _psi_array,
     _rho_array,
-    concurrence_pure,
+    checked_density,
     kron,
     partial_trace,
     purity,
     require_unitary,
-    robustness_of_imaginarity,
 )
 
 
@@ -70,98 +68,48 @@ def build_hr_d4() -> HurwitzRadonSet:
 
 
 @lru_cache(maxsize=None)
-def build_hr_d2() -> HurwitzRadonSet:
-    """Single HR matrix iY: masks the real qubit.  Cross-dimension extension,
-    built and checked once."""
-    return HurwitzRadonSet((1j * PAULI_Y,))
+def masker_matrix() -> np.ndarray:
+    """The masker M|j> = -i (U_j ⊗ 1)|Phi> as a read-only (4, 4) array, built
+    once and checked to be an isometry whose columns are maximally entangled."""
+    m = np.column_stack([-1j * kron(u, ID2) @ BELL_PHI for u in build_hr_d4().with_identity()])
+    dev = np.abs(m.conj().T @ m - np.eye(4)).max()
+    if dev > EPS_EXACT:
+        raise ValueError(f"not an isometry: max |M†M - 1| = {dev:.3e}")
+    cols = checked_density(m.T[:, :, None] * m.T[:, None, :].conj())
+    pur = purity(np.stack([partial_trace(cols, sub) for sub in ("A", "B")]))
+    if np.abs(pur - 0.5).max() > EPS_EXACT:
+        raise ValueError(f"masker columns are not maximally entangled (reduced purities {pur})")
+    m.setflags(write=False)
+    return m
 
 
-@dataclass(frozen=True, eq=False)
-class MaskerIsometry:
-    """Matrix of the masker, columns -i (U_j ⊗ 1)|Phi> living in C^2 ⊗ C^2."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        dev = np.abs(m.conj().T @ m - np.eye(m.shape[1])).max()
-        if dev > EPS_EXACT:
-            raise ValueError(f"not an isometry: max |M†M - 1| = {dev:.3e}")
-        for j in range(m.shape[1]):
-            col = StateVector(m[:, j])
-            for sub in ("A", "B"):
-                p = purity(partial_trace(col.density(), keep=sub))
-                if abs(p - 0.5) > EPS_EXACT:
-                    raise ValueError(f"column {j} is not maximally entangled (reduced purity {p})")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def input_dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def columns(self) -> list[StateVector]:
-        return [StateVector(self.matrix[:, j]) for j in range(self.input_dim)]
-
-
-@lru_cache(maxsize=None)
-def masker_matrix(dim: int = 4) -> MaskerIsometry:
-    """The masker M|j> = -i (U_j ⊗ 1)|Phi>.
-
-    dim=4 is the protocol; dim=2 is the optional qubit variant.
-    """
-    if dim == 4:
-        hr = build_hr_d4()
-    elif dim == 2:
-        hr = build_hr_d2()
-    else:
-        raise ValueError(f"masker is defined for dim 2 or 4, got {dim}")
-    cols = [-1j * kron(u, ID2) @ BELL_PHI for u in hr.with_identity()]
-    return MaskerIsometry(np.column_stack(cols))
-
-
-def magic_basis() -> list[StateVector]:
-    """The orthonormal maximally entangled family (U_j ⊗ 1)|Phi>, j = 0..3."""
-    m = masker_matrix().matrix
-    return [StateVector(1j * m[:, j]) for j in range(4)]
-
-
-def mask_pure(psi) -> StateVector:
-    """Apply the masker to a pure ququart state."""
-    vec = psi.amplitudes if isinstance(psi, StateVector) else np.asarray(psi, dtype=complex)
+def mask_pure(psi) -> np.ndarray:
+    """The (4,) amplitudes of the masked pure ququart state."""
+    vec = _psi_array(psi)
     if vec.shape != (4,):
         raise ValueError("mask_pure expects a 4-dimensional state")
-    return StateVector(masker_matrix().matrix @ vec)
+    return masker_matrix() @ vec
 
 
-def mask_state(rho) -> DensityMatrix:
-    """M rho M† as a two-qubit density matrix."""
+def mask_state(rho) -> np.ndarray:
+    """M rho M† as a checked two-qubit density matrix."""
     arr = _rho_array(rho)
     if arr.shape != (4, 4):
         raise ValueError("mask_state expects a 4x4 density matrix")
-    m = masker_matrix().matrix
-    return DensityMatrix(m @ arr @ m.conj().T)
+    m = masker_matrix()
+    return checked_density(m @ arr @ m.conj().T)
 
 
 def u_of_c(c) -> np.ndarray:
-    """The combination sum_j c_j U_j; unitary whenever c is real and normalized."""
+    """The combination sum_j c_j U_j for a real normalized c, which makes it
+    unitary; an imaginary part above EPS_EXACT is rejected."""
     vec = np.asarray(c, dtype=complex)
     if vec.shape != (4,):
         raise ValueError("coefficient vector must have 4 entries")
+    if np.abs(vec.imag).max() > EPS_EXACT:
+        raise ValueError("coefficient vector must be real: a complex combination is not unitary")
+    vec = vec.real.astype(complex)
     if abs(np.linalg.norm(vec) - 1.0) > EPS_EXACT:
         raise ValueError("coefficient vector must be normalized")
     us = build_hr_d4().with_identity()
     return sum(cj * uj for cj, uj in zip(vec, us))
-
-
-def check_concurrence_relation(psi: StateVector) -> tuple[float, float]:
-    """(concurrence of the masked output, imaginarity of the input).
-
-    For any pure ququart these satisfy C = sqrt(1 - I_R^2).
-    """
-    if psi.dim != 4:
-        raise ValueError("expected a pure ququart state")
-    c = concurrence_pure(mask_pure(psi))
-    i_r = robustness_of_imaginarity(psi.density())
-    return c, i_r

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import PAULIS, _density_or_stack, _rho_array, kron
+from .qcore import PAULIS, _rho_array, checked_density, kron
 
 # The Pauli measurement convention every pipeline shares: axis and pair
 # labels, outcome labels, and the eigenprojectors the probability tables read.
@@ -73,6 +73,11 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
 
 
+def _is_integer(value) -> bool:
+    """A Python int (a bool is not one) or a numpy integer."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 @dataclass(frozen=True)
 class CountsTable:
     """Outcome counts for one measurement setting, with seed provenance: one
@@ -84,6 +89,8 @@ class CountsTable:
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.setting, str) or "\r" in self.setting:
+            raise ValueError(f"setting must be a string without a carriage return, got {self.setting!r}")
         if len(self.counts) not in (2, 4):
             raise ValueError("counts must have 2 (single-qubit) or 4 (pair) entries")
         try:
@@ -92,8 +99,10 @@ class CountsTable:
             ints = None
         if ints != tuple(self.counts):
             raise ValueError(f"counts must be whole numbers, got {tuple(self.counts)}")
-        if any(c < 0 for c in ints):
+        if min(ints) < 0:
             raise ValueError("counts must be nonnegative")
+        if not (_is_integer(self.shots) and _is_integer(self.seed)):
+            raise ValueError(f"shots and seed must be integers, got {self.shots!r}, {self.seed!r}")
         if sum(ints) != self.shots:
             raise ValueError(f"counts sum {sum(ints)} != shots {self.shots}")
         object.__setattr__(self, "counts", ints)
@@ -135,6 +144,8 @@ def pair_probs(rho) -> np.ndarray:
 def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     """Integer counts from one multinomial draw over the outcome distribution;
     deterministic per seed."""
+    if not _is_integer(shots) or shots < 1:
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or len(p) not in (2, 4):
         raise ValueError("probs must have 2 or 4 entries")
@@ -142,8 +153,6 @@ def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
         raise ValueError(f"negative probability in {p}")
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     p = np.clip(p, 0.0, None)
     return generator(seed).multinomial(shots, p / p.sum())
 
@@ -160,14 +169,13 @@ def correlators(counts) -> np.ndarray:
     return np.divide(diff, shots, out=np.zeros_like(shots), where=shots > 0)
 
 
-def apply_depolarizing(rho, p: float):
-    """(1-p) rho + p 1/d: a DensityMatrix, or for a (..., d, d) stack the
-    checked stack."""
+def apply_depolarizing(rho, p: float) -> np.ndarray:
+    """(1-p) rho + p 1/d, checked, for one matrix or each of a (..., d, d) stack."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p = {p} outside [0, 1]")
     arr = _rho_array(rho)
     d = arr.shape[-1]
-    return _density_or_stack((1.0 - p) * arr + p * np.eye(d) / d)
+    return checked_density((1.0 - p) * arr + p * np.eye(d) / d)
 
 
 def poisson_resample(counts, resamples: int, seed: int) -> np.ndarray:

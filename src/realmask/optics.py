@@ -37,11 +37,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
-from .qcore import EPS_EXACT, PAULI_X, PAULI_Z, StateVector
+from .qcore import EPS_EXACT, PAULI_X, PAULI_Z, _psi_array
 from .walk import COIN_C1, COIN_C2, RailState, apply_local, embed_two_qubit, extract_two_qubit, run, shift
 
 H, V = 0, 1
@@ -265,15 +265,6 @@ class MeasSetting:
     def pol_basis(self) -> tuple[np.ndarray, np.ndarray]:
         return _basis_pair(self.alpha, self.beta)
 
-    def product_basis(self) -> list[np.ndarray]:
-        f0, f1 = self.path_basis()
-        p0, p1 = self.pol_basis()
-        basis = [np.kron(f0, p0), np.kron(f0, p1), np.kron(f1, p0), np.kron(f1, p1)]
-        gram = np.array([[np.vdot(u, w) for w in basis] for u in basis])
-        if np.abs(gram - np.eye(4)).max() > EPS_EXACT:
-            raise AssertionError("product basis lost orthonormality")
-        return basis
-
 
 def _basis_pair(theta: float, phase: float) -> tuple[np.ndarray, np.ndarray]:
     e = np.exp(1j * phase)
@@ -371,65 +362,12 @@ def detector_distribution(state: RailState) -> np.ndarray:
     return probs
 
 
-def simulate_measurement(psi: StateVector, setting: MeasSetting) -> np.ndarray:
-    """End-to-end module simulation; returns SPCM 0..3 probabilities.
+def simulate_measurement(psi, setting: MeasSetting) -> np.ndarray:
+    """End-to-end module simulation of a two-qubit pure state (a StateVector
+    or a (4,) array); returns SPCM 0..3 probabilities.
 
     SPCM (0, 1, 2, 3) see |a1|^2, |a3|^2, |a0|^2, |a2|^2 where a_j are the
     coefficients of the state in the setting's product basis.
     """
     angles = compile_measurement(setting)
-    return detector_distribution(run(embed_two_qubit(psi.amplitudes), measurement_layout(angles)))
-
-
-def spcm_to_outcome_order(spcm_probs: np.ndarray) -> np.ndarray:
-    """Reorder detector probabilities to the (++, +-, -+, --) outcome order."""
-    p = np.asarray(spcm_probs, dtype=float)
-    return np.array([p[2], p[0], p[3], p[1]])
-
-
-def born_product_probs(psi: StateVector, setting: MeasSetting) -> np.ndarray:
-    """Abstract Born probabilities in (++, +-, -+, --) order (oracle path)."""
-    basis = setting.product_basis()
-    return np.array([abs(np.vdot(b, psi.amplitudes)) ** 2 for b in basis])
-
-
-# ---------------------------------------------------------------------------
-# Layout file: one element per line, `kind,angle,paths,extra`, angles with six
-# decimal places, paths semicolon-separated (empty = all rails).
-
-def _paths_str(paths: frozenset[int] | None) -> str:
-    if paths is None:
-        return ""
-    return ";".join(str(p) for p in sorted(paths))
-
-
-def layout_to_text(layout: Sequence[Element]) -> str:
-    lines = ["kind,angle,paths,extra"]
-    for el in layout:
-        if isinstance(el, Waveplate):
-            if np.ndim(el.angle_deg) != 0:
-                raise ValueError("a layout with array angles must be serialised one item at a time")
-            lines.append(f"{el.kind},{el.angle_deg:.6f},{_paths_str(el.paths)},")
-        elif isinstance(el, BeamDisplacer):
-            lines.append(f"BD,,,h={el.h_shift};v={el.v_shift}")
-        else:
-            raise TypeError(f"unknown element {el!r}")
-    return "\n".join(lines) + "\n"
-
-
-def layout_from_text(text: str) -> tuple[Element, ...]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "kind,angle,paths,extra":
-        raise ValueError("layout file must start with the header 'kind,angle,paths,extra'")
-    elems: list[Element] = []
-    for ln in lines[1:]:
-        kind, angle, paths, extra = ln.split(",", 3)
-        scope = frozenset(int(p) for p in paths.split(";")) if paths else None
-        if kind in ("HWP", "QWP", "XPLATE"):
-            elems.append(Waveplate(kind, float(angle), scope))
-        elif kind == "BD":
-            shifts = dict(part.split("=") for part in extra.split(";"))
-            elems.append(BeamDisplacer(h_shift=int(shifts["h"]), v_shift=int(shifts["v"])))
-        else:
-            raise ValueError(f"unknown element kind {kind!r}")
-    return tuple(elems)
+    return detector_distribution(run(embed_two_qubit(_psi_array(psi)), measurement_layout(angles)))

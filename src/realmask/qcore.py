@@ -1,10 +1,12 @@
 """Exact complex linear algebra and quantum-state utilities.
 
-Everything here operates on plain complex128 numpy arrays wrapped in two thin
-value types (`StateVector`, `DensityMatrix`) that enforce the usual sanity
-invariants (normalization, Hermiticity, positivity) at construction time.
-All protocol dimensions are at most 16, so dense double-precision algebra is
-exact to ~1e-12 with comfortable headroom.
+One array convention: every function takes a state as a wrapper or as a plain
+complex array, and returns plain checked arrays, for one matrix as for a
+(..., d, d) stack.  The two thin value types (`StateVector`, `DensityMatrix`)
+validate user input (normalization, Hermiticity, positivity) at construction
+time; a raw array passed where a pure state is expected goes through the same
+`StateVector` check.  All protocol dimensions are at most 16, so dense
+double-precision algebra is exact to ~1e-12 with comfortable headroom.
 
 Tolerance policy: EPS_EXACT guards identities that hold analytically
 (isometries, trace preservation); EPS_NUMERIC guards quantities that pass
@@ -79,15 +81,6 @@ class StateVector:
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def inner(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        if other.dim != self.dim:
-            raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def fidelity(self, other: "StateVector") -> float:
-        return float(abs(self.inner(other)) ** 2)
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -143,12 +136,6 @@ def checked_density(mat) -> np.ndarray:
     return arr
 
 
-def _density_or_stack(arr: np.ndarray):
-    """A DensityMatrix for one matrix, the `checked_density` array for a
-    (..., d, d) stack."""
-    return DensityMatrix(arr) if arr.ndim == 2 else checked_density(arr)
-
-
 def require_unitary(u: np.ndarray, *, eps: float = EPS_EXACT, what: str = "matrix") -> np.ndarray:
     """Validate U†U = 1 within `eps` and return U as a complex array."""
     arr = _as_complex_array(u, what)
@@ -171,6 +158,11 @@ def _rho_array(rho) -> np.ndarray:
     return _as_complex_array(rho, "density matrix")
 
 
+def _psi_array(psi) -> np.ndarray:
+    """Amplitudes of a StateVector, or of a (d,) array checked by building one."""
+    return (psi if isinstance(psi, StateVector) else StateVector(psi)).amplitudes
+
+
 def _subsystem_index(keep) -> int:
     if keep in (0, "A", "a"):
         return 0
@@ -179,10 +171,9 @@ def _subsystem_index(keep) -> int:
     raise ValueError(f"keep must be 0/'A' or 1/'B', got {keep!r}")
 
 
-def partial_trace(rho, keep, dims: tuple[int, int] | None = None):
-    """Reduced state of one factor of a bipartite density matrix: a
-    DensityMatrix, or for a (..., d, d) stack the checked stack of reduced
-    states.
+def partial_trace(rho, keep, dims: tuple[int, int] | None = None) -> np.ndarray:
+    """Checked reduced state of one factor of a bipartite density matrix, one
+    per matrix of a (..., d, d) stack.
 
     `dims` gives the factor dimensions (dA, dB); by default both factors are
     qubits.  Raises DimensionError when the total dimension does not factor.
@@ -199,7 +190,7 @@ def partial_trace(rho, keep, dims: tuple[int, int] | None = None):
     which = _subsystem_index(keep)
     blocks = arr.reshape(arr.shape[:-2] + (da, db, da, db))
     reduced = np.einsum("...ikjk->...ij", blocks) if which == 0 else np.einsum("...kikj->...ij", blocks)
-    return _density_or_stack(reduced)
+    return checked_density(reduced)
 
 
 def purity(rho):
@@ -208,13 +199,13 @@ def purity(rho):
     return np.trace(arr @ arr, axis1=-2, axis2=-1).real
 
 
-def fidelity_with_pure(rho, target: StateVector):
-    """<target| rho |target> for a pure target; one value per matrix of a
-    (..., d, d) stack, a float for a single matrix."""
+def fidelity_with_pure(rho, target):
+    """<target| rho |target> for a pure target (a StateVector or a (d,)
+    array); one value per matrix of a (..., d, d) stack."""
     arr = _rho_array(rho)
-    if arr.shape[-1] != target.dim:
-        raise DimensionError(f"dimension mismatch: {arr.shape[-1]} vs {target.dim}")
-    a = target.amplitudes
+    a = _psi_array(target)
+    if arr.shape[-1] != a.size:
+        raise DimensionError(f"dimension mismatch: {arr.shape[-1]} vs {a.size}")
     val = np.einsum("i,...ij,j->...", a.conj(), arr, a)
     spurious = np.abs(val.imag).max(initial=0.0)
     if spurious > EPS_EXACT:
@@ -222,30 +213,27 @@ def fidelity_with_pure(rho, target: StateVector):
     return val.real
 
 
-def trace_distance(a, b) -> float:
-    """Half the trace norm of a - b."""
-    diff = _rho_array(a) - _rho_array(b)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
 def concurrence_from_purity(p) -> np.ndarray:
     """sqrt(2 (1 - p)) elementwise, 0 where the purity exceeds 1."""
     return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.asarray(p))))
 
 
-def concurrence_pure(psi: StateVector) -> float:
+def concurrence_pure(psi) -> float:
     """Entanglement of a two-qubit pure state: sqrt(2(1 - tr rho_A^2))."""
-    if psi.dim != 4:
+    a = _psi_array(psi)
+    if a.size != 4:
         raise DimensionError("concurrence_pure expects a two-qubit state")
-    return float(concurrence_from_purity(purity(partial_trace(psi.density(), keep="A"))))
+    rho = checked_density(np.outer(a, a.conj()))
+    return float(concurrence_from_purity(purity(partial_trace(rho, keep="A"))))
 
 
-def spin_flip_concurrence(psi: StateVector) -> float:
+def spin_flip_concurrence(psi) -> float:
     """Independent concurrence formula |<psi| sigma_y ⊗ sigma_y |psi*>|."""
-    if psi.dim != 4:
+    a = _psi_array(psi)
+    if a.size != 4:
         raise DimensionError("spin_flip_concurrence expects a two-qubit state")
     yy = kron(PAULI_Y, PAULI_Y)
-    return float(abs(psi.amplitudes @ yy @ psi.amplitudes))
+    return float(abs(a @ yy @ a))
 
 
 def robustness_of_imaginarity(rho) -> float:
@@ -267,31 +255,3 @@ def robustness_of_imaginarity(rho) -> float:
                 f"imaginarity cross-check failed: trace-norm {value} vs pure-state form {alt}"
             )
     return value
-
-
-# Random-object helpers for the test-suite.
-
-def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return StateVector.normalized(v)
-
-
-def random_real_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    """Full-support real density matrix G^T G / tr(G^T G)."""
-    g = rng.normal(size=(dim, dim))
-    m = g.T @ g
-    return DensityMatrix(m / np.trace(m))
-
-
-def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with phase fixing."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases

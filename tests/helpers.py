@@ -1,0 +1,141 @@
+"""Random states, oracles and reference formulas that only the tests use.
+
+Each helper returns plain arrays, like the library: amplitudes of shape (d,),
+density matrices of shape (d, d).
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from realmask.masker import mask_pure, masker_matrix
+from realmask.qcore import (
+    EPS_EXACT,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    _psi_array,
+    _rho_array,
+    checked_density,
+    concurrence_pure,
+    kron,
+    require_unitary,
+    robustness_of_imaginarity,
+)
+
+
+# ---------------------------------------------------------------------------
+# Random objects.
+
+def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def random_real_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Full-support real density matrix G^T G / tr(G^T G), checked."""
+    g = rng.normal(size=(dim, dim))
+    m = g.T @ g
+    return checked_density(m / np.trace(m))
+
+
+def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = g @ g.conj().T
+    return checked_density(m / np.trace(m).real)
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR with phase fixing."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r) / np.abs(np.diagonal(r))
+    return q * phases
+
+
+# ---------------------------------------------------------------------------
+# Distances between states.
+
+def density(psi) -> np.ndarray:
+    """|psi><psi| of a StateVector or a (d,) array, checked."""
+    a = _psi_array(psi)
+    return checked_density(np.outer(a, a.conj()))
+
+
+def inner(a, b) -> complex:
+    """<a|b> of two pure states."""
+    return complex(np.vdot(_psi_array(a), _psi_array(b)))
+
+
+def pure_fidelity(a, b) -> float:
+    """|<a|b>|^2 of two pure states."""
+    return abs(inner(a, b)) ** 2
+
+
+def trace_distance(a, b) -> float:
+    """Half the trace norm of a - b."""
+    diff = _rho_array(a) - _rho_array(b)
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+
+
+# ---------------------------------------------------------------------------
+# The masker's maximally entangled family and its concurrence relation.
+
+def magic_basis() -> list[np.ndarray]:
+    """The orthonormal maximally entangled family (U_j ⊗ 1)|Phi>, j = 0..3."""
+    return list(1j * masker_matrix().T)
+
+
+def check_concurrence_relation(psi) -> tuple[float, float]:
+    """(concurrence of the masked output, imaginarity of the input); for any
+    pure ququart they satisfy C = sqrt(1 - I_R^2)."""
+    return concurrence_pure(mask_pure(psi)), robustness_of_imaginarity(density(psi))
+
+
+# ---------------------------------------------------------------------------
+# Verification tests as explicit projectors.
+
+def verification_projectors(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three local tests for the target (U ⊗ 1)|Phi>:
+    (1 + X'⊗X)/2, (1 - Y'⊗Y)/2, (1 + Z'⊗Z)/2 with O' = U O U†."""
+    u = require_unitary(u, what="target rotation")
+    eye = np.eye(4)
+    xp = u @ PAULI_X @ u.conj().T
+    yp = u @ PAULI_Y @ u.conj().T
+    zp = u @ PAULI_Z @ u.conj().T
+    return (
+        (eye + kron(xp, PAULI_X)) / 2,
+        (eye - kron(yp, PAULI_Y)) / 2,
+        (eye + kron(zp, PAULI_Z)) / 2,
+    )
+
+
+def verification_operator(u) -> np.ndarray:
+    """Average test operator; equals P_target + (1 - P_target)/3."""
+    p1, p2, p3 = verification_projectors(u)
+    return (p1 + p2 + p3) / 3.0
+
+
+# ---------------------------------------------------------------------------
+# Born-rule oracle for the optical measurement module.
+
+def product_basis(setting) -> list[np.ndarray]:
+    """The setting's path ⊗ polarization basis, checked orthonormal."""
+    f0, f1 = setting.path_basis()
+    p0, p1 = setting.pol_basis()
+    basis = [np.kron(f0, p0), np.kron(f0, p1), np.kron(f1, p0), np.kron(f1, p1)]
+    gram = np.array([[np.vdot(u, w) for w in basis] for u in basis])
+    if np.abs(gram - np.eye(4)).max() > EPS_EXACT:
+        raise AssertionError("product basis lost orthonormality")
+    return basis
+
+
+def born_product_probs(psi, setting) -> np.ndarray:
+    """Abstract Born probabilities in (++, +-, -+, --) order."""
+    a = _psi_array(psi)
+    return np.array([abs(np.vdot(b, a)) ** 2 for b in product_basis(setting)])
+
+
+def spcm_to_outcome_order(spcm_probs) -> np.ndarray:
+    """Reorder detector probabilities to the (++, +-, -+, --) outcome order."""
+    p = np.asarray(spcm_probs, dtype=float)
+    return np.array([p[2], p[0], p[3], p[1]])

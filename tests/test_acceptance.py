@@ -14,15 +14,9 @@ import time
 import numpy as np
 
 from realmask import measure, optics, walk
-from realmask.estimate import (
-    agresti_coull,
-    decode_real_state,
-    mle_qubit_batch,
-    qsv_run,
-    verification_operator,
-)
+from realmask.estimate import agresti_coull, decode_real_state, mle_qubit_batch, qsv_run
 from realmask.experiments import ExperimentConfig, phase_probe, probe_vector, run_fig3
-from realmask.masker import build_hr_d4, magic_basis, mask_pure, mask_state, masker_matrix
+from realmask.masker import build_hr_d4, mask_pure, mask_state, masker_matrix
 from realmask.measure import (
     AXES,
     PAIRS,
@@ -33,15 +27,17 @@ from realmask.measure import (
     pair_probs,
     sample_counts,
 )
-from realmask.qcore import (
-    BELL_PHI,
-    StateVector,
+from realmask.qcore import BELL_PHI, partial_trace, robustness_of_imaginarity, spin_flip_concurrence
+
+from helpers import (
+    density,
     haar_state,
-    partial_trace,
+    inner,
+    magic_basis,
+    pure_fidelity,
     random_real_density,
-    robustness_of_imaginarity,
-    spin_flip_concurrence,
     trace_distance,
+    verification_operator,
 )
 
 SEED = 20404
@@ -54,20 +50,20 @@ def _report(num: int, text: str) -> None:
 def test_criterion_1_triple_equivalence():
     """Walk, masker and optical table agree pairwise on 100 real inputs in < 5 s."""
     rng = np.random.default_rng(SEED)
-    m = masker_matrix().matrix
+    m = masker_matrix()
     start = time.perf_counter()
     worst = 0.0
     for _ in range(100):
         a = rng.normal(size=4)
         a /= np.linalg.norm(a)
-        ref = StateVector(m @ a)
-        via_walk = StateVector(walk.run_masking_walk(a))
-        via_optics = StateVector(optics.simulate_masking(a))
+        ref = m @ a
+        via_walk = walk.run_masking_walk(a)
+        via_optics = optics.simulate_masking(a)
         worst = max(
             worst,
-            1 - ref.fidelity(via_walk),
-            1 - ref.fidelity(via_optics),
-            1 - via_walk.fidelity(via_optics),
+            1 - pure_fidelity(ref, via_walk),
+            1 - pure_fidelity(ref, via_optics),
+            1 - pure_fidelity(via_walk, via_optics),
         )
     elapsed = time.perf_counter() - start
     assert worst < 1e-10
@@ -97,7 +93,7 @@ def test_criterion_3_concurrence_imaginarity_relation():
     for _ in range(1000):
         psi = haar_state(4, rng)
         c = spin_flip_concurrence(mask_pure(psi))
-        i_r = robustness_of_imaginarity(psi.density())
+        i_r = robustness_of_imaginarity(density(psi))
         worst = max(worst, abs(c - math.sqrt(max(0.0, 1 - i_r**2))))
     assert worst < 1e-10
     _report(3, f"concurrence-imaginarity relation on 1000 states: max deviation {worst:.2e}")
@@ -125,7 +121,7 @@ def test_criterion_5_algebraic_identities():
     basis = magic_basis()
     for j, bj in enumerate(basis):
         for k, bk in enumerate(basis):
-            worst = max(worst, abs(bj.inner(bk) - (1.0 if j == k else 0.0)))
+            worst = max(worst, abs(inner(bj, bk) - (1.0 if j == k else 0.0)))
     omega = verification_operator(np.eye(2))
     proj = np.outer(BELL_PHI, BELL_PHI.conj())
     worst = max(worst, np.abs(omega - (proj + (np.eye(4) - proj) / 3)).max())
@@ -160,7 +156,7 @@ def test_criterion_7_fig3_fidelities():
     medians = []
     for idx in (1, 2, 3, 4):
         a = probe_vector(idx)
-        rho = apply_depolarizing(mask_pure(a).density(), 0.01)
+        rho = apply_depolarizing(density(mask_pure(a)), 0.01)
         fids = [
             qsv_run(rho, a, 5000, derive_seed(SEED, "accept7", idx, s)).fidelity
             for s in range(50)
@@ -192,8 +188,7 @@ def test_criterion_8_fig3_purities():
 def test_criterion_9_fig4_decoding():
     """Median decoding fidelity over 100 seeds lands in [0.980, 0.995]."""
     a = probe_vector(4)
-    target = StateVector(a.astype(complex))
-    rho = apply_depolarizing(mask_pure(a).density(), 0.01)
+    rho = apply_depolarizing(density(mask_pure(a)), 0.01)
     probs = pair_probs(rho)
     fids = []
     for s in range(100):
@@ -202,7 +197,7 @@ def test_criterion_9_fig4_decoding():
             for pair, p in zip(PAIRS, probs)
         ])
         t = correlators(counts).reshape(3, 3)
-        fids.append(decode_real_state(t, target).fidelity_vs_input)
+        fids.append(decode_real_state(t, a).fidelity_vs_input)
     median = float(np.median(fids))
     assert 0.980 <= median <= 0.995
     _report(9, f"fig4 decoding: median fidelity {median:.4f} over 100 seeds (target 0.989)")
@@ -211,7 +206,7 @@ def test_criterion_9_fig4_decoding():
 def test_criterion_10_fig5_curve():
     """Noiseless concurrence tracks cos(phi) within 0.03 in >= 95% of 50 runs."""
     phis = (0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0)
-    reduced = [partial_trace(mask_pure(phase_probe(p)).density(), "A") for p in phis]
+    reduced = [partial_trace(density(mask_pure(phase_probe(p))), "A") for p in phis]
     prob_table = [axis_probs(rp) for rp in reduced]
     theory = np.cos(np.radians(phis))
     runs_ok = 0

@@ -17,10 +17,9 @@ from realmask.estimate import (
     project_to_density,
     purity_from_counts,
     qsv_run,
-    verification_operator,
 )
-from realmask.estimate import test_projectors as qsv_test_projectors
-from realmask.masker import magic_basis, mask_state, masker_matrix, u_of_c
+from realmask.experiments import probe_vector
+from realmask.masker import mask_state, masker_matrix, u_of_c
 from realmask.measure import (
     AXES,
     PAIRS,
@@ -33,18 +32,22 @@ from realmask.measure import (
     pair_probs,
     sample_counts,
 )
-from realmask.qcore import (
-    BELL_PHI,
-    DensityMatrix,
-    StateVector,
+from realmask.qcore import BELL_PHI, DensityMatrix, StateVector
+
+from helpers import (
+    density,
+    magic_basis,
+    random_density,
     random_real_density,
     trace_distance,
+    verification_operator,
+    verification_projectors,
 )
 
 BELL = StateVector(BELL_PHI)
 
 
-def bell_counts(rho: DensityMatrix, shots: int, seed: int) -> np.ndarray:
+def bell_counts(rho, shots: int, seed: int) -> np.ndarray:
     """(3, 2) X/Y/Z counts of a qubit."""
     return np.array([
         sample_counts(p, shots, derive_seed(seed, ax)) for ax, p in zip(AXES, axis_probs(rho))
@@ -176,7 +179,7 @@ class TestVerificationOperator:
             u = u_of_c(c)
             omega = verification_operator(u)
             phi = magic_basis()[j]
-            proj = np.outer(phi.amplitudes, phi.amplitudes.conj())
+            proj = np.outer(phi, phi.conj())
             assert np.abs(omega - (proj + (np.eye(4) - proj) / 3)).max() < 1e-12
         for _ in range(20):
             a = rng.normal(size=4)
@@ -188,7 +191,7 @@ class TestVerificationOperator:
             assert np.abs(omega - (proj + (np.eye(4) - proj) / 3)).max() < 1e-12
 
     def test_projectors_are_rank_two(self):
-        for p in qsv_test_projectors(np.eye(2)):
+        for p in verification_projectors(np.eye(2)):
             assert np.trace(p).real == pytest.approx(2.0, abs=1e-12)
             assert np.abs(p @ p - p).max() < 1e-12
 
@@ -196,7 +199,7 @@ class TestVerificationOperator:
 class TestQsvRun:
     def test_ideal_source_always_passes(self):
         for j in range(4):
-            rho = magic_basis()[j].density()
+            rho = density(magic_basis()[j])
             out = qsv_run(rho, j, n_tests=2000, seed=derive_seed(1, "ideal", j))
             assert out.passed == out.total
             assert out.eps_hat == 0.0
@@ -209,8 +212,7 @@ class TestQsvRun:
     def test_real_coefficient_target(self, rng):
         a = rng.normal(size=4)
         a /= np.linalg.norm(a)
-        target = StateVector(masker_matrix().matrix @ a)
-        out = qsv_run(target.density(), a, n_tests=1000, seed=4)
+        out = qsv_run(density(masker_matrix() @ a), a, n_tests=1000, seed=4)
         assert out.passed == 1000
 
     def test_invalid_target_index(self):
@@ -219,7 +221,37 @@ class TestQsvRun:
 
     def test_array_state_matches_density_matrix(self):
         rho = apply_depolarizing(BELL.density(), 0.1)
-        assert qsv_run(rho.mat, 0, n_tests=500, seed=3) == qsv_run(rho, 0, n_tests=500, seed=3)
+        assert qsv_run(rho, 0, n_tests=500, seed=3) == qsv_run(DensityMatrix(rho), 0, n_tests=500, seed=3)
+
+    def test_rejects_complex_coefficient_target(self):
+        with pytest.raises(ValueError, match="must be real"):
+            qsv_run(np.eye(4) / 4, np.array([1, 1j, 0, 0]) / np.sqrt(2), n_tests=10, seed=0)
+
+    @staticmethod
+    def projector_passed(rho, u, n_tests: int, seed: int) -> int:
+        """Pass count from the three test projectors, drawing as qsv_run does."""
+        rng = generator(seed)
+        which = rng.integers(0, 3, size=n_tests)
+        draws = rng.random(n_tests)
+        probs = np.array([np.trace(rho @ p).real for p in verification_projectors(u)])
+        return int(np.count_nonzero(draws < probs[which]))
+
+    def test_passed_matches_projector_oracle_for_probes(self):
+        for idx in (1, 2, 3, 4):
+            a = probe_vector(idx)
+            rho = apply_depolarizing(density(masker_matrix() @ a), 0.01)
+            for n_tests in (1, 5000, 100_000):
+                seed = derive_seed(20404, "fig3.qsv", idx)
+                got = qsv_run(rho, a, n_tests, seed).passed
+                assert got == self.projector_passed(rho, u_of_c(a), n_tests, seed)
+
+    def test_passed_matches_projector_oracle_for_random_targets(self, rng):
+        for i in range(200):
+            a = rng.normal(size=4)
+            a /= np.linalg.norm(a)
+            rho = random_density(4, rng)
+            got = qsv_run(rho, a, 2000, seed=i).passed
+            assert got == self.projector_passed(rho, u_of_c(a), 2000, i)
 
     @pytest.mark.parametrize("bad, match", [
         (np.eye(4), "trace"),
@@ -489,7 +521,7 @@ class TestBootstrap:
         from realmask.qcore import concurrence_from_purity, partial_trace
 
         psi = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)
-        rho_path = partial_trace(mask_pure(psi).density(), "A")
+        rho_path = partial_trace(density(mask_pure(psi)), "A")
         counts = bell_counts(rho_path, 10_000, seed=31)
 
         def concurrence(c):
@@ -557,12 +589,11 @@ class TestMaskedOutputTomography:
         # [0.48, 0.53] for essentially every seed.
         from realmask.masker import mask_pure
         from realmask.qcore import partial_trace
-        from realmask.experiments import probe_vector
 
         inside = 0
         total = 0
         for idx in (1, 2, 3, 4):
-            rho = apply_depolarizing(mask_pure(probe_vector(idx)).density(), 0.01)
+            rho = apply_depolarizing(density(mask_pure(probe_vector(idx))), 0.01)
             for qubit in ("A", "B"):
                 red = partial_trace(rho, qubit)
                 for s in range(10):
@@ -647,8 +678,9 @@ class TestDecode:
     def test_fidelity_field(self):
         c = np.ones(4) / 2
         t = exact_correlators(mask_state(np.outer(c, c)))
-        res = decode_real_state(t, input_state=StateVector(c.astype(complex)))
-        assert res.fidelity_vs_input == pytest.approx(1.0, abs=1e-12)
+        for target in (c, StateVector(c)):
+            res = decode_real_state(t, input_state=target)
+            assert res.fidelity_vs_input == pytest.approx(1.0, abs=1e-12)
 
     def test_imaginary_part_zero_by_construction(self):
         assert decode_real_state(np.zeros((3, 3))).rho_hat.dtype == np.float64
@@ -718,7 +750,7 @@ class TestDecode:
 class TestProjection:
     def test_valid_state_unchanged(self, rng):
         rho = random_real_density(4, rng)
-        out = project_to_density(rho.mat)
+        out = project_to_density(rho)
         assert trace_distance(out, rho) < 1e-12
 
     def test_repairs_negative_eigenvalue(self):

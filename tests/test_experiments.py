@@ -27,15 +27,17 @@ from realmask.masker import mask_pure
 from realmask.measure import derive_seed
 from realmask.qcore import concurrence_from_purity, fidelity_with_pure, partial_trace, purity
 
+from helpers import density
+
 
 def oracle_masked_probe(a, noise_p):
     ideal = mask_pure(a)
-    rho = ideal.density()
+    rho = density(ideal)
     return ideal, rho if noise_p == 0.0 else measure.apply_depolarizing(rho, noise_p)
 
 
 def oracle_pauli_counts(rho, shots, master_seed, *tags):
-    labels, probs = ((measure.AXES, measure.axis_probs) if rho.dim == 2
+    labels, probs = ((measure.AXES, measure.axis_probs) if rho.shape[-1] == 2
                      else (measure.PAIRS, measure.pair_probs))
     return np.array([
         measure.sample_counts(p, shots, derive_seed(master_seed, *tags, label))

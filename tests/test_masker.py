@@ -1,28 +1,25 @@
 import numpy as np
 import pytest
 
-from realmask.masker import (
-    HurwitzRadonSet,
-    build_hr_d2,
-    build_hr_d4,
-    check_concurrence_relation,
-    magic_basis,
-    mask_pure,
-    mask_state,
-    masker_matrix,
-    u_of_c,
-)
+from realmask.masker import HurwitzRadonSet, build_hr_d4, mask_pure, mask_state, masker_matrix, u_of_c
 from realmask.qcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     StateVector,
     concurrence_pure,
-    haar_state,
     partial_trace,
-    random_real_density,
     robustness_of_imaginarity,
     spin_flip_concurrence,
+)
+
+from helpers import (
+    check_concurrence_relation,
+    density,
+    haar_state,
+    inner,
+    magic_basis,
+    random_real_density,
     trace_distance,
 )
 
@@ -51,7 +48,7 @@ class TestHurwitzRadon:
         with pytest.raises(ValueError):
             HurwitzRadonSet((1j * PAULI_Z, 1j * PAULI_Z))
 
-    @pytest.mark.parametrize("build", [build_hr_d4, build_hr_d2])
+    @pytest.mark.parametrize("build", [build_hr_d4])
     def test_cached_matrices_are_read_only(self, build):
         hr = build()
         assert build() is hr
@@ -72,18 +69,18 @@ class TestHurwitzRadon:
 
 class TestMaskerIsometry:
     def test_column_zero(self):
-        col = masker_matrix().matrix[:, 0]
+        col = masker_matrix()[:, 0]
         want = -1j * np.array([1, 0, 0, 1]) / np.sqrt(2)
         assert np.abs(col - want).max() < 1e-12
 
     def test_column_three(self):
         # -i (iY ⊗ 1)|Phi> = -i (|01> - |10>)/sqrt(2), worked out by hand.
-        col = masker_matrix().matrix[:, 3]
+        col = masker_matrix()[:, 3]
         want = -1j * np.array([0, 1, -1, 0]) / np.sqrt(2)
         assert np.abs(col - want).max() < 1e-12
 
     def test_isometry_identity(self):
-        m = masker_matrix().matrix
+        m = masker_matrix()
         assert np.abs(m.conj().T @ m - np.eye(4)).max() < 1e-12
 
     def test_magic_basis_orthonormal(self):
@@ -91,10 +88,10 @@ class TestMaskerIsometry:
         for j, bj in enumerate(basis):
             for k, bk in enumerate(basis):
                 want = 1.0 if j == k else 0.0
-                assert abs(bj.inner(bk) - want) < 1e-12
+                assert abs(inner(bj, bk) - want) < 1e-12
 
     def test_columns_maximally_entangled(self):
-        for col in masker_matrix().columns():
+        for col in masker_matrix().T:
             assert concurrence_pure(col) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -106,7 +103,7 @@ class TestMaskState:
 
     def test_maximally_mixed_fixed_point(self):
         out = mask_state(np.eye(4) / 4)
-        assert np.abs(out.mat - np.eye(4) / 4).max() < 1e-12
+        assert np.abs(out - np.eye(4) / 4).max() < 1e-12
         for keep in ("A", "B"):
             assert trace_distance(partial_trace(out, keep), np.eye(2) / 2) < 1e-12
 
@@ -128,10 +125,10 @@ class TestMaskState:
         checked = 0
         while checked < 1000:
             psi = haar_state(4, rng)
-            if robustness_of_imaginarity(psi.density()) <= 0.1:
+            if robustness_of_imaginarity(density(psi)) <= 0.1:
                 continue
             checked += 1
-            out = mask_pure(psi).density()
+            out = density(mask_pure(psi))
             leak = max(
                 trace_distance(partial_trace(out, "A"), np.eye(2) / 2),
                 trace_distance(partial_trace(out, "B"), np.eye(2) / 2),
@@ -150,8 +147,16 @@ class TestUOfC:
         assert np.abs(u.conj().T @ u - I2).max() < 1e-12
 
     def test_complex_coefficients_break_unitarity(self):
-        u = u_of_c(np.array([1, 1j, 0, 0]) / np.sqrt(2))
-        assert np.abs(u.conj().T @ u - I2).max() > 0.5
+        # c = (1, i, 0, 0)/sqrt(2) sums to diag(0, sqrt(2)), so u_of_c refuses it.
+        c = np.array([1, 1j, 0, 0]) / np.sqrt(2)
+        u = sum(cj * uj for cj, uj in zip(c, build_hr_d4().with_identity()))
+        assert np.abs(u.conj().T @ u - I2).max() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="must be real"):
+            u_of_c(c)
+
+    def test_accepts_imaginary_round_off(self):
+        c = np.ones(4, dtype=complex) / 2 + 1e-14j
+        assert np.array_equal(u_of_c(c), u_of_c(np.ones(4) / 2))
 
     def test_random_real_coefficients_unitary(self, rng):
         for _ in range(100):
@@ -188,24 +193,6 @@ class TestConcurrenceImaginarityRelation:
     def test_relation_with_spin_flip_oracle(self, rng):
         for _ in range(300):
             psi = haar_state(4, rng)
-            i_r = robustness_of_imaginarity(psi.density())
+            i_r = robustness_of_imaginarity(density(psi))
             oracle = spin_flip_concurrence(mask_pure(psi))
             assert oracle == pytest.approx(np.sqrt(max(0.0, 1 - i_r**2)), abs=1e-10)
-
-
-class TestQubitVariant:
-    def test_d2_masker_is_isometry(self):
-        m = masker_matrix(dim=2)
-        assert m.matrix.shape == (4, 2)
-
-    def test_d2_masks_real_qubits(self, rng):
-        m = masker_matrix(dim=2).matrix
-        for _ in range(50):
-            a = rng.normal(size=2)
-            a /= np.linalg.norm(a)
-            out = StateVector(m @ a).density()
-            assert trace_distance(partial_trace(out, "A"), np.eye(2) / 2) < 1e-12
-
-    def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            masker_matrix(dim=3)

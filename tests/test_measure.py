@@ -21,15 +21,9 @@ from realmask.measure import (
     tables_from_csv,
     tables_to_csv,
 )
-from realmask.qcore import (
-    PAULIS,
-    DensityMatrix,
-    StateVector,
-    kron,
-    partial_trace,
-    random_density,
-    random_real_density,
-)
+from realmask.qcore import PAULIS, DensityMatrix, StateVector, kron, partial_trace
+
+from helpers import random_density, random_real_density
 
 BELL = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2))
 
@@ -129,7 +123,7 @@ class TestOutcomeProbs:
             correlation_matrix(tables + [CountsTable("XW", (1, 0, 0, 0), 1, 0)])
 
     def test_stack_rows_match_items_alone(self, rng):
-        rhos = np.stack([random_density(4, rng).mat for _ in range(5)])
+        rhos = np.stack([random_density(4, rng) for _ in range(5)])
         assert np.array_equal(pair_probs(rhos), [pair_probs(r) for r in rhos])
         reduced = np.stack([partial_trace(rhos, "A"), partial_trace(rhos, "B")], axis=1)
         probs = axis_probs(reduced)
@@ -193,6 +187,15 @@ class TestSampleCounts:
         with pytest.raises(ValueError):
             sample_counts([0.5, 0.5], 0, 0)
 
+    @pytest.mark.parametrize("shots", [2.5, 2.0, True, "3", None])
+    def test_rejects_non_integer_shots(self, shots):
+        # 2.5 used to draw 2 shots and True one.
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            sample_counts([0.5, 0.5], shots, 0)
+
+    def test_accepts_numpy_integer_shots(self):
+        assert np.array_equal(sample_counts([0.5, 0.5], np.int64(10), 4), sample_counts([0.5, 0.5], 10, 4))
+
 
 class TestCorrelator:
     @pytest.mark.parametrize("counts,value", [
@@ -229,11 +232,11 @@ class TestCorrelator:
 class TestDepolarizing:
     def test_p_zero_identity(self, rng):
         rho = random_density(4, rng)
-        assert np.abs(apply_depolarizing(rho, 0.0).mat - rho.mat).max() < 1e-15
+        assert np.abs(apply_depolarizing(rho, 0.0) - rho).max() < 1e-15
 
     def test_p_one_maximally_mixed(self, rng):
         rho = random_density(4, rng)
-        assert np.abs(apply_depolarizing(rho, 1.0).mat - np.eye(4) / 4).max() < 1e-15
+        assert np.abs(apply_depolarizing(rho, 1.0) - np.eye(4) / 4).max() < 1e-15
 
     def test_small_p_fidelity(self):
         from realmask.qcore import fidelity_with_pure
@@ -242,9 +245,9 @@ class TestDepolarizing:
         assert fidelity_with_pure(out, BELL) == pytest.approx(0.9958, abs=1e-12)
 
     def test_stack_matches_items_alone(self, rng):
-        rhos = np.stack([random_density(4, rng).mat for _ in range(5)])
+        rhos = np.stack([random_density(4, rng) for _ in range(5)])
         out = apply_depolarizing(rhos, 0.3)
-        assert np.array_equal(out, [apply_depolarizing(r, 0.3).mat for r in rhos])
+        assert np.array_equal(out, [apply_depolarizing(r, 0.3) for r in rhos])
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -296,6 +299,33 @@ class TestCountsTable:
         assert text.splitlines()[0] == "setting,outcome,count,shots,seed"
         again = tables_from_csv(text)
         assert again == tables
+
+    @pytest.mark.parametrize("shots, seed", [(3.0, 0), (3, 0.0), (True, 0), (3, False), (3, "0"), (3, None)])
+    def test_non_integer_shots_or_seed_rejected(self, shots, seed):
+        # CountsTable('Z', (1, 2), 3.0, 0) used to be accepted, and the CSV
+        # reader then refused the writer's '3.0'.
+        with pytest.raises(ValueError, match="shots and seed must be integers"):
+            CountsTable("Z", (1, 2), shots, seed)
+
+    @pytest.mark.parametrize("setting", ["\r", "Z\r", 5, None])
+    def test_setting_that_cannot_round_trip_rejected(self, setting):
+        with pytest.raises(ValueError, match="setting must be"):
+            CountsTable(setting, (1, 2), 3, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.sampled_from(PAIRS + AXES), st.text()),
+        st.one_of(st.lists(st.integers(0, 10**12), min_size=2, max_size=2),
+                  st.lists(st.integers(0, 10**12), min_size=4, max_size=4)),
+        st.one_of(st.integers(-2**70, 2**70), st.integers(0, 2**63 - 1).map(np.int64)),
+        st.sampled_from([int, np.int64]),
+    )
+    def test_every_accepted_table_round_trips(self, setting, counts, seed, int_type):
+        try:
+            table = CountsTable(setting, tuple(counts), int_type(sum(counts)), seed)
+        except ValueError:
+            assume(False)
+        assert tables_from_csv(tables_to_csv([table])) == [table]
 
     def test_csv_rejects_wrong_header(self):
         with pytest.raises(ValueError):

@@ -14,17 +14,14 @@ from realmask.qcore import (
     checked_density,
     concurrence_pure,
     fidelity_with_pure,
-    haar_state,
     kron,
     partial_trace,
     purity,
-    random_density,
-    random_real_density,
-    random_unitary,
     robustness_of_imaginarity,
     spin_flip_concurrence,
-    trace_distance,
 )
+
+from helpers import density, haar_state, random_density, random_real_density, random_unitary, trace_distance
 
 BELL = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2))
 
@@ -70,24 +67,24 @@ class TestKron:
 class TestPartialTrace:
     def test_bell_reduces_to_maximally_mixed(self):
         red = partial_trace(BELL.density(), keep="A")
-        assert np.abs(red.mat - np.eye(2) / 2).max() < EPS_EXACT
+        assert np.abs(red - np.eye(2) / 2).max() < EPS_EXACT
 
     def test_product_state_keep_b(self):
         plus = ket(1, 1)
         rho = DensityMatrix(kron(ket(1, 0).density().mat, plus.density().mat))
         red = partial_trace(rho, keep="B")
-        assert np.abs(red.mat - plus.density().mat).max() < EPS_EXACT
+        assert np.abs(red - plus.density().mat).max() < EPS_EXACT
 
     def test_two_reductions_share_spectrum(self, rng):
         for _ in range(50):
             psi = haar_state(4, rng)
-            sa = np.linalg.eigvalsh(partial_trace(psi.density(), "A").mat)
-            sb = np.linalg.eigvalsh(partial_trace(psi.density(), "B").mat)
+            sa = np.linalg.eigvalsh(partial_trace(density(psi), "A"))
+            sb = np.linalg.eigvalsh(partial_trace(density(psi), "B"))
             assert np.abs(np.sort(sa) - np.sort(sb)).max() < 1e-12
 
     def test_trace_and_positivity_preserved_in_bulk(self, rng):
-        # DensityMatrix construction validates trace 1, Hermiticity and the
-        # eigenvalue floor, so surviving construction is the invariant.
+        # partial_trace validates trace 1, Hermiticity and the eigenvalue
+        # floor of its result, so returning is the invariant.
         g = rng.normal(size=(10_000, 4, 4)) + 1j * rng.normal(size=(10_000, 4, 4))
         rhos = g @ np.conj(np.swapaxes(g, 1, 2))
         rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
@@ -105,14 +102,14 @@ class TestPartialTrace:
     def test_qubit_qutrit_factoring(self):
         rho = np.eye(6) / 6
         red = partial_trace(rho, "B", dims=(2, 3))
-        assert red.dim == 3
+        assert red.shape == (3, 3)
 
     def test_stack_matches_items_alone(self, rng):
-        rhos = np.stack([random_density(4, rng).mat for _ in range(6)]).reshape(2, 3, 4, 4)
+        rhos = np.stack([random_density(4, rng) for _ in range(6)]).reshape(2, 3, 4, 4)
         for keep in ("A", "B"):
             red = partial_trace(rhos, keep)
             assert red.shape == (2, 3, 2, 2)
-            assert np.array_equal(red, [[partial_trace(r, keep).mat for r in row] for row in rhos])
+            assert np.array_equal(red, [[partial_trace(r, keep) for r in row] for row in rhos])
             assert np.array_equal(purity(red), [[purity(r) for r in row] for row in red])
 
     def test_stack_checks_every_reduced_state(self):
@@ -125,7 +122,7 @@ class TestPurityFidelity:
         assert purity(np.eye(2) / 2) == pytest.approx(0.5, abs=1e-15)
 
     def test_pure_projector(self, rng):
-        assert purity(haar_state(4, rng).density()) == pytest.approx(1.0, abs=1e-12)
+        assert purity(density(haar_state(4, rng))) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_mixture(self):
         rho = np.diag([0.75, 0.25]).astype(complex)
@@ -147,7 +144,7 @@ class TestPurityFidelity:
             fidelity_with_pure(np.eye(2) / 2, BELL)
 
     def test_stack_gives_one_value_per_item(self, rng):
-        rhos = np.array([random_density(4, rng).mat for _ in range(5)])
+        rhos = np.array([random_density(4, rng) for _ in range(5)])
         fids = fidelity_with_pure(rhos, BELL)
         assert fids.shape == (5,)
         for fid, rho in zip(fids, rhos):
@@ -194,10 +191,74 @@ class TestImaginarity:
 
     def test_two_formulas_agree_for_pure_ququarts(self, rng):
         for _ in range(100):
-            rho = haar_state(4, rng).density()
+            rho = density(haar_state(4, rng))
             tracenorm = robustness_of_imaginarity(rho)  # cross-checks internally
-            alt = np.sqrt(max(0.0, 1.0 - np.trace(rho.mat @ rho.mat.T).real))
+            alt = np.sqrt(max(0.0, 1.0 - np.trace(rho @ rho.T).real))
             assert tracenorm == pytest.approx(alt, abs=EPS_NUMERIC)
+
+
+class TestOneConvention:
+    """Every state function takes a wrapper or an array, gives the same bits
+    for both, and returns plain arrays or floats, never a wrapper."""
+
+    @staticmethod
+    def assert_plain(value):
+        assert type(value) is np.ndarray or isinstance(value, float)
+
+    def test_density_functions(self, rng):
+        from realmask.masker import mask_state
+        from realmask.measure import apply_depolarizing
+
+        rho = random_density(4, rng)
+        stack = np.stack([random_density(4, rng) for _ in range(3)])
+        for fn in (lambda r: partial_trace(r, "A"), lambda r: partial_trace(r, "B"),
+                   lambda r: apply_depolarizing(r, 0.1), purity, lambda r: fidelity_with_pure(r, BELL)):
+            one = fn(rho)
+            self.assert_plain(one)
+            assert np.array_equal(one, fn(DensityMatrix(rho)))
+            many = fn(stack)
+            assert type(many) is np.ndarray
+            assert np.array_equal(many, [fn(r) for r in stack])
+        out = mask_state(rho)
+        self.assert_plain(out)
+        assert np.array_equal(out, mask_state(DensityMatrix(rho)))
+
+    def test_pure_state_functions(self, rng):
+        from realmask.masker import mask_pure
+
+        psi = haar_state(4, rng)
+        rho = random_density(4, rng)
+        for fn in (mask_pure, concurrence_pure, spin_flip_concurrence, lambda v: fidelity_with_pure(rho, v)):
+            one = fn(psi)
+            self.assert_plain(one)
+            assert np.array_equal(one, fn(StateVector(psi)))
+            with pytest.raises(ValueError, match="norm"):
+                fn(2 * psi)
+        assert mask_pure(psi).shape == (4,)
+
+    def test_decode_real_state(self, rng):
+        from realmask.estimate import decode_real_state
+
+        a = rng.normal(size=4)
+        a /= np.linalg.norm(a)
+        ts = rng.uniform(-1, 1, size=(3, 3, 3))
+        for t in (ts[0], ts):
+            res = decode_real_state(t, a)
+            again = decode_real_state(t, StateVector(a))
+            for field in ("rho_hat", "rho_proj", "fidelity_vs_input"):
+                value = getattr(res, field)
+                self.assert_plain(value)
+                assert np.array_equal(value, getattr(again, field))
+            assert type(res.fidelity_vs_input) is (np.ndarray if t.ndim == 3 else np.float64)
+
+    def test_masker_matrix_is_read_only(self):
+        from realmask.masker import masker_matrix
+
+        m = masker_matrix()
+        assert type(m) is np.ndarray and m.shape == (4, 4)
+        assert masker_matrix() is m
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0.0
 
 
 class TestValueTypes:
@@ -256,7 +317,7 @@ class TestRandomHelpers:
 
     def test_random_density_valid(self, rng):
         dm = random_density(4, rng)
-        assert np.trace(dm.mat).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(dm).real == pytest.approx(1.0, abs=1e-12)
 
     def test_trace_distance_of_orthogonal_pures(self):
         assert trace_distance(ket(1, 0).density(), ket(0, 1).density()) == pytest.approx(1.0, abs=1e-12)
