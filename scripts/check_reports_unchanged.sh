@@ -4,7 +4,8 @@
 #
 # Usage: scripts/check_reports_unchanged.sh BASE_REV
 #
-# Runs scripts/reproduce_figures.py at seeds 1 and 9173,
+# Runs scripts/reproduce_figures.py at seeds 1 and 9173 and at seed 1 with
+# `--noise-p 0` (its own flags, built from the CLI option table),
 # `realmask fig3|fig4|fig5 --analytic --seed 1`,
 # `realmask fig5 --noise-p 0 --seed 1` (whose pure phase probes are the only
 # reports here with boundary fits in the qubit MLE),
@@ -38,6 +39,7 @@ reports() {
     for seed in 1 9173; do
         python3 "$1/scripts/reproduce_figures.py" --seed "$seed" --out "$2/seed$seed" >/dev/null
     done
+    python3 "$1/scripts/reproduce_figures.py" --seed 1 --noise-p 0 --out "$2/seed1_noiseless" >/dev/null
     for fig in fig3 fig4 fig5; do
         PYTHONPATH="$1/src" python3 -m realmask.cli "$fig" --analytic --seed 1 --out "$2/analytic" >/dev/null
     done
@@ -71,5 +73,6 @@ if ! diff -r "$tmp/out_base" "$tmp/out_head"; then
          "bump experiments.REPORT_SCHEMA if the change is meant to move them" >&2
     exit 1
 fi
-echo "reports identical to $base_rev (schema $head_schema, seeds 1 and 9173, analytic, noiseless fig3 and fig5," \
+echo "reports identical to $base_rev (schema $head_schema, seeds 1 and 9173, noiseless reproduce_figures run," \
+     "analytic, noiseless fig3 and fig5," \
      "one-shot fig5 and 100,000-test fig3 at seed 1, angle solver output)"

@@ -17,13 +17,11 @@ from realmask.experiments import ExperimentConfig
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
-    parser.add_argument("--noise-p", type=cli._flag_type(float, cli._probability),
-                        default=experiments.DEFAULT_NOISE_P)
+    cli.add_options(parser, ("seed", "noise_p"))
     parser.add_argument("--out", type=Path, default=Path("results"))
     args = parser.parse_args()
 
-    cfg = ExperimentConfig(seed=args.seed, noise_p=args.noise_p)
+    cfg = ExperimentConfig(**cli.option_values(args))
 
     rep3 = experiments.run_fig3(cfg)
     cli.write_report_or_exit(rep3, args.out)

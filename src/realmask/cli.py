@@ -6,8 +6,11 @@ phase), `equiv` (masker / walk / optics cross-check, nonzero exit on breach),
 and `angles` (waveplate angle solutions for preparation and measurement).
 
 Option precedence: command-line flags override the --config file, which
-overrides built-in defaults.  Flag and config-file values go through the same
-checks; a bad value is a one-line error, never a silent coercion.
+overrides built-in defaults.  One table, `OPTIONS`, gives each config field its
+flag, flag parser, value check and help; a subcommand's flags and config keys
+are made from it for the fields it reads (`FIELDS`), so it takes no flag or
+key that it would ignore.  A bad value is a one-line error, never a silent
+coercion.
 """
 from __future__ import annotations
 
@@ -81,39 +84,6 @@ def _text(v) -> str:
     return v
 
 
-_CONFIG_KEYS = {
-    "seed": _integer,
-    "shots_per_setting": _positive,
-    "qsv_tests": _positive,
-    "noise_p": _probability,
-    "phi_grid_deg": _phases,
-    "analytic": _flag,
-    "output_path": _text,
-}
-
-
-def _load_config_file(path: str, command: str) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"config file {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SystemExit(f"config file {path} must hold a JSON object")
-    unknown = set(doc) - set(_CONFIG_KEYS) - {"experiment"}
-    if unknown:
-        raise SystemExit(f"config file {path} has unknown keys: {sorted(unknown)}")
-    if doc.get("experiment", command) != command:
-        raise SystemExit(f"config file {path}: experiment must be {command!r}, got {doc['experiment']!r}")
-    values = {}
-    for key, v in doc.items():
-        if key in _CONFIG_KEYS:
-            try:
-                values[key] = _CONFIG_KEYS[key](v)
-            except ValueError as exc:
-                raise SystemExit(f"config file {path}: {key} {exc}") from None
-    return values
-
-
 def _flag_type(parse, check):
     """argparse `type=`: parse the flag text, then apply a config-value check."""
 
@@ -130,24 +100,68 @@ def _floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",")]
 
 
+# Each ExperimentConfig field that a flag or a config key can set: the value
+# check they share, the flag, the parser of its text (None: a switch), the help.
+OPTIONS = {
+    "seed": (_integer, "--seed", int, "master seed (default 20404)"),
+    "shots_per_setting": (_positive, "--shots", int, "shots per measurement setting"),
+    "qsv_tests": (_positive, "--qsv-tests", int, "verification tests per probe"),
+    "noise_p": (_probability, "--noise-p", float, "depolarizing noise strength"),
+    "phi_grid_deg": (_phases, "--phi-grid", _floats,
+                     "comma-separated phases in degrees (default 0,15,...,90)"),
+    "analytic": (_flag, "--analytic", None, "infinite-shot mode (no sampling)"),
+    "output_path": (_text, "--out", str, "output directory for CSV/JSON reports"),
+}
+
+# The fields each experiment subcommand reads; it takes their flags and config
+# keys and no others.
+FIELDS = {
+    "fig3": ("seed", "shots_per_setting", "qsv_tests", "noise_p", "analytic", "output_path"),
+    "fig4": ("seed", "shots_per_setting", "noise_p", "analytic", "output_path"),
+    "fig5": ("seed", "shots_per_setting", "noise_p", "phi_grid_deg", "analytic", "output_path"),
+    "equiv": ("seed", "output_path"),
+}
+
+
+def add_options(parser: argparse.ArgumentParser, fields) -> None:
+    """Give `parser` the flags of `fields`; `option_values` reads them back."""
+    for field in fields:
+        check, flag, parse, help = OPTIONS[field]
+        how = {"type": _flag_type(parse, check)} if parse else {"action": "store_true"}
+        parser.add_argument(flag, dest=field, default=None, help=help, **how)
+    parser.set_defaults(fields=tuple(fields))
+
+
+def option_values(args: argparse.Namespace) -> dict:
+    """The ExperimentConfig fields given as flags to a parser set up by `add_options`."""
+    return {field: getattr(args, field) for field in args.fields if getattr(args, field) is not None}
+
+
+def _load_config_file(path: str, command: str, fields) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"config file {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SystemExit(f"config file {path} must hold a JSON object")
+    unknown = set(doc) - set(fields) - {"experiment"}
+    if unknown:
+        raise SystemExit(f"config file {path} has keys that {command} does not read: {sorted(unknown)}")
+    experiment = doc.pop("experiment", command)
+    if experiment != command:
+        raise SystemExit(f"config file {path}: experiment must be {command!r}, got {experiment!r}")
+    values = {}
+    for key, v in doc.items():
+        try:
+            values[key] = OPTIONS[key][0](v)
+        except ValueError as exc:
+            raise SystemExit(f"config file {path}: {key} {exc}") from None
+    return values
+
+
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values: dict = {}
-    if args.config:
-        values.update(_load_config_file(args.config, args.command))
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.shots is not None:
-        values["shots_per_setting"] = args.shots
-    if args.qsv_tests is not None:
-        values["qsv_tests"] = args.qsv_tests
-    if args.noise_p is not None:
-        values["noise_p"] = args.noise_p
-    if getattr(args, "phi_grid", None):
-        values["phi_grid_deg"] = args.phi_grid
-    if args.analytic:
-        values["analytic"] = True
-    if args.out is not None:
-        values["output_path"] = args.out
+    values = _load_config_file(args.config, args.command, args.fields) if args.config else {}
+    values.update(option_values(args))
     if values.get("output_path") == "":
         print("realmask: the output path (--out or output_path) must not be empty", file=sys.stderr)
         raise SystemExit(2)
@@ -162,18 +176,14 @@ def write_report_or_exit(report: dict, out_dir) -> list[Path]:
         raise SystemExit(f"cannot write reports to {out_dir}: {exc}") from None
 
 
-def _emit(report: dict, config: ExperimentConfig) -> None:
+def _cmd_experiment(args) -> int:
+    config = _build_config(args)
+    report = args.run(config, args)
     if config.output_path:
         for p in write_report_or_exit(report, config.output_path):
             print(f"wrote {p}")
     else:
         sys.stdout.write(experiments.report_json(report))
-
-
-def _cmd_experiment(args) -> int:
-    config = _build_config(args)
-    report = args.run(config, args)
-    _emit(report, config)
     if report.get("pass") is False:
         print(f"equivalence FAILED: max infidelity {report['max_infidelity']:.3e} "
               f"exceeds {report['threshold']:.1e}", file=sys.stderr)
@@ -230,38 +240,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser):
-        p.add_argument("--seed", type=int, default=None, help="master seed (default 20404)")
-        p.add_argument("--shots", type=_flag_type(int, _positive), default=None,
-                       help="shots per measurement setting")
-        p.add_argument("--qsv-tests", type=_flag_type(int, _positive), default=None,
-                       help="verification tests per probe")
-        p.add_argument("--noise-p", type=_flag_type(float, _probability), default=None,
-                       help="depolarizing noise strength")
-        p.add_argument("--analytic", action="store_true", help="infinite-shot mode (no sampling)")
-        p.add_argument("--out", type=str, default=None, help="output directory for CSV/JSON reports")
+    def add_experiment(name: str, help: str, run) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        add_options(p, FIELDS[name])
         p.add_argument("--config", type=str, default=None, help="JSON config file (flags override it)")
+        p.set_defaults(func=_cmd_experiment, run=run)
+        return p
 
-    p3 = sub.add_parser("fig3", help="verification fidelity and reduced purities for the four probes")
-    add_common(p3)
-    p3.set_defaults(func=_cmd_experiment, run=lambda config, args: experiments.run_fig3(config))
-
-    p4 = sub.add_parser("fig4", help="correlation decoding of a masked probe")
-    add_common(p4)
+    add_experiment("fig3", "verification fidelity and reduced purities for the four probes",
+                   lambda config, args: experiments.run_fig3(config))
+    p4 = add_experiment("fig4", "correlation decoding of a masked probe",
+                        lambda config, args: experiments.run_fig4(config, args.probe))
     p4.add_argument("--probe", type=int, default=4, choices=(1, 2, 3, 4))
-    p4.set_defaults(func=_cmd_experiment, run=lambda config, args: experiments.run_fig4(config, args.probe))
-
-    p5 = sub.add_parser("fig5", help="concurrence of the masked phase probes")
-    add_common(p5)
-    p5.add_argument("--phi-grid", type=_flag_type(_floats, _phases),
-                    default=None, help="comma-separated phases in degrees (default 0,15,...,90)")
-    p5.set_defaults(func=_cmd_experiment, run=lambda config, args: experiments.run_fig5(config))
-
-    pe = sub.add_parser("equiv", help="masker / walk / optics equivalence check")
-    add_common(pe)
+    add_experiment("fig5", "concurrence of the masked phase probes",
+                   lambda config, args: experiments.run_fig5(config))
+    pe = add_experiment("equiv", "masker / walk / optics equivalence check",
+                        lambda config, args: experiments.run_equivalence(config, n_inputs=args.n_inputs))
     pe.add_argument("--n-inputs", type=_flag_type(int, _positive), default=100)
-    pe.set_defaults(func=_cmd_experiment,
-                    run=lambda config, args: experiments.run_equivalence(config, n_inputs=args.n_inputs))
 
     pa = sub.add_parser("angles", help="waveplate angle solutions")
     pa.add_argument("--state", type=_flag_type(_floats, _real_state), default=None,

@@ -23,7 +23,7 @@ Three pipelines:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
 from typing import Callable, Sequence
@@ -431,44 +431,3 @@ def decode_real_state(t, input_state=None) -> DecodeResult:
     projected = project_to_density(rho)
     fid = fidelity_with_pure(projected, input_state) if input_state is not None else None
     return DecodeResult(rho_hat=rho, rho_proj=projected, fidelity_vs_input=fid)
-
-
-# ---------------------------------------------------------------------------
-# Report container shared by the experiment pipelines.
-
-_ERROR_KINDS = ("ci95", "std")
-
-
-@dataclass(frozen=True)
-class EstimationReport:
-    """One labeled estimate with its uncertainty semantics."""
-
-    experiment: str
-    target: str
-    estimate: float
-    error: float
-    error_kind: str
-    n: int | None = None
-    shots: int | None = None
-    seed: int | None = None
-    noise_p: float | None = None
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.error_kind not in _ERROR_KINDS:
-            raise ValueError(f"error_kind must be one of {_ERROR_KINDS}")
-
-    def to_dict(self) -> dict:
-        doc = {
-            "experiment": self.experiment,
-            "target": self.target,
-            "estimate": self.estimate,
-            "error": self.error,
-            "error_kind": self.error_kind,
-            "N": self.n,
-            "shots": self.shots,
-            "seed": self.seed,
-            "noise_p": self.noise_p,
-        }
-        doc.update(self.extra)
-        return doc

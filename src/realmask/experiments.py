@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import estimate, measure, optics, walk
-from .estimate import EstimationReport
 from .masker import masker_matrix
 from .measure import derive_seed, generator
 from .qcore import checked_density, concurrence_from_purity, partial_trace, purity
@@ -82,6 +81,17 @@ class ExperimentConfig:
         return DEFAULT_SHOTS[experiment]
 
 
+def report_row(config: ExperimentConfig, experiment: str, target: str, estimate: float,
+               error: float, error_kind: str, n: int | None = None, shots: int | None = None,
+               **extra) -> dict:
+    """One labeled estimate, its error a 95% CI half-width ("ci95") or a bootstrap std ("std")."""
+    if error_kind not in ("ci95", "std"):
+        raise ValueError(f"error_kind must be 'ci95' or 'std', got {error_kind!r}")
+    return {"experiment": experiment, "target": target, "estimate": estimate, "error": error,
+            "error_kind": error_kind, "N": n, "shots": shots, "seed": config.seed,
+            "noise_p": config.noise_p, **extra}
+
+
 def _masked_states(probes: np.ndarray, noise_p: float) -> tuple[np.ndarray, np.ndarray]:
     """The masked probes of an (n, 4) stack as (n, 4) vectors, and their
     (n, 4, 4) densities under depolarizing noise, each stack checked once; at
@@ -117,17 +127,6 @@ def _avg_purity(counts: np.ndarray) -> np.ndarray:
     return estimate.purity_from_counts(counts.reshape(-1, 3, 2)).reshape(-1, 2).mean(axis=1)
 
 
-def _fidelity_row(config: ExperimentConfig, idx: int, fidelity: float, error: float,
-                  tests: int | None, eps: tuple[float, float, float], passed: int | None) -> dict:
-    eps_hat, eps_low, eps_high = eps
-    return EstimationReport(
-        experiment="fig3", target=f"probe {idx} fidelity", estimate=fidelity, error=error,
-        error_kind="ci95", n=tests, shots=None, seed=config.seed, noise_p=config.noise_p,
-        extra={"eps_hat": eps_hat, "eps_low": eps_low, "eps_high": eps_high,
-               "passed": passed, "tests": tests},
-    ).to_dict()
-
-
 def run_fig3(config: ExperimentConfig) -> dict:
     shots = config.shots("fig3")
     probes = np.array([probe_vector(idx) for idx in PROBES])
@@ -136,7 +135,8 @@ def run_fig3(config: ExperimentConfig) -> dict:
     reduced = np.stack([partial_trace(rho, k) for k in ("A", "B")], axis=1)
     if config.analytic:
         eps = 1.0 - np.einsum("ni,nij,nj->n", ideal.conj(), rho, ideal).real
-        fids = [_fidelity_row(config, idx, 1.0 - e, 0.0, None, (e, e, e), None)
+        fids = [report_row(config, "fig3", f"probe {idx} fidelity", 1.0 - e, 0.0, "ci95",
+                           eps_hat=e, eps_low=e, eps_high=e, passed=None, tests=None)
                 for idx, e in zip(PROBES, eps.tolist())]
         pur, std, resamples = purity(reduced), np.zeros(len(PROBES)), None
     else:
@@ -145,8 +145,9 @@ def run_fig3(config: ExperimentConfig) -> dict:
         for i, idx in enumerate(PROBES):
             qsv = estimate.qsv_run(rho[i], probes[i], config.qsv_tests,
                                    derive_seed(config.seed, "fig3.qsv", idx))
-            fids.append(_fidelity_row(config, idx, qsv.fidelity, qsv.error, qsv.total,
-                                      (qsv.eps_hat, qsv.ci_low, qsv.ci_high), qsv.passed))
+            fids.append(report_row(config, "fig3", f"probe {idx} fidelity", qsv.fidelity, qsv.error,
+                                   "ci95", qsv.total, eps_hat=qsv.eps_hat, eps_low=qsv.ci_low,
+                                   eps_high=qsv.ci_high, passed=qsv.passed, tests=qsv.total))
             counts.append([_pauli_counts(probs[i, q], shots, config.seed, "fig3.tomo", idx, tag)
                            for q, tag in enumerate(("path", "pol"))])
             seeds.append(derive_seed(config.seed, "fig3.boot", idx))
@@ -157,17 +158,14 @@ def run_fig3(config: ExperimentConfig) -> dict:
     rows = []
     for i, idx in enumerate(PROBES):
         pur_a, pur_b = pur[i].tolist()
-        avg = EstimationReport(
-            experiment="fig3", target=f"probe {idx} avg purity", estimate=0.5 * (pur_a + pur_b),
-            error=float(std[i]), error_kind="std", n=None, shots=None if config.analytic else shots,
-            seed=config.seed, noise_p=config.noise_p,
-            extra={"path_purity": pur_a, "pol_purity": pur_b, "resamples": resamples},
-        )
+        avg = report_row(config, "fig3", f"probe {idx} avg purity", 0.5 * (pur_a + pur_b),
+                         float(std[i]), "std", shots=None if config.analytic else shots,
+                         path_purity=pur_a, pol_purity=pur_b, resamples=resamples)
         rows.append({
             "probe": idx,
             "target": PROBE_LABELS[idx],
             "fidelity": fids[i],
-            "purity": avg.to_dict(),
+            "purity": avg,
         })
     return {
         "experiment": "fig3",
@@ -203,12 +201,9 @@ def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
             resamples=BOOTSTRAP_RESAMPLES,
         )[0])
     decoded = estimate.decode_real_state(t, input_state=a)
-    fid = EstimationReport(
-        experiment="fig4", target=f"probe {probe} decode fidelity",
-        estimate=decoded.fidelity_vs_input, error=fid_std, error_kind="std",
-        n=None, shots=shots, seed=config.seed, noise_p=config.noise_p,
-        extra={"resamples": None if config.analytic else BOOTSTRAP_RESAMPLES},
-    )
+    fid = report_row(config, "fig4", f"probe {probe} decode fidelity", decoded.fidelity_vs_input,
+                     fid_std, "std", shots=shots,
+                     resamples=None if config.analytic else BOOTSTRAP_RESAMPLES)
     return {
         "experiment": "fig4",
         "seed": config.seed,
@@ -220,7 +215,7 @@ def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
         "correlators": t.tolist(),
         "rho_raw": decoded.rho_hat.tolist(),
         "rho_decoded": decoded.rho_proj.real.tolist(),
-        "fidelity": fid.to_dict(),
+        "fidelity": fid,
     }
 
 
@@ -248,12 +243,9 @@ def run_fig5(config: ExperimentConfig) -> dict:
         est = _concurrence(counts)
         std = estimate.bootstrap_std(_concurrence, counts, seeds, resamples=BOOTSTRAP_RESAMPLES)
     points = [
-        EstimationReport(
-            experiment="fig5", target=f"phi = {phi} deg", estimate=float(est[i]),
-            error=float(std[i]), error_kind="std", n=None,
-            shots=None if config.analytic else shots, seed=config.seed, noise_p=config.noise_p,
-            extra={"phi_deg": phi, "theory_cos": math.cos(math.radians(phi))},
-        ).to_dict()
+        report_row(config, "fig5", f"phi = {phi} deg", float(est[i]), float(std[i]), "std",
+                   shots=None if config.analytic else shots,
+                   phi_deg=phi, theory_cos=math.cos(math.radians(phi)))
         for i, phi in enumerate(phis)
     ]
     return {

@@ -192,10 +192,15 @@ CSV_HEADER = ("setting", "outcome", "count", "shots", "seed")
 
 
 def tables_to_csv(tables: Sequence[CountsTable]) -> str:
+    """CSV text of `tables`; two that share (setting, shots, seed), which the reader would merge, raise."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
+    seen = set()
     for t in tables:
+        if (t.setting, t.shots, t.seed) in seen:
+            raise ValueError(f"two tables share setting {t.setting}, shots {t.shots}, seed {t.seed}")
+        seen.add((t.setting, t.shots, t.seed))
         for label, count in zip(t.outcome_labels(), t.counts):
             writer.writerow([t.setting, label, count, t.shots, t.seed])
     return buf.getvalue()

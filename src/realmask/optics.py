@@ -144,8 +144,8 @@ def solve_prep_angles(a) -> PrepAngles:
 
 
 def phase_prep_angles(phi_deg: float) -> PrepAngles:
-    """Angles for the complex probe (|0> + e^{i phi}|1>)/sqrt(2); use with q1_deg=45."""
-    return PrepAngles(h1=0.0, h2=phi_deg / 4.0 + 22.5, h3=0.0)
+    """Angles for the probe (|0> + e^{i phi}|1>)/sqrt(2) with q1_deg=45; h2 folded into [0, 180)."""
+    return PrepAngles(h1=0.0, h2=(phi_deg / 4.0 + 22.5) % 180.0, h3=0.0)
 
 
 PREP_INPUT_RAIL = 1  # rail carrying the |H>-polarized input photon

@@ -205,7 +205,48 @@ class TestEquivalence:
         json.loads(report_json(rep))  # refuses NaN and infinity
 
 
+# The ExperimentConfig fields each experiment subcommand reads.
+READS = {
+    "fig3": {"seed", "shots_per_setting", "qsv_tests", "noise_p", "analytic", "output_path"},
+    "fig4": {"seed", "shots_per_setting", "noise_p", "analytic", "output_path"},
+    "fig5": {"seed", "shots_per_setting", "noise_p", "phi_grid_deg", "analytic", "output_path"},
+    "equiv": {"seed", "output_path"},
+}
+# A flag and a config value for each field, and the config it gives.
+FIELD_VALUES = {
+    "seed": (["--seed", "3"], 3, 3),
+    "shots_per_setting": (["--shots", "20"], 20, 20),
+    "qsv_tests": (["--qsv-tests", "20"], 20, 20),
+    "noise_p": (["--noise-p", "0.5"], 0.5, 0.5),
+    "phi_grid_deg": (["--phi-grid", "0,45"], [0, 45], (0.0, 45.0)),
+    "analytic": (["--analytic"], True, True),
+    "output_path": (["--out", "reports"], "reports", "reports"),
+}
+
+
 class TestCommandLine:
+    @pytest.mark.parametrize("field", sorted(FIELD_VALUES))
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_subcommand_takes_only_the_fields_it_reads(self, command, field, tmp_path, capsys):
+        # `equiv --analytic --shots 7 --qsv-tests 2 --noise-p 0.9` used to exit 0
+        # and ignore all four flags.
+        flag, value, want = FIELD_VALUES[field]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({field: value}))
+        by_flag, by_config = [command, *flag], [command, "--config", str(cfg_path)]
+        if field in READS[command]:
+            for argv in (by_flag, by_config):
+                config = cli._build_config(cli.build_parser().parse_args(argv))
+                assert getattr(config, field) == want
+            return
+        with pytest.raises(SystemExit) as exc:
+            cli.main(by_flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(by_config)
+        assert isinstance(exc.value.code, str) and repr(field) in exc.value.code
+
     def test_fig5_writes_outputs(self, tmp_path, capsys):
         rc = cli.main([
             "fig5", "--seed", "4", "--shots", "400", "--noise-p", "0",
@@ -323,7 +364,8 @@ class TestCommandLine:
     def test_one_or_two_shots_give_finite_reports(self, experiment, shots, tmp_path):
         # Many Poisson resamples of such tables hold no counts at all; each
         # must still give a finite estimate and a valid report.
-        rc = cli.main([experiment, "--shots", shots, "--qsv-tests", "50", "--out", str(tmp_path)])
+        tests = ["--qsv-tests", "50"] if experiment == "fig3" else []
+        rc = cli.main([experiment, "--shots", shots, *tests, "--out", str(tmp_path)])
         assert rc == 0
 
         def reject(token):
@@ -336,20 +378,21 @@ class TestCommandLine:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_every_accepted_config_writes_valid_json(self, data):
-        command = data.draw(st.sampled_from(["fig3", "fig4", "fig5", "equiv"]))
-        argv = [
-            command,
-            f"--seed={data.draw(st.integers(-2**63, 2**64))}",
-            f"--shots={data.draw(st.integers(1, 50))}",
-            f"--qsv-tests={data.draw(st.integers(1, 50))}",
-            f"--noise-p={data.draw(st.floats(0.0, 1.0))!r}",
-        ]
-        if command == "fig5":
+        command = data.draw(st.sampled_from(sorted(READS)))
+        reads = READS[command]
+        argv = [command, f"--seed={data.draw(st.integers(-2**63, 2**64))}"]
+        if "shots_per_setting" in reads:
+            argv.append(f"--shots={data.draw(st.integers(1, 50))}")
+        if "qsv_tests" in reads:
+            argv.append(f"--qsv-tests={data.draw(st.integers(1, 50))}")
+        if "noise_p" in reads:
+            argv.append(f"--noise-p={data.draw(st.floats(0.0, 1.0))!r}")
+        if "phi_grid_deg" in reads:
             phases = data.draw(st.lists(st.floats(-720.0, 720.0), min_size=1, max_size=3))
             argv.append("--phi-grid=" + ",".join(repr(x) for x in phases))
         if command == "equiv":
             argv.append("--n-inputs=5")
-        if data.draw(st.booleans()):
+        if "analytic" in reads and data.draw(st.booleans()):
             argv.append("--analytic")
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

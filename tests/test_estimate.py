@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from realmask.estimate import (
-    EstimationReport,
     QsvResult,
     agresti_coull,
     bootstrap_std,
@@ -794,16 +793,3 @@ class TestProjection:
         for row, mat in zip(out, mats):
             assert np.array_equal(row, project_to_density(mat))
 
-
-class TestEstimationReport:
-    def test_error_kind_enforced(self):
-        with pytest.raises(ValueError):
-            EstimationReport("fig3", "x", 1.0, 0.1, "sigma")
-
-    def test_to_dict_carries_extras(self):
-        rep = EstimationReport("fig5", "phi=0", 1.0, 0.01, "std", shots=10_000,
-                               seed=1, noise_p=0.0, extra={"theory_cos": 1.0})
-        doc = rep.to_dict()
-        assert doc["error_kind"] == "std"
-        assert doc["theory_cos"] == 1.0
-        assert doc["shots"] == 10_000

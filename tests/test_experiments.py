@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from realmask import estimate, measure
-from realmask.estimate import EstimationReport
 from realmask.experiments import (
     BOOTSTRAP_RESAMPLES,
     PROBE_LABELS,
@@ -19,6 +18,7 @@ from realmask.experiments import (
     phase_probe,
     probe_vector,
     report_json,
+    report_row,
     run_fig3,
     run_fig4,
     run_fig5,
@@ -28,6 +28,12 @@ from realmask.measure import derive_seed
 from realmask.qcore import concurrence_from_purity, fidelity_with_pure, partial_trace, purity
 
 from helpers import density
+
+
+def oracle_row(config, experiment, target, estimate, error, error_kind, n, shots, **extra):
+    return {"experiment": experiment, "target": target, "estimate": estimate, "error": error,
+            "error_kind": error_kind, "N": n, "shots": shots, "seed": config.seed,
+            "noise_p": config.noise_p, **extra}
 
 
 def oracle_masked_probe(a, noise_p):
@@ -58,25 +64,15 @@ def oracle_fig3(config):
         ideal, rho = oracle_masked_probe(a, config.noise_p)
         if config.analytic:
             eps = 1.0 - fidelity_with_pure(rho, ideal)
-            fid = EstimationReport(
-                experiment="fig3", target=f"probe {idx} fidelity", estimate=1.0 - eps,
-                error=0.0, error_kind="ci95", n=None, shots=None, seed=config.seed,
-                noise_p=config.noise_p,
-                extra={"eps_hat": eps, "eps_low": eps, "eps_high": eps, "passed": None, "tests": None},
-            )
+            fid = oracle_row(config, "fig3", f"probe {idx} fidelity", 1.0 - eps, 0.0, "ci95", None, None,
+                             eps_hat=eps, eps_low=eps, eps_high=eps, passed=None, tests=None)
             pur_a, pur_b = (purity(partial_trace(rho, k)) for k in ("A", "B"))
             std, resamples = 0.0, None
         else:
             qsv = estimate.qsv_run(rho, a, config.qsv_tests, derive_seed(config.seed, "fig3.qsv", idx))
-            fid = EstimationReport(
-                experiment="fig3", target=f"probe {idx} fidelity", estimate=qsv.fidelity,
-                error=qsv.error, error_kind="ci95", n=qsv.total, shots=None, seed=config.seed,
-                noise_p=config.noise_p,
-                extra={
-                    "eps_hat": qsv.eps_hat, "eps_low": qsv.ci_low, "eps_high": qsv.ci_high,
-                    "passed": qsv.passed, "tests": qsv.total,
-                },
-            )
+            fid = oracle_row(config, "fig3", f"probe {idx} fidelity", qsv.fidelity, qsv.error, "ci95",
+                             qsv.total, None, eps_hat=qsv.eps_hat, eps_low=qsv.ci_low,
+                             eps_high=qsv.ci_high, passed=qsv.passed, tests=qsv.total)
             counts = np.array([
                 oracle_pauli_counts(partial_trace(rho, k), shots, config.seed, "fig3.tomo", idx, tag)
                 for k, tag in (("A", "path"), ("B", "pol"))
@@ -87,14 +83,10 @@ def oracle_fig3(config):
                 lambda c: estimate.purity_from_counts(c.reshape(-1, 3, 2)).reshape(-1, 2).mean(axis=1),
                 counts, derive_seed(config.seed, "fig3.boot", idx),
             )
-        pur = EstimationReport(
-            experiment="fig3", target=f"probe {idx} avg purity", estimate=0.5 * (pur_a + pur_b),
-            error=std, error_kind="std", n=None, shots=None if config.analytic else shots,
-            seed=config.seed, noise_p=config.noise_p,
-            extra={"path_purity": pur_a, "pol_purity": pur_b, "resamples": resamples},
-        )
-        rows.append({"probe": idx, "target": PROBE_LABELS[idx],
-                     "fidelity": fid.to_dict(), "purity": pur.to_dict()})
+        pur = oracle_row(config, "fig3", f"probe {idx} avg purity", 0.5 * (pur_a + pur_b), std, "std",
+                         None, None if config.analytic else shots,
+                         path_purity=pur_a, pol_purity=pur_b, resamples=resamples)
+        rows.append({"probe": idx, "target": PROBE_LABELS[idx], "fidelity": fid, "purity": pur})
     return {
         "experiment": "fig3", "seed": config.seed, "noise_p": config.noise_p,
         "qsv_tests": config.qsv_tests, "shots_per_setting": shots,
@@ -118,12 +110,9 @@ def oracle_fig5(config):
             counts = oracle_pauli_counts(rho_path, shots, config.seed, "fig5.tomo", i)
             est = float(conc(counts[None])[0])
             std = oracle_bootstrap(conc, counts, derive_seed(config.seed, "fig5.boot", i))
-        points.append(EstimationReport(
-            experiment="fig5", target=f"phi = {phi} deg", estimate=est, error=std,
-            error_kind="std", n=None, shots=None if config.analytic else shots,
-            seed=config.seed, noise_p=config.noise_p,
-            extra={"phi_deg": phi, "theory_cos": math.cos(math.radians(phi))},
-        ).to_dict())
+        points.append(oracle_row(config, "fig5", f"phi = {phi} deg", est, std, "std", None,
+                                 None if config.analytic else shots,
+                                 phi_deg=phi, theory_cos=math.cos(math.radians(phi))))
     return {
         "experiment": "fig5", "seed": config.seed, "noise_p": config.noise_p,
         "shots_per_setting": shots, "analytic": config.analytic, "points": points,
@@ -165,3 +154,17 @@ def test_fig4_is_a_stack_of_one():
     _ideal, rho = oracle_masked_probe(probe_vector(4), 0.0)
     counts = oracle_pauli_counts(rho, config.shots("fig4"), config.seed, "fig4", 4)
     assert rep["correlators"] == measure.correlators(counts).reshape(3, 3).tolist()
+
+
+def test_report_row_rejects_unknown_error_kind():
+    with pytest.raises(ValueError, match="error_kind"):
+        report_row(ExperimentConfig(seed=1), "fig3", "x", 1.0, 0.1, "sigma")
+
+
+def test_report_row_key_order_and_extras():
+    config = ExperimentConfig(seed=1, noise_p=0.0)
+    row = report_row(config, "fig5", "phi=0", 1.0, 0.01, "std", shots=10_000, theory_cos=1.0, phi_deg=0.0)
+    assert list(row) == ["experiment", "target", "estimate", "error", "error_kind", "N", "shots",
+                         "seed", "noise_p", "theory_cos", "phi_deg"]
+    assert row == oracle_row(config, "fig5", "phi=0", 1.0, 0.01, "std", None, 10_000,
+                             theory_cos=1.0, phi_deg=0.0)

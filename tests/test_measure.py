@@ -300,6 +300,15 @@ class TestCountsTable:
         again = tables_from_csv(text)
         assert again == tables
 
+    @pytest.mark.parametrize("other", [(1, 2), (2, 1)])
+    def test_csv_writer_refuses_tables_the_reader_would_merge(self, other):
+        # Two tables sharing (setting, shots, seed) used to be written, and the
+        # reader then refused the writer's own output.
+        tables = [CountsTable("Z", (1, 2), 3, 0), CountsTable("Z", other, 3, 0)]
+        with pytest.raises(ValueError, match="share setting Z, shots 3, seed 0"):
+            tables_to_csv(tables)
+        assert len(tables_from_csv(tables_to_csv(tables[:1] + [CountsTable("Z", other, 3, 1)]))) == 2
+
     @pytest.mark.parametrize("shots, seed", [(3.0, 0), (3, 0.0), (True, 0), (3, False), (3, "0"), (3, None)])
     def test_non_integer_shots_or_seed_rejected(self, shots, seed):
         # CountsTable('Z', (1, 2), 3.0, 0) used to be accepted, and the CSV

@@ -127,6 +127,16 @@ class TestPreparation:
         want = np.array([1, 1j, 0, 0]) / SQRT2
         assert global_phase_fidelity(vec, want) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("phi, h2", [(-200.0, 152.5), (-810.0, 0.0), (720.0, 22.5), (1e6, 2.5)])
+    def test_phase_angles_fold_into_one_plate_period(self, phi, h2):
+        # H2 used to leave [0, 180): phi = 720 gave 202.5 deg and phi = -200
+        # gave -27.5 deg.  A half-wave plate repeats every 180 deg, so the
+        # folded angle prepares the same state.
+        assert phase_prep_angles(phi).h2 == h2
+        vec = prepared_amplitudes(simulate_preparation(phase_prep_angles(phi), q1_deg=45.0))
+        want = np.array([1, np.exp(1j * math.radians(phi)), 0, 0]) / SQRT2
+        assert 1 - global_phase_fidelity(vec, want) < 1e-12
+
     def test_phase_pipeline_grid(self):
         for phi in (0.0, 30.0, 45.0, 60.0, 90.0):
             out = simulate_preparation(phase_prep_angles(phi), q1_deg=45.0)
