@@ -229,7 +229,7 @@ def _cmd_angles(args) -> int:
         print(f"  solver residual = {compiled.residual:.3e}")
         did_something = True
     if not did_something:
-        raise SystemExit("angles: give at least one of --state, --phi, --setting")
+        raise SystemExit("angles: give at least one of --state, --phi, --setting, --basis")
     return 0
 
 

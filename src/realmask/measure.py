@@ -27,6 +27,7 @@ import csv
 import hashlib
 import io
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -207,34 +208,105 @@ def tables_to_csv(tables: Sequence[CountsTable]) -> str:
 
 
 def tables_from_csv(text: str) -> list[CountsTable]:
-    """Parse `tables_to_csv` output; rows sharing (setting, shots, seed) form one table."""
+    """Parse `tables_to_csv` output; rows sharing (setting, shots, seed) form one
+    table, in order of first appearance, and shots and seed are compared as
+    integers, so `7` and `07` name the same table.
+
+    The reader splits the records into five columns and checks each rule once
+    per column or once per table.  An error still names what a row-at-a-time
+    reader would: the first faulty CSV line, or else the first faulty table.
+    """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if tuple(header or ()) != CSV_HEADER:
         raise ValueError(f"expected header {','.join(CSV_HEADER)}")
+    rows, fault = [], None
+    try:
+        rows.extend(reader)  # on a csv.Error the records before it stay in `rows`
+    except csv.Error as err:
+        fault = err
+    lines = range(2, len(rows) + 2)
+    if not all(rows):  # blank records are skipped but keep their line numbers
+        lines = [line for line, row in zip(lines, rows) if row]
+        rows = [row for row in rows if row]
+    # Each row rule is checked over the records that passed the rules before
+    # it; a fault cuts them to the records before the faulty one.  So `fault`
+    # ends on the first faulty line, or on the csv.Error after the last read.
+    width = len(CSV_HEADER)
+    if set(map(len, rows)) - {width}:
+        end = next(i for i, row in enumerate(rows) if len(row) != width)
+        fault = ValueError(f"CSV line {lines[end]}: expected {width} fields, got {rows[end]}")
+        rows = rows[:end]
+    columns = tuple(zip(*rows)) or ((),) * width
+    if not _OUTCOMES.issuperset(columns[1]):
+        end = next(i for i, label in enumerate(columns[1]) if label not in _OUTCOMES)
+        fault = ValueError(f"CSV line {lines[end]}: unknown outcome label {columns[1][end]!r}")
+        columns = tuple(column[:end] for column in columns)
+    try:
+        values, shot_of, seed_of = _integers(*columns[2:])
+    except ValueError:
+        end = next(i for i, cells in enumerate(zip(*columns[2:])) if not all(map(_is_integer_text, cells)))
+        fault = ValueError(
+            f"CSV line {lines[end]}: count, shots and seed must be integers, got {columns[2][end]!r}, "
+            f"{columns[3][end]!r}, {columns[4][end]!r}"
+        )
+        columns = tuple(column[:end] for column in columns)
+        values, shot_of, seed_of = _integers(*columns[2:])
+    settings, outcomes, _, shots, seeds = columns
+    keys = list(zip(settings, map(shot_of.__getitem__, shots), map(seed_of.__getitem__, seeds)))
     grouped: dict[tuple[str, int, int], dict[str, int]] = {}
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise ValueError(f"CSV line {line}: expected {len(CSV_HEADER)} fields, got {row}")
-        setting, outcome, count, shots, seed = row
-        if outcome not in OUTCOMES_PAIR + OUTCOMES_SINGLE:
-            raise ValueError(f"CSV line {line}: unknown outcome label {outcome!r}")
-        try:
-            key, value = (setting, int(shots), int(seed)), int(count)
-        except ValueError:
-            raise ValueError(
-                f"CSV line {line}: count, shots and seed must be integers, got {count!r}, "
-                f"{shots!r}, {seed!r}"
-            ) from None
-        by_outcome = grouped.setdefault(key, {})
-        if outcome in by_outcome:
-            raise ValueError(
-                f"CSV line {line}: repeated outcome {outcome!r} for setting {setting}, "
-                f"shots {shots}, seed {seed}"
-            )
-        by_outcome[outcome] = value
+    for key, outcome, value in zip(keys, outcomes, values):
+        grouped.setdefault(key, {})[outcome] = value
+    if sum(map(len, grouped.values())) < len(keys):
+        seen = set()
+        end = next(i for i, cell in enumerate(zip(keys, outcomes)) if cell in seen or seen.add(cell))
+        fault = ValueError(
+            f"CSV line {lines[end]}: repeated outcome {outcomes[end]!r} for setting {settings[end]}, "
+            f"shots {shots[end]}, seed {seeds[end]}"
+        )
+    if fault is not None:
+        raise fault
+    # The table rules, once per column: every table holds exactly the pair or
+    # the single outcomes, no setting holds a carriage return, no count is
+    # negative and each table's counts sum to its shots.  These are all the
+    # rules `CountsTable.__post_init__` checks, so the records skip it.
+    try:
+        counts = [(_PAIR_COUNTS if len(by_outcome) == 4 else _SINGLE_COUNTS)(by_outcome)
+                  for by_outcome in grouped.values()]
+    except KeyError:
+        counts = None
+    if (counts is None or sum(map(len, counts)) != len(keys) or min(values, default=0) < 0
+            or "\r" in "".join(settings) or list(map(sum, counts)) != [key[1] for key in grouped]):
+        return _checked_tables(grouped)
+    tables = []
+    for (setting, shots, seed), table_counts in zip(grouped, counts):
+        table = object.__new__(CountsTable)
+        table.__dict__.update(setting=setting, counts=table_counts, shots=shots, seed=seed)
+        tables.append(table)
+    return tables
+
+
+_OUTCOMES = frozenset(OUTCOMES_PAIR + OUTCOMES_SINGLE)
+_PAIR_COUNTS = itemgetter(*OUTCOMES_PAIR)
+_SINGLE_COUNTS = itemgetter(*OUTCOMES_SINGLE)
+
+
+def _integers(counts, shots, seeds) -> tuple[list[int], dict[str, int], dict[str, int]]:
+    """int() of every count cell, and of each distinct shots and seed text once."""
+    return list(map(int, counts)), {t: int(t) for t in set(shots)}, {t: int(t) for t in set(seeds)}
+
+
+def _is_integer_text(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _checked_tables(grouped: dict[tuple[str, int, int], dict[str, int]]) -> list[CountsTable]:
+    """The tables one at a time, each through `CountsTable`'s own checks: raises
+    on the first faulty table, in order of first appearance."""
     tables = []
     for (setting, shots, seed), by_outcome in grouped.items():
         labels = OUTCOMES_PAIR if len(by_outcome) == 4 else OUTCOMES_SINGLE

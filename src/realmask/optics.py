@@ -110,6 +110,13 @@ Element = Union[Waveplate, BeamDisplacer]
 # Preparation module: H1 -> BD -> {H2 @ -3, H3 @ 1} [-> Q1 @ -3] -> BD
 #                      -> X-plates @ {-3, 1}
 
+def _fold_half_turn(angle_deg):
+    """An angle (or array of angles) folded into [0, 180), one wave-plate
+    period; float `%` alone rounds a tiny negative angle up to exactly 180."""
+    folded = angle_deg % 180.0
+    return folded - 180.0 * (folded == 180.0)
+
+
 @dataclass(frozen=True)
 class PrepAngles:
     """Half-wave-plate angles (degrees) that set the four real amplitudes (floats or per-item arrays)."""
@@ -140,12 +147,12 @@ def solve_prep_angles(a) -> PrepAngles:
     h1 = np.degrees(np.arctan2(r23, r01)) / 2.0
     h2 = np.where(r01 > EPS_EXACT, np.degrees(np.arctan2(a1, a0)) / 2.0, 0.0)
     h3 = np.where(r23 > EPS_EXACT, np.degrees(np.arctan2(a2, -a3)) / 2.0, 0.0)
-    return PrepAngles(h1 % 180.0, h2 % 180.0, h3 % 180.0)
+    return PrepAngles(_fold_half_turn(h1), _fold_half_turn(h2), _fold_half_turn(h3))
 
 
 def phase_prep_angles(phi_deg: float) -> PrepAngles:
     """Angles for the probe (|0> + e^{i phi}|1>)/sqrt(2) with q1_deg=45; h2 folded into [0, 180)."""
-    return PrepAngles(h1=0.0, h2=(phi_deg / 4.0 + 22.5) % 180.0, h3=0.0)
+    return PrepAngles(h1=0.0, h2=_fold_half_turn(phi_deg / 4.0 + 22.5), h3=0.0)
 
 
 PREP_INPUT_RAIL = 1  # rail carrying the |H>-polarized input photon
@@ -321,7 +328,7 @@ def _solve_to_horizontal(target: np.ndarray, *, tol: float) -> tuple[float, floa
     residual = 1.0 - abs(v[0]) ** 2
     if not residual <= tol:
         raise SolverError(f"closed-form angles leave residual {residual:.3e} (tolerance {tol:.1e})")
-    return float(q % 180.0), float(h % 180.0), float(residual)
+    return float(_fold_half_turn(q)), float(_fold_half_turn(h)), float(residual)
 
 
 def compile_measurement(setting: MeasSetting, *, tol: float = 1e-10) -> MeasAngles:

@@ -5,9 +5,13 @@ density matrices of shape (d, d).
 """
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 
 from realmask.masker import mask_pure, masker_matrix
+from realmask.measure import CSV_HEADER, OUTCOMES_PAIR, OUTCOMES_SINGLE, CountsTable
 from realmask.qcore import (
     EPS_EXACT,
     PAULI_X,
@@ -139,3 +143,52 @@ def spcm_to_outcome_order(spcm_probs) -> np.ndarray:
     """Reorder detector probabilities to the (++, +-, -+, --) outcome order."""
     p = np.asarray(spcm_probs, dtype=float)
     return np.array([p[2], p[0], p[3], p[1]])
+
+
+# ---------------------------------------------------------------------------
+# Row-at-a-time count-table reader: the oracle for the columnar one.
+
+def reference_tables_from_csv(text: str) -> list[CountsTable]:
+    """`measure.tables_from_csv` one record at a time: every check runs on each
+    row as it is read, and each table is built through `CountsTable`."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if tuple(header or ()) != CSV_HEADER:
+        raise ValueError(f"expected header {','.join(CSV_HEADER)}")
+    grouped: dict[tuple[str, int, int], dict[str, int]] = {}
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"CSV line {line}: expected {len(CSV_HEADER)} fields, got {row}")
+        setting, outcome, count, shots, seed = row
+        if outcome not in OUTCOMES_PAIR + OUTCOMES_SINGLE:
+            raise ValueError(f"CSV line {line}: unknown outcome label {outcome!r}")
+        try:
+            key, value = (setting, int(shots), int(seed)), int(count)
+        except ValueError:
+            raise ValueError(
+                f"CSV line {line}: count, shots and seed must be integers, got {count!r}, "
+                f"{shots!r}, {seed!r}"
+            ) from None
+        by_outcome = grouped.setdefault(key, {})
+        if outcome in by_outcome:
+            raise ValueError(
+                f"CSV line {line}: repeated outcome {outcome!r} for setting {setting}, "
+                f"shots {shots}, seed {seed}"
+            )
+        by_outcome[outcome] = value
+    tables = []
+    for (setting, shots, seed), by_outcome in grouped.items():
+        labels = OUTCOMES_PAIR if len(by_outcome) == 4 else OUTCOMES_SINGLE
+        if set(by_outcome) != set(labels):
+            raise ValueError(
+                f"table for setting {setting}, shots {shots}, seed {seed} has outcomes "
+                f"{sorted(by_outcome)}, expected {', '.join(labels)}"
+            )
+        counts = tuple(by_outcome[label] for label in labels)
+        try:
+            tables.append(CountsTable(setting=setting, counts=counts, shots=shots, seed=seed))
+        except ValueError as err:
+            raise ValueError(f"table for setting {setting}, shots {shots}, seed {seed}: {err}") from None
+    return tables

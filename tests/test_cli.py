@@ -413,8 +413,24 @@ class TestCommandLine:
         assert "Q2 = " in out and "H5 = " in out
 
     def test_angles_requires_an_argument(self):
-        with pytest.raises(SystemExit):
+        # The message used to leave out --basis, which is accepted on its own.
+        with pytest.raises(SystemExit) as exc:
             cli.main(["angles"])
+        assert exc.value.code == "angles: give at least one of --state, --phi, --setting, --basis"
+
+    def test_angles_usage_error_exits_nonzero(self):
+        import subprocess
+        import sys
+
+        proc = subprocess.run([sys.executable, "-m", "realmask.cli", "angles"], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "angles: give at least one of --state, --phi, --setting, --basis\n"
+
+    def test_angles_print_inside_one_plate_period(self, capsys):
+        # A tiny negative H2 used to print as 180.000000 deg.
+        assert cli.main(["angles", "--phi", "-90.00000000000001"]) == 0
+        assert "  H2 = 0.000000 deg\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("setting", ["XW", "X", "XYZ"])
     def test_angles_rejects_a_non_pauli_setting(self, setting):

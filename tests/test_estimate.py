@@ -157,12 +157,28 @@ def log_likelihood(r: np.ndarray, counts: np.ndarray) -> float:
     return float(np.sum(plus * np.log1p(r) + minus * np.log1p(-r)))
 
 
+EPS = np.finfo(float).eps
+# Largest tangent residual `lagrange_condition` accepts, in its eps units: the
+# exact fit reached 10 on 60,000 seeded near-pure items, and a stop window of
+# 1e-9 in place of 4 eps exceeds 64 on 16% of them.
+KKT_LIMIT = 64.0
+
+
 def lagrange_condition(r: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
-    """Multiplier lam of grad = 2 lam r on the unit sphere, and the relative
-    size of the gradient's part tangent to the sphere."""
+    """Multiplier lam of grad = 2 lam r on the unit sphere, and the size of the
+    gradient's part tangent to the sphere in units of eps times the sum of the
+    magnitudes n+/(1 + r_k) and n-/(1 - r_k) of the gradient's terms.
+
+    Rounding in r and in those terms scales with their sum, not with the
+    gradient: near the small-lam end the terms cancel, so a residual relative
+    to |grad| is ill-conditioned there.
+    """
     grad = likelihood_gradient(r, counts)
     lam = float(grad @ r) / 2
-    return lam, float(np.linalg.norm(grad - 2 * lam * r) / np.linalg.norm(grad))
+    plus, minus = counts[:, 0], counts[:, 1]
+    terms = (np.divide(plus, 1 + r, out=np.zeros(3), where=plus > 0)
+             + np.divide(minus, 1 - r, out=np.zeros(3), where=minus > 0))
+    return lam, float(np.linalg.norm(grad - 2 * lam * r) / (EPS * terms.sum()))
 
 
 class TestVerificationOperator:
@@ -368,7 +384,7 @@ class TestTomography:
         assert purity_from_counts(counts[None])[0] == pytest.approx(1.0, abs=1e-12)
         lam, residual = lagrange_condition(bloch, counts)
         assert lam > 0.0
-        assert residual <= 1e-12
+        assert residual <= KKT_LIMIT
         # No nearby point of the sphere is more likely.
         best = log_likelihood(bloch, counts)
         for step in rng.normal(scale=1e-3, size=(200, 3)):
@@ -429,7 +445,7 @@ class TestExactMle:
                 assert abs(np.linalg.norm(r) - 1.0) <= 1e-12
                 lam, residual = lagrange_condition(r, counts[i])
                 assert lam >= 0.0
-                assert residual <= 1e-10
+                assert residual <= KKT_LIMIT
             assert mle_qubit_batch(counts[i:i + 1])[0].tobytes() == rho.tobytes()
 
     def test_matches_bisection_oracle(self):

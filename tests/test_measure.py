@@ -1,3 +1,7 @@
+import csv
+import io
+from operator import itemgetter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +11,9 @@ from realmask.estimate import correlation_matrix
 from realmask.masker import mask_state
 from realmask.measure import (
     AXES,
+    CSV_HEADER,
+    OUTCOMES_PAIR,
+    OUTCOMES_SINGLE,
     PAIR_PAULIS,
     PAIRS,
     CountsTable,
@@ -23,7 +30,7 @@ from realmask.measure import (
 )
 from realmask.qcore import PAULIS, DensityMatrix, StateVector, kron, partial_trace
 
-from helpers import random_density, random_real_density
+from helpers import random_density, random_real_density, reference_tables_from_csv
 
 BELL = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2))
 
@@ -334,7 +341,8 @@ class TestCountsTable:
             table = CountsTable(setting, tuple(counts), int_type(sum(counts)), seed)
         except ValueError:
             assume(False)
-        assert tables_from_csv(tables_to_csv([table])) == [table]
+        text = tables_to_csv([table])
+        assert tables_from_csv(text) == reference_tables_from_csv(text) == [table]
 
     def test_csv_rejects_wrong_header(self):
         with pytest.raises(ValueError):
@@ -379,6 +387,147 @@ class TestCountsTable:
         text = "setting,outcome,count,shots,seed\nZ,+,3,5,9\nZ,-,1,5,9\n"
         with pytest.raises(ValueError, match="^table for setting Z, shots 5, seed 9: counts sum 4 != shots 5$"):
             tables_from_csv(text)
+
+
+def read_both(text: str):
+    """(tables, None) or (None, (exception type, message)) from each reader."""
+    results = []
+    for reader in (tables_from_csv, reference_tables_from_csv):
+        try:
+            results.append((reader(text), None))
+        except (ValueError, csv.Error) as err:
+            results.append((None, (type(err), str(err))))
+    return results
+
+
+def assert_readers_agree(text: str):
+    (got, got_err), (want, want_err) = read_both(text)
+    assert got_err == want_err
+    assert got == want
+    if got is not None:
+        fields = [[type(t.setting), *map(type, t.counts), type(t.shots), type(t.seed)] for t in got]
+        assert fields == [[str, *[int] * len(t.counts), int, int] for t in got]
+
+
+def int_text(value: int, style: str) -> str:
+    """An integer cell as a writer other than `tables_to_csv` might spell it."""
+    if style == "zeros":
+        return ("-" if value < 0 else "") + "00" + str(abs(value))
+    if style == "spaces":
+        return f" {value} "
+    if style == "underscore":
+        return f"{value:_}"
+    if style == "plus":
+        return f"+{value}" if value >= 0 else str(value)
+    return str(value)
+
+
+FAULTS = ("short row", "bad label", "non-integer cell", "repeated row", "missing outcome",
+          "negative count", "sum mismatch", "carriage return")
+
+
+@st.composite
+def count_table_csv(draw):
+    """CSV text of a few pair and single tables, rows shuffled and interleaved,
+    cells in varied integer spellings, with up to two injected faults."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        setting = draw(st.one_of(st.sampled_from(PAIRS + AXES), st.text(alphabet='XYZ,"\n a', max_size=4)))
+        labels = draw(st.sampled_from([OUTCOMES_PAIR, OUTCOMES_SINGLE]))
+        counts = draw(st.lists(st.one_of(st.integers(0, 50), st.integers(2**63, 2**65)),
+                               min_size=len(labels), max_size=len(labels)))
+        seed = draw(st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)))
+        rows += [[setting, label, count, sum(counts), seed] for label, count in zip(labels, counts)]
+    rows = draw(st.permutations(rows))
+    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=2))
+    for fault in faults:
+        i = draw(st.integers(0, len(rows) - 1))
+        if fault == "repeated row":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+        elif fault == "missing outcome" and len(rows) > 1:
+            del rows[i]
+        elif fault == "negative count":
+            # Moved to a row of the same table, so the sum still matches.
+            key = itemgetter(0, 3, 4)
+            twins = [row for row in rows if key(row) == key(rows[i]) and row is not rows[i]]
+            if twins:
+                twins[0][2] += rows[i][2] + 1
+            rows[i][2] = -1
+        elif fault == "sum mismatch":
+            rows[i][2] += 1
+        elif fault == "carriage return":
+            old = rows[i][0]
+            for row in rows:
+                if row[0] == old:
+                    row[0] = old + "\r"
+    text_rows = [[row[0], row[1], *(int_text(v, draw(st.sampled_from(
+        ["plain", "zeros", "spaces", "underscore", "plus"]))) for v in row[2:])] for row in rows]
+    for fault in faults:
+        i = draw(st.integers(0, len(text_rows) - 1))
+        if fault == "short row":
+            text_rows[i] = text_rows[i][:draw(st.integers(1, 4))]
+        elif fault == "bad label":
+            text_rows[i][1] = draw(st.sampled_from(["0", "+-+", "", " +", "--+"]))
+        elif fault == "non-integer cell":
+            text_rows[i][draw(st.integers(2, 4))] = draw(st.sampled_from(["7.0", "x", "", "1e3", "0x10"]))
+    for _ in range(draw(st.integers(0, 2))):
+        text_rows.insert(draw(st.integers(0, len(text_rows))), [])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n", quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerow(CSV_HEADER)
+    writer.writerows(text_rows)
+    return buf.getvalue()
+
+
+class TestColumnarReader:
+    """The columnar `tables_from_csv` against the row-at-a-time reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(count_table_csv())
+    def test_matches_reference_reader(self, text):
+        assert_readers_agree(text)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "a,b,c\n",
+        "setting,outcome,count,shots,seed\n",
+        "setting,outcome,count,shots,seed\n\n\n",
+        "setting,outcome,count,shots,seed\nXX,++,10,100,42\nXX,+-,20,100,42\nXX,-+,30,100,42\n"
+        "XX,--,40,100,42\nZ,+,7,10,43\nZ,-,3,10,43\n",
+        "setting,outcome,count,shots,seed\nZ,+,7,10,43\nZ,-,3,10,43\nZ,+,9,10,43\n",
+        "setting,outcome,count,shots,seed\nZ,+,7,10,43\nZ,0,3,10,43\n",
+        "setting,outcome,count,shots,seed\nXX,++,7,10,43\nXX,+-,3,10,43\nXX,-+,0,10,43\n",
+        "setting,outcome,count,shots,seed\nZ,+,7\n",
+        "setting,outcome,count,shots,seed\nZ,+,x,4,0\nZ,-,1,4,0\n",
+        "setting,outcome,count,shots,seed\nZ,+,7.0,10,1\nZ,-,1,4,0\n",
+        "setting,outcome,count,shots,seed\nZ,+,3,4,s\nZ,-,1,4,0\n",
+        "setting,outcome,count,shots,seed\nZ,+,3,5,9\nZ,-,1,5,9\n",
+        # 7 and 07 name one table; a row of a later table comes between.
+        "setting,outcome,count,shots,seed\nZ,+,3,07,9\nX,+,1,1,9\nZ,-,4,7,0_9\nX,-,0,1,9\n",
+        'setting,outcome,count,shots,seed\n"Y\r",+,1,1,1\n"Y\r",-,0,1,1\n',
+        # A negative count and a carriage return, then a short row: the line fault wins.
+        'setting,outcome,count,shots,seed\nZ,+,-3,1,9\nZ,-,4,1,9\n"Y\r",+,1,1,1\n"Y\r",-,0,1,1\nZ\n',
+        # The same table faults without the short row: the first table to appear fails.
+        'setting,outcome,count,shots,seed\n"Y\r",+,1,1,1\nZ,+,-3,1,9\nZ,-,4,1,9\n"Y\r",-,0,1,1\n',
+        "setting,outcome,count,shots,seed\nZ,+,1,1,1\nZ,-,0,1,1\nZ,++,0,1,1\n",
+        "setting,outcome,count,shots,seed\nZ,+,1,1,1\nZ,-,0,1,1\nZ,++,0,1,1\nZ,+-,0,1,1\n",
+    ])
+    def test_matches_reference_reader_on_fixed_cases(self, text):
+        assert_readers_agree(text)
+
+    @pytest.mark.parametrize("before, error", [
+        ("", csv.Error),
+        ("Z,+,1,1,1\nZ,+,0,1,1\n", ValueError),
+        ("Z,+,1,1\n", ValueError),
+        ("Z,+,1,1,1\nZ,-,1,1,1\n", csv.Error),
+    ])
+    def test_csv_error_after_a_faulty_line_reports_the_line(self, before, error):
+        # An unquoted carriage return stops the csv module itself; a faulty
+        # line read before it is still the error reported.
+        text = f"setting,outcome,count,shots,seed\n{before}Z\r,+,1,1,1\n"
+        (_, got), _ = read_both(text)
+        assert got[0] is error
+        assert_readers_agree(text)
 
 
 class TestSeeds:

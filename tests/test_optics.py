@@ -137,6 +137,15 @@ class TestPreparation:
         want = np.array([1, np.exp(1j * math.radians(phi)), 0, 0]) / SQRT2
         assert 1 - global_phase_fidelity(vec, want) < 1e-12
 
+    def test_angles_below_one_plate_period(self):
+        # A tiny negative angle used to fold to exactly 180.0 under float %.
+        angles = solve_prep_angles(np.array([1, -1e-17, 0, 1]) / SQRT2)
+        assert (angles.h1, angles.h2, angles.h3) == (22.5, 0.0, 90.0)
+        assert phase_prep_angles(-90.00000000000001).h2 == 0.0
+        stacked = solve_prep_angles(np.array([[1, -1e-17, 0, 1], [-1, -1e-17, 0, 1]]) / SQRT2)
+        for h in (stacked.h1, stacked.h2, stacked.h3):
+            assert np.all((0.0 <= h) & (h < 180.0))
+
     def test_phase_pipeline_grid(self):
         for phi in (0.0, 30.0, 45.0, 60.0, 90.0):
             out = simulate_preparation(phase_prep_angles(phi), q1_deg=45.0)
