@@ -5,13 +5,15 @@ Three pipelines:
 * verification-based fidelity: random local projective tests whose average
   pass rate maps linearly onto the infidelity, eps = (3/2)(1 - p_succ), with
   an Agresti-Coull confidence interval transported through the same linear
-  map;
+  map; `qsv_run` takes one state or an (n, 4, 4) stack with one target and
+  one seed per item, checked once;
 * single-qubit tomography: exact maximum likelihood over (batch, 3, 2) count
   arrays, rows in `measure.AXES` order (`mle_qubit_batch`,
   `purity_from_counts`), every boundary fit of a batch solved together by
   one array iteration, with Poisson-resampling bootstrap error bars
-  (`bootstrap_std`: one seeded draw per count array of a stack, all
-  resamples of the stack estimated in one call);
+  (`bootstrap_std`: one seeded draw per count array of a stack, all taken
+  by one `measure.poisson_resample` call, and all resamples of the stack
+  estimated in one more call);
 * correlation decoding: the nine Pauli-pair correlators of the masked state
   (rows and columns in `measure.AXES` order) determine the real input density
   matrix through one constant linear map, derived from the masker by
@@ -31,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .masker import build_hr_d4, masker_matrix, u_of_c
-from .measure import PAIR_PAULIS, PAIRS, CountsTable, correlators, generator, poisson_resample
+from .measure import PAIR_PAULIS, PAIRS, CountsTable, correlators, generators, poisson_resample
 from .qcore import ID2, _dagger, _rho_array, checked_density, fidelity_with_pure, kron, require_unitary
 
 
@@ -91,9 +93,9 @@ def qsv_run(
     rho,
     target,
     n_tests: int,
-    seed: int,
+    seed,
     confidence: float = 0.95,
-) -> QsvResult:
+) -> QsvResult | list[QsvResult]:
     """Run `n_tests` randomly chosen local tests against the rotated target.
 
     `target` is a magic-basis index 0..3, a real coefficient 4-vector, or the
@@ -101,31 +103,59 @@ def qsv_run(
     DensityMatrix or a 4x4 array, checked like one.  Test k passes with
     probability (1 + s_k tr(R† rho R O_k ⊗ O_k))/2, R = U ⊗ 1, read from the
     state rotated once.
+
+    An (n, 4, 4) stack of states takes a sequence of n targets and n seeds
+    and returns one result per item, each what that item gives alone: the
+    stack is checked once, and an error names the first faulty row.
     """
     if n_tests < 1:
         raise ValueError("n_tests must be >= 1")
     arr = _rho_array(rho)
-    if arr.shape != (4, 4):
-        raise ValueError(f"rho must be a 4x4 density matrix, got shape {arr.shape}")
-    r = kron(_resolve_target_unitary(target), ID2)
-    rotated = _dagger(r) @ checked_density(arr) @ r
-    rng = generator(seed)
-    which = rng.integers(0, 3, size=n_tests)
-    draws = rng.random(n_tests)
-    pass_probs = (1.0 + _TEST_SIGNS * np.trace(rotated @ _TEST_PAULIS, axis1=-2, axis2=-1).real) / 2
-    passed = int(np.count_nonzero(draws < pass_probs[which]))
-    p_hat = passed / n_tests
-    eps_hat = 1.5 * (1.0 - p_hat)
-    lo, hi = agresti_coull(passed, n_tests, confidence)
-    return QsvResult(
-        total=n_tests,
-        passed=passed,
-        p_hat=p_hat,
-        eps_hat=eps_hat,
-        ci_low=min(lo, eps_hat),
-        ci_high=max(hi, eps_hat),
-        confidence=confidence,
-    )
+    if arr.shape[-2:] != (4, 4) or arr.ndim not in (2, 3):
+        raise ValueError(f"rho must be a 4x4 density matrix or an (n, 4, 4) stack, got shape {arr.shape}")
+    single = arr.ndim == 2
+    if single:
+        arr, target = arr[None], [target]
+    elif not len(target) == len(seed) == len(arr):
+        raise ValueError(f"need one target and one seed per state, got {len(target)} targets and "
+                         f"{len(seed)} seeds for {len(arr)} states")
+    rotations = []
+    for i, t in enumerate(target):
+        try:
+            rotations.append(kron(_resolve_target_unitary(t), ID2))
+        except ValueError as err:
+            raise ValueError(f"{'' if single else f'row {i}: '}{err}") from None
+    try:
+        checked = checked_density(arr)
+    except ValueError:
+        if not single:  # name the first faulty item
+            for i, item in enumerate(arr):
+                try:
+                    checked_density(item)
+                except ValueError as err:
+                    raise ValueError(f"row {i}: {err}") from None
+        raise
+    r = np.array(rotations).reshape(-1, 4, 4)
+    rotated = _dagger(r) @ checked @ r
+    pass_probs = (1.0 + _TEST_SIGNS * np.trace(rotated[:, None] @ _TEST_PAULIS, axis1=-2, axis2=-1).real) / 2
+    results = []
+    for probs, rng in zip(pass_probs, generators(seed)):
+        which = rng.integers(0, 3, size=n_tests)
+        draws = rng.random(n_tests)
+        passed = int(np.count_nonzero(draws < probs[which]))
+        p_hat = passed / n_tests
+        eps_hat = 1.5 * (1.0 - p_hat)
+        lo, hi = agresti_coull(passed, n_tests, confidence)
+        results.append(QsvResult(
+            total=n_tests,
+            passed=passed,
+            p_hat=p_hat,
+            eps_hat=eps_hat,
+            ci_low=min(lo, eps_hat),
+            ci_high=max(hi, eps_hat),
+            confidence=confidence,
+        ))
+    return results[0] if single else results
 
 
 def agresti_coull(passed: int, total: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -305,7 +335,7 @@ def bootstrap_std(
     if counts.ndim < 1 or len(seeds) != len(counts):
         raise ValueError(f"need one seed per count array, got {len(seeds)} seeds "
                          f"for a stack of shape {counts.shape}")
-    draws = np.array([poisson_resample(c, resamples, seed) for c, seed in zip(counts, seeds)])
+    draws = poisson_resample(counts, resamples, seeds)
     values = np.asarray(quantity(draws.reshape(-1, *counts.shape[1:])))
     if values.shape != (len(counts) * resamples,):
         raise ValueError(f"quantity gave shape {values.shape}, expected ({len(counts) * resamples},)")

@@ -9,9 +9,11 @@ which via its error_kind field.
 
 Each figure runs its points as one stack: the masked states of all points
 form one (n, 4, 4) array, checked once; the point estimates of a figure take
-one MLE call and its bootstrap resamples one more.  Only the seeded draws
-stay per point, each from its own sub-seed.  Sampled counts stay integer
-arrays from the draw to the estimate.
+one MLE call and its bootstrap resamples one more.  The seeded draws of a
+figure take one call each too: one `sample_counts` call over all its Pauli
+tables, one `qsv_run` call over fig3's probes and one `poisson_resample`
+call per bootstrap, each row or item still drawn from its own sub-seed.
+Sampled counts stay integer arrays from the draw to the estimate.
 """
 from __future__ import annotations
 
@@ -102,18 +104,16 @@ def _masked_states(probes: np.ndarray, noise_p: float) -> tuple[np.ndarray, np.n
     return vecs, ideal if noise_p == 0.0 else measure.apply_depolarizing(ideal, noise_p)
 
 
-def _pauli_counts(probs: np.ndarray, shots: int, master_seed: int, *tags) -> np.ndarray:
-    """Counts of every row of a probability table: (3, 2) for a qubit, (9, 4)
-    for a pair.
+def _pauli_counts(probs: np.ndarray, shots: int, master_seed: int, tags) -> np.ndarray:
+    """Counts of every row of a stack of probability tables, (n, 3, 2) for
+    qubits or (n, 9, 4) for pairs, in one `sample_counts` call.
 
-    Each row is one `sample_counts` draw from its own sub-seed, tagged with
-    the row's `measure.AXES` or `measure.PAIRS` label.
+    Row r of table i is drawn from its own sub-seed, tagged with `tags[i]`
+    and the row's `measure.AXES` or `measure.PAIRS` label.
     """
-    labels = measure.AXES if len(probs) == len(measure.AXES) else measure.PAIRS
-    return np.array([
-        measure.sample_counts(p, shots, derive_seed(master_seed, *tags, label))
-        for label, p in zip(labels, probs)
-    ])
+    labels = measure.AXES if probs.shape[-2] == len(measure.AXES) else measure.PAIRS
+    seeds = np.array([[derive_seed(master_seed, *t, label) for label in labels] for t in tags], dtype=object)
+    return measure.sample_counts(probs, shots, seeds.reshape(probs.shape[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +140,16 @@ def run_fig3(config: ExperimentConfig) -> dict:
                 for idx, e in zip(PROBES, eps.tolist())]
         pur, std, resamples = purity(reduced), np.zeros(len(PROBES)), None
     else:
-        probs = measure.axis_probs(reduced)
-        fids, counts, seeds = [], [], []
-        for i, idx in enumerate(PROBES):
-            qsv = estimate.qsv_run(rho[i], probes[i], config.qsv_tests,
-                                   derive_seed(config.seed, "fig3.qsv", idx))
-            fids.append(report_row(config, "fig3", f"probe {idx} fidelity", qsv.fidelity, qsv.error,
-                                   "ci95", qsv.total, eps_hat=qsv.eps_hat, eps_low=qsv.ci_low,
-                                   eps_high=qsv.ci_high, passed=qsv.passed, tests=qsv.total))
-            counts.append([_pauli_counts(probs[i, q], shots, config.seed, "fig3.tomo", idx, tag)
-                           for q, tag in enumerate(("path", "pol"))])
-            seeds.append(derive_seed(config.seed, "fig3.boot", idx))
-        counts = np.array(counts)
+        qsvs = estimate.qsv_run(rho, probes, config.qsv_tests,
+                                [derive_seed(config.seed, "fig3.qsv", idx) for idx in PROBES])
+        fids = [report_row(config, "fig3", f"probe {idx} fidelity", qsv.fidelity, qsv.error, "ci95",
+                           qsv.total, eps_hat=qsv.eps_hat, eps_low=qsv.ci_low, eps_high=qsv.ci_high,
+                           passed=qsv.passed, tests=qsv.total)
+                for idx, qsv in zip(PROBES, qsvs)]
+        tags = [("fig3.tomo", idx, tag) for idx in PROBES for tag in ("path", "pol")]
+        counts = _pauli_counts(measure.axis_probs(reduced).reshape(-1, 3, 2), shots, config.seed, tags)
+        counts = counts.reshape(len(PROBES), 2, 3, 2)
+        seeds = [derive_seed(config.seed, "fig3.boot", idx) for idx in PROBES]
         pur = estimate.purity_from_counts(counts.reshape(-1, 3, 2)).reshape(-1, 2)
         resamples = BOOTSTRAP_RESAMPLES
         std = estimate.bootstrap_std(_avg_purity, counts, seeds, resamples=resamples)
@@ -189,7 +187,7 @@ def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
         t = measure.correlators(probs).reshape(3, 3)
         fid_std = 0.0
     else:
-        counts = _pauli_counts(probs, shots, config.seed, "fig4", probe)
+        counts = _pauli_counts(probs[None], shots, config.seed, [("fig4", probe)])[0]
         t = estimate.validate_correlation_matrix(measure.correlators(counts).reshape(3, 3))
 
         def decode_fidelity(stack: np.ndarray) -> np.ndarray:
@@ -235,11 +233,9 @@ def run_fig5(config: ExperimentConfig) -> dict:
     if config.analytic:
         est, std = concurrence_from_purity(purity(rho_path)), np.zeros(len(phis))
     else:
-        counts, seeds = [], []
-        for i, probs in enumerate(measure.axis_probs(rho_path)):
-            counts.append(_pauli_counts(probs, shots, config.seed, "fig5.tomo", i))
-            seeds.append(derive_seed(config.seed, "fig5.boot", i))
-        counts = np.array(counts).reshape(-1, 3, 2)
+        counts = _pauli_counts(measure.axis_probs(rho_path), shots, config.seed,
+                               [("fig5.tomo", i) for i in range(len(phis))])
+        seeds = [derive_seed(config.seed, "fig5.boot", i) for i in range(len(phis))]
         est = _concurrence(counts)
         std = estimate.bootstrap_std(_concurrence, counts, seeds, resamples=BOOTSTRAP_RESAMPLES)
     points = [

@@ -19,16 +19,26 @@ the CSV reader and writer exchange.
 Reproducibility: all randomness flows through numpy's counter-based Philox
 generator keyed by a 64-bit sub-seed, SHA-256 over the length-prefixed master
 seed and stream tags (module tag, trial indices), so distinct tag tuples give
-distinct streams and results are bit-for-bit identical across runs.
+distinct streams and results are bit-for-bit identical across runs.  A seed
+outside [0, 2**64) is refused, never folded onto another.
+
+Draws by the table: `sample_counts` takes a (..., k) table of rows with a
+(...) array of seeds and `poisson_resample` a stack of count arrays with one
+seed per item.  Each call checks the whole table once, naming the first
+faulty row, and builds one Philox that `generators` re-keys for every row:
+a Philox stream is fully defined by its key and counter (Salmon et al., SC'11),
+so each row gets the bits of `generator(seed)` without paying for a new one.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import io
+import math
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -69,14 +79,68 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(h.digest()[:8], "little")
 
 
-def generator(seed: int) -> np.random.Generator:
-    """Philox generator keyed by `seed` (counter-based, platform independent)."""
-    return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
-
-
 def _is_integer(value) -> bool:
     """A Python int (a bool is not one) or a numpy integer."""
     return type(value) is int or isinstance(value, np.integer)
+
+
+def _row_prefix(shape: tuple[int, ...], flat_index: int) -> str:
+    """'row i: ' naming entry `flat_index` (C order) of an array of `shape`;
+    empty for a single (0-d) entry."""
+    if not shape:
+        return ""
+    index = tuple(int(i) for i in np.unravel_index(flat_index, shape))
+    return f"row {index[0] if len(index) == 1 else index}: "
+
+
+def _is_seed(value) -> bool:
+    return _is_integer(value) and 0 <= int(value) < 2**64
+
+
+def _seed_error(seed, prefix: str = "") -> ValueError:
+    return ValueError(f"{prefix}seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+def generator(seed: int) -> np.random.Generator:
+    """Philox generator keyed by `seed` in [0, 2**64) (counter-based, platform
+    independent): the reference stream that `generators` reproduces."""
+    if not _is_seed(seed):
+        raise _seed_error(seed)
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def generators(seeds) -> Iterator[np.random.Generator]:
+    """`generator(seed)` for every seed of a (...) array in C order, from one
+    Philox re-keyed in place: key = seed, counter 0, empty buffer.
+
+    Every seed is checked before the first generator is handed out, and an
+    error names the faulty row.  Each item is the same Generator, re-keyed
+    when the next one is taken, so draw from it before moving on.
+    """
+    seeds = np.asarray(seeds, dtype=object)
+    keys = seeds.ravel().tolist()
+    if not all(map(_is_seed, keys)):
+        i = next(i for i, key in enumerate(keys) if not _is_seed(key))
+        raise _seed_error(keys[i], _row_prefix(seeds.shape, i))
+    rng = np.random.Generator(np.random.Philox(0))
+    return map(partial(_rekeyed, rng), keys)
+
+
+_ZEROS = np.zeros(4, np.uint64)  # the state setter copies, so one read-only array serves
+_ZEROS.setflags(write=False)
+
+
+def _rekeyed(rng: np.random.Generator, seed: int) -> np.random.Generator:
+    """`rng` with its Philox set to the state `np.random.Philox(key=seed)` starts in."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": np.array([seed, 0], np.uint64)},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 @dataclass(frozen=True)
@@ -142,20 +206,39 @@ def pair_probs(rho) -> np.ndarray:
     return _projector_probs(rho, _PAIR_PROJECTORS)
 
 
-def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
-    """Integer counts from one multinomial draw over the outcome distribution;
-    deterministic per seed."""
+def sample_counts(probs, shots: int, seed) -> np.ndarray:
+    """Integer counts of each row of a (..., k) probability table, k = 2 or 4,
+    from one multinomial draw per row; deterministic per seed.
+
+    `seed` is a (...) array, one seed per row: row i is drawn from the stream
+    of `generator(seed[i])`.  A single (k,) row takes a plain int seed.  The
+    whole table is checked before any draw, and an error names the first
+    faulty row.
+    """
     if not _is_integer(shots) or shots < 1:
         raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
     p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or len(p) not in (2, 4):
+    if p.ndim < 1 or p.shape[-1] not in (2, 4):
         raise ValueError("probs must have 2 or 4 entries")
-    if np.any(p < -1e-12):
-        raise ValueError(f"negative probability in {p}")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
-    p = np.clip(p, 0.0, None)
-    return generator(seed).multinomial(shots, p / p.sum())
+    seeds = np.asarray(seed, dtype=object)
+    if seeds.shape != p.shape[:-1]:
+        raise ValueError(f"need one seed per row: seeds of shape {seeds.shape} for probs of shape {p.shape}")
+    rows = p.reshape(-1, p.shape[-1])
+    sums = rows.sum(axis=-1)
+    bad = (rows < -1e-12).any(axis=-1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{_row_prefix(p.shape[:-1], i)}negative probability in {rows[i]}")
+    bad = ~(np.abs(sums - 1.0) <= 1e-9)  # a NaN sum is faulty too
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{_row_prefix(p.shape[:-1], i)}probabilities sum to {sums[i]}, expected 1")
+    rows = np.clip(rows, 0.0, None)
+    rows = rows / rows.sum(axis=-1, keepdims=True)
+    counts = np.empty(rows.shape, dtype=np.int64)
+    for i, rng in enumerate(generators(seeds)):
+        counts[i] = rng.multinomial(shots, rows[i])
+    return counts.reshape(p.shape)
 
 
 def correlators(counts) -> np.ndarray:
@@ -179,11 +262,27 @@ def apply_depolarizing(rho, p: float) -> np.ndarray:
     return checked_density((1.0 - p) * arr + p * np.eye(d) / d)
 
 
-def poisson_resample(counts, resamples: int, seed: int) -> np.ndarray:
+def poisson_resample(counts, resamples: int, seed) -> np.ndarray:
     """`resamples` redraws of a count array, each count replaced by a Poisson
-    draw with that mean: one draw of shape (resamples, *counts.shape)."""
+    draw with that mean: one draw of shape (resamples, *counts.shape).
+
+    With a (...) array of seeds, `counts` is a stack of count arrays of shape
+    (..., *item), one seed per item, and the result has shape (...,
+    resamples, *item): item i is the draw for `counts[i]` alone with
+    `seed[i]`.
+    """
     counts = np.asarray(counts)
-    return generator(seed).poisson(counts, size=(resamples, *counts.shape))
+    seeds = np.asarray(seed, dtype=object)
+    stack = seeds.shape
+    if counts.shape[:len(stack)] != stack:
+        raise ValueError(f"need one seed per count array: seeds of shape {stack} "
+                         f"for counts of shape {counts.shape}")
+    item = counts.shape[len(stack):]
+    items = counts.reshape(math.prod(stack), *item)
+    draws = np.empty((len(items), resamples, *item), dtype=np.int64)
+    for i, rng in enumerate(generators(seeds)):
+        draws[i] = rng.poisson(items[i], size=(resamples, *item))
+    return draws.reshape(*stack, resamples, *item)
 
 
 # ---------------------------------------------------------------------------
@@ -214,42 +313,46 @@ def tables_from_csv(text: str) -> list[CountsTable]:
 
     The reader splits the records into five columns and checks each rule once
     per column or once per table.  An error still names what a row-at-a-time
-    reader would: the first faulty CSV line, or else the first faulty table.
+    reader would: the file line on which the first faulty CSV record starts,
+    or else the first faulty table.  The csv module's own errors, such as an
+    unquoted carriage return, are raised as such a line error too.
     """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as err:
+        raise ValueError(f"CSV line 1: {err}") from None
     if tuple(header or ()) != CSV_HEADER:
         raise ValueError(f"expected header {','.join(CSV_HEADER)}")
+    # `fault` is (record number, message), the header being record 1.
     rows, fault = [], None
     try:
         rows.extend(reader)  # on a csv.Error the records before it stay in `rows`
     except csv.Error as err:
-        fault = err
-    lines = range(2, len(rows) + 2)
-    if not all(rows):  # blank records are skipped but keep their line numbers
-        lines = [line for line, row in zip(lines, rows) if row]
+        fault = (len(rows) + 2, str(err))
+    records = range(2, len(rows) + 2)
+    if not all(rows):  # blank records are skipped but keep their numbers
+        records = [record for record, row in zip(records, rows) if row]
         rows = [row for row in rows if row]
     # Each row rule is checked over the records that passed the rules before
     # it; a fault cuts them to the records before the faulty one.  So `fault`
-    # ends on the first faulty line, or on the csv.Error after the last read.
+    # ends on the first faulty record, or on the csv.Error after the last read.
     width = len(CSV_HEADER)
     if set(map(len, rows)) - {width}:
         end = next(i for i, row in enumerate(rows) if len(row) != width)
-        fault = ValueError(f"CSV line {lines[end]}: expected {width} fields, got {rows[end]}")
+        fault = (records[end], f"expected {width} fields, got {rows[end]}")
         rows = rows[:end]
     columns = tuple(zip(*rows)) or ((),) * width
     if not _OUTCOMES.issuperset(columns[1]):
         end = next(i for i, label in enumerate(columns[1]) if label not in _OUTCOMES)
-        fault = ValueError(f"CSV line {lines[end]}: unknown outcome label {columns[1][end]!r}")
+        fault = (records[end], f"unknown outcome label {columns[1][end]!r}")
         columns = tuple(column[:end] for column in columns)
     try:
         values, shot_of, seed_of = _integers(*columns[2:])
     except ValueError:
         end = next(i for i, cells in enumerate(zip(*columns[2:])) if not all(map(_is_integer_text, cells)))
-        fault = ValueError(
-            f"CSV line {lines[end]}: count, shots and seed must be integers, got {columns[2][end]!r}, "
-            f"{columns[3][end]!r}, {columns[4][end]!r}"
-        )
+        fault = (records[end], f"count, shots and seed must be integers, got {columns[2][end]!r}, "
+                               f"{columns[3][end]!r}, {columns[4][end]!r}")
         columns = tuple(column[:end] for column in columns)
         values, shot_of, seed_of = _integers(*columns[2:])
     settings, outcomes, _, shots, seeds = columns
@@ -260,12 +363,11 @@ def tables_from_csv(text: str) -> list[CountsTable]:
     if sum(map(len, grouped.values())) < len(keys):
         seen = set()
         end = next(i for i, cell in enumerate(zip(keys, outcomes)) if cell in seen or seen.add(cell))
-        fault = ValueError(
-            f"CSV line {lines[end]}: repeated outcome {outcomes[end]!r} for setting {settings[end]}, "
-            f"shots {shots[end]}, seed {seeds[end]}"
-        )
+        fault = (records[end], f"repeated outcome {outcomes[end]!r} for setting {settings[end]}, "
+                               f"shots {shots[end]}, seed {seeds[end]}")
     if fault is not None:
-        raise fault
+        record, message = fault
+        raise ValueError(f"CSV line {_start_line(text, record)}: {message}")
     # The table rules, once per column: every table holds exactly the pair or
     # the single outcomes, no setting holds a carriage return, no count is
     # negative and each table's counts sum to its shots.  These are all the
@@ -294,6 +396,16 @@ _SINGLE_COUNTS = itemgetter(*OUTCOMES_SINGLE)
 def _integers(counts, shots, seeds) -> tuple[list[int], dict[str, int], dict[str, int]]:
     """int() of every count cell, and of each distinct shots and seed text once."""
     return list(map(int, counts)), {t: int(t) for t in set(shots)}, {t: int(t) for t in set(seeds)}
+
+
+def _start_line(text: str, record: int) -> int:
+    """The file line on which CSV record `record` (the header is 1) starts: a
+    quoted field may hold newlines, so records and lines differ.  Read again
+    from the top, which only the error path pays for."""
+    reader = csv.reader(io.StringIO(text))
+    for _ in range(record - 1):
+        next(reader)
+    return reader.line_num + 1
 
 
 def _is_integer_text(text: str) -> bool:

@@ -150,13 +150,25 @@ def spcm_to_outcome_order(spcm_probs) -> np.ndarray:
 
 def reference_tables_from_csv(text: str) -> list[CountsTable]:
     """`measure.tables_from_csv` one record at a time: every check runs on each
-    row as it is read, and each table is built through `CountsTable`."""
+    row as it is read, and each table is built through `CountsTable`.  A
+    line error names the file line on which the record starts, one past the
+    lines `csv.reader` had read before it, and a csv module error is one."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as err:
+        raise ValueError(f"CSV line 1: {err}") from None
     if tuple(header or ()) != CSV_HEADER:
         raise ValueError(f"expected header {','.join(CSV_HEADER)}")
     grouped: dict[tuple[str, int, int], dict[str, int]] = {}
-    for line, row in enumerate(reader, start=2):
+    while True:
+        line = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as err:
+            raise ValueError(f"CSV line {line}: {err}") from None
         if not row:
             continue
         if len(row) != len(CSV_HEADER):

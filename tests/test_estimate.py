@@ -301,6 +301,69 @@ class TestQsvRun:
             assert abs(estimates.mean() - eps) <= max(2 * se, 1e-12)
 
 
+class TestQsvStack:
+    """An (n, 4, 4) stack of states in one qsv_run call against one call per state."""
+
+    @staticmethod
+    def target(kind: str, rng: np.random.Generator):
+        if kind == "index":
+            return int(rng.integers(0, 4))
+        a = rng.normal(size=4)
+        a /= np.linalg.norm(a)
+        return a if kind == "vector" else u_of_c(a)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32), st.lists(st.sampled_from(["index", "vector", "unitary"]), max_size=5),
+           st.lists(st.one_of(st.sampled_from([0, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+                    min_size=5, max_size=5),
+           st.integers(1, 3000))
+    def test_stack_equals_items_alone(self, state_seed, kinds, keys, n_tests):
+        rng = np.random.default_rng(state_seed)
+        rho = np.array([random_density(4, rng) for _ in kinds]).reshape(-1, 4, 4)
+        targets = [self.target(kind, rng) for kind in kinds]
+        keys = keys[:len(kinds)]
+        stacked = qsv_run(rho, targets, n_tests, keys)
+        assert isinstance(stacked, list)
+        assert stacked == [qsv_run(r, t, n_tests, k) for r, t, k in zip(rho, targets, keys)]
+
+    def test_probe_stack_matches_projector_oracle(self):
+        probes = np.array([probe_vector(idx) for idx in (1, 2, 3, 4)])
+        rho = np.array([apply_depolarizing(density(masker_matrix() @ a), 0.01) for a in probes])
+        keys = [derive_seed(20404, "fig3.qsv", idx) for idx in (1, 2, 3, 4)]
+        got = [out.passed for out in qsv_run(rho, probes, 5000, keys)]
+        assert got == [TestQsvRun.projector_passed(r, u_of_c(a), 5000, k) for r, a, k in zip(rho, probes, keys)]
+
+    def test_bad_target_row_is_named(self):
+        rho = np.array([np.eye(4) / 4] * 3)
+        with pytest.raises(ValueError, match="^row 1: target index must be 0..3"):
+            qsv_run(rho, [0, 7, 1], 10, [1, 2, 3])
+        with pytest.raises(ValueError, match="^row 2: coefficient vector must be real"):
+            qsv_run(rho, [0, 1, np.array([1, 1j, 0, 0]) / np.sqrt(2)], 10, [1, 2, 3])
+
+    @pytest.mark.parametrize("bad, match", [
+        (np.eye(4), "trace"),
+        (np.diag([1.2, -0.2, 0.0, 0.0]), "eigenvalue"),
+        (np.triu(np.ones((4, 4))) / 4, "Hermitian"),
+    ])
+    def test_bad_state_row_is_named(self, bad, match):
+        rho = np.array([np.eye(4) / 4, np.eye(4) / 4, bad])
+        with pytest.raises(ValueError, match=f"^row 2: .*{match}"):
+            qsv_run(rho, [0, 1, 2], 10, [1, 2, 3])
+
+    def test_bad_seed_row_is_named(self):
+        with pytest.raises(ValueError, match=r"^row 0: seed must be an integer in \[0, 2\*\*64\)"):
+            qsv_run(np.array([np.eye(4) / 4] * 2), [0, 1], 10, [-1, 2])
+
+    def test_needs_one_target_and_seed_per_state(self):
+        with pytest.raises(ValueError, match="one target and one seed per state"):
+            qsv_run(np.array([np.eye(4) / 4] * 2), [0, 1], 10, [1])
+        with pytest.raises(ValueError, match="one target and one seed per state"):
+            qsv_run(np.array([np.eye(4) / 4] * 2), [0], 10, [1, 2])
+
+    def test_empty_stack_gives_no_results(self):
+        assert qsv_run(np.zeros((0, 4, 4)), [], 10, []) == []
+
+
 class TestAgrestiCoull:
     def test_frozen_experiment_scale_values(self):
         # Independent transcription of the interval construction gives
