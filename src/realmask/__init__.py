@@ -10,25 +10,14 @@ pipelines).
 from .estimate import agresti_coull, decode_real_state, qsv_run
 from .masker import build_hr_d4, mask_pure, mask_state, masker_matrix, u_of_c
 from .measure import derive_seed, generator, sample_counts
-from .qcore import (
-    DensityMatrix,
-    StateVector,
-    concurrence_pure,
-    fidelity_with_pure,
-    partial_trace,
-    purity,
-    robustness_of_imaginarity,
-)
-from .walk import encode_input, extract_two_qubit, masking_schedule, run_schedule
+from .qcore import fidelity_with_pure, partial_trace, purity
+from .walk import encode_input, extract_two_qubit, masking_schedule
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityMatrix",
-    "StateVector",
     "agresti_coull",
     "build_hr_d4",
-    "concurrence_pure",
     "decode_real_state",
     "derive_seed",
     "encode_input",
@@ -42,8 +31,6 @@ __all__ = [
     "partial_trace",
     "purity",
     "qsv_run",
-    "robustness_of_imaginarity",
-    "run_schedule",
     "sample_counts",
     "u_of_c",
     "__version__",

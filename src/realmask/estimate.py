@@ -34,7 +34,7 @@ import numpy as np
 
 from .masker import build_hr_d4, masker_matrix, u_of_c
 from .measure import PAIR_PAULIS, PAIRS, CountsTable, correlators, generators, poisson_resample
-from .qcore import ID2, _dagger, _rho_array, checked_density, fidelity_with_pure, kron, require_unitary
+from .qcore import ID2, _as_complex_array, _dagger, checked_density, fidelity_with_pure, kron, require_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def qsv_run(
 
     `target` is a magic-basis index 0..3, a real coefficient 4-vector, or the
     2x2 rotation itself; `rho` is the two-qubit state every round measures, a
-    DensityMatrix or a 4x4 array, checked like one.  Test k passes with
+    4x4 array, checked with `qcore.checked_density`.  Test k passes with
     probability (1 + s_k tr(R† rho R O_k ⊗ O_k))/2, R = U ⊗ 1, read from the
     state rotated once.
 
@@ -110,7 +110,7 @@ def qsv_run(
     """
     if n_tests < 1:
         raise ValueError("n_tests must be >= 1")
-    arr = _rho_array(rho)
+    arr = _as_complex_array(rho, "density matrix")
     if arr.shape[-2:] != (4, 4) or arr.ndim not in (2, 3):
         raise ValueError(f"rho must be a 4x4 density matrix or an (n, 4, 4) stack, got shape {arr.shape}")
     single = arr.ndim == 2
@@ -449,8 +449,8 @@ def decode_real_state(t, input_state=None) -> DecodeResult:
     through the constant `_decode_map`, every entry of rho a signed sum of
     quarters of 1 and the T_jk, then projects onto the density matrices.
     The imaginary part is identically zero by construction.  With a pure
-    `input_state` (a StateVector or a (4,) array) the result also carries
-    each item's fidelity with it.
+    (4,) `input_state`, checked by `qcore.checked_state`, the result also
+    carries each item's fidelity with it.
     """
     t = validate_correlation_matrix(t)
     ones = np.ones(t.shape[:-2] + (1,))

@@ -22,9 +22,9 @@ from .qcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    _psi_array,
-    _rho_array,
+    _as_complex_array,
     checked_density,
+    checked_state,
     kron,
     partial_trace,
     purity,
@@ -85,7 +85,7 @@ def masker_matrix() -> np.ndarray:
 
 def mask_pure(psi) -> np.ndarray:
     """The (4,) amplitudes of the masked pure ququart state."""
-    vec = _psi_array(psi)
+    vec = checked_state(psi)
     if vec.shape != (4,):
         raise ValueError("mask_pure expects a 4-dimensional state")
     return masker_matrix() @ vec
@@ -93,7 +93,7 @@ def mask_pure(psi) -> np.ndarray:
 
 def mask_state(rho) -> np.ndarray:
     """M rho M† as a checked two-qubit density matrix."""
-    arr = _rho_array(rho)
+    arr = _as_complex_array(rho, "density matrix")
     if arr.shape != (4, 4):
         raise ValueError("mask_state expects a 4x4 density matrix")
     m = masker_matrix()

@@ -42,7 +42,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .qcore import PAULIS, _rho_array, checked_density, kron
+from .qcore import PAULIS, _as_complex_array, checked_density, kron
 
 # The Pauli measurement convention every pipeline shares: axis and pair
 # labels, outcome labels, and the eigenprojectors the probability tables read.
@@ -179,7 +179,7 @@ class CountsTable:
 def _projector_probs(rho, projectors: np.ndarray) -> np.ndarray:
     """tr(rho P) for every projector P of a (*k, d, d) stack and every matrix
     of a (..., d, d) stack of states: shape (..., *k)."""
-    arr = _rho_array(rho)
+    arr = _as_complex_array(rho, "density matrix")
     d = projectors.shape[-1]
     if arr.shape[-2:] != (d, d):
         raise ValueError(f"expected {d}x{d} density matrices, got shape {arr.shape}")
@@ -257,7 +257,7 @@ def apply_depolarizing(rho, p: float) -> np.ndarray:
     """(1-p) rho + p 1/d, checked, for one matrix or each of a (..., d, d) stack."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p = {p} outside [0, 1]")
-    arr = _rho_array(rho)
+    arr = _as_complex_array(rho, "density matrix")
     d = arr.shape[-1]
     return checked_density((1.0 - p) * arr + p * np.eye(d) / d)
 
@@ -306,6 +306,12 @@ def tables_to_csv(tables: Sequence[CountsTable]) -> str:
     return buf.getvalue()
 
 
+def _csv_fault(err: csv.Error) -> str:
+    """A csv module error's message up to its advice on how to open a file,
+    which does not apply to a reader of a string."""
+    return str(err).partition(" - do you need")[0]
+
+
 def tables_from_csv(text: str) -> list[CountsTable]:
     """Parse `tables_to_csv` output; rows sharing (setting, shots, seed) form one
     table, in order of first appearance, and shots and seed are compared as
@@ -315,13 +321,14 @@ def tables_from_csv(text: str) -> list[CountsTable]:
     per column or once per table.  An error still names what a row-at-a-time
     reader would: the file line on which the first faulty CSV record starts,
     or else the first faulty table.  The csv module's own errors, such as an
-    unquoted carriage return, are raised as such a line error too.
+    unquoted carriage return, are raised as such a line error too, without
+    the module's advice on how to open a file.
     """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader, None)
     except csv.Error as err:
-        raise ValueError(f"CSV line 1: {err}") from None
+        raise ValueError(f"CSV line 1: {_csv_fault(err)}") from None
     if tuple(header or ()) != CSV_HEADER:
         raise ValueError(f"expected header {','.join(CSV_HEADER)}")
     # `fault` is (record number, message), the header being record 1.
@@ -329,7 +336,7 @@ def tables_from_csv(text: str) -> list[CountsTable]:
     try:
         rows.extend(reader)  # on a csv.Error the records before it stay in `rows`
     except csv.Error as err:
-        fault = (len(rows) + 2, str(err))
+        fault = (len(rows) + 2, _csv_fault(err))
     records = range(2, len(rows) + 2)
     if not all(rows):  # blank records are skipped but keep their numbers
         records = [record for record, row in zip(records, rows) if row]

@@ -41,7 +41,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .qcore import EPS_EXACT, PAULI_X, PAULI_Z, _psi_array
+from .qcore import EPS_EXACT, PAULI_X, PAULI_Z, checked_state
 from .walk import COIN_C1, COIN_C2, RailState, apply_local, embed_two_qubit, extract_two_qubit, run, shift
 
 H, V = 0, 1
@@ -174,15 +174,6 @@ def preparation_layout(angles: PrepAngles, q1_deg: float | None = None) -> tuple
 def simulate_preparation(angles: PrepAngles, q1_deg: float | None = None) -> RailState:
     """Run the preparation module on the fixed |rail 1, H> input; angle arrays give a batch."""
     return run(RailState.of({(PREP_INPUT_RAIL, H): 1.0}), preparation_layout(angles, q1_deg))
-
-
-def prepared_amplitudes(state: RailState) -> np.ndarray:
-    """Collapse prepared all-V states on rails -3,-1,1,3 to their (..., 4) amplitudes."""
-    rails = (-3, -1, 1, 3)
-    stray = state.max_outside(rails, (V,))
-    if stray > EPS_EXACT:
-        raise ValueError(f"prepared state has amplitude {stray:.3e} off the V modes of rails {rails}")
-    return np.stack([state.amplitude(x, V) for x in rails], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +361,11 @@ def detector_distribution(state: RailState) -> np.ndarray:
 
 
 def simulate_measurement(psi, setting: MeasSetting) -> np.ndarray:
-    """End-to-end module simulation of a two-qubit pure state (a StateVector
-    or a (4,) array); returns SPCM 0..3 probabilities.
+    """End-to-end module simulation of a two-qubit pure (4,) state, checked
+    with `qcore.checked_state`; returns SPCM 0..3 probabilities.
 
     SPCM (0, 1, 2, 3) see |a1|^2, |a3|^2, |a0|^2, |a2|^2 where a_j are the
     coefficients of the state in the setting's product basis.
     """
     angles = compile_measurement(setting)
-    return detector_distribution(run(embed_two_qubit(_psi_array(psi)), measurement_layout(angles)))
+    return detector_distribution(run(embed_two_qubit(checked_state(psi)), measurement_layout(angles)))

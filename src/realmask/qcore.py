@@ -1,11 +1,10 @@
 """Exact complex linear algebra and quantum-state utilities.
 
-One array convention: every function takes a state as a wrapper or as a plain
-complex array, and returns plain checked arrays, for one matrix as for a
-(..., d, d) stack.  The two thin value types (`StateVector`, `DensityMatrix`)
-validate user input (normalization, Hermiticity, positivity) at construction
-time; a raw array passed where a pure state is expected goes through the same
-`StateVector` check.  All protocol dimensions are at most 16, so dense
+One array convention: states are plain complex arrays, (d,) amplitudes for a
+pure state and (d, d) density matrices, and every function returns plain
+checked arrays, for one matrix as for a (..., d, d) stack.  `checked_state`
+and `checked_density` validate user input (normalization, Hermiticity,
+positivity).  All protocol dimensions are at most 16, so dense
 double-precision algebra is exact to ~1e-12 with comfortable headroom.
 
 Tolerance policy: EPS_EXACT guards identities that hold analytically
@@ -13,8 +12,6 @@ Tolerance policy: EPS_EXACT guards identities that hold analytically
 through an eigensolver or an iterative estimator.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,72 +34,23 @@ class DimensionError(ValueError):
     """Operand dimensions do not match or do not factor as required."""
 
 
-def _as_complex_array(values, shape_hint: str) -> np.ndarray:
+def _as_complex_array(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
     if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-        raise ValueError(f"{shape_hint} contains non-finite entries")
+        raise ValueError(f"{what} contains non-finite entries")
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Normalized complex amplitude vector.
-
-    `amplitudes` is stored read-only; use `normalized()` to build one from an
-    unnormalized vector.
-    """
-
-    amplitudes: np.ndarray
-
-    def __init__(self, amplitudes, *, _skip_check: bool = False):
-        arr = _as_complex_array(amplitudes, "state vector")
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("state vector must be a nonempty 1-D array")
-        if not _skip_check:
-            norm = np.linalg.norm(arr)
-            if abs(norm - 1.0) > EPS_EXACT:
-                raise ValueError(f"state vector norm {norm} deviates from 1 by more than {EPS_EXACT}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
-
-    @staticmethod
-    def normalized(amplitudes) -> "StateVector":
-        arr = _as_complex_array(amplitudes, "state vector")
-        norm = np.linalg.norm(arr)
-        if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(arr / norm, _skip_check=True)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix.
-
-    Eigenvalues in [-1e-10, 0) are treated as estimator round-off: they are
-    clipped to zero and the spectrum renormalized.  Anything more negative is
-    rejected.
-    """
-
-    mat: np.ndarray
-
-    def __init__(self, mat):
-        arr = checked_density(mat)
-        if arr.ndim != 2:
-            raise ValueError("density matrix must be square")
-        arr.setflags(write=False)
-        object.__setattr__(self, "mat", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
+def checked_state(psi) -> np.ndarray:
+    """A pure state's (d,) amplitudes as a complex array, checked to be finite,
+    non-empty, 1-D and of norm 1 within EPS_EXACT."""
+    arr = _as_complex_array(psi, "state vector")
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("state vector must be a nonempty 1-D array")
+    norm = np.linalg.norm(arr)
+    if abs(norm - 1.0) > EPS_EXACT:
+        raise ValueError(f"state vector norm {norm} deviates from 1 by more than {EPS_EXACT}")
+    return arr
 
 
 def _dagger(arr: np.ndarray) -> np.ndarray:
@@ -110,8 +58,10 @@ def _dagger(arr: np.ndarray) -> np.ndarray:
 
 
 def checked_density(mat) -> np.ndarray:
-    """The DensityMatrix checks and round-off repair, applied to each matrix
-    of a (..., d, d) stack; returns the Hermitian-symmetrized stack."""
+    """Each matrix of a (..., d, d) stack checked to be a density matrix:
+    Hermitian, unit-trace and positive semidefinite.  Eigenvalues in
+    [-EPS_NUMERIC, 0) are estimator round-off: they are clipped to zero and
+    the spectrum renormalized.  Returns the Hermitian-symmetrized stack."""
     arr = _as_complex_array(mat, "density matrix")
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError("density matrix must be square")
@@ -152,17 +102,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def _rho_array(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.mat
-    return _as_complex_array(rho, "density matrix")
-
-
-def _psi_array(psi) -> np.ndarray:
-    """Amplitudes of a StateVector, or of a (d,) array checked by building one."""
-    return (psi if isinstance(psi, StateVector) else StateVector(psi)).amplitudes
-
-
 def _subsystem_index(keep) -> int:
     if keep in (0, "A", "a"):
         return 0
@@ -178,7 +117,7 @@ def partial_trace(rho, keep, dims: tuple[int, int] | None = None) -> np.ndarray:
     `dims` gives the factor dimensions (dA, dB); by default both factors are
     qubits.  Raises DimensionError when the total dimension does not factor.
     """
-    arr = _rho_array(rho)
+    arr = _as_complex_array(rho, "density matrix")
     d = arr.shape[-1]
     if dims is None:
         if d % 2 != 0:
@@ -195,15 +134,15 @@ def partial_trace(rho, keep, dims: tuple[int, int] | None = None) -> np.ndarray:
 
 def purity(rho):
     """tr(rho^2); one value per matrix of a (..., d, d) stack."""
-    arr = _rho_array(rho)
+    arr = _as_complex_array(rho, "density matrix")
     return np.trace(arr @ arr, axis1=-2, axis2=-1).real
 
 
 def fidelity_with_pure(rho, target):
-    """<target| rho |target> for a pure target (a StateVector or a (d,)
-    array); one value per matrix of a (..., d, d) stack."""
-    arr = _rho_array(rho)
-    a = _psi_array(target)
+    """<target| rho |target> for a pure (d,) target; one value per matrix of a
+    (..., d, d) stack."""
+    arr = _as_complex_array(rho, "density matrix")
+    a = checked_state(target)
     if arr.shape[-1] != a.size:
         raise DimensionError(f"dimension mismatch: {arr.shape[-1]} vs {a.size}")
     val = np.einsum("i,...ij,j->...", a.conj(), arr, a)
@@ -218,40 +157,10 @@ def concurrence_from_purity(p) -> np.ndarray:
     return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.asarray(p))))
 
 
-def concurrence_pure(psi) -> float:
-    """Entanglement of a two-qubit pure state: sqrt(2(1 - tr rho_A^2))."""
-    a = _psi_array(psi)
-    if a.size != 4:
-        raise DimensionError("concurrence_pure expects a two-qubit state")
-    rho = checked_density(np.outer(a, a.conj()))
-    return float(concurrence_from_purity(purity(partial_trace(rho, keep="A"))))
-
-
 def spin_flip_concurrence(psi) -> float:
     """Independent concurrence formula |<psi| sigma_y ⊗ sigma_y |psi*>|."""
-    a = _psi_array(psi)
+    a = checked_state(psi)
     if a.size != 4:
         raise DimensionError("spin_flip_concurrence expects a two-qubit state")
     yy = kron(PAULI_Y, PAULI_Y)
     return float(abs(a @ yy @ a))
-
-
-def robustness_of_imaginarity(rho) -> float:
-    """How non-real a state is in the computational basis: ||rho - rho^T||_1 / 2.
-
-    Since rho is Hermitian, rho^T is its entrywise conjugate, so rho - rho^T
-    is itself Hermitian (purely imaginary, antisymmetric) and the trace norm
-    is the sum of its eigenvalue magnitudes.  For pure states the value must
-    also equal sqrt(1 - tr(rho rho^T)); both are computed and cross-checked
-    whenever the input is pure.
-    """
-    arr = _rho_array(rho)
-    diff = arr - arr.T
-    value = 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
-    if abs(purity(arr) - 1.0) <= EPS_NUMERIC:
-        alt = float(np.sqrt(max(0.0, 1.0 - np.trace(arr @ arr.T).real)))
-        if abs(value - alt) > EPS_NUMERIC:
-            raise AssertionError(
-                f"imaginarity cross-check failed: trace-norm {value} vs pure-state form {alt}"
-            )
-    return value

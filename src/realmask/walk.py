@@ -2,7 +2,7 @@
 
 The walker lives on a line; the coin qubit picks the direction of the
 conditional translation |x,0> -> |x-1,0>, |x,1> -> |x+1,1>.  A schedule is an
-ordered list of layers, each either a coin layer (one 2x2 unitary per
+ordered tuple of layers, each either a coin layer (one 2x2 unitary per
 position, identity elsewhere) or the translation.  The shipped default
 schedule masks a ququart whose amplitudes sit on the odd positions
 -3,-1,1,3 (coin |1>) into a hybrid two-qubit state on positions +/-1.
@@ -20,19 +20,14 @@ the overall -i phase.  The closing coin layer {Z at -1, XZ at +1} after the
 last translation is what makes the identity exact under this translation
 convention; it is the walk-level counterpart of the 0-degree half-wave plates
 in the optical realization.
-
-Schedules are plain data and can be saved to / loaded from a JSON document
-(see schedule_schema.json); matrices are stored as 8 reals (row-major,
-re/im interleaved) and round-trip bit-exactly.
 """
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, Union
+from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -128,7 +123,9 @@ def run(state: RailState, steps: Iterable) -> RailState:
 
 @dataclass(frozen=True, eq=False)
 class CoinLayer:
-    """Position-dependent coin operators (read-only); other positions get identity."""
+    """Position-dependent coin operators (read-only); other positions get
+    identity.  A position must be an integer: one that is not raises rather
+    than being truncated onto another coin's position."""
 
     coins: Mapping[int, np.ndarray]
 
@@ -140,7 +137,7 @@ class CoinLayer:
                 raise ValueError(f"coin at position {x} must be 2x2")
             arr = arr.copy()
             arr.setflags(write=False)
-            checked[int(x)] = arr
+            checked[operator.index(x)] = arr
         object.__setattr__(self, "coins", MappingProxyType(checked))
 
     def apply(self, state: RailState) -> RailState:
@@ -161,30 +158,6 @@ class Translate:
 
 TRANSLATE = Translate()
 
-Layer = Union[CoinLayer, Translate]
-
-
-@dataclass(frozen=True)
-class WalkSchedule:
-    name: str
-    layers: tuple[Layer, ...]
-
-    def __post_init__(self):
-        for layer in self.layers:
-            if not isinstance(layer, (CoinLayer, Translate)):
-                raise TypeError(f"layer must be CoinLayer or Translate, got {type(layer)}")
-        object.__setattr__(self, "layers", tuple(self.layers))
-
-    @property
-    def steps(self) -> int:
-        """Number of translation layers."""
-        return sum(1 for layer in self.layers if isinstance(layer, Translate))
-
-
-def run_schedule(state: RailState, schedule: WalkSchedule) -> RailState:
-    return run(state, schedule.layers)
-
-
 def encode_input(a) -> RailState:
     """Ququart amplitudes (..., 4) onto the odd positions, coin |1>:
     a0|-3,1> + a1|-1,1> + a2|1,1> + a3|3,1>."""
@@ -199,20 +172,18 @@ def encode_input(a) -> RailState:
 
 
 @lru_cache(maxsize=None)
-def masking_schedule() -> WalkSchedule:
-    """Default schedule realizing the ququart masker on positions -3..3 (built once)."""
-    return WalkSchedule(
-        name="mask-real-ququart",
-        layers=(
-            CoinLayer({-1: COIN_X, 3: COIN_X}),
-            TRANSLATE,
-            CoinLayer({-2: COIN_C2, 2: COIN_C1}),
-            TRANSLATE,
-            CoinLayer({-3: COIN_X, 3: COIN_X}),
-            TRANSLATE,
-            TRANSLATE,
-            CoinLayer({-1: COIN_Z, 1: COIN_XZ}),
-        ),
+def masking_schedule() -> tuple[CoinLayer | Translate, ...]:
+    """The layers of the default schedule, which realizes the ququart masker
+    on positions -3..3 (built once)."""
+    return (
+        CoinLayer({-1: COIN_X, 3: COIN_X}),
+        TRANSLATE,
+        CoinLayer({-2: COIN_C2, 2: COIN_C1}),
+        TRANSLATE,
+        CoinLayer({-3: COIN_X, 3: COIN_X}),
+        TRANSLATE,
+        TRANSLATE,
+        CoinLayer({-1: COIN_Z, 1: COIN_XZ}),
     )
 
 
@@ -236,65 +207,5 @@ def embed_two_qubit(psi) -> RailState:
 
 def run_masking_walk(a) -> np.ndarray:
     """encode -> default schedule -> extract, as (..., 4) two-qubit amplitudes."""
-    return extract_two_qubit(run_schedule(encode_input(a), masking_schedule()))
+    return extract_two_qubit(run(encode_input(a), masking_schedule()))
 
-
-# ---------------------------------------------------------------------------
-# Schedule (de)serialization.  Field names are fixed by schedule_schema.json.
-
-def _matrix_to_reals(u: np.ndarray) -> list[float]:
-    flat = np.asarray(u, dtype=complex).reshape(-1)
-    out: list[float] = []
-    for z in flat:
-        out.extend((float(z.real), float(z.imag)))
-    return out
-
-
-def _matrix_from_reals(values) -> np.ndarray:
-    vals = list(values)
-    if len(vals) != 8:
-        raise ValueError(f"coin matrix needs 8 reals, got {len(vals)}")
-    z = [complex(vals[2 * i], vals[2 * i + 1]) for i in range(4)]
-    return np.array([[z[0], z[1]], [z[2], z[3]]], dtype=complex)
-
-
-def schedule_to_dict(schedule: WalkSchedule) -> dict:
-    layers = []
-    for layer in schedule.layers:
-        if isinstance(layer, Translate):
-            layers.append({"type": "translate"})
-        else:
-            coins = [
-                {"position": x, "matrix": _matrix_to_reals(u)}
-                for x, u in sorted(layer.coins.items())
-            ]
-            layers.append({"type": "coins", "coins": coins})
-    return {"name": schedule.name, "layers": layers}
-
-
-def schedule_from_dict(doc: dict) -> WalkSchedule:
-    if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
-        raise ValueError("schedule document must be an object with a 'layers' list")
-    layers: list[Layer] = []
-    for i, entry in enumerate(doc["layers"]):
-        try:
-            if entry["type"] == "translate":
-                layers.append(TRANSLATE)
-            elif entry["type"] == "coins":
-                coins = {int(c["position"]): _matrix_from_reals(c["matrix"]) for c in entry["coins"]}
-                layers.append(CoinLayer(coins))
-            else:
-                raise ValueError(f"unknown type {entry['type']!r}")
-        except KeyError as exc:
-            raise ValueError(f"layer {i}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"layer {i}: {exc}") from None
-    return WalkSchedule(name=str(doc.get("name", "unnamed")), layers=tuple(layers))
-
-
-def save_schedule(schedule: WalkSchedule, path) -> None:
-    Path(path).write_text(json.dumps(schedule_to_dict(schedule), indent=2) + "\n")
-
-
-def load_schedule(path) -> WalkSchedule:
-    return schedule_from_dict(json.loads(Path(path).read_text()))

@@ -12,19 +12,23 @@ import numpy as np
 
 from realmask.masker import mask_pure, masker_matrix
 from realmask.measure import CSV_HEADER, OUTCOMES_PAIR, OUTCOMES_SINGLE, CountsTable
+from realmask.optics import V
 from realmask.qcore import (
     EPS_EXACT,
+    EPS_NUMERIC,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    _psi_array,
-    _rho_array,
+    DimensionError,
     checked_density,
-    concurrence_pure,
+    checked_state,
+    concurrence_from_purity,
     kron,
+    partial_trace,
+    purity,
     require_unitary,
-    robustness_of_imaginarity,
 )
+from realmask.walk import RailState
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +64,14 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 # Distances between states.
 
 def density(psi) -> np.ndarray:
-    """|psi><psi| of a StateVector or a (d,) array, checked."""
-    a = _psi_array(psi)
+    """|psi><psi| of a (d,) pure state, both checked."""
+    a = checked_state(psi)
     return checked_density(np.outer(a, a.conj()))
 
 
 def inner(a, b) -> complex:
     """<a|b> of two pure states."""
-    return complex(np.vdot(_psi_array(a), _psi_array(b)))
+    return complex(np.vdot(checked_state(a), checked_state(b)))
 
 
 def pure_fidelity(a, b) -> float:
@@ -77,8 +81,39 @@ def pure_fidelity(a, b) -> float:
 
 def trace_distance(a, b) -> float:
     """Half the trace norm of a - b."""
-    diff = _rho_array(a) - _rho_array(b)
+    diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+
+
+# ---------------------------------------------------------------------------
+# Entanglement and imaginarity of pure states.
+
+def concurrence_pure(psi) -> float:
+    """Entanglement of a two-qubit pure state: sqrt(2(1 - tr rho_A^2))."""
+    a = checked_state(psi)
+    if a.size != 4:
+        raise DimensionError("concurrence_pure expects a two-qubit state")
+    return float(concurrence_from_purity(purity(partial_trace(density(a), keep="A"))))
+
+
+def robustness_of_imaginarity(rho) -> float:
+    """How non-real a state is in the computational basis: ||rho - rho^T||_1 / 2.
+
+    Since rho is Hermitian, rho^T is its entrywise conjugate, so rho - rho^T
+    is itself Hermitian (purely imaginary, antisymmetric) and the trace norm
+    is the sum of its eigenvalue magnitudes.  For pure states the value must
+    also equal sqrt(1 - tr(rho rho^T)); both are computed and cross-checked
+    whenever the input is pure.
+    """
+    arr = np.asarray(rho, dtype=complex)
+    value = 0.5 * float(np.abs(np.linalg.eigvalsh(arr - arr.T)).sum())
+    if abs(purity(arr) - 1.0) <= EPS_NUMERIC:
+        alt = float(np.sqrt(max(0.0, 1.0 - np.trace(arr @ arr.T).real)))
+        if abs(value - alt) > EPS_NUMERIC:
+            raise AssertionError(
+                f"imaginarity cross-check failed: trace-norm {value} vs pure-state form {alt}"
+            )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +155,17 @@ def verification_operator(u) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Readouts of the optical table.
+
+def prepared_amplitudes(state: RailState) -> np.ndarray:
+    """Collapse prepared all-V states on rails -3,-1,1,3 to their (..., 4) amplitudes."""
+    rails = (-3, -1, 1, 3)
+    stray = state.max_outside(rails, (V,))
+    if stray > EPS_EXACT:
+        raise ValueError(f"prepared state has amplitude {stray:.3e} off the V modes of rails {rails}")
+    return np.stack([state.amplitude(x, V) for x in rails], axis=-1)
+
+
 # Born-rule oracle for the optical measurement module.
 
 def product_basis(setting) -> list[np.ndarray]:
@@ -135,7 +181,7 @@ def product_basis(setting) -> list[np.ndarray]:
 
 def born_product_probs(psi, setting) -> np.ndarray:
     """Abstract Born probabilities in (++, +-, -+, --) order."""
-    a = _psi_array(psi)
+    a = checked_state(psi)
     return np.array([abs(np.vdot(b, a)) ** 2 for b in product_basis(setting)])
 
 
@@ -148,16 +194,22 @@ def spcm_to_outcome_order(spcm_probs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Row-at-a-time count-table reader: the oracle for the columnar one.
 
+def csv_fault(err: csv.Error) -> str:
+    """A csv module error's message without its advice on opening files."""
+    return str(err).partition(" - do you need")[0]
+
+
 def reference_tables_from_csv(text: str) -> list[CountsTable]:
     """`measure.tables_from_csv` one record at a time: every check runs on each
     row as it is read, and each table is built through `CountsTable`.  A
     line error names the file line on which the record starts, one past the
-    lines `csv.reader` had read before it, and a csv module error is one."""
+    lines `csv.reader` had read before it, and a csv module error is one,
+    without the module's advice on how to open a file."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader, None)
     except csv.Error as err:
-        raise ValueError(f"CSV line 1: {err}") from None
+        raise ValueError(f"CSV line 1: {csv_fault(err)}") from None
     if tuple(header or ()) != CSV_HEADER:
         raise ValueError(f"expected header {','.join(CSV_HEADER)}")
     grouped: dict[tuple[str, int, int], dict[str, int]] = {}
@@ -168,7 +220,7 @@ def reference_tables_from_csv(text: str) -> list[CountsTable]:
         except StopIteration:
             break
         except csv.Error as err:
-            raise ValueError(f"CSV line {line}: {err}") from None
+            raise ValueError(f"CSV line {line}: {csv_fault(err)}") from None
         if not row:
             continue
         if len(row) != len(CSV_HEADER):

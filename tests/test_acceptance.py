@@ -27,15 +27,17 @@ from realmask.measure import (
     pair_probs,
     sample_counts,
 )
-from realmask.qcore import BELL_PHI, partial_trace, robustness_of_imaginarity, spin_flip_concurrence
+from realmask.qcore import BELL_PHI, partial_trace, spin_flip_concurrence
 
 from helpers import (
     density,
     haar_state,
     inner,
     magic_basis,
+    prepared_amplitudes,
     pure_fidelity,
     random_real_density,
+    robustness_of_imaginarity,
     trace_distance,
     verification_operator,
 )
@@ -137,12 +139,12 @@ def test_criterion_6_preparation_solvers():
         a = rng.normal(size=4)
         a /= np.linalg.norm(a)
         state = optics.simulate_preparation(optics.solve_prep_angles(a))
-        worst = max(worst, np.abs(optics.prepared_amplitudes(state) - a).max())
+        worst = max(worst, np.abs(prepared_amplitudes(state) - a).max())
     assert worst < 1e-10
     worst_phase = 0.0
     for phi in (0.0, 30.0, 45.0, 60.0, 90.0):  # pi/6, pi/4, pi/3, pi/2 in degrees
         state = optics.simulate_preparation(optics.phase_prep_angles(phi), q1_deg=45.0)
-        vec = optics.prepared_amplitudes(state)
+        vec = prepared_amplitudes(state)
         want = np.array([1.0, np.exp(1j * math.radians(phi)), 0, 0]) / np.sqrt(2)
         worst_phase = max(worst_phase, 1 - abs(np.vdot(want, vec)) ** 2)
     assert worst_phase < 1e-12

@@ -31,7 +31,7 @@ from realmask.measure import (
     pair_probs,
     sample_counts,
 )
-from realmask.qcore import BELL_PHI, DensityMatrix, StateVector
+from realmask.qcore import BELL_PHI, checked_density
 
 from helpers import (
     density,
@@ -42,8 +42,6 @@ from helpers import (
     verification_operator,
     verification_projectors,
 )
-
-BELL = StateVector(BELL_PHI)
 
 
 def bell_counts(rho, shots: int, seed: int) -> np.ndarray:
@@ -220,7 +218,7 @@ class TestQsvRun:
             assert out.eps_hat == 0.0
 
     def test_maximally_mixed_concentrates_at_three_quarters(self):
-        out = qsv_run(DensityMatrix(np.eye(4) / 4), 0, n_tests=20_000, seed=2)
+        out = qsv_run(np.eye(4) / 4, 0, n_tests=20_000, seed=2)
         # pass rate 1/2 per rank-two test -> eps_hat near 0.75
         assert abs(out.eps_hat - 0.75) < 0.03
 
@@ -232,11 +230,11 @@ class TestQsvRun:
 
     def test_invalid_target_index(self):
         with pytest.raises(ValueError):
-            qsv_run(DensityMatrix(np.eye(4) / 4), 7, n_tests=10, seed=0)
+            qsv_run(np.eye(4) / 4, 7, n_tests=10, seed=0)
 
-    def test_array_state_matches_density_matrix(self):
-        rho = apply_depolarizing(BELL.density(), 0.1)
-        assert qsv_run(rho, 0, n_tests=500, seed=3) == qsv_run(DensityMatrix(rho), 0, n_tests=500, seed=3)
+    def test_nested_list_state_matches_array(self):
+        rho = apply_depolarizing(density(BELL_PHI), 0.1)
+        assert qsv_run(rho, 0, n_tests=500, seed=3) == qsv_run(rho.tolist(), 0, n_tests=500, seed=3)
 
     def test_rejects_complex_coefficient_target(self):
         with pytest.raises(ValueError, match="must be real"):
@@ -291,7 +289,7 @@ class TestQsvRun:
         # E[eps_hat] = eps within 2 standard errors at N = 5000.
         n, runs = 5000, 500
         for eps in (0.0, 0.005, 0.02):
-            rho = apply_depolarizing(BELL.density(), eps / 0.75)
+            rho = apply_depolarizing(density(BELL_PHI), eps / 0.75)
             estimates = np.empty(runs)
             for i in range(runs):
                 out = qsv_run(rho, 0, n, seed=derive_seed(10, "bias", eps, i))
@@ -416,9 +414,9 @@ class TestTomography:
         for _ in range(5):
             bloch = rng.normal(size=3)
             bloch *= rng.uniform(0, 0.95) / np.linalg.norm(bloch)
-            rho = DensityMatrix((np.eye(2) + bloch[0] * np.array([[0, 1], [1, 0]])
-                                 + bloch[1] * np.array([[0, -1j], [1j, 0]])
-                                 + bloch[2] * np.diag([1, -1])) / 2)
+            rho = checked_density((np.eye(2) + bloch[0] * np.array([[0, 1], [1, 0]])
+                                   + bloch[1] * np.array([[0, -1j], [1j, 0]])
+                                   + bloch[2] * np.diag([1, -1])) / 2)
             counts = bell_counts(rho, 1_000_000, seed=int(rng.integers(2**32)))
             assert trace_distance(mle_qubit_batch(counts[None])[0], rho) < 0.005
 
@@ -684,7 +682,7 @@ class TestMaskedOutputTomography:
 
 class TestCorrelationMatrix:
     def test_exact_bell_correlators(self):
-        t = exact_correlators(BELL.density())
+        t = exact_correlators(density(BELL_PHI))
         assert np.abs(t - np.diag([1.0, -1.0, 1.0])).max() < 1e-12
 
     def test_exact_masked_uniform_input(self):
@@ -701,7 +699,7 @@ class TestCorrelationMatrix:
     def test_counts_path_matches_exact_at_degenerate_probs(self):
         counts = np.array([
             sample_counts(p, 4000, derive_seed(5, pair[0], pair[1]))
-            for pair, p in zip(PAIRS, pair_probs(BELL.density()))
+            for pair, p in zip(PAIRS, pair_probs(density(BELL_PHI)))
         ])
         t = correlators(counts).reshape(3, 3)
         # Diagonal correlators are degenerate (probabilities 0/0.5): exact.
@@ -756,7 +754,7 @@ class TestDecode:
     def test_fidelity_field(self):
         c = np.ones(4) / 2
         t = exact_correlators(mask_state(np.outer(c, c)))
-        for target in (c, StateVector(c)):
+        for target in (c, list(c)):
             res = decode_real_state(t, input_state=target)
             assert res.fidelity_vs_input == pytest.approx(1.0, abs=1e-12)
 
@@ -808,7 +806,7 @@ class TestDecode:
     @settings(max_examples=60, deadline=None)
     @given(correlator_stacks())
     def test_stack_rows_match_single_decodes(self, ts):
-        target = StateVector(np.ones(4, dtype=complex) / 2)
+        target = np.ones(4, dtype=complex) / 2
         res = decode_real_state(ts, target)
         for i, t in enumerate(ts):
             one = decode_real_state(t, target)
@@ -818,7 +816,7 @@ class TestDecode:
 
     def test_zero_stack_decodes_to_maximally_mixed(self):
         # A resample in which every setting drew no shots has all-zero correlators.
-        target = StateVector(np.ones(4, dtype=complex) / 2)
+        target = np.ones(4, dtype=complex) / 2
         res = decode_real_state(np.zeros((5, 3, 3)), target)
         assert np.isfinite(res.rho_proj).all()
         assert np.abs(res.rho_proj - np.eye(4) / 4).max() < 1e-15

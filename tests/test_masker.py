@@ -2,24 +2,17 @@ import numpy as np
 import pytest
 
 from realmask.masker import HurwitzRadonSet, build_hr_d4, mask_pure, mask_state, masker_matrix, u_of_c
-from realmask.qcore import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    StateVector,
-    concurrence_pure,
-    partial_trace,
-    robustness_of_imaginarity,
-    spin_flip_concurrence,
-)
+from realmask.qcore import BELL_PHI, PAULI_X, PAULI_Y, PAULI_Z, partial_trace, spin_flip_concurrence
 
 from helpers import (
     check_concurrence_relation,
+    concurrence_pure,
     density,
     haar_state,
     inner,
     magic_basis,
     random_real_density,
+    robustness_of_imaginarity,
     trace_distance,
 )
 
@@ -98,8 +91,7 @@ class TestMaskerIsometry:
 class TestMaskState:
     def test_basis_state_maps_to_bell_projector(self):
         out = mask_state(np.diag([1, 0, 0, 0]).astype(complex))
-        bell = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        assert trace_distance(out, bell.density()) < 1e-12
+        assert trace_distance(out, density(BELL_PHI)) < 1e-12
 
     def test_maximally_mixed_fixed_point(self):
         out = mask_state(np.eye(4) / 4)
@@ -110,7 +102,7 @@ class TestMaskState:
     def test_fully_imaginary_phase_gives_product_output(self):
         # sqrt(2(1-purity)) loses half the digits at the C=0 branch point,
         # so the tolerance here is sqrt(eps)-sized.
-        psi = StateVector(np.array([1, 1j, 0, 0]) / np.sqrt(2))
+        psi = np.array([1, 1j, 0, 0]) / np.sqrt(2)
         assert concurrence_pure(mask_pure(psi)) == pytest.approx(0.0, abs=1e-7)
 
     def test_masking_invariance_for_real_states(self, rng):
@@ -174,18 +166,18 @@ class TestConcurrenceImaginarityRelation:
     def test_real_input(self, rng):
         a = rng.normal(size=4)
         a /= np.linalg.norm(a)
-        c, i_r = check_concurrence_relation(StateVector(a.astype(complex)))
+        c, i_r = check_concurrence_relation(a)
         assert c == pytest.approx(1.0, abs=1e-10)
         assert i_r == pytest.approx(0.0, abs=1e-10)
 
     def test_circular_input(self):
-        psi = StateVector(np.array([1, 1j, 0, 0]) / np.sqrt(2))
+        psi = np.array([1, 1j, 0, 0]) / np.sqrt(2)
         c, i_r = check_concurrence_relation(psi)
         assert c == pytest.approx(0.0, abs=1e-7)  # sqrt round-off at the branch point
         assert i_r == pytest.approx(1.0, abs=1e-10)
 
     def test_quarter_phase(self):
-        psi = StateVector(np.array([1, np.exp(1j * np.pi / 4), 0, 0]) / np.sqrt(2))
+        psi = np.array([1, np.exp(1j * np.pi / 4), 0, 0]) / np.sqrt(2)
         c, i_r = check_concurrence_relation(psi)
         assert c == pytest.approx(np.cos(np.pi / 4), abs=1e-10)
         assert i_r == pytest.approx(np.sin(np.pi / 4), abs=1e-10)

@@ -30,14 +30,12 @@ from realmask.measure import (
     tables_from_csv,
     tables_to_csv,
 )
-from realmask.qcore import PAULIS, DensityMatrix, StateVector, kron, partial_trace
+from realmask.qcore import BELL_PHI, PAULIS, checked_density, kron, partial_trace
 
-from helpers import random_density, random_real_density, reference_tables_from_csv
-
-BELL = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2))
+from helpers import density, random_density, random_real_density, reference_tables_from_csv
 
 
-def oracle_pair_probs(rho: DensityMatrix) -> np.ndarray:
+def oracle_pair_probs(rho: np.ndarray) -> np.ndarray:
     """Per-setting projector formula: tr(rho (1 + s1 sigma_j)/2 ⊗ (1 + s2 sigma_k)/2)
     for each pair jk and signs (s1, s2) in ++, +-, -+, -- order."""
     eye = np.eye(2)
@@ -49,18 +47,18 @@ def oracle_pair_probs(rho: DensityMatrix) -> np.ndarray:
                 proj1 = (eye + s1 * PAULIS[j]) / 2
                 for s2 in (+1, -1):
                     proj2 = (eye + s2 * PAULIS[k]) / 2
-                    row.append(np.trace(rho.mat @ kron(proj1, proj2)).real)
+                    row.append(np.trace(rho @ kron(proj1, proj2)).real)
             rows.append(row)
     return np.array(rows)
 
 
-def oracle_axis_plus(rho: DensityMatrix) -> np.ndarray:
+def oracle_axis_plus(rho: np.ndarray) -> np.ndarray:
     """tr(rho (1 + sigma)/2) for sigma = X, Y, Z."""
-    return np.array([np.trace(rho.mat @ (np.eye(2) + PAULIS[a]) / 2).real for a in "XYZ"])
+    return np.array([np.trace(rho @ (np.eye(2) + PAULIS[a]) / 2).real for a in "XYZ"])
 
 
 @st.composite
-def densities(draw, dim: int) -> DensityMatrix:
+def densities(draw, dim: int) -> np.ndarray:
     """G G† / tr(G G†) for a random complex G."""
     entries = st.floats(-1.0, 1.0, allow_nan=False)
     re = np.reshape(draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim)), (dim, dim))
@@ -69,7 +67,7 @@ def densities(draw, dim: int) -> DensityMatrix:
     m = g @ g.conj().T
     tr = np.trace(m).real
     assume(tr > 1e-3)
-    return DensityMatrix(m / tr)
+    return checked_density(m / tr)
 
 
 class TestOutcomeProbs:
@@ -80,11 +78,11 @@ class TestOutcomeProbs:
             assert np.array_equal(pauli, kron(PAULIS[pair[0]], PAULIS[pair[1]]))
 
     def test_bell_zz(self):
-        probs = pair_probs(BELL.density())[PAIRS.index("ZZ")]
+        probs = pair_probs(density(BELL_PHI))[PAIRS.index("ZZ")]
         assert np.abs(probs - [0.5, 0, 0, 0.5]).max() < 1e-12
 
     def test_bell_yy(self):
-        probs = pair_probs(BELL.density())[PAIRS.index("YY")]
+        probs = pair_probs(density(BELL_PHI))[PAIRS.index("YY")]
         assert np.abs(probs - [0, 0.5, 0.5, 0]).max() < 1e-12
 
     def test_maximally_mixed_uniform(self):
@@ -160,7 +158,7 @@ class TestSampleCounts:
     def test_large_sample_correlator(self):
         # <Z ⊗ Z> of the Bell state is +1 (its outcome distribution only
         # populates the ++/-- cells, so the estimate is exact at any shots).
-        probs = pair_probs(BELL.density())
+        probs = pair_probs(density(BELL_PHI))
         counts = sample_counts(probs[PAIRS.index("ZZ")], shots=1_000_000, seed=3)
         assert abs(correlators(counts) - 1.0) < 0.005
         # <X ⊗ Z> vanishes; a genuinely fluctuating law-of-large-numbers check.
@@ -250,8 +248,8 @@ class TestDepolarizing:
     def test_small_p_fidelity(self):
         from realmask.qcore import fidelity_with_pure
 
-        out = apply_depolarizing(BELL.density(), 0.0056)
-        assert fidelity_with_pure(out, BELL) == pytest.approx(0.9958, abs=1e-12)
+        out = apply_depolarizing(density(BELL_PHI), 0.0056)
+        assert fidelity_with_pure(out, BELL_PHI) == pytest.approx(0.9958, abs=1e-12)
 
     def test_stack_matches_items_alone(self, rng):
         rhos = np.stack([random_density(4, rng) for _ in range(5)])
@@ -464,7 +462,8 @@ def count_table_csv(draw):
                     row[0] = old + "\r"
     text_rows = [[row[0], row[1], *(int_text(v, draw(st.sampled_from(
         ["plain", "zeros", "spaces", "underscore", "plus"]))) for v in row[2:])] for row in rows]
-    for fault in faults:
+    # A short row is cut last, so that no later fault indexes past its end.
+    for fault in sorted(faults, key=lambda f: f == "short row"):
         i = draw(st.integers(0, len(text_rows) - 1))
         if fault == "short row":
             text_rows[i] = text_rows[i][:draw(st.integers(1, 4))]
@@ -528,8 +527,10 @@ class TestColumnarReader:
         # An unquoted carriage return stops the csv module itself: a one-line
         # ValueError naming its line, unless a faulty line read before it is.
         text = f"setting,outcome,count,shots,seed\n{before}Z\r,+,1,1,1\n"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}[^\n]*$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}[^\n]*$") as caught:
             tables_from_csv(text)
+        # The csv module's advice on opening a file does not apply to a string.
+        assert "do you need" not in str(caught.value)
         assert_readers_agree(text)
 
     def test_csv_error_in_the_header_names_line_one(self):
@@ -573,7 +574,7 @@ class TestSeeds:
         assert not np.allclose(a, b)
 
     def test_exact_correlations_of_bell(self):
-        t = correlators(pair_probs(BELL.density())).reshape(3, 3)
+        t = correlators(pair_probs(density(BELL_PHI))).reshape(3, 3)
         assert np.abs(t - np.diag([1.0, -1.0, 1.0])).max() < 1e-12
 
 

@@ -19,7 +19,6 @@ from realmask.optics import (
     masking_layout,
     pauli_meas_setting,
     phase_prep_angles,
-    prepared_amplitudes,
     qwp_jones,
     simulate_masking,
     simulate_measurement,
@@ -27,10 +26,17 @@ from realmask.optics import (
     solve_prep_angles,
     xplate,
 )
-from realmask.qcore import PAULI_X, PAULI_Z, StateVector
+from realmask.qcore import PAULI_X, PAULI_Z
 from realmask.walk import RailState, embed_two_qubit, extract_two_qubit, run
 
-from helpers import born_product_probs, density, haar_state, pure_fidelity, spcm_to_outcome_order
+from helpers import (
+    born_product_probs,
+    density,
+    haar_state,
+    prepared_amplitudes,
+    pure_fidelity,
+    spcm_to_outcome_order,
+)
 
 SQRT2 = np.sqrt(2)
 
@@ -221,21 +227,21 @@ class TestMeasurement:
     def test_zz_setting_routes_computational_basis(self):
         setting = pauli_meas_setting("Z", "Z")
         # |00> = (path +1, H) has product-basis coefficient a0 -> SPCM 2.
-        probs = simulate_measurement(StateVector([1, 0, 0, 0]), setting)
+        probs = simulate_measurement(np.array([1, 0, 0, 0]), setting)
         assert probs[2] == pytest.approx(1.0, abs=1e-10)
-        probs = simulate_measurement(StateVector([0, 0, 0, 1]), setting)
+        probs = simulate_measurement(np.array([0, 0, 0, 1]), setting)
         assert probs[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_xx_setting_concentrates_plus_plus(self):
         setting = pauli_meas_setting("X", "X")
-        plus_plus = StateVector(np.ones(4) / 2)
+        plus_plus = np.ones(4) / 2
         probs = simulate_measurement(plus_plus, setting)
         assert probs[2] == pytest.approx(1.0, abs=1e-10)
 
     def test_polarization_y_basis(self):
         # alpha = pi/4, beta = pi/2 measures sigma_y on the polarization qubit.
         setting = MeasSetting(gamma=0.0, zeta=0.0, alpha=math.pi / 4, beta=math.pi / 2)
-        y_plus = StateVector(np.array([1, 1j, 0, 0]) / SQRT2)  # |0>_path (|H>+i|V>)/sqrt2
+        y_plus = np.array([1, 1j, 0, 0]) / SQRT2  # |0>_path (|H>+i|V>)/sqrt2
         probs = simulate_measurement(y_plus, setting)
         assert probs[2] == pytest.approx(1.0, abs=1e-10)
 
@@ -246,14 +252,13 @@ class TestMeasurement:
 
     def test_uniform_input_gives_uniform_detectors(self):
         setting = pauli_meas_setting("Z", "Z")
-        psi = StateVector(np.ones(4) / 2)
+        psi = np.ones(4) / 2
         probs = simulate_measurement(psi, setting)
         assert np.abs(probs - 0.25).max() < 1e-10
 
-    def test_array_state_matches_state_vector(self, rng):
+    def test_rejects_unnormalized_state(self, rng):
         setting = pauli_meas_setting("X", "Y")
         psi = haar_state(4, rng)
-        assert np.array_equal(simulate_measurement(psi, setting), simulate_measurement(StateVector(psi), setting))
         with pytest.raises(ValueError, match="norm"):
             simulate_measurement(2 * psi, setting)
 

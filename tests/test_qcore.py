@@ -3,31 +3,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realmask.estimate import decode_real_state
+from realmask.masker import mask_pure, mask_state
+from realmask.optics import pauli_meas_setting, simulate_measurement
 from realmask.qcore import (
+    BELL_PHI as BELL,
     EPS_EXACT,
     EPS_NUMERIC,
     PAULI_X,
     PAULI_Z,
-    DensityMatrix,
     DimensionError,
-    StateVector,
     checked_density,
-    concurrence_pure,
+    checked_state,
     fidelity_with_pure,
     kron,
     partial_trace,
     purity,
-    robustness_of_imaginarity,
     spin_flip_concurrence,
 )
 
-from helpers import density, haar_state, random_density, random_real_density, random_unitary, trace_distance
+from helpers import (
+    concurrence_pure,
+    density,
+    haar_state,
+    random_density,
+    random_real_density,
+    random_unitary,
+    robustness_of_imaginarity,
+    trace_distance,
+)
 
-BELL = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2))
 
-
-def ket(*amps) -> StateVector:
-    return StateVector.normalized(np.asarray(amps, dtype=complex))
+def ket(*amps) -> np.ndarray:
+    v = np.asarray(amps, dtype=complex)
+    return v / np.linalg.norm(v)
 
 
 class TestKron:
@@ -66,14 +75,14 @@ class TestKron:
 
 class TestPartialTrace:
     def test_bell_reduces_to_maximally_mixed(self):
-        red = partial_trace(BELL.density(), keep="A")
+        red = partial_trace(density(BELL), keep="A")
         assert np.abs(red - np.eye(2) / 2).max() < EPS_EXACT
 
     def test_product_state_keep_b(self):
         plus = ket(1, 1)
-        rho = DensityMatrix(kron(ket(1, 0).density().mat, plus.density().mat))
+        rho = kron(density(ket(1, 0)), density(plus))
         red = partial_trace(rho, keep="B")
-        assert np.abs(red - plus.density().mat).max() < EPS_EXACT
+        assert np.abs(red - density(plus)).max() < EPS_EXACT
 
     def test_two_reductions_share_spectrum(self, rng):
         for _ in range(50):
@@ -129,14 +138,14 @@ class TestPurityFidelity:
         assert purity(rho) == pytest.approx(0.625, abs=1e-15)
 
     def test_fidelity_with_itself(self):
-        assert fidelity_with_pure(BELL.density(), BELL) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity_with_pure(density(BELL), BELL) == pytest.approx(1.0, abs=1e-12)
 
     def test_fidelity_maximally_mixed(self):
         assert fidelity_with_pure(np.eye(4) / 4, BELL) == pytest.approx(0.25, abs=1e-14)
 
     def test_fidelity_depolarized(self):
         p = 0.0056
-        rho = (1 - p) * BELL.density().mat + p * np.eye(4) / 4
+        rho = (1 - p) * density(BELL) + p * np.eye(4) / 4
         assert fidelity_with_pure(rho, BELL) == pytest.approx(0.9958, abs=1e-12)
 
     def test_dimension_mismatch(self):
@@ -154,7 +163,7 @@ class TestPurityFidelity:
         # A non-Hermitian item: <00| rho |00> = 1/4 + 1e-9 i.
         rho = np.eye(4) / 4 + 1e-9j * kron(PAULI_Z, PAULI_Z)
         with pytest.raises(ValueError, match="spurious imaginary"):
-            fidelity_with_pure(np.stack([np.eye(4) / 4, rho]), StateVector(np.array([1, 0, 0, 0])))
+            fidelity_with_pure(np.stack([np.eye(4) / 4, rho]), np.array([1, 0, 0, 0]))
 
 
 class TestConcurrence:
@@ -166,8 +175,6 @@ class TestConcurrence:
 
     def test_masked_phase_state(self):
         # Masking (|0> + e^{i pi/3}|1>)/sqrt(2) leaves concurrence cos(pi/3).
-        from realmask.masker import mask_pure
-
         psi = ket(1, np.exp(1j * np.pi / 3), 0, 0)
         assert concurrence_pure(mask_pure(psi)) == pytest.approx(0.5, abs=1e-12)
 
@@ -183,11 +190,11 @@ class TestImaginarity:
             assert robustness_of_imaginarity(random_real_density(4, rng)) < 1e-12
 
     def test_circular_qubit(self):
-        assert robustness_of_imaginarity(ket(1, 1j).density()) == pytest.approx(1.0, abs=1e-12)
+        assert robustness_of_imaginarity(density(ket(1, 1j))) == pytest.approx(1.0, abs=1e-12)
 
     def test_phase_pi_over_six(self):
         psi = ket(1, np.exp(1j * np.pi / 6))
-        assert robustness_of_imaginarity(psi.density()) == pytest.approx(0.5, abs=1e-12)
+        assert robustness_of_imaginarity(density(psi)) == pytest.approx(0.5, abs=1e-12)
 
     def test_two_formulas_agree_for_pure_ququarts(self, rng):
         for _ in range(100):
@@ -198,57 +205,50 @@ class TestImaginarity:
 
 
 class TestOneConvention:
-    """Every state function takes a wrapper or an array, gives the same bits
-    for both, and returns plain arrays or floats, never a wrapper."""
+    """Every state function takes plain arrays and returns plain arrays or
+    floats, for one matrix as for a stack; every entry point that takes a
+    pure state checks it with `checked_state`."""
 
     @staticmethod
     def assert_plain(value):
         assert type(value) is np.ndarray or isinstance(value, float)
 
     def test_density_functions(self, rng):
-        from realmask.masker import mask_state
         from realmask.measure import apply_depolarizing
 
         rho = random_density(4, rng)
         stack = np.stack([random_density(4, rng) for _ in range(3)])
         for fn in (lambda r: partial_trace(r, "A"), lambda r: partial_trace(r, "B"),
                    lambda r: apply_depolarizing(r, 0.1), purity, lambda r: fidelity_with_pure(r, BELL)):
-            one = fn(rho)
-            self.assert_plain(one)
-            assert np.array_equal(one, fn(DensityMatrix(rho)))
+            self.assert_plain(fn(rho))
             many = fn(stack)
             assert type(many) is np.ndarray
             assert np.array_equal(many, [fn(r) for r in stack])
-        out = mask_state(rho)
-        self.assert_plain(out)
-        assert np.array_equal(out, mask_state(DensityMatrix(rho)))
+        self.assert_plain(mask_state(rho))
 
-    def test_pure_state_functions(self, rng):
-        from realmask.masker import mask_pure
-
+    @pytest.mark.parametrize("fn", [
+        lambda v: fidelity_with_pure(np.eye(4) / 4, v),
+        mask_pure,
+        lambda v: decode_real_state(np.zeros((3, 3)), input_state=v).fidelity_vs_input,
+        lambda v: simulate_measurement(v, pauli_meas_setting("X", "Y")),
+        spin_flip_concurrence,
+    ], ids=["fidelity_with_pure", "mask_pure", "decode_real_state", "simulate_measurement",
+            "spin_flip_concurrence"])
+    def test_pure_state_entry_points(self, fn, rng):
         psi = haar_state(4, rng)
-        rho = random_density(4, rng)
-        for fn in (mask_pure, concurrence_pure, spin_flip_concurrence, lambda v: fidelity_with_pure(rho, v)):
-            one = fn(psi)
-            self.assert_plain(one)
-            assert np.array_equal(one, fn(StateVector(psi)))
-            with pytest.raises(ValueError, match="norm"):
-                fn(2 * psi)
-        assert mask_pure(psi).shape == (4,)
+        self.assert_plain(fn(psi))
+        assert np.array_equal(fn(psi), fn(list(psi)))
+        with pytest.raises(ValueError, match="norm"):
+            fn(2 * psi)
 
     def test_decode_real_state(self, rng):
-        from realmask.estimate import decode_real_state
-
         a = rng.normal(size=4)
         a /= np.linalg.norm(a)
         ts = rng.uniform(-1, 1, size=(3, 3, 3))
         for t in (ts[0], ts):
             res = decode_real_state(t, a)
-            again = decode_real_state(t, StateVector(a))
             for field in ("rho_hat", "rho_proj", "fidelity_vs_input"):
-                value = getattr(res, field)
-                self.assert_plain(value)
-                assert np.array_equal(value, getattr(again, field))
+                self.assert_plain(getattr(res, field))
             assert type(res.fidelity_vs_input) is (np.ndarray if t.ndim == 3 else np.float64)
 
     def test_masker_matrix_is_read_only(self):
@@ -261,32 +261,49 @@ class TestOneConvention:
             m[0, 0] = 0.0
 
 
-class TestValueTypes:
-    def test_state_vector_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, 1.0]))
+class TestCheckedInputs:
+    @pytest.mark.parametrize("psi, message", [
+        ([1.0, np.nan], "non-finite"),
+        ([np.inf, 0.0], "non-finite"),
+        ([1.0, 1j * np.inf], "non-finite"),
+        ([], "nonempty 1-D"),
+        (1.0, "nonempty 1-D"),
+        (np.eye(2) / np.sqrt(2), "nonempty 1-D"),
+        ([1.0, 1.0], "norm"),
+        ([0.0, 0.0], "norm"),
+        ([1.0 + 2e-12, 0.0], "norm"),
+    ])
+    def test_checked_state_rejects(self, psi, message):
+        with pytest.raises(ValueError, match=message):
+            checked_state(psi)
 
-    def test_state_vector_normalized_constructor(self):
-        sv = StateVector.normalized([3.0, 4.0])
-        assert np.linalg.norm(sv.amplitudes) == pytest.approx(1.0, abs=1e-15)
+    def test_checked_state_gives_complex_amplitudes(self):
+        out = checked_state([0.6, 0.8])
+        assert out.dtype == complex and np.array_equal(out, [0.6, 0.8])
+        assert np.array_equal(checked_state([1.0 + 5e-13, 0.0]), [1.0 + 5e-13, 0.0])
 
     def test_density_rejects_nonhermitian(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            checked_density(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
     def test_density_rejects_wrong_trace(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.eye(2))
+        with pytest.raises(ValueError, match="trace"):
+            checked_density(np.eye(2))
+
+    def test_density_rejects_non_square(self):
+        for mat in (np.ones(2) / 2, np.ones((2, 3)) / 2):
+            with pytest.raises(ValueError, match="square"):
+                checked_density(mat)
 
     def test_density_repairs_round_off_tail(self):
         rho = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
-        dm = DensityMatrix(rho)
-        assert np.linalg.eigvalsh(dm.mat).min() >= -1e-15
-        assert np.trace(dm.mat).real == pytest.approx(1.0, abs=1e-12)
+        out = checked_density(rho)
+        assert np.linalg.eigvalsh(out).min() >= -1e-15
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
 
     def test_density_rejects_genuinely_negative(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.diag([1.2, -0.2]).astype(complex))
+        with pytest.raises(ValueError, match="eigenvalue"):
+            checked_density(np.diag([1.2, -0.2]).astype(complex))
 
     def test_stack_checks_every_item(self):
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -300,12 +317,7 @@ class TestValueTypes:
         mats = np.stack([np.diag([1.0 + 5e-11, -5e-11]), np.eye(2) / 2, np.diag([-3e-11, 1.0 + 3e-11])])
         out = checked_density(mats)
         for row, mat in zip(out, mats):
-            assert np.array_equal(row, DensityMatrix(mat).mat)
-
-    def test_immutable_amplitudes(self):
-        sv = ket(1, 0)
-        with pytest.raises(ValueError):
-            sv.amplitudes[0] = 0.0
+            assert np.array_equal(row, checked_density(mat))
 
 
 class TestRandomHelpers:
@@ -320,4 +332,4 @@ class TestRandomHelpers:
         assert np.trace(dm).real == pytest.approx(1.0, abs=1e-12)
 
     def test_trace_distance_of_orthogonal_pures(self):
-        assert trace_distance(ket(1, 0).density(), ket(0, 1).density()) == pytest.approx(1.0, abs=1e-12)
+        assert trace_distance(density(ket(1, 0)), density(ket(0, 1))) == pytest.approx(1.0, abs=1e-12)

@@ -1,0 +1,109 @@
+"""`src/realmask` holds only what the pipelines and the CLI use.
+
+Every public top-level function or class of the package must be reached from
+the console scripts named in `pyproject.toml` or from `scripts/`.  A
+definition is reached when a script, or a definition already reached,
+mentions its name; module-level constants count as definitions, so a table
+that names a function reaches it.  `__init__` re-exports reach nothing.
+Names are matched without their module, so a dead definition that shares
+its name with a live one passes, but a live one never fails.
+"""
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "realmask"
+
+# Public names that no pipeline calls yet, each kept for the ROADMAP item
+# that will.  A name leaves this list when its item makes it reachable.
+KEEP = {
+    # Item 2: exact concurrence of the noiseless masked states.
+    "spin_flip_concurrence",
+    # Item 5: `realmask analyze` reads count tables and decodes them.
+    "tables_to_csv",
+    "tables_from_csv",
+    "correlation_matrix",
+    # Item 7: the measurement module inside `equiv`, compared against the
+    # masker's output; `mask_pure` and `mask_state` are the masker applied to
+    # one state, the reference the tests hold the walk and the table to.
+    "simulate_measurement",
+    "mask_pure",
+    "mask_state",
+}
+
+
+def _mentioned(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def _definitions() -> dict[str, list[ast.AST]]:
+    """Top-level definitions of every package module but `__init__`, by name."""
+    defs: dict[str, list[ast.AST]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defs.setdefault(name.id, []).append(node)
+    return defs
+
+
+def _public_classes_and_functions(defs) -> set[str]:
+    return {name for name, nodes in defs.items() if not name.startswith("_")
+            and any(isinstance(n, (ast.FunctionDef, ast.ClassDef)) for n in nodes)}
+
+
+def _reached(defs, roots: set[str]) -> set[str]:
+    seen: set[str] = set()
+    todo = [name for name in roots if name in defs]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in defs[name]:
+            todo.extend(m for m in _mentioned(node) if m in defs and m not in seen)
+    return seen
+
+
+def _entry_points() -> set[str]:
+    """Names the console scripts call and the names `scripts/*.py` mention."""
+    names = set(re.findall(r'^\w+ = "realmask\.\w+:(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M))
+    assert names, "pyproject.toml names no realmask console script"
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        names |= _mentioned(ast.parse(path.read_text()))
+    return names
+
+
+def test_every_public_definition_is_reached():
+    defs = _definitions()
+    unreached = _public_classes_and_functions(defs) - _reached(defs, _entry_points() | KEEP)
+    assert not unreached, (
+        f"public names no pipeline, CLI command or script reaches: {sorted(unreached)}; "
+        "delete them, move test-only ones to tests/helpers.py, or make them private"
+    )
+
+
+def test_keep_list_names_only_unreached_definitions():
+    defs = _definitions()
+    public = _public_classes_and_functions(defs)
+    assert KEEP <= public, f"keep-list names that are not public definitions: {sorted(KEEP - public)}"
+    live = KEEP & _reached(defs, _entry_points())
+    assert not live, f"keep-list names the pipelines now reach, so drop them from KEEP: {sorted(live)}"

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,21 +8,18 @@ from realmask.walk import (
     COIN_C1,
     COIN_C2,
     COIN_X,
+    COIN_Z,
     TRANSLATE,
     CoinLayer,
     ExtractionError,
     RailState,
-    WalkSchedule,
+    Translate,
     apply_local,
     encode_input,
     extract_two_qubit,
-    load_schedule,
     masking_schedule,
+    run,
     run_masking_walk,
-    run_schedule,
-    save_schedule,
-    schedule_from_dict,
-    schedule_to_dict,
     shift,
 )
 
@@ -115,6 +110,16 @@ class TestCoinLayer:
         with pytest.raises(ValueError):
             CoinLayer({0: np.array([[1, 1], [0, 1]], dtype=complex)})
 
+    def test_rejects_non_integral_position(self):
+        # Truncating 1.5 to 1 would let the X coin replace the Z coin there.
+        with pytest.raises(TypeError):
+            CoinLayer({1: COIN_Z, 1.5: COIN_X})
+
+    def test_accepts_numpy_integer_positions(self):
+        layer = CoinLayer({np.int64(-1): COIN_Z, np.int32(2): COIN_X})
+        assert list(layer.coins) == [-1, 2]
+        assert all(type(x) is int for x in layer.coins)
+
 
 class TestEncodeExtract:
     def test_basis_encodings(self):
@@ -148,37 +153,39 @@ class TestMaskingSchedule:
     def test_schedule_is_built_once_and_read_only(self):
         schedule = masking_schedule()
         assert masking_schedule() is schedule
-        layer = schedule.layers[0]
+        layer = schedule[0]
         with pytest.raises(TypeError):
             layer.coins[0] = np.eye(2)
         with pytest.raises(ValueError):
             layer.coins[-1][0, 0] = 0.0
 
+    def test_default_schedule_has_four_translations(self):
+        assert sum(isinstance(layer, Translate) for layer in masking_schedule()) == 4
+
     def test_intermediate_after_two_steps(self):
         # First four layers are the two coined steps.
-        partial = WalkSchedule("half", masking_schedule().layers[:4])
-        out = run_schedule(encode_input([1, 0, 0, 0]), partial)
+        out = run(encode_input([1, 0, 0, 0]), masking_schedule()[:4])
         assert amp(out, -3, 0) == pytest.approx(1j / SQRT2, abs=1e-15)
         assert amp(out, -1, 1) == pytest.approx(1j / SQRT2, abs=1e-15)
 
     def test_intermediate_coefficients_random_real(self, rng):
-        partial = WalkSchedule("half", masking_schedule().layers[:4])
+        partial = masking_schedule()[:4]
         for _ in range(100):
             a = rng.normal(size=4)
             a /= np.linalg.norm(a)
-            out = run_schedule(encode_input(a), partial)
+            out = run(encode_input(a), partial)
             assert amp(out, -3, 0) == pytest.approx((1j * a[0] + a[1]) / SQRT2, abs=1e-12)
             assert amp(out, -1, 1) == pytest.approx((1j * a[0] - a[1]) / SQRT2, abs=1e-12)
             assert amp(out, 1, 0) == pytest.approx((a[2] + 1j * a[3]) / SQRT2, abs=1e-12)
             assert amp(out, 3, 1) == pytest.approx((a[2] - 1j * a[3]) / SQRT2, abs=1e-12)
 
     def test_final_state_for_basis_input(self):
-        out = run_schedule(encode_input([1, 0, 0, 0]), masking_schedule())
+        out = run(encode_input([1, 0, 0, 0]), masking_schedule())
         assert amp(out, 1, 0) == pytest.approx(-1j / SQRT2, abs=1e-15)
         assert amp(out, -1, 1) == pytest.approx(-1j / SQRT2, abs=1e-15)
 
     def test_final_amplitudes_uniform_input(self):
-        out = run_schedule(encode_input(np.ones(4) / 2), masking_schedule())
+        out = run(encode_input(np.ones(4) / 2), masking_schedule())
         r8 = 2 * SQRT2
         assert amp(out, 1, 0) == pytest.approx((1 - 1j) / r8, abs=1e-15)
         assert amp(out, -1, 1) == pytest.approx(-(1 + 1j) / r8, abs=1e-15)
@@ -189,7 +196,7 @@ class TestMaskingSchedule:
         a = rng.normal(size=(20, 4))
         a /= np.linalg.norm(a, axis=-1, keepdims=True)
         state = encode_input(a)
-        for layer in masking_schedule().layers:
+        for layer in masking_schedule():
             state = layer.apply(state)
             occupied = state.lo + np.flatnonzero(np.abs(state.amps).max(axis=(0, 2)))
             assert all(-5 <= x <= 5 for x in occupied)
@@ -211,11 +218,11 @@ class TestMaskingSchedule:
             assert pure_fidelity(m @ a, got) > 1 - 1e-12
 
 
-def _worst_masker_infidelity(schedule: WalkSchedule, a: np.ndarray) -> float:
+def _worst_masker_infidelity(schedule, a: np.ndarray) -> float:
     """Largest masker-vs-walk infidelity over the (N, 4) inputs `a`; amplitude
     left off the read-out sites counts as total disagreement."""
     try:
-        got = extract_two_qubit(run_schedule(encode_input(a), schedule))
+        got = extract_two_qubit(run(encode_input(a), schedule))
     except ExtractionError:
         return 1.0
     ref = a @ masker_matrix().T
@@ -223,7 +230,7 @@ def _worst_masker_infidelity(schedule: WalkSchedule, a: np.ndarray) -> float:
 
 
 _DEFAULT_COINS = [
-    (i, x) for i, layer in enumerate(masking_schedule().layers)
+    (i, x) for i, layer in enumerate(masking_schedule())
     if isinstance(layer, CoinLayer) for x in layer.coins
 ]
 
@@ -241,15 +248,15 @@ class TestCrossCheckSharpness:
 
     @pytest.mark.parametrize("layer,position", _DEFAULT_COINS)
     def test_haar_random_coin_is_caught(self, layer, position, inputs, rng):
-        layers = list(masking_schedule().layers)
+        layers = list(masking_schedule())
         layers[layer] = CoinLayer({**layers[layer].coins, position: random_unitary(2, rng)})
-        assert _worst_masker_infidelity(WalkSchedule("faulty", tuple(layers)), inputs) > 1e-10
+        assert _worst_masker_infidelity(layers, inputs) > 1e-10
 
     def test_swapped_c1_c2_is_caught(self, inputs):
-        layers = list(masking_schedule().layers)
+        layers = list(masking_schedule())
         assert set(layers[2].coins) == {-2, 2}
         layers[2] = CoinLayer({-2: COIN_C1, 2: COIN_C2})
-        assert _worst_masker_infidelity(WalkSchedule("swapped", tuple(layers)), inputs) > 1e-10
+        assert _worst_masker_infidelity(layers, inputs) > 1e-10
 
     def test_batch_matches_single_inputs(self, inputs):
         batch = run_masking_walk(inputs)
@@ -257,14 +264,14 @@ class TestCrossCheckSharpness:
             assert np.array_equal(run_masking_walk(a), got)
 
 
-class TestRunSchedule:
+class TestRun:
     def test_empty_schedule(self):
         state = encode_input([0, 1, 0, 0])
-        out = run_schedule(state, WalkSchedule("empty", ()))
+        out = run(state, ())
         assert out.lo == state.lo and np.array_equal(out.amps, state.amps)
 
     def test_single_translate(self):
-        out = run_schedule(RailState.of({(0, 1): 1.0}), WalkSchedule("t", (TRANSLATE,)))
+        out = run(RailState.of({(0, 1): 1.0}), (TRANSLATE,))
         assert amp(out, 1, 1) == 1.0
 
     def test_norm_preserved_on_random_schedules(self, rng):
@@ -276,74 +283,7 @@ class TestRunSchedule:
                 else:
                     positions = rng.choice(np.arange(-4, 5), size=rng.integers(1, 4), replace=False)
                     layers.append(CoinLayer({int(x): random_unitary(2, rng) for x in positions}))
-            schedule = WalkSchedule("rand", tuple(layers))
             start = RailState.of({(int(rng.integers(-4, 5)), int(rng.integers(0, 2))): 1.0})
-            out = run_schedule(start, schedule)
+            out = run(start, layers)
             assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-12)
 
-
-class TestScheduleFile:
-    def test_round_trip_is_bit_exact(self, rng, tmp_path):
-        layers = (
-            CoinLayer({-2: random_unitary(2, rng), 3: random_unitary(2, rng)}),
-            TRANSLATE,
-            CoinLayer({0: random_unitary(2, rng)}),
-        )
-        schedule = WalkSchedule("round-trip", layers)
-        path = tmp_path / "schedule.json"
-        save_schedule(schedule, path)
-        loaded = load_schedule(path)
-        assert loaded.name == schedule.name
-        assert len(loaded.layers) == len(schedule.layers)
-        for got, want in zip(loaded.layers, schedule.layers):
-            if want is TRANSLATE:
-                assert got == TRANSLATE
-            else:
-                assert got.coins.keys() == want.coins.keys()
-                for x in want.coins:
-                    assert np.array_equal(got.coins[x], want.coins[x])
-
-    def test_default_schedule_round_trip(self, tmp_path):
-        path = tmp_path / "mask.json"
-        save_schedule(masking_schedule(), path)
-        loaded = load_schedule(path)
-        a = np.array([0.3, -0.5, 0.4, 0.7])
-        a /= np.linalg.norm(a)
-        out = run_schedule(encode_input(a), loaded)
-        want = run_schedule(encode_input(a), masking_schedule())
-        assert out.lo == want.lo and np.array_equal(out.amps, want.amps)
-
-    def test_steps_counts_translations(self):
-        assert masking_schedule().steps == 4
-
-    def test_rejects_malformed_documents(self):
-        with pytest.raises(ValueError):
-            schedule_from_dict({"name": "x", "layers": [{"type": "spin"}]})
-        with pytest.raises(ValueError):
-            schedule_from_dict({"no_layers": True})
-        bad_matrix = {"name": "x", "layers": [{"type": "coins", "coins": [{"position": 0, "matrix": [1, 0]}]}]}
-        with pytest.raises(ValueError):
-            schedule_from_dict(bad_matrix)
-
-    @pytest.mark.parametrize("doc,where", [
-        ({"layers": 5}, "layers"),
-        ({"layers": [5]}, "layer 0"),
-        ({"layers": [{"type": "translate"}, {"type": "coins", "coins": [{"position": 0}]}]}, "layer 1"),
-    ])
-    def test_malformed_layers_are_value_errors(self, doc, where):
-        # These used to raise TypeError, AttributeError and KeyError: 'matrix'.
-        with pytest.raises(ValueError, match=where):
-            schedule_from_dict(doc)
-
-    def test_document_matches_schema_shape(self):
-        doc = schedule_to_dict(masking_schedule())
-        text = json.dumps(doc)
-        again = json.loads(text)
-        assert again["name"] == "mask-real-ququart"
-        kinds = [layer["type"] for layer in again["layers"]]
-        assert kinds == ["coins", "translate", "coins", "translate", "coins", "translate", "translate", "coins"]
-        for layer in again["layers"]:
-            if layer["type"] == "coins":
-                for coin in layer["coins"]:
-                    assert set(coin) == {"position", "matrix"}
-                    assert len(coin["matrix"]) == 8
