@@ -15,8 +15,10 @@
 # --seed 1` (a large verification run), on a temporary `git worktree` of
 # BASE_REV and on the working tree, then compares the two output trees with
 # `diff -r`.  A change that moves report numbers must bump
-# experiments.REPORT_SCHEMA; when the schemas differ the diff is skipped, so a
-# schema bump passes and a silent re-baseline fails.
+# experiments.REPORT_SCHEMA, so a silent re-baseline fails.  When the schemas
+# differ the script passes and lists the report files whose content moved
+# apart from the "schema" line (`diff -rq -I '"schema":'`), so a reviewer can
+# check that the bump moved only the reports it declares.
 #
 # The stdout of `realmask angles --state 1,2,3,4 --phi 30 --setting XY` and of
 # `realmask angles --basis 0.3,0.5,1.1,0.2` (the optical angle solvers) carries
@@ -65,7 +67,9 @@ schema() {
 base_schema=$(schema "$tmp/out_base")
 head_schema=$(schema "$tmp/out_head")
 if [ "$base_schema" != "$head_schema" ]; then
-    echo "report schema $base_schema -> $head_schema: reports may differ, not compared"
+    echo "report schema $base_schema -> $head_schema: reports may differ; files whose content moved:"
+    diff -rq -I '"schema":' "$tmp/out_base" "$tmp/out_head" \
+        | sed "s|^Files $tmp/out_base/\([^ ]*\) and .* differ\$|  \1|" || true
     exit 0
 fi
 if ! diff -r "$tmp/out_base" "$tmp/out_head"; then

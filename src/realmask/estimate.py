@@ -10,7 +10,7 @@ Three pipelines:
 * single-qubit tomography: exact maximum likelihood over (batch, 3, 2) count
   arrays, rows in `measure.AXES` order (`mle_qubit_batch`,
   `purity_from_counts`), every boundary fit of a batch solved together by
-  one array iteration, with Poisson-resampling bootstrap error bars
+  joint Newton steps, with Poisson-resampling bootstrap error bars
   (`bootstrap_std`: one seeded draw per count array of a stack, all taken
   by one `measure.poisson_resample` call, and all resamples of the stack
   estimated in one more call);
@@ -181,100 +181,96 @@ def agresti_coull(passed: int, total: int, confidence: float = 0.95) -> tuple[fl
 # ---------------------------------------------------------------------------
 # Single-qubit maximum-likelihood tomography.
 
-_EPS = float(np.finfo(float).eps)
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+_JOINT_STEPS, _STEP_TOL = 16, 1e-8
 
 
-def _sum_sq(s: np.ndarray) -> np.ndarray:
-    """|r|^2 of each row of an (m, 3) array, summed in a fixed order."""
-    return s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1] + s[:, 2] * s[:, 2]
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row sums of u * v for (m, 3) arrays, added in a fixed order."""
+    return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
 
 
-def _radii(a: np.ndarray, b: np.ndarray, lam: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """|r_k| at multiplier lam for axis counts a = max(n+, n-), b = min(n+, n-).
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _axis_newton(a: np.ndarray, b: np.ndarray, lam: np.ndarray, s: np.ndarray):
+    """Newton point, slope ds/dlam and residual p of radii s at multipliers lam, (m, 1).
 
-    Each is the root in [0, 1] of the convex cubic p(s) = (1 - s)(a - 2 lam s
-    (1 + s)) - b (1 + s), which Newton's method climbs to monotonically from a
-    start `s` below it, such as the radii at a larger lam; the factored form
-    stays accurate next to s = 1.  With b = 0 the root is min(1, x / (1 +
-    sqrt(1 + 2x))), x = a/lam, in closed form: Newton would crawl next to the
-    double root at lam = a/4.  An element that stops moving stays put on
-    later passes, so each is solved as it would be alone.
+    |r_k| is the root in [0, 1] of the convex cubic p(s) = (1 - s)(a - 2 lam s
+    (1 + s)) - b (1 + s), a = max(n+, n-), b = min(n+, n-), factored to stay
+    accurate next to s = 1, so its Newton point is never above the root (0 past
+    the cubic's minimum, where p(0) = a - b >= 0); for b = 0, as Newton would
+    crawl, it is the closed-form root.  The slope is the root's, -s (1 + s) w /
+    (b + lam (1 + 2s) w), w = (1 - s)^2 or 1 for b = 0, at the Newton point.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = a / lam
-        closed = np.where(a > 0.0, np.minimum(x / (1.0 + np.sqrt(1.0 + 2.0 * x)), 1.0), 0.0)
-        s = np.where(b > 0.0, s, closed)
-        lam2 = 2.0 * lam
-        while True:
-            plus, minus = 1.0 + s, 1.0 - s
-            q = a - lam2 * s * plus
-            p = minus * q - b * plus
-            # The Newton step s - p/p' with p' = -(q + 2 lam (1 - s)(1 + 2s) + b).
-            new = np.minimum(s + p / (q + lam2 * minus * (1.0 + 2.0 * s) + b), 1.0)
-            move = (p > 0.0) & (new > s)
-            if not move.any():
-                return s
-            s = np.where(move, new, s)
+    plus, minus, lam2 = 1.0 + s, 1.0 - s, 2.0 * lam
+    q = a - lam2 * s * plus
+    p = minus * q - b * plus
+    slope = q + lam2 * minus * (s + plus) + b  # -p'(s)
+    low = np.where(slope > 0.0, s + p / slope, 0.0)
+    np.minimum(np.maximum(low, 0.0, out=low), 1.0, out=low)
+    w = (1.0 - low) ** 2
+    if (one := b == 0.0).any():
+        closed = np.where(a > 0.0, np.minimum(a / (lam + np.sqrt(lam * lam + 2.0 * a * lam)), 1.0), 0.0)
+        low, p, w = np.where(one, closed, low), np.where(one, 0.0, p), np.where(one, 1.0, w)
+    return low, -low * (1.0 + low) * w / np.maximum(b + lam * (1.0 + 2.0 * low) * w, _TINY), p
 
 
-def _d_sum_sq(a: np.ndarray, b: np.ndarray, lam: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """d|r|^2/dlam at the radii `s` of `_radii`.
+@np.errstate(divide="ignore", invalid="ignore")
+def _sphere_fit(counts: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Bloch vectors, shape (m, 3), of the MLE of (m, 3, 2) counts whose linear
+    inversion r leaves the ball, all solved together.
 
-    Differentiating p(s) = 0 and using the root to drop the cancelling terms
-    gives ds/dlam = -s (1 + s) w / (b + lam (1 + 2s) w) with w = (1 - s)^2; for
-    b = 0 the factor w cancels, which keeps the slope just above lam = a/4,
-    where s leaves 1.  An axis with no counts at lam = 0 contributes 0.
+    Newton steps on the KKT system p_k(s_k, lam) = 0 (`_axis_newton`), sum_k
+    s_k^2 = 1, whose arrowhead Jacobian solves in closed form: from the Newton
+    points s_k with slopes c_k, dlam = (1 - eps - sum s_k^2) / (2 sum s_k c_k)
+    and s_k += c_k dlam.  The bracket (lo, hi) on lam starts at [max a/4 over
+    axes with b = 0 (else 0), N/4] for N counts and moves on sure signs only.
+    A step that would leave it, is below `_STEP_TOL` of lam or is the
+    `_JOINT_STEPS`th ends a round with the exact radii at lam (Newton from a
+    lower bound until its rises are rounding).  An item ends at 1 - 4 eps <=
+    |r|^2 <= 1 or a bracket closed to adjacent floats, with the exact radii of
+    its last point inside; else a step of at least one float from the exact
+    point, bisecting the bracket if it would leave it, starts a round.  Stopped
+    items keep their values, so an item has the same bits in any batch.
     """
-    w = np.where(b > 0.0, (1.0 - s) * (1.0 - s), 1.0)
-    den = b + lam * (1.0 + 2.0 * s) * w
-    ds = np.divide(-s * (1.0 + s) * w, den, out=np.zeros_like(s), where=den > 0.0)
-    return 2.0 * (s[:, 0] * ds[:, 0] + s[:, 1] * ds[:, 1] + s[:, 2] * ds[:, 2])
-
-
-def _sphere_fit(n_plus: np.ndarray, n_minus: np.ndarray) -> np.ndarray:
-    """Bloch vectors, shape (m, 3), of the MLE of items whose linear inversion
-    leaves the ball, all solved together.
-
-    |r(lam)| falls as lam grows.  The optimum lies in [lam0, N/4] for N counts:
-    2 lam = sum_k r_k g_k(r_k) there, each term at most n_k/2, and below lam0 =
-    max a/4 over the axes with b = 0 (0 if none) such an axis sits at |r_k| =
-    1.  Each item takes Newton steps on the secular function phi(lam) = 1/|r|
-    - 1 (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553, 1983) from lam0
-    upward, lam += 2S(1 - S) / ((1 + sqrt S) dS/dlam) with S = |r|^2: the step
-    2S(1 - sqrt S)/(dS/dlam) written with the exact difference 1 - S, so it
-    does not stall at S = 1 + eps.  A step that is not finite or leaves the
-    bracket (lo, hi) of the last points outside and inside the ball bisects
-    it instead.  An item finishes at a point with 1 - 4 eps <= S <= 1, or when
-    the bracket has closed to adjacent floats, and returns the radii at its
-    last point inside the ball.  All arithmetic is elementwise and finished
-    items are dropped, so an item gives the same bits in any batch.
-    """
-    a, b = np.maximum(n_plus, n_minus), np.minimum(n_plus, n_minus)
-    n = a + b
+    a, b = counts.max(axis=2), counts.min(axis=2)
     lo = np.where(b > 0.0, 0.0, a).max(axis=1) / 4.0
-    hi = (n[:, 0] + n[:, 1] + n[:, 2]) / 4.0
-    s_hi = _radii(a, b, hi[:, None], np.zeros_like(a))
-    # |r| only falls with lam, so the radii at hi lie below those at any lam < hi.
-    lam, s = lo.copy(), _radii(a, b, lo[:, None], s_hi)
-    act = np.arange(len(a))
-    while True:
-        sq = _sum_sq(s[act])
-        inside = sq <= 1.0
-        hi[act[inside]], s_hi[act[inside]] = lam[act[inside]], s[act[inside]]
-        lo[act[~inside]] = lam[act[~inside]]
-        keep = ~inside | (1.0 - sq > 4.0 * _EPS)
-        act, sq = act[keep], sq[keep]
-        if not act.size:
-            break
-        l, h = lo[act], hi[act]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = _d_sum_sq(a[act], b[act], lam[act, None], s[act])
-            step = lam[act] + 2.0 * sq * (1.0 - sq) / ((1.0 + np.sqrt(sq)) * slope)
-        step = np.where((l < step) & (step < h), step, 0.5 * (l + h))
-        live = (l < step) & (step < h)
-        act, step = act[live], step[live]
-        lam[act], s[act] = step, _radii(a[act], b[act], step[:, None], s_hi[act])
-    return np.copysign(s_hi, n_plus - n_minus)
+    hi = _dot(a + b, np.ones_like(a)) / 4.0
+    lam, s = lo.copy(), np.abs(r)
+    todo, s_hi = np.arange(len(a)), np.zeros_like(s)
+    while todo.size:  # a, b, lam, s, lo and hi hold the rows of `todo`
+        moving = np.ones(len(todo), dtype=bool)
+        for _ in range(_JOINT_STEPS):
+            low, c, _ = _axis_newton(a, b, lam[:, None], s)
+            sq = _dot(low, low)
+            lo = np.where(moving & (sq > 1.0), lam, lo)
+            new = lam + (1.0 - _EPS - sq) / (2.0 * _dot(low, c))
+            take = moving & (lo < new) & (new < hi)
+            s = np.where(take[:, None], np.minimum(np.maximum(low + c * (new - lam)[:, None], 0.0), 1.0),
+                         np.where(moving[:, None], low, s))
+            moving = take & (np.abs(new - lam) > _STEP_TOL * new)
+            lam = np.where(take, new, lam)
+            if not moving.any():
+                break
+        s, big = _axis_newton(a, b, lam[:, None], s)[0], True
+        while np.any(big):  # a rise below 1e-12 of s leaves s exact (quadratic convergence): it stops
+            low, c, p = _axis_newton(a, b, lam[:, None], s)
+            low = np.where(big & (p > 0.0), np.maximum(low, s), s)
+            big, s = big & (low > s + 1e-12 * s), low
+        inb = (sq := _dot(s, s)) <= 1.0
+        lo, hi = np.where(inb, lo, lam), np.where(inb, lam, hi)
+        s_hi[todo[inb]] = s[inb]
+        new = lam + (1.0 - _EPS - sq) / (2.0 * _dot(s, c))
+        new = np.where(new == lam, np.nextafter(lam, np.where(inb, -np.inf, np.inf)), new)
+        lam = np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi))
+        go = ~(inb & (1.0 - sq <= 4.0 * _EPS)) & (lo < lam) & (lam < hi)
+        todo, a, b, lam, s, lo, hi = todo[go], a[go], b[go], lam[go], s[go], lo[go], hi[go]
+    return np.copysign(s_hi, r)
+
+
+def _linear_inversion(c: np.ndarray) -> np.ndarray:
+    """(n+ - n-)/n on each axis of (batch, 3, 2) counts, 0 on an axis without counts."""
+    n = c[:, :, 0] + c[:, :, 1]
+    return np.divide(c[:, :, 0] - c[:, :, 1], n, out=np.zeros_like(n), where=n > 0)
 
 
 def mle_qubit_batch(counts: np.ndarray) -> np.ndarray:
@@ -291,28 +287,30 @@ def mle_qubit_batch(counts: np.ndarray) -> np.ndarray:
     result is bit-identical in any batch.
     """
     c = np.asarray(counts, dtype=float)
-    if c.ndim == 2:
-        c = c[None]
+    c = c[None] if c.ndim == 2 else c
     if c.shape[1:] != (3, 2):
         raise ValueError("counts must have shape (batch, 3, 2)")
     if not np.isfinite(c).all():
         raise ValueError("counts must be finite, got a NaN or infinite count")
     if np.any(c < 0):
         raise ValueError("counts must be nonnegative")
-    n_plus, n_minus = c[:, :, 0], c[:, :, 1]
-    n = n_plus + n_minus
-    r = np.divide(n_plus - n_minus, n, out=np.zeros_like(n), where=n > 0)
-    outside = _sum_sq(r) > 1.0
+    r = _linear_inversion(c)
+    outside = _dot(r, r) > 1.0
     if outside.any():
-        r[outside] = _sphere_fit(n_plus[outside], n_minus[outside])
+        r[outside] = _sphere_fit(c[outside], r[outside])
     x, y, z = r.T
     return (np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=1) / 2).reshape(-1, 2, 2)
 
 
 def purity_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Batch shortcut: MLE purities for counts of shape (batch, 3, 2)."""
+    """Batch shortcut: MLE purities for counts of shape (batch, 3, 2), exactly 1 on the sphere."""
     rho = mle_qubit_batch(counts)
-    return np.einsum("bij,bji->b", rho, rho).real
+    pur = np.einsum("bij,bji->b", rho, rho).real
+    near = np.flatnonzero(pur > 1.0 - 1e-12)  # a fit on the sphere is within rounding of 1
+    if near.size:
+        r = _linear_inversion(np.asarray(counts, dtype=float).reshape(-1, 3, 2)[near])
+        pur[near[_dot(r, r) > 1.0]] = 1.0
+    return pur
 
 
 def bootstrap_std(

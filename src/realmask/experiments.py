@@ -29,11 +29,11 @@ import numpy as np
 from . import estimate, measure, optics, walk
 from .masker import masker_matrix
 from .measure import derive_seed, generator
-from .qcore import checked_density, concurrence_from_purity, partial_trace, purity
+from .qcore import checked_density, concurrence_from_purity, partial_trace, purity, spin_flip_concurrence
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 7
+REPORT_SCHEMA = 8
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
@@ -229,9 +229,11 @@ def run_fig5(config: ExperimentConfig) -> dict:
     shots = config.shots("fig5")
     phis = config.phi_grid_deg
     probes = np.array([phase_probe(phi) for phi in phis]).reshape(-1, 4)
-    rho_path = partial_trace(_masked_states(probes, config.noise_p)[1], "A")
-    if config.analytic:
-        est, std = concurrence_from_purity(purity(rho_path)), np.zeros(len(phis))
+    vecs, states = _masked_states(probes, config.noise_p)
+    rho_path = partial_trace(states, "A")
+    if config.analytic:  # the pure states at p = 0 need no square root of a rounded 1 - purity
+        est, std = (np.array([spin_flip_concurrence(v) for v in vecs]) if config.noise_p == 0.0
+                    else concurrence_from_purity(purity(rho_path))), np.zeros(len(phis))
     else:
         counts = _pauli_counts(measure.axis_probs(rho_path), shots, config.seed,
                                [("fig5.tomo", i) for i in range(len(phis))])

@@ -153,8 +153,8 @@ def fidelity_with_pure(rho, target):
 
 
 def concurrence_from_purity(p) -> np.ndarray:
-    """sqrt(2 (1 - p)) elementwise, 0 where the purity exceeds 1."""
-    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.asarray(p))))
+    """sqrt(2 (1 - p)) elementwise, clamped to [0, 1] against rounded purities."""
+    return np.minimum(np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.asarray(p)))), 1.0)
 
 
 def spin_flip_concurrence(psi) -> float:
@@ -162,5 +162,4 @@ def spin_flip_concurrence(psi) -> float:
     a = checked_state(psi)
     if a.size != 4:
         raise DimensionError("spin_flip_concurrence expects a two-qubit state")
-    yy = kron(PAULI_Y, PAULI_Y)
-    return float(abs(a @ yy @ a))
+    return float(abs(a @ kron(PAULI_Y, PAULI_Y) @ a))

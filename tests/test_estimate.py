@@ -514,6 +514,7 @@ class TestExactMle:
         got = np.array([bloch_of(rho) for rho in mle_qubit_batch(counts)])
         want = np.array([bisect_sphere_fit(c[:, 0].tolist(), c[:, 1].tolist()) for c in counts])
         assert np.abs(got - want).max() <= 1e-14
+        assert np.all(purity_from_counts(counts) == 1.0)
         for r, r_oracle, c in zip(got, want, counts):
             best = log_likelihood(r_oracle, c)
             assert best - log_likelihood(r, c) <= 1e-12 * abs(best)
@@ -551,6 +552,7 @@ class TestExactMle:
         assert np.isfinite(rho).all()
         assert 1.0 - 1e-15 <= np.linalg.norm(r) <= 1.0 + 1e-15
         assert np.linalg.eigvalsh(rho).min() >= -1e-15
+        assert purity_from_counts(counts[None])[0] == 1.0
 
     def test_small_multiplier_item_is_exact(self, rng):
         # The linear inversion lies just outside the ball, so lam is near 0 and

@@ -25,7 +25,13 @@ from realmask.experiments import (
 )
 from realmask.masker import mask_pure
 from realmask.measure import derive_seed
-from realmask.qcore import concurrence_from_purity, fidelity_with_pure, partial_trace, purity
+from realmask.qcore import (
+    concurrence_from_purity,
+    fidelity_with_pure,
+    partial_trace,
+    purity,
+    spin_flip_concurrence,
+)
 
 from helpers import density
 
@@ -98,13 +104,15 @@ def oracle_fig5(config):
     shots = config.shots("fig5")
     points = []
     for i, phi in enumerate(config.phi_grid_deg):
-        _ideal, rho = oracle_masked_probe(phase_probe(phi), config.noise_p)
+        ideal, rho = oracle_masked_probe(phase_probe(phi), config.noise_p)
         rho_path = partial_trace(rho, "A")
 
         def conc(c):
             return concurrence_from_purity(estimate.purity_from_counts(c))
 
-        if config.analytic:
+        if config.analytic and config.noise_p == 0.0:
+            est, std = spin_flip_concurrence(ideal), 0.0
+        elif config.analytic:
             est, std = float(concurrence_from_purity(purity(rho_path))), 0.0
         else:
             counts = oracle_pauli_counts(rho_path, shots, config.seed, "fig5.tomo", i)
@@ -145,6 +153,21 @@ def test_fig5_off_default_grid_matches_oracle():
 @pytest.mark.parametrize("analytic", [False, True])
 def test_fig5_empty_grid_gives_no_points(analytic):
     assert run_fig5(ExperimentConfig(seed=1, phi_grid_deg=(), analytic=analytic))["points"] == []
+
+
+def test_noiseless_fig5_is_exactly_unentangled_at_90_degrees():
+    # The path qubit is pure at 90 degrees, so every fit and resample lies on
+    # the Bloch sphere: purity exactly 1, concurrence and its error exactly 0.
+    point = run_fig5(ExperimentConfig(seed=1, noise_p=0.0))["points"][-1]
+    assert point["phi_deg"] == 90.0
+    assert (point["estimate"], point["error"]) == (0.0, 0.0)
+
+
+def test_analytic_noiseless_fig5_is_the_cosine():
+    grid = tuple(float(phi) for phi in range(0, 181, 15)) + (33.3, -45.0)
+    for point in run_fig5(ExperimentConfig(noise_p=0.0, phi_grid_deg=grid, analytic=True))["points"]:
+        assert point["estimate"] <= 1.0
+        assert abs(point["estimate"] - abs(point["theory_cos"])) <= 1e-15
 
 
 def test_fig4_is_a_stack_of_one():

@@ -15,6 +15,7 @@ from realmask.qcore import (
     DimensionError,
     checked_density,
     checked_state,
+    concurrence_from_purity,
     fidelity_with_pure,
     kron,
     partial_trace,
@@ -177,6 +178,11 @@ class TestConcurrence:
         # Masking (|0> + e^{i pi/3}|1>)/sqrt(2) leaves concurrence cos(pi/3).
         psi = ket(1, np.exp(1j * np.pi / 3), 0, 0)
         assert concurrence_pure(mask_pure(psi)) == pytest.approx(0.5, abs=1e-12)
+
+    def test_concurrence_from_purity_is_clamped_to_the_unit_interval(self):
+        # A purity rounded just below 1/2 must not give a concurrence above 1.
+        got = concurrence_from_purity(np.array([0.5 - 1e-16, 0.4, 0.5, 1.0, 1.0 + 1e-16]))
+        assert got.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
 
     def test_agrees_with_spin_flip_oracle(self, rng):
         for _ in range(100):

@@ -20,8 +20,6 @@ SRC = ROOT / "src" / "realmask"
 # Public names that no pipeline calls yet, each kept for the ROADMAP item
 # that will.  A name leaves this list when its item makes it reachable.
 KEEP = {
-    # Item 2: exact concurrence of the noiseless masked states.
-    "spin_flip_concurrence",
     # Item 5: `realmask analyze` reads count tables and decodes them.
     "tables_to_csv",
     "tables_from_csv",
