@@ -7,12 +7,16 @@
 # Runs scripts/reproduce_figures.py at seeds 1 and 9173 and at seed 1 with
 # `--noise-p 0` (its own flags, built from the CLI option table),
 # `realmask fig3|fig4|fig5 --analytic --seed 1`,
+# `realmask fig5 --analytic --noise-p 0 --seed 1` (concurrence taken from the
+# amplitudes of the pure phase probes),
 # `realmask fig5 --noise-p 0 --seed 1` (whose pure phase probes are the only
 # reports here with boundary fits in the qubit MLE),
 # `realmask fig3 --noise-p 0 --seed 1` (noiseless masked states, used without
 # the depolarizing rebuild), `realmask fig5 --shots 1 --seed 1` (axes with
-# zero counts in the bootstrap resamples) and `realmask fig3 --qsv-tests 100000
-# --seed 1` (a large verification run), on a temporary `git worktree` of
+# zero counts in the bootstrap resamples), `realmask fig3 --qsv-tests 100000
+# --seed 1` (a large verification run) and `realmask equiv --n-inputs 5000
+# --seed 1` (whose max-infidelity digits move with any change in the
+# arithmetic of the walk or the optical table), on a temporary `git worktree` of
 # BASE_REV and on the working tree, then compares the two output trees with
 # `diff -r`.  A change that moves report numbers must bump
 # experiments.REPORT_SCHEMA, so a silent re-baseline fails.  When the schemas
@@ -45,10 +49,12 @@ reports() {
     for fig in fig3 fig4 fig5; do
         PYTHONPATH="$1/src" python3 -m realmask.cli "$fig" --analytic --seed 1 --out "$2/analytic" >/dev/null
     done
+    PYTHONPATH="$1/src" python3 -m realmask.cli fig5 --analytic --noise-p 0 --seed 1 --out "$2/analytic_noiseless" >/dev/null
     PYTHONPATH="$1/src" python3 -m realmask.cli fig5 --noise-p 0 --seed 1 --out "$2/noiseless" >/dev/null
     PYTHONPATH="$1/src" python3 -m realmask.cli fig3 --noise-p 0 --seed 1 --out "$2/noiseless" >/dev/null
     PYTHONPATH="$1/src" python3 -m realmask.cli fig5 --shots 1 --seed 1 --out "$2/one_shot" >/dev/null
     PYTHONPATH="$1/src" python3 -m realmask.cli fig3 --qsv-tests 100000 --seed 1 --out "$2/qsv_large" >/dev/null
+    PYTHONPATH="$1/src" python3 -m realmask.cli equiv --n-inputs 5000 --seed 1 --out "$2/equiv" >/dev/null
     mkdir -p "$2.angles"
     PYTHONPATH="$1/src" python3 -m realmask.cli angles --state 1,2,3,4 --phi 30 --setting XY > "$2.angles/state.txt"
     PYTHONPATH="$1/src" python3 -m realmask.cli angles --basis 0.3,0.5,1.1,0.2 > "$2.angles/basis.txt"
@@ -78,5 +84,5 @@ if ! diff -r "$tmp/out_base" "$tmp/out_head"; then
     exit 1
 fi
 echo "reports identical to $base_rev (schema $head_schema, seeds 1 and 9173, noiseless reproduce_figures run," \
-     "analytic, noiseless fig3 and fig5," \
-     "one-shot fig5 and 100,000-test fig3 at seed 1, angle solver output)"
+     "analytic, analytic noiseless fig5, noiseless fig3 and fig5," \
+     "one-shot fig5, 100,000-test fig3 and 5,000-input equiv at seed 1, angle solver output)"

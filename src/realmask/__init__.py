@@ -8,7 +8,7 @@ verification, tomography, correlation decoding), `experiments`/`cli` (figure
 pipelines).
 """
 from .estimate import agresti_coull, decode_real_state, qsv_run
-from .masker import build_hr_d4, mask_pure, mask_state, masker_matrix, u_of_c
+from .masker import build_hr_d4, mask_pure, masker_matrix, u_of_c
 from .measure import derive_seed, generator, sample_counts
 from .qcore import fidelity_with_pure, partial_trace, purity
 from .walk import encode_input, extract_two_qubit, masking_schedule
@@ -25,7 +25,6 @@ __all__ = [
     "fidelity_with_pure",
     "generator",
     "mask_pure",
-    "mask_state",
     "masker_matrix",
     "masking_schedule",
     "partial_trace",

@@ -70,7 +70,6 @@ class QsvResult:
     eps_hat: float
     ci_low: float
     ci_high: float
-    confidence: float
 
     def __post_init__(self):
         want = 1.5 * (1.0 - self.passed / self.total)
@@ -94,7 +93,6 @@ def qsv_run(
     target,
     n_tests: int,
     seed,
-    confidence: float = 0.95,
 ) -> QsvResult | list[QsvResult]:
     """Run `n_tests` randomly chosen local tests against the rotated target.
 
@@ -145,7 +143,7 @@ def qsv_run(
         passed = int(np.count_nonzero(draws < probs[which]))
         p_hat = passed / n_tests
         eps_hat = 1.5 * (1.0 - p_hat)
-        lo, hi = agresti_coull(passed, n_tests, confidence)
+        lo, hi = agresti_coull(passed, n_tests)
         results.append(QsvResult(
             total=n_tests,
             passed=passed,
@@ -153,26 +151,26 @@ def qsv_run(
             eps_hat=eps_hat,
             ci_low=min(lo, eps_hat),
             ci_high=max(hi, eps_hat),
-            confidence=confidence,
         ))
     return results[0] if single else results
 
 
-def agresti_coull(passed: int, total: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Add-pseudo-counts interval on the infidelity eps = (3/2)(1 - p).
+# Every verification interval has 95% confidence: kappa is the 97.5% normal quantile.
+_KAPPA = NormalDist().inv_cdf((1.0 + 0.95) / 2.0)
 
-    With kappa the (1+confidence)/2 normal quantile, S~ = S + kappa^2/2,
+
+def agresti_coull(passed: int, total: int) -> tuple[float, float]:
+    """Add-pseudo-counts 95% interval on the infidelity eps = (3/2)(1 - p).
+
+    With kappa = `_KAPPA`, S~ = S + kappa^2/2,
     N~ = N + kappa^2, p~ = S~/N~:
     endpoints (3/2)[1 - p~ -/+ kappa sqrt(p~ q~ / N~)], clipped to [0, 3/2].
     """
     if not 0 <= passed <= total or total < 1:
         raise ValueError(f"need 0 <= passed <= total, got {passed}/{total}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    kappa = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
-    n_t = total + kappa**2
-    p_t = (passed + kappa**2 / 2.0) / n_t
-    half = kappa * np.sqrt(p_t * (1.0 - p_t) / n_t)
+    n_t = total + _KAPPA**2
+    p_t = (passed + _KAPPA**2 / 2.0) / n_t
+    half = _KAPPA * np.sqrt(p_t * (1.0 - p_t) / n_t)
     lo = 1.5 * (1.0 - p_t - half)
     hi = 1.5 * (1.0 - p_t + half)
     return max(0.0, lo), min(1.5, hi)

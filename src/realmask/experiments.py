@@ -44,6 +44,8 @@ BOOTSTRAP_RESAMPLES = 100
 # Random inputs the equivalence check runs through the engines at once; it
 # bounds the memory of a large --n-inputs run.
 EQUIV_BLOCK = 4096
+# Largest infidelity between any two realizations that `equiv` passes.
+EQUIV_THRESHOLD = 1e-10
 
 PROBE_LABELS = {
     1: "|0>",
@@ -264,7 +266,7 @@ def _worst_infidelity(u: np.ndarray, v: np.ndarray) -> float:
     return float((1.0 - np.abs(np.sum(u.conj() * v, axis=-1)) ** 2).max(initial=0.0))
 
 
-def run_equivalence(config: ExperimentConfig, n_inputs: int = 100, threshold: float = 1e-10) -> dict:
+def run_equivalence(config: ExperimentConfig, n_inputs: int = 100) -> dict:
     if n_inputs < 1:
         raise ValueError(f"n_inputs must be >= 1, got {n_inputs}")
     rng = generator(derive_seed(config.seed, "equiv"))
@@ -289,13 +291,13 @@ def run_equivalence(config: ExperimentConfig, n_inputs: int = 100, threshold: fl
         "experiment": "equivalence",
         "seed": config.seed,
         "n_inputs": n_inputs,
-        "threshold": threshold,
+        "threshold": EQUIV_THRESHOLD,
         "max_infidelity": max_inf,
         "max_infidelity_masker_walk": worst["walk"],
         "max_infidelity_masker_optics": worst["optics"],
         "max_infidelity_walk_optics": worst["walk_optics"],
         "max_infidelity_complex_inputs_walk": complex_worst,
-        "pass": bool(max_inf < threshold and complex_worst < threshold),
+        "pass": bool(max_inf < EQUIV_THRESHOLD and complex_worst < EQUIV_THRESHOLD),
     }
 
 

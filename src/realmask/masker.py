@@ -22,7 +22,6 @@ from .qcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    _as_complex_array,
     checked_density,
     checked_state,
     kron,
@@ -89,15 +88,6 @@ def mask_pure(psi) -> np.ndarray:
     if vec.shape != (4,):
         raise ValueError("mask_pure expects a 4-dimensional state")
     return masker_matrix() @ vec
-
-
-def mask_state(rho) -> np.ndarray:
-    """M rho M† as a checked two-qubit density matrix."""
-    arr = _as_complex_array(rho, "density matrix")
-    if arr.shape != (4, 4):
-        raise ValueError("mask_state expects a 4x4 density matrix")
-    m = masker_matrix()
-    return checked_density(m @ arr @ m.conj().T)
 
 
 def u_of_c(c) -> np.ndarray:

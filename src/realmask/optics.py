@@ -1,9 +1,11 @@
 """Jones-calculus model of the path/polarization setup.
 
 The photon state lives on a handful of parallel spatial rails, each carrying a
-polarization qubit (H, V).  Waveplates act on the polarization of selected
-rails; beam displacers shift one polarization component sideways by a fixed
-number of rail units, which is how the walk's conditional translation is
+polarization qubit (H, V).  Each layout is a tuple of the walk's two steps: a
+waveplate is a `walk.Local` holding its Jones matrix (built once, when the
+layout is built; a per-item stack when its angle is an array) on the rails it
+covers, and a beam displacer is a `walk.Shift` that moves H by one number of
+rails and V by another, which is how the walk's conditional translation is
 implemented in glass.
 
 Conventions (pinned so the closed-form preparation pipeline holds verbatim):
@@ -18,18 +20,15 @@ With these, HWP(45) = X, HWP(0) = Z, and a QWP at 45 degrees after an HWP at
 phi/4 + 22.5 degrees turns |H> into (|H> + e^{i phi}|V>)/sqrt(2) up to a
 global phase, which is the convention self-test run by the test-suite.
 
-Beam-displacer routing is per-instance data (h_shift, v_shift) because the
-three modules use different orientations: the preparation module displaces H
-by -4 then V by +2 (matching the -3,-1,1,3 rail labels), while the masking
-module uses the symmetric (-1, +1) form so that rail labels coincide with
-walker positions at every step.
+Beam-displacer routing differs between the three modules: the preparation
+module displaces H by -4 then V by +2 (matching the -3,-1,1,3 rail labels),
+while the masking module uses the symmetric (-1, +1) form so that rail labels
+coincide with walker positions at every step.
 
-The table runs on the walk's dense engine: a `walk.RailState` array indexed
-by (..., rail, H|V), where a waveplate (whose angle may hold one value per
-batch item) lowers onto `walk.apply_local` and a beam displacer onto
-`walk.shift`.  The element sequences stay independent of the walk schedule,
+The table runs on the walk's dense engine, a `walk.RailState` array indexed
+by (..., rail, H|V).  Its angles stay independent of the walk's coins,
 which is what the masker / walk / optics cross-check tests.  Polarizing beam
-splitters are not modelled as elements: `detector_distribution` reads the
+splitters are not modelled as steps: `detector_distribution` reads the
 H/V ports directly.
 """
 from __future__ import annotations
@@ -37,12 +36,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Union
 
 import numpy as np
 
 from .qcore import EPS_EXACT, PAULI_X, PAULI_Z, checked_state
-from .walk import COIN_C1, COIN_C2, RailState, apply_local, embed_two_qubit, extract_two_qubit, run, shift
+from .walk import COIN_C1, COIN_C2, Local, RailState, Shift, embed_two_qubit, extract_two_qubit, run
 
 H, V = 0, 1
 
@@ -60,50 +58,6 @@ def hwp_jones(theta_deg) -> np.ndarray:
 def qwp_jones(theta_deg) -> np.ndarray:
     """Quarter-wave plate at `theta_deg`, (1 - i HWP(theta))/sqrt(2) in the module docstring's convention."""
     return (np.eye(2) - 1j * hwp_jones(theta_deg)) / np.sqrt(2)
-
-
-@dataclass(frozen=True)
-class Waveplate:
-    """HWP/QWP/XPLATE acting on the polarization of the listed rails (None = all)."""
-
-    kind: str  # "HWP" | "QWP" | "XPLATE"
-    angle_deg: float
-    paths: frozenset[int] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("HWP", "QWP", "XPLATE"):
-            raise ValueError(f"unknown waveplate kind {self.kind!r}")
-        if self.kind == "XPLATE" and self.angle_deg != 45.0:
-            raise ValueError("XPLATE is a fixed 45-degree half-wave plate")
-        if self.paths is not None:
-            object.__setattr__(self, "paths", frozenset(int(p) for p in self.paths))
-
-    def jones(self) -> np.ndarray:
-        if self.kind == "QWP":
-            return qwp_jones(self.angle_deg)
-        return hwp_jones(self.angle_deg)
-
-    def apply(self, state: RailState) -> RailState:
-        return apply_local(state, self.jones(), self.paths)
-
-
-def xplate(paths: Iterable[int] | None = None) -> Waveplate:
-    """45-degree HWP (the X / NOT gate on polarization)."""
-    return Waveplate("XPLATE", 45.0, frozenset(paths) if paths is not None else None)
-
-
-@dataclass(frozen=True)
-class BeamDisplacer:
-    """Shift H-amplitude by h_shift rails and V-amplitude by v_shift rails."""
-
-    h_shift: int
-    v_shift: int
-
-    def apply(self, state: RailState) -> RailState:
-        return shift(state, self.h_shift, self.v_shift)
-
-
-Element = Union[Waveplate, BeamDisplacer]
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +112,17 @@ def phase_prep_angles(phi_deg: float) -> PrepAngles:
 PREP_INPUT_RAIL = 1  # rail carrying the |H>-polarized input photon
 
 
-def preparation_layout(angles: PrepAngles, q1_deg: float | None = None) -> tuple[Element, ...]:
-    elems: list[Element] = [
-        Waveplate("HWP", angles.h1, frozenset({PREP_INPUT_RAIL})),
-        BeamDisplacer(h_shift=-4, v_shift=0),
-        Waveplate("HWP", angles.h2, frozenset({-3})),
-        Waveplate("HWP", angles.h3, frozenset({1})),
+def preparation_layout(angles: PrepAngles, q1_deg: float | None = None) -> tuple[Local | Shift, ...]:
+    steps = [
+        Local(hwp_jones(angles.h1), {PREP_INPUT_RAIL}),
+        Shift(-4, 0),
+        Local(hwp_jones(angles.h2), {-3}),
+        Local(hwp_jones(angles.h3), {1}),
     ]
     if q1_deg is not None:
-        elems.append(Waveplate("QWP", q1_deg, frozenset({-3})))
-    elems += [BeamDisplacer(h_shift=0, v_shift=2), xplate({-3, 1})]
-    return tuple(elems)
+        steps.append(Local(qwp_jones(q1_deg), {-3}))
+    steps += [Shift(0, 2), Local(hwp_jones(45.0), {-3, 1})]
+    return tuple(steps)
 
 
 def simulate_preparation(angles: PrepAngles, q1_deg: float | None = None) -> RailState:
@@ -201,35 +155,29 @@ def _verified_coin_triples() -> dict[str, tuple[float, float, float]]:
     return dict(_COIN_TRIPLES)
 
 
-def _coin_triple_elements(name: str, rail: int) -> list[Element]:
+def _coin_triple_plates(name: str, rail: int) -> tuple[Local, Local, Local]:
     q_in, h_mid, q_out = _verified_coin_triples()[name]
-    scope = frozenset({rail})
-    return [
-        Waveplate("QWP", q_in, scope),
-        Waveplate("HWP", h_mid, scope),
-        Waveplate("QWP", q_out, scope),
-    ]
+    return Local(qwp_jones(q_in), {rail}), Local(hwp_jones(h_mid), {rail}), Local(qwp_jones(q_out), {rail})
 
 
 @lru_cache(maxsize=None)
-def masking_layout() -> tuple[Element, ...]:
-    """Optical layout of the masker (built once); rail labels track walker positions."""
-    step = BeamDisplacer(h_shift=-1, v_shift=+1)
-    elems: list[Element] = [
-        xplate({-1, 3}),
+def masking_layout() -> tuple[Local | Shift, ...]:
+    """Optical layout of the masker (built once); rail labels track walker
+    positions.  HWP(45) is the X plate and HWP(0) the Z plate."""
+    step = Shift(-1, +1)
+    return (
+        Local(hwp_jones(45.0), {-1, 3}),
         step,
-        *_coin_triple_elements("C2", -2),
-        *_coin_triple_elements("C1", 2),
+        *_coin_triple_plates("C2", -2),
+        *_coin_triple_plates("C1", 2),
         step,
-        xplate({-3, 3}),
+        Local(hwp_jones(45.0), {-3, 3}),
         step,
         step,
-        Waveplate("HWP", 0.0, frozenset({-1})),
-        # XZ at rail +1 as two stacked plates (Z first, then X).
-        Waveplate("HWP", 0.0, frozenset({1})),
-        xplate({1}),
-    ]
-    return tuple(elems)
+        # Z at rail -1; XZ at rail +1 as two stacked plates (Z first, then X).
+        Local(hwp_jones(0.0), {-1, 1}),
+        Local(hwp_jones(45.0), {1}),
+    )
 
 
 def simulate_masking(a=None, *, q1_deg: float | None = None, angles: PrepAngles | None = None) -> np.ndarray:
@@ -333,16 +281,16 @@ def compile_measurement(setting: MeasSetting, *, tol: float = 1e-10) -> MeasAngl
     return MeasAngles(q2=q2, h4=h4, q3=q3, h5=h5, residual=max(r1, r2))
 
 
-def measurement_layout(angles: MeasAngles) -> tuple[Element, ...]:
-    """Q2-H4 on both rails, the displacer pair with X-plates, then Q3-H5."""
+def measurement_layout(angles: MeasAngles) -> tuple[Local | Shift, ...]:
+    """Q2-H4 on every rail, the displacer pair with X plates (HWP(45)), then Q3-H5."""
     return (
-        Waveplate("QWP", angles.q2),
-        Waveplate("HWP", angles.h4),
-        BeamDisplacer(h_shift=0, v_shift=2),
-        xplate({-1, 3}),
-        BeamDisplacer(h_shift=0, v_shift=2),
-        Waveplate("QWP", angles.q3),
-        Waveplate("HWP", angles.h5),
+        Local(qwp_jones(angles.q2)),
+        Local(hwp_jones(angles.h4)),
+        Shift(0, 2),
+        Local(hwp_jones(45.0), {-1, 3}),
+        Shift(0, 2),
+        Local(qwp_jones(angles.q3)),
+        Local(hwp_jones(angles.h5)),
     )
 
 

@@ -20,10 +20,11 @@ EPS_NUMERIC = 1e-10
 
 # Pauli convention: basis order |0>,|1>.
 ID2 = np.eye(2, dtype=complex)
-ID2.setflags(write=False)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+for _m in (ID2, PAULI_X, PAULI_Y, PAULI_Z):
+    _m.setflags(write=False)
 PAULIS = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 # Canonical two-qubit Bell state (|00> + |11>)/sqrt(2).

@@ -2,42 +2,45 @@
 
 The walker lives on a line; the coin qubit picks the direction of the
 conditional translation |x,0> -> |x-1,0>, |x,1> -> |x+1,1>.  A schedule is an
-ordered tuple of layers, each either a coin layer (one 2x2 unitary per
-position, identity elsewhere) or the translation.  The shipped default
-schedule masks a ququart whose amplitudes sit on the odd positions
--3,-1,1,3 (coin |1>) into a hybrid two-qubit state on positions +/-1.
+ordered tuple of two kinds of step: `Local(u, sites)`, a 2x2 coin on the
+listed positions (identity elsewhere), and `Shift(s0, s1)`, a
+qubit-conditional shift, of which the translation is `TRANSLATE =
+Shift(-1, +1)`.  The shipped default schedule masks a ququart whose
+amplitudes sit on the odd positions -3,-1,1,3 (coin |1>) into a hybrid
+two-qubit state on positions +/-1.
 
-This module also holds the dense engine that the optical table reuses: a
-complex (..., sites, 2) array whose leading axes index a batch of inputs, and
-two primitives, a local 2x2 on some or all sites and a qubit-conditional
-shift (s0, s1).  Coin layers and the translation lower onto these here;
-waveplates and beam displacers lower onto the same two in `optics`.
+The same steps run the optical table: `optics` writes its waveplates as
+`Local` steps and its beam displacers as `Shift` steps.  Both run on the
+dense engine here, a complex (..., sites, 2) array whose leading axes index a
+batch of inputs, through two primitives: `apply_local`, a 2x2 on some or all
+sites, and `shift`.
 
 Coin placements for the default schedule: the four-step geometry is pinned by
 requiring that the composite map equal the masker column-for-column under the
 position identification +1 -> |0>_A, -1 -> |1>_A (coin = qubit B), including
-the overall -i phase.  The closing coin layer {Z at -1, XZ at +1} after the
-last translation is what makes the identity exact under this translation
-convention; it is the walk-level counterpart of the 0-degree half-wave plates
-in the optical realization.
+the overall -i phase.  The closing coins {Z at -1, XZ at +1} after the last
+translation are what make the identity exact under this translation
+convention; they are the walk-level counterpart of the 0-degree half-wave
+plates in the optical realization.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
-from .qcore import EPS_EXACT, PAULI_X, PAULI_Z, require_unitary
+from .qcore import EPS_EXACT, PAULI_X, PAULI_Z
 
 COIN_X = PAULI_X
 COIN_Z = PAULI_Z
 COIN_C1 = np.array([[1j, 1], [-1j, 1]], dtype=complex) / np.sqrt(2)
 COIN_C2 = np.array([[1, 1j], [-1, 1j]], dtype=complex) / np.sqrt(2)
 COIN_XZ = PAULI_X @ PAULI_Z
+for _coin in (COIN_C1, COIN_C2, COIN_XZ):
+    _coin.setflags(write=False)
 
 
 class ExtractionError(ValueError):
@@ -113,50 +116,50 @@ def shift(state: RailState, s0: int, s1: int) -> RailState:
     return RailState(state.lo + lo, out)
 
 
-def run(state: RailState, steps: Iterable) -> RailState:
-    """Apply walk layers or optical elements in order; each lowers itself onto
-    `apply_local` and `shift` through its `apply` method."""
+def run(state: RailState, steps: Iterable[Local | Shift]) -> RailState:
+    """Apply `Local` and `Shift` steps in order."""
     for step in steps:
         state = step.apply(state)
     return state
 
 
 @dataclass(frozen=True, eq=False)
-class CoinLayer:
-    """Position-dependent coin operators (read-only); other positions get
-    identity.  A position must be an integer: one that is not raises rather
-    than being truncated onto another coin's position."""
+class Local:
+    """The 2x2 matrix `u`, or a (..., 2, 2) stack with one matrix per batch
+    item, on the qubit of each listed site; every site when `sites` is None.
 
-    coins: Mapping[int, np.ndarray]
+    `u` is held as a read-only view and `sites` as a frozenset of ints: a
+    site that is not an integer raises rather than being truncated onto
+    another site.
+    """
 
-    def __init__(self, coins: Mapping[int, np.ndarray]):
-        checked = {}
-        for x, u in coins.items():
-            arr = require_unitary(u, what=f"coin at position {x}")
-            if arr.shape != (2, 2):
-                raise ValueError(f"coin at position {x} must be 2x2")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            checked[operator.index(x)] = arr
-        object.__setattr__(self, "coins", MappingProxyType(checked))
+    u: np.ndarray
+    sites: frozenset[int] | None = None
+
+    def __post_init__(self):
+        u = np.asarray(self.u).view()
+        u.setflags(write=False)
+        object.__setattr__(self, "u", u)
+        if self.sites is not None:
+            object.__setattr__(self, "sites", frozenset(map(operator.index, self.sites)))
 
     def apply(self, state: RailState) -> RailState:
-        # Coins sit on distinct positions, so one local pass per position
-        # gives the same amplitudes as a single pass over the whole layer.
-        for x, u in self.coins.items():
-            state = apply_local(state, u, (x,))
-        return state
+        return apply_local(state, self.u, self.sites)
 
 
 @dataclass(frozen=True)
-class Translate:
-    """Marker layer for the conditional translation."""
+class Shift:
+    """Qubit-0 amplitudes move by `s0` sites and qubit-1 amplitudes by `s1`."""
+
+    s0: int
+    s1: int
 
     def apply(self, state: RailState) -> RailState:
-        return shift(state, -1, +1)
+        return shift(state, self.s0, self.s1)
 
 
-TRANSLATE = Translate()
+TRANSLATE = Shift(-1, +1)
+
 
 def encode_input(a) -> RailState:
     """Ququart amplitudes (..., 4) onto the odd positions, coin |1>:
@@ -172,18 +175,20 @@ def encode_input(a) -> RailState:
 
 
 @lru_cache(maxsize=None)
-def masking_schedule() -> tuple[CoinLayer | Translate, ...]:
-    """The layers of the default schedule, which realizes the ququart masker
+def masking_schedule() -> tuple[Local | Shift, ...]:
+    """The steps of the default schedule, which realizes the ququart masker
     on positions -3..3 (built once)."""
     return (
-        CoinLayer({-1: COIN_X, 3: COIN_X}),
+        Local(COIN_X, {-1, 3}),
         TRANSLATE,
-        CoinLayer({-2: COIN_C2, 2: COIN_C1}),
+        Local(COIN_C2, {-2}),
+        Local(COIN_C1, {2}),
         TRANSLATE,
-        CoinLayer({-3: COIN_X, 3: COIN_X}),
+        Local(COIN_X, {-3, 3}),
         TRANSLATE,
         TRANSLATE,
-        CoinLayer({-1: COIN_Z, 1: COIN_XZ}),
+        Local(COIN_Z, {-1}),
+        Local(COIN_XZ, {1}),
     )
 
 

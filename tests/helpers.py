@@ -28,7 +28,7 @@ from realmask.qcore import (
     purity,
     require_unitary,
 )
-from realmask.walk import RailState
+from realmask.walk import ExtractionError, Local, RailState, extract_two_qubit, run
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +58,18 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     return q * phases
+
+
+# ---------------------------------------------------------------------------
+# The masker on a mixed state.
+
+def mask_state(rho) -> np.ndarray:
+    """M rho M† as a checked two-qubit density matrix."""
+    arr = np.asarray(rho, dtype=complex)
+    if arr.shape != (4, 4):
+        raise ValueError("mask_state expects a 4x4 density matrix")
+    m = masker_matrix()
+    return checked_density(m @ arr @ m.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +176,33 @@ def prepared_amplitudes(state: RailState) -> np.ndarray:
     if stray > EPS_EXACT:
         raise ValueError(f"prepared state has amplitude {stray:.3e} off the V modes of rails {rails}")
     return np.stack([state.amplitude(x, V) for x in rails], axis=-1)
+
+
+# Sharpness of the masker / walk / optics cross-check.
+
+def worst_masker_infidelity(start: RailState, steps, a: np.ndarray) -> float:
+    """Largest infidelity between the masker applied to the (N, 4) inputs `a`
+    and `steps` run from `start`, their encoding; amplitude left off the
+    read-out sites counts as total disagreement."""
+    try:
+        got = extract_two_qubit(run(start, steps))
+    except ExtractionError:
+        return 1.0
+    ref = a @ masker_matrix().T
+    return float((1 - np.abs(np.sum(ref.conj() * got, axis=-1)) ** 2).max())
+
+
+def local_sites(steps) -> list[tuple[int, int]]:
+    """(step index, site) for every site that a `Local` step of `steps` lists."""
+    return [(i, x) for i, step in enumerate(steps) if isinstance(step, Local) for x in sorted(step.sites)]
+
+
+def with_local_at(steps, i: int, site: int, u) -> list:
+    """`steps` with `u` in place of step i's matrix on `site` alone; the step's
+    other sites keep its matrix."""
+    step = steps[i]
+    rest = [Local(step.u, step.sites - {site})] if len(step.sites) > 1 else []
+    return [*steps[:i], Local(u, {site}), *rest, *steps[i + 1:]]
 
 
 # Born-rule oracle for the optical measurement module.

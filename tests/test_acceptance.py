@@ -16,7 +16,7 @@ import numpy as np
 from realmask import measure, optics, walk
 from realmask.estimate import agresti_coull, decode_real_state, mle_qubit_batch, qsv_run
 from realmask.experiments import ExperimentConfig, phase_probe, probe_vector, run_fig3
-from realmask.masker import build_hr_d4, mask_pure, mask_state, masker_matrix
+from realmask.masker import build_hr_d4, mask_pure, masker_matrix
 from realmask.measure import (
     AXES,
     PAIRS,
@@ -34,6 +34,7 @@ from helpers import (
     haar_state,
     inner,
     magic_basis,
+    mask_state,
     prepared_amplitudes,
     pure_fidelity,
     random_real_density,

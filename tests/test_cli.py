@@ -165,9 +165,10 @@ class TestEquivalence:
         with pytest.raises(ValueError, match="n_inputs must be >= 1"):
             run_equivalence(ExperimentConfig(seed=9), n_inputs=n)
 
-    def test_impossible_threshold_fails(self):
-        rep = run_equivalence(ExperimentConfig(seed=9), n_inputs=5, threshold=0.0)
-        assert rep["pass"] is False
+    def test_impossible_threshold_fails(self, monkeypatch):
+        monkeypatch.setattr(experiments, "EQUIV_THRESHOLD", 0.0)
+        rep = run_equivalence(ExperimentConfig(seed=9), n_inputs=5)
+        assert rep["pass"] is False and rep["threshold"] == 0.0
 
     def test_blocks_keep_the_input_stream(self, monkeypatch):
         # Blocks draw the same inputs, in the same order, as one draw per input.

@@ -18,7 +18,7 @@ from realmask.estimate import (
     qsv_run,
 )
 from realmask.experiments import probe_vector
-from realmask.masker import mask_state, masker_matrix, u_of_c
+from realmask.masker import masker_matrix, u_of_c
 from realmask.measure import (
     AXES,
     PAIRS,
@@ -36,6 +36,7 @@ from realmask.qcore import BELL_PHI, checked_density
 from helpers import (
     density,
     magic_basis,
+    mask_state,
     random_density,
     random_real_density,
     trace_distance,
@@ -280,7 +281,7 @@ class TestQsvRun:
         # S = 4986 of N = 5000 maps to eps_hat = 0.0042, fidelity 0.9958.
         lo, hi = agresti_coull(4986, 5000)
         res = QsvResult(total=5000, passed=4986, p_hat=4986 / 5000,
-                        eps_hat=1.5 * (1 - 4986 / 5000), ci_low=lo, ci_high=hi, confidence=0.95)
+                        eps_hat=1.5 * (1 - 4986 / 5000), ci_low=lo, ci_high=hi)
         assert res.eps_hat == pytest.approx(0.0042, abs=1e-12)
         assert res.fidelity == pytest.approx(0.9958, abs=1e-12)
         assert lo <= res.eps_hat <= hi
@@ -366,7 +367,7 @@ class TestAgrestiCoull:
     def test_frozen_experiment_scale_values(self):
         # Independent transcription of the interval construction gives
         # [0.0024319624060, 0.0071131418152] for S=4986, N=5000 at 95%.
-        lo, hi = agresti_coull(4986, 5000, 0.95)
+        lo, hi = agresti_coull(4986, 5000)
         assert lo == pytest.approx(0.0024319624060001686, abs=1e-15)
         assert hi == pytest.approx(0.007113141815247045, abs=1e-15)
 
@@ -378,7 +379,7 @@ class TestAgrestiCoull:
         assert hi2 < 1e-3
 
     def test_endpoints_clipped_to_range(self):
-        lo, hi = agresti_coull(0, 5, 0.99)
+        lo, hi = agresti_coull(0, 5)
         assert 0.0 <= lo <= hi <= 1.5
 
     @settings(max_examples=200, deadline=None)
@@ -393,8 +394,6 @@ class TestAgrestiCoull:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             agresti_coull(5, 4)
-        with pytest.raises(ValueError):
-            agresti_coull(1, 10, confidence=1.5)
 
 
 class TestTomography:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from realmask.masker import HurwitzRadonSet, build_hr_d4, mask_pure, mask_state, masker_matrix, u_of_c
+from realmask.masker import HurwitzRadonSet, build_hr_d4, mask_pure, masker_matrix, u_of_c
 from realmask.qcore import BELL_PHI, PAULI_X, PAULI_Y, PAULI_Z, partial_trace, spin_flip_concurrence
 
 from helpers import (
@@ -11,6 +11,7 @@ from helpers import (
     haar_state,
     inner,
     magic_basis,
+    mask_state,
     random_real_density,
     robustness_of_imaginarity,
     trace_distance,

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from realmask.estimate import correlation_matrix
-from realmask.masker import mask_state
 from realmask.measure import (
     AXES,
     CSV_HEADER,
@@ -32,7 +31,7 @@ from realmask.measure import (
 )
 from realmask.qcore import BELL_PHI, PAULIS, checked_density, kron, partial_trace
 
-from helpers import density, random_density, random_real_density, reference_tables_from_csv
+from helpers import density, mask_state, random_density, random_real_density, reference_tables_from_csv
 
 
 def oracle_pair_probs(rho: np.ndarray) -> np.ndarray:

@@ -9,33 +9,36 @@ from realmask.measure import PAIRS, pair_probs
 from realmask.optics import (
     H,
     V,
-    BeamDisplacer,
     MeasSetting,
     SolverError,
-    Waveplate,
     compile_measurement,
     detector_distribution,
     hwp_jones,
     masking_layout,
+    measurement_layout,
     pauli_meas_setting,
     phase_prep_angles,
+    preparation_layout,
     qwp_jones,
     simulate_masking,
     simulate_measurement,
     simulate_preparation,
     solve_prep_angles,
-    xplate,
 )
 from realmask.qcore import PAULI_X, PAULI_Z
-from realmask.walk import RailState, embed_two_qubit, extract_two_qubit, run
+from realmask.walk import Local, RailState, Shift, embed_two_qubit, extract_two_qubit, masking_schedule, run
 
 from helpers import (
     born_product_probs,
     density,
     haar_state,
+    local_sites,
     prepared_amplitudes,
     pure_fidelity,
+    random_unitary,
     spcm_to_outcome_order,
+    with_local_at,
+    worst_masker_infidelity,
 )
 
 SQRT2 = np.sqrt(2)
@@ -172,7 +175,7 @@ class TestElements:
                 amps[(rail, pol)] = k
         norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
         state = RailState.of({key: a / norm for key, a in amps.items()})
-        out = BeamDisplacer(h_shift=0, v_shift=2).apply(state)
+        out = Shift(0, 2).apply(state)
         assert np.count_nonzero(out.amps) == np.count_nonzero(state.amps)
         assert sorted(np.abs(out.amps[out.amps != 0])) == pytest.approx(
             sorted(np.abs(state.amps[state.amps != 0]))
@@ -185,15 +188,35 @@ class TestElements:
             out = run(state, masking_layout())
             assert np.linalg.norm(out.amps) ** 2 == pytest.approx(1.0, abs=1e-12)
 
-    def test_xplate_fixed_angle(self):
-        with pytest.raises(ValueError):
-            Waveplate("XPLATE", 10.0)
-        assert np.abs(xplate().jones() - PAULI_X).max() < 1e-15
+    def test_every_local_step_is_unitary_and_read_only(self, rng):
+        a = rng.normal(size=(20, 4))
+        a /= np.linalg.norm(a, axis=-1, keepdims=True)
+        layouts = [masking_schedule(), masking_layout(), preparation_layout(solve_prep_angles(a))]
+        layouts += [measurement_layout(compile_measurement(pauli_meas_setting(p, q))) for p in "XYZ" for q in "XYZ"]
+        for steps in layouts:
+            for step in steps:
+                if isinstance(step, Local):
+                    u = step.u
+                    assert np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2)).max() < 1e-12
+                    assert not u.flags.writeable
 
 
 class TestMaskingLayout:
     def test_layout_is_built_once(self):
         assert masking_layout() is masking_layout()
+
+    def test_every_plate_position_is_injected(self):
+        assert len(local_sites(masking_layout())) == 13
+
+    @pytest.mark.parametrize("step,rail", local_sites(masking_layout()))
+    def test_haar_random_plate_is_caught(self, step, rail, rng):
+        # A fault at any plate must break the 1e-10 equiv threshold.
+        a = rng.normal(size=(64, 4))
+        a /= np.linalg.norm(a, axis=-1, keepdims=True)
+        start = simulate_preparation(solve_prep_angles(a))
+        assert worst_masker_infidelity(start, masking_layout(), a) < 1e-10
+        steps = with_local_at(masking_layout(), step, rail, random_unitary(2, rng))
+        assert worst_masker_infidelity(start, steps, a) > 1e-10
 
     def test_full_table_matches_masker(self, rng):
         m = masker_matrix()

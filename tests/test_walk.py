@@ -8,12 +8,13 @@ from realmask.walk import (
     COIN_C1,
     COIN_C2,
     COIN_X,
+    COIN_XZ,
     COIN_Z,
     TRANSLATE,
-    CoinLayer,
     ExtractionError,
+    Local,
     RailState,
-    Translate,
+    Shift,
     apply_local,
     encode_input,
     extract_two_qubit,
@@ -23,7 +24,7 @@ from realmask.walk import (
     shift,
 )
 
-from helpers import pure_fidelity, random_unitary
+from helpers import local_sites, pure_fidelity, random_unitary, with_local_at, worst_masker_infidelity
 
 SQRT2 = np.sqrt(2)
 
@@ -91,34 +92,30 @@ class TestEngine:
             RailState.of({(0, 0): 1.0, (1, 0): 1.0})
 
 
-class TestCoinLayer:
+class TestLocal:
     def test_x_at_position(self):
-        out = CoinLayer({3: COIN_X}).apply(RailState.of({(3, 1): 1.0}))
+        out = Local(COIN_X, {3}).apply(RailState.of({(3, 1): 1.0}))
         assert amp(out, 3, 0) == 1.0
 
     def test_c2_column(self):
-        out = CoinLayer({-2: COIN_C2}).apply(RailState.of({(-2, 1): 1.0}))
+        out = Local(COIN_C2, {-2}).apply(RailState.of({(-2, 1): 1.0}))
         assert amp(out, -2, 0) == pytest.approx(1j / SQRT2)
         assert amp(out, -2, 1) == pytest.approx(1j / SQRT2)
 
-    def test_identity_layer_is_noop(self):
+    def test_no_sites_is_noop(self):
         state = RailState.of({(0, 0): 1 / SQRT2, (2, 1): 1j / SQRT2})
-        out = CoinLayer({}).apply(state)
+        out = Local(COIN_X, ()).apply(state)
         assert nonzero(out) == nonzero(state)
 
-    def test_rejects_non_unitary_coin(self):
-        with pytest.raises(ValueError):
-            CoinLayer({0: np.array([[1, 1], [0, 1]], dtype=complex)})
-
     def test_rejects_non_integral_position(self):
-        # Truncating 1.5 to 1 would let the X coin replace the Z coin there.
+        # Truncating 1.5 to 1 would put the coin on another site.
         with pytest.raises(TypeError):
-            CoinLayer({1: COIN_Z, 1.5: COIN_X})
+            Local(COIN_X, {1, 1.5})
 
     def test_accepts_numpy_integer_positions(self):
-        layer = CoinLayer({np.int64(-1): COIN_Z, np.int32(2): COIN_X})
-        assert list(layer.coins) == [-1, 2]
-        assert all(type(x) is int for x in layer.coins)
+        step = Local(COIN_Z, [np.int64(-1), np.int32(2)])
+        assert step.sites == {-1, 2}
+        assert all(type(x) is int for x in step.sites)
 
 
 class TestEncodeExtract:
@@ -153,23 +150,28 @@ class TestMaskingSchedule:
     def test_schedule_is_built_once_and_read_only(self):
         schedule = masking_schedule()
         assert masking_schedule() is schedule
-        layer = schedule[0]
-        with pytest.raises(TypeError):
-            layer.coins[0] = np.eye(2)
+        step = schedule[0]
+        with pytest.raises(AttributeError):
+            step.sites.add(0)
         with pytest.raises(ValueError):
-            layer.coins[-1][0, 0] = 0.0
+            step.u[0, 0] = 0.0
+        for coin in (COIN_X, COIN_Z, COIN_C1, COIN_C2, COIN_XZ):
+            with pytest.raises(ValueError):
+                coin[0, 0] = 0.0
 
     def test_default_schedule_has_four_translations(self):
-        assert sum(isinstance(layer, Translate) for layer in masking_schedule()) == 4
+        shifts = [step for step in masking_schedule() if isinstance(step, Shift)]
+        assert shifts == [TRANSLATE] * 4 and TRANSLATE == Shift(-1, +1)
 
     def test_intermediate_after_two_steps(self):
-        # First four layers are the two coined steps.
-        out = run(encode_input([1, 0, 0, 0]), masking_schedule()[:4])
+        # The first five steps are the two coined steps, each ending in TRANSLATE.
+        assert masking_schedule()[4] is TRANSLATE
+        out = run(encode_input([1, 0, 0, 0]), masking_schedule()[:5])
         assert amp(out, -3, 0) == pytest.approx(1j / SQRT2, abs=1e-15)
         assert amp(out, -1, 1) == pytest.approx(1j / SQRT2, abs=1e-15)
 
     def test_intermediate_coefficients_random_real(self, rng):
-        partial = masking_schedule()[:4]
+        partial = masking_schedule()[:5]
         for _ in range(100):
             a = rng.normal(size=4)
             a /= np.linalg.norm(a)
@@ -219,20 +221,7 @@ class TestMaskingSchedule:
 
 
 def _worst_masker_infidelity(schedule, a: np.ndarray) -> float:
-    """Largest masker-vs-walk infidelity over the (N, 4) inputs `a`; amplitude
-    left off the read-out sites counts as total disagreement."""
-    try:
-        got = extract_two_qubit(run(encode_input(a), schedule))
-    except ExtractionError:
-        return 1.0
-    ref = a @ masker_matrix().T
-    return float((1 - np.abs(np.sum(ref.conj() * got, axis=-1)) ** 2).max())
-
-
-_DEFAULT_COINS = [
-    (i, x) for i, layer in enumerate(masking_schedule())
-    if isinstance(layer, CoinLayer) for x in layer.coins
-]
+    return worst_masker_infidelity(encode_input(a), schedule, a)
 
 
 class TestCrossCheckSharpness:
@@ -246,17 +235,21 @@ class TestCrossCheckSharpness:
     def test_default_schedule_agrees(self, inputs):
         assert _worst_masker_infidelity(masking_schedule(), inputs) < 1e-10
 
-    @pytest.mark.parametrize("layer,position", _DEFAULT_COINS)
-    def test_haar_random_coin_is_caught(self, layer, position, inputs, rng):
-        layers = list(masking_schedule())
-        layers[layer] = CoinLayer({**layers[layer].coins, position: random_unitary(2, rng)})
-        assert _worst_masker_infidelity(layers, inputs) > 1e-10
+    def test_every_coin_position_is_injected(self):
+        assert len(local_sites(masking_schedule())) == 8
+
+    @pytest.mark.parametrize("step,position", local_sites(masking_schedule()))
+    def test_haar_random_coin_is_caught(self, step, position, inputs, rng):
+        steps = with_local_at(masking_schedule(), step, position, random_unitary(2, rng))
+        assert _worst_masker_infidelity(steps, inputs) > 1e-10
 
     def test_swapped_c1_c2_is_caught(self, inputs):
-        layers = list(masking_schedule())
-        assert set(layers[2].coins) == {-2, 2}
-        layers[2] = CoinLayer({-2: COIN_C1, 2: COIN_C2})
-        assert _worst_masker_infidelity(layers, inputs) > 1e-10
+        steps = list(masking_schedule())
+        c2, c1 = steps[2:4]
+        assert (c2.sites, c1.sites) == ({-2}, {2})
+        assert np.array_equal(c2.u, COIN_C2) and np.array_equal(c1.u, COIN_C1)
+        steps[2:4] = [Local(COIN_C1, {-2}), Local(COIN_C2, {2})]
+        assert _worst_masker_infidelity(steps, inputs) > 1e-10
 
     def test_batch_matches_single_inputs(self, inputs):
         batch = run_masking_walk(inputs)
@@ -282,7 +275,7 @@ class TestRun:
                     layers.append(TRANSLATE)
                 else:
                     positions = rng.choice(np.arange(-4, 5), size=rng.integers(1, 4), replace=False)
-                    layers.append(CoinLayer({int(x): random_unitary(2, rng) for x in positions}))
+                    layers.extend(Local(random_unitary(2, rng), {x}) for x in positions)
             start = RailState.of({(int(rng.integers(-4, 5)), int(rng.integers(0, 2))): 1.0})
             out = run(start, layers)
             assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-12)
