@@ -8,7 +8,7 @@ verification, tomography, correlation decoding), `experiments`/`cli` (figure
 pipelines).
 """
 from .estimate import agresti_coull, decode_real_state, qsv_run
-from .masker import build_hr_d4, mask_pure, masker_matrix, u_of_c
+from .masker import hr_unitaries, mask_pure, masker_matrix, u_of_c
 from .measure import derive_seed, generator, sample_counts
 from .qcore import fidelity_with_pure, partial_trace, purity
 from .walk import encode_input, extract_two_qubit, masking_schedule
@@ -17,13 +17,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "agresti_coull",
-    "build_hr_d4",
     "decode_real_state",
     "derive_seed",
     "encode_input",
     "extract_two_qubit",
     "fidelity_with_pure",
     "generator",
+    "hr_unitaries",
     "mask_pure",
     "masker_matrix",
     "masking_schedule",

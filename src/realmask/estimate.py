@@ -5,8 +5,9 @@ Three pipelines:
 * verification-based fidelity: random local projective tests whose average
   pass rate maps linearly onto the infidelity, eps = (3/2)(1 - p_succ), with
   an Agresti-Coull confidence interval transported through the same linear
-  map; `qsv_run` takes one state or an (n, 4, 4) stack with one target and
-  one seed per item, checked once;
+  map; `qsv_run` takes an (n, 4, 4) stack of states with an (n, 4) array of
+  real targets a, the target of row i being (U(a_i) ⊗ 1)|Phi> with U from
+  `masker.u_of_c`, and one seed per item, checked once;
 * single-qubit tomography: exact maximum likelihood over (batch, 3, 2) count
   arrays, rows in `measure.AXES` order (`mle_qubit_batch`,
   `purity_from_counts`), every boundary fit of a batch solved together by
@@ -32,9 +33,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .masker import build_hr_d4, masker_matrix, u_of_c
+from .masker import masker_matrix, u_of_c
 from .measure import PAIR_PAULIS, PAIRS, CountsTable, correlators, generators, poisson_resample
-from .qcore import ID2, _as_complex_array, _dagger, checked_density, fidelity_with_pure, kron, require_unitary
+from .qcore import ID2, _as_complex_array, _dagger, checked_density, fidelity_with_pure
 
 
 # ---------------------------------------------------------------------------
@@ -47,17 +48,13 @@ _TEST_PAULIS = PAIR_PAULIS[[PAIRS.index(label) for label in ("XX", "YY", "ZZ")]]
 _TEST_SIGNS = np.array([1.0, -1.0, 1.0])
 
 
-def _resolve_target_unitary(target) -> np.ndarray:
-    if isinstance(target, (int, np.integer)):
-        if not 0 <= int(target) <= 3:
-            raise ValueError(f"target index must be 0..3, got {target}")
-        return build_hr_d4().with_identity()[int(target)]
-    arr = np.asarray(target)
-    if arr.shape == (4,):
-        return u_of_c(arr)
-    if arr.shape == (2, 2):
-        return require_unitary(arr, what="target rotation")
-    raise ValueError("target must be an index 0..3, a real 4-vector, or a 2x2 unitary")
+def _pass_probs(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(n, 3) pass probabilities of the three tests for (n, 4, 4) states and
+    their (n, 2, 2) target rotations U, read from the states rotated once."""
+    # R = U ⊗ 1, the Kronecker product written out: R[2i+k, 2j+l] = U[i, j] 1[k, l].
+    r = (u[:, :, None, :, None] * ID2[:, None, :]).reshape(-1, 4, 4)
+    rotated = _dagger(r) @ rho @ r
+    return (1.0 + _TEST_SIGNS * np.trace(rotated[:, None] @ _TEST_PAULIS, axis1=-2, axis2=-1).real) / 2
 
 
 @dataclass(frozen=True)
@@ -88,56 +85,37 @@ class QsvResult:
         return max(self.eps_hat - self.ci_low, self.ci_high - self.eps_hat)
 
 
-def qsv_run(
-    rho,
-    target,
-    n_tests: int,
-    seed,
-) -> QsvResult | list[QsvResult]:
-    """Run `n_tests` randomly chosen local tests against the rotated target.
+def qsv_run(rho, targets, n_tests: int, seeds) -> list[QsvResult]:
+    """Run `n_tests` randomly chosen local tests on each state of a stack
+    against its rotated target; one result per state.
 
-    `target` is a magic-basis index 0..3, a real coefficient 4-vector, or the
-    2x2 rotation itself; `rho` is the two-qubit state every round measures, a
-    4x4 array, checked with `qcore.checked_density`.  Test k passes with
-    probability (1 + s_k tr(R† rho R O_k ⊗ O_k))/2, R = U ⊗ 1, read from the
-    state rotated once.
-
-    An (n, 4, 4) stack of states takes a sequence of n targets and n seeds
-    and returns one result per item, each what that item gives alone: the
-    stack is checked once, and an error names the first faulty row.
+    `rho` is an (n, 4, 4) stack of two-qubit states, checked once with
+    `qcore.checked_density`; `targets` is an (n, 4) array of real unit
+    vectors a, each giving U(a) = `masker.u_of_c(a)`; `seeds` holds one seed
+    per state.  An error names the first faulty row.  Test k passes with
+    probability (1 + s_k tr(R† rho R O_k ⊗ O_k))/2, R = U(a) ⊗ 1
+    (`_pass_probs`), and each item gets what its stack of one gives.
     """
     if n_tests < 1:
         raise ValueError("n_tests must be >= 1")
     arr = _as_complex_array(rho, "density matrix")
-    if arr.shape[-2:] != (4, 4) or arr.ndim not in (2, 3):
-        raise ValueError(f"rho must be a 4x4 density matrix or an (n, 4, 4) stack, got shape {arr.shape}")
-    single = arr.ndim == 2
-    if single:
-        arr, target = arr[None], [target]
-    elif not len(target) == len(seed) == len(arr):
-        raise ValueError(f"need one target and one seed per state, got {len(target)} targets and "
-                         f"{len(seed)} seeds for {len(arr)} states")
-    rotations = []
-    for i, t in enumerate(target):
-        try:
-            rotations.append(kron(_resolve_target_unitary(t), ID2))
-        except ValueError as err:
-            raise ValueError(f"{'' if single else f'row {i}: '}{err}") from None
+    if arr.ndim != 3 or arr.shape[1:] != (4, 4):
+        raise ValueError(f"rho must be an (n, 4, 4) stack of 4x4 density matrices, got shape {arr.shape}")
+    if not len(targets) == len(seeds) == len(arr):
+        raise ValueError(f"need one target and one seed per state, got {len(targets)} targets and "
+                         f"{len(seeds)} seeds for {len(arr)} states")
+    u = u_of_c(targets)
     try:
         checked = checked_density(arr)
     except ValueError:
-        if not single:  # name the first faulty item
-            for i, item in enumerate(arr):
-                try:
-                    checked_density(item)
-                except ValueError as err:
-                    raise ValueError(f"row {i}: {err}") from None
+        for i, item in enumerate(arr):  # name the first faulty item
+            try:
+                checked_density(item)
+            except ValueError as err:
+                raise ValueError(f"row {i}: {err}") from None
         raise
-    r = np.array(rotations).reshape(-1, 4, 4)
-    rotated = _dagger(r) @ checked @ r
-    pass_probs = (1.0 + _TEST_SIGNS * np.trace(rotated[:, None] @ _TEST_PAULIS, axis1=-2, axis2=-1).real) / 2
     results = []
-    for probs, rng in zip(pass_probs, generators(seed)):
+    for probs, rng in zip(_pass_probs(checked, u), generators(seeds)):
         which = rng.integers(0, 3, size=n_tests)
         draws = rng.random(n_tests)
         passed = int(np.count_nonzero(draws < probs[which]))
@@ -152,7 +130,7 @@ def qsv_run(
             ci_low=min(lo, eps_hat),
             ci_high=max(hi, eps_hat),
         ))
-    return results[0] if single else results
+    return results
 
 
 # Every verification interval has 95% confidence: kappa is the 97.5% normal quantile.

@@ -7,10 +7,14 @@ defines an isometry M that hides every real-entried input state: both reduced
 states of M rho M† equal 1/2 whenever rho is real.  For pure inputs the
 residual entanglement of the output is tied to how non-real the input is:
 C(M psi) = sqrt(1 - I_R(psi)^2).
+
+The family is the fixed stack `hr_unitaries()` = [1, iZ, iX, iY].  A real
+unit vector a gives the unitary U(a) = sum_j a_j U_j (`u_of_c`, one per row
+of an (n, 4) array), whose maximally entangled state (U(a) ⊗ 1)|Phi> is i
+times the masked image of a: the fidelity verification's target.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,50 +31,29 @@ from .qcore import (
     kron,
     partial_trace,
     purity,
-    require_unitary,
 )
 
 
-@dataclass(frozen=True, eq=False)
-class HurwitzRadonSet:
-    """Anticommuting unitaries on a qubit; the identity U_0 is implicit.
-
-    Validates U_j U_k + U_k U_j = -2 delta_jk within 1e-12 at construction
-    and stores read-only copies of the matrices.
-    """
-
-    matrices: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        mats = tuple(require_unitary(m, what=f"HR matrix {i + 1}").copy() for i, m in enumerate(self.matrices))
-        for j, uj in enumerate(mats):
-            for k, uk in enumerate(mats):
-                anti = uj @ uk + uk @ uj
-                want = -2.0 * np.eye(2) if j == k else np.zeros((2, 2))
-                dev = np.abs(anti - want).max()
-                if dev > EPS_EXACT:
-                    raise ValueError(f"anticommutation violated at ({j + 1},{k + 1}): deviation {dev:.3e}")
-        for m in mats:
-            m.setflags(write=False)
-        object.__setattr__(self, "matrices", mats)
-
-    def with_identity(self) -> list[np.ndarray]:
-        """[U_0 = 1, U_1, ...]."""
-        return [ID2, *self.matrices]
-
-
 @lru_cache(maxsize=None)
-def build_hr_d4() -> HurwitzRadonSet:
-    """The Pauli construction {iZ, iX, iY} for the ququart masker, built and
-    checked once."""
-    return HurwitzRadonSet((1j * PAULI_Z, 1j * PAULI_X, 1j * PAULI_Y))
+def hr_unitaries() -> np.ndarray:
+    """The read-only (4, 2, 2) stack [1, iZ, iX, iY]: the identity U_0 and the
+    Pauli construction of three anticommuting unitaries, checked once to obey
+    U_j U_k + U_k U_j = -2 delta_jk (j, k >= 1) within EPS_EXACT."""
+    us = np.stack([ID2, 1j * PAULI_Z, 1j * PAULI_X, 1j * PAULI_Y])
+    anti = us[1:, None] @ us[None, 1:] + us[None, 1:] @ us[1:, None]
+    dev = np.abs(anti + 2.0 * np.eye(3)[:, :, None, None] * ID2).max(axis=(-2, -1))
+    if dev.max() > EPS_EXACT:
+        j, k = np.unravel_index(dev.argmax(), dev.shape)
+        raise ValueError(f"anticommutation violated at ({j + 1},{k + 1}): deviation {dev[j, k]:.3e}")
+    us.setflags(write=False)
+    return us
 
 
 @lru_cache(maxsize=None)
 def masker_matrix() -> np.ndarray:
     """The masker M|j> = -i (U_j ⊗ 1)|Phi> as a read-only (4, 4) array, built
     once and checked to be an isometry whose columns are maximally entangled."""
-    m = np.column_stack([-1j * kron(u, ID2) @ BELL_PHI for u in build_hr_d4().with_identity()])
+    m = np.column_stack([-1j * kron(u, ID2) @ BELL_PHI for u in hr_unitaries()])
     dev = np.abs(m.conj().T @ m - np.eye(4)).max()
     if dev > EPS_EXACT:
         raise ValueError(f"not an isometry: max |M†M - 1| = {dev:.3e}")
@@ -91,15 +74,20 @@ def mask_pure(psi) -> np.ndarray:
 
 
 def u_of_c(c) -> np.ndarray:
-    """The combination sum_j c_j U_j for a real normalized c, which makes it
-    unitary; an imaginary part above EPS_EXACT is rejected."""
-    vec = np.asarray(c, dtype=complex)
-    if vec.shape != (4,):
-        raise ValueError("coefficient vector must have 4 entries")
-    if np.abs(vec.imag).max() > EPS_EXACT:
-        raise ValueError("coefficient vector must be real: a complex combination is not unitary")
-    vec = vec.real.astype(complex)
-    if abs(np.linalg.norm(vec) - 1.0) > EPS_EXACT:
-        raise ValueError("coefficient vector must be normalized")
-    us = build_hr_d4().with_identity()
-    return sum(cj * uj for cj, uj in zip(vec, us))
+    """The (n, 2, 2) unitaries U(c) = c_0 U_0 + c_1 U_1 + c_2 U_2 + c_3 U_3 of
+    `hr_unitaries` for the rows c of an (n, 4) array; each row must be real
+    (an imaginary part above EPS_EXACT is refused: a complex combination is
+    not unitary) and of norm 1 within EPS_EXACT, and an error names the first
+    row that is not."""
+    rows = np.asarray(c, dtype=complex)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ValueError(f"coefficients must be an (n, 4) array, got shape {rows.shape}")
+    complex_rows = np.abs(rows.imag).max(axis=1, initial=0.0) > EPS_EXACT
+    rows = rows.real.astype(complex)
+    bad = np.flatnonzero(complex_rows | ~(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= EPS_EXACT))
+    if bad.size:
+        i = bad[0]
+        why = "real: a complex combination is not unitary" if complex_rows[i] else "normalized"
+        raise ValueError(f"row {i}: coefficient vector must be {why}")
+    u, cs = hr_unitaries(), rows[:, :, None, None]
+    return cs[:, 0] * u[0] + cs[:, 1] * u[1] + cs[:, 2] * u[2] + cs[:, 3] * u[3]

@@ -180,12 +180,9 @@ def masking_layout() -> tuple[Local | Shift, ...]:
     )
 
 
-def simulate_masking(a=None, *, q1_deg: float | None = None, angles: PrepAngles | None = None) -> np.ndarray:
-    """Full table: preparation (solved from real (..., 4) `a` unless `angles` given) + masking module."""
-    if angles is None:
-        angles = solve_prep_angles(a)
-    state = run(simulate_preparation(angles, q1_deg), masking_layout())
-    return extract_two_qubit(state)
+def simulate_masking(a) -> np.ndarray:
+    """Full table: preparation solved from real (..., 4) `a`, then the masking module."""
+    return extract_two_qubit(run(simulate_preparation(solve_prep_angles(a)), masking_layout()))
 
 
 # ---------------------------------------------------------------------------
@@ -256,28 +253,32 @@ def _horizontal_seed(target: np.ndarray) -> np.ndarray:
     return np.array([math.degrees(big_d / 2.0), math.degrees((big_s + big_d) / 4.0)])
 
 
-def _solve_to_horizontal(target: np.ndarray, *, tol: float) -> tuple[float, float, float]:
+# Largest residual 1 - |<H|achieved>|^2 a compiled measurement may leave.
+SOLVER_TOL = 1e-10
+
+
+def _solve_to_horizontal(target: np.ndarray) -> tuple[float, float, float]:
     """QWP/HWP angles with HWP(h) QWP(q) |target> proportional to |H>.
 
     The closed form is exact; its residual 1 - |<H|achieved>|^2 is still
-    re-checked against `tol`; a NaN residual fails the check.
+    re-checked against `SOLVER_TOL`; a NaN residual fails the check.
     """
     q, h = _horizontal_seed(target)
     v = hwp_jones(h) @ qwp_jones(q) @ target
     residual = 1.0 - abs(v[0]) ** 2
-    if not residual <= tol:
-        raise SolverError(f"closed-form angles leave residual {residual:.3e} (tolerance {tol:.1e})")
+    if not residual <= SOLVER_TOL:
+        raise SolverError(f"closed-form angles leave residual {residual:.3e} (tolerance {SOLVER_TOL:.1e})")
     return float(_fold_half_turn(q)), float(_fold_half_turn(h)), float(residual)
 
 
-def compile_measurement(setting: MeasSetting, *, tol: float = 1e-10) -> MeasAngles:
+def compile_measurement(setting: MeasSetting) -> MeasAngles:
     """Waveplate angles sending the setting's basis onto the four detectors.
 
     Q2/H4 rotate the polarization basis onto (H, V); Q3/H5 do the same for the
     path basis after the displacer pair has moved it onto polarization.
     """
-    q2, h4, r1 = _solve_to_horizontal(setting.pol_basis()[0], tol=tol)
-    q3, h5, r2 = _solve_to_horizontal(setting.path_basis()[0], tol=tol)
+    q2, h4, r1 = _solve_to_horizontal(setting.pol_basis()[0])
+    q3, h5, r2 = _solve_to_horizontal(setting.path_basis()[0])
     return MeasAngles(q2=q2, h4=h4, q3=q3, h5=h5, residual=max(r1, r2))
 
 

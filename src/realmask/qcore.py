@@ -87,50 +87,25 @@ def checked_density(mat) -> np.ndarray:
     return arr
 
 
-def require_unitary(u: np.ndarray, *, eps: float = EPS_EXACT, what: str = "matrix") -> np.ndarray:
-    """Validate U†U = 1 within `eps` and return U as a complex array."""
-    arr = _as_complex_array(u, what)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{what} must be square")
-    dev = np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])).max()
-    if dev > eps:
-        raise ValueError(f"{what} is not unitary: max |U†U - 1| = {dev:.3e}")
-    return arr
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product, row-major block convention: (A⊗B)[ip+k, jq+l] = A[i,j] B[k,l]."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def _subsystem_index(keep) -> int:
-    if keep in (0, "A", "a"):
-        return 0
-    if keep in (1, "B", "b"):
-        return 1
-    raise ValueError(f"keep must be 0/'A' or 1/'B', got {keep!r}")
+def partial_trace(rho, keep) -> np.ndarray:
+    """Checked reduced state of qubit `keep`, "A" (the first) or "B", of each
+    two-qubit density matrix of a (..., 4, 4) stack.
 
-
-def partial_trace(rho, keep, dims: tuple[int, int] | None = None) -> np.ndarray:
-    """Checked reduced state of one factor of a bipartite density matrix, one
-    per matrix of a (..., d, d) stack.
-
-    `dims` gives the factor dimensions (dA, dB); by default both factors are
-    qubits.  Raises DimensionError when the total dimension does not factor.
+    Raises DimensionError for any other shape and ValueError for any other
+    `keep`.
     """
     arr = _as_complex_array(rho, "density matrix")
-    d = arr.shape[-1]
-    if dims is None:
-        if d % 2 != 0:
-            raise DimensionError(f"dimension {d} does not factor into 2 x {d}/2")
-        dims = (2, d // 2)
-    da, db = dims
-    if da * db != d:
-        raise DimensionError(f"dimension {d} does not factor as {da} x {db}")
-    which = _subsystem_index(keep)
-    blocks = arr.reshape(arr.shape[:-2] + (da, db, da, db))
-    reduced = np.einsum("...ikjk->...ij", blocks) if which == 0 else np.einsum("...kikj->...ij", blocks)
-    return checked_density(reduced)
+    if arr.shape[-2:] != (4, 4):
+        raise DimensionError(f"partial_trace expects (..., 4, 4) two-qubit states, got shape {arr.shape}")
+    if keep not in ("A", "B"):
+        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    blocks = arr.reshape(arr.shape[:-2] + (2, 2, 2, 2))
+    return checked_density(np.einsum("...ikjk->...ij" if keep == "A" else "...kikj->...ij", blocks))
 
 
 def purity(rho):

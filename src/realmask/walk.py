@@ -192,11 +192,11 @@ def masking_schedule() -> tuple[Local | Shift, ...]:
     )
 
 
-def extract_two_qubit(state: RailState, *, tol: float = EPS_EXACT) -> np.ndarray:
+def extract_two_qubit(state: RailState) -> np.ndarray:
     """Read sites +/-1 as qubit A (+1 -> |0>, -1 -> |1>); the site's qubit is qubit B.
     Returns normalized (..., 4) amplitudes."""
     stray = state.max_outside((1, -1))
-    if stray > tol:
+    if stray > EPS_EXACT:
         raise ExtractionError(f"support outside sites +/-1 with amplitude {stray:.3e}")
     vec = np.stack([state.amplitude(x, c) for x in (1, -1) for c in (0, 1)], axis=-1)
     return vec / np.linalg.norm(vec, axis=-1, keepdims=True)

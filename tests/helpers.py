@@ -16,6 +16,7 @@ from realmask.optics import V
 from realmask.qcore import (
     EPS_EXACT,
     EPS_NUMERIC,
+    ID2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -26,7 +27,6 @@ from realmask.qcore import (
     kron,
     partial_trace,
     purity,
-    require_unitary,
 )
 from realmask.walk import ExtractionError, Local, RailState, extract_two_qubit, run
 
@@ -143,7 +143,36 @@ def check_concurrence_relation(psi) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Verification tests as explicit projectors.
+# Target rotations and verification tests as explicit projectors.
+
+def require_unitary(u, what: str = "matrix") -> np.ndarray:
+    """U as a complex array, checked to be square with U†U = 1 within EPS_EXACT."""
+    arr = np.asarray(u, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{what} must be square")
+    dev = np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])).max()
+    if dev > EPS_EXACT:
+        raise ValueError(f"{what} is not unitary: max |U†U - 1| = {dev:.3e}")
+    return arr
+
+
+def hr_combination(c) -> np.ndarray:
+    """sum_j c_j U_j over [1, iZ, iX, iY] for one (4,) coefficient vector, a
+    scalar term at a time: the oracle for `masker.u_of_c`.  Complex c are
+    summed too, although their sum is not unitary."""
+    us = (ID2, 1j * PAULI_Z, 1j * PAULI_X, 1j * PAULI_Y)
+    return sum(cj * uj for cj, uj in zip(np.asarray(c, dtype=complex), us))
+
+
+def kron_pass_probs(rho, u) -> np.ndarray:
+    """(3,) pass probabilities of the XX, YY and ZZ tests for one 4x4 state and
+    target rotation U, with R = np.kron(U, 1): the oracle for
+    `estimate._pass_probs`."""
+    r = kron(u, ID2)
+    rotated = r.conj().T @ rho @ r
+    return np.array([(1.0 + s * np.trace(rotated @ kron(p, p)).real) / 2
+                     for p, s in ((PAULI_X, 1.0), (PAULI_Y, -1.0), (PAULI_Z, 1.0))])
+
 
 def verification_projectors(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three local tests for the target (U ⊗ 1)|Phi>:

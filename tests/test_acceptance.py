@@ -16,7 +16,7 @@ import numpy as np
 from realmask import measure, optics, walk
 from realmask.estimate import agresti_coull, decode_real_state, mle_qubit_batch, qsv_run
 from realmask.experiments import ExperimentConfig, phase_probe, probe_vector, run_fig3
-from realmask.masker import build_hr_d4, mask_pure, masker_matrix
+from realmask.masker import hr_unitaries, mask_pure, masker_matrix
 from realmask.measure import (
     AXES,
     PAIRS,
@@ -115,7 +115,7 @@ def test_criterion_4_decode_round_trip():
 
 def test_criterion_5_algebraic_identities():
     """Anticommutators, magic-basis orthonormality and the verification operator."""
-    mats = build_hr_d4().matrices
+    mats = hr_unitaries()[1:]
     worst = 0.0
     for j, uj in enumerate(mats):
         for k, uk in enumerate(mats):
@@ -161,7 +161,7 @@ def test_criterion_7_fig3_fidelities():
         a = probe_vector(idx)
         rho = apply_depolarizing(density(mask_pure(a)), 0.01)
         fids = [
-            qsv_run(rho, a, 5000, derive_seed(SEED, "accept7", idx, s)).fidelity
+            qsv_run(rho[None], a[None], 5000, [derive_seed(SEED, "accept7", idx, s)])[0].fidelity
             for s in range(50)
         ]
         canonical.append(fids[0])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from realmask.estimate import (
     QsvResult,
+    _pass_probs,
     agresti_coull,
     bootstrap_std,
     correlation_matrix,
@@ -35,6 +36,8 @@ from realmask.qcore import BELL_PHI, checked_density
 
 from helpers import (
     density,
+    hr_combination,
+    kron_pass_probs,
     magic_basis,
     mask_state,
     random_density,
@@ -188,9 +191,7 @@ class TestVerificationOperator:
 
     def test_spectral_identity_for_rotated_targets(self, rng):
         for j in range(4):
-            c = np.zeros(4)
-            c[j] = 1.0
-            u = u_of_c(c)
+            u = u_of_c(np.eye(4)[j:j + 1])[0]
             omega = verification_operator(u)
             phi = magic_basis()[j]
             proj = np.outer(phi, phi.conj())
@@ -198,7 +199,7 @@ class TestVerificationOperator:
         for _ in range(20):
             a = rng.normal(size=4)
             a /= np.linalg.norm(a)
-            u = u_of_c(a)
+            u = u_of_c(a[None])[0]
             omega = verification_operator(u)
             target = (np.kron(u, np.eye(2)) @ BELL_PHI)
             proj = np.outer(target, target.conj())
@@ -210,36 +211,42 @@ class TestVerificationOperator:
             assert np.abs(p @ p - p).max() < 1e-12
 
 
+def qsv_one(rho, a, n_tests: int, seed):
+    """`qsv_run` on a stack of one: state `rho`, real target `a`, one seed."""
+    (out,) = qsv_run(np.asarray(rho)[None], np.asarray(a)[None], n_tests, [seed])
+    return out
+
+
+E0 = np.eye(4)[0]  # the target (1 ⊗ 1)|Phi>
+
+
 class TestQsvRun:
     def test_ideal_source_always_passes(self):
         for j in range(4):
             rho = density(magic_basis()[j])
-            out = qsv_run(rho, j, n_tests=2000, seed=derive_seed(1, "ideal", j))
+            out = qsv_one(rho, np.eye(4)[j], 2000, derive_seed(1, "ideal", j))
             assert out.passed == out.total
             assert out.eps_hat == 0.0
 
     def test_maximally_mixed_concentrates_at_three_quarters(self):
-        out = qsv_run(np.eye(4) / 4, 0, n_tests=20_000, seed=2)
+        out = qsv_one(np.eye(4) / 4, E0, 20_000, 2)
         # pass rate 1/2 per rank-two test -> eps_hat near 0.75
         assert abs(out.eps_hat - 0.75) < 0.03
 
     def test_real_coefficient_target(self, rng):
         a = rng.normal(size=4)
         a /= np.linalg.norm(a)
-        out = qsv_run(density(masker_matrix() @ a), a, n_tests=1000, seed=4)
+        out = qsv_one(density(masker_matrix() @ a), a, 1000, 4)
         assert out.passed == 1000
 
-    def test_invalid_target_index(self):
-        with pytest.raises(ValueError):
-            qsv_run(np.eye(4) / 4, 7, n_tests=10, seed=0)
-
-    def test_nested_list_state_matches_array(self):
+    def test_nested_lists_match_arrays(self):
         rho = apply_depolarizing(density(BELL_PHI), 0.1)
-        assert qsv_run(rho, 0, n_tests=500, seed=3) == qsv_run(rho.tolist(), 0, n_tests=500, seed=3)
+        assert (qsv_run(rho[None], E0[None], 500, [3])
+                == qsv_run(rho[None].tolist(), E0[None].tolist(), 500, [3]))
 
     def test_rejects_complex_coefficient_target(self):
         with pytest.raises(ValueError, match="must be real"):
-            qsv_run(np.eye(4) / 4, np.array([1, 1j, 0, 0]) / np.sqrt(2), n_tests=10, seed=0)
+            qsv_one(np.eye(4) / 4, np.array([1, 1j, 0, 0]) / np.sqrt(2), 10, 0)
 
     @staticmethod
     def projector_passed(rho, u, n_tests: int, seed: int) -> int:
@@ -256,16 +263,16 @@ class TestQsvRun:
             rho = apply_depolarizing(density(masker_matrix() @ a), 0.01)
             for n_tests in (1, 5000, 100_000):
                 seed = derive_seed(20404, "fig3.qsv", idx)
-                got = qsv_run(rho, a, n_tests, seed).passed
-                assert got == self.projector_passed(rho, u_of_c(a), n_tests, seed)
+                got = qsv_one(rho, a, n_tests, seed).passed
+                assert got == self.projector_passed(rho, hr_combination(a), n_tests, seed)
 
     def test_passed_matches_projector_oracle_for_random_targets(self, rng):
         for i in range(200):
             a = rng.normal(size=4)
             a /= np.linalg.norm(a)
             rho = random_density(4, rng)
-            got = qsv_run(rho, a, 2000, seed=i).passed
-            assert got == self.projector_passed(rho, u_of_c(a), 2000, i)
+            got = qsv_one(rho, a, 2000, i).passed
+            assert got == self.projector_passed(rho, hr_combination(a), 2000, i)
 
     @pytest.mark.parametrize("bad, match", [
         (np.eye(4), "trace"),
@@ -275,7 +282,11 @@ class TestQsvRun:
     ])
     def test_rejects_what_is_not_a_two_qubit_density(self, bad, match):
         with pytest.raises(ValueError, match=match):
-            qsv_run(bad, 0, n_tests=10, seed=0)
+            qsv_one(bad, E0, 10, 0)
+
+    def test_rejects_a_state_that_is_not_a_stack(self):
+        with pytest.raises(ValueError, match=r"\(n, 4, 4\) stack"):
+            qsv_run(np.eye(4) / 4, E0[None], 10, [0])
 
     def test_experiment_scale_arithmetic(self):
         # S = 4986 of N = 5000 maps to eps_hat = 0.0042, fidelity 0.9958.
@@ -293,7 +304,7 @@ class TestQsvRun:
             rho = apply_depolarizing(density(BELL_PHI), eps / 0.75)
             estimates = np.empty(runs)
             for i in range(runs):
-                out = qsv_run(rho, 0, n, seed=derive_seed(10, "bias", eps, i))
+                out = qsv_one(rho, E0, n, derive_seed(10, "bias", eps, i))
                 estimates[i] = out.eps_hat
             p_succ = 1 - 2 * eps / 3
             se = 1.5 * np.sqrt(p_succ * (1 - p_succ) / n) / np.sqrt(runs)
@@ -301,43 +312,55 @@ class TestQsvRun:
 
 
 class TestQsvStack:
-    """An (n, 4, 4) stack of states in one qsv_run call against one call per state."""
-
-    @staticmethod
-    def target(kind: str, rng: np.random.Generator):
-        if kind == "index":
-            return int(rng.integers(0, 4))
-        a = rng.normal(size=4)
-        a /= np.linalg.norm(a)
-        return a if kind == "vector" else u_of_c(a)
+    """An (n, 4, 4) stack of states in one qsv_run call against stacks of one."""
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32), st.lists(st.sampled_from(["index", "vector", "unitary"]), max_size=5),
+    @given(st.integers(0, 2**32), st.integers(0, 5),
            st.lists(st.one_of(st.sampled_from([0, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
                     min_size=5, max_size=5),
            st.integers(1, 3000))
-    def test_stack_equals_items_alone(self, state_seed, kinds, keys, n_tests):
+    def test_stack_equals_items_alone(self, state_seed, n, keys, n_tests):
         rng = np.random.default_rng(state_seed)
-        rho = np.array([random_density(4, rng) for _ in kinds]).reshape(-1, 4, 4)
-        targets = [self.target(kind, rng) for kind in kinds]
-        keys = keys[:len(kinds)]
+        rho = np.array([random_density(4, rng) for _ in range(n)]).reshape(-1, 4, 4)
+        targets = rng.normal(size=(n, 4))
+        targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+        keys = keys[:n]
         stacked = qsv_run(rho, targets, n_tests, keys)
         assert isinstance(stacked, list)
-        assert stacked == [qsv_run(r, t, n_tests, k) for r, t, k in zip(rho, targets, keys)]
+        assert stacked == [qsv_one(r, t, n_tests, k) for r, t, k in zip(rho, targets, keys)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 6), st.sampled_from([0, 1, 2, 3, None]))
+    def test_rotation_matches_scalar_sum_oracle(self, state_seed, n, axis):
+        # u_of_c's array sum and the rotation by broadcasting against the
+        # identity give the bits of the scalar sum and of np.kron.
+        rng = np.random.default_rng(state_seed)
+        rho = np.array([random_density(4, rng) for _ in range(n)])
+        a = np.eye(4)[[axis] * n] if axis is not None else rng.normal(size=(n, 4))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        want = np.array([hr_combination(row) for row in a])
+        assert np.array_equal(u_of_c(a), want)
+        assert np.array_equal(_pass_probs(rho, u_of_c(a)),
+                              [kron_pass_probs(r, u) for r, u in zip(rho, want)])
 
     def test_probe_stack_matches_projector_oracle(self):
         probes = np.array([probe_vector(idx) for idx in (1, 2, 3, 4)])
         rho = np.array([apply_depolarizing(density(masker_matrix() @ a), 0.01) for a in probes])
         keys = [derive_seed(20404, "fig3.qsv", idx) for idx in (1, 2, 3, 4)]
         got = [out.passed for out in qsv_run(rho, probes, 5000, keys)]
-        assert got == [TestQsvRun.projector_passed(r, u_of_c(a), 5000, k) for r, a, k in zip(rho, probes, keys)]
+        assert got == [TestQsvRun.projector_passed(r, hr_combination(a), 5000, k)
+                       for r, a, k in zip(rho, probes, keys)]
 
-    def test_bad_target_row_is_named(self):
+    @pytest.mark.parametrize("bad, match", [
+        (np.array([1, 1j, 0, 0]) / np.sqrt(2), "real: a complex combination is not unitary"),
+        (np.array([1, 1, 0, 0]), "normalized"),
+        (np.array([np.nan, 0, 0, 1]), "normalized"),
+    ])
+    def test_bad_target_row_is_named(self, bad, match):
         rho = np.array([np.eye(4) / 4] * 3)
-        with pytest.raises(ValueError, match="^row 1: target index must be 0..3"):
-            qsv_run(rho, [0, 7, 1], 10, [1, 2, 3])
-        with pytest.raises(ValueError, match="^row 2: coefficient vector must be real"):
-            qsv_run(rho, [0, 1, np.array([1, 1j, 0, 0]) / np.sqrt(2)], 10, [1, 2, 3])
+        targets = np.array([np.eye(4)[0], bad, bad])
+        with pytest.raises(ValueError, match=f"^row 1: coefficient vector must be {match}"):
+            qsv_run(rho, targets, 10, [1, 2, 3])
 
     @pytest.mark.parametrize("bad, match", [
         (np.eye(4), "trace"),
@@ -347,20 +370,20 @@ class TestQsvStack:
     def test_bad_state_row_is_named(self, bad, match):
         rho = np.array([np.eye(4) / 4, np.eye(4) / 4, bad])
         with pytest.raises(ValueError, match=f"^row 2: .*{match}"):
-            qsv_run(rho, [0, 1, 2], 10, [1, 2, 3])
+            qsv_run(rho, np.eye(4)[:3], 10, [1, 2, 3])
 
     def test_bad_seed_row_is_named(self):
         with pytest.raises(ValueError, match=r"^row 0: seed must be an integer in \[0, 2\*\*64\)"):
-            qsv_run(np.array([np.eye(4) / 4] * 2), [0, 1], 10, [-1, 2])
+            qsv_run(np.array([np.eye(4) / 4] * 2), np.eye(4)[:2], 10, [-1, 2])
 
     def test_needs_one_target_and_seed_per_state(self):
         with pytest.raises(ValueError, match="one target and one seed per state"):
-            qsv_run(np.array([np.eye(4) / 4] * 2), [0, 1], 10, [1])
+            qsv_run(np.array([np.eye(4) / 4] * 2), np.eye(4)[:2], 10, [1])
         with pytest.raises(ValueError, match="one target and one seed per state"):
-            qsv_run(np.array([np.eye(4) / 4] * 2), [0], 10, [1, 2])
+            qsv_run(np.array([np.eye(4) / 4] * 2), np.eye(4)[:1], 10, [1, 2])
 
     def test_empty_stack_gives_no_results(self):
-        assert qsv_run(np.zeros((0, 4, 4)), [], 10, []) == []
+        assert qsv_run(np.zeros((0, 4, 4)), np.zeros((0, 4)), 10, []) == []
 
 
 class TestAgrestiCoull:

@@ -75,7 +75,8 @@ def oracle_fig3(config):
             pur_a, pur_b = (purity(partial_trace(rho, k)) for k in ("A", "B"))
             std, resamples = 0.0, None
         else:
-            qsv = estimate.qsv_run(rho, a, config.qsv_tests, derive_seed(config.seed, "fig3.qsv", idx))
+            (qsv,) = estimate.qsv_run(rho[None], a[None], config.qsv_tests,
+                                      [derive_seed(config.seed, "fig3.qsv", idx)])
             fid = oracle_row(config, "fig3", f"probe {idx} fidelity", qsv.fidelity, qsv.error, "ci95",
                              qsv.total, None, eps_hat=qsv.eps_hat, eps_low=qsv.ci_low,
                              eps_high=qsv.ci_high, passed=qsv.passed, tests=qsv.total)

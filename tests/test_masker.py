@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from realmask.masker import HurwitzRadonSet, build_hr_d4, mask_pure, masker_matrix, u_of_c
+from realmask import masker
+from realmask.masker import hr_unitaries, mask_pure, masker_matrix, u_of_c
 from realmask.qcore import BELL_PHI, PAULI_X, PAULI_Y, PAULI_Z, partial_trace, spin_flip_concurrence
 
 from helpers import (
@@ -9,6 +10,7 @@ from helpers import (
     concurrence_pure,
     density,
     haar_state,
+    hr_combination,
     inner,
     magic_basis,
     mask_state,
@@ -22,43 +24,36 @@ I2 = np.eye(2)
 
 class TestHurwitzRadon:
     def test_squares_to_minus_identity(self):
-        for u in build_hr_d4().matrices:
+        for u in hr_unitaries()[1:]:
             assert np.abs(u @ u + I2).max() < 1e-12
 
     def test_cross_anticommutators_vanish(self):
-        mats = build_hr_d4().matrices
+        mats = hr_unitaries()[1:]
         for j in range(3):
             for k in range(3):
                 if j != k:
                     assert np.abs(mats[j] @ mats[k] + mats[k] @ mats[j]).max() < 1e-12
 
     def test_concrete_pauli_choice(self):
-        u1, u2, u3 = build_hr_d4().matrices
+        u0, u1, u2, u3 = hr_unitaries()
+        assert np.array_equal(u0, I2)
         assert np.allclose(u1, np.diag([1j, -1j]), atol=0)
         assert np.array_equal(u2, 1j * PAULI_X)
         assert np.array_equal(u3, 1j * PAULI_Y)
 
-    def test_rejects_non_anticommuting_set(self):
-        with pytest.raises(ValueError):
-            HurwitzRadonSet((1j * PAULI_Z, 1j * PAULI_Z))
+    def test_cached_stack_is_read_only(self):
+        us = hr_unitaries()
+        assert hr_unitaries() is us
+        assert us.shape == (4, 2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            us[1, 0, 0] = 0.0
 
-    @pytest.mark.parametrize("build", [build_hr_d4])
-    def test_cached_matrices_are_read_only(self, build):
-        hr = build()
-        assert build() is hr
-        for u in hr.with_identity():
-            with pytest.raises(ValueError, match="read-only"):
-                u[0, 0] = 0.0
-
-    def test_construction_copies_the_inputs(self):
-        u = 1j * PAULI_Y
-        HurwitzRadonSet((u,))
-        u[0, 0] = 1.0  # the caller's array stays writable
-
-    def test_rejects_commuting_pair(self):
-        # Unitary but U1 U2 + U2 U1 != 0.
-        with pytest.raises(ValueError):
-            HurwitzRadonSet((1j * PAULI_Z, np.diag([1j, 1j])))
+    def test_anticommutation_is_checked(self, monkeypatch):
+        # With X replaced by Z the set holds iZ twice, and iZ iZ + iZ iZ = -2.
+        monkeypatch.setattr(masker, "PAULI_X", PAULI_Z)
+        hr_unitaries.cache_clear()
+        with pytest.raises(ValueError, match=r"anticommutation violated at \(1,2\)"):
+            hr_unitaries()
 
 
 class TestMaskerIsometry:
@@ -131,10 +126,10 @@ class TestMaskState:
 
 class TestUOfC:
     def test_identity_coefficients(self):
-        assert np.array_equal(u_of_c([1, 0, 0, 0]), I2.astype(complex))
+        assert np.array_equal(u_of_c([[1, 0, 0, 0]]), [I2.astype(complex)])
 
     def test_uniform_real_coefficients(self):
-        u = u_of_c(np.ones(4) / 2)
+        (u,) = u_of_c(np.ones((1, 4)) / 2)
         want = (I2 + 1j * PAULI_Z + 1j * PAULI_X + 1j * PAULI_Y) / 2
         assert np.abs(u - want).max() < 1e-15
         assert np.abs(u.conj().T @ u - I2).max() < 1e-12
@@ -142,25 +137,34 @@ class TestUOfC:
     def test_complex_coefficients_break_unitarity(self):
         # c = (1, i, 0, 0)/sqrt(2) sums to diag(0, sqrt(2)), so u_of_c refuses it.
         c = np.array([1, 1j, 0, 0]) / np.sqrt(2)
-        u = sum(cj * uj for cj, uj in zip(c, build_hr_d4().with_identity()))
+        u = hr_combination(c)
         assert np.abs(u.conj().T @ u - I2).max() == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError, match="must be real"):
-            u_of_c(c)
+        with pytest.raises(ValueError, match="^row 0: coefficient vector must be real"):
+            u_of_c(c[None])
 
     def test_accepts_imaginary_round_off(self):
-        c = np.ones(4, dtype=complex) / 2 + 1e-14j
-        assert np.array_equal(u_of_c(c), u_of_c(np.ones(4) / 2))
+        c = np.ones((1, 4), dtype=complex) / 2 + 1e-14j
+        assert np.array_equal(u_of_c(c), u_of_c(np.ones((1, 4)) / 2))
 
     def test_random_real_coefficients_unitary(self, rng):
-        for _ in range(100):
-            c = rng.normal(size=4)
-            c /= np.linalg.norm(c)
-            u = u_of_c(c)
+        c = rng.normal(size=(100, 4))
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        for u in u_of_c(c):
             assert np.abs(u.conj().T @ u - I2).max() < 1e-12
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            u_of_c([1, 1, 0, 0])
+        with pytest.raises(ValueError, match="^row 0: coefficient vector must be normalized"):
+            u_of_c([[1, 1, 0, 0]])
+
+    def test_names_the_first_faulty_row(self):
+        rows = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [2, 0, 0, 0], [1j, 0, 0, 0]])
+        with pytest.raises(ValueError, match="^row 2: coefficient vector must be normalized"):
+            u_of_c(rows)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 3), (2, 2, 4)])
+    def test_rejects_what_is_not_n_by_4(self, shape):
+        with pytest.raises(ValueError, match=r"\(n, 4\) array"):
+            u_of_c(np.ones(shape))
 
 
 class TestConcurrenceImaginarityRelation:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from realmask import optics
 from realmask.experiments import probe_vector
 from realmask.masker import mask_pure, masker_matrix
 from realmask.measure import PAIRS, pair_probs
@@ -230,7 +231,7 @@ class TestMaskingLayout:
         m = masker_matrix()
         for phi in (0.0, 45.0, 90.0):
             c = np.array([1, np.exp(1j * math.radians(phi)), 0, 0]) / SQRT2
-            got = simulate_masking(angles=phase_prep_angles(phi), q1_deg=45.0)
+            got = extract_two_qubit(run(simulate_preparation(phase_prep_angles(phi), 45.0), masking_layout()))
             assert pure_fidelity(m @ c, got) >= 1 - 1e-10
 
     def test_batch_matches_single_inputs(self, rng):
@@ -310,9 +311,10 @@ class TestMeasurement:
         compiled = compile_measurement(pauli_meas_setting("X", "Y"))
         assert compiled.residual < 1e-10
 
-    def test_solver_error_on_impossible_tolerance(self):
+    def test_solver_error_on_impossible_tolerance(self, monkeypatch):
+        monkeypatch.setattr(optics, "SOLVER_TOL", -1.0)
         with pytest.raises(SolverError):
-            compile_measurement(pauli_meas_setting("X", "Y"), tol=-1.0)
+            compile_measurement(pauli_meas_setting("X", "Y"))
 
     @pytest.mark.parametrize("setting", [
         MeasSetting(math.nan, 0.0, 0.0, 0.0),

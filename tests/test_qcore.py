@@ -102,17 +102,15 @@ class TestPartialTrace:
             partial_trace(rho, "A")
             partial_trace(rho, "B")
 
-    def test_rejects_non_factorable_dimension(self):
-        rho = np.eye(5) / 5
-        with pytest.raises(DimensionError):
+    @pytest.mark.parametrize("rho", [np.eye(5) / 5, np.eye(6) / 6, np.eye(2) / 2, np.ones(4) / 4])
+    def test_rejects_what_is_not_two_qubits(self, rho):
+        with pytest.raises(DimensionError, match=r"\(\.\.\., 4, 4\)"):
             partial_trace(rho, "A")
-        with pytest.raises(DimensionError):
-            partial_trace(np.eye(6) / 6, "A", dims=(4, 2))
 
-    def test_qubit_qutrit_factoring(self):
-        rho = np.eye(6) / 6
-        red = partial_trace(rho, "B", dims=(2, 3))
-        assert red.shape == (3, 3)
+    @pytest.mark.parametrize("keep", [0, 1, "a", "b", "C", None])
+    def test_keep_is_a_or_b(self, keep):
+        with pytest.raises(ValueError, match="keep must be 'A' or 'B'"):
+            partial_trace(np.eye(4) / 4, keep)
 
     def test_stack_matches_items_alone(self, rng):
         rhos = np.stack([random_density(4, rng) for _ in range(6)]).reshape(2, 3, 4, 4)

@@ -6,7 +6,9 @@ definition is reached when a script, or a definition already reached,
 mentions its name; module-level constants count as definitions, so a table
 that names a function reaches it.  `__init__` re-exports reach nothing.
 Names are matched without their module, so a dead definition that shares
-its name with a live one passes, but a live one never fails.
+its name with a live one passes, but a live one never fails.  Every name in
+`realmask.__all__` must be such a reached definition (or on the keep-list),
+so the package cannot re-export a dead name.
 """
 from __future__ import annotations
 
@@ -105,3 +107,11 @@ def test_keep_list_names_only_unreached_definitions():
     assert KEEP <= public, f"keep-list names that are not public definitions: {sorted(KEEP - public)}"
     live = KEEP & _reached(defs, _entry_points())
     assert not live, f"keep-list names the pipelines now reach, so drop them from KEEP: {sorted(live)}"
+
+
+def test_package_exports_only_reached_names():
+    import realmask
+
+    exported = {name for name in realmask.__all__ if not name.startswith("__")}
+    dead = exported - _reached(_definitions(), _entry_points() | KEEP)
+    assert not dead, f"realmask.__all__ re-exports names no pipeline reaches: {sorted(dead)}"
