@@ -10,7 +10,7 @@ overrides built-in defaults.  One table, `OPTIONS`, gives each config field its
 flag, flag parser, value check and help; a subcommand's flags and config keys
 are made from it for the fields it reads (`FIELDS`), so it takes no flag or
 key that it would ignore.  A bad value is a one-line error, never a silent
-coercion.
+coercion, and so is a run that needs more memory than it can get.
 """
 from __future__ import annotations
 
@@ -37,6 +37,17 @@ def _integer(v) -> int:
 def _positive(v) -> int:
     if _integer(v) < 1:
         raise ValueError(f"must be a positive integer, got {v!r}")
+    return v
+
+
+# The most shots per setting: a bootstrap redraws each count from a Poisson
+# law, whose numpy sampler refuses means above about 9.2e18.
+MAX_SHOTS = 10**18
+
+
+def _shots(v) -> int:
+    if _positive(v) > MAX_SHOTS:
+        raise ValueError(f"must be at most 10**18, got {v!r}")
     return v
 
 
@@ -104,7 +115,7 @@ def _floats(text: str) -> list[float]:
 # check they share, the flag, the parser of its text (None: a switch), the help.
 OPTIONS = {
     "seed": (_integer, "--seed", int, "master seed (default 20404)"),
-    "shots_per_setting": (_positive, "--shots", int, "shots per measurement setting"),
+    "shots_per_setting": (_shots, "--shots", int, "shots per measurement setting (at most 10**18)"),
     "qsv_tests": (_positive, "--qsv-tests", int, "verification tests per probe"),
     "noise_p": (_probability, "--noise-p", float, "depolarizing noise strength"),
     "phi_grid_deg": (_phases, "--phi-grid", _floats,
@@ -178,7 +189,10 @@ def write_report_or_exit(report: dict, out_dir) -> list[Path]:
 
 def _cmd_experiment(args) -> int:
     config = _build_config(args)
-    report = args.run(config, args)
+    try:
+        report = args.run(config, args)
+    except MemoryError as exc:
+        raise SystemExit(f"{args.command}: not enough memory for this run: {str(exc) or 'MemoryError'}") from None
     if config.output_path:
         for p in write_report_or_exit(report, config.output_path):
             print(f"wrote {p}")

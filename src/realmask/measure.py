@@ -28,6 +28,10 @@ seed per item.  Each call checks the whole table once, naming the first
 faulty row, and builds one Philox that `generators` re-keys for every row:
 a Philox stream is fully defined by its key and counter (Salmon et al., SC'11),
 so each row gets the bits of `generator(seed)` without paying for a new one.
+
+Count tables as CSV: `tables_from_csv` reads clean text in one columnar pass
+and hands any text that breaks a rule to a row-at-a-time reader, the one
+place that words a CSV error.
 """
 from __future__ import annotations
 
@@ -206,17 +210,21 @@ def pair_probs(rho) -> np.ndarray:
     return _projector_probs(rho, _PAIR_PROJECTORS)
 
 
+_MAX_SHOTS = 2**63 - 1
+
+
 def sample_counts(probs, shots: int, seed) -> np.ndarray:
     """Integer counts of each row of a (..., k) probability table, k = 2 or 4,
-    from one multinomial draw per row; deterministic per seed.
+    from one multinomial draw of `shots` per row; deterministic per seed.
+    `shots` is an integer in [1, 2**63 - 1], as the int64 counts hold.
 
     `seed` is a (...) array, one seed per row: row i is drawn from the stream
     of `generator(seed[i])`.  A single (k,) row takes a plain int seed.  The
     whole table is checked before any draw, and an error names the first
     faulty row.
     """
-    if not _is_integer(shots) or shots < 1:
-        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    if not (_is_integer(shots) and 1 <= shots <= _MAX_SHOTS):
+        raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots!r}")
     p = np.asarray(probs, dtype=float)
     if p.ndim < 1 or p.shape[-1] not in (2, 4):
         raise ValueError("probs must have 2 or 4 entries")
@@ -317,82 +325,13 @@ def tables_from_csv(text: str) -> list[CountsTable]:
     table, in order of first appearance, and shots and seed are compared as
     integers, so `7` and `07` name the same table.
 
-    The reader splits the records into five columns and checks each rule once
-    per column or once per table.  An error still names what a row-at-a-time
-    reader would: the file line on which the first faulty CSV record starts,
-    or else the first faulty table.  The csv module's own errors, such as an
-    unquoted carriage return, are raised as such a line error too, without
-    the module's advice on how to open a file.
+    Clean text takes one columnar pass (`_clean_tables`).  Text that breaks
+    any rule is read again one record at a time (`_read_records`), which
+    raises the error: the file line on which the first faulty CSV record
+    starts, or else the first faulty table.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader, None)
-    except csv.Error as err:
-        raise ValueError(f"CSV line 1: {_csv_fault(err)}") from None
-    if tuple(header or ()) != CSV_HEADER:
-        raise ValueError(f"expected header {','.join(CSV_HEADER)}")
-    # `fault` is (record number, message), the header being record 1.
-    rows, fault = [], None
-    try:
-        rows.extend(reader)  # on a csv.Error the records before it stay in `rows`
-    except csv.Error as err:
-        fault = (len(rows) + 2, _csv_fault(err))
-    records = range(2, len(rows) + 2)
-    if not all(rows):  # blank records are skipped but keep their numbers
-        records = [record for record, row in zip(records, rows) if row]
-        rows = [row for row in rows if row]
-    # Each row rule is checked over the records that passed the rules before
-    # it; a fault cuts them to the records before the faulty one.  So `fault`
-    # ends on the first faulty record, or on the csv.Error after the last read.
-    width = len(CSV_HEADER)
-    if set(map(len, rows)) - {width}:
-        end = next(i for i, row in enumerate(rows) if len(row) != width)
-        fault = (records[end], f"expected {width} fields, got {rows[end]}")
-        rows = rows[:end]
-    columns = tuple(zip(*rows)) or ((),) * width
-    if not _OUTCOMES.issuperset(columns[1]):
-        end = next(i for i, label in enumerate(columns[1]) if label not in _OUTCOMES)
-        fault = (records[end], f"unknown outcome label {columns[1][end]!r}")
-        columns = tuple(column[:end] for column in columns)
-    try:
-        values, shot_of, seed_of = _integers(*columns[2:])
-    except ValueError:
-        end = next(i for i, cells in enumerate(zip(*columns[2:])) if not all(map(_is_integer_text, cells)))
-        fault = (records[end], f"count, shots and seed must be integers, got {columns[2][end]!r}, "
-                               f"{columns[3][end]!r}, {columns[4][end]!r}")
-        columns = tuple(column[:end] for column in columns)
-        values, shot_of, seed_of = _integers(*columns[2:])
-    settings, outcomes, _, shots, seeds = columns
-    keys = list(zip(settings, map(shot_of.__getitem__, shots), map(seed_of.__getitem__, seeds)))
-    grouped: dict[tuple[str, int, int], dict[str, int]] = {}
-    for key, outcome, value in zip(keys, outcomes, values):
-        grouped.setdefault(key, {})[outcome] = value
-    if sum(map(len, grouped.values())) < len(keys):
-        seen = set()
-        end = next(i for i, cell in enumerate(zip(keys, outcomes)) if cell in seen or seen.add(cell))
-        fault = (records[end], f"repeated outcome {outcomes[end]!r} for setting {settings[end]}, "
-                               f"shots {shots[end]}, seed {seeds[end]}")
-    if fault is not None:
-        record, message = fault
-        raise ValueError(f"CSV line {_start_line(text, record)}: {message}")
-    # The table rules, once per column: every table holds exactly the pair or
-    # the single outcomes, no setting holds a carriage return, no count is
-    # negative and each table's counts sum to its shots.  These are all the
-    # rules `CountsTable.__post_init__` checks, so the records skip it.
-    try:
-        counts = [(_PAIR_COUNTS if len(by_outcome) == 4 else _SINGLE_COUNTS)(by_outcome)
-                  for by_outcome in grouped.values()]
-    except KeyError:
-        counts = None
-    if (counts is None or sum(map(len, counts)) != len(keys) or min(values, default=0) < 0
-            or "\r" in "".join(settings) or list(map(sum, counts)) != [key[1] for key in grouped]):
-        return _checked_tables(grouped)
-    tables = []
-    for (setting, shots, seed), table_counts in zip(grouped, counts):
-        table = object.__new__(CountsTable)
-        table.__dict__.update(setting=setting, counts=table_counts, shots=shots, seed=seed)
-        tables.append(table)
-    return tables
+    tables = _clean_tables(text)
+    return _read_records(text) if tables is None else tables
 
 
 _OUTCOMES = frozenset(OUTCOMES_PAIR + OUTCOMES_SINGLE)
@@ -400,43 +339,100 @@ _PAIR_COUNTS = itemgetter(*OUTCOMES_PAIR)
 _SINGLE_COUNTS = itemgetter(*OUTCOMES_SINGLE)
 
 
-def _integers(counts, shots, seeds) -> tuple[list[int], dict[str, int], dict[str, int]]:
-    """int() of every count cell, and of each distinct shots and seed text once."""
-    return list(map(int, counts)), {t: int(t) for t in set(shots)}, {t: int(t) for t in set(seeds)}
-
-
-def _start_line(text: str, record: int) -> int:
-    """The file line on which CSV record `record` (the header is 1) starts: a
-    quoted field may hold newlines, so records and lines differ.  Read again
-    from the top, which only the error path pays for."""
+def _clean_tables(text: str) -> list[CountsTable] | None:
+    """The tables of `text` when every record and table follows the rules,
+    else None.  The records are split into five columns and each rule is
+    checked once per column or once per table; nothing here locates a fault."""
     reader = csv.reader(io.StringIO(text))
-    for _ in range(record - 1):
-        next(reader)
-    return reader.line_num + 1
-
-
-def _is_integer_text(text: str) -> bool:
     try:
-        int(text)
+        header = next(reader, None)
+        rows = list(filter(None, reader))  # blank records are skipped
+    except csv.Error:
+        return None
+    width = len(CSV_HEADER)
+    if tuple(header or ()) != CSV_HEADER or set(map(len, rows)) - {width}:
+        return None
+    settings, outcomes, counts, shots, seeds = tuple(zip(*rows)) or ((),) * width
+    if not _OUTCOMES.issuperset(outcomes):
+        return None
+    try:
+        values = list(map(int, counts))
+        shot_of, seed_of = {t: int(t) for t in set(shots)}, {t: int(t) for t in set(seeds)}
     except ValueError:
-        return False
-    return True
+        return None
+    keys = list(zip(settings, map(shot_of.__getitem__, shots), map(seed_of.__getitem__, seeds)))
+    grouped: dict[tuple[str, int, int], dict[str, int]] = {}
+    for key, outcome, value in zip(keys, outcomes, values):
+        grouped.setdefault(key, {})[outcome] = value
+    # Each table must hold exactly the pair or the single outcomes, once each:
+    # a missing label raises KeyError, and a repeated or extra one leaves
+    # fewer table counts than records.
+    try:
+        table_counts = [(_PAIR_COUNTS if len(by_outcome) == 4 else _SINGLE_COUNTS)(by_outcome)
+                        for by_outcome in grouped.values()]
+    except KeyError:
+        return None
+    # With no carriage return in a setting, no negative count and each
+    # table's counts summing to its shots, every rule of
+    # `CountsTable.__post_init__` holds, so the records skip it.
+    if (sum(map(len, table_counts)) != len(rows) or min(values, default=0) < 0
+            or "\r" in "".join(settings) or list(map(sum, table_counts)) != [key[1] for key in grouped]):
+        return None
+    tables = []
+    for (setting, shots, seed), tally in zip(grouped, table_counts):
+        table = object.__new__(CountsTable)
+        table.__dict__.update(setting=setting, counts=tally, shots=shots, seed=seed)
+        tables.append(table)
+    return tables
 
 
-def _checked_tables(grouped: dict[tuple[str, int, int], dict[str, int]]) -> list[CountsTable]:
-    """The tables one at a time, each through `CountsTable`'s own checks: raises
-    on the first faulty table, in order of first appearance."""
+def _read_records(text: str) -> list[CountsTable]:
+    """`tables_from_csv` one record at a time: every rule runs on each row as it
+    is read, and each table is built through `CountsTable`.  A line error
+    names the file line on which the record starts, one past the lines
+    `csv.reader` had read before it, and a csv module error is one, without
+    the module's advice on how to open a file."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+    except csv.Error as err:
+        raise ValueError(f"CSV line 1: {_csv_fault(err)}") from None
+    if tuple(header or ()) != CSV_HEADER:
+        raise ValueError(f"expected header {','.join(CSV_HEADER)}")
+    grouped: dict[tuple[str, int, int], dict[str, int]] = {}
+    while True:
+        line = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as err:
+            raise ValueError(f"CSV line {line}: {_csv_fault(err)}") from None
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"CSV line {line}: expected {len(CSV_HEADER)} fields, got {row}")
+        setting, outcome, count, shots, seed = row
+        if outcome not in _OUTCOMES:
+            raise ValueError(f"CSV line {line}: unknown outcome label {outcome!r}")
+        try:
+            key, value = (setting, int(shots), int(seed)), int(count)
+        except ValueError:
+            raise ValueError(f"CSV line {line}: count, shots and seed must be integers, got {count!r}, "
+                             f"{shots!r}, {seed!r}") from None
+        by_outcome = grouped.setdefault(key, {})
+        if outcome in by_outcome:
+            raise ValueError(f"CSV line {line}: repeated outcome {outcome!r} for setting {setting}, "
+                             f"shots {shots}, seed {seed}")
+        by_outcome[outcome] = value
     tables = []
     for (setting, shots, seed), by_outcome in grouped.items():
         labels = OUTCOMES_PAIR if len(by_outcome) == 4 else OUTCOMES_SINGLE
         if set(by_outcome) != set(labels):
-            raise ValueError(
-                f"table for setting {setting}, shots {shots}, seed {seed} has outcomes "
-                f"{sorted(by_outcome)}, expected {', '.join(labels)}"
-            )
-        counts = tuple(by_outcome[label] for label in labels)
+            raise ValueError(f"table for setting {setting}, shots {shots}, seed {seed} has outcomes "
+                             f"{sorted(by_outcome)}, expected {', '.join(labels)}")
         try:
-            tables.append(CountsTable(setting=setting, counts=counts, shots=shots, seed=seed))
+            tables.append(CountsTable(setting, tuple(by_outcome[label] for label in labels), shots, seed))
         except ValueError as err:
             raise ValueError(f"table for setting {setting}, shots {shots}, seed {seed}: {err}") from None
     return tables

@@ -10,10 +10,9 @@ amplitudes sit on the odd positions -3,-1,1,3 (coin |1>) into a hybrid
 two-qubit state on positions +/-1.
 
 The same steps run the optical table: `optics` writes its waveplates as
-`Local` steps and its beam displacers as `Shift` steps.  Both run on the
-dense engine here, a complex (..., sites, 2) array whose leading axes index a
-batch of inputs, through two primitives: `apply_local`, a 2x2 on some or all
-sites, and `shift`.
+`Local` steps and its beam displacers as `Shift` steps.  Each step's `apply`
+acts on a `RailState`, a complex (..., sites, 2) array whose leading axes
+index a batch of inputs.
 
 Coin placements for the default schedule: the four-step geometry is pinned by
 requiring that the composite map equal the masker column-for-column under the
@@ -88,34 +87,6 @@ class RailState:
         return float(np.abs(self.amps[..., ~on]).max(initial=0.0))
 
 
-def apply_local(state: RailState, u: np.ndarray, sites: Collection[int] | None = None) -> RailState:
-    """Multiply the qubit spinor at each listed site (every site if None) by `u`, a
-    (2, 2) matrix or a (..., 2, 2) stack that broadcasts against the batch axes."""
-    n = state.amps.shape[-2]
-    idx = slice(None) if sites is None else [x - state.lo for x in sorted(sites) if 0 <= x - state.lo < n]
-    u = np.asarray(u)[..., None, :, :]
-    a = state.amps[..., idx, :]
-    new = u[..., 0] * a[..., 0, None] + u[..., 1] * a[..., 1, None]
-    out = np.empty(new.shape[:-2] + state.amps.shape[-2:], dtype=complex)
-    out[...] = state.amps
-    out[..., idx, :] = new
-    return RailState(state.lo, out)
-
-
-def shift(state: RailState, s0: int, s1: int) -> RailState:
-    """Move qubit-0 amplitudes by s0 sites and qubit-1 amplitudes by s1 sites.
-
-    The window grows to hold both shifted copies, so no amplitude is dropped
-    or merged and the norm is preserved exactly.
-    """
-    lo, hi = min(s0, s1, 0), max(s0, s1, 0)
-    n = state.amps.shape[-2]
-    out = np.zeros(state.amps.shape[:-2] + (n + hi - lo, 2), dtype=complex)
-    out[..., s0 - lo:s0 - lo + n, 0] = state.amps[..., 0]
-    out[..., s1 - lo:s1 - lo + n, 1] = state.amps[..., 1]
-    return RailState(state.lo + lo, out)
-
-
 def run(state: RailState, steps: Iterable[Local | Shift]) -> RailState:
     """Apply `Local` and `Shift` steps in order."""
     for step in steps:
@@ -144,7 +115,17 @@ class Local:
             object.__setattr__(self, "sites", frozenset(map(operator.index, self.sites)))
 
     def apply(self, state: RailState) -> RailState:
-        return apply_local(state, self.u, self.sites)
+        """`state` with `u` on the qubit of each listed site inside its window."""
+        n = state.amps.shape[-2]
+        idx = (slice(None) if self.sites is None
+               else [x - state.lo for x in sorted(self.sites) if 0 <= x - state.lo < n])
+        u = self.u[..., None, :, :]
+        a = state.amps[..., idx, :]
+        new = u[..., 0] * a[..., 0, None] + u[..., 1] * a[..., 1, None]
+        out = np.empty(new.shape[:-2] + state.amps.shape[-2:], dtype=complex)
+        out[...] = state.amps
+        out[..., idx, :] = new
+        return RailState(state.lo, out)
 
 
 @dataclass(frozen=True)
@@ -155,7 +136,15 @@ class Shift:
     s1: int
 
     def apply(self, state: RailState) -> RailState:
-        return shift(state, self.s0, self.s1)
+        """The window grows to hold both shifted copies, so no amplitude is
+        dropped or merged and the norm is preserved exactly."""
+        s0, s1 = self.s0, self.s1
+        lo, hi = min(s0, s1, 0), max(s0, s1, 0)
+        n = state.amps.shape[-2]
+        out = np.zeros(state.amps.shape[:-2] + (n + hi - lo, 2), dtype=complex)
+        out[..., s0 - lo:s0 - lo + n, 0] = state.amps[..., 0]
+        out[..., s1 - lo:s1 - lo + n, 1] = state.amps[..., 1]
+        return RailState(state.lo + lo, out)
 
 
 TRANSLATE = Shift(-1, +1)

@@ -5,13 +5,9 @@ density matrices of shape (d, d).
 """
 from __future__ import annotations
 
-import csv
-import io
-
 import numpy as np
 
 from realmask.masker import mask_pure, masker_matrix
-from realmask.measure import CSV_HEADER, OUTCOMES_PAIR, OUTCOMES_SINGLE, CountsTable
 from realmask.optics import V
 from realmask.qcore import (
     EPS_EXACT,
@@ -257,70 +253,3 @@ def spcm_to_outcome_order(spcm_probs) -> np.ndarray:
     """Reorder detector probabilities to the (++, +-, -+, --) outcome order."""
     p = np.asarray(spcm_probs, dtype=float)
     return np.array([p[2], p[0], p[3], p[1]])
-
-
-# ---------------------------------------------------------------------------
-# Row-at-a-time count-table reader: the oracle for the columnar one.
-
-def csv_fault(err: csv.Error) -> str:
-    """A csv module error's message without its advice on opening files."""
-    return str(err).partition(" - do you need")[0]
-
-
-def reference_tables_from_csv(text: str) -> list[CountsTable]:
-    """`measure.tables_from_csv` one record at a time: every check runs on each
-    row as it is read, and each table is built through `CountsTable`.  A
-    line error names the file line on which the record starts, one past the
-    lines `csv.reader` had read before it, and a csv module error is one,
-    without the module's advice on how to open a file."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader, None)
-    except csv.Error as err:
-        raise ValueError(f"CSV line 1: {csv_fault(err)}") from None
-    if tuple(header or ()) != CSV_HEADER:
-        raise ValueError(f"expected header {','.join(CSV_HEADER)}")
-    grouped: dict[tuple[str, int, int], dict[str, int]] = {}
-    while True:
-        line = reader.line_num + 1
-        try:
-            row = next(reader)
-        except StopIteration:
-            break
-        except csv.Error as err:
-            raise ValueError(f"CSV line {line}: {csv_fault(err)}") from None
-        if not row:
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise ValueError(f"CSV line {line}: expected {len(CSV_HEADER)} fields, got {row}")
-        setting, outcome, count, shots, seed = row
-        if outcome not in OUTCOMES_PAIR + OUTCOMES_SINGLE:
-            raise ValueError(f"CSV line {line}: unknown outcome label {outcome!r}")
-        try:
-            key, value = (setting, int(shots), int(seed)), int(count)
-        except ValueError:
-            raise ValueError(
-                f"CSV line {line}: count, shots and seed must be integers, got {count!r}, "
-                f"{shots!r}, {seed!r}"
-            ) from None
-        by_outcome = grouped.setdefault(key, {})
-        if outcome in by_outcome:
-            raise ValueError(
-                f"CSV line {line}: repeated outcome {outcome!r} for setting {setting}, "
-                f"shots {shots}, seed {seed}"
-            )
-        by_outcome[outcome] = value
-    tables = []
-    for (setting, shots, seed), by_outcome in grouped.items():
-        labels = OUTCOMES_PAIR if len(by_outcome) == 4 else OUTCOMES_SINGLE
-        if set(by_outcome) != set(labels):
-            raise ValueError(
-                f"table for setting {setting}, shots {shots}, seed {seed} has outcomes "
-                f"{sorted(by_outcome)}, expected {', '.join(labels)}"
-            )
-        counts = tuple(by_outcome[label] for label in labels)
-        try:
-            tables.append(CountsTable(setting=setting, counts=counts, shots=shots, seed=seed))
-        except ValueError as err:
-            raise ValueError(f"table for setting {setting}, shots {shots}, seed {seed}: {err}") from None
-    return tables

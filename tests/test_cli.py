@@ -301,6 +301,7 @@ class TestCommandLine:
         {"seed": "7"},
         {"shots_per_setting": 400.0},
         {"shots_per_setting": 0},
+        {"shots_per_setting": 2**63},
         {"qsv_tests": False},
         {"noise_p": "0.1"},
         {"noise_p": 1.5},
@@ -339,6 +340,12 @@ class TestCommandLine:
         ["fig3", "--qsv-tests", "0"],
         ["fig4", "--shots", "0"],
         ["fig4", "--shots", "2.5"],
+        # 2**63 shots used to end in an OverflowError from the multinomial
+        # draw, and 2**63 - 1 in fig5's Poisson resampling.
+        ["fig3", "--shots", "9223372036854775808"],
+        ["fig4", "--shots", "9223372036854775808"],
+        ["fig5", "--shots", "9223372036854775807", "--noise-p", "0", "--phi-grid", "90"],
+        ["fig5", "--shots", "1000000000000000001"],
         ["fig5", "--phi-grid", "0,x"],
         ["fig5", "--phi-grid", "0,inf"],
         ["equiv", "--n-inputs", "0"],
@@ -383,7 +390,7 @@ class TestCommandLine:
         reads = READS[command]
         argv = [command, f"--seed={data.draw(st.integers(-2**63, 2**64))}"]
         if "shots_per_setting" in reads:
-            argv.append(f"--shots={data.draw(st.integers(1, 50))}")
+            argv.append(f"--shots={data.draw(st.one_of(st.integers(1, 50), st.integers(1, cli.MAX_SHOTS)))}")
         if "qsv_tests" in reads:
             argv.append(f"--qsv-tests={data.draw(st.integers(1, 50))}")
         if "noise_p" in reads:
@@ -404,6 +411,24 @@ class TestCommandLine:
 
         doc = json.loads(out.getvalue(), parse_constant=reject)
         assert doc["schema"] == experiments.REPORT_SCHEMA
+
+    def test_most_shots_run(self, capsys):
+        assert cli.main(["fig5", f"--shots={cli.MAX_SHOTS}", "--noise-p", "0", "--phi-grid", "90"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["shots_per_setting"] == 10**18 and doc["points"][0]["estimate"] == 0.0
+
+    def test_memory_error_is_a_one_line_exit(self, monkeypatch, capsys):
+        # `fig3 --qsv-tests 10000000000000` asks for 72.8 TiB and used to end
+        # in numpy's traceback.
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,)")
+
+        monkeypatch.setattr(experiments.estimate, "qsv_run", refuse)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fig3", "--qsv-tests", "10000000000000"])
+        assert exc.value.code == ("fig3: not enough memory for this run: "
+                                  "Unable to allocate 72.8 TiB for an array with shape (10000000000000,)")
+        assert capsys.readouterr().out == ""
 
     def test_angles_subcommand(self, capsys):
         rc = cli.main(["angles", "--state", "1,1,1,1", "--phi", "90", "--setting", "ZZ"])

@@ -15,13 +15,11 @@ from realmask.walk import (
     Local,
     RailState,
     Shift,
-    apply_local,
     encode_input,
     extract_two_qubit,
     masking_schedule,
     run,
     run_masking_walk,
-    shift,
 )
 
 from helpers import local_sites, pure_fidelity, random_unitary, with_local_at, worst_masker_infidelity
@@ -70,17 +68,17 @@ class TestTranslate:
 class TestEngine:
     def test_local_acts_on_every_site_when_none_listed(self):
         state = RailState.of({(0, 0): 1 / SQRT2, (5, 1): 1 / SQRT2})
-        out = apply_local(state, COIN_X)
+        out = Local(COIN_X).apply(state)
         assert nonzero(out) == {(0, 1): 1 / SQRT2, (5, 0): 1 / SQRT2}
 
     def test_local_leaves_unlisted_sites_alone(self):
         state = RailState.of({(0, 0): 1 / SQRT2, (5, 1): 1 / SQRT2})
-        out = apply_local(state, COIN_X, {0})
+        out = Local(COIN_X, {0}).apply(state)
         assert nonzero(out) == {(0, 1): 1 / SQRT2, (5, 1): 1 / SQRT2}
 
     def test_shift_moves_each_qubit_by_its_own_offset(self):
         state = RailState.of({(1, 0): 0.6, (1, 1): 0.8j})
-        out = shift(state, -4, 2)
+        out = Shift(-4, 2).apply(state)
         assert nonzero(out) == {(-3, 0): 0.6, (3, 1): 0.8j}
 
     def test_rejects_bad_qubit_index(self):
