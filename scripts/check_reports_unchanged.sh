@@ -15,8 +15,8 @@
 # the depolarizing rebuild), `realmask fig5 --shots 1 --seed 1` (axes with
 # zero counts in the bootstrap resamples), `realmask fig3 --qsv-tests 100000
 # --seed 1` (a large verification run) and `realmask equiv --n-inputs 5000
-# --seed 1` (whose max-infidelity digits move with any change in the
-# arithmetic of the walk or the optical table), on a temporary `git worktree` of
+# --seed 1` (whose gap digits move with any change in the arithmetic of the
+# walk, the optical table or the measurement module), on a temporary `git worktree` of
 # BASE_REV and on the working tree, then compares the two output trees with
 # `diff -r`.  A change that moves report numbers must bump
 # experiments.REPORT_SCHEMA, so a silent re-baseline fails.  When the schemas

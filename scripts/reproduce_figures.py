@@ -41,7 +41,7 @@ def main() -> int:
 
     repe = experiments.run_equivalence(cfg)
     cli.write_report_or_exit(repe, args.out)
-    print(f"equiv: max infidelity {repe['max_infidelity']:.2e} (pass={repe['pass']})")
+    print(f"equiv: max gap {repe['max_gap']:.2e} (pass={repe['pass']})")
 
     print(f"reports written to {args.out}/")
     return 0 if repe["pass"] else 2

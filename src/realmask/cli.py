@@ -199,8 +199,7 @@ def _cmd_experiment(args) -> int:
     else:
         sys.stdout.write(experiments.report_json(report))
     if report.get("pass") is False:
-        print(f"equivalence FAILED: max infidelity {report['max_infidelity']:.3e} "
-              f"exceeds {report['threshold']:.1e}", file=sys.stderr)
+        print(f"equivalence FAILED: max gap {report['max_gap']:.3e} > {report['threshold']:.1e}", file=sys.stderr)
         return 2
     return 0
 

@@ -306,10 +306,7 @@ def bootstrap_std(
     if resamples < 2:
         raise ValueError("need at least 2 resamples")
     counts = np.asarray(counts)
-    if counts.ndim < 1 or len(seeds) != len(counts):
-        raise ValueError(f"need one seed per count array, got {len(seeds)} seeds "
-                         f"for a stack of shape {counts.shape}")
-    draws = poisson_resample(counts, resamples, seeds)
+    draws = poisson_resample(counts, resamples, seeds)  # checks one seed per count array
     values = np.asarray(quantity(draws.reshape(-1, *counts.shape[1:])))
     if values.shape != (len(counts) * resamples,):
         raise ValueError(f"quantity gave shape {values.shape}, expected ({len(counts) * resamples},)")

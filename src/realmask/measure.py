@@ -211,6 +211,7 @@ def pair_probs(rho) -> np.ndarray:
 
 
 _MAX_SHOTS = 2**63 - 1
+_MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
 
 def sample_counts(probs, shots: int, seed) -> np.ndarray:
@@ -277,7 +278,7 @@ def poisson_resample(counts, resamples: int, seed) -> np.ndarray:
     With a (...) array of seeds, `counts` is a stack of count arrays of shape
     (..., *item), one seed per item, and the result has shape (...,
     resamples, *item): item i is the draw for `counts[i]` alone with
-    `seed[i]`.
+    `seed[i]`.  Counts must be whole numbers in [0, `_MAX_POISSON_MEAN`], numpy's Poisson limit.
     """
     counts = np.asarray(counts)
     seeds = np.asarray(seed, dtype=object)
@@ -287,6 +288,10 @@ def poisson_resample(counts, resamples: int, seed) -> np.ndarray:
                          f"for counts of shape {counts.shape}")
     item = counts.shape[len(stack):]
     items = counts.reshape(math.prod(stack), *item)
+    values = np.asarray(items, dtype=float)
+    if (bad := np.argwhere(~((values >= 0) & (values <= _MAX_POISSON_MEAN) & (values == np.floor(values))))).size:
+        raise ValueError(f"{_row_prefix(stack, bad[0, 0])}count {items[tuple(bad[0])]} is not a whole number "
+                         f"in [0, {int(_MAX_POISSON_MEAN)}]")
     draws = np.empty((len(items), resamples, *item), dtype=np.int64)
     for i, rng in enumerate(generators(seeds)):
         draws[i] = rng.poisson(items[i], size=(resamples, *item))

@@ -26,10 +26,10 @@ while the masking module uses the symmetric (-1, +1) form so that rail labels
 coincide with walker positions at every step.
 
 The table runs on the walk's dense engine, a `walk.RailState` array indexed
-by (..., rail, H|V).  Its angles stay independent of the walk's coins,
-which is what the masker / walk / optics cross-check tests.  Polarizing beam
-splitters are not modelled as steps: `detector_distribution` reads the
-H/V ports directly.
+by (..., rail, H|V).  Its angles stay independent of the walk's coins; `equiv`
+checks whole layouts, the masking one against the masker times `MASKING_PHASE`.
+Polarizing beam splitters are not modelled as steps: `detector_distribution`
+reads the H/V ports directly, SPCM k seeing pair outcome `SPCM_OUTCOMES[k]`.
 """
 from __future__ import annotations
 
@@ -39,8 +39,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import EPS_EXACT, PAULI_X, PAULI_Z, checked_state
-from .walk import COIN_C1, COIN_C2, Local, RailState, Shift, embed_two_qubit, extract_two_qubit, run
+from .measure import _row_prefix
+from .qcore import EPS_EXACT, PAULI_X, PAULI_Z
+from .walk import Local, RailState, Shift, embed_two_qubit, extract_two_qubit, run
 
 H, V = 0, 1
 
@@ -139,24 +140,12 @@ _COIN_TRIPLES = {
     "C1": (135.0, 45.0, 90.0),  # QWP, HWP, QWP angles, in beam order
     "C2": (135.0, 0.0, 90.0),
 }
-
-
-def _coin_triple_matrix(q_in: float, h_mid: float, q_out: float) -> np.ndarray:
-    return qwp_jones(q_out) @ hwp_jones(h_mid) @ qwp_jones(q_in)
-
-
-@lru_cache(maxsize=None)
-def _verified_coin_triples() -> dict[str, tuple[float, float, float]]:
-    for name, target in (("C1", COIN_C1), ("C2", COIN_C2)):
-        got = _coin_triple_matrix(*_COIN_TRIPLES[name])
-        overlap = abs(np.trace(target.conj().T @ got)) ** 2 / 4.0
-        if 1.0 - overlap > EPS_EXACT:
-            raise AssertionError(f"waveplate triple for {name} drifted: infidelity {1 - overlap:.3e}")
-    return dict(_COIN_TRIPLES)
+# The table's output is MASKING_PHASE times the masker's: the triples' shared phase.
+MASKING_PHASE = np.exp(1j * np.pi / 4)
 
 
 def _coin_triple_plates(name: str, rail: int) -> tuple[Local, Local, Local]:
-    q_in, h_mid, q_out = _verified_coin_triples()[name]
+    q_in, h_mid, q_out = _COIN_TRIPLES[name]
     return Local(qwp_jones(q_in), {rail}), Local(hwp_jones(h_mid), {rail}), Local(qwp_jones(q_out), {rail})
 
 
@@ -298,6 +287,8 @@ def measurement_layout(angles: MeasAngles) -> tuple[Local | Shift, ...]:
 # Detector rails after the displacer pair: rail +3 hosts SPCM 0 (H) and 1 (V),
 # rail +1 hosts SPCM 2 (H) and 3 (V).
 _SPCM_PORTS = ((3, H), (3, V), (1, H), (1, V))
+# The `measure.OUTCOMES_PAIR` index each SPCM sees: +-, --, ++, -+.
+SPCM_OUTCOMES = (1, 3, 0, 2)
 
 
 def detector_distribution(state: RailState) -> np.ndarray:
@@ -310,11 +301,16 @@ def detector_distribution(state: RailState) -> np.ndarray:
 
 
 def simulate_measurement(psi, setting: MeasSetting) -> np.ndarray:
-    """End-to-end module simulation of a two-qubit pure (4,) state, checked
-    with `qcore.checked_state`; returns SPCM 0..3 probabilities.
+    """End-to-end module simulation of a two-qubit pure (4,) state, or of each
+    row of a (..., 4) stack, checked to be of norm 1; returns SPCM 0..3
+    probabilities (..., 4).
 
     SPCM (0, 1, 2, 3) see |a1|^2, |a3|^2, |a0|^2, |a2|^2 where a_j are the
     coefficients of the state in the setting's product basis.
     """
-    angles = compile_measurement(setting)
-    return detector_distribution(run(embed_two_qubit(checked_state(psi)), measurement_layout(angles)))
+    state = embed_two_qubit(psi)
+    norm = np.linalg.norm(state.amps, axis=(-2, -1))
+    if (bad := np.flatnonzero(~(np.abs(norm - 1.0) <= EPS_EXACT))).size:  # a NaN norm is faulty too
+        raise ValueError(f"{_row_prefix(norm.shape, bad[0])}state norm {norm.flat[bad[0]]} deviates from 1 "
+                         f"by more than {EPS_EXACT}")
+    return detector_distribution(run(state, measurement_layout(compile_measurement(setting))))

@@ -24,7 +24,7 @@ from realmask.qcore import (
     partial_trace,
     purity,
 )
-from realmask.walk import ExtractionError, Local, RailState, extract_two_qubit, run
+from realmask.walk import ExtractionError, Local, RailState, Shift, extract_two_qubit, run
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +201,37 @@ def prepared_amplitudes(state: RailState) -> np.ndarray:
     if stray > EPS_EXACT:
         raise ValueError(f"prepared state has amplitude {stray:.3e} off the V modes of rails {rails}")
     return np.stack([state.amplitude(x, V) for x in rails], axis=-1)
+
+
+# Dense reference for the rail engine.
+
+def dense_run(state: RailState, steps, pad: int) -> np.ndarray:
+    """`walk.run` rebuilt from dense matrices, one batch item at a time, on
+    the window of `state` widened by `pad` sites on each side: a `Local` step
+    is kron(P, u) + kron(1 - P, 1), P the diagonal projector onto its sites,
+    and a `Shift` is kron(S(s0), |0><0|) + kron(S(s1), |1><1|), S(s) the
+    shift of every site by s.  Returns the (..., sites, 2) amplitudes on the
+    widened window, which starts at `state.lo - pad`; a per-item (..., 2, 2)
+    stack of `u` shares the state's batch shape."""
+    n = state.amps.shape[-2]
+    width, sites = n + 2 * pad, np.arange(state.lo - pad, state.lo + n + pad)
+    qubit = np.eye(2)
+    out = np.zeros(state.amps.shape[:-2] + (width, 2), dtype=complex)
+    for item in np.ndindex(*state.amps.shape[:-2]):
+        v = np.zeros((width, 2), dtype=complex)
+        v[pad:pad + n] = state.amps[item]
+        v = v.reshape(-1)
+        for step in steps:
+            if isinstance(step, Shift):
+                op = sum(np.kron(np.eye(width, k=-s), np.outer(qubit[q], qubit[q]))
+                         for q, s in enumerate((step.s0, step.s1)))
+            else:
+                u = step.u[item] if step.u.ndim > 2 else step.u
+                on = np.ones(width) if step.sites is None else np.isin(sites, list(step.sites)).astype(float)
+                op = np.kron(np.diag(on), u) + np.kron(np.diag(1.0 - on), qubit)
+            v = op @ v
+        out[item] = v.reshape(width, 2)
+    return out
 
 
 # Sharpness of the masker / walk / optics cross-check.

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -121,7 +122,7 @@ class TestReportFiles:
     def test_report_carries_schema_version(self):
         doc = json.loads(report_json(run_fig4(ExperimentConfig(seed=3, analytic=True))))
         assert next(iter(doc)) == "schema"
-        assert doc["schema"] == experiments.REPORT_SCHEMA == 8
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 9
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError):
@@ -153,11 +154,49 @@ class TestRuntimeBudget:
             assert time.perf_counter() - start < 60.0
 
 
+GAP_KEYS = ("max_gap_masker_walk", "max_gap_masker_optics", "max_gap_preparation", "max_gap_measurement")
+
+
+@pytest.fixture
+def cold_equiv_caches():
+    """Clear the cached layouts and gaps that a fault injection bypasses, before and after."""
+    caches = (experiments._fixed_gaps, experiments.optics.masking_layout)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _swap_walk_coins(monkeypatch):
+    steps = list(experiments.walk.masking_schedule())
+    c2, c1 = steps[2:4]
+    steps[2:4] = [experiments.walk.Local(c1.u, c2.sites), experiments.walk.Local(c2.u, c1.sites)]
+    monkeypatch.setattr(experiments.walk, "masking_schedule", lambda: tuple(steps))
+
+
+def _tilt_c1_hwp(monkeypatch):
+    monkeypatch.setitem(experiments.optics._COIN_TRIPLES, "C1", (135.0, 44.9, 90.0))
+
+
+def _tilt_h4(monkeypatch):
+    real = experiments.optics.measurement_layout
+    monkeypatch.setattr(experiments.optics, "measurement_layout",
+                        lambda angles: real(dataclasses.replace(angles, h4=angles.h4 + 0.01)))
+
+
+def _tilt_h2(monkeypatch):
+    real = experiments.optics.solve_prep_angles
+    monkeypatch.setattr(experiments.optics, "solve_prep_angles",
+                        lambda a: dataclasses.replace(real(a), h2=real(a).h2 + 1e-3))
+
+
 class TestEquivalence:
     def test_default_run_passes(self):
         rep = run_equivalence(ExperimentConfig(seed=9), n_inputs=25)
-        assert rep["pass"] is True
-        assert rep["max_infidelity"] < 1e-10
+        assert set(rep) == {"experiment", "seed", "n_inputs", "threshold", "max_gap", *GAP_KEYS, "pass"}
+        assert rep["pass"] is True and rep["threshold"] == 1e-10
+        assert rep["max_gap"] == max(rep[key] for key in GAP_KEYS) <= 1e-14
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_rejects_empty_run(self, n):
@@ -171,33 +210,40 @@ class TestEquivalence:
         assert rep["pass"] is False and rep["threshold"] == 0.0
 
     def test_blocks_keep_the_input_stream(self, monkeypatch):
-        # Blocks draw the same inputs, in the same order, as one draw per input.
+        # Blocks draw the same preparation targets, in the same order, as one
+        # draw per target.
+        experiments._fixed_gaps()  # the basis targets are checked once, before this run
         seen = []
-        real_walk = experiments.walk.run_masking_walk
+        real_solve = experiments.optics.solve_prep_angles
 
-        def recording_walk(a):
+        def recording_solve(a):
             seen.append(np.array(a))
-            return real_walk(a)
+            return real_solve(a)
 
         monkeypatch.setattr(experiments, "EQUIV_BLOCK", 4)
-        monkeypatch.setattr(experiments.walk, "run_masking_walk", recording_walk)
+        monkeypatch.setattr(experiments.optics, "solve_prep_angles", recording_solve)
         run_equivalence(ExperimentConfig(seed=9), n_inputs=10)
         rng = experiments.generator(experiments.derive_seed(9, "equiv"))
         real = np.array([rng.normal(size=4) for _ in range(10)])
-        cplx = np.array([rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(10)])
-        want = [real[:4], real[4:8], real[8:], cplx]
-        assert [len(a) for a in seen] == [4, 4, 2, 10]
-        for got, w in zip(seen, want):
+        assert [len(a) for a in seen] == [4, 4, 2]
+        for got, w in zip(seen, (real[:4], real[4:8], real[8:])):
             assert np.allclose(got, w / np.linalg.norm(w, axis=-1, keepdims=True), rtol=0, atol=1e-15)
 
-    def test_optics_fault_is_reported(self, monkeypatch):
-        real_optics = experiments.optics.simulate_masking
-        monkeypatch.setattr(experiments.optics, "simulate_masking", lambda a: np.roll(real_optics(a), 1, axis=-1))
-        rep = run_equivalence(ExperimentConfig(seed=9), n_inputs=20)
+    @pytest.mark.parametrize("inject, moved", [
+        (_swap_walk_coins, {"max_gap_masker_walk": 0.1}),
+        (_tilt_c1_hwp, {"max_gap_masker_optics": 1e-3}),
+        (_tilt_h4, {"max_gap_measurement": 1e-4}),
+        # The table's basis check runs through the preparation, so it sees H2 too.
+        (_tilt_h2, {"max_gap_preparation": 1e-5, "max_gap_masker_optics": 1e-5}),
+    ], ids=["walk-coins-swapped", "c1-hwp-at-44.9", "h4-plus-0.01", "h2-plus-0.001"])
+    def test_each_fault_fails_its_own_gap(self, inject, moved, monkeypatch, cold_equiv_caches, tmp_path, capsys):
+        inject(monkeypatch)
+        rep = run_equivalence(ExperimentConfig(seed=9), n_inputs=10)
         assert rep["pass"] is False
-        assert rep["max_infidelity_masker_walk"] < 1e-10
-        assert rep["max_infidelity_masker_optics"] > 1e-10
-        assert rep["max_infidelity_walk_optics"] > 1e-10
+        for key in GAP_KEYS:
+            assert rep[key] > moved[key] if key in moved else rep[key] <= 1e-14, key
+        assert cli.main(["equiv", "--n-inputs", "10", "--out", str(tmp_path)]) == 2
+        assert "equivalence FAILED: max gap" in capsys.readouterr().err
 
     def test_block_boundary(self):
         n = experiments.EQUIV_BLOCK + 1
@@ -269,10 +315,8 @@ class TestCommandLine:
         assert rc == 0
 
         def fake_run(config, n_inputs):
-            return {"experiment": "equivalence", "pass": False, "max_infidelity": 1.0,
-                    "threshold": 1e-10, "seed": 0, "n_inputs": n_inputs,
-                    "max_infidelity_masker_walk": 1.0, "max_infidelity_masker_optics": 1.0,
-                    "max_infidelity_walk_optics": 1.0, "max_infidelity_complex_inputs_walk": 1.0}
+            return {"experiment": "equivalence", "pass": False, "max_gap": 1.0,
+                    "threshold": 1e-10, "seed": 0, "n_inputs": n_inputs, **dict.fromkeys(GAP_KEYS, 1.0)}
 
         monkeypatch.setattr(experiments, "run_equivalence", fake_run)
         rc = cli.main(["equiv", "--n-inputs", "10", "--out", str(tmp_path)])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from realmask import measure
 from realmask.estimate import correlation_matrix
 from realmask.measure import (
     AXES,
@@ -297,6 +298,27 @@ class TestPoissonResample:
         assert out.shape == (6, 2, 4)
         assert np.array_equal(out, generator(1).poisson(counts, size=(6, 2, 4)))
         assert not out[:, 1, [1, 3]].any()
+
+    # 2**63 - 1 used to end in numpy's "lam value too large", -1 in "lam < 0
+    # or lam contains NaNs", NaN in "lam value too large", and 1.5 was drawn from.
+    @pytest.mark.parametrize("bad, shown", [
+        ([2**63 - 1, 0], "9223372036854775807"),
+        ([-1, 2], "-1"),
+        ([np.nan, 1], "nan"),
+        ([1.5, 0], "1.5"),
+        ([0, np.inf], "inf"),
+    ])
+    def test_faulty_count_is_named_before_any_draw(self, bad, shown, monkeypatch):
+        monkeypatch.setattr(measure, "generators", lambda seeds: pytest.fail("drew before checking the counts"))
+        message = rf"count {shown} is not a whole number in \[0, 9223372006484770816\]$"
+        with pytest.raises(ValueError, match="^row 1: " + message):
+            poisson_resample(np.array([[3, 4], bad]), 2, [1, 2])
+        with pytest.raises(ValueError, match="^" + message):
+            poisson_resample(bad, 2, 1)
+
+    def test_draws_the_largest_mean_numpy_takes(self):
+        out = poisson_resample(np.array([9223372006484770816, 0]), 2, 1)
+        assert out.shape == (2, 2) and not out[:, 1].any()
 
 
 class TestCountsTable:

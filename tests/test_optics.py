@@ -286,6 +286,22 @@ class TestMeasurement:
         with pytest.raises(ValueError, match="norm"):
             simulate_measurement(2 * psi, setting)
 
+    @pytest.mark.parametrize("scale", [2.0, np.nan])
+    def test_first_unnormalized_row_is_named(self, scale, rng):
+        states = np.array([[haar_state(4, rng) for _ in range(3)] for _ in range(2)])
+        states[1, 2] *= scale
+        with pytest.raises(ValueError, match=r"^row \(1, 2\): state norm"):
+            simulate_measurement(states, pauli_meas_setting("X", "Y"))
+
+    def test_stack_equals_rows_alone(self, rng):
+        states = np.array([haar_state(4, rng) for _ in range(6)])
+        for pair in PAIRS:
+            setting = pauli_meas_setting(pair[0], pair[1])
+            stacked = simulate_measurement(states.reshape(2, 3, 4), setting)
+            assert stacked.shape == (2, 3, 4)
+            for got, psi in zip(stacked.reshape(6, 4), states):
+                assert np.array_equal(got, simulate_measurement(psi, setting))
+
     def test_simulation_matches_born_rule(self, rng):
         for _ in range(100):
             setting = MeasSetting(

@@ -26,9 +26,6 @@ KEEP = {
     "tables_to_csv",
     "tables_from_csv",
     "correlation_matrix",
-    # Item 7: the measurement module inside `equiv`, compared against the
-    # masker's output.
-    "simulate_measurement",
     # Not a pipeline step: `perfbench/tracer.py` wraps `masker.mask_pure` by
     # name, and without it `Tracer.install` raises AttributeError.
     "mask_pure",

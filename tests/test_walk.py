@@ -4,6 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realmask.masker import masker_matrix
+from realmask.optics import (
+    compile_measurement,
+    masking_layout,
+    measurement_layout,
+    pauli_meas_setting,
+    preparation_layout,
+    solve_prep_angles,
+)
 from realmask.walk import (
     COIN_C1,
     COIN_C2,
@@ -22,7 +30,7 @@ from realmask.walk import (
     run_masking_walk,
 )
 
-from helpers import local_sites, pure_fidelity, random_unitary, with_local_at, worst_masker_infidelity
+from helpers import dense_run, local_sites, pure_fidelity, random_unitary, with_local_at, worst_masker_infidelity
 
 SQRT2 = np.sqrt(2)
 
@@ -255,7 +263,50 @@ class TestCrossCheckSharpness:
             assert np.array_equal(run_masking_walk(a), got)
 
 
+@st.composite
+def schedules(draw):
+    """(start state, steps): a random batch of states on a random window, and
+    either random `Local` and `Shift` steps or a shipped layout with two of its
+    steps swapped."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    amps = rng.normal(size=(batch, n, 2)) + 1j * rng.normal(size=(batch, n, 2))
+    start = RailState(draw(st.integers(-4, 4)), amps / np.linalg.norm(amps, axis=(-2, -1), keepdims=True))
+    if draw(st.booleans()):
+        a = rng.normal(size=(batch, 4))
+        # The preparation layout of a batch of targets has per-item plates.
+        prep = preparation_layout(solve_prep_angles(a / np.linalg.norm(a, axis=-1, keepdims=True)))
+        pair = draw(st.sampled_from(("XY", "ZX", "YY")))
+        meas = measurement_layout(compile_measurement(pauli_meas_setting(pair[0], pair[1])))
+        steps = list(draw(st.sampled_from((masking_schedule(), masking_layout(), prep, meas))))
+        i, j = draw(st.integers(0, len(steps) - 1)), draw(st.integers(0, len(steps) - 1))
+        steps[i], steps[j] = steps[j], steps[i]
+        return start, steps
+    steps = []
+    for kind in draw(st.lists(st.sampled_from(("local", "shift")), max_size=10)):
+        if kind == "shift":  # s0 > s1 swaps the directions of TRANSLATE
+            steps.append(Shift(draw(st.integers(-4, 4)), draw(st.integers(-4, 4))))
+        else:
+            per_item = draw(st.booleans())
+            u = np.stack([random_unitary(2, rng) for _ in range(batch)]) if per_item else random_unitary(2, rng)
+            steps.append(Local(u, draw(st.none() | st.sets(st.integers(-12, 12), max_size=4))))
+    return start, steps
+
+
 class TestRun:
+    @settings(max_examples=200, deadline=None)
+    @given(schedules())
+    def test_matches_dense_reference(self, schedule):
+        start, steps = schedule
+        pad = sum(max(abs(step.s0), abs(step.s1)) for step in steps if isinstance(step, Shift))
+        want = dense_run(start, steps, pad)
+        out = run(start, steps)
+        at = out.lo - (start.lo - pad)
+        assert 0 <= at and at + out.amps.shape[-2] <= want.shape[-2]
+        got = np.zeros_like(want)
+        got[..., at:at + out.amps.shape[-2], :] = out.amps
+        assert np.abs(got - want).max() < 1e-12
+
     def test_empty_schedule(self):
         state = encode_input([0, 1, 0, 0])
         out = run(state, ())
