@@ -15,11 +15,11 @@ from realmask import cli, experiments
 from realmask.experiments import ExperimentConfig
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     cli.add_options(parser, ("seed", "noise_p"))
     parser.add_argument("--out", type=Path, default=Path("results"))
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     cfg = ExperimentConfig(**cli.option_values(args))
 

@@ -46,7 +46,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .qcore import PAULIS, _as_complex_array, checked_density, kron
+from .qcore import PAULIS, _as_complex_array, _row_prefix, checked_density, kron
 
 # The Pauli measurement convention every pipeline shares: axis and pair
 # labels, outcome labels, and the eigenprojectors the probability tables read.
@@ -86,15 +86,6 @@ def derive_seed(master_seed: int, *parts) -> int:
 def _is_integer(value) -> bool:
     """A Python int (a bool is not one) or a numpy integer."""
     return type(value) is int or isinstance(value, np.integer)
-
-
-def _row_prefix(shape: tuple[int, ...], flat_index: int) -> str:
-    """'row i: ' naming entry `flat_index` (C order) of an array of `shape`;
-    empty for a single (0-d) entry."""
-    if not shape:
-        return ""
-    index = tuple(int(i) for i in np.unravel_index(flat_index, shape))
-    return f"row {index[0] if len(index) == 1 else index}: "
 
 
 def _is_seed(value) -> bool:

@@ -39,8 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measure import _row_prefix
-from .qcore import EPS_EXACT, PAULI_X, PAULI_Z
+from .qcore import EPS_EXACT, PAULI_X, PAULI_Z, _row_prefix
 from .walk import Local, RailState, Shift, embed_two_qubit, extract_two_qubit, run
 
 H, V = 0, 1

@@ -1,0 +1,152 @@
+"""Golden reports: each run of `RUNS` is made in process and compared byte
+for byte with its files under tests/golden/, so a moved number, numpy random
+stream or report layout fails on every CI leg.
+
+`python tests/test_golden.py` writes the fresh files there.  While
+`experiments.REPORT_SCHEMA` equals the schema of the committed
+seed1/fig3.json, and always for the `angles` texts (they carry no schema), it
+names the moved files, writes nothing and exits 1.  After a schema bump it
+writes the files and lists those whose content moved apart from the "schema"
+line.
+"""
+import contextlib
+import functools
+import io
+import json
+import runpy
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+FIGURES = "reproduce_figures.py"
+# Loading the driver puts the repository's src/ first on sys.path, so this
+# file also runs as a plain script.
+reproduce_figures = runpy.run_path(str(ROOT / "scripts" / FIGURES))["main"]
+
+from realmask import cli, experiments  # noqa: E402
+
+# (where under tests/golden/, argv of the driver or of a `realmask` subcommand).
+# A report run writes into that directory; an `angles` run's stdout is that file.
+RUNS = (
+    ("seed1", (FIGURES, "--seed", "1")),
+    ("seed9173", (FIGURES, "--seed", "9173")),
+    ("seed1_noiseless", (FIGURES, "--seed", "1", "--noise-p", "0")),
+    ("analytic", ("fig3", "--analytic", "--seed", "1")),
+    ("analytic", ("fig4", "--analytic", "--seed", "1")),
+    ("analytic", ("fig5", "--analytic", "--seed", "1")),
+    # Concurrence taken from the amplitudes of the pure phase probes.
+    ("analytic_noiseless", ("fig5", "--analytic", "--noise-p", "0", "--seed", "1")),
+    # The pure phase probes: the only reports here with boundary fits in the qubit MLE.
+    ("noiseless", ("fig5", "--noise-p", "0", "--seed", "1")),
+    # Noiseless masked states, used without the depolarizing rebuild.
+    ("noiseless", ("fig3", "--noise-p", "0", "--seed", "1")),
+    ("one_shot", ("fig5", "--shots", "1", "--seed", "1")),  # axes with zero counts in the bootstrap resamples
+    ("qsv_large", ("fig3", "--qsv-tests", "100000", "--seed", "1")),  # a large verification run
+    # Gap digits that move with any change in the arithmetic of the walk, the
+    # optical table or the measurement module.
+    ("equiv", ("equiv", "--n-inputs", "5000", "--seed", "1")),
+    # The optical angle solvers.
+    ("angles/state.txt", ("angles", "--state", "1,2,3,4", "--phi", "30", "--setting", "XY")),
+    ("angles/basis.txt", ("angles", "--basis", "0.3,0.5,1.1,0.2")),
+)
+
+
+def _read(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@functools.cache
+def generate() -> dict[str, bytes]:
+    """The bytes of every file that `RUNS` writes, by path under tests/golden/."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for where, argv in RUNS:
+            out, stdout = Path(tmp) / where, io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                if argv[0] == FIGURES:
+                    rc = reproduce_figures([*argv[1:], "--out", str(out)])
+                else:
+                    rc = cli.main(list(argv) if argv[0] == "angles" else [*argv, "--out", str(out)])
+            assert rc == 0, f"{' '.join(argv)} exited {rc}"
+            if argv[0] == "angles":
+                out.parent.mkdir(parents=True, exist_ok=True)
+                out.write_bytes(stdout.getvalue().encode())
+        return _read(Path(tmp))
+
+
+def _without_schema(data: bytes) -> list[bytes]:
+    return [line for line in data.splitlines() if b'"schema":' not in line]
+
+
+def regenerate(golden: Path = GOLDEN) -> int:
+    """Write the fresh files over `golden` under the module docstring's rules; returns the exit code."""
+    new, old = generate(), _read(golden)
+    committed = json.loads(old["seed1/fig3.json"])["schema"] if "seed1/fig3.json" in old else None
+    changed = sorted(name for name in new.keys() | old.keys() if new.get(name) != old.get(name))
+    refused = [name for name in changed if name in new and name in old
+               and (committed == experiments.REPORT_SCHEMA or name.startswith("angles/"))]
+    if refused:
+        print(f"moved under report schema {committed}; nothing written.  Bump experiments.REPORT_SCHEMA "
+              "if the change is meant to move reports (angles texts may not move):",
+              *refused, sep="\n  ", file=sys.stderr)
+        return 1
+    for name in changed:
+        if name in new:
+            (golden / name).parent.mkdir(parents=True, exist_ok=True)
+            (golden / name).write_bytes(new[name])
+        else:
+            (golden / name).unlink()
+    moved = [name for name in changed
+             if _without_schema(new.get(name, b"")) != _without_schema(old.get(name, b""))]
+    print(f"report schema {committed} -> {experiments.REPORT_SCHEMA}: {len(changed)} files rewritten, "
+          f"{len(moved)} moved apart from the schema line", *moved, sep="\n  ")
+    return 0
+
+
+def test_reports_match_golden():
+    new, old = generate(), _read(GOLDEN)
+    assert [name for name in sorted(new.keys() | old.keys()) if new.get(name) != old.get(name)] == [], \
+        "reports moved: bump experiments.REPORT_SCHEMA and run `python tests/test_golden.py`, or mend the change"
+
+
+def _copy_moving_a_digit(tmp_path: Path, name: str) -> Path:
+    """A copy of tests/golden/ in which the last digit of file `name`, if any, moved."""
+    copy = Path(shutil.copytree(GOLDEN, tmp_path / "golden"))
+    if name:
+        text = (copy / name).read_text()
+        i = max(i for i, ch in enumerate(text) if ch.isdigit())
+        (copy / name).write_text(text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:])
+    return copy
+
+
+def test_regenerating_an_unchanged_tree_rewrites_nothing(tmp_path, capsys):
+    copy = _copy_moving_a_digit(tmp_path, "")
+    stamps = [p.stat().st_mtime_ns for p in sorted(copy.rglob("*"))]
+    assert regenerate(copy) == 0
+    assert [p.stat().st_mtime_ns for p in sorted(copy.rglob("*"))] == stamps
+    assert "0 files rewritten" in capsys.readouterr().out
+
+
+def test_a_report_moved_under_the_same_schema_is_refused(tmp_path, capsys):
+    copy = _copy_moving_a_digit(tmp_path, "seed1/fig4.json")
+    before = _read(copy)
+    assert regenerate(copy) == 1
+    assert _read(copy) == before
+    assert capsys.readouterr().err.splitlines()[1:] == ["  seed1/fig4.json"]
+
+
+def test_after_a_schema_bump_the_files_are_written_and_the_moved_ones_listed(tmp_path, capsys):
+    copy = _copy_moving_a_digit(tmp_path, "one_shot/fig5.csv")
+    for path in copy.rglob("*.json"):
+        path.write_text(path.read_text().replace(f'"schema": {experiments.REPORT_SCHEMA},', '"schema": 8,', 1))
+    assert regenerate(copy) == 0
+    assert _read(copy) == _read(GOLDEN)
+    assert capsys.readouterr().out.splitlines() == [
+        f"report schema 8 -> {experiments.REPORT_SCHEMA}: 22 files rewritten, 1 moved apart from the schema line",
+        "  one_shot/fig5.csv"]
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())
