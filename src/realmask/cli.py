@@ -9,7 +9,8 @@ Option precedence: command-line flags override the --config file, which
 overrides built-in defaults.  One table, `OPTIONS`, gives each config field its
 flag, flag parser, value check and help; a subcommand's flags and config keys
 are made from it for the fields it reads (`FIELDS`), so it takes no flag or
-key that it would ignore.  A bad value is a one-line error, never a silent
+key that it would ignore.  `fig4 --probe` and `equiv --n-inputs` are flags
+only, with no config key.  A bad value is a one-line error, never a silent
 coercion, and so is a run that needs more memory than it can get.
 """
 from __future__ import annotations
@@ -155,9 +156,10 @@ def _load_config_file(path: str, command: str, fields) -> dict:
         raise SystemExit(f"config file {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise SystemExit(f"config file {path} must hold a JSON object")
-    unknown = set(doc) - set(fields) - {"experiment"}
-    if unknown:
-        raise SystemExit(f"config file {path} has keys that {command} does not read: {sorted(unknown)}")
+    keys = {*fields, "experiment"}
+    if unknown := set(doc) - keys:
+        raise SystemExit(f"config file {path}: not config keys of {command}: {sorted(unknown)}; "
+                         f"its keys are {sorted(keys)}")
     experiment = doc.pop("experiment", command)
     if experiment != command:
         raise SystemExit(f"config file {path}: experiment must be {command!r}, got {experiment!r}")

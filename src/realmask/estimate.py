@@ -9,9 +9,9 @@ Three pipelines:
   real targets a, the target of row i being (U(a_i) ⊗ 1)|Phi> with U from
   `masker.u_of_c`, and one seed per item, checked once;
 * single-qubit tomography: exact maximum likelihood over (batch, 3, 2) count
-  arrays, rows in `measure.AXES` order (`mle_qubit_batch`,
-  `purity_from_counts`), every boundary fit of a batch solved together by
-  joint Newton steps, with Poisson-resampling bootstrap error bars
+  arrays, rows in `measure.AXES` order (`mle_qubit_batch`, each boundary
+  fit a bisection of its own; `purity_from_counts`, closed form from the
+  linear inversion), with Poisson-resampling bootstrap error bars
   (`bootstrap_std`: one seeded draw per count array of a stack, all taken
   by one `measure.poisson_resample` call, and all resamples of the stack
   estimated in one more call);
@@ -26,6 +26,7 @@ Three pipelines:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
@@ -148,96 +149,70 @@ def agresti_coull(passed: int, total: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Single-qubit maximum-likelihood tomography.
 
-_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
-_JOINT_STEPS, _STEP_TOL = 16, 1e-8
+def _checked_counts(counts) -> np.ndarray:
+    """Counts as a float (batch, 3, 2) array, a single (3, 2) array as a
+    batch of one, every count finite and nonnegative."""
+    c = np.asarray(counts, dtype=float)
+    c = c[None] if c.ndim == 2 else c
+    if c.shape[1:] != (3, 2):
+        raise ValueError("counts must have shape (batch, 3, 2)")
+    if not np.isfinite(c).all():
+        raise ValueError("counts must be finite, got a NaN or infinite count")
+    if np.any(c < 0):
+        raise ValueError("counts must be nonnegative")
+    return c
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row sums of u * v for (m, 3) arrays, added in a fixed order."""
-    return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
-
-
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _axis_newton(a: np.ndarray, b: np.ndarray, lam: np.ndarray, s: np.ndarray):
-    """Newton point, slope ds/dlam and residual p of radii s at multipliers lam, (m, 1).
-
-    |r_k| is the root in [0, 1] of the convex cubic p(s) = (1 - s)(a - 2 lam s
-    (1 + s)) - b (1 + s), a = max(n+, n-), b = min(n+, n-), factored to stay
-    accurate next to s = 1, so its Newton point is never above the root (0 past
-    the cubic's minimum, where p(0) = a - b >= 0); for b = 0, as Newton would
-    crawl, it is the closed-form root.  The slope is the root's, -s (1 + s) w /
-    (b + lam (1 + 2s) w), w = (1 - s)^2 or 1 for b = 0, at the Newton point.
-    """
-    plus, minus, lam2 = 1.0 + s, 1.0 - s, 2.0 * lam
-    q = a - lam2 * s * plus
-    p = minus * q - b * plus
-    slope = q + lam2 * minus * (s + plus) + b  # -p'(s)
-    low = np.where(slope > 0.0, s + p / slope, 0.0)
-    np.minimum(np.maximum(low, 0.0, out=low), 1.0, out=low)
-    w = (1.0 - low) ** 2
-    if (one := b == 0.0).any():
-        closed = np.where(a > 0.0, np.minimum(a / (lam + np.sqrt(lam * lam + 2.0 * a * lam)), 1.0), 0.0)
-        low, p, w = np.where(one, closed, low), np.where(one, 0.0, p), np.where(one, 1.0, w)
-    return low, -low * (1.0 + low) * w / np.maximum(b + lam * (1.0 + 2.0 * low) * w, _TINY), p
-
-
-@np.errstate(divide="ignore", invalid="ignore")
-def _sphere_fit(counts: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Bloch vectors, shape (m, 3), of the MLE of (m, 3, 2) counts whose linear
-    inversion r leaves the ball, all solved together.
-
-    Newton steps on the KKT system p_k(s_k, lam) = 0 (`_axis_newton`), sum_k
-    s_k^2 = 1, whose arrowhead Jacobian solves in closed form: from the Newton
-    points s_k with slopes c_k, dlam = (1 - eps - sum s_k^2) / (2 sum s_k c_k)
-    and s_k += c_k dlam.  The bracket (lo, hi) on lam starts at [max a/4 over
-    axes with b = 0 (else 0), N/4] for N counts and moves on sure signs only.
-    A step that would leave it, is below `_STEP_TOL` of lam or is the
-    `_JOINT_STEPS`th ends a round with the exact radii at lam (Newton from a
-    lower bound until its rises are rounding).  An item ends at 1 - 4 eps <=
-    |r|^2 <= 1 or a bracket closed to adjacent floats, with the exact radii of
-    its last point inside; else a step of at least one float from the exact
-    point, bisecting the bracket if it would leave it, starts a round.  Stopped
-    items keep their values, so an item has the same bits in any batch.
-    """
-    a, b = counts.max(axis=2), counts.min(axis=2)
-    lo = np.where(b > 0.0, 0.0, a).max(axis=1) / 4.0
-    hi = _dot(a + b, np.ones_like(a)) / 4.0
-    lam, s = lo.copy(), np.abs(r)
-    todo, s_hi = np.arange(len(a)), np.zeros_like(s)
-    while todo.size:  # a, b, lam, s, lo and hi hold the rows of `todo`
-        moving = np.ones(len(todo), dtype=bool)
-        for _ in range(_JOINT_STEPS):
-            low, c, _ = _axis_newton(a, b, lam[:, None], s)
-            sq = _dot(low, low)
-            lo = np.where(moving & (sq > 1.0), lam, lo)
-            new = lam + (1.0 - _EPS - sq) / (2.0 * _dot(low, c))
-            take = moving & (lo < new) & (new < hi)
-            s = np.where(take[:, None], np.minimum(np.maximum(low + c * (new - lam)[:, None], 0.0), 1.0),
-                         np.where(moving[:, None], low, s))
-            moving = take & (np.abs(new - lam) > _STEP_TOL * new)
-            lam = np.where(take, new, lam)
-            if not moving.any():
-                break
-        s, big = _axis_newton(a, b, lam[:, None], s)[0], True
-        while np.any(big):  # a rise below 1e-12 of s leaves s exact (quadratic convergence): it stops
-            low, c, p = _axis_newton(a, b, lam[:, None], s)
-            low = np.where(big & (p > 0.0), np.maximum(low, s), s)
-            big, s = big & (low > s + 1e-12 * s), low
-        inb = (sq := _dot(s, s)) <= 1.0
-        lo, hi = np.where(inb, lo, lam), np.where(inb, lam, hi)
-        s_hi[todo[inb]] = s[inb]
-        new = lam + (1.0 - _EPS - sq) / (2.0 * _dot(s, c))
-        new = np.where(new == lam, np.nextafter(lam, np.where(inb, -np.inf, np.inf)), new)
-        lam = np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi))
-        go = ~(inb & (1.0 - sq <= 4.0 * _EPS)) & (lo < lam) & (lam < hi)
-        todo, a, b, lam, s, lo, hi = todo[go], a[go], b[go], lam[go], s[go], lo[go], hi[go]
-    return np.copysign(s_hi, r)
-
-
-def _linear_inversion(c: np.ndarray) -> np.ndarray:
-    """(n+ - n-)/n on each axis of (batch, 3, 2) counts, 0 on an axis without counts."""
+def _linear_inversion(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n+ - n-)/n on each axis of (batch, 3, 2) counts, 0 on an axis without
+    counts, and whether each row lies outside the Bloch ball."""
     n = c[:, :, 0] + c[:, :, 1]
-    return np.divide(c[:, :, 0] - c[:, :, 1], n, out=np.zeros_like(n), where=n > 0)
+    r = np.divide(c[:, :, 0] - c[:, :, 1], n, out=np.zeros_like(n), where=n > 0)
+    return r, r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2] > 1.0
+
+
+def _bloch_matrices(r: np.ndarray) -> np.ndarray:
+    """(batch, 2, 2) matrices (1 + r . sigma)/2 of (batch, 3) Bloch vectors."""
+    x, y, z = r.T
+    return (np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=1) / 2).reshape(-1, 2, 2)
+
+
+def _sphere_fit(n_plus: list[float], n_minus: list[float]) -> list[float]:
+    """Bloch vector of the MLE of one item's X/Y/Z counts whose linear
+    inversion leaves the ball, by bisecting lam to adjacent floats.
+
+    |r_k| at lam is the root in [0, 1] of the cubic p(s) = (1 - s)(a - 2 lam
+    s (1 + s)) - b (1 + s), a = max(n+, n-), b = min(n+, n-); it falls as
+    lam grows, so monotone Newton climbs to it from below, starting at the
+    radii of the bracket's upper end.  The bracket starts at [0, N/4] for N
+    counts, and the result is the radii at its upper end, where |r| <= 1.
+    """
+    axes = [(max(a, b), min(a, b)) for a, b in zip(n_plus, n_minus)]
+
+    def radii(lam: float, start: list[float]) -> list[float]:
+        out = []
+        for (a, b), s in zip(axes, start):
+            while True:
+                q = a - 2.0 * lam * s * (1.0 + s)
+                p = (1.0 - s) * q - b * (1.0 + s)
+                if p <= 0.0:
+                    break
+                new = min(s - p / (-q - 2.0 * lam * (1.0 - s) * (1.0 + 2.0 * s) - b), 1.0)
+                if new <= s:
+                    break
+                s = new
+            out.append(s)
+        return out
+
+    lo, hi = 0.0, (sum(n_plus) + sum(n_minus)) / 4.0
+    s_hi = radii(hi, [0.0, 0.0, 0.0])
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        s = radii(mid, s_hi)
+        if s[0] * s[0] + s[1] * s[1] + s[2] * s[2] > 1.0:
+            lo = mid
+        else:
+            hi, s_hi = mid, s
+    return [math.copysign(s, a - b) for s, a, b in zip(s_hi, n_plus, n_minus)]
 
 
 def mle_qubit_batch(counts: np.ndarray) -> np.ndarray:
@@ -248,35 +223,30 @@ def mle_qubit_batch(counts: np.ndarray) -> np.ndarray:
     r_k) + n-_k log(1 - r_k) of the Bloch vector r peaks at the linear
     inversion r_k = (n+_k - n-_k)/n_k, the MLE whenever it lies in the Bloch
     ball.  Otherwise the MLE is the unique point of the sphere with g_k(r_k) =
-    n+_k/(1 + r_k) - n-_k/(1 - r_k) = 2 lam r_k on every axis, lam >= 0.  An
-    axis with no counts gets r_k = 0, the maximally mixed value.  All items
-    outside the ball are solved together by `_sphere_fit`; each item's
-    result is bit-identical in any batch.
+    n+_k/(1 + r_k) - n-_k/(1 - r_k) = 2 lam r_k on every axis, lam >= 0,
+    which `_sphere_fit` solves for each such item alone, so an item's result
+    is bit-identical in any batch.  An axis with no counts gets r_k = 0, the
+    maximally mixed value.
     """
-    c = np.asarray(counts, dtype=float)
-    c = c[None] if c.ndim == 2 else c
-    if c.shape[1:] != (3, 2):
-        raise ValueError("counts must have shape (batch, 3, 2)")
-    if not np.isfinite(c).all():
-        raise ValueError("counts must be finite, got a NaN or infinite count")
-    if np.any(c < 0):
-        raise ValueError("counts must be nonnegative")
-    r = _linear_inversion(c)
-    outside = _dot(r, r) > 1.0
-    if outside.any():
-        r[outside] = _sphere_fit(c[outside], r[outside])
-    x, y, z = r.T
-    return (np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=1) / 2).reshape(-1, 2, 2)
+    c = _checked_counts(counts)
+    r, outside = _linear_inversion(c)
+    for i in np.flatnonzero(outside):
+        r[i] = _sphere_fit(c[i, :, 0].tolist(), c[i, :, 1].tolist())
+    return _bloch_matrices(r)
 
 
 def purity_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Batch shortcut: MLE purities for counts of shape (batch, 3, 2), exactly 1 on the sphere."""
-    rho = mle_qubit_batch(counts)
+    """Purities tr(rho^2) of the MLE states of `mle_qubit_batch` for counts of
+    shape (batch, 3, 2), with no sphere fit.
+
+    Inside the Bloch ball the MLE is the linear inversion, whose purity is
+    read from its matrix; outside it the MLE lies on the sphere, so its
+    purity is exactly 1.
+    """
+    r, outside = _linear_inversion(_checked_counts(counts))
+    rho = _bloch_matrices(r)
     pur = np.einsum("bij,bji->b", rho, rho).real
-    near = np.flatnonzero(pur > 1.0 - 1e-12)  # a fit on the sphere is within rounding of 1
-    if near.size:
-        r = _linear_inversion(np.asarray(counts, dtype=float).reshape(-1, 3, 2)[near])
-        pur[near[_dot(r, r) > 1.0]] = 1.0
+    pur[outside] = 1.0
     return pur
 
 

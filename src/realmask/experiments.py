@@ -9,7 +9,7 @@ which via its error_kind field.
 
 Each figure runs its points as one stack: the masked states of all points
 form one (n, 4, 4) array, checked once; the point estimates of a figure take
-one MLE call and its bootstrap resamples one more.  The seeded draws of a
+one purity call and its bootstrap resamples one more.  The seeded draws of a
 figure take one call each too: one `sample_counts` call over all its Pauli
 tables, one `qsv_run` call over fig3's probes and one `poisson_resample`
 call per bootstrap, each row or item still drawn from its own sub-seed.

@@ -31,7 +31,7 @@ from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
-from .qcore import EPS_EXACT, PAULI_X, PAULI_Z
+from .qcore import EPS_EXACT, PAULI_X, PAULI_Z, _row_prefix
 
 COIN_X = PAULI_X
 COIN_Z = PAULI_Z
@@ -66,8 +66,9 @@ class RailState:
             if c not in (0, 1):
                 raise ValueError(f"qubit index must be 0 or 1, got {c}")
             amps[x - lo, c] = a
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > EPS_EXACT:
+        with np.errstate(invalid="ignore"):  # an infinite amplitude gives an inf or NaN norm
+            norm = np.linalg.norm(amps)
+        if not abs(norm - 1.0) <= EPS_EXACT:  # a NaN norm is faulty too
             raise ValueError(f"state norm {norm} deviates from 1 by more than {EPS_EXACT}")
         return RailState(lo, amps)
 
@@ -152,12 +153,16 @@ TRANSLATE = Shift(-1, +1)
 
 def encode_input(a) -> RailState:
     """Ququart amplitudes (..., 4) onto the odd positions, coin |1>:
-    a0|-3,1> + a1|-1,1> + a2|1,1> + a3|3,1>."""
+    a0|-3,1> + a1|-1,1> + a2|1,1> + a3|3,1>.  Each row must have norm 1
+    within EPS_EXACT; an error names the first faulty row."""
     vec = np.asarray(a, dtype=complex)
     if vec.shape[-1:] != (4,):
         raise ValueError("input must have 4 amplitudes")
-    if np.abs(np.linalg.norm(vec, axis=-1) - 1.0).max() > EPS_EXACT:
-        raise ValueError("input amplitudes must be normalized")
+    with np.errstate(invalid="ignore"):  # an infinite amplitude gives an inf or NaN norm
+        norm = np.linalg.norm(vec, axis=-1)
+    if (bad := np.flatnonzero(~(np.abs(norm - 1.0) <= EPS_EXACT))).size:  # a NaN norm is faulty too
+        raise ValueError(f"{_row_prefix(norm.shape, bad[0])}input amplitudes must be normalized, "
+                         f"got norm {norm.flat[bad[0]]}")
     amps = np.zeros(vec.shape[:-1] + (7, 2), dtype=complex)
     amps[..., ::2, 1] = vec
     return RailState(-3, amps)

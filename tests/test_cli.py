@@ -325,11 +325,17 @@ class TestCommandLine:
         assert doc["seed"] == 123          # from config file
         assert doc["noise_p"] == 0.25      # flag wins
 
-    def test_config_file_rejects_unknown_keys(self, tmp_path):
+    @pytest.mark.parametrize("command, key", [("fig4", "sseed"), ("fig4", "probe"), ("equiv", "n_inputs")])
+    def test_config_file_rejects_unknown_keys(self, command, key, tmp_path):
+        # `--probe` and `--n-inputs` are flags only; the refusal used to say
+        # that the subcommand "does not read" them.
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"sseed": 1}))
-        with pytest.raises(SystemExit):
-            cli.main(["fig4", "--config", str(cfg_path)])
+        cfg_path.write_text(json.dumps({key: 2}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfg_path)])
+        keys = sorted({*READS[command], "experiment"})
+        assert exc.value.code == (f"config file {cfg_path}: not config keys of {command}: [{key!r}]; "
+                                  f"its keys are {keys}")
 
     @pytest.mark.parametrize("doc", [
         {"analytic": "false"},

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from realmask import estimate
 from realmask.estimate import (
     QsvResult,
     _pass_probs,
@@ -94,7 +95,7 @@ def hand_decode(t: np.ndarray) -> np.ndarray:
 
 def bisect_sphere_fit(n_plus: list[float], n_minus: list[float]) -> list[float]:
     """The boundary fit one item at a time by plain bisection of lam to
-    adjacent floats: the oracle for the batched Newton solve.
+    adjacent floats: the reference for `estimate._sphere_fit`.
 
     |r_k| at lam is the root in [0, 1] of p(s) = (1 - s)(a - 2 lam s (1 + s))
     - b (1 + s), a = max(n+, n-), b = min(n+, n-), climbed to by monotone
@@ -598,6 +599,42 @@ class TestExactMle:
                 estimator(counts)
         with pytest.raises(ValueError, match="finite"):
             purity_from_counts(np.full((1, 3, 2), bad))
+
+
+
+def big_axis_counts():
+    """One axis of 10**9 shots."""
+    return st.integers(0, 10**9).map(lambda k: (k, 10**9 - k))
+
+
+def mixed_items():
+    """Items inside the ball, near-pure items on either side of the sphere,
+    and items with empty and 10**9-shot axes."""
+    axis = st.one_of(axis_counts(10), st.just((0, 0)), big_axis_counts())
+    return st.one_of(st.tuples(*[axis] * 3), near_pure_counts())
+
+
+class TestPurityFromCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(mixed_items(), min_size=1, max_size=6))
+    def test_is_the_mle_purity(self, items):
+        # Inside the ball the MLE is the linear inversion, so its purity is
+        # read from the same matrices; outside it the MLE lies on the sphere.
+        counts = np.array(items, dtype=float)
+        rhos = mle_qubit_batch(counts)
+        want = np.einsum("bij,bji->b", rhos, rhos).real
+        got = purity_from_counts(counts)
+        r = np.array([linear_inversion(c) for c in counts])
+        outside = r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2] > 1.0
+        assert got[~outside].tobytes() == want[~outside].tobytes()
+        assert np.all(got[outside] == 1.0)
+
+    def test_runs_no_sphere_fit(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("purity_from_counts ran a sphere fit")
+
+        monkeypatch.setattr(estimate, "_sphere_fit", refuse)
+        assert np.all(purity_from_counts(seeded_boundary_counts(5000, seed=91)) == 1.0)
 
 
 class TestBootstrap:

@@ -97,6 +97,12 @@ class TestEngine:
         with pytest.raises(ValueError):
             RailState.of({(0, 0): 1.0, (1, 0): 1.0})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        # A NaN norm used to pass `abs(norm - 1) > EPS_EXACT` and build a state.
+        with pytest.raises(ValueError, match="^state norm"):
+            RailState.of({(0, 0): bad})
+
 
 class TestLocal:
     def test_x_at_position(self):
@@ -138,6 +144,21 @@ class TestEncodeExtract:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             encode_input([1, 1, 0, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        # A NaN norm used to pass `abs(norm - 1) > EPS_EXACT` and encode a state.
+        with pytest.raises(ValueError, match="^input amplitudes must be normalized"):
+            encode_input(np.full(4, bad))
+        with pytest.raises(ValueError, match="^input amplitudes must be normalized"):
+            encode_input([bad, 0, 0, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0])
+    def test_stack_names_its_first_faulty_row(self, bad):
+        stack = np.tile(np.eye(4)[0], (5, 1))
+        stack[2, 1] = stack[4, 3] = bad
+        with pytest.raises(ValueError, match=r"^row 2: input amplitudes must be normalized"):
+            encode_input(stack)
 
     def test_extract_identification(self):
         assert np.allclose(extract_two_qubit(RailState.of({(1, 0): 1.0})), [1, 0, 0, 0])
