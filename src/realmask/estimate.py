@@ -36,7 +36,7 @@ import numpy as np
 
 from .masker import masker_matrix, u_of_c
 from .measure import PAIR_PAULIS, PAIRS, CountsTable, correlators, generators, poisson_resample
-from .qcore import ID2, _as_complex_array, _dagger, checked_density, fidelity_with_pure
+from .qcore import EPS_EXACT, ID2, _as_complex_array, _dagger, checked_density, fidelity_with_pure
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +328,22 @@ def _simplex_projection(vals: np.ndarray) -> np.ndarray:
 
 def project_to_density(mat: np.ndarray) -> np.ndarray:
     """Nearest density matrix in Frobenius norm (eigenvalue simplex projection)
-    to each matrix of a (..., d, d) stack."""
-    arr = np.asarray(mat, dtype=complex)
-    arr = 0.5 * (arr + _dagger(arr))
-    vals, vecs = np.linalg.eigh(arr)
+    to each finite matrix of a (..., d, d) stack.
+
+    One `eigh` of the Hermitian part gives the spectrum, which is projected
+    onto the probability simplex and checked where positivity is decided:
+    the projected values are nonnegative by construction and must sum to 1
+    within EPS_EXACT.  So the Hermitian-symmetrized rebuild is returned
+    without a second decomposition by `checked_density`.
+    """
+    arr = _as_complex_array(mat, "matrix")
+    vals, vecs = np.linalg.eigh(0.5 * (arr + _dagger(arr)))
     vals = _simplex_projection(vals)
-    return checked_density((vecs * vals[..., None, :]) @ _dagger(vecs))
+    gap = np.abs(vals.sum(axis=-1) - 1.0).max(initial=0.0)
+    if not gap <= EPS_EXACT:
+        raise ValueError(f"projected spectrum sums to 1 only within {gap:.3e}")
+    rho = (vecs * vals[..., None, :]) @ _dagger(vecs)
+    return 0.5 * (rho + _dagger(rho))
 
 
 @lru_cache(maxsize=None)

@@ -73,8 +73,11 @@ PAIR_PAULIS.setflags(write=False)
 
 
 def derive_seed(master_seed: int, *parts) -> int:
-    """64-bit stream-split sub-seed: SHA-256 over the master seed and tags, each
-    part's `str` text behind its 8-byte length, so the encoding is injective."""
+    """64-bit stream-split sub-seed: SHA-256 over the master seed, a Python or
+    numpy integer of any sign, and tags, each part's `str` text behind its
+    8-byte length, so the encoding is injective."""
+    if not _is_integer(master_seed):
+        raise ValueError(f"master seed must be an integer, got {master_seed!r}")
     h = hashlib.sha256()
     for part in (int(master_seed), *parts):
         text = str(part).encode()

@@ -37,7 +37,7 @@ class DimensionError(ValueError):
 
 def _as_complex_array(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     return arr
 
@@ -67,39 +67,32 @@ def _row_prefix(shape: tuple[int, ...], flat_index: int) -> str:
     return f"row {index[0] if len(index) == 1 else index}: "
 
 
-def _density_error(arr: np.ndarray) -> ValueError:
-    """The first error of the first faulty matrix of a (..., d, d) stack,
-    checked in `checked_density`'s order and named by its row."""
-    skew = np.abs(arr - _dagger(arr)).max(axis=(-2, -1), initial=0.0) > EPS_EXACT
-    tr = np.trace(arr, axis1=-2, axis2=-1).real
-    off = np.abs(tr - 1.0) > EPS_EXACT
-    lo = np.linalg.eigvalsh(0.5 * (arr + _dagger(arr))).min(axis=-1, initial=0.0)
-    i = np.flatnonzero(skew | off | (lo < -EPS_NUMERIC))[0]
-    if skew.flat[i]:
-        why = "is not Hermitian within 1e-12"
-    elif off.flat[i]:
-        why = f"trace {tr.flat[i]} deviates from 1 by more than {EPS_EXACT}"
-    else:
-        why = f"has eigenvalue {lo.flat[i]} < -{EPS_NUMERIC}"
-    return ValueError(f"{_row_prefix(arr.shape[:-2], i)}density matrix {why}")
-
-
 def checked_density(mat) -> np.ndarray:
     """Each matrix of a (..., d, d) stack checked to be a density matrix:
-    Hermitian, unit-trace and positive semidefinite; an error names the first
-    faulty matrix by its row.  Eigenvalues in [-EPS_NUMERIC, 0) are estimator
-    round-off: they are clipped to zero and the spectrum renormalized.
-    Returns the Hermitian-symmetrized stack."""
+    finite, Hermitian within EPS_EXACT, of trace 1 within EPS_EXACT and with
+    no eigenvalue below -EPS_NUMERIC.  Each matrix's three faults are found
+    in one pass, and an error names the first faulty matrix by its row and
+    its first fault in that order.  Eigenvalues in [-EPS_NUMERIC, 0) are
+    estimator round-off: they are clipped to zero and the spectrum
+    renormalized.  Returns the Hermitian-symmetrized stack."""
     arr = _as_complex_array(mat, "density matrix")
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError("density matrix must be square")
+    skew = np.abs(arr - _dagger(arr)).max(axis=(-2, -1), initial=0.0) > EPS_EXACT
     tr = np.trace(arr, axis1=-2, axis2=-1).real
-    if np.abs(arr - _dagger(arr)).max(initial=0.0) > EPS_EXACT or (np.abs(tr - 1.0) > EPS_EXACT).any():
-        raise _density_error(arr)
+    off = np.abs(tr - 1.0) > EPS_EXACT
     arr = 0.5 * (arr + _dagger(arr))
-    lo = np.linalg.eigvalsh(arr).min(axis=-1)
-    if (lo < -EPS_NUMERIC).any():
-        raise _density_error(arr)
+    lo = np.linalg.eigvalsh(arr).min(axis=-1, initial=0.0)
+    bad = np.flatnonzero(skew | off | (lo < -EPS_NUMERIC))
+    if bad.size:
+        i = bad[0]
+        if skew.flat[i]:
+            why = "is not Hermitian within 1e-12"
+        elif off.flat[i]:
+            why = f"trace {tr.flat[i]} deviates from 1 by more than {EPS_EXACT}"
+        else:
+            why = f"has eigenvalue {lo.flat[i]} < -{EPS_NUMERIC}"
+        raise ValueError(f"{_row_prefix(arr.shape[:-2], i)}density matrix {why}")
     neg = lo < 0.0
     if neg.any():
         # Round-off repair: clip the slightly negative tail and rescale.

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from realmask.estimate import _simplex_projection
 from realmask.masker import mask_pure, masker_matrix
 from realmask.optics import V
 from realmask.qcore import (
@@ -17,6 +18,7 @@ from realmask.qcore import (
     PAULI_Y,
     PAULI_Z,
     DimensionError,
+    _dagger,
     checked_density,
     checked_state,
     concurrence_from_purity,
@@ -91,6 +93,18 @@ def trace_distance(a, b) -> float:
     """Half the trace norm of a - b."""
     diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+
+
+def reference_project_to_density(mat) -> np.ndarray:
+    """The nearest density matrix to each matrix of a (..., d, d) stack as
+    the library once built it: one `eigh` of the Hermitian part, the simplex
+    projection of its spectrum and the rebuild passed through
+    `checked_density`, which decomposes it twice more.  The oracle for
+    `estimate.project_to_density`."""
+    arr = np.asarray(mat, dtype=complex)
+    vals, vecs = np.linalg.eigh(0.5 * (arr + _dagger(arr)))
+    vals = _simplex_projection(vals)
+    return checked_density((vecs * vals[..., None, :]) @ _dagger(vecs))
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,10 @@ from realmask.measure import (
     derive_seed,
     generator,
     pair_probs,
+    poisson_resample,
     sample_counts,
 )
-from realmask.qcore import BELL_PHI, checked_density
+from realmask.qcore import BELL_PHI, EPS_EXACT, checked_density
 
 from helpers import (
     density,
@@ -43,6 +44,8 @@ from helpers import (
     mask_state,
     random_density,
     random_real_density,
+    random_unitary,
+    reference_project_to_density,
     trace_distance,
     verification_operator,
     verification_projectors,
@@ -884,7 +887,65 @@ class TestDecode:
         assert np.abs(res.fidelity_vs_input - 0.25).max() < 1e-15
 
 
+@st.composite
+def unit_trace_stacks(draw) -> np.ndarray:
+    """(n, d, d) stacks, d = 2 or 4, of unit-trace complex Hermitian or real
+    symmetric matrices: full-rank and rank-deficient density matrices,
+    matrices with negative eigenvalues down to round-off size, and the I/d
+    that an all-zero correlator matrix decodes to."""
+    d, real = draw(st.sampled_from([2, 4])), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for kind in draw(st.lists(st.sampled_from(["full", "deficient", "negative", "round-off", "zero"]),
+                              min_size=1, max_size=6)):
+        if kind == "zero":
+            mats.append(decode_real_state(np.zeros((3, 3))).rho_hat if d == 4 else np.eye(2) / 2)
+            continue
+        if kind == "full":
+            vals = rng.dirichlet(np.ones(d))
+        elif kind == "deficient":
+            k = rng.integers(1, d)
+            vals = np.concatenate([rng.dirichlet(np.ones(k)), np.zeros(d - k)])
+        else:
+            vals = rng.uniform(0.0, 1.0, size=d)
+            vals[0] = -(rng.uniform(0.0, 0.5) if kind == "negative" else 10.0 ** rng.uniform(-16, -11))
+            vals[1:] *= (1.0 - vals[0]) / vals[1:].sum()
+        vecs = np.linalg.qr(rng.normal(size=(d, d)))[0] if real else random_unitary(d, rng)
+        mats.append((vecs * vals) @ vecs.conj().T)
+    return np.array(mats).real if real else np.array(mats)
+
+
 class TestProjection:
+    @settings(max_examples=200, deadline=None)
+    @given(unit_trace_stacks())
+    def test_matches_the_reference_and_is_a_density_matrix(self, mats):
+        out = project_to_density(mats)
+        assert np.abs(out - reference_project_to_density(mats)).max() <= 1e-14
+        assert np.array_equal(out, out.conj().swapaxes(-1, -2))
+        assert np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0).max() <= EPS_EXACT
+        assert np.linalg.eigvalsh(out).min() >= -1e-14
+        checked_density(out)
+
+    def test_a_bootstrap_stack_is_decomposed_once(self, monkeypatch):
+        a = probe_vector(4)
+        counts = sample_counts(pair_probs(mask_state(np.outer(a, a))), 4000, np.arange(9))
+        ts = correlators(poisson_resample(counts, 100, 7)).reshape(-1, 3, 3)
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            def spy(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        decode_real_state(ts, a)
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_refuses_a_non_finite_matrix(self, value):
+        mat = np.eye(4) / 4
+        mat[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            project_to_density(mat)
+
     def test_valid_state_unchanged(self, rng):
         rho = random_real_density(4, rng)
         out = project_to_density(rho)

@@ -617,6 +617,15 @@ class TestSeeds:
     def test_derive_seed_is_injective(self, left, right):
         assert derive_seed(*left) != derive_seed(*right)
 
+    @pytest.mark.parametrize("master", [1.5, 1.0, True, "7", None, np.float64(3.0)])
+    def test_derive_seed_refuses_a_master_seed_that_is_no_integer(self, master):
+        with pytest.raises(ValueError, match=r"^master seed must be an integer, got "):
+            derive_seed(master, "a")
+
+    @pytest.mark.parametrize("master", [-1, np.int64(-7), np.uint64(2**64 - 1), 2**80])
+    def test_derive_seed_takes_an_integer_of_any_sign_and_size(self, master):
+        assert derive_seed(master, "a") == derive_seed(int(master), "a")
+
     def test_generator_streams_independent(self):
         a = generator(derive_seed(1, "x")).random(4)
         b = generator(derive_seed(1, "y")).random(4)

@@ -316,11 +316,15 @@ class TestCheckedInputs:
         with pytest.raises(ValueError, match="eigenvalue"):
             checked_density(np.stack([np.eye(2) / 2, np.diag([1.2, -0.2])]))
 
-    def test_stack_names_the_first_faulty_matrix(self):
+    @pytest.mark.parametrize("mats, message", [
         # Row 1's trace is off and row 2 is not Hermitian: row 1's own first error is named.
-        mats = np.stack([np.eye(2) / 2, np.eye(2), [[0.5, 0.1], [0.0, 0.5]]])
-        with pytest.raises(ValueError, match=r"^row 1: density matrix trace 2\.0 deviates from 1"):
-            checked_density(mats)
+        ([np.eye(2) / 2, np.eye(2), [[0.5, 0.1], [0.0, 0.5]]], r"trace 2\.0 deviates from 1"),
+        # An eigenvalue fault comes before a later row's Hermiticity fault.
+        ([np.eye(2) / 2, np.diag([1.2, -0.2]), [[0.5, 0.1], [0.0, 0.5]]], r"has eigenvalue -0\.2"),
+    ])
+    def test_stack_names_the_first_faulty_matrix(self, mats, message):
+        with pytest.raises(ValueError, match=rf"^row 1: density matrix {message}"):
+            checked_density(np.stack(mats))
 
     def test_stack_repairs_each_item_as_alone(self):
         mats = np.stack([np.diag([1.0 + 5e-11, -5e-11]), np.eye(2) / 2, np.diag([-3e-11, 1.0 + 3e-11])])

@@ -9,6 +9,9 @@ Names are matched without their module, so a dead definition that shares
 its name with a live one passes, but a live one never fails.  Every name in
 `realmask.__all__` must be such a reached definition (or on the keep-list),
 so the package cannot re-export a dead name.
+
+No module of the package checks anything with an `assert` statement, which
+`python -O` strips.
 """
 from __future__ import annotations
 
@@ -117,3 +120,9 @@ def test_package_exports_only_reached_names():
     exported = {name for name in realmask.__all__ if not name.startswith("__")}
     dead = exported - _reached(_definitions(), _entry_points() | KEEP)
     assert not dead, f"realmask.__all__ re-exports names no pipeline reaches: {sorted(dead)}"
+
+
+def test_no_assert_statements():
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert not asserts, f"assert statements vanish under python -O; raise instead: {asserts}"
