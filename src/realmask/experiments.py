@@ -8,7 +8,8 @@ concurrence errors are bootstrap standard deviations, and each report row says
 which via its error_kind field.
 
 Each figure runs its points as one stack: the masked states of all points
-form one (n, 4, 4) array, checked once; the point estimates of a figure take
+form one (n, 4, 4) array, checked once by `measure.apply_depolarizing` (fig3's
+verification checks it once more); the point estimates of a figure take
 one purity call and its bootstrap resamples one more.  The seeded draws of a
 figure take one call each too: one `sample_counts` call over all its Pauli
 tables, one `qsv_run` call over fig3's probes and one `poisson_resample`
@@ -30,11 +31,11 @@ import numpy as np
 from . import estimate, measure, optics, walk
 from .masker import masker_matrix
 from .measure import derive_seed, generator
-from .qcore import checked_density, concurrence_from_purity, partial_trace, purity, spin_flip_concurrence
+from .qcore import concurrence_from_purity, partial_trace, purity, spin_flip_concurrence
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 10
+REPORT_SCHEMA = 11
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
@@ -99,12 +100,11 @@ def report_row(config: ExperimentConfig, experiment: str, target: str, estimate:
 
 def _masked_states(probes: np.ndarray, noise_p: float) -> tuple[np.ndarray, np.ndarray]:
     """The masked probes of an (n, 4) stack as (n, 4) vectors, and their
-    (n, 4, 4) densities under depolarizing noise, each stack checked once; at
-    p = 0 the ideal densities themselves, which the depolarizing rebuild could
-    perturb."""
+    (n, 4, 4) densities under depolarizing noise, checked once by
+    `measure.apply_depolarizing`; at p = 0 the pure densities (their
+    Hermitian part), with no repair."""
     vecs = (masker_matrix() @ probes[..., None])[..., 0]
-    ideal = checked_density(vecs[:, :, None] * vecs[:, None, :].conj())
-    return vecs, ideal if noise_p == 0.0 else measure.apply_depolarizing(ideal, noise_p)
+    return vecs, measure.apply_depolarizing(vecs[:, :, None] * vecs[:, None, :].conj(), noise_p)
 
 
 def _pauli_counts(probs: np.ndarray, shots: int, master_seed: int, tags) -> np.ndarray:

@@ -26,7 +26,6 @@ from .qcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    checked_density,
     checked_state,
     kron,
     partial_trace,
@@ -52,12 +51,13 @@ def hr_unitaries() -> np.ndarray:
 @lru_cache(maxsize=None)
 def masker_matrix() -> np.ndarray:
     """The masker M|j> = -i (U_j ⊗ 1)|Phi> as a read-only (4, 4) array, built
-    once and checked to be an isometry whose columns are maximally entangled."""
+    once and checked to be an isometry whose columns are maximally entangled
+    (the isometry check proves each column's density matrix)."""
     m = np.column_stack([-1j * kron(u, ID2) @ BELL_PHI for u in hr_unitaries()])
     dev = np.abs(m.conj().T @ m - np.eye(4)).max()
     if dev > EPS_EXACT:
         raise ValueError(f"not an isometry: max |M†M - 1| = {dev:.3e}")
-    cols = checked_density(m.T[:, :, None] * m.T[:, None, :].conj())
+    cols = m.T[:, :, None] * m.T[:, None, :].conj()
     pur = purity(np.stack([partial_trace(cols, sub) for sub in ("A", "B")]))
     if np.abs(pur - 0.5).max() > EPS_EXACT:
         raise ValueError(f"masker columns are not maximally entangled (reduced purities {pur})")
@@ -75,19 +75,15 @@ def mask_pure(psi) -> np.ndarray:
 
 def u_of_c(c) -> np.ndarray:
     """The (n, 2, 2) unitaries U(c) = c_0 U_0 + c_1 U_1 + c_2 U_2 + c_3 U_3 of
-    `hr_unitaries` for the rows c of an (n, 4) array; each row must be real
-    (an imaginary part above EPS_EXACT is refused: a complex combination is
-    not unitary) and of norm 1 within EPS_EXACT, and an error names the first
-    row that is not."""
+    `hr_unitaries` for the rows c of an (n, 4) array.  The rows pass
+    `qcore.checked_state`, then each must be real (an imaginary part above
+    EPS_EXACT is refused: a complex combination is not unitary); each rule
+    names its first faulty row."""
     rows = np.asarray(c, dtype=complex)
     if rows.ndim != 2 or rows.shape[1] != 4:
         raise ValueError(f"coefficients must be an (n, 4) array, got shape {rows.shape}")
-    complex_rows = np.abs(rows.imag).max(axis=1, initial=0.0) > EPS_EXACT
-    rows = rows.real.astype(complex)
-    bad = np.flatnonzero(complex_rows | ~(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= EPS_EXACT))
-    if bad.size:
-        i = bad[0]
-        why = "real: a complex combination is not unitary" if complex_rows[i] else "normalized"
-        raise ValueError(f"row {i}: coefficient vector must be {why}")
-    u, cs = hr_unitaries(), rows[:, :, None, None]
+    rows = checked_state(rows, "coefficient vector")
+    if (bad := np.flatnonzero(np.abs(rows.imag).max(axis=1, initial=0.0) > EPS_EXACT)).size:
+        raise ValueError(f"row {bad[0]}: coefficient vector must be real: a complex combination is not unitary")
+    u, cs = hr_unitaries(), rows.real[:, :, None, None]
     return cs[:, 0] * u[0] + cs[:, 1] * u[1] + cs[:, 2] * u[2] + cs[:, 3] * u[3]

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import EPS_EXACT, PAULI_X, PAULI_Z, _row_prefix
+from .qcore import EPS_EXACT, PAULI_X, PAULI_Z, _row_prefix, checked_state
 from .walk import Local, RailState, Shift, embed_two_qubit, extract_two_qubit, run
 
 H, V = 0, 1
@@ -81,21 +81,21 @@ class PrepAngles:
 
 
 def solve_prep_angles(a) -> PrepAngles:
-    """Invert the preparation pipeline for real normalized (..., 4) targets.
+    """Invert the preparation pipeline for (..., 4) targets, each row checked
+    by `qcore.checked_state` and then to be real; each rule names its first
+    faulty row.
 
     Branch choice: h1 in [0, 45] so cos(2 h1), sin(2 h1) >= 0; then
     2 h2 = atan2(a1, a0) and 2 h3 = atan2(a2, -a3), each angle folded into
     [0, 180).  Degenerate branches (a0=a1=0 or a2=a3=0) leave the
     unconstrained angle at 0.
     """
-    vec = np.asarray(a, dtype=float)
+    vec = checked_state(a, "target")
     if vec.shape[-1:] != (4,):
         raise ValueError("target must be a real 4-vector")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"target must be finite, got {vec}")
-    if np.abs(np.linalg.norm(vec, axis=-1) - 1.0).max() > EPS_EXACT:
-        raise ValueError("target must be normalized")
-    a0, a1, a2, a3 = (vec[..., k] for k in range(4))
+    if (bad := np.flatnonzero(vec.imag.any(axis=-1))).size:
+        raise ValueError(f"{_row_prefix(vec.shape[:-1], bad[0])}target must be real")
+    a0, a1, a2, a3 = (vec.real[..., k] for k in range(4))
     r01 = np.hypot(a0, a1)
     r23 = np.hypot(a2, a3)
     h1 = np.degrees(np.arctan2(r23, r01)) / 2.0
@@ -301,15 +301,11 @@ def detector_distribution(state: RailState) -> np.ndarray:
 
 def simulate_measurement(psi, setting: MeasSetting) -> np.ndarray:
     """End-to-end module simulation of a two-qubit pure (4,) state, or of each
-    row of a (..., 4) stack, checked to be of norm 1; returns SPCM 0..3
-    probabilities (..., 4).
+    row of a (..., 4) stack, checked by `qcore.checked_state`; returns SPCM
+    0..3 probabilities (..., 4).
 
     SPCM (0, 1, 2, 3) see |a1|^2, |a3|^2, |a0|^2, |a2|^2 where a_j are the
     coefficients of the state in the setting's product basis.
     """
-    state = embed_two_qubit(psi)
-    norm = np.linalg.norm(state.amps, axis=(-2, -1))
-    if (bad := np.flatnonzero(~(np.abs(norm - 1.0) <= EPS_EXACT))).size:  # a NaN norm is faulty too
-        raise ValueError(f"{_row_prefix(norm.shape, bad[0])}state norm {norm.flat[bad[0]]} deviates from 1 "
-                         f"by more than {EPS_EXACT}")
+    state = embed_two_qubit(checked_state(psi, "state"))
     return detector_distribution(run(state, measurement_layout(compile_measurement(setting))))

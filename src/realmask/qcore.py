@@ -2,10 +2,13 @@
 
 One array convention: states are plain complex arrays, (d,) amplitudes for a
 pure state and (d, d) density matrices, and every function returns plain
-checked arrays, for one matrix as for a (..., d, d) stack.  `checked_state`
-and `checked_density` validate user input (normalization, Hermiticity,
-positivity).  All protocol dimensions are at most 16, so dense
-double-precision algebra is exact to ~1e-12 with comfortable headroom.
+checked arrays, for one state as for a (..., d) or (..., d, d) stack.  This
+module owns the two state rules, and the library applies each once per stack:
+`checked_state` (finite, unit norm) for amplitudes and `checked_density`
+(finite, Hermitian, unit trace, positive) for density matrices.  Both only
+check: what they accept comes back unaltered, apart from the Hermitian part
+that `checked_density` takes.  All protocol dimensions are at most 16, so
+dense double-precision algebra is exact to ~1e-12 with comfortable headroom.
 
 Tolerance policy: EPS_EXACT guards identities that hold analytically
 (isometries, trace preservation); EPS_NUMERIC guards quantities that pass
@@ -42,22 +45,6 @@ def _as_complex_array(values, what: str) -> np.ndarray:
     return arr
 
 
-def checked_state(psi) -> np.ndarray:
-    """A pure state's (d,) amplitudes as a complex array, checked to be finite,
-    non-empty, 1-D and of norm 1 within EPS_EXACT."""
-    arr = _as_complex_array(psi, "state vector")
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("state vector must be a nonempty 1-D array")
-    norm = np.linalg.norm(arr)
-    if abs(norm - 1.0) > EPS_EXACT:
-        raise ValueError(f"state vector norm {norm} deviates from 1 by more than {EPS_EXACT}")
-    return arr
-
-
-def _dagger(arr: np.ndarray) -> np.ndarray:
-    return arr.conj().swapaxes(-1, -2)
-
-
 def _row_prefix(shape: tuple[int, ...], flat_index: int) -> str:
     """'row i: ' naming entry `flat_index` (C order) of an array of `shape`;
     empty for a single (0-d) entry."""
@@ -67,14 +54,35 @@ def _row_prefix(shape: tuple[int, ...], flat_index: int) -> str:
     return f"row {index[0] if len(index) == 1 else index}: "
 
 
+def checked_state(psi, what: str = "state vector") -> np.ndarray:
+    """A pure state's (d,) amplitudes, or each row of a (..., d) stack, as a
+    complex array checked to be finite and then of norm 1 within EPS_EXACT.
+    An error names the first faulty row, its fault and `what` the rows are."""
+    arr = np.asarray(psi, dtype=complex)
+    if arr.ndim == 0 or arr.shape[-1] == 0:
+        raise ValueError(f"{what} must be a nonempty (..., d) array")
+    if (bad := np.flatnonzero(~np.isfinite(arr).all(axis=-1))).size:
+        raise ValueError(f"{_row_prefix(arr.shape[:-1], bad[0])}{what} contains non-finite entries")
+    norm = np.linalg.norm(arr, axis=-1)
+    if (bad := np.flatnonzero(np.abs(norm - 1.0) > EPS_EXACT)).size:
+        raise ValueError(f"{_row_prefix(arr.shape[:-1], bad[0])}{what} norm {norm.flat[bad[0]]} "
+                         f"deviates from 1 by more than {EPS_EXACT}")
+    return arr
+
+
+def _dagger(arr: np.ndarray) -> np.ndarray:
+    return arr.conj().swapaxes(-1, -2)
+
+
 def checked_density(mat) -> np.ndarray:
     """Each matrix of a (..., d, d) stack checked to be a density matrix:
     finite, Hermitian within EPS_EXACT, of trace 1 within EPS_EXACT and with
-    no eigenvalue below -EPS_NUMERIC.  Each matrix's three faults are found
-    in one pass, and an error names the first faulty matrix by its row and
-    its first fault in that order.  Eigenvalues in [-EPS_NUMERIC, 0) are
-    estimator round-off: they are clipped to zero and the spectrum
-    renormalized.  Returns the Hermitian-symmetrized stack."""
+    no eigenvalue below -EPS_NUMERIC, which leaves room for the round-off of
+    a matrix built from rounded amplitudes.  Each matrix's three faults are
+    found in one pass, and an error names the first faulty matrix by its row
+    and its first fault in that order.  Returns the Hermitian part
+    (rho + rho†)/2 of the stack, which is the stack itself when it is exactly
+    Hermitian; nothing else is altered."""
     arr = _as_complex_array(mat, "density matrix")
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError("density matrix must be square")
@@ -93,14 +101,6 @@ def checked_density(mat) -> np.ndarray:
         else:
             why = f"has eigenvalue {lo.flat[i]} < -{EPS_NUMERIC}"
         raise ValueError(f"{_row_prefix(arr.shape[:-2], i)}density matrix {why}")
-    neg = lo < 0.0
-    if neg.any():
-        # Round-off repair: clip the slightly negative tail and rescale.
-        vals, vecs = np.linalg.eigh(arr[neg])
-        vals = np.clip(vals, 0.0, None)
-        vals /= vals.sum(axis=-1, keepdims=True)
-        fixed = (vecs * vals[..., None, :]) @ _dagger(vecs)
-        arr[neg] = 0.5 * (fixed + _dagger(fixed))
     return arr
 
 
@@ -136,8 +136,8 @@ def fidelity_with_pure(rho, target):
     (..., d, d) stack."""
     arr = _as_complex_array(rho, "density matrix")
     a = checked_state(target)
-    if arr.shape[-1] != a.size:
-        raise DimensionError(f"dimension mismatch: {arr.shape[-1]} vs {a.size}")
+    if a.shape != arr.shape[-1:]:
+        raise DimensionError(f"dimension mismatch: one ({arr.shape[-1]},) target expected, got shape {a.shape}")
     val = np.einsum("i,...ij,j->...", a.conj(), arr, a)
     spurious = np.abs(val.imag).max(initial=0.0)
     if spurious > EPS_EXACT:
@@ -153,6 +153,6 @@ def concurrence_from_purity(p) -> np.ndarray:
 def spin_flip_concurrence(psi) -> float:
     """Independent concurrence formula |<psi| sigma_y ⊗ sigma_y |psi*>|."""
     a = checked_state(psi)
-    if a.size != 4:
+    if a.shape != (4,):
         raise DimensionError("spin_flip_concurrence expects a two-qubit state")
     return float(abs(a @ kron(PAULI_Y, PAULI_Y) @ a))

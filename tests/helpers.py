@@ -99,8 +99,8 @@ def reference_project_to_density(mat) -> np.ndarray:
     """The nearest density matrix to each matrix of a (..., d, d) stack as
     the library once built it: one `eigh` of the Hermitian part, the simplex
     projection of its spectrum and the rebuild passed through
-    `checked_density`, which decomposes it twice more.  The oracle for
-    `estimate.project_to_density`."""
+    `checked_density`, which checks it with one more decomposition and
+    returns its Hermitian part.  The oracle for `estimate.project_to_density`."""
     arr = np.asarray(mat, dtype=complex)
     vals, vecs = np.linalg.eigh(0.5 * (arr + _dagger(arr)))
     vals = _simplex_projection(vals)

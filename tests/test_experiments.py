@@ -6,6 +6,7 @@ processed a figure as one stack.  Every sampling call keeps its seed, so the
 reports must agree byte for byte.
 """
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from realmask.experiments import (
     run_fig4,
     run_fig5,
 )
-from realmask.masker import mask_pure
+from realmask.masker import mask_pure, masker_matrix
 from realmask.measure import derive_seed
 from realmask.qcore import (
     concurrence_from_purity,
@@ -178,6 +179,38 @@ def test_fig4_is_a_stack_of_one():
     _ideal, rho = oracle_masked_probe(probe_vector(4), 0.0)
     counts = oracle_pauli_counts(rho, config.shots("fig4"), config.seed, "fig4", 4)
     assert rep["correlators"] == measure.correlators(counts).reshape(3, 3).tolist()
+
+
+def test_each_masked_stack_is_checked_once(monkeypatch):
+    """A default run of each figure checks its (n, 4, 4) masked stack once,
+    in `apply_depolarizing`, and fig3 once more in `qsv_run`; no state check
+    repairs a matrix, so only the positivity projection calls `eigh`."""
+    masker_matrix()  # its one-time build checks reduced states too
+    checks, eighs = [], []
+
+    def spy(original, log, with_shape):
+        def wrapper(mat, *args, **kwargs):
+            caller = sys._getframe(1).f_code.co_name
+            log.append((caller, np.shape(mat)) if with_shape else caller)
+            return original(mat, *args, **kwargs)
+        return wrapper
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "realmask"]:
+        if hasattr(module, "checked_density"):
+            monkeypatch.setattr(module, "checked_density", spy(module.checked_density, checks, True))
+    monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh, eighs, False))
+    got = {}
+    for run in (run_fig3, run_fig4, run_fig5):
+        run(ExperimentConfig())
+        got[run.__name__] = (checks[:], eighs[:])
+        del checks[:], eighs[:]
+    n = len(ExperimentConfig().phi_grid_deg)
+    assert got["run_fig3"][0] == [("apply_depolarizing", (4, 4, 4)), ("partial_trace", (4, 2, 2)),
+                                  ("partial_trace", (4, 2, 2)), ("qsv_run", (4, 4, 4))]
+    assert got["run_fig4"][0] == [("apply_depolarizing", (1, 4, 4))]
+    assert got["run_fig5"][0] == [("apply_depolarizing", (n, 4, 4)), ("partial_trace", (n, 2, 2))]
+    assert got["run_fig3"][1] == got["run_fig5"][1] == []
+    assert got["run_fig4"][1] and set(got["run_fig4"][1]) == {"project_to_density"}
 
 
 def test_report_row_rejects_unknown_error_kind():

@@ -41,7 +41,7 @@ RUNS = (
     ("analytic_noiseless", ("fig5", "--analytic", "--noise-p", "0", "--seed", "1")),
     # The pure phase probes: the only reports here with boundary fits in the qubit MLE.
     ("noiseless", ("fig5", "--noise-p", "0", "--seed", "1")),
-    # Noiseless masked states, used without the depolarizing rebuild.
+    # Noiseless masked states: the pure densities, checked as they are.
     ("noiseless", ("fig3", "--noise-p", "0", "--seed", "1")),
     ("one_shot", ("fig5", "--shots", "1", "--seed", "1")),  # axes with zero counts in the bootstrap resamples
     ("qsv_large", ("fig3", "--qsv-tests", "100000", "--seed", "1")),  # a large verification run

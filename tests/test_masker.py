@@ -153,12 +153,20 @@ class TestUOfC:
             assert np.abs(u.conj().T @ u - I2).max() < 1e-12
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="^row 0: coefficient vector must be normalized"):
+        with pytest.raises(ValueError, match=r"^row 0: coefficient vector norm 1\.414\d* deviates from 1"):
             u_of_c([[1, 1, 0, 0]])
 
     def test_names_the_first_faulty_row(self):
         rows = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [2, 0, 0, 0], [1j, 0, 0, 0]])
-        with pytest.raises(ValueError, match="^row 2: coefficient vector must be normalized"):
+        with pytest.raises(ValueError, match=r"^row 2: coefficient vector norm 2\.0 deviates from 1"):
+            u_of_c(rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0, 1j * np.nan])
+    def test_a_row_that_breaks_the_norm_rule_is_named(self, bad):
+        rows = np.tile(np.eye(4)[0], (4, 1)).astype(complex)
+        rows[2, 0] = rows[3, 0] = bad
+        fault = r"norm 2\.0 deviates from 1" if np.isfinite(bad) else "contains non-finite entries"
+        with pytest.raises(ValueError, match=rf"^row 2: coefficient vector {fault}"):
             u_of_c(rows)
 
     @pytest.mark.parametrize("shape", [(4,), (1, 3), (2, 2, 4)])

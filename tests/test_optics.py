@@ -105,14 +105,34 @@ class TestPrepAngles:
             assert np.abs(prepared_amplitudes(out) - a).max() < 1e-10
 
     def test_rejects_complex_or_unnormalized(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^target norm 1\.414\d* deviates from 1 by more than 1e-12$"):
             solve_prep_angles([1, 1, 0, 0])
+        with pytest.raises(ValueError, match=r"^target norm 2\.0 deviates from 1 by more than 1e-12$"):
+            solve_prep_angles([2, 0, 0, 0])
+        with pytest.raises(ValueError, match="^target must be real$"):
+            solve_prep_angles([0.6, 0.8j, 0, 0])
+
+    def test_refuses_a_complex_target(self):
+        # Its imaginary part used to be dropped with only a ComplexWarning.
+        with pytest.raises(ValueError):
+            solve_prep_angles([0.6 + 0.1j, 0.8, 0, 0])
+        targets = np.array([[1, 0, 0, 0], [0.6, 0.8j, 0, 0], [0, 1j, 0, 0]])
+        with pytest.raises(ValueError, match="^row 1: target must be real$"):
+            solve_prep_angles(targets)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_target(self, bad):
         # A NaN norm used to slip past the normalization check.
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="^target contains non-finite entries$"):
             solve_prep_angles([bad, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0])
+    def test_stack_names_its_first_faulty_row(self, bad):
+        targets = np.tile(np.eye(4)[0], (2, 3, 1))
+        targets[1, 1, 0] = targets[1, 2, 0] = bad
+        fault = r"norm 2\.0 deviates from 1" if math.isfinite(bad) else "contains non-finite entries"
+        with pytest.raises(ValueError, match=rf"^row \(1, 1\): target {fault}"):
+            solve_prep_angles(targets)
 
 
 class TestPreparation:
@@ -286,11 +306,12 @@ class TestMeasurement:
         with pytest.raises(ValueError, match="norm"):
             simulate_measurement(2 * psi, setting)
 
-    @pytest.mark.parametrize("scale", [2.0, np.nan])
-    def test_first_unnormalized_row_is_named(self, scale, rng):
+    @pytest.mark.parametrize("bad", [2.0, np.nan, np.inf, -np.inf])
+    def test_first_unnormalized_row_is_named(self, bad, rng):
         states = np.array([[haar_state(4, rng) for _ in range(3)] for _ in range(2)])
-        states[1, 2] *= scale
-        with pytest.raises(ValueError, match=r"^row \(1, 2\): state norm"):
+        states[1, 2] = [bad, 0, 0, 0]
+        fault = r"norm 2\.0 deviates from 1" if np.isfinite(bad) else "contains non-finite entries"
+        with pytest.raises(ValueError, match=rf"^row \(1, 2\): state {fault}"):
             simulate_measurement(states, pauli_meas_setting("X", "Y"))
 
     def test_stack_equals_rows_alone(self, rng):

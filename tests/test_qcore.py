@@ -244,6 +244,17 @@ class TestOneConvention:
         with pytest.raises(ValueError, match="norm"):
             fn(2 * psi)
 
+    @pytest.mark.parametrize("fn, message", [
+        (lambda v: fidelity_with_pure(np.eye(4) / 4, v), "dimension mismatch"),
+        (mask_pure, "4-dimensional state"),
+        (lambda v: decode_real_state(np.zeros((3, 3)), input_state=v), "dimension mismatch"),
+        (spin_flip_concurrence, "two-qubit state"),
+    ], ids=["fidelity_with_pure", "mask_pure", "decode_real_state", "spin_flip_concurrence"])
+    def test_single_state_entry_points_refuse_a_stack(self, fn, message, rng):
+        # `checked_state` takes stacks; these functions take one state.
+        with pytest.raises(ValueError, match=message):
+            fn(haar_state(4, rng)[None])
+
     def test_decode_real_state(self, rng):
         a = rng.normal(size=4)
         a /= np.linalg.norm(a)
@@ -269,21 +280,40 @@ class TestCheckedInputs:
         ([1.0, np.nan], "non-finite"),
         ([np.inf, 0.0], "non-finite"),
         ([1.0, 1j * np.inf], "non-finite"),
-        ([], "nonempty 1-D"),
-        (1.0, "nonempty 1-D"),
-        (np.eye(2) / np.sqrt(2), "nonempty 1-D"),
+        pytest.param([], r"nonempty \(\.\.\., d\) array", id="empty"),
+        pytest.param(1.0, r"nonempty \(\.\.\., d\) array", id="scalar"),
+        # A (2, 2) array is a stack of two rows, each of norm 1/sqrt(2).
+        pytest.param(np.eye(2) / np.sqrt(2), r"^row 0: state vector norm 0\.70710678\d* deviates from 1",
+                     id="two-rows-of-norm-0.7"),
         ([1.0, 1.0], "norm"),
         ([0.0, 0.0], "norm"),
         ([1.0 + 2e-12, 0.0], "norm"),
+        pytest.param([np.nan, 0.0], "^state vector contains non-finite entries$", id="nan"),
+        pytest.param([-np.inf, 0.0], "^state vector contains non-finite entries$", id="-inf"),
+        pytest.param([2.0, 0.0], r"^state vector norm 2\.0 deviates from 1 by more than 1e-12$", id="norm-2"),
+        # A stack names its first faulty row, and each fault by its kind.
+        pytest.param([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, 3.0]], r"^row 2: state vector norm 2\.0 deviates",
+                     id="stack-row-2-norm-2"),
+        pytest.param([[1.0, 0.0], [np.nan, 0.0], [2.0, 0.0]], "^row 1: state vector contains non-finite entries$",
+                     id="stack-row-1-nan"),
+        pytest.param([[[1.0, 0.0], [0.0, 1.0]], [[0.6, 0.8], [-np.inf, 0.0]]],
+                     r"^row \(1, 1\): state vector contains non-finite entries$", id="stack-row-(1, 1)-inf"),
     ])
     def test_checked_state_rejects(self, psi, message):
         with pytest.raises(ValueError, match=message):
             checked_state(psi)
 
+    def test_checked_state_names_what_it_checks(self):
+        with pytest.raises(ValueError, match=r"^row 1: target norm 2\.0 deviates"):
+            checked_state([[1.0, 0.0], [0.0, 2.0]], "target")
+
     def test_checked_state_gives_complex_amplitudes(self):
         out = checked_state([0.6, 0.8])
         assert out.dtype == complex and np.array_equal(out, [0.6, 0.8])
         assert np.array_equal(checked_state([1.0 + 5e-13, 0.0]), [1.0 + 5e-13, 0.0])
+        stack = checked_state([[0.6, 0.8j], [1.0, 0.0]])
+        assert stack.dtype == complex and np.array_equal(stack, [[0.6, 0.8j], [1.0, 0.0]])
+        assert checked_state(np.empty((0, 4))).shape == (0, 4)
 
     def test_density_rejects_nonhermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -298,11 +328,17 @@ class TestCheckedInputs:
             with pytest.raises(ValueError, match="square"):
                 checked_density(mat)
 
-    def test_density_repairs_round_off_tail(self):
+    def test_density_accepts_round_off_tail_unaltered(self):
+        # Eigenvalues in [-EPS_NUMERIC, 0) are round-off: accepted, not clipped.
         rho = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
-        out = checked_density(rho)
-        assert np.linalg.eigvalsh(out).min() >= -1e-15
-        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(checked_density(rho), rho)
+        # The masked fourth probe's pure density has a round-off negative
+        # eigenvalue; its Hermitian part is returned and nothing more.
+        vec = mask_pure(np.ones(4) / 2)
+        pure = vec[:, None] * vec[None, :].conj()
+        hermitian = 0.5 * (pure + pure.conj().T)
+        assert np.linalg.eigvalsh(hermitian).min() < 0.0
+        assert np.array_equal(checked_density(pure), hermitian)
 
     def test_density_rejects_genuinely_negative(self):
         with pytest.raises(ValueError, match="eigenvalue"):
@@ -326,9 +362,10 @@ class TestCheckedInputs:
         with pytest.raises(ValueError, match=rf"^row 1: density matrix {message}"):
             checked_density(np.stack(mats))
 
-    def test_stack_repairs_each_item_as_alone(self):
+    def test_stack_equals_each_item_alone_unaltered(self):
         mats = np.stack([np.diag([1.0 + 5e-11, -5e-11]), np.eye(2) / 2, np.diag([-3e-11, 1.0 + 3e-11])])
         out = checked_density(mats)
+        assert np.array_equal(out, mats)
         for row, mat in zip(out, mats):
             assert np.array_equal(row, checked_density(mat))
 

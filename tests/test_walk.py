@@ -94,13 +94,15 @@ class TestEngine:
             RailState.of({(0, 2): 1.0})
 
     def test_rejects_unnormalized_state(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^state norm 1\.414\d* deviates from 1 by more than 1e-12$"):
             RailState.of({(0, 0): 1.0, (1, 0): 1.0})
+        with pytest.raises(ValueError, match=r"^state norm 2\.0 deviates from 1 by more than 1e-12$"):
+            RailState.of({(0, 0): 2.0})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_amplitudes(self, bad):
         # A NaN norm used to pass `abs(norm - 1) > EPS_EXACT` and build a state.
-        with pytest.raises(ValueError, match="^state norm"):
+        with pytest.raises(ValueError, match="^state contains non-finite entries$"):
             RailState.of({(0, 0): bad})
 
 
@@ -142,22 +144,25 @@ class TestEncodeExtract:
             assert amp(state, x, 0) == 0
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^input vector norm 1\.414\d* deviates from 1 by more than 1e-12$"):
             encode_input([1, 1, 0, 0])
+        with pytest.raises(ValueError, match=r"^input vector norm 2\.0 deviates from 1 by more than 1e-12$"):
+            encode_input([2, 0, 0, 0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_amplitudes(self, bad):
         # A NaN norm used to pass `abs(norm - 1) > EPS_EXACT` and encode a state.
-        with pytest.raises(ValueError, match="^input amplitudes must be normalized"):
+        with pytest.raises(ValueError, match="^input vector contains non-finite entries$"):
             encode_input(np.full(4, bad))
-        with pytest.raises(ValueError, match="^input amplitudes must be normalized"):
+        with pytest.raises(ValueError, match="^input vector contains non-finite entries$"):
             encode_input([bad, 0, 0, 0])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0])
     def test_stack_names_its_first_faulty_row(self, bad):
         stack = np.tile(np.eye(4)[0], (5, 1))
-        stack[2, 1] = stack[4, 3] = bad
-        with pytest.raises(ValueError, match=r"^row 2: input amplitudes must be normalized"):
+        stack[2, 0] = stack[4, 3] = bad
+        fault = r"norm 2\.0 deviates from 1" if np.isfinite(bad) else "contains non-finite entries"
+        with pytest.raises(ValueError, match=rf"^row 2: input vector {fault}"):
             encode_input(stack)
 
     def test_extract_identification(self):
