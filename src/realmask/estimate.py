@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .masker import masker_matrix, u_of_c
-from .measure import PAIR_PAULIS, PAIRS, CountsTable, correlators, generators, poisson_resample
+from .measure import PAIR_PAULIS, PAIRS, CountsTable, _is_integer, correlators, generators, poisson_resample
 from .qcore import EPS_EXACT, ID2, _as_complex_array, _dagger, checked_density, fidelity_with_pure
 
 
@@ -88,7 +88,8 @@ class QsvResult:
 
 def qsv_run(rho, targets, n_tests: int, seeds) -> list[QsvResult]:
     """Run `n_tests` randomly chosen local tests on each state of a stack
-    against its rotated target; one result per state.
+    against its rotated target; one result per state.  `n_tests` is an
+    integer >= 1.
 
     `rho` is an (n, 4, 4) stack of two-qubit states, checked once with
     `qcore.checked_density`; `targets` is an (n, 4) array of real unit
@@ -97,8 +98,8 @@ def qsv_run(rho, targets, n_tests: int, seeds) -> list[QsvResult]:
     probability (1 + s_k tr(R† rho R O_k ⊗ O_k))/2, R = U(a) ⊗ 1
     (`_pass_probs`), and each item gets what its stack of one gives.
     """
-    if n_tests < 1:
-        raise ValueError("n_tests must be >= 1")
+    if not (_is_integer(n_tests) and n_tests >= 1):
+        raise ValueError(f"n_tests must be an integer >= 1, got {n_tests!r}")
     arr = _as_complex_array(rho, "density matrix")
     if arr.ndim != 3 or arr.shape[1:] != (4, 4):
         raise ValueError(f"rho must be an (n, 4, 4) stack of 4x4 density matrices, got shape {arr.shape}")
@@ -135,9 +136,10 @@ def agresti_coull(passed: int, total: int) -> tuple[float, float]:
     With kappa = `_KAPPA`, S~ = S + kappa^2/2,
     N~ = N + kappa^2, p~ = S~/N~:
     endpoints (3/2)[1 - p~ -/+ kappa sqrt(p~ q~ / N~)], clipped to [0, 3/2].
+    `passed` and `total` are integers, 0 <= passed <= total and total >= 1.
     """
-    if not 0 <= passed <= total or total < 1:
-        raise ValueError(f"need 0 <= passed <= total, got {passed}/{total}")
+    if not (_is_integer(passed) and _is_integer(total) and 0 <= passed <= total and total >= 1):
+        raise ValueError(f"need integers 0 <= passed <= total with total >= 1, got {passed!r}/{total!r}")
     n_t = total + _KAPPA**2
     p_t = (passed + _KAPPA**2 / 2.0) / n_t
     half = _KAPPA * np.sqrt(p_t * (1.0 - p_t) / n_t)
@@ -262,10 +264,11 @@ def bootstrap_std(
     Each item's resamples come from one seeded draw of shape (resamples,
     *item shape).  `quantity` maps the stack of all items' resamples to one
     value per count array in one call, so each item's value is what it would
-    be alone whenever `quantity` treats its rows independently.
+    be alone whenever `quantity` treats its rows independently.  `resamples`
+    is an integer >= 2.
     """
-    if resamples < 2:
-        raise ValueError("need at least 2 resamples")
+    if not (_is_integer(resamples) and resamples >= 2):
+        raise ValueError(f"resamples must be an integer >= 2, got {resamples!r}")
     counts = np.asarray(counts)
     draws = poisson_resample(counts, resamples, seeds)  # checks one seed per count array
     values = np.asarray(quantity(draws.reshape(-1, *counts.shape[1:])))

@@ -7,10 +7,15 @@ never emitted bare: fidelity errors are 95% confidence half-widths, purity and
 concurrence errors are bootstrap standard deviations, and each report row says
 which via its error_kind field.
 
-Each figure runs its points as one stack: the masked states of all points
-form one (n, 4, 4) array, checked once by `measure.apply_depolarizing` (fig3's
-verification checks it once more); the point estimates of a figure take
-one purity call and its bootstrap resamples one more.  The seeded draws of a
+Each figure splits into a seed-independent model and its seeded draws.  The
+model holds the probe vectors, the masked states of all points as one
+(n, 4, 4) stack under depolarizing noise, checked by
+`measure.apply_depolarizing`, the reduced stacks and the Born tables that the
+draws sample.  It is built and checked once per process for each value of the
+config fields it reads (`_fig3_model`, `_fig4_model`, `_fig5_model`), never for
+the seed, and its arrays are read-only; fig3's verification checks its stack
+once more on every run.  The point estimates of a figure take one purity call
+and its bootstrap resamples one more.  The seeded draws of a
 figure take one call each too: one `sample_counts` call over all its Pauli
 tables, one `qsv_run` call over fig3's probes and one `poisson_resample`
 call per bootstrap, each row or item still drawn from its own sub-seed.
@@ -107,6 +112,17 @@ def _masked_states(probes: np.ndarray, noise_p: float) -> tuple[np.ndarray, np.n
     return vecs, measure.apply_depolarizing(vecs[:, :, None] * vecs[:, None, :].conj(), noise_p)
 
 
+# Models kept per figure: a few KB each, bounded so that a loop over noise
+# levels or phase grids cannot grow without limit.
+_MODELS_KEPT = 8
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def _pauli_counts(probs: np.ndarray, shots: int, master_seed: int, tags) -> np.ndarray:
     """Counts of every row of a stack of probability tables, (n, 3, 2) for
     qubits or (n, 9, 4) for pairs, in one `sample_counts` call.
@@ -130,12 +146,21 @@ def _avg_purity(counts: np.ndarray) -> np.ndarray:
     return estimate.purity_from_counts(counts.reshape(-1, 3, 2)).reshape(-1, 2).mean(axis=1)
 
 
+@lru_cache(maxsize=_MODELS_KEPT)
+def _fig3_model(noise_p: float) -> tuple[np.ndarray, ...]:
+    """fig3's seed-independent arrays at `noise_p`, read-only: the (4, 4)
+    probes, their masked vectors and masked stack, the (probe, qubit, 2, 2)
+    stack of each probe's path (A) and polarization (B) qubit, and its
+    (8, 3, 2) Born table."""
+    probes = np.array([probe_vector(idx) for idx in PROBES])
+    ideal, rho = _masked_states(probes, noise_p)
+    reduced = np.stack([partial_trace(rho, k) for k in ("A", "B")], axis=1)
+    return _read_only(probes, ideal, rho, reduced, measure.axis_probs(reduced).reshape(-1, 3, 2))
+
+
 def run_fig3(config: ExperimentConfig) -> dict:
     shots = config.shots("fig3")
-    probes = np.array([probe_vector(idx) for idx in PROBES])
-    ideal, rho = _masked_states(probes, config.noise_p)
-    # (probe, qubit, 2, 2): the path (A) and polarization (B) qubit of each probe.
-    reduced = np.stack([partial_trace(rho, k) for k in ("A", "B")], axis=1)
+    probes, ideal, rho, reduced, probs = _fig3_model(config.noise_p)
     if config.analytic:
         eps = 1.0 - np.einsum("ni,nij,nj->n", ideal.conj(), rho, ideal).real
         fids = [report_row(config, "fig3", f"probe {idx} fidelity", 1.0 - e, 0.0, "ci95",
@@ -150,7 +175,7 @@ def run_fig3(config: ExperimentConfig) -> dict:
                            passed=qsv.passed, tests=qsv.total)
                 for idx, qsv in zip(PROBES, qsvs)]
         tags = [("fig3.tomo", idx, tag) for idx in PROBES for tag in ("path", "pol")]
-        counts = _pauli_counts(measure.axis_probs(reduced).reshape(-1, 3, 2), shots, config.seed, tags)
+        counts = _pauli_counts(probs, shots, config.seed, tags)
         counts = counts.reshape(len(PROBES), 2, 3, 2)
         seeds = [derive_seed(config.seed, "fig3.boot", idx) for idx in PROBES]
         pur = estimate.purity_from_counts(counts.reshape(-1, 3, 2)).reshape(-1, 2)
@@ -182,10 +207,17 @@ def run_fig3(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # fig4: correlation decoding of the masked fourth probe.
 
+@lru_cache(maxsize=_MODELS_KEPT)
+def _fig4_model(noise_p: float, probe: int) -> tuple[np.ndarray, np.ndarray]:
+    """fig4's seed-independent arrays, read-only: the probe vector and the
+    (9, 4) Born table of its masked state at `noise_p`."""
+    a = probe_vector(probe)
+    return _read_only(a, measure.pair_probs(_masked_states(a[None], noise_p)[1][0]))
+
+
 def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
     shots = config.shots("fig4")
-    a = probe_vector(probe)
-    probs = measure.pair_probs(_masked_states(a[None], config.noise_p)[1][0])
+    a, probs = _fig4_model(config.noise_p, probe)
     if config.analytic:
         t = measure.correlators(probs).reshape(3, 3)
         fid_std = 0.0
@@ -228,17 +260,26 @@ def _concurrence(counts: np.ndarray) -> np.ndarray:
     return concurrence_from_purity(estimate.purity_from_counts(counts))
 
 
+@lru_cache(maxsize=_MODELS_KEPT)
+def _fig5_model(noise_p: float, phis: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """fig5's seed-independent arrays, read-only: the masked vectors of the
+    phase probes at `phis` (degrees), the (n, 2, 2) stack of their path (A)
+    qubits at `noise_p`, and its (n, 3, 2) Born table."""
+    probes = np.array([phase_probe(phi) for phi in phis]).reshape(-1, 4)
+    vecs, states = _masked_states(probes, noise_p)
+    rho_path = partial_trace(states, "A")
+    return _read_only(vecs, rho_path, measure.axis_probs(rho_path))
+
+
 def run_fig5(config: ExperimentConfig) -> dict:
     shots = config.shots("fig5")
     phis = config.phi_grid_deg
-    probes = np.array([phase_probe(phi) for phi in phis]).reshape(-1, 4)
-    vecs, states = _masked_states(probes, config.noise_p)
-    rho_path = partial_trace(states, "A")
+    vecs, rho_path, probs = _fig5_model(config.noise_p, tuple(phis))
     if config.analytic:  # the pure states at p = 0 need no square root of a rounded 1 - purity
         est, std = (np.array([spin_flip_concurrence(v) for v in vecs]) if config.noise_p == 0.0
                     else concurrence_from_purity(purity(rho_path))), np.zeros(len(phis))
     else:
-        counts = _pauli_counts(measure.axis_probs(rho_path), shots, config.seed,
+        counts = _pauli_counts(probs, shots, config.seed,
                                [("fig5.tomo", i) for i in range(len(phis))])
         seeds = [derive_seed(config.seed, "fig5.boot", i) for i in range(len(phis))]
         est = _concurrence(counts)

@@ -272,8 +272,11 @@ def poisson_resample(counts, resamples: int, seed) -> np.ndarray:
     With a (...) array of seeds, `counts` is a stack of count arrays of shape
     (..., *item), one seed per item, and the result has shape (...,
     resamples, *item): item i is the draw for `counts[i]` alone with
-    `seed[i]`.  Counts must be whole numbers in [0, `_MAX_POISSON_MEAN`], numpy's Poisson limit.
+    `seed[i]`.  `resamples` is an integer >= 1, and counts must be whole
+    numbers in [0, `_MAX_POISSON_MEAN`], numpy's Poisson limit.
     """
+    if not (_is_integer(resamples) and resamples >= 1):
+        raise ValueError(f"resamples must be an integer >= 1, got {resamples!r}")
     counts = np.asarray(counts)
     seeds = np.asarray(seed, dtype=object)
     stack = seeds.shape

@@ -1,4 +1,5 @@
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -237,6 +238,15 @@ class TestQsvRun:
         # pass rate 1/2 per rank-two test -> eps_hat near 0.75
         assert abs(out.eps_hat - 0.75) < 0.03
 
+    # True and 2.5 used to end in numpy's "expected a sequence of integers or a single integer".
+    @pytest.mark.parametrize("n_tests", [True, 2.5, 2.0, "3", None, 0, -1])
+    def test_rejects_a_bad_test_count(self, n_tests):
+        with pytest.raises(ValueError, match=rf"^n_tests must be an integer >= 1, got {re.escape(repr(n_tests))}$"):
+            qsv_one(np.eye(4) / 4, E0, n_tests, 2)
+
+    def test_takes_a_numpy_integer_test_count(self):
+        assert qsv_one(np.eye(4) / 4, E0, np.int64(50), 2) == qsv_one(np.eye(4) / 4, E0, 50, 2)
+
     def test_real_coefficient_target(self, rng):
         a = rng.normal(size=4)
         a /= np.linalg.norm(a)
@@ -421,6 +431,18 @@ class TestAgrestiCoull:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             agresti_coull(5, 4)
+
+    # 1.5 and True used to give an interval.
+    @pytest.mark.parametrize("passed, total", [
+        (1.5, 3), (True, 3), (1, 3.0), (2, True), ("1", 3), (None, 3), (5, 4), (-1, 3), (0, 0),
+    ])
+    def test_rejects_bad_counts(self, passed, total):
+        message = rf"^need integers 0 <= passed <= total with total >= 1, got {re.escape(f'{passed!r}/{total!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            agresti_coull(passed, total)
+
+    def test_takes_numpy_integers(self):
+        assert agresti_coull(np.int64(4986), np.uint32(5000)) == agresti_coull(4986, 5000)
 
 
 class TestTomography:
@@ -654,6 +676,12 @@ class TestBootstrap:
     def test_resamples_minimum(self):
         with pytest.raises(ValueError):
             bootstrap_std(lambda c: c.sum(axis=1), np.zeros((1, 2)), [0], resamples=1)
+
+    # True used to be refused as "need at least 2 resamples" and 3.0 ended in numpy's TypeError.
+    @pytest.mark.parametrize("resamples", [1, 0, True, 2.5, 3.0, "3", None])
+    def test_rejects_a_bad_resample_count(self, resamples):
+        with pytest.raises(ValueError, match=rf"^resamples must be an integer >= 2, got {re.escape(repr(resamples))}$"):
+            bootstrap_std(lambda c: c.sum(axis=1), np.ones((1, 2)), [0], resamples=resamples)
 
     def test_concurrence_std_at_zero_phase(self):
         # Masked (|0>+|1>)/sqrt(2): path qubit maximally mixed, concurrence 1.

@@ -5,13 +5,14 @@ density matrices, MLE calls and bootstrap, as the pipelines did before they
 processed a figure as one stack.  Every sampling call keeps its seed, so the
 reports must agree byte for byte.
 """
+import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from realmask import estimate, measure
+from realmask import estimate, experiments, measure
 from realmask.experiments import (
     BOOTSTRAP_RESAMPLES,
     PROBE_LABELS,
@@ -181,11 +182,20 @@ def test_fig4_is_a_stack_of_one():
     assert rep["correlators"] == measure.correlators(counts).reshape(3, 3).tolist()
 
 
-def test_each_masked_stack_is_checked_once(monkeypatch):
-    """A default run of each figure checks its (n, 4, 4) masked stack once,
-    in `apply_depolarizing`, and fig3 once more in `qsv_run`; no state check
-    repairs a matrix, so only the positivity projection calls `eigh`."""
+def clear_models():
+    for model in (experiments._fig3_model, experiments._fig4_model, experiments._fig5_model):
+        model.cache_clear()
+
+
+def test_each_masked_stack_is_checked_once_per_config(monkeypatch):
+    """The first run of each figure at a config checks its (n, 4, 4) masked
+    stack once, in `apply_depolarizing`, and its reduced stacks in
+    `partial_trace`; a run at another seed reads the cached model, so only
+    fig3's verification, which checks its stack on every run, checks a state.
+    No state check repairs a matrix, so only the positivity projection calls
+    `eigh`."""
     masker_matrix()  # its one-time build checks reduced states too
+    clear_models()
     checks, eighs = [], []
 
     def spy(original, log, with_shape):
@@ -199,18 +209,56 @@ def test_each_masked_stack_is_checked_once(monkeypatch):
         if hasattr(module, "checked_density"):
             monkeypatch.setattr(module, "checked_density", spy(module.checked_density, checks, True))
     monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh, eighs, False))
-    got = {}
-    for run in (run_fig3, run_fig4, run_fig5):
-        run(ExperimentConfig())
-        got[run.__name__] = (checks[:], eighs[:])
-        del checks[:], eighs[:]
+    first, second = {}, {}
+    for got, seed in ((first, ExperimentConfig().seed), (second, 7)):
+        for name, run in (("fig3", run_fig3), ("fig4", run_fig4), ("fig5", run_fig5)):
+            run(ExperimentConfig(seed=seed))
+            got[name] = (checks[:], eighs[:])
+            del checks[:], eighs[:]
     n = len(ExperimentConfig().phi_grid_deg)
-    assert got["run_fig3"][0] == [("apply_depolarizing", (4, 4, 4)), ("partial_trace", (4, 2, 2)),
-                                  ("partial_trace", (4, 2, 2)), ("qsv_run", (4, 4, 4))]
-    assert got["run_fig4"][0] == [("apply_depolarizing", (1, 4, 4))]
-    assert got["run_fig5"][0] == [("apply_depolarizing", (n, 4, 4)), ("partial_trace", (n, 2, 2))]
-    assert got["run_fig3"][1] == got["run_fig5"][1] == []
-    assert got["run_fig4"][1] and set(got["run_fig4"][1]) == {"project_to_density"}
+    assert first["fig3"][0] == [("apply_depolarizing", (4, 4, 4)), ("partial_trace", (4, 2, 2)),
+                                ("partial_trace", (4, 2, 2)), ("qsv_run", (4, 4, 4))]
+    assert first["fig4"][0] == [("apply_depolarizing", (1, 4, 4))]
+    assert first["fig5"][0] == [("apply_depolarizing", (n, 4, 4)), ("partial_trace", (n, 2, 2))]
+    assert second["fig3"][0] == [("qsv_run", (4, 4, 4))]
+    assert second["fig4"][0] == second["fig5"][0] == []
+    for log in (first, second):
+        assert log["fig3"][1] == log["fig5"][1] == []
+        assert log["fig4"][1] and set(log["fig4"][1]) == {"project_to_density"}
+
+
+def test_model_arrays_refuse_writes():
+    config = ExperimentConfig()
+    models = (experiments._fig3_model(config.noise_p), experiments._fig4_model(config.noise_p, 4),
+              experiments._fig5_model(config.noise_p, config.phi_grid_deg))
+    for arr in (arr for model in models for arr in model):
+        assert arr.size and not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0.0
+
+
+def figure_reports(config):
+    return [report_json(run(config)) for run in (run_fig3, run_fig4, run_fig5)]
+
+
+@pytest.mark.parametrize("analytic", [False, True])
+def test_a_warm_model_gives_the_bytes_of_a_cold_one(analytic):
+    """A list phase grid reads the model of its tuple, and noise_p = -0.0
+    the model that 0.0 built; both give what a cold cache gives."""
+    config = ExperimentConfig(seed=3, analytic=analytic)
+    clear_models()
+    listed = run_fig5(dataclasses.replace(config, phi_grid_deg=list(config.phi_grid_deg)))
+    assert report_json(listed) == report_json(run_fig5(config))
+    assert experiments._fig5_model.cache_info().hits == 1
+
+    negative = dataclasses.replace(config, noise_p=-0.0)
+    clear_models()
+    cold = figure_reports(negative)
+    clear_models()
+    figure_reports(dataclasses.replace(negative, noise_p=0.0))
+    assert figure_reports(negative) == cold
+    assert [m.cache_info().hits for m in (experiments._fig3_model, experiments._fig4_model,
+                                         experiments._fig5_model)] == [1, 1, 1]
 
 
 def test_report_row_rejects_unknown_error_kind():

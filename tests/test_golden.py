@@ -1,6 +1,7 @@
 """Golden reports: each run of `RUNS` is made in process and compared byte
 for byte with its files under tests/golden/, so a moved number, numpy random
-stream or report layout fails on every CI leg.
+stream or report layout fails on every CI leg.  They are made a second time
+in reverse order, when each run reads figure models cached by another.
 
 `python tests/test_golden.py` writes the fresh files there.  While
 `experiments.REPORT_SCHEMA` equals the schema of the committed
@@ -59,10 +60,10 @@ def _read(root: Path) -> dict[str, bytes]:
 
 
 @functools.cache
-def generate() -> dict[str, bytes]:
-    """The bytes of every file that `RUNS` writes, by path under tests/golden/."""
+def generate(runs: tuple = RUNS) -> dict[str, bytes]:
+    """The bytes of every file that `runs` writes, by path under tests/golden/."""
     with tempfile.TemporaryDirectory() as tmp:
-        for where, argv in RUNS:
+        for where, argv in runs:
             out, stdout = Path(tmp) / where, io.StringIO()
             with contextlib.redirect_stdout(stdout):
                 if argv[0] == FIGURES:
@@ -105,10 +106,21 @@ def regenerate(golden: Path = GOLDEN) -> int:
     return 0
 
 
+def _moved(new: dict[str, bytes]) -> list[str]:
+    old = _read(GOLDEN)
+    return [name for name in sorted(new.keys() | old.keys()) if new.get(name) != old.get(name)]
+
+
 def test_reports_match_golden():
-    new, old = generate(), _read(GOLDEN)
-    assert [name for name in sorted(new.keys() | old.keys()) if new.get(name) != old.get(name)] == [], \
+    assert _moved(generate()) == [], \
         "reports moved: bump experiments.REPORT_SCHEMA and run `python tests/test_golden.py`, or mend the change"
+
+
+def test_reports_match_golden_from_warm_models_in_reverse_order():
+    """Each figure's seed-independent model is cached per process: made again
+    after `RUNS`, in reverse order, every run reads a model another run built."""
+    generate()
+    assert _moved(generate(RUNS[::-1])) == []
 
 
 def _copy_moving_a_digit(tmp_path: Path, name: str) -> Path:

@@ -316,6 +316,18 @@ class TestPoissonResample:
         with pytest.raises(ValueError, match="^" + message):
             poisson_resample(bad, 2, 1)
 
+    # -1 used to end in numpy's "negative dimensions are not allowed", 1.5 in a
+    # TypeError, and 0 gave an empty draw.
+    @pytest.mark.parametrize("resamples", [-1, 0, 1.5, 2.0, True, "2", None])
+    def test_rejects_a_bad_resample_count(self, resamples, monkeypatch):
+        monkeypatch.setattr(measure, "generators", lambda seeds: pytest.fail("drew before checking resamples"))
+        with pytest.raises(ValueError, match=rf"^resamples must be an integer >= 1, got {re.escape(repr(resamples))}$"):
+            poisson_resample(np.array([3, 4]), resamples, 1)
+
+    def test_takes_a_numpy_integer_resample_count(self):
+        counts = np.array([3, 4])
+        assert np.array_equal(poisson_resample(counts, np.int64(2), 1), poisson_resample(counts, 2, 1))
+
     def test_draws_the_largest_mean_numpy_takes(self):
         out = poisson_resample(np.array([9223372006484770816, 0]), 2, 1)
         assert out.shape == (2, 2) and not out[:, 1].any()
