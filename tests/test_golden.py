@@ -45,6 +45,14 @@ RUNS = (
     # Noiseless masked states: the pure densities, checked as they are.
     ("noiseless", ("fig3", "--noise-p", "0", "--seed", "1")),
     ("one_shot", ("fig5", "--shots", "1", "--seed", "1")),  # axes with zero counts in the bootstrap resamples
+    # A one-shot decode (zero-shot correlators) and one-shot purities: point
+    # estimates with zero-count axes, estimated in the call of their resamples.
+    ("one_shot", ("fig4", "--shots", "1", "--seed", "1")),
+    ("one_shot", ("fig3", "--shots", "1", "--seed", "1")),
+    # The other probes' decodes: the default runs decode only the fourth.
+    ("probe1", ("fig4", "--probe", "1", "--seed", "1")),
+    ("probe2", ("fig4", "--probe", "2", "--seed", "1")),
+    ("probe3", ("fig4", "--probe", "3", "--seed", "1")),
     ("qsv_large", ("fig3", "--qsv-tests", "100000", "--seed", "1")),  # a large verification run
     # Gap digits that move with any change in the arithmetic of the walk, the
     # optical table or the measurement module.
@@ -155,8 +163,10 @@ def test_after_a_schema_bump_the_files_are_written_and_the_moved_ones_listed(tmp
         path.write_text(path.read_text().replace(f'"schema": {experiments.REPORT_SCHEMA},', '"schema": 8,', 1))
     assert regenerate(copy) == 0
     assert _read(copy) == _read(GOLDEN)
+    rewritten = len(list(copy.rglob("*.json"))) + 1  # every JSON file's schema line and the moved CSV
     assert capsys.readouterr().out.splitlines() == [
-        f"report schema 8 -> {experiments.REPORT_SCHEMA}: 22 files rewritten, 1 moved apart from the schema line",
+        f"report schema 8 -> {experiments.REPORT_SCHEMA}: {rewritten} files rewritten, "
+        "1 moved apart from the schema line",
         "  one_shot/fig5.csv"]
 
 
