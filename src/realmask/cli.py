@@ -11,13 +11,16 @@ flag, flag parser, value check and help; a subcommand's flags and config keys
 are made from it for the fields it reads (`FIELDS`), so it takes no flag or
 key that it would ignore.  `fig4 --probe` and `equiv --n-inputs` are flags
 only, with no config key.  A bad value is a one-line error, never a silent
-coercion, and so is a run that needs more memory than it can get.
+coercion, and so is a run that needs more memory than it can get.  A comma
+list that starts with a negative number may follow its flag after a space
+(`--phi-grid -15,0`) or an `=` (`--phi-grid=-15,0`).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -286,8 +289,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A comma list that starts with a minus sign, such as "-15,0": argparse takes
+# it for a flag unless it is attached to its own flag with "=".
+_NEGATIVE_LIST = re.compile(r"-[^-].*,")
+
+
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """`argv` with each negative comma list attached to the long flag before it."""
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and len(flag) > 2 and "=" not in flag and _NEGATIVE_LIST.match(arg):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_negative_lists(argv))
     return args.func(args)
 
 

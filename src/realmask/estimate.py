@@ -5,16 +5,19 @@ Three pipelines:
 * verification-based fidelity: random local projective tests whose average
   pass rate maps linearly onto the infidelity, eps = (3/2)(1 - p_succ), with
   an Agresti-Coull confidence interval transported through the same linear
-  map; `qsv_run` takes an (n, 4, 4) stack of states with an (n, 4) array of
-  real targets a, the target of row i being (U(a_i) ⊗ 1)|Phi> with U from
-  `masker.u_of_c`, and one seed per item, checked once;
+  map; `qsv_pass_probs` checks an (n, 4, 4) stack of states once against an
+  (n, 4) array of real targets a, the target of row i being
+  (U(a_i) ⊗ 1)|Phi> with U from `masker.u_of_c`, and gives the read-only
+  (n, 3) table of test pass probabilities, from which `qsv_run` only draws,
+  one seed per row;
 * single-qubit tomography: exact maximum likelihood over (batch, 3, 2) count
   arrays, rows in `measure.AXES` order (`mle_qubit_batch`, each boundary
   fit a bisection of its own; `purity_from_counts`, closed form from the
   linear inversion), with Poisson-resampling bootstrap error bars
   (`bootstrap_std`: one seeded draw per count array of a stack, all taken
-  by one `measure.poisson_resample` call, and all resamples of the stack
-  estimated in one more call);
+  by one `measure.poisson_resample` call, and the point counts with all
+  their resamples estimated in one more call, which gives the point values
+  beside the spread);
 * correlation decoding: the nine Pauli-pair correlators of the masked state
   (rows and columns in `measure.AXES` order) determine the real input density
   matrix through one constant linear map, derived from the masker by
@@ -86,29 +89,43 @@ class QsvResult:
         return max(self.eps_hat - self.ci_low, self.ci_high - self.eps_hat)
 
 
-def qsv_run(rho, targets, n_tests: int, seeds) -> list[QsvResult]:
-    """Run `n_tests` randomly chosen local tests on each state of a stack
-    against its rotated target; one result per state.  `n_tests` is an
-    integer >= 1.
+def qsv_pass_probs(rho, targets) -> np.ndarray:
+    """Read-only (n, 3) pass probabilities of the three local tests for each
+    state of a stack against its rotated target.
 
     `rho` is an (n, 4, 4) stack of two-qubit states, checked once with
     `qcore.checked_density`; `targets` is an (n, 4) array of real unit
-    vectors a, each giving U(a) = `masker.u_of_c(a)`; `seeds` holds one seed
-    per state.  An error names the first faulty row.  Test k passes with
-    probability (1 + s_k tr(R† rho R O_k ⊗ O_k))/2, R = U(a) ⊗ 1
-    (`_pass_probs`), and each item gets what its stack of one gives.
+    vectors a, each giving U(a) = `masker.u_of_c(a)`.  An error names the
+    first faulty row.  Test k passes with probability
+    (1 + s_k tr(R† rho R O_k ⊗ O_k))/2, R = U(a) ⊗ 1 (`_pass_probs`), and
+    each row is what its stack of one gives.
     """
-    if not (_is_integer(n_tests) and n_tests >= 1):
-        raise ValueError(f"n_tests must be an integer >= 1, got {n_tests!r}")
     arr = _as_complex_array(rho, "density matrix")
     if arr.ndim != 3 or arr.shape[1:] != (4, 4):
         raise ValueError(f"rho must be an (n, 4, 4) stack of 4x4 density matrices, got shape {arr.shape}")
-    if not len(targets) == len(seeds) == len(arr):
-        raise ValueError(f"need one target and one seed per state, got {len(targets)} targets and "
-                         f"{len(seeds)} seeds for {len(arr)} states")
-    u = u_of_c(targets)
+    if len(targets) != len(arr):
+        raise ValueError(f"need one target per state, got {len(targets)} targets for {len(arr)} states")
+    probs = _pass_probs(checked_density(arr), u_of_c(targets))
+    probs.setflags(write=False)
+    return probs
+
+
+def qsv_run(pass_probs, n_tests: int, seeds) -> list[QsvResult]:
+    """Run `n_tests` randomly chosen local tests on each row of an (n, 3)
+    table of pass probabilities from `qsv_pass_probs`, one seed per row; one
+    result per row, each what its table of one gives.  `n_tests` is an
+    integer >= 1.  The table is only read: a fixed stack of states needs it
+    built once, whatever the seeds.
+    """
+    if not (_is_integer(n_tests) and n_tests >= 1):
+        raise ValueError(f"n_tests must be an integer >= 1, got {n_tests!r}")
+    table = np.asarray(pass_probs, dtype=float)
+    if table.ndim != 2 or table.shape[1] != 3 or not np.isfinite(table).all():
+        raise ValueError(f"pass_probs must be a finite (n, 3) table, got shape {table.shape}")
+    if len(seeds) != len(table):
+        raise ValueError(f"need one seed per row, got {len(seeds)} seeds for {len(table)} rows")
     results = []
-    for probs, rng in zip(_pass_probs(checked_density(arr), u), generators(seeds)):
+    for probs, rng in zip(table, generators(seeds)):
         which = rng.integers(0, 3, size=n_tests)
         draws = rng.random(n_tests)
         passed = int(np.count_nonzero(draws < probs[which]))
@@ -257,24 +274,29 @@ def bootstrap_std(
     counts,
     seeds: Sequence[int],
     resamples: int = 100,
-) -> np.ndarray:
-    """Standard deviation of `quantity` over Poisson resamples of each count
-    array of a stack, one seed per item; returns one value per item.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Point values of `quantity` for each count array of a stack, and their
+    standard deviation over Poisson resamples of it, one seed per item.
 
     Each item's resamples come from one seeded draw of shape (resamples,
-    *item shape).  `quantity` maps the stack of all items' resamples to one
-    value per count array in one call, so each item's value is what it would
-    be alone whenever `quantity` treats its rows independently.  `resamples`
-    is an integer >= 2.
+    *item shape).  `quantity` maps a stack of m count arrays to (m, ...)
+    values in one call, made on the n items followed by all their n *
+    resamples resamples, so each item's values are what they would be alone
+    whenever `quantity` treats its rows independently.  Returns the (n, ...)
+    point values and the (n, ...) spread of each entry.  `resamples` is an
+    integer >= 2.
     """
     if not (_is_integer(resamples) and resamples >= 2):
         raise ValueError(f"resamples must be an integer >= 2, got {resamples!r}")
     counts = np.asarray(counts)
+    n = len(counts)
     draws = poisson_resample(counts, resamples, seeds)  # checks one seed per count array
-    values = np.asarray(quantity(draws.reshape(-1, *counts.shape[1:])))
-    if values.shape != (len(counts) * resamples,):
-        raise ValueError(f"quantity gave shape {values.shape}, expected ({len(counts) * resamples},)")
-    return np.std(values.reshape(len(counts), resamples), axis=-1, ddof=1)
+    values = np.asarray(quantity(np.concatenate([counts, draws.reshape(-1, *counts.shape[1:])])))
+    if values.shape[:1] != (n * (resamples + 1),):
+        raise ValueError(f"quantity gave shape {values.shape}, expected ({n * (resamples + 1)}, ...)")
+    # Each entry's resamples made contiguous, so its std sums them as a lone (resamples,) row does.
+    spread = np.ascontiguousarray(np.moveaxis(values[n:].reshape(n, resamples, *values.shape[1:]), 1, -1))
+    return values[:n], np.std(spread, axis=-1, ddof=1)
 
 
 # ---------------------------------------------------------------------------

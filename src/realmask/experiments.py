@@ -13,29 +13,35 @@ model holds the probe vectors, the masked states of all points as one
 `measure.apply_depolarizing`, the reduced stacks and the Born tables that the
 draws sample.  It is built and checked once per process for each value of the
 config fields it reads (`_fig3_model`, `_fig4_model`, `_fig5_model`), never for
-the seed, and its arrays are read-only; fig3's verification checks its stack
-once more on every run.  The point estimates of a figure take one purity call
-and its bootstrap resamples one more.  The seeded draws of a
-figure take one call each too: one `sample_counts` call over all its Pauli
-tables, one `qsv_run` call over fig3's probes and one `poisson_resample`
-call per bootstrap, each row or item still drawn from its own sub-seed.
-Sampled counts stay integer arrays from the draw to the estimate.
+the seed, and its arrays are read-only; fig3's also holds the verification
+pass-probability table of its stack (`estimate.qsv_pass_probs`), so a run
+that reads a cached model checks no state.  The seeded draws of a figure take
+one call each: one `sample_counts` call over all its Pauli tables, one
+`qsv_run` call over fig3's probes and one `poisson_resample` call per
+bootstrap, each row or item still drawn from its own sub-seed.  A figure's
+point estimates ride in the estimator call of their bootstrap resamples
+(`estimate.bootstrap_std`), so fig3 makes one `purity_from_counts` call, fig4
+one `decode_real_state` call and fig5 one concurrence call.  Sampled counts
+stay integer arrays from the draw to the estimate.
+
+Reports are written as JSON with floats at 12 significant digits, rounded and
+encoded in one walk (`report_json`).
 """
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
 from . import estimate, measure, optics, walk
 from .masker import masker_matrix
-from .measure import derive_seed, generator
+from .measure import _is_integer, derive_seed, generator
 from .qcore import concurrence_from_purity, partial_trace, purity, spin_flip_concurrence
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
@@ -62,10 +68,16 @@ PROBE_LABELS = {
 }
 
 
+def _probe_index(index) -> int:
+    """A probe index 1..4 as a Python int; a bool or a non-integer is refused."""
+    if not (_is_integer(index) and 1 <= index <= 4):
+        raise ValueError(f"probe index must be an integer 1..4, got {index!r}")
+    return int(index)
+
+
 def probe_vector(index: int) -> np.ndarray:
     """The four probe inputs: uniform superpositions of the first k basis kets."""
-    if index not in (1, 2, 3, 4):
-        raise ValueError(f"probe index must be 1..4, got {index}")
+    index = _probe_index(index)
     v = np.zeros(4)
     v[:index] = 1.0
     return v / np.linalg.norm(v)
@@ -141,26 +153,30 @@ def _pauli_counts(probs: np.ndarray, shots: int, master_seed: int, tags) -> np.n
 PROBES = (1, 2, 3, 4)
 
 
-def _avg_purity(counts: np.ndarray) -> np.ndarray:
-    """Mean MLE purity of the two qubits of each (2, 3, 2) count array of a stack."""
-    return estimate.purity_from_counts(counts.reshape(-1, 3, 2)).reshape(-1, 2).mean(axis=1)
+def _purities(counts: np.ndarray) -> np.ndarray:
+    """(m, 3) MLE purities of the path and polarization qubits of each
+    (2, 3, 2) count array of a stack, and their mean, whose spread fig3
+    reports."""
+    pur = estimate.purity_from_counts(counts.reshape(-1, 3, 2)).reshape(-1, 2)
+    return np.column_stack([pur, pur.mean(axis=1)])
 
 
 @lru_cache(maxsize=_MODELS_KEPT)
 def _fig3_model(noise_p: float) -> tuple[np.ndarray, ...]:
-    """fig3's seed-independent arrays at `noise_p`, read-only: the (4, 4)
-    probes, their masked vectors and masked stack, the (probe, qubit, 2, 2)
-    stack of each probe's path (A) and polarization (B) qubit, and its
-    (8, 3, 2) Born table."""
+    """fig3's seed-independent arrays at `noise_p`, read-only: the masked
+    vectors of the four probes and their masked stack, the (probe, qubit, 2,
+    2) stack of each probe's path (A) and polarization (B) qubit, its (8, 3,
+    2) Born table, and the (4, 3) verification pass probabilities."""
     probes = np.array([probe_vector(idx) for idx in PROBES])
     ideal, rho = _masked_states(probes, noise_p)
     reduced = np.stack([partial_trace(rho, k) for k in ("A", "B")], axis=1)
-    return _read_only(probes, ideal, rho, reduced, measure.axis_probs(reduced).reshape(-1, 3, 2))
+    return (*_read_only(ideal, rho, reduced, measure.axis_probs(reduced).reshape(-1, 3, 2)),
+            estimate.qsv_pass_probs(rho, probes))
 
 
 def run_fig3(config: ExperimentConfig) -> dict:
     shots = config.shots("fig3")
-    probes, ideal, rho, reduced, probs = _fig3_model(config.noise_p)
+    ideal, rho, reduced, probs, pass_probs = _fig3_model(config.noise_p)
     if config.analytic:
         eps = 1.0 - np.einsum("ni,nij,nj->n", ideal.conj(), rho, ideal).real
         fids = [report_row(config, "fig3", f"probe {idx} fidelity", 1.0 - e, 0.0, "ci95",
@@ -168,7 +184,7 @@ def run_fig3(config: ExperimentConfig) -> dict:
                 for idx, e in zip(PROBES, eps.tolist())]
         pur, std, resamples = purity(reduced), np.zeros(len(PROBES)), None
     else:
-        qsvs = estimate.qsv_run(rho, probes, config.qsv_tests,
+        qsvs = estimate.qsv_run(pass_probs, config.qsv_tests,
                                 [derive_seed(config.seed, "fig3.qsv", idx) for idx in PROBES])
         fids = [report_row(config, "fig3", f"probe {idx} fidelity", qsv.fidelity, qsv.error, "ci95",
                            qsv.total, eps_hat=qsv.eps_hat, eps_low=qsv.ci_low, eps_high=qsv.ci_high,
@@ -178,12 +194,12 @@ def run_fig3(config: ExperimentConfig) -> dict:
         counts = _pauli_counts(probs, shots, config.seed, tags)
         counts = counts.reshape(len(PROBES), 2, 3, 2)
         seeds = [derive_seed(config.seed, "fig3.boot", idx) for idx in PROBES]
-        pur = estimate.purity_from_counts(counts.reshape(-1, 3, 2)).reshape(-1, 2)
         resamples = BOOTSTRAP_RESAMPLES
-        std = estimate.bootstrap_std(_avg_purity, counts, seeds, resamples=resamples)
+        pur, std = estimate.bootstrap_std(_purities, counts, seeds, resamples=resamples)
+        std = std[:, 2]
     rows = []
     for i, idx in enumerate(PROBES):
-        pur_a, pur_b = pur[i].tolist()
+        pur_a, pur_b = pur[i, :2].tolist()
         avg = report_row(config, "fig3", f"probe {idx} avg purity", 0.5 * (pur_a + pur_b),
                          float(std[i]), "std", shots=None if config.analytic else shots,
                          path_purity=pur_a, pol_purity=pur_b, resamples=resamples)
@@ -215,26 +231,30 @@ def _fig4_model(noise_p: float, probe: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(a, measure.pair_probs(_masked_states(a[None], noise_p)[1][0]))
 
 
+def _decoded(tables: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(m, 33) rows for a stack of (9, 4) Pauli-pair tables, decoded in one
+    call: each table's decode fidelity with `a`, then its raw and its
+    projected reconstruction, flattened."""
+    out = estimate.decode_real_state(measure.correlators(tables).reshape(-1, 3, 3), a)
+    m = len(tables)
+    return np.column_stack([out.fidelity_vs_input, out.rho_hat.reshape(m, 16), out.rho_proj.real.reshape(m, 16)])
+
+
 def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
+    probe = _probe_index(probe)
     shots = config.shots("fig4")
     a, probs = _fig4_model(config.noise_p, probe)
     if config.analytic:
-        t = measure.correlators(probs).reshape(3, 3)
-        fid_std = 0.0
+        tables = probs[None]
+        values, fid_std = _decoded(tables, a)[0], 0.0
     else:
-        counts = _pauli_counts(probs[None], shots, config.seed, [("fig4", probe)])[0]
-        t = measure.correlators(counts).reshape(3, 3)
-
-        def decode_fidelity(stack: np.ndarray) -> np.ndarray:
-            ts = measure.correlators(stack).reshape(-1, 3, 3)
-            return estimate.decode_real_state(ts, a).fidelity_vs_input
-
-        fid_std = float(estimate.bootstrap_std(
-            decode_fidelity, counts[None], [derive_seed(config.seed, "fig4.boot", probe)],
-            resamples=BOOTSTRAP_RESAMPLES,
-        )[0])
-    decoded = estimate.decode_real_state(t, input_state=a)
-    fid = report_row(config, "fig4", f"probe {probe} decode fidelity", decoded.fidelity_vs_input,
+        tables = _pauli_counts(probs[None], shots, config.seed, [("fig4", probe)])
+        point, std = estimate.bootstrap_std(lambda stack: _decoded(stack, a), tables,
+                                            [derive_seed(config.seed, "fig4.boot", probe)],
+                                            resamples=BOOTSTRAP_RESAMPLES)
+        values, fid_std = point[0], float(std[0, 0])
+    t = measure.correlators(tables[0]).reshape(3, 3)
+    fid = report_row(config, "fig4", f"probe {probe} decode fidelity", float(values[0]),
                      fid_std, "std", shots=shots,
                      resamples=None if config.analytic else BOOTSTRAP_RESAMPLES)
     return {
@@ -246,8 +266,8 @@ def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
         "probe": probe,
         "target": PROBE_LABELS[probe],
         "correlators": t.tolist(),
-        "rho_raw": decoded.rho_hat.tolist(),
-        "rho_decoded": decoded.rho_proj.real.tolist(),
+        "rho_raw": values[1:17].reshape(4, 4).tolist(),
+        "rho_decoded": values[17:].reshape(4, 4).tolist(),
         "fidelity": fid,
     }
 
@@ -282,8 +302,7 @@ def run_fig5(config: ExperimentConfig) -> dict:
         counts = _pauli_counts(probs, shots, config.seed,
                                [("fig5.tomo", i) for i in range(len(phis))])
         seeds = [derive_seed(config.seed, "fig5.boot", i) for i in range(len(phis))]
-        est = _concurrence(counts)
-        std = estimate.bootstrap_std(_concurrence, counts, seeds, resamples=BOOTSTRAP_RESAMPLES)
+        est, std = estimate.bootstrap_std(_concurrence, counts, seeds, resamples=BOOTSTRAP_RESAMPLES)
     points = [
         report_row(config, "fig5", f"phi = {phi} deg", float(est[i]), float(std[i]), "std",
                    shots=None if config.analytic else shots,
@@ -329,8 +348,9 @@ def _fixed_gaps() -> tuple[tuple[str, float], ...]:
 
 def run_equivalence(config: ExperimentConfig, n_inputs: int = 100) -> dict:
     """The linear parts' gaps, and the preparation's over `n_inputs` random real targets."""
-    if n_inputs < 1:
-        raise ValueError(f"n_inputs must be >= 1, got {n_inputs}")
+    if not (_is_integer(n_inputs) and n_inputs >= 1):
+        raise ValueError(f"n_inputs must be an integer >= 1, got {n_inputs!r}")
+    n_inputs = int(n_inputs)
     rng = generator(derive_seed(config.seed, "equiv"))
     gaps = dict(_fixed_gaps())
     for start in range(0, n_inputs, EQUIV_BLOCK):
@@ -352,20 +372,60 @@ def run_equivalence(config: ExperimentConfig, n_inputs: int = 100) -> dict:
 # ---------------------------------------------------------------------------
 # Deterministic serialization: floats at 12 significant digits.
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+def _encode(obj, indent: str, out: list[str]) -> None:
+    """Append the JSON text of `obj` at depth `indent` to `out`: floats at 12
+    significant digits, everything else as `json.dumps(..., indent=2,
+    allow_nan=False)` writes it.  Dict keys must be strings."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        out.append(repr(float(f"{obj:.12g}")))
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for value in obj:
+            out.append(sep)
+            _encode(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _encode(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def report_json(report: dict) -> str:
-    """JSON text of a report under a top-level "schema" key; NaN or infinity raises ValueError."""
-    doc = {"schema": REPORT_SCHEMA, **_round_floats(report)}
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """JSON text of a report under a top-level "schema" key, floats at 12
+    significant digits, laid out as `json.dumps(..., indent=2)` lays it out;
+    NaN or infinity raises ValueError."""
+    out: list[str] = []
+    _encode({"schema": REPORT_SCHEMA, **report}, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _fmt(x) -> str:

@@ -5,9 +5,12 @@ density matrices of shape (d, d).
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from realmask.estimate import _simplex_projection
+from realmask.experiments import REPORT_SCHEMA
 from realmask.masker import mask_pure, masker_matrix
 from realmask.optics import V
 from realmask.qcore import (
@@ -105,6 +108,27 @@ def reference_project_to_density(mat) -> np.ndarray:
     vals, vecs = np.linalg.eigh(0.5 * (arr + _dagger(arr)))
     vals = _simplex_projection(vals)
     return checked_density((vecs * vals[..., None, :]) @ _dagger(vecs))
+
+
+def round_floats(obj):
+    """`obj` with every float rounded to 12 significant digits and every
+    tuple made a list, as the report writer once prepared a report for
+    `json.dumps`."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(v) for v in obj]
+    return obj
+
+
+def reference_report_json(report: dict) -> str:
+    """A report's JSON text as the library once wrote it: rounded by
+    `round_floats`, then encoded by `json.dumps`.  The oracle for
+    `experiments.report_json`."""
+    doc = {"schema": REPORT_SCHEMA, **round_floats(report)}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

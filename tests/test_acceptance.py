@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from realmask import measure, optics, walk
-from realmask.estimate import agresti_coull, decode_real_state, mle_qubit_batch, qsv_run
+from realmask.estimate import agresti_coull, decode_real_state, mle_qubit_batch, qsv_pass_probs, qsv_run
 from realmask.experiments import ExperimentConfig, phase_probe, probe_vector, run_fig3
 from realmask.masker import hr_unitaries, mask_pure, masker_matrix
 from realmask.measure import (
@@ -160,8 +160,9 @@ def test_criterion_7_fig3_fidelities():
     for idx in (1, 2, 3, 4):
         a = probe_vector(idx)
         rho = apply_depolarizing(density(mask_pure(a)), 0.01)
+        pass_probs = qsv_pass_probs(rho[None], a[None])
         fids = [
-            qsv_run(rho[None], a[None], 5000, [derive_seed(SEED, "accept7", idx, s)])[0].fidelity
+            qsv_run(pass_probs, 5000, [derive_seed(SEED, "accept7", idx, s)])[0].fidelity
             for s in range(50)
         ]
         canonical.append(fids[0])

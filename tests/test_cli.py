@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,21 @@ class TestProbes:
     def test_bad_probe_index(self):
         with pytest.raises(ValueError):
             probe_vector(5)
+
+    # True and 1.0 used to run probe 1 and write "probe": true or 1.0 into the report.
+    @pytest.mark.parametrize("probe", [True, False, 1.0, 2.5, "4", None, 0, 5, np.float64(4.0)])
+    def test_a_bool_or_non_integer_probe_is_refused(self, probe):
+        message = rf"^probe index must be an integer 1\.\.4, got {re.escape(repr(probe))}$"
+        with pytest.raises(ValueError, match=message):
+            probe_vector(probe)
+        with pytest.raises(ValueError, match=message):
+            run_fig4(ExperimentConfig(seed=1, analytic=True), probe=probe)
+
+    @pytest.mark.parametrize("analytic", [False, True])
+    def test_a_numpy_integer_probe_gives_the_report_of_its_int(self, analytic):
+        config = ExperimentConfig(seed=1, analytic=analytic)
+        assert np.array_equal(probe_vector(np.int64(2)), probe_vector(2))
+        assert report_json(run_fig4(config, probe=np.int64(2))) == report_json(run_fig4(config, probe=2))
 
 
 class TestDeterminism:
@@ -195,8 +211,19 @@ class TestEquivalence:
     @pytest.mark.parametrize("n", [0, -5])
     def test_rejects_empty_run(self, n):
         # A run over no inputs would pass after checking nothing.
-        with pytest.raises(ValueError, match="n_inputs must be >= 1"):
+        with pytest.raises(ValueError, match=rf"^n_inputs must be an integer >= 1, got {n}$"):
             run_equivalence(ExperimentConfig(seed=9), n_inputs=n)
+
+    # True used to write "n_inputs": true, and 2.5 ended in numpy's TypeError.
+    @pytest.mark.parametrize("n", [True, 2.5, 3.0, "3", None])
+    def test_rejects_a_bool_or_non_integer_input_count(self, n):
+        with pytest.raises(ValueError, match=rf"^n_inputs must be an integer >= 1, got {re.escape(repr(n))}$"):
+            run_equivalence(ExperimentConfig(seed=9), n_inputs=n)
+
+    def test_takes_a_numpy_integer_input_count(self):
+        rep = run_equivalence(ExperimentConfig(seed=9), n_inputs=np.int64(5))
+        assert type(rep["n_inputs"]) is int
+        assert report_json(rep) == report_json(run_equivalence(ExperimentConfig(seed=9), n_inputs=5))
 
     def test_impossible_threshold_fails(self, monkeypatch):
         monkeypatch.setattr(experiments, "EQUIV_THRESHOLD", 0.0)
@@ -533,6 +560,37 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and "must not be empty" in captured.err
+
+    # A list starting with a minus sign after a space used to be read as a
+    # flag: "argument --phi-grid: expected one argument", exit 2.
+    @pytest.mark.parametrize("argv, flag, value, shown", [
+        (["fig5", "--analytic"], "--phi-grid", "-15,0", '"phi_deg": -15.0'),
+        (["fig5", "--analytic", "--seed", "-3"], "--phi-grid", "-15,-30,45", '"phi_deg": -30.0'),
+        (["fig5", "--analytic"], "--phi-grid", "-.5,1", '"phi_deg": -0.5'),
+        (["angles"], "--state", "-1,0,0,0", "a = (-1.000000, 0.000000"),
+        (["angles", "--phi", "-30"], "--state", "-1,2,-3,4", "a = (-0.182574, 0.365148, -0.547723"),
+        (["angles"], "--basis", "-0.3,0.5,-1.1,0.2", "gamma=-0.300000, zeta=0.500000, alpha=-1.100000"),
+    ])
+    def test_a_negative_list_takes_either_spelling(self, argv, flag, value, shown, capsys):
+        assert cli.main([*argv, flag, value]) == 0
+        spaced = capsys.readouterr().out
+        assert shown in spaced
+        assert cli.main([*argv, f"{flag}={value}"]) == 0
+        assert capsys.readouterr().out == spaced
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["fig5", "--phi-grid", "-inf,0"], "--phi-grid"),
+        (["fig5", "--phi-grid", "-15,x"], "--phi-grid"),
+        (["angles", "--state", "-1,0,0"], "--state"),
+        (["angles", "--basis", "-0.3,nan,0,0"], "--basis"),
+        (["fig5", "--analytic", "-15,0"], "--analytic"),
+    ])
+    def test_a_bad_negative_list_is_a_usage_error_of_its_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {flag}:" in err and "expected one argument" not in err
 
     def test_angles_raw_basis(self, capsys):
         rc = cli.main(["angles", "--basis", "0.785398,0,0.785398,1.570796"])

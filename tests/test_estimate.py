@@ -18,6 +18,7 @@ from realmask.estimate import (
     mle_qubit_batch,
     project_to_density,
     purity_from_counts,
+    qsv_pass_probs,
     qsv_run,
 )
 from realmask.experiments import probe_vector
@@ -218,8 +219,13 @@ class TestVerificationOperator:
 
 def qsv_one(rho, a, n_tests: int, seed):
     """`qsv_run` on a stack of one: state `rho`, real target `a`, one seed."""
-    (out,) = qsv_run(np.asarray(rho)[None], np.asarray(a)[None], n_tests, [seed])
+    (out,) = qsv_run(qsv_pass_probs(np.asarray(rho)[None], np.asarray(a)[None]), n_tests, [seed])
     return out
+
+
+def qsv_stack(rho, targets, n_tests: int, seeds):
+    """`qsv_run` over the pass-probability table of a stack of states."""
+    return qsv_run(qsv_pass_probs(rho, targets), n_tests, seeds)
 
 
 E0 = np.eye(4)[0]  # the target (1 ⊗ 1)|Phi>
@@ -255,8 +261,8 @@ class TestQsvRun:
 
     def test_nested_lists_match_arrays(self):
         rho = apply_depolarizing(density(BELL_PHI), 0.1)
-        assert (qsv_run(rho[None], E0[None], 500, [3])
-                == qsv_run(rho[None].tolist(), E0[None].tolist(), 500, [3]))
+        assert (qsv_stack(rho[None], E0[None], 500, [3])
+                == qsv_stack(rho[None].tolist(), E0[None].tolist(), 500, [3]))
 
     def test_rejects_complex_coefficient_target(self):
         with pytest.raises(ValueError, match="must be real"):
@@ -300,7 +306,7 @@ class TestQsvRun:
 
     def test_rejects_a_state_that_is_not_a_stack(self):
         with pytest.raises(ValueError, match=r"\(n, 4, 4\) stack"):
-            qsv_run(np.eye(4) / 4, E0[None], 10, [0])
+            qsv_pass_probs(np.eye(4) / 4, E0[None])
 
     def test_experiment_scale_arithmetic(self):
         # S = 4986 of N = 5000 maps to eps_hat = 0.0042, fidelity 0.9958.
@@ -339,7 +345,7 @@ class TestQsvStack:
         targets = rng.normal(size=(n, 4))
         targets /= np.linalg.norm(targets, axis=1, keepdims=True)
         keys = keys[:n]
-        stacked = qsv_run(rho, targets, n_tests, keys)
+        stacked = qsv_stack(rho, targets, n_tests, keys)
         assert isinstance(stacked, list)
         assert stacked == [qsv_one(r, t, n_tests, k) for r, t, k in zip(rho, targets, keys)]
 
@@ -361,7 +367,7 @@ class TestQsvStack:
         probes = np.array([probe_vector(idx) for idx in (1, 2, 3, 4)])
         rho = np.array([apply_depolarizing(density(masker_matrix() @ a), 0.01) for a in probes])
         keys = [derive_seed(20404, "fig3.qsv", idx) for idx in (1, 2, 3, 4)]
-        got = [out.passed for out in qsv_run(rho, probes, 5000, keys)]
+        got = [out.passed for out in qsv_stack(rho, probes, 5000, keys)]
         assert got == [TestQsvRun.projector_passed(r, hr_combination(a), 5000, k)
                        for r, a, k in zip(rho, probes, keys)]
 
@@ -374,7 +380,7 @@ class TestQsvStack:
         rho = np.array([np.eye(4) / 4] * 3)
         targets = np.array([np.eye(4)[0], bad, bad])
         with pytest.raises(ValueError, match=f"^row 1: coefficient vector {match}"):
-            qsv_run(rho, targets, 10, [1, 2, 3])
+            qsv_pass_probs(rho, targets)
 
     @pytest.mark.parametrize("bad, match", [
         (np.eye(4), "trace"),
@@ -384,20 +390,41 @@ class TestQsvStack:
     def test_bad_state_row_is_named(self, bad, match):
         rho = np.array([np.eye(4) / 4, np.eye(4) / 4, bad])
         with pytest.raises(ValueError, match=f"^row 2: .*{match}"):
-            qsv_run(rho, np.eye(4)[:3], 10, [1, 2, 3])
+            qsv_pass_probs(rho, np.eye(4)[:3])
 
     def test_bad_seed_row_is_named(self):
         with pytest.raises(ValueError, match=r"^row 0: seed must be an integer in \[0, 2\*\*64\)"):
-            qsv_run(np.array([np.eye(4) / 4] * 2), np.eye(4)[:2], 10, [-1, 2])
+            qsv_stack(np.array([np.eye(4) / 4] * 2), np.eye(4)[:2], 10, [-1, 2])
 
     def test_needs_one_target_and_seed_per_state(self):
-        with pytest.raises(ValueError, match="one target and one seed per state"):
-            qsv_run(np.array([np.eye(4) / 4] * 2), np.eye(4)[:2], 10, [1])
-        with pytest.raises(ValueError, match="one target and one seed per state"):
-            qsv_run(np.array([np.eye(4) / 4] * 2), np.eye(4)[:1], 10, [1, 2])
+        with pytest.raises(ValueError, match="^need one seed per row, got 1 seeds for 2 rows$"):
+            qsv_stack(np.array([np.eye(4) / 4] * 2), np.eye(4)[:2], 10, [1])
+        with pytest.raises(ValueError, match="^need one target per state, got 1 targets for 2 states$"):
+            qsv_pass_probs(np.array([np.eye(4) / 4] * 2), np.eye(4)[:1])
 
     def test_empty_stack_gives_no_results(self):
-        assert qsv_run(np.zeros((0, 4, 4)), np.zeros((0, 4)), 10, []) == []
+        assert qsv_stack(np.zeros((0, 4, 4)), np.zeros((0, 4)), 10, []) == []
+
+    def test_table_is_read_only_and_run_only_reads_it(self, monkeypatch):
+        rho = np.array([apply_depolarizing(density(masker_matrix() @ a), 0.01) for a in np.eye(4)])
+        table = qsv_pass_probs(rho, np.eye(4))
+        assert table.shape == (4, 3) and not table.flags.writeable
+        before = table.copy()
+
+        def refuse(*args):
+            raise AssertionError("qsv_run checked a state")
+
+        monkeypatch.setattr(estimate, "checked_density", refuse)
+        monkeypatch.setattr(estimate, "u_of_c", refuse)
+        assert qsv_run(table, 100, [1, 2, 3, 4]) == qsv_run(table.tolist(), 100, [1, 2, 3, 4])
+        assert np.array_equal(table, before)
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 4)), np.zeros(3), np.zeros((1, 2, 3)),
+                                     np.array([[0.5, np.nan, 0.5]]), np.array([[0.5, np.inf, 0.5]])],
+                             ids=["four-columns", "one-dimensional", "three-dimensional", "nan", "inf"])
+    def test_run_refuses_what_is_no_finite_table(self, bad):
+        with pytest.raises(ValueError, match=r"^pass_probs must be a finite \(n, 3\) table, got shape"):
+            qsv_run(bad, 10, list(range(len(bad))))
 
 
 class TestAgrestiCoull:
@@ -513,7 +540,7 @@ class TestTomography:
 
     def test_optional_bootstrap_fills_std_purity(self):
         n = 4000
-        (std,) = bootstrap_std(purity_from_counts, np.full((1, 3, 2), n // 2), [2], resamples=50)
+        _, (std,) = bootstrap_std(purity_from_counts, np.full((1, 3, 2), n // 2), [2], resamples=50)
         assert 0.0 < std < 0.02
 
 
@@ -665,12 +692,12 @@ class TestPurityFromCounts:
 class TestBootstrap:
     def test_constant_quantity_has_zero_std(self):
         counts = np.array([[100, 100]])
-        assert bootstrap_std(lambda c: np.ones(len(c)), counts, [0], resamples=50)[0] == 0.0
+        assert bootstrap_std(lambda c: np.ones(len(c)), counts, [0], resamples=50)[1][0] == 0.0
 
     def test_purity_std_scale_for_mixed_data(self):
         n = 4000
         counts = np.full((1, 3, 2), n // 2)
-        (std,) = bootstrap_std(purity_from_counts, counts, [1], resamples=100)
+        _, (std,) = bootstrap_std(purity_from_counts, counts, [1], resamples=100)
         assert 0.0 < std < 0.02
 
     def test_resamples_minimum(self):
@@ -695,11 +722,11 @@ class TestBootstrap:
         def concurrence(c):
             return concurrence_from_purity(purity_from_counts(c))
 
-        (std,) = bootstrap_std(concurrence, counts[None], [32], resamples=100)
+        _, (std,) = bootstrap_std(concurrence, counts[None], [32], resamples=100)
         assert 0.0 < std < 0.02
 
     def test_one_poisson_draw_per_estimate(self):
-        # The quantity sees exactly generator(seed).poisson(counts, size=(R, ...)).
+        # The quantity sees the counts, then exactly generator(seed).poisson(counts, size=(R, ...)).
         counts = np.array([[[30, 10], [0, 0]], [[5, 7], [1, 0]]])
         seen = []
 
@@ -707,9 +734,10 @@ class TestBootstrap:
             seen.append(c)
             return c[:, 0, 0, 0].astype(float)
 
-        (std,) = bootstrap_std(first_count, counts[None], [9], resamples=40)
+        (point,), (std,) = bootstrap_std(first_count, counts[None], [9], resamples=40)
         want = generator(9).poisson(counts, size=(40, 2, 2, 2))
-        assert len(seen) == 1 and np.array_equal(seen[0], want)
+        assert len(seen) == 1 and np.array_equal(seen[0], np.concatenate([counts[None], want]))
+        assert point == 30.0
         assert std == float(np.std(want[:, 0, 0, 0], ddof=1))
 
     def test_quantity_must_give_one_value_per_resample(self):
@@ -723,11 +751,28 @@ class TestBootstrap:
             [[[0, 0], [0, 0], [0, 0]], [[1, 0], [0, 1], [1, 0]], [[900, 0], [450, 450], [450, 450]]],
         ])
         seeds = [derive_seed(3, "stack", i) for i in range(len(counts))]
-        stacked = bootstrap_std(purity_from_counts, counts, seeds, resamples=100)
-        alone = [bootstrap_std(purity_from_counts, c[None], [s], resamples=100)[0]
-                 for c, s in zip(counts, seeds)]
-        assert stacked.shape == (len(counts),)
-        assert np.array_equal(stacked, alone)
+        point, stacked = bootstrap_std(purity_from_counts, counts, seeds, resamples=100)
+        alone = [bootstrap_std(purity_from_counts, c[None], [s], resamples=100) for c, s in zip(counts, seeds)]
+        assert point.shape == stacked.shape == (len(counts),)
+        assert np.array_equal(point, [p[0] for p, _ in alone])
+        assert np.array_equal(stacked, [s[0] for _, s in alone])
+        assert np.array_equal(point, purity_from_counts(counts))
+
+    def test_each_entry_of_a_row_spreads_as_a_lone_value(self, rng):
+        # fig3's quantity gives the path and polarization purities and their
+        # mean; each column's point and spread are those of that column alone.
+        counts = np.concatenate([rng.integers(0, 400, size=(5, 2, 3, 2)), np.zeros((1, 2, 3, 2), dtype=int)])
+        seeds = [derive_seed(5, "columns", i) for i in range(len(counts))]
+
+        def columns(c):
+            pur = purity_from_counts(c.reshape(-1, 3, 2)).reshape(-1, 2)
+            return np.column_stack([pur, pur.mean(axis=1)])
+
+        point, std = bootstrap_std(columns, counts, seeds, resamples=100)
+        assert point.shape == std.shape == (len(counts), 3)
+        for k in range(3):
+            alone = bootstrap_std(lambda c: columns(c)[:, k], counts, seeds, resamples=100)
+            assert np.array_equal(point[:, k], alone[0]) and np.array_equal(std[:, k], alone[1])
 
     def test_each_item_draws_from_its_own_seed(self):
         counts = np.array([[[30, 10]], [[5, 7]]])
@@ -738,7 +783,7 @@ class TestBootstrap:
             return c.sum(axis=(1, 2)).astype(float)
 
         bootstrap_std(total, counts, [4, 8], resamples=5)
-        want = np.concatenate([generator(4).poisson(counts[0], size=(5, 1, 2)),
+        want = np.concatenate([counts, generator(4).poisson(counts[0], size=(5, 1, 2)),
                                generator(8).poisson(counts[1], size=(5, 1, 2))])
         assert len(seen) == 1 and np.array_equal(seen[0], want)
 
@@ -747,8 +792,8 @@ class TestBootstrap:
             bootstrap_std(purity_from_counts, np.full((2, 3, 2), 5), [1], resamples=10)
 
     def test_empty_stack_gives_no_values(self):
-        out = bootstrap_std(purity_from_counts, np.zeros((0, 3, 2)), [], resamples=10)
-        assert out.shape == (0,)
+        point, std = bootstrap_std(purity_from_counts, np.zeros((0, 3, 2)), [], resamples=10)
+        assert point.shape == std.shape == (0,)
 
 
 class TestMaskedOutputTomography:

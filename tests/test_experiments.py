@@ -11,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realmask import estimate, experiments, measure
 from realmask.experiments import (
@@ -35,7 +37,7 @@ from realmask.qcore import (
     spin_flip_concurrence,
 )
 
-from helpers import density
+from helpers import density, reference_report_json
 
 
 def oracle_row(config, experiment, target, estimate, error, error_kind, n, shots, **extra):
@@ -77,7 +79,7 @@ def oracle_fig3(config):
             pur_a, pur_b = (purity(partial_trace(rho, k)) for k in ("A", "B"))
             std, resamples = 0.0, None
         else:
-            (qsv,) = estimate.qsv_run(rho[None], a[None], config.qsv_tests,
+            (qsv,) = estimate.qsv_run(estimate.qsv_pass_probs(rho[None], a[None]), config.qsv_tests,
                                       [derive_seed(config.seed, "fig3.qsv", idx)])
             fid = oracle_row(config, "fig3", f"probe {idx} fidelity", qsv.fidelity, qsv.error, "ci95",
                              qsv.total, None, eps_hat=qsv.eps_hat, eps_low=qsv.ci_low,
@@ -189,11 +191,12 @@ def clear_models():
 
 def test_each_masked_stack_is_checked_once_per_config(monkeypatch):
     """The first run of each figure at a config checks its (n, 4, 4) masked
-    stack once, in `apply_depolarizing`, and its reduced stacks in
-    `partial_trace`; a run at another seed reads the cached model, so only
-    fig3's verification, which checks its stack on every run, checks a state.
-    No state check repairs a matrix, so only the positivity projection calls
-    `eigh`."""
+    stack once, in `apply_depolarizing`, its reduced stacks in
+    `partial_trace`, and fig3's stack once more where its verification table
+    is built; a run at another seed reads the cached model and checks no
+    state.  No state check repairs a matrix, so only the positivity
+    projection calls `eigh`, once per fig4 run: the point correlators and
+    their resamples decode in one call."""
     masker_matrix()  # its one-time build checks reduced states too
     clear_models()
     checks, eighs = [], []
@@ -217,14 +220,44 @@ def test_each_masked_stack_is_checked_once_per_config(monkeypatch):
             del checks[:], eighs[:]
     n = len(ExperimentConfig().phi_grid_deg)
     assert first["fig3"][0] == [("apply_depolarizing", (4, 4, 4)), ("partial_trace", (4, 2, 2)),
-                                ("partial_trace", (4, 2, 2)), ("qsv_run", (4, 4, 4))]
+                                ("partial_trace", (4, 2, 2)), ("qsv_pass_probs", (4, 4, 4))]
     assert first["fig4"][0] == [("apply_depolarizing", (1, 4, 4))]
     assert first["fig5"][0] == [("apply_depolarizing", (n, 4, 4)), ("partial_trace", (n, 2, 2))]
-    assert second["fig3"][0] == [("qsv_run", (4, 4, 4))]
-    assert second["fig4"][0] == second["fig5"][0] == []
+    assert second["fig3"][0] == second["fig4"][0] == second["fig5"][0] == []
     for log in (first, second):
         assert log["fig3"][1] == log["fig5"][1] == []
-        assert log["fig4"][1] and set(log["fig4"][1]) == {"project_to_density"}
+        assert log["fig4"][1] == ["project_to_density"]
+
+
+def test_each_sampled_figure_makes_one_estimator_call_and_one_resample_call(monkeypatch):
+    """A figure's point estimates ride in the estimator call of their
+    bootstrap resamples: fig3 estimates its 4 x 2 qubits and their 100
+    resamples each in one `purity_from_counts` call, fig4 decodes 101
+    correlation matrices in one `decode_real_state` call, fig5 its 7 points
+    and their resamples in one call.  Each draws its resamples once."""
+    calls = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def wrapper(arg, *args, **kwargs):
+            calls.append((name, len(arg)))
+            return original(arg, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(estimate, "purity_from_counts")
+    spy(estimate, "decode_real_state")
+    spy(estimate, "poisson_resample")
+    spy(estimate, "qsv_run")
+    rows = BOOTSTRAP_RESAMPLES + 1
+    n = len(ExperimentConfig().phi_grid_deg)
+    for run, want in ((run_fig3, [("qsv_run", 4), ("poisson_resample", 4), ("purity_from_counts", 8 * rows)]),
+                      (run_fig4, [("poisson_resample", 1), ("decode_real_state", rows)]),
+                      (run_fig5, [("poisson_resample", n), ("purity_from_counts", n * rows)])):
+        run(ExperimentConfig(seed=11))
+        assert calls == want, run.__name__
+        del calls[:]
 
 
 def test_model_arrays_refuse_writes():
@@ -273,3 +306,51 @@ def test_report_row_key_order_and_extras():
                          "seed", "noise_p", "theory_cos", "phi_deg"]
     assert row == oracle_row(config, "fig5", "phi=0", 1.0, 0.01, "std", None, 10_000,
                              theory_cos=1.0, phi_deg=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The report writer against `json.dumps` of the rounded report.
+
+TRICKY_TEXT = ["", '"', "\\", "\n\t\r\x00\x1f\x7f", "é", "\u2028", "\U0001f600", "phi = 90.0 deg"]
+scalars = st.one_of(
+    st.text(), st.sampled_from(TRICKY_TEXT), st.integers(), st.integers(-2**70, 2**70), st.booleans(), st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+documents = st.recursive(
+    scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(st.one_of(st.text(), st.sampled_from(TRICKY_TEXT)), inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+class TestReportJson:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.one_of(st.text(), st.sampled_from(TRICKY_TEXT)), documents, max_size=5))
+    def test_matches_json_dumps_of_the_rounded_report(self, report):
+        assert report_json(report) == reference_report_json(report)
+
+    @pytest.mark.parametrize("config", [ExperimentConfig(seed=1), ExperimentConfig(seed=1, analytic=True)],
+                             ids=["sampled", "analytic"])
+    @pytest.mark.parametrize("run", [run_fig3, run_fig4, run_fig5, experiments.run_equivalence])
+    def test_figure_reports_match_json_dumps(self, run, config):
+        report = run(config)
+        assert report_json(report) == reference_report_json(report)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float64("-inf")])
+    @pytest.mark.parametrize("where", ["top", "nested"])
+    def test_refuses_a_non_finite_float(self, bad, where):
+        report = {"x": bad} if where == "top" else {"points": [{"estimate": 0.5}, {"error": [1.0, bad]}]}
+        with pytest.raises(ValueError):
+            reference_report_json(report)
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            report_json(report)
+
+    @pytest.mark.parametrize("bad", [np.int64(3), np.bool_(True), {1, 2}, object()])
+    def test_refuses_what_json_cannot_encode(self, bad):
+        with pytest.raises(TypeError):
+            reference_report_json({"x": [bad]})
+        with pytest.raises(TypeError, match="is not JSON serializable$"):
+            report_json({"x": [bad]})
+
