@@ -9,7 +9,7 @@ pipelines).
 """
 from .estimate import agresti_coull, decode_real_state, qsv_pass_probs, qsv_run
 from .masker import hr_unitaries, mask_pure, masker_matrix, u_of_c
-from .measure import derive_seed, generator, sample_counts
+from .measure import derive_seed, derive_seeds, generator, sample_counts
 from .qcore import fidelity_with_pure, partial_trace, purity
 from .walk import encode_input, extract_two_qubit, masking_schedule
 
@@ -19,6 +19,7 @@ __all__ = [
     "agresti_coull",
     "decode_real_state",
     "derive_seed",
+    "derive_seeds",
     "encode_input",
     "extract_two_qubit",
     "fidelity_with_pure",

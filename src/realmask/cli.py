@@ -12,8 +12,9 @@ are made from it for the fields it reads (`FIELDS`), so it takes no flag or
 key that it would ignore.  `fig4 --probe` and `equiv --n-inputs` are flags
 only, with no config key.  A bad value is a one-line error, never a silent
 coercion, and so is a run that needs more memory than it can get.  A comma
-list that starts with a negative number may follow its flag after a space
-(`--phi-grid -15,0`) or an `=` (`--phi-grid=-15,0`).
+list that starts with a negative number, and a lone negative number in any
+spelling `float` reads, may follow its flag after a space (`--phi-grid
+-15,0`, `--phi -1e1`) or an `=` (`--phi-grid=-15,0`).
 """
 from __future__ import annotations
 
@@ -290,16 +291,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # A comma list that starts with a minus sign, such as "-15,0": argparse takes
-# it for a flag unless it is attached to its own flag with "=".
+# it for a flag unless it is attached to its own flag with "=".  So does a
+# lone negative number that is not a plain decimal, such as "-1e1" or "-inf".
 _NEGATIVE_LIST = re.compile(r"-[^-].*,")
 
 
+def _is_negative_value(arg: str) -> bool:
+    """A negative comma list, or a lone token with a minus sign that `float` reads."""
+    if _NEGATIVE_LIST.match(arg):
+        return True
+    if not arg.startswith("-"):
+        return False
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
+
+
 def _attach_negative_lists(argv: list[str]) -> list[str]:
-    """`argv` with each negative comma list attached to the long flag before it."""
+    """`argv` with each negative value of `_is_negative_value` attached to the long flag before it."""
     out: list[str] = []
     for arg in argv:
         flag = out[-1] if out else ""
-        if flag.startswith("--") and len(flag) > 2 and "=" not in flag and _NEGATIVE_LIST.match(arg):
+        if flag.startswith("--") and len(flag) > 2 and "=" not in flag and _is_negative_value(arg):
             out[-1] = f"{flag}={arg}"
         else:
             out.append(arg)

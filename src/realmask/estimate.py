@@ -24,8 +24,10 @@ Three pipelines:
   inverting T_jk = tr(M rho M† sigma_j⊗sigma_k) over real symmetric
   unit-trace rho; the reconstruction is real symmetric by construction and
   is projected onto the nearest density matrix when shot noise pushes it
-  slightly outside the cone.  A stack of correlation matrices
-  decodes in one call, each item exactly as it would alone.
+  slightly outside the cone.  The decode stays in real arithmetic from the
+  map through the projection (one real `eigh` per stack) to the fidelity
+  with a real input.  A stack of correlation matrices decodes in one call,
+  each item exactly as it would alone.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ import numpy as np
 
 from .masker import masker_matrix, u_of_c
 from .measure import PAIR_PAULIS, PAIRS, CountsTable, _is_integer, correlators, generators, poisson_resample
-from .qcore import EPS_EXACT, ID2, _as_complex_array, _dagger, checked_density, fidelity_with_pure
+from .qcore import EPS_EXACT, ID2, _as_complex_array, _as_field_array, _dagger, checked_density, fidelity_with_pure
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +355,9 @@ def _simplex_projection(vals: np.ndarray) -> np.ndarray:
 
 def project_to_density(mat: np.ndarray) -> np.ndarray:
     """Nearest density matrix in Frobenius norm (eigenvalue simplex projection)
-    to each finite matrix of a (..., d, d) stack.
+    to each finite matrix of a (..., d, d) stack, in the stack's own field: a
+    real stack is decomposed and rebuilt in real arithmetic and gives a real
+    symmetric result, a complex one in complex arithmetic.
 
     One `eigh` of the Hermitian part gives the spectrum, which is projected
     onto the probability simplex and checked where positivity is decided:
@@ -361,7 +365,7 @@ def project_to_density(mat: np.ndarray) -> np.ndarray:
     within EPS_EXACT.  So the Hermitian-symmetrized rebuild is returned
     without a second decomposition by `checked_density`.
     """
-    arr = _as_complex_array(mat, "matrix")
+    arr = _as_field_array(mat, "matrix")
     vals, vecs = np.linalg.eigh(0.5 * (arr + _dagger(arr)))
     vals = _simplex_projection(vals)
     gap = np.abs(vals.sum(axis=-1) - 1.0).max(initial=0.0)
@@ -401,8 +405,9 @@ def _decode_map() -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DecodeResult:
-    """Real reconstruction before and after the positivity projection, of
-    shape (..., 4, 4) like the correlators; the fidelity has shape (...)."""
+    """Real reconstruction before and after the positivity projection, float64
+    arrays of shape (..., 4, 4) like the correlators; the fidelity has shape
+    (...)."""
 
     rho_hat: np.ndarray
     rho_proj: np.ndarray
@@ -414,10 +419,11 @@ def decode_real_state(t, input_state=None) -> DecodeResult:
 
     `t` is a 3x3 correlation matrix or a (..., 3, 3) stack; each item maps
     through the constant `_decode_map`, every entry of rho a signed sum of
-    quarters of 1 and the T_jk, then projects onto the density matrices.
-    The imaginary part is identically zero by construction.  With a pure
+    quarters of 1 and the T_jk, then projects onto the density matrices in
+    real arithmetic: rho has no imaginary part by construction.  With a pure
     (4,) `input_state`, checked by `qcore.checked_state`, the result also
-    carries each item's fidelity with it.
+    carries each item's fidelity with it, in real arithmetic when the state
+    is real.
     """
     t = validate_correlation_matrix(t)
     ones = np.ones(t.shape[:-2] + (1,))

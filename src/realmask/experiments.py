@@ -18,7 +18,9 @@ pass-probability table of its stack (`estimate.qsv_pass_probs`), so a run
 that reads a cached model checks no state.  The seeded draws of a figure take
 one call each: one `sample_counts` call over all its Pauli tables, one
 `qsv_run` call over fig3's probes and one `poisson_resample` call per
-bootstrap, each row or item still drawn from its own sub-seed.  A figure's
+bootstrap, each row or item still drawn from its own sub-seed; the
+sub-seeds of each tag family ("fig3.tomo", "fig3.qsv", "fig3.boot", ...)
+come from one `measure.derive_seeds` call.  A figure's
 point estimates ride in the estimator call of their bootstrap resamples
 (`estimate.bootstrap_std`), so fig3 makes one `purity_from_counts` call, fig4
 one `decode_real_state` call and fig5 one concurrence call.  Sampled counts
@@ -41,12 +43,12 @@ import numpy as np
 
 from . import estimate, measure, optics, walk
 from .masker import masker_matrix
-from .measure import _is_integer, derive_seed, generator
+from .measure import _is_integer, derive_seed, derive_seeds, generator
 from .qcore import concurrence_from_purity, partial_trace, purity, spin_flip_concurrence
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 11
+REPORT_SCHEMA = 12
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
@@ -135,16 +137,17 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _pauli_counts(probs: np.ndarray, shots: int, master_seed: int, tags) -> np.ndarray:
+def _pauli_counts(probs: np.ndarray, shots: int, master_seed: int, family: str, tags) -> np.ndarray:
     """Counts of every row of a stack of probability tables, (n, 3, 2) for
     qubits or (n, 9, 4) for pairs, in one `sample_counts` call.
 
-    Row r of table i is drawn from its own sub-seed, tagged with `tags[i]`
-    and the row's `measure.AXES` or `measure.PAIRS` label.
+    Row r of table i is drawn from its own sub-seed, tagged with `family`,
+    `tags[i]` and the row's `measure.AXES` or `measure.PAIRS` label; the
+    sub-seeds of all rows come from one `derive_seeds` call.
     """
     labels = measure.AXES if probs.shape[-2] == len(measure.AXES) else measure.PAIRS
-    seeds = np.array([[derive_seed(master_seed, *t, label) for label in labels] for t in tags], dtype=object)
-    return measure.sample_counts(probs, shots, seeds.reshape(probs.shape[:-1]))
+    seeds = derive_seeds(master_seed, (family,), [(*t, label) for t in tags for label in labels])
+    return measure.sample_counts(probs, shots, np.array(seeds, dtype=object).reshape(probs.shape[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +188,15 @@ def run_fig3(config: ExperimentConfig) -> dict:
         pur, std, resamples = purity(reduced), np.zeros(len(PROBES)), None
     else:
         qsvs = estimate.qsv_run(pass_probs, config.qsv_tests,
-                                [derive_seed(config.seed, "fig3.qsv", idx) for idx in PROBES])
+                                derive_seeds(config.seed, ("fig3.qsv",), [(idx,) for idx in PROBES]))
         fids = [report_row(config, "fig3", f"probe {idx} fidelity", qsv.fidelity, qsv.error, "ci95",
                            qsv.total, eps_hat=qsv.eps_hat, eps_low=qsv.ci_low, eps_high=qsv.ci_high,
                            passed=qsv.passed, tests=qsv.total)
                 for idx, qsv in zip(PROBES, qsvs)]
-        tags = [("fig3.tomo", idx, tag) for idx in PROBES for tag in ("path", "pol")]
-        counts = _pauli_counts(probs, shots, config.seed, tags)
+        tags = [(idx, tag) for idx in PROBES for tag in ("path", "pol")]
+        counts = _pauli_counts(probs, shots, config.seed, "fig3.tomo", tags)
         counts = counts.reshape(len(PROBES), 2, 3, 2)
-        seeds = [derive_seed(config.seed, "fig3.boot", idx) for idx in PROBES]
+        seeds = derive_seeds(config.seed, ("fig3.boot",), [(idx,) for idx in PROBES])
         resamples = BOOTSTRAP_RESAMPLES
         pur, std = estimate.bootstrap_std(_purities, counts, seeds, resamples=resamples)
         std = std[:, 2]
@@ -237,7 +240,7 @@ def _decoded(tables: np.ndarray, a: np.ndarray) -> np.ndarray:
     projected reconstruction, flattened."""
     out = estimate.decode_real_state(measure.correlators(tables).reshape(-1, 3, 3), a)
     m = len(tables)
-    return np.column_stack([out.fidelity_vs_input, out.rho_hat.reshape(m, 16), out.rho_proj.real.reshape(m, 16)])
+    return np.column_stack([out.fidelity_vs_input, out.rho_hat.reshape(m, 16), out.rho_proj.reshape(m, 16)])
 
 
 def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
@@ -248,7 +251,7 @@ def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
         tables = probs[None]
         values, fid_std = _decoded(tables, a)[0], 0.0
     else:
-        tables = _pauli_counts(probs[None], shots, config.seed, [("fig4", probe)])
+        tables = _pauli_counts(probs[None], shots, config.seed, "fig4", [(probe,)])
         point, std = estimate.bootstrap_std(lambda stack: _decoded(stack, a), tables,
                                             [derive_seed(config.seed, "fig4.boot", probe)],
                                             resamples=BOOTSTRAP_RESAMPLES)
@@ -299,9 +302,8 @@ def run_fig5(config: ExperimentConfig) -> dict:
         est, std = (np.array([spin_flip_concurrence(v) for v in vecs]) if config.noise_p == 0.0
                     else concurrence_from_purity(purity(rho_path))), np.zeros(len(phis))
     else:
-        counts = _pauli_counts(probs, shots, config.seed,
-                               [("fig5.tomo", i) for i in range(len(phis))])
-        seeds = [derive_seed(config.seed, "fig5.boot", i) for i in range(len(phis))]
+        counts = _pauli_counts(probs, shots, config.seed, "fig5.tomo", [(i,) for i in range(len(phis))])
+        seeds = derive_seeds(config.seed, ("fig5.boot",), [(i,) for i in range(len(phis))])
         est, std = estimate.bootstrap_std(_concurrence, counts, seeds, resamples=BOOTSTRAP_RESAMPLES)
     points = [
         report_row(config, "fig5", f"phi = {phi} deg", float(est[i]), float(std[i]), "std",

@@ -20,14 +20,19 @@ Reproducibility: all randomness flows through numpy's counter-based Philox
 generator keyed by a 64-bit sub-seed, SHA-256 over the length-prefixed master
 seed and stream tags (module tag, trial indices), so distinct tag tuples give
 distinct streams and results are bit-for-bit identical across runs.  A seed
-outside [0, 2**64) is refused, never folded onto another.
+outside [0, 2**64) is refused, never folded onto another.  `derive_seeds`
+gives the sub-seeds of a family of tag tuples that share a prefix, hashing
+the prefix once.
 
 Draws by the table: `sample_counts` takes a (..., k) table of rows with a
 (...) array of seeds and `poisson_resample` a stack of count arrays with one
 seed per item.  Each call checks the whole table once, naming the first
-faulty row, and builds one Philox that `generators` re-keys for every row:
-a Philox stream is fully defined by its key and counter (Salmon et al., SC'11),
-so each row gets the bits of `generator(seed)` without paying for a new one.
+faulty row, and draws every row from its thread's one Philox stream, which
+`generators` re-keys per row: a Philox stream is fully defined by its key
+and counter (Salmon et al., SC'11), so each row gets the bits of
+`generator(seed)` without paying for a new one.  The stream is built on a
+thread's first draw, never at import, and a thread takes rows from one
+`generators` iterator at a time.
 
 Count tables as CSV: `tables_from_csv` reads clean text in one columnar pass
 and hands any text that breaks a rule to a row-at-a-time reader, the one
@@ -39,10 +44,11 @@ import csv
 import hashlib
 import io
 import math
+import threading
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,14 +82,30 @@ def derive_seed(master_seed: int, *parts) -> int:
     """64-bit stream-split sub-seed: SHA-256 over the master seed, a Python or
     numpy integer of any sign, and tags, each part's `str` text behind its
     8-byte length, so the encoding is injective."""
+    return derive_seeds(master_seed, parts, [()])[0]
+
+
+def derive_seeds(master_seed: int, prefix: Sequence, suffixes: Iterable[Sequence]) -> list[int]:
+    """`derive_seed(master_seed, *prefix, *suffix)` for each suffix, in order:
+    the master seed and the shared prefix are hashed once, and each suffix
+    extends a copy of that hash, so the bytes hashed are the same."""
     if not _is_integer(master_seed):
         raise ValueError(f"master seed must be an integer, got {master_seed!r}")
-    h = hashlib.sha256()
-    for part in (int(master_seed), *parts):
+    head = hashlib.sha256()
+    _hash_parts(head, (int(master_seed), *prefix))
+    seeds = []
+    for suffix in suffixes:
+        h = head.copy()
+        _hash_parts(h, suffix)
+        seeds.append(int.from_bytes(h.digest()[:8], "little"))
+    return seeds
+
+
+def _hash_parts(h, parts) -> None:
+    """Feed each part's `str` text behind its 8-byte length to `h`."""
+    for part in parts:
         text = str(part).encode()
-        h.update(len(text).to_bytes(8, "little"))
-        h.update(text)
-    return int.from_bytes(h.digest()[:8], "little")
+        h.update(len(text).to_bytes(8, "little") + text)
 
 
 def _is_integer(value) -> bool:
@@ -108,31 +130,46 @@ def generator(seed: int) -> np.random.Generator:
 
 
 def generators(seeds) -> Iterator[np.random.Generator]:
-    """`generator(seed)` for every seed of a (...) array in C order, from one
-    Philox re-keyed in place: key = seed, counter 0, empty buffer.
+    """`generator(seed)` for every seed of a (...) array in C order, from the
+    calling thread's one Philox stream re-keyed in place for each row: key =
+    seed, counter 0, empty buffer.
 
     Every seed is checked before the first generator is handed out, and an
-    error names the faulty row.  Each item is the same Generator, re-keyed
-    when the next one is taken, so draw from it before moving on.
+    error names the faulty row.  Each item is the thread's same Generator,
+    re-keyed when the next one is taken, so draw from it before moving on and
+    take rows from one `generators` iterator at a time in a thread.
     """
     seeds = np.asarray(seeds, dtype=object)
     keys = seeds.ravel().tolist()
     if not all(map(_is_seed, keys)):
         i = next(i for i, key in enumerate(keys) if not _is_seed(key))
         raise _seed_error(keys[i], _row_prefix(seeds.shape, i))
-    rng = np.random.Generator(np.random.Philox(0))
-    return map(partial(_rekeyed, rng), keys)
+    return map(_thread_rekey(), map(int, keys))
 
 
-_ZEROS = np.zeros(4, np.uint64)  # the state setter copies, so one read-only array serves
-_ZEROS.setflags(write=False)
+_STREAMS = threading.local()
 
 
-def _rekeyed(rng: np.random.Generator, seed: int) -> np.random.Generator:
-    """`rng` with its Philox set to the state `np.random.Philox(key=seed)` starts in."""
-    rng.bit_generator.state = {
+def _thread_rekey() -> partial:
+    """The calling thread's `_rekeyed` of its one Generator, built on first use."""
+    try:
+        return _STREAMS.rekey
+    except AttributeError:
+        rng = np.random.Generator(np.random.Philox(0))
+        _STREAMS.rekey = partial(_rekeyed, rng, rng.bit_generator)
+        return _STREAMS.rekey
+
+
+_ZEROS = (0, 0, 0, 0)
+
+
+def _rekeyed(rng: np.random.Generator, bit_generator: np.random.Philox, seed: int) -> np.random.Generator:
+    """`rng` with its Philox `bit_generator` set to the state that
+    `np.random.Philox(key=seed)` starts in, given as plain ints, which the
+    state setter reads word by word."""
+    bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": np.array([seed, 0], np.uint64)},
+        "state": {"counter": _ZEROS, "key": (seed, 0)},
         "buffer": _ZEROS,
         "buffer_pos": 4,
         "has_uint32": 0,

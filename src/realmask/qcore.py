@@ -7,8 +7,10 @@ module owns the two state rules, and the library applies each once per stack:
 `checked_state` (finite, unit norm) for amplitudes and `checked_density`
 (finite, Hermitian, unit trace, positive) for density matrices.  Both only
 check: what they accept comes back unaltered, apart from the Hermitian part
-that `checked_density` takes.  All protocol dimensions are at most 16, so
-dense double-precision algebra is exact to ~1e-12 with comfortable headroom.
+that `checked_density` takes.  `fidelity_with_pure` works in the field of
+its inputs, so real states stay in real arithmetic.  All protocol
+dimensions are at most 16, so dense double-precision algebra is exact to
+~1e-12 with comfortable headroom.
 
 Tolerance policy: EPS_EXACT guards identities that hold analytically
 (isometries, trace preservation); EPS_NUMERIC guards quantities that pass
@@ -39,7 +41,17 @@ class DimensionError(ValueError):
 
 
 def _as_complex_array(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
+    return _finite(np.asarray(values, dtype=complex), what)
+
+
+def _as_field_array(values, what: str) -> np.ndarray:
+    """`values` in their own field: a float64 array when every entry is a real
+    number, else a complex one; checked finite."""
+    arr = np.asarray(values)
+    return _finite(arr.astype(float if arr.dtype.kind in "biuf" else complex, copy=False), what)
+
+
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     return arr
@@ -133,9 +145,11 @@ def purity(rho):
 
 def fidelity_with_pure(rho, target):
     """<target| rho |target> for a pure (d,) target; one value per matrix of a
-    (..., d, d) stack."""
-    arr = _as_complex_array(rho, "density matrix")
+    (..., d, d) stack, in real arithmetic when both are real."""
+    arr = _as_field_array(rho, "density matrix")
     a = checked_state(target)
+    if arr.dtype.kind == "f" and not np.iscomplexobj(target):
+        a = a.real
     if a.shape != arr.shape[-1:]:
         raise DimensionError(f"dimension mismatch: one ({arr.shape[-1]},) target expected, got shape {a.shape}")
     val = np.einsum("i,...ij,j->...", a.conj(), arr, a)

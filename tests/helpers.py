@@ -5,6 +5,7 @@ density matrices of shape (d, d).
 """
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -108,6 +109,18 @@ def reference_project_to_density(mat) -> np.ndarray:
     vals, vecs = np.linalg.eigh(0.5 * (arr + _dagger(arr)))
     vals = _simplex_projection(vals)
     return checked_density((vecs * vals[..., None, :]) @ _dagger(vecs))
+
+
+def reference_derive_seed(master_seed: int, *parts) -> int:
+    """The sub-seed as the library once derived it, one SHA-256 over the
+    master seed and each tag, each part's `str` text behind its 8-byte
+    length, fed one `update` at a time: the oracle for `measure.derive_seeds`."""
+    h = hashlib.sha256()
+    for part in (int(master_seed), *parts):
+        text = str(part).encode()
+        h.update(len(text).to_bytes(8, "little"))
+        h.update(text)
+    return int.from_bytes(h.digest()[:8], "little")
 
 
 def round_floats(obj):

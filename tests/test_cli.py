@@ -132,7 +132,7 @@ class TestReportFiles:
     def test_report_carries_schema_version(self):
         doc = json.loads(report_json(run_fig4(ExperimentConfig(seed=3, analytic=True))))
         assert next(iter(doc)) == "schema"
-        assert doc["schema"] == experiments.REPORT_SCHEMA == 11
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 12
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError):
@@ -570,6 +570,10 @@ class TestCommandLine:
         (["angles"], "--state", "-1,0,0,0", "a = (-1.000000, 0.000000"),
         (["angles", "--phi", "-30"], "--state", "-1,2,-3,4", "a = (-0.182574, 0.365148, -0.547723"),
         (["angles"], "--basis", "-0.3,0.5,-1.1,0.2", "gamma=-0.300000, zeta=0.500000, alpha=-1.100000"),
+        # A lone negative number that is no plain decimal.
+        (["angles"], "--phi", "-1e1", "phi = -10.000000 deg"),
+        (["fig5", "--analytic"], "--phi-grid", "-1e1", '"phi_deg": -10.0'),
+        (["fig5", "--analytic"], "--phi-grid", "-1_5", '"phi_deg": -15.0'),
     ])
     def test_a_negative_list_takes_either_spelling(self, argv, flag, value, shown, capsys):
         assert cli.main([*argv, flag, value]) == 0
@@ -584,6 +588,9 @@ class TestCommandLine:
         (["angles", "--state", "-1,0,0"], "--state"),
         (["angles", "--basis", "-0.3,nan,0,0"], "--basis"),
         (["fig5", "--analytic", "-15,0"], "--analytic"),
+        (["fig5", "--phi-grid", "-inf"], "--phi-grid"),
+        (["angles", "--phi", "-inf"], "--phi"),
+        (["angles", "--phi", "-nan"], "--phi"),
     ])
     def test_a_bad_negative_list_is_a_usage_error_of_its_flag(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -591,6 +598,21 @@ class TestCommandLine:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and f"argument {flag}:" in err and "expected one argument" not in err
+
+    # A lone "-inf" used to be read as a flag too: "expected one argument".
+    @pytest.mark.parametrize("argv", [
+        ["fig5", "--phi-grid", "-inf"],
+        ["fig5", "--analytic", "--phi-grid", "-nan"],
+        ["angles", "--phi", "-inf"],
+        ["angles", "--phi", "-Infinity"],
+    ])
+    def test_a_lone_non_finite_negative_value_gets_the_finite_error_of_its_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith(f"realmask {argv[0]}: error: argument {argv[-2]}: must be ")
+        assert "finite number" in err[-1]
 
     def test_angles_raw_basis(self, capsys):
         rc = cli.main(["angles", "--basis", "0.785398,0,0.785398,1.570796"])
@@ -634,3 +656,16 @@ class TestCommandLine:
         code = "import sys, realmask.experiments; print('scipy' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
         assert out.stdout.strip() == "False"
+
+    def test_experiments_import_loads_no_random_module_of_its_own(self):
+        # The re-keyable Philox stream is built on a thread's first draw, not
+        # at import.  numpy 2 loads numpy.random only on first use; an older
+        # numpy loads it with numpy itself, so the test compares with that.
+        import subprocess
+        import sys
+
+        code = ("import sys, numpy; before = 'numpy.random' in sys.modules; import realmask.experiments; "
+                "print(before, 'numpy.random' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+        before, after = out.stdout.split()
+        assert after == before

@@ -21,7 +21,7 @@ from realmask.estimate import (
     qsv_pass_probs,
     qsv_run,
 )
-from realmask.experiments import probe_vector
+from realmask.experiments import ExperimentConfig, probe_vector, run_fig4
 from realmask.masker import masker_matrix, u_of_c
 from realmask.measure import (
     AXES,
@@ -999,18 +999,36 @@ class TestProjection:
         assert np.linalg.eigvalsh(out).min() >= -1e-14
         checked_density(out)
 
+    @settings(max_examples=100, deadline=None)
+    @given(unit_trace_stacks())
+    def test_works_in_the_field_of_its_input(self, mats):
+        # A complex stack projects exactly as the oracle does; a real one
+        # stays real, within round-off of the oracle's complex arithmetic.
+        out = project_to_density(mats)
+        assert out.dtype == mats.dtype
+        if np.iscomplexobj(mats):
+            assert np.array_equal(out, reference_project_to_density(mats))
+        else:
+            assert np.abs(out - reference_project_to_density(mats)).max() <= 1e-14
+
     def test_a_bootstrap_stack_is_decomposed_once(self, monkeypatch):
+        """One `eigh` per decoded stack, in real arithmetic: for 101 resampled
+        tables alone and for a sampled fig4 run."""
         a = probe_vector(4)
         counts = sample_counts(pair_probs(mask_state(np.outer(a, a))), 4000, np.arange(9))
         ts = correlators(poisson_resample(counts, 100, 7)).reshape(-1, 3, 3)
-        calls = {"eigh": 0, "eigvalsh": 0}
+        run_fig4(ExperimentConfig(seed=3))  # builds fig4's model, whose state check is no `eigh`
+        calls = {"eigh": [], "eigvalsh": []}
         for name in calls:
-            def spy(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+            def spy(mat, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls[_name].append((np.shape(mat), np.asarray(mat).dtype))
+                return _original(mat, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, spy)
-        decode_real_state(ts, a)
-        assert calls == {"eigh": 1, "eigvalsh": 0}
+        assert decode_real_state(ts, a).rho_proj.dtype == np.float64
+        assert calls == {"eigh": [((100, 4, 4), np.float64)], "eigvalsh": []}
+        calls["eigh"].clear()
+        run_fig4(ExperimentConfig(seed=4))
+        assert calls == {"eigh": [((101, 4, 4), np.float64)], "eigvalsh": []}
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_refuses_a_non_finite_matrix(self, value):

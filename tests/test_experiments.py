@@ -8,6 +8,7 @@ reports must agree byte for byte.
 import dataclasses
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -227,6 +228,23 @@ def test_each_masked_stack_is_checked_once_per_config(monkeypatch):
     for log in (first, second):
         assert log["fig3"][1] == log["fig5"][1] == []
         assert log["fig4"][1] == ["project_to_density"]
+
+
+def test_figures_in_two_threads_equal_their_serial_reports():
+    """Each thread draws from its own re-keyed stream: fig3, fig4 and fig5
+    runs at distinct seeds, made by two threads at once, give the reports
+    that the same runs give one after another."""
+    runs = [(run, ExperimentConfig(seed=seed)) for seed in (2, 3, 5, 8) for run in (run_fig3, run_fig4, run_fig5)]
+    serial = [report_json(run(config)) for run, config in runs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(lambda job: report_json(job[0](job[1])), job) for job in runs]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_each_sampled_figure_makes_one_estimator_call_and_one_resample_call(monkeypatch):

@@ -1,6 +1,9 @@
 import csv
 import io
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from operator import itemgetter
 
 import numpy as np
@@ -24,6 +27,7 @@ from realmask.measure import (
     axis_probs,
     correlators,
     derive_seed,
+    derive_seeds,
     generator,
     generators,
     pair_probs,
@@ -34,7 +38,7 @@ from realmask.measure import (
 )
 from realmask.qcore import BELL_PHI, PAULIS, checked_density, kron, partial_trace
 
-from helpers import density, mask_state, random_density, random_real_density
+from helpers import density, mask_state, random_density, random_real_density, reference_derive_seed
 
 
 def oracle_pair_probs(rho: np.ndarray) -> np.ndarray:
@@ -638,6 +642,43 @@ class TestSeeds:
     def test_derive_seed_takes_an_integer_of_any_sign_and_size(self, master):
         assert derive_seed(master, "a") == derive_seed(int(master), "a")
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(), st.integers(-2**100, 2**100),
+                     st.sampled_from([-1, np.int64(-7), np.uint64(2**64 - 1), 2**80])),
+           st.lists(st.one_of(st.text(max_size=4), st.integers())),
+           st.lists(st.lists(st.one_of(st.text(max_size=4), st.integers(-3, 3)), max_size=3).map(tuple),
+                    max_size=4))
+    def test_derive_seeds_equals_derive_seed_of_each_suffix(self, master, prefix, suffixes):
+        want = [reference_derive_seed(master, *prefix, *s) for s in suffixes]
+        assert derive_seeds(master, prefix, suffixes) == [derive_seed(master, *prefix, *s) for s in suffixes] == want
+
+    @pytest.mark.parametrize("left, right", [
+        ((1, "a/b"), (1, "a", "b")),
+        ((1, "ab", "c"), (1, "a", "bc")),
+        ((12, 3), (1, 23)),
+        ((1, ""), (1,)),
+    ])
+    def test_derive_seeds_keeps_the_injective_pairs_apart(self, left, right):
+        # Each side's tags as a prefix and as a suffix; a pair that shares
+        # its master seed also as two suffixes of one family.
+        want = [derive_seed(*left), derive_seed(*right)]
+        assert want[0] != want[1]
+        for i, (master, *tags) in enumerate((left, right)):
+            assert derive_seeds(master, tags, [()]) == derive_seeds(master, (), [tags]) == [want[i]]
+        if left[0] == right[0]:
+            assert derive_seeds(left[0], (), [left[1:], right[1:]]) == want
+
+    def test_derive_seeds_of_no_suffix_is_empty_and_of_an_empty_one_is_the_prefix(self):
+        assert derive_seeds(5, ("a", 1), []) == []
+        assert derive_seeds(5, ("a", 1), [()]) == [derive_seed(5, "a", 1)]
+
+    @pytest.mark.parametrize("master", [1.5, 1.0, True, "7", None, np.float64(3.0)])
+    def test_derive_seeds_refuses_a_master_seed_that_is_no_integer(self, master):
+        with pytest.raises(ValueError, match=r"^master seed must be an integer, got "):
+            derive_seeds(master, ("a",), [("b",)])
+        with pytest.raises(ValueError, match=r"^master seed must be an integer, got "):
+            derive_seeds(master, (), [])
+
     def test_generator_streams_independent(self):
         a = generator(derive_seed(1, "x")).random(4)
         b = generator(derive_seed(1, "y")).random(4)
@@ -695,6 +736,35 @@ class TestRekeyedStreams:
         for seed, rng in zip(keys, generators(keys), strict=True):
             for got, want in zip(draw_all(rng, odd), draw_all(generator(seed), odd)):
                 assert np.array_equal(got, want)
+
+    def test_each_thread_keeps_its_own_stream(self):
+        """Four threads, more than the cores of a small host, take rows of
+        their own `generators` iterators in lock step under a short switch
+        interval, so each draw sits between draws of the others; every row
+        still gets the bits of its own new generator."""
+        keys = [[3, 2**64 - 1, 0, 17], [5, 6, 2**63, 3], [1, 1, 2, 2], [9, 8, 7, 6]]
+        step = threading.Barrier(len(keys), timeout=30)
+
+        def rows(t):
+            out = []
+            for rng in generators(keys[t]):
+                step.wait()
+                out.append(draw_all(rng, 3))
+                step.wait()
+            return out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(keys)) as pool:
+                futures = [pool.submit(rows, t) for t in range(len(keys))]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for t, seeds in enumerate(keys):
+            for seed, row in zip(seeds, got[t], strict=True):
+                for a, b in zip(row, draw_all(generator(seed), 3)):
+                    assert np.array_equal(a, b)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data(), st.sampled_from([(1,), (5,), (2, 3), (0,)]), st.sampled_from([2, 4]),
