@@ -19,7 +19,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     cli.add_options(parser, ("seed", "noise_p"))
     parser.add_argument("--out", type=Path, default=Path("results"))
-    args = parser.parse_args(argv)
+    args = parser.parse_args(cli._attach_negative_lists(sys.argv[1:] if argv is None else argv))
 
     cfg = ExperimentConfig(**cli.option_values(args))
 

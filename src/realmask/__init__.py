@@ -7,8 +7,8 @@ engine), `optics` (the Jones-calculus table, run on that engine), `measure`
 verification, tomography, correlation decoding), `experiments`/`cli` (figure
 pipelines).
 """
-from .estimate import agresti_coull, decode_real_state, qsv_pass_probs, qsv_run
-from .masker import hr_unitaries, mask_pure, masker_matrix, u_of_c
+from .estimate import agresti_coull, decode_real_state, qsv_run
+from .masker import hr_unitaries, mask_pure, masker_matrix
 from .measure import derive_seed, derive_seeds, generator, sample_counts
 from .qcore import fidelity_with_pure, partial_trace, purity
 from .walk import encode_input, extract_two_qubit, masking_schedule
@@ -30,9 +30,7 @@ __all__ = [
     "masking_schedule",
     "partial_trace",
     "purity",
-    "qsv_pass_probs",
     "qsv_run",
     "sample_counts",
-    "u_of_c",
     "__version__",
 ]

@@ -45,12 +45,14 @@ def _positive(v) -> int:
     return v
 
 
-# The most shots per setting: a bootstrap redraws each count from a Poisson
-# law, whose numpy sampler refuses means above about 9.2e18.
+# The most shots per setting, and verification tests per probe: a bootstrap
+# redraws each count from a Poisson law, whose numpy sampler refuses means
+# above about 9.2e18, and a pass count is one binomial draw, whose numpy
+# sampler takes at most 2**63 - 1 trials.
 MAX_SHOTS = 10**18
 
 
-def _shots(v) -> int:
+def _count(v) -> int:
     if _positive(v) > MAX_SHOTS:
         raise ValueError(f"must be at most 10**18, got {v!r}")
     return v
@@ -120,8 +122,8 @@ def _floats(text: str) -> list[float]:
 # check they share, the flag, the parser of its text (None: a switch), the help.
 OPTIONS = {
     "seed": (_integer, "--seed", int, "master seed (default 20404)"),
-    "shots_per_setting": (_shots, "--shots", int, "shots per measurement setting (at most 10**18)"),
-    "qsv_tests": (_positive, "--qsv-tests", int, "verification tests per probe"),
+    "shots_per_setting": (_count, "--shots", int, "shots per measurement setting (at most 10**18)"),
+    "qsv_tests": (_count, "--qsv-tests", int, "verification tests per probe (at most 10**18)"),
     "noise_p": (_probability, "--noise-p", float, "depolarizing noise strength"),
     "phi_grid_deg": (_phases, "--phi-grid", _floats,
                      "comma-separated phases in degrees (default 0,15,...,90)"),
@@ -309,8 +311,10 @@ def _is_negative_value(arg: str) -> bool:
     return True
 
 
-def _attach_negative_lists(argv: list[str]) -> list[str]:
-    """`argv` with each negative value of `_is_negative_value` attached to the long flag before it."""
+def _attach_negative_lists(argv) -> list[str]:
+    """`argv` with each negative value of `_is_negative_value` attached to the
+    long flag before it; `main` and `scripts/reproduce_figures.py` parse
+    their arguments through it."""
     out: list[str] = []
     for arg in argv:
         flag = out[-1] if out else ""
@@ -322,8 +326,7 @@ def _attach_negative_lists(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_attach_negative_lists(argv))
+    args = build_parser().parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
     return args.func(args)
 
 

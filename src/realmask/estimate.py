@@ -5,11 +5,9 @@ Three pipelines:
 * verification-based fidelity: random local projective tests whose average
   pass rate maps linearly onto the infidelity, eps = (3/2)(1 - p_succ), with
   an Agresti-Coull confidence interval transported through the same linear
-  map; `qsv_pass_probs` checks an (n, 4, 4) stack of states once against an
-  (n, 4) array of real targets a, the target of row i being
-  (U(a_i) ⊗ 1)|Phi> with U from `masker.u_of_c`, and gives the read-only
-  (n, 3) table of test pass probabilities, from which `qsv_run` only draws,
-  one seed per row;
+  map; the tests' average operator is 1/3 + (2/3)|target><target| for every
+  target, so `qsv_run` draws each state's pass count as one binomial from
+  its fidelity F with the target, at p_succ = (1 + 2F)/3, one seed per row;
 * single-qubit tomography: exact maximum likelihood over (batch, 3, 2) count
   arrays, rows in `measure.AXES` order (`mle_qubit_batch`, each boundary
   fit a bisection of its own; `purity_from_counts`, closed form from the
@@ -39,28 +37,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .masker import masker_matrix, u_of_c
+from .masker import masker_matrix
 from .measure import PAIR_PAULIS, PAIRS, CountsTable, _is_integer, correlators, generators, poisson_resample
-from .qcore import EPS_EXACT, ID2, _as_complex_array, _as_field_array, _dagger, checked_density, fidelity_with_pure
+from .qcore import EPS_EXACT, EPS_NUMERIC, _as_field_array, _dagger, _row_prefix, fidelity_with_pure
 
 
 # ---------------------------------------------------------------------------
 # Verification-based fidelity estimation.
 
-# The three local tests for the target (U ⊗ 1)|Phi> are (1 + s_k O'_k ⊗ O_k)/2
-# with O' = U O U†, (O_k, s_k) = (X, +1), (Y, -1), (Z, +1): the XX, YY and ZZ
-# rows of `measure.PAIR_PAULIS` and their signs.
-_TEST_PAULIS = PAIR_PAULIS[[PAIRS.index(label) for label in ("XX", "YY", "ZZ")]]
-_TEST_SIGNS = np.array([1.0, -1.0, 1.0])
-
-
-def _pass_probs(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(n, 3) pass probabilities of the three tests for (n, 4, 4) states and
-    their (n, 2, 2) target rotations U, read from the states rotated once."""
-    # R = U ⊗ 1, the Kronecker product written out: R[2i+k, 2j+l] = U[i, j] 1[k, l].
-    r = (u[:, :, None, :, None] * ID2[:, None, :]).reshape(-1, 4, 4)
-    rotated = _dagger(r) @ rho @ r
-    return (1.0 + _TEST_SIGNS * np.trace(rotated[:, None] @ _TEST_PAULIS, axis1=-2, axis2=-1).real) / 2
+# The most tests a verification run draws per state: numpy's binomial sampler
+# takes its trial count as a signed 64-bit integer.
+_MAX_TESTS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -69,17 +56,12 @@ class QsvResult:
 
     total: int
     passed: int
-    p_hat: float
-    eps_hat: float
     ci_low: float
     ci_high: float
 
-    def __post_init__(self):
-        want = 1.5 * (1.0 - self.passed / self.total)
-        if abs(self.eps_hat - want) > 1e-15:
-            raise ValueError("eps_hat must equal 1.5 (1 - passed/total)")
-        if self.ci_low > self.ci_high:
-            raise ValueError("interval endpoints out of order")
+    @property
+    def eps_hat(self) -> float:
+        return 1.5 * (1.0 - self.passed / self.total)
 
     @property
     def fidelity(self) -> float:
@@ -91,57 +73,37 @@ class QsvResult:
         return max(self.eps_hat - self.ci_low, self.ci_high - self.eps_hat)
 
 
-def qsv_pass_probs(rho, targets) -> np.ndarray:
-    """Read-only (n, 3) pass probabilities of the three local tests for each
-    state of a stack against its rotated target.
+def qsv_run(fidelities, n_tests: int, seeds) -> list[QsvResult]:
+    """Run `n_tests` verification tests on each state of a stack, given by
+    its (n,) fidelities F = <t|rho|t> with its target t, one seed per row;
+    one result per row, each what its stack of one gives.
 
-    `rho` is an (n, 4, 4) stack of two-qubit states, checked once with
-    `qcore.checked_density`; `targets` is an (n, 4) array of real unit
-    vectors a, each giving U(a) = `masker.u_of_c(a)`.  An error names the
-    first faulty row.  Test k passes with probability
-    (1 + s_k tr(R† rho R O_k ⊗ O_k))/2, R = U(a) ⊗ 1 (`_pass_probs`), and
-    each row is what its stack of one gives.
+    A round picks one of the three local tests XX, -YY and ZZ, rotated onto
+    t, at random, so its average operator is 1/3 + (2/3)|t><t| and it passes
+    with probability p = (1 + 2F)/3.  The pass count S is therefore drawn as
+    one Binomial(n_tests, p) from the row's seed, and maps onto the
+    infidelity estimate eps_hat = 1.5 (1 - S/N).  Each F must be finite and
+    in [0, 1] within EPS_NUMERIC, where it is clipped (a pure state's
+    fidelity may read 1 + 2e-16); an error names the first faulty row.
+    `n_tests` is an integer in [1, 2**63 - 1].
     """
-    arr = _as_complex_array(rho, "density matrix")
-    if arr.ndim != 3 or arr.shape[1:] != (4, 4):
-        raise ValueError(f"rho must be an (n, 4, 4) stack of 4x4 density matrices, got shape {arr.shape}")
-    if len(targets) != len(arr):
-        raise ValueError(f"need one target per state, got {len(targets)} targets for {len(arr)} states")
-    probs = _pass_probs(checked_density(arr), u_of_c(targets))
-    probs.setflags(write=False)
-    return probs
-
-
-def qsv_run(pass_probs, n_tests: int, seeds) -> list[QsvResult]:
-    """Run `n_tests` randomly chosen local tests on each row of an (n, 3)
-    table of pass probabilities from `qsv_pass_probs`, one seed per row; one
-    result per row, each what its table of one gives.  `n_tests` is an
-    integer >= 1.  The table is only read: a fixed stack of states needs it
-    built once, whatever the seeds.
-    """
-    if not (_is_integer(n_tests) and n_tests >= 1):
-        raise ValueError(f"n_tests must be an integer >= 1, got {n_tests!r}")
-    table = np.asarray(pass_probs, dtype=float)
-    if table.ndim != 2 or table.shape[1] != 3 or not np.isfinite(table).all():
-        raise ValueError(f"pass_probs must be a finite (n, 3) table, got shape {table.shape}")
-    if len(seeds) != len(table):
-        raise ValueError(f"need one seed per row, got {len(seeds)} seeds for {len(table)} rows")
+    if not (_is_integer(n_tests) and 1 <= n_tests <= _MAX_TESTS):
+        raise ValueError(f"n_tests must be an integer in [1, 2**63 - 1], got {n_tests!r}")
+    n_tests = int(n_tests)
+    fid = np.asarray(fidelities, dtype=float)
+    if fid.ndim != 1:
+        raise ValueError(f"fidelities must be an (n,) array, got shape {fid.shape}")
+    if (bad := np.flatnonzero(~(np.abs(fid - 0.5) <= 0.5 + EPS_NUMERIC))).size:
+        raise ValueError(f"{_row_prefix(fid.shape, bad[0])}fidelity must be a finite number in [0, 1], "
+                         f"got {float(fid[bad[0]])!r}")
+    if len(seeds) != len(fid):
+        raise ValueError(f"need one seed per row, got {len(seeds)} seeds for {len(fid)} rows")
     results = []
-    for probs, rng in zip(table, generators(seeds)):
-        which = rng.integers(0, 3, size=n_tests)
-        draws = rng.random(n_tests)
-        passed = int(np.count_nonzero(draws < probs[which]))
-        p_hat = passed / n_tests
-        eps_hat = 1.5 * (1.0 - p_hat)
+    for p, rng in zip(((1.0 + 2.0 * np.clip(fid, 0.0, 1.0)) / 3.0).tolist(), generators(seeds)):
+        passed = int(rng.binomial(n_tests, p))
+        eps_hat = 1.5 * (1.0 - passed / n_tests)
         lo, hi = agresti_coull(passed, n_tests)
-        results.append(QsvResult(
-            total=n_tests,
-            passed=passed,
-            p_hat=p_hat,
-            eps_hat=eps_hat,
-            ci_low=min(lo, eps_hat),
-            ci_high=max(hi, eps_hat),
-        ))
+        results.append(QsvResult(total=n_tests, passed=passed, ci_low=min(lo, eps_hat), ci_high=max(hi, eps_hat)))
     return results
 
 

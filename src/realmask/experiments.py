@@ -8,23 +8,24 @@ concurrence errors are bootstrap standard deviations, and each report row says
 which via its error_kind field.
 
 Each figure splits into a seed-independent model and its seeded draws.  The
-model holds the probe vectors, the masked states of all points as one
-(n, 4, 4) stack under depolarizing noise, checked by
-`measure.apply_depolarizing`, the reduced stacks and the Born tables that the
-draws sample.  It is built and checked once per process for each value of the
-config fields it reads (`_fig3_model`, `_fig4_model`, `_fig5_model`), never for
-the seed, and its arrays are read-only; fig3's also holds the verification
-pass-probability table of its stack (`estimate.qsv_pass_probs`), so a run
-that reads a cached model checks no state.  The seeded draws of a figure take
-one call each: one `sample_counts` call over all its Pauli tables, one
-`qsv_run` call over fig3's probes and one `poisson_resample` call per
-bootstrap, each row or item still drawn from its own sub-seed; the
-sub-seeds of each tag family ("fig3.tomo", "fig3.qsv", "fig3.boot", ...)
-come from one `measure.derive_seeds` call.  A figure's
-point estimates ride in the estimator call of their bootstrap resamples
-(`estimate.bootstrap_std`), so fig3 makes one `purity_from_counts` call, fig4
-one `decode_real_state` call and fig5 one concurrence call.  Sampled counts
-stay integer arrays from the draw to the estimate.
+model holds the masked states of all points as one (n, 4, 4) stack under
+depolarizing noise, checked by `measure.apply_depolarizing`, and what the
+draws and analytic mode read of it: the reduced stacks, the Born tables and
+fig3's fidelities of the masked probes with their noiseless images.  It is
+built and checked once per process for each value of the config fields it
+reads (`_fig3_model`, `_fig4_model`, `_fig5_model`), never for the seed, and
+its arrays are read-only, so a run that reads a cached model checks no
+state.  The seeded draws of a figure take one call each: one
+`sample_counts` call over all its Pauli tables, one `qsv_run` call over
+fig3's probes (one binomial pass count per probe, drawn from its fidelity)
+and one `poisson_resample` call per bootstrap, each row or item still drawn
+from its own sub-seed; the sub-seeds of each tag family ("fig3.tomo",
+"fig3.qsv", "fig3.boot", ...) come from one `measure.derive_seeds` call.
+A figure's point estimates ride in the estimator call of their bootstrap
+resamples (`estimate.bootstrap_std`), so fig3 makes one
+`purity_from_counts` call, fig4 one `decode_real_state` call and fig5 one
+concurrence call.  Sampled counts stay integer arrays from the draw to the
+estimate.
 
 Reports are written as JSON with floats at 12 significant digits, rounded and
 encoded in one walk (`report_json`).
@@ -43,12 +44,12 @@ import numpy as np
 
 from . import estimate, measure, optics, walk
 from .masker import masker_matrix
-from .measure import _is_integer, derive_seed, derive_seeds, generator
+from .measure import _is_integer, derive_seed, derive_seeds, generators
 from .qcore import concurrence_from_purity, partial_trace, purity, spin_flip_concurrence
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 12
+REPORT_SCHEMA = 13
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
@@ -166,28 +167,28 @@ def _purities(counts: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=_MODELS_KEPT)
 def _fig3_model(noise_p: float) -> tuple[np.ndarray, ...]:
-    """fig3's seed-independent arrays at `noise_p`, read-only: the masked
-    vectors of the four probes and their masked stack, the (probe, qubit, 2,
-    2) stack of each probe's path (A) and polarization (B) qubit, its (8, 3,
-    2) Born table, and the (4, 3) verification pass probabilities."""
+    """fig3's seed-independent arrays at `noise_p`, read-only: the (probe,
+    qubit, 2, 2) stack of each masked probe's path (A) and polarization (B)
+    qubit, its (8, 3, 2) Born table, and the (4,) fidelities of the masked
+    probes with their noiseless images, which analytic mode reports and the
+    verification draws sample."""
     probes = np.array([probe_vector(idx) for idx in PROBES])
     ideal, rho = _masked_states(probes, noise_p)
     reduced = np.stack([partial_trace(rho, k) for k in ("A", "B")], axis=1)
-    return (*_read_only(ideal, rho, reduced, measure.axis_probs(reduced).reshape(-1, 3, 2)),
-            estimate.qsv_pass_probs(rho, probes))
+    fidelities = np.einsum("ni,nij,nj->n", ideal.conj(), rho, ideal).real
+    return _read_only(reduced, measure.axis_probs(reduced).reshape(-1, 3, 2), fidelities)
 
 
 def run_fig3(config: ExperimentConfig) -> dict:
     shots = config.shots("fig3")
-    ideal, rho, reduced, probs, pass_probs = _fig3_model(config.noise_p)
+    reduced, probs, fidelities = _fig3_model(config.noise_p)
     if config.analytic:
-        eps = 1.0 - np.einsum("ni,nij,nj->n", ideal.conj(), rho, ideal).real
         fids = [report_row(config, "fig3", f"probe {idx} fidelity", 1.0 - e, 0.0, "ci95",
                            eps_hat=e, eps_low=e, eps_high=e, passed=None, tests=None)
-                for idx, e in zip(PROBES, eps.tolist())]
+                for idx, e in zip(PROBES, (1.0 - fidelities).tolist())]
         pur, std, resamples = purity(reduced), np.zeros(len(PROBES)), None
     else:
-        qsvs = estimate.qsv_run(pass_probs, config.qsv_tests,
+        qsvs = estimate.qsv_run(fidelities, config.qsv_tests,
                                 derive_seeds(config.seed, ("fig3.qsv",), [(idx,) for idx in PROBES]))
         fids = [report_row(config, "fig3", f"probe {idx} fidelity", qsv.fidelity, qsv.error, "ci95",
                            qsv.total, eps_hat=qsv.eps_hat, eps_low=qsv.ci_low, eps_high=qsv.ci_high,
@@ -353,7 +354,7 @@ def run_equivalence(config: ExperimentConfig, n_inputs: int = 100) -> dict:
     if not (_is_integer(n_inputs) and n_inputs >= 1):
         raise ValueError(f"n_inputs must be an integer >= 1, got {n_inputs!r}")
     n_inputs = int(n_inputs)
-    rng = generator(derive_seed(config.seed, "equiv"))
+    rng = next(generators([derive_seed(config.seed, "equiv")]))
     gaps = dict(_fixed_gaps())
     for start in range(0, n_inputs, EQUIV_BLOCK):
         a = rng.normal(size=(min(EQUIV_BLOCK, n_inputs - start), 4))

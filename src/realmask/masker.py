@@ -9,9 +9,11 @@ residual entanglement of the output is tied to how non-real the input is:
 C(M psi) = sqrt(1 - I_R(psi)^2).
 
 The family is the fixed stack `hr_unitaries()` = [1, iZ, iX, iY].  A real
-unit vector a gives the unitary U(a) = sum_j a_j U_j (`u_of_c`, one per row
-of an (n, 4) array), whose maximally entangled state (U(a) ⊗ 1)|Phi> is i
-times the masked image of a: the fidelity verification's target.
+unit vector a gives the unitary U(a) = sum_j a_j U_j, whose maximally
+entangled state (U(a) ⊗ 1)|Phi> is i times the masked image M a: the
+fidelity verification's target.  The average operator of its tests is
+1/3 + (2/3)|target><target|, so a verification needs only the fidelity
+<Ma|rho|Ma>, never U(a) itself.
 """
 from __future__ import annotations
 
@@ -71,19 +73,3 @@ def mask_pure(psi) -> np.ndarray:
     if vec.shape != (4,):
         raise ValueError("mask_pure expects a 4-dimensional state")
     return masker_matrix() @ vec
-
-
-def u_of_c(c) -> np.ndarray:
-    """The (n, 2, 2) unitaries U(c) = c_0 U_0 + c_1 U_1 + c_2 U_2 + c_3 U_3 of
-    `hr_unitaries` for the rows c of an (n, 4) array.  The rows pass
-    `qcore.checked_state`, then each must be real (an imaginary part above
-    EPS_EXACT is refused: a complex combination is not unitary); each rule
-    names its first faulty row."""
-    rows = np.asarray(c, dtype=complex)
-    if rows.ndim != 2 or rows.shape[1] != 4:
-        raise ValueError(f"coefficients must be an (n, 4) array, got shape {rows.shape}")
-    rows = checked_state(rows, "coefficient vector")
-    if (bad := np.flatnonzero(np.abs(rows.imag).max(axis=1, initial=0.0) > EPS_EXACT)).size:
-        raise ValueError(f"row {bad[0]}: coefficient vector must be real: a complex combination is not unitary")
-    u, cs = hr_unitaries(), rows.real[:, :, None, None]
-    return cs[:, 0] * u[0] + cs[:, 1] * u[1] + cs[:, 2] * u[2] + cs[:, 3] * u[3]

@@ -205,20 +205,11 @@ def require_unitary(u, what: str = "matrix") -> np.ndarray:
 
 def hr_combination(c) -> np.ndarray:
     """sum_j c_j U_j over [1, iZ, iX, iY] for one (4,) coefficient vector, a
-    scalar term at a time: the oracle for `masker.u_of_c`.  Complex c are
-    summed too, although their sum is not unitary."""
+    scalar term at a time: the target rotation U(a) of the verification tests
+    for a real unit vector a.  Complex c are summed too, although their sum
+    is not unitary."""
     us = (ID2, 1j * PAULI_Z, 1j * PAULI_X, 1j * PAULI_Y)
     return sum(cj * uj for cj, uj in zip(np.asarray(c, dtype=complex), us))
-
-
-def kron_pass_probs(rho, u) -> np.ndarray:
-    """(3,) pass probabilities of the XX, YY and ZZ tests for one 4x4 state and
-    target rotation U, with R = np.kron(U, 1): the oracle for
-    `estimate._pass_probs`."""
-    r = kron(u, ID2)
-    rotated = r.conj().T @ rho @ r
-    return np.array([(1.0 + s * np.trace(rotated @ kron(p, p)).real) / 2
-                     for p, s in ((PAULI_X, 1.0), (PAULI_Y, -1.0), (PAULI_Z, 1.0))])
 
 
 def verification_projectors(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -3,13 +3,14 @@ import dataclasses
 import io
 import json
 import re
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realmask import cli, experiments
+from realmask import cli, experiments, measure
 from realmask.experiments import (
     ExperimentConfig,
     phase_probe,
@@ -132,7 +133,7 @@ class TestReportFiles:
     def test_report_carries_schema_version(self):
         doc = json.loads(report_json(run_fig4(ExperimentConfig(seed=3, analytic=True))))
         assert next(iter(doc)) == "schema"
-        assert doc["schema"] == experiments.REPORT_SCHEMA == 12
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 13
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError):
@@ -244,7 +245,7 @@ class TestEquivalence:
         monkeypatch.setattr(experiments, "EQUIV_BLOCK", 4)
         monkeypatch.setattr(experiments.optics, "solve_prep_angles", recording_solve)
         run_equivalence(ExperimentConfig(seed=9), n_inputs=10)
-        rng = experiments.generator(experiments.derive_seed(9, "equiv"))
+        rng = measure.generator(experiments.derive_seed(9, "equiv"))
         real = np.array([rng.normal(size=4) for _ in range(10)])
         assert [len(a) for a in seen] == [4, 4, 2]
         for got, w in zip(seen, (real[:4], real[4:8], real[8:])):
@@ -417,6 +418,10 @@ class TestCommandLine:
         ["fig4", "--shots", "9223372036854775808"],
         ["fig5", "--shots", "9223372036854775807", "--noise-p", "0", "--phi-grid", "90"],
         ["fig5", "--shots", "1000000000000000001"],
+        # 2**63 tests used to end in numpy's "Maximum allowed dimension
+        # exceeded"; tests are bounded as shots are.
+        ["fig3", "--qsv-tests", "9223372036854775808"],
+        ["fig3", "--qsv-tests", "1000000000000000001"],
         ["fig5", "--phi-grid", "0,x"],
         ["fig5", "--phi-grid", "0,inf"],
         ["equiv", "--n-inputs", "0"],
@@ -483,14 +488,35 @@ class TestCommandLine:
         doc = json.loads(out.getvalue(), parse_constant=reject)
         assert doc["schema"] == experiments.REPORT_SCHEMA
 
+    def test_most_tests_run_in_under_a_second(self, capsys):
+        # One binomial pass count per probe: 10**18 tests used to need
+        # exabytes of test draws.
+        experiments._fig3_model(experiments.DEFAULT_NOISE_P)
+        start = time.perf_counter()
+        assert cli.main(["fig3", f"--qsv-tests={cli.MAX_SHOTS}", "--seed", "1"]) == 0
+        assert time.perf_counter() - start < 1.0
+        doc = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert doc["qsv_tests"] == 10**18
+        for row in doc["probes"]:
+            fid = row["fidelity"]
+            assert fid["tests"] == fid["N"] == 10**18 and 0 < fid["passed"] < 10**18
+            assert 0.98 < fid["estimate"] < 1.0 and 0.0 < fid["error"] < 1e-9
+
+    def test_config_file_bounds_the_tests_as_the_flag_does(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"qsv_tests": 10**18 + 1}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fig3", "--config", str(cfg_path)])
+        assert exc.value.code == f"config file {cfg_path}: qsv_tests must be at most 10**18, got {10**18 + 1}"
+
     def test_most_shots_run(self, capsys):
         assert cli.main(["fig5", f"--shots={cli.MAX_SHOTS}", "--noise-p", "0", "--phi-grid", "90"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["shots_per_setting"] == 10**18 and doc["points"][0]["estimate"] == 0.0
 
     def test_memory_error_is_a_one_line_exit(self, monkeypatch, capsys):
-        # `fig3 --qsv-tests 10000000000000` asks for 72.8 TiB and used to end
-        # in numpy's traceback.
+        # A run that cannot get its memory used to end in numpy's traceback;
+        # the failed allocation is injected here.
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,)")
 
@@ -620,9 +646,11 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert "custom basis" in out and "solver residual" in out
 
-    @pytest.mark.parametrize("value", ["2", "nan", "-1"])
+    # An out-of-range --noise-p used to end in a ValueError traceback, and
+    # -1e-3 or -inf in "expected one argument": the driver parses its
+    # arguments through the command line's negative-value step.
+    @pytest.mark.parametrize("value", ["2", "nan", "-1", "-1e-3", "-inf"])
     def test_reproduce_figures_rejects_bad_noise_p(self, tmp_path, value):
-        # An out-of-range --noise-p used to end in a ValueError traceback.
         import subprocess
         import sys
         from pathlib import Path
@@ -631,7 +659,7 @@ class TestCommandLine:
         out = subprocess.run([sys.executable, str(script), "--noise-p", value, "--out", str(tmp_path / "out")],
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 2
-        assert "usage:" in out.stderr and "--noise-p" in out.stderr
+        assert "usage:" in out.stderr and "argument --noise-p: must be a number in [0, 1], got " in out.stderr
         assert "Traceback" not in out.stderr
         assert not (tmp_path / "out").exists()
 

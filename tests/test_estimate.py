@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -7,10 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from realmask import estimate
+from realmask import estimate, experiments
 from realmask.estimate import (
     QsvResult,
-    _pass_probs,
     agresti_coull,
     bootstrap_std,
     correlation_matrix,
@@ -18,11 +18,10 @@ from realmask.estimate import (
     mle_qubit_batch,
     project_to_density,
     purity_from_counts,
-    qsv_pass_probs,
     qsv_run,
 )
 from realmask.experiments import ExperimentConfig, probe_vector, run_fig4
-from realmask.masker import masker_matrix, u_of_c
+from realmask.masker import masker_matrix
 from realmask.measure import (
     AXES,
     PAIRS,
@@ -41,7 +40,6 @@ from realmask.qcore import BELL_PHI, EPS_EXACT, checked_density
 from helpers import (
     density,
     hr_combination,
-    kron_pass_probs,
     magic_basis,
     mask_state,
     random_density,
@@ -197,19 +195,29 @@ class TestVerificationOperator:
 
     def test_spectral_identity_for_rotated_targets(self, rng):
         for j in range(4):
-            u = u_of_c(np.eye(4)[j:j + 1])[0]
-            omega = verification_operator(u)
+            omega = verification_operator(hr_combination(np.eye(4)[j]))
             phi = magic_basis()[j]
             proj = np.outer(phi, phi.conj())
             assert np.abs(omega - (proj + (np.eye(4) - proj) / 3)).max() < 1e-12
         for _ in range(20):
             a = rng.normal(size=4)
             a /= np.linalg.norm(a)
-            u = u_of_c(a[None])[0]
+            u = hr_combination(a)
             omega = verification_operator(u)
             target = (np.kron(u, np.eye(2)) @ BELL_PHI)
             proj = np.outer(target, target.conj())
             assert np.abs(omega - (proj + (np.eye(4) - proj) / 3)).max() < 1e-12
+
+    def test_pass_probability_is_one_third_plus_two_thirds_of_the_fidelity(self, rng):
+        """The law `qsv_run` samples: a round passes with probability
+        tr(Omega rho) = (1 + 2 <Ma|rho|Ma>)/3 for every state rho and real
+        target a, with Omega built from the three test projectors."""
+        for _ in range(200):
+            a = rng.normal(size=4)
+            a /= np.linalg.norm(a)
+            rho = random_density(4, rng)
+            omega = verification_operator(hr_combination(a))
+            assert abs(np.trace(omega @ rho).real - (1 + 2 * masked_fidelity(rho, a)) / 3) < 1e-12
 
     def test_projectors_are_rank_two(self):
         for p in verification_projectors(np.eye(2)):
@@ -217,15 +225,21 @@ class TestVerificationOperator:
             assert np.abs(p @ p - p).max() < 1e-12
 
 
-def qsv_one(rho, a, n_tests: int, seed):
-    """`qsv_run` on a stack of one: state `rho`, real target `a`, one seed."""
-    (out,) = qsv_run(qsv_pass_probs(np.asarray(rho)[None], np.asarray(a)[None]), n_tests, [seed])
+def masked_fidelity(rho, a) -> float:
+    """<Ma|rho|Ma>: the fidelity of a state with the verification target of a real input a."""
+    target = masker_matrix() @ a
+    return float(np.vdot(target, np.asarray(rho) @ target).real)
+
+
+def qsv_one(fidelity, n_tests: int, seed):
+    """`qsv_run` on a stack of one: one fidelity, one seed."""
+    (out,) = qsv_run([fidelity], n_tests, [seed])
     return out
 
 
-def qsv_stack(rho, targets, n_tests: int, seeds):
-    """`qsv_run` over the pass-probability table of a stack of states."""
-    return qsv_run(qsv_pass_probs(rho, targets), n_tests, seeds)
+def binomial_passed(fidelity, n_tests: int, seed: int) -> int:
+    """The pass count drawn as `qsv_run` must draw it: one binomial from `generator(seed)`."""
+    return int(generator(seed).binomial(n_tests, (1 + 2 * fidelity) / 3))
 
 
 E0 = np.eye(4)[0]  # the target (1 ⊗ 1)|Phi>
@@ -235,96 +249,93 @@ class TestQsvRun:
     def test_ideal_source_always_passes(self):
         for j in range(4):
             rho = density(magic_basis()[j])
-            out = qsv_one(rho, np.eye(4)[j], 2000, derive_seed(1, "ideal", j))
+            out = qsv_one(masked_fidelity(rho, np.eye(4)[j]), 2000, derive_seed(1, "ideal", j))
             assert out.passed == out.total
             assert out.eps_hat == 0.0
 
     def test_maximally_mixed_concentrates_at_three_quarters(self):
-        out = qsv_one(np.eye(4) / 4, E0, 20_000, 2)
+        out = qsv_one(masked_fidelity(np.eye(4) / 4, E0), 20_000, 2)
         # pass rate 1/2 per rank-two test -> eps_hat near 0.75
         assert abs(out.eps_hat - 0.75) < 0.03
 
     # True and 2.5 used to end in numpy's "expected a sequence of integers or a single integer".
-    @pytest.mark.parametrize("n_tests", [True, 2.5, 2.0, "3", None, 0, -1])
+    @pytest.mark.parametrize("n_tests", [True, 2.5, 2.0, "3", None, 0, -1, 2**63, 10**30])
     def test_rejects_a_bad_test_count(self, n_tests):
-        with pytest.raises(ValueError, match=rf"^n_tests must be an integer >= 1, got {re.escape(repr(n_tests))}$"):
-            qsv_one(np.eye(4) / 4, E0, n_tests, 2)
+        with pytest.raises(ValueError, match=(r"^n_tests must be an integer in \[1, 2\*\*63 - 1\], "
+                                              rf"got {re.escape(repr(n_tests))}$")):
+            qsv_one(0.5, n_tests, 2)
 
     def test_takes_a_numpy_integer_test_count(self):
-        assert qsv_one(np.eye(4) / 4, E0, np.int64(50), 2) == qsv_one(np.eye(4) / 4, E0, 50, 2)
+        assert qsv_one(0.25, np.int64(50), 2) == qsv_one(0.25, 50, 2)
+
+    @pytest.mark.parametrize("n_tests", [10**18, 2**63 - 1])
+    def test_draws_the_largest_test_counts_at_once(self, n_tests):
+        # Per-test draws would need exabytes here; one binomial takes microseconds.
+        start = time.perf_counter()
+        out = qsv_one(0.99, n_tests, 7)
+        assert time.perf_counter() - start < 1.0
+        assert type(out.passed) is int and out.passed == binomial_passed(0.99, n_tests, 7)
+        assert out.total == n_tests and 0.0 < out.ci_low <= out.eps_hat <= out.ci_high < 0.02
 
     def test_real_coefficient_target(self, rng):
         a = rng.normal(size=4)
         a /= np.linalg.norm(a)
-        out = qsv_one(density(masker_matrix() @ a), a, 1000, 4)
+        out = qsv_one(masked_fidelity(density(masker_matrix() @ a), a), 1000, 4)
         assert out.passed == 1000
 
     def test_nested_lists_match_arrays(self):
-        rho = apply_depolarizing(density(BELL_PHI), 0.1)
-        assert (qsv_stack(rho[None], E0[None], 500, [3])
-                == qsv_stack(rho[None].tolist(), E0[None].tolist(), 500, [3]))
+        fids = [0.9, 0.5, 1.0]
+        assert qsv_run(np.array(fids), 500, [3, 4, 5]) == qsv_run(fids, 500, [3, 4, 5])
 
-    def test_rejects_complex_coefficient_target(self):
-        with pytest.raises(ValueError, match="must be real"):
-            qsv_one(np.eye(4) / 4, np.array([1, 1j, 0, 0]) / np.sqrt(2), 10, 0)
-
-    @staticmethod
-    def projector_passed(rho, u, n_tests: int, seed: int) -> int:
-        """Pass count from the three test projectors, drawing as qsv_run does."""
-        rng = generator(seed)
-        which = rng.integers(0, 3, size=n_tests)
-        draws = rng.random(n_tests)
-        probs = np.array([np.trace(rho @ p).real for p in verification_projectors(u)])
-        return int(np.count_nonzero(draws < probs[which]))
-
-    def test_passed_matches_projector_oracle_for_probes(self):
+    def test_passed_is_one_binomial_draw_for_the_probes(self):
         for idx in (1, 2, 3, 4):
             a = probe_vector(idx)
-            rho = apply_depolarizing(density(masker_matrix() @ a), 0.01)
-            for n_tests in (1, 5000, 100_000):
+            f = masked_fidelity(apply_depolarizing(density(masker_matrix() @ a), 0.01), a)
+            for n_tests in (1, 5000, 100_000, 10**18):
                 seed = derive_seed(20404, "fig3.qsv", idx)
-                got = qsv_one(rho, a, n_tests, seed).passed
-                assert got == self.projector_passed(rho, hr_combination(a), n_tests, seed)
+                assert qsv_one(f, n_tests, seed).passed == binomial_passed(f, n_tests, seed)
 
-    def test_passed_matches_projector_oracle_for_random_targets(self, rng):
+    def test_passed_is_one_binomial_draw_for_random_states(self, rng):
         for i in range(200):
             a = rng.normal(size=4)
             a /= np.linalg.norm(a)
-            rho = random_density(4, rng)
-            got = qsv_one(rho, a, 2000, i).passed
-            assert got == self.projector_passed(rho, hr_combination(a), 2000, i)
+            f = masked_fidelity(random_density(4, rng), a)
+            assert qsv_one(f, 2000, i).passed == binomial_passed(f, 2000, i)
 
-    @pytest.mark.parametrize("bad, match", [
-        (np.eye(4), "trace"),
-        (np.diag([1.2, -0.2, 0.0, 0.0]), "eigenvalue"),
-        (np.triu(np.ones((4, 4))) / 4, "Hermitian"),
-        (np.eye(2) / 2, "4x4"),
-    ])
-    def test_rejects_what_is_not_a_two_qubit_density(self, bad, match):
-        with pytest.raises(ValueError, match=match):
-            qsv_one(bad, E0, 10, 0)
+    @pytest.mark.parametrize("f, p", [(1.0 + 2.2e-16, 1.0), (1.0 + 1e-10, 1.0), (-1e-10, 1 / 3), (-0.0, 1 / 3)])
+    def test_round_off_outside_the_unit_interval_is_clipped(self, f, p):
+        # numpy's binomial refuses p = 1.0000000000000002, which a noiseless
+        # masked probe's fidelity gives.
+        assert qsv_one(f, 5000, 9).passed == int(generator(9).binomial(5000, p))
 
-    def test_rejects_a_state_that_is_not_a_stack(self):
-        with pytest.raises(ValueError, match=r"\(n, 4, 4\) stack"):
-            qsv_pass_probs(np.eye(4) / 4, E0[None])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0 + 1e-9, -1e-9, 1.5, -0.5])
+    def test_rejects_a_fidelity_outside_the_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=rf"^row 0: fidelity must be a finite number in \[0, 1\], "
+                                             rf"got {re.escape(repr(bad))}$"):
+            qsv_one(bad, 10, 0)
+
+    @pytest.mark.parametrize("bad", [0.5, [[0.5]], np.ones((2, 3))], ids=["scalar", "column", "table"])
+    def test_rejects_what_is_not_a_row_of_fidelities(self, bad):
+        with pytest.raises(ValueError, match=r"^fidelities must be an \(n,\) array, got shape"):
+            qsv_run(bad, 10, [0])
 
     def test_experiment_scale_arithmetic(self):
         # S = 4986 of N = 5000 maps to eps_hat = 0.0042, fidelity 0.9958.
         lo, hi = agresti_coull(4986, 5000)
-        res = QsvResult(total=5000, passed=4986, p_hat=4986 / 5000,
-                        eps_hat=1.5 * (1 - 4986 / 5000), ci_low=lo, ci_high=hi)
+        res = QsvResult(total=5000, passed=4986, ci_low=lo, ci_high=hi)
         assert res.eps_hat == pytest.approx(0.0042, abs=1e-12)
         assert res.fidelity == pytest.approx(0.9958, abs=1e-12)
         assert lo <= res.eps_hat <= hi
+        assert res.error == max(res.eps_hat - lo, hi - res.eps_hat)
 
     def test_unbiased_over_many_runs(self):
         # E[eps_hat] = eps within 2 standard errors at N = 5000.
         n, runs = 5000, 500
         for eps in (0.0, 0.005, 0.02):
-            rho = apply_depolarizing(density(BELL_PHI), eps / 0.75)
+            f = masked_fidelity(apply_depolarizing(density(BELL_PHI), eps / 0.75), E0)
             estimates = np.empty(runs)
             for i in range(runs):
-                out = qsv_one(rho, E0, n, derive_seed(10, "bias", eps, i))
+                out = qsv_one(f, n, derive_seed(10, "bias", eps, i))
                 estimates[i] = out.eps_hat
             p_succ = 1 - 2 * eps / 3
             se = 1.5 * np.sqrt(p_succ * (1 - p_succ) / n) / np.sqrt(runs)
@@ -332,99 +343,47 @@ class TestQsvRun:
 
 
 class TestQsvStack:
-    """An (n, 4, 4) stack of states in one qsv_run call against stacks of one."""
+    """An (n,) stack of fidelities in one qsv_run call against stacks of one."""
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32), st.integers(0, 5),
+    @given(st.lists(st.floats(0.0, 1.0), max_size=5),
            st.lists(st.one_of(st.sampled_from([0, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
                     min_size=5, max_size=5),
            st.integers(1, 3000))
-    def test_stack_equals_items_alone(self, state_seed, n, keys, n_tests):
-        rng = np.random.default_rng(state_seed)
-        rho = np.array([random_density(4, rng) for _ in range(n)]).reshape(-1, 4, 4)
-        targets = rng.normal(size=(n, 4))
-        targets /= np.linalg.norm(targets, axis=1, keepdims=True)
-        keys = keys[:n]
-        stacked = qsv_stack(rho, targets, n_tests, keys)
+    def test_stack_equals_items_alone(self, fids, keys, n_tests):
+        keys = keys[:len(fids)]
+        stacked = qsv_run(np.array(fids), n_tests, keys)
         assert isinstance(stacked, list)
-        assert stacked == [qsv_one(r, t, n_tests, k) for r, t, k in zip(rho, targets, keys)]
+        assert stacked == [qsv_one(f, n_tests, k) for f, k in zip(fids, keys)]
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32), st.integers(1, 6), st.sampled_from([0, 1, 2, 3, None]))
-    def test_rotation_matches_scalar_sum_oracle(self, state_seed, n, axis):
-        # u_of_c's array sum and the rotation by broadcasting against the
-        # identity give the bits of the scalar sum and of np.kron.
-        rng = np.random.default_rng(state_seed)
-        rho = np.array([random_density(4, rng) for _ in range(n)])
-        a = np.eye(4)[[axis] * n] if axis is not None else rng.normal(size=(n, 4))
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
-        want = np.array([hr_combination(row) for row in a])
-        assert np.array_equal(u_of_c(a), want)
-        assert np.array_equal(_pass_probs(rho, u_of_c(a)),
-                              [kron_pass_probs(r, u) for r, u in zip(rho, want)])
-
-    def test_probe_stack_matches_projector_oracle(self):
-        probes = np.array([probe_vector(idx) for idx in (1, 2, 3, 4)])
-        rho = np.array([apply_depolarizing(density(masker_matrix() @ a), 0.01) for a in probes])
+    def test_probe_stack_draws_one_binomial_per_probe(self):
+        fids = experiments._fig3_model(0.01)[2]
         keys = [derive_seed(20404, "fig3.qsv", idx) for idx in (1, 2, 3, 4)]
-        got = [out.passed for out in qsv_stack(rho, probes, 5000, keys)]
-        assert got == [TestQsvRun.projector_passed(r, hr_combination(a), 5000, k)
-                       for r, a, k in zip(rho, probes, keys)]
+        got = [out.passed for out in qsv_run(fids, 5000, keys)]
+        assert got == [binomial_passed(f, 5000, k) for f, k in zip(fids.tolist(), keys)]
 
-    @pytest.mark.parametrize("bad, match", [
-        (np.array([1, 1j, 0, 0]) / np.sqrt(2), "must be real: a complex combination is not unitary"),
-        (np.array([1, 1, 0, 0]), r"norm 1\.414\d* deviates from 1"),
-        (np.array([np.nan, 0, 0, 1]), "contains non-finite entries"),
-    ], ids=["complex", "norm", "non-finite"])
-    def test_bad_target_row_is_named(self, bad, match):
-        rho = np.array([np.eye(4) / 4] * 3)
-        targets = np.array([np.eye(4)[0], bad, bad])
-        with pytest.raises(ValueError, match=f"^row 1: coefficient vector {match}"):
-            qsv_pass_probs(rho, targets)
-
-    @pytest.mark.parametrize("bad, match", [
-        (np.eye(4), "trace"),
-        (np.diag([1.2, -0.2, 0.0, 0.0]), "eigenvalue"),
-        (np.triu(np.ones((4, 4))) / 4, "Hermitian"),
-    ])
-    def test_bad_state_row_is_named(self, bad, match):
-        rho = np.array([np.eye(4) / 4, np.eye(4) / 4, bad])
-        with pytest.raises(ValueError, match=f"^row 2: .*{match}"):
-            qsv_pass_probs(rho, np.eye(4)[:3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0 + 1e-9, -1e-9])
+    def test_bad_fidelity_row_is_named(self, bad):
+        with pytest.raises(ValueError, match=r"^row 1: fidelity must be a finite number in \[0, 1\]"):
+            qsv_run([1.0, bad, bad], 10, [0, 1, 2])
 
     def test_bad_seed_row_is_named(self):
         with pytest.raises(ValueError, match=r"^row 0: seed must be an integer in \[0, 2\*\*64\)"):
-            qsv_stack(np.array([np.eye(4) / 4] * 2), np.eye(4)[:2], 10, [-1, 2])
+            qsv_run([0.25, 0.25], 10, [-1, 2])
 
-    def test_needs_one_target_and_seed_per_state(self):
+    def test_needs_one_seed_per_row(self):
         with pytest.raises(ValueError, match="^need one seed per row, got 1 seeds for 2 rows$"):
-            qsv_stack(np.array([np.eye(4) / 4] * 2), np.eye(4)[:2], 10, [1])
-        with pytest.raises(ValueError, match="^need one target per state, got 1 targets for 2 states$"):
-            qsv_pass_probs(np.array([np.eye(4) / 4] * 2), np.eye(4)[:1])
+            qsv_run([0.25, 0.25], 10, [1])
 
     def test_empty_stack_gives_no_results(self):
-        assert qsv_stack(np.zeros((0, 4, 4)), np.zeros((0, 4)), 10, []) == []
+        assert qsv_run(np.zeros(0), 10, []) == []
 
-    def test_table_is_read_only_and_run_only_reads_it(self, monkeypatch):
-        rho = np.array([apply_depolarizing(density(masker_matrix() @ a), 0.01) for a in np.eye(4)])
-        table = qsv_pass_probs(rho, np.eye(4))
-        assert table.shape == (4, 3) and not table.flags.writeable
-        before = table.copy()
-
-        def refuse(*args):
-            raise AssertionError("qsv_run checked a state")
-
-        monkeypatch.setattr(estimate, "checked_density", refuse)
-        monkeypatch.setattr(estimate, "u_of_c", refuse)
-        assert qsv_run(table, 100, [1, 2, 3, 4]) == qsv_run(table.tolist(), 100, [1, 2, 3, 4])
-        assert np.array_equal(table, before)
-
-    @pytest.mark.parametrize("bad", [np.zeros((2, 4)), np.zeros(3), np.zeros((1, 2, 3)),
-                                     np.array([[0.5, np.nan, 0.5]]), np.array([[0.5, np.inf, 0.5]])],
-                             ids=["four-columns", "one-dimensional", "three-dimensional", "nan", "inf"])
-    def test_run_refuses_what_is_no_finite_table(self, bad):
-        with pytest.raises(ValueError, match=r"^pass_probs must be a finite \(n, 3\) table, got shape"):
-            qsv_run(bad, 10, list(range(len(bad))))
+    def test_reads_a_read_only_model_unaltered(self):
+        fids = experiments._fig3_model(0.01)[2]
+        assert not fids.flags.writeable
+        before = fids.copy()
+        assert qsv_run(fids, 100, [1, 2, 3, 4]) == qsv_run(fids.tolist(), 100, [1, 2, 3, 4])
+        assert np.array_equal(fids, before)
 
 
 class TestAgrestiCoull:

@@ -73,15 +73,15 @@ def oracle_fig3(config):
     for idx in (1, 2, 3, 4):
         a = probe_vector(idx)
         ideal, rho = oracle_masked_probe(a, config.noise_p)
+        fidelity = fidelity_with_pure(rho, ideal)
         if config.analytic:
-            eps = 1.0 - fidelity_with_pure(rho, ideal)
+            eps = 1.0 - fidelity
             fid = oracle_row(config, "fig3", f"probe {idx} fidelity", 1.0 - eps, 0.0, "ci95", None, None,
                              eps_hat=eps, eps_low=eps, eps_high=eps, passed=None, tests=None)
             pur_a, pur_b = (purity(partial_trace(rho, k)) for k in ("A", "B"))
             std, resamples = 0.0, None
         else:
-            (qsv,) = estimate.qsv_run(estimate.qsv_pass_probs(rho[None], a[None]), config.qsv_tests,
-                                      [derive_seed(config.seed, "fig3.qsv", idx)])
+            (qsv,) = estimate.qsv_run([fidelity], config.qsv_tests, [derive_seed(config.seed, "fig3.qsv", idx)])
             fid = oracle_row(config, "fig3", f"probe {idx} fidelity", qsv.fidelity, qsv.error, "ci95",
                              qsv.total, None, eps_hat=qsv.eps_hat, eps_low=qsv.ci_low,
                              eps_high=qsv.ci_high, passed=qsv.passed, tests=qsv.total)
@@ -192,12 +192,12 @@ def clear_models():
 
 def test_each_masked_stack_is_checked_once_per_config(monkeypatch):
     """The first run of each figure at a config checks its (n, 4, 4) masked
-    stack once, in `apply_depolarizing`, its reduced stacks in
-    `partial_trace`, and fig3's stack once more where its verification table
-    is built; a run at another seed reads the cached model and checks no
-    state.  No state check repairs a matrix, so only the positivity
-    projection calls `eigh`, once per fig4 run: the point correlators and
-    their resamples decode in one call."""
+    stack once, in `apply_depolarizing`, and its reduced stacks in
+    `partial_trace`; fig3's verification reads the fidelities of the stack
+    and checks nothing more.  A run at another seed reads the cached model
+    and checks no state.  No state check repairs a matrix, so only the
+    positivity projection calls `eigh`, once per fig4 run: the point
+    correlators and their resamples decode in one call."""
     masker_matrix()  # its one-time build checks reduced states too
     clear_models()
     checks, eighs = [], []
@@ -221,7 +221,7 @@ def test_each_masked_stack_is_checked_once_per_config(monkeypatch):
             del checks[:], eighs[:]
     n = len(ExperimentConfig().phi_grid_deg)
     assert first["fig3"][0] == [("apply_depolarizing", (4, 4, 4)), ("partial_trace", (4, 2, 2)),
-                                ("partial_trace", (4, 2, 2)), ("qsv_pass_probs", (4, 4, 4))]
+                                ("partial_trace", (4, 2, 2))]
     assert first["fig4"][0] == [("apply_depolarizing", (1, 4, 4))]
     assert first["fig5"][0] == [("apply_depolarizing", (n, 4, 4)), ("partial_trace", (n, 2, 2))]
     assert second["fig3"][0] == second["fig4"][0] == second["fig5"][0] == []
@@ -276,6 +276,26 @@ def test_each_sampled_figure_makes_one_estimator_call_and_one_resample_call(monk
         run(ExperimentConfig(seed=11))
         assert calls == want, run.__name__
         del calls[:]
+
+
+def test_a_warm_figures_op_builds_no_philox(monkeypatch):
+    """Every draw of a figures op comes from the thread's one re-keyed Philox
+    stream, equiv's preparation targets too: once the stream and the models
+    are built, fig3, fig4, fig5 and equiv construct no `np.random.Philox`."""
+    runs = (run_fig3, run_fig4, run_fig5, experiments.run_equivalence)
+    for run in runs:
+        run(ExperimentConfig(seed=12))
+    built = []
+    philox = np.random.Philox
+
+    def spy(*args, **kwargs):
+        built.append((args, kwargs))
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", spy)
+    for run in runs:
+        run(ExperimentConfig(seed=13))
+    assert built == []
 
 
 def test_model_arrays_refuse_writes():

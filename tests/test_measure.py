@@ -272,6 +272,18 @@ class TestDepolarizing:
         out = apply_depolarizing(rhos, 0.3)
         assert np.array_equal(out, [apply_depolarizing(r, 0.3) for r in rhos])
 
+    # The one check of a figure's masked stack: it names the faulty row at every p.
+    @pytest.mark.parametrize("p", [0.0, 0.01])
+    @pytest.mark.parametrize("bad, match", [
+        (np.eye(4), "trace"),
+        (np.diag([1.2, -0.2, 0.0, 0.0]), "eigenvalue"),
+        (np.triu(np.ones((4, 4))) / 4, "Hermitian"),
+    ])
+    def test_bad_state_row_is_named(self, bad, match, p):
+        rho = np.array([np.eye(4) / 4, np.eye(4) / 4, bad])
+        with pytest.raises(ValueError, match=f"^row 2: .*{match}"):
+            apply_depolarizing(rho, p)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             apply_depolarizing(np.eye(4) / 4, 1.5)
