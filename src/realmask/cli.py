@@ -6,19 +6,20 @@ phase), `equiv` (masker / walk / optics cross-check, nonzero exit on breach),
 and `angles` (waveplate angle solutions for preparation and measurement).
 
 Option precedence: command-line flags override the --config file, which
-overrides built-in defaults.  One table, `OPTIONS`, gives each config field its
-flag, flag parser, value check and help; a subcommand's flags and config keys
-are made from it for the fields it reads (`FIELDS`), so it takes no flag or
-key that it would ignore.  `fig4 --probe` and `equiv --n-inputs` are flags
-only, with no config key.  A bad value is a one-line error, never a silent
-coercion, and so is a run that needs more memory than it can get.  A comma
-list that starts with a negative number, and a lone negative number in any
-spelling `float` reads, may follow its flag after a space (`--phi-grid
--15,0`, `--phi -1e1`) or an `=` (`--phi-grid=-15,0`).
+overrides the defaults that `experiments` owns.  One table, `OPTIONS`, gives
+each setting its flag, flag parser, value check and help; a subcommand's flags
+and config keys are made from it for the settings it reads (`FIELDS`), so it
+takes no flag or key that it would ignore.  `fig4 --probe` and `equiv
+--n-inputs` are flags only, with no config key.  A bad value is a one-line
+error, never a silent coercion, and so is a run that needs more memory than
+it can get.  A comma list that starts with a negative number, and a lone
+negative number in any spelling `float` reads, may follow its flag after a
+space (`--phi-grid -15,0`, `--phi -1e1`) or an `=` (`--phi-grid=-15,0`).
 """
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import re
@@ -83,11 +84,20 @@ def _four_finite(v) -> tuple[float, ...]:
 
 
 def _real_state(v) -> tuple[float, ...]:
+    """Four finite amplitudes scaled to unit norm, by the largest magnitude first."""
     parts = _four_finite(v)
+    scale = max(abs(x) for x in parts)
+    if scale == 0.0:
+        raise ValueError(f"must have a nonzero norm, got {v!r}")
+    parts = [x / scale for x in parts]
     norm = math.hypot(*parts)
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"must have a finite nonzero norm, got {v!r}")
     return tuple(x / norm for x in parts)
+
+
+def _pauli_pair(v: str) -> str:
+    if v.upper() not in measure.PAIRS:
+        raise ValueError(f"must be a Pauli pair like XX, XY, ..., ZZ, got {v!r}")
+    return v.upper()
 
 
 def _flag(v) -> bool:
@@ -118,21 +128,28 @@ def _floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",")]
 
 
-# Each ExperimentConfig field that a flag or a config key can set: the value
-# check they share, the flag, the parser of its text (None: a switch), the help.
+def _default(fn, name: str):
+    """The default of `fn`'s parameter `name`."""
+    return inspect.signature(fn).parameters[name].default
+
+
+_PHI = experiments.DEFAULT_PHI_GRID
+
+# Each setting that a flag or a config key can set: the value check they
+# share, the flag, the parser of its text (None: a switch), the help.
 OPTIONS = {
-    "seed": (_integer, "--seed", int, "master seed (default 20404)"),
+    "seed": (_integer, "--seed", int, f"master seed (default {experiments.DEFAULT_SEED})"),
     "shots_per_setting": (_count, "--shots", int, "shots per measurement setting (at most 10**18)"),
     "qsv_tests": (_count, "--qsv-tests", int, "verification tests per probe (at most 10**18)"),
     "noise_p": (_probability, "--noise-p", float, "depolarizing noise strength"),
     "phi_grid_deg": (_phases, "--phi-grid", _floats,
-                     "comma-separated phases in degrees (default 0,15,...,90)"),
+                     f"comma-separated phases in degrees (default {_PHI[0]:g},{_PHI[1]:g},...,{_PHI[-1]:g})"),
     "analytic": (_flag, "--analytic", None, "infinite-shot mode (no sampling)"),
     "output_path": (_text, "--out", str, "output directory for CSV/JSON reports"),
 }
 
-# The fields each experiment subcommand reads; it takes their flags and config
-# keys and no others.
+# The settings each experiment subcommand reads; it takes their flags and
+# config keys and no others.
 FIELDS = {
     "fig3": ("seed", "shots_per_setting", "qsv_tests", "noise_p", "analytic", "output_path"),
     "fig4": ("seed", "shots_per_setting", "noise_p", "analytic", "output_path"),
@@ -151,7 +168,7 @@ def add_options(parser: argparse.ArgumentParser, fields) -> None:
 
 
 def option_values(args: argparse.Namespace) -> dict:
-    """The ExperimentConfig fields given as flags to a parser set up by `add_options`."""
+    """The settings given as flags to a parser set up by `add_options`."""
     return {field: getattr(args, field) for field in args.fields if getattr(args, field) is not None}
 
 
@@ -178,13 +195,15 @@ def _load_config_file(path: str, command: str, fields) -> dict:
     return values
 
 
-def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+def _build_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str | None]:
+    """The run's config, and the directory its reports go to (None: stdout)."""
     values = _load_config_file(args.config, args.command, args.fields) if args.config else {}
     values.update(option_values(args))
-    if values.get("output_path") == "":
+    out_dir = values.pop("output_path", None)
+    if out_dir == "":
         print("realmask: the output path (--out or output_path) must not be empty", file=sys.stderr)
         raise SystemExit(2)
-    return ExperimentConfig(**values)
+    return ExperimentConfig(**values), out_dir
 
 
 def write_report_or_exit(report: dict, out_dir) -> list[Path]:
@@ -196,13 +215,13 @@ def write_report_or_exit(report: dict, out_dir) -> list[Path]:
 
 
 def _cmd_experiment(args) -> int:
-    config = _build_config(args)
+    config, out_dir = _build_config(args)
     try:
         report = args.run(config, args)
     except MemoryError as exc:
         raise SystemExit(f"{args.command}: not enough memory for this run: {str(exc) or 'MemoryError'}") from None
-    if config.output_path:
-        for p in write_report_or_exit(report, config.output_path):
+    if out_dir:
+        for p in write_report_or_exit(report, out_dir):
             print(f"wrote {p}")
     else:
         sys.stdout.write(experiments.report_json(report))
@@ -228,13 +247,9 @@ def _cmd_angles(args) -> int:
         print(f"  Q1 = 45.000000 deg (inserted on the -3 rail)")
         print(f"  H2 = {angles.h2:.6f} deg")
         did_something = True
-    setting = None
-    label = None
-    if args.setting:
-        label = args.setting.upper()
-        if label not in measure.PAIRS:
-            raise SystemExit("setting must be a Pauli pair like XX, XY, ..., ZZ")
-        setting = optics.pauli_meas_setting(label[0], label[1])
+    label, setting = args.setting, None
+    if label is not None:
+        setting = optics.pauli_meas_setting(*label)
     elif args.basis is not None:
         setting = optics.MeasSetting(*args.basis)
         label = "custom basis"
@@ -272,19 +287,21 @@ def build_parser() -> argparse.ArgumentParser:
                    lambda config, args: experiments.run_fig3(config))
     p4 = add_experiment("fig4", "correlation decoding of a masked probe",
                         lambda config, args: experiments.run_fig4(config, args.probe))
-    p4.add_argument("--probe", type=int, default=4, choices=(1, 2, 3, 4))
+    p4.add_argument("--probe", type=int, default=_default(experiments.run_fig4, "probe"),
+                    choices=experiments.PROBES)
     add_experiment("fig5", "concurrence of the masked phase probes",
                    lambda config, args: experiments.run_fig5(config))
     pe = add_experiment("equiv", "masker / walk / optics equivalence check",
                         lambda config, args: experiments.run_equivalence(config, n_inputs=args.n_inputs))
-    pe.add_argument("--n-inputs", type=_flag_type(int, _positive), default=100)
+    pe.add_argument("--n-inputs", type=_flag_type(int, _positive),
+                    default=_default(experiments.run_equivalence, "n_inputs"))
 
     pa = sub.add_parser("angles", help="waveplate angle solutions")
     pa.add_argument("--state", type=_flag_type(_floats, _real_state), default=None,
                     help="four comma-separated real amplitudes (normalized automatically)")
     pa.add_argument("--phi", type=_flag_type(float, _finite), default=None,
                     help="phase-probe phase in degrees")
-    pa.add_argument("--setting", type=str, default=None, help="Pauli pair, e.g. XY")
+    pa.add_argument("--setting", type=_flag_type(str, _pauli_pair), default=None, help="Pauli pair, e.g. XY")
     pa.add_argument("--basis", type=_flag_type(_floats, _four_finite), default=None,
                     help="raw product-basis parameters gamma,zeta,alpha,beta (radians)")
     pa.set_defaults(func=_cmd_angles)

@@ -237,7 +237,7 @@ def bootstrap_std(
     quantity: Callable[[np.ndarray], np.ndarray],
     counts,
     seeds: Sequence[int],
-    resamples: int = 100,
+    resamples: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Point values of `quantity` for each count array of a stack, and their
     standard deviation over Poisson resamples of it, one seed per item.

@@ -99,7 +99,6 @@ class ExperimentConfig:
     noise_p: float = DEFAULT_NOISE_P
     phi_grid_deg: tuple[float, ...] = DEFAULT_PHI_GRID
     analytic: bool = False
-    output_path: str | None = None
 
     def shots(self, experiment: str) -> int:
         if self.shots_per_setting is not None:
@@ -469,8 +468,7 @@ def report_csv(report: dict) -> str:
             ])
     elif kind == "equivalence":
         writer.writerow(["quantity", "value"])
-        for key in ("max_gap", "max_gap_masker_walk", "max_gap_masker_optics", "max_gap_preparation",
-                    "max_gap_measurement", "threshold"):
+        for key in ("max_gap", *(k for k in report if k.startswith("max_gap_")), "threshold"):
             writer.writerow([key, _fmt(report[key])])
         writer.writerow(["pass", str(report["pass"]).lower()])
     else:

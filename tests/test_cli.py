@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import re
@@ -274,7 +275,7 @@ class TestEquivalence:
         json.loads(report_json(rep))  # refuses NaN and infinity
 
 
-# The ExperimentConfig fields each experiment subcommand reads.
+# The settings each experiment subcommand reads.
 READS = {
     "fig3": {"seed", "shots_per_setting", "qsv_tests", "noise_p", "analytic", "output_path"},
     "fig4": {"seed", "shots_per_setting", "noise_p", "analytic", "output_path"},
@@ -305,8 +306,8 @@ class TestCommandLine:
         by_flag, by_config = [command, *flag], [command, "--config", str(cfg_path)]
         if field in READS[command]:
             for argv in (by_flag, by_config):
-                config = cli._build_config(cli.build_parser().parse_args(argv))
-                assert getattr(config, field) == want
+                config, out_dir = cli._build_config(cli.build_parser().parse_args(argv))
+                assert (out_dir if field == "output_path" else getattr(config, field)) == want
             return
         with pytest.raises(SystemExit) as exc:
             cli.main(by_flag)
@@ -365,32 +366,55 @@ class TestCommandLine:
         assert exc.value.code == (f"config file {cfg_path}: not config keys of {command}: [{key!r}]; "
                                   f"its keys are {keys}")
 
-    @pytest.mark.parametrize("doc", [
-        {"analytic": "false"},
-        {"analytic": 0},
-        {"seed": 1.7},
-        {"seed": True},
-        {"seed": "7"},
-        {"shots_per_setting": 400.0},
-        {"shots_per_setting": 0},
-        {"shots_per_setting": 2**63},
-        {"qsv_tests": False},
-        {"noise_p": "0.1"},
-        {"noise_p": 1.5},
-        {"phi_grid_deg": ["0", "45"]},
-        {"output_path": 3},
-        {"experiment": 7},
-        {"experiment": "fig5"},
+    # Each document goes to a subcommand that reads its key, so that it
+    # reaches the key's value check, not the unknown-key refusal.
+    @pytest.mark.parametrize("command, doc", [
+        ("fig4", {"analytic": "false"}),
+        ("fig4", {"analytic": 0}),
+        ("fig4", {"seed": 1.7}),
+        ("fig4", {"seed": True}),
+        ("fig4", {"seed": "7"}),
+        ("fig4", {"shots_per_setting": 400.0}),
+        ("fig4", {"shots_per_setting": 0}),
+        ("fig4", {"shots_per_setting": 2**63}),
+        ("fig3", {"qsv_tests": False}),
+        ("fig4", {"noise_p": "0.1"}),
+        ("fig4", {"noise_p": 1.5}),
+        ("fig5", {"phi_grid_deg": ["0", "45"]}),
+        ("fig4", {"output_path": 3}),
+        ("fig4", {"experiment": 7}),
+        ("fig4", {"experiment": "fig5"}),
     ])
-    def test_config_file_rejects_mistyped_values(self, tmp_path, doc):
+    def test_config_file_rejects_mistyped_values(self, tmp_path, command, doc):
         # {"analytic": "false", "seed": 1.7} used to run in analytic mode with seed 1,
         # and an "experiment" key of any value was ignored.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         with pytest.raises(SystemExit) as exc:
-            cli.main(["fig4", "--config", str(cfg_path)])
+            cli.main([command, "--config", str(cfg_path)])
         key = next(iter(doc))
-        assert isinstance(exc.value.code, str) and key in exc.value.code
+        assert isinstance(exc.value.code, str)
+        assert exc.value.code.startswith(f"config file {cfg_path}: {key} must ")
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_parser_defaults_are_those_of_experiments(self, command):
+        parser = cli.build_parser()
+        args = parser.parse_args([command])
+        assert cli._build_config(args) == (ExperimentConfig(), None)
+        if command == "fig4":
+            assert args.probe == inspect.signature(run_fig4).parameters["probe"].default
+            for probe in experiments.PROBES:
+                assert parser.parse_args([command, "--probe", str(probe)]).probe == probe
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--probe", str(max(experiments.PROBES) + 1)])
+        if command == "equiv":
+            assert args.n_inputs == inspect.signature(run_equivalence).parameters["n_inputs"].default
+        grid = experiments.DEFAULT_PHI_GRID
+        shown = {"seed": f"(default {experiments.DEFAULT_SEED})",
+                 "phi_grid_deg": f"(default {grid[0]:g},{grid[1]:g},...,{grid[-1]:g})"}
+        for field, text in shown.items():
+            if field in READS[command]:
+                assert text in cli.OPTIONS[field][3]
 
     def test_config_experiment_key_may_name_the_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -434,6 +458,9 @@ class TestCommandLine:
         ["angles", "--basis", "nan,0,0,0"],
         ["angles", "--state", "0,0,0,0"],
         ["angles", "--state", "1,1,1"],
+        # A bad Pauli pair used to exit 1 from inside the command.
+        ["angles", "--setting", "QQ"],
+        ["angles", "--setting", "X"],
     ])
     def test_bad_flag_values_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -555,10 +582,34 @@ class TestCommandLine:
         assert cli.main(["angles", "--phi", "-90.00000000000001"]) == 0
         assert "  H2 = 0.000000 deg\n" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("setting", ["XW", "X", "XYZ"])
-    def test_angles_rejects_a_non_pauli_setting(self, setting):
-        with pytest.raises(SystemExit, match="Pauli pair"):
+    @pytest.mark.parametrize("setting", ["XW", "X", "XYZ", "xq", ""])
+    def test_angles_rejects_a_non_pauli_setting(self, setting, capsys):
+        with pytest.raises(SystemExit) as exc:
             cli.main(["angles", "--setting", setting])
+        assert exc.value.code == 2
+        assert (f"argument --setting: must be a Pauli pair like XX, XY, ..., ZZ, got {setting!r}"
+                in capsys.readouterr().err)
+
+    def test_angles_setting_is_case_insensitive(self, capsys):
+        assert cli.main(["angles", "--setting", "xY"]) == 0
+        mixed = capsys.readouterr().out
+        assert cli.main(["angles", "--setting", "XY"]) == 0
+        assert capsys.readouterr().out == mixed and "measurement setting XY " in mixed
+
+    # Subnormal amplitudes used to be divided by a norm they could not hold
+    # ("target norm 1.414... deviates from 1"), and huge ones overflowed it.
+    @pytest.mark.parametrize("state, same_as", [
+        ("5e-324,5e-324,0,0", "1,1,0,0"),
+        ("1e308,1e308,1e308,1e308", "1,1,1,1"),
+        ("1e-320,3e-321,0,0", None),
+    ])
+    def test_angles_state_of_any_finite_scale(self, state, same_as, capsys):
+        assert cli.main(["angles", "--state", state]) == 0
+        out = capsys.readouterr().out
+        assert "  H1 = " in out and "  H3 = " in out
+        if same_as is not None:
+            assert cli.main(["angles", "--state", same_as]) == 0
+            assert capsys.readouterr().out == out
 
     def test_out_naming_a_file_is_a_clean_error(self, tmp_path):
         # Report writing under an existing regular file used to end in a

@@ -4,11 +4,13 @@ Every public top-level function or class of the package must be reached from
 the console scripts named in `pyproject.toml` or from `scripts/`.  A
 definition is reached when a script, or a definition already reached,
 mentions its name; module-level constants count as definitions, so a table
-that names a function reaches it.  `__init__` re-exports reach nothing.
-Names are matched without their module, so a dead definition that shares
-its name with a live one passes, but a live one never fails.  Every name in
-`realmask.__all__` must be such a reached definition (or on the keep-list),
-so the package cannot re-export a dead name.
+that names a function reaches it.  Names are matched without their module,
+so a dead definition that shares its name with a live one passes, but a live
+one never fails.
+
+Each name has one home, its module: callers import the modules, and the
+package's `__init__` holds its docstring and nothing else, so it binds and
+re-exports no name.
 
 No module of the package checks anything with an `assert` statement, which
 `python -O` strips.
@@ -58,11 +60,9 @@ def _mentioned(tree: ast.AST) -> set[str]:
 
 
 def _definitions() -> dict[str, list[ast.AST]]:
-    """Top-level definitions of every package module but `__init__`, by name."""
+    """Top-level definitions of every package module, by name."""
     defs: dict[str, list[ast.AST]] = {}
     for path in sorted(SRC.glob("*.py")):
-        if path.stem == "__init__":
-            continue
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.setdefault(node.name, []).append(node)
@@ -119,12 +119,11 @@ def test_keep_list_names_only_unreached_definitions():
     assert not live, f"keep-list names the pipelines now reach, so drop them from KEEP: {sorted(live)}"
 
 
-def test_package_exports_only_reached_names():
-    import realmask
-
-    exported = {name for name in realmask.__all__ if not name.startswith("__")}
-    dead = exported - _reached(_definitions(), _entry_points() | KEEP)
-    assert not dead, f"realmask.__all__ re-exports names no pipeline reaches: {sorted(dead)}"
+def test_package_init_holds_only_its_docstring():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert ast.get_docstring(tree), "src/realmask/__init__.py lost its docstring"
+    extra = [f"line {node.lineno}: {type(node).__name__}" for node in tree.body[1:]]
+    assert not extra, f"src/realmask/__init__.py holds more than its docstring; import names from their modules: {extra}"
 
 
 def test_no_assert_statements():
