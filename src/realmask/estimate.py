@@ -10,12 +10,12 @@ Three pipelines:
   its fidelity F with the target, at p_succ = (1 + 2F)/3, one seed per row;
 * single-qubit tomography: exact maximum likelihood over (batch, 3, 2) count
   arrays, rows in `measure.AXES` order (`mle_qubit_batch`, each boundary
-  fit a bisection of its own; `purity_from_counts`, closed form from the
-  linear inversion), with Poisson-resampling bootstrap error bars
-  (`bootstrap_std`: one seeded draw per count array of a stack, all taken
-  by one `measure.poisson_resample` call, and the point counts with all
-  their resamples estimated in one more call, which gives the point values
-  beside the spread);
+  fit a bisection of its own; `purity_from_counts`, (1 + r.r)/2 of the
+  linear inversion r in real arithmetic, 1 outside the ball), with
+  Poisson-resampling bootstrap error bars (`bootstrap_std`: one seeded draw
+  per count array of a stack, all taken by one `measure.poisson_resample`
+  call, and the point counts with all their resamples estimated in one more
+  call, which gives the point values beside the spread);
 * correlation decoding: the nine Pauli-pair correlators of the masked state
   (rows and columns in `measure.AXES` order) determine the real input density
   matrix through one constant linear map, derived from the masker by
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,8 +106,9 @@ def qsv_run(fidelities, n_tests: int, seeds) -> list[QsvResult]:
     return results
 
 
-# Every verification interval has 95% confidence: kappa is the 97.5% normal quantile.
-_KAPPA = NormalDist().inv_cdf((1.0 + 0.95) / 2.0)
+# Every verification interval has 95% confidence: kappa is the 97.5% normal
+# quantile, as `statistics.NormalDist().inv_cdf(0.975)` gives it.
+_KAPPA = 1.9599639845400536
 
 
 def agresti_coull(passed: int, total: int) -> tuple[float, float]:
@@ -123,7 +123,7 @@ def agresti_coull(passed: int, total: int) -> tuple[float, float]:
         raise ValueError(f"need integers 0 <= passed <= total with total >= 1, got {passed!r}/{total!r}")
     n_t = total + _KAPPA**2
     p_t = (passed + _KAPPA**2 / 2.0) / n_t
-    half = _KAPPA * np.sqrt(p_t * (1.0 - p_t) / n_t)
+    half = _KAPPA * math.sqrt(p_t * (1.0 - p_t) / n_t)
     lo = 1.5 * (1.0 - p_t - half)
     hi = 1.5 * (1.0 - p_t + half)
     return max(0.0, lo), min(1.5, hi)
@@ -148,10 +148,10 @@ def _checked_counts(counts) -> np.ndarray:
 
 def _linear_inversion(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(n+ - n-)/n on each axis of (batch, 3, 2) counts, 0 on an axis without
-    counts, and whether each row lies outside the Bloch ball."""
+    counts, and each row's squared length r.r, above 1 outside the Bloch ball."""
     n = c[:, :, 0] + c[:, :, 1]
     r = np.divide(c[:, :, 0] - c[:, :, 1], n, out=np.zeros_like(n), where=n > 0)
-    return r, r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2] > 1.0
+    return r, r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2]
 
 
 def _bloch_matrices(r: np.ndarray) -> np.ndarray:
@@ -212,8 +212,8 @@ def mle_qubit_batch(counts: np.ndarray) -> np.ndarray:
     maximally mixed value.
     """
     c = _checked_counts(counts)
-    r, outside = _linear_inversion(c)
-    for i in np.flatnonzero(outside):
+    r, r2 = _linear_inversion(c)
+    for i in np.flatnonzero(r2 > 1.0):
         r[i] = _sphere_fit(c[i, :, 0].tolist(), c[i, :, 1].tolist())
     return _bloch_matrices(r)
 
@@ -222,15 +222,12 @@ def purity_from_counts(counts: np.ndarray) -> np.ndarray:
     """Purities tr(rho^2) of the MLE states of `mle_qubit_batch` for counts of
     shape (batch, 3, 2), with no sphere fit.
 
-    Inside the Bloch ball the MLE is the linear inversion, whose purity is
-    read from its matrix; outside it the MLE lies on the sphere, so its
-    purity is exactly 1.
+    Inside the Bloch ball the MLE is the linear inversion r, whose purity
+    is (1 + r.r)/2, computed in real float64 arithmetic; outside it the MLE
+    lies on the sphere, so its purity is exactly 1.
     """
-    r, outside = _linear_inversion(_checked_counts(counts))
-    rho = _bloch_matrices(r)
-    pur = np.einsum("bij,bji->b", rho, rho).real
-    pur[outside] = 1.0
-    return pur
+    _r, r2 = _linear_inversion(_checked_counts(counts))
+    return 0.5 * (1.0 + np.minimum(r2, 1.0))
 
 
 def bootstrap_std(

@@ -28,13 +28,17 @@ concurrence call.  Sampled counts stay integer arrays from the draw to the
 estimate.
 
 Reports are written as JSON with floats at 12 significant digits, rounded and
-encoded in one walk (`report_json`).
+encoded in one walk (`report_json`), and as CSV (`report_csv`).
+`write_report` encodes both texts before it opens a file, so a refused report
+leaves nothing behind, and writes each one's bytes as they are, with no
+platform newline translation.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -49,7 +53,7 @@ from .qcore import concurrence_from_purity, partial_trace, purity, spin_flip_con
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 13
+REPORT_SCHEMA = 14
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
@@ -477,12 +481,21 @@ def report_csv(report: dict) -> str:
 
 
 def write_report(report: dict, out_dir) -> list[Path]:
-    """Write <experiment>.json and <experiment>.csv into `out_dir`."""
+    """Write <experiment>.json and <experiment>.csv into `out_dir`, made when
+    missing, and return their paths.  Both texts are encoded before a file is
+    opened, so a refused report writes nothing; each file gets its bytes,
+    untranslated, in one write, and a short write raises OSError."""
+    data = (report_json(report).encode(), report_csv(report).encode())
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if not out.is_dir():
+        out.mkdir(parents=True, exist_ok=True)
     stem = report["experiment"] if report["experiment"] != "equivalence" else "equiv"
-    json_path = out / f"{stem}.json"
-    csv_path = out / f"{stem}.csv"
-    json_path.write_text(report_json(report))
-    csv_path.write_text(report_csv(report))
-    return [json_path, csv_path]
+    paths = [out / f"{stem}.json", out / f"{stem}.csv"]
+    for path, text in zip(paths, data):
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            if (written := os.write(fd, text)) != len(text):
+                raise OSError(f"short write to {path}: {written} of {len(text)} bytes")
+        finally:
+            os.close(fd)
+    return paths

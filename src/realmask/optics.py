@@ -110,6 +110,10 @@ def phase_prep_angles(phi_deg: float) -> PrepAngles:
 
 
 PREP_INPUT_RAIL = 1  # rail carrying the |H>-polarized input photon
+# The preparation's fixed |rail 1, H> input and closing X plates, built once and read-only.
+_PREP_INPUT = RailState.of({(PREP_INPUT_RAIL, H): 1.0})
+_PREP_INPUT.amps.setflags(write=False)
+_PREP_X_PLATES = Local(hwp_jones(45.0), {-3, 1})
 
 
 def preparation_layout(angles: PrepAngles, q1_deg: float | None = None) -> tuple[Local | Shift, ...]:
@@ -121,13 +125,13 @@ def preparation_layout(angles: PrepAngles, q1_deg: float | None = None) -> tuple
     ]
     if q1_deg is not None:
         steps.append(Local(qwp_jones(q1_deg), {-3}))
-    steps += [Shift(0, 2), Local(hwp_jones(45.0), {-3, 1})]
+    steps += [Shift(0, 2), _PREP_X_PLATES]
     return tuple(steps)
 
 
 def simulate_preparation(angles: PrepAngles, q1_deg: float | None = None) -> RailState:
     """Run the preparation module on the fixed |rail 1, H> input; angle arrays give a batch."""
-    return run(RailState.of({(PREP_INPUT_RAIL, H): 1.0}), preparation_layout(angles, q1_deg))
+    return run(_PREP_INPUT, preparation_layout(angles, q1_deg))
 
 
 # ---------------------------------------------------------------------------

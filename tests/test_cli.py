@@ -134,7 +134,7 @@ class TestReportFiles:
     def test_report_carries_schema_version(self):
         doc = json.loads(report_json(run_fig4(ExperimentConfig(seed=3, analytic=True))))
         assert next(iter(doc)) == "schema"
-        assert doc["schema"] == experiments.REPORT_SCHEMA == 13
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 14
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError):
@@ -735,6 +735,17 @@ class TestCommandLine:
         code = "import sys, realmask.experiments; print('scipy' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
         assert out.stdout.strip() == "False"
+
+    def test_experiments_import_loads_no_statistics(self):
+        # `statistics` pulled in `decimal` and `fractions` for one constant,
+        # about 4 ms of each fresh start.
+        import subprocess
+        import sys
+
+        code = ("import sys, realmask.experiments; "
+                "print([m for m in ('statistics', 'decimal', 'fractions') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"
 
     def test_experiments_import_loads_no_random_module_of_its_own(self):
         # The re-keyable Philox stream is built on a thread's first draw, not

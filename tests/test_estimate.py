@@ -2,10 +2,11 @@ import math
 import re
 import time
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from realmask import estimate, experiments
@@ -430,6 +431,16 @@ class TestAgrestiCoull:
     def test_takes_numpy_integers(self):
         assert agresti_coull(np.int64(4986), np.uint32(5000)) == agresti_coull(4986, 5000)
 
+    def test_kappa_is_the_975_normal_quantile(self):
+        # Written as a literal, so that importing the estimators loads no `statistics`.
+        assert estimate._KAPPA == NormalDist().inv_cdf(0.975)
+
+    @pytest.mark.parametrize("passed, total", [(4986, 5000), (0, 5), (5, 5), (3, 10**18)])
+    def test_endpoints_are_plain_floats(self, passed, total):
+        assert [type(x) for x in agresti_coull(passed, total)] == [float, float]
+        out = qsv_run([1.0 - passed / total], total, [7])[0]
+        assert type(out.ci_low) is float and type(out.ci_high) is float
+
 
 class TestTomography:
     def test_flat_counts_give_maximally_mixed(self):
@@ -628,17 +639,25 @@ def mixed_items():
 class TestPurityFromCounts:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(mixed_items(), min_size=1, max_size=6))
+    # tr(rho^2) of the complex MLE matrix reads above (1 + r.r)/2 by 2**-53
+    # in the first and by 2**-52 in the second.
+    @example([((1, 1), (1, 1), (16, 1))])
+    @example([((0, 0), (0, 0), (0, 0)), ((21, 4), (1, 1), (66, 11))])
     def test_is_the_mle_purity(self, items):
-        # Inside the ball the MLE is the linear inversion, so its purity is
-        # read from the same matrices; outside it the MLE lies on the sphere.
+        # Inside the ball the MLE is the linear inversion r, so its purity is
+        # (1 + r.r)/2 to the last bit, and tr(rho^2) of the MLE matrix to
+        # within 2**-52, one ulp of the largest purity 1; outside it the MLE
+        # lies on the sphere, with purity 1.
         counts = np.array(items, dtype=float)
-        rhos = mle_qubit_batch(counts)
-        want = np.einsum("bij,bji->b", rhos, rhos).real
         got = purity_from_counts(counts)
         r = np.array([linear_inversion(c) for c in counts])
-        outside = r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2] > 1.0
-        assert got[~outside].tobytes() == want[~outside].tobytes()
+        r2 = r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2]
+        outside = r2 > 1.0
+        assert got[~outside].tobytes() == (0.5 * (1.0 + r2[~outside])).tobytes()
         assert np.all(got[outside] == 1.0)
+        rhos = mle_qubit_batch(counts)
+        trace = np.einsum("bij,bji->b", rhos, rhos).real
+        assert np.all(np.abs(got - trace)[~outside] <= np.spacing(1.0))
 
     def test_runs_no_sphere_fit(self, monkeypatch):
         def refuse(*args):

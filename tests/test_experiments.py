@@ -5,8 +5,10 @@ density matrices, MLE calls and bootstrap, as the pipelines did before they
 processed a figure as one stack.  Every sampling call keeps its seed, so the
 reports must agree byte for byte.
 """
+import collections
 import dataclasses
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,13 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realmask import estimate, experiments, measure
+from realmask import estimate, experiments, masker, measure, optics, qcore, walk
 from realmask.experiments import (
     BOOTSTRAP_RESAMPLES,
     PROBE_LABELS,
     ExperimentConfig,
     phase_probe,
     probe_vector,
+    report_csv,
     report_json,
     report_row,
     run_fig3,
@@ -247,55 +250,94 @@ def test_figures_in_two_threads_equal_their_serial_reports():
     assert threaded == serial
 
 
-def test_each_sampled_figure_makes_one_estimator_call_and_one_resample_call(monkeypatch):
-    """A figure's point estimates ride in the estimator call of their
-    bootstrap resamples: fig3 estimates its 4 x 2 qubits and their 100
-    resamples each in one `purity_from_counts` call, fig4 decodes 101
-    correlation matrices in one `decode_real_state` call, fig5 its 7 points
-    and their resamples in one call.  Each draws its resamples once."""
-    calls = []
+# (owner, name, calls in a cold op, calls in a warm op) of one default figures
+# op: fig3, fig4, fig5 and equiv, each report written.  The rows down to
+# `write_report` are the functions perfbench/tracer.py traces; then the seed
+# derivation, numpy's `eigh` and `Philox`, the re-key of the thread's stream,
+# the complex Bloch matrices of the qubit MLE and the file opens.  A change
+# that moves a count edits its row.
+OP_CALLS = (
+    (qcore, "partial_trace", 5, 0),
+    (masker, "mask_pure", 0, 0),
+    (walk, "run_masking_walk", 1, 0),
+    (optics, "simulate_masking", 1, 0),
+    (optics, "solve_prep_angles", 3, 1),
+    (measure, "derive_seed", 2, 2),
+    (measure, "generator", 0, 0),
+    (measure, "sample_counts", 3, 3),
+    (measure, "poisson_resample", 3, 3),
+    (measure, "tables_from_csv", 0, 0),
+    (estimate, "qsv_run", 1, 1),
+    (estimate, "mle_qubit_batch", 0, 0),
+    (estimate, "purity_from_counts", 2, 2),
+    (estimate, "bootstrap_std", 3, 3),
+    (estimate, "decode_real_state", 1, 1),
+    (experiments, "run_fig3", 1, 1),
+    (experiments, "run_fig4", 1, 1),
+    (experiments, "run_fig5", 1, 1),
+    (experiments, "run_equivalence", 1, 1),
+    (experiments, "write_report", 4, 4),
+    (measure, "derive_seeds", 8, 8),  # 71 sub-seeds, 2 of them through derive_seed
+    (np.linalg, "eigh", 1, 1),
+    (np.random, "Philox", 1, 0),
+    (measure, "_rekeyed", 71, 71),
+    (estimate, "_bloch_matrices", 0, 0),
+    (os, "open", 8, 8),
+)
+# Rows of the first argument over a warm op: fig3's 4 verification probes;
+# the count arrays resampled by fig3 (4), fig4 (1) and fig5 (7); fig3's 8
+# qubits and fig5's 7 with their 100 resamples each, estimated in one
+# purity call per figure; fig4's 101 correlation matrices, decoded in one call.
+OP_ROWS = {"estimate.qsv_run": 4, "measure.poisson_resample": 12,
+           "estimate.purity_from_counts": 15 * (BOOTSTRAP_RESAMPLES + 1),
+           "estimate.decode_real_state": BOOTSTRAP_RESAMPLES + 1}
 
-    def spy(module, name):
-        original = getattr(module, name)
 
-        def wrapper(arg, *args, **kwargs):
-            calls.append((name, len(arg)))
-            return original(arg, *args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    spy(estimate, "purity_from_counts")
-    spy(estimate, "decode_real_state")
-    spy(estimate, "poisson_resample")
-    spy(estimate, "qsv_run")
-    rows = BOOTSTRAP_RESAMPLES + 1
-    n = len(ExperimentConfig().phi_grid_deg)
-    for run, want in ((run_fig3, [("qsv_run", 4), ("poisson_resample", 4), ("purity_from_counts", 8 * rows)]),
-                      (run_fig4, [("poisson_resample", 1), ("decode_real_state", rows)]),
-                      (run_fig5, [("poisson_resample", n), ("purity_from_counts", n * rows)])):
-        run(ExperimentConfig(seed=11))
-        assert calls == want, run.__name__
-        del calls[:]
+def _call_key(owner, name):
+    return f"{owner.__name__.removeprefix('realmask.')}.{name}"
 
 
-def test_a_warm_figures_op_builds_no_philox(monkeypatch):
-    """Every draw of a figures op comes from the thread's one re-keyed Philox
-    stream, equiv's preparation targets too: once the stream and the models
-    are built, fig3, fig4, fig5 and equiv construct no `np.random.Philox`."""
-    runs = (run_fig3, run_fig4, run_fig5, experiments.run_equivalence)
-    for run in runs:
-        run(ExperimentConfig(seed=12))
-    built = []
-    philox = np.random.Philox
+def test_a_figures_op_makes_its_pinned_calls(monkeypatch, tmp_path):
+    """A cold op, run with every cache of the package and the thread's
+    stream cleared, and a warm op at another seed make the calls of
+    `OP_CALLS`.  Each name is counted in every namespace of the package that
+    binds it, as perfbench/tracer.py counts it."""
+    package = [m for name, m in sys.modules.items() if name.split(".")[0] == "realmask"]
+    calls, rows = collections.Counter(), collections.Counter()
+    measure._thread_rekey()
 
-    def spy(*args, **kwargs):
-        built.append((args, kwargs))
-        return philox(*args, **kwargs)
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            if key in OP_ROWS:
+                rows[key] += len(args[0])
+            return original(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.random, "Philox", spy)
-    for run in runs:
-        run(ExperimentConfig(seed=13))
-    assert built == []
+    for owner, name, _cold, _warm in OP_CALLS:
+        original = getattr(owner, name)
+        wrapper = counted(_call_key(owner, name), original)
+        for module in {owner, *package}:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    for value in [v for module in package for v in vars(module).values() if hasattr(v, "cache_clear")]:
+        value.cache_clear()
+    monkeypatch.delattr(measure._STREAMS, "rekey")  # rebuilt by the cold op, with the counted re-key
+
+    def op(seed, out):
+        config = ExperimentConfig(seed=seed)
+        for run in (experiments.run_fig3, experiments.run_fig4, experiments.run_fig5, experiments.run_equivalence):
+            experiments.write_report(run(config), out)
+
+    op(1, tmp_path / "cold")
+    cold = dict(calls)
+    calls.clear()
+    rows.clear()
+    op(2, tmp_path / "warm")
+    pinned = {_call_key(owner, name): (c, w) for owner, name, c, w in OP_CALLS}
+    assert {key: (cold.get(key, 0), calls[key]) for key in pinned} == pinned
+    assert dict(rows) == OP_ROWS
 
 
 def test_model_arrays_refuse_writes():
@@ -392,3 +434,72 @@ class TestReportJson:
         with pytest.raises(TypeError, match="is not JSON serializable$"):
             report_json({"x": [bad]})
 
+
+
+# ---------------------------------------------------------------------------
+# Report files: the encoded texts, all or nothing.
+
+@pytest.mark.parametrize("run", [run_fig3, run_fig4, run_fig5, experiments.run_equivalence])
+def test_written_files_hold_the_encoded_texts(run, tmp_path):
+    """Each file holds the encoder's text as bytes, with no platform newline
+    translation, in a directory made when missing, over a longer file too,
+    with the mode that `Path.write_text` gives a new file."""
+    report = run(ExperimentConfig(seed=1))
+    out = tmp_path / "a" / "b"
+    stem = "equiv" if report["experiment"] == "equivalence" else report["experiment"]
+    want = [report_json(report).encode(), report_csv(report).encode()]
+    paths = experiments.write_report(report, out)
+    assert paths == [out / f"{stem}.json", out / f"{stem}.csv"]
+    assert [p.read_bytes() for p in paths] == want
+    paths[0].write_bytes(b"x" * 100_000)
+    assert experiments.write_report(report, out) == paths
+    assert [p.read_bytes() for p in paths] == want
+    (tmp_path / "ref").write_text("")
+    assert {p.stat().st_mode for p in paths} == {(tmp_path / "ref").stat().st_mode}
+
+
+def _nan_fig5():
+    report = run_fig5(ExperimentConfig(seed=1, analytic=True))
+    report["points"][0]["estimate"] = float("nan")
+    return report
+
+
+# An unknown layout used to leave bogus.json behind: the JSON file was
+# written before the CSV encoder refused the report.
+@pytest.mark.parametrize("report, error", [
+    (lambda: {"experiment": "bogus", "x": 1.0}, "^no CSV layout for experiment 'bogus'$"),
+    (_nan_fig5, "^Out of range float values are not JSON compliant"),
+], ids=["unknown layout", "nan"])
+def test_a_refused_report_writes_nothing(report, error, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=error):
+        experiments.write_report(report(), out)
+    assert not out.exists()
+    out.mkdir()
+    with pytest.raises(ValueError, match=error):
+        experiments.write_report(report(), out)
+    assert list(out.iterdir()) == []
+
+
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+@pytest.mark.parametrize("fault", ["short write", "full device"])
+def test_a_failed_write_raises_and_closes_its_file(fault, tmp_path, monkeypatch):
+    report = run_fig4(ExperimentConfig(seed=1, analytic=True))
+    if fault == "short write":
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:len(data) // 2]))
+        error = "^short write to .*fig4.json: [0-9]+ of [0-9]+ bytes$"
+    elif os.path.exists("/dev/full"):
+        (tmp_path / "fig4.json").symlink_to("/dev/full")
+        error = "No space left on device"
+    else:
+        pytest.skip("needs /dev/full")
+    before = _open_descriptors()
+    with pytest.raises(OSError, match=error):
+        experiments.write_report(report, tmp_path)
+    assert _open_descriptors() == before
+    assert not (tmp_path / "fig4.csv").exists()
