@@ -219,8 +219,8 @@ def mle_qubit_batch(counts: np.ndarray) -> np.ndarray:
 
 
 def purity_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Purities tr(rho^2) of the MLE states of `mle_qubit_batch` for counts of
-    shape (batch, 3, 2), with no sphere fit.
+    """The purity tr(rho^2) of the constrained MLE of each count array of a
+    (batch, 3, 2) stack, with no sphere fit.
 
     Inside the Bloch ball the MLE is the linear inversion r, whose purity
     is (1 + r.r)/2, computed in real float64 arithmetic; outside it the MLE

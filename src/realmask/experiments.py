@@ -27,6 +27,12 @@ resamples (`estimate.bootstrap_std`), so fig3 makes one
 concurrence call.  Sampled counts stay integer arrays from the draw to the
 estimate.
 
+A report states each fact of its run once, in its head: its name
+(`experiment`: "fig3", "fig4", "fig5" or "equiv", also the stem of its
+files), the seed and, for a figure, `noise_p`, `shots_per_setting`,
+`resamples` (None in analytic mode) and `analytic`.  A row (`report_row`)
+holds only its estimate and what belongs to that estimate alone.
+
 Reports are written as JSON with floats at 12 significant digits, rounded and
 encoded in one walk (`report_json`), and as CSV (`report_csv`).
 `write_report` encodes both texts before it opens a file, so a refused report
@@ -53,7 +59,7 @@ from .qcore import concurrence_from_purity, partial_trace, purity, spin_flip_con
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 14
+REPORT_SCHEMA = 15
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
@@ -110,15 +116,11 @@ class ExperimentConfig:
         return DEFAULT_SHOTS[experiment]
 
 
-def report_row(config: ExperimentConfig, experiment: str, target: str, estimate: float,
-               error: float, error_kind: str, n: int | None = None, shots: int | None = None,
-               **extra) -> dict:
+def report_row(target: str, estimate: float, error: float, error_kind: str, **extra) -> dict:
     """One labeled estimate, its error a 95% CI half-width ("ci95") or a bootstrap std ("std")."""
     if error_kind not in ("ci95", "std"):
         raise ValueError(f"error_kind must be 'ci95' or 'std', got {error_kind!r}")
-    return {"experiment": experiment, "target": target, "estimate": estimate, "error": error,
-            "error_kind": error_kind, "N": n, "shots": shots, "seed": config.seed,
-            "noise_p": config.noise_p, **extra}
+    return {"target": target, "estimate": estimate, "error": error, "error_kind": error_kind, **extra}
 
 
 def _masked_states(probes: np.ndarray, noise_p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -186,35 +188,32 @@ def run_fig3(config: ExperimentConfig) -> dict:
     shots = config.shots("fig3")
     reduced, probs, fidelities = _fig3_model(config.noise_p)
     if config.analytic:
-        fids = [report_row(config, "fig3", f"probe {idx} fidelity", 1.0 - e, 0.0, "ci95",
+        fids = [report_row(f"probe {idx} fidelity", 1.0 - e, 0.0, "ci95",
                            eps_hat=e, eps_low=e, eps_high=e, passed=None, tests=None)
                 for idx, e in zip(PROBES, (1.0 - fidelities).tolist())]
-        pur, std, resamples = purity(reduced), np.zeros(len(PROBES)), None
+        pur, std = purity(reduced), np.zeros(len(PROBES))
     else:
         qsvs = estimate.qsv_run(fidelities, config.qsv_tests,
                                 derive_seeds(config.seed, ("fig3.qsv",), [(idx,) for idx in PROBES]))
-        fids = [report_row(config, "fig3", f"probe {idx} fidelity", qsv.fidelity, qsv.error, "ci95",
-                           qsv.total, eps_hat=qsv.eps_hat, eps_low=qsv.ci_low, eps_high=qsv.ci_high,
+        fids = [report_row(f"probe {idx} fidelity", qsv.fidelity, qsv.error, "ci95",
+                           eps_hat=qsv.eps_hat, eps_low=qsv.ci_low, eps_high=qsv.ci_high,
                            passed=qsv.passed, tests=qsv.total)
                 for idx, qsv in zip(PROBES, qsvs)]
         tags = [(idx, tag) for idx in PROBES for tag in ("path", "pol")]
         counts = _pauli_counts(probs, shots, config.seed, "fig3.tomo", tags)
         counts = counts.reshape(len(PROBES), 2, 3, 2)
         seeds = derive_seeds(config.seed, ("fig3.boot",), [(idx,) for idx in PROBES])
-        resamples = BOOTSTRAP_RESAMPLES
-        pur, std = estimate.bootstrap_std(_purities, counts, seeds, resamples=resamples)
+        pur, std = estimate.bootstrap_std(_purities, counts, seeds, resamples=BOOTSTRAP_RESAMPLES)
         std = std[:, 2]
     rows = []
     for i, idx in enumerate(PROBES):
         pur_a, pur_b = pur[i, :2].tolist()
-        avg = report_row(config, "fig3", f"probe {idx} avg purity", 0.5 * (pur_a + pur_b),
-                         float(std[i]), "std", shots=None if config.analytic else shots,
-                         path_purity=pur_a, pol_purity=pur_b, resamples=resamples)
         rows.append({
             "probe": idx,
             "target": PROBE_LABELS[idx],
             "fidelity": fids[i],
-            "purity": avg,
+            "purity": report_row(f"probe {idx} avg purity", 0.5 * (pur_a + pur_b), float(std[i]), "std",
+                                 path_purity=pur_a, pol_purity=pur_b),
         })
     return {
         "experiment": "fig3",
@@ -222,6 +221,7 @@ def run_fig3(config: ExperimentConfig) -> dict:
         "noise_p": config.noise_p,
         "qsv_tests": config.qsv_tests,
         "shots_per_setting": shots,
+        "resamples": None if config.analytic else BOOTSTRAP_RESAMPLES,
         "analytic": config.analytic,
         "probes": rows,
     }
@@ -261,21 +261,19 @@ def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
                                             resamples=BOOTSTRAP_RESAMPLES)
         values, fid_std = point[0], float(std[0, 0])
     t = measure.correlators(tables[0]).reshape(3, 3)
-    fid = report_row(config, "fig4", f"probe {probe} decode fidelity", float(values[0]),
-                     fid_std, "std", shots=shots,
-                     resamples=None if config.analytic else BOOTSTRAP_RESAMPLES)
     return {
         "experiment": "fig4",
         "seed": config.seed,
         "noise_p": config.noise_p,
         "shots_per_setting": shots,
+        "resamples": None if config.analytic else BOOTSTRAP_RESAMPLES,
         "analytic": config.analytic,
         "probe": probe,
         "target": PROBE_LABELS[probe],
         "correlators": t.tolist(),
         "rho_raw": values[1:17].reshape(4, 4).tolist(),
         "rho_decoded": values[17:].reshape(4, 4).tolist(),
-        "fidelity": fid,
+        "fidelity": report_row(f"probe {probe} decode fidelity", float(values[0]), fid_std, "std"),
     }
 
 
@@ -309,17 +307,15 @@ def run_fig5(config: ExperimentConfig) -> dict:
         counts = _pauli_counts(probs, shots, config.seed, "fig5.tomo", [(i,) for i in range(len(phis))])
         seeds = derive_seeds(config.seed, ("fig5.boot",), [(i,) for i in range(len(phis))])
         est, std = estimate.bootstrap_std(_concurrence, counts, seeds, resamples=BOOTSTRAP_RESAMPLES)
-    points = [
-        report_row(config, "fig5", f"phi = {phi} deg", float(est[i]), float(std[i]), "std",
-                   shots=None if config.analytic else shots,
-                   phi_deg=phi, theory_cos=math.cos(math.radians(phi)))
-        for i, phi in enumerate(phis)
-    ]
+    points = [report_row(f"phi = {phi} deg", float(est[i]), float(std[i]), "std",
+                         phi_deg=phi, theory_cos=math.cos(math.radians(phi)))
+              for i, phi in enumerate(phis)]
     return {
         "experiment": "fig5",
         "seed": config.seed,
         "noise_p": config.noise_p,
         "shots_per_setting": shots,
+        "resamples": None if config.analytic else BOOTSTRAP_RESAMPLES,
         "analytic": config.analytic,
         "points": points,
     }
@@ -365,7 +361,7 @@ def run_equivalence(config: ExperimentConfig, n_inputs: int = 100) -> dict:
         gaps["preparation"] = max(gaps["preparation"], _preparation_gap(a))
     max_gap = max(gaps.values())
     return {
-        "experiment": "equivalence",
+        "experiment": "equiv",
         "seed": config.seed,
         "n_inputs": n_inputs,
         "threshold": EQUIV_THRESHOLD,
@@ -470,7 +466,7 @@ def report_csv(report: dict) -> str:
                 _fmt(row["phi_deg"]), _fmt(row["estimate"]),
                 _fmt(row["error"]), _fmt(row["theory_cos"]),
             ])
-    elif kind == "equivalence":
+    elif kind == "equiv":
         writer.writerow(["quantity", "value"])
         for key in ("max_gap", *(k for k in report if k.startswith("max_gap_")), "threshold"):
             writer.writerow([key, _fmt(report[key])])
@@ -489,8 +485,7 @@ def write_report(report: dict, out_dir) -> list[Path]:
     out = Path(out_dir)
     if not out.is_dir():
         out.mkdir(parents=True, exist_ok=True)
-    stem = report["experiment"] if report["experiment"] != "equivalence" else "equiv"
-    paths = [out / f"{stem}.json", out / f"{stem}.csv"]
+    paths = [out / f"{report['experiment']}.{ext}" for ext in ("json", "csv")]
     for path, text in zip(paths, data):
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0), 0o666)
         try:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from realmask import measure, optics, walk
-from realmask.estimate import agresti_coull, decode_real_state, mle_qubit_batch, qsv_run
+from realmask.estimate import agresti_coull, decode_real_state, purity_from_counts, qsv_run
 from realmask.experiments import ExperimentConfig, phase_probe, probe_vector, run_fig3
 from realmask.masker import hr_unitaries, mask_pure, masker_matrix
 from realmask.measure import (
@@ -179,12 +179,12 @@ def test_criterion_7_fig3_fidelities():
 def test_criterion_8_fig3_purities():
     """Average reduced purities in [0.48, 0.53] with bootstrap errors reported."""
     report = run_fig3(ExperimentConfig(seed=SEED))
+    assert report["resamples"] == 100
     purities = []
     for row in report["probes"]:
         p = row["purity"]
         assert 0.48 <= p["estimate"] <= 0.53
         assert p["error_kind"] == "std"
-        assert p["resamples"] == 100
         assert 0.0 < p["error"] < 0.02
         purities.append(p["estimate"])
     _report(8, f"fig3 purities {[f'{p:.4f}' for p in purities]} (bootstrap std reported)")
@@ -223,8 +223,7 @@ def test_criterion_10_fig5_curve():
                 counts[i, k] = sample_counts(
                     prob_table[i][k], 10_000, derive_seed(SEED, "accept10", s, i, ax)
                 )
-        rhos = mle_qubit_batch(counts)
-        pur = np.einsum("bij,bji->b", rhos, rhos).real
+        pur = purity_from_counts(counts)
         c_est = np.sqrt(np.clip(2 * (1 - pur), 0.0, None))
         dev = np.abs(c_est - theory)
         worst = max(worst, float(dev.max()))

@@ -134,7 +134,7 @@ class TestReportFiles:
     def test_report_carries_schema_version(self):
         doc = json.loads(report_json(run_fig4(ExperimentConfig(seed=3, analytic=True))))
         assert next(iter(doc)) == "schema"
-        assert doc["schema"] == experiments.REPORT_SCHEMA == 14
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 15
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError):
@@ -338,7 +338,7 @@ class TestCommandLine:
         assert rc == 0
 
         def fake_run(config, n_inputs):
-            return {"experiment": "equivalence", "pass": False, "max_gap": 1.0,
+            return {"experiment": "equiv", "pass": False, "max_gap": 1.0,
                     "threshold": 1e-10, "seed": 0, "n_inputs": n_inputs, **dict.fromkeys(GAP_KEYS, 1.0)}
 
         monkeypatch.setattr(experiments, "run_equivalence", fake_run)
@@ -526,7 +526,7 @@ class TestCommandLine:
         assert doc["qsv_tests"] == 10**18
         for row in doc["probes"]:
             fid = row["fidelity"]
-            assert fid["tests"] == fid["N"] == 10**18 and 0 < fid["passed"] < 10**18
+            assert fid["tests"] == 10**18 and 0 < fid["passed"] < 10**18
             assert 0.98 < fid["estimate"] < 1.0 and 0.0 < fid["error"] < 1e-9
 
     def test_config_file_bounds_the_tests_as_the_flag_does(self, tmp_path):

@@ -44,10 +44,8 @@ from realmask.qcore import (
 from helpers import density, reference_report_json
 
 
-def oracle_row(config, experiment, target, estimate, error, error_kind, n, shots, **extra):
-    return {"experiment": experiment, "target": target, "estimate": estimate, "error": error,
-            "error_kind": error_kind, "N": n, "shots": shots, "seed": config.seed,
-            "noise_p": config.noise_p, **extra}
+def oracle_row(target, estimate, error, error_kind, **extra):
+    return {"target": target, "estimate": estimate, "error": error, "error_kind": error_kind, **extra}
 
 
 def oracle_masked_probe(a, noise_p):
@@ -79,32 +77,31 @@ def oracle_fig3(config):
         fidelity = fidelity_with_pure(rho, ideal)
         if config.analytic:
             eps = 1.0 - fidelity
-            fid = oracle_row(config, "fig3", f"probe {idx} fidelity", 1.0 - eps, 0.0, "ci95", None, None,
+            fid = oracle_row(f"probe {idx} fidelity", 1.0 - eps, 0.0, "ci95",
                              eps_hat=eps, eps_low=eps, eps_high=eps, passed=None, tests=None)
             pur_a, pur_b = (purity(partial_trace(rho, k)) for k in ("A", "B"))
-            std, resamples = 0.0, None
+            std = 0.0
         else:
             (qsv,) = estimate.qsv_run([fidelity], config.qsv_tests, [derive_seed(config.seed, "fig3.qsv", idx)])
-            fid = oracle_row(config, "fig3", f"probe {idx} fidelity", qsv.fidelity, qsv.error, "ci95",
-                             qsv.total, None, eps_hat=qsv.eps_hat, eps_low=qsv.ci_low,
+            fid = oracle_row(f"probe {idx} fidelity", qsv.fidelity, qsv.error, "ci95",
+                             eps_hat=qsv.eps_hat, eps_low=qsv.ci_low,
                              eps_high=qsv.ci_high, passed=qsv.passed, tests=qsv.total)
             counts = np.array([
                 oracle_pauli_counts(partial_trace(rho, k), shots, config.seed, "fig3.tomo", idx, tag)
                 for k, tag in (("A", "path"), ("B", "pol"))
             ])
             pur_a, pur_b = estimate.purity_from_counts(counts).tolist()
-            resamples = BOOTSTRAP_RESAMPLES
             std = oracle_bootstrap(
                 lambda c: estimate.purity_from_counts(c.reshape(-1, 3, 2)).reshape(-1, 2).mean(axis=1),
                 counts, derive_seed(config.seed, "fig3.boot", idx),
             )
-        pur = oracle_row(config, "fig3", f"probe {idx} avg purity", 0.5 * (pur_a + pur_b), std, "std",
-                         None, None if config.analytic else shots,
-                         path_purity=pur_a, pol_purity=pur_b, resamples=resamples)
+        pur = oracle_row(f"probe {idx} avg purity", 0.5 * (pur_a + pur_b), std, "std",
+                         path_purity=pur_a, pol_purity=pur_b)
         rows.append({"probe": idx, "target": PROBE_LABELS[idx], "fidelity": fid, "purity": pur})
     return {
         "experiment": "fig3", "seed": config.seed, "noise_p": config.noise_p,
         "qsv_tests": config.qsv_tests, "shots_per_setting": shots,
+        "resamples": None if config.analytic else BOOTSTRAP_RESAMPLES,
         "analytic": config.analytic, "probes": rows,
     }
 
@@ -127,12 +124,12 @@ def oracle_fig5(config):
             counts = oracle_pauli_counts(rho_path, shots, config.seed, "fig5.tomo", i)
             est = float(conc(counts[None])[0])
             std = oracle_bootstrap(conc, counts, derive_seed(config.seed, "fig5.boot", i))
-        points.append(oracle_row(config, "fig5", f"phi = {phi} deg", est, std, "std", None,
-                                 None if config.analytic else shots,
+        points.append(oracle_row(f"phi = {phi} deg", est, std, "std",
                                  phi_deg=phi, theory_cos=math.cos(math.radians(phi))))
     return {
         "experiment": "fig5", "seed": config.seed, "noise_p": config.noise_p,
-        "shots_per_setting": shots, "analytic": config.analytic, "points": points,
+        "shots_per_setting": shots, "resamples": None if config.analytic else BOOTSTRAP_RESAMPLES,
+        "analytic": config.analytic, "points": points,
     }
 
 
@@ -376,16 +373,55 @@ def test_a_warm_model_gives_the_bytes_of_a_cold_one(analytic):
 
 def test_report_row_rejects_unknown_error_kind():
     with pytest.raises(ValueError, match="error_kind"):
-        report_row(ExperimentConfig(seed=1), "fig3", "x", 1.0, 0.1, "sigma")
+        report_row("x", 1.0, 0.1, "sigma")
 
 
 def test_report_row_key_order_and_extras():
-    config = ExperimentConfig(seed=1, noise_p=0.0)
-    row = report_row(config, "fig5", "phi=0", 1.0, 0.01, "std", shots=10_000, theory_cos=1.0, phi_deg=0.0)
-    assert list(row) == ["experiment", "target", "estimate", "error", "error_kind", "N", "shots",
-                         "seed", "noise_p", "theory_cos", "phi_deg"]
-    assert row == oracle_row(config, "fig5", "phi=0", 1.0, 0.01, "std", None, 10_000,
-                             theory_cos=1.0, phi_deg=0.0)
+    row = report_row("phi=0", 1.0, 0.01, "std", theory_cos=1.0, phi_deg=0.0)
+    assert list(row) == ["target", "estimate", "error", "error_kind", "theory_cos", "phi_deg"]
+    assert row == oracle_row("phi=0", 1.0, 0.01, "std", theory_cos=1.0, phi_deg=0.0)
+
+
+ESTIMATE = ["target", "estimate", "error", "error_kind"]
+# Per figure: the head's keys, then the keys of each row by where it sits.
+LAYOUT = {
+    "fig3": (["experiment", "seed", "noise_p", "qsv_tests", "shots_per_setting", "resamples", "analytic",
+              "probes"],
+             {"probes": ["probe", "target", "fidelity", "purity"],
+              "fidelity": [*ESTIMATE, "eps_hat", "eps_low", "eps_high", "passed", "tests"],
+              "purity": [*ESTIMATE, "path_purity", "pol_purity"]}),
+    "fig4": (["experiment", "seed", "noise_p", "shots_per_setting", "resamples", "analytic", "probe", "target",
+              "correlators", "rho_raw", "rho_decoded", "fidelity"],
+             {"fidelity": ESTIMATE}),
+    "fig5": (["experiment", "seed", "noise_p", "shots_per_setting", "resamples", "analytic", "points"],
+             {"points": [*ESTIMATE, "phi_deg", "theory_cos"]}),
+}
+
+
+def _rows(report):
+    """(where, row) for every row of a figure report."""
+    if report["experiment"] == "fig3":
+        for entry in report["probes"]:
+            yield from (("probes", entry), ("fidelity", entry["fidelity"]), ("purity", entry["purity"]))
+    elif report["experiment"] == "fig4":
+        yield "fidelity", report["fidelity"]
+    else:
+        yield from (("points", point) for point in report["points"])
+
+
+@pytest.mark.parametrize("analytic", [False, True], ids=["sampled", "analytic"])
+@pytest.mark.parametrize("run", [run_fig3, run_fig4, run_fig5])
+def test_the_head_holds_the_run_facts_and_rows_only_their_estimates(run, analytic):
+    report = run(ExperimentConfig(seed=1, analytic=analytic))
+    head, row_keys = LAYOUT[report["experiment"]]
+    assert list(report) == head
+    assert report["resamples"] == (None if analytic else BOOTSTRAP_RESAMPLES)
+    rows = list(_rows(report))
+    assert len(rows) == {"fig3": 12, "fig4": 1, "fig5": 7}[report["experiment"]]
+    for where, row in rows:
+        assert list(row) == row_keys[where]
+        # A row's target labels the row; fig4's head target is the probe.
+        assert set(row).isdisjoint(set(head) - {"target"})
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +475,16 @@ class TestReportJson:
 # ---------------------------------------------------------------------------
 # Report files: the encoded texts, all or nothing.
 
-@pytest.mark.parametrize("run", [run_fig3, run_fig4, run_fig5, experiments.run_equivalence])
-def test_written_files_hold_the_encoded_texts(run, tmp_path):
-    """Each file holds the encoder's text as bytes, with no platform newline
-    translation, in a directory made when missing, over a longer file too,
-    with the mode that `Path.write_text` gives a new file."""
+@pytest.mark.parametrize("run, stem", [(run_fig3, "fig3"), (run_fig4, "fig4"), (run_fig5, "fig5"),
+                                       (experiments.run_equivalence, "equiv")])
+def test_written_files_hold_the_encoded_texts(run, stem, tmp_path):
+    """Each file, named after the report's experiment, holds the encoder's
+    text as bytes, with no platform newline translation, in a directory made
+    when missing, over a longer file too, with the mode that
+    `Path.write_text` gives a new file."""
     report = run(ExperimentConfig(seed=1))
+    assert report["experiment"] == stem
     out = tmp_path / "a" / "b"
-    stem = "equiv" if report["experiment"] == "equivalence" else report["experiment"]
     want = [report_json(report).encode(), report_csv(report).encode()]
     paths = experiments.write_report(report, out)
     assert paths == [out / f"{stem}.json", out / f"{stem}.csv"]

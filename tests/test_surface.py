@@ -34,10 +34,9 @@ KEEP = {
     # Not a pipeline step: `perfbench/tracer.py` wraps `masker.mask_pure` by
     # name, and without it `Tracer.install` raises AttributeError.
     "mask_pure",
-    # Item 4: the G statistic needs the exact MLE on the sphere, which
-    # `purity_from_counts` no longer fits.  `perfbench/tracer.py` also wraps
-    # `estimate.mle_qubit_batch` by name, so without it `Tracer.install`
-    # raises AttributeError.
+    # Not a pipeline step, and item 4's statistics need no fit (item 12
+    # deletes it): `perfbench/tracer.py` wraps `estimate.mle_qubit_batch` by
+    # name, and without it `Tracer.install` raises AttributeError.
     "mle_qubit_batch",
     # Not a pipeline step: the pipelines draw from `generators`, whose
     # re-keyed streams the tests hold to `generator(seed)`, the reference
