@@ -10,12 +10,11 @@ which via its error_kind field.
 Each figure splits into a seed-independent model and its seeded draws.  The
 model holds the masked states of all points as one (n, 4, 4) stack under
 depolarizing noise, checked by `measure.apply_depolarizing`, and what the
-draws and analytic mode read of it: the reduced stacks, the Born tables and
-fig3's fidelities of the masked probes with their noiseless images.  It is
-built and checked once per process for each value of the config fields it
-reads (`_fig3_model`, `_fig4_model`, `_fig5_model`), never for the seed, and
-its arrays are read-only, so a run that reads a cached model checks no
-state.  The seeded draws of a figure take one call each: one
+draws and analytic mode read of it: the Born tables and fig3's fidelities
+of the masked probes with their noiseless images.  It is built and checked
+once per process for each value of the config fields it reads
+(`_fig3_model`, `_fig4_model`, `_fig5_model`), never for the seed, and its
+arrays are read-only, so a run that reads a cached model checks no state.  The seeded draws of a figure take one call each: one
 `sample_counts` call over all its Pauli tables, one `qsv_run` call over
 fig3's probes (one binomial pass count per probe, drawn from its fidelity)
 and one `poisson_resample` call per bootstrap, each row or item still drawn
@@ -27,10 +26,18 @@ resamples (`estimate.bootstrap_std`), so fig3 makes one
 concurrence call.  Sampled counts stay integer arrays from the draw to the
 estimate.
 
+Analytic mode is the same estimator read at one shot: `_estimated` runs a
+figure's estimator on its Born tables, counts scaled to one shot, with zero
+errors, or on its drawn counts with their bootstrap errors; it is the one
+place that chooses.  Only fig3's verification keeps its own analytic branch,
+for it draws pass counts, not count tables, and fig5 at p = 0 reads the
+concurrence of its pure probes from their amplitudes.
+
 A report states each fact of its run once, in its head: its name
 (`experiment`: "fig3", "fig4", "fig5" or "equiv", also the stem of its
-files), the seed and, for a figure, `noise_p`, `shots_per_setting`,
-`resamples` (None in analytic mode) and `analytic`.  A row (`report_row`)
+files), the seed and, for a figure, `noise_p`, the facts of its draws (fig3's
+`qsv_tests`, `shots_per_setting` and `resamples`, each None in analytic
+mode, which draws nothing) and `analytic`.  A row (`report_row`)
 holds only its estimate and what belongs to that estimate alone.
 
 Reports are written as JSON with floats at 12 significant digits, rounded and
@@ -55,11 +62,11 @@ import numpy as np
 from . import estimate, measure, optics, walk
 from .masker import masker_matrix
 from .measure import _is_integer, derive_seed, derive_seeds, generators
-from .qcore import concurrence_from_purity, partial_trace, purity, spin_flip_concurrence
+from .qcore import concurrence_from_purity, partial_trace, spin_flip_concurrence
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 15
+REPORT_SCHEMA = 16
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
@@ -143,17 +150,42 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _pauli_counts(probs: np.ndarray, shots: int, master_seed: int, family: str, tags) -> np.ndarray:
-    """Counts of every row of a stack of probability tables, (n, 3, 2) for
-    qubits or (n, 9, 4) for pairs, in one `sample_counts` call.
+def _head(config: ExperimentConfig, experiment: str, **sampling) -> dict:
+    """A figure report's head: its name, seed and noise, then the facts of its
+    draws (`sampling`, `shots_per_setting` and `resamples`), each None in
+    analytic mode, which draws nothing, and `analytic`."""
+    drawn = {**sampling, "shots_per_setting": config.shots(experiment), "resamples": BOOTSTRAP_RESAMPLES}
+    return {"experiment": experiment, "seed": config.seed, "noise_p": config.noise_p,
+            **{key: None if config.analytic else value for key, value in drawn.items()},
+            "analytic": config.analytic}
 
-    Row r of table i is drawn from its own sub-seed, tagged with `family`,
-    `tags[i]` and the row's `measure.AXES` or `measure.PAIRS` label; the
-    sub-seeds of all rows come from one `derive_seeds` call.
+
+def _estimated(quantity, probs: np.ndarray, config: ExperimentConfig, experiment: str, family: str,
+               keys: list[tuple], parts: tuple[tuple, ...] = ((),)) -> tuple[np.ndarray, np.ndarray]:
+    """`quantity` of each item of a stack of Born tables, and its spread.
+
+    `probs` holds item i's tables, (..., 3, 2) for qubits or (..., 9, 4)
+    for pairs, under its tags `keys[i]`, and `quantity` maps a stack of
+    count arrays to (m, ...) values.  In analytic mode the values are
+    `quantity(probs)`, the tables read as counts of one shot, and the
+    spread is zero.  Sampled, every row of `probs` is drawn with
+    `config.shots(experiment)` shots in one `sample_counts` call, from its
+    own sub-seed tagged `family`, the item's key, the table's part (one per
+    table of an item) and the row's `measure.AXES` or `measure.PAIRS`
+    label; the values are those of the counts, and the spread their
+    bootstrap std, item i resampled from the sub-seed tagged
+    "<experiment>.boot" and `keys[i]`.
     """
+    if config.analytic:
+        values = np.asarray(quantity(probs))
+        return values, np.zeros_like(values)
     labels = measure.AXES if probs.shape[-2] == len(measure.AXES) else measure.PAIRS
-    seeds = derive_seeds(master_seed, (family,), [(*t, label) for t in tags for label in labels])
-    return measure.sample_counts(probs, shots, np.array(seeds, dtype=object).reshape(probs.shape[:-1]))
+    seeds = derive_seeds(config.seed, (family,),
+                         [(*key, *part, label) for key in keys for part in parts for label in labels])
+    counts = measure.sample_counts(probs, config.shots(experiment),
+                                   np.array(seeds, dtype=object).reshape(probs.shape[:-1]))
+    return estimate.bootstrap_std(quantity, counts, derive_seeds(config.seed, (f"{experiment}.boot",), keys),
+                                  resamples=BOOTSTRAP_RESAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -171,27 +203,25 @@ def _purities(counts: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_MODELS_KEPT)
-def _fig3_model(noise_p: float) -> tuple[np.ndarray, ...]:
+def _fig3_model(noise_p: float) -> tuple[np.ndarray, np.ndarray]:
     """fig3's seed-independent arrays at `noise_p`, read-only: the (probe,
-    qubit, 2, 2) stack of each masked probe's path (A) and polarization (B)
-    qubit, its (8, 3, 2) Born table, and the (4,) fidelities of the masked
-    probes with their noiseless images, which analytic mode reports and the
-    verification draws sample."""
+    qubit, 3, 2) Born table of each masked probe's path (A) and polarization
+    (B) qubit, and the (4,) fidelities of the masked probes with their
+    noiseless images, which analytic mode reports and the verification
+    draws sample."""
     probes = np.array([probe_vector(idx) for idx in PROBES])
     ideal, rho = _masked_states(probes, noise_p)
     reduced = np.stack([partial_trace(rho, k) for k in ("A", "B")], axis=1)
     fidelities = np.einsum("ni,nij,nj->n", ideal.conj(), rho, ideal).real
-    return _read_only(reduced, measure.axis_probs(reduced).reshape(-1, 3, 2), fidelities)
+    return _read_only(measure.axis_probs(reduced), fidelities)
 
 
 def run_fig3(config: ExperimentConfig) -> dict:
-    shots = config.shots("fig3")
-    reduced, probs, fidelities = _fig3_model(config.noise_p)
-    if config.analytic:
+    probs, fidelities = _fig3_model(config.noise_p)
+    if config.analytic:  # verification draws pass counts, not count tables
         fids = [report_row(f"probe {idx} fidelity", 1.0 - e, 0.0, "ci95",
                            eps_hat=e, eps_low=e, eps_high=e, passed=None, tests=None)
                 for idx, e in zip(PROBES, (1.0 - fidelities).tolist())]
-        pur, std = purity(reduced), np.zeros(len(PROBES))
     else:
         qsvs = estimate.qsv_run(fidelities, config.qsv_tests,
                                 derive_seeds(config.seed, ("fig3.qsv",), [(idx,) for idx in PROBES]))
@@ -199,12 +229,8 @@ def run_fig3(config: ExperimentConfig) -> dict:
                            eps_hat=qsv.eps_hat, eps_low=qsv.ci_low, eps_high=qsv.ci_high,
                            passed=qsv.passed, tests=qsv.total)
                 for idx, qsv in zip(PROBES, qsvs)]
-        tags = [(idx, tag) for idx in PROBES for tag in ("path", "pol")]
-        counts = _pauli_counts(probs, shots, config.seed, "fig3.tomo", tags)
-        counts = counts.reshape(len(PROBES), 2, 3, 2)
-        seeds = derive_seeds(config.seed, ("fig3.boot",), [(idx,) for idx in PROBES])
-        pur, std = estimate.bootstrap_std(_purities, counts, seeds, resamples=BOOTSTRAP_RESAMPLES)
-        std = std[:, 2]
+    pur, std = _estimated(_purities, probs, config, "fig3", "fig3.tomo", [(idx,) for idx in PROBES],
+                          parts=(("path",), ("pol",)))
     rows = []
     for i, idx in enumerate(PROBES):
         pur_a, pur_b = pur[i, :2].tolist()
@@ -212,19 +238,10 @@ def run_fig3(config: ExperimentConfig) -> dict:
             "probe": idx,
             "target": PROBE_LABELS[idx],
             "fidelity": fids[i],
-            "purity": report_row(f"probe {idx} avg purity", 0.5 * (pur_a + pur_b), float(std[i]), "std",
+            "purity": report_row(f"probe {idx} avg purity", 0.5 * (pur_a + pur_b), float(std[i, 2]), "std",
                                  path_purity=pur_a, pol_purity=pur_b),
         })
-    return {
-        "experiment": "fig3",
-        "seed": config.seed,
-        "noise_p": config.noise_p,
-        "qsv_tests": config.qsv_tests,
-        "shots_per_setting": shots,
-        "resamples": None if config.analytic else BOOTSTRAP_RESAMPLES,
-        "analytic": config.analytic,
-        "probes": rows,
-    }
+    return {**_head(config, "fig3", qsv_tests=config.qsv_tests), "probes": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -239,41 +256,29 @@ def _fig4_model(noise_p: float, probe: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _decoded(tables: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """(m, 33) rows for a stack of (9, 4) Pauli-pair tables, decoded in one
+    """(m, 42) rows for a stack of (9, 4) Pauli-pair tables, decoded in one
     call: each table's decode fidelity with `a`, then its raw and its
-    projected reconstruction, flattened."""
-    out = estimate.decode_real_state(measure.correlators(tables).reshape(-1, 3, 3), a)
+    projected reconstruction and its nine correlators, flattened."""
+    t = measure.correlators(tables).reshape(-1, 3, 3)
+    out = estimate.decode_real_state(t, a)
     m = len(tables)
-    return np.column_stack([out.fidelity_vs_input, out.rho_hat.reshape(m, 16), out.rho_proj.reshape(m, 16)])
+    return np.column_stack([out.fidelity_vs_input, out.rho_hat.reshape(m, 16), out.rho_proj.reshape(m, 16),
+                            t.reshape(m, 9)])
 
 
 def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
     probe = _probe_index(probe)
-    shots = config.shots("fig4")
     a, probs = _fig4_model(config.noise_p, probe)
-    if config.analytic:
-        tables = probs[None]
-        values, fid_std = _decoded(tables, a)[0], 0.0
-    else:
-        tables = _pauli_counts(probs[None], shots, config.seed, "fig4", [(probe,)])
-        point, std = estimate.bootstrap_std(lambda stack: _decoded(stack, a), tables,
-                                            [derive_seed(config.seed, "fig4.boot", probe)],
-                                            resamples=BOOTSTRAP_RESAMPLES)
-        values, fid_std = point[0], float(std[0, 0])
-    t = measure.correlators(tables[0]).reshape(3, 3)
+    values, std = _estimated(lambda stack: _decoded(stack, a), probs[None], config, "fig4", "fig4", [(probe,)])
+    values = values[0]
     return {
-        "experiment": "fig4",
-        "seed": config.seed,
-        "noise_p": config.noise_p,
-        "shots_per_setting": shots,
-        "resamples": None if config.analytic else BOOTSTRAP_RESAMPLES,
-        "analytic": config.analytic,
+        **_head(config, "fig4"),
         "probe": probe,
         "target": PROBE_LABELS[probe],
-        "correlators": t.tolist(),
+        "correlators": values[33:].reshape(3, 3).tolist(),
         "rho_raw": values[1:17].reshape(4, 4).tolist(),
-        "rho_decoded": values[17:].reshape(4, 4).tolist(),
-        "fidelity": report_row(f"probe {probe} decode fidelity", float(values[0]), fid_std, "std"),
+        "rho_decoded": values[17:33].reshape(4, 4).tolist(),
+        "fidelity": report_row(f"probe {probe} decode fidelity", float(values[0]), float(std[0, 0]), "std"),
     }
 
 
@@ -286,39 +291,25 @@ def _concurrence(counts: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_MODELS_KEPT)
-def _fig5_model(noise_p: float, phis: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fig5_model(noise_p: float, phis: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """fig5's seed-independent arrays, read-only: the masked vectors of the
-    phase probes at `phis` (degrees), the (n, 2, 2) stack of their path (A)
-    qubits at `noise_p`, and its (n, 3, 2) Born table."""
+    phase probes at `phis` (degrees) and the (n, 3, 2) Born table of their
+    path (A) qubits at `noise_p`."""
     probes = np.array([phase_probe(phi) for phi in phis]).reshape(-1, 4)
     vecs, states = _masked_states(probes, noise_p)
-    rho_path = partial_trace(states, "A")
-    return _read_only(vecs, rho_path, measure.axis_probs(rho_path))
+    return _read_only(vecs, measure.axis_probs(partial_trace(states, "A")))
 
 
 def run_fig5(config: ExperimentConfig) -> dict:
-    shots = config.shots("fig5")
     phis = config.phi_grid_deg
-    vecs, rho_path, probs = _fig5_model(config.noise_p, tuple(phis))
-    if config.analytic:  # the pure states at p = 0 need no square root of a rounded 1 - purity
-        est, std = (np.array([spin_flip_concurrence(v) for v in vecs]) if config.noise_p == 0.0
-                    else concurrence_from_purity(purity(rho_path))), np.zeros(len(phis))
-    else:
-        counts = _pauli_counts(probs, shots, config.seed, "fig5.tomo", [(i,) for i in range(len(phis))])
-        seeds = derive_seeds(config.seed, ("fig5.boot",), [(i,) for i in range(len(phis))])
-        est, std = estimate.bootstrap_std(_concurrence, counts, seeds, resamples=BOOTSTRAP_RESAMPLES)
+    vecs, probs = _fig5_model(config.noise_p, tuple(phis))
+    est, std = _estimated(_concurrence, probs, config, "fig5", "fig5.tomo", [(i,) for i in range(len(phis))])
+    if config.analytic and config.noise_p == 0.0:  # the pure states need no square root of a rounded 1 - purity
+        est = [spin_flip_concurrence(v) for v in vecs]
     points = [report_row(f"phi = {phi} deg", float(est[i]), float(std[i]), "std",
                          phi_deg=phi, theory_cos=math.cos(math.radians(phi)))
               for i, phi in enumerate(phis)]
-    return {
-        "experiment": "fig5",
-        "seed": config.seed,
-        "noise_p": config.noise_p,
-        "shots_per_setting": shots,
-        "resamples": None if config.analytic else BOOTSTRAP_RESAMPLES,
-        "analytic": config.analytic,
-        "points": points,
-    }
+    return {**_head(config, "fig5"), "points": points}
 
 
 # ---------------------------------------------------------------------------

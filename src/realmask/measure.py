@@ -5,8 +5,10 @@ the nine pairs XX..ZZ on a qubit pair.  `axis_probs` gives a qubit's (3, 2)
 table of (+, -) probabilities and `pair_probs` a pair's (9, 4) table of
 (++, +-, -+, --) probabilities, rows in `AXES` and `PAIRS` order; a stack of
 states gives a stack of tables.  Analytic and sampled runs read the same
-rows: probabilities are counts scaled to one shot, so `correlators` serves
-both.
+rows: probabilities are counts scaled to one shot, so every estimator that
+takes counts (`correlators`, `estimate.purity_from_counts`) reads a Born
+table as it is, and analytic mode is a figure's sampled estimator run on
+its tables.
 
 Counting model: each Pauli-pair (or single-qubit) setting is measured a fixed
 number of times, drawn as one multinomial over the Born probabilities into an

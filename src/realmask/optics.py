@@ -111,7 +111,7 @@ def phase_prep_angles(phi_deg: float) -> PrepAngles:
 
 PREP_INPUT_RAIL = 1  # rail carrying the |H>-polarized input photon
 # The preparation's fixed |rail 1, H> input and closing X plates, built once and read-only.
-_PREP_INPUT = RailState.of({(PREP_INPUT_RAIL, H): 1.0})
+_PREP_INPUT = RailState(PREP_INPUT_RAIL, np.eye(2, dtype=complex)[[H]])
 _PREP_INPUT.amps.setflags(write=False)
 _PREP_X_PLATES = Local(hwp_jones(45.0), {-3, 1})
 
@@ -230,21 +230,6 @@ class MeasAngles:
     residual: float = 0.0
 
 
-def _horizontal_seed(target: np.ndarray) -> np.ndarray:
-    """Closed-form QWP/HWP angles (degrees) that turn `target` into |H>.
-
-    Writing the target as (cos a, e^{ib} sin a) up to a global phase, the pair
-    S = asin(-sin 2a sin b), D = atan2(sin 2a cos b, cos 2a) gives exact angles
-    q = D/2, h = (S + D)/4 in this Jones convention.
-    """
-    t0, t1 = target
-    a = math.atan2(abs(t1), abs(t0))
-    b = (np.angle(t1) - np.angle(t0)) if (t0 != 0 and t1 != 0) else 0.0
-    big_s = math.asin(max(-1.0, min(1.0, -math.sin(2 * a) * math.sin(b))))
-    big_d = math.atan2(math.sin(2 * a) * math.cos(b), math.cos(2 * a))
-    return np.array([math.degrees(big_d / 2.0), math.degrees((big_s + big_d) / 4.0)])
-
-
 # Largest residual 1 - |<H|achieved>|^2 a compiled measurement may leave.
 SOLVER_TOL = 1e-10
 
@@ -252,10 +237,18 @@ SOLVER_TOL = 1e-10
 def _solve_to_horizontal(target: np.ndarray) -> tuple[float, float, float]:
     """QWP/HWP angles with HWP(h) QWP(q) |target> proportional to |H>.
 
-    The closed form is exact; its residual 1 - |<H|achieved>|^2 is still
-    re-checked against `SOLVER_TOL`; a NaN residual fails the check.
+    Writing the target as (cos a, e^{ib} sin a) up to a global phase, the pair
+    S = asin(-sin 2a sin b), D = atan2(sin 2a cos b, cos 2a) gives exact angles
+    q = D/2, h = (S + D)/4 in this Jones convention.  The closed form is
+    exact; its residual 1 - |<H|achieved>|^2 is still re-checked against
+    `SOLVER_TOL`; a NaN residual fails the check.
     """
-    q, h = _horizontal_seed(target)
+    t0, t1 = target
+    a = math.atan2(abs(t1), abs(t0))
+    b = (np.angle(t1) - np.angle(t0)) if (t0 != 0 and t1 != 0) else 0.0
+    big_s = math.asin(max(-1.0, min(1.0, -math.sin(2 * a) * math.sin(b))))
+    big_d = math.atan2(math.sin(2 * a) * math.cos(b), math.cos(2 * a))
+    q, h = math.degrees(big_d / 2.0), math.degrees((big_s + big_d) / 4.0)
     v = hwp_jones(h) @ qwp_jones(q) @ target
     residual = 1.0 - abs(v[0]) ** 2
     if not residual <= SOLVER_TOL:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -56,18 +56,6 @@ class RailState:
 
     lo: int
     amps: np.ndarray
-
-    @staticmethod
-    def of(amplitudes: Mapping[tuple[int, int], complex]) -> "RailState":
-        """A single state from {(site, qubit): amplitude}, checked by `qcore.checked_state`."""
-        lo = min(x for x, _c in amplitudes)
-        amps = np.zeros((max(x for x, _c in amplitudes) - lo + 1, 2), dtype=complex)
-        for (x, c), a in amplitudes.items():
-            if c not in (0, 1):
-                raise ValueError(f"qubit index must be 0 or 1, got {c}")
-            amps[x - lo, c] = a
-        checked_state(amps.reshape(-1), "state")
-        return RailState(lo, amps)
 
     def amplitude(self, site: int, qubit: int) -> np.ndarray:
         """Amplitudes of `qubit` on `site`, one per batch item."""

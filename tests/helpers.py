@@ -234,7 +234,20 @@ def verification_operator(u) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Readouts of the optical table.
+# Rail states and readouts of the optical table.
+
+def rail_state(amplitudes) -> RailState:
+    """A single state from {(site, qubit): amplitude} on the window its sites
+    span, checked by `qcore.checked_state`."""
+    lo = min(x for x, _c in amplitudes)
+    amps = np.zeros((max(x for x, _c in amplitudes) - lo + 1, 2), dtype=complex)
+    for (x, c), a in amplitudes.items():
+        if c not in (0, 1):
+            raise ValueError(f"qubit index must be 0 or 1, got {c}")
+        amps[x - lo, c] = a
+    checked_state(amps.reshape(-1), "state")
+    return RailState(lo, amps)
+
 
 def prepared_amplitudes(state: RailState) -> np.ndarray:
     """Collapse prepared all-V states on rails -3,-1,1,3 to their (..., 4) amplitudes."""

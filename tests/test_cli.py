@@ -134,7 +134,7 @@ class TestReportFiles:
     def test_report_carries_schema_version(self):
         doc = json.loads(report_json(run_fig4(ExperimentConfig(seed=3, analytic=True))))
         assert next(iter(doc)) == "schema"
-        assert doc["schema"] == experiments.REPORT_SCHEMA == 15
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 16
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError):

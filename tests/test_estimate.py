@@ -358,7 +358,7 @@ class TestQsvStack:
         assert stacked == [qsv_one(f, n_tests, k) for f, k in zip(fids, keys)]
 
     def test_probe_stack_draws_one_binomial_per_probe(self):
-        fids = experiments._fig3_model(0.01)[2]
+        _probs, fids = experiments._fig3_model(0.01)
         keys = [derive_seed(20404, "fig3.qsv", idx) for idx in (1, 2, 3, 4)]
         got = [out.passed for out in qsv_run(fids, 5000, keys)]
         assert got == [binomial_passed(f, 5000, k) for f, k in zip(fids.tolist(), keys)]
@@ -380,7 +380,7 @@ class TestQsvStack:
         assert qsv_run(np.zeros(0), 10, []) == []
 
     def test_reads_a_read_only_model_unaltered(self):
-        fids = experiments._fig3_model(0.01)[2]
+        _probs, fids = experiments._fig3_model(0.01)
         assert not fids.flags.writeable
         before = fids.copy()
         assert qsv_run(fids, 100, [1, 2, 3, 4]) == qsv_run(fids.tolist(), 100, [1, 2, 3, 4])

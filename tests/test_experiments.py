@@ -98,10 +98,11 @@ def oracle_fig3(config):
         pur = oracle_row(f"probe {idx} avg purity", 0.5 * (pur_a + pur_b), std, "std",
                          path_purity=pur_a, pol_purity=pur_b)
         rows.append({"probe": idx, "target": PROBE_LABELS[idx], "fidelity": fid, "purity": pur})
+    sampled = not config.analytic
     return {
         "experiment": "fig3", "seed": config.seed, "noise_p": config.noise_p,
-        "qsv_tests": config.qsv_tests, "shots_per_setting": shots,
-        "resamples": None if config.analytic else BOOTSTRAP_RESAMPLES,
+        "qsv_tests": config.qsv_tests if sampled else None, "shots_per_setting": shots if sampled else None,
+        "resamples": BOOTSTRAP_RESAMPLES if sampled else None,
         "analytic": config.analytic, "probes": rows,
     }
 
@@ -126,9 +127,10 @@ def oracle_fig5(config):
             std = oracle_bootstrap(conc, counts, derive_seed(config.seed, "fig5.boot", i))
         points.append(oracle_row(f"phi = {phi} deg", est, std, "std",
                                  phi_deg=phi, theory_cos=math.cos(math.radians(phi))))
+    sampled = not config.analytic
     return {
         "experiment": "fig5", "seed": config.seed, "noise_p": config.noise_p,
-        "shots_per_setting": shots, "resamples": None if config.analytic else BOOTSTRAP_RESAMPLES,
+        "shots_per_setting": shots if sampled else None, "resamples": BOOTSTRAP_RESAMPLES if sampled else None,
         "analytic": config.analytic, "points": points,
     }
 
@@ -174,6 +176,14 @@ def test_analytic_noiseless_fig5_is_the_cosine():
     for point in run_fig5(ExperimentConfig(noise_p=0.0, phi_grid_deg=grid, analytic=True))["points"]:
         assert point["estimate"] <= 1.0
         assert abs(point["estimate"] - abs(point["theory_cos"])) <= 1e-15
+
+
+@pytest.mark.parametrize("phi", [89.9999, 90.0, -89.9999, 179.9999])
+def test_analytic_noiseless_fig5_near_its_zeros_is_the_cosine(phi):
+    # Near cos = 0 a concurrence read from a purity, sqrt(2 (1 - P)), keeps
+    # few digits; the pure probes' spin-flip formula keeps them all.
+    (point,) = run_fig5(ExperimentConfig(noise_p=0.0, phi_grid_deg=(phi,), analytic=True))["points"]
+    assert point["estimate"] == pytest.approx(abs(math.cos(math.radians(phi))), rel=1e-12, abs=0.0)
 
 
 def test_fig4_is_a_stack_of_one():
@@ -259,7 +269,7 @@ OP_CALLS = (
     (walk, "run_masking_walk", 1, 0),
     (optics, "simulate_masking", 1, 0),
     (optics, "solve_prep_angles", 3, 1),
-    (measure, "derive_seed", 2, 2),
+    (measure, "derive_seed", 1, 1),
     (measure, "generator", 0, 0),
     (measure, "sample_counts", 3, 3),
     (measure, "poisson_resample", 3, 3),
@@ -274,7 +284,7 @@ OP_CALLS = (
     (experiments, "run_fig5", 1, 1),
     (experiments, "run_equivalence", 1, 1),
     (experiments, "write_report", 4, 4),
-    (measure, "derive_seeds", 8, 8),  # 71 sub-seeds, 2 of them through derive_seed
+    (measure, "derive_seeds", 8, 8),  # 71 sub-seeds, equiv's one through derive_seed
     (np.linalg, "eigh", 1, 1),
     (np.random, "Philox", 1, 0),
     (measure, "_rekeyed", 71, 71),
@@ -415,13 +425,26 @@ def test_the_head_holds_the_run_facts_and_rows_only_their_estimates(run, analyti
     report = run(ExperimentConfig(seed=1, analytic=analytic))
     head, row_keys = LAYOUT[report["experiment"]]
     assert list(report) == head
-    assert report["resamples"] == (None if analytic else BOOTSTRAP_RESAMPLES)
     rows = list(_rows(report))
     assert len(rows) == {"fig3": 12, "fig4": 1, "fig5": 7}[report["experiment"]]
     for where, row in rows:
         assert list(row) == row_keys[where]
         # A row's target labels the row; fig4's head target is the probe.
         assert set(row).isdisjoint(set(head) - {"target"})
+
+
+@pytest.mark.parametrize("analytic", [False, True], ids=["sampled", "analytic"])
+@pytest.mark.parametrize("run", [run_fig3, run_fig4, run_fig5])
+def test_a_head_states_the_draws_only_of_a_sampled_run(run, analytic):
+    """An analytic run draws nothing: its head's shots, resamples and fig3's
+    verification tests are null, whatever the config holds."""
+    config = ExperimentConfig(seed=1, shots_per_setting=7, qsv_tests=11, analytic=analytic)
+    report = run(config)
+    drawn = {"shots_per_setting": 7, "resamples": BOOTSTRAP_RESAMPLES}
+    if report["experiment"] == "fig3":
+        drawn["qsv_tests"] = 11
+    assert {key: report[key] for key in drawn} == ({key: None for key in drawn} if analytic else drawn)
+    assert (report["seed"], report["noise_p"], report["analytic"]) == (1, config.noise_p, analytic)
 
 
 # ---------------------------------------------------------------------------

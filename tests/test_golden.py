@@ -40,7 +40,8 @@ RUNS = (
     ("analytic", ("fig5", "--analytic", "--seed", "1")),
     # Concurrence taken from the amplitudes of the pure phase probes.
     ("analytic_noiseless", ("fig5", "--analytic", "--noise-p", "0", "--seed", "1")),
-    # The pure phase probes: the only reports here with boundary fits in the qubit MLE.
+    # The pure phase probes: the 90-degree point and its resamples invert outside the
+    # Bloch ball, where the MLE purity is 1 (the one-shot runs invert outside it too).
     ("noiseless", ("fig5", "--noise-p", "0", "--seed", "1")),
     # Noiseless masked states: the pure densities, checked as they are.
     ("noiseless", ("fig3", "--noise-p", "0", "--seed", "1")),

@@ -27,7 +27,7 @@ from realmask.optics import (
     solve_prep_angles,
 )
 from realmask.qcore import PAULI_X, PAULI_Z
-from realmask.walk import Local, RailState, Shift, embed_two_qubit, extract_two_qubit, masking_schedule, run
+from realmask.walk import Local, Shift, embed_two_qubit, extract_two_qubit, masking_schedule, run
 
 from helpers import (
     born_product_probs,
@@ -36,6 +36,7 @@ from helpers import (
     local_sites,
     prepared_amplitudes,
     pure_fidelity,
+    rail_state,
     random_unitary,
     spcm_to_outcome_order,
     with_local_at,
@@ -144,7 +145,7 @@ class TestPreparation:
     @pytest.mark.parametrize("mode", [(-3, H), (5, V)])
     def test_prepared_amplitudes_reject_stray_modes(self, mode):
         with pytest.raises(ValueError):
-            prepared_amplitudes(RailState.of({mode: 1.0}))
+            prepared_amplitudes(rail_state({mode: 1.0}))
 
     def test_uniform_state_elementwise(self):
         out = simulate_preparation(solve_prep_angles(np.ones(4) / 2))
@@ -195,7 +196,7 @@ class TestElements:
                 k += 1
                 amps[(rail, pol)] = k
         norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-        state = RailState.of({key: a / norm for key, a in amps.items()})
+        state = rail_state({key: a / norm for key, a in amps.items()})
         out = Shift(0, 2).apply(state)
         assert np.count_nonzero(out.amps) == np.count_nonzero(state.amps)
         assert sorted(np.abs(out.amps[out.amps != 0])) == pytest.approx(
@@ -205,7 +206,7 @@ class TestElements:
     def test_bd_routing_is_injective_in_layouts(self):
         # Walk through the masking layout tracking basis states one at a time.
         for rail in (-3, -1, 1, 3):
-            state = RailState.of({(rail, V): 1.0})
+            state = rail_state({(rail, V): 1.0})
             out = run(state, masking_layout())
             assert np.linalg.norm(out.amps) ** 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -291,7 +292,7 @@ class TestMeasurement:
 
     def test_detector_distribution_order(self):
         # A module output sitting entirely on (rail 3, H) is SPCM 0.
-        state = RailState.of({(3, H): 1.0})
+        state = rail_state({(3, H): 1.0})
         assert detector_distribution(state)[0] == 1.0
 
     def test_uniform_input_gives_uniform_detectors(self):

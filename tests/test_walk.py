@@ -30,7 +30,15 @@ from realmask.walk import (
     run_masking_walk,
 )
 
-from helpers import dense_run, local_sites, pure_fidelity, random_unitary, with_local_at, worst_masker_infidelity
+from helpers import (
+    dense_run,
+    local_sites,
+    pure_fidelity,
+    rail_state,
+    random_unitary,
+    with_local_at,
+    worst_masker_infidelity,
+)
 
 SQRT2 = np.sqrt(2)
 
@@ -46,15 +54,15 @@ def nonzero(state: RailState) -> dict:
 
 class TestTranslate:
     def test_coin_zero_moves_left(self):
-        out = TRANSLATE.apply(RailState.of({(0, 0): 1.0}))
+        out = TRANSLATE.apply(rail_state({(0, 0): 1.0}))
         assert amp(out, -1, 0) == 1.0
 
     def test_coin_one_moves_right(self):
-        out = TRANSLATE.apply(RailState.of({(0, 1): 1.0}))
+        out = TRANSLATE.apply(rail_state({(0, 1): 1.0}))
         assert amp(out, 1, 1) == 1.0
 
     def test_superposition_termwise(self):
-        out = TRANSLATE.apply(RailState.of({(2, 0): 1 / SQRT2, (2, 1): 1 / SQRT2}))
+        out = TRANSLATE.apply(rail_state({(2, 0): 1 / SQRT2, (2, 1): 1 / SQRT2}))
         assert amp(out, 1, 0) == pytest.approx(1 / SQRT2)
         assert amp(out, 3, 1) == pytest.approx(1 / SQRT2)
 
@@ -66,7 +74,7 @@ class TestTranslate:
     ))
     def test_norm_and_position_shift(self, raw):
         norm = np.sqrt(sum(abs(a) ** 2 for a in raw.values()))
-        state = RailState.of({k: v / norm for k, v in raw.items()})
+        state = rail_state({k: v / norm for k, v in raw.items()})
         out = TRANSLATE.apply(state)
         assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-12)
         for (x, c), a in nonzero(state).items():
@@ -75,49 +83,49 @@ class TestTranslate:
 
 class TestEngine:
     def test_local_acts_on_every_site_when_none_listed(self):
-        state = RailState.of({(0, 0): 1 / SQRT2, (5, 1): 1 / SQRT2})
+        state = rail_state({(0, 0): 1 / SQRT2, (5, 1): 1 / SQRT2})
         out = Local(COIN_X).apply(state)
         assert nonzero(out) == {(0, 1): 1 / SQRT2, (5, 0): 1 / SQRT2}
 
     def test_local_leaves_unlisted_sites_alone(self):
-        state = RailState.of({(0, 0): 1 / SQRT2, (5, 1): 1 / SQRT2})
+        state = rail_state({(0, 0): 1 / SQRT2, (5, 1): 1 / SQRT2})
         out = Local(COIN_X, {0}).apply(state)
         assert nonzero(out) == {(0, 1): 1 / SQRT2, (5, 1): 1 / SQRT2}
 
     def test_shift_moves_each_qubit_by_its_own_offset(self):
-        state = RailState.of({(1, 0): 0.6, (1, 1): 0.8j})
+        state = rail_state({(1, 0): 0.6, (1, 1): 0.8j})
         out = Shift(-4, 2).apply(state)
         assert nonzero(out) == {(-3, 0): 0.6, (3, 1): 0.8j}
 
     def test_rejects_bad_qubit_index(self):
         with pytest.raises(ValueError):
-            RailState.of({(0, 2): 1.0})
+            rail_state({(0, 2): 1.0})
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError, match=r"^state norm 1\.414\d* deviates from 1 by more than 1e-12$"):
-            RailState.of({(0, 0): 1.0, (1, 0): 1.0})
+            rail_state({(0, 0): 1.0, (1, 0): 1.0})
         with pytest.raises(ValueError, match=r"^state norm 2\.0 deviates from 1 by more than 1e-12$"):
-            RailState.of({(0, 0): 2.0})
+            rail_state({(0, 0): 2.0})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_amplitudes(self, bad):
         # A NaN norm used to pass `abs(norm - 1) > EPS_EXACT` and build a state.
         with pytest.raises(ValueError, match="^state contains non-finite entries$"):
-            RailState.of({(0, 0): bad})
+            rail_state({(0, 0): bad})
 
 
 class TestLocal:
     def test_x_at_position(self):
-        out = Local(COIN_X, {3}).apply(RailState.of({(3, 1): 1.0}))
+        out = Local(COIN_X, {3}).apply(rail_state({(3, 1): 1.0}))
         assert amp(out, 3, 0) == 1.0
 
     def test_c2_column(self):
-        out = Local(COIN_C2, {-2}).apply(RailState.of({(-2, 1): 1.0}))
+        out = Local(COIN_C2, {-2}).apply(rail_state({(-2, 1): 1.0}))
         assert amp(out, -2, 0) == pytest.approx(1j / SQRT2)
         assert amp(out, -2, 1) == pytest.approx(1j / SQRT2)
 
     def test_no_sites_is_noop(self):
-        state = RailState.of({(0, 0): 1 / SQRT2, (2, 1): 1j / SQRT2})
+        state = rail_state({(0, 0): 1 / SQRT2, (2, 1): 1j / SQRT2})
         out = Local(COIN_X, ()).apply(state)
         assert nonzero(out) == nonzero(state)
 
@@ -166,16 +174,16 @@ class TestEncodeExtract:
             encode_input(stack)
 
     def test_extract_identification(self):
-        assert np.allclose(extract_two_qubit(RailState.of({(1, 0): 1.0})), [1, 0, 0, 0])
-        assert np.allclose(extract_two_qubit(RailState.of({(-1, 1): 1.0})), [0, 0, 0, 1])
+        assert np.allclose(extract_two_qubit(rail_state({(1, 0): 1.0})), [1, 0, 0, 0])
+        assert np.allclose(extract_two_qubit(rail_state({(-1, 1): 1.0})), [0, 0, 0, 1])
 
     def test_extract_bell(self):
-        out = extract_two_qubit(RailState.of({(1, 0): 1 / SQRT2, (-1, 1): 1 / SQRT2}))
+        out = extract_two_qubit(rail_state({(1, 0): 1 / SQRT2, (-1, 1): 1 / SQRT2}))
         assert np.allclose(out, np.array([1, 0, 0, 1]) / SQRT2)
 
     def test_extract_rejects_stray_support(self):
         with pytest.raises(ExtractionError):
-            extract_two_qubit(RailState.of({(1, 0): np.sqrt(0.5), (3, 0): np.sqrt(0.5)}))
+            extract_two_qubit(rail_state({(1, 0): np.sqrt(0.5), (3, 0): np.sqrt(0.5)}))
 
 
 class TestMaskingSchedule:
@@ -339,7 +347,7 @@ class TestRun:
         assert out.lo == state.lo and np.array_equal(out.amps, state.amps)
 
     def test_single_translate(self):
-        out = run(RailState.of({(0, 1): 1.0}), (TRANSLATE,))
+        out = run(rail_state({(0, 1): 1.0}), (TRANSLATE,))
         assert amp(out, 1, 1) == 1.0
 
     def test_norm_preserved_on_random_schedules(self, rng):
@@ -351,7 +359,7 @@ class TestRun:
                 else:
                     positions = rng.choice(np.arange(-4, 5), size=rng.integers(1, 4), replace=False)
                     layers.extend(Local(random_unitary(2, rng), {x}) for x in positions)
-            start = RailState.of({(int(rng.integers(-4, 5)), int(rng.integers(0, 2))): 1.0})
+            start = rail_state({(int(rng.integers(-4, 5)), int(rng.integers(0, 2))): 1.0})
             out = run(start, layers)
             assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-12)
 
