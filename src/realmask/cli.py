@@ -9,12 +9,15 @@ Option precedence: command-line flags override the --config file, which
 overrides the defaults that `experiments` owns.  One table, `OPTIONS`, gives
 each setting its flag, flag parser, value check and help; a subcommand's flags
 and config keys are made from it for the settings it reads (`FIELDS`), so it
-takes no flag or key that it would ignore.  `fig4 --probe` and `equiv
---n-inputs` are flags only, with no config key.  A bad value is a one-line
-error, never a silent coercion, and so is a run that needs more memory than
-it can get.  A comma list that starts with a negative number, and a lone
-negative number in any spelling `float` reads, may follow its flag after a
-space (`--phi-grid -15,0`, `--phi -1e1`) or an `=` (`--phi-grid=-15,0`).
+takes no flag or key that it would ignore, and `scripts/reproduce_figures.py`
+takes its `--seed`, `--noise-p` and `--out` from it too.  `fig4 --probe` and
+`equiv --n-inputs` are flags only, with no config key.  A bad value, an
+empty output path among them, is a one-line error, never a silent coercion:
+a usage error (exit 2) as a flag, a config-file error (exit 1) as a key.  So
+is a run that needs more memory than it can get (exit 1).  A comma list that
+starts with a negative number, and a lone negative number in any spelling
+`float` reads, may follow its flag after a space (`--phi-grid -15,0`,
+`--phi -1e1`) or an `=` (`--phi-grid=-15,0`).
 """
 from __future__ import annotations
 
@@ -107,8 +110,8 @@ def _flag(v) -> bool:
 
 
 def _text(v) -> str:
-    if not isinstance(v, str):
-        raise ValueError(f"must be a string, got {v!r}")
+    if not isinstance(v, str) or not v:
+        raise ValueError(f"must be a non-empty string, got {v!r}")
     return v
 
 
@@ -200,9 +203,6 @@ def _build_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str | Non
     values = _load_config_file(args.config, args.command, args.fields) if args.config else {}
     values.update(option_values(args))
     out_dir = values.pop("output_path", None)
-    if out_dir == "":
-        print("realmask: the output path (--out or output_path) must not be empty", file=sys.stderr)
-        raise SystemExit(2)
     return ExperimentConfig(**values), out_dir
 
 

@@ -8,11 +8,13 @@ Three pipelines:
   map; the tests' average operator is 1/3 + (2/3)|target><target| for every
   target, so `qsv_run` draws each state's pass count as one binomial from
   its fidelity F with the target, at p_succ = (1 + 2F)/3, one seed per row;
-* single-qubit tomography: exact maximum likelihood over (batch, 3, 2) count
-  arrays, rows in `measure.AXES` order (`mle_qubit_batch`, each boundary
-  fit a bisection of its own; `purity_from_counts`, (1 + r.r)/2 of the
-  linear inversion r in real arithmetic, 1 outside the ball), with
-  Poisson-resampling bootstrap error bars (`bootstrap_std`: one seeded draw
+* single-qubit tomography: the maximum-likelihood purity of (batch, 3, 2)
+  count arrays, rows in `measure.AXES` order, which the pipelines estimate
+  with `purity_from_counts`, (1 + r.r)/2 of the linear inversion r in real
+  arithmetic, 1 outside the ball; `mle_qubit_batch`, the full state fit
+  with each boundary fit a bisection of its own, stays only because
+  `perfbench/tracer.py` wraps it (ROADMAP item 12).  Error bars come from
+  the Poisson-resampling bootstrap (`bootstrap_std`: one seeded draw
   per count array of a stack, all taken by one `measure.poisson_resample`
   call, and the point counts with all their resamples estimated in one more
   call, which gives the point values beside the spread);

@@ -30,15 +30,17 @@ Analytic mode is the same estimator read at one shot: `_estimated` runs a
 figure's estimator on its Born tables, counts scaled to one shot, with zero
 errors, or on its drawn counts with their bootstrap errors; it is the one
 place that chooses.  Only fig3's verification keeps its own analytic branch,
-for it draws pass counts, not count tables, and fig5 at p = 0 reads the
-concurrence of its pure probes from their amplitudes.
+for it draws pass counts, not count tables; both give each probe's
+infidelity and interval, and one comprehension builds fig3's rows.  fig5 at
+p = 0 reads the concurrence of its pure probes from their amplitudes.
 
 A report states each fact of its run once, in its head: its name
 (`experiment`: "fig3", "fig4", "fig5" or "equiv", also the stem of its
 files), the seed and, for a figure, `noise_p`, the facts of its draws (fig3's
 `qsv_tests`, `shots_per_setting` and `resamples`, each None in analytic
 mode, which draws nothing) and `analytic`.  A row (`report_row`)
-holds only its estimate and what belongs to that estimate alone.
+holds only its estimate and what belongs to that estimate alone; fig3's CSV
+repeats the head's `qsv_tests` in its `tests` column.
 
 Reports are written as JSON with floats at 12 significant digits, rounded and
 encoded in one walk (`report_json`), and as CSV (`report_csv`).
@@ -66,7 +68,7 @@ from .qcore import concurrence_from_purity, partial_trace, spin_flip_concurrence
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 16
+REPORT_SCHEMA = 17
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
@@ -218,29 +220,21 @@ def _fig3_model(noise_p: float) -> tuple[np.ndarray, np.ndarray]:
 
 def run_fig3(config: ExperimentConfig) -> dict:
     probs, fidelities = _fig3_model(config.noise_p)
-    if config.analytic:  # verification draws pass counts, not count tables
-        fids = [report_row(f"probe {idx} fidelity", 1.0 - e, 0.0, "ci95",
-                           eps_hat=e, eps_low=e, eps_high=e, passed=None, tests=None)
-                for idx, e in zip(PROBES, (1.0 - fidelities).tolist())]
+    keys = [(idx,) for idx in PROBES]
+    # Each probe's (eps_hat, error, eps_low, eps_high, passed); analytic mode draws no pass counts.
+    if config.analytic:
+        verdicts = [(e, 0.0, e, e, None) for e in (1.0 - fidelities).tolist()]
     else:
-        qsvs = estimate.qsv_run(fidelities, config.qsv_tests,
-                                derive_seeds(config.seed, ("fig3.qsv",), [(idx,) for idx in PROBES]))
-        fids = [report_row(f"probe {idx} fidelity", qsv.fidelity, qsv.error, "ci95",
-                           eps_hat=qsv.eps_hat, eps_low=qsv.ci_low, eps_high=qsv.ci_high,
-                           passed=qsv.passed, tests=qsv.total)
-                for idx, qsv in zip(PROBES, qsvs)]
-    pur, std = _estimated(_purities, probs, config, "fig3", "fig3.tomo", [(idx,) for idx in PROBES],
-                          parts=(("path",), ("pol",)))
-    rows = []
-    for i, idx in enumerate(PROBES):
-        pur_a, pur_b = pur[i, :2].tolist()
-        rows.append({
-            "probe": idx,
-            "target": PROBE_LABELS[idx],
-            "fidelity": fids[i],
-            "purity": report_row(f"probe {idx} avg purity", 0.5 * (pur_a + pur_b), float(std[i, 2]), "std",
-                                 path_purity=pur_a, pol_purity=pur_b),
-        })
+        qsvs = estimate.qsv_run(fidelities, config.qsv_tests, derive_seeds(config.seed, ("fig3.qsv",), keys))
+        verdicts = [(q.eps_hat, q.error, q.ci_low, q.ci_high, q.passed) for q in qsvs]
+    pur, std = _estimated(_purities, probs, config, "fig3", "fig3.tomo", keys, parts=(("path",), ("pol",)))
+    rows = [{"probe": idx, "target": PROBE_LABELS[idx],
+             "fidelity": report_row(f"probe {idx} fidelity", 1.0 - eps, err, "ci95",
+                                    eps_hat=eps, eps_low=low, eps_high=high, passed=passed),
+             "purity": report_row(f"probe {idx} avg purity", avg, spread, "std",
+                                  path_purity=pur_a, pol_purity=pur_b)}
+            for idx, (eps, err, low, high, passed), (pur_a, pur_b, avg), spread
+            in zip(PROBES, verdicts, pur.tolist(), std[:, 2].tolist())]
     return {**_head(config, "fig3", qsv_tests=config.qsv_tests), "probes": rows}
 
 
@@ -440,7 +434,7 @@ def report_csv(report: dict) -> str:
             f, p = row["fidelity"], row["purity"]
             writer.writerow([
                 row["probe"], _fmt(f["estimate"]), _fmt(f["error"]), _fmt(f["eps_hat"]),
-                _fmt(f["eps_low"]), _fmt(f["eps_high"]), _fmt(f["passed"]), _fmt(f["tests"]),
+                _fmt(f["eps_low"]), _fmt(f["eps_high"]), _fmt(f["passed"]), _fmt(report["qsv_tests"]),
                 _fmt(p["estimate"]), _fmt(p["error"]),
             ])
     elif kind == "fig4":

@@ -134,7 +134,7 @@ class TestReportFiles:
     def test_report_carries_schema_version(self):
         doc = json.loads(report_json(run_fig4(ExperimentConfig(seed=3, analytic=True))))
         assert next(iter(doc)) == "schema"
-        assert doc["schema"] == experiments.REPORT_SCHEMA == 16
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 17
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError):
@@ -526,7 +526,7 @@ class TestCommandLine:
         assert doc["qsv_tests"] == 10**18
         for row in doc["probes"]:
             fid = row["fidelity"]
-            assert fid["tests"] == 10**18 and 0 < fid["passed"] < 10**18
+            assert 0 < fid["passed"] < doc["qsv_tests"]
             assert 0.98 < fid["estimate"] < 1.0 and 0.0 < fid["error"] < 1e-9
 
     def test_config_file_bounds_the_tests_as_the_flag_does(self, tmp_path):
@@ -622,8 +622,11 @@ class TestCommandLine:
         assert exc.value.code.startswith(f"cannot write reports to {taken}:")
 
     @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_empty_output_path_is_a_usage_error(self, tmp_path, source, capsys):
-        # An empty path used to print the report to stdout and exit 0.
+    def test_empty_output_path_is_a_usage_error(self, tmp_path, source, capsys, monkeypatch):
+        # An empty path used to print the report to stdout and exit 0.  Its own
+        # value check refuses it, as every setting's does: as a flag, a usage
+        # error (exit 2); as a config value, a config-file error (exit 1).
+        monkeypatch.chdir(tmp_path)
         argv = ["fig4", "--analytic"]
         if source == "flag":
             argv += ["--out", ""]
@@ -633,10 +636,15 @@ class TestCommandLine:
             argv += ["--config", str(cfg_path)]
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
-        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1 and "must not be empty" in captured.err
+        if source == "flag":
+            assert exc.value.code == 2
+            assert captured.err.splitlines()[-1] == \
+                "realmask fig4: error: argument --out: must be a non-empty string, got ''"
+        else:
+            assert exc.value.code == f"config file {cfg_path}: output_path must be a non-empty string, got ''"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if source == "config" else [])
 
     # A list starting with a minus sign after a space used to be read as a
     # flag: "argument --phi-grid: expected one argument", exit 2.
@@ -727,6 +735,21 @@ class TestCommandLine:
         assert out.returncode == 1
         assert out.stderr.startswith(f"cannot write reports to {taken}:")
         assert "Traceback" not in out.stderr
+
+    def test_reproduce_figures_empty_out_is_a_usage_error(self, tmp_path):
+        # The driver's own `--out` used to take "" as the working directory,
+        # write its eight reports there and exit 0; it now takes the flag,
+        # and its check, from the command line's table.
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+        out = subprocess.run([sys.executable, str(script), "--out", ""], cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 2
+        assert out.stderr.splitlines()[-1].endswith("error: argument --out: must be a non-empty string, got ''")
+        assert list(tmp_path.iterdir()) == []
 
     def test_experiments_import_does_not_load_scipy(self):
         import subprocess

@@ -78,14 +78,14 @@ def oracle_fig3(config):
         if config.analytic:
             eps = 1.0 - fidelity
             fid = oracle_row(f"probe {idx} fidelity", 1.0 - eps, 0.0, "ci95",
-                             eps_hat=eps, eps_low=eps, eps_high=eps, passed=None, tests=None)
+                             eps_hat=eps, eps_low=eps, eps_high=eps, passed=None)
             pur_a, pur_b = (purity(partial_trace(rho, k)) for k in ("A", "B"))
             std = 0.0
         else:
             (qsv,) = estimate.qsv_run([fidelity], config.qsv_tests, [derive_seed(config.seed, "fig3.qsv", idx)])
             fid = oracle_row(f"probe {idx} fidelity", qsv.fidelity, qsv.error, "ci95",
                              eps_hat=qsv.eps_hat, eps_low=qsv.ci_low,
-                             eps_high=qsv.ci_high, passed=qsv.passed, tests=qsv.total)
+                             eps_high=qsv.ci_high, passed=qsv.passed)
             counts = np.array([
                 oracle_pauli_counts(partial_trace(rho, k), shots, config.seed, "fig3.tomo", idx, tag)
                 for k, tag in (("A", "path"), ("B", "pol"))
@@ -398,7 +398,7 @@ LAYOUT = {
     "fig3": (["experiment", "seed", "noise_p", "qsv_tests", "shots_per_setting", "resamples", "analytic",
               "probes"],
              {"probes": ["probe", "target", "fidelity", "purity"],
-              "fidelity": [*ESTIMATE, "eps_hat", "eps_low", "eps_high", "passed", "tests"],
+              "fidelity": [*ESTIMATE, "eps_hat", "eps_low", "eps_high", "passed"],
               "purity": [*ESTIMATE, "path_purity", "pol_purity"]}),
     "fig4": (["experiment", "seed", "noise_p", "shots_per_setting", "resamples", "analytic", "probe", "target",
               "correlators", "rho_raw", "rho_decoded", "fidelity"],
@@ -445,6 +445,29 @@ def test_a_head_states_the_draws_only_of_a_sampled_run(run, analytic):
         drawn["qsv_tests"] = 11
     assert {key: report[key] for key in drawn} == ({key: None for key in drawn} if analytic else drawn)
     assert (report["seed"], report["noise_p"], report["analytic"]) == (1, config.noise_p, analytic)
+
+
+@pytest.mark.parametrize("run", [run_fig3, run_fig4, run_fig5])
+def test_no_row_field_repeats_a_head_fact_in_every_row(run):
+    """The value form of the head rule: a field that holds one head fact's
+    value in every row of its kind restates that fact, whatever its name."""
+    report = run(ExperimentConfig(seed=1))
+    head = {repr(value) for value in report.values() if not isinstance(value, (list, dict))}
+    fields = collections.defaultdict(set)
+    for where, row in _rows(report):
+        for key, value in row.items():
+            fields[where, key].add(repr(value))
+    assert [field for field, values in fields.items() if len(values) == 1 and values <= head] == []
+
+
+@pytest.mark.parametrize("analytic", [False, True], ids=["sampled", "analytic"])
+def test_fig3_csv_tests_column_is_the_heads_qsv_tests(analytic):
+    report = run_fig3(ExperimentConfig(seed=1, qsv_tests=11, analytic=analytic))
+    lines = report_csv(report).splitlines()
+    column = lines[0].split(",").index("tests")
+    assert [line.split(",")[column] for line in lines[1:]] == ["" if analytic else "11"] * len(experiments.PROBES)
+    # The head is the one place that states the tests, so the column reads it there.
+    assert all("tests" not in row["fidelity"] for row in report["probes"])
 
 
 # ---------------------------------------------------------------------------
