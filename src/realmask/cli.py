@@ -244,7 +244,7 @@ def _cmd_angles(args) -> int:
         angles = optics.phase_prep_angles(args.phi)
         print(f"phase probe phi = {args.phi:.6f} deg -> (|0> + e^(i phi)|1>)/sqrt(2)")
         print(f"  H1 = {angles.h1:.6f} deg")
-        print(f"  Q1 = 45.000000 deg (inserted on the -3 rail)")
+        print(f"  Q1 = {angles.q1:.6f} deg (inserted on the -3 rail)")
         print(f"  H2 = {angles.h2:.6f} deg")
         did_something = True
     label, setting = args.setting, None

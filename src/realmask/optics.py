@@ -61,8 +61,7 @@ def qwp_jones(theta_deg) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Preparation module: H1 -> BD -> {H2 @ -3, H3 @ 1} [-> Q1 @ -3] -> BD
-#                      -> X-plates @ {-3, 1}
+# Preparation module: H1 -> BD -> {H2 @ -3, H3 @ 1} [-> the record's Q1 @ -3] -> BD -> X-plates @ {-3, 1}
 
 def _fold_half_turn(angle_deg):
     """An angle (or array of angles) folded into [0, 180), one wave-plate
@@ -73,11 +72,12 @@ def _fold_half_turn(angle_deg):
 
 @dataclass(frozen=True)
 class PrepAngles:
-    """Half-wave-plate angles (degrees) that set the four real amplitudes (floats or per-item arrays)."""
+    """Every plate angle (degrees, floats or per-item arrays) of a preparation; q1, on rail -3, may be None."""
 
     h1: float
     h2: float
     h3: float
+    q1: float | None = None
 
 
 def solve_prep_angles(a) -> PrepAngles:
@@ -105,8 +105,8 @@ def solve_prep_angles(a) -> PrepAngles:
 
 
 def phase_prep_angles(phi_deg: float) -> PrepAngles:
-    """Angles for the probe (|0> + e^{i phi}|1>)/sqrt(2) with q1_deg=45; h2 folded into [0, 180)."""
-    return PrepAngles(h1=0.0, h2=_fold_half_turn(phi_deg / 4.0 + 22.5), h3=0.0)
+    """Angles for the probe (|0> + e^{i phi}|1>)/sqrt(2): q1 at 45, h2 folded into [0, 180)."""
+    return PrepAngles(h1=0.0, h2=_fold_half_turn(phi_deg / 4.0 + 22.5), h3=0.0, q1=45.0)
 
 
 PREP_INPUT_RAIL = 1  # rail carrying the |H>-polarized input photon
@@ -116,22 +116,22 @@ _PREP_INPUT.amps.setflags(write=False)
 _PREP_X_PLATES = Local(hwp_jones(45.0), {-3, 1})
 
 
-def preparation_layout(angles: PrepAngles, q1_deg: float | None = None) -> tuple[Local | Shift, ...]:
-    steps = [
+def preparation_layout(angles: PrepAngles) -> tuple[Local | Shift, ...]:
+    q1 = () if angles.q1 is None else (Local(qwp_jones(angles.q1), {-3}),)
+    return (
         Local(hwp_jones(angles.h1), {PREP_INPUT_RAIL}),
         Shift(-4, 0),
         Local(hwp_jones(angles.h2), {-3}),
         Local(hwp_jones(angles.h3), {1}),
-    ]
-    if q1_deg is not None:
-        steps.append(Local(qwp_jones(q1_deg), {-3}))
-    steps += [Shift(0, 2), _PREP_X_PLATES]
-    return tuple(steps)
+        *q1,
+        Shift(0, 2),
+        _PREP_X_PLATES,
+    )
 
 
-def simulate_preparation(angles: PrepAngles, q1_deg: float | None = None) -> RailState:
+def simulate_preparation(angles: PrepAngles) -> RailState:
     """Run the preparation module on the fixed |rail 1, H> input; angle arrays give a batch."""
-    return run(_PREP_INPUT, preparation_layout(angles, q1_deg))
+    return run(_PREP_INPUT, preparation_layout(angles))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ its inputs, so real states stay in real arithmetic.  All protocol
 dimensions are at most 16, so dense double-precision algebra is exact to
 ~1e-12 with comfortable headroom.
 
-Tolerance policy: EPS_EXACT guards identities that hold analytically
-(isometries, trace preservation); EPS_NUMERIC guards quantities that pass
-through an eigensolver or an iterative estimator.
+Tolerance policy: EPS_EXACT guards analytic identities (isometries, trace
+preservation); EPS_NUMERIC guards `checked_density`'s eigenvalue floor and
+`estimate.qsv_run`'s fidelity clip, the two checks that allow round-off.
 """
 from __future__ import annotations
 

@@ -144,7 +144,7 @@ def test_criterion_6_preparation_solvers():
     assert worst < 1e-10
     worst_phase = 0.0
     for phi in (0.0, 30.0, 45.0, 60.0, 90.0):  # pi/6, pi/4, pi/3, pi/2 in degrees
-        state = optics.simulate_preparation(optics.phase_prep_angles(phi), q1_deg=45.0)
+        state = optics.simulate_preparation(optics.phase_prep_angles(phi))
         vec = prepared_amplitudes(state)
         want = np.array([1.0, np.exp(1j * math.radians(phi)), 0, 0]) / np.sqrt(2)
         worst_phase = max(worst_phase, 1 - abs(np.vdot(want, vec)) ** 2)

@@ -582,6 +582,13 @@ class TestCommandLine:
         assert cli.main(["angles", "--phi", "-90.00000000000001"]) == 0
         assert "  H2 = 0.000000 deg\n" in capsys.readouterr().out
 
+    def test_angles_prints_the_q1_of_its_record(self, monkeypatch, capsys):
+        # Q1 used to be printed as a literal 45 deg, whatever the record held.
+        monkeypatch.setattr(cli.optics, "phase_prep_angles",
+                            lambda phi: cli.optics.PrepAngles(h1=0.0, h2=30.0, h3=0.0, q1=30.0))
+        assert cli.main(["angles", "--phi", "30"]) == 0
+        assert "  Q1 = 30.000000 deg (inserted on the -3 rail)\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("setting", ["XW", "X", "XYZ", "xq", ""])
     def test_angles_rejects_a_non_pauli_setting(self, setting, capsys):
         with pytest.raises(SystemExit) as exc:

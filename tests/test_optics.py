@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from realmask import optics
-from realmask.experiments import probe_vector
+from realmask.experiments import DEFAULT_PHI_GRID, phase_probe, probe_vector
 from realmask.masker import mask_pure, masker_matrix
 from realmask.measure import PAIRS, pair_probs
 from realmask.optics import (
@@ -27,7 +27,7 @@ from realmask.optics import (
     solve_prep_angles,
 )
 from realmask.qcore import PAULI_X, PAULI_Z
-from realmask.walk import Local, Shift, embed_two_qubit, extract_two_qubit, masking_schedule, run
+from realmask.walk import Local, Shift, embed_two_qubit, encode_input, extract_two_qubit, masking_schedule, run
 
 from helpers import (
     born_product_probs,
@@ -98,6 +98,14 @@ class TestPrepAngles:
         # substitution oracle: -sin(2 h1) cos(2 h3) = 1
         assert -math.sin(math.radians(2 * angles.h1)) * math.cos(math.radians(2 * angles.h3)) == pytest.approx(1.0)
 
+    def test_phase_record_holds_its_quarter_wave_plate(self):
+        for phi in (*DEFAULT_PHI_GRID, -90.00000000000001, 179.9999, np.array([0.0, 30.0])):
+            assert phase_prep_angles(phi).q1 == 45.0
+
+    def test_solved_record_has_no_quarter_wave_plate(self):
+        assert solve_prep_angles(np.ones(4) / 2).q1 is None
+        assert solve_prep_angles(np.eye(4)).q1 is None
+
     def test_round_trip_random(self, rng):
         for _ in range(1000):
             a = rng.normal(size=4)
@@ -153,10 +161,22 @@ class TestPreparation:
         assert np.abs(vec - 0.5).max() < 1e-12
 
     def test_phase_insertion(self):
-        out = simulate_preparation(phase_prep_angles(90.0), q1_deg=45.0)
+        out = simulate_preparation(phase_prep_angles(90.0))
         vec = prepared_amplitudes(out)
         want = np.array([1, 1j, 0, 0]) / SQRT2
         assert global_phase_fidelity(vec, want) == pytest.approx(1.0, abs=1e-12)
+
+    def test_phase_record_alone_prepares_its_probe(self):
+        # The record used to leave out Q1, which callers passed on their own;
+        # without it the probe at 30 deg came out real, |overlap| 0.935.
+        phis = (*DEFAULT_PHI_GRID, -90.00000000000001, 179.9999)
+        cases = [(phase_prep_angles(phi), phase_probe(phi)) for phi in phis]
+        cases.append((phase_prep_angles(np.array(phis)), np.stack([phase_probe(phi) for phi in phis])))
+        for angles, probe in cases:
+            got, want = simulate_preparation(angles), encode_input(probe)
+            assert (got.lo, got.amps.shape) == (want.lo, want.amps.shape)
+            overlap = np.abs(np.sum(want.amps.conj() * got.amps, axis=(-2, -1)))
+            assert np.all(overlap >= 1 - 1e-12), angles.h2
 
     @pytest.mark.parametrize("phi, h2", [(-200.0, 152.5), (-810.0, 0.0), (720.0, 22.5), (1e6, 2.5)])
     def test_phase_angles_fold_into_one_plate_period(self, phi, h2):
@@ -164,7 +184,7 @@ class TestPreparation:
         # gave -27.5 deg.  A half-wave plate repeats every 180 deg, so the
         # folded angle prepares the same state.
         assert phase_prep_angles(phi).h2 == h2
-        vec = prepared_amplitudes(simulate_preparation(phase_prep_angles(phi), q1_deg=45.0))
+        vec = prepared_amplitudes(simulate_preparation(phase_prep_angles(phi)))
         want = np.array([1, np.exp(1j * math.radians(phi)), 0, 0]) / SQRT2
         assert 1 - global_phase_fidelity(vec, want) < 1e-12
 
@@ -179,7 +199,7 @@ class TestPreparation:
 
     def test_phase_pipeline_grid(self):
         for phi in (0.0, 30.0, 45.0, 60.0, 90.0):
-            out = simulate_preparation(phase_prep_angles(phi), q1_deg=45.0)
+            out = simulate_preparation(phase_prep_angles(phi))
             vec = prepared_amplitudes(out)
             want = np.array([1, np.exp(1j * math.radians(phi)), 0, 0]) / SQRT2
             assert 1 - global_phase_fidelity(vec, want) < 1e-12
@@ -252,7 +272,7 @@ class TestMaskingLayout:
         m = masker_matrix()
         for phi in (0.0, 45.0, 90.0):
             c = np.array([1, np.exp(1j * math.radians(phi)), 0, 0]) / SQRT2
-            got = extract_two_qubit(run(simulate_preparation(phase_prep_angles(phi), 45.0), masking_layout()))
+            got = extract_two_qubit(run(simulate_preparation(phase_prep_angles(phi)), masking_layout()))
             assert pure_fidelity(m @ c, got) >= 1 - 1e-10
 
     def test_batch_matches_single_inputs(self, rng):
