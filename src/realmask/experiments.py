@@ -10,10 +10,10 @@ which via its error_kind field.
 Each figure splits into a seed-independent model and its seeded draws.  The
 model holds the masked states of all points as one (n, 4, 4) stack under
 depolarizing noise, checked by `measure.apply_depolarizing`, and what the
-draws and analytic mode read of it: the Born tables and fig3's fidelities
-of the masked probes with their noiseless images.  It is built and checked
-once per process for each value of the config fields it reads
-(`_fig3_model`, `_fig4_model`, `_fig5_model`), never for the seed, and its
+draws and analytic mode read of it: the Born tables, fig3's fidelities
+of the masked probes with their noiseless images and fig5's |psi^T psi| of
+its phase probes.  It is built and checked once per process for each value
+of the config fields it reads (`_fig3_model`, `_fig4_model`, `_fig5_model`), never for the seed, and its
 arrays are read-only, so a run that reads a cached model checks no state.  The seeded draws of a figure take one call each: one
 `sample_counts` call over all its Pauli tables, one `qsv_run` call over
 fig3's probes (one binomial pass count per probe, drawn from its fidelity)
@@ -32,7 +32,8 @@ errors, or on its drawn counts with their bootstrap errors; it is the one
 place that chooses.  Only fig3's verification keeps its own analytic branch,
 for it draws pass counts, not count tables; both give each probe's
 infidelity and interval, and one comprehension builds fig3's rows.  fig5 at
-p = 0 reads the concurrence of its pure probes from their amplitudes.
+p = 0 reads the concurrence of each pure masked probe M psi as |psi^T psi|,
+which the masker's magic-basis identity proves (`masker.masker_matrix`).
 
 A report states each fact of its run once, in its head: its name
 (`experiment`: "fig3", "fig4", "fig5" or "equiv", also the stem of its
@@ -64,11 +65,11 @@ import numpy as np
 from . import estimate, measure, optics, walk
 from .masker import masker_matrix
 from .measure import _is_integer, derive_seed, derive_seeds, generators
-from .qcore import concurrence_from_purity, partial_trace, spin_flip_concurrence
+from .qcore import concurrence_from_purity, partial_trace
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 17
+REPORT_SCHEMA = 18
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
@@ -286,20 +287,21 @@ def _concurrence(counts: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=_MODELS_KEPT)
 def _fig5_model(noise_p: float, phis: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """fig5's seed-independent arrays, read-only: the masked vectors of the
-    phase probes at `phis` (degrees) and the (n, 3, 2) Born table of their
-    path (A) qubits at `noise_p`."""
+    """fig5's seed-independent arrays, read-only: |psi^T psi| of each phase
+    probe psi at `phis` (degrees), the concurrence of its noiseless masked
+    image, and the (n, 3, 2) Born table of their path (A) qubits at
+    `noise_p`."""
     probes = np.array([phase_probe(phi) for phi in phis]).reshape(-1, 4)
-    vecs, states = _masked_states(probes, noise_p)
-    return _read_only(vecs, measure.axis_probs(partial_trace(states, "A")))
+    states = _masked_states(probes, noise_p)[1]
+    return _read_only(np.abs((probes * probes).sum(axis=-1)), measure.axis_probs(partial_trace(states, "A")))
 
 
 def run_fig5(config: ExperimentConfig) -> dict:
     phis = config.phi_grid_deg
-    vecs, probs = _fig5_model(config.noise_p, tuple(phis))
+    pure, probs = _fig5_model(config.noise_p, tuple(phis))
     est, std = _estimated(_concurrence, probs, config, "fig5", "fig5.tomo", [(i,) for i in range(len(phis))])
     if config.analytic and config.noise_p == 0.0:  # the pure states need no square root of a rounded 1 - purity
-        est = [spin_flip_concurrence(v) for v in vecs]
+        est = pure
     points = [report_row(f"phi = {phi} deg", float(est[i]), float(std[i]), "std",
                          phi_deg=phi, theory_cos=math.cos(math.radians(phi)))
               for i, phi in enumerate(phis)]

@@ -4,9 +4,11 @@ A family of anticommuting unitaries U_j U_k + U_k U_j = -2 delta_jk on a qubit
 turns the Bell state into an orthonormal family of maximally entangled states
 (U_j ⊗ 1)|Phi>.  Mapping the computational basis |j> onto -i times that family
 defines an isometry M that hides every real-entried input state: both reduced
-states of M rho M† equal 1/2 whenever rho is real.  For pure inputs the
-residual entanglement of the output is tied to how non-real the input is:
-C(M psi) = sqrt(1 - I_R(psi)^2).
+states of M rho M† equal 1/2 whenever rho is real.  The family is a magic
+basis (Hill & Wootters, PRL 78, 5022, 1997), in which the concurrence of a
+pure state is |sum_j psi_j^2| (Wootters, PRL 80, 2245, 1998), so for pure
+inputs the residual entanglement of the output is tied to how non-real the
+input is: C(M psi) = |psi^T psi| = sqrt(1 - I_R(psi)^2).
 
 The family is the fixed stack `hr_unitaries()` = [1, iZ, iX, iY].  A real
 unit vector a gives the unitary U(a) = sum_j a_j U_j, whose maximally
@@ -21,31 +23,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import (
-    BELL_PHI,
-    EPS_EXACT,
-    ID2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    checked_state,
-    kron,
-    partial_trace,
-    purity,
-)
+from .qcore import BELL_PHI, EPS_EXACT, ID2, PAULI_X, PAULI_Y, PAULI_Z, checked_state, kron
 
 
 @lru_cache(maxsize=None)
 def hr_unitaries() -> np.ndarray:
     """The read-only (4, 2, 2) stack [1, iZ, iX, iY]: the identity U_0 and the
-    Pauli construction of three anticommuting unitaries, checked once to obey
-    U_j U_k + U_k U_j = -2 delta_jk (j, k >= 1) within EPS_EXACT."""
+    Pauli construction of three anticommuting unitaries, an anticommutation
+    that `masker_matrix`'s check implies."""
     us = np.stack([ID2, 1j * PAULI_Z, 1j * PAULI_X, 1j * PAULI_Y])
-    anti = us[1:, None] @ us[None, 1:] + us[None, 1:] @ us[1:, None]
-    dev = np.abs(anti + 2.0 * np.eye(3)[:, :, None, None] * ID2).max(axis=(-2, -1))
-    if dev.max() > EPS_EXACT:
-        j, k = np.unravel_index(dev.argmax(), dev.shape)
-        raise ValueError(f"anticommutation violated at ({j + 1},{k + 1}): deviation {dev[j, k]:.3e}")
     us.setflags(write=False)
     return us
 
@@ -53,16 +39,27 @@ def hr_unitaries() -> np.ndarray:
 @lru_cache(maxsize=None)
 def masker_matrix() -> np.ndarray:
     """The masker M|j> = -i (U_j ⊗ 1)|Phi> as a read-only (4, 4) array, built
-    once and checked to be an isometry whose columns are maximally entangled
-    (the isometry check proves each column's density matrix)."""
+    once and checked to map the computational basis onto a magic basis:
+    M†M = 1 and Mᵀ(σ_y⊗σ_y)M = 1, each within EPS_EXACT.
+
+    Why the two identities suffice.  The concurrence of a two-qubit pure
+    state v is |vᵀ(σ_y⊗σ_y)v|, so C(M psi) = |psiᵀ Mᵀ(σ_y⊗σ_y)M psi| =
+    |psiᵀpsi|.  A real unit psi has psiᵀpsi = 1, so M psi is maximally
+    entangled: both its reduced states are 1/2.  A real rho is a mixture of
+    real pure states (its eigenvectors), so both reduced states of M rho M†
+    are 1/2 too: M masks every real input.
+
+    They also imply the family's anticommutation.  The columns are
+    m_j = -i (U_j ⊗ 1)|Phi>, so m_j†m_k = tr(U_j†U_k)/2 and
+    m_jᵀ(σ_y⊗σ_y)m_k = tr(adj(U_k) U_j)/2.  Writing U_j = q_0j 1 + i q_j·σ,
+    the 4x4 coefficient matrix Q obeys Q†Q = QᵀQ = 1, so Q is real
+    orthogonal.  U_0 = 1 then leaves U_j = i n_j·σ for j >= 1, with the n_j
+    real and orthonormal, and U_j U_k + U_k U_j = -2 delta_jk."""
     m = np.column_stack([-1j * kron(u, ID2) @ BELL_PHI for u in hr_unitaries()])
-    dev = np.abs(m.conj().T @ m - np.eye(4)).max()
-    if dev > EPS_EXACT:
-        raise ValueError(f"not an isometry: max |M†M - 1| = {dev:.3e}")
-    cols = m.T[:, :, None] * m.T[:, None, :].conj()
-    pur = purity(np.stack([partial_trace(cols, sub) for sub in ("A", "B")]))
-    if np.abs(pur - 0.5).max() > EPS_EXACT:
-        raise ValueError(f"masker columns are not maximally entangled (reduced purities {pur})")
+    for identity, gram in (("an isometry: max |M†M - 1|", m.conj().T @ m),
+                           ("a magic basis: max |Mᵀ(σ_y⊗σ_y)M - 1|", m.T @ kron(PAULI_Y, PAULI_Y) @ m)):
+        if (dev := np.abs(gram - np.eye(4)).max()) > EPS_EXACT:
+            raise ValueError(f"not {identity} = {dev:.3e}")
     m.setflags(write=False)
     return m
 

@@ -19,9 +19,10 @@ pipelines carry bare count arrays; `CountsTable` is the labelled record that
 the CSV reader and writer exchange.
 
 Reproducibility: all randomness flows through numpy's counter-based Philox
-generator keyed by a 64-bit sub-seed, SHA-256 over the length-prefixed master
-seed and stream tags (module tag, trial indices), so distinct tag tuples give
-distinct streams and results are bit-for-bit identical across runs.  A seed
+generator keyed by a 64-bit sub-seed, SHA-256 over the length-prefixed `str`
+texts of the master seed and stream tags (module tag, trial indices), so
+distinct tag texts give distinct streams (the tags 4 and "4" share one) and
+results are bit-for-bit identical across runs.  A seed
 outside [0, 2**64) is refused, never folded onto another.  `derive_seeds`
 gives the sub-seeds of a family of tag tuples that share a prefix, hashing
 the prefix once.
@@ -83,7 +84,8 @@ PAIR_PAULIS.setflags(write=False)
 def derive_seed(master_seed: int, *parts) -> int:
     """64-bit stream-split sub-seed: SHA-256 over the master seed, a Python or
     numpy integer of any sign, and tags, each part's `str` text behind its
-    8-byte length, so the encoding is injective."""
+    8-byte length, so the encoding is injective on the parts' texts: tags of
+    one text, such as 4 and "4", give one sub-seed."""
     return derive_seeds(master_seed, parts, [()])[0]
 
 

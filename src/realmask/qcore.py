@@ -137,12 +137,6 @@ def partial_trace(rho, keep) -> np.ndarray:
     return checked_density(np.einsum("...ikjk->...ij" if keep == "A" else "...kikj->...ij", blocks))
 
 
-def purity(rho):
-    """tr(rho^2); one value per matrix of a (..., d, d) stack."""
-    arr = _as_complex_array(rho, "density matrix")
-    return np.trace(arr @ arr, axis1=-2, axis2=-1).real
-
-
 def fidelity_with_pure(rho, target):
     """<target| rho |target> for a pure (d,) target; one value per matrix of a
     (..., d, d) stack, in real arithmetic when both are real."""
@@ -162,11 +156,3 @@ def fidelity_with_pure(rho, target):
 def concurrence_from_purity(p) -> np.ndarray:
     """sqrt(2 (1 - p)) elementwise, clamped to [0, 1] against rounded purities."""
     return np.minimum(np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.asarray(p)))), 1.0)
-
-
-def spin_flip_concurrence(psi) -> float:
-    """Independent concurrence formula |<psi| sigma_y ⊗ sigma_y |psi*>|."""
-    a = checked_state(psi)
-    if a.shape != (4,):
-        raise DimensionError("spin_flip_concurrence expects a two-qubit state")
-    return float(abs(a @ kron(PAULI_Y, PAULI_Y) @ a))

@@ -28,7 +28,6 @@ from realmask.qcore import (
     concurrence_from_purity,
     kron,
     partial_trace,
-    purity,
 )
 from realmask.walk import ExtractionError, Local, RailState, Shift, extract_two_qubit, run
 
@@ -146,6 +145,20 @@ def reference_report_json(report: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # Entanglement and imaginarity of pure states.
+
+def purity(rho):
+    """tr(rho^2); one value per matrix of a (..., d, d) stack."""
+    arr = np.asarray(rho, dtype=complex)
+    return np.trace(arr @ arr, axis1=-2, axis2=-1).real
+
+
+def spin_flip_concurrence(psi) -> float:
+    """Independent concurrence formula |<psi| sigma_y ⊗ sigma_y |psi*>|."""
+    a = checked_state(psi)
+    if a.shape != (4,):
+        raise DimensionError("spin_flip_concurrence expects a two-qubit state")
+    return float(abs(a @ kron(PAULI_Y, PAULI_Y) @ a))
+
 
 def concurrence_pure(psi) -> float:
     """Entanglement of a two-qubit pure state: sqrt(2(1 - tr rho_A^2))."""

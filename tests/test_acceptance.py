@@ -27,7 +27,7 @@ from realmask.measure import (
     pair_probs,
     sample_counts,
 )
-from realmask.qcore import BELL_PHI, partial_trace, spin_flip_concurrence
+from realmask.qcore import BELL_PHI, partial_trace
 
 from helpers import (
     density,
@@ -39,6 +39,7 @@ from helpers import (
     pure_fidelity,
     random_real_density,
     robustness_of_imaginarity,
+    spin_flip_concurrence,
     trace_distance,
     verification_operator,
 )

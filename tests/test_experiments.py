@@ -31,17 +31,11 @@ from realmask.experiments import (
     run_fig4,
     run_fig5,
 )
-from realmask.masker import mask_pure, masker_matrix
+from realmask.masker import mask_pure
 from realmask.measure import derive_seed
-from realmask.qcore import (
-    concurrence_from_purity,
-    fidelity_with_pure,
-    partial_trace,
-    purity,
-    spin_flip_concurrence,
-)
+from realmask.qcore import concurrence_from_purity, fidelity_with_pure, partial_trace
 
-from helpers import density, reference_report_json
+from helpers import density, purity, reference_report_json, spin_flip_concurrence
 
 
 def oracle_row(target, estimate, error, error_kind, **extra):
@@ -208,7 +202,6 @@ def test_each_masked_stack_is_checked_once_per_config(monkeypatch):
     and checks no state.  No state check repairs a matrix, so only the
     positivity projection calls `eigh`, once per fig4 run: the point
     correlators and their resamples decode in one call."""
-    masker_matrix()  # its one-time build checks reduced states too
     clear_models()
     checks, eighs = [], []
 
@@ -264,7 +257,7 @@ def test_figures_in_two_threads_equal_their_serial_reports():
 # the complex Bloch matrices of the qubit MLE and the file opens.  A change
 # that moves a count edits its row.
 OP_CALLS = (
-    (qcore, "partial_trace", 5, 0),
+    (qcore, "partial_trace", 3, 0),
     (masker, "mask_pure", 0, 0),
     (walk, "run_masking_walk", 1, 0),
     (optics, "simulate_masking", 1, 0),
@@ -345,6 +338,33 @@ def test_a_figures_op_makes_its_pinned_calls(monkeypatch, tmp_path):
     pinned = {_call_key(owner, name): (c, w) for owner, name, c, w in OP_CALLS}
     assert {key: (cold.get(key, 0), calls[key]) for key in pinned} == pinned
     assert dict(rows) == OP_ROWS
+
+
+def test_a_default_op_gives_each_stream_its_own_tag_text(monkeypatch):
+    """A sub-seed hashes the `str` text of each tag, so two tag tuples of one
+    text, such as (4,) and ("4",), share a stream.  The 71 tag tuples a
+    default op derives (fig3, fig4, fig5 and equiv at `ExperimentConfig()`),
+    each read as the texts of its prefix and suffix, are pairwise distinct,
+    and so are their sub-seeds.  `derive_seeds` is wrapped in every
+    namespace of the package that binds it; `derive_seed` calls it too."""
+    package = [m for name, m in sys.modules.items() if name.split(".")[0] == "realmask"]
+    original, tags, seeds = measure.derive_seeds, [], []
+
+    def recorded(master_seed, prefix, suffixes):
+        suffixes = list(suffixes)
+        got = original(master_seed, prefix, suffixes)
+        tags.extend(tuple(str(part) for part in (*prefix, *suffix)) for suffix in suffixes)
+        seeds.extend(got)
+        return got
+
+    for module in package:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, recorded)
+    for run in (run_fig3, run_fig4, run_fig5, experiments.run_equivalence):
+        run(ExperimentConfig())
+    assert len(tags) == len(set(tags)) == 71
+    assert len(seeds) == len(set(seeds)) == 71
 
 
 def test_model_arrays_refuse_writes():

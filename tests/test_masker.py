@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realmask import masker
 from realmask.masker import hr_unitaries, mask_pure, masker_matrix
-from realmask.qcore import BELL_PHI, PAULI_X, PAULI_Y, PAULI_Z, partial_trace, spin_flip_concurrence
+from realmask.qcore import BELL_PHI, PAULI_X, PAULI_Y, PAULI_Z, partial_trace
 
 from helpers import (
     check_concurrence_relation,
@@ -16,10 +18,34 @@ from helpers import (
     mask_state,
     random_real_density,
     robustness_of_imaginarity,
+    spin_flip_concurrence,
     trace_distance,
 )
 
 I2 = np.eye(2)
+
+
+@pytest.fixture
+def cold_masker():
+    """`hr_unitaries` and `masker_matrix` rebuilt on their next call, during
+    the test and after it, so a family a test patches in is not kept."""
+    for built in (hr_unitaries, masker_matrix):
+        built.cache_clear()
+    yield
+    for built in (hr_unitaries, masker_matrix):
+        built.cache_clear()
+
+
+def build_from(monkeypatch, family):
+    """`masker_matrix()` built afresh from `family` in place of `hr_unitaries()`."""
+    monkeypatch.setattr(masker, "hr_unitaries", lambda: np.asarray(family, dtype=complex))
+    masker_matrix.cache_clear()
+    return masker_matrix()
+
+
+def columns(family) -> np.ndarray:
+    """-i (U_j ⊗ 1)|Phi> for each U_j of `family`, as the columns of a (4, 4) array."""
+    return np.column_stack([-1j * np.kron(u, I2) @ BELL_PHI for u in family])
 
 
 class TestHurwitzRadon:
@@ -48,12 +74,51 @@ class TestHurwitzRadon:
         with pytest.raises(ValueError, match="read-only"):
             us[1, 0, 0] = 0.0
 
-    def test_anticommutation_is_checked(self, monkeypatch):
-        # With X replaced by Z the set holds iZ twice, and iZ iZ + iZ iZ = -2.
+    def test_anticommutation_is_checked(self, monkeypatch, cold_masker):
+        # With X replaced by Z the set holds iZ twice, and iZ iZ + iZ iZ = -2:
+        # the masker's Gram check refuses it, for columns 1 and 2 coincide.
         monkeypatch.setattr(masker, "PAULI_X", PAULI_Z)
-        hr_unitaries.cache_clear()
-        with pytest.raises(ValueError, match=r"anticommutation violated at \(1,2\)"):
-            hr_unitaries()
+        with pytest.raises(ValueError, match=r"^not an isometry: max \|M†M - 1\| = 1\.000e\+00$"):
+            masker_matrix()
+
+
+class TestMagicBasis:
+    """M†M = 1 and Mᵀ(σ_y⊗σ_y)M = 1: the two identities `masker_matrix`
+    checks, which give C(M psi) = |psiᵀpsi| for every input."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(lambda v: np.linalg.norm(v) > 1e-3))
+    def test_concurrence_is_the_bilinear_norm(self, parts):
+        psi = np.array(parts[:4]) + 1j * np.array(parts[4:])
+        psi /= np.linalg.norm(psi)
+        assert spin_flip_concurrence(masker_matrix() @ psi) == pytest.approx(abs(psi @ psi), abs=1e-14)
+
+    def test_maximally_entangled_columns_that_do_not_mask_are_refused(self, monkeypatch, cold_masker):
+        # [1, Z, X, Y] gives an isometry whose columns are all maximally
+        # entangled, yet the real input (|0> + |1>)/sqrt(2) goes to -i|00>.
+        family = np.stack([I2, PAULI_Z, PAULI_X, PAULI_Y])
+        m, a = columns(family), np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)
+        assert np.abs(m.conj().T @ m - np.eye(4)).max() < 1e-15
+        assert [concurrence_pure(col) for col in m.T] == pytest.approx([1.0] * 4, abs=1e-12)
+        assert np.abs(m @ a - [-1j, 0, 0, 0]).max() < 1e-15
+        with pytest.raises(ValueError, match=r"^not a magic basis: max \|Mᵀ\(σ_y⊗σ_y\)M - 1\| = 2\.000e\+00$"):
+            build_from(monkeypatch, family)
+
+    def test_one_entry_off_by_1e_9_is_refused(self, monkeypatch, cold_masker):
+        family = hr_unitaries().copy()
+        family[1, 0, 0] += 1e-9 * np.sqrt(2)
+        off = columns(family) - masker_matrix()
+        assert np.count_nonzero(off) == 1 and np.abs(off).max() == pytest.approx(1e-9, rel=1e-6)
+        with pytest.raises(ValueError, match="^not an isometry"):
+            build_from(monkeypatch, family)
+
+    def test_one_column_off_by_a_1e_9_phase_is_refused(self, monkeypatch, cold_masker):
+        # A column phase keeps M an isometry with maximally entangled columns,
+        # but turns psiᵀpsi of the real input (|0> + |1>)/sqrt(2) off 1.
+        family = hr_unitaries().copy()
+        family[1] *= np.exp(1e-9j)
+        with pytest.raises(ValueError, match=r"^not a magic basis: max \|Mᵀ\(σ_y⊗σ_y\)M - 1\| = 2\.000e-09$"):
+            build_from(monkeypatch, family)
 
 
 class TestMaskerIsometry:

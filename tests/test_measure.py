@@ -645,6 +645,12 @@ class TestSeeds:
     def test_derive_seed_is_injective(self, left, right):
         assert derive_seed(*left) != derive_seed(*right)
 
+    @pytest.mark.parametrize("left, right", [((1, 4), (1, "4")), ((1, (2, 3)), (1, "(2, 3)"))])
+    def test_tags_of_one_text_share_a_stream(self, left, right):
+        # Tags are hashed by their `str` text: distinct texts, not distinct
+        # tag tuples, give distinct streams.
+        assert derive_seed(*left) == derive_seed(*right)
+
     @pytest.mark.parametrize("master", [1.5, 1.0, True, "7", None, np.float64(3.0)])
     def test_derive_seed_refuses_a_master_seed_that_is_no_integer(self, master):
         with pytest.raises(ValueError, match=r"^master seed must be an integer, got "):

@@ -19,18 +19,18 @@ from realmask.qcore import (
     fidelity_with_pure,
     kron,
     partial_trace,
-    purity,
-    spin_flip_concurrence,
 )
 
 from helpers import (
     concurrence_pure,
     density,
     haar_state,
+    purity,
     random_density,
     random_real_density,
     random_unitary,
     robustness_of_imaginarity,
+    spin_flip_concurrence,
     trace_distance,
 )
 
@@ -234,9 +234,7 @@ class TestOneConvention:
         mask_pure,
         lambda v: decode_real_state(np.zeros((3, 3)), input_state=v).fidelity_vs_input,
         lambda v: simulate_measurement(v, pauli_meas_setting("X", "Y")),
-        spin_flip_concurrence,
-    ], ids=["fidelity_with_pure", "mask_pure", "decode_real_state", "simulate_measurement",
-            "spin_flip_concurrence"])
+    ], ids=["fidelity_with_pure", "mask_pure", "decode_real_state", "simulate_measurement"])
     def test_pure_state_entry_points(self, fn, rng):
         psi = haar_state(4, rng)
         self.assert_plain(fn(psi))
@@ -248,8 +246,7 @@ class TestOneConvention:
         (lambda v: fidelity_with_pure(np.eye(4) / 4, v), "dimension mismatch"),
         (mask_pure, "4-dimensional state"),
         (lambda v: decode_real_state(np.zeros((3, 3)), input_state=v), "dimension mismatch"),
-        (spin_flip_concurrence, "two-qubit state"),
-    ], ids=["fidelity_with_pure", "mask_pure", "decode_real_state", "spin_flip_concurrence"])
+    ], ids=["fidelity_with_pure", "mask_pure", "decode_real_state"])
     def test_single_state_entry_points_refuse_a_stack(self, fn, message, rng):
         # `checked_state` takes stacks; these functions take one state.
         with pytest.raises(ValueError, match=message):
