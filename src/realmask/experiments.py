@@ -8,11 +8,11 @@ concurrence errors are bootstrap standard deviations, and each report row says
 which via its error_kind field.
 
 Each figure splits into a seed-independent model and its seeded draws.  The
-model holds the masked states of all points as one (n, 4, 4) stack under
-depolarizing noise, checked by `measure.apply_depolarizing`, and what the
-draws and analytic mode read of it: the Born tables, fig3's fidelities
-of the masked probes with their noiseless images and fig5's |psi^T psi| of
-its phase probes.  It is built and checked once per process for each value
+model builds the masked states of all points as one (n, 4, 4) stack under
+depolarizing noise, checked by `measure.apply_depolarizing`, and keeps only
+what the draws and analytic mode read of it: the Born tables, fig3's
+fidelities of the masked probes with their noiseless images, fig4's probe
+vector and fig5's |psi^T psi| of its phase probes.  It is built and checked once per process for each value
 of the config fields it reads (`_fig3_model`, `_fig4_model`, `_fig5_model`), never for the seed, and its
 arrays are read-only, so a run that reads a cached model checks no state.  The seeded draws of a figure take one call each: one
 `sample_counts` call over all its Pauli tables, one `qsv_run` call over

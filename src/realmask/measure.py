@@ -37,9 +37,9 @@ and counter (Salmon et al., SC'11), so each row gets the bits of
 thread's first draw, never at import, and a thread takes rows from one
 `generators` iterator at a time.
 
-Count tables as CSV: `tables_from_csv` reads clean text in one columnar pass
-and hands any text that breaks a rule to a row-at-a-time reader, the one
-place that words a CSV error.
+Count tables as CSV: `tables_from_csv` splits plain text into columns
+without the csv module; text with a quote, lone CR or NUL, or that breaks a
+rule, goes to a row-at-a-time `csv.reader`, the one place that words an error.
 """
 from __future__ import annotations
 
@@ -368,11 +368,14 @@ def tables_from_csv(text: str) -> list[CountsTable]:
     table, in order of first appearance, and shots and seed are compared as
     integers, so `7` and `07` name the same table.
 
-    Clean text takes one columnar pass (`_clean_tables`).  Text that breaks
-    any rule is read again one record at a time (`_read_records`), which
-    raises the error: the file line on which the first faulty CSV record
-    starts, or else the first faulty table.
+    Plain LF or CRLF text that follows every rule is split without the csv
+    module (`_clean_tables`).  Text with a quote, lone CR or NUL, or that
+    breaks a rule, is read record by record (`_read_records`), which words
+    every error: the file line on which the first faulty CSV record starts,
+    or else the first faulty table.  A non-`str` raises TypeError.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"CSV text must be a str, got {type(text).__name__}")
     tables = _clean_tables(text)
     return _read_records(text) if tables is None else tables
 
@@ -383,19 +386,21 @@ _SINGLE_COUNTS = itemgetter(*OUTCOMES_SINGLE)
 
 
 def _clean_tables(text: str) -> list[CountsTable] | None:
-    """The tables of `text` when every record and table follows the rules,
-    else None.  The records are split into five columns and each rule is
+    """The tables of plain `text` (no quote, lone carriage return or NUL) when
+    every record and table follows the rules, else None.  CRLF reads as LF,
+    the header is the first line and blank lines after it are skipped; the
+    five columns are sliced out of one split of the lines, which must hold
+    four commas each and no cell over csv's field size limit.  Each rule is
     checked once per column or once per table; nothing here locates a fault."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader, None)
-        rows = list(filter(None, reader))  # blank records are skipped
-    except csv.Error:
+    text = text.replace("\r\n", "\n") if "\r" in text else text  # csv.reader ends a line at either
+    if '"' in text or "\r" in text or "\0" in text or text.partition("\n")[0] != ",".join(CSV_HEADER):
         return None
-    width = len(CSV_HEADER)
-    if tuple(header or ()) != CSV_HEADER or set(map(len, rows)) - {width}:
+    lines = list(filter(None, text.split("\n")))
+    cells = ",".join(lines).split(",")
+    if ({line.count(",") for line in lines} != {4}
+            or len(text) > csv.field_size_limit() and max(map(len, cells)) > csv.field_size_limit()):
         return None
-    settings, outcomes, counts, shots, seeds = tuple(zip(*rows)) or ((),) * width
+    settings, outcomes, counts, shots, seeds = (cells[5 + k::5] for k in range(5))
     if not _OUTCOMES.issuperset(outcomes):
         return None
     try:
@@ -415,11 +420,11 @@ def _clean_tables(text: str) -> list[CountsTable] | None:
                         for by_outcome in grouped.values()]
     except KeyError:
         return None
-    # With no carriage return in a setting, no negative count and each
+    # With no carriage return left in the text, no negative count and each
     # table's counts summing to its shots, every rule of
     # `CountsTable.__post_init__` holds, so the records skip it.
-    if (sum(map(len, table_counts)) != len(rows) or min(values, default=0) < 0
-            or "\r" in "".join(settings) or list(map(sum, table_counts)) != [key[1] for key in grouped]):
+    if (sum(map(len, table_counts)) != len(values) or min(values, default=0) < 0
+            or list(map(sum, table_counts)) != [key[1] for key in grouped]):
         return None
     tables = []
     for (setting, shots, seed), tally in zip(grouped, table_counts):
