@@ -7,7 +7,8 @@ Three pipelines:
   an Agresti-Coull confidence interval transported through the same linear
   map; the tests' average operator is 1/3 + (2/3)|target><target| for every
   target, so `qsv_run` draws each state's pass count as one binomial from
-  its fidelity F with the target, at p_succ = (1 + 2F)/3, one seed per row;
+  its fidelity F with the target, at p_succ = (1 + 2F)/3, one seed per row,
+  and `qsv_interval` gives the estimate and interval of a pass count;
 * single-qubit tomography: the maximum-likelihood purity of (batch, 3, 2)
   count arrays, rows in `measure.AXES` order, which the pipelines estimate
   with `purity_from_counts`, (1 + r.r)/2 of the linear inversion r in real
@@ -51,41 +52,18 @@ from .qcore import EPS_EXACT, EPS_NUMERIC, _as_field_array, _dagger, _row_prefix
 _MAX_TESTS = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class QsvResult:
-    """Outcome of a verification run; the interval lives on the infidelity."""
-
-    total: int
-    passed: int
-    ci_low: float
-    ci_high: float
-
-    @property
-    def eps_hat(self) -> float:
-        return 1.5 * (1.0 - self.passed / self.total)
-
-    @property
-    def fidelity(self) -> float:
-        return 1.0 - self.eps_hat
-
-    @property
-    def error(self) -> float:
-        """Symmetrized half-width max(eps_hat - low, high - eps_hat)."""
-        return max(self.eps_hat - self.ci_low, self.ci_high - self.eps_hat)
-
-
-def qsv_run(fidelities, n_tests: int, seeds) -> list[QsvResult]:
+def qsv_run(fidelities, n_tests: int, seeds) -> list[int]:
     """Run `n_tests` verification tests on each state of a stack, given by
     its (n,) fidelities F = <t|rho|t> with its target t, one seed per row;
-    one result per row, each what its stack of one gives.
+    one pass count per row, a Python int, each what its stack of one gives.
 
     A round picks one of the three local tests XX, -YY and ZZ, rotated onto
     t, at random, so its average operator is 1/3 + (2/3)|t><t| and it passes
     with probability p = (1 + 2F)/3.  The pass count S is therefore drawn as
-    one Binomial(n_tests, p) from the row's seed, and maps onto the
-    infidelity estimate eps_hat = 1.5 (1 - S/N).  Each F must be finite and
-    in [0, 1] within EPS_NUMERIC, where it is clipped (a pure state's
-    fidelity may read 1 + 2e-16); an error names the first faulty row.
+    one Binomial(n_tests, p) from the row's seed, which `qsv_interval`
+    reads.  Each F must be finite and in [0, 1] within EPS_NUMERIC, where it
+    is clipped (a pure state's fidelity may read 1 + 2e-16); an error names
+    the first faulty row.
     `n_tests` is an integer in [1, 2**63 - 1].
     """
     if not (_is_integer(n_tests) and 1 <= n_tests <= _MAX_TESTS):
@@ -99,13 +77,19 @@ def qsv_run(fidelities, n_tests: int, seeds) -> list[QsvResult]:
                          f"got {float(fid[bad[0]])!r}")
     if len(seeds) != len(fid):
         raise ValueError(f"need one seed per row, got {len(seeds)} seeds for {len(fid)} rows")
-    results = []
-    for p, rng in zip(((1.0 + 2.0 * np.clip(fid, 0.0, 1.0)) / 3.0).tolist(), generators(seeds)):
-        passed = int(rng.binomial(n_tests, p))
-        eps_hat = 1.5 * (1.0 - passed / n_tests)
-        lo, hi = agresti_coull(passed, n_tests)
-        results.append(QsvResult(total=n_tests, passed=passed, ci_low=min(lo, eps_hat), ci_high=max(hi, eps_hat)))
-    return results
+    return [int(rng.binomial(n_tests, p))
+            for p, rng in zip(((1.0 + 2.0 * np.clip(fid, 0.0, 1.0)) / 3.0).tolist(), generators(seeds))]
+
+
+def qsv_interval(passed: int, total: int) -> tuple[float, float, float, float]:
+    """(eps_hat, error, eps_low, eps_high) of a verification run that passed
+    `passed` of `total` tests: the infidelity estimate eps_hat = 1.5 (1 -
+    S/N), the `agresti_coull` interval widened to hold it, and the
+    symmetrized half-width max(eps_hat - low, high - eps_hat)."""
+    low, high = agresti_coull(passed, total)
+    eps_hat = 1.5 * (1.0 - passed / total)
+    low, high = min(low, eps_hat), max(high, eps_hat)
+    return eps_hat, max(eps_hat - low, high - eps_hat), low, high
 
 
 # Every verification interval has 95% confidence: kappa is the 97.5% normal

@@ -12,28 +12,33 @@ model builds the masked states of all points as one (n, 4, 4) stack under
 depolarizing noise, checked by `measure.apply_depolarizing`, and keeps only
 what the draws and analytic mode read of it: the Born tables, fig3's
 fidelities of the masked probes with their noiseless images, fig4's probe
-vector and fig5's |psi^T psi| of its phase probes.  It is built and checked once per process for each value
-of the config fields it reads (`_fig3_model`, `_fig4_model`, `_fig5_model`), never for the seed, and its
-arrays are read-only, so a run that reads a cached model checks no state.  The seeded draws of a figure take one call each: one
-`sample_counts` call over all its Pauli tables, one `qsv_run` call over
-fig3's probes (one binomial pass count per probe, drawn from its fidelity)
-and one `poisson_resample` call per bootstrap, each row or item still drawn
-from its own sub-seed; the sub-seeds of each tag family ("fig3.tomo",
-"fig3.qsv", "fig3.boot", ...) come from one `measure.derive_seeds` call.
-A figure's point estimates ride in the estimator call of their bootstrap
-resamples (`estimate.bootstrap_std`), so fig3 makes one
-`purity_from_counts` call, fig4 one `decode_real_state` call and fig5 one
-concurrence call.  Sampled counts stay integer arrays from the draw to the
-estimate.
+vector and fig5's |psi^T psi| of its phase probes.  It is built and checked
+once per process for each value of the config fields it reads
+(`_fig3_model`, `_fig4_model`, `_fig5_model`), never for the seed, and its
+arrays are read-only, so a run that reads a cached model checks no state.
+The seeded draws of a figure take one call each: one `sample_counts` call
+over all its Pauli tables, one `qsv_run` call over fig3's probes (one
+binomial pass count per probe, drawn from its fidelity) and one
+`poisson_resample` call per bootstrap, each row or item still drawn from its
+own sub-seed; the sub-seeds of each tag family ("fig3.tomo", "fig3.qsv",
+"fig3.boot", ...) come from one `measure.derive_seeds` call.  A figure's
+point estimates ride in the estimator call of their bootstrap resamples
+(`estimate.bootstrap_std`), so fig3 makes one `purity_from_counts` call,
+fig4 one `decode_real_state` call and fig5 one concurrence call.  Sampled
+counts stay integer arrays from the draw to the estimate.
 
-Analytic mode is the same estimator read at one shot: `_estimated` runs a
-figure's estimator on its Born tables, counts scaled to one shot, with zero
-errors, or on its drawn counts with their bootstrap errors; it is the one
-place that chooses.  Only fig3's verification keeps its own analytic branch,
-for it draws pass counts, not count tables; both give each probe's
-infidelity and interval, and one comprehension builds fig3's rows.  fig5 at
-p = 0 reads the concurrence of each pure masked probe M psi as |psi^T psi|,
-which the masker's magic-basis identity proves (`masker.masker_matrix`).
+A figure draws counts, then estimates from them, and the two steps meet at
+plain counts.  `_counts` gives its count tables: in analytic mode the Born
+tables themselves, read as counts of one shot, else the drawn int64 counts.
+`_estimate` runs the figure's estimator on them, with zero errors in
+analytic mode or bootstrap errors; it reads only the counts, so counts read
+back from a file estimate as drawn ones do.  The two are the one place that
+chooses between the modes, apart from fig3's verification, which splits the
+same way: `estimate.qsv_run` draws each probe's pass count and
+`estimate.qsv_interval` gives its infidelity and interval, while analytic
+mode draws none and reads 1 - F with no width.  fig5 at p = 0 reads the
+concurrence of each pure masked probe M psi as |psi^T psi|, which the
+masker's magic-basis identity proves (`masker.masker_matrix`).
 
 A report states each fact of its run once, in its head: its name
 (`experiment`: "fig3", "fig4", "fig5" or "equiv", also the stem of its
@@ -163,30 +168,35 @@ def _head(config: ExperimentConfig, experiment: str, **sampling) -> dict:
             "analytic": config.analytic}
 
 
-def _estimated(quantity, probs: np.ndarray, config: ExperimentConfig, experiment: str, family: str,
-               keys: list[tuple], parts: tuple[tuple, ...] = ((),)) -> tuple[np.ndarray, np.ndarray]:
-    """`quantity` of each item of a stack of Born tables, and its spread.
-
-    `probs` holds item i's tables, (..., 3, 2) for qubits or (..., 9, 4)
-    for pairs, under its tags `keys[i]`, and `quantity` maps a stack of
-    count arrays to (m, ...) values.  In analytic mode the values are
-    `quantity(probs)`, the tables read as counts of one shot, and the
-    spread is zero.  Sampled, every row of `probs` is drawn with
+def _counts(probs: np.ndarray, config: ExperimentConfig, experiment: str, family: str,
+            keys: list[tuple], parts: tuple[tuple, ...] = ((),)) -> np.ndarray:
+    """The count tables of a stack of Born tables: `probs` holds item i's
+    tables, (..., 3, 2) for qubits or (..., 9, 4) for pairs, under its tags
+    `keys[i]`.  In analytic mode they are `probs` itself, the tables read as
+    counts of one shot.  Sampled, every row is drawn as int64 counts with
     `config.shots(experiment)` shots in one `sample_counts` call, from its
     own sub-seed tagged `family`, the item's key, the table's part (one per
-    table of an item) and the row's `measure.AXES` or `measure.PAIRS`
-    label; the values are those of the counts, and the spread their
-    bootstrap std, item i resampled from the sub-seed tagged
-    "<experiment>.boot" and `keys[i]`.
+    table of an item) and the row's `measure.AXES` or `measure.PAIRS` label.
     """
     if config.analytic:
-        values = np.asarray(quantity(probs))
-        return values, np.zeros_like(values)
+        return probs
     labels = measure.AXES if probs.shape[-2] == len(measure.AXES) else measure.PAIRS
     seeds = derive_seeds(config.seed, (family,),
                          [(*key, *part, label) for key in keys for part in parts for label in labels])
-    counts = measure.sample_counts(probs, config.shots(experiment),
-                                   np.array(seeds, dtype=object).reshape(probs.shape[:-1]))
+    return measure.sample_counts(probs, config.shots(experiment),
+                                 np.array(seeds, dtype=object).reshape(probs.shape[:-1]))
+
+
+def _estimate(quantity, counts: np.ndarray, config: ExperimentConfig, experiment: str,
+              keys: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """`quantity` of each item of a stack of count tables, which it maps to
+    (m, ...) values, and their spread: zero in analytic mode, else the
+    bootstrap std, item i resampled from the sub-seed tagged
+    "<experiment>.boot" and `keys[i]`.  It reads only the counts, so counts
+    from anywhere estimate as drawn ones do."""
+    if config.analytic:
+        values = np.asarray(quantity(counts))
+        return values, np.zeros_like(values)
     return estimate.bootstrap_std(quantity, counts, derive_seeds(config.seed, (f"{experiment}.boot",), keys),
                                   resamples=BOOTSTRAP_RESAMPLES)
 
@@ -226,9 +236,10 @@ def run_fig3(config: ExperimentConfig) -> dict:
     if config.analytic:
         verdicts = [(e, 0.0, e, e, None) for e in (1.0 - fidelities).tolist()]
     else:
-        qsvs = estimate.qsv_run(fidelities, config.qsv_tests, derive_seeds(config.seed, ("fig3.qsv",), keys))
-        verdicts = [(q.eps_hat, q.error, q.ci_low, q.ci_high, q.passed) for q in qsvs]
-    pur, std = _estimated(_purities, probs, config, "fig3", "fig3.tomo", keys, parts=(("path",), ("pol",)))
+        passes = estimate.qsv_run(fidelities, config.qsv_tests, derive_seeds(config.seed, ("fig3.qsv",), keys))
+        verdicts = [(*estimate.qsv_interval(passed, config.qsv_tests), passed) for passed in passes]
+    counts = _counts(probs, config, "fig3", "fig3.tomo", keys, parts=(("path",), ("pol",)))
+    pur, std = _estimate(_purities, counts, config, "fig3", keys)
     rows = [{"probe": idx, "target": PROBE_LABELS[idx],
              "fidelity": report_row(f"probe {idx} fidelity", 1.0 - eps, err, "ci95",
                                     eps_hat=eps, eps_low=low, eps_high=high, passed=passed),
@@ -264,7 +275,8 @@ def _decoded(tables: np.ndarray, a: np.ndarray) -> np.ndarray:
 def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
     probe = _probe_index(probe)
     a, probs = _fig4_model(config.noise_p, probe)
-    values, std = _estimated(lambda stack: _decoded(stack, a), probs[None], config, "fig4", "fig4", [(probe,)])
+    counts = _counts(probs[None], config, "fig4", "fig4", [(probe,)])
+    values, std = _estimate(lambda stack: _decoded(stack, a), counts, config, "fig4", [(probe,)])
     values = values[0]
     return {
         **_head(config, "fig4"),
@@ -299,7 +311,9 @@ def _fig5_model(noise_p: float, phis: tuple[float, ...]) -> tuple[np.ndarray, np
 def run_fig5(config: ExperimentConfig) -> dict:
     phis = config.phi_grid_deg
     pure, probs = _fig5_model(config.noise_p, tuple(phis))
-    est, std = _estimated(_concurrence, probs, config, "fig5", "fig5.tomo", [(i,) for i in range(len(phis))])
+    keys = [(i,) for i in range(len(phis))]
+    counts = _counts(probs, config, "fig5", "fig5.tomo", keys)
+    est, std = _estimate(_concurrence, counts, config, "fig5", keys)
     if config.analytic and config.noise_p == 0.0:  # the pure states need no square root of a rounded 1 - purity
         est = pure
     points = [report_row(f"phi = {phi} deg", float(est[i]), float(std[i]), "std",

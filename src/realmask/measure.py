@@ -193,8 +193,8 @@ class CountsTable:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.setting, str) or "\r" in self.setting:
-            raise ValueError(f"setting must be a string without a carriage return, got {self.setting!r}")
+        if not isinstance(self.setting, str) or "\r" in self.setting or "\0" in self.setting:
+            raise ValueError(f"setting must be a string without a carriage return or NUL, got {self.setting!r}")
         if len(self.counts) not in (2, 4):
             raise ValueError("counts must have 2 (single-qubit) or 4 (pair) entries")
         try:
@@ -408,10 +408,9 @@ def _clean_tables(text: str) -> list[CountsTable] | None:
         shot_of, seed_of = {t: int(t) for t in set(shots)}, {t: int(t) for t in set(seeds)}
     except ValueError:
         return None
-    keys = list(zip(settings, map(shot_of.__getitem__, shots), map(seed_of.__getitem__, seeds)))
     grouped: dict[tuple[str, int, int], dict[str, int]] = {}
-    for key, outcome, value in zip(keys, outcomes, values):
-        grouped.setdefault(key, {})[outcome] = value
+    for setting, shot, seed, outcome, value in zip(settings, shots, seeds, outcomes, values):
+        grouped.setdefault((setting, shot_of[shot], seed_of[seed]), {})[outcome] = value
     # Each table must hold exactly the pair or the single outcomes, once each:
     # a missing label raises KeyError, and a repeated or extra one leaves
     # fewer table counts than records.
@@ -420,7 +419,7 @@ def _clean_tables(text: str) -> list[CountsTable] | None:
                         for by_outcome in grouped.values()]
     except KeyError:
         return None
-    # With no carriage return left in the text, no negative count and each
+    # With no carriage return or NUL in the text, no negative count and each
     # table's counts summing to its shots, every rule of
     # `CountsTable.__post_init__` holds, so the records skip it.
     if (sum(map(len, table_counts)) != len(values) or min(values, default=0) < 0

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from realmask import measure, optics, walk
-from realmask.estimate import agresti_coull, decode_real_state, purity_from_counts, qsv_run
+from realmask.estimate import agresti_coull, decode_real_state, purity_from_counts, qsv_interval, qsv_run
 from realmask.experiments import ExperimentConfig, phase_probe, probe_vector, run_fig3
 from realmask.masker import hr_unitaries, mask_pure, masker_matrix
 from realmask.measure import (
@@ -164,7 +164,7 @@ def test_criterion_7_fig3_fidelities():
         rho = apply_depolarizing(density(target), 0.01)
         fidelity = np.vdot(target, rho @ target).real
         fids = [
-            qsv_run([fidelity], 5000, [derive_seed(SEED, "accept7", idx, s)])[0].fidelity
+            1.0 - qsv_interval(qsv_run([fidelity], 5000, [derive_seed(SEED, "accept7", idx, s)])[0], 5000)[0]
             for s in range(50)
         ]
         canonical.append(fids[0])

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from realmask import estimate, experiments
 from realmask.estimate import (
-    QsvResult,
     agresti_coull,
     bootstrap_std,
     correlation_matrix,
@@ -19,6 +18,7 @@ from realmask.estimate import (
     mle_qubit_batch,
     project_to_density,
     purity_from_counts,
+    qsv_interval,
     qsv_run,
 )
 from realmask.experiments import ExperimentConfig, probe_vector, run_fig4
@@ -232,8 +232,8 @@ def masked_fidelity(rho, a) -> float:
     return float(np.vdot(target, np.asarray(rho) @ target).real)
 
 
-def qsv_one(fidelity, n_tests: int, seed):
-    """`qsv_run` on a stack of one: one fidelity, one seed."""
+def qsv_one(fidelity, n_tests: int, seed) -> int:
+    """`qsv_run` on a stack of one: one fidelity, one seed, one pass count."""
     (out,) = qsv_run([fidelity], n_tests, [seed])
     return out
 
@@ -250,14 +250,13 @@ class TestQsvRun:
     def test_ideal_source_always_passes(self):
         for j in range(4):
             rho = density(magic_basis()[j])
-            out = qsv_one(masked_fidelity(rho, np.eye(4)[j]), 2000, derive_seed(1, "ideal", j))
-            assert out.passed == out.total
-            assert out.eps_hat == 0.0
+            assert qsv_one(masked_fidelity(rho, np.eye(4)[j]), 2000, derive_seed(1, "ideal", j)) == 2000
+        assert qsv_interval(2000, 2000)[0] == 0.0
 
     def test_maximally_mixed_concentrates_at_three_quarters(self):
-        out = qsv_one(masked_fidelity(np.eye(4) / 4, E0), 20_000, 2)
+        eps_hat = qsv_interval(qsv_one(masked_fidelity(np.eye(4) / 4, E0), 20_000, 2), 20_000)[0]
         # pass rate 1/2 per rank-two test -> eps_hat near 0.75
-        assert abs(out.eps_hat - 0.75) < 0.03
+        assert abs(eps_hat - 0.75) < 0.03
 
     # True and 2.5 used to end in numpy's "expected a sequence of integers or a single integer".
     @pytest.mark.parametrize("n_tests", [True, 2.5, 2.0, "3", None, 0, -1, 2**63, 10**30])
@@ -273,16 +272,16 @@ class TestQsvRun:
     def test_draws_the_largest_test_counts_at_once(self, n_tests):
         # Per-test draws would need exabytes here; one binomial takes microseconds.
         start = time.perf_counter()
-        out = qsv_one(0.99, n_tests, 7)
+        passed = qsv_one(0.99, n_tests, 7)
         assert time.perf_counter() - start < 1.0
-        assert type(out.passed) is int and out.passed == binomial_passed(0.99, n_tests, 7)
-        assert out.total == n_tests and 0.0 < out.ci_low <= out.eps_hat <= out.ci_high < 0.02
+        assert type(passed) is int and passed == binomial_passed(0.99, n_tests, 7)
+        eps_hat, _error, low, high = qsv_interval(passed, n_tests)
+        assert 0.0 < low <= eps_hat <= high < 0.02
 
     def test_real_coefficient_target(self, rng):
         a = rng.normal(size=4)
         a /= np.linalg.norm(a)
-        out = qsv_one(masked_fidelity(density(masker_matrix() @ a), a), 1000, 4)
-        assert out.passed == 1000
+        assert qsv_one(masked_fidelity(density(masker_matrix() @ a), a), 1000, 4) == 1000
 
     def test_nested_lists_match_arrays(self):
         fids = [0.9, 0.5, 1.0]
@@ -294,20 +293,20 @@ class TestQsvRun:
             f = masked_fidelity(apply_depolarizing(density(masker_matrix() @ a), 0.01), a)
             for n_tests in (1, 5000, 100_000, 10**18):
                 seed = derive_seed(20404, "fig3.qsv", idx)
-                assert qsv_one(f, n_tests, seed).passed == binomial_passed(f, n_tests, seed)
+                assert qsv_one(f, n_tests, seed) == binomial_passed(f, n_tests, seed)
 
     def test_passed_is_one_binomial_draw_for_random_states(self, rng):
         for i in range(200):
             a = rng.normal(size=4)
             a /= np.linalg.norm(a)
             f = masked_fidelity(random_density(4, rng), a)
-            assert qsv_one(f, 2000, i).passed == binomial_passed(f, 2000, i)
+            assert qsv_one(f, 2000, i) == binomial_passed(f, 2000, i)
 
     @pytest.mark.parametrize("f, p", [(1.0 + 2.2e-16, 1.0), (1.0 + 1e-10, 1.0), (-1e-10, 1 / 3), (-0.0, 1 / 3)])
     def test_round_off_outside_the_unit_interval_is_clipped(self, f, p):
         # numpy's binomial refuses p = 1.0000000000000002, which a noiseless
         # masked probe's fidelity gives.
-        assert qsv_one(f, 5000, 9).passed == int(generator(9).binomial(5000, p))
+        assert qsv_one(f, 5000, 9) == int(generator(9).binomial(5000, p))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0 + 1e-9, -1e-9, 1.5, -0.5])
     def test_rejects_a_fidelity_outside_the_unit_interval(self, bad):
@@ -323,11 +322,11 @@ class TestQsvRun:
     def test_experiment_scale_arithmetic(self):
         # S = 4986 of N = 5000 maps to eps_hat = 0.0042, fidelity 0.9958.
         lo, hi = agresti_coull(4986, 5000)
-        res = QsvResult(total=5000, passed=4986, ci_low=lo, ci_high=hi)
-        assert res.eps_hat == pytest.approx(0.0042, abs=1e-12)
-        assert res.fidelity == pytest.approx(0.9958, abs=1e-12)
-        assert lo <= res.eps_hat <= hi
-        assert res.error == max(res.eps_hat - lo, hi - res.eps_hat)
+        eps_hat, error, low, high = qsv_interval(4986, 5000)
+        assert eps_hat == pytest.approx(0.0042, abs=1e-12)
+        assert 1.0 - eps_hat == pytest.approx(0.9958, abs=1e-12)
+        assert (low, high) == (lo, hi) and lo <= eps_hat <= hi
+        assert error == max(eps_hat - lo, hi - eps_hat)
 
     def test_unbiased_over_many_runs(self):
         # E[eps_hat] = eps within 2 standard errors at N = 5000.
@@ -336,8 +335,7 @@ class TestQsvRun:
             f = masked_fidelity(apply_depolarizing(density(BELL_PHI), eps / 0.75), E0)
             estimates = np.empty(runs)
             for i in range(runs):
-                out = qsv_one(f, n, derive_seed(10, "bias", eps, i))
-                estimates[i] = out.eps_hat
+                estimates[i] = qsv_interval(qsv_one(f, n, derive_seed(10, "bias", eps, i)), n)[0]
             p_succ = 1 - 2 * eps / 3
             se = 1.5 * np.sqrt(p_succ * (1 - p_succ) / n) / np.sqrt(runs)
             assert abs(estimates.mean() - eps) <= max(2 * se, 1e-12)
@@ -360,7 +358,7 @@ class TestQsvStack:
     def test_probe_stack_draws_one_binomial_per_probe(self):
         _probs, fids = experiments._fig3_model(0.01)
         keys = [derive_seed(20404, "fig3.qsv", idx) for idx in (1, 2, 3, 4)]
-        got = [out.passed for out in qsv_run(fids, 5000, keys)]
+        got = qsv_run(fids, 5000, keys)
         assert got == [binomial_passed(f, 5000, k) for f, k in zip(fids.tolist(), keys)]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0 + 1e-9, -1e-9])
@@ -385,6 +383,25 @@ class TestQsvStack:
         before = fids.copy()
         assert qsv_run(fids, 100, [1, 2, 3, 4]) == qsv_run(fids.tolist(), 100, [1, 2, 3, 4])
         assert np.array_equal(fids, before)
+
+
+class TestQsvInterval:
+    """`qsv_interval` reads a pass count as fig3 reports it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**18), st.data())
+    def test_the_interval_holds_the_estimate_and_its_error_is_the_wider_side(self, total, data):
+        passed = data.draw(st.integers(0, total))
+        eps_hat, error, low, high = qsv_interval(passed, total)
+        lo, hi = agresti_coull(passed, total)
+        assert eps_hat == 1.5 * (1.0 - passed / total)
+        assert 0.0 <= low <= min(lo, eps_hat) and max(hi, eps_hat) <= high <= 1.5
+        assert error == max(eps_hat - low, high - eps_hat)
+
+    @pytest.mark.parametrize("passed, total", [(1.5, 3), (True, 3), (5, 4), (0, 0)])
+    def test_rejects_bad_counts_as_agresti_coull_does(self, passed, total):
+        with pytest.raises(ValueError, match=r"^need integers 0 <= passed <= total with total >= 1, got "):
+            qsv_interval(passed, total)
 
 
 class TestAgrestiCoull:
@@ -438,8 +455,7 @@ class TestAgrestiCoull:
     @pytest.mark.parametrize("passed, total", [(4986, 5000), (0, 5), (5, 5), (3, 10**18)])
     def test_endpoints_are_plain_floats(self, passed, total):
         assert [type(x) for x in agresti_coull(passed, total)] == [float, float]
-        out = qsv_run([1.0 - passed / total], total, [7])[0]
-        assert type(out.ci_low) is float and type(out.ci_high) is float
+        assert [type(x) for x in qsv_interval(passed, total)] == [float] * 4
 
 
 class TestTomography:

@@ -76,10 +76,13 @@ def oracle_fig3(config):
             pur_a, pur_b = (purity(partial_trace(rho, k)) for k in ("A", "B"))
             std = 0.0
         else:
-            (qsv,) = estimate.qsv_run([fidelity], config.qsv_tests, [derive_seed(config.seed, "fig3.qsv", idx)])
-            fid = oracle_row(f"probe {idx} fidelity", qsv.fidelity, qsv.error, "ci95",
-                             eps_hat=qsv.eps_hat, eps_low=qsv.ci_low,
-                             eps_high=qsv.ci_high, passed=qsv.passed)
+            total = config.qsv_tests
+            (passed,) = estimate.qsv_run([fidelity], total, [derive_seed(config.seed, "fig3.qsv", idx)])
+            eps = 1.5 * (1.0 - passed / total)
+            low, high = estimate.agresti_coull(passed, total)
+            low, high = min(low, eps), max(high, eps)
+            fid = oracle_row(f"probe {idx} fidelity", 1.0 - eps, max(eps - low, high - eps), "ci95",
+                             eps_hat=eps, eps_low=low, eps_high=high, passed=passed)
             counts = np.array([
                 oracle_pauli_counts(partial_trace(rho, k), shots, config.seed, "fig3.tomo", idx, tag)
                 for k, tag in (("A", "path"), ("B", "pol"))
@@ -375,6 +378,59 @@ def test_model_arrays_refuse_writes():
         assert arr.size and not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 0.0
+
+
+def count_tables(counts, config, experiment, family, keys, parts=((),)):
+    """A figure's count stack as `CountsTable`s, one per row in the order
+    `_counts` draws them: setting the row's axis or pair label, seed its
+    sub-seed."""
+    labels = measure.AXES if counts.shape[-2] == len(measure.AXES) else measure.PAIRS
+    tags = [(*key, *part, label) for key in keys for part in parts for label in labels]
+    return [measure.CountsTable(tag[-1], tuple(row), config.shots(experiment), derive_seed(config.seed, family, *tag))
+            for tag, row in zip(tags, counts.reshape(len(tags), -1).tolist())]
+
+
+@pytest.mark.parametrize("seed", [1, 9173])
+@pytest.mark.parametrize("run", [run_fig3, run_fig4, run_fig5])
+def test_counts_read_back_from_csv_estimate_to_the_reports_bytes(run, seed, monkeypatch):
+    """The seam end to end: a figure's drawn counts, int64 rows that sum to
+    the shots, are written through `tables_to_csv` and read back with
+    `tables_from_csv`; `_estimate` reads them in place of the drawn ones
+    and gives the report's bytes."""
+    config = ExperimentConfig(seed=seed)
+    want = run(config)
+    drawn, read = experiments._counts, []
+
+    def read_back(probs, config, experiment, family, keys, parts=((),)):
+        counts = drawn(probs, config, experiment, family, keys, parts)
+        assert counts.dtype == np.int64 and (counts.sum(axis=-1) == config.shots(experiment)).all()
+        text = measure.tables_to_csv(count_tables(counts, config, experiment, family, keys, parts))
+        read.append(np.array([table.counts for table in measure.tables_from_csv(text)]).reshape(counts.shape))
+        assert read[-1] is not counts and np.array_equal(read[-1], counts)
+        return read[-1]
+
+    monkeypatch.setattr(experiments, "_counts", read_back)
+    got = run(config)
+    assert len(read) == 1
+    assert (report_json(got), report_csv(got)) == (report_json(want), report_csv(want))
+
+
+@pytest.mark.parametrize("run", [run_fig3, run_fig4, run_fig5])
+def test_analytic_counts_are_the_models_born_tables(run, monkeypatch):
+    config = ExperimentConfig(analytic=True)
+    model = {run_fig3: experiments._fig3_model(config.noise_p)[0],
+             run_fig4: experiments._fig4_model(config.noise_p, 4)[1],
+             run_fig5: experiments._fig5_model(config.noise_p, config.phi_grid_deg)[1]}[run]
+    drawn, calls = experiments._counts, []
+
+    def recorded(probs, *args, **kwargs):
+        calls.append((probs, drawn(probs, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(experiments, "_counts", recorded)
+    run(config)
+    ((probs, counts),) = calls
+    assert counts is probs and np.shares_memory(counts, model) and not counts.flags.writeable
 
 
 def figure_reports(config):
