@@ -16,7 +16,8 @@ integer count array.  Poisson fluctuation enters only through the resampling
 step used for error bars (one draw over a count array per estimate),
 mirroring the analysis pipeline rather than a physical source model.  The
 pipelines carry bare count arrays; `CountsTable` is the labelled record that
-the CSV reader and writer exchange.
+the CSV reader and writer exchange, an immutable named tuple (setting, counts,
+shots, seed) whose constructor and `_replace` apply every rule of a table.
 
 Reproducibility: all randomness flows through numpy's counter-based Philox
 generator keyed by a 64-bit sub-seed, SHA-256 over the length-prefixed `str`
@@ -48,10 +49,9 @@ import hashlib
 import io
 import math
 import threading
-from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -182,34 +182,52 @@ def _rekeyed(rng: np.random.Generator, bit_generator: np.random.Philox, seed: in
     return rng
 
 
-@dataclass(frozen=True)
-class CountsTable:
-    """Outcome counts for one measurement setting, with seed provenance: one
-    CSV record of `tables_to_csv` / `tables_from_csv`."""
-
+# A NamedTuple class may not define `__new__`, so the checks sit in a subclass.
+class _CountsTableFields(NamedTuple):
     setting: str
     counts: tuple[int, ...]
     shots: int
     seed: int
 
-    def __post_init__(self):
-        if not isinstance(self.setting, str) or "\r" in self.setting or "\0" in self.setting:
-            raise ValueError(f"setting must be a string without a carriage return or NUL, got {self.setting!r}")
-        if len(self.counts) not in (2, 4):
+
+class CountsTable(_CountsTableFields):
+    """Outcome counts for one measurement setting, with seed provenance: one
+    CSV record of `tables_to_csv` / `tables_from_csv`.
+
+    An immutable named tuple (setting, counts, shots, seed): it unpacks,
+    indexes and equals the plain tuple of its fields.  The constructor
+    checks every field and stores the counts as a tuple of Python ints;
+    pickle at every protocol, `copy`, `_make`, and `_replace`, which builds
+    through `_make`, all call it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, setting: str, counts, shots: int, seed: int):
+        if not isinstance(setting, str) or "\r" in setting or "\0" in setting:
+            raise ValueError(f"setting must be a string without a carriage return or NUL, got {setting!r}")
+        if len(counts) not in (2, 4):
             raise ValueError("counts must have 2 (single-qubit) or 4 (pair) entries")
         try:
-            ints = tuple(map(int, self.counts))
+            ints = tuple(map(int, counts))
         except (TypeError, ValueError, OverflowError):
             ints = None
-        if ints != tuple(self.counts):
-            raise ValueError(f"counts must be whole numbers, got {tuple(self.counts)}")
+        if ints != tuple(counts):
+            raise ValueError(f"counts must be whole numbers, got {tuple(counts)}")
         if min(ints) < 0:
             raise ValueError("counts must be nonnegative")
-        if not (_is_integer(self.shots) and _is_integer(self.seed)):
-            raise ValueError(f"shots and seed must be integers, got {self.shots!r}, {self.seed!r}")
-        if sum(ints) != self.shots:
-            raise ValueError(f"counts sum {sum(ints)} != shots {self.shots}")
-        object.__setattr__(self, "counts", ints)
+        if not (_is_integer(shots) and _is_integer(seed)):
+            raise ValueError(f"shots and seed must be integers, got {shots!r}, {seed!r}")
+        if sum(ints) != shots:
+            raise ValueError(f"counts sum {sum(ints)} != shots {shots}")
+        return tuple.__new__(cls, (setting, ints, shots, seed))
+
+    @classmethod
+    def _make(cls, iterable) -> CountsTable:
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return CountsTable, tuple(self)
 
     def outcome_labels(self) -> tuple[str, ...]:
         return OUTCOMES_PAIR if len(self.counts) == 4 else OUTCOMES_SINGLE
@@ -420,17 +438,14 @@ def _clean_tables(text: str) -> list[CountsTable] | None:
     except KeyError:
         return None
     # With no carriage return or NUL in the text, no negative count and each
-    # table's counts summing to its shots, every rule of
-    # `CountsTable.__post_init__` holds, so the records skip it.
+    # table's counts summing to its shots, every rule of the `CountsTable`
+    # constructor holds, so the tables skip it.
     if (sum(map(len, table_counts)) != len(values) or min(values, default=0) < 0
             or list(map(sum, table_counts)) != [key[1] for key in grouped]):
         return None
-    tables = []
-    for (setting, shots, seed), tally in zip(grouped, table_counts):
-        table = object.__new__(CountsTable)
-        table.__dict__.update(setting=setting, counts=tally, shots=shots, seed=seed)
-        tables.append(table)
-    return tables
+    new = tuple.__new__
+    return [new(CountsTable, (setting, tally, shots, seed))
+            for (setting, shots, seed), tally in zip(grouped, table_counts)]
 
 
 def _read_records(text: str) -> list[CountsTable]:

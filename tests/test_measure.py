@@ -1,5 +1,7 @@
+import copy
 import csv
 import io
+import pickle
 import re
 import sys
 import threading
@@ -349,6 +351,11 @@ class TestPoissonResample:
         assert out.shape == (2, 2) and not out[:, 1].any()
 
 
+# Every way to copy a table: `copy` and a pickle round trip at each protocol.
+CLONES = [copy.copy, copy.deepcopy,
+          *(lambda t, p=p: pickle.loads(pickle.dumps(t, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1))]
+
+
 class TestCountsTable:
     def test_sum_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -452,6 +459,63 @@ class TestCountsTable:
         text = "setting,outcome,count,shots,seed\nZ,+,3,5,9\nZ,-,1,5,9\n"
         with pytest.raises(ValueError, match="^table for setting Z, shots 5, seed 9: counts sum 4 != shots 5$"):
             tables_from_csv(text)
+
+    def test_a_table_is_the_tuple_of_its_fields(self):
+        table = CountsTable("Z", [np.int64(1), 2.0], 3, 0)
+        setting, counts, shots, seed = table
+        assert (setting, counts, shots, seed) == ("Z", (1, 2), 3, 0) == table
+        assert len(table) == 4 and table[1] is table.counts
+        assert not hasattr(table, "__dict__")
+        with pytest.raises(AttributeError):
+            table.shots = 4
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"counts": (-1, 4)}, "counts must be nonnegative"),
+        ({"shots": 4}, "counts sum 3 != shots 4"),
+        ({"counts": (1.5, 1.5)}, "counts must be whole numbers"),
+        ({"setting": "Z\r"}, "setting must be a string without a carriage return or NUL"),
+    ])
+    def test_replace_and_make_apply_the_constructors_rules(self, changes, message):
+        table = CountsTable("Z", (1, 2), 3, 0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            table._replace(**changes)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CountsTable._make({**table._asdict(), **changes}.values())
+
+    def test_replace_normalizes_counts_like_the_constructor(self):
+        table = CountsTable("Z", (1, 2), 3, 0)._replace(counts=(np.int64(2), 1.0))
+        assert type(table) is CountsTable and table == ("Z", (2, 1), 3, 0)
+        assert all(type(c) is int for c in table.counts)
+
+    @pytest.mark.parametrize("clone", CLONES)
+    def test_copies_and_pickles_are_equal_tables(self, clone):
+        for table in (CountsTable("XX", (10, 20, 30, 40), 100, 42), CountsTable("Z", (7, 3), 10, -2**70)):
+            again = clone(table)
+            assert type(again) is CountsTable and again == table
+
+    @pytest.mark.parametrize("clone", CLONES)
+    def test_copies_and_pickles_apply_the_constructors_rules(self, clone):
+        # A table that skipped the constructor, as the columnar pass builds
+        # them, is checked again when copied or read back from a pickle.
+        forged = tuple.__new__(CountsTable, ("Z", (1, 2), 4, 0))
+        with pytest.raises(ValueError, match="counts sum 3 != shots 4"):
+            clone(forged)
+
+    @pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
+    def test_both_readers_build_tables_of_python_values(self, quoting):
+        tables = [CountsTable("XX", (10, 20, 30, 40), 100, 42), CountsTable("Z", (7, 3), 10, 2**70)]
+        buf = io.StringIO()
+        csv.writer(buf, quoting=quoting, lineterminator="\n").writerows(
+            csv.reader(io.StringIO(tables_to_csv(tables))))
+        text = buf.getvalue()
+        columnar = _clean_tables(text)
+        assert (columnar is None) == (quoting == csv.QUOTE_ALL)
+        for read in filter(None, (columnar, _read_records(text), tables_from_csv(text))):
+            assert read == tables
+            for table in read:
+                assert type(table) is CountsTable and type(table.setting) is str
+                assert type(table.shots) is int and type(table.seed) is int
+                assert type(table.counts) is tuple and all(type(c) is int for c in table.counts)
 
 
 def read(reader, text: str):
