@@ -366,9 +366,9 @@ def decode_real_state(t, input_state=None) -> DecodeResult:
     through the constant `_decode_map`, every entry of rho a signed sum of
     quarters of 1 and the T_jk, then projects onto the density matrices in
     real arithmetic: rho has no imaginary part by construction.  With a pure
-    (4,) `input_state`, checked by `qcore.checked_state`, the result also
-    carries each item's fidelity with it, in real arithmetic when the state
-    is real.
+    (4,) `input_state`, or a (..., 4) stack of one per item, checked by
+    `qcore.checked_state`, the result also carries each item's fidelity
+    with it, in real arithmetic when the state is real.
     """
     t = validate_correlation_matrix(t)
     ones = np.ones(t.shape[:-2] + (1,))

@@ -8,9 +8,9 @@ concurrence errors are bootstrap standard deviations, and each report row says
 which via its error_kind field.
 
 Each figure splits into a seed-independent model and its seeded draws.  The
-model builds the masked states of all points as one (n, 4, 4) stack under
-depolarizing noise, checked by `measure.apply_depolarizing`, and keeps only
-what the draws and analytic mode read of it: the Born tables, fig3's
+model masks all its probes (`masker.mask_pure`) into one (n, 4, 4) stack
+under depolarizing noise, checked by `measure.apply_depolarizing`, and keeps
+only what the draws and analytic mode read of it: the Born tables, fig3's
 fidelities of the masked probes with their noiseless images, fig4's probe
 vector and fig5's |psi^T psi| of its phase probes.  It is built and checked
 once per process for each value of the config fields it reads
@@ -68,9 +68,9 @@ from pathlib import Path
 import numpy as np
 
 from . import estimate, measure, optics, walk
-from .masker import masker_matrix
-from .measure import _is_integer, derive_seed, derive_seeds, generators
-from .qcore import concurrence_from_purity, partial_trace
+from .masker import mask_pure
+from .measure import _is_integer, _master_seed, derive_seed, derive_seeds, generators
+from .qcore import concurrence_from_purity, fidelity_with_pure, partial_trace
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
@@ -143,12 +143,13 @@ def _masked_states(probes: np.ndarray, noise_p: float) -> tuple[np.ndarray, np.n
     (n, 4, 4) densities under depolarizing noise, checked once by
     `measure.apply_depolarizing`; at p = 0 the pure densities (their
     Hermitian part), with no repair."""
-    vecs = (masker_matrix() @ probes[..., None])[..., 0]
+    vecs = mask_pure(probes)
     return vecs, measure.apply_depolarizing(vecs[:, :, None] * vecs[:, None, :].conj(), noise_p)
 
 
 # Models kept per figure: a few KB each, bounded so that a loop over noise
-# levels or phase grids cannot grow without limit.
+# levels or phase grids cannot grow without limit.  The caches are typed, so
+# a refused noise_p=True never reads the model built for an equal 1.
 _MODELS_KEPT = 8
 
 
@@ -161,10 +162,12 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def _head(config: ExperimentConfig, experiment: str, **sampling) -> dict:
     """A figure report's head: its name, seed and noise, then the facts of its
     draws (`sampling`, `shots_per_setting` and `resamples`), each None in
-    analytic mode, which draws nothing, and `analytic`."""
+    analytic mode, which draws nothing, and `analytic`.  Numbers are written
+    as Python ints and floats, and the seed is refused as the draws refuse it,
+    also in analytic mode; the draws have already checked the counts."""
     drawn = {**sampling, "shots_per_setting": config.shots(experiment), "resamples": BOOTSTRAP_RESAMPLES}
-    return {"experiment": experiment, "seed": config.seed, "noise_p": config.noise_p,
-            **{key: None if config.analytic else value for key, value in drawn.items()},
+    return {"experiment": experiment, "seed": _master_seed(config.seed), "noise_p": float(config.noise_p),
+            **{key: None if config.analytic else int(value) for key, value in drawn.items()},
             "analytic": config.analytic}
 
 
@@ -215,7 +218,7 @@ def _purities(counts: np.ndarray) -> np.ndarray:
     return np.column_stack([pur, pur.mean(axis=1)])
 
 
-@lru_cache(maxsize=_MODELS_KEPT)
+@lru_cache(maxsize=_MODELS_KEPT, typed=True)
 def _fig3_model(noise_p: float) -> tuple[np.ndarray, np.ndarray]:
     """fig3's seed-independent arrays at `noise_p`, read-only: the (probe,
     qubit, 3, 2) Born table of each masked probe's path (A) and polarization
@@ -225,8 +228,7 @@ def _fig3_model(noise_p: float) -> tuple[np.ndarray, np.ndarray]:
     probes = np.array([probe_vector(idx) for idx in PROBES])
     ideal, rho = _masked_states(probes, noise_p)
     reduced = np.stack([partial_trace(rho, k) for k in ("A", "B")], axis=1)
-    fidelities = np.einsum("ni,nij,nj->n", ideal.conj(), rho, ideal).real
-    return _read_only(measure.axis_probs(reduced), fidelities)
+    return _read_only(measure.axis_probs(reduced), fidelity_with_pure(rho, ideal))
 
 
 def run_fig3(config: ExperimentConfig) -> dict:
@@ -253,7 +255,7 @@ def run_fig3(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # fig4: correlation decoding of the masked fourth probe.
 
-@lru_cache(maxsize=_MODELS_KEPT)
+@lru_cache(maxsize=_MODELS_KEPT, typed=True)
 def _fig4_model(noise_p: float, probe: int) -> tuple[np.ndarray, np.ndarray]:
     """fig4's seed-independent arrays, read-only: the probe vector and the
     (9, 4) Born table of its masked state at `noise_p`."""
@@ -297,7 +299,7 @@ def _concurrence(counts: np.ndarray) -> np.ndarray:
     return concurrence_from_purity(estimate.purity_from_counts(counts))
 
 
-@lru_cache(maxsize=_MODELS_KEPT)
+@lru_cache(maxsize=_MODELS_KEPT, typed=True)
 def _fig5_model(noise_p: float, phis: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """fig5's seed-independent arrays, read-only: |psi^T psi| of each phase
     probe psi at `phis` (degrees), the concurrence of its noiseless masked
@@ -318,7 +320,7 @@ def run_fig5(config: ExperimentConfig) -> dict:
         est = pure
     points = [report_row(f"phi = {phi} deg", float(est[i]), float(std[i]), "std",
                          phi_deg=phi, theory_cos=math.cos(math.radians(phi)))
-              for i, phi in enumerate(phis)]
+              for i, phi in enumerate(map(float, phis))]
     return {**_head(config, "fig5"), "points": points}
 
 
@@ -339,12 +341,13 @@ def _fixed_gaps() -> tuple[tuple[str, float], ...]:
     """Gaps of the parts a basis fixes, checked once: the walk's and the table's 4x4 maps against
     the masker (times `optics.MASKING_PHASE`), the preparation at the basis targets (the solver's
     degenerate branches) and each Pauli pair's detector probabilities, a Hermitian form, on 16 states."""
-    m, eye, (j, k) = masker_matrix(), np.eye(4), np.triu_indices(4, 1)
+    eye, (j, k) = np.eye(4), np.triu_indices(4, 1)
+    masked = mask_pure(eye)
     states = np.concatenate([eye, (eye[j] + eye[k]) / np.sqrt(2), (eye[j] + 1j * eye[k]) / np.sqrt(2)])
     want = measure.pair_probs(states[:, :, None] * states[:, None, :].conj())[..., optics.SPCM_OUTCOMES]
     got = [optics.simulate_measurement(states, optics.pauli_meas_setting(*pair)) for pair in measure.PAIRS]
-    return (("masker_walk", float(np.abs(walk.run_masking_walk(eye).T - m).max())),
-            ("masker_optics", float(np.abs(optics.simulate_masking(eye).T - optics.MASKING_PHASE * m).max())),
+    return (("masker_walk", float(np.abs(walk.run_masking_walk(eye) - masked).max())),
+            ("masker_optics", float(np.abs(optics.simulate_masking(eye) - optics.MASKING_PHASE * masked).max())),
             ("preparation", _preparation_gap(eye)),
             ("measurement", float(np.abs(np.stack(got, axis=1) - want).max())))
 
@@ -363,7 +366,7 @@ def run_equivalence(config: ExperimentConfig, n_inputs: int = 100) -> dict:
     max_gap = max(gaps.values())
     return {
         "experiment": "equiv",
-        "seed": config.seed,
+        "seed": _master_seed(config.seed),
         "n_inputs": n_inputs,
         "threshold": EQUIV_THRESHOLD,
         "max_gap": max_gap,

@@ -65,8 +65,8 @@ def masker_matrix() -> np.ndarray:
 
 
 def mask_pure(psi) -> np.ndarray:
-    """The (4,) amplitudes of the masked pure ququart state."""
+    """The masked amplitudes M psi of each row of a (..., 4) stack of pure ququart states."""
     vec = checked_state(psi)
-    if vec.shape != (4,):
-        raise ValueError("mask_pure expects a 4-dimensional state")
-    return masker_matrix() @ vec
+    if vec.shape[-1:] != (4,):
+        raise ValueError("mask_pure expects 4-dimensional states")
+    return (masker_matrix() @ vec[..., None])[..., 0]

@@ -55,7 +55,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .qcore import PAULIS, _as_complex_array, _row_prefix, checked_density, kron
+from .qcore import PAULIS, _as_field_array, _row_prefix, checked_density, kron
 
 # The Pauli measurement convention every pipeline shares: axis and pair
 # labels, outcome labels, and the eigenprojectors the probability tables read.
@@ -93,10 +93,8 @@ def derive_seeds(master_seed: int, prefix: Sequence, suffixes: Iterable[Sequence
     """`derive_seed(master_seed, *prefix, *suffix)` for each suffix, in order:
     the master seed and the shared prefix are hashed once, and each suffix
     extends a copy of that hash, so the bytes hashed are the same."""
-    if not _is_integer(master_seed):
-        raise ValueError(f"master seed must be an integer, got {master_seed!r}")
     head = hashlib.sha256()
-    _hash_parts(head, (int(master_seed), *prefix))
+    _hash_parts(head, (_master_seed(master_seed), *prefix))
     seeds = []
     for suffix in suffixes:
         h = head.copy()
@@ -115,6 +113,13 @@ def _hash_parts(h, parts) -> None:
 def _is_integer(value) -> bool:
     """A Python int (a bool is not one) or a numpy integer."""
     return type(value) is int or isinstance(value, np.integer)
+
+
+def _master_seed(value) -> int:
+    """A master seed as a Python int; a bool or a non-integer is refused."""
+    if not _is_integer(value):
+        raise ValueError(f"master seed must be an integer, got {value!r}")
+    return int(value)
 
 
 def _is_seed(value) -> bool:
@@ -236,7 +241,7 @@ class CountsTable(_CountsTableFields):
 def _projector_probs(rho, projectors: np.ndarray) -> np.ndarray:
     """tr(rho P) for every projector P of a (*k, d, d) stack and every matrix
     of a (..., d, d) stack of states: shape (..., *k)."""
-    arr = _as_complex_array(rho, "density matrix")
+    arr = _as_field_array(rho, "density matrix")
     d = projectors.shape[-1]
     if arr.shape[-2:] != (d, d):
         raise ValueError(f"expected {d}x{d} density matrices, got shape {arr.shape}")
@@ -316,10 +321,13 @@ def correlators(counts) -> np.ndarray:
 
 
 def apply_depolarizing(rho, p: float) -> np.ndarray:
-    """(1-p) rho + p 1/d, checked, for one matrix or each of a (..., d, d) stack."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p = {p} outside [0, 1]")
-    arr = _as_complex_array(rho, "density matrix")
+    """(1-p) rho + p 1/d, checked, for one matrix or each of a (..., d, d)
+    stack, in the stack's field; `p` is a number in [0, 1], not a bool, and
+    enters as a Python float."""
+    if isinstance(p, (bool, np.bool_)) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be a number in [0, 1], got {p!r}")
+    p = float(p)
+    arr = _as_field_array(rho, "density matrix")
     d = arr.shape[-1]
     return checked_density((1.0 - p) * arr + p * np.eye(d) / d)
 

@@ -1,16 +1,16 @@
 """Exact complex linear algebra and quantum-state utilities.
 
-One array convention: states are plain complex arrays, (d,) amplitudes for a
-pure state and (d, d) density matrices, and every function returns plain
-checked arrays, for one state as for a (..., d) or (..., d, d) stack.  This
-module owns the two state rules, and the library applies each once per stack:
-`checked_state` (finite, unit norm) for amplitudes and `checked_density`
-(finite, Hermitian, unit trace, positive) for density matrices.  Both only
-check: what they accept comes back unaltered, apart from the Hermitian part
-that `checked_density` takes.  `fidelity_with_pure` works in the field of
-its inputs, so real states stay in real arithmetic.  All protocol
-dimensions are at most 16, so dense double-precision algebra is exact to
-~1e-12 with comfortable headroom.
+One array convention: states are plain arrays, (d,) amplitudes for a pure
+state and (d, d) density matrices, and every function takes one state or a
+(..., d) or (..., d, d) stack alike and returns plain checked arrays.  Arrays
+keep their field: a real input is a float64 array and stays in real
+arithmetic, anything else is complex.  This module owns the two state rules,
+and the library applies each once per stack: `checked_state` (finite, unit
+norm) for amplitudes and `checked_density` (finite, Hermitian, unit trace,
+positive) for density matrices.  Both only check: what they accept comes
+back unaltered, apart from the Hermitian part that `checked_density` takes.
+All protocol dimensions are at most 16, so dense double-precision algebra is
+exact to ~1e-12 with comfortable headroom.
 
 Tolerance policy: EPS_EXACT guards analytic identities (isometries, trace
 preservation); EPS_NUMERIC guards `checked_density`'s eigenvalue floor and
@@ -40,15 +40,14 @@ class DimensionError(ValueError):
     """Operand dimensions do not match or do not factor as required."""
 
 
-def _as_complex_array(values, what: str) -> np.ndarray:
-    return _finite(np.asarray(values, dtype=complex), what)
+def _in_field(values) -> np.ndarray:
+    """`values` as float64 when every entry is a real number, else as complex."""
+    arr = np.asarray(values)
+    return arr.astype(float if arr.dtype.kind in "biuf" else complex, copy=False)
 
 
 def _as_field_array(values, what: str) -> np.ndarray:
-    """`values` in their own field: a float64 array when every entry is a real
-    number, else a complex one; checked finite."""
-    arr = np.asarray(values)
-    return _finite(arr.astype(float if arr.dtype.kind in "biuf" else complex, copy=False), what)
+    return _finite(_in_field(values), what)
 
 
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -67,10 +66,10 @@ def _row_prefix(shape: tuple[int, ...], flat_index: int) -> str:
 
 
 def checked_state(psi, what: str = "state vector") -> np.ndarray:
-    """A pure state's (d,) amplitudes, or each row of a (..., d) stack, as a
-    complex array checked to be finite and then of norm 1 within EPS_EXACT.
-    An error names the first faulty row, its fault and `what` the rows are."""
-    arr = np.asarray(psi, dtype=complex)
+    """A pure state's (d,) amplitudes, or each row of a (..., d) stack, in their
+    own field, checked to be finite and then of norm 1 within EPS_EXACT.  An
+    error names the first faulty row, its fault and `what` the rows are."""
+    arr = _in_field(psi)
     if arr.ndim == 0 or arr.shape[-1] == 0:
         raise ValueError(f"{what} must be a nonempty (..., d) array")
     if (bad := np.flatnonzero(~np.isfinite(arr).all(axis=-1))).size:
@@ -94,8 +93,8 @@ def checked_density(mat) -> np.ndarray:
     found in one pass, and an error names the first faulty matrix by its row
     and its first fault in that order.  Returns the Hermitian part
     (rho + rho†)/2 of the stack, which is the stack itself when it is exactly
-    Hermitian; nothing else is altered."""
-    arr = _as_complex_array(mat, "density matrix")
+    Hermitian, in the stack's own field; nothing else is altered."""
+    arr = _as_field_array(mat, "density matrix")
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError("density matrix must be square")
     skew = np.abs(arr - _dagger(arr)).max(axis=(-2, -1), initial=0.0) > EPS_EXACT
@@ -123,12 +122,12 @@ def kron(a, b) -> np.ndarray:
 
 def partial_trace(rho, keep) -> np.ndarray:
     """Checked reduced state of qubit `keep`, "A" (the first) or "B", of each
-    two-qubit density matrix of a (..., 4, 4) stack.
+    two-qubit density matrix of a (..., 4, 4) stack, in the stack's field.
 
     Raises DimensionError for any other shape and ValueError for any other
     `keep`.
     """
-    arr = _as_complex_array(rho, "density matrix")
+    arr = _as_field_array(rho, "density matrix")
     if arr.shape[-2:] != (4, 4):
         raise DimensionError(f"partial_trace expects (..., 4, 4) two-qubit states, got shape {arr.shape}")
     if keep not in ("A", "B"):
@@ -138,15 +137,14 @@ def partial_trace(rho, keep) -> np.ndarray:
 
 
 def fidelity_with_pure(rho, target):
-    """<target| rho |target> for a pure (d,) target; one value per matrix of a
-    (..., d, d) stack, in real arithmetic when both are real."""
+    """<target| rho |target>, one value per matrix of a (..., d, d) stack, for
+    one pure (d,) target or a (..., d) stack of one per matrix; in real
+    arithmetic when both are real."""
     arr = _as_field_array(rho, "density matrix")
     a = checked_state(target)
-    if arr.dtype.kind == "f" and not np.iscomplexobj(target):
-        a = a.real
-    if a.shape != arr.shape[-1:]:
-        raise DimensionError(f"dimension mismatch: one ({arr.shape[-1]},) target expected, got shape {a.shape}")
-    val = np.einsum("i,...ij,j->...", a.conj(), arr, a)
+    if a.shape not in (arr.shape[-1:], arr.shape[:-1]):
+        raise DimensionError(f"dimension mismatch: target of shape {a.shape} for matrices of shape {arr.shape}")
+    val = np.einsum("...i,...ij,...j->...", a.conj(), arr, a)
     spurious = np.abs(val.imag).max(initial=0.0)
     if spurious > EPS_EXACT:
         raise ValueError(f"fidelity has spurious imaginary part {spurious:.3e}")

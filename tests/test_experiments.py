@@ -9,6 +9,7 @@ import collections
 import dataclasses
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -261,7 +262,7 @@ def test_figures_in_two_threads_equal_their_serial_reports():
 # that moves a count edits its row.
 OP_CALLS = (
     (qcore, "partial_trace", 3, 0),
-    (masker, "mask_pure", 0, 0),
+    (masker, "mask_pure", 4, 0),
     (walk, "run_masking_walk", 1, 0),
     (optics, "simulate_masking", 1, 0),
     (optics, "solve_prep_angles", 3, 1),
@@ -544,6 +545,54 @@ def test_fig3_csv_tests_column_is_the_heads_qsv_tests(analytic):
     assert [line.split(",")[column] for line in lines[1:]] == ["" if analytic else "11"] * len(experiments.PROBES)
     # The head is the one place that states the tests, so the column reads it there.
     assert all("tests" not in row["fidelity"] for row in report["probes"])
+
+
+# ---------------------------------------------------------------------------
+# A head states the numbers its run used, as Python ints and floats.
+
+@pytest.mark.parametrize("seed", ["abc", True, 2.5])
+@pytest.mark.parametrize("analytic", [False, True], ids=["sampled", "analytic"])
+@pytest.mark.parametrize("run", [run_fig3, run_fig4, run_fig5])
+def test_a_seed_that_is_not_an_integer_is_refused(run, analytic, seed):
+    # An analytic run draws nothing, yet its head states the seed.
+    with pytest.raises(ValueError, match=f"^master seed must be an integer, got {re.escape(repr(seed))}$"):
+        run(ExperimentConfig(seed=seed, analytic=analytic))
+
+
+@pytest.mark.parametrize("field", ["seed", "shots_per_setting", "qsv_tests"])
+@pytest.mark.parametrize("run", [run_fig3, run_fig4, run_fig5])
+def test_numpy_integers_give_the_bytes_of_python_ints(run, field):
+    config = ExperimentConfig(seed=1, shots_per_setting=50, qsv_tests=40)
+    report = run(dataclasses.replace(config, **{field: np.int64(getattr(config, field))}))
+    assert (report_json(report), report_csv(report)) == (report_json(run(config)), report_csv(run(config)))
+
+
+def test_a_numpy_seed_gives_the_equivalence_bytes_of_a_python_int():
+    report = experiments.run_equivalence(ExperimentConfig(seed=np.int64(3)), n_inputs=np.int64(5))
+    assert report_json(report) == report_json(experiments.run_equivalence(ExperimentConfig(seed=3), n_inputs=5))
+
+
+@pytest.mark.parametrize("analytic", [False, True], ids=["sampled", "analytic"])
+@pytest.mark.parametrize("run, given, plain", [
+    *[(run, {"noise_p": 1}, {"noise_p": 1.0}) for run in (run_fig3, run_fig4, run_fig5)],
+    *[(run, {"noise_p": np.float32(0.01)}, {"noise_p": float(np.float32(0.01))}) for run in (run_fig3, run_fig4, run_fig5)],
+    (run_fig5, {"phi_grid_deg": (0, 90)}, {"phi_grid_deg": (0.0, 90.0)}),
+    (run_fig5, {"phi_grid_deg": (np.float32(15.0), np.int64(30))}, {"phi_grid_deg": (15.0, 30.0)}),
+], ids=[f"{fig}-{value}" for value in ("int-noise", "float32-noise") for fig in ("fig3", "fig4", "fig5")]
+    + ["fig5-int-phases", "fig5-numpy-phases"])
+def test_equal_numbers_of_another_type_give_the_same_bytes(run, given, plain, analytic):
+    given_texts, plain_texts = [(report_json(r), report_csv(r))
+                                for r in (run(ExperimentConfig(seed=1, analytic=analytic, **f)) for f in (given, plain))]
+    assert given_texts == plain_texts
+
+
+@pytest.mark.parametrize("noise_p", [True, False, np.True_])
+@pytest.mark.parametrize("run", [run_fig3, run_fig4, run_fig5])
+def test_a_bool_noise_is_refused(run, noise_p):
+    # The model of the equal number, built first, must not stand in for it.
+    run(ExperimentConfig(seed=1, noise_p=float(noise_p), analytic=True))
+    with pytest.raises(ValueError, match=rf"^p must be a number in \[0, 1\], got {re.escape(repr(noise_p))}$"):
+        run(ExperimentConfig(seed=1, noise_p=noise_p, analytic=True))
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,25 @@ class TestMaskerIsometry:
             assert concurrence_pure(col) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestMaskPure:
+    def test_a_stack_is_masked_row_by_row(self, rng):
+        psis = np.array([[haar_state(4, rng) for _ in range(3)] for _ in range(2)])
+        got = mask_pure(psis)
+        assert got.shape == (2, 3, 4)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(got[i, j], masker_matrix() @ psis[i, j])
+
+    def test_a_stack_names_its_first_faulty_row(self, rng):
+        psis = np.array([[haar_state(4, rng) for _ in range(3)] for _ in range(2)])
+        psis[1, 2] *= 2
+        psis[1, 1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^row \(1, 1\): state vector contains non-finite entries$"):
+            mask_pure(psis)
+        psis[1, 1] = psis[0, 0]
+        with pytest.raises(ValueError, match=r"^row \(1, 2\): state vector norm 2\.0"):
+            mask_pure(psis)
+
+
 class TestMaskState:
     def test_basis_state_maps_to_bell_projector(self):
         out = mask_state(np.diag([1, 0, 0, 0]).astype(complex))

@@ -292,6 +292,17 @@ class TestDepolarizing:
         with pytest.raises(ValueError):
             apply_depolarizing(np.eye(4) / 4, -0.1)
 
+    @pytest.mark.parametrize("p", [True, False, np.True_])
+    def test_a_bool_is_refused(self, p):
+        with pytest.raises(ValueError, match=r"^p must be a number in \[0, 1\], got "):
+            apply_depolarizing(np.eye(4) / 4, p)
+
+    def test_a_numpy_float_enters_as_its_python_float(self, rng):
+        # np.float32 arithmetic would leave the trace off 1 by ~1e-8.
+        rho = random_density(4, rng)
+        p = np.float32(0.01)
+        assert np.array_equal(apply_depolarizing(rho, p), apply_depolarizing(rho, float(p)))
+
 
 class TestPoissonResample:
     def test_zero_counts_stay_zero(self):

@@ -268,6 +268,11 @@ class TestMaskingLayout:
             got = simulate_masking(a)
             assert pure_fidelity(m @ a, got) >= 1 - 1e-10
 
+    def test_a_real_stack_equals_the_phased_mask_pure(self, rng):
+        a = rng.normal(size=(2, 5, 4))
+        a /= np.linalg.norm(a, axis=-1, keepdims=True)
+        assert np.abs(simulate_masking(a) - optics.MASKING_PHASE * mask_pure(a)).max() < 1e-12
+
     def test_phase_probe_through_full_table(self):
         m = masker_matrix()
         for phi in (0.0, 45.0, 90.0):

@@ -158,6 +158,23 @@ class TestPurityFidelity:
         for fid, rho in zip(fids, rhos):
             assert fid == fidelity_with_pure(rho, BELL)
 
+    def test_one_target_per_matrix_equals_the_rows(self, rng):
+        rhos = np.array([[random_density(4, rng) for _ in range(3)] for _ in range(2)])
+        targets = np.array([[haar_state(4, rng) for _ in range(3)] for _ in range(2)])
+        fids = fidelity_with_pure(rhos, targets)
+        assert fids.shape == (2, 3)
+        assert np.array_equal(fids, [[fidelity_with_pure(r, t) for r, t in zip(*row)] for row in zip(rhos, targets)])
+        # One (d,) target still serves the whole stack.
+        assert np.array_equal(fidelity_with_pure(rhos, BELL), fidelity_with_pure(rhos, np.broadcast_to(BELL, (2, 3, 4))))
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 3, 3), (3, 4), (1, 4), (2, 1, 4)])
+    def test_a_target_of_the_wrong_shape_is_refused(self, shape, rng):
+        rhos = np.array([[random_density(4, rng) for _ in range(3)] for _ in range(2)])
+        target = rng.normal(size=shape)
+        target /= np.linalg.norm(target, axis=-1, keepdims=True)
+        with pytest.raises(DimensionError, match=r"^dimension mismatch: target of shape"):
+            fidelity_with_pure(rhos, target)
+
     def test_rejects_spurious_imaginary_part(self):
         # A non-Hermitian item: <00| rho |00> = 1/4 + 1e-9 i.
         rho = np.eye(4) / 4 + 1e-9j * kron(PAULI_Z, PAULI_Z)
@@ -229,6 +246,23 @@ class TestOneConvention:
             assert type(many) is np.ndarray
             assert np.array_equal(many, [fn(r) for r in stack])
 
+    def test_real_inputs_stay_real(self, rng):
+        # A real input gives float64, equal to the result for its complex copy.
+        from realmask.measure import apply_depolarizing, axis_probs, pair_probs
+
+        psis = rng.normal(size=(3, 4))
+        psis /= np.linalg.norm(psis, axis=-1, keepdims=True)
+        rhos = np.array([random_real_density(4, rng) for _ in range(3)])
+        assert rhos.dtype == np.float64
+        for fn, real in ((checked_state, psis), (checked_density, rhos), (lambda r: partial_trace(r, "A"), rhos),
+                         (lambda r: partial_trace(r, "B"), rhos), (lambda r: apply_depolarizing(r, 0.1), rhos)):
+            got, want = fn(real), fn(real.astype(complex))
+            assert got.dtype == np.float64 and want.dtype == complex
+            assert np.array_equal(got, want)
+        reduced = partial_trace(rhos, "A")
+        assert np.array_equal(axis_probs(reduced), axis_probs(reduced.astype(complex)))
+        assert np.array_equal(pair_probs(rhos), pair_probs(rhos.astype(complex)))
+
     @pytest.mark.parametrize("fn", [
         lambda v: fidelity_with_pure(np.eye(4) / 4, v),
         mask_pure,
@@ -243,14 +277,23 @@ class TestOneConvention:
             fn(2 * psi)
 
     @pytest.mark.parametrize("fn, message", [
-        (lambda v: fidelity_with_pure(np.eye(4) / 4, v), "dimension mismatch"),
-        (mask_pure, "4-dimensional state"),
-        (lambda v: decode_real_state(np.zeros((3, 3)), input_state=v), "dimension mismatch"),
+        (lambda v, rho, t: fidelity_with_pure(rho, v), "dimension mismatch"),
+        (lambda v, rho, t: mask_pure(v), "4-dimensional state"),
+        (lambda v, rho, t: decode_real_state(t, input_state=v).fidelity_vs_input, "dimension mismatch"),
     ], ids=["fidelity_with_pure", "mask_pure", "decode_real_state"])
-    def test_single_state_entry_points_refuse_a_stack(self, fn, message, rng):
-        # `checked_state` takes stacks; these functions take one state.
+    def test_a_stack_equals_its_rows(self, fn, message, rng):
+        # Like `checked_state`, every entry point that takes amplitudes takes
+        # one state or a stack, with one matrix per row where it reads both.
+        psis = np.array([haar_state(4, rng) for _ in range(3)])
+        rhos = np.array([random_density(4, rng) for _ in range(3)])
+        ts = rng.uniform(-1, 1, size=(3, 3, 3))
+        many = fn(psis, rhos, ts)
+        assert type(many) is np.ndarray and len(many) == 3
+        assert np.array_equal(many, [fn(*row) for row in zip(psis, rhos, ts)])
         with pytest.raises(ValueError, match=message):
-            fn(haar_state(4, rng)[None])
+            fn(haar_state(3, rng), rhos[0], ts[0])
+        with pytest.raises(ValueError, match=message):
+            fn(np.array([haar_state(3, rng) for _ in range(3)]), rhos, ts)
 
     def test_decode_real_state(self, rng):
         a = rng.normal(size=4)
@@ -304,9 +347,10 @@ class TestCheckedInputs:
         with pytest.raises(ValueError, match=r"^row 1: target norm 2\.0 deviates"):
             checked_state([[1.0, 0.0], [0.0, 2.0]], "target")
 
-    def test_checked_state_gives_complex_amplitudes(self):
+    def test_checked_state_keeps_its_inputs_field(self):
         out = checked_state([0.6, 0.8])
-        assert out.dtype == complex and np.array_equal(out, [0.6, 0.8])
+        assert out.dtype == np.float64 and np.array_equal(out, [0.6, 0.8])
+        assert checked_state([1, 0]).dtype == np.float64
         assert np.array_equal(checked_state([1.0 + 5e-13, 0.0]), [1.0 + 5e-13, 0.0])
         stack = checked_state([[0.6, 0.8j], [1.0, 0.0]])
         assert stack.dtype == complex and np.array_equal(stack, [[0.6, 0.8j], [1.0, 0.0]])

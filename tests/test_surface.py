@@ -31,9 +31,6 @@ KEEP = {
     "tables_to_csv",
     "tables_from_csv",
     "correlation_matrix",
-    # Not a pipeline step: `perfbench/tracer.py` wraps `masker.mask_pure` by
-    # name, and without it `Tracer.install` raises AttributeError.
-    "mask_pure",
     # Not a pipeline step, and item 4's statistics need no fit (item 12
     # deletes it): `perfbench/tracer.py` wraps `estimate.mle_qubit_batch` by
     # name, and without it `Tracer.install` raises AttributeError.

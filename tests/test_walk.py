@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realmask.masker import masker_matrix
+from realmask.masker import mask_pure, masker_matrix
 from realmask.optics import (
     compile_measurement,
     masking_layout,
@@ -250,6 +250,11 @@ class TestMaskingSchedule:
             a /= np.linalg.norm(a)
             got = run_masking_walk(a)
             assert np.abs(got - m @ a).max() < 1e-12
+
+    def test_a_complex_stack_equals_mask_pure(self, rng):
+        a = rng.normal(size=(2, 5, 4)) + 1j * rng.normal(size=(2, 5, 4))
+        a /= np.linalg.norm(a, axis=-1, keepdims=True)
+        assert np.abs(run_masking_walk(a) - mask_pure(a)).max() < 1e-12
 
     def test_equivalence_for_complex_inputs(self, rng):
         m = masker_matrix()
