@@ -7,17 +7,16 @@ and `angles` (waveplate angle solutions for preparation and measurement).
 
 Option precedence: command-line flags override the --config file, which
 overrides the defaults that `experiments` owns.  One table, `OPTIONS`, gives
-each setting its flag, flag parser, value check and help; a subcommand's flags
-and config keys are made from it for the settings it reads (`FIELDS`), so it
-takes no flag or key that it would ignore, and `scripts/reproduce_figures.py`
-takes its `--seed`, `--noise-p` and `--out` from it too.  `fig4 --probe` and
-`equiv --n-inputs` are flags only, with no config key.  A bad value, an
-empty output path among them, is a one-line error, never a silent coercion:
-a usage error (exit 2) as a flag, a config-file error (exit 1) as a key.  So
-is a run that needs more memory than it can get (exit 1).  A comma list that
-starts with a negative number, and a lone negative number in any spelling
-`float` reads, may follow its flag after a space (`--phi-grid -15,0`,
-`--phi -1e1`) or an `=` (`--phi-grid=-15,0`).
+each setting its flag, flag parser and help, and `CHECKS` its value check:
+`ExperimentConfig`'s own (`experiments.FIELD_CHECKS`), and a non-empty
+`--out`.  A subcommand's flags and config keys are made from them for the
+settings it reads (`FIELDS`), so it takes no flag or key that it would
+ignore, and `scripts/reproduce_figures.py` takes its `--seed`, `--noise-p`
+and `--out` from them too.  `fig4 --probe` and `equiv --n-inputs` are flags
+only.  A bad value is a one-line error, never a silent coercion: a usage
+error (exit 2) as a flag, a config-file error (exit 1) as a key.  So is a
+run that needs more memory than it can get (exit 1).  A negative comma list
+or number may follow its flag after a space (`--phi-grid -15,0`) or an `=`.
 """
 from __future__ import annotations
 
@@ -33,51 +32,10 @@ from . import experiments, measure, optics
 from .experiments import ExperimentConfig
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _integer(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"must be an integer, got {v!r}")
-    return v
-
-
-def _positive(v) -> int:
-    if _integer(v) < 1:
-        raise ValueError(f"must be a positive integer, got {v!r}")
-    return v
-
-
-# The most shots per setting, and verification tests per probe: a bootstrap
-# redraws each count from a Poisson law, whose numpy sampler refuses means
-# above about 9.2e18, and a pass count is one binomial draw, whose numpy
-# sampler takes at most 2**63 - 1 trials.
-MAX_SHOTS = 10**18
-
-
-def _count(v) -> int:
-    if _positive(v) > MAX_SHOTS:
-        raise ValueError(f"must be at most 10**18, got {v!r}")
-    return v
-
-
-def _probability(v) -> float:
-    if not _is_number(v) or not 0.0 <= v <= 1.0:
-        raise ValueError(f"must be a number in [0, 1], got {v!r}")
-    return float(v)
-
-
-def _phases(v) -> tuple[float, ...]:
-    if not isinstance(v, (list, tuple)) or not v or not all(_is_number(x) and math.isfinite(x) for x in v):
-        raise ValueError(f"must be a non-empty list of finite numbers, got {v!r}")
-    return tuple(float(x) for x in v)
-
-
-def _finite(v) -> float:
-    if not _is_number(v) or not math.isfinite(v):
+def _finite(v: float) -> float:
+    if not math.isfinite(v):
         raise ValueError(f"must be a finite number, got {v!r}")
-    return float(v)
+    return v
 
 
 def _four_finite(v) -> tuple[float, ...]:
@@ -101,12 +59,6 @@ def _pauli_pair(v: str) -> str:
     if v.upper() not in measure.PAIRS:
         raise ValueError(f"must be a Pauli pair like XX, XY, ..., ZZ, got {v!r}")
     return v.upper()
-
-
-def _flag(v) -> bool:
-    if not isinstance(v, bool):
-        raise ValueError(f"must be true or false, got {v!r}")
-    return v
 
 
 def _text(v) -> str:
@@ -138,18 +90,20 @@ def _default(fn, name: str):
 
 _PHI = experiments.DEFAULT_PHI_GRID
 
-# Each setting that a flag or a config key can set: the value check they
-# share, the flag, the parser of its text (None: a switch), the help.
+# Each setting that a flag or a config key can set: the flag, the parser of
+# its text (None: a switch) and the help.
 OPTIONS = {
-    "seed": (_integer, "--seed", int, f"master seed (default {experiments.DEFAULT_SEED})"),
-    "shots_per_setting": (_count, "--shots", int, "shots per measurement setting (at most 10**18)"),
-    "qsv_tests": (_count, "--qsv-tests", int, "verification tests per probe (at most 10**18)"),
-    "noise_p": (_probability, "--noise-p", float, "depolarizing noise strength"),
-    "phi_grid_deg": (_phases, "--phi-grid", _floats,
+    "seed": ("--seed", int, f"master seed (default {experiments.DEFAULT_SEED})"),
+    "shots_per_setting": ("--shots", int, "shots per measurement setting (at most 10**18)"),
+    "qsv_tests": ("--qsv-tests", int, "verification tests per probe (at most 10**18)"),
+    "noise_p": ("--noise-p", float, "depolarizing noise strength"),
+    "phi_grid_deg": ("--phi-grid", _floats,
                      f"comma-separated phases in degrees (default {_PHI[0]:g},{_PHI[1]:g},...,{_PHI[-1]:g})"),
-    "analytic": (_flag, "--analytic", None, "infinite-shot mode (no sampling)"),
-    "output_path": (_text, "--out", str, "output directory for CSV/JSON reports"),
+    "analytic": ("--analytic", None, "infinite-shot mode (no sampling)"),
+    "output_path": ("--out", str, "output directory for CSV/JSON reports"),
 }
+# Each setting's value check, which its flag and its config key share.
+CHECKS = {**experiments.FIELD_CHECKS, "output_path": _text}
 
 # The settings each experiment subcommand reads; it takes their flags and
 # config keys and no others.
@@ -164,8 +118,8 @@ FIELDS = {
 def add_options(parser: argparse.ArgumentParser, fields) -> None:
     """Give `parser` the flags of `fields`; `option_values` reads them back."""
     for field in fields:
-        check, flag, parse, help = OPTIONS[field]
-        how = {"type": _flag_type(parse, check)} if parse else {"action": "store_true"}
+        flag, parse, help = OPTIONS[field]
+        how = {"type": _flag_type(parse, CHECKS[field])} if parse else {"action": "store_true"}
         parser.add_argument(flag, dest=field, default=None, help=help, **how)
     parser.set_defaults(fields=tuple(fields))
 
@@ -192,7 +146,7 @@ def _load_config_file(path: str, command: str, fields) -> dict:
     values = {}
     for key, v in doc.items():
         try:
-            values[key] = OPTIONS[key][0](v)
+            values[key] = CHECKS[key](v)
         except ValueError as exc:
             raise SystemExit(f"config file {path}: {key} {exc}") from None
     return values
@@ -232,21 +186,20 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_angles(args) -> int:
-    did_something = False
+    if all(v is None for v in (args.state, args.phi, args.setting, args.basis)):
+        raise SystemExit("angles: give at least one of --state, --phi, --setting, --basis")
     if args.state is not None:
         angles = optics.solve_prep_angles(args.state)
         print(f"preparation target a = ({', '.join(f'{x:.6f}' for x in args.state)})")
         print(f"  H1 = {angles.h1:.6f} deg")
         print(f"  H2 = {angles.h2:.6f} deg")
         print(f"  H3 = {angles.h3:.6f} deg")
-        did_something = True
     if args.phi is not None:
         angles = optics.phase_prep_angles(args.phi)
         print(f"phase probe phi = {args.phi:.6f} deg -> (|0> + e^(i phi)|1>)/sqrt(2)")
         print(f"  H1 = {angles.h1:.6f} deg")
         print(f"  Q1 = {angles.q1:.6f} deg (inserted on the -3 rail)")
         print(f"  H2 = {angles.h2:.6f} deg")
-        did_something = True
     label, setting = args.setting, None
     if label is not None:
         setting = optics.pauli_meas_setting(*label)
@@ -263,9 +216,6 @@ def _cmd_angles(args) -> int:
         print(f"  Q3 = {compiled.q3:.6f} deg")
         print(f"  H5 = {compiled.h5:.6f} deg")
         print(f"  solver residual = {compiled.residual:.3e}")
-        did_something = True
-    if not did_something:
-        raise SystemExit("angles: give at least one of --state, --phi, --setting, --basis")
     return 0
 
 
@@ -293,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
                    lambda config, args: experiments.run_fig5(config))
     pe = add_experiment("equiv", "masker / walk / optics equivalence check",
                         lambda config, args: experiments.run_equivalence(config, n_inputs=args.n_inputs))
-    pe.add_argument("--n-inputs", type=_flag_type(int, _positive),
+    pe.add_argument("--n-inputs", type=_flag_type(int, experiments._count),
                     default=_default(experiments.run_equivalence, "n_inputs"))
 
     pa = sub.add_parser("angles", help="waveplate angle solutions")

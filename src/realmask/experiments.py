@@ -1,6 +1,8 @@
 """Experiment pipelines reproducing the three result figures at desk scale.
 
-Each run is fully determined by an ExperimentConfig: every random draw flows
+Each run is fully determined by an ExperimentConfig, which checks each
+field as it is built (`FIELD_CHECKS`, whose rules the CLI's flags and config
+keys share) and holds it as a plain Python value: every random draw flows
 through a sub-seed derived from (config.seed, stream tag, indices), so a rerun
 with the same config produces byte-identical report files.  Estimates are
 never emitted bare: fidelity errors are 95% confidence half-widths, purity and
@@ -16,27 +18,20 @@ vector and fig5's |psi^T psi| of its phase probes.  It is built and checked
 once per process for each value of the config fields it reads
 (`_fig3_model`, `_fig4_model`, `_fig5_model`), never for the seed, and its
 arrays are read-only, so a run that reads a cached model checks no state.
-The seeded draws of a figure take one call each: one `sample_counts` call
-over all its Pauli tables, one `qsv_run` call over fig3's probes (one
-binomial pass count per probe, drawn from its fidelity) and one
-`poisson_resample` call per bootstrap, each row or item still drawn from its
-own sub-seed; the sub-seeds of each tag family ("fig3.tomo", "fig3.qsv",
-"fig3.boot", ...) come from one `measure.derive_seeds` call.  A figure's
-point estimates ride in the estimator call of their bootstrap resamples
-(`estimate.bootstrap_std`), so fig3 makes one `purity_from_counts` call,
-fig4 one `decode_real_state` call and fig5 one concurrence call.  Sampled
-counts stay integer arrays from the draw to the estimate.
+A figure's seeded draws take one call of each kind (`sample_counts`,
+fig3's `qsv_run`, and `poisson_resample` per bootstrap), each row or item
+still drawn from its own sub-seed, and its sub-seeds of each tag family
+("fig3.tomo", "fig3.qsv", ...) come from one `measure.derive_seeds` call.
+Its point estimates ride in the estimator call of their bootstrap resamples
+(`estimate.bootstrap_std`).
 
 A figure draws counts, then estimates from them, and the two steps meet at
-plain counts.  `_counts` gives its count tables: in analytic mode the Born
-tables themselves, read as counts of one shot, else the drawn int64 counts.
-`_estimate` runs the figure's estimator on them, with zero errors in
-analytic mode or bootstrap errors; it reads only the counts, so counts read
-back from a file estimate as drawn ones do.  The two are the one place that
-chooses between the modes, apart from fig3's verification, which splits the
-same way: `estimate.qsv_run` draws each probe's pass count and
-`estimate.qsv_interval` gives its infidelity and interval, while analytic
-mode draws none and reads 1 - F with no width.  fig5 at p = 0 reads the
+plain counts: `_counts` gives the Born tables (analytic mode, read as counts
+of one shot) or the drawn int64 counts, and `_estimate` reads only counts,
+so counts read back from a file estimate as drawn ones do.  The two are the
+one place that chooses between the modes, apart from fig3's verification:
+`estimate.qsv_run` draws pass counts and `estimate.qsv_interval` reads
+them, while analytic mode reads 1 - F with no width.  fig5 at p = 0 reads the
 concurrence of each pure masked probe M psi as |psi^T psi|, which the
 masker's magic-basis identity proves (`masker.masker_matrix`).
 
@@ -69,7 +64,7 @@ import numpy as np
 
 from . import estimate, measure, optics, walk
 from .masker import mask_pure
-from .measure import _is_integer, _master_seed, derive_seed, derive_seeds, generators
+from .measure import _is_integer, derive_seed, derive_seeds, generators
 from .qcore import concurrence_from_purity, fidelity_with_pure, partial_trace
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
@@ -116,19 +111,83 @@ def phase_probe(phi_deg: float) -> np.ndarray:
     return np.array([1.0, np.exp(1j * math.radians(phi_deg)), 0.0, 0.0]) / np.sqrt(2)
 
 
+# The most shots per setting and tests per probe: numpy's Poisson sampler, by
+# which a bootstrap redraws each count, refuses means above about 9.2e18, and
+# its binomial sampler, which draws a pass count, takes at most 2**63 - 1 trials.
+MAX_SHOTS = 10**18
+
+
+def _is_number(v) -> bool:
+    """A Python or numpy integer or float; a bool is not one."""
+    return _is_integer(v) or isinstance(v, (float, np.floating))
+
+
+def _integer(v) -> int:
+    if not _is_integer(v):
+        raise ValueError(f"must be an integer, got {v!r}")
+    return int(v)
+
+
+def _count(v) -> int:
+    if _integer(v) < 1:
+        raise ValueError(f"must be a positive integer, got {v!r}")
+    if v > MAX_SHOTS:
+        raise ValueError(f"must be at most 10**18, got {v!r}")
+    return int(v)
+
+
+def _probability(v) -> float:
+    if not (_is_number(v) and 0.0 <= v <= 1.0):
+        raise ValueError(f"must be a number in [0, 1], got {v!r}")
+    return float(v)
+
+
+def _phases(v) -> tuple[float, ...]:
+    try:  # an integer beyond the floats is refused as not finite
+        phis = tuple(map(float, v)) if isinstance(v, (list, tuple)) and all(map(_is_number, v)) else ()
+    except OverflowError:
+        phis = ()
+    if not (phis and all(map(math.isfinite, phis))):
+        raise ValueError(f"must be a non-empty list of finite numbers, got {v!r}")
+    return phis
+
+
+def _flag(v) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError(f"must be true or false, got {v!r}")
+    return v
+
+
+# Each config field's check: the plain Python value the config holds, or ValueError("must ...").
+FIELD_CHECKS = {
+    "seed": _integer,
+    "shots_per_setting": lambda v: None if v is None else _count(v),  # None: the experiment's default
+    "qsv_tests": _count,
+    "noise_p": _probability,
+    "phi_grid_deg": _phases,
+    "analytic": _flag,
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A run's settings, each checked by `FIELD_CHECKS` and held as a plain Python value."""
     seed: int = DEFAULT_SEED
-    shots_per_setting: int | None = None  # resolved per experiment
+    shots_per_setting: int | None = None
     qsv_tests: int = DEFAULT_QSV_TESTS
     noise_p: float = DEFAULT_NOISE_P
     phi_grid_deg: tuple[float, ...] = DEFAULT_PHI_GRID
     analytic: bool = False
 
+    def __post_init__(self) -> None:
+        for field, check in FIELD_CHECKS.items():
+            try:
+                object.__setattr__(self, field, check(getattr(self, field)))
+            except ValueError as exc:
+                raise ValueError(f"{field} {exc}") from None
+
     def shots(self, experiment: str) -> int:
-        if self.shots_per_setting is not None:
-            return self.shots_per_setting
-        return DEFAULT_SHOTS[experiment]
+        return DEFAULT_SHOTS[experiment] if self.shots_per_setting is None else self.shots_per_setting
 
 
 def report_row(target: str, estimate: float, error: float, error_kind: str, **extra) -> dict:
@@ -148,8 +207,7 @@ def _masked_states(probes: np.ndarray, noise_p: float) -> tuple[np.ndarray, np.n
 
 
 # Models kept per figure: a few KB each, bounded so that a loop over noise
-# levels or phase grids cannot grow without limit.  The caches are typed, so
-# a refused noise_p=True never reads the model built for an equal 1.
+# levels or phase grids cannot grow without limit.
 _MODELS_KEPT = 8
 
 
@@ -160,14 +218,11 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _head(config: ExperimentConfig, experiment: str, **sampling) -> dict:
-    """A figure report's head: its name, seed and noise, then the facts of its
-    draws (`sampling`, `shots_per_setting` and `resamples`), each None in
-    analytic mode, which draws nothing, and `analytic`.  Numbers are written
-    as Python ints and floats, and the seed is refused as the draws refuse it,
-    also in analytic mode; the draws have already checked the counts."""
+    """A figure report's head: its name, seed, noise, the facts of its draws
+    (`sampling`, `shots_per_setting`, `resamples`; None in analytic mode) and `analytic`."""
     drawn = {**sampling, "shots_per_setting": config.shots(experiment), "resamples": BOOTSTRAP_RESAMPLES}
-    return {"experiment": experiment, "seed": _master_seed(config.seed), "noise_p": float(config.noise_p),
-            **{key: None if config.analytic else int(value) for key, value in drawn.items()},
+    return {"experiment": experiment, "seed": config.seed, "noise_p": config.noise_p,
+            **{key: None if config.analytic else value for key, value in drawn.items()},
             "analytic": config.analytic}
 
 
@@ -218,7 +273,7 @@ def _purities(counts: np.ndarray) -> np.ndarray:
     return np.column_stack([pur, pur.mean(axis=1)])
 
 
-@lru_cache(maxsize=_MODELS_KEPT, typed=True)
+@lru_cache(maxsize=_MODELS_KEPT)
 def _fig3_model(noise_p: float) -> tuple[np.ndarray, np.ndarray]:
     """fig3's seed-independent arrays at `noise_p`, read-only: the (probe,
     qubit, 3, 2) Born table of each masked probe's path (A) and polarization
@@ -255,7 +310,7 @@ def run_fig3(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # fig4: correlation decoding of the masked fourth probe.
 
-@lru_cache(maxsize=_MODELS_KEPT, typed=True)
+@lru_cache(maxsize=_MODELS_KEPT)
 def _fig4_model(noise_p: float, probe: int) -> tuple[np.ndarray, np.ndarray]:
     """fig4's seed-independent arrays, read-only: the probe vector and the
     (9, 4) Born table of its masked state at `noise_p`."""
@@ -299,20 +354,20 @@ def _concurrence(counts: np.ndarray) -> np.ndarray:
     return concurrence_from_purity(estimate.purity_from_counts(counts))
 
 
-@lru_cache(maxsize=_MODELS_KEPT, typed=True)
+@lru_cache(maxsize=_MODELS_KEPT)
 def _fig5_model(noise_p: float, phis: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """fig5's seed-independent arrays, read-only: |psi^T psi| of each phase
     probe psi at `phis` (degrees), the concurrence of its noiseless masked
     image, and the (n, 3, 2) Born table of their path (A) qubits at
     `noise_p`."""
-    probes = np.array([phase_probe(phi) for phi in phis]).reshape(-1, 4)
+    probes = np.array([phase_probe(phi) for phi in phis])
     states = _masked_states(probes, noise_p)[1]
     return _read_only(np.abs((probes * probes).sum(axis=-1)), measure.axis_probs(partial_trace(states, "A")))
 
 
 def run_fig5(config: ExperimentConfig) -> dict:
     phis = config.phi_grid_deg
-    pure, probs = _fig5_model(config.noise_p, tuple(phis))
+    pure, probs = _fig5_model(config.noise_p, phis)
     keys = [(i,) for i in range(len(phis))]
     counts = _counts(probs, config, "fig5", "fig5.tomo", keys)
     est, std = _estimate(_concurrence, counts, config, "fig5", keys)
@@ -320,7 +375,7 @@ def run_fig5(config: ExperimentConfig) -> dict:
         est = pure
     points = [report_row(f"phi = {phi} deg", float(est[i]), float(std[i]), "std",
                          phi_deg=phi, theory_cos=math.cos(math.radians(phi)))
-              for i, phi in enumerate(map(float, phis))]
+              for i, phi in enumerate(phis)]
     return {**_head(config, "fig5"), "points": points}
 
 
@@ -366,7 +421,7 @@ def run_equivalence(config: ExperimentConfig, n_inputs: int = 100) -> dict:
     max_gap = max(gaps.values())
     return {
         "experiment": "equiv",
-        "seed": _master_seed(config.seed),
+        "seed": config.seed,
         "n_inputs": n_inputs,
         "threshold": EQUIV_THRESHOLD,
         "max_gap": max_gap,

@@ -93,8 +93,10 @@ def derive_seeds(master_seed: int, prefix: Sequence, suffixes: Iterable[Sequence
     """`derive_seed(master_seed, *prefix, *suffix)` for each suffix, in order:
     the master seed and the shared prefix are hashed once, and each suffix
     extends a copy of that hash, so the bytes hashed are the same."""
+    if not _is_integer(master_seed):
+        raise ValueError(f"master seed must be an integer, got {master_seed!r}")
     head = hashlib.sha256()
-    _hash_parts(head, (_master_seed(master_seed), *prefix))
+    _hash_parts(head, (int(master_seed), *prefix))
     seeds = []
     for suffix in suffixes:
         h = head.copy()
@@ -113,13 +115,6 @@ def _hash_parts(h, parts) -> None:
 def _is_integer(value) -> bool:
     """A Python int (a bool is not one) or a numpy integer."""
     return type(value) is int or isinstance(value, np.integer)
-
-
-def _master_seed(value) -> int:
-    """A master seed as a Python int; a bool or a non-integer is refused."""
-    if not _is_integer(value):
-        raise ValueError(f"master seed must be an integer, got {value!r}")
-    return int(value)
 
 
 def _is_seed(value) -> bool:

@@ -3,12 +3,13 @@ import dataclasses
 import inspect
 import io
 import json
+import math
 import re
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from realmask import cli, experiments, measure
@@ -222,6 +223,13 @@ class TestEquivalence:
         with pytest.raises(ValueError, match=rf"^n_inputs must be an integer >= 1, got {re.escape(repr(n))}$"):
             run_equivalence(ExperimentConfig(seed=9), n_inputs=n)
 
+    def test_one_input_runs(self, capsys):
+        # The smallest count that the run and the flag accept.
+        rep = run_equivalence(ExperimentConfig(seed=9), n_inputs=1)
+        assert rep["pass"] is True and rep["n_inputs"] == 1
+        assert cli.main(["equiv", "--n-inputs", "1"]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(report_json(run_equivalence(ExperimentConfig(), 1)))
+
     def test_takes_a_numpy_integer_input_count(self):
         rep = run_equivalence(ExperimentConfig(seed=9), n_inputs=np.int64(5))
         assert type(rep["n_inputs"]) is int
@@ -293,8 +301,86 @@ FIELD_VALUES = {
     "output_path": (["--out", "reports"], "reports", "reports"),
 }
 
+# Values of every kind that a config field may be given.  The numpy float64
+# NaN and the floats are JSON-representable; the other numpy scalars are not.
+SCALARS = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=3), st.floats(),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, math.nan, math.inf, -math.inf]),
+    st.integers(-3, 3), st.integers(10**18 - 1, 10**18 + 1), st.integers(2**63 - 1, 2**64), st.just(10**400),
+    st.sampled_from([np.int64(3), np.uint64(2**64 - 1), np.int8(-1), np.float32(0.25), np.float16(math.inf),
+                     np.float64(math.nan), np.True_, np.False_]),
+)
+ANY_VALUE = st.one_of(SCALARS, st.lists(SCALARS, max_size=3), st.lists(SCALARS, max_size=3).map(tuple))
+# Values that each field should accept, drawn beside ANY_VALUE so that accepted configs are common.
+VALID = {
+    "seed": st.integers(-2**70, 2**70),
+    "shots_per_setting": st.integers(1, experiments.MAX_SHOTS),
+    "qsv_tests": st.integers(1, experiments.MAX_SHOTS),
+    "noise_p": st.floats(0.0, 1.0),
+    "phi_grid_deg": st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-720, 720)),
+                             min_size=1, max_size=3),
+    "analytic": st.booleans(),
+}
+# A config that runs fast, onto which each drawn field value goes.
+CHEAP = {"seed": 1, "shots_per_setting": 20, "qsv_tests": 20, "phi_grid_deg": (0.0, 45.0)}
+PLAIN_TYPES = {"seed": int, "shots_per_setting": int, "qsv_tests": int, "noise_p": float, "phi_grid_deg": tuple,
+               "analytic": bool}
+
+
+def _plain(value):
+    """`value` with each numpy integer or float scalar replaced by its Python number."""
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    return value.item() if isinstance(value, (np.integer, np.floating)) else value
+
+
+def _config_or_error(**fields) -> tuple[ExperimentConfig | None, str | None]:
+    try:
+        return ExperimentConfig(**fields), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} in report")
+
 
 class TestCommandLine:
+    @pytest.mark.parametrize("field", sorted(experiments.FIELD_CHECKS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_the_library_and_a_config_file_accept_and_refuse_alike(self, field, data, tmp_path_factory):
+        value = data.draw(VALID[field] if data.draw(st.booleans()) else ANY_VALUE)
+        config, error = _config_or_error(**{field: value})
+        # A numpy integer or float is taken as its Python number, a numpy bool as no number.
+        plain, plain_error = _config_or_error(**{field: _plain(value)})
+        assert (config, error is None) == (plain, plain_error is None)
+        event("refused" if config is None else "accepted")
+        if config is not None:
+            got = getattr(config, field)
+            assert got is None or type(got) is PLAIN_TYPES[field]  # None: the experiment's default shots
+            if field == "phi_grid_deg":
+                assert all(type(phi) is float for phi in got)
+            run = dataclasses.replace(ExperimentConfig(**CHEAP), **{field: got})
+            for report in (run_fig3(run), run_fig4(run), run_fig5(run), run_equivalence(run, n_inputs=2)):
+                json.loads(report_json(report), parse_constant=_reject_constant)
+        try:
+            text = json.dumps({field: value})
+        except TypeError:  # a numpy integer or bool, which JSON cannot hold
+            return
+        event("compared with a config file")
+        # The library given the value as a config file gives it.
+        config, error = _config_or_error(**json.loads(text))
+        cfg_path = tmp_path_factory.getbasetemp() / "hypothesis-config.json"
+        cfg_path.write_text(text)
+        args = cli.build_parser().parse_args(["fig3" if field == "qsv_tests" else "fig5", "--config", str(cfg_path)])
+        if error is None:
+            assert cli._build_config(args) == (config, None)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli._build_config(args)
+            assert exc.value.code == f"config file {cfg_path}: {error}"
+
     @pytest.mark.parametrize("field", sorted(FIELD_VALUES))
     @pytest.mark.parametrize("command", sorted(READS))
     def test_subcommand_takes_only_the_fields_it_reads(self, command, field, tmp_path, capsys):
@@ -414,7 +500,7 @@ class TestCommandLine:
                  "phi_grid_deg": f"(default {grid[0]:g},{grid[1]:g},...,{grid[-1]:g})"}
         for field, text in shown.items():
             if field in READS[command]:
-                assert text in cli.OPTIONS[field][3]
+                assert text in cli.OPTIONS[field][2]
 
     def test_config_experiment_key_may_name_the_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -493,7 +579,7 @@ class TestCommandLine:
         reads = READS[command]
         argv = [command, f"--seed={data.draw(st.integers(-2**63, 2**64))}"]
         if "shots_per_setting" in reads:
-            argv.append(f"--shots={data.draw(st.one_of(st.integers(1, 50), st.integers(1, cli.MAX_SHOTS)))}")
+            argv.append(f"--shots={data.draw(st.one_of(st.integers(1, 50), st.integers(1, experiments.MAX_SHOTS)))}")
         if "qsv_tests" in reads:
             argv.append(f"--qsv-tests={data.draw(st.integers(1, 50))}")
         if "noise_p" in reads:
@@ -520,7 +606,7 @@ class TestCommandLine:
         # exabytes of test draws.
         experiments._fig3_model(experiments.DEFAULT_NOISE_P)
         start = time.perf_counter()
-        assert cli.main(["fig3", f"--qsv-tests={cli.MAX_SHOTS}", "--seed", "1"]) == 0
+        assert cli.main(["fig3", f"--qsv-tests={experiments.MAX_SHOTS}", "--seed", "1"]) == 0
         assert time.perf_counter() - start < 1.0
         doc = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
         assert doc["qsv_tests"] == 10**18
@@ -537,7 +623,7 @@ class TestCommandLine:
         assert exc.value.code == f"config file {cfg_path}: qsv_tests must be at most 10**18, got {10**18 + 1}"
 
     def test_most_shots_run(self, capsys):
-        assert cli.main(["fig5", f"--shots={cli.MAX_SHOTS}", "--noise-p", "0", "--phi-grid", "90"]) == 0
+        assert cli.main(["fig5", f"--shots={experiments.MAX_SHOTS}", "--noise-p", "0", "--phi-grid", "90"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["shots_per_setting"] == 10**18 and doc["points"][0]["estimate"] == 0.0
 

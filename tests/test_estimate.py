@@ -694,6 +694,14 @@ class TestBootstrap:
         _, (std,) = bootstrap_std(purity_from_counts, counts, [1], resamples=100)
         assert 0.0 < std < 0.02
 
+    def test_two_resamples_run(self):
+        # The smallest count accepted: the spread is the std of the two redraws.
+        counts = np.array([[30, 70]])
+        point, (std,) = bootstrap_std(lambda c: c[:, 0] / c.sum(axis=1), counts, [7], resamples=2)
+        draws = poisson_resample(counts, 2, [7])[0]
+        assert point.tolist() == [0.3]
+        assert std == np.std(draws[:, 0] / draws.sum(axis=1), ddof=1) > 0.0
+
     def test_resamples_minimum(self):
         with pytest.raises(ValueError):
             bootstrap_std(lambda c: c.sum(axis=1), np.zeros((1, 2)), [0], resamples=1)

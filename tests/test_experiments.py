@@ -156,9 +156,12 @@ def test_fig5_off_default_grid_matches_oracle():
     assert report_json(run_fig5(config)) == report_json(oracle_fig5(config))
 
 
-@pytest.mark.parametrize("analytic", [False, True])
-def test_fig5_empty_grid_gives_no_points(analytic):
-    assert run_fig5(ExperimentConfig(seed=1, phi_grid_deg=(), analytic=analytic))["points"] == []
+@pytest.mark.parametrize("grid", [(), []])
+def test_an_empty_phase_grid_is_refused(grid):
+    # It used to write "points": [], a fig5 with no estimate in it.
+    message = rf"^phi_grid_deg must be a non-empty list of finite numbers, got {re.escape(repr(grid))}$"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(phi_grid_deg=grid)
 
 
 def test_noiseless_fig5_is_exactly_unentangled_at_90_degrees():
@@ -548,15 +551,52 @@ def test_fig3_csv_tests_column_is_the_heads_qsv_tests(analytic):
 
 
 # ---------------------------------------------------------------------------
-# A head states the numbers its run used, as Python ints and floats.
+# A config checks its own fields, and a head states the numbers its run used,
+# as Python ints and floats.
 
 @pytest.mark.parametrize("seed", ["abc", True, 2.5])
 @pytest.mark.parametrize("analytic", [False, True], ids=["sampled", "analytic"])
 @pytest.mark.parametrize("run", [run_fig3, run_fig4, run_fig5])
 def test_a_seed_that_is_not_an_integer_is_refused(run, analytic, seed):
     # An analytic run draws nothing, yet its head states the seed.
-    with pytest.raises(ValueError, match=f"^master seed must be an integer, got {re.escape(repr(seed))}$"):
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
         run(ExperimentConfig(seed=seed, analytic=analytic))
+
+
+# Each used to run: "no" and 1 in analytic mode, writing "analytic": "no"
+# and 1, and np.True_ until `report_json` met it.
+@pytest.mark.parametrize("analytic", ["no", 1, 0, np.True_, None])
+def test_an_analytic_flag_that_is_not_a_bool_is_refused(analytic):
+    with pytest.raises(ValueError, match=f"^analytic must be true or false, got {re.escape(repr(analytic))}$"):
+        ExperimentConfig(analytic=analytic)
+
+
+# (True,) used to run at 1 degree; a NaN failed inside the model, naming no
+# field, and an integer beyond the floats raised OverflowError.
+@pytest.mark.parametrize("grid", [(True,), (0.0, np.False_), (math.nan,), (0.0, -math.inf), (10**400,), ("45",),
+                                  [[0.0]], "0,45", 45.0, np.array([0.0, 45.0])])
+def test_a_phase_grid_that_is_not_a_list_of_finite_numbers_is_refused(grid):
+    with pytest.raises(ValueError, match="^phi_grid_deg must be a non-empty list of finite numbers, got "):
+        ExperimentConfig(phi_grid_deg=grid)
+
+
+def test_shots_beyond_the_cap_are_refused_before_any_run():
+    # 2**63 - 1 shots at p = 0 used to run fig3 and fig4, then fail inside
+    # fig5's bootstrap with "row 6: count ... is not a whole number".
+    with pytest.raises(ValueError, match=rf"^shots_per_setting must be at most 10\*\*18, got {2**63 - 1}$"):
+        ExperimentConfig(noise_p=0.0, shots_per_setting=2**63 - 1)
+    config = ExperimentConfig(noise_p=0.0, shots_per_setting=experiments.MAX_SHOTS, phi_grid_deg=(90.0,))
+    assert [point["estimate"] for point in run_fig5(config)["points"]] == [0.0]
+
+
+def test_a_config_holds_plain_python_values():
+    config = ExperimentConfig(seed=np.uint64(7), shots_per_setting=np.int32(9), qsv_tests=np.int64(11),
+                              noise_p=np.float32(0.25), phi_grid_deg=[np.int8(-15), np.float16(0.5)])
+    assert config == ExperimentConfig(seed=7, shots_per_setting=9, qsv_tests=11, noise_p=0.25,
+                                      phi_grid_deg=(-15.0, 0.5))
+    assert [type(getattr(config, f.name)) for f in dataclasses.fields(config)] == [int, int, int, float, tuple, bool]
+    assert [type(phi) for phi in config.phi_grid_deg] == [float, float]
+    assert type(dataclasses.replace(config, noise_p=1).noise_p) is float
 
 
 @pytest.mark.parametrize("field", ["seed", "shots_per_setting", "qsv_tests"])
@@ -591,7 +631,7 @@ def test_equal_numbers_of_another_type_give_the_same_bytes(run, given, plain, an
 def test_a_bool_noise_is_refused(run, noise_p):
     # The model of the equal number, built first, must not stand in for it.
     run(ExperimentConfig(seed=1, noise_p=float(noise_p), analytic=True))
-    with pytest.raises(ValueError, match=rf"^p must be a number in \[0, 1\], got {re.escape(repr(noise_p))}$"):
+    with pytest.raises(ValueError, match=rf"^noise_p must be a number in \[0, 1\], got {re.escape(repr(noise_p))}$"):
         run(ExperimentConfig(seed=1, noise_p=noise_p, analytic=True))
 
 
