@@ -26,31 +26,26 @@ Three pipelines:
   unit-trace rho; the reconstruction is real symmetric by construction and
   is projected onto the nearest density matrix when shot noise pushes it
   slightly outside the cone.  The decode stays in real arithmetic from the
-  map through the projection (one real `eigh` per stack) to the fidelity
-  with a real input.  A stack of correlation matrices decodes in one call,
-  each item exactly as it would alone.
+  map through the projection (one real `eigh` per stack).  A stack of
+  correlation matrices decodes in one call, each item exactly as it would
+  alone.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .masker import masker_matrix
-from .measure import PAIR_PAULIS, PAIRS, CountsTable, _is_integer, correlators, generators, poisson_resample
-from .qcore import EPS_EXACT, EPS_NUMERIC, _as_field_array, _dagger, _row_prefix, fidelity_with_pure
+from .measure import (_MAX_SHOTS, PAIR_PAULIS, PAIRS, CountsTable, _is_integer, correlators, generators,
+                      poisson_resample)
+from .qcore import EPS_EXACT, EPS_NUMERIC, EPS_PROB, _as_field_array, _dagger, _row_prefix
 
 
 # ---------------------------------------------------------------------------
 # Verification-based fidelity estimation.
-
-# The most tests a verification run draws per state: numpy's binomial sampler
-# takes its trial count as a signed 64-bit integer.
-_MAX_TESTS = 2**63 - 1
-
 
 def qsv_run(fidelities, n_tests: int, seeds) -> list[int]:
     """Run `n_tests` verification tests on each state of a stack, given by
@@ -66,7 +61,7 @@ def qsv_run(fidelities, n_tests: int, seeds) -> list[int]:
     the first faulty row.
     `n_tests` is an integer in [1, 2**63 - 1].
     """
-    if not (_is_integer(n_tests) and 1 <= n_tests <= _MAX_TESTS):
+    if not (_is_integer(n_tests) and 1 <= n_tests <= _MAX_SHOTS):
         raise ValueError(f"n_tests must be an integer in [1, 2**63 - 1], got {n_tests!r}")
     n_tests = int(n_tests)
     fid = np.asarray(fidelities, dtype=float)
@@ -280,7 +275,7 @@ def validate_correlation_matrix(t) -> np.ndarray:
         raise ValueError("correlation matrix must be 3x3")
     if not np.isfinite(arr).all():
         raise ValueError("correlation matrix has a NaN or infinite entry")
-    if np.abs(arr).max(initial=0.0) > 1.0 + 1e-9:
+    if np.abs(arr).max(initial=0.0) > 1.0 + EPS_PROB:
         raise ValueError("correlator magnitude exceeds 1 beyond tolerance")
     return arr
 
@@ -342,33 +337,21 @@ def _decode_map() -> np.ndarray:
     forward = np.einsum("nij,bji->nb", paulis, m @ basis @ m.conj().T).real
     residual = max(np.abs(exact - kmap).max(),
                    np.abs(np.einsum("ijn,nb->bij", kmap, forward) - basis).max())
-    if residual > 1e-12:
+    if residual > EPS_EXACT:
         raise AssertionError(f"decode map is off the 1/4 grid or fails to invert by {residual:.3e}")
     kmap.setflags(write=False)
     return kmap
 
 
-@dataclass(frozen=True, eq=False)
-class DecodeResult:
-    """Real reconstruction before and after the positivity projection, float64
-    arrays of shape (..., 4, 4) like the correlators; the fidelity has shape
-    (...)."""
-
-    rho_hat: np.ndarray
-    rho_proj: np.ndarray
-    fidelity_vs_input: np.ndarray | float | None = None
-
-
-def decode_real_state(t, input_state=None) -> DecodeResult:
-    """Rebuild the real ququart density matrix from the masked correlators.
+def decode_real_state(t) -> tuple[np.ndarray, np.ndarray]:
+    """Rebuild the real ququart density matrix from the masked correlators:
+    the raw reconstruction and its positivity projection, float64 arrays of
+    shape (..., 4, 4) like the correlators.
 
     `t` is a 3x3 correlation matrix or a (..., 3, 3) stack; each item maps
     through the constant `_decode_map`, every entry of rho a signed sum of
     quarters of 1 and the T_jk, then projects onto the density matrices in
-    real arithmetic: rho has no imaginary part by construction.  With a pure
-    (4,) `input_state`, or a (..., 4) stack of one per item, checked by
-    `qcore.checked_state`, the result also carries each item's fidelity
-    with it, in real arithmetic when the state is real.
+    real arithmetic: rho has no imaginary part by construction.
     """
     t = validate_correlation_matrix(t)
     ones = np.ones(t.shape[:-2] + (1,))
@@ -376,6 +359,4 @@ def decode_real_state(t, input_state=None) -> DecodeResult:
     # An elementwise product summed over the last axis adds each item's ten
     # terms in the same order whatever the stack, unlike a BLAS product.
     rho = (v[..., None, None, :] * _decode_map()).sum(axis=-1)
-    projected = project_to_density(rho)
-    fid = fidelity_with_pure(projected, input_state) if input_state is not None else None
-    return DecodeResult(rho_hat=rho, rho_proj=projected, fidelity_vs_input=fid)
+    return rho, project_to_density(rho)

@@ -64,7 +64,7 @@ import numpy as np
 
 from . import estimate, measure, optics, walk
 from .masker import mask_pure
-from .measure import _is_integer, derive_seed, derive_seeds, generators
+from .measure import _digits_beyond_text, _is_integer, derive_seed, derive_seeds, generators
 from .qcore import concurrence_from_purity, fidelity_with_pure, partial_trace
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
@@ -125,6 +125,8 @@ def _is_number(v) -> bool:
 def _integer(v) -> int:
     if not _is_integer(v):
         raise ValueError(f"must be an integer, got {v!r}")
+    if limit := _digits_beyond_text(v):
+        raise ValueError(f"must be an integer of at most {limit} digits")
     return int(v)
 
 
@@ -323,10 +325,9 @@ def _decoded(tables: np.ndarray, a: np.ndarray) -> np.ndarray:
     call: each table's decode fidelity with `a`, then its raw and its
     projected reconstruction and its nine correlators, flattened."""
     t = measure.correlators(tables).reshape(-1, 3, 3)
-    out = estimate.decode_real_state(t, a)
-    m = len(tables)
-    return np.column_stack([out.fidelity_vs_input, out.rho_hat.reshape(m, 16), out.rho_proj.reshape(m, 16),
-                            t.reshape(m, 9)])
+    rho_hat, rho_proj = estimate.decode_real_state(t)
+    return np.column_stack([fidelity_with_pure(rho_proj, a), rho_hat.reshape(-1, 16), rho_proj.reshape(-1, 16),
+                            t.reshape(-1, 9)])
 
 
 def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:

@@ -48,6 +48,7 @@ import csv
 import hashlib
 import io
 import math
+import sys
 import threading
 from functools import partial
 from operator import itemgetter
@@ -55,7 +56,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .qcore import PAULIS, _as_field_array, _row_prefix, checked_density, kron
+from .qcore import EPS_EXACT, EPS_PROB, PAULIS, _as_field_array, _row_prefix, checked_density, kron
 
 # The Pauli measurement convention every pipeline shares: axis and pair
 # labels, outcome labels, and the eigenprojectors the probability tables read.
@@ -95,6 +96,8 @@ def derive_seeds(master_seed: int, prefix: Sequence, suffixes: Iterable[Sequence
     extends a copy of that hash, so the bytes hashed are the same."""
     if not _is_integer(master_seed):
         raise ValueError(f"master seed must be an integer, got {master_seed!r}")
+    if limit := _digits_beyond_text(master_seed):
+        raise ValueError(f"master seed must be an integer of at most {limit} digits")
     head = hashlib.sha256()
     _hash_parts(head, (int(master_seed), *prefix))
     seeds = []
@@ -115,6 +118,15 @@ def _hash_parts(h, parts) -> None:
 def _is_integer(value) -> bool:
     """A Python int (a bool is not one) or a numpy integer."""
     return type(value) is int or isinstance(value, np.integer)
+
+
+def _digits_beyond_text(value) -> int:
+    """`sys.get_int_max_str_digits()` if the integer `value` has more digits,
+    else 0: Python cannot write such a value, so it cannot be hashed or named."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # absent before Python 3.10.7: no limit
+    n = abs(int(value))
+    # 2**(3 * limit) < 10**limit, so a shorter n needs no power of ten.
+    return limit if limit and n.bit_length() > 3 * limit and n >= 10**limit else 0
 
 
 def _is_seed(value) -> bool:
@@ -263,6 +275,7 @@ def pair_probs(rho) -> np.ndarray:
     return _projector_probs(rho, _PAIR_PROJECTORS)
 
 
+# numpy's multinomial and binomial samplers take a signed 64-bit trial count.
 _MAX_SHOTS = 2**63 - 1
 _MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
@@ -287,11 +300,11 @@ def sample_counts(probs, shots: int, seed) -> np.ndarray:
         raise ValueError(f"need one seed per row: seeds of shape {seeds.shape} for probs of shape {p.shape}")
     rows = p.reshape(-1, p.shape[-1])
     sums = rows.sum(axis=-1)
-    bad = (rows < -1e-12).any(axis=-1)
+    bad = (rows < -EPS_EXACT).any(axis=-1)
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"{_row_prefix(p.shape[:-1], i)}negative probability in {rows[i]}")
-    bad = ~(np.abs(sums - 1.0) <= 1e-9)  # a NaN sum is faulty too
+    bad = ~(np.abs(sums - 1.0) <= EPS_PROB)  # a NaN sum is faulty too
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"{_row_prefix(p.shape[:-1], i)}probabilities sum to {sums[i]}, expected 1")

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import EPS_EXACT, PAULI_X, PAULI_Z, _row_prefix, checked_state
+from .qcore import EPS_EXACT, EPS_PROB, PAULI_X, PAULI_Z, _row_prefix, checked_state
 from .walk import Local, RailState, Shift, embed_two_qubit, extract_two_qubit, run
 
 H, V = 0, 1
@@ -291,7 +291,7 @@ def detector_distribution(state: RailState) -> np.ndarray:
     """Click probabilities (..., 4) at SPCM 0..3 for measurement-module outputs."""
     probs = np.abs(np.stack([state.amplitude(x, p) for x, p in _SPCM_PORTS], axis=-1)) ** 2
     leak = (1.0 - probs.sum(axis=-1)).max(initial=0.0)
-    if leak > 1e-9:
+    if leak > EPS_PROB:
         raise ValueError(f"probability {leak:.3e} outside the four detector ports")
     return probs
 

@@ -13,8 +13,11 @@ All protocol dimensions are at most 16, so dense double-precision algebra is
 exact to ~1e-12 with comfortable headroom.
 
 Tolerance policy: EPS_EXACT guards analytic identities (isometries, trace
-preservation); EPS_NUMERIC guards `checked_density`'s eigenvalue floor and
-`estimate.qsv_run`'s fidelity clip, the two checks that allow round-off.
+preservation, the decode map) and a Born probability's sign; EPS_NUMERIC
+guards `checked_density`'s eigenvalue floor and `estimate.qsv_run`'s fidelity
+clip; EPS_PROB guards totals from a caller or a float sum: a probability
+row's sum, a correlator's size and `optics.detector_distribution`'s leak.
+`optics.SOLVER_TOL` and `experiments.EQUIV_THRESHOLD` each pass one check.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ import numpy as np
 
 EPS_EXACT = 1e-12
 EPS_NUMERIC = 1e-10
+EPS_PROB = 1e-9
 
 # Pauli convention: basis order |0>,|1>.
 ID2 = np.eye(2, dtype=complex)
@@ -106,7 +110,7 @@ def checked_density(mat) -> np.ndarray:
     if bad.size:
         i = bad[0]
         if skew.flat[i]:
-            why = "is not Hermitian within 1e-12"
+            why = f"is not Hermitian within {EPS_EXACT}"
         elif off.flat[i]:
             why = f"trace {tr.flat[i]} deviates from 1 by more than {EPS_EXACT}"
         else:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -30,6 +31,9 @@ from realmask.qcore import (
     partial_trace,
 )
 from realmask.walk import ExtractionError, Local, RailState, Shift, extract_two_qubit, run
+
+# The most digits of an int's text that Python writes; 0 means any length.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", int)()
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from realmask.measure import (
     pair_probs,
     sample_counts,
 )
-from realmask.qcore import BELL_PHI, partial_trace
+from realmask.qcore import BELL_PHI, fidelity_with_pure, partial_trace
 
 from helpers import (
     density,
@@ -108,7 +108,7 @@ def test_criterion_4_decode_round_trip():
     rng = np.random.default_rng(SEED + 3)
     rhos = [random_real_density(4, rng) for _ in range(1000)]
     ts = np.array([correlators(pair_probs(mask_state(rho))).reshape(3, 3) for rho in rhos])
-    raw = decode_real_state(ts).rho_hat
+    raw, _proj = decode_real_state(ts)
     worst = max(trace_distance(r.astype(complex), rho) for r, rho in zip(raw, rhos))
     assert worst < 1e-12
     _report(4, f"decode round-trip on 1000 real states: max trace distance {worst:.2e}")
@@ -203,7 +203,7 @@ def test_criterion_9_fig4_decoding():
             for pair, p in zip(PAIRS, probs)
         ])
         t = correlators(counts).reshape(3, 3)
-        fids.append(decode_real_state(t, a).fidelity_vs_input)
+        fids.append(fidelity_with_pure(decode_real_state(t)[1], a))
     median = float(np.median(fids))
     assert 0.980 <= median <= 0.995
     _report(9, f"fig4 decoding: median fidelity {median:.4f} over 100 seeds (target 0.989)")

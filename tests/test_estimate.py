@@ -36,7 +36,7 @@ from realmask.measure import (
     poisson_resample,
     sample_counts,
 )
-from realmask.qcore import BELL_PHI, EPS_EXACT, checked_density
+from realmask.qcore import BELL_PHI, EPS_EXACT, checked_density, fidelity_with_pure
 
 from helpers import (
     density,
@@ -873,32 +873,34 @@ class TestCorrelationMatrix:
 
 class TestDecode:
     def test_diagonal_t_gives_ground_state(self):
-        res = decode_real_state(np.diag([1.0, -1.0, 1.0]))
+        rho_hat, _rho_proj = decode_real_state(np.diag([1.0, -1.0, 1.0]))
         want = np.zeros((4, 4))
         want[0, 0] = 1.0
-        assert np.abs(res.rho_hat - want).max() < 1e-12
+        assert np.abs(rho_hat - want).max() < 1e-12
 
     def test_uniform_probe_t(self):
         t = np.array([[0, -1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
-        res = decode_real_state(t)
-        assert np.abs(res.rho_hat - 0.25).max() < 1e-12
+        rho_hat, _rho_proj = decode_real_state(t)
+        assert np.abs(rho_hat - 0.25).max() < 1e-12
 
     def test_round_trip_exact(self, rng):
         rhos = [random_real_density(4, rng) for _ in range(300)]
         ts = np.array([exact_correlators(mask_state(rho)) for rho in rhos])
-        raw = decode_real_state(ts).rho_hat
+        raw, _proj = decode_real_state(ts)
         for got, rho in zip(raw, rhos):
             assert trace_distance(got.astype(complex), rho) < 1e-12
 
-    def test_fidelity_field(self):
+    def test_a_pure_input_decodes_to_itself(self):
         c = np.ones(4) / 2
-        t = exact_correlators(mask_state(np.outer(c, c)))
-        for target in (c, list(c)):
-            res = decode_real_state(t, input_state=target)
-            assert res.fidelity_vs_input == pytest.approx(1.0, abs=1e-12)
+        _rho_hat, rho_proj = decode_real_state(exact_correlators(mask_state(np.outer(c, c))))
+        assert fidelity_with_pure(rho_proj, c) == pytest.approx(1.0, abs=1e-12)
 
-    def test_imaginary_part_zero_by_construction(self):
-        assert decode_real_state(np.zeros((3, 3))).rho_hat.dtype == np.float64
+    @pytest.mark.parametrize("shape", [(), (2,), (2, 3)])
+    def test_returns_two_real_stacks_shaped_like_the_correlators(self, shape):
+        out = decode_real_state(np.zeros(shape + (3, 3)))
+        assert type(out) is tuple and len(out) == 2
+        for rho in out:
+            assert type(rho) is np.ndarray and rho.dtype == np.float64 and rho.shape == shape + (4, 4)
 
     def test_rejects_oversized_correlators(self):
         with pytest.raises(ValueError):
@@ -929,7 +931,7 @@ class TestDecode:
     @settings(max_examples=100, deadline=None)
     @given(correlator_stacks())
     def test_map_matches_hand_formulas(self, ts):
-        got = decode_real_state(ts).rho_hat
+        got, _proj = decode_real_state(ts)
         assert np.array_equal(got, np.array([hand_decode(t) for t in ts]))
 
     @settings(max_examples=100, deadline=None)
@@ -939,27 +941,24 @@ class TestDecode:
         m = g.T @ g
         assume(np.trace(m) > 1e-3)
         rho = m / np.trace(m)
-        res = decode_real_state(exact_correlators(mask_state(rho)))
-        assert np.abs(res.rho_hat - rho).max() < 1e-12
+        rho_hat, _rho_proj = decode_real_state(exact_correlators(mask_state(rho)))
+        assert np.abs(rho_hat - rho).max() < 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(correlator_stacks())
     def test_stack_rows_match_single_decodes(self, ts):
-        target = np.ones(4, dtype=complex) / 2
-        res = decode_real_state(ts, target)
+        rho_hat, rho_proj = decode_real_state(ts)
         for i, t in enumerate(ts):
-            one = decode_real_state(t, target)
-            assert np.array_equal(res.rho_hat[i], one.rho_hat)
-            assert np.array_equal(res.rho_proj[i], one.rho_proj)
-            assert res.fidelity_vs_input[i] == one.fidelity_vs_input
+            one_hat, one_proj = decode_real_state(t)
+            assert np.array_equal(rho_hat[i], one_hat)
+            assert np.array_equal(rho_proj[i], one_proj)
 
     def test_zero_stack_decodes_to_maximally_mixed(self):
         # A resample in which every setting drew no shots has all-zero correlators.
-        target = np.ones(4, dtype=complex) / 2
-        res = decode_real_state(np.zeros((5, 3, 3)), target)
-        assert np.isfinite(res.rho_proj).all()
-        assert np.abs(res.rho_proj - np.eye(4) / 4).max() < 1e-15
-        assert np.abs(res.fidelity_vs_input - 0.25).max() < 1e-15
+        _rho_hat, rho_proj = decode_real_state(np.zeros((5, 3, 3)))
+        assert np.isfinite(rho_proj).all()
+        assert np.abs(rho_proj - np.eye(4) / 4).max() < 1e-15
+        assert np.abs(fidelity_with_pure(rho_proj, np.ones(4) / 2) - 0.25).max() < 1e-15
 
 
 @st.composite
@@ -974,7 +973,7 @@ def unit_trace_stacks(draw) -> np.ndarray:
     for kind in draw(st.lists(st.sampled_from(["full", "deficient", "negative", "round-off", "zero"]),
                               min_size=1, max_size=6)):
         if kind == "zero":
-            mats.append(decode_real_state(np.zeros((3, 3))).rho_hat if d == 4 else np.eye(2) / 2)
+            mats.append(decode_real_state(np.zeros((3, 3)))[0] if d == 4 else np.eye(2) / 2)
             continue
         if kind == "full":
             vals = rng.dirichlet(np.ones(d))
@@ -1026,7 +1025,7 @@ class TestProjection:
                 calls[_name].append((np.shape(mat), np.asarray(mat).dtype))
                 return _original(mat, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, spy)
-        assert decode_real_state(ts, a).rho_proj.dtype == np.float64
+        assert decode_real_state(ts)[1].dtype == np.float64
         assert calls == {"eigh": [((100, 4, 4), np.float64)], "eigvalsh": []}
         calls["eigh"].clear()
         run_fig4(ExperimentConfig(seed=4))

@@ -7,6 +7,7 @@ reports must agree byte for byte.
 """
 import collections
 import dataclasses
+import json
 import math
 import os
 import re
@@ -36,7 +37,7 @@ from realmask.masker import mask_pure
 from realmask.measure import derive_seed
 from realmask.qcore import concurrence_from_purity, fidelity_with_pure, partial_trace
 
-from helpers import density, purity, reference_report_json, spin_flip_concurrence
+from helpers import INT_DIGITS, density, purity, reference_report_json, spin_flip_concurrence
 
 
 def oracle_row(target, estimate, error, error_kind, **extra):
@@ -561,6 +562,26 @@ def test_a_seed_that_is_not_an_integer_is_refused(run, analytic, seed):
     # An analytic run draws nothing, yet its head states the seed.
     with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
         run(ExperimentConfig(seed=seed, analytic=analytic))
+
+
+# Such a seed used to be accepted, and every run then failed in `str` with
+# Python's own error, which names no field; the refusal cannot show the
+# value, whose repr raises.  Shots and tests are refused alike.
+@pytest.mark.skipif(not INT_DIGITS, reason="this Python writes an integer of any length")
+@pytest.mark.parametrize("field", ["seed", "shots_per_setting", "qsv_tests"])
+@pytest.mark.parametrize("value", [10**5000, 10**INT_DIGITS, -10**INT_DIGITS],
+                         ids=["10**5000", "10**limit", "-10**limit"])
+def test_an_integer_too_long_to_write_is_refused(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer of at most {INT_DIGITS} digits$"):
+        ExperimentConfig(**{field: value})
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="this Python writes an integer of any length")
+@pytest.mark.parametrize("seed", [10**INT_DIGITS - 1, -(10**INT_DIGITS - 1), 2 ** (3 * INT_DIGITS)],
+                         ids=["most-digits", "negative", "past-the-bit-bound"])
+def test_the_longest_seed_python_writes_runs(seed):
+    report = json.loads(report_json(run_fig4(ExperimentConfig(seed=seed))))
+    assert report["seed"] == seed
 
 
 # Each used to run: "no" and 1 in analytic mode, writing "analytic": "no"

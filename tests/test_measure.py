@@ -40,7 +40,7 @@ from realmask.measure import (
 )
 from realmask.qcore import BELL_PHI, PAULIS, checked_density, kron, partial_trace
 
-from helpers import density, mask_state, random_density, random_real_density, reference_derive_seed
+from helpers import INT_DIGITS, density, mask_state, random_density, random_real_density, reference_derive_seed
 
 
 def oracle_pair_probs(rho: np.ndarray) -> np.ndarray:
@@ -817,6 +817,23 @@ class TestSeeds:
             derive_seeds(master, ("a",), [("b",)])
         with pytest.raises(ValueError, match=r"^master seed must be an integer, got "):
             derive_seeds(master, (), [])
+
+    @pytest.mark.skipif(not INT_DIGITS, reason="this Python writes an integer of any length")
+    @pytest.mark.parametrize("master", [10**5000, -10**5000, 10**INT_DIGITS, -10**INT_DIGITS],
+                             ids=["10**5000", "-10**5000", "10**limit", "-10**limit"])
+    def test_derive_seeds_refuses_a_master_seed_too_long_to_write(self, master):
+        # Such a seed used to fail in `str` with Python's own error, which
+        # names no seed; the refusal cannot show the value, whose repr raises.
+        want = rf"^master seed must be an integer of at most {INT_DIGITS} digits$"
+        with pytest.raises(ValueError, match=want):
+            derive_seeds(master, ("x",), [()])
+        with pytest.raises(ValueError, match=want):
+            derive_seed(master, "x")
+
+    @pytest.mark.skipif(not INT_DIGITS, reason="this Python writes an integer of any length")
+    def test_derive_seeds_takes_the_longest_master_seed_python_writes(self):
+        for master in (10**INT_DIGITS - 1, -(10**INT_DIGITS - 1), 2 ** (3 * INT_DIGITS)):
+            assert derive_seeds(master, ("x",), [(1,)]) == [reference_derive_seed(master, "x", 1)]
 
     def test_generator_streams_independent(self):
         a = generator(derive_seed(1, "x")).random(4)

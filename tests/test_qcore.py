@@ -266,9 +266,8 @@ class TestOneConvention:
     @pytest.mark.parametrize("fn", [
         lambda v: fidelity_with_pure(np.eye(4) / 4, v),
         mask_pure,
-        lambda v: decode_real_state(np.zeros((3, 3)), input_state=v).fidelity_vs_input,
         lambda v: simulate_measurement(v, pauli_meas_setting("X", "Y")),
-    ], ids=["fidelity_with_pure", "mask_pure", "decode_real_state", "simulate_measurement"])
+    ], ids=["fidelity_with_pure", "mask_pure", "simulate_measurement"])
     def test_pure_state_entry_points(self, fn, rng):
         psi = haar_state(4, rng)
         self.assert_plain(fn(psi))
@@ -277,33 +276,27 @@ class TestOneConvention:
             fn(2 * psi)
 
     @pytest.mark.parametrize("fn, message", [
-        (lambda v, rho, t: fidelity_with_pure(rho, v), "dimension mismatch"),
-        (lambda v, rho, t: mask_pure(v), "4-dimensional state"),
-        (lambda v, rho, t: decode_real_state(t, input_state=v).fidelity_vs_input, "dimension mismatch"),
-    ], ids=["fidelity_with_pure", "mask_pure", "decode_real_state"])
+        (lambda v, rho: fidelity_with_pure(rho, v), "dimension mismatch"),
+        (lambda v, rho: mask_pure(v), "4-dimensional state"),
+    ], ids=["fidelity_with_pure", "mask_pure"])
     def test_a_stack_equals_its_rows(self, fn, message, rng):
         # Like `checked_state`, every entry point that takes amplitudes takes
         # one state or a stack, with one matrix per row where it reads both.
         psis = np.array([haar_state(4, rng) for _ in range(3)])
         rhos = np.array([random_density(4, rng) for _ in range(3)])
-        ts = rng.uniform(-1, 1, size=(3, 3, 3))
-        many = fn(psis, rhos, ts)
+        many = fn(psis, rhos)
         assert type(many) is np.ndarray and len(many) == 3
-        assert np.array_equal(many, [fn(*row) for row in zip(psis, rhos, ts)])
+        assert np.array_equal(many, [fn(*row) for row in zip(psis, rhos)])
         with pytest.raises(ValueError, match=message):
-            fn(haar_state(3, rng), rhos[0], ts[0])
+            fn(haar_state(3, rng), rhos[0])
         with pytest.raises(ValueError, match=message):
-            fn(np.array([haar_state(3, rng) for _ in range(3)]), rhos, ts)
+            fn(np.array([haar_state(3, rng) for _ in range(3)]), rhos)
 
     def test_decode_real_state(self, rng):
-        a = rng.normal(size=4)
-        a /= np.linalg.norm(a)
         ts = rng.uniform(-1, 1, size=(3, 3, 3))
         for t in (ts[0], ts):
-            res = decode_real_state(t, a)
-            for field in ("rho_hat", "rho_proj", "fidelity_vs_input"):
-                self.assert_plain(getattr(res, field))
-            assert type(res.fidelity_vs_input) is (np.ndarray if t.ndim == 3 else np.float64)
+            for rho in decode_real_state(t):
+                self.assert_plain(rho)
 
     def test_masker_matrix_is_read_only(self):
         from realmask.masker import masker_matrix
