@@ -9,7 +9,11 @@ PYTHONDONTWRITEBYTECODE=1, so every spawn compiles realmask's modules, as
 a host that writes no bytecode does.  Each round runs every command once
 per tree, with the trees' order alternating from round to round; reports
 go to a temporary directory.  Prints one JSON object: for each tree and
-command, the median and quartiles of the wall seconds.
+command, the median and quartiles of the wall seconds.  Fewer than two
+rounds, which give no quartiles, a tree without `src/realmask/` or
+`scripts/reproduce_figures.py` and a tree named twice are usage errors
+(exit 2); a command that exits nonzero ends the run with a one-line error
+(exit 1).
 
     python scripts/spawn_times.py --rounds 15 . ../parent-checkout
 """
@@ -35,6 +39,23 @@ COMMANDS = {
 }
 
 
+def _rounds(text: str) -> int:
+    try:
+        if (rounds := int(text)) >= 2:
+            return rounds
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 2, for the quartiles, got {text!r}")
+
+
+def _tree(text: str) -> Path:
+    tree = Path(text)
+    if not ((tree / "src" / "realmask").is_dir() and (tree / "scripts" / "reproduce_figures.py").is_file()):
+        raise argparse.ArgumentTypeError(f"{text!r} is no checkout: it lacks src/realmask/ "
+                                         "or scripts/reproduce_figures.py")
+    return tree
+
+
 def _copy_tree(tree: Path, into: Path) -> Path:
     for part in ("src", "scripts"):
         shutil.copytree(tree / part, into / part, ignore=shutil.ignore_patterns("__pycache__"))
@@ -49,11 +70,13 @@ def _spawn(copy: Path, args: list[str], out: Path) -> float:
     return time.perf_counter() - start
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("trees", nargs="+", type=Path, help="checkout roots to time")
-    parser.add_argument("--rounds", type=int, default=15)
-    args = parser.parse_args()
+    parser.add_argument("trees", nargs="+", type=_tree, help="checkout roots to time")
+    parser.add_argument("--rounds", type=_rounds, default=15, help="rounds, at least 2 (default 15)")
+    args = parser.parse_args(argv)
+    if len({str(tree) for tree in args.trees}) < len(args.trees):
+        parser.error("a tree is named twice")
     times = {str(tree): {name: [] for name in COMMANDS} for tree in args.trees}
     with tempfile.TemporaryDirectory() as tmp:
         copies = {str(tree): _copy_tree(tree, Path(tmp) / f"tree{i}") for i, tree in enumerate(args.trees)}
@@ -63,7 +86,12 @@ def main() -> int:
             order = list(copies) if rnd % 2 == 0 else list(reversed(copies))
             for name, cmd in COMMANDS.items():
                 for tree in order:
-                    times[tree][name].append(_spawn(copies[tree], cmd, out))
+                    try:
+                        times[tree][name].append(_spawn(copies[tree], cmd, out))
+                    except subprocess.CalledProcessError as exc:
+                        print(f"{parser.prog}: {name!r} in tree {tree} exited with code {exc.returncode}",
+                              file=sys.stderr)
+                        return 1
     summary = {tree: {name: dict(zip(("q1_s", "median_s", "q3_s"),
                                      (round(q, 4) for q in statistics.quantiles(runs, n=4))))
                       for name, runs in per_tree.items()}

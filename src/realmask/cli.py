@@ -21,7 +21,6 @@ or number may follow its flag after a space (`--phi-grid -15,0`) or an `=`.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import re
@@ -81,11 +80,6 @@ def _flag_type(parse, check):
 
 def _floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",")]
-
-
-def _default(fn, name: str):
-    """The default of `fn`'s parameter `name`."""
-    return inspect.signature(fn).parameters[name].default
 
 
 _PHI = experiments.DEFAULT_PHI_GRID
@@ -237,14 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
                    lambda config, args: experiments.run_fig3(config))
     p4 = add_experiment("fig4", "correlation decoding of a masked probe",
                         lambda config, args: experiments.run_fig4(config, args.probe))
-    p4.add_argument("--probe", type=int, default=_default(experiments.run_fig4, "probe"),
-                    choices=experiments.PROBES)
+    p4.add_argument("--probe", type=int, default=experiments.DEFAULT_PROBE, choices=experiments.PROBES)
     add_experiment("fig5", "concurrence of the masked phase probes",
                    lambda config, args: experiments.run_fig5(config))
     pe = add_experiment("equiv", "masker / walk / optics equivalence check",
                         lambda config, args: experiments.run_equivalence(config, n_inputs=args.n_inputs))
-    pe.add_argument("--n-inputs", type=_flag_type(int, experiments._count),
-                    default=_default(experiments.run_equivalence, "n_inputs"))
+    pe.add_argument("--n-inputs", type=_flag_type(int, experiments._count), default=experiments.DEFAULT_N_INPUTS)
 
     pa = sub.add_parser("angles", help="waveplate angle solutions")
     pa.add_argument("--state", type=_flag_type(_floats, _real_state), default=None,

@@ -76,6 +76,8 @@ DEFAULT_QSV_TESTS = 5000
 DEFAULT_NOISE_P = 0.01
 DEFAULT_PHI_GRID = (0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0)
 DEFAULT_SHOTS = {"fig3": 4000, "fig4": 4000, "fig5": 10000}
+DEFAULT_PROBE = 4
+DEFAULT_N_INPUTS = 100
 BOOTSTRAP_RESAMPLES = 100
 # Random preparation targets the equivalence check runs through the table at
 # once; it bounds the memory of a large --n-inputs run.
@@ -330,7 +332,7 @@ def _decoded(tables: np.ndarray, a: np.ndarray) -> np.ndarray:
                             t.reshape(-1, 9)])
 
 
-def run_fig4(config: ExperimentConfig, probe: int = 4) -> dict:
+def run_fig4(config: ExperimentConfig, probe: int = DEFAULT_PROBE) -> dict:
     probe = _probe_index(probe)
     a, probs = _fig4_model(config.noise_p, probe)
     counts = _counts(probs[None], config, "fig4", "fig4", [(probe,)])
@@ -408,7 +410,7 @@ def _fixed_gaps() -> tuple[tuple[str, float], ...]:
             ("measurement", float(np.abs(np.stack(got, axis=1) - want).max())))
 
 
-def run_equivalence(config: ExperimentConfig, n_inputs: int = 100) -> dict:
+def run_equivalence(config: ExperimentConfig, n_inputs: int = DEFAULT_N_INPUTS) -> dict:
     """The linear parts' gaps, and the preparation's over `n_inputs` random real targets."""
     if not (_is_integer(n_inputs) and n_inputs >= 1):
         raise ValueError(f"n_inputs must be an integer >= 1, got {n_inputs!r}")

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import BELL_PHI, EPS_EXACT, ID2, PAULI_X, PAULI_Y, PAULI_Z, checked_state, kron
+from .qcore import BELL_PHI, EPS_EXACT, ID2, PAULI_X, PAULI_Y, PAULI_Z, checked_state
 
 
 @lru_cache(maxsize=None)
@@ -55,9 +55,9 @@ def masker_matrix() -> np.ndarray:
     the 4x4 coefficient matrix Q obeys Q†Q = QᵀQ = 1, so Q is real
     orthogonal.  U_0 = 1 then leaves U_j = i n_j·σ for j >= 1, with the n_j
     real and orthonormal, and U_j U_k + U_k U_j = -2 delta_jk."""
-    m = np.column_stack([-1j * kron(u, ID2) @ BELL_PHI for u in hr_unitaries()])
+    m = np.column_stack([-1j * np.kron(u, ID2) @ BELL_PHI for u in hr_unitaries()])
     for identity, gram in (("an isometry: max |M†M - 1|", m.conj().T @ m),
-                           ("a magic basis: max |Mᵀ(σ_y⊗σ_y)M - 1|", m.T @ kron(PAULI_Y, PAULI_Y) @ m)):
+                           ("a magic basis: max |Mᵀ(σ_y⊗σ_y)M - 1|", m.T @ np.kron(PAULI_Y, PAULI_Y) @ m)):
         if (dev := np.abs(gram - np.eye(4)).max()) > EPS_EXACT:
             raise ValueError(f"not {identity} = {dev:.3e}")
     m.setflags(write=False)

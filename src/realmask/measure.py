@@ -56,7 +56,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .qcore import EPS_EXACT, EPS_PROB, PAULIS, _as_field_array, _row_prefix, checked_density, kron
+from .qcore import EPS_EXACT, EPS_PROB, PAULIS, _as_field_array, _row_prefix, checked_density
 
 # The Pauli measurement convention every pipeline shares: axis and pair
 # labels, outcome labels, and the eigenprojectors the probability tables read.
@@ -74,11 +74,11 @@ def _eigenprojectors(axis: str) -> tuple[np.ndarray, np.ndarray]:
 
 _AXIS_PLUS = np.stack([_eigenprojectors(a)[0] for a in AXES])
 _PAIR_PROJECTORS = np.stack([
-    [kron(p, q) for p in _eigenprojectors(pair[0]) for q in _eigenprojectors(pair[1])]
+    [np.kron(p, q) for p in _eigenprojectors(pair[0]) for q in _eigenprojectors(pair[1])]
     for pair in PAIRS
 ])
 # sigma_j ⊗ sigma_k for every pair, the observables whose means `correlators` estimates.
-PAIR_PAULIS = np.stack([kron(PAULIS[pair[0]], PAULIS[pair[1]]) for pair in PAIRS])
+PAIR_PAULIS = np.stack([np.kron(PAULIS[pair[0]], PAULIS[pair[1]]) for pair in PAIRS])
 PAIR_PAULIS.setflags(write=False)
 
 
@@ -366,7 +366,7 @@ def poisson_resample(counts, resamples: int, seed) -> np.ndarray:
                          f"in [0, {int(_MAX_POISSON_MEAN)}]")
     draws = np.empty((len(items), resamples, *item), dtype=np.int64)
     for i, rng in enumerate(generators(seeds)):
-        draws[i] = rng.poisson(items[i], size=(resamples, *item))
+        draws[i] = rng.poisson(values[i], size=(resamples, *item))
     return draws.reshape(*stack, resamples, *item)
 
 

@@ -194,18 +194,10 @@ class MeasSetting:
     alpha: float
     beta: float
 
-    def path_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        return _basis_pair(self.gamma, self.zeta)
 
-    def pol_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        return _basis_pair(self.alpha, self.beta)
-
-
-def _basis_pair(theta: float, phase: float) -> tuple[np.ndarray, np.ndarray]:
-    e = np.exp(1j * phase)
-    v0 = np.array([math.cos(theta), e * math.sin(theta)], dtype=complex)
-    v1 = np.array([math.sin(theta), -e * math.cos(theta)], dtype=complex)
-    return v0, v1
+def _first_basis_state(theta: float, phase: float) -> np.ndarray:
+    """cos(theta)|0> + e^{i phase} sin(theta)|1>, a qubit basis's first state."""
+    return np.array([math.cos(theta), np.exp(1j * phase) * math.sin(theta)], dtype=complex)
 
 
 _PAULI_EIGENBASIS = {"X": (math.pi / 4, 0.0), "Y": (math.pi / 4, math.pi / 2), "Z": (0.0, 0.0)}
@@ -262,8 +254,8 @@ def compile_measurement(setting: MeasSetting) -> MeasAngles:
     Q2/H4 rotate the polarization basis onto (H, V); Q3/H5 do the same for the
     path basis after the displacer pair has moved it onto polarization.
     """
-    q2, h4, r1 = _solve_to_horizontal(setting.pol_basis()[0])
-    q3, h5, r2 = _solve_to_horizontal(setting.path_basis()[0])
+    q2, h4, r1 = _solve_to_horizontal(_first_basis_state(setting.alpha, setting.beta))
+    q3, h5, r2 = _solve_to_horizontal(_first_basis_state(setting.gamma, setting.zeta))
     return MeasAngles(q2=q2, h4=h4, q3=q3, h5=h5, residual=max(r1, r2))
 
 

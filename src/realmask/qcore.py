@@ -4,7 +4,10 @@ One array convention: states are plain arrays, (d,) amplitudes for a pure
 state and (d, d) density matrices, and every function takes one state or a
 (..., d) or (..., d, d) stack alike and returns plain checked arrays.  Arrays
 keep their field: a real input is a float64 array and stays in real
-arithmetic, anything else is complex.  This module owns the two state rules,
+arithmetic, anything else is complex; no function here casts real data to
+complex.  Tensor products are numpy's `np.kron`, which keeps its operands'
+field, in the row-major block convention (A⊗B)[ip+k, jq+l] = A[i,j] B[k,l]
+that the pair tables in `measure` read.  This module owns the two state rules,
 and the library applies each once per stack: `checked_state` (finite, unit
 norm) for amplitudes and `checked_density` (finite, Hermitian, unit trace,
 positive) for density matrices.  Both only check: what they accept comes
@@ -51,10 +54,7 @@ def _in_field(values) -> np.ndarray:
 
 
 def _as_field_array(values, what: str) -> np.ndarray:
-    return _finite(_in_field(values), what)
-
-
-def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    arr = _in_field(values)
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     return arr
@@ -117,11 +117,6 @@ def checked_density(mat) -> np.ndarray:
             why = f"has eigenvalue {lo.flat[i]} < -{EPS_NUMERIC}"
         raise ValueError(f"{_row_prefix(arr.shape[:-2], i)}density matrix {why}")
     return arr
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, row-major block convention: (A⊗B)[ip+k, jq+l] = A[i,j] B[k,l]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def partial_trace(rho, keep) -> np.ndarray:

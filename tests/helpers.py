@@ -27,7 +27,6 @@ from realmask.qcore import (
     checked_density,
     checked_state,
     concurrence_from_purity,
-    kron,
     partial_trace,
 )
 from realmask.walk import ExtractionError, Local, RailState, Shift, extract_two_qubit, run
@@ -161,7 +160,7 @@ def spin_flip_concurrence(psi) -> float:
     a = checked_state(psi)
     if a.shape != (4,):
         raise DimensionError("spin_flip_concurrence expects a two-qubit state")
-    return float(abs(a @ kron(PAULI_Y, PAULI_Y) @ a))
+    return float(abs(a @ np.kron(PAULI_Y, PAULI_Y) @ a))
 
 
 def concurrence_pure(psi) -> float:
@@ -238,9 +237,9 @@ def verification_projectors(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     yp = u @ PAULI_Y @ u.conj().T
     zp = u @ PAULI_Z @ u.conj().T
     return (
-        (eye + kron(xp, PAULI_X)) / 2,
-        (eye - kron(yp, PAULI_Y)) / 2,
-        (eye + kron(zp, PAULI_Z)) / 2,
+        (eye + np.kron(xp, PAULI_X)) / 2,
+        (eye - np.kron(yp, PAULI_Y)) / 2,
+        (eye + np.kron(zp, PAULI_Z)) / 2,
     )
 
 
@@ -335,10 +334,17 @@ def with_local_at(steps, i: int, site: int, u) -> list:
 
 # Born-rule oracle for the optical measurement module.
 
+def qubit_basis(theta: float, phase: float) -> tuple[np.ndarray, np.ndarray]:
+    """cos(theta)|0> + e^{i phase} sin(theta)|1> and sin(theta)|0> - e^{i phase} cos(theta)|1>."""
+    e = np.exp(1j * phase)
+    return np.array([np.cos(theta), e * np.sin(theta)]), np.array([np.sin(theta), -e * np.cos(theta)])
+
+
 def product_basis(setting) -> list[np.ndarray]:
-    """The setting's path ⊗ polarization basis, checked orthonormal."""
-    f0, f1 = setting.path_basis()
-    p0, p1 = setting.pol_basis()
+    """The setting's path ⊗ polarization basis, written out from its angles
+    as `optics.MeasSetting` states it, checked orthonormal."""
+    f0, f1 = qubit_basis(setting.gamma, setting.zeta)
+    p0, p1 = qubit_basis(setting.alpha, setting.beta)
     basis = [np.kron(f0, p0), np.kron(f0, p1), np.kron(f1, p0), np.kron(f1, p1)]
     gram = np.array([[np.vdot(u, w) for w in basis] for u in basis])
     if np.abs(gram - np.eye(4)).max() > EPS_EXACT:

@@ -488,13 +488,14 @@ class TestCommandLine:
         args = parser.parse_args([command])
         assert cli._build_config(args) == (ExperimentConfig(), None)
         if command == "fig4":
-            assert args.probe == inspect.signature(run_fig4).parameters["probe"].default
+            assert args.probe == experiments.DEFAULT_PROBE == inspect.signature(run_fig4).parameters["probe"].default
             for probe in experiments.PROBES:
                 assert parser.parse_args([command, "--probe", str(probe)]).probe == probe
             with pytest.raises(SystemExit):
                 parser.parse_args([command, "--probe", str(max(experiments.PROBES) + 1)])
         if command == "equiv":
-            assert args.n_inputs == inspect.signature(run_equivalence).parameters["n_inputs"].default
+            assert (args.n_inputs == experiments.DEFAULT_N_INPUTS
+                    == inspect.signature(run_equivalence).parameters["n_inputs"].default)
         grid = experiments.DEFAULT_PHI_GRID
         shown = {"seed": f"(default {experiments.DEFAULT_SEED})",
                  "phi_grid_deg": f"(default {grid[0]:g},{grid[1]:g},...,{grid[-1]:g})"}

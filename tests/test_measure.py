@@ -38,7 +38,7 @@ from realmask.measure import (
     tables_from_csv,
     tables_to_csv,
 )
-from realmask.qcore import BELL_PHI, PAULIS, checked_density, kron, partial_trace
+from realmask.qcore import BELL_PHI, PAULIS, checked_density, partial_trace
 
 from helpers import INT_DIGITS, density, mask_state, random_density, random_real_density, reference_derive_seed
 
@@ -55,7 +55,7 @@ def oracle_pair_probs(rho: np.ndarray) -> np.ndarray:
                 proj1 = (eye + s1 * PAULIS[j]) / 2
                 for s2 in (+1, -1):
                     proj2 = (eye + s2 * PAULIS[k]) / 2
-                    row.append(np.trace(rho @ kron(proj1, proj2)).real)
+                    row.append(np.trace(rho @ np.kron(proj1, proj2)).real)
             rows.append(row)
     return np.array(rows)
 
@@ -78,12 +78,37 @@ def densities(draw, dim: int) -> np.ndarray:
     return checked_density(m / tr)
 
 
+def index_loop_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Four-index oracle of the row-major block convention (A⊗B)[ip+k, jq+l] = A[i,j] B[k,l]
+    for two 2x2 operands."""
+    want = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                for l in range(2):
+                    want[i * 2 + k, j * 2 + l] = a[i, j] * b[k, l]
+    return want
+
+
+class TestPairTables:
+    """The pair tables in the block convention, checked without `np.kron`."""
+
+    def test_pair_paulis_against_index_loop(self):
+        for pauli, pair in zip(PAIR_PAULIS, PAIRS):
+            assert np.array_equal(pauli, index_loop_product(PAULIS[pair[0]], PAULIS[pair[1]]))
+
+    def test_pair_projectors_against_index_loop(self):
+        eye = np.eye(2)
+        for projectors, pair in zip(measure._PAIR_PROJECTORS, PAIRS):
+            want = [index_loop_product((eye + s1 * PAULIS[pair[0]]) / 2, (eye + s2 * PAULIS[pair[1]]) / 2)
+                    for s1 in (1, -1) for s2 in (1, -1)]
+            assert np.array_equal(projectors, want)
+
+
 class TestOutcomeProbs:
     def test_labels(self):
         assert AXES == ("X", "Y", "Z")
         assert PAIRS == tuple(j + k for j in "XYZ" for k in "XYZ")
-        for pauli, pair in zip(PAIR_PAULIS, PAIRS):
-            assert np.array_equal(pauli, kron(PAULIS[pair[0]], PAULIS[pair[1]]))
 
     def test_bell_zz(self):
         probs = pair_probs(density(BELL_PHI))[PAIRS.index("ZZ")]
@@ -352,6 +377,11 @@ class TestPoissonResample:
         monkeypatch.setattr(measure, "generators", lambda seeds: pytest.fail("drew before checking resamples"))
         with pytest.raises(ValueError, match=rf"^resamples must be an integer >= 1, got {re.escape(repr(resamples))}$"):
             poisson_resample(np.array([3, 4]), resamples, 1)
+
+    def test_integer_and_float_counts_draw_alike(self):
+        counts = np.array([[4000, 0, 17, 9223372006484770816], [1, 2, 3, 4]])
+        draws = poisson_resample(counts, 5, [3, 4])
+        assert np.array_equal(draws, poisson_resample(counts.astype(float), 5, [3, 4]))
 
     def test_takes_a_numpy_integer_resample_count(self):
         counts = np.array([3, 4])

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from realmask.estimate import decode_real_state
 from realmask.masker import mask_pure
@@ -10,14 +8,12 @@ from realmask.qcore import (
     BELL_PHI as BELL,
     EPS_EXACT,
     EPS_NUMERIC,
-    PAULI_X,
     PAULI_Z,
     DimensionError,
     checked_density,
     checked_state,
     concurrence_from_purity,
     fidelity_with_pure,
-    kron,
     partial_trace,
 )
 
@@ -40,40 +36,6 @@ def ket(*amps) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-class TestKron:
-    def test_identity_case(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sigma_z_pair(self):
-        assert np.allclose(kron(PAULI_Z, PAULI_Z), np.diag([1, -1, -1, 1]), atol=0)
-
-    def test_x_z_against_index_loop(self):
-        a, b = PAULI_X, PAULI_Z
-        got = kron(a, b)
-        # Independent four-index oracle for the row-major block convention.
-        want = np.zeros((4, 4), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        want[i * 2 + k, j * 2 + l] = a[i, j] * b[k, l]
-        assert np.array_equal(got, want)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
-    def test_block_convention_random(self, p, q, r, s, seed):
-        g = np.random.default_rng(seed)
-        a = g.normal(size=(p, q)) + 1j * g.normal(size=(p, q))
-        b = g.normal(size=(r, s)) + 1j * g.normal(size=(r, s))
-        got = kron(a, b)
-        for i in range(p):
-            for k in range(r):
-                for j in range(q):
-                    for l in range(s):
-                        # complex multiply order differs by <= 1 ulp
-                        assert abs(got[i * r + k, j * s + l] - a[i, j] * b[k, l]) < 1e-14
-
-
 class TestPartialTrace:
     def test_bell_reduces_to_maximally_mixed(self):
         red = partial_trace(density(BELL), keep="A")
@@ -81,7 +43,7 @@ class TestPartialTrace:
 
     def test_product_state_keep_b(self):
         plus = ket(1, 1)
-        rho = kron(density(ket(1, 0)), density(plus))
+        rho = np.kron(density(ket(1, 0)), density(plus))
         red = partial_trace(rho, keep="B")
         assert np.abs(red - density(plus)).max() < EPS_EXACT
 
@@ -177,7 +139,7 @@ class TestPurityFidelity:
 
     def test_rejects_spurious_imaginary_part(self):
         # A non-Hermitian item: <00| rho |00> = 1/4 + 1e-9 i.
-        rho = np.eye(4) / 4 + 1e-9j * kron(PAULI_Z, PAULI_Z)
+        rho = np.eye(4) / 4 + 1e-9j * np.kron(PAULI_Z, PAULI_Z)
         with pytest.raises(ValueError, match="spurious imaginary"):
             fidelity_with_pure(np.stack([np.eye(4) / 4, rho]), np.array([1, 0, 0, 0]))
 
