@@ -8,21 +8,24 @@ and `angles` (waveplate angle solutions for preparation and measurement).
 Option precedence: command-line flags override the --config file, which
 overrides the defaults that `experiments` owns.  One table, `OPTIONS`, gives
 each setting its flag, flag parser and help, and `CHECKS` its value check:
-`ExperimentConfig`'s own (`experiments.FIELD_CHECKS`), and a non-empty
-`--out`.  A subcommand's flags and config keys are made from them for the
-settings it reads (`FIELDS`), so it takes no flag or key that it would
-ignore, and `scripts/reproduce_figures.py` takes its `--seed`, `--noise-p`
-and `--out` from them too.  `fig4 --probe` and `equiv --n-inputs` are flags
-only.  A bad value is a one-line error, never a silent coercion: a usage
-error (exit 2) as a flag, a config-file error (exit 1) as a key.  So is a
-run that needs more memory than it can get (exit 1).  A negative comma list
-or number may follow its flag after a space (`--phi-grid -15,0`) or an `=`.
+`ExperimentConfig`'s own (`experiments.FIELD_CHECKS`), and `--out`'s (a
+non-empty path with no NUL).  A subcommand's flags and config keys are made
+from them for the settings it reads (`FIELDS`), so it takes no flag or key
+that it would ignore, and `scripts/reproduce_figures.py` takes its `--seed`,
+`--noise-p` and `--out` from them too.  `fig4 --probe` and `equiv
+--n-inputs` are flags only.  A bad value is a one-line error, never a silent
+coercion: a usage error (exit 2) as a flag, a config-file error (exit 1) as
+a key.  `guard` makes a file-system error (an `--out` that cannot be
+written, a closed or full stdout) and a lack of memory one-line errors too
+(exit 1).  A negative comma list or number may follow its flag after a
+space (`--phi-grid -15,0`) or an `=`.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -63,6 +66,9 @@ def _pauli_pair(v: str) -> str:
 def _text(v) -> str:
     if not isinstance(v, str) or not v:
         raise ValueError(f"must be a non-empty string, got {v!r}")
+    if "\0" in v:
+        raise ValueError(f"must not hold a NUL character, got {v!r}")
+    os.fsencode(v)  # a character the file system cannot encode raises UnicodeEncodeError, a ValueError
     return v
 
 
@@ -126,7 +132,7 @@ def option_values(args: argparse.Namespace) -> dict:
 def _load_config_file(path: str, command: str, fields) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SystemExit(f"config file {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise SystemExit(f"config file {path} must hold a JSON object")
@@ -137,13 +143,10 @@ def _load_config_file(path: str, command: str, fields) -> dict:
     experiment = doc.pop("experiment", command)
     if experiment != command:
         raise SystemExit(f"config file {path}: experiment must be {command!r}, got {experiment!r}")
-    values = {}
-    for key, v in doc.items():
-        try:
-            values[key] = CHECKS[key](v)
-        except ValueError as exc:
-            raise SystemExit(f"config file {path}: {key} {exc}") from None
-    return values
+    try:
+        return {key: experiments._checked(key, CHECKS[key], v) for key, v in doc.items()}
+    except ValueError as exc:
+        raise SystemExit(f"config file {path}: {exc}") from None
 
 
 def _build_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str | None]:
@@ -154,22 +157,29 @@ def _build_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str | Non
     return ExperimentConfig(**values), out_dir
 
 
-def write_report_or_exit(report: dict, out_dir) -> list[Path]:
-    """`experiments.write_report`, with a file-system error as a one-line exit."""
+def guard(name: str, work, *args) -> int:
+    """The exit code of `work(*args)`, with stdout flushed.  An OSError (a report
+    that cannot be written, a closed or full stdout) or a MemoryError is a
+    one-line error, prefixed by `name`, with exit code 1; all else keeps its traceback."""
     try:
-        return experiments.write_report(report, out_dir)
+        code = work(*args)
+        print(end="", flush=True)  # flushes stdout; a no-op when Python started without one
+        return code
+    except MemoryError as exc:
+        raise SystemExit(f"{name}: not enough memory for this run: {str(exc) or 'MemoryError'}") from None
     except OSError as exc:
-        raise SystemExit(f"cannot write reports to {out_dir}: {exc}") from None
+        try:
+            print(end="", flush=True)
+        except OSError:  # stdout failed: its unwritten bytes go to the null device, not to a second error at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(f"{name}: {exc}") from None
 
 
 def _cmd_experiment(args) -> int:
     config, out_dir = _build_config(args)
-    try:
-        report = args.run(config, args)
-    except MemoryError as exc:
-        raise SystemExit(f"{args.command}: not enough memory for this run: {str(exc) or 'MemoryError'}") from None
+    report = args.run(config, args)
     if out_dir:
-        for p in write_report_or_exit(report, out_dir):
+        for p in experiments.write_report(report, out_dir):
             print(f"wrote {p}")
     else:
         sys.stdout.write(experiments.report_json(report))
@@ -194,13 +204,9 @@ def _cmd_angles(args) -> int:
         print(f"  H1 = {angles.h1:.6f} deg")
         print(f"  Q1 = {angles.q1:.6f} deg (inserted on the -3 rail)")
         print(f"  H2 = {angles.h2:.6f} deg")
-    label, setting = args.setting, None
-    if label is not None:
-        setting = optics.pauli_meas_setting(*label)
-    elif args.basis is not None:
-        setting = optics.MeasSetting(*args.basis)
-        label = "custom basis"
-    if setting is not None:
+    if args.setting or args.basis:  # at most one of the two, by their parser group
+        label = args.setting or "custom basis"
+        setting = optics.pauli_meas_setting(*args.setting) if args.setting else optics.MeasSetting(*args.basis)
         compiled = optics.compile_measurement(setting)
         print(f"measurement setting {label} "
               f"(gamma={setting.gamma:.6f}, zeta={setting.zeta:.6f}, "
@@ -231,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
                    lambda config, args: experiments.run_fig3(config))
     p4 = add_experiment("fig4", "correlation decoding of a masked probe",
                         lambda config, args: experiments.run_fig4(config, args.probe))
-    p4.add_argument("--probe", type=int, default=experiments.DEFAULT_PROBE, choices=experiments.PROBES)
+    p4.add_argument("--probe", type=_flag_type(int, experiments._probe_index), default=experiments.DEFAULT_PROBE,
+                    help=f"probe index 1..4 (default {experiments.DEFAULT_PROBE})")
     add_experiment("fig5", "concurrence of the masked phase probes",
                    lambda config, args: experiments.run_fig5(config))
     pe = add_experiment("equiv", "masker / walk / optics equivalence check",
@@ -243,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="four comma-separated real amplitudes (normalized automatically)")
     pa.add_argument("--phi", type=_flag_type(float, _finite), default=None,
                     help="phase-probe phase in degrees")
-    pa.add_argument("--setting", type=_flag_type(str, _pauli_pair), default=None, help="Pauli pair, e.g. XY")
-    pa.add_argument("--basis", type=_flag_type(_floats, _four_finite), default=None,
+    measurement = pa.add_mutually_exclusive_group()
+    measurement.add_argument("--setting", type=_flag_type(str, _pauli_pair), default=None, help="Pauli pair, e.g. XY")
+    measurement.add_argument("--basis", type=_flag_type(_floats, _four_finite), default=None,
                     help="raw product-basis parameters gamma,zeta,alpha,beta (radians)")
     pa.set_defaults(func=_cmd_angles)
 
@@ -286,7 +294,7 @@ def _attach_negative_lists(argv) -> list[str]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
-    return args.func(args)
+    return guard(args.command, args.func, args)
 
 
 if __name__ == "__main__":

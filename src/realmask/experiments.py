@@ -116,6 +116,7 @@ def phase_probe(phi_deg: float) -> np.ndarray:
 # The most shots per setting and tests per probe: numpy's Poisson sampler, by
 # which a bootstrap redraws each count, refuses means above about 9.2e18, and
 # its binomial sampler, which draws a pass count, takes at most 2**63 - 1 trials.
+# `_count` applies it to equiv's `n_inputs` too, the one rule of a count.
 MAX_SHOTS = 10**18
 
 
@@ -162,6 +163,14 @@ def _flag(v) -> bool:
     return v
 
 
+def _checked(field: str, check, v):
+    """`check(v)`, its ValueError prefixed with the field's name."""
+    try:
+        return check(v)
+    except ValueError as exc:
+        raise ValueError(f"{field} {exc}") from None
+
+
 # Each config field's check: the plain Python value the config holds, or ValueError("must ...").
 FIELD_CHECKS = {
     "seed": _integer,
@@ -185,10 +194,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for field, check in FIELD_CHECKS.items():
-            try:
-                object.__setattr__(self, field, check(getattr(self, field)))
-            except ValueError as exc:
-                raise ValueError(f"{field} {exc}") from None
+            object.__setattr__(self, field, _checked(field, check, getattr(self, field)))
 
     def shots(self, experiment: str) -> int:
         return DEFAULT_SHOTS[experiment] if self.shots_per_setting is None else self.shots_per_setting
@@ -412,9 +418,7 @@ def _fixed_gaps() -> tuple[tuple[str, float], ...]:
 
 def run_equivalence(config: ExperimentConfig, n_inputs: int = DEFAULT_N_INPUTS) -> dict:
     """The linear parts' gaps, and the preparation's over `n_inputs` random real targets."""
-    if not (_is_integer(n_inputs) and n_inputs >= 1):
-        raise ValueError(f"n_inputs must be an integer >= 1, got {n_inputs!r}")
-    n_inputs = int(n_inputs)
+    n_inputs = _checked("n_inputs", _count, n_inputs)
     rng = next(generators([derive_seed(config.seed, "equiv")]))
     gaps = dict(_fixed_gaps())
     for start in range(0, n_inputs, EQUIV_BLOCK):

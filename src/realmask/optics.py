@@ -45,10 +45,6 @@ from .walk import Local, RailState, Shift, embed_two_qubit, extract_two_qubit, r
 H, V = 0, 1
 
 
-class SolverError(RuntimeError):
-    """Angle solve did not reach the required residual."""
-
-
 def hwp_jones(theta_deg) -> np.ndarray:
     """Half-wave plate at `theta_deg` from horizontal in the (H, V) basis; angle arrays give a stack."""
     t = 2 * np.radians(theta_deg)
@@ -244,7 +240,7 @@ def _solve_to_horizontal(target: np.ndarray) -> tuple[float, float, float]:
     v = hwp_jones(h) @ qwp_jones(q) @ target
     residual = 1.0 - abs(v[0]) ** 2
     if not residual <= SOLVER_TOL:
-        raise SolverError(f"closed-form angles leave residual {residual:.3e} (tolerance {SOLVER_TOL:.1e})")
+        raise RuntimeError(f"closed-form angles leave residual {residual:.3e} (tolerance {SOLVER_TOL:.1e})")
     return float(_fold_half_turn(q)), float(_fold_half_turn(h)), float(residual)
 
 

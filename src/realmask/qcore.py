@@ -43,10 +43,6 @@ PAULIS = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 BELL_PHI = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
-class DimensionError(ValueError):
-    """Operand dimensions do not match or do not factor as required."""
-
-
 def _in_field(values) -> np.ndarray:
     """`values` as float64 when every entry is a real number, else as complex."""
     arr = np.asarray(values)
@@ -123,12 +119,11 @@ def partial_trace(rho, keep) -> np.ndarray:
     """Checked reduced state of qubit `keep`, "A" (the first) or "B", of each
     two-qubit density matrix of a (..., 4, 4) stack, in the stack's field.
 
-    Raises DimensionError for any other shape and ValueError for any other
-    `keep`.
+    Raises ValueError for any other shape or any other `keep`.
     """
     arr = _as_field_array(rho, "density matrix")
     if arr.shape[-2:] != (4, 4):
-        raise DimensionError(f"partial_trace expects (..., 4, 4) two-qubit states, got shape {arr.shape}")
+        raise ValueError(f"partial_trace expects (..., 4, 4) two-qubit states, got shape {arr.shape}")
     if keep not in ("A", "B"):
         raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
     blocks = arr.reshape(arr.shape[:-2] + (2, 2, 2, 2))
@@ -142,7 +137,7 @@ def fidelity_with_pure(rho, target):
     arr = _as_field_array(rho, "density matrix")
     a = checked_state(target)
     if a.shape not in (arr.shape[-1:], arr.shape[:-1]):
-        raise DimensionError(f"dimension mismatch: target of shape {a.shape} for matrices of shape {arr.shape}")
+        raise ValueError(f"dimension mismatch: target of shape {a.shape} for matrices of shape {arr.shape}")
     val = np.einsum("...i,...ij,...j->...", a.conj(), arr, a)
     spurious = np.abs(val.imag).max(initial=0.0)
     if spurious > EPS_EXACT:

@@ -42,10 +42,6 @@ for _coin in (COIN_C1, COIN_C2, COIN_XZ):
     _coin.setflags(write=False)
 
 
-class ExtractionError(ValueError):
-    """State has support outside the extractable sites +/-1."""
-
-
 @dataclass(frozen=True, eq=False)
 class RailState:
     """`amps[..., i, q]` is the amplitude of qubit q on site lo + i (zero off
@@ -171,7 +167,7 @@ def extract_two_qubit(state: RailState) -> np.ndarray:
     Returns normalized (..., 4) amplitudes."""
     stray = state.max_outside((1, -1))
     if stray > EPS_EXACT:
-        raise ExtractionError(f"support outside sites +/-1 with amplitude {stray:.3e}")
+        raise ValueError(f"support outside sites +/-1 with amplitude {stray:.3e}")
     vec = np.stack([state.amplitude(x, c) for x in (1, -1) for c in (0, 1)], axis=-1)
     return vec / np.linalg.norm(vec, axis=-1, keepdims=True)
 

@@ -22,14 +22,13 @@ from realmask.qcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    DimensionError,
     _dagger,
     checked_density,
     checked_state,
     concurrence_from_purity,
     partial_trace,
 )
-from realmask.walk import ExtractionError, Local, RailState, Shift, extract_two_qubit, run
+from realmask.walk import Local, RailState, Shift, extract_two_qubit, run
 
 # The most digits of an int's text that Python writes; 0 means any length.
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", int)()
@@ -159,7 +158,7 @@ def spin_flip_concurrence(psi) -> float:
     """Independent concurrence formula |<psi| sigma_y ⊗ sigma_y |psi*>|."""
     a = checked_state(psi)
     if a.shape != (4,):
-        raise DimensionError("spin_flip_concurrence expects a two-qubit state")
+        raise ValueError("spin_flip_concurrence expects a two-qubit state")
     return float(abs(a @ np.kron(PAULI_Y, PAULI_Y) @ a))
 
 
@@ -167,7 +166,7 @@ def concurrence_pure(psi) -> float:
     """Entanglement of a two-qubit pure state: sqrt(2(1 - tr rho_A^2))."""
     a = checked_state(psi)
     if a.size != 4:
-        raise DimensionError("concurrence_pure expects a two-qubit state")
+        raise ValueError("concurrence_pure expects a two-qubit state")
     return float(concurrence_from_purity(purity(partial_trace(density(a), keep="A"))))
 
 
@@ -311,10 +310,10 @@ def worst_masker_infidelity(start: RailState, steps, a: np.ndarray) -> float:
     """Largest infidelity between the masker applied to the (N, 4) inputs `a`
     and `steps` run from `start`, their encoding; amplitude left off the
     read-out sites counts as total disagreement."""
-    try:
-        got = extract_two_qubit(run(start, steps))
-    except ExtractionError:
+    state = run(start, steps)
+    if state.max_outside((1, -1)) > EPS_EXACT:
         return 1.0
+    got = extract_two_qubit(state)
     ref = a @ masker_matrix().T
     return float((1 - np.abs(np.sum(ref.conj() * got, axis=-1)) ** 2).max())
 

@@ -1,11 +1,16 @@
 import contextlib
 import dataclasses
+import errno
 import inspect
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,14 +219,28 @@ class TestEquivalence:
     @pytest.mark.parametrize("n", [0, -5])
     def test_rejects_empty_run(self, n):
         # A run over no inputs would pass after checking nothing.
-        with pytest.raises(ValueError, match=rf"^n_inputs must be an integer >= 1, got {n}$"):
+        with pytest.raises(ValueError, match=rf"^n_inputs must be a positive integer, got {n}$"):
             run_equivalence(ExperimentConfig(seed=9), n_inputs=n)
 
     # True used to write "n_inputs": true, and 2.5 ended in numpy's TypeError.
     @pytest.mark.parametrize("n", [True, 2.5, 3.0, "3", None])
     def test_rejects_a_bool_or_non_integer_input_count(self, n):
-        with pytest.raises(ValueError, match=rf"^n_inputs must be an integer >= 1, got {re.escape(repr(n))}$"):
+        with pytest.raises(ValueError, match=rf"^n_inputs must be an integer, got {re.escape(repr(n))}$"):
             run_equivalence(ExperimentConfig(seed=9), n_inputs=n)
+
+    # The library used to run 10**18 + 1 inputs, and a 5,000-digit count,
+    # that `--n-inputs` refuses; the two now share `experiments._count`.
+    def test_input_count_has_the_rule_of_its_flag(self, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "_preparation_gap", lambda a: pytest.fail("ran before the count was checked"))
+        with pytest.raises(ValueError, match=r"^n_inputs must be at most 10\*\*18, got 1000000000000000001$"):
+            run_equivalence(ExperimentConfig(seed=9), n_inputs=10**18 + 1)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["equiv", "--n-inputs", str(10**18 + 1)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "argument --n-inputs: must be at most 10**18, got 1000000000000000001")
+        with pytest.raises(ValueError, match=r"^n_inputs must be "):
+            run_equivalence(ExperimentConfig(seed=9), n_inputs=10**4999)
 
     def test_one_input_runs(self, capsys):
         # The smallest count that the run and the flag accept.
@@ -503,6 +522,17 @@ class TestCommandLine:
             if field in READS[command]:
                 assert text in cli.OPTIONS[field][2]
 
+    # `--probe 5` used to be argparse's "invalid choice", a second rule beside
+    # the library's `probe index must be ...`.
+    @pytest.mark.parametrize("probe", ["0", "5", "-1"])
+    def test_probe_flag_takes_the_library_rule(self, probe, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fig4", "--analytic", "--probe", probe])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"realmask fig4: error: argument --probe: probe index must be an integer 1..4, got {probe}"
+        assert "--probe PROBE" in err
+
     def test_config_experiment_key_may_name_the_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"experiment": "fig4", "seed": 3}))
@@ -516,6 +546,23 @@ class TestCommandLine:
             with pytest.raises(SystemExit) as exc:
                 cli.main(["fig4", "--config", str(path)])
             assert isinstance(exc.value.code, str) and str(path) in exc.value.code
+
+    # Each used to end in a traceback: the NUL in `mkdir`'s "embedded null
+    # byte", the lone surrogate in its UnicodeEncodeError, the nesting in
+    # `json.loads`'s RecursionError.
+    @pytest.mark.parametrize("text, error", [
+        ('{"output_path": "a\\u0000b"}', "output_path must not hold a NUL character, got 'a\\x00b'"),
+        ('{"output_path": "\\ud800"}', "output_path 'utf-8' codec can't encode character '\\ud800'"),
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["nul-in-output-path", "unencodable-output-path", "nested-100000-deep"])
+    def test_config_file_value_that_used_to_end_in_a_traceback(self, text, error, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fig5", "--analytic", "--config", str(cfg_path)])
+        assert exc.value.code.startswith(f"config file {cfg_path}: {error}")
+        assert capsys.readouterr().out == "" and sorted(tmp_path.iterdir()) == [cfg_path]
 
     @pytest.mark.parametrize("argv", [
         ["fig3", "--noise-p", "1.5"],
@@ -664,6 +711,16 @@ class TestCommandLine:
         assert proc.stdout == ""
         assert proc.stderr == "angles: give at least one of --state, --phi, --setting, --basis\n"
 
+    def test_angles_takes_one_measurement_setting(self, capsys):
+        # Given both, `angles` used to print the --setting and drop --basis.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["angles", "--setting", "XY", "--basis", "0.3,0.5,1.1,0.2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == \
+            "realmask angles: error: argument --basis: not allowed with argument --setting"
+
     def test_angles_print_inside_one_plate_period(self, capsys):
         # A tiny negative H2 used to print as 180.000000 deg.
         assert cli.main(["angles", "--phi", "-90.00000000000001"]) == 0
@@ -713,7 +770,7 @@ class TestCommandLine:
         with pytest.raises(SystemExit) as exc:
             cli.main(["fig4", "--analytic", "--out", str(taken)])
         assert isinstance(exc.value.code, str)
-        assert exc.value.code.startswith(f"cannot write reports to {taken}:")
+        assert exc.value.code.startswith("fig4: ") and str(taken) in exc.value.code
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_empty_output_path_is_a_usage_error(self, tmp_path, source, capsys, monkeypatch):
@@ -827,8 +884,8 @@ class TestCommandLine:
         out = subprocess.run([sys.executable, str(script), "--out", str(taken)],
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 1
-        assert out.stderr.startswith(f"cannot write reports to {taken}:")
-        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("reproduce_figures.py: ") and str(taken) in out.stderr
+        assert len(out.stderr.splitlines()) == 1
 
     def test_reproduce_figures_empty_out_is_a_usage_error(self, tmp_path):
         # The driver's own `--out` used to take "" as the working directory,
@@ -876,3 +933,52 @@ class TestCommandLine:
         out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
         before, after = out.stdout.split()
         assert after == before
+
+
+REPO = Path(__file__).resolve().parents[1]
+# The commands that print to stdout, as the arguments after the interpreter,
+# with the name that prefixes their one-line error; "{out}" is a fresh directory.
+PRINTING = {
+    "fig3": ["-m", "realmask.cli", "fig3", "--analytic"],
+    "fig4": ["-m", "realmask.cli", "fig4", "--analytic"],
+    "fig5": ["-m", "realmask.cli", "fig5", "--analytic"],
+    "equiv": ["-m", "realmask.cli", "equiv", "--n-inputs", "1"],
+    "angles": ["-m", "realmask.cli", "angles", "--state", "1,2,3,4"],
+    "reproduce_figures.py": [str(REPO / "scripts" / "reproduce_figures.py"), "--seed", "1", "--out", "{out}"],
+}
+
+
+class TestFailedStdout:
+    """A stdout that cannot take the output is a one-line error, exit 1.
+
+    Each command used to end in a BrokenPipeError or an ENOSPC OSError
+    traceback, and then Python's "Exception ignored" message from the flush
+    at exit.
+    """
+
+    @staticmethod
+    def _run(name, stdout, tmp_path):
+        argv = [arg.replace("{out}", str(tmp_path / "out")) for arg in PRINTING[name]]
+        proc = subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        return line
+
+    @pytest.mark.parametrize("name", sorted(PRINTING))
+    def test_a_pipe_whose_reader_has_closed(self, name, tmp_path):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            line = self._run(name, write, tmp_path)
+        finally:
+            os.close(write)
+        assert line == f"{name}: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="this system has no /dev/full")
+    @pytest.mark.parametrize("name", sorted(PRINTING))
+    def test_a_full_device(self, name, tmp_path):
+        with open("/dev/full", "w") as full:
+            line = self._run(name, full, tmp_path)
+        assert line == f"{name}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"

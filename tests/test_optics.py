@@ -11,7 +11,6 @@ from realmask.optics import (
     H,
     V,
     MeasSetting,
-    SolverError,
     compile_measurement,
     detector_distribution,
     hwp_jones,
@@ -376,7 +375,7 @@ class TestMeasurement:
 
     def test_solver_error_on_impossible_tolerance(self, monkeypatch):
         monkeypatch.setattr(optics, "SOLVER_TOL", -1.0)
-        with pytest.raises(SolverError):
+        with pytest.raises(RuntimeError, match=r"^closed-form angles leave residual .* \(tolerance -1\.0e\+00\)$"):
             compile_measurement(pauli_meas_setting("X", "Y"))
 
     @pytest.mark.parametrize("setting", [
@@ -385,5 +384,5 @@ class TestMeasurement:
     ])
     def test_solver_error_on_nan_residual(self, setting):
         # A NaN residual used to pass `residual > tol` and max() dropped it.
-        with pytest.raises(SolverError, match="nan"):
+        with pytest.raises(RuntimeError, match=r"^closed-form angles leave residual nan "):
             compile_measurement(setting)

@@ -19,7 +19,6 @@ from realmask.walk import (
     COIN_XZ,
     COIN_Z,
     TRANSLATE,
-    ExtractionError,
     Local,
     RailState,
     Shift,
@@ -182,7 +181,7 @@ class TestEncodeExtract:
         assert np.allclose(out, np.array([1, 0, 0, 1]) / SQRT2)
 
     def test_extract_rejects_stray_support(self):
-        with pytest.raises(ExtractionError):
+        with pytest.raises(ValueError, match=r"^support outside sites \+/-1 with amplitude 7\.071e-01$"):
             extract_two_qubit(rail_state({(1, 0): np.sqrt(0.5), (3, 0): np.sqrt(0.5)}))
 
 
