@@ -158,18 +158,20 @@ def _build_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str | Non
 
 
 def guard(name: str, work, *args) -> int:
-    """The exit code of `work(*args)`, with stdout flushed.  An OSError (a report
-    that cannot be written, a closed or full stdout) or a MemoryError is a
-    one-line error, prefixed by `name`, with exit code 1; all else keeps its traceback."""
+    """The exit code of `work(*args)`, with stdout flushed.  A stdout closed at
+    the start (nothing runs), an OSError (an unwritable report, a failed stdout)
+    or a MemoryError is a one-line error with `name`, exit 1; all else raises."""
+    if sys.stdout is None:  # Python starts without one when its fd 1 is closed
+        raise SystemExit(f"{name}: standard output is closed")
     try:
         code = work(*args)
-        print(end="", flush=True)  # flushes stdout; a no-op when Python started without one
+        sys.stdout.flush()
         return code
     except MemoryError as exc:
         raise SystemExit(f"{name}: not enough memory for this run: {str(exc) or 'MemoryError'}") from None
     except OSError as exc:
         try:
-            print(end="", flush=True)
+            sys.stdout.flush()
         except OSError:  # stdout failed: its unwritten bytes go to the null device, not to a second error at exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise SystemExit(f"{name}: {exc}") from None

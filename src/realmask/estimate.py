@@ -7,7 +7,7 @@ Three pipelines:
   an Agresti-Coull confidence interval transported through the same linear
   map; the tests' average operator is 1/3 + (2/3)|target><target| for every
   target, so `qsv_run` draws each state's pass count as one binomial from
-  its fidelity F with the target, at p_succ = (1 + 2F)/3, one seed per row,
+  its fidelity F with the target, at p_succ = (1 + 2F)/3, a seed for each row,
   and `qsv_interval` gives the estimate and interval of a pass count;
 * single-qubit tomography: the maximum-likelihood purity of (batch, 3, 2)
   count arrays, rows in `measure.AXES` order, which the pipelines estimate
@@ -49,8 +49,9 @@ from .qcore import EPS_EXACT, EPS_NUMERIC, EPS_PROB, _as_field_array, _dagger, _
 
 def qsv_run(fidelities, n_tests: int, seeds) -> list[int]:
     """Run `n_tests` verification tests on each state of a stack, given by
-    its (n,) fidelities F = <t|rho|t> with its target t, one seed per row;
-    one pass count per row, a Python int, each what its stack of one gives.
+    its (n,) fidelities F = <t|rho|t> with its target t, and a seed for each
+    row (`measure.generators`); one pass count per row, a Python int, each
+    what its stack of one gives.
 
     A round picks one of the three local tests XX, -YY and ZZ, rotated onto
     t, at random, so its average operator is 1/3 + (2/3)|t><t| and it passes
@@ -70,10 +71,8 @@ def qsv_run(fidelities, n_tests: int, seeds) -> list[int]:
     if (bad := np.flatnonzero(~(np.abs(fid - 0.5) <= 0.5 + EPS_NUMERIC))).size:
         raise ValueError(f"{_row_prefix(fid.shape, bad[0])}fidelity must be a finite number in [0, 1], "
                          f"got {float(fid[bad[0]])!r}")
-    if len(seeds) != len(fid):
-        raise ValueError(f"need one seed per row, got {len(seeds)} seeds for {len(fid)} rows")
     return [int(rng.binomial(n_tests, p))
-            for p, rng in zip(((1.0 + 2.0 * np.clip(fid, 0.0, 1.0)) / 3.0).tolist(), generators(seeds))]
+            for p, rng in zip(((1.0 + 2.0 * np.clip(fid, 0.0, 1.0)) / 3.0).tolist(), generators(seeds, fid.shape))]
 
 
 def qsv_interval(passed: int, total: int) -> tuple[float, float, float, float]:
@@ -218,7 +217,7 @@ def bootstrap_std(
     resamples: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Point values of `quantity` for each count array of a stack, and their
-    standard deviation over Poisson resamples of it, one seed per item.
+    standard deviation over Poisson resamples of it, a seed for each item.
 
     Each item's resamples come from one seeded draw of shape (resamples,
     *item shape).  `quantity` maps a stack of m count arrays to (m, ...)
@@ -232,7 +231,7 @@ def bootstrap_std(
         raise ValueError(f"resamples must be an integer >= 2, got {resamples!r}")
     counts = np.asarray(counts)
     n = len(counts)
-    draws = poisson_resample(counts, resamples, seeds)  # checks one seed per count array
+    draws = poisson_resample(counts, resamples, seeds)  # checks the seeds' shape
     values = np.asarray(quantity(np.concatenate([counts, draws.reshape(-1, *counts.shape[1:])])))
     if values.shape[:1] != (n * (resamples + 1),):
         raise ValueError(f"quantity gave shape {values.shape}, expected ({n * (resamples + 1)}, ...)")

@@ -419,7 +419,7 @@ def _fixed_gaps() -> tuple[tuple[str, float], ...]:
 def run_equivalence(config: ExperimentConfig, n_inputs: int = DEFAULT_N_INPUTS) -> dict:
     """The linear parts' gaps, and the preparation's over `n_inputs` random real targets."""
     n_inputs = _checked("n_inputs", _count, n_inputs)
-    rng = next(generators([derive_seed(config.seed, "equiv")]))
+    rng = next(generators(derive_seed(config.seed, "equiv"), ()))
     gaps = dict(_fixed_gaps())
     for start in range(0, n_inputs, EQUIV_BLOCK):
         a = rng.normal(size=(min(EQUIV_BLOCK, n_inputs - start), 4))

@@ -28,15 +28,14 @@ outside [0, 2**64) is refused, never folded onto another.  `derive_seeds`
 gives the sub-seeds of a family of tag tuples that share a prefix, hashing
 the prefix once.
 
-Draws by the table: `sample_counts` takes a (..., k) table of rows with a
-(...) array of seeds and `poisson_resample` a stack of count arrays with one
-seed per item.  Each call checks the whole table once, naming the first
-faulty row, and draws every row from its thread's one Philox stream, which
-`generators` re-keys per row: a Philox stream is fully defined by its key
-and counter (Salmon et al., SC'11), so each row gets the bits of
-`generator(seed)` without paying for a new one.  The stream is built on a
-thread's first draw, never at import, and a thread takes rows from one
-`generators` iterator at a time.
+Draws by the table: `sample_counts`, `poisson_resample` and
+`estimate.qsv_run` check a whole table once, naming the first faulty row,
+and draw each row from its own seed through `generators(seeds, rows)`, the
+one holder of that rule, which re-keys its thread's one Philox stream per
+row: a Philox stream is fully defined by its key and counter (Salmon et al.,
+SC'11), so each row gets the bits of `generator(seed)` without paying for a
+new one.  The stream is built on a thread's first draw, never at import, and
+a thread takes rows from one `generators` iterator at a time.
 
 Count tables as CSV: `tables_from_csv` splits plain text into columns
 without the csv module; text with a quote, lone CR or NUL, or that breaks a
@@ -145,22 +144,27 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def generators(seeds) -> Iterator[np.random.Generator]:
-    """`generator(seed)` for every seed of a (...) array in C order, from the
-    calling thread's one Philox stream re-keyed in place for each row: key =
-    seed, counter 0, empty buffer.
+def generators(seeds, rows) -> Iterator[np.random.Generator]:
+    """`generator(seed)` for every seed of an array of the shape `rows`, one
+    per row, in C order, from the calling thread's one Philox stream re-keyed
+    in place for each row: key = seed, counter 0, empty buffer.
 
-    Every seed is checked before the first generator is handed out, and an
-    error names the faulty row.  Each item is the thread's same Generator,
-    re-keyed when the next one is taken, so draw from it before moving on and
-    take rows from one `generators` iterator at a time in a thread.
+    Seeds of another shape are refused at the call; a faulty seed is named by
+    its row when the first generator is taken, after a caller's own checks.
+    Each item is the thread's one Generator, re-keyed for the next row: draw
+    from it before taking the next, from one iterator at a time in a thread.
     """
     seeds = np.asarray(seeds, dtype=object)
+    if seeds.shape != tuple(rows):
+        raise ValueError(f"need one seed per row: seeds of shape {seeds.shape} for rows of shape {tuple(rows)}")
+    return _rekeyed_rows(seeds)
+
+
+def _rekeyed_rows(seeds: np.ndarray) -> Iterator[np.random.Generator]:
     keys = seeds.ravel().tolist()
-    if not all(map(_is_seed, keys)):
-        i = next(i for i, key in enumerate(keys) if not _is_seed(key))
-        raise _seed_error(keys[i], _row_prefix(seeds.shape, i))
-    return map(_thread_rekey(), map(int, keys))
+    if bad := [i for i, key in enumerate(keys) if not _is_seed(key)]:
+        raise _seed_error(keys[bad[0]], _row_prefix(seeds.shape, bad[0]))
+    yield from map(_thread_rekey(), map(int, keys))
 
 
 _STREAMS = threading.local()
@@ -285,19 +289,16 @@ def sample_counts(probs, shots: int, seed) -> np.ndarray:
     from one multinomial draw of `shots` per row; deterministic per seed.
     `shots` is an integer in [1, 2**63 - 1], as the int64 counts hold.
 
-    `seed` is a (...) array, one seed per row: row i is drawn from the stream
-    of `generator(seed[i])`.  A single (k,) row takes a plain int seed.  The
-    whole table is checked before any draw, and an error names the first
-    faulty row.
+    `seed` holds a seed for each row, a plain int for a single (k,) row: row
+    i is drawn from the stream of `generator(seed[i])`.  The whole table is
+    checked before any draw, and an error names the first faulty row.
     """
     if not (_is_integer(shots) and 1 <= shots <= _MAX_SHOTS):
         raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots!r}")
     p = np.asarray(probs, dtype=float)
     if p.ndim < 1 or p.shape[-1] not in (2, 4):
         raise ValueError("probs must have 2 or 4 entries")
-    seeds = np.asarray(seed, dtype=object)
-    if seeds.shape != p.shape[:-1]:
-        raise ValueError(f"need one seed per row: seeds of shape {seeds.shape} for probs of shape {p.shape}")
+    rngs = generators(seed, p.shape[:-1])
     rows = p.reshape(-1, p.shape[-1])
     sums = rows.sum(axis=-1)
     bad = (rows < -EPS_EXACT).any(axis=-1)
@@ -311,7 +312,7 @@ def sample_counts(probs, shots: int, seed) -> np.ndarray:
     rows = np.clip(rows, 0.0, None)
     rows = rows / rows.sum(axis=-1, keepdims=True)
     counts = np.empty(rows.shape, dtype=np.int64)
-    for i, rng in enumerate(generators(seeds)):
+    for i, rng in enumerate(rngs):
         counts[i] = rng.multinomial(shots, rows[i])
     return counts.reshape(p.shape)
 
@@ -345,19 +346,16 @@ def poisson_resample(counts, resamples: int, seed) -> np.ndarray:
     draw with that mean: one draw of shape (resamples, *counts.shape).
 
     With a (...) array of seeds, `counts` is a stack of count arrays of shape
-    (..., *item), one seed per item, and the result has shape (...,
-    resamples, *item): item i is the draw for `counts[i]` alone with
-    `seed[i]`.  `resamples` is an integer >= 1, and counts must be whole
-    numbers in [0, `_MAX_POISSON_MEAN`], numpy's Poisson limit.
+    (..., *item), its leading axes the rows of `generators`, and the result
+    has shape (..., resamples, *item): item i is the draw for `counts[i]`
+    alone with `seed[i]`.  `resamples` is an integer >= 1, and counts must
+    be whole numbers in [0, `_MAX_POISSON_MEAN`], numpy's Poisson limit.
     """
     if not (_is_integer(resamples) and resamples >= 1):
         raise ValueError(f"resamples must be an integer >= 1, got {resamples!r}")
     counts = np.asarray(counts)
-    seeds = np.asarray(seed, dtype=object)
-    stack = seeds.shape
-    if counts.shape[:len(stack)] != stack:
-        raise ValueError(f"need one seed per count array: seeds of shape {stack} "
-                         f"for counts of shape {counts.shape}")
+    stack = counts.shape[:np.asarray(seed, dtype=object).ndim]
+    rngs = generators(seed, stack)
     item = counts.shape[len(stack):]
     items = counts.reshape(math.prod(stack), *item)
     values = np.asarray(items, dtype=float)
@@ -365,7 +363,7 @@ def poisson_resample(counts, resamples: int, seed) -> np.ndarray:
         raise ValueError(f"{_row_prefix(stack, bad[0, 0])}count {items[tuple(bad[0])]} is not a whole number "
                          f"in [0, {int(_MAX_POISSON_MEAN)}]")
     draws = np.empty((len(items), resamples, *item), dtype=np.int64)
-    for i, rng in enumerate(generators(seeds)):
+    for i, rng in enumerate(rngs):
         draws[i] = rng.poisson(values[i], size=(resamples, *item))
     return draws.reshape(*stack, resamples, *item)
 

@@ -957,10 +957,10 @@ class TestFailedStdout:
     """
 
     @staticmethod
-    def _run(name, stdout, tmp_path):
+    def _run(name, stdout, tmp_path, **popen):
         argv = [arg.replace("{out}", str(tmp_path / "out")) for arg in PRINTING[name]]
         proc = subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+                              env={**os.environ, "PYTHONPATH": str(REPO / "src")}, **popen)
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
         [line] = proc.stderr.splitlines()
@@ -982,3 +982,10 @@ class TestFailedStdout:
         with open("/dev/full", "w") as full:
             line = self._run(name, full, tmp_path)
         assert line == f"{name}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+
+    # Python starts with `sys.stdout` None when fd 1 is closed; nothing runs.
+    @pytest.mark.parametrize("name", sorted(PRINTING))
+    def test_a_stdout_closed_at_the_start(self, name, tmp_path):
+        line = self._run(name, subprocess.DEVNULL, tmp_path, preexec_fn=lambda: os.close(1))
+        assert line == f"{name}: standard output is closed"
+        assert not (tmp_path / "out").exists()

@@ -370,10 +370,6 @@ class TestQsvStack:
         with pytest.raises(ValueError, match=r"^row 0: seed must be an integer in \[0, 2\*\*64\)"):
             qsv_run([0.25, 0.25], 10, [-1, 2])
 
-    def test_needs_one_seed_per_row(self):
-        with pytest.raises(ValueError, match="^need one seed per row, got 1 seeds for 2 rows$"):
-            qsv_run([0.25, 0.25], 10, [1])
-
     def test_empty_stack_gives_no_results(self):
         assert qsv_run(np.zeros(0), 10, []) == []
 
@@ -788,10 +784,6 @@ class TestBootstrap:
         want = np.concatenate([counts, generator(4).poisson(counts[0], size=(5, 1, 2)),
                                generator(8).poisson(counts[1], size=(5, 1, 2))])
         assert len(seen) == 1 and np.array_equal(seen[0], want)
-
-    def test_needs_one_seed_per_item(self):
-        with pytest.raises(ValueError, match="one seed per count array"):
-            bootstrap_std(purity_from_counts, np.full((2, 3, 2), 5), [1], resamples=10)
 
     def test_empty_stack_gives_no_values(self):
         point, std = bootstrap_std(purity_from_counts, np.zeros((0, 3, 2)), [], resamples=10)

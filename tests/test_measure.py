@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from realmask import measure
-from realmask.estimate import correlation_matrix
+from realmask.estimate import bootstrap_std, correlation_matrix, purity_from_counts, qsv_run
 from realmask.measure import (
     AXES,
     CSV_HEADER,
@@ -329,6 +329,12 @@ class TestDepolarizing:
         assert np.array_equal(apply_depolarizing(rho, p), apply_depolarizing(rho, float(p)))
 
 
+def no_draw(message: str):
+    """A stand-in for `measure.generators` that fails when its first
+    generator is taken, as a draw would, not when it is called."""
+    yield pytest.fail(message)
+
+
 class TestPoissonResample:
     def test_zero_counts_stay_zero(self):
         out = poisson_resample(np.zeros(4, dtype=int), 3, seed=5)
@@ -363,7 +369,7 @@ class TestPoissonResample:
         ([0, np.inf], "inf"),
     ])
     def test_faulty_count_is_named_before_any_draw(self, bad, shown, monkeypatch):
-        monkeypatch.setattr(measure, "generators", lambda seeds: pytest.fail("drew before checking the counts"))
+        monkeypatch.setattr(measure, "generators", lambda seeds, rows: no_draw("drew before checking the counts"))
         message = rf"count {shown} is not a whole number in \[0, 9223372006484770816\]$"
         with pytest.raises(ValueError, match="^row 1: " + message):
             poisson_resample(np.array([[3, 4], bad]), 2, [1, 2])
@@ -374,7 +380,7 @@ class TestPoissonResample:
     # TypeError, and 0 gave an empty draw.
     @pytest.mark.parametrize("resamples", [-1, 0, 1.5, 2.0, True, "2", None])
     def test_rejects_a_bad_resample_count(self, resamples, monkeypatch):
-        monkeypatch.setattr(measure, "generators", lambda seeds: pytest.fail("drew before checking resamples"))
+        monkeypatch.setattr(measure, "generators", lambda seeds, rows: no_draw("drew before checking resamples"))
         with pytest.raises(ValueError, match=rf"^resamples must be an integer >= 1, got {re.escape(repr(resamples))}$"):
             poisson_resample(np.array([3, 4]), resamples, 1)
 
@@ -894,14 +900,14 @@ def draw_all(rng: np.random.Generator, odd: int) -> list[np.ndarray]:
 class TestSeedRange:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
     def test_ends_are_accepted(self, seed):
-        assert np.array_equal(generator(seed).random(3), next(generators([seed])).random(3))
+        assert np.array_equal(generator(seed).random(3), next(generators([seed], (1,))).random(3))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_neighbours_outside_are_refused(self, seed):
         with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), got -?\d+$"):
             generator(seed)
         with pytest.raises(ValueError, match=r"^row 1: seed must be an integer in \[0, 2\*\*64\)"):
-            generators([5, seed])
+            next(generators([5, seed], (2,)))
 
     @pytest.mark.parametrize("seed", [1.0, True, "3", None, np.float64(2.0)])
     def test_non_integers_are_refused(self, seed):
@@ -910,7 +916,7 @@ class TestSeedRange:
 
     def test_every_seed_is_checked_before_the_first_draw(self):
         with pytest.raises(ValueError, match=r"^row \(1, 0\): seed"):
-            generators([[1, 2], [-3, 4]])
+            next(generators([[1, 2], [-3, 4]], (2, 2)))
 
 
 class TestRekeyedStreams:
@@ -919,7 +925,7 @@ class TestRekeyedStreams:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(seeds, min_size=1, max_size=6), st.integers(0, 3).map(lambda k: 2 * k + 1))
     def test_rekeyed_generator_reproduces_generator(self, keys, odd):
-        for seed, rng in zip(keys, generators(keys), strict=True):
+        for seed, rng in zip(keys, generators(keys, (len(keys),)), strict=True):
             for got, want in zip(draw_all(rng, odd), draw_all(generator(seed), odd)):
                 assert np.array_equal(got, want)
 
@@ -933,7 +939,7 @@ class TestRekeyedStreams:
 
         def rows(t):
             out = []
-            for rng in generators(keys[t]):
+            for rng in generators(keys[t], (len(keys[t]),)):
                 step.wait()
                 out.append(draw_all(rng, 3))
                 step.wait()
@@ -1004,18 +1010,36 @@ class TestRekeyedStreams:
         with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), got -1$"):
             sample_counts([0.5, 0.5], 10, -1)
 
-    @pytest.mark.parametrize("probs, keys", [
-        (np.full((2, 2), 0.5), 1),
-        (np.full((2, 2), 0.5), [1, 2, 3]),
-        (np.full(2, 0.5), [1]),
-    ])
-    def test_needs_one_seed_per_row(self, probs, keys):
-        with pytest.raises(ValueError, match="one seed per row"):
-            sample_counts(probs, 10, keys)
+    # `generators` holds the one check of the seeds' shape, which every draw
+    # reaches before any stream is re-keyed.
+    @pytest.mark.parametrize("draw, seeds, rows", [
+        (lambda: next(generators([1, 2], (3,))), (2,), (3,)),
+        (lambda: next(generators(7, (1,))), (), (1,)),
+        (lambda: sample_counts(np.full((2, 2), 0.5), 10, 1), (), (2,)),
+        (lambda: sample_counts(np.full((2, 2), 0.5), 10, [1, 2, 3]), (3,), (2,)),
+        (lambda: sample_counts(np.full(2, 0.5), 10, [1]), (1,), ()),
+        (lambda: poisson_resample(np.ones((3, 4)), 2, [1, 2]), (2,), (3,)),
+        (lambda: poisson_resample(np.ones(3), 2, [[1, 2, 3]]), (1, 3), (3,)),
+        (lambda: poisson_resample(np.ones(2), 2, np.ones((2, 2, 2), dtype=int)), (2, 2, 2), (2,)),
+        (lambda: qsv_run([0.25, 0.25], 10, [1]), (1,), (2,)),
+        (lambda: bootstrap_std(purity_from_counts, np.full((2, 3, 2), 5), [1], resamples=10), (1,), (2,)),
+    ], ids=["generators", "generators-scalar", "sample_counts-scalar", "sample_counts-more", "sample_counts-row",
+            "poisson_resample", "poisson_resample-more-axes", "poisson_resample-most-axes", "qsv_run", "bootstrap_std"])
+    def test_needs_one_seed_per_row(self, draw, seeds, rows, monkeypatch):
+        measure._thread_rekey()  # built first, so that monkeypatch puts it back after the test
+        monkeypatch.delattr(measure._STREAMS, "rekey")
+        monkeypatch.setattr(measure, "_rekeyed", lambda *args: pytest.fail("re-keyed a stream"))
+        message = f"need one seed per row: seeds of shape {seeds} for rows of shape {rows}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            draw()
 
-    def test_needs_one_seed_per_count_array(self):
-        with pytest.raises(ValueError, match="one seed per count array"):
-            poisson_resample(np.ones((3, 4)), 2, [1, 2])
+    def test_a_faulty_table_is_named_before_a_faulty_seed(self):
+        with pytest.raises(ValueError, match=r"^row 1: probabilities sum to"):
+            sample_counts([[0.5, 0.5], [0.5, 0.6]], 10, [-1, 1])
+        with pytest.raises(ValueError, match=r"^row 1: count -1 is not a whole number"):
+            poisson_resample([[1, 2], [-1, 2]], 2, [2**64, 1])
+        with pytest.raises(ValueError, match=r"^row 0: fidelity must be"):
+            qsv_run([2.0, 0.5], 10, [-1, 1])
 
     def test_empty_count_array_with_one_seed(self):
         # A 0-size item still takes its one seed: nothing to infer from its size.
