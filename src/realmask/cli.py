@@ -184,7 +184,7 @@ def _cmd_experiment(args) -> int:
         for p in experiments.write_report(report, out_dir):
             print(f"wrote {p}")
     else:
-        sys.stdout.write(experiments.report_json(report))
+        sys.stdout.write(experiments.report_texts(report)[0])
     if report.get("pass") is False:
         print(f"equivalence FAILED: max gap {report['max_gap']:.3e} > {report['threshold']:.1e}", file=sys.stderr)
         return 2
@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
                    lambda config, args: experiments.run_fig5(config))
     pe = add_experiment("equiv", "masker / walk / optics equivalence check",
                         lambda config, args: experiments.run_equivalence(config, n_inputs=args.n_inputs))
-    pe.add_argument("--n-inputs", type=_flag_type(int, experiments._count), default=experiments.DEFAULT_N_INPUTS)
+    pe.add_argument("--n-inputs", type=_flag_type(int, experiments._n_inputs), default=experiments.DEFAULT_N_INPUTS,
+                    help=f"random real preparation targets (default {experiments.DEFAULT_N_INPUTS}, at most 10**9)")
 
     pa = sub.add_parser("angles", help="waveplate angle solutions")
     pa.add_argument("--state", type=_flag_type(_floats, _real_state), default=None,

@@ -40,19 +40,20 @@ A report states each fact of its run once, in its head: its name
 files), the seed and, for a figure, `noise_p`, the facts of its draws (fig3's
 `qsv_tests`, `shots_per_setting` and `resamples`, each None in analytic
 mode, which draws nothing) and `analytic`.  A row (`report_row`)
-holds only its estimate and what belongs to that estimate alone; fig3's CSV
-repeats the head's `qsv_tests` in its `tests` column.
+holds only its estimate and what belongs to that estimate alone.
 
-Reports are written as JSON with floats at 12 significant digits, rounded and
-encoded in one walk (`report_json`), and as CSV (`report_csv`).
-`write_report` encodes both texts before it opens a file, so a refused report
-leaves nothing behind, and writes each one's bytes as they are, with no
-platform newline translation.
+A report is written as JSON with floats at 12 significant digits and as a
+CSV of that JSON's leaves: the header `path,value`, then one row per scalar
+leaf in the JSON's order, `schema` first, its path the keys and list indices
+joined by "." (`probes.0.fidelity.estimate`) and its cell the JSON's text of
+a number or bool, a string's own text or empty for null.  One walk rounds
+the report and writes both texts (`report_texts`), so the CSV has no layout
+of its own.  `write_report` encodes both texts before it opens a file, so a
+refused report leaves nothing behind, and writes each one's bytes as they
+are, with no platform newline translation.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -69,7 +70,7 @@ from .qcore import concurrence_from_purity, fidelity_with_pure, partial_trace
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 18
+REPORT_SCHEMA = 19
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
@@ -116,8 +117,11 @@ def phase_probe(phi_deg: float) -> np.ndarray:
 # The most shots per setting and tests per probe: numpy's Poisson sampler, by
 # which a bootstrap redraws each count, refuses means above about 9.2e18, and
 # its binomial sampler, which draws a pass count, takes at most 2**63 - 1 trials.
-# `_count` applies it to equiv's `n_inputs` too, the one rule of a count.
 MAX_SHOTS = 10**18
+# The most random targets `run_equivalence` checks: unlike a count of shots or
+# tests, each costs time, about 1.5 us on a 2-core host, so 10**9 take about
+# 25 minutes.
+MAX_N_INPUTS = 10**9
 
 
 def _is_number(v) -> bool:
@@ -133,12 +137,18 @@ def _integer(v) -> int:
     return int(v)
 
 
-def _count(v) -> int:
+def _count(v, most: int = MAX_SHOTS) -> int:
+    """A positive integer of at most `most`, a power of ten."""
     if _integer(v) < 1:
         raise ValueError(f"must be a positive integer, got {v!r}")
-    if v > MAX_SHOTS:
-        raise ValueError(f"must be at most 10**18, got {v!r}")
+    if v > most:
+        raise ValueError(f"must be at most 10**{len(str(most)) - 1}, got {v!r}")
     return int(v)
+
+
+def _n_inputs(v) -> int:
+    """`run_equivalence`'s count of random targets, the one rule of `equiv --n-inputs` too."""
+    return _count(v, MAX_N_INPUTS)
 
 
 def _probability(v) -> float:
@@ -417,8 +427,9 @@ def _fixed_gaps() -> tuple[tuple[str, float], ...]:
 
 
 def run_equivalence(config: ExperimentConfig, n_inputs: int = DEFAULT_N_INPUTS) -> dict:
-    """The linear parts' gaps, and the preparation's over `n_inputs` random real targets."""
-    n_inputs = _checked("n_inputs", _count, n_inputs)
+    """The linear parts' gaps, and the preparation's over `n_inputs` random
+    real targets, at most `MAX_N_INPUTS`."""
+    n_inputs = _checked("n_inputs", _n_inputs, n_inputs)
     rng = next(generators(derive_seed(config.seed, "equiv"), ()))
     gaps = dict(_fixed_gaps())
     for start in range(0, n_inputs, EQUIV_BLOCK):
@@ -438,108 +449,79 @@ def run_equivalence(config: ExperimentConfig, n_inputs: int = DEFAULT_N_INPUTS) 
 
 
 # ---------------------------------------------------------------------------
-# Deterministic serialization: floats at 12 significant digits.
+# Deterministic serialization: the JSON text and its CSV of leaves, in one walk.
 
-def _encode(obj, indent: str, out: list[str]) -> None:
-    """Append the JSON text of `obj` at depth `indent` to `out`: floats at 12
-    significant digits, everything else as `json.dumps(..., indent=2,
-    allow_nan=False)` writes it.  Dict keys must be strings."""
+def _csv_cell(text: str) -> str:
+    """`text` as one CSV cell: quoted, with its quotes doubled, when it holds a
+    comma, a quote or a line break, which `csv.reader` reads back as `text`."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _encode(obj, indent: str, path: str | None, out: list[str], rows: list[str]) -> None:
+    """Append the JSON text of `obj` at depth `indent` to `out`, and to `rows`
+    the CSV row `path,cell` of each scalar leaf in it, its path the keys and
+    list indices from the top (`path` None) joined by ".".  Floats are
+    written at 12 significant digits, everything else as `json.dumps(...,
+    indent=2, allow_nan=False)` writes it; a number's or a bool's cell is its
+    JSON text, a string's its own text and null's empty.  Dict keys must be
+    strings."""
     if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
+        text, cell = encode_basestring_ascii(obj), _csv_cell(obj)
     elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
+        text, cell = "null", ""
+    elif obj is True or obj is False:
+        text = cell = "true" if obj else "false"
     elif isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-        out.append(repr(float(f"{obj:.12g}")))
+        text = cell = repr(float(f"{obj:.12g}"))
     elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
+        text = cell = int.__repr__(obj)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
-        inner = indent + "  "
+        inner, prefix = indent + "  ", "" if path is None else path + "."
         sep = "[\n" + inner
-        for value in obj:
+        for i, value in enumerate(obj):
             out.append(sep)
-            _encode(value, inner, out)
+            _encode(value, inner, f"{prefix}{i}", out, rows)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
+        return
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        inner = indent + "  "
+        inner, prefix = indent + "  ", "" if path is None else path + "."
         sep = "{\n" + inner
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {key.__class__.__name__}")
             out.append(sep + encode_basestring_ascii(key) + ": ")
-            _encode(value, inner, out)
+            _encode(value, inner, prefix + key, out, rows)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
+        return
     else:
         raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    out.append(text)
+    rows.append(f"{_csv_cell(path)},{cell}\n")
 
 
-def report_json(report: dict) -> str:
-    """JSON text of a report under a top-level "schema" key, floats at 12
-    significant digits, laid out as `json.dumps(..., indent=2)` lays it out;
-    NaN or infinity raises ValueError."""
+def report_texts(report: dict) -> tuple[str, str]:
+    """The JSON and the CSV text of a report under a top-level "schema" key,
+    encoded in one walk.  The JSON has floats at 12 significant digits, laid
+    out as `json.dumps(..., indent=2)` lays it out; the CSV has the header
+    `path,value` and a row for each scalar leaf of the JSON, in its order
+    (`_encode`).  NaN or infinity raises ValueError."""
     out: list[str] = []
-    _encode({"schema": REPORT_SCHEMA, **report}, "", out)
+    rows = ["path,value\n"]
+    _encode({"schema": REPORT_SCHEMA, **report}, "", None, out, rows)
     out.append("\n")
-    return "".join(out)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return "" if x is None else str(x)
-
-
-def report_csv(report: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    kind = report["experiment"]
-    if kind == "fig3":
-        writer.writerow([
-            "probe", "fidelity_est", "fidelity_err", "eps_hat", "eps_low", "eps_high",
-            "passed", "tests", "avg_purity", "purity_std",
-        ])
-        for row in report["probes"]:
-            f, p = row["fidelity"], row["purity"]
-            writer.writerow([
-                row["probe"], _fmt(f["estimate"]), _fmt(f["error"]), _fmt(f["eps_hat"]),
-                _fmt(f["eps_low"]), _fmt(f["eps_high"]), _fmt(f["passed"]), _fmt(report["qsv_tests"]),
-                _fmt(p["estimate"]), _fmt(p["error"]),
-            ])
-    elif kind == "fig4":
-        writer.writerow(["setting", "correlator"])
-        values = (value for row in report["correlators"] for value in row)
-        for label, value in zip(measure.PAIRS, values):
-            writer.writerow([label.lower(), _fmt(value)])
-        writer.writerow(["fidelity", _fmt(report["fidelity"]["estimate"])])
-        writer.writerow(["fidelity_std", _fmt(report["fidelity"]["error"])])
-    elif kind == "fig5":
-        writer.writerow(["phi_deg", "concurrence_est", "concurrence_std", "theory_cos"])
-        for row in report["points"]:
-            writer.writerow([
-                _fmt(row["phi_deg"]), _fmt(row["estimate"]),
-                _fmt(row["error"]), _fmt(row["theory_cos"]),
-            ])
-    elif kind == "equiv":
-        writer.writerow(["quantity", "value"])
-        for key in ("max_gap", *(k for k in report if k.startswith("max_gap_")), "threshold"):
-            writer.writerow([key, _fmt(report[key])])
-        writer.writerow(["pass", str(report["pass"]).lower()])
-    else:
-        raise ValueError(f"no CSV layout for experiment {kind!r}")
-    return buf.getvalue()
+    return "".join(out), "".join(rows)
 
 
 def write_report(report: dict, out_dir) -> list[Path]:
@@ -547,7 +529,7 @@ def write_report(report: dict, out_dir) -> list[Path]:
     missing, and return their paths.  Both texts are encoded before a file is
     opened, so a refused report writes nothing; each file gets its bytes,
     untranslated, in one write, and a short write raises OSError."""
-    data = (report_json(report).encode(), report_csv(report).encode())
+    data = [text.encode() for text in report_texts(report)]
     out = Path(out_dir)
     if not out.is_dir():
         out.mkdir(parents=True, exist_ok=True)

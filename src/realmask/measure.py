@@ -31,11 +31,12 @@ the prefix once.
 Draws by the table: `sample_counts`, `poisson_resample` and
 `estimate.qsv_run` check a whole table once, naming the first faulty row,
 and draw each row from its own seed through `generators(seeds, rows)`, the
-one holder of that rule, which re-keys its thread's one Philox stream per
-row: a Philox stream is fully defined by its key and counter (Salmon et al.,
-SC'11), so each row gets the bits of `generator(seed)` without paying for a
-new one.  The stream is built on a thread's first draw, never at import, and
-a thread takes rows from one `generators` iterator at a time.
+one holder of that rule.  Each call builds one Philox stream of its own and
+re-keys it per row: a Philox stream is fully defined by its key and counter
+(Salmon et al., SC'11), so each row gets the bits of `generator(seed)`
+without paying for a new one, and a generator a caller holds moves only
+with its own iterator, never with another draw.  No stream is built at
+import.
 
 Count tables as CSV: `tables_from_csv` splits plain text into columns
 without the csv module; text with a quote, lone CR or NUL, or that breaks a
@@ -48,7 +49,6 @@ import hashlib
 import io
 import math
 import sys
-import threading
 from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -146,13 +146,13 @@ def generator(seed: int) -> np.random.Generator:
 
 def generators(seeds, rows) -> Iterator[np.random.Generator]:
     """`generator(seed)` for every seed of an array of the shape `rows`, one
-    per row, in C order, from the calling thread's one Philox stream re-keyed
-    in place for each row: key = seed, counter 0, empty buffer.
+    per row, in C order, from one Philox stream of this call, re-keyed in
+    place for each row: key = seed, counter 0, empty buffer.
 
     Seeds of another shape are refused at the call; a faulty seed is named by
     its row when the first generator is taken, after a caller's own checks.
-    Each item is the thread's one Generator, re-keyed for the next row: draw
-    from it before taking the next, from one iterator at a time in a thread.
+    Each item is the call's one Generator, re-keyed for the next row: draw
+    from it before taking the next.
     """
     seeds = np.asarray(seeds, dtype=object)
     if seeds.shape != tuple(rows):
@@ -164,20 +164,8 @@ def _rekeyed_rows(seeds: np.ndarray) -> Iterator[np.random.Generator]:
     keys = seeds.ravel().tolist()
     if bad := [i for i, key in enumerate(keys) if not _is_seed(key)]:
         raise _seed_error(keys[bad[0]], _row_prefix(seeds.shape, bad[0]))
-    yield from map(_thread_rekey(), map(int, keys))
-
-
-_STREAMS = threading.local()
-
-
-def _thread_rekey() -> partial:
-    """The calling thread's `_rekeyed` of its one Generator, built on first use."""
-    try:
-        return _STREAMS.rekey
-    except AttributeError:
-        rng = np.random.Generator(np.random.Philox(0))
-        _STREAMS.rekey = partial(_rekeyed, rng, rng.bit_generator)
-        return _STREAMS.rekey
+    rng = np.random.Generator(np.random.Philox(0))
+    yield from map(partial(_rekeyed, rng, rng.bit_generator), map(int, keys))
 
 
 _ZEROS = (0, 0, 0, 0)

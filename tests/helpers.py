@@ -139,10 +139,33 @@ def round_floats(obj):
 
 def reference_report_json(report: dict) -> str:
     """A report's JSON text as the library once wrote it: rounded by
-    `round_floats`, then encoded by `json.dumps`.  The oracle for
-    `experiments.report_json`."""
+    `round_floats`, then encoded by `json.dumps`.  The oracle for the JSON
+    text of `experiments.report_texts`."""
     doc = {"schema": REPORT_SCHEMA, **round_floats(report)}
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def json_leaves(doc, path: tuple = ()):
+    """(path, value) of each scalar leaf of a parsed JSON document, in
+    document order: the path is the tuple of its keys and list indices."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from json_leaves(value, (*path, key))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from json_leaves(value, (*path, i))
+    else:
+        yield path, doc
+
+
+def json_leaf_rows(text: str) -> list[list[str]]:
+    """The rows of the CSV of a report whose JSON is `text`, as `csv.reader`
+    reads them: the header, then each leaf's path, joined by ".", and its
+    text as written in `text` (a string's own text, empty for null)."""
+    doc = json.loads(text, parse_float=str, parse_int=str)
+    cells = {None: "", True: "true", False: "false"}
+    return [["path", "value"], *([".".join(map(str, path)), value if isinstance(value, str) else cells[value]]
+                                 for path, value in json_leaves(doc))]
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,7 @@ from realmask.experiments import (
     ExperimentConfig,
     phase_probe,
     probe_vector,
-    report_csv,
-    report_json,
+    report_texts,
     run_equivalence,
     run_fig3,
     run_fig4,
@@ -63,7 +62,7 @@ class TestProbes:
     def test_a_numpy_integer_probe_gives_the_report_of_its_int(self, analytic):
         config = ExperimentConfig(seed=1, analytic=analytic)
         assert np.array_equal(probe_vector(np.int64(2)), probe_vector(2))
-        assert report_json(run_fig4(config, probe=np.int64(2))) == report_json(run_fig4(config, probe=2))
+        assert report_texts(run_fig4(config, probe=np.int64(2))) == report_texts(run_fig4(config, probe=2))
 
 
 class TestDeterminism:
@@ -118,17 +117,20 @@ class TestDeterminism:
 
 
 class TestReportFiles:
-    def test_fig5_csv_header_pinned(self):
+    def test_fig5_csv_is_its_json_leaves(self):
         cfg = ExperimentConfig(seed=3, noise_p=0.0, analytic=True, phi_grid_deg=(0.0, 45.0))
-        text = report_csv(run_fig5(cfg))
-        lines = text.splitlines()
-        assert lines[0] == "phi_deg,concurrence_est,concurrence_std,theory_cos"
-        assert len(lines) == 3
+        assert report_texts(run_fig5(cfg))[1].splitlines() == [
+            "path,value", f"schema,{experiments.REPORT_SCHEMA}", "experiment,fig5", "seed,3", "noise_p,0.0",
+            "shots_per_setting,", "resamples,", "analytic,true",
+            "points.0.target,phi = 0.0 deg", "points.0.estimate,1.0", "points.0.error,0.0",
+            "points.0.error_kind,std", "points.0.phi_deg,0.0", "points.0.theory_cos,1.0",
+            "points.1.target,phi = 45.0 deg", "points.1.estimate,0.707106781187", "points.1.error,0.0",
+            "points.1.error_kind,std", "points.1.phi_deg,45.0", "points.1.theory_cos,0.707106781187"]
 
-    def test_fig3_csv_columns(self):
-        cfg = ExperimentConfig(seed=3, analytic=True)
-        text = report_csv(run_fig3(cfg))
-        assert text.splitlines()[0].startswith("probe,fidelity_est,fidelity_err")
+    def test_fig3_csv_rows(self):
+        lines = report_texts(run_fig3(ExperimentConfig(seed=3, analytic=True)))[1].splitlines()
+        assert lines[:3] == ["path,value", f"schema,{experiments.REPORT_SCHEMA}", "experiment,fig3"]
+        assert lines[9:12] == ["probes.0.probe,1", "probes.0.target,|0>", "probes.0.fidelity.target,probe 1 fidelity"]
 
     def test_write_report_creates_files(self, tmp_path):
         cfg = ExperimentConfig(seed=3, analytic=True)
@@ -138,17 +140,17 @@ class TestReportFiles:
         assert doc["experiment"] == "fig3"
 
     def test_report_carries_schema_version(self):
-        doc = json.loads(report_json(run_fig4(ExperimentConfig(seed=3, analytic=True))))
+        doc = json.loads(report_texts(run_fig4(ExperimentConfig(seed=3, analytic=True)))[0])
         assert next(iter(doc)) == "schema"
-        assert doc["schema"] == experiments.REPORT_SCHEMA == 18
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 19
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError):
-            report_json({"experiment": "fig5", "points": [{"estimate": 0.5, "error": float("nan")}]})
+            report_texts({"experiment": "fig5", "points": [{"estimate": 0.5, "error": float("nan")}]})
 
     def test_floats_rendered_at_twelve_digits(self):
         cfg = ExperimentConfig(seed=3, analytic=True, noise_p=1 / 3)
-        text = report_json(run_fig4(cfg))
+        text = report_texts(run_fig4(cfg))[0]
         assert "0.333333333333," in text  # noise_p rounded to 12 significant digits
 
     def test_every_estimate_labels_its_error(self):
@@ -229,16 +231,17 @@ class TestEquivalence:
             run_equivalence(ExperimentConfig(seed=9), n_inputs=n)
 
     # The library used to run 10**18 + 1 inputs, and a 5,000-digit count,
-    # that `--n-inputs` refuses; the two now share `experiments._count`.
+    # that `--n-inputs` refused, and both took up to 10**18 inputs, about
+    # 5e4 years of work; the two now share `experiments._n_inputs`.
     def test_input_count_has_the_rule_of_its_flag(self, capsys, monkeypatch):
         monkeypatch.setattr(experiments, "_preparation_gap", lambda a: pytest.fail("ran before the count was checked"))
-        with pytest.raises(ValueError, match=r"^n_inputs must be at most 10\*\*18, got 1000000000000000001$"):
-            run_equivalence(ExperimentConfig(seed=9), n_inputs=10**18 + 1)
+        with pytest.raises(ValueError, match=r"^n_inputs must be at most 10\*\*9, got 1000000001$"):
+            run_equivalence(ExperimentConfig(seed=9), n_inputs=experiments.MAX_N_INPUTS + 1)
         with pytest.raises(SystemExit) as exc:
-            cli.main(["equiv", "--n-inputs", str(10**18 + 1)])
+            cli.main(["equiv", "--n-inputs", str(experiments.MAX_N_INPUTS + 1)])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1].endswith(
-            "argument --n-inputs: must be at most 10**18, got 1000000000000000001")
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == ["realmask equiv: error: argument --n-inputs: must be at most 10**9, got 1000000001"]
         with pytest.raises(ValueError, match=r"^n_inputs must be "):
             run_equivalence(ExperimentConfig(seed=9), n_inputs=10**4999)
 
@@ -247,12 +250,12 @@ class TestEquivalence:
         rep = run_equivalence(ExperimentConfig(seed=9), n_inputs=1)
         assert rep["pass"] is True and rep["n_inputs"] == 1
         assert cli.main(["equiv", "--n-inputs", "1"]) == 0
-        assert json.loads(capsys.readouterr().out) == json.loads(report_json(run_equivalence(ExperimentConfig(), 1)))
+        assert capsys.readouterr().out == report_texts(run_equivalence(ExperimentConfig(), 1))[0]
 
     def test_takes_a_numpy_integer_input_count(self):
         rep = run_equivalence(ExperimentConfig(seed=9), n_inputs=np.int64(5))
         assert type(rep["n_inputs"]) is int
-        assert report_json(rep) == report_json(run_equivalence(ExperimentConfig(seed=9), n_inputs=5))
+        assert report_texts(rep) == report_texts(run_equivalence(ExperimentConfig(seed=9), n_inputs=5))
 
     def test_impossible_threshold_fails(self, monkeypatch):
         monkeypatch.setattr(experiments, "EQUIV_THRESHOLD", 0.0)
@@ -299,7 +302,7 @@ class TestEquivalence:
         n = experiments.EQUIV_BLOCK + 1
         rep = run_equivalence(ExperimentConfig(seed=9), n_inputs=n)
         assert rep["pass"] is True and rep["n_inputs"] == n
-        json.loads(report_json(rep))  # refuses NaN and infinity
+        json.loads(report_texts(rep)[0])  # refuses NaN and infinity
 
 
 # The settings each experiment subcommand reads.
@@ -382,7 +385,7 @@ class TestCommandLine:
                 assert all(type(phi) is float for phi in got)
             run = dataclasses.replace(ExperimentConfig(**CHEAP), **{field: got})
             for report in (run_fig3(run), run_fig4(run), run_fig5(run), run_equivalence(run, n_inputs=2)):
-                json.loads(report_json(report), parse_constant=_reject_constant)
+                json.loads(report_texts(report)[0], parse_constant=_reject_constant)
         try:
             text = json.dumps({field: value})
         except TypeError:  # a numpy integer or bool, which JSON cannot hold
@@ -428,9 +431,10 @@ class TestCommandLine:
             "--phi-grid", "0,45", "--out", str(tmp_path),
         ])
         assert rc == 0
-        assert (tmp_path / "fig5.csv").exists()
-        lines = (tmp_path / "fig5.csv").read_text().splitlines()
-        assert lines[0] == "phi_deg,concurrence_est,concurrence_std,theory_cos"
+        texts = [(tmp_path / f"fig5.{ext}").read_bytes().decode() for ext in ("json", "csv")]
+        assert texts[1].startswith("path,value\n")
+        assert tuple(texts) == report_texts(run_fig5(ExperimentConfig(seed=4, shots_per_setting=400, noise_p=0.0,
+                                                                       phi_grid_deg=(0.0, 45.0))))
 
     def test_stdout_json_mode(self, capsys):
         rc = cli.main(["fig4", "--analytic", "--seed", "8"])
@@ -922,8 +926,8 @@ class TestCommandLine:
         assert out.stdout.strip() == "[]"
 
     def test_experiments_import_loads_no_random_module_of_its_own(self):
-        # The re-keyable Philox stream is built on a thread's first draw, not
-        # at import.  numpy 2 loads numpy.random only on first use; an older
+        # Each `generators` call builds its own re-keyable Philox stream; none
+        # is built at import.  numpy 2 loads numpy.random only on first use; an older
         # numpy loads it with numpy itself, so the test compares with that.
         import subprocess
         import sys

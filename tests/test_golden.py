@@ -1,7 +1,9 @@
 """Golden reports: each run of `RUNS` is made in process and compared byte
 for byte with its files under tests/golden/, so a moved number, numpy random
 stream or report layout fails on every CI leg.  They are made a second time
-in reverse order, when each run reads figure models cached by another.
+in reverse order, when each run reads figure models cached by another.  A
+report's CSV is the leaves of its JSON, and a test reads every golden CSV
+back as the leaves of its golden JSON.
 
 `python tests/test_golden.py` writes the fresh files there.  While
 `experiments.REPORT_SCHEMA` equals the schema of the committed
@@ -10,12 +12,21 @@ names the moved files, writes nothing and exits 1.  After a schema bump it
 writes the files and lists those whose content moved apart from the "schema"
 line.
 
-`digests.json` holds the digest of every report of a wider sweep (`_sweep`):
-the first 16 hex digits of the SHA-256 of its JSON bytes, less their
-"schema" line, followed by its CSV bytes.  The script writes it under the
-same rules, naming a moved report by its family, seed and figure.
+`digests.json` covers the JSON of every report of a wider sweep (`_sweep`),
+less its "schema", read with `json.loads(parse_float=str)` so that each
+number is its text as written.  It records each experiment's leaf paths,
+list indices written "[]" (`probes[].purity.estimate`); for each report, the
+first 16 hex digits of the SHA-256 of its leaves on its experiment's paths;
+and for each experiment and path, one such digest of that path's leaves over
+the whole sweep.  The script compares a fresh sweep with the committed paths
+and writes the file under the same rules.  It names each path that moved or
+went as "<experiment> <path>: moved" or "removed", each new path as "added",
+and each report whose leaves on the committed paths moved by its family,
+seed and figure.  So an added field is named as added and moves no report's
+digest on those paths; a rewritten file's report digests cover its new paths.
 """
 import contextlib
+import csv
 import functools
 import hashlib
 import io
@@ -35,6 +46,7 @@ reproduce_figures = runpy.run_path(str(ROOT / "scripts" / FIGURES))["main"]
 
 from realmask import cli, experiments  # noqa: E402
 from realmask.experiments import ExperimentConfig, run_equivalence, run_fig3, run_fig4, run_fig5  # noqa: E402
+from helpers import json_leaf_rows, json_leaves  # noqa: E402
 
 # (where under tests/golden/, argv of the driver or of a `realmask` subcommand).
 # A report run writes into that directory; an `angles` run's stdout is that file.
@@ -134,32 +146,81 @@ def _sweep():
         yield f"equiv seed={seed} equiv", run_equivalence(ExperimentConfig(seed=seed))
 
 
+def _field(path: tuple) -> str:
+    """A leaf's path with each list index written "[]": ("probes", 0, "purity", "estimate")
+    is "probes[].purity.estimate"."""
+    return "".join("[]" if isinstance(part, int) else f".{part}" for part in path).lstrip(".")
+
+
 @functools.cache
-def digests() -> dict[str, str]:
-    """The digest of each report of `_sweep`, by name."""
-    out = {}
+def swept() -> tuple:
+    """(name, experiment, leaves) of each report of `_sweep`: a leaf is the
+    (path, field, text) of a leaf of its JSON less "schema", read as written,
+    its path the keys and list indices joined by "."."""
+    out = []
     for name, report in _sweep():
-        data = b"\n".join(_without_schema(experiments.report_json(report).encode()))
-        out[name] = hashlib.sha256(data + experiments.report_csv(report).encode()).hexdigest()[:16]
-    return out
+        doc = json.loads(experiments.report_texts(report)[0], parse_float=str)
+        del doc["schema"]
+        leaves = tuple((".".join(map(str, path)), _field(path), json.dumps(value)) for path, value in json_leaves(doc))
+        out.append((name, doc["experiment"], leaves))
+    return tuple(out)
 
 
-def _digest_file(table: dict[str, str]) -> bytes:
-    return (json.dumps({"schema": experiments.REPORT_SCHEMA, "digests": table}, indent=0) + "\n").encode()
+def _digests(sweep, paths: dict[str, list[str]] | None = None) -> dict:
+    """The digest file's document for `sweep`, as `swept` gives it: each
+    experiment's paths (`paths`, else those of the sweep in order of first
+    appearance), each report's digest over its leaves on them, and each
+    path's over the sweep."""
+    if paths is None:
+        paths = {}
+        for _, experiment, leaves in sweep:
+            paths.setdefault(experiment, {}).update(dict.fromkeys(field for _, field, _ in leaves))
+        paths = {experiment: list(fields) for experiment, fields in paths.items()}
+    fields = {experiment: {field: hashlib.sha256() for field in names} for experiment, names in paths.items()}
+    reports = {}
+    for name, experiment, leaves in sweep:
+        kept, report = fields.get(experiment, {}), hashlib.sha256()
+        for path, field, text in leaves:
+            if field in kept:
+                line = f"{path}={text}\n".encode()
+                report.update(line)
+                kept[field].update(name.encode() + b"\0" + line)
+        reports[name] = report.hexdigest()[:16]
+    return {"schema": experiments.REPORT_SCHEMA, "paths": paths, "digests": reports,
+            "fields": {experiment: {field: h.hexdigest()[:16] for field, h in hashes.items()}
+                       for experiment, hashes in fields.items()}}
+
+
+def _digest_file() -> bytes:
+    return (json.dumps(_digests(swept()), indent=0) + "\n").encode()
+
+
+def _digest_changes(committed: dict) -> list[str]:
+    """What moved between the committed digest document and a fresh sweep:
+    each path that moved, was added or went, then each report whose leaves
+    on the committed paths moved, came or went."""
+    fresh, projected = _digests(swept()), _digests(swept(), committed["paths"])
+    changes = []
+    for experiment in {**committed["fields"], **fresh["fields"]}:
+        kept, now = committed["fields"].get(experiment, {}), fresh["fields"].get(experiment, {})
+        for field in {**kept, **now}:
+            state = "added" if field not in kept else "removed" if field not in now else "moved"
+            if kept.get(field) != now.get(field):
+                changes.append(f"{experiment} {field}: {state}")
+    kept, now = committed["digests"], projected["digests"]
+    return changes + [name for name in {**now, **kept} if now.get(name) != kept.get(name)]
 
 
 def _named(name: str, new: dict[str, bytes], old: dict[str, bytes]) -> list[str]:
-    """`name`, or for the digest file the reports whose digests moved."""
+    """`name`, or for the digest file the paths and reports that moved."""
     if name != DIGESTS or name not in new or name not in old:
         return [name]
-    fresh, kept = (json.loads(data)["digests"] for data in (new[name], old[name]))
-    return [f"{name}: {key}" for key in [*fresh, *(k for k in kept if k not in fresh)]
-            if fresh.get(key) != kept.get(key)]
+    return [f"{name}: {change}" for change in _digest_changes(json.loads(old[name]))]
 
 
 def regenerate(golden: Path = GOLDEN) -> int:
     """Write the fresh files over `golden` under the module docstring's rules; returns the exit code."""
-    new, old = {**generate(), DIGESTS: _digest_file(digests())}, _read(golden)
+    new, old = {**generate(), DIGESTS: _digest_file()}, _read(golden)
     committed = json.loads(old["seed1/fig3.json"])["schema"] if "seed1/fig3.json" in old else None
     changed = sorted(name for name in new.keys() | old.keys() if new.get(name) != old.get(name))
     refused = [moved for name in changed if name in new and name in old
@@ -202,13 +263,27 @@ def test_reports_match_golden_from_warm_models_in_reverse_order():
 
 
 def test_report_digests_match():
-    """Every report of the sweep hashes to its committed digest; the first
-    that moved is named by its family, seed and figure."""
-    new, old = {DIGESTS: _digest_file(digests())}, {DIGESTS: (GOLDEN / DIGESTS).read_bytes()}
+    """Every path and every report of the sweep hashes to its committed
+    digest; each that moved is named."""
+    new, old = {DIGESTS: _digest_file()}, {DIGESTS: (GOLDEN / DIGESTS).read_bytes()}
     moved = _named(DIGESTS, new, old)
-    assert not moved, (f"{len(moved)} reports moved, first {moved[0]}: bump experiments.REPORT_SCHEMA and run "
-                       "`python tests/test_golden.py`, or mend the change")
+    assert not moved, (f"{len(moved)} paths or reports moved, first {moved[0]}: bump experiments.REPORT_SCHEMA "
+                       "and run `python tests/test_golden.py`, or mend the change")
     assert new == old  # the schema line too
+
+
+def test_each_golden_csv_is_the_leaves_of_its_json():
+    """A golden JSON read back and encoded again gives both golden files, and
+    `csv.reader` reads its CSV as the JSON's leaves, each number's text as the
+    JSON writes it."""
+    reports = sorted(p for p in GOLDEN.rglob("*.json") if p.name != DIGESTS)
+    assert len(reports) == 26
+    for path in reports:
+        texts = path.read_bytes().decode(), path.with_suffix(".csv").read_bytes().decode()
+        report = json.loads(texts[0])
+        del report["schema"]
+        assert experiments.report_texts(report) == texts, path
+        assert list(csv.reader(io.StringIO(texts[1]))) == json_leaf_rows(texts[0]), path
 
 
 def _copy_moving_a_digit(tmp_path: Path, name: str) -> Path:
@@ -259,6 +334,38 @@ def test_after_a_schema_bump_the_files_are_written_and_the_moved_ones_listed(tmp
         f"report schema 8 -> {experiments.REPORT_SCHEMA}: {rewritten} files rewritten, "
         "1 moved apart from the schema line",
         "  one_shot/fig5.csv"]
+
+
+def test_a_moved_field_is_named_by_its_path_and_report(tmp_path, capsys, monkeypatch):
+    name, path = "sampled seed=3 fig5", "points.2.theory_cos"
+
+    def moved(entry):
+        report, experiment, leaves = entry
+        return (report, experiment, tuple((p, field, '"0.5"' if (report, p) == (name, path) else text)
+                                          for p, field, text in leaves))
+
+    sweep = tuple(map(moved, swept()))
+    monkeypatch.setitem(globals(), "swept", lambda: sweep)
+    copy = _copy_moving_a_digit(tmp_path, "")
+    before = _read(copy)
+    assert regenerate(copy) == 1
+    assert _read(copy) == before
+    assert capsys.readouterr().err.splitlines()[1:] == [f"  {DIGESTS}: fig5 points[].theory_cos: moved",
+                                                        f"  {DIGESTS}: {name}"]
+
+
+def test_an_added_field_is_named_as_added_and_moves_no_report_digest(tmp_path, capsys, monkeypatch):
+    sweep = tuple((report, experiment, leaves + (("bias", "bias", '"0.0"'),) if experiment == "fig5" else leaves)
+                  for report, experiment, leaves in swept())
+    copy = _copy_moving_a_digit(tmp_path, "")
+    for path in copy.rglob("*.json"):
+        path.write_text(path.read_text().replace(f'"schema": {experiments.REPORT_SCHEMA},', '"schema": 8,', 1))
+    monkeypatch.setitem(globals(), "swept", lambda: sweep)
+    assert regenerate(copy) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == [f"  {DIGESTS}: fig5 bias: added"]
+    written = json.loads((copy / DIGESTS).read_text())
+    assert written["paths"]["fig5"][-1] == "bias" and "bias" in written["fields"]["fig5"]
 
 
 if __name__ == "__main__":

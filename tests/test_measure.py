@@ -919,6 +919,29 @@ class TestSeedRange:
             next(generators([[1, 2], [-3, 4]], (2, 2)))
 
 
+# numpy promises each bit generator's stream across versions, not those of
+# its samplers (NEP 19).  These draws, at Philox keys 7 and 2**64 - 1, were
+# made with numpy 2.4; a numpy whose sampler moved fails here under the
+# sampler's name, not only as moved golden reports.  Each sampler's
+# parameters reach both of its algorithms: binomial's BTPE (n min(p, 1 - p)
+# >= 30) and inversion, and Poisson's PTRS (mean >= 10) and multiplication.
+SAMPLER_DRAWS = {
+    "binomial": (lambda rng: [*rng.binomial(5000, 0.99, size=3), *rng.binomial(20, 0.3, size=3)],
+                 {7: [4944, 4955, 4949, 2, 8, 8], 2**64 - 1: [4952, 4948, 4950, 6, 5, 3]}),
+    "multinomial": (lambda rng: [*rng.multinomial(4000, [0.4, 0.3, 0.2, 0.1]), *rng.multinomial(10, [0.5, 0.5])],
+                    {7: [1617, 1201, 807, 375, 4, 6], 2**64 - 1: [1574, 1205, 823, 398, 5, 5]}),
+    "poisson": (lambda rng: rng.poisson([3.0, 2000.0], size=(2, 2)).ravel().tolist(),
+                {7: [3, 1924, 2, 2040], 2**64 - 1: [3, 1980, 2, 1918]}),
+}
+
+
+@pytest.mark.parametrize("sampler", SAMPLER_DRAWS)
+@pytest.mark.parametrize("key", [7, 2**64 - 1])
+def test_sampler_streams_are_pinned(sampler, key):
+    draw, pinned = SAMPLER_DRAWS[sampler]
+    assert [int(x) for x in draw(generator(key))] == pinned[key]
+
+
 class TestRekeyedStreams:
     """One Philox re-keyed per row against a new generator per row."""
 
@@ -928,6 +951,14 @@ class TestRekeyedStreams:
         for seed, rng in zip(keys, generators(keys, (len(keys),)), strict=True):
             for got, want in zip(draw_all(rng, odd), draw_all(generator(seed), odd)):
                 assert np.array_equal(got, want)
+
+    def test_a_held_generator_keeps_its_stream(self):
+        """A generator taken from `generators` and held past another draw
+        still gives its own seed's bits: each call has a stream of its own."""
+        rng = next(generators(11, ()))
+        sample_counts([0.5, 0.5], 10, 99)
+        assert np.array_equal(rng.random(3), generator(11).random(3))
+        assert rng is not next(generators(5, ()))
 
     def test_each_thread_keeps_its_own_stream(self):
         """Four threads, more than the cores of a small host, take rows of
@@ -1026,8 +1057,6 @@ class TestRekeyedStreams:
     ], ids=["generators", "generators-scalar", "sample_counts-scalar", "sample_counts-more", "sample_counts-row",
             "poisson_resample", "poisson_resample-more-axes", "poisson_resample-most-axes", "qsv_run", "bootstrap_std"])
     def test_needs_one_seed_per_row(self, draw, seeds, rows, monkeypatch):
-        measure._thread_rekey()  # built first, so that monkeypatch puts it back after the test
-        monkeypatch.delattr(measure._STREAMS, "rekey")
         monkeypatch.setattr(measure, "_rekeyed", lambda *args: pytest.fail("re-keyed a stream"))
         message = f"need one seed per row: seeds of shape {seeds} for rows of shape {rows}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
