@@ -26,7 +26,7 @@ def _run(cfg: ExperimentConfig, out: Path) -> int:
     rep4 = experiments.run_fig4(cfg)
     experiments.write_report(rep4, out)
     print(f"fig4: decoding fidelity {rep4['fidelity']['estimate']:.4f} "
-          f"+/- {rep4['fidelity']['error']:.4f} (bootstrap std)")
+          f"+/- {rep4['fidelity']['error']:.4f} (standard error)")
 
     rep5 = experiments.run_fig5(cfg)
     experiments.write_report(rep5, out)

@@ -14,21 +14,19 @@ Three pipelines:
   with `purity_from_counts`, (1 + r.r)/2 of the linear inversion r in real
   arithmetic, 1 outside the ball; `mle_qubit_batch`, the full state fit
   with each boundary fit a bisection of its own, stays only because
-  `perfbench/tracer.py` wraps it (ROADMAP item 12).  Error bars come from
-  the Poisson-resampling bootstrap (`bootstrap_std`: one seeded draw
-  per count array of a stack, all taken by one `measure.poisson_resample`
-  call, and the point counts with all their resamples estimated in one more
-  call, which gives the point values beside the spread);
+  `perfbench/tracer.py` wraps it (ROADMAP item 12).  Purity error bars come
+  from the Poisson-resampling bootstrap (`bootstrap_std`), which estimates
+  the point counts in the call of their resamples;
 * correlation decoding: the nine Pauli-pair correlators of the masked state
   (rows and columns in `measure.AXES` order) determine the real input density
   matrix through one constant linear map, derived from the masker by
   inverting T_jk = tr(M rho M† sigma_j⊗sigma_k) over real symmetric
   unit-trace rho; the reconstruction is real symmetric by construction and
   is projected onto the nearest density matrix when shot noise pushes it
-  slightly outside the cone.  The decode stays in real arithmetic from the
-  map through the projection (one real `eigh` per stack).  A stack of
-  correlation matrices decodes in one call, each item exactly as it would
-  alone.
+  slightly outside the cone, in real arithmetic (one real `eigh` per stack,
+  each item decoded exactly as it would be alone).  fig4 reports the raw
+  decode's fidelity, linear in T and so unbiased, with a closed-form error;
+  the projection biases it low (Smolin et al., PRL 108, 070502, 2012).
 """
 from __future__ import annotations
 

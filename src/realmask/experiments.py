@@ -5,16 +5,16 @@ field as it is built (`FIELD_CHECKS`, whose rules the CLI's flags and config
 keys share) and holds it as a plain Python value: every random draw flows
 through a sub-seed derived from (config.seed, stream tag, indices), so a rerun
 with the same config produces byte-identical report files.  Estimates are
-never emitted bare: fidelity errors are 95% confidence half-widths, purity and
-concurrence errors are bootstrap standard deviations, and each report row says
-which via its error_kind field.
+never emitted bare: verification fidelity errors are 95% confidence
+half-widths, the others standard deviations (fig4's in closed form, the rest
+bootstrapped), and each report row says which via its error_kind field.
 
 Each figure splits into a seed-independent model and its seeded draws.  The
 model masks all its probes (`masker.mask_pure`) into one (n, 4, 4) stack
 under depolarizing noise, checked by `measure.apply_depolarizing`, and keeps
 only what the draws and analytic mode read of it: the Born tables, fig3's
-fidelities of the masked probes with their noiseless images, fig4's probe
-vector and fig5's |psi^T psi| of its phase probes.  It is built and checked
+fidelities of the masked probes with their noiseless images, fig4's fidelity
+weights and fig5's |psi^T psi| of its phase probes.  It is built and checked
 once per process for each value of the config fields it reads
 (`_fig3_model`, `_fig4_model`, `_fig5_model`), never for the seed, and its
 arrays are read-only, so a run that reads a cached model checks no state.
@@ -23,7 +23,7 @@ fig3's `qsv_run`, and `poisson_resample` per bootstrap), each row or item
 still drawn from its own sub-seed, and its sub-seeds of each tag family
 ("fig3.tomo", "fig3.qsv", ...) come from one `measure.derive_seeds` call.
 Its point estimates ride in the estimator call of their bootstrap resamples
-(`estimate.bootstrap_std`).
+(`estimate.bootstrap_std`); fig4's fidelity, linear in the counts, has none.
 
 A figure draws counts, then estimates from them, and the two steps meet at
 plain counts: `_counts` gives the Born tables (analytic mode, read as counts
@@ -38,8 +38,8 @@ masker's magic-basis identity proves (`masker.masker_matrix`).
 A report states each fact of its run once, in its head: its name
 (`experiment`: "fig3", "fig4", "fig5" or "equiv", also the stem of its
 files), the seed and, for a figure, `noise_p`, the facts of its draws (fig3's
-`qsv_tests`, `shots_per_setting` and `resamples`, each None in analytic
-mode, which draws nothing) and `analytic`.  A row (`report_row`)
+`qsv_tests`, `shots_per_setting` and, but for fig4, `resamples`, each None
+in analytic mode, which draws nothing) and `analytic`.  A row (`report_row`)
 holds only its estimate and what belongs to that estimate alone.
 
 A report is written as JSON with floats at 12 significant digits and as a
@@ -70,7 +70,7 @@ from .qcore import concurrence_from_purity, fidelity_with_pure, partial_trace
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 19
+REPORT_SCHEMA = 20
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
@@ -211,7 +211,7 @@ class ExperimentConfig:
 
 
 def report_row(target: str, estimate: float, error: float, error_kind: str, **extra) -> dict:
-    """One labeled estimate, its error a 95% CI half-width ("ci95") or a bootstrap std ("std")."""
+    """One labeled estimate, its error a 95% CI half-width ("ci95") or a standard deviation ("std")."""
     if error_kind not in ("ci95", "std"):
         raise ValueError(f"error_kind must be 'ci95' or 'std', got {error_kind!r}")
     return {"target": target, "estimate": estimate, "error": error, "error_kind": error_kind, **extra}
@@ -237,10 +237,12 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _head(config: ExperimentConfig, experiment: str, **sampling) -> dict:
-    """A figure report's head: its name, seed, noise, the facts of its draws
-    (`sampling`, `shots_per_setting`, `resamples`; None in analytic mode) and `analytic`."""
-    drawn = {**sampling, "shots_per_setting": config.shots(experiment), "resamples": BOOTSTRAP_RESAMPLES}
+def _head(config: ExperimentConfig, experiment: str, bootstrap: bool = True, **sampling) -> dict:
+    """A figure report's head: name, seed, noise, the facts of its draws (None in analytic mode; `resamples`
+    only with a `bootstrap`, as in fig3 and fig5, not fig4) and `analytic`."""
+    drawn = {**sampling, "shots_per_setting": config.shots(experiment)}
+    if bootstrap:
+        drawn["resamples"] = BOOTSTRAP_RESAMPLES
     return {"experiment": experiment, "seed": config.seed, "noise_p": config.noise_p,
             **{key: None if config.analytic else value for key, value in drawn.items()},
             "analytic": config.analytic}
@@ -332,36 +334,34 @@ def run_fig3(config: ExperimentConfig) -> dict:
 
 @lru_cache(maxsize=_MODELS_KEPT)
 def _fig4_model(noise_p: float, probe: int) -> tuple[np.ndarray, np.ndarray]:
-    """fig4's seed-independent arrays, read-only: the probe vector and the
-    (9, 4) Born table of its masked state at `noise_p`."""
+    """fig4's read-only model: the weights w_n = <a|K_n|a> of its probe a on `estimate._decode_map`, which give
+    the raw decode's fidelity w_0 + sum_n w_n T_n, and the (9, 4) Born table of the masked probe at `noise_p`."""
     a = probe_vector(probe)
-    return _read_only(a, measure.pair_probs(_masked_states(a[None], noise_p)[1][0]))
-
-
-def _decoded(tables: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """(m, 42) rows for a stack of (9, 4) Pauli-pair tables, decoded in one
-    call: each table's decode fidelity with `a`, then its raw and its
-    projected reconstruction and its nine correlators, flattened."""
-    t = measure.correlators(tables).reshape(-1, 3, 3)
-    rho_hat, rho_proj = estimate.decode_real_state(t)
-    return np.column_stack([fidelity_with_pure(rho_proj, a), rho_hat.reshape(-1, 16), rho_proj.reshape(-1, 16),
-                            t.reshape(-1, 9)])
+    return _read_only(fidelity_with_pure(np.moveaxis(estimate._decode_map(), -1, 0), a),
+                      measure.pair_probs(_masked_states(a[None], noise_p)[1][0]))
 
 
 def run_fig4(config: ExperimentConfig, probe: int = DEFAULT_PROBE) -> dict:
+    """The probe's correlators T, their raw and projected decodes and the raw decode's fidelity F =
+    w_0 + sum_n w_n T_n, unbiased and unclipped (it may exceed 1), with its standard error sqrt(sum_n
+    w_n^2 (1 - T_n^2) / (N_n - 1)) for N_n shots, or if a table has one shot the bound sqrt(sum_n w_n^2 / N_n)."""
     probe = _probe_index(probe)
-    a, probs = _fig4_model(config.noise_p, probe)
-    counts = _counts(probs[None], config, "fig4", "fig4", [(probe,)])
-    values, std = _estimate(lambda stack: _decoded(stack, a), counts, config, "fig4", [(probe,)])
-    values = values[0]
+    weights, probs = _fig4_model(config.noise_p, probe)
+    counts = _counts(probs[None], config, "fig4", "fig4", [(probe,)])[0]
+    t, shots, error = measure.correlators(counts), counts.sum(axis=-1), 0.0
+    (rho_raw,), (rho_decoded,) = estimate.decode_real_state(t.reshape(1, 3, 3))
+    if not config.analytic:
+        var = (1.0 - t * t) / (shots - 1) if (shots > 1).all() else 1.0 / shots
+        error = math.sqrt(math.fsum((weights[1:] * weights[1:] * var).tolist()))
     return {
-        **_head(config, "fig4"),
+        **_head(config, "fig4", bootstrap=False),
         "probe": probe,
         "target": PROBE_LABELS[probe],
-        "correlators": values[33:].reshape(3, 3).tolist(),
-        "rho_raw": values[1:17].reshape(4, 4).tolist(),
-        "rho_decoded": values[17:33].reshape(4, 4).tolist(),
-        "fidelity": report_row(f"probe {probe} decode fidelity", float(values[0]), float(std[0, 0]), "std"),
+        "correlators": t.reshape(3, 3).tolist(),
+        "rho_raw": rho_raw.tolist(),
+        "rho_decoded": rho_decoded.tolist(),
+        "fidelity": report_row(f"probe {probe} decode fidelity",
+                               math.fsum([weights[0], *(weights[1:] * t).tolist()]), error, "std"),
     }
 
 

@@ -49,7 +49,7 @@ import hashlib
 import io
 import math
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -164,11 +164,13 @@ def _rekeyed_rows(seeds: np.ndarray) -> Iterator[np.random.Generator]:
     keys = seeds.ravel().tolist()
     if bad := [i for i, key in enumerate(keys) if not _is_seed(key)]:
         raise _seed_error(keys[bad[0]], _row_prefix(seeds.shape, bad[0]))
-    rng = np.random.Generator(np.random.Philox(0))
+    rng = np.random.Generator(np.random.Philox(_seed_sequence()))
     yield from map(partial(_rekeyed, rng, rng.bit_generator), map(int, keys))
 
 
 _ZEROS = (0, 0, 0, 0)
+# Each call's Philox entropy, built once on first use (not at import); `_rekeyed` overwrites the state.
+_seed_sequence = lru_cache(maxsize=None)(lambda: np.random.SeedSequence(0))
 
 
 def _rekeyed(rng: np.random.Generator, bit_generator: np.random.Philox, seed: int) -> np.random.Generator:

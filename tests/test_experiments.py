@@ -198,6 +198,57 @@ def test_fig4_is_a_stack_of_one():
     assert rep["correlators"] == measure.correlators(counts).reshape(3, 3).tolist()
 
 
+# Seeds of the calibration gate, fixed once; never re-picked to pass.
+CALIBRATION_SEEDS = range(1000, 1200)
+
+
+@pytest.mark.parametrize("probe", experiments.PROBES)
+def test_fig4_fidelity_error_is_calibrated(probe):
+    """At the default config the decode fidelity, taken against the analytic
+    value, has z = (F - F_true)/error centred on 0 with unit spread, and
+    F +- 1.96 error covers F_true in a binomial band around 95% of the
+    seeds.  The projected decode's bootstrap missed low: mean z -1.08 and
+    coverage 0.88 for probe 4 at the default config."""
+    truth = run_fig4(ExperimentConfig(analytic=True), probe)["fidelity"]["estimate"]
+    z = np.array([(row["estimate"] - truth) / row["error"] for row in
+                  (run_fig4(ExperimentConfig(seed=seed), probe)["fidelity"] for seed in CALIBRATION_SEEDS)])
+    n = len(z)
+    assert abs(z.mean()) < 0.3
+    assert 0.8 < z.std(ddof=1) < 1.2
+    assert abs(np.mean(np.abs(z) <= 1.96) - 0.95) <= 3.0 * math.sqrt(0.95 * 0.05 / n)
+
+
+def test_noiseless_fig4_decodes_the_fourth_probe_exactly():
+    """At p = 0 the fidelity reads only correlators that are +-1 with
+    certainty, so it is 1 with no spread at every seed."""
+    for seed in (1, 2, 3):
+        row = run_fig4(ExperimentConfig(seed=seed, noise_p=0.0))["fidelity"]
+        assert abs(row["estimate"] - 1.0) <= 1e-12 and row["error"] == 0.0
+
+
+@pytest.mark.parametrize("probe", experiments.PROBES)
+def test_a_one_shot_fig4_reports_the_variance_bound(probe):
+    """One shot per table leaves no spread to estimate, so the error is the
+    bound sqrt(sum w_n^2 / N_n) with N_n = 1."""
+    config = ExperimentConfig(seed=1, shots_per_setting=1)
+    weights = experiments._fig4_model(config.noise_p, probe)[0]
+    row = run_fig4(config, probe)["fidelity"]
+    assert row["error"] == math.sqrt(math.fsum((weights[1:] ** 2).tolist())) > 0.0
+
+
+def test_a_fig4_fidelity_above_one_is_reported_as_it_is(monkeypatch):
+    """Counts whose raw decode reads more than 1 are not clipped: every
+    correlator at the sign of its weight gives w_0 + sum |w_n|, 1.5 for the
+    third probe, and their tables of one outcome give zero spread."""
+    weights = experiments._fig4_model(ExperimentConfig().noise_p, 3)[0]
+    counts = np.array([[[5, 0, 0, 0] if w >= 0 else [0, 5, 0, 0] for w in weights[1:]]])
+    monkeypatch.setattr(experiments, "_counts", lambda *args, **kwargs: counts)
+    rep = run_fig4(ExperimentConfig(seed=1), 3)
+    assert rep["fidelity"]["estimate"] == pytest.approx(1.5, abs=1e-12)
+    assert rep["fidelity"]["error"] == 0.0
+    assert np.linalg.eigvalsh(np.array(rep["rho_decoded"])).min() >= -1e-12
+
+
 def clear_models():
     for model in (experiments._fig3_model, experiments._fig4_model, experiments._fig5_model):
         model.cache_clear()
@@ -209,8 +260,8 @@ def test_each_masked_stack_is_checked_once_per_config(monkeypatch):
     `partial_trace`; fig3's verification reads the fidelities of the stack
     and checks nothing more.  A run at another seed reads the cached model
     and checks no state.  No state check repairs a matrix, so only the
-    positivity projection calls `eigh`, once per fig4 run: the point
-    correlators and their resamples decode in one call."""
+    positivity projection calls `eigh`, once per fig4 run, on its one
+    decoded table."""
     clear_models()
     checks, eighs = [], []
 
@@ -274,32 +325,32 @@ OP_CALLS = (
     (measure, "derive_seed", 1, 1),
     (measure, "generator", 0, 0),
     (measure, "sample_counts", 3, 3),
-    (measure, "poisson_resample", 3, 3),
+    (measure, "poisson_resample", 2, 2),
     (measure, "tables_from_csv", 0, 0),
     (estimate, "qsv_run", 1, 1),
     (estimate, "mle_qubit_batch", 0, 0),
     (estimate, "purity_from_counts", 2, 2),
-    (estimate, "bootstrap_std", 3, 3),
+    (estimate, "bootstrap_std", 2, 2),
     (estimate, "decode_real_state", 1, 1),
     (experiments, "run_fig3", 1, 1),
     (experiments, "run_fig4", 1, 1),
     (experiments, "run_fig5", 1, 1),
     (experiments, "run_equivalence", 1, 1),
     (experiments, "write_report", 4, 4),
-    (measure, "derive_seeds", 8, 8),  # 71 sub-seeds, equiv's one through derive_seed
+    (measure, "derive_seeds", 7, 7),  # 70 sub-seeds, equiv's one through derive_seed
     (np.linalg, "eigh", 1, 1),
-    (np.random, "Philox", 8, 8),
-    (measure, "_rekeyed", 71, 71),
+    (np.random, "Philox", 7, 7),
+    (measure, "_rekeyed", 70, 70),
     (estimate, "_bloch_matrices", 0, 0),
     (os, "open", 8, 8),
 )
 # Rows of the first argument over a warm op: fig3's 4 verification probes;
-# the count arrays resampled by fig3 (4), fig4 (1) and fig5 (7); fig3's 8
-# qubits and fig5's 7 with their 100 resamples each, estimated in one
-# purity call per figure; fig4's 101 correlation matrices, decoded in one call.
-OP_ROWS = {"estimate.qsv_run": 4, "measure.poisson_resample": 12,
+# the count arrays resampled by fig3 (4) and fig5 (7); fig3's 8 qubits and
+# fig5's 7 with their 100 resamples each, estimated in one purity call per
+# figure; fig4's one correlation matrix, decoded as a stack of one.
+OP_ROWS = {"estimate.qsv_run": 4, "measure.poisson_resample": 11,
            "estimate.purity_from_counts": 15 * (BOOTSTRAP_RESAMPLES + 1),
-           "estimate.decode_real_state": BOOTSTRAP_RESAMPLES + 1}
+           "estimate.decode_real_state": 1}
 
 
 def _call_key(owner, name):
@@ -349,7 +400,7 @@ def test_a_figures_op_makes_its_pinned_calls(monkeypatch, tmp_path):
 
 def test_a_default_op_gives_each_stream_its_own_tag_text(monkeypatch):
     """A sub-seed hashes the `str` text of each tag, so two tag tuples of one
-    text, such as (4,) and ("4",), share a stream.  The 71 tag tuples a
+    text, such as (4,) and ("4",), share a stream.  The 70 tag tuples a
     default op derives (fig3, fig4, fig5 and equiv at `ExperimentConfig()`),
     each read as the texts of its prefix and suffix, are pairwise distinct,
     and so are their sub-seeds.  `derive_seeds` is wrapped in every
@@ -370,8 +421,8 @@ def test_a_default_op_gives_each_stream_its_own_tag_text(monkeypatch):
                 monkeypatch.setattr(module, attr, recorded)
     for run in (run_fig3, run_fig4, run_fig5, experiments.run_equivalence):
         run(ExperimentConfig())
-    assert len(tags) == len(set(tags)) == 71
-    assert len(seeds) == len(set(seeds)) == 71
+    assert len(tags) == len(set(tags)) == 70
+    assert len(seeds) == len(set(seeds)) == 70
 
 
 def test_model_arrays_refuse_writes():
@@ -480,7 +531,7 @@ LAYOUT = {
              {"probes": ["probe", "target", "fidelity", "purity"],
               "fidelity": [*ESTIMATE, "eps_hat", "eps_low", "eps_high", "passed"],
               "purity": [*ESTIMATE, "path_purity", "pol_purity"]}),
-    "fig4": (["experiment", "seed", "noise_p", "shots_per_setting", "resamples", "analytic", "probe", "target",
+    "fig4": (["experiment", "seed", "noise_p", "shots_per_setting", "analytic", "probe", "target",
               "correlators", "rho_raw", "rho_decoded", "fidelity"],
              {"fidelity": ESTIMATE}),
     "fig5": (["experiment", "seed", "noise_p", "shots_per_setting", "resamples", "analytic", "points"],
@@ -516,11 +567,14 @@ def test_the_head_holds_the_run_facts_and_rows_only_their_estimates(run, analyti
 @pytest.mark.parametrize("analytic", [False, True], ids=["sampled", "analytic"])
 @pytest.mark.parametrize("run", [run_fig3, run_fig4, run_fig5])
 def test_a_head_states_the_draws_only_of_a_sampled_run(run, analytic):
-    """An analytic run draws nothing: its head's shots, resamples and fig3's
-    verification tests are null, whatever the config holds."""
+    """An analytic run draws nothing: its head's shots, the resamples of fig3
+    and fig5 and fig3's verification tests are null, whatever the config
+    holds.  fig4 draws no resamples, so its head has no `resamples`."""
     config = ExperimentConfig(seed=1, shots_per_setting=7, qsv_tests=11, analytic=analytic)
     report = run(config)
-    drawn = {"shots_per_setting": 7, "resamples": BOOTSTRAP_RESAMPLES}
+    drawn = {"shots_per_setting": 7}
+    if report["experiment"] != "fig4":
+        drawn["resamples"] = BOOTSTRAP_RESAMPLES
     if report["experiment"] == "fig3":
         drawn["qsv_tests"] = 11
     assert {key: report[key] for key in drawn} == ({key: None for key in drawn} if analytic else drawn)

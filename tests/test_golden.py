@@ -65,8 +65,9 @@ RUNS = (
     # Noiseless masked states: the pure densities, checked as they are.
     ("noiseless", ("fig3", "--noise-p", "0", "--seed", "1")),
     ("one_shot", ("fig5", "--shots", "1", "--seed", "1")),  # axes with zero counts in the bootstrap resamples
-    # A one-shot decode (zero-shot correlators) and one-shot purities: point
-    # estimates with zero-count axes, estimated in the call of their resamples.
+    # A one-shot decode, whose error is the variance bound of one-shot tables,
+    # and one-shot purities: point estimates with zero-count axes, estimated in
+    # the call of their resamples.
     ("one_shot", ("fig4", "--shots", "1", "--seed", "1")),
     ("one_shot", ("fig3", "--shots", "1", "--seed", "1")),
     # The other probes' decodes: the default runs decode only the fourth.
@@ -107,7 +108,8 @@ def generate(runs: tuple = RUNS) -> dict[str, bytes]:
 
 
 def _without_schema(data: bytes) -> list[bytes]:
-    return [line for line in data.splitlines() if b'"schema":' not in line]
+    """The lines of a report file less its schema: the JSON's line or the CSV's row."""
+    return [line for line in data.splitlines() if b'"schema":' not in line and not line.startswith(b"schema,")]
 
 
 DIGESTS = "digests.json"
@@ -327,9 +329,11 @@ def test_after_a_schema_bump_the_files_are_written_and_the_moved_ones_listed(tmp
     copy = _copy_moving_a_digit(tmp_path, "one_shot/fig5.csv")
     for path in copy.rglob("*.json"):
         path.write_text(path.read_text().replace(f'"schema": {experiments.REPORT_SCHEMA},', '"schema": 8,', 1))
+    for path in copy.rglob("*.csv"):
+        path.write_text(path.read_text().replace(f"\nschema,{experiments.REPORT_SCHEMA}\n", "\nschema,8\n", 1))
     assert regenerate(copy) == 0
     assert _read(copy) == _read(GOLDEN)
-    rewritten = len(list(copy.rglob("*.json"))) + 1  # every JSON file's schema line and the moved CSV
+    rewritten = len(list(copy.rglob("*.json"))) + len(list(copy.rglob("*.csv")))  # each report's schema
     assert capsys.readouterr().out.splitlines() == [
         f"report schema 8 -> {experiments.REPORT_SCHEMA}: {rewritten} files rewritten, "
         "1 moved apart from the schema line",
