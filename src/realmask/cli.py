@@ -89,13 +89,14 @@ def _floats(text: str) -> list[float]:
 
 
 _PHI = experiments.DEFAULT_PHI_GRID
+_SHOTS_CAP = experiments._at_most(experiments.MAX_SHOTS)
 
 # Each setting that a flag or a config key can set: the flag, the parser of
 # its text (None: a switch) and the help.
 OPTIONS = {
     "seed": ("--seed", int, f"master seed (default {experiments.DEFAULT_SEED})"),
-    "shots_per_setting": ("--shots", int, "shots per measurement setting (at most 10**18)"),
-    "qsv_tests": ("--qsv-tests", int, "verification tests per probe (at most 10**18)"),
+    "shots_per_setting": ("--shots", int, f"shots per measurement setting ({_SHOTS_CAP})"),
+    "qsv_tests": ("--qsv-tests", int, f"verification tests per probe ({_SHOTS_CAP})"),
     "noise_p": ("--noise-p", float, "depolarizing noise strength"),
     "phi_grid_deg": ("--phi-grid", _floats,
                      f"comma-separated phases in degrees (default {_PHI[0]:g},{_PHI[1]:g},...,{_PHI[-1]:g})"),
@@ -246,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe = add_experiment("equiv", "masker / walk / optics equivalence check",
                         lambda config, args: experiments.run_equivalence(config, n_inputs=args.n_inputs))
     pe.add_argument("--n-inputs", type=_flag_type(int, experiments._n_inputs), default=experiments.DEFAULT_N_INPUTS,
-                    help=f"random real preparation targets (default {experiments.DEFAULT_N_INPUTS}, at most 10**9)")
+                    help=f"random real preparation targets (default {experiments.DEFAULT_N_INPUTS}, "
+                         f"{experiments._at_most(experiments.MAX_N_INPUTS)})")
 
     pa = sub.add_parser("angles", help="waveplate angle solutions")
     pa.add_argument("--state", type=_flag_type(_floats, _real_state), default=None,

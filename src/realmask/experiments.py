@@ -20,8 +20,8 @@ once per process for each value of the config fields it reads
 arrays are read-only, so a run that reads a cached model checks no state.
 A figure's seeded draws take one call of each kind (`sample_counts`,
 fig3's `qsv_run`, and `poisson_resample` per bootstrap), each row or item
-still drawn from its own sub-seed, and its sub-seeds of each tag family
-("fig3.tomo", "fig3.qsv", ...) come from one `measure.derive_seeds` call.
+still drawn from its own sub-seed, which one `measure.derive_seed` call gives
+from the seed, the tag family ("fig3.tomo", "fig3.qsv", ...) and its tags.
 Its point estimates ride in the estimator call of their bootstrap resamples
 (`estimate.bootstrap_std`); fig4's fidelity, linear in the counts, has none.
 
@@ -38,9 +38,10 @@ masker's magic-basis identity proves (`masker.masker_matrix`).
 A report states each fact of its run once, in its head: its name
 (`experiment`: "fig3", "fig4", "fig5" or "equiv", also the stem of its
 files), the seed and, for a figure, `noise_p`, the facts of its draws (fig3's
-`qsv_tests`, `shots_per_setting` and, but for fig4, `resamples`, each None
-in analytic mode, which draws nothing) and `analytic`.  A row (`report_row`)
-holds only its estimate and what belongs to that estimate alone.
+`qsv_tests`, `shots_per_setting` and fig3's and fig5's bootstrap
+`resamples`, each None in analytic mode, which draws nothing) and
+`analytic`.  A row (`report_row`) holds only its estimate and what belongs
+to that estimate alone.
 
 A report is written as JSON with floats at 12 significant digits and as a
 CSV of that JSON's leaves: the header `path,value`, then one row per scalar
@@ -65,7 +66,7 @@ import numpy as np
 
 from . import estimate, measure, optics, walk
 from .masker import mask_pure
-from .measure import _digits_beyond_text, _is_integer, derive_seed, derive_seeds, generators
+from .measure import _digits_beyond_text, _is_integer, derive_seed, generators
 from .qcore import concurrence_from_purity, fidelity_with_pure, partial_trace
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
@@ -137,12 +138,17 @@ def _integer(v) -> int:
     return int(v)
 
 
+def _at_most(most: int) -> str:
+    """The words of a cap `most`, a power of ten, as `_count`'s refusal and the CLI's help give it."""
+    return f"at most 10**{len(str(most)) - 1}"
+
+
 def _count(v, most: int = MAX_SHOTS) -> int:
     """A positive integer of at most `most`, a power of ten."""
     if _integer(v) < 1:
         raise ValueError(f"must be a positive integer, got {v!r}")
     if v > most:
-        raise ValueError(f"must be at most 10**{len(str(most)) - 1}, got {v!r}")
+        raise ValueError(f"must be {_at_most(most)}, got {v!r}")
     return int(v)
 
 
@@ -237,32 +243,27 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _head(config: ExperimentConfig, experiment: str, bootstrap: bool = True, **sampling) -> dict:
-    """A figure report's head: name, seed, noise, the facts of its draws (None in analytic mode; `resamples`
-    only with a `bootstrap`, as in fig3 and fig5, not fig4) and `analytic`."""
-    drawn = {**sampling, "shots_per_setting": config.shots(experiment)}
-    if bootstrap:
-        drawn["resamples"] = BOOTSTRAP_RESAMPLES
+def _head(config: ExperimentConfig, experiment: str, **drawn) -> dict:
+    """A figure report's head: name, seed, noise, the facts of its draws in the order given (None in analytic
+    mode) and `analytic`."""
     return {"experiment": experiment, "seed": config.seed, "noise_p": config.noise_p,
             **{key: None if config.analytic else value for key, value in drawn.items()},
             "analytic": config.analytic}
 
 
 def _counts(probs: np.ndarray, config: ExperimentConfig, experiment: str, family: str,
-            keys: list[tuple], parts: tuple[tuple, ...] = ((),)) -> np.ndarray:
-    """The count tables of a stack of Born tables: `probs` holds item i's
-    tables, (..., 3, 2) for qubits or (..., 9, 4) for pairs, under its tags
-    `keys[i]`.  In analytic mode they are `probs` itself, the tables read as
-    counts of one shot.  Sampled, every row is drawn as int64 counts with
-    `config.shots(experiment)` shots in one `sample_counts` call, from its
-    own sub-seed tagged `family`, the item's key, the table's part (one per
-    table of an item) and the row's `measure.AXES` or `measure.PAIRS` label.
+            keys: list[tuple]) -> np.ndarray:
+    """The count tables of an (n, 3, 2) stack of qubit or (n, 9, 4) stack of
+    pair Born tables, table i under its tags `keys[i]`.  In analytic mode
+    they are `probs` itself, the tables read as counts of one shot.  Sampled,
+    every row is drawn as int64 counts with `config.shots(experiment)` shots
+    in one `sample_counts` call, from its own sub-seed tagged `family`, the
+    table's key and the row's `measure.AXES` or `measure.PAIRS` label.
     """
     if config.analytic:
         return probs
     labels = measure.AXES if probs.shape[-2] == len(measure.AXES) else measure.PAIRS
-    seeds = derive_seeds(config.seed, (family,),
-                         [(*key, *part, label) for key in keys for part in parts for label in labels])
+    seeds = [derive_seed(config.seed, family, *key, label) for key in keys for label in labels]
     return measure.sample_counts(probs, config.shots(experiment),
                                  np.array(seeds, dtype=object).reshape(probs.shape[:-1]))
 
@@ -277,8 +278,8 @@ def _estimate(quantity, counts: np.ndarray, config: ExperimentConfig, experiment
     if config.analytic:
         values = np.asarray(quantity(counts))
         return values, np.zeros_like(values)
-    return estimate.bootstrap_std(quantity, counts, derive_seeds(config.seed, (f"{experiment}.boot",), keys),
-                                  resamples=BOOTSTRAP_RESAMPLES)
+    seeds = [derive_seed(config.seed, f"{experiment}.boot", *key) for key in keys]
+    return estimate.bootstrap_std(quantity, counts, seeds, resamples=BOOTSTRAP_RESAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +316,11 @@ def run_fig3(config: ExperimentConfig) -> dict:
     if config.analytic:
         verdicts = [(e, 0.0, e, e, None) for e in (1.0 - fidelities).tolist()]
     else:
-        passes = estimate.qsv_run(fidelities, config.qsv_tests, derive_seeds(config.seed, ("fig3.qsv",), keys))
+        passes = estimate.qsv_run(fidelities, config.qsv_tests,
+                                  [derive_seed(config.seed, "fig3.qsv", *key) for key in keys])
         verdicts = [(*estimate.qsv_interval(passed, config.qsv_tests), passed) for passed in passes]
-    counts = _counts(probs, config, "fig3", "fig3.tomo", keys, parts=(("path",), ("pol",)))
+    qubits = [(idx, qubit) for idx in PROBES for qubit in ("path", "pol")]
+    counts = _counts(probs.reshape(-1, 3, 2), config, "fig3", "fig3.tomo", qubits).reshape(probs.shape)
     pur, std = _estimate(_purities, counts, config, "fig3", keys)
     rows = [{"probe": idx, "target": PROBE_LABELS[idx],
              "fidelity": report_row(f"probe {idx} fidelity", 1.0 - eps, err, "ci95",
@@ -326,7 +329,9 @@ def run_fig3(config: ExperimentConfig) -> dict:
                                   path_purity=pur_a, pol_purity=pur_b)}
             for idx, (eps, err, low, high, passed), (pur_a, pur_b, avg), spread
             in zip(PROBES, verdicts, pur.tolist(), std[:, 2].tolist())]
-    return {**_head(config, "fig3", qsv_tests=config.qsv_tests), "probes": rows}
+    return {**_head(config, "fig3", qsv_tests=config.qsv_tests, shots_per_setting=config.shots("fig3"),
+                    resamples=BOOTSTRAP_RESAMPLES),
+            "probes": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +359,7 @@ def run_fig4(config: ExperimentConfig, probe: int = DEFAULT_PROBE) -> dict:
         var = (1.0 - t * t) / (shots - 1) if (shots > 1).all() else 1.0 / shots
         error = math.sqrt(math.fsum((weights[1:] * weights[1:] * var).tolist()))
     return {
-        **_head(config, "fig4", bootstrap=False),
+        **_head(config, "fig4", shots_per_setting=config.shots("fig4")),
         "probe": probe,
         "target": PROBE_LABELS[probe],
         "correlators": t.reshape(3, 3).tolist(),
@@ -395,7 +400,8 @@ def run_fig5(config: ExperimentConfig) -> dict:
     points = [report_row(f"phi = {phi} deg", float(est[i]), float(std[i]), "std",
                          phi_deg=phi, theory_cos=math.cos(math.radians(phi)))
               for i, phi in enumerate(phis)]
-    return {**_head(config, "fig5"), "points": points}
+    return {**_head(config, "fig5", shots_per_setting=config.shots("fig5"), resamples=BOOTSTRAP_RESAMPLES),
+            "points": points}
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,8 @@ generator keyed by a 64-bit sub-seed, SHA-256 over the length-prefixed `str`
 texts of the master seed and stream tags (module tag, trial indices), so
 distinct tag texts give distinct streams (the tags 4 and "4" share one) and
 results are bit-for-bit identical across runs.  A seed
-outside [0, 2**64) is refused, never folded onto another.  `derive_seeds`
-gives the sub-seeds of a family of tag tuples that share a prefix, hashing
-the prefix once.
+outside [0, 2**64) is refused, never folded onto another.  `derive_seed` is
+the one place that derives a sub-seed, one call per stream.
 
 Draws by the table: `sample_counts`, `poisson_resample` and
 `estimate.qsv_run` check a whole table once, naming the first faulty row,
@@ -51,7 +50,7 @@ import math
 import sys
 from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,32 +85,15 @@ def derive_seed(master_seed: int, *parts) -> int:
     numpy integer of any sign, and tags, each part's `str` text behind its
     8-byte length, so the encoding is injective on the parts' texts: tags of
     one text, such as 4 and "4", give one sub-seed."""
-    return derive_seeds(master_seed, parts, [()])[0]
-
-
-def derive_seeds(master_seed: int, prefix: Sequence, suffixes: Iterable[Sequence]) -> list[int]:
-    """`derive_seed(master_seed, *prefix, *suffix)` for each suffix, in order:
-    the master seed and the shared prefix are hashed once, and each suffix
-    extends a copy of that hash, so the bytes hashed are the same."""
     if not _is_integer(master_seed):
         raise ValueError(f"master seed must be an integer, got {master_seed!r}")
     if limit := _digits_beyond_text(master_seed):
         raise ValueError(f"master seed must be an integer of at most {limit} digits")
-    head = hashlib.sha256()
-    _hash_parts(head, (int(master_seed), *prefix))
-    seeds = []
-    for suffix in suffixes:
-        h = head.copy()
-        _hash_parts(h, suffix)
-        seeds.append(int.from_bytes(h.digest()[:8], "little"))
-    return seeds
-
-
-def _hash_parts(h, parts) -> None:
-    """Feed each part's `str` text behind its 8-byte length to `h`."""
-    for part in parts:
+    h = hashlib.sha256()
+    for part in (int(master_seed), *parts):
         text = str(part).encode()
         h.update(len(text).to_bytes(8, "little") + text)
+    return int.from_bytes(h.digest()[:8], "little")
 
 
 def _is_integer(value) -> bool:
@@ -311,7 +293,8 @@ def correlators(counts) -> np.ndarray:
     """(n++ - n+- - n-+ + n--)/shots over the last axis of pair counts.
 
     A table with no shots carries no information and gives 0.0, the value of
-    an uncorrelated pair; a zero-count bootstrap resample is one.
+    an uncorrelated pair.  No pipeline draws one, so a zero-shot table comes
+    only from a caller's counts.
     """
     c = np.asarray(counts, dtype=float)
     shots = c.sum(axis=-1)

@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
 
-from realmask.estimate import _simplex_projection
+from realmask.estimate import _simplex_projection, qsv_interval
 from realmask.experiments import REPORT_SCHEMA
 from realmask.masker import mask_pure, masker_matrix
 from realmask.optics import V
@@ -115,13 +116,35 @@ def reference_project_to_density(mat) -> np.ndarray:
 def reference_derive_seed(master_seed: int, *parts) -> int:
     """The sub-seed as the library once derived it, one SHA-256 over the
     master seed and each tag, each part's `str` text behind its 8-byte
-    length, fed one `update` at a time: the oracle for `measure.derive_seeds`."""
+    length, fed one `update` at a time: the oracle for `measure.derive_seed`."""
     h = hashlib.sha256()
     for part in (int(master_seed), *parts):
         text = str(part).encode()
         h.update(len(text).to_bytes(8, "little"))
         h.update(text)
     return int.from_bytes(h.digest()[:8], "little")
+
+
+def binomial_pmf(k: int, n: int, p: float) -> float:
+    """P(S = k) for S ~ Binomial(n, p), through log-gamma, so that n may be large."""
+    if p in (0.0, 1.0):
+        return float(k == n * p)
+    return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                    + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def exact_qsv_coverage(fidelity: float, n_tests: int) -> float:
+    """The probability that `estimate.qsv_interval` holds the infidelity 1 - F
+    under the pipeline's own law, a pass count S ~ Binomial(N, (1 + 2F)/3):
+    the binomial weights of the covering S, summed over the N + 1 pass
+    counts.  The oracle for fig3's verification interval (ROADMAP item 9)."""
+    p, eps = (1.0 + 2.0 * fidelity) / 3.0, 1.0 - fidelity
+    covering = []
+    for passed in range(n_tests + 1):
+        _eps_hat, _error, low, high = qsv_interval(passed, n_tests)
+        if low <= eps <= high:
+            covering.append(binomial_pmf(passed, n_tests, p))
+    return math.fsum(covering)
 
 
 def round_floats(obj):

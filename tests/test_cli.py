@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import errno
@@ -525,6 +526,23 @@ class TestCommandLine:
         for field, text in shown.items():
             if field in READS[command]:
                 assert text in cli.OPTIONS[field][2]
+
+    # These helps used to type their caps a second time, beside the rule's constant.
+    @pytest.mark.parametrize("command, flag, cap", [
+        ("fig3", "--shots", experiments.MAX_SHOTS),
+        ("fig3", "--qsv-tests", experiments.MAX_SHOTS),
+        ("equiv", "--n-inputs", experiments.MAX_N_INPUTS),
+    ])
+    def test_a_capped_flags_help_names_the_cap_it_is_held_to(self, command, flag, cap, capsys):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+        (help_text,) = [a.help for a in sub._actions if flag in a.option_strings]
+        (power,) = re.findall(r"\bat most 10\*\*(\d+)\)", help_text)
+        assert 10 ** int(power) == cap
+        assert getattr(parser.parse_args([command, flag, str(cap)]), sub._option_string_actions[flag].dest) == cap
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, flag, str(cap + 1)])
+        assert f"must be at most 10**{power}, got {cap + 1}" in capsys.readouterr().err
 
     # `--probe 5` used to be argparse's "invalid choice", a second rule beside
     # the library's `probe index must be ...`.

@@ -39,7 +39,9 @@ from realmask.measure import (
 from realmask.qcore import BELL_PHI, EPS_EXACT, checked_density, fidelity_with_pure
 
 from helpers import (
+    binomial_pmf,
     density,
+    exact_qsv_coverage,
     hr_combination,
     magic_basis,
     mask_state,
@@ -398,6 +400,42 @@ class TestQsvInterval:
     def test_rejects_bad_counts_as_agresti_coull_does(self, passed, total):
         with pytest.raises(ValueError, match=r"^need integers 0 <= passed <= total with total >= 1, got "):
             qsv_interval(passed, total)
+
+
+# Fidelities of the exact-coverage check: the default config's probes, then
+# noisier states; and the fixed seeds of its draws, never re-picked.
+COVERAGE_FIDELITIES = (0.9925, 0.95, 0.9, 0.8, 0.6)
+COVERAGE_SEEDS = range(4000)
+
+
+class TestExactQsvCoverage:
+    """`helpers.exact_qsv_coverage` sums the binomial law of `qsv_run`'s pass
+    counts over the intervals of `qsv_interval` that hold 1 - F."""
+
+    @pytest.mark.parametrize("n_tests, p", [(50, 0.995), (5000, 0.99), (7, 1.0)])
+    def test_the_law_sums_to_one(self, n_tests, p):
+        # Log-gamma's rounding leaves about 2e-12 at N = 5000.
+        assert math.fsum(binomial_pmf(k, n_tests, p) for k in range(n_tests + 1)) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("fidelity", COVERAGE_FIDELITIES)
+    def test_it_is_the_covering_share_of_drawn_pass_counts(self, fidelity):
+        # Within 3 binomial standard errors of the share over fixed draws at N = 50.
+        n_tests, draws = 50, len(COVERAGE_SEEDS)
+        want = exact_qsv_coverage(fidelity, n_tests)
+        passes = qsv_run([fidelity] * draws, n_tests, list(COVERAGE_SEEDS))
+        intervals = [qsv_interval(passed, n_tests) for passed in passes]
+        covered = sum(low <= 1.0 - fidelity <= high for _eps, _err, low, high in intervals)
+        assert abs(covered / draws - want) <= 3 * math.sqrt(want * (1 - want) / draws)
+
+    def test_the_default_configs_coverage_falls_short_of_95_percent(self):
+        # Recorded in ROADMAP item 9: Agresti-Coull oscillates below nominal.
+        config = ExperimentConfig()
+        fidelities = experiments._fig3_model(config.noise_p)[1].tolist()
+        coverage = [exact_qsv_coverage(f, config.qsv_tests) for f in fidelities]
+        assert coverage == pytest.approx([0.94447] * 4, abs=1e-5)
+
+    def test_a_pure_state_is_covered_when_every_test_passes(self):
+        assert exact_qsv_coverage(1.0, 50) == float(qsv_interval(50, 50)[2] == 0.0)
 
 
 class TestAgrestiCoull:

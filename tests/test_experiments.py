@@ -312,17 +312,17 @@ def test_figures_in_two_threads_equal_their_serial_reports():
 
 # (owner, name, calls in a cold op, calls in a warm op) of one default figures
 # op: fig3, fig4, fig5 and equiv, each report written.  The rows down to
-# `write_report` are the functions perfbench/tracer.py traces; then the seed
-# derivation, numpy's `eigh` and `Philox` (one per `generators` call), the
-# re-key of a stream, the complex Bloch matrices of the qubit MLE and the file
-# opens.  A change that moves a count edits its row.
+# `write_report` are the functions perfbench/tracer.py traces; then numpy's
+# `eigh` and `Philox` (one per `generators` call), the re-key of a stream, the
+# complex Bloch matrices of the qubit MLE and the file opens.  A change that
+# moves a count edits its row.
 OP_CALLS = (
     (qcore, "partial_trace", 3, 0),
     (masker, "mask_pure", 4, 0),
     (walk, "run_masking_walk", 1, 0),
     (optics, "simulate_masking", 1, 0),
     (optics, "solve_prep_angles", 3, 1),
-    (measure, "derive_seed", 1, 1),
+    (measure, "derive_seed", 70, 70),  # one per stream: 69 for the figures, 1 for equiv
     (measure, "generator", 0, 0),
     (measure, "sample_counts", 3, 3),
     (measure, "poisson_resample", 2, 2),
@@ -337,7 +337,6 @@ OP_CALLS = (
     (experiments, "run_fig5", 1, 1),
     (experiments, "run_equivalence", 1, 1),
     (experiments, "write_report", 4, 4),
-    (measure, "derive_seeds", 7, 7),  # 70 sub-seeds, equiv's one through derive_seed
     (np.linalg, "eigh", 1, 1),
     (np.random, "Philox", 7, 7),
     (measure, "_rekeyed", 70, 70),
@@ -402,18 +401,16 @@ def test_a_default_op_gives_each_stream_its_own_tag_text(monkeypatch):
     """A sub-seed hashes the `str` text of each tag, so two tag tuples of one
     text, such as (4,) and ("4",), share a stream.  The 70 tag tuples a
     default op derives (fig3, fig4, fig5 and equiv at `ExperimentConfig()`),
-    each read as the texts of its prefix and suffix, are pairwise distinct,
-    and so are their sub-seeds.  `derive_seeds` is wrapped in every
-    namespace of the package that binds it; `derive_seed` calls it too."""
+    each read as the texts of its parts, are pairwise distinct, and so are
+    their sub-seeds.  `derive_seed` is wrapped in every namespace of the
+    package that binds it."""
     package = [m for name, m in sys.modules.items() if name.split(".")[0] == "realmask"]
-    original, tags, seeds = measure.derive_seeds, [], []
+    original, tags, seeds = measure.derive_seed, [], []
 
-    def recorded(master_seed, prefix, suffixes):
-        suffixes = list(suffixes)
-        got = original(master_seed, prefix, suffixes)
-        tags.extend(tuple(str(part) for part in (*prefix, *suffix)) for suffix in suffixes)
-        seeds.extend(got)
-        return got
+    def recorded(master_seed, *parts):
+        seeds.append(original(master_seed, *parts))
+        tags.append(tuple(map(str, parts)))
+        return seeds[-1]
 
     for module in package:
         for attr, value in list(vars(module).items()):
@@ -435,12 +432,12 @@ def test_model_arrays_refuse_writes():
             arr.flat[0] = 0.0
 
 
-def count_tables(counts, config, experiment, family, keys, parts=((),)):
+def count_tables(counts, config, experiment, family, keys):
     """A figure's count stack as `CountsTable`s, one per row in the order
     `_counts` draws them: setting the row's axis or pair label, seed its
     sub-seed."""
     labels = measure.AXES if counts.shape[-2] == len(measure.AXES) else measure.PAIRS
-    tags = [(*key, *part, label) for key in keys for part in parts for label in labels]
+    tags = [(*key, label) for key in keys for label in labels]
     return [measure.CountsTable(tag[-1], tuple(row), config.shots(experiment), derive_seed(config.seed, family, *tag))
             for tag, row in zip(tags, counts.reshape(len(tags), -1).tolist())]
 
@@ -456,10 +453,10 @@ def test_counts_read_back_from_csv_estimate_to_the_reports_bytes(run, seed, monk
     want = run(config)
     drawn, read = experiments._counts, []
 
-    def read_back(probs, config, experiment, family, keys, parts=((),)):
-        counts = drawn(probs, config, experiment, family, keys, parts)
+    def read_back(probs, config, experiment, family, keys):
+        counts = drawn(probs, config, experiment, family, keys)
         assert counts.dtype == np.int64 and (counts.sum(axis=-1) == config.shots(experiment)).all()
-        text = measure.tables_to_csv(count_tables(counts, config, experiment, family, keys, parts))
+        text = measure.tables_to_csv(count_tables(counts, config, experiment, family, keys))
         read.append(np.array([table.counts for table in measure.tables_from_csv(text)]).reshape(counts.shape))
         assert read[-1] is not counts and np.array_equal(read[-1], counts)
         return read[-1]

@@ -268,3 +268,8 @@ class TestConcurrenceImaginarityRelation:
             i_r = robustness_of_imaginarity(density(psi))
             oracle = spin_flip_concurrence(mask_pure(psi))
             assert oracle == pytest.approx(np.sqrt(max(0.0, 1 - i_r**2)), abs=1e-10)
+
+
+def test_mask_pure_refuses_a_state_of_another_dimension():
+    with pytest.raises(ValueError, match="^mask_pure expects 4-dimensional states$"):
+        mask_pure(np.ones((2, 3)) / np.sqrt(3))

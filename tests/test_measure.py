@@ -29,7 +29,6 @@ from realmask.measure import (
     axis_probs,
     correlators,
     derive_seed,
-    derive_seeds,
     generator,
     generators,
     pair_probs,
@@ -820,56 +819,23 @@ class TestSeeds:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.integers(), st.integers(-2**100, 2**100),
                      st.sampled_from([-1, np.int64(-7), np.uint64(2**64 - 1), 2**80])),
-           st.lists(st.one_of(st.text(max_size=4), st.integers())),
-           st.lists(st.lists(st.one_of(st.text(max_size=4), st.integers(-3, 3)), max_size=3).map(tuple),
-                    max_size=4))
-    def test_derive_seeds_equals_derive_seed_of_each_suffix(self, master, prefix, suffixes):
-        want = [reference_derive_seed(master, *prefix, *s) for s in suffixes]
-        assert derive_seeds(master, prefix, suffixes) == [derive_seed(master, *prefix, *s) for s in suffixes] == want
-
-    @pytest.mark.parametrize("left, right", [
-        ((1, "a/b"), (1, "a", "b")),
-        ((1, "ab", "c"), (1, "a", "bc")),
-        ((12, 3), (1, 23)),
-        ((1, ""), (1,)),
-    ])
-    def test_derive_seeds_keeps_the_injective_pairs_apart(self, left, right):
-        # Each side's tags as a prefix and as a suffix; a pair that shares
-        # its master seed also as two suffixes of one family.
-        want = [derive_seed(*left), derive_seed(*right)]
-        assert want[0] != want[1]
-        for i, (master, *tags) in enumerate((left, right)):
-            assert derive_seeds(master, tags, [()]) == derive_seeds(master, (), [tags]) == [want[i]]
-        if left[0] == right[0]:
-            assert derive_seeds(left[0], (), [left[1:], right[1:]]) == want
-
-    def test_derive_seeds_of_no_suffix_is_empty_and_of_an_empty_one_is_the_prefix(self):
-        assert derive_seeds(5, ("a", 1), []) == []
-        assert derive_seeds(5, ("a", 1), [()]) == [derive_seed(5, "a", 1)]
-
-    @pytest.mark.parametrize("master", [1.5, 1.0, True, "7", None, np.float64(3.0)])
-    def test_derive_seeds_refuses_a_master_seed_that_is_no_integer(self, master):
-        with pytest.raises(ValueError, match=r"^master seed must be an integer, got "):
-            derive_seeds(master, ("a",), [("b",)])
-        with pytest.raises(ValueError, match=r"^master seed must be an integer, got "):
-            derive_seeds(master, (), [])
+           st.lists(st.one_of(st.text(max_size=4), st.integers()), max_size=6))
+    def test_derive_seed_hashes_as_the_reference(self, master, parts):
+        assert derive_seed(master, *parts) == reference_derive_seed(master, *parts)
 
     @pytest.mark.skipif(not INT_DIGITS, reason="this Python writes an integer of any length")
     @pytest.mark.parametrize("master", [10**5000, -10**5000, 10**INT_DIGITS, -10**INT_DIGITS],
                              ids=["10**5000", "-10**5000", "10**limit", "-10**limit"])
-    def test_derive_seeds_refuses_a_master_seed_too_long_to_write(self, master):
+    def test_derive_seed_refuses_a_master_seed_too_long_to_write(self, master):
         # Such a seed used to fail in `str` with Python's own error, which
         # names no seed; the refusal cannot show the value, whose repr raises.
-        want = rf"^master seed must be an integer of at most {INT_DIGITS} digits$"
-        with pytest.raises(ValueError, match=want):
-            derive_seeds(master, ("x",), [()])
-        with pytest.raises(ValueError, match=want):
+        with pytest.raises(ValueError, match=rf"^master seed must be an integer of at most {INT_DIGITS} digits$"):
             derive_seed(master, "x")
 
     @pytest.mark.skipif(not INT_DIGITS, reason="this Python writes an integer of any length")
-    def test_derive_seeds_takes_the_longest_master_seed_python_writes(self):
+    def test_derive_seed_takes_the_longest_master_seed_python_writes(self):
         for master in (10**INT_DIGITS - 1, -(10**INT_DIGITS - 1), 2 ** (3 * INT_DIGITS)):
-            assert derive_seeds(master, ("x",), [(1,)]) == [reference_derive_seed(master, "x", 1)]
+            assert derive_seed(master, "x", 1) == reference_derive_seed(master, "x", 1)
 
     def test_generator_streams_independent(self):
         a = generator(derive_seed(1, "x")).random(4)

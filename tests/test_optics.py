@@ -26,7 +26,16 @@ from realmask.optics import (
     solve_prep_angles,
 )
 from realmask.qcore import PAULI_X, PAULI_Z
-from realmask.walk import Local, Shift, embed_two_qubit, encode_input, extract_two_qubit, masking_schedule, run
+from realmask.walk import (
+    Local,
+    RailState,
+    Shift,
+    embed_two_qubit,
+    encode_input,
+    extract_two_qubit,
+    masking_schedule,
+    run,
+)
 
 from helpers import (
     born_product_probs,
@@ -386,3 +395,15 @@ class TestMeasurement:
         # A NaN residual used to pass `residual > tol` and max() dropped it.
         with pytest.raises(RuntimeError, match=r"^closed-form angles leave residual nan "):
             compile_measurement(setting)
+
+
+def test_solve_prep_angles_refuses_a_target_of_another_dimension():
+    with pytest.raises(ValueError, match="^target must be a real 4-vector$"):
+        solve_prep_angles(np.ones(3) / np.sqrt(3))
+
+
+def test_detector_distribution_refuses_light_outside_its_ports():
+    # Half the light on rail -1, which no detector watches.
+    state = RailState(-1, np.array([[np.sqrt(0.5), 0.0], [0.0, 0.0], [0.0, np.sqrt(0.5)]], dtype=complex))
+    with pytest.raises(ValueError, match=r"^probability 5\.000e-01 outside the four detector ports$"):
+        detector_distribution(state)

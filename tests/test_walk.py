@@ -22,6 +22,7 @@ from realmask.walk import (
     Local,
     RailState,
     Shift,
+    embed_two_qubit,
     encode_input,
     extract_two_qubit,
     masking_schedule,
@@ -367,3 +368,10 @@ class TestRun:
             out = run(start, layers)
             assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-12)
 
+
+
+@pytest.mark.parametrize("build, message", [(encode_input, "input must have 4 amplitudes"),
+                                            (embed_two_qubit, "expected a two-qubit state")])
+def test_a_state_of_another_dimension_is_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(np.ones((2, 3)) / np.sqrt(3))
