@@ -89,7 +89,7 @@ def _floats(text: str) -> list[float]:
 
 
 _PHI = experiments.DEFAULT_PHI_GRID
-_SHOTS_CAP = experiments._at_most(experiments.MAX_SHOTS)
+_SHOTS_CAP = measure._at_most(measure.MAX_SHOTS)
 
 # Each setting that a flag or a config key can set: the flag, the parser of
 # its text (None: a switch) and the help.
@@ -145,7 +145,7 @@ def _load_config_file(path: str, command: str, fields) -> dict:
     if experiment != command:
         raise SystemExit(f"config file {path}: experiment must be {command!r}, got {experiment!r}")
     try:
-        return {key: experiments._checked(key, CHECKS[key], v) for key, v in doc.items()}
+        return {key: measure._checked(key, CHECKS[key], v) for key, v in doc.items()}
     except ValueError as exc:
         raise SystemExit(f"config file {path}: {exc}") from None
 
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                         lambda config, args: experiments.run_equivalence(config, n_inputs=args.n_inputs))
     pe.add_argument("--n-inputs", type=_flag_type(int, experiments._n_inputs), default=experiments.DEFAULT_N_INPUTS,
                     help=f"random real preparation targets (default {experiments.DEFAULT_N_INPUTS}, "
-                         f"{experiments._at_most(experiments.MAX_N_INPUTS)})")
+                         f"{measure._at_most(experiments.MAX_N_INPUTS)})")
 
     pa = sub.add_parser("angles", help="waveplate angle solutions")
     pa.add_argument("--state", type=_flag_type(_floats, _real_state), default=None,

@@ -7,7 +7,8 @@ Three pipelines:
   an Agresti-Coull confidence interval transported through the same linear
   map; the tests' average operator is 1/3 + (2/3)|target><target| for every
   target, so `qsv_run` draws each state's pass count as one binomial from
-  its fidelity F with the target, at p_succ = (1 + 2F)/3, a seed for each row,
+  its fidelity F with the target, at p_succ = (1 + 2F)/3, a seed for each row
+  and at most `measure.MAX_SHOTS` tests (`measure`'s count rule),
   and `qsv_interval` gives the estimate and interval of a pass count;
 * single-qubit tomography: the maximum-likelihood purity of (batch, 3, 2)
   count arrays, rows in `measure.AXES` order, which the pipelines estimate
@@ -37,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .masker import masker_matrix
-from .measure import (_MAX_SHOTS, PAIR_PAULIS, PAIRS, CountsTable, _is_integer, correlators, generators,
+from .measure import (PAIR_PAULIS, PAIRS, CountsTable, _checked, _count, _is_integer, correlators, generators,
                       poisson_resample)
 from .qcore import EPS_EXACT, EPS_NUMERIC, EPS_PROB, _as_field_array, _dagger, _row_prefix
 
@@ -58,11 +59,9 @@ def qsv_run(fidelities, n_tests: int, seeds) -> list[int]:
     reads.  Each F must be finite and in [0, 1] within EPS_NUMERIC, where it
     is clipped (a pure state's fidelity may read 1 + 2e-16); an error names
     the first faulty row.
-    `n_tests` is an integer in [1, 2**63 - 1].
+    `n_tests` is an integer in [1, `measure.MAX_SHOTS`].
     """
-    if not (_is_integer(n_tests) and 1 <= n_tests <= _MAX_SHOTS):
-        raise ValueError(f"n_tests must be an integer in [1, 2**63 - 1], got {n_tests!r}")
-    n_tests = int(n_tests)
+    n_tests = _checked("n_tests", _count, n_tests)
     fid = np.asarray(fidelities, dtype=float)
     if fid.ndim != 1:
         raise ValueError(f"fidelities must be an (n,) array, got shape {fid.shape}")

@@ -1,8 +1,9 @@
 """Experiment pipelines reproducing the three result figures at desk scale.
 
 Each run is fully determined by an ExperimentConfig, which checks each
-field as it is built (`FIELD_CHECKS`, whose rules the CLI's flags and config
-keys share) and holds it as a plain Python value: every random draw flows
+field as it is built (`FIELD_CHECKS`, `measure`'s number rules, which the
+CLI's flags and config keys share; shots and tests at most 10**18) and
+holds it as a plain Python value: every random draw flows
 through a sub-seed derived from (config.seed, stream tag, indices), so a rerun
 with the same config produces byte-identical report files.  Estimates are
 never emitted bare: verification fidelity errors are 95% confidence
@@ -66,7 +67,7 @@ import numpy as np
 
 from . import estimate, measure, optics, walk
 from .masker import mask_pure
-from .measure import _digits_beyond_text, _is_integer, derive_seed, generators
+from .measure import _checked, _count, _integer, _is_integer, _is_number, _probability, derive_seed, generators
 from .qcore import concurrence_from_purity, fidelity_with_pure, partial_trace
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
@@ -115,52 +116,15 @@ def phase_probe(phi_deg: float) -> np.ndarray:
     return np.array([1.0, np.exp(1j * math.radians(phi_deg)), 0.0, 0.0]) / np.sqrt(2)
 
 
-# The most shots per setting and tests per probe: numpy's Poisson sampler, by
-# which a bootstrap redraws each count, refuses means above about 9.2e18, and
-# its binomial sampler, which draws a pass count, takes at most 2**63 - 1 trials.
-MAX_SHOTS = 10**18
 # The most random targets `run_equivalence` checks: unlike a count of shots or
 # tests, each costs time, about 1.5 us on a 2-core host, so 10**9 take about
 # 25 minutes.
 MAX_N_INPUTS = 10**9
 
 
-def _is_number(v) -> bool:
-    """A Python or numpy integer or float; a bool is not one."""
-    return _is_integer(v) or isinstance(v, (float, np.floating))
-
-
-def _integer(v) -> int:
-    if not _is_integer(v):
-        raise ValueError(f"must be an integer, got {v!r}")
-    if limit := _digits_beyond_text(v):
-        raise ValueError(f"must be an integer of at most {limit} digits")
-    return int(v)
-
-
-def _at_most(most: int) -> str:
-    """The words of a cap `most`, a power of ten, as `_count`'s refusal and the CLI's help give it."""
-    return f"at most 10**{len(str(most)) - 1}"
-
-
-def _count(v, most: int = MAX_SHOTS) -> int:
-    """A positive integer of at most `most`, a power of ten."""
-    if _integer(v) < 1:
-        raise ValueError(f"must be a positive integer, got {v!r}")
-    if v > most:
-        raise ValueError(f"must be {_at_most(most)}, got {v!r}")
-    return int(v)
-
-
 def _n_inputs(v) -> int:
     """`run_equivalence`'s count of random targets, the one rule of `equiv --n-inputs` too."""
     return _count(v, MAX_N_INPUTS)
-
-
-def _probability(v) -> float:
-    if not (_is_number(v) and 0.0 <= v <= 1.0):
-        raise ValueError(f"must be a number in [0, 1], got {v!r}")
-    return float(v)
 
 
 def _phases(v) -> tuple[float, ...]:
@@ -177,14 +141,6 @@ def _flag(v) -> bool:
     if not isinstance(v, bool):
         raise ValueError(f"must be true or false, got {v!r}")
     return v
-
-
-def _checked(field: str, check, v):
-    """`check(v)`, its ValueError prefixed with the field's name."""
-    try:
-        return check(v)
-    except ValueError as exc:
-        raise ValueError(f"{field} {exc}") from None
 
 
 # Each config field's check: the plain Python value the config holds, or ValueError("must ...").

@@ -37,6 +37,11 @@ without paying for a new one, and a generator a caller holds moves only
 with its own iterator, never with another draw.  No stream is built at
 import.
 
+Number rules: `_integer`, `_count` (a positive integer of at most
+`MAX_SHOTS` = 10**18, the one cap of shots, tests and counts) and
+`_probability` are the library's one check of each kind of number, and
+`_checked(name, rule, value)` names the argument or config field in the error.
+
 Count tables as CSV: `tables_from_csv` splits plain text into columns
 without the csv module; text with a quote, lone CR or NUL, or that breaks a
 rule, goes to a row-at-a-time `csv.reader`, the one place that words an error.
@@ -85,12 +90,8 @@ def derive_seed(master_seed: int, *parts) -> int:
     numpy integer of any sign, and tags, each part's `str` text behind its
     8-byte length, so the encoding is injective on the parts' texts: tags of
     one text, such as 4 and "4", give one sub-seed."""
-    if not _is_integer(master_seed):
-        raise ValueError(f"master seed must be an integer, got {master_seed!r}")
-    if limit := _digits_beyond_text(master_seed):
-        raise ValueError(f"master seed must be an integer of at most {limit} digits")
     h = hashlib.sha256()
-    for part in (int(master_seed), *parts):
+    for part in (_checked("master seed", _integer, master_seed), *parts):
         text = str(part).encode()
         h.update(len(text).to_bytes(8, "little") + text)
     return int.from_bytes(h.digest()[:8], "little")
@@ -108,6 +109,53 @@ def _digits_beyond_text(value) -> int:
     n = abs(int(value))
     # 2**(3 * limit) < 10**limit, so a shorter n needs no power of ten.
     return limit if limit and n.bit_length() > 3 * limit and n >= 10**limit else 0
+
+
+def _is_number(v) -> bool:
+    """A Python or numpy integer or float; a bool is not one."""
+    return _is_integer(v) or isinstance(v, (float, np.floating))
+
+
+def _integer(v) -> int:
+    if not _is_integer(v):
+        raise ValueError(f"must be an integer, got {v!r}")
+    if limit := _digits_beyond_text(v):
+        raise ValueError(f"must be an integer of at most {limit} digits")
+    return int(v)
+
+
+# The most shots per setting, tests per probe and counts: below the 2**63 - 1
+# trials of numpy's multinomial and binomial samplers and the largest mean of
+# its Poisson sampler, about 9.2e18, by which a bootstrap redraws each count.
+MAX_SHOTS = 10**18
+
+
+def _at_most(most: int) -> str:
+    """The words of a cap `most`, a power of ten, as `_count`'s refusal and the CLI's help give it."""
+    return f"at most 10**{len(str(most)) - 1}"
+
+
+def _count(v, most: int = MAX_SHOTS) -> int:
+    """A positive integer of at most `most`, a power of ten."""
+    if _integer(v) < 1:
+        raise ValueError(f"must be a positive integer, got {v!r}")
+    if v > most:
+        raise ValueError(f"must be {_at_most(most)}, got {v!r}")
+    return int(v)
+
+
+def _probability(v) -> float:
+    if not (_is_number(v) and 0.0 <= v <= 1.0):
+        raise ValueError(f"must be a number in [0, 1], got {v!r}")
+    return float(v)
+
+
+def _checked(field: str, check, v):
+    """`check(v)`, its ValueError prefixed with the field's name."""
+    try:
+        return check(v)
+    except ValueError as exc:
+        raise ValueError(f"{field} {exc}") from None
 
 
 def _is_seed(value) -> bool:
@@ -251,22 +299,16 @@ def pair_probs(rho) -> np.ndarray:
     return _projector_probs(rho, _PAIR_PROJECTORS)
 
 
-# numpy's multinomial and binomial samplers take a signed 64-bit trial count.
-_MAX_SHOTS = 2**63 - 1
-_MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
-
-
 def sample_counts(probs, shots: int, seed) -> np.ndarray:
     """Integer counts of each row of a (..., k) probability table, k = 2 or 4,
     from one multinomial draw of `shots` per row; deterministic per seed.
-    `shots` is an integer in [1, 2**63 - 1], as the int64 counts hold.
+    `shots` is an integer in [1, `MAX_SHOTS`].
 
     `seed` holds a seed for each row, a plain int for a single (k,) row: row
     i is drawn from the stream of `generator(seed[i])`.  The whole table is
     checked before any draw, and an error names the first faulty row.
     """
-    if not (_is_integer(shots) and 1 <= shots <= _MAX_SHOTS):
-        raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots!r}")
+    shots = _checked("shots", _count, shots)
     p = np.asarray(probs, dtype=float)
     if p.ndim < 1 or p.shape[-1] not in (2, 4):
         raise ValueError("probs must have 2 or 4 entries")
@@ -304,11 +346,9 @@ def correlators(counts) -> np.ndarray:
 
 def apply_depolarizing(rho, p: float) -> np.ndarray:
     """(1-p) rho + p 1/d, checked, for one matrix or each of a (..., d, d)
-    stack, in the stack's field; `p` is a number in [0, 1], not a bool, and
-    enters as a Python float."""
-    if isinstance(p, (bool, np.bool_)) or not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be a number in [0, 1], got {p!r}")
-    p = float(p)
+    stack, in the stack's field; `p` is a Python or numpy int or float in
+    [0, 1], not a bool, and enters as a Python float."""
+    p = _checked("p", _probability, p)
     arr = _as_field_array(rho, "density matrix")
     d = arr.shape[-1]
     return checked_density((1.0 - p) * arr + p * np.eye(d) / d)
@@ -321,20 +361,20 @@ def poisson_resample(counts, resamples: int, seed) -> np.ndarray:
     With a (...) array of seeds, `counts` is a stack of count arrays of shape
     (..., *item), its leading axes the rows of `generators`, and the result
     has shape (..., resamples, *item): item i is the draw for `counts[i]`
-    alone with `seed[i]`.  `resamples` is an integer >= 1, and counts must
-    be whole numbers in [0, `_MAX_POISSON_MEAN`], numpy's Poisson limit.
+    alone with `seed[i]`.  `resamples` is an integer in [1, `MAX_SHOTS`],
+    and counts must be whole numbers in [0, `MAX_SHOTS`].
     """
-    if not (_is_integer(resamples) and resamples >= 1):
-        raise ValueError(f"resamples must be an integer >= 1, got {resamples!r}")
+    resamples = _checked("resamples", _count, resamples)
     counts = np.asarray(counts)
     stack = counts.shape[:np.asarray(seed, dtype=object).ndim]
     rngs = generators(seed, stack)
     item = counts.shape[len(stack):]
     items = counts.reshape(math.prod(stack), *item)
     values = np.asarray(items, dtype=float)
-    if (bad := np.argwhere(~((values >= 0) & (values <= _MAX_POISSON_MEAN) & (values == np.floor(values))))).size:
+    # The cap is compared on the counts as given: as a float, 10**18 + 1 reads 10**18.
+    if (bad := np.argwhere(~((values >= 0) & (values == np.floor(values)) & (items <= MAX_SHOTS)))).size:
         raise ValueError(f"{_row_prefix(stack, bad[0, 0])}count {items[tuple(bad[0])]} is not a whole number "
-                         f"in [0, {int(_MAX_POISSON_MEAN)}]")
+                         f"in [0, {MAX_SHOTS}]")
     draws = np.empty((len(items), resamples, *item), dtype=np.int64)
     for i, rng in enumerate(rngs):
         draws[i] = rng.poisson(values[i], size=(resamples, *item))

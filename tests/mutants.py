@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
-"""Mutation sweep: do a module's tests notice a flipped comparison or a dropped `raise`?
+"""Mutation sweep: do a module's tests notice a flipped operator or a dropped `raise`?
 
     python tests/mutants.py src/realmask/estimate.py
 
 Each mutant changes one site of the module: a comparison operator becomes
 its boundary twin (`<` and `<=`, `>` and `>=`) or its negation (`==` and
-`!=`, `is` and `is not`, `in` and `not in`), or one `raise` statement
-becomes `pass`.  The sites are found with `ast` and edited in the source
-text, so comments and layout stay.  Every mutant is written in turn into one
-copy of the project tree (`ROOT`) made without bytecode, and the module's
-test file `tests/test_<module stem>.py` runs there under `python -m pytest
--x` with PYTHONDONTWRITEBYTECODE=1 and the copy's `src/` first on
-PYTHONPATH.
+`!=`, `is` and `is not`, `in` and `not in`), one `and` becomes `or` or
+back, or one `raise` statement becomes `pass`.  The sites are found with
+`ast` and edited in the source text, so comments and layout stay.  Every
+mutant is written in turn into one copy of the project tree (`ROOT`) made
+without bytecode, and the module's test file `tests/test_<module stem>.py`
+runs there under `python -m pytest -x` with PYTHONDONTWRITEBYTECODE=1 and
+the copy's `src/` first on PYTHONPATH.
 
 The test file first runs once on the unmutated copy, without a time limit.
 A mutant is killed when its tests fail or run past `SLOWDOWN` times that
@@ -75,6 +75,8 @@ EQUIVALENT = {
         "[> -> >=]": "an n of exactly 3 * limit bits is below 8**limit < 10**limit, so the last test fails",
         "sample_counts: bad = (rows < -EPS_EXACT).any(axis=-1) [< -> <=]": _ON_TOLERANCE,
         "sample_counts: bad = ~(np.abs(sums - 1.0) <= EPS_PROB)  # a NaN sum is faulty too [<= -> <]": _ON_TOLERANCE,
+        "_clean_tables: or len(text) > csv.field_size_limit() and max(map(len, cells)) > csv.field_size_limit()): "
+        "[> -> >=]": "a text exactly the limit long holds no cell over the limit, so the last test fails either way",
     },
     "src/realmask/optics.py": {
         "solve_prep_angles: h2 = np.where(r01 > EPS_EXACT, np.degrees(np.arctan2(a1, a0)) / 2.0, 0.0) [> -> >=]":
@@ -97,13 +99,13 @@ EQUIVALENT = {
     },
 }
 
-# Each comparison operator's text and its mutant's.
+# Each comparison and boolean operator's text and its mutant's.
 FLIPS = {
     ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
     ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="), ast.Is: ("is", "is not"), ast.IsNot: ("is not", "is"),
-    ast.In: ("in", "not in"), ast.NotIn: ("not in", "in"),
+    ast.In: ("in", "not in"), ast.NotIn: ("not in", "in"), ast.And: ("and", "or"), ast.Or: ("or", "and"),
 }
-_OPERATOR_WORDS = {"<", "<=", ">", ">=", "==", "!=", "is", "not", "in"}
+_OPERATOR_WORDS = {"<", "<=", ">", ">=", "==", "!=", "is", "not", "in", "and", "or"}
 # The command that runs a test file, stopping at its first failure.
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
 
@@ -143,16 +145,23 @@ def mutants(source: str) -> list[Mutant]:
     lines = source.splitlines()
     found = []  # (start, end, scope, old, new)
 
+    def flip(left: ast.AST, op: ast.AST, right: ast.AST, scope: str) -> None:
+        """The mutant of the operator `op` between the operands `left` and `right`."""
+        after, before = of_ast(left.end_lineno, left.end_col_offset), of_ast(right.lineno, right.col_offset)
+        span = [tok for tok in tokens if after <= tok[0] and tok[1] <= before]
+        if span:  # none inside an f-string that tokenizes as one string
+            found.append((span[0][0], span[-1][1], scope, *FLIPS[type(op)]))
+
     def visit(node: ast.AST, scope: str) -> None:
         if isinstance(node, ast.Raise):
             found.append((of_ast(node.lineno, node.col_offset), of_ast(node.end_lineno, node.end_col_offset),
                           scope, "raise", "pass"))
         elif isinstance(node, ast.Compare):
             for left, op, right in zip([node.left, *node.comparators], node.ops, node.comparators):
-                after, before = of_ast(left.end_lineno, left.end_col_offset), of_ast(right.lineno, right.col_offset)
-                span = [tok for tok in tokens if after <= tok[0] and tok[1] <= before]
-                if span:  # none inside an f-string that tokenizes as one string
-                    found.append((span[0][0], span[-1][1], scope, *FLIPS[type(op)]))
+                flip(left, op, right, scope)
+        elif isinstance(node, ast.BoolOp):
+            for left, right in zip(node.values, node.values[1:]):
+                flip(left, node.op, right, scope)
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):

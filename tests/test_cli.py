@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from realmask import cli, experiments, measure
 from realmask.experiments import (
     ExperimentConfig,
-    phase_probe,
     probe_vector,
     report_texts,
     run_equivalence,
@@ -30,40 +29,6 @@ from realmask.experiments import (
     run_fig5,
     write_report,
 )
-
-
-class TestProbes:
-    def test_probe_vectors(self):
-        assert np.allclose(probe_vector(1), [1, 0, 0, 0])
-        assert np.allclose(probe_vector(4), [0.5] * 4)
-        assert np.linalg.norm(probe_vector(3)) == pytest.approx(1.0)
-
-    def test_probes_form_complete_basis(self):
-        basis = np.column_stack([probe_vector(i) for i in (1, 2, 3, 4)])
-        assert abs(np.linalg.det(basis)) > 1e-6  # complete but non-orthogonal
-
-    def test_phase_probe(self):
-        v = phase_probe(90.0)
-        assert v[1] == pytest.approx(1j / np.sqrt(2))
-
-    def test_bad_probe_index(self):
-        with pytest.raises(ValueError):
-            probe_vector(5)
-
-    # True and 1.0 used to run probe 1 and write "probe": true or 1.0 into the report.
-    @pytest.mark.parametrize("probe", [True, False, 1.0, 2.5, "4", None, 0, 5, np.float64(4.0)])
-    def test_a_bool_or_non_integer_probe_is_refused(self, probe):
-        message = rf"^probe index must be an integer 1\.\.4, got {re.escape(repr(probe))}$"
-        with pytest.raises(ValueError, match=message):
-            probe_vector(probe)
-        with pytest.raises(ValueError, match=message):
-            run_fig4(ExperimentConfig(seed=1, analytic=True), probe=probe)
-
-    @pytest.mark.parametrize("analytic", [False, True])
-    def test_a_numpy_integer_probe_gives_the_report_of_its_int(self, analytic):
-        config = ExperimentConfig(seed=1, analytic=analytic)
-        assert np.array_equal(probe_vector(np.int64(2)), probe_vector(2))
-        assert report_texts(run_fig4(config, probe=np.int64(2))) == report_texts(run_fig4(config, probe=2))
 
 
 class TestDeterminism:
@@ -337,8 +302,8 @@ ANY_VALUE = st.one_of(SCALARS, st.lists(SCALARS, max_size=3), st.lists(SCALARS, 
 # Values that each field should accept, drawn beside ANY_VALUE so that accepted configs are common.
 VALID = {
     "seed": st.integers(-2**70, 2**70),
-    "shots_per_setting": st.integers(1, experiments.MAX_SHOTS),
-    "qsv_tests": st.integers(1, experiments.MAX_SHOTS),
+    "shots_per_setting": st.integers(1, measure.MAX_SHOTS),
+    "qsv_tests": st.integers(1, measure.MAX_SHOTS),
     "noise_p": st.floats(0.0, 1.0),
     "phi_grid_deg": st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-720, 720)),
                              min_size=1, max_size=3),
@@ -529,8 +494,8 @@ class TestCommandLine:
 
     # These helps used to type their caps a second time, beside the rule's constant.
     @pytest.mark.parametrize("command, flag, cap", [
-        ("fig3", "--shots", experiments.MAX_SHOTS),
-        ("fig3", "--qsv-tests", experiments.MAX_SHOTS),
+        ("fig3", "--shots", measure.MAX_SHOTS),
+        ("fig3", "--qsv-tests", measure.MAX_SHOTS),
         ("equiv", "--n-inputs", experiments.MAX_N_INPUTS),
     ])
     def test_a_capped_flags_help_names_the_cap_it_is_held_to(self, command, flag, cap, capsys):
@@ -649,7 +614,7 @@ class TestCommandLine:
         reads = READS[command]
         argv = [command, f"--seed={data.draw(st.integers(-2**63, 2**64))}"]
         if "shots_per_setting" in reads:
-            argv.append(f"--shots={data.draw(st.one_of(st.integers(1, 50), st.integers(1, experiments.MAX_SHOTS)))}")
+            argv.append(f"--shots={data.draw(st.one_of(st.integers(1, 50), st.integers(1, measure.MAX_SHOTS)))}")
         if "qsv_tests" in reads:
             argv.append(f"--qsv-tests={data.draw(st.integers(1, 50))}")
         if "noise_p" in reads:
@@ -676,7 +641,7 @@ class TestCommandLine:
         # exabytes of test draws.
         experiments._fig3_model(experiments.DEFAULT_NOISE_P)
         start = time.perf_counter()
-        assert cli.main(["fig3", f"--qsv-tests={experiments.MAX_SHOTS}", "--seed", "1"]) == 0
+        assert cli.main(["fig3", f"--qsv-tests={measure.MAX_SHOTS}", "--seed", "1"]) == 0
         assert time.perf_counter() - start < 1.0
         doc = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
         assert doc["qsv_tests"] == 10**18
@@ -693,7 +658,7 @@ class TestCommandLine:
         assert exc.value.code == f"config file {cfg_path}: qsv_tests must be at most 10**18, got {10**18 + 1}"
 
     def test_most_shots_run(self, capsys):
-        assert cli.main(["fig5", f"--shots={experiments.MAX_SHOTS}", "--noise-p", "0", "--phi-grid", "90"]) == 0
+        assert cli.main(["fig5", f"--shots={measure.MAX_SHOTS}", "--noise-p", "0", "--phi-grid", "90"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["shots_per_setting"] == 10**18 and doc["points"][0]["estimate"] == 0.0
 

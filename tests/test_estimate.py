@@ -261,16 +261,19 @@ class TestQsvRun:
         assert abs(eps_hat - 0.75) < 0.03
 
     # True and 2.5 used to end in numpy's "expected a sequence of integers or a single integer".
-    @pytest.mark.parametrize("n_tests", [True, 2.5, 2.0, "3", None, 0, -1, 2**63, 10**30])
-    def test_rejects_a_bad_test_count(self, n_tests):
-        with pytest.raises(ValueError, match=(r"^n_tests must be an integer in \[1, 2\*\*63 - 1\], "
-                                              rf"got {re.escape(repr(n_tests))}$")):
+    @pytest.mark.parametrize("n_tests, rule", [
+        (True, "an integer"), (2.5, "an integer"), (2.0, "an integer"), ("3", "an integer"), (None, "an integer"),
+        (0, "a positive integer"), (-1, "a positive integer"),
+        (10**18 + 1, r"at most 10\*\*18"), (2**63 - 1, r"at most 10\*\*18"), (10**30, r"at most 10\*\*18"),
+    ])
+    def test_rejects_a_bad_test_count(self, n_tests, rule):
+        with pytest.raises(ValueError, match=rf"^n_tests must be {rule}, got {re.escape(repr(n_tests))}$"):
             qsv_one(0.5, n_tests, 2)
 
     def test_takes_a_numpy_integer_test_count(self):
         assert qsv_one(0.25, np.int64(50), 2) == qsv_one(0.25, 50, 2)
 
-    @pytest.mark.parametrize("n_tests", [10**18, 2**63 - 1])
+    @pytest.mark.parametrize("n_tests", [10**18, np.int64(10**18)])
     def test_draws_the_largest_test_counts_at_once(self, n_tests):
         # Per-test draws would need exabytes here; one binomial takes microseconds.
         start = time.perf_counter()
@@ -672,6 +675,20 @@ class TestExactMle:
         with pytest.raises(ValueError, match="finite"):
             purity_from_counts(np.full((1, 3, 2), bad))
 
+    @pytest.mark.parametrize("bad", [np.ones((2, 3, 3)), np.ones(3), np.ones((2, 2, 2)), np.ones((1, 1, 3, 2))],
+                             ids=["three-outcome", "row", "two-axis", "four-dim"])
+    def test_rejects_counts_of_another_shape(self, bad):
+        for estimator in (mle_qubit_batch, purity_from_counts):
+            with pytest.raises(ValueError, match=r"^counts must have shape \(batch, 3, 2\)$"):
+                estimator(bad)
+
+    def test_rejects_a_negative_count(self):
+        counts = np.full((2, 3, 2), 10.0)
+        counts[1, 0, 1] = -1.0
+        for estimator in (mle_qubit_batch, purity_from_counts):
+            with pytest.raises(ValueError, match="^counts must be nonnegative$"):
+                estimator(counts)
+
 
 
 def big_axis_counts():
@@ -889,6 +906,11 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError, match="YZ.*four-outcome"):
             correlation_matrix(tables + [CountsTable("YZ", (1, 0), 1, 0)])
 
+    def test_unknown_label_rejected(self):
+        tables = [CountsTable(j + k, (1, 0, 0, 0), 1, 0) for j in "XYZ" for k in "XYZ"]
+        with pytest.raises(ValueError, match="^not a Pauli-pair setting label: 'XW'$"):
+            correlation_matrix(tables + [CountsTable("XW", (1, 0, 0, 0), 1, 0)])
+
     def test_missing_setting_rejected(self):
         tables = [CountsTable("XX", (1, 0, 0, 0), 1, 0)]
         with pytest.raises(ValueError, match="missing"):
@@ -902,6 +924,11 @@ class TestCorrelationMatrix:
 
 
 class TestDecode:
+    @pytest.mark.parametrize("bad", [np.eye(2), np.ones(3), np.ones((3, 4)), np.ones((2, 4, 3))])
+    def test_refuses_a_matrix_that_is_not_3x3(self, bad):
+        with pytest.raises(ValueError, match="^correlation matrix must be 3x3$"):
+            decode_real_state(bad)
+
     def test_diagonal_t_gives_ground_state(self):
         rho_hat, _rho_proj = decode_real_state(np.diag([1.0, -1.0, 1.0]))
         want = np.zeros((4, 4))
@@ -1067,6 +1094,11 @@ class TestProjection:
         mat[1, 2] = value
         with pytest.raises(ValueError, match="non-finite"):
             project_to_density(mat)
+
+    def test_refuses_a_spectrum_beyond_rounding(self):
+        # At 1e17 the simplex shift loses the 1 of the trace to rounding.
+        with pytest.raises(ValueError, match=r"^projected spectrum sums to 1 only within 7\.500e\+16$"):
+            project_to_density(np.diag([1e17, 1.0, 0.0, 0.0]))
 
     def test_valid_state_unchanged(self, rng):
         rho = random_real_density(4, rng)

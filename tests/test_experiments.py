@@ -60,6 +60,40 @@ def oracle_pauli_counts(rho, shots, master_seed, *tags):
     ])
 
 
+class TestProbes:
+    def test_probe_vectors(self):
+        assert np.allclose(probe_vector(1), [1, 0, 0, 0])
+        assert np.allclose(probe_vector(4), [0.5] * 4)
+        assert np.linalg.norm(probe_vector(3)) == pytest.approx(1.0)
+
+    def test_probes_form_complete_basis(self):
+        basis = np.column_stack([probe_vector(i) for i in (1, 2, 3, 4)])
+        assert abs(np.linalg.det(basis)) > 1e-6  # complete but non-orthogonal
+
+    def test_phase_probe(self):
+        v = phase_probe(90.0)
+        assert v[1] == pytest.approx(1j / np.sqrt(2))
+
+    def test_bad_probe_index(self):
+        with pytest.raises(ValueError):
+            probe_vector(5)
+
+    # True and 1.0 used to run probe 1 and write "probe": true or 1.0 into the report.
+    @pytest.mark.parametrize("probe", [True, False, 1.0, 2.5, "4", None, 0, 5, np.float64(4.0)])
+    def test_a_bool_or_non_integer_probe_is_refused(self, probe):
+        message = rf"^probe index must be an integer 1\.\.4, got {re.escape(repr(probe))}$"
+        with pytest.raises(ValueError, match=message):
+            probe_vector(probe)
+        with pytest.raises(ValueError, match=message):
+            run_fig4(ExperimentConfig(seed=1, analytic=True), probe=probe)
+
+    @pytest.mark.parametrize("analytic", [False, True])
+    def test_a_numpy_integer_probe_gives_the_report_of_its_int(self, analytic):
+        config = ExperimentConfig(seed=1, analytic=analytic)
+        assert np.array_equal(probe_vector(np.int64(2)), probe_vector(2))
+        assert report_texts(run_fig4(config, probe=np.int64(2))) == report_texts(run_fig4(config, probe=2))
+
+
 def oracle_bootstrap(quantity, counts, seed):
     values = quantity(measure.poisson_resample(counts, BOOTSTRAP_RESAMPLES, seed))
     return float(np.std(values, ddof=1))
@@ -656,7 +690,7 @@ def test_shots_beyond_the_cap_are_refused_before_any_run():
     # fig5's bootstrap with "row 6: count ... is not a whole number".
     with pytest.raises(ValueError, match=rf"^shots_per_setting must be at most 10\*\*18, got {2**63 - 1}$"):
         ExperimentConfig(noise_p=0.0, shots_per_setting=2**63 - 1)
-    config = ExperimentConfig(noise_p=0.0, shots_per_setting=experiments.MAX_SHOTS, phi_grid_deg=(90.0,))
+    config = ExperimentConfig(noise_p=0.0, shots_per_setting=measure.MAX_SHOTS, phi_grid_deg=(90.0,))
     assert [point["estimate"] for point in run_fig5(config)["points"]] == [0.0]
 
 
@@ -756,6 +790,12 @@ class TestReportJson:
             reference_report_json({"x": [bad]})
         with pytest.raises(TypeError, match="is not JSON serializable$"):
             report_texts({"x": [bad]})
+
+    # json.dumps writes an int key as its text; a report's keys are its paths, so it takes only strings.
+    @pytest.mark.parametrize("key, kind", [(1, "int"), (None, "NoneType"), (("a",), "tuple")])
+    def test_refuses_a_key_that_is_no_string(self, key, kind):
+        with pytest.raises(TypeError, match=f"^keys must be str, not {kind}$"):
+            report_texts({"points": [{key: 0.5}]})
 
 
 

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from operator import itemgetter
 
 import numpy as np
@@ -226,21 +227,32 @@ class TestSampleCounts:
         with pytest.raises(ValueError):
             sample_counts([0.5, 0.5], 0, 0)
 
-    @pytest.mark.parametrize("shots", [2.5, 2.0, True, "3", None])
-    def test_rejects_non_integer_shots(self, shots):
-        # 2.5 used to draw 2 shots and True one.
-        with pytest.raises(ValueError, match="shots must be an integer"):
-            sample_counts([0.5, 0.5], shots, 0)
+    @pytest.mark.parametrize("probs", [0.5, [0.2, 0.3, 0.5], [[1.0]]], ids=["scalar", "three", "one"])
+    def test_rejects_rows_of_neither_width(self, probs):
+        with pytest.raises(ValueError, match="^probs must have 2 or 4 entries$"):
+            sample_counts(probs, 10, 0)
 
-    @pytest.mark.parametrize("shots", [2**63, 10**19, np.uint64(2**63)])
-    def test_rejects_shots_it_cannot_draw(self, shots):
-        # 2**63 used to end in an OverflowError from the multinomial draw.
-        with pytest.raises(ValueError, match=r"^shots must be an integer in \[1, 2\*\*63 - 1\], got "):
+    # 2.5 used to draw 2 shots and True one, 2**63 ended in an OverflowError
+    # from the multinomial draw, and 2**63 - 1 shots drew counts that the
+    # bootstrap refused.
+    @pytest.mark.parametrize("shots, rule", [
+        *[(shots, "an integer") for shots in (2.5, 2.0, True, "3", None)],
+        (0, "a positive integer"), (-1, "a positive integer"),
+        *[(shots, r"at most 10\*\*18") for shots in (10**18 + 1, 2**63 - 1, 2**63, 10**19, np.uint64(2**63))],
+    ])
+    def test_rejects_a_bad_shot_count(self, shots, rule):
+        with pytest.raises(ValueError, match=rf"^shots must be {rule}, got {re.escape(repr(shots))}$"):
             sample_counts([0.5, 0.5], shots, 0)
 
     def test_draws_the_largest_shot_count(self):
-        counts = sample_counts([0.5, 0.5], 2**63 - 1, 0)
-        assert counts.sum() == 2**63 - 1 and counts.dtype == np.int64
+        counts = sample_counts([0.5, 0.5], measure.MAX_SHOTS, 0)
+        assert counts.sum() == 10**18 and counts.dtype == np.int64
+
+    def test_a_draw_at_the_cap_bootstraps(self):
+        counts = sample_counts([[1.0, 0.0]], measure.MAX_SHOTS, [1])
+        assert counts.tolist() == [[10**18, 0]]
+        (point,), (std,) = bootstrap_std(lambda c: c[:, 0] / 10**18, counts, [2], resamples=3)
+        assert point == 1.0 and 0.0 < std < 1e-8
 
     def test_accepts_numpy_integer_shots(self):
         assert np.array_equal(sample_counts([0.5, 0.5], np.int64(10), 4), sample_counts([0.5, 0.5], 10, 4))
@@ -316,8 +328,8 @@ class TestDepolarizing:
         with pytest.raises(ValueError):
             apply_depolarizing(np.eye(4) / 4, -0.1)
 
-    @pytest.mark.parametrize("p", [True, False, np.True_])
-    def test_a_bool_is_refused(self, p):
+    @pytest.mark.parametrize("p", [True, False, np.True_, Fraction(1, 2), "0.5", None])
+    def test_what_is_no_int_or_float_is_refused(self, p):
         with pytest.raises(ValueError, match=r"^p must be a number in \[0, 1\], got "):
             apply_depolarizing(np.eye(4) / 4, p)
 
@@ -326,6 +338,69 @@ class TestDepolarizing:
         rho = random_density(4, rng)
         p = np.float32(0.01)
         assert np.array_equal(apply_depolarizing(rho, p), apply_depolarizing(rho, float(p)))
+
+
+class TestNumberRules:
+    """The library's number rules, which its functions, config fields and flags share."""
+
+    @pytest.mark.parametrize("v", [0, -3, 2**80, np.int64(-7), np.uint64(2**64 - 1)])
+    def test_integer_gives_the_python_int(self, v):
+        assert type(measure._integer(v)) is int and measure._integer(v) == v
+
+    @pytest.mark.parametrize("v", [1.0, 1.5, True, np.True_, "7", None, Fraction(2, 1), np.float64(3.0)])
+    def test_integer_refuses_what_is_no_integer(self, v):
+        with pytest.raises(ValueError, match=rf"^must be an integer, got {re.escape(repr(v))}$"):
+            measure._integer(v)
+
+    @pytest.mark.skipif(not INT_DIGITS, reason="this Python writes an integer of any length")
+    def test_integer_refuses_an_integer_too_long_to_write(self):
+        with pytest.raises(ValueError, match=rf"^must be an integer of at most {INT_DIGITS} digits$"):
+            measure._integer(10**INT_DIGITS)
+        assert measure._integer(10**INT_DIGITS - 1) == 10**INT_DIGITS - 1
+
+    @pytest.mark.parametrize("v", [1, 10**18, np.int64(10**18), np.uint64(5)])
+    def test_count_takes_one_to_the_cap(self, v):
+        assert type(measure._count(v)) is int and measure._count(v) == v
+
+    @pytest.mark.parametrize("v, rule", [
+        (0, "a positive integer"), (-1, "a positive integer"), (np.int64(0), "a positive integer"),
+        (10**18 + 1, r"at most 10\*\*18"), (np.uint64(2**64 - 1), r"at most 10\*\*18"),
+        (2.0, "an integer"), (True, "an integer"),
+    ])
+    def test_count_refusals(self, v, rule):
+        with pytest.raises(ValueError, match=rf"^must be {rule}, got {re.escape(repr(v))}$"):
+            measure._count(v)
+
+    def test_count_takes_a_smaller_cap(self):
+        assert measure._count(1000, 1000) == 1000
+        with pytest.raises(ValueError, match=r"^must be at most 10\*\*3, got 1001$"):
+            measure._count(1001, 1000)
+
+    def test_the_cap_is_within_numpys_samplers(self):
+        assert measure.MAX_SHOTS == 10**18 < np.iinfo(np.int64).max
+        assert measure._at_most(measure.MAX_SHOTS) == "at most 10**18"
+
+    @pytest.mark.parametrize("v", [0, 1, 0.5, np.float32(0.25), np.int64(1), np.float64(1.0)])
+    def test_probability_gives_the_python_float(self, v):
+        assert type(measure._probability(v)) is float and measure._probability(v) == v
+
+    @pytest.mark.parametrize("v", [-0.1, 1.5, 2, np.nan, np.inf, True, np.False_, Fraction(1, 2), "0.5", None])
+    def test_probability_refusals(self, v):
+        with pytest.raises(ValueError, match=rf"^must be a number in \[0, 1\], got {re.escape(repr(v))}$"):
+            measure._probability(v)
+
+    def test_checked_names_the_field(self):
+        assert measure._checked("shots", measure._count, np.int64(3)) == 3
+        with pytest.raises(ValueError, match=r"^shots must be a positive integer, got 0$") as caught:
+            measure._checked("shots", measure._count, 0)
+        assert caught.value.__cause__ is None and caught.value.__suppress_context__
+
+    def test_checked_passes_other_errors_through(self):
+        def fails(v):
+            raise TypeError("not a rule")
+
+        with pytest.raises(TypeError, match="^not a rule$"):
+            measure._checked("x", fails, 1)
 
 
 def no_draw(message: str):
@@ -359,9 +434,12 @@ class TestPoissonResample:
         assert not out[:, 1, [1, 3]].any()
 
     # 2**63 - 1 used to end in numpy's "lam value too large", -1 in "lam < 0
-    # or lam contains NaNs", NaN in "lam value too large", and 1.5 was drawn from.
+    # or lam contains NaNs", NaN in "lam value too large", and 1.5 was drawn
+    # from.  10**18 + 1 is checked as given: as a float it would read 10**18.
     @pytest.mark.parametrize("bad, shown", [
+        ([10**18 + 1, 0], "1000000000000000001"),
         ([2**63 - 1, 0], "9223372036854775807"),
+        ([1e19, 0], "1e\\+19"),
         ([-1, 2], "-1"),
         ([np.nan, 1], "nan"),
         ([1.5, 0], "1.5"),
@@ -369,7 +447,7 @@ class TestPoissonResample:
     ])
     def test_faulty_count_is_named_before_any_draw(self, bad, shown, monkeypatch):
         monkeypatch.setattr(measure, "generators", lambda seeds, rows: no_draw("drew before checking the counts"))
-        message = rf"count {shown} is not a whole number in \[0, 9223372006484770816\]$"
+        message = rf"count {shown} is not a whole number in \[0, 1000000000000000000\]$"
         with pytest.raises(ValueError, match="^row 1: " + message):
             poisson_resample(np.array([[3, 4], bad]), 2, [1, 2])
         with pytest.raises(ValueError, match="^" + message):
@@ -377,14 +455,17 @@ class TestPoissonResample:
 
     # -1 used to end in numpy's "negative dimensions are not allowed", 1.5 in a
     # TypeError, and 0 gave an empty draw.
-    @pytest.mark.parametrize("resamples", [-1, 0, 1.5, 2.0, True, "2", None])
-    def test_rejects_a_bad_resample_count(self, resamples, monkeypatch):
+    @pytest.mark.parametrize("resamples, rule", [
+        (-1, "a positive integer"), (0, "a positive integer"), (10**18 + 1, r"at most 10\*\*18"),
+        (1.5, "an integer"), (2.0, "an integer"), (True, "an integer"), ("2", "an integer"), (None, "an integer"),
+    ])
+    def test_rejects_a_bad_resample_count(self, resamples, rule, monkeypatch):
         monkeypatch.setattr(measure, "generators", lambda seeds, rows: no_draw("drew before checking resamples"))
-        with pytest.raises(ValueError, match=rf"^resamples must be an integer >= 1, got {re.escape(repr(resamples))}$"):
+        with pytest.raises(ValueError, match=rf"^resamples must be {rule}, got {re.escape(repr(resamples))}$"):
             poisson_resample(np.array([3, 4]), resamples, 1)
 
     def test_integer_and_float_counts_draw_alike(self):
-        counts = np.array([[4000, 0, 17, 9223372006484770816], [1, 2, 3, 4]])
+        counts = np.array([[4000, 0, 17, 10**18], [1, 2, 3, 4]])
         draws = poisson_resample(counts, 5, [3, 4])
         assert np.array_equal(draws, poisson_resample(counts.astype(float), 5, [3, 4]))
 
@@ -392,8 +473,10 @@ class TestPoissonResample:
         counts = np.array([3, 4])
         assert np.array_equal(poisson_resample(counts, np.int64(2), 1), poisson_resample(counts, 2, 1))
 
-    def test_draws_the_largest_mean_numpy_takes(self):
-        out = poisson_resample(np.array([9223372006484770816, 0]), 2, 1)
+    @pytest.mark.parametrize("counts", [np.array([10**18, 0]), [10**18, 0], np.array([1e18, 0.0])],
+                             ids=["int64", "list", "float"])
+    def test_draws_the_largest_count(self, counts):
+        out = poisson_resample(counts, 2, 1)
         assert out.shape == (2, 2) and not out[:, 1].any()
 
 
@@ -410,6 +493,11 @@ class TestCountsTable:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             CountsTable("ZZ", (-1, 2, 3, 4), 8, 0)
+
+    @pytest.mark.parametrize("counts", [(6,), (1, 2, 3), (1, 1, 1, 1, 2)])
+    def test_a_count_tuple_of_neither_width_is_rejected(self, counts):
+        with pytest.raises(ValueError, match=r"^counts must have 2 \(single-qubit\) or 4 \(pair\) entries$"):
+            CountsTable("ZZ", counts, sum(counts), 0)
 
     def test_csv_round_trip(self):
         tables = [

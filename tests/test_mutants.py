@@ -61,6 +61,21 @@ def test_a_raise_becomes_pass_and_chained_and_spelled_operators_flip_one_at_a_ti
         "    if 0 < a < (b):", "    if 0 <= a <= (b):", "        pass", "    return a is b"]
 
 
+def test_each_and_or_swaps_alone_whatever_the_parentheses():
+    source = "def f(a, b, c):\n    return (a and b) or not c and (\n        a)\n"
+    found = mutants.mutants(source)
+    assert [m.site for m in found] == [
+        "f: return (a and b) or not c and ( [and -> or]",
+        "f: return (a and b) or not c and ( [or -> and]",
+        "f: return (a and b) or not c and ( [and -> or] #2",
+    ]
+    assert [m.apply(source).splitlines()[1] for m in found] == [
+        "    return (a or b) or not c and (",
+        "    return (a and b) and not c and (",
+        "    return (a and b) or not c or (",
+    ]
+
+
 def sweep_here(monkeypatch, tmp_path, module, tests, equivalent=None):
     """Point the sweep at a tree of `tmp_path` holding `fixture.py` and `tests/test_fixture.py`."""
     (tmp_path / "tests").mkdir()

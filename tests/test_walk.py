@@ -97,6 +97,20 @@ class TestEngine:
         out = Shift(-4, 2).apply(state)
         assert nonzero(out) == {(-3, 0): 0.6, (3, 1): 0.8j}
 
+    # The window of {0, 5} holds sites 0..5: site 6 is the first one past it.
+    def test_amplitude_is_zero_off_the_window(self):
+        state = rail_state({(0, 0): 1 / SQRT2, (5, 1): 1 / SQRT2})
+        assert amp(state, 5, 1) == 1 / SQRT2
+        assert amp(state, 6, 1) == 0.0 and amp(state, -1, 0) == 0.0
+        batch = RailState(0, np.stack([state.amps] * 3))
+        assert np.array_equal(batch.amplitude(6, 0), np.zeros(3, dtype=complex))
+
+    def test_max_outside_skips_sites_off_the_window(self):
+        state = rail_state({(0, 0): 0.6, (5, 1): 0.8})
+        assert state.max_outside((5, 6)) == 0.6
+        assert state.max_outside((-1, 0, 6)) == 0.8
+        assert state.max_outside((0, 5, 6)) == 0.0
+
     def test_rejects_bad_qubit_index(self):
         with pytest.raises(ValueError):
             rail_state({(0, 2): 1.0})
