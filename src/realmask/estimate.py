@@ -7,8 +7,9 @@ Three pipelines:
   an Agresti-Coull confidence interval transported through the same linear
   map; the tests' average operator is 1/3 + (2/3)|target><target| for every
   target, so `qsv_run` draws each state's pass count as one binomial from
-  its fidelity F with the target, at p_succ = (1 + 2F)/3, a seed for each row
-  and at most `measure.MAX_SHOTS` tests (`measure`'s count rule),
+  its fidelity F with the target, at p_succ = (1 + 2F)/3, all states in one
+  call of `measure.generator(seed)`, and at most `measure.MAX_SHOTS` tests
+  (`measure`'s count rule),
   and `qsv_interval` gives the estimate and interval of a pass count;
 * single-qubit tomography: the maximum-likelihood purity of (batch, 3, 2)
   count arrays, rows in `measure.AXES` order, which the pipelines estimate
@@ -38,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .masker import masker_matrix
-from .measure import (PAIR_PAULIS, PAIRS, CountsTable, _checked, _count, _is_integer, correlators, generators,
+from .measure import (PAIR_PAULIS, PAIRS, CountsTable, _checked, _count, _is_integer, correlators, generator,
                       poisson_resample)
 from .qcore import EPS_EXACT, EPS_NUMERIC, EPS_PROB, _as_field_array, _dagger, _row_prefix
 
@@ -46,19 +47,18 @@ from .qcore import EPS_EXACT, EPS_NUMERIC, EPS_PROB, _as_field_array, _dagger, _
 # ---------------------------------------------------------------------------
 # Verification-based fidelity estimation.
 
-def qsv_run(fidelities, n_tests: int, seeds) -> list[int]:
+def qsv_run(fidelities, n_tests: int, seed: int) -> list[int]:
     """Run `n_tests` verification tests on each state of a stack, given by
-    its (n,) fidelities F = <t|rho|t> with its target t, and a seed for each
-    row (`measure.generators`); one pass count per row, a Python int, each
-    what its stack of one gives.
+    its (n,) fidelities F = <t|rho|t> with its target t; one pass count per
+    row, a Python int, all rows drawn in one call of `measure.generator(seed)`.
 
     A round picks one of the three local tests XX, -YY and ZZ, rotated onto
     t, at random, so its average operator is 1/3 + (2/3)|t><t| and it passes
     with probability p = (1 + 2F)/3.  The pass count S is therefore drawn as
-    one Binomial(n_tests, p) from the row's seed, which `qsv_interval`
-    reads.  Each F must be finite and in [0, 1] within EPS_NUMERIC, where it
-    is clipped (a pure state's fidelity may read 1 + 2e-16); an error names
-    the first faulty row.
+    one Binomial(n_tests, p), which `qsv_interval` reads.  Each F must be
+    finite and in [0, 1] within EPS_NUMERIC, where it is clipped (a pure
+    state's fidelity may read 1 + 2e-16); an error names the first faulty
+    row.
     `n_tests` is an integer in [1, `measure.MAX_SHOTS`].
     """
     n_tests = _checked("n_tests", _count, n_tests)
@@ -68,8 +68,7 @@ def qsv_run(fidelities, n_tests: int, seeds) -> list[int]:
     if (bad := np.flatnonzero(~(np.abs(fid - 0.5) <= 0.5 + EPS_NUMERIC))).size:
         raise ValueError(f"{_row_prefix(fid.shape, bad[0])}fidelity must be a finite number in [0, 1], "
                          f"got {float(fid[bad[0]])!r}")
-    return [int(rng.binomial(n_tests, p))
-            for p, rng in zip(((1.0 + 2.0 * np.clip(fid, 0.0, 1.0)) / 3.0).tolist(), generators(seeds, fid.shape))]
+    return generator(seed).binomial(n_tests, (1.0 + 2.0 * np.clip(fid, 0.0, 1.0)) / 3.0).tolist()
 
 
 def qsv_interval(passed: int, total: int) -> tuple[float, float, float, float]:
@@ -210,31 +209,28 @@ def purity_from_counts(counts: np.ndarray) -> np.ndarray:
 def bootstrap_std(
     quantity: Callable[[np.ndarray], np.ndarray],
     counts,
-    seeds: Sequence[int],
+    seed: int,
     resamples: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Point values of `quantity` for each count array of a stack, and their
-    standard deviation over Poisson resamples of it, a seed for each item.
+    """Point values of `quantity` for each count array of an (n, ...) stack,
+    and their standard deviation over Poisson resamples of it.
 
-    Each item's resamples come from one seeded draw of shape (resamples,
-    *item shape).  `quantity` maps a stack of m count arrays to (m, ...)
-    values in one call, made on the n items followed by all their n *
-    resamples resamples, so each item's values are what they would be alone
-    whenever `quantity` treats its rows independently.  Returns the (n, ...)
-    point values and the (n, ...) spread of each entry.  `resamples` is an
-    integer >= 2.
+    The resamples are one `poisson_resample` draw of the whole stack from
+    `measure.generator(seed)`.  `quantity` maps a stack of m count arrays to
+    (m, ...) values in one call, made on the n items followed by the
+    resamples, one redrawn stack after another.  Returns the (n, ...) point
+    values and the (n, ...) spread of each entry.  `resamples` is an integer
+    >= 2.
     """
     if not (_is_integer(resamples) and resamples >= 2):
         raise ValueError(f"resamples must be an integer >= 2, got {resamples!r}")
     counts = np.asarray(counts)
     n = len(counts)
-    draws = poisson_resample(counts, resamples, seeds)  # checks the seeds' shape
+    draws = poisson_resample(counts, resamples, seed)
     values = np.asarray(quantity(np.concatenate([counts, draws.reshape(-1, *counts.shape[1:])])))
     if values.shape[:1] != (n * (resamples + 1),):
         raise ValueError(f"quantity gave shape {values.shape}, expected ({n * (resamples + 1)}, ...)")
-    # Each entry's resamples made contiguous, so its std sums them as a lone (resamples,) row does.
-    spread = np.ascontiguousarray(np.moveaxis(values[n:].reshape(n, resamples, *values.shape[1:]), 1, -1))
-    return values[:n], np.std(spread, axis=-1, ddof=1)
+    return values[:n], np.std(values[n:].reshape(resamples, *values[:n].shape), axis=0, ddof=1)
 
 
 # ---------------------------------------------------------------------------

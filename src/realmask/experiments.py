@@ -4,7 +4,7 @@ Each run is fully determined by an ExperimentConfig, which checks each
 field as it is built (`FIELD_CHECKS`, `measure`'s number rules, which the
 CLI's flags and config keys share; shots and tests at most 10**18) and
 holds it as a plain Python value: every random draw flows
-through a sub-seed derived from (config.seed, stream tag, indices), so a rerun
+through a sub-seed derived from (config.seed, stream tags), so a rerun
 with the same config produces byte-identical report files.  Estimates are
 never emitted bare: verification fidelity errors are 95% confidence
 half-widths, the others standard deviations (fig4's in closed form, the rest
@@ -20,9 +20,10 @@ once per process for each value of the config fields it reads
 (`_fig3_model`, `_fig4_model`, `_fig5_model`), never for the seed, and its
 arrays are read-only, so a run that reads a cached model checks no state.
 A figure's seeded draws take one call of each kind (`sample_counts`,
-fig3's `qsv_run`, and `poisson_resample` per bootstrap), each row or item
-still drawn from its own sub-seed, which one `measure.derive_seed` call gives
-from the seed, the tag family ("fig3.tomo", "fig3.qsv", ...) and its tags.
+fig3's `qsv_run`, and `poisson_resample` per bootstrap), each drawing its
+whole table from one generator keyed by one `measure.derive_seed` call on
+the seed and the call's tags: its family ("fig3.tomo", "fig3.qsv", ...),
+and for fig4 its probe too, so that each probe draws a stream of its own.
 Its point estimates ride in the estimator call of their bootstrap resamples
 (`estimate.bootstrap_std`); fig4's fidelity, linear in the counts, has none.
 
@@ -67,12 +68,12 @@ import numpy as np
 
 from . import estimate, measure, optics, walk
 from .masker import mask_pure
-from .measure import _checked, _count, _integer, _is_integer, _is_number, _probability, derive_seed, generators
+from .measure import _checked, _count, _integer, _is_integer, _is_number, _probability, derive_seed, generator
 from .qcore import concurrence_from_purity, fidelity_with_pure, partial_trace
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 20
+REPORT_SCHEMA = 21
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
@@ -207,35 +208,30 @@ def _head(config: ExperimentConfig, experiment: str, **drawn) -> dict:
             "analytic": config.analytic}
 
 
-def _counts(probs: np.ndarray, config: ExperimentConfig, experiment: str, family: str,
-            keys: list[tuple]) -> np.ndarray:
-    """The count tables of an (n, 3, 2) stack of qubit or (n, 9, 4) stack of
-    pair Born tables, table i under its tags `keys[i]`.  In analytic mode
-    they are `probs` itself, the tables read as counts of one shot.  Sampled,
-    every row is drawn as int64 counts with `config.shots(experiment)` shots
-    in one `sample_counts` call, from its own sub-seed tagged `family`, the
-    table's key and the row's `measure.AXES` or `measure.PAIRS` label.
+def _counts(probs: np.ndarray, config: ExperimentConfig, experiment: str, *tags) -> np.ndarray:
+    """The count tables of a stack of qubit (..., 3, 2) or pair (..., 9, 4)
+    Born tables.  In analytic mode they are `probs` itself, the tables read
+    as counts of one shot.  Sampled, they are drawn as int64 counts with
+    `config.shots(experiment)` shots in one `sample_counts` call, from the
+    sub-seed tagged `tags`.
     """
     if config.analytic:
         return probs
-    labels = measure.AXES if probs.shape[-2] == len(measure.AXES) else measure.PAIRS
-    seeds = [derive_seed(config.seed, family, *key, label) for key in keys for label in labels]
-    return measure.sample_counts(probs, config.shots(experiment),
-                                 np.array(seeds, dtype=object).reshape(probs.shape[:-1]))
+    return measure.sample_counts(probs, config.shots(experiment), derive_seed(config.seed, *tags))
 
 
-def _estimate(quantity, counts: np.ndarray, config: ExperimentConfig, experiment: str,
-              keys: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+def _estimate(quantity, counts: np.ndarray, config: ExperimentConfig,
+              experiment: str) -> tuple[np.ndarray, np.ndarray]:
     """`quantity` of each item of a stack of count tables, which it maps to
     (m, ...) values, and their spread: zero in analytic mode, else the
-    bootstrap std, item i resampled from the sub-seed tagged
-    "<experiment>.boot" and `keys[i]`.  It reads only the counts, so counts
-    from anywhere estimate as drawn ones do."""
+    bootstrap std, the stack resampled from the sub-seed tagged
+    "<experiment>.boot".  It reads only the counts, so counts from anywhere
+    estimate as drawn ones do."""
     if config.analytic:
         values = np.asarray(quantity(counts))
         return values, np.zeros_like(values)
-    seeds = [derive_seed(config.seed, f"{experiment}.boot", *key) for key in keys]
-    return estimate.bootstrap_std(quantity, counts, seeds, resamples=BOOTSTRAP_RESAMPLES)
+    return estimate.bootstrap_std(quantity, counts, derive_seed(config.seed, f"{experiment}.boot"),
+                                  resamples=BOOTSTRAP_RESAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +263,14 @@ def _fig3_model(noise_p: float) -> tuple[np.ndarray, np.ndarray]:
 
 def run_fig3(config: ExperimentConfig) -> dict:
     probs, fidelities = _fig3_model(config.noise_p)
-    keys = [(idx,) for idx in PROBES]
     # Each probe's (eps_hat, error, eps_low, eps_high, passed); analytic mode draws no pass counts.
     if config.analytic:
         verdicts = [(e, 0.0, e, e, None) for e in (1.0 - fidelities).tolist()]
     else:
-        passes = estimate.qsv_run(fidelities, config.qsv_tests,
-                                  [derive_seed(config.seed, "fig3.qsv", *key) for key in keys])
+        passes = estimate.qsv_run(fidelities, config.qsv_tests, derive_seed(config.seed, "fig3.qsv"))
         verdicts = [(*estimate.qsv_interval(passed, config.qsv_tests), passed) for passed in passes]
-    qubits = [(idx, qubit) for idx in PROBES for qubit in ("path", "pol")]
-    counts = _counts(probs.reshape(-1, 3, 2), config, "fig3", "fig3.tomo", qubits).reshape(probs.shape)
-    pur, std = _estimate(_purities, counts, config, "fig3", keys)
+    counts = _counts(probs, config, "fig3", "fig3.tomo")
+    pur, std = _estimate(_purities, counts, config, "fig3")
     rows = [{"probe": idx, "target": PROBE_LABELS[idx],
              "fidelity": report_row(f"probe {idx} fidelity", 1.0 - eps, err, "ci95",
                                     eps_hat=eps, eps_low=low, eps_high=high, passed=passed),
@@ -308,7 +301,7 @@ def run_fig4(config: ExperimentConfig, probe: int = DEFAULT_PROBE) -> dict:
     w_n^2 (1 - T_n^2) / (N_n - 1)) for N_n shots, or if a table has one shot the bound sqrt(sum_n w_n^2 / N_n)."""
     probe = _probe_index(probe)
     weights, probs = _fig4_model(config.noise_p, probe)
-    counts = _counts(probs[None], config, "fig4", "fig4", [(probe,)])[0]
+    counts = _counts(probs, config, "fig4", "fig4", probe)
     t, shots, error = measure.correlators(counts), counts.sum(axis=-1), 0.0
     (rho_raw,), (rho_decoded,) = estimate.decode_real_state(t.reshape(1, 3, 3))
     if not config.analytic:
@@ -348,9 +341,8 @@ def _fig5_model(noise_p: float, phis: tuple[float, ...]) -> tuple[np.ndarray, np
 def run_fig5(config: ExperimentConfig) -> dict:
     phis = config.phi_grid_deg
     pure, probs = _fig5_model(config.noise_p, phis)
-    keys = [(i,) for i in range(len(phis))]
-    counts = _counts(probs, config, "fig5", "fig5.tomo", keys)
-    est, std = _estimate(_concurrence, counts, config, "fig5", keys)
+    counts = _counts(probs, config, "fig5", "fig5.tomo")
+    est, std = _estimate(_concurrence, counts, config, "fig5")
     if config.analytic and config.noise_p == 0.0:  # the pure states need no square root of a rounded 1 - purity
         est = pure
     points = [report_row(f"phi = {phi} deg", float(est[i]), float(std[i]), "std",
@@ -392,7 +384,7 @@ def run_equivalence(config: ExperimentConfig, n_inputs: int = DEFAULT_N_INPUTS) 
     """The linear parts' gaps, and the preparation's over `n_inputs` random
     real targets, at most `MAX_N_INPUTS`."""
     n_inputs = _checked("n_inputs", _n_inputs, n_inputs)
-    rng = next(generators(derive_seed(config.seed, "equiv"), ()))
+    rng = generator(derive_seed(config.seed, "equiv"))
     gaps = dict(_fixed_gaps())
     for start in range(0, n_inputs, EQUIV_BLOCK):
         a = rng.normal(size=(min(EQUIV_BLOCK, n_inputs - start), 4))

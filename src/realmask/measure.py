@@ -21,21 +21,18 @@ shots, seed) whose constructor and `_replace` apply every rule of a table.
 
 Reproducibility: all randomness flows through numpy's counter-based Philox
 generator keyed by a 64-bit sub-seed, SHA-256 over the length-prefixed `str`
-texts of the master seed and stream tags (module tag, trial indices), so
+texts of the master seed and stream tags (module tag, probe index), so
 distinct tag texts give distinct streams (the tags 4 and "4" share one) and
 results are bit-for-bit identical across runs.  A seed
 outside [0, 2**64) is refused, never folded onto another.  `derive_seed` is
 the one place that derives a sub-seed, one call per stream.
 
-Draws by the table: `sample_counts`, `poisson_resample` and
-`estimate.qsv_run` check a whole table once, naming the first faulty row,
-and draw each row from its own seed through `generators(seeds, rows)`, the
-one holder of that rule.  Each call builds one Philox stream of its own and
-re-keys it per row: a Philox stream is fully defined by its key and counter
-(Salmon et al., SC'11), so each row gets the bits of `generator(seed)`
-without paying for a new one, and a generator a caller holds moves only
-with its own iterator, never with another draw.  No stream is built at
-import.
+One generator per draw: `sample_counts`, `poisson_resample` and
+`estimate.qsv_run` take one seed, check a whole table first, naming the
+first faulty row, then build `generator(seed)` and draw the whole table from
+it in one numpy call, row by row in C order.  A Philox stream is fully
+defined by its key and counter (Salmon et al., SC'11), so one stream per
+call is reproducible from its seed alone.  No stream is built at import.
 
 Number rules: `_integer`, `_count` (a positive integer of at most
 `MAX_SHOTS` = 10**18, the one cap of shots, tests and counts) and
@@ -51,11 +48,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import math
 import sys
-from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,64 +153,12 @@ def _checked(field: str, check, v):
         raise ValueError(f"{field} {exc}") from None
 
 
-def _is_seed(value) -> bool:
-    return _is_integer(value) and 0 <= int(value) < 2**64
-
-
-def _seed_error(seed, prefix: str = "") -> ValueError:
-    return ValueError(f"{prefix}seed must be an integer in [0, 2**64), got {seed!r}")
-
-
 def generator(seed: int) -> np.random.Generator:
     """Philox generator keyed by `seed` in [0, 2**64) (counter-based, platform
-    independent): the reference stream that `generators` reproduces."""
-    if not _is_seed(seed):
-        raise _seed_error(seed)
+    independent): the one stream of each seeded call."""
+    if not (_is_integer(seed) and 0 <= int(seed) < 2**64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=seed))
-
-
-def generators(seeds, rows) -> Iterator[np.random.Generator]:
-    """`generator(seed)` for every seed of an array of the shape `rows`, one
-    per row, in C order, from one Philox stream of this call, re-keyed in
-    place for each row: key = seed, counter 0, empty buffer.
-
-    Seeds of another shape are refused at the call; a faulty seed is named by
-    its row when the first generator is taken, after a caller's own checks.
-    Each item is the call's one Generator, re-keyed for the next row: draw
-    from it before taking the next.
-    """
-    seeds = np.asarray(seeds, dtype=object)
-    if seeds.shape != tuple(rows):
-        raise ValueError(f"need one seed per row: seeds of shape {seeds.shape} for rows of shape {tuple(rows)}")
-    return _rekeyed_rows(seeds)
-
-
-def _rekeyed_rows(seeds: np.ndarray) -> Iterator[np.random.Generator]:
-    keys = seeds.ravel().tolist()
-    if bad := [i for i, key in enumerate(keys) if not _is_seed(key)]:
-        raise _seed_error(keys[bad[0]], _row_prefix(seeds.shape, bad[0]))
-    rng = np.random.Generator(np.random.Philox(_seed_sequence()))
-    yield from map(partial(_rekeyed, rng, rng.bit_generator), map(int, keys))
-
-
-_ZEROS = (0, 0, 0, 0)
-# Each call's Philox entropy, built once on first use (not at import); `_rekeyed` overwrites the state.
-_seed_sequence = lru_cache(maxsize=None)(lambda: np.random.SeedSequence(0))
-
-
-def _rekeyed(rng: np.random.Generator, bit_generator: np.random.Philox, seed: int) -> np.random.Generator:
-    """`rng` with its Philox `bit_generator` set to the state that
-    `np.random.Philox(key=seed)` starts in, given as plain ints, which the
-    state setter reads word by word."""
-    bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": (seed, 0)},
-        "buffer": _ZEROS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
 
 
 # A NamedTuple class may not define `__new__`, so the checks sit in a subclass.
@@ -228,11 +171,13 @@ class _CountsTableFields(NamedTuple):
 
 class CountsTable(_CountsTableFields):
     """Outcome counts for one measurement setting, with seed provenance: one
-    CSV record of `tables_to_csv` / `tables_from_csv`.
+    CSV record of `tables_to_csv` / `tables_from_csv`.  The seed is that of
+    the call that drew the table, which every table of that call shares.
 
     An immutable named tuple (setting, counts, shots, seed): it unpacks,
     indexes and equals the plain tuple of its fields.  The constructor
-    checks every field and stores the counts as a tuple of Python ints;
+    checks every field, with shots (so counts) at most `MAX_SHOTS`, and
+    stores the counts as a tuple of Python ints;
     pickle at every protocol, `copy`, `_make`, and `_replace`, which builds
     through `_make`, all call it.
     """
@@ -254,6 +199,8 @@ class CountsTable(_CountsTableFields):
             raise ValueError("counts must be nonnegative")
         if not (_is_integer(shots) and _is_integer(seed)):
             raise ValueError(f"shots and seed must be integers, got {shots!r}, {seed!r}")
+        if shots > MAX_SHOTS:  # counts are nonnegative and sum to the shots, so they are capped too
+            raise ValueError(f"shots must be {_at_most(MAX_SHOTS)}, got {shots!r}")
         if sum(ints) != shots:
             raise ValueError(f"counts sum {sum(ints)} != shots {shots}")
         return tuple.__new__(cls, (setting, ints, shots, seed))
@@ -299,20 +246,17 @@ def pair_probs(rho) -> np.ndarray:
     return _projector_probs(rho, _PAIR_PROJECTORS)
 
 
-def sample_counts(probs, shots: int, seed) -> np.ndarray:
+def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     """Integer counts of each row of a (..., k) probability table, k = 2 or 4,
-    from one multinomial draw of `shots` per row; deterministic per seed.
-    `shots` is an integer in [1, `MAX_SHOTS`].
-
-    `seed` holds a seed for each row, a plain int for a single (k,) row: row
-    i is drawn from the stream of `generator(seed[i])`.  The whole table is
-    checked before any draw, and an error names the first faulty row.
+    from one multinomial draw of `shots` per row, the rows in C order in one
+    call of `generator(seed)`; deterministic per seed.  `shots` is an integer
+    in [1, `MAX_SHOTS`].  The whole table is checked before the draw, and an
+    error names the first faulty row.
     """
     shots = _checked("shots", _count, shots)
     p = np.asarray(probs, dtype=float)
     if p.ndim < 1 or p.shape[-1] not in (2, 4):
         raise ValueError("probs must have 2 or 4 entries")
-    rngs = generators(seed, p.shape[:-1])
     rows = p.reshape(-1, p.shape[-1])
     sums = rows.sum(axis=-1)
     bad = (rows < -EPS_EXACT).any(axis=-1)
@@ -325,10 +269,7 @@ def sample_counts(probs, shots: int, seed) -> np.ndarray:
         raise ValueError(f"{_row_prefix(p.shape[:-1], i)}probabilities sum to {sums[i]}, expected 1")
     rows = np.clip(rows, 0.0, None)
     rows = rows / rows.sum(axis=-1, keepdims=True)
-    counts = np.empty(rows.shape, dtype=np.int64)
-    for i, rng in enumerate(rngs):
-        counts[i] = rng.multinomial(shots, rows[i])
-    return counts.reshape(p.shape)
+    return generator(seed).multinomial(shots, rows).reshape(p.shape)
 
 
 def correlators(counts) -> np.ndarray:
@@ -354,31 +295,20 @@ def apply_depolarizing(rho, p: float) -> np.ndarray:
     return checked_density((1.0 - p) * arr + p * np.eye(d) / d)
 
 
-def poisson_resample(counts, resamples: int, seed) -> np.ndarray:
+def poisson_resample(counts, resamples: int, seed: int) -> np.ndarray:
     """`resamples` redraws of a count array, each count replaced by a Poisson
-    draw with that mean: one draw of shape (resamples, *counts.shape).
-
-    With a (...) array of seeds, `counts` is a stack of count arrays of shape
-    (..., *item), its leading axes the rows of `generators`, and the result
-    has shape (..., resamples, *item): item i is the draw for `counts[i]`
-    alone with `seed[i]`.  `resamples` is an integer in [1, `MAX_SHOTS`],
-    and counts must be whole numbers in [0, `MAX_SHOTS`].
+    draw with that mean: one draw of shape (resamples, *counts.shape) from
+    `generator(seed)`, a whole redraw of the array after another.
+    `resamples` is an integer in [1, `MAX_SHOTS`], and counts must be whole
+    numbers in [0, `MAX_SHOTS`], checked before the draw.
     """
     resamples = _checked("resamples", _count, resamples)
     counts = np.asarray(counts)
-    stack = counts.shape[:np.asarray(seed, dtype=object).ndim]
-    rngs = generators(seed, stack)
-    item = counts.shape[len(stack):]
-    items = counts.reshape(math.prod(stack), *item)
-    values = np.asarray(items, dtype=float)
+    values = np.asarray(counts, dtype=float)
     # The cap is compared on the counts as given: as a float, 10**18 + 1 reads 10**18.
-    if (bad := np.argwhere(~((values >= 0) & (values == np.floor(values)) & (items <= MAX_SHOTS)))).size:
-        raise ValueError(f"{_row_prefix(stack, bad[0, 0])}count {items[tuple(bad[0])]} is not a whole number "
-                         f"in [0, {MAX_SHOTS}]")
-    draws = np.empty((len(items), resamples, *item), dtype=np.int64)
-    for i, rng in enumerate(rngs):
-        draws[i] = rng.poisson(values[i], size=(resamples, *item))
-    return draws.reshape(*stack, resamples, *item)
+    if (bad := np.flatnonzero(~((values >= 0) & (values == np.floor(values)) & (counts <= MAX_SHOTS)))).size:
+        raise ValueError(f"count {counts.flat[bad[0]]} is not a whole number in [0, {MAX_SHOTS}]")
+    return generator(seed).poisson(values, size=(resamples, *counts.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +383,8 @@ def _clean_tables(text: str) -> list[CountsTable] | None:
         shot_of, seed_of = {t: int(t) for t in set(shots)}, {t: int(t) for t in set(seeds)}
     except ValueError:
         return None
+    if max(shot_of.values(), default=0) > MAX_SHOTS:
+        return None
     grouped: dict[tuple[str, int, int], dict[str, int]] = {}
     for setting, shot, seed, outcome, value in zip(settings, shots, seeds, outcomes, values):
         grouped.setdefault((setting, shot_of[shot], seed_of[seed]), {})[outcome] = value
@@ -464,9 +396,9 @@ def _clean_tables(text: str) -> list[CountsTable] | None:
                         for by_outcome in grouped.values()]
     except KeyError:
         return None
-    # With no carriage return or NUL in the text, no negative count and each
-    # table's counts summing to its shots, every rule of the `CountsTable`
-    # constructor holds, so the tables skip it.
+    # With no carriage return or NUL in the text, no shots above the cap, no
+    # negative count and each table's counts summing to its shots, every rule
+    # of the `CountsTable` constructor holds, so the tables skip it.
     if (sum(map(len, table_counts)) != len(values) or min(values, default=0) < 0
             or list(map(sum, table_counts)) != [key[1] for key in grouped]):
         return None

@@ -84,6 +84,9 @@ EQUIVALENT = {
         "solve_prep_angles: h3 = np.where(r23 > EPS_EXACT, np.degrees(np.arctan2(a2, -a3)) / 2.0, 0.0) [> -> >=]":
             _ON_TOLERANCE,
         "_solve_to_horizontal: if not residual <= SOLVER_TOL: [<= -> <]": _ON_TOLERANCE,
+        "_solve_to_horizontal: b = (np.angle(t1) - np.angle(t0)) if (t0 != 0 and t1 != 0) else 0.0 [and -> or]":
+            "`_first_basis_state` makes t1 exactly 0 only at theta = 0, where t0 = 1 has phase 0, so b is 0 either "
+            "way, and never makes t0 exactly 0",
         "detector_distribution: if leak > EPS_PROB: [> -> >=]": _ON_TOLERANCE,
     },
     "src/realmask/qcore.py": {

@@ -164,7 +164,7 @@ def test_criterion_7_fig3_fidelities():
         rho = apply_depolarizing(density(target), 0.01)
         fidelity = np.vdot(target, rho @ target).real
         fids = [
-            1.0 - qsv_interval(qsv_run([fidelity], 5000, [derive_seed(SEED, "accept7", idx, s)])[0], 5000)[0]
+            1.0 - qsv_interval(qsv_run([fidelity], 5000, derive_seed(SEED, "accept7", idx, s))[0], 5000)[0]
             for s in range(50)
         ]
         canonical.append(fids[0])

@@ -108,7 +108,7 @@ class TestReportFiles:
     def test_report_carries_schema_version(self):
         doc = json.loads(report_texts(run_fig4(ExperimentConfig(seed=3, analytic=True)))[0])
         assert next(iter(doc)) == "schema"
-        assert doc["schema"] == experiments.REPORT_SCHEMA == 20
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 21
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError):
@@ -440,6 +440,14 @@ class TestCommandLine:
         keys = sorted({*READS[command], "experiment"})
         assert exc.value.code == (f"config file {cfg_path}: not config keys of {command}: [{key!r}]; "
                                   f"its keys are {keys}")
+
+    @pytest.mark.parametrize("text", ["[1]", '"seed"', "7", "null"])
+    def test_config_file_must_hold_an_object(self, text, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fig4", "--config", str(cfg_path)])
+        assert exc.value.code == f"config file {cfg_path} must hold a JSON object"
 
     # Each document goes to a subcommand that reads its key, so that it
     # reaches the key's value check, not the unknown-key refusal.
@@ -805,6 +813,12 @@ class TestCommandLine:
         assert cli.main([*argv, f"{flag}={value}"]) == 0
         assert capsys.readouterr().out == spaced
 
+    @pytest.mark.parametrize("argv", [["fig5", "--", "-15,0"], ["fig5", "--phi-grid", "--", "-15,0"],
+                                      ["fig5", "--phi-grid=-15", "-15,0"], ["fig5", "-", "-15,0"]])
+    def test_a_value_after_no_long_flag_stays_alone(self, argv):
+        # A bare "--" ends the flags, and "--x=v" already holds its value.
+        assert cli._attach_negative_lists(argv) == argv
+
     @pytest.mark.parametrize("argv, flag", [
         (["fig5", "--phi-grid", "-inf,0"], "--phi-grid"),
         (["fig5", "--phi-grid", "-15,x"], "--phi-grid"),
@@ -909,8 +923,8 @@ class TestCommandLine:
         assert out.stdout.strip() == "[]"
 
     def test_experiments_import_loads_no_random_module_of_its_own(self):
-        # Each `generators` call builds its own re-keyable Philox stream; none
-        # is built at import.  numpy 2 loads numpy.random only on first use; an older
+        # Each seeded call builds its own Philox stream; none is built at
+        # import.  numpy 2 loads numpy.random only on first use; an older
         # numpy loads it with numpy itself, so the test compares with that.
         import subprocess
         import sys

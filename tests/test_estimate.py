@@ -235,8 +235,8 @@ def masked_fidelity(rho, a) -> float:
 
 
 def qsv_one(fidelity, n_tests: int, seed) -> int:
-    """`qsv_run` on a stack of one: one fidelity, one seed, one pass count."""
-    (out,) = qsv_run([fidelity], n_tests, [seed])
+    """`qsv_run` on a stack of one: one fidelity, one pass count."""
+    (out,) = qsv_run([fidelity], n_tests, seed)
     return out
 
 
@@ -290,7 +290,7 @@ class TestQsvRun:
 
     def test_nested_lists_match_arrays(self):
         fids = [0.9, 0.5, 1.0]
-        assert qsv_run(np.array(fids), 500, [3, 4, 5]) == qsv_run(fids, 500, [3, 4, 5])
+        assert qsv_run(np.array(fids), 500, 3) == qsv_run(fids, 500, 3)
 
     def test_passed_is_one_binomial_draw_for_the_probes(self):
         for idx in (1, 2, 3, 4):
@@ -322,7 +322,7 @@ class TestQsvRun:
     @pytest.mark.parametrize("bad", [0.5, [[0.5]], np.ones((2, 3))], ids=["scalar", "column", "table"])
     def test_rejects_what_is_not_a_row_of_fidelities(self, bad):
         with pytest.raises(ValueError, match=r"^fidelities must be an \(n,\) array, got shape"):
-            qsv_run(bad, 10, [0])
+            qsv_run(bad, 10, 0)
 
     def test_experiment_scale_arithmetic(self):
         # S = 4986 of N = 5000 maps to eps_hat = 0.0042, fidelity 0.9958.
@@ -347,42 +347,32 @@ class TestQsvRun:
 
 
 class TestQsvStack:
-    """An (n,) stack of fidelities in one qsv_run call against stacks of one."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.floats(0.0, 1.0), max_size=5),
-           st.lists(st.one_of(st.sampled_from([0, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
-                    min_size=5, max_size=5),
-           st.integers(1, 3000))
-    def test_stack_equals_items_alone(self, fids, keys, n_tests):
-        keys = keys[:len(fids)]
-        stacked = qsv_run(np.array(fids), n_tests, keys)
-        assert isinstance(stacked, list)
-        assert stacked == [qsv_one(f, n_tests, k) for f, k in zip(fids, keys)]
+    """An (n,) stack of fidelities in one qsv_run call, drawn from one generator."""
 
     def test_probe_stack_draws_one_binomial_per_probe(self):
         _probs, fids = experiments._fig3_model(0.01)
-        keys = [derive_seed(20404, "fig3.qsv", idx) for idx in (1, 2, 3, 4)]
-        got = qsv_run(fids, 5000, keys)
-        assert got == [binomial_passed(f, 5000, k) for f, k in zip(fids.tolist(), keys)]
+        seed = derive_seed(20404, "fig3.qsv")
+        rng = generator(seed)
+        assert qsv_run(fids, 5000, seed) == [int(rng.binomial(5000, (1 + 2 * f) / 3)) for f in fids.tolist()]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0 + 1e-9, -1e-9])
     def test_bad_fidelity_row_is_named(self, bad):
         with pytest.raises(ValueError, match=r"^row 1: fidelity must be a finite number in \[0, 1\]"):
-            qsv_run([1.0, bad, bad], 10, [0, 1, 2])
+            qsv_run([1.0, bad, bad], 10, 0)
 
-    def test_bad_seed_row_is_named(self):
-        with pytest.raises(ValueError, match=r"^row 0: seed must be an integer in \[0, 2\*\*64\)"):
-            qsv_run([0.25, 0.25], 10, [-1, 2])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, [1, 2]])
+    def test_a_bad_seed_is_refused(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, 2\*\*64\), got {re.escape(repr(seed))}$"):
+            qsv_run([0.25, 0.25], 10, seed)
 
     def test_empty_stack_gives_no_results(self):
-        assert qsv_run(np.zeros(0), 10, []) == []
+        assert qsv_run(np.zeros(0), 10, 0) == []
 
     def test_reads_a_read_only_model_unaltered(self):
         _probs, fids = experiments._fig3_model(0.01)
         assert not fids.flags.writeable
         before = fids.copy()
-        assert qsv_run(fids, 100, [1, 2, 3, 4]) == qsv_run(fids.tolist(), 100, [1, 2, 3, 4])
+        assert qsv_run(fids, 100, 1) == qsv_run(fids.tolist(), 100, 1)
         assert np.array_equal(fids, before)
 
 
@@ -406,9 +396,9 @@ class TestQsvInterval:
 
 
 # Fidelities of the exact-coverage check: the default config's probes, then
-# noisier states; and the fixed seeds of its draws, never re-picked.
+# noisier states; and the fixed seed and size of its one draw, never re-picked.
 COVERAGE_FIDELITIES = (0.9925, 0.95, 0.9, 0.8, 0.6)
-COVERAGE_SEEDS = range(4000)
+COVERAGE_SEED, COVERAGE_DRAWS = 0, 4000
 
 
 class TestExactQsvCoverage:
@@ -423,9 +413,9 @@ class TestExactQsvCoverage:
     @pytest.mark.parametrize("fidelity", COVERAGE_FIDELITIES)
     def test_it_is_the_covering_share_of_drawn_pass_counts(self, fidelity):
         # Within 3 binomial standard errors of the share over fixed draws at N = 50.
-        n_tests, draws = 50, len(COVERAGE_SEEDS)
+        n_tests, draws = 50, COVERAGE_DRAWS
         want = exact_qsv_coverage(fidelity, n_tests)
-        passes = qsv_run([fidelity] * draws, n_tests, list(COVERAGE_SEEDS))
+        passes = qsv_run([fidelity] * draws, n_tests, COVERAGE_SEED)
         intervals = [qsv_interval(passed, n_tests) for passed in passes]
         covered = sum(low <= 1.0 - fidelity <= high for _eps, _err, low, high in intervals)
         assert abs(covered / draws - want) <= 3 * math.sqrt(want * (1 - want) / draws)
@@ -563,7 +553,7 @@ class TestTomography:
 
     def test_optional_bootstrap_fills_std_purity(self):
         n = 4000
-        _, (std,) = bootstrap_std(purity_from_counts, np.full((1, 3, 2), n // 2), [2], resamples=50)
+        _, (std,) = bootstrap_std(purity_from_counts, np.full((1, 3, 2), n // 2), 2, resamples=50)
         assert 0.0 < std < 0.02
 
 
@@ -737,31 +727,31 @@ class TestPurityFromCounts:
 class TestBootstrap:
     def test_constant_quantity_has_zero_std(self):
         counts = np.array([[100, 100]])
-        assert bootstrap_std(lambda c: np.ones(len(c)), counts, [0], resamples=50)[1][0] == 0.0
+        assert bootstrap_std(lambda c: np.ones(len(c)), counts, 0, resamples=50)[1][0] == 0.0
 
     def test_purity_std_scale_for_mixed_data(self):
         n = 4000
         counts = np.full((1, 3, 2), n // 2)
-        _, (std,) = bootstrap_std(purity_from_counts, counts, [1], resamples=100)
+        _, (std,) = bootstrap_std(purity_from_counts, counts, 1, resamples=100)
         assert 0.0 < std < 0.02
 
     def test_two_resamples_run(self):
         # The smallest count accepted: the spread is the std of the two redraws.
         counts = np.array([[30, 70]])
-        point, (std,) = bootstrap_std(lambda c: c[:, 0] / c.sum(axis=1), counts, [7], resamples=2)
-        draws = poisson_resample(counts, 2, [7])[0]
+        point, (std,) = bootstrap_std(lambda c: c[:, 0] / c.sum(axis=1), counts, 7, resamples=2)
+        draws = poisson_resample(counts, 2, 7)[:, 0]
         assert point.tolist() == [0.3]
         assert std == np.std(draws[:, 0] / draws.sum(axis=1), ddof=1) > 0.0
 
     def test_resamples_minimum(self):
         with pytest.raises(ValueError):
-            bootstrap_std(lambda c: c.sum(axis=1), np.zeros((1, 2)), [0], resamples=1)
+            bootstrap_std(lambda c: c.sum(axis=1), np.zeros((1, 2)), 0, resamples=1)
 
     # True used to be refused as "need at least 2 resamples" and 3.0 ended in numpy's TypeError.
     @pytest.mark.parametrize("resamples", [1, 0, True, 2.5, 3.0, "3", None])
     def test_rejects_a_bad_resample_count(self, resamples):
         with pytest.raises(ValueError, match=rf"^resamples must be an integer >= 2, got {re.escape(repr(resamples))}$"):
-            bootstrap_std(lambda c: c.sum(axis=1), np.ones((1, 2)), [0], resamples=resamples)
+            bootstrap_std(lambda c: c.sum(axis=1), np.ones((1, 2)), 0, resamples=resamples)
 
     def test_concurrence_std_at_zero_phase(self):
         # Masked (|0>+|1>)/sqrt(2): path qubit maximally mixed, concurrence 1.
@@ -775,7 +765,7 @@ class TestBootstrap:
         def concurrence(c):
             return concurrence_from_purity(purity_from_counts(c))
 
-        _, (std,) = bootstrap_std(concurrence, counts[None], [32], resamples=100)
+        _, (std,) = bootstrap_std(concurrence, counts[None], 32, resamples=100)
         assert 0.0 < std < 0.02
 
     def test_one_poisson_draw_per_estimate(self):
@@ -787,7 +777,7 @@ class TestBootstrap:
             seen.append(c)
             return c[:, 0, 0, 0].astype(float)
 
-        (point,), (std,) = bootstrap_std(first_count, counts[None], [9], resamples=40)
+        (point,), (std,) = bootstrap_std(first_count, counts[None], 9, resamples=40)
         want = generator(9).poisson(counts, size=(40, 2, 2, 2))
         assert len(seen) == 1 and np.array_equal(seen[0], np.concatenate([counts[None], want]))
         assert point == 30.0
@@ -795,39 +785,42 @@ class TestBootstrap:
 
     def test_quantity_must_give_one_value_per_resample(self):
         with pytest.raises(ValueError, match="shape"):
-            bootstrap_std(lambda c: c.sum(), np.array([[5, 5]]), [0], resamples=10)
+            bootstrap_std(lambda c: c.sum(), np.array([[5, 5]]), 0, resamples=10)
 
-    def test_stacked_items_match_items_alone(self, rng):
-        # Zero-count axes, a boundary item and 1-shot axes beside ordinary ones.
+    def test_a_stack_spreads_over_its_redrawn_stacks(self, rng):
+        # Zero-count axes, a boundary item and 1-shot axes beside ordinary ones:
+        # each item's spread is the std of its values over the redrawn stacks.
         counts = np.concatenate([
             rng.integers(0, 400, size=(6, 3, 2)),
             [[[0, 0], [0, 0], [0, 0]], [[1, 0], [0, 1], [1, 0]], [[900, 0], [450, 450], [450, 450]]],
         ])
-        seeds = [derive_seed(3, "stack", i) for i in range(len(counts))]
-        point, stacked = bootstrap_std(purity_from_counts, counts, seeds, resamples=100)
-        alone = [bootstrap_std(purity_from_counts, c[None], [s], resamples=100) for c, s in zip(counts, seeds)]
+        seed = derive_seed(3, "stack")
+        point, stacked = bootstrap_std(purity_from_counts, counts, seed, resamples=100)
+        redrawn = generator(seed).poisson(counts, size=(100, *counts.shape))
+        values = purity_from_counts(redrawn.reshape(-1, 3, 2)).reshape(100, len(counts))
         assert point.shape == stacked.shape == (len(counts),)
-        assert np.array_equal(point, [p[0] for p, _ in alone])
-        assert np.array_equal(stacked, [s[0] for _, s in alone])
         assert np.array_equal(point, purity_from_counts(counts))
+        # Summed down the resample axis, not pairwise along a lone row: equal to round-off.
+        assert np.allclose(stacked, [np.std(values[:, i], ddof=1) for i in range(len(counts))], rtol=1e-12, atol=0)
 
     def test_each_entry_of_a_row_spreads_as_a_lone_value(self, rng):
         # fig3's quantity gives the path and polarization purities and their
         # mean; each column's point and spread are those of that column alone.
         counts = np.concatenate([rng.integers(0, 400, size=(5, 2, 3, 2)), np.zeros((1, 2, 3, 2), dtype=int)])
-        seeds = [derive_seed(5, "columns", i) for i in range(len(counts))]
+        seed = derive_seed(5, "columns")
 
         def columns(c):
             pur = purity_from_counts(c.reshape(-1, 3, 2)).reshape(-1, 2)
             return np.column_stack([pur, pur.mean(axis=1)])
 
-        point, std = bootstrap_std(columns, counts, seeds, resamples=100)
+        point, std = bootstrap_std(columns, counts, seed, resamples=100)
         assert point.shape == std.shape == (len(counts), 3)
         for k in range(3):
-            alone = bootstrap_std(lambda c: columns(c)[:, k], counts, seeds, resamples=100)
+            alone = bootstrap_std(lambda c: columns(c)[:, k], counts, seed, resamples=100)
             assert np.array_equal(point[:, k], alone[0]) and np.array_equal(std[:, k], alone[1])
 
-    def test_each_item_draws_from_its_own_seed(self):
+    def test_the_stack_draws_from_one_generator(self):
+        # The items, then each redrawn stack in turn, all from generator(seed).
         counts = np.array([[[30, 10]], [[5, 7]]])
         seen = []
 
@@ -835,13 +828,12 @@ class TestBootstrap:
             seen.append(c)
             return c.sum(axis=(1, 2)).astype(float)
 
-        bootstrap_std(total, counts, [4, 8], resamples=5)
-        want = np.concatenate([counts, generator(4).poisson(counts[0], size=(5, 1, 2)),
-                               generator(8).poisson(counts[1], size=(5, 1, 2))])
+        bootstrap_std(total, counts, 4, resamples=5)
+        want = np.concatenate([counts, generator(4).poisson(counts, size=(5, 2, 1, 2)).reshape(10, 1, 2)])
         assert len(seen) == 1 and np.array_equal(seen[0], want)
 
     def test_empty_stack_gives_no_values(self):
-        point, std = bootstrap_std(purity_from_counts, np.zeros((0, 3, 2)), [], resamples=10)
+        point, std = bootstrap_std(purity_from_counts, np.zeros((0, 3, 2)), 0, resamples=10)
         assert point.shape == std.shape == (0,)
 
 
@@ -1073,7 +1065,7 @@ class TestProjection:
         """One `eigh` per decoded stack, in real arithmetic: for 100 resampled
         tables alone and for a sampled fig4 run, which decodes its one table."""
         a = probe_vector(4)
-        counts = sample_counts(pair_probs(mask_state(np.outer(a, a))), 4000, np.arange(9))
+        counts = sample_counts(pair_probs(mask_state(np.outer(a, a))), 4000, 9)
         ts = correlators(poisson_resample(counts, 100, 7)).reshape(-1, 3, 3)
         run_fig4(ExperimentConfig(seed=3))  # builds fig4's model, whose state check is no `eigh`
         calls = {"eigh": [], "eigvalsh": []}

@@ -1,9 +1,11 @@
 """The stacked fig3/fig5 pipelines against per-point oracles.
 
 The oracles below run each probe or phase point on its own, with its own
-density matrices, MLE calls and bootstrap, as the pipelines did before they
-processed a figure as one stack.  Every sampling call keeps its seed, so the
-reports must agree byte for byte.
+density matrices and MLE calls, as the pipelines did before they processed a
+figure as one stack.  They draw as the one-generator law says: each of a
+run's draws (verification, tomography, bootstrap) takes one generator keyed
+by one sub-seed, and its rows are drawn from it one after another in the
+stack's order, so the reports must agree byte for byte.
 """
 import collections
 import csv
@@ -51,13 +53,15 @@ def oracle_masked_probe(a, noise_p):
     return ideal, rho if noise_p == 0.0 else measure.apply_depolarizing(rho, noise_p)
 
 
-def oracle_pauli_counts(rho, shots, master_seed, *tags):
-    labels, probs = ((measure.AXES, measure.axis_probs) if rho.shape[-1] == 2
-                     else (measure.PAIRS, measure.pair_probs))
-    return np.array([
-        measure.sample_counts(p, shots, derive_seed(master_seed, *tags, label))
-        for label, p in zip(labels, probs(rho))
-    ])
+def stream(config, *tags):
+    """The one generator of a run's draw tagged `tags`."""
+    return measure.generator(derive_seed(config.seed, *tags))
+
+
+def oracle_pauli_counts(rho, shots, rng):
+    """One state's X/Y/Z or pair tables, each one multinomial draw from `rng`."""
+    probs = measure.axis_probs(rho) if rho.shape[-1] == 2 else measure.pair_probs(rho)
+    return np.array([rng.multinomial(shots, p / p.sum()) for p in np.clip(probs, 0.0, None)])
 
 
 class TestProbes:
@@ -94,14 +98,19 @@ class TestProbes:
         assert report_texts(run_fig4(config, probe=np.int64(2))) == report_texts(run_fig4(config, probe=2))
 
 
-def oracle_bootstrap(quantity, counts, seed):
-    values = quantity(measure.poisson_resample(counts, BOOTSTRAP_RESAMPLES, seed))
-    return float(np.std(values, ddof=1))
+def oracle_bootstrap(quantity, counts, rng):
+    """Each point's spread over Poisson redraws of all the points' counts at
+    once, one redrawn stack after another: the std of its values down the
+    resamples."""
+    redrawn = rng.poisson(counts, size=(BOOTSTRAP_RESAMPLES, *counts.shape))
+    values = np.stack([quantity(redrawn[:, i]) for i in range(len(counts))], axis=1)
+    return np.std(values, axis=0, ddof=1).tolist()
 
 
 def oracle_fig3(config):
     shots = config.shots("fig3")
-    rows = []
+    rows, all_counts = [], []
+    qsv, tomo = stream(config, "fig3.qsv"), stream(config, "fig3.tomo")
     for idx in (1, 2, 3, 4):
         a = probe_vector(idx)
         ideal, rho = oracle_masked_probe(a, config.noise_p)
@@ -114,25 +123,26 @@ def oracle_fig3(config):
             std = 0.0
         else:
             total = config.qsv_tests
-            (passed,) = estimate.qsv_run([fidelity], total, [derive_seed(config.seed, "fig3.qsv", idx)])
+            passed = int(qsv.binomial(total, (1 + 2 * min(fidelity, 1.0)) / 3))  # a pure state's may read 1 + 2e-16
             eps = 1.5 * (1.0 - passed / total)
             low, high = estimate.agresti_coull(passed, total)
             low, high = min(low, eps), max(high, eps)
             fid = oracle_row(f"probe {idx} fidelity", 1.0 - eps, max(eps - low, high - eps), "ci95",
                              eps_hat=eps, eps_low=low, eps_high=high, passed=passed)
-            counts = np.array([
-                oracle_pauli_counts(partial_trace(rho, k), shots, config.seed, "fig3.tomo", idx, tag)
-                for k, tag in (("A", "path"), ("B", "pol"))
-            ])
+            counts = np.array([oracle_pauli_counts(partial_trace(rho, k), shots, tomo) for k in ("A", "B")])
+            all_counts.append(counts)
             pur_a, pur_b = estimate.purity_from_counts(counts).tolist()
-            std = oracle_bootstrap(
-                lambda c: estimate.purity_from_counts(c.reshape(-1, 3, 2)).reshape(-1, 2).mean(axis=1),
-                counts, derive_seed(config.seed, "fig3.boot", idx),
-            )
+            std = None
         pur = oracle_row(f"probe {idx} avg purity", 0.5 * (pur_a + pur_b), std, "std",
                          path_purity=pur_a, pol_purity=pur_b)
         rows.append({"probe": idx, "target": PROBE_LABELS[idx], "fidelity": fid, "purity": pur})
     sampled = not config.analytic
+    if sampled:
+        spreads = oracle_bootstrap(
+            lambda c: estimate.purity_from_counts(c.reshape(-1, 3, 2)).reshape(-1, 2).mean(axis=1),
+            np.array(all_counts), stream(config, "fig3.boot"))
+        for row, spread in zip(rows, spreads):
+            row["purity"]["error"] = spread
     return {
         "experiment": "fig3", "seed": config.seed, "noise_p": config.noise_p,
         "qsv_tests": config.qsv_tests if sampled else None, "shots_per_setting": shots if sampled else None,
@@ -143,7 +153,8 @@ def oracle_fig3(config):
 
 def oracle_fig5(config):
     shots = config.shots("fig5")
-    points = []
+    points, all_counts = [], []
+    tomo = stream(config, "fig5.tomo")
     for i, phi in enumerate(config.phi_grid_deg):
         ideal, rho = oracle_masked_probe(phase_probe(phi), config.noise_p)
         rho_path = partial_trace(rho, "A")
@@ -156,12 +167,15 @@ def oracle_fig5(config):
         elif config.analytic:
             est, std = float(concurrence_from_purity(purity(rho_path))), 0.0
         else:
-            counts = oracle_pauli_counts(rho_path, shots, config.seed, "fig5.tomo", i)
-            est = float(conc(counts[None])[0])
-            std = oracle_bootstrap(conc, counts, derive_seed(config.seed, "fig5.boot", i))
+            counts = oracle_pauli_counts(rho_path, shots, tomo)
+            all_counts.append(counts)
+            est, std = float(conc(counts[None])[0]), None
         points.append(oracle_row(f"phi = {phi} deg", est, std, "std",
                                  phi_deg=phi, theory_cos=math.cos(math.radians(phi))))
     sampled = not config.analytic
+    if sampled:
+        for point, spread in zip(points, oracle_bootstrap(conc, np.array(all_counts), stream(config, "fig5.boot"))):
+            point["error"] = spread
     return {
         "experiment": "fig5", "seed": config.seed, "noise_p": config.noise_p,
         "shots_per_setting": shots if sampled else None, "resamples": BOOTSTRAP_RESAMPLES if sampled else None,
@@ -223,12 +237,13 @@ def test_analytic_noiseless_fig5_near_its_zeros_is_the_cosine(phi):
     assert point["estimate"] == pytest.approx(abs(math.cos(math.radians(phi))), rel=1e-12, abs=0.0)
 
 
-def test_fig4_is_a_stack_of_one():
-    # fig4 goes through the same stacked states; its report must not move.
-    config = ExperimentConfig(seed=1, noise_p=0.0)
-    rep = run_fig4(config)
-    _ideal, rho = oracle_masked_probe(probe_vector(4), 0.0)
-    counts = oracle_pauli_counts(rho, config.shots("fig4"), config.seed, "fig4", 4)
+@pytest.mark.parametrize("probe", experiments.PROBES)
+def test_fig4_draws_its_probes_tables_from_the_probes_stream(probe):
+    # fig4 goes through the same stacked states, and each probe draws from a stream of its own.
+    config = ExperimentConfig(seed=1)
+    rep = run_fig4(config, probe)
+    _ideal, rho = oracle_masked_probe(probe_vector(probe), config.noise_p)
+    counts = oracle_pauli_counts(rho, config.shots("fig4"), stream(config, "fig4", probe))
     assert rep["correlators"] == measure.correlators(counts).reshape(3, 3).tolist()
 
 
@@ -275,7 +290,7 @@ def test_a_fig4_fidelity_above_one_is_reported_as_it_is(monkeypatch):
     correlator at the sign of its weight gives w_0 + sum |w_n|, 1.5 for the
     third probe, and their tables of one outcome give zero spread."""
     weights = experiments._fig4_model(ExperimentConfig().noise_p, 3)[0]
-    counts = np.array([[[5, 0, 0, 0] if w >= 0 else [0, 5, 0, 0] for w in weights[1:]]])
+    counts = np.array([[5, 0, 0, 0] if w >= 0 else [0, 5, 0, 0] for w in weights[1:]])
     monkeypatch.setattr(experiments, "_counts", lambda *args, **kwargs: counts)
     rep = run_fig4(ExperimentConfig(seed=1), 3)
     assert rep["fidelity"]["estimate"] == pytest.approx(1.5, abs=1e-12)
@@ -328,9 +343,9 @@ def test_each_masked_stack_is_checked_once_per_config(monkeypatch):
 
 
 def test_figures_in_two_threads_equal_their_serial_reports():
-    """Each thread draws from its own re-keyed stream: fig3, fig4 and fig5
-    runs at distinct seeds, made by two threads at once, give the reports
-    that the same runs give one after another."""
+    """Each draw builds a generator of its own: fig3, fig4 and fig5 runs at
+    distinct seeds, made by two threads at once, give the reports that the
+    same runs give one after another."""
     runs = [(run, ExperimentConfig(seed=seed)) for seed in (2, 3, 5, 8) for run in (run_fig3, run_fig4, run_fig5)]
     serial = [report_texts(run(config)) for run, config in runs]
     interval = sys.getswitchinterval()
@@ -347,17 +362,17 @@ def test_figures_in_two_threads_equal_their_serial_reports():
 # (owner, name, calls in a cold op, calls in a warm op) of one default figures
 # op: fig3, fig4, fig5 and equiv, each report written.  The rows down to
 # `write_report` are the functions perfbench/tracer.py traces; then numpy's
-# `eigh` and `Philox` (one per `generators` call), the re-key of a stream, the
-# complex Bloch matrices of the qubit MLE and the file opens.  A change that
-# moves a count edits its row.
+# `eigh` and `Philox` (one per `generator` call), the complex Bloch matrices
+# of the qubit MLE and the file opens.  A change that moves a count edits its
+# row.
 OP_CALLS = (
     (qcore, "partial_trace", 3, 0),
     (masker, "mask_pure", 4, 0),
     (walk, "run_masking_walk", 1, 0),
     (optics, "simulate_masking", 1, 0),
     (optics, "solve_prep_angles", 3, 1),
-    (measure, "derive_seed", 70, 70),  # one per stream: 69 for the figures, 1 for equiv
-    (measure, "generator", 0, 0),
+    (measure, "derive_seed", 7, 7),  # one per draw: 3 for fig3, 1 for fig4, 2 for fig5, 1 for equiv
+    (measure, "generator", 7, 7),
     (measure, "sample_counts", 3, 3),
     (measure, "poisson_resample", 2, 2),
     (measure, "tables_from_csv", 0, 0),
@@ -373,7 +388,6 @@ OP_CALLS = (
     (experiments, "write_report", 4, 4),
     (np.linalg, "eigh", 1, 1),
     (np.random, "Philox", 7, 7),
-    (measure, "_rekeyed", 70, 70),
     (estimate, "_bloch_matrices", 0, 0),
     (os, "open", 8, 8),
 )
@@ -391,8 +405,7 @@ def _call_key(owner, name):
 
 
 def test_a_figures_op_makes_its_pinned_calls(monkeypatch, tmp_path):
-    """A cold op, run with every cache of the package and the thread's
-    stream cleared, and a warm op at another seed make the calls of
+    """A cold op, run with every cache of the package cleared, and a warm op at another seed make the calls of
     `OP_CALLS`.  Each name is counted in every namespace of the package that
     binds it, as perfbench/tracer.py counts it."""
     package = [m for name, m in sys.modules.items() if name.split(".")[0] == "realmask"]
@@ -433,7 +446,7 @@ def test_a_figures_op_makes_its_pinned_calls(monkeypatch, tmp_path):
 
 def test_a_default_op_gives_each_stream_its_own_tag_text(monkeypatch):
     """A sub-seed hashes the `str` text of each tag, so two tag tuples of one
-    text, such as (4,) and ("4",), share a stream.  The 70 tag tuples a
+    text, such as (4,) and ("4",), share a stream.  The 7 tag tuples a
     default op derives (fig3, fig4, fig5 and equiv at `ExperimentConfig()`),
     each read as the texts of its parts, are pairwise distinct, and so are
     their sub-seeds.  `derive_seed` is wrapped in every namespace of the
@@ -452,8 +465,8 @@ def test_a_default_op_gives_each_stream_its_own_tag_text(monkeypatch):
                 monkeypatch.setattr(module, attr, recorded)
     for run in (run_fig3, run_fig4, run_fig5, experiments.run_equivalence):
         run(ExperimentConfig())
-    assert len(tags) == len(set(tags)) == 70
-    assert len(seeds) == len(set(seeds)) == 70
+    assert len(tags) == len(set(tags)) == 7
+    assert len(seeds) == len(set(seeds)) == 7
 
 
 def test_model_arrays_refuse_writes():
@@ -466,32 +479,34 @@ def test_model_arrays_refuse_writes():
             arr.flat[0] = 0.0
 
 
-def count_tables(counts, config, experiment, family, keys):
-    """A figure's count stack as `CountsTable`s, one per row in the order
-    `_counts` draws them: setting the row's axis or pair label, seed its
-    sub-seed."""
+def target_tables(counts, config, experiment, *tags):
+    """A figure's count stack as `CountsTable`s, one list per target (the
+    stack's (3, 2) or (9, 4) items in order), a table per row: setting the
+    row's axis or pair label, seed the draw's sub-seed, which every table of
+    the draw shares, so only the target tells same-setting tables apart."""
     labels = measure.AXES if counts.shape[-2] == len(measure.AXES) else measure.PAIRS
-    tags = [(*key, label) for key in keys for label in labels]
-    return [measure.CountsTable(tag[-1], tuple(row), config.shots(experiment), derive_seed(config.seed, family, *tag))
-            for tag, row in zip(tags, counts.reshape(len(tags), -1).tolist())]
+    seed = derive_seed(config.seed, *tags)
+    return [[measure.CountsTable(label, tuple(row), config.shots(experiment), seed) for label, row in zip(labels, item)]
+            for item in counts.reshape(-1, *counts.shape[-2:]).tolist()]
 
 
 @pytest.mark.parametrize("seed", [1, 9173])
 @pytest.mark.parametrize("run", [run_fig3, run_fig4, run_fig5])
 def test_counts_read_back_from_csv_estimate_to_the_reports_bytes(run, seed, monkeypatch):
     """The seam end to end: a figure's drawn counts, int64 rows that sum to
-    the shots, are written through `tables_to_csv` and read back with
-    `tables_from_csv`; `_estimate` reads them in place of the drawn ones
-    and gives the report's bytes."""
+    the shots, are written through `tables_to_csv`, one text per target, and
+    read back with `tables_from_csv`; `_estimate` reads them in place of the
+    drawn ones and gives the report's bytes."""
     config = ExperimentConfig(seed=seed)
     want = run(config)
     drawn, read = experiments._counts, []
 
-    def read_back(probs, config, experiment, family, keys):
-        counts = drawn(probs, config, experiment, family, keys)
+    def read_back(probs, config, experiment, *tags):
+        counts = drawn(probs, config, experiment, *tags)
         assert counts.dtype == np.int64 and (counts.sum(axis=-1) == config.shots(experiment)).all()
-        text = measure.tables_to_csv(count_tables(counts, config, experiment, family, keys))
-        read.append(np.array([table.counts for table in measure.tables_from_csv(text)]).reshape(counts.shape))
+        texts = [measure.tables_to_csv(tables) for tables in target_tables(counts, config, experiment, *tags)]
+        read.append(np.array([[table.counts for table in measure.tables_from_csv(text)] for text in texts])
+                    .reshape(counts.shape))
         assert read[-1] is not counts and np.array_equal(read[-1], counts)
         return read[-1]
 

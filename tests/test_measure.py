@@ -3,9 +3,6 @@ import csv
 import io
 import pickle
 import re
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from operator import itemgetter
 
@@ -31,7 +28,6 @@ from realmask.measure import (
     correlators,
     derive_seed,
     generator,
-    generators,
     pair_probs,
     poisson_resample,
     sample_counts,
@@ -249,9 +245,9 @@ class TestSampleCounts:
         assert counts.sum() == 10**18 and counts.dtype == np.int64
 
     def test_a_draw_at_the_cap_bootstraps(self):
-        counts = sample_counts([[1.0, 0.0]], measure.MAX_SHOTS, [1])
+        counts = sample_counts([[1.0, 0.0]], measure.MAX_SHOTS, 1)
         assert counts.tolist() == [[10**18, 0]]
-        (point,), (std,) = bootstrap_std(lambda c: c[:, 0] / 10**18, counts, [2], resamples=3)
+        (point,), (std,) = bootstrap_std(lambda c: c[:, 0] / 10**18, counts, 2, resamples=3)
         assert point == 1.0 and 0.0 < std < 1e-8
 
     def test_accepts_numpy_integer_shots(self):
@@ -403,12 +399,6 @@ class TestNumberRules:
             measure._checked("x", fails, 1)
 
 
-def no_draw(message: str):
-    """A stand-in for `measure.generators` that fails when its first
-    generator is taken, as a draw would, not when it is called."""
-    yield pytest.fail(message)
-
-
 class TestPoissonResample:
     def test_zero_counts_stay_zero(self):
         out = poisson_resample(np.zeros(4, dtype=int), 3, seed=5)
@@ -446,11 +436,11 @@ class TestPoissonResample:
         ([0, np.inf], "inf"),
     ])
     def test_faulty_count_is_named_before_any_draw(self, bad, shown, monkeypatch):
-        monkeypatch.setattr(measure, "generators", lambda seeds, rows: no_draw("drew before checking the counts"))
-        message = rf"count {shown} is not a whole number in \[0, 1000000000000000000\]$"
-        with pytest.raises(ValueError, match="^row 1: " + message):
-            poisson_resample(np.array([[3, 4], bad]), 2, [1, 2])
-        with pytest.raises(ValueError, match="^" + message):
+        monkeypatch.setattr(measure, "generator", lambda seed: pytest.fail("drew before checking the counts"))
+        message = rf"^count {shown} is not a whole number in \[0, 1000000000000000000\]$"
+        with pytest.raises(ValueError, match=message):
+            poisson_resample(np.array([[3, 4], bad]), 2, 1)
+        with pytest.raises(ValueError, match=message):
             poisson_resample(bad, 2, 1)
 
     # -1 used to end in numpy's "negative dimensions are not allowed", 1.5 in a
@@ -460,14 +450,14 @@ class TestPoissonResample:
         (1.5, "an integer"), (2.0, "an integer"), (True, "an integer"), ("2", "an integer"), (None, "an integer"),
     ])
     def test_rejects_a_bad_resample_count(self, resamples, rule, monkeypatch):
-        monkeypatch.setattr(measure, "generators", lambda seeds, rows: no_draw("drew before checking resamples"))
+        monkeypatch.setattr(measure, "generator", lambda seed: pytest.fail("drew before checking resamples"))
         with pytest.raises(ValueError, match=rf"^resamples must be {rule}, got {re.escape(repr(resamples))}$"):
             poisson_resample(np.array([3, 4]), resamples, 1)
 
     def test_integer_and_float_counts_draw_alike(self):
         counts = np.array([[4000, 0, 17, 10**18], [1, 2, 3, 4]])
-        draws = poisson_resample(counts, 5, [3, 4])
-        assert np.array_equal(draws, poisson_resample(counts.astype(float), 5, [3, 4]))
+        draws = poisson_resample(counts, 5, 3)
+        assert np.array_equal(draws, poisson_resample(counts.astype(float), 5, 3))
 
     def test_takes_a_numpy_integer_resample_count(self):
         counts = np.array([3, 4])
@@ -524,6 +514,27 @@ class TestCountsTable:
         # reader then refused the writer's '3.0'.
         with pytest.raises(ValueError, match="shots and seed must be integers"):
             CountsTable("Z", (1, 2), shots, seed)
+
+    # Such a table used to survive a CSV round trip, and its counts were then
+    # refused by `poisson_resample`, so by every bootstrapped estimate.
+    @pytest.mark.parametrize("shots", [10**18 + 1, 10**19, np.uint64(2**63)])
+    def test_shots_above_the_cap_are_refused(self, shots):
+        with pytest.raises(ValueError, match=rf"^shots must be at most 10\*\*18, got {re.escape(repr(shots))}$"):
+            CountsTable("Z", (shots, 0), shots, 0)
+
+    def test_a_table_at_the_cap_round_trips_and_bootstraps(self):
+        table = CountsTable("Z", (10**18, 0), 10**18, 7)
+        text = tables_to_csv([table])
+        assert tables_from_csv(text) == _clean_tables(text) == [table]
+        (point,), (std,) = bootstrap_std(lambda c: c[:, 0] / 10**18, [table.counts], 2, resamples=3)
+        assert point == 1.0 and 0.0 < std < 1e-8
+
+    def test_the_reader_refuses_shots_above_the_cap(self):
+        text = f"setting,outcome,count,shots,seed\nZ,+,{10**18 + 1},{10**18 + 1},7\nZ,-,0,{10**18 + 1},7\n"
+        assert _clean_tables(text) is None
+        with pytest.raises(ValueError, match=rf"^table for setting Z, shots {10**18 + 1}, seed 7: "
+                                             rf"shots must be at most 10\*\*18, got {10**18 + 1}$"):
+            tables_from_csv(text)
 
     @pytest.mark.parametrize("setting", ["\r", "Z\r", "Z\0", 5, None])
     def test_setting_that_cannot_round_trip_rejected(self, setting):
@@ -939,38 +950,23 @@ SEED_EDGES = (0, 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1)
 seeds = st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**64 - 1))
 
 
-def draw_all(rng: np.random.Generator, odd: int) -> list[np.ndarray]:
-    """One draw of each kind the pipelines use, with an odd number of 32-bit
-    integers first so a buffered half-word is left behind."""
-    return [
-        rng.integers(0, 2**32, size=odd, dtype=np.uint32),
-        rng.multinomial(1000, [0.1, 0.2, 0.3, 0.4]),
-        rng.poisson([[3.0, 0.0], [4000.0, 7.5]], size=(5, 2, 2)),
-        rng.integers(0, 3, size=9),
-        rng.random(7),
-    ]
-
-
 class TestSeedRange:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
     def test_ends_are_accepted(self, seed):
-        assert np.array_equal(generator(seed).random(3), next(generators([seed], (1,))).random(3))
+        assert np.array_equal(sample_counts([0.5, 0.5], 10, seed), generator(int(seed)).multinomial(10, [0.5, 0.5]))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_neighbours_outside_are_refused(self, seed):
-        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), got -?\d+$"):
+        message = rf"^seed must be an integer in \[0, 2\*\*64\), got {seed}$"
+        with pytest.raises(ValueError, match=message):
             generator(seed)
-        with pytest.raises(ValueError, match=r"^row 1: seed must be an integer in \[0, 2\*\*64\)"):
-            next(generators([5, seed], (2,)))
+        with pytest.raises(ValueError, match=message):
+            sample_counts([0.5, 0.5], 10, seed)
 
     @pytest.mark.parametrize("seed", [1.0, True, "3", None, np.float64(2.0)])
     def test_non_integers_are_refused(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             generator(seed)
-
-    def test_every_seed_is_checked_before_the_first_draw(self):
-        with pytest.raises(ValueError, match=r"^row \(1, 0\): seed"):
-            next(generators([[1, 2], [-3, 4]], (2, 2)))
 
 
 # numpy promises each bit generator's stream across versions, not those of
@@ -996,75 +992,39 @@ def test_sampler_streams_are_pinned(sampler, key):
     assert [int(x) for x in draw(generator(key))] == pinned[key]
 
 
-class TestRekeyedStreams:
-    """One Philox re-keyed per row against a new generator per row."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(seeds, min_size=1, max_size=6), st.integers(0, 3).map(lambda k: 2 * k + 1))
-    def test_rekeyed_generator_reproduces_generator(self, keys, odd):
-        for seed, rng in zip(keys, generators(keys, (len(keys),)), strict=True):
-            for got, want in zip(draw_all(rng, odd), draw_all(generator(seed), odd)):
-                assert np.array_equal(got, want)
-
-    def test_a_held_generator_keeps_its_stream(self):
-        """A generator taken from `generators` and held past another draw
-        still gives its own seed's bits: each call has a stream of its own."""
-        rng = next(generators(11, ()))
-        sample_counts([0.5, 0.5], 10, 99)
-        assert np.array_equal(rng.random(3), generator(11).random(3))
-        assert rng is not next(generators(5, ()))
-
-    def test_each_thread_keeps_its_own_stream(self):
-        """Four threads, more than the cores of a small host, take rows of
-        their own `generators` iterators in lock step under a short switch
-        interval, so each draw sits between draws of the others; every row
-        still gets the bits of its own new generator."""
-        keys = [[3, 2**64 - 1, 0, 17], [5, 6, 2**63, 3], [1, 1, 2, 2], [9, 8, 7, 6]]
-        step = threading.Barrier(len(keys), timeout=30)
-
-        def rows(t):
-            out = []
-            for rng in generators(keys[t], (len(keys[t]),)):
-                step.wait()
-                out.append(draw_all(rng, 3))
-                step.wait()
-            return out
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=len(keys)) as pool:
-                futures = [pool.submit(rows, t) for t in range(len(keys))]
-                got = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for t, seeds in enumerate(keys):
-            for seed, row in zip(seeds, got[t], strict=True):
-                for a, b in zip(row, draw_all(generator(seed), 3)):
-                    assert np.array_equal(a, b)
+class TestOneGenerator:
+    """Each seeded call draws its whole table from `generator(seed)` in one
+    numpy call, which gives what a loop over its rows in C order, drawing
+    each from that one generator, gives."""
 
     @settings(max_examples=40, deadline=None)
-    @given(st.data(), st.sampled_from([(1,), (5,), (2, 3), (0,)]), st.sampled_from([2, 4]),
-           st.integers(1, 5000))
-    def test_stacked_sample_counts_equals_rows_alone(self, data, shape, k, shots):
+    @given(st.data(), st.sampled_from([(), (1,), (5,), (2, 3), (0,)]), st.sampled_from([2, 4]),
+           st.integers(1, 5000), seeds)
+    def test_sample_counts_is_a_row_loop(self, data, shape, k, shots, seed):
         probs = np.random.default_rng(data.draw(st.integers(0, 2**32))).dirichlet(np.ones(k), size=shape)
-        keys = np.array(data.draw(st.lists(seeds, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
-                        dtype=object).reshape(shape)
-        table = sample_counts(probs, shots, keys)
-        assert table.shape == probs.shape and table.dtype.kind == "i"
+        table = sample_counts(probs, shots, seed)
+        assert table.shape == probs.shape and table.dtype == np.int64
+        rng = generator(seed)
         for index in np.ndindex(*shape):
-            assert np.array_equal(table[index], sample_counts(probs[index], shots, keys[index]))
+            assert np.array_equal(table[index], rng.multinomial(shots, probs[index] / probs[index].sum()))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.data(), st.sampled_from([(1,), (4,), (2, 2), (0,)]), st.integers(1, 50))
-    def test_stacked_poisson_resample_equals_items_alone(self, data, shape, resamples):
+    @given(st.data(), st.sampled_from([(), (4,), (2, 2), (0,)]), st.integers(1, 50), seeds)
+    def test_poisson_resample_is_a_loop_over_the_redraws(self, data, shape, resamples, seed):
         counts = np.random.default_rng(data.draw(st.integers(0, 2**32))).integers(0, 5000, size=(*shape, 3, 2))
-        keys = np.array(data.draw(st.lists(seeds, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
-                        dtype=object).reshape(shape)
-        out = poisson_resample(counts, resamples, keys)
-        assert out.shape == (*shape, resamples, 3, 2)
-        for index in np.ndindex(*shape):
-            assert np.array_equal(out[index], poisson_resample(counts[index], resamples, keys[index]))
+        out = poisson_resample(counts, resamples, seed)
+        assert out.shape == (resamples, *shape, 3, 2) and out.dtype == np.int64
+        rng = generator(seed)
+        for redraw in out:
+            assert np.array_equal(redraw, rng.poisson(counts.astype(float)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), max_size=6), st.sampled_from([1, 3000, 10**18]), seeds)
+    def test_qsv_run_is_a_row_loop(self, fids, n_tests, seed):
+        passes = qsv_run(fids, n_tests, seed)
+        assert all(type(passed) is int for passed in passes)
+        rng = generator(seed)
+        assert passes == [int(rng.binomial(n_tests, (1 + 2 * f) / 3)) for f in fids]
 
     @pytest.mark.parametrize("row, probs, match", [
         (2, [0.5, 0.6], "probabilities sum to 1.1"),
@@ -1075,19 +1035,13 @@ class TestRekeyedStreams:
         table = np.full((3, 2), 0.5)
         table[row] = probs
         with pytest.raises(ValueError, match=f"^row {row}: {match}"):
-            sample_counts(table, 10, [1, 2, 3])
+            sample_counts(table, 10, 1)
 
     def test_bad_row_of_a_deeper_table_is_named(self):
         table = np.full((2, 3, 4), 0.25)
         table[1, 2] = [0.5, 0.5, 0.5, -0.5]
         with pytest.raises(ValueError, match=r"^row \(1, 2\): negative probability"):
-            sample_counts(table, 10, np.arange(6).reshape(2, 3))
-
-    def test_bad_seed_row_is_named(self):
-        with pytest.raises(ValueError, match=r"^row 1: seed must be an integer"):
-            sample_counts(np.full((2, 2), 0.5), 10, [1, -1])
-        with pytest.raises(ValueError, match=r"^row 0: seed must be an integer"):
-            poisson_resample(np.ones((2, 4)), 3, [2**64, 1])
+            sample_counts(table, 10, 1)
 
     def test_single_row_errors_keep_their_text(self):
         with pytest.raises(ValueError, match="^probabilities sum to"):
@@ -1095,36 +1049,27 @@ class TestRekeyedStreams:
         with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), got -1$"):
             sample_counts([0.5, 0.5], 10, -1)
 
-    # `generators` holds the one check of the seeds' shape, which every draw
-    # reaches before any stream is re-keyed.
-    @pytest.mark.parametrize("draw, seeds, rows", [
-        (lambda: next(generators([1, 2], (3,))), (2,), (3,)),
-        (lambda: next(generators(7, (1,))), (), (1,)),
-        (lambda: sample_counts(np.full((2, 2), 0.5), 10, 1), (), (2,)),
-        (lambda: sample_counts(np.full((2, 2), 0.5), 10, [1, 2, 3]), (3,), (2,)),
-        (lambda: sample_counts(np.full(2, 0.5), 10, [1]), (1,), ()),
-        (lambda: poisson_resample(np.ones((3, 4)), 2, [1, 2]), (2,), (3,)),
-        (lambda: poisson_resample(np.ones(3), 2, [[1, 2, 3]]), (1, 3), (3,)),
-        (lambda: poisson_resample(np.ones(2), 2, np.ones((2, 2, 2), dtype=int)), (2, 2, 2), (2,)),
-        (lambda: qsv_run([0.25, 0.25], 10, [1]), (1,), (2,)),
-        (lambda: bootstrap_std(purity_from_counts, np.full((2, 3, 2), 5), [1], resamples=10), (1,), (2,)),
-    ], ids=["generators", "generators-scalar", "sample_counts-scalar", "sample_counts-more", "sample_counts-row",
-            "poisson_resample", "poisson_resample-more-axes", "poisson_resample-most-axes", "qsv_run", "bootstrap_std"])
-    def test_needs_one_seed_per_row(self, draw, seeds, rows, monkeypatch):
-        monkeypatch.setattr(measure, "_rekeyed", lambda *args: pytest.fail("re-keyed a stream"))
-        message = f"need one seed per row: seeds of shape {seeds} for rows of shape {rows}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            draw()
+    # One seed per call: an array of seeds, one per row, is refused as no seed.
+    @pytest.mark.parametrize("draw", [
+        lambda seed: sample_counts(np.full((2, 2), 0.5), 10, seed),
+        lambda seed: poisson_resample(np.ones((2, 4)), 2, seed),
+        lambda seed: qsv_run([0.25, 0.25], 10, seed),
+        lambda seed: bootstrap_std(purity_from_counts, np.full((2, 3, 2), 5), seed, resamples=10),
+    ], ids=["sample_counts", "poisson_resample", "qsv_run", "bootstrap_std"])
+    def test_one_seed_per_call(self, draw):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), got \[1, 2\]$"):
+            draw([1, 2])
 
     def test_a_faulty_table_is_named_before_a_faulty_seed(self):
         with pytest.raises(ValueError, match=r"^row 1: probabilities sum to"):
-            sample_counts([[0.5, 0.5], [0.5, 0.6]], 10, [-1, 1])
-        with pytest.raises(ValueError, match=r"^row 1: count -1 is not a whole number"):
-            poisson_resample([[1, 2], [-1, 2]], 2, [2**64, 1])
+            sample_counts([[0.5, 0.5], [0.5, 0.6]], 10, -1)
+        with pytest.raises(ValueError, match=r"^count -1 is not a whole number"):
+            poisson_resample([[1, 2], [-1, 2]], 2, 2**64)
         with pytest.raises(ValueError, match=r"^row 0: fidelity must be"):
-            qsv_run([2.0, 0.5], 10, [-1, 1])
+            qsv_run([2.0, 0.5], 10, -1)
 
-    def test_empty_count_array_with_one_seed(self):
-        # A 0-size item still takes its one seed: nothing to infer from its size.
+    def test_empty_tables_draw_nothing(self):
         assert poisson_resample(np.zeros((0, 3, 2)), 5, 1).shape == (5, 0, 3, 2)
-        assert poisson_resample(np.zeros((2, 0)), 3, [1, 2]).shape == (2, 3, 0)
+        assert poisson_resample(np.zeros((2, 0)), 3, 1).shape == (3, 2, 0)
+        assert sample_counts(np.zeros((0, 4)), 5, 1).shape == (0, 4)
+        assert qsv_run([], 5, 1) == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from realmask import qcore
 from realmask.estimate import decode_real_state
 from realmask.masker import mask_pure
 from realmask.optics import pauli_meas_setting, simulate_measurement
@@ -296,6 +297,15 @@ class TestCheckedInputs:
     def test_checked_state_rejects(self, psi, message):
         with pytest.raises(ValueError, match=message):
             checked_state(psi)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_a_non_finite_entry_is_refused_under_its_name(self, bad):
+        mat = np.eye(2, dtype=complex) / 2
+        mat[1, 0] = bad
+        with pytest.raises(ValueError, match="^weights contains non-finite entries$"):
+            qcore._as_field_array(mat, "weights")
+        with pytest.raises(ValueError, match="^density matrix contains non-finite entries$"):
+            checked_density(mat)
 
     def test_checked_state_names_what_it_checks(self):
         with pytest.raises(ValueError, match=r"^row 1: target norm 2\.0 deviates"):

@@ -35,11 +35,6 @@ KEEP = {
     # deletes it): `perfbench/tracer.py` wraps `estimate.mle_qubit_batch` by
     # name, and without it `Tracer.install` raises AttributeError.
     "mle_qubit_batch",
-    # Not a pipeline step: the pipelines draw from `generators`, whose
-    # re-keyed streams the tests hold to `generator(seed)`, the reference
-    # stream; `perfbench/tracer.py` also wraps `measure.generator` by name,
-    # so without it `Tracer.install` raises AttributeError.
-    "generator",
 }
 
 
