@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .masker import masker_matrix
-from .measure import (PAIR_PAULIS, PAIRS, CountsTable, _checked, _count, _is_integer, correlators, generator,
-                      poisson_resample)
+from .measure import PAIR_PAULIS, _checked, _count, _is_integer, generator, poisson_resample
 from .qcore import EPS_EXACT, EPS_NUMERIC, EPS_PROB, _as_field_array, _dagger, _row_prefix
 
 
@@ -235,29 +234,6 @@ def bootstrap_std(
 
 # ---------------------------------------------------------------------------
 # Correlation-matrix decoding of the real input state.
-
-def correlation_matrix(tables: Sequence[CountsTable]) -> np.ndarray:
-    """3x3 correlator estimates from the nine labelled Pauli-pair tables, such
-    as a parsed CSV.
-
-    Tables are identified by their setting labels 'XX'..'ZZ'; every pair must
-    be present exactly once.
-    """
-    by_label = {}
-    for table in tables:
-        label = table.setting
-        if label not in PAIRS:
-            raise ValueError(f"not a Pauli-pair setting label: {label!r}")
-        if len(table.counts) != 4:
-            raise ValueError(f"setting {label}: a correlator needs a four-outcome table")
-        if label in by_label:
-            raise ValueError(f"duplicate setting {label}")
-        by_label[label] = table.counts
-    missing = [label for label in PAIRS if label not in by_label]
-    if missing:
-        raise ValueError(f"missing settings: {', '.join(missing)}")
-    return validate_correlation_matrix(correlators([by_label[label] for label in PAIRS]).reshape(3, 3))
-
 
 def validate_correlation_matrix(t) -> np.ndarray:
     """A 3x3 correlation matrix or a (..., 3, 3) stack of them, every entry

@@ -15,9 +15,8 @@ number of times, drawn as one multinomial over the Born probabilities into an
 integer count array.  Poisson fluctuation enters only through the resampling
 step used for error bars (one draw over a count array per estimate),
 mirroring the analysis pipeline rather than a physical source model.  The
-pipelines carry bare count arrays; `CountsTable` is the labelled record that
-the CSV reader and writer exchange, an immutable named tuple (setting, counts,
-shots, seed) whose constructor and `_replace` apply every rule of a table.
+pipelines carry bare count arrays; `CountsTable` is the plain named tuple
+(setting, counts, shots, seed) that `tables_from_csv` builds.
 
 Reproducibility: all randomness flows through numpy's counter-based Philox
 generator keyed by a 64-bit sub-seed, SHA-256 over the length-prefixed `str`
@@ -39,18 +38,16 @@ Number rules: `_integer`, `_count` (a positive integer of at most
 `_probability` are the library's one check of each kind of number, and
 `_checked(name, rule, value)` names the argument or config field in the error.
 
-Count tables as CSV: `tables_from_csv` splits plain text into columns
-without the csv module; text with a quote, lone CR or NUL, or that breaks a
-rule, goes to a row-at-a-time `csv.reader`, the one place that words an error.
+Count tables as CSV: `tables_from_csv`, the one reader, checks plain text
+column by column and table by table without the csv module; only when a rule
+fails does `_fault` read it line by line to word the error.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import sys
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,59 +158,15 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-# A NamedTuple class may not define `__new__`, so the checks sit in a subclass.
-class _CountsTableFields(NamedTuple):
+class CountsTable(NamedTuple):
+    """Outcome counts for one setting, with seed provenance, as
+    `tables_from_csv` builds it once every rule holds: the counts a tuple of
+    Python ints in `OUTCOMES_PAIR` or `OUTCOMES_SINGLE` order."""
+
     setting: str
     counts: tuple[int, ...]
     shots: int
     seed: int
-
-
-class CountsTable(_CountsTableFields):
-    """Outcome counts for one measurement setting, with seed provenance: one
-    CSV record of `tables_to_csv` / `tables_from_csv`.  The seed is that of
-    the call that drew the table, which every table of that call shares.
-
-    An immutable named tuple (setting, counts, shots, seed): it unpacks,
-    indexes and equals the plain tuple of its fields.  The constructor
-    checks every field, with shots (so counts) at most `MAX_SHOTS`, and
-    stores the counts as a tuple of Python ints;
-    pickle at every protocol, `copy`, `_make`, and `_replace`, which builds
-    through `_make`, all call it.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, setting: str, counts, shots: int, seed: int):
-        if not isinstance(setting, str) or "\r" in setting or "\0" in setting:
-            raise ValueError(f"setting must be a string without a carriage return or NUL, got {setting!r}")
-        if len(counts) not in (2, 4):
-            raise ValueError("counts must have 2 (single-qubit) or 4 (pair) entries")
-        try:
-            ints = tuple(map(int, counts))
-        except (TypeError, ValueError, OverflowError):
-            ints = None
-        if ints != tuple(counts):
-            raise ValueError(f"counts must be whole numbers, got {tuple(counts)}")
-        if min(ints) < 0:
-            raise ValueError("counts must be nonnegative")
-        if not (_is_integer(shots) and _is_integer(seed)):
-            raise ValueError(f"shots and seed must be integers, got {shots!r}, {seed!r}")
-        if shots > MAX_SHOTS:  # counts are nonnegative and sum to the shots, so they are capped too
-            raise ValueError(f"shots must be {_at_most(MAX_SHOTS)}, got {shots!r}")
-        if sum(ints) != shots:
-            raise ValueError(f"counts sum {sum(ints)} != shots {shots}")
-        return tuple.__new__(cls, (setting, ints, shots, seed))
-
-    @classmethod
-    def _make(cls, iterable) -> CountsTable:
-        return cls(*iterable)
-
-    def __reduce__(self):
-        return CountsTable, tuple(self)
-
-    def outcome_labels(self) -> tuple[str, ...]:
-        return OUTCOMES_PAIR if len(self.counts) == 4 else OUTCOMES_SINGLE
 
 
 def _projector_probs(rho, projectors: np.ndarray) -> np.ndarray:
@@ -312,148 +265,97 @@ def poisson_resample(counts, resamples: int, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: rows `setting,outcome,count,shots,seed`, one per outcome.
+# Count tables as CSV: rows `setting,outcome,count,shots,seed`, one per outcome.
 
-CSV_HEADER = ("setting", "outcome", "count", "shots", "seed")
-
-
-def tables_to_csv(tables: Sequence[CountsTable]) -> str:
-    """CSV text of `tables`; two that share (setting, shots, seed), which the reader would merge, raise."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    seen = set()
-    for t in tables:
-        if (t.setting, t.shots, t.seed) in seen:
-            raise ValueError(f"two tables share setting {t.setting}, shots {t.shots}, seed {t.seed}")
-        seen.add((t.setting, t.shots, t.seed))
-        for label, count in zip(t.outcome_labels(), t.counts):
-            writer.writerow([t.setting, label, count, t.shots, t.seed])
-    return buf.getvalue()
-
-
-def _csv_fault(err: csv.Error) -> str:
-    """A csv module error's message up to its advice on how to open a file,
-    which does not apply to a reader of a string."""
-    return str(err).partition(" - do you need")[0]
-
-
-def tables_from_csv(text: str) -> list[CountsTable]:
-    """Parse `tables_to_csv` output; rows sharing (setting, shots, seed) form one
-    table, in order of first appearance, and shots and seed are compared as
-    integers, so `7` and `07` name the same table.
-
-    Plain LF or CRLF text that follows every rule is split without the csv
-    module (`_clean_tables`).  Text with a quote, lone CR or NUL, or that
-    breaks a rule, is read record by record (`_read_records`), which words
-    every error: the file line on which the first faulty CSV record starts,
-    or else the first faulty table.  A non-`str` raises TypeError.
-    """
-    if not isinstance(text, str):
-        raise TypeError(f"CSV text must be a str, got {type(text).__name__}")
-    tables = _clean_tables(text)
-    return _read_records(text) if tables is None else tables
-
-
+CSV_HEADER = "setting,outcome,count,shots,seed"
 _OUTCOMES = frozenset(OUTCOMES_PAIR + OUTCOMES_SINGLE)
 _PAIR_COUNTS = itemgetter(*OUTCOMES_PAIR)
 _SINGLE_COUNTS = itemgetter(*OUTCOMES_SINGLE)
 
 
-def _clean_tables(text: str) -> list[CountsTable] | None:
-    """The tables of plain `text` (no quote, lone carriage return or NUL) when
-    every record and table follows the rules, else None.  CRLF reads as LF,
-    the header is the first line and blank lines after it are skipped; the
-    five columns are sliced out of one split of the lines, which must hold
-    four commas each and no cell over csv's field size limit.  Each rule is
-    checked once per column or once per table; nothing here locates a fault."""
-    text = text.replace("\r\n", "\n") if "\r" in text else text  # csv.reader ends a line at either
-    if '"' in text or "\r" in text or "\0" in text or text.partition("\n")[0] != ",".join(CSV_HEADER):
-        return None
-    lines = list(filter(None, text.split("\n")))
-    cells = ",".join(lines).split(",")
-    if ({line.count(",") for line in lines} != {4}
-            or len(text) > csv.field_size_limit() and max(map(len, cells)) > csv.field_size_limit()):
-        return None
+def tables_from_csv(text: str) -> list[CountsTable]:
+    """The count tables of plain CSV text: the line `CSV_HEADER`, then one row
+    per outcome; LF or CRLF line ends, blank lines skipped but counted.  Rows
+    sharing (setting, shots, seed) form one table, in order of first
+    appearance, and shots and seed are compared as integers, so `7` and `07`
+    name the same table.
+
+    The five columns are sliced out of one split of the lines, and each rule
+    is checked once per column (four commas a line, outcome labels, integer
+    cells, shots at most `MAX_SHOTS`) or once per table (its outcome set,
+    nonnegative counts summing to its shots).  Text that breaks a rule or
+    holds a quote, lone carriage return or NUL raises the one-line
+    ValueError of `_fault`; a non-`str` raises TypeError.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"CSV text must be a str, got {type(text).__name__}")
+    text = text.replace("\r\n", "\n") if "\r" in text else text
+    lines = text.split("\n")
+    rows = list(filter(None, lines))
+    cells = ",".join(rows).split(",")
     settings, outcomes, counts, shots, seeds = (cells[5 + k::5] for k in range(5))
-    if not _OUTCOMES.issuperset(outcomes):
-        return None
     try:
+        if (lines[0] != CSV_HEADER or '"' in text or "\r" in text or "\0" in text
+                or {row.count(",") for row in rows} != {4} or not _OUTCOMES.issuperset(outcomes)):
+            raise ValueError
         values = list(map(int, counts))
         shot_of, seed_of = {t: int(t) for t in set(shots)}, {t: int(t) for t in set(seeds)}
-    except ValueError:
-        return None
-    if max(shot_of.values(), default=0) > MAX_SHOTS:
-        return None
-    grouped: dict[tuple[str, int, int], dict[str, int]] = {}
-    for setting, shot, seed, outcome, value in zip(settings, shots, seeds, outcomes, values):
-        grouped.setdefault((setting, shot_of[shot], seed_of[seed]), {})[outcome] = value
-    # Each table must hold exactly the pair or the single outcomes, once each:
-    # a missing label raises KeyError, and a repeated or extra one leaves
-    # fewer table counts than records.
-    try:
+        grouped: dict[tuple[str, int, int], dict[str, int]] = {}
+        for setting, shot, seed, outcome, value in zip(settings, shots, seeds, outcomes, values):
+            grouped.setdefault((setting, shot_of[shot], seed_of[seed]), {})[outcome] = value
+        # A missing label raises KeyError, and a repeated or extra one leaves
+        # fewer table counts than rows.
         table_counts = [(_PAIR_COUNTS if len(by_outcome) == 4 else _SINGLE_COUNTS)(by_outcome)
                         for by_outcome in grouped.values()]
-    except KeyError:
-        return None
-    # With no carriage return or NUL in the text, no shots above the cap, no
-    # negative count and each table's counts summing to its shots, every rule
-    # of the `CountsTable` constructor holds, so the tables skip it.
-    if (sum(map(len, table_counts)) != len(values) or min(values, default=0) < 0
-            or list(map(sum, table_counts)) != [key[1] for key in grouped]):
-        return None
+        if (sum(map(len, table_counts)) != len(values) or min(values, default=0) < 0
+                or max(shot_of.values(), default=0) > MAX_SHOTS
+                or list(map(sum, table_counts)) != [key[1] for key in grouped]):
+            raise ValueError
+    except (KeyError, ValueError):
+        raise ValueError(_fault(lines)) from None
     new = tuple.__new__
     return [new(CountsTable, (setting, tally, shots, seed))
             for (setting, shots, seed), tally in zip(grouped, table_counts)]
 
 
-def _read_records(text: str) -> list[CountsTable]:
-    """`tables_from_csv` one record at a time: every rule runs on each row as it
-    is read, and each table is built through `CountsTable`.  A line error
-    names the file line on which the record starts, one past the lines
-    `csv.reader` had read before it, and a csv module error is one, without
-    the module's advice on how to open a file."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader, None)
-    except csv.Error as err:
-        raise ValueError(f"CSV line 1: {_csv_fault(err)}") from None
-    if tuple(header or ()) != CSV_HEADER:
-        raise ValueError(f"expected header {','.join(CSV_HEADER)}")
+def _fault(lines: list[str]) -> str:
+    """The error of count-table `lines` that break a rule of `tables_from_csv`:
+    the first faulty line's (a quote, carriage return or NUL, the header, a
+    row's field count, outcome label, integer cells, repeated outcome), else
+    the first faulty table's (its outcome set, negative counts, shots above
+    the cap, the counts' sum), each checked in that order.  Every rule of the
+    reader is one of these, so faulty lines take one of the returns."""
     grouped: dict[tuple[str, int, int], dict[str, int]] = {}
-    while True:
-        line = reader.line_num + 1
-        try:
-            row = next(reader)
-        except StopIteration:
-            break
-        except csv.Error as err:
-            raise ValueError(f"CSV line {line}: {_csv_fault(err)}") from None
-        if not row:
+    for number, line in enumerate(lines, 1):
+        if odd := [c for c in '"\r\0' if c in line]:
+            return f"CSV line {number}: count tables hold no quote, carriage return or NUL, got {odd[0]!r}"
+        if number == 1 and line != CSV_HEADER:
+            return f"expected header {CSV_HEADER}"
+        if number == 1 or not line:
             continue
-        if len(row) != len(CSV_HEADER):
-            raise ValueError(f"CSV line {line}: expected {len(CSV_HEADER)} fields, got {row}")
+        row = line.split(",")
+        if len(row) != 5:
+            return f"CSV line {number}: expected 5 fields, got {row}"
         setting, outcome, count, shots, seed = row
         if outcome not in _OUTCOMES:
-            raise ValueError(f"CSV line {line}: unknown outcome label {outcome!r}")
+            return f"CSV line {number}: unknown outcome label {outcome!r}"
         try:
             key, value = (setting, int(shots), int(seed)), int(count)
         except ValueError:
-            raise ValueError(f"CSV line {line}: count, shots and seed must be integers, got {count!r}, "
-                             f"{shots!r}, {seed!r}") from None
+            return f"CSV line {number}: count, shots and seed must be integers, got {count!r}, {shots!r}, {seed!r}"
         by_outcome = grouped.setdefault(key, {})
         if outcome in by_outcome:
-            raise ValueError(f"CSV line {line}: repeated outcome {outcome!r} for setting {setting}, "
-                             f"shots {shots}, seed {seed}")
+            return f"CSV line {number}: repeated outcome {outcome!r} for setting {setting}, shots {shots}, seed {seed}"
         by_outcome[outcome] = value
-    tables = []
     for (setting, shots, seed), by_outcome in grouped.items():
+        table = f"table for setting {setting}, shots {shots}, seed {seed}"
         labels = OUTCOMES_PAIR if len(by_outcome) == 4 else OUTCOMES_SINGLE
         if set(by_outcome) != set(labels):
-            raise ValueError(f"table for setting {setting}, shots {shots}, seed {seed} has outcomes "
-                             f"{sorted(by_outcome)}, expected {', '.join(labels)}")
-        try:
-            tables.append(CountsTable(setting, tuple(by_outcome[label] for label in labels), shots, seed))
-        except ValueError as err:
-            raise ValueError(f"table for setting {setting}, shots {shots}, seed {seed}: {err}") from None
-    return tables
+            return f"{table} has outcomes {sorted(by_outcome)}, expected {', '.join(labels)}"
+        tally = [by_outcome[label] for label in labels]
+        if min(tally) < 0:
+            return f"{table}: counts must be nonnegative"
+        if shots > MAX_SHOTS:
+            return f"{table}: shots must be {_at_most(MAX_SHOTS)}, got {shots!r}"
+        if sum(tally) != shots:
+            return f"{table}: counts sum {sum(tally)} != shots {shots}"

@@ -15,6 +15,7 @@ import numpy as np
 from realmask.estimate import _simplex_projection, qsv_interval
 from realmask.experiments import REPORT_SCHEMA
 from realmask.masker import mask_pure, masker_matrix
+from realmask.measure import CSV_HEADER, OUTCOMES_PAIR, OUTCOMES_SINGLE
 from realmask.optics import V
 from realmask.qcore import (
     EPS_EXACT,
@@ -125,6 +126,17 @@ def reference_derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(h.digest()[:8], "little")
 
 
+def tables_csv(tables, end: str = "\n") -> str:
+    """Count-table CSV text, as `measure.tables_from_csv` reads it, of
+    (setting, counts, shots, seed) tables: the header, then one row per
+    outcome in `OUTCOMES_PAIR` or `OUTCOMES_SINGLE` order, lines ended by `end`."""
+    rows = [CSV_HEADER]
+    for setting, counts, shots, seed in tables:
+        labels = OUTCOMES_PAIR if len(counts) == 4 else OUTCOMES_SINGLE
+        rows += [f"{setting},{label},{count},{shots},{seed}" for label, count in zip(labels, counts)]
+    return end.join(rows) + end
+
+
 def binomial_pmf(k: int, n: int, p: float) -> float:
     """P(S = k) for S ~ Binomial(n, p), through log-gamma, so that n may be large."""
     if p in (0.0, 1.0):
@@ -206,6 +218,16 @@ def spin_flip_concurrence(psi) -> float:
     if a.shape != (4,):
         raise ValueError("spin_flip_concurrence expects a two-qubit state")
     return float(abs(a @ np.kron(PAULI_Y, PAULI_Y) @ a))
+
+
+def wootters_concurrence(rho) -> float:
+    """Concurrence of a two-qubit density, pure or mixed: max(0, l1 - l2 - l3
+    - l4) of the decreasing square roots l of the eigenvalues of
+    rho (Y ⊗ Y) rho* (Y ⊗ Y)."""
+    yy = np.kron(PAULI_Y, PAULI_Y)
+    r = np.asarray(rho, dtype=complex)
+    lam = np.sqrt(np.clip(np.sort(np.linalg.eigvals(r @ yy @ r.conj() @ yy).real)[::-1], 0.0, None))
+    return float(max(0.0, lam[0] - lam[1:].sum()))
 
 
 def concurrence_pure(psi) -> float:

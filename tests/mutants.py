@@ -75,8 +75,6 @@ EQUIVALENT = {
         "[> -> >=]": "an n of exactly 3 * limit bits is below 8**limit < 10**limit, so the last test fails",
         "sample_counts: bad = (rows < -EPS_EXACT).any(axis=-1) [< -> <=]": _ON_TOLERANCE,
         "sample_counts: bad = ~(np.abs(sums - 1.0) <= EPS_PROB)  # a NaN sum is faulty too [<= -> <]": _ON_TOLERANCE,
-        "_clean_tables: or len(text) > csv.field_size_limit() and max(map(len, cells)) > csv.field_size_limit()): "
-        "[> -> >=]": "a text exactly the limit long holds no cell over the limit, so the last test fails either way",
     },
     "src/realmask/optics.py": {
         "solve_prep_angles: h2 = np.where(r01 > EPS_EXACT, np.degrees(np.arctan2(a1, a0)) / 2.0, 0.0) [> -> >=]":

@@ -13,7 +13,6 @@ from realmask import estimate, experiments
 from realmask.estimate import (
     agresti_coull,
     bootstrap_std,
-    correlation_matrix,
     decode_real_state,
     mle_qubit_batch,
     project_to_density,
@@ -26,7 +25,6 @@ from realmask.masker import masker_matrix
 from realmask.measure import (
     AXES,
     PAIRS,
-    CountsTable,
     apply_depolarizing,
     axis_probs,
     correlators,
@@ -883,36 +881,6 @@ class TestCorrelationMatrix:
         # Diagonal correlators are degenerate (probabilities 0/0.5): exact.
         assert np.abs(np.diag(t) - [1.0, -1.0, 1.0]).max() == 0.0
         assert np.abs(t - np.diag([1.0, -1.0, 1.0])).max() < 4 / np.sqrt(4000)
-
-    def test_labelled_tables_match_count_array(self, rng):
-        # The CSV loader reads the same bits as the count array it labels,
-        # whatever order the tables come in.
-        counts = rng.integers(0, 50, size=(9, 4))
-        labels = [j + k for j in "XYZ" for k in "XYZ"]
-        tables = [CountsTable(label, tuple(c), int(c.sum()), 0) for label, c in zip(labels, counts)]
-        t = correlation_matrix(tables[::-1])
-        assert np.array_equal(t, correlators(counts).reshape(3, 3))
-
-    def test_two_outcome_table_rejected(self):
-        tables = [CountsTable(j + k, (1, 0, 0, 0), 1, 0) for j in "XYZ" for k in "XYZ" if j + k != "YZ"]
-        with pytest.raises(ValueError, match="YZ.*four-outcome"):
-            correlation_matrix(tables + [CountsTable("YZ", (1, 0), 1, 0)])
-
-    def test_unknown_label_rejected(self):
-        tables = [CountsTable(j + k, (1, 0, 0, 0), 1, 0) for j in "XYZ" for k in "XYZ"]
-        with pytest.raises(ValueError, match="^not a Pauli-pair setting label: 'XW'$"):
-            correlation_matrix(tables + [CountsTable("XW", (1, 0, 0, 0), 1, 0)])
-
-    def test_missing_setting_rejected(self):
-        tables = [CountsTable("XX", (1, 0, 0, 0), 1, 0)]
-        with pytest.raises(ValueError, match="missing"):
-            correlation_matrix(tables)
-
-    def test_duplicate_setting_rejected(self):
-        tables = [CountsTable("XX", (1, 0, 0, 0), 1, 0)] * 2
-        with pytest.raises(ValueError, match="duplicate"):
-            correlation_matrix(tables + [CountsTable(j + k, (1, 0, 0, 0), 1, 0)
-                                         for j in "XYZ" for k in "XYZ" if j + k != "XX"])
 
 
 class TestDecode:

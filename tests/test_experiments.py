@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,7 +41,8 @@ from realmask.masker import mask_pure
 from realmask.measure import derive_seed
 from realmask.qcore import concurrence_from_purity, fidelity_with_pure, partial_trace
 
-from helpers import INT_DIGITS, density, json_leaf_rows, purity, reference_report_json, spin_flip_concurrence
+from helpers import (INT_DIGITS, density, json_leaf_rows, purity, reference_report_json, spin_flip_concurrence,
+                     tables_csv, wootters_concurrence)
 
 
 def oracle_row(target, estimate, error, error_kind, **extra):
@@ -237,6 +239,32 @@ def test_analytic_noiseless_fig5_near_its_zeros_is_the_cosine(phi):
     assert point["estimate"] == pytest.approx(abs(math.cos(math.radians(phi))), rel=1e-12, abs=0.0)
 
 
+def analytic_fig5_and_concurrence(noise_p, phis):
+    """Analytic fig5's estimate and the concurrence of the masked noisy state at each phase."""
+    points = run_fig5(ExperimentConfig(noise_p=noise_p, phi_grid_deg=phis, analytic=True))["points"]
+    states = [oracle_masked_probe(phase_probe(phi), noise_p)[1] for phi in phis]
+    return [(point["estimate"], wootters_concurrence(rho)) for point, rho in zip(points, states)]
+
+
+@pytest.mark.parametrize("noise_p", [0.0, 0.01, 0.1, 0.3])
+def test_analytic_fig5_bounds_the_concurrence_from_above(noise_p):
+    # sqrt(2 (1 - tr rho_A^2)) is the concurrence of a pure state only; under
+    # noise it is an upper bound.
+    for reported, concurrence in analytic_fig5_and_concurrence(noise_p, tuple(map(float, range(0, 181, 15)))):
+        if noise_p == 0.0:
+            # Square roots of the zero eigenvalues of rho Y rho* Y keep half their digits.
+            assert reported == pytest.approx(concurrence, abs=1e-8)
+        else:
+            assert reported > concurrence
+
+
+@pytest.mark.parametrize("phi, reported, concurrence", [(90.0, 0.1411, 0.0), (0.0, 1.0, 0.985)])
+def test_analytic_fig5_at_the_default_noise_is_no_concurrence(phi, reported, concurrence):
+    # The figures the README quotes beside `theory_cos`.
+    ((got, want),) = analytic_fig5_and_concurrence(ExperimentConfig().noise_p, (phi,))
+    assert (round(got, 4), round(want, 4)) == (reported, concurrence)
+
+
 @pytest.mark.parametrize("probe", experiments.PROBES)
 def test_fig4_draws_its_probes_tables_from_the_probes_stream(probe):
     # fig4 goes through the same stacked states, and each probe draws from a stream of its own.
@@ -283,6 +311,27 @@ def test_a_one_shot_fig4_reports_the_variance_bound(probe):
     weights = experiments._fig4_model(config.noise_p, probe)[0]
     row = run_fig4(config, probe)["fidelity"]
     assert row["error"] == math.sqrt(math.fsum((weights[1:] ** 2).tolist())) > 0.0
+
+
+def test_fig4_error_divides_by_the_shots_less_one(monkeypatch):
+    """Fixed tables of 2 and 3 shots, each with a correlator inside (-1, 1):
+    the error is sqrt(sum_n w_n^2 (1 - T_n^2) / (N_n - 1)), the unbiased
+    variance of each table's mean of its N_n outcomes +-1, not one over
+    N_n + 1, which the calibration gate cannot tell apart at 4000 shots."""
+    counts = np.array([[1, 1, 0, 0], [2, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 0], [0, 1, 0, 1],
+                       [0, 1, 0, 2], [0, 0, 1, 1], [1, 0, 2, 0], [1, 1, 0, 1]])
+    monkeypatch.setattr(experiments, "_counts", lambda *args, **kwargs: counts)
+    weights = experiments._fig4_model(ExperimentConfig().noise_p, 4)[0]
+    shots = counts.sum(axis=1).tolist()
+    t = [Fraction(int(a - b - c + d), n) for (a, b, c, d), n in zip(counts.tolist(), shots)]
+    assert sorted(set(shots)) == [2, 3] and all(abs(x) < 1 for x in t)
+
+    def error(less):
+        return math.sqrt(sum(Fraction(w) ** 2 * (1 - x * x) / (n - less) for w, x, n in zip(weights[1:], t, shots)))
+
+    got = run_fig4(ExperimentConfig(seed=1), 4)["fidelity"]["error"]
+    assert got == pytest.approx(error(1), rel=1e-12)
+    assert got != pytest.approx(error(-1), rel=0.1)
 
 
 def test_a_fig4_fidelity_above_one_is_reported_as_it_is(monkeypatch):
@@ -480,13 +529,14 @@ def test_model_arrays_refuse_writes():
 
 
 def target_tables(counts, config, experiment, *tags):
-    """A figure's count stack as `CountsTable`s, one list per target (the
-    stack's (3, 2) or (9, 4) items in order), a table per row: setting the
-    row's axis or pair label, seed the draw's sub-seed, which every table of
-    the draw shares, so only the target tells same-setting tables apart."""
+    """A figure's count stack as (setting, counts, shots, seed) tables, one
+    list per target (the stack's (3, 2) or (9, 4) items in order), a table
+    per row: setting the row's axis or pair label, seed the draw's sub-seed,
+    which every table of the draw shares, so only the target tells
+    same-setting tables apart."""
     labels = measure.AXES if counts.shape[-2] == len(measure.AXES) else measure.PAIRS
     seed = derive_seed(config.seed, *tags)
-    return [[measure.CountsTable(label, tuple(row), config.shots(experiment), seed) for label, row in zip(labels, item)]
+    return [[(label, tuple(row), config.shots(experiment), seed) for label, row in zip(labels, item)]
             for item in counts.reshape(-1, *counts.shape[-2:]).tolist()]
 
 
@@ -494,7 +544,7 @@ def target_tables(counts, config, experiment, *tags):
 @pytest.mark.parametrize("run", [run_fig3, run_fig4, run_fig5])
 def test_counts_read_back_from_csv_estimate_to_the_reports_bytes(run, seed, monkeypatch):
     """The seam end to end: a figure's drawn counts, int64 rows that sum to
-    the shots, are written through `tables_to_csv`, one text per target, and
+    the shots, are written as count-table text, one text per target, and
     read back with `tables_from_csv`; `_estimate` reads them in place of the
     drawn ones and gives the report's bytes."""
     config = ExperimentConfig(seed=seed)
@@ -504,7 +554,7 @@ def test_counts_read_back_from_csv_estimate_to_the_reports_bytes(run, seed, monk
     def read_back(probs, config, experiment, *tags):
         counts = drawn(probs, config, experiment, *tags)
         assert counts.dtype == np.int64 and (counts.sum(axis=-1) == config.shots(experiment)).all()
-        texts = [measure.tables_to_csv(tables) for tables in target_tables(counts, config, experiment, *tags)]
+        texts = [tables_csv(tables) for tables in target_tables(counts, config, experiment, *tags)]
         read.append(np.array([[table.counts for table in measure.tables_from_csv(text)] for text in texts])
                     .reshape(counts.shape))
         assert read[-1] is not counts and np.array_equal(read[-1], counts)

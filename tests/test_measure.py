@@ -1,10 +1,5 @@
-import copy
-import csv
-import io
-import pickle
 import re
 from fractions import Fraction
-from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -12,17 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from realmask import measure
-from realmask.estimate import bootstrap_std, correlation_matrix, purity_from_counts, qsv_run
+from realmask.estimate import bootstrap_std, purity_from_counts, qsv_run
 from realmask.measure import (
     AXES,
-    CSV_HEADER,
-    OUTCOMES_PAIR,
-    OUTCOMES_SINGLE,
     PAIR_PAULIS,
     PAIRS,
     CountsTable,
-    _clean_tables,
-    _read_records,
     apply_depolarizing,
     axis_probs,
     correlators,
@@ -32,11 +22,11 @@ from realmask.measure import (
     poisson_resample,
     sample_counts,
     tables_from_csv,
-    tables_to_csv,
 )
 from realmask.qcore import BELL_PHI, PAULIS, checked_density, partial_trace
 
-from helpers import INT_DIGITS, density, mask_state, random_density, random_real_density, reference_derive_seed
+from helpers import (INT_DIGITS, density, mask_state, random_density, random_real_density, reference_derive_seed,
+                     tables_csv)
 
 
 def oracle_pair_probs(rho: np.ndarray) -> np.ndarray:
@@ -150,13 +140,6 @@ class TestOutcomeProbs:
             for qubit in ("A", "B"):
                 probs = axis_probs(partial_trace(out, qubit))
                 assert np.abs(probs - 0.5).max() < 1e-12
-
-    def test_invalid_axis_rejected(self):
-        # Settings are named by the PAIRS labels only; a table with any other
-        # label is refused where labelled counts are read.
-        tables = [CountsTable(label, (1, 0, 0, 0), 1, 0) for label in PAIRS[:-1]]
-        with pytest.raises(ValueError, match="'XW'"):
-            correlation_matrix(tables + [CountsTable("XW", (1, 0, 0, 0), 1, 0)])
 
     def test_stack_rows_match_items_alone(self, rng):
         rhos = np.stack([random_density(4, rng) for _ in range(5)])
@@ -470,418 +453,256 @@ class TestPoissonResample:
         assert out.shape == (2, 2) and not out[:, 1].any()
 
 
-# Every way to copy a table: `copy` and a pickle round trip at each protocol.
-CLONES = [copy.copy, copy.deepcopy,
-          *(lambda t, p=p: pickle.loads(pickle.dumps(t, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1))]
+HEADER = "setting,outcome,count,shots,seed\n"
+CAP = measure.MAX_SHOTS
 
 
-class TestCountsTable:
-    def test_sum_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            CountsTable("ZZ", (1, 2, 3, 4), 11, 0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            CountsTable("ZZ", (-1, 2, 3, 4), 8, 0)
-
-    @pytest.mark.parametrize("counts", [(6,), (1, 2, 3), (1, 1, 1, 1, 2)])
-    def test_a_count_tuple_of_neither_width_is_rejected(self, counts):
-        with pytest.raises(ValueError, match=r"^counts must have 2 \(single-qubit\) or 4 \(pair\) entries$"):
-            CountsTable("ZZ", counts, sum(counts), 0)
-
-    def test_csv_round_trip(self):
-        tables = [
-            CountsTable("XX", (10, 20, 30, 40), 100, 42),
-            CountsTable("Z", (7, 3), 10, 43),
-        ]
-        text = tables_to_csv(tables)
-        assert text.splitlines()[0] == "setting,outcome,count,shots,seed"
-        again = tables_from_csv(text)
-        assert again == tables
-
-    @pytest.mark.parametrize("other", [(1, 2), (2, 1)])
-    def test_csv_writer_refuses_tables_the_reader_would_merge(self, other):
-        # Two tables sharing (setting, shots, seed) used to be written, and the
-        # reader then refused the writer's own output.
-        tables = [CountsTable("Z", (1, 2), 3, 0), CountsTable("Z", other, 3, 0)]
-        with pytest.raises(ValueError, match="share setting Z, shots 3, seed 0"):
-            tables_to_csv(tables)
-        assert len(tables_from_csv(tables_to_csv(tables[:1] + [CountsTable("Z", other, 3, 1)]))) == 2
-
-    @pytest.mark.parametrize("shots, seed", [(3.0, 0), (3, 0.0), (True, 0), (3, False), (3, "0"), (3, None)])
-    def test_non_integer_shots_or_seed_rejected(self, shots, seed):
-        # CountsTable('Z', (1, 2), 3.0, 0) used to be accepted, and the CSV
-        # reader then refused the writer's '3.0'.
-        with pytest.raises(ValueError, match="shots and seed must be integers"):
-            CountsTable("Z", (1, 2), shots, seed)
-
-    # Such a table used to survive a CSV round trip, and its counts were then
-    # refused by `poisson_resample`, so by every bootstrapped estimate.
-    @pytest.mark.parametrize("shots", [10**18 + 1, 10**19, np.uint64(2**63)])
-    def test_shots_above_the_cap_are_refused(self, shots):
-        with pytest.raises(ValueError, match=rf"^shots must be at most 10\*\*18, got {re.escape(repr(shots))}$"):
-            CountsTable("Z", (shots, 0), shots, 0)
-
-    def test_a_table_at_the_cap_round_trips_and_bootstraps(self):
-        table = CountsTable("Z", (10**18, 0), 10**18, 7)
-        text = tables_to_csv([table])
-        assert tables_from_csv(text) == _clean_tables(text) == [table]
-        (point,), (std,) = bootstrap_std(lambda c: c[:, 0] / 10**18, [table.counts], 2, resamples=3)
-        assert point == 1.0 and 0.0 < std < 1e-8
-
-    def test_the_reader_refuses_shots_above_the_cap(self):
-        text = f"setting,outcome,count,shots,seed\nZ,+,{10**18 + 1},{10**18 + 1},7\nZ,-,0,{10**18 + 1},7\n"
-        assert _clean_tables(text) is None
-        with pytest.raises(ValueError, match=rf"^table for setting Z, shots {10**18 + 1}, seed 7: "
-                                             rf"shots must be at most 10\*\*18, got {10**18 + 1}$"):
-            tables_from_csv(text)
-
-    @pytest.mark.parametrize("setting", ["\r", "Z\r", "Z\0", 5, None])
-    def test_setting_that_cannot_round_trip_rejected(self, setting):
-        with pytest.raises(ValueError, match="setting must be a string without a carriage return or NUL"):
-            CountsTable(setting, (1, 2), 3, 0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.one_of(st.sampled_from(PAIRS + AXES), st.text()),
-        st.one_of(st.lists(st.integers(0, 10**12), min_size=2, max_size=2),
-                  st.lists(st.integers(0, 10**12), min_size=4, max_size=4)),
-        st.one_of(st.integers(-2**70, 2**70), st.integers(0, 2**63 - 1).map(np.int64)),
-        st.sampled_from([int, np.int64]),
-    )
-    def test_every_accepted_table_round_trips(self, setting, counts, seed, int_type):
-        try:
-            table = CountsTable(setting, tuple(counts), int_type(sum(counts)), seed)
-        except ValueError:
-            assume(False)
-        text = tables_to_csv([table])
-        assert _read_records(text) == tables_from_csv(text) == [table]
-        # The writer quotes a setting that holds a comma, a quote or a
-        # newline, and that text takes the row reader; its other output
-        # takes the columnar pass.
-        assert _clean_tables(text) == (None if '"' in text else [table])
-
-    def test_csv_rejects_wrong_header(self):
-        with pytest.raises(ValueError):
-            tables_from_csv("a,b,c\n")
-
-    def test_csv_rejects_repeated_row(self):
-        # A repeated (setting, outcome, shots, seed) row used to overwrite the earlier count.
-        text = "setting,outcome,count,shots,seed\nZ,+,7,10,43\nZ,-,3,10,43\nZ,+,9,10,43\n"
-        with pytest.raises(ValueError, match="line 4: repeated outcome"):
-            tables_from_csv(text)
-
-    def test_csv_rejects_unknown_outcome_label(self):
-        text = "setting,outcome,count,shots,seed\nZ,+,7,10,43\nZ,0,3,10,43\n"
-        with pytest.raises(ValueError, match="line 3: unknown outcome label '0'"):
-            tables_from_csv(text)
-
-    def test_csv_rejects_incomplete_table(self):
-        text = "setting,outcome,count,shots,seed\nXX,++,7,10,43\nXX,+-,3,10,43\nXX,-+,0,10,43\n"
-        with pytest.raises(ValueError, match="setting XX, shots 10, seed 43"):
-            tables_from_csv(text)
-
-    def test_csv_rejects_short_row(self):
-        with pytest.raises(ValueError, match="line 2"):
-            tables_from_csv("setting,outcome,count,shots,seed\nZ,+,7\n")
-
-    @pytest.mark.parametrize("counts", [(1.5, 2.5), (1, 2.5), (float("nan"), 4), ("1", "3")])
-    def test_non_integral_counts_rejected(self, counts):
-        with pytest.raises(ValueError, match="whole numbers"):
-            CountsTable("Z", counts, 4, 0)
-
-    def test_whole_float_counts_become_ints(self):
-        table = CountsTable("Z", (1.0, np.int64(3)), 4, 0)
-        assert table.counts == (1, 3) and all(type(c) is int for c in table.counts)
-
-    @pytest.mark.parametrize("row, line", [("Z,+,x,4,0", 2), ("Z,+,7.0,10,1", 2), ("Z,+,3,4,s", 2)])
-    def test_csv_rejects_non_integer_cell(self, row, line):
-        text = f"setting,outcome,count,shots,seed\n{row}\nZ,-,1,4,0\n"
-        with pytest.raises(ValueError, match=f"^CSV line {line}: count, shots and seed must be integers"):
-            tables_from_csv(text)
-
-    def test_csv_sum_mismatch_names_the_table(self):
-        text = "setting,outcome,count,shots,seed\nZ,+,3,5,9\nZ,-,1,5,9\n"
-        with pytest.raises(ValueError, match="^table for setting Z, shots 5, seed 9: counts sum 4 != shots 5$"):
-            tables_from_csv(text)
-
-    def test_a_table_is_the_tuple_of_its_fields(self):
-        table = CountsTable("Z", [np.int64(1), 2.0], 3, 0)
+def assert_obeys_every_rule(tables):
+    """Each table is a record of Python values that plain text can hold, its
+    counts nonnegative and summing to at most `MAX_SHOTS` shots; no two share
+    (setting, shots, seed), and the tables' text reads back as them."""
+    for table in tables:
         setting, counts, shots, seed = table
-        assert (setting, counts, shots, seed) == ("Z", (1, 2), 3, 0) == table
-        assert len(table) == 4 and table[1] is table.counts
-        assert not hasattr(table, "__dict__")
-        with pytest.raises(AttributeError):
-            table.shots = 4
-
-    @pytest.mark.parametrize("changes, message", [
-        ({"counts": (-1, 4)}, "counts must be nonnegative"),
-        ({"shots": 4}, "counts sum 3 != shots 4"),
-        ({"counts": (1.5, 1.5)}, "counts must be whole numbers"),
-        ({"setting": "Z\r"}, "setting must be a string without a carriage return or NUL"),
-    ])
-    def test_replace_and_make_apply_the_constructors_rules(self, changes, message):
-        table = CountsTable("Z", (1, 2), 3, 0)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            table._replace(**changes)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            CountsTable._make({**table._asdict(), **changes}.values())
-
-    def test_replace_normalizes_counts_like_the_constructor(self):
-        table = CountsTable("Z", (1, 2), 3, 0)._replace(counts=(np.int64(2), 1.0))
-        assert type(table) is CountsTable and table == ("Z", (2, 1), 3, 0)
-        assert all(type(c) is int for c in table.counts)
-
-    @pytest.mark.parametrize("clone", CLONES)
-    def test_copies_and_pickles_are_equal_tables(self, clone):
-        for table in (CountsTable("XX", (10, 20, 30, 40), 100, 42), CountsTable("Z", (7, 3), 10, -2**70)):
-            again = clone(table)
-            assert type(again) is CountsTable and again == table
-
-    @pytest.mark.parametrize("clone", CLONES)
-    def test_copies_and_pickles_apply_the_constructors_rules(self, clone):
-        # A table that skipped the constructor, as the columnar pass builds
-        # them, is checked again when copied or read back from a pickle.
-        forged = tuple.__new__(CountsTable, ("Z", (1, 2), 4, 0))
-        with pytest.raises(ValueError, match="counts sum 3 != shots 4"):
-            clone(forged)
-
-    @pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
-    def test_both_readers_build_tables_of_python_values(self, quoting):
-        tables = [CountsTable("XX", (10, 20, 30, 40), 100, 42), CountsTable("Z", (7, 3), 10, 2**70)]
-        buf = io.StringIO()
-        csv.writer(buf, quoting=quoting, lineterminator="\n").writerows(
-            csv.reader(io.StringIO(tables_to_csv(tables))))
-        text = buf.getvalue()
-        columnar = _clean_tables(text)
-        assert (columnar is None) == (quoting == csv.QUOTE_ALL)
-        for read in filter(None, (columnar, _read_records(text), tables_from_csv(text))):
-            assert read == tables
-            for table in read:
-                assert type(table) is CountsTable and type(table.setting) is str
-                assert type(table.shots) is int and type(table.seed) is int
-                assert type(table.counts) is tuple and all(type(c) is int for c in table.counts)
+        assert type(table) is CountsTable and type(setting) is str and not set(setting) & set(',\n\r"\0')
+        assert type(counts) is tuple and len(counts) in (2, 4) and all(type(c) is int and c >= 0 for c in counts)
+        assert type(shots) is int and sum(counts) == shots <= CAP and type(seed) is int
+    assert len({(t.setting, t.shots, t.seed) for t in tables}) == len(tables)
+    assert tables_from_csv(tables_csv(tables)) == tables
 
 
-def read(reader, text: str):
-    """(tables, None), or (None, (exception type, message)) if `reader` raises."""
-    try:
-        return reader(text), None
-    except ValueError as err:
-        return None, (type(err), str(err))
-
-
-def is_plain(text: str) -> bool:
-    """Text with no quote, lone carriage return or NUL, which the columnar pass reads."""
-    return not any(c in text.replace("\r\n", "\n") for c in '"\r\0')
-
-
-def assert_readers_agree(text: str):
-    """`tables_from_csv` gives what the row-at-a-time reader gives, error
-    included.  On plain text the columnar pass gives tables exactly when that
-    reader does, and the same tables; it hands any other text to that reader."""
-    want = read(_read_records, text)
-    assert read(tables_from_csv, text) == want
-    got = _clean_tables(text)
-    assert got == (want[0] if is_plain(text) else None)
-    if got is not None:
-        fields = [[type(t.setting), *map(type, t.counts), type(t.shots), type(t.seed)] for t in got]
-        assert fields == [[str, *[int] * len(t.counts), int, int] for t in got]
-
-
-def int_text(value: int, style: str) -> str:
-    """An integer cell as a writer other than `tables_to_csv` might spell it."""
-    if style == "zeros":
-        return ("-" if value < 0 else "") + "00" + str(abs(value))
-    if style == "spaces":
-        return f" {value} "
-    if style == "underscore":
-        return f"{value:_}"
-    if style == "plus":
-        return f"+{value}" if value >= 0 else str(value)
-    return str(value)
-
-
-FAULTS = ("short row", "bad label", "non-integer cell", "repeated row", "missing outcome",
-          "negative count", "sum mismatch", "carriage return")
+plain_settings = st.one_of(st.sampled_from(PAIRS + AXES),
+                           st.text(st.characters(blacklist_characters=',\n\r"\0'), max_size=4))
+written_tables = st.lists(
+    st.tuples(plain_settings,
+              st.one_of(st.lists(st.integers(0, 2 * 10**17), min_size=n, max_size=n) for n in (2, 4)),
+              st.integers(-2**70, 2**70)),
+    max_size=6, unique_by=lambda t: (t[0], sum(t[1]), t[2]),
+).map(lambda tables: [(setting, tuple(counts), sum(counts), seed) for setting, counts, seed in tables])
 
 
 @st.composite
-def count_table_csv(draw):
-    """CSV text of a few pair and single tables, rows shuffled and interleaved,
-    cells in varied integer spellings, with up to two injected faults."""
-    rows = []
-    for _ in range(draw(st.integers(1, 6))):
-        setting = draw(st.one_of(st.sampled_from(PAIRS + AXES), st.text(alphabet='XYZ,"\n a', max_size=4)))
-        labels = draw(st.sampled_from([OUTCOMES_PAIR, OUTCOMES_SINGLE]))
-        counts = draw(st.lists(st.one_of(st.integers(0, 50), st.integers(2**63, 2**65)),
-                               min_size=len(labels), max_size=len(labels)))
-        seed = draw(st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)))
-        rows += [[setting, label, count, sum(counts), seed] for label, count in zip(labels, counts)]
-    rows = draw(st.permutations(rows))
-    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=2))
-    for fault in faults:
-        i = draw(st.integers(0, len(rows) - 1))
-        if fault == "repeated row":
-            rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
-        elif fault == "missing outcome" and len(rows) > 1:
-            del rows[i]
-        elif fault == "negative count":
-            # Moved to a row of the same table, so the sum still matches.
-            key = itemgetter(0, 3, 4)
-            twins = [row for row in rows if key(row) == key(rows[i]) and row is not rows[i]]
-            if twins:
-                twins[0][2] += rows[i][2] + 1
-            rows[i][2] = -1
-        elif fault == "sum mismatch":
-            rows[i][2] += 1
-        elif fault == "carriage return":
-            old = rows[i][0]
-            for row in rows:
-                if row[0] == old:
-                    row[0] = old + "\r"
-    text_rows = [[row[0], row[1], *(int_text(v, draw(st.sampled_from(
-        ["plain", "zeros", "spaces", "underscore", "plus"]))) for v in row[2:])] for row in rows]
-    # A short row is cut last, so that no later fault indexes past its end.
-    for fault in sorted(faults, key=lambda f: f == "short row"):
-        i = draw(st.integers(0, len(text_rows) - 1))
-        if fault == "short row":
-            text_rows[i] = text_rows[i][:draw(st.integers(1, 4))]
-        elif fault == "bad label":
-            text_rows[i][1] = draw(st.sampled_from(["0", "+-+", "", " +", "--+"]))
-        elif fault == "non-integer cell":
-            text_rows[i][draw(st.integers(2, 4))] = draw(st.sampled_from(["7.0", "x", "", "1e3", "0x10"]))
-    for _ in range(draw(st.integers(0, 2))):
-        text_rows.insert(draw(st.integers(0, len(text_rows))), [])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
-                        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
-    writer.writerow(CSV_HEADER)
-    writer.writerows(text_rows)
-    return buf.getvalue()
+def edited_count_text(draw):
+    """The text of a few tables with up to three edits: a character put in,
+    a line dropped or repeated, a cell swapped for another."""
+    lines = tables_csv(draw(written_tables)).split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["char", "drop", "repeat", "cell"]))
+        if edit == "char":
+            j = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:j] + draw(st.sampled_from(list(',+-09 x"\r\0\n'))) + lines[i][j:]
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        else:
+            cells = lines[i].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(
+                ["", "+", "--", "0", "07", "-1", "x", "1.0", str(CAP), str(CAP + 1)]))
+            lines[i] = ",".join(cells)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
 
 
-class TestColumnarReader:
-    """The columnar pass `_clean_tables` against the row-at-a-time reader
-    `_read_records`, which words every error of `tables_from_csv`."""
+# Fixed texts and what `tables_from_csv` makes of them: tables, or the
+# message of its ValueError.
+READS = [
+    (HEADER, []),
+    (HEADER.strip(), []),
+    (HEADER + "\n\n", []),
+    (HEADER + "Z,+,7,10,43\nZ,-,3,10,43", [("Z", (7, 3), 10, 43)]),
+    (HEADER + "\nZ,+,7,10,43\n\n\nZ,-,3,10,43\n\n", [("Z", (7, 3), 10, 43)]),
+    ((HEADER + "XX,++,1,4,0\nXX,+-,1,4,0\nXX,-+,0,4,0\nXX,--,2,4,0\nZ,+,7,10,43\nZ,-,3,10,43\n")
+     .replace("\n", "\r\n"), [("XX", (1, 1, 0, 2), 4, 0), ("Z", (7, 3), 10, 43)]),
+    # 7 and 07 name one table; a row of a later table comes between.
+    (HEADER + "Z,+,3,07,9\nX,+,1,1,9\nZ,-,4,7,0_9\nX,-,0,1,9\n", [("Z", (3, 4), 7, 9), ("X", (1, 0), 1, 9)]),
+    # Integer cells as `int` reads them: signs, spaces and underscores.
+    (HEADER + "Z,-, 3 ,+4,-0_2\nZ,+,1,4,-2\n", [("Z", (1, 3), 4, -2)]),
+    (HEADER + "XX,--,4,10,1\nXX,-+,3,10,1\nXX,+-,2,10,1\nXX,++,1,10,1\n", [("XX", (1, 2, 3, 4), 10, 1)]),
+    # A setting is any text without a comma, newline, quote, carriage return or NUL.
+    (HEADER + ",+,1,1,0\n,-,0,1,0\n a\x0bé ,+,0,1,0\n a\x0bé ,-,1,1,0\n",
+     [("", (1, 0), 1, 0), (" a\x0bé ", (0, 1), 1, 0)]),
+    # Past the csv module's field-size limit, which the format no longer has.
+    (HEADER + f"{'Z' * 2**17},+,1,1,0\n{'Z' * 2**17},-,0,1,0\n", [("Z" * 2**17, (1, 0), 1, 0)]),
+]
 
-    @settings(max_examples=400, deadline=None)
-    @given(count_table_csv())
-    def test_matches_reference_reader(self, text):
-        assert_readers_agree(text)
+REFUSALS = [
+    ("", "expected header setting,outcome,count,shots,seed"),
+    ("a,b,c\n", "expected header setting,outcome,count,shots,seed"),
+    (HEADER.strip() + ",\n", "expected header setting,outcome,count,shots,seed"),
+    ("\n" + HEADER + "Z,+,7,10,43\nZ,-,3,10,43\n", "expected header setting,outcome,count,shots,seed"),
+    (HEADER + "Z,+,7\n", "CSV line 2: expected 5 fields, got ['Z', '+', '7']"),
+    (HEADER + "Z,+,7,10,43,\n", "CSV line 2: expected 5 fields, got ['Z', '+', '7', '10', '43', '']"),
+    (HEADER + "Z,+,7,10,43\nZ,-,3,10,43\n \n", "CSV line 4: expected 5 fields, got [' ']"),
+    (HEADER + "Z,+,7,10,43\nZ,0,3,10,43\n", "CSV line 3: unknown outcome label '0'"),
+    (HEADER + "Z,+,x,4,0\nZ,-,1,4,0\n", "CSV line 2: count, shots and seed must be integers, got 'x', '4', '0'"),
+    (HEADER + "Z,+,7.0,10,1\nZ,-,1,4,0\n",
+     "CSV line 2: count, shots and seed must be integers, got '7.0', '10', '1'"),
+    (HEADER + "Z,+,3,4,s\nZ,-,1,4,0\n", "CSV line 2: count, shots and seed must be integers, got '3', '4', 's'"),
+    *((HEADER + f"Z,{label},1,1,1\n", f"CSV line 2: unknown outcome label {label!r}")
+      for label in ["+-+", "", " +", "+ ", "--+"]),
+    # Cells that are no integer as `int` reads them.
+    *((HEADER + f"Z,+,{count},{shots},{seed}\nZ,-,0,1,1\n",
+       f"CSV line 2: count, shots and seed must be integers, got {count!r}, {shots!r}, {seed!r}")
+      for count, shots, seed in [("1e3", "1", "1"), ("1", "0x10", "1"), ("1", "1", ""), ("1", "True", "1"),
+                                 ("1", "1", "3.0")]),
+    *((HEADER + f"Z,+,{shots},{shots},7\nZ,-,0,{shots},7\n",
+       f"table for setting Z, shots {shots}, seed 7: shots must be at most 10**18, got {shots}")
+      for shots in [10**19, 2**63, 2**64]),
+    # A repeated outcome names the cells as written.
+    (HEADER + "Z,+,7,10,43\nZ,-,3,10,43\nZ,+,9,010,43\n",
+     "CSV line 4: repeated outcome '+' for setting Z, shots 010, seed 43"),
+    (HEADER + "XX,++,7,10,43\nXX,+-,3,10,43\nXX,-+,0,10,43\n",
+     "table for setting XX, shots 10, seed 43 has outcomes ['++', '+-', '-+'], expected +, -"),
+    (HEADER + "Z,+,1,1,1\nZ,-,0,1,1\nZ,++,0,1,1\n",
+     "table for setting Z, shots 1, seed 1 has outcomes ['+', '++', '-'], expected +, -"),
+    (HEADER + "Z,+,1,1,1\nZ,-,0,1,1\nZ,++,0,1,1\nZ,+-,0,1,1\n",
+     "table for setting Z, shots 1, seed 1 has outcomes ['+', '++', '+-', '-'], expected ++, +-, -+, --"),
+    (HEADER + "Z,+,3,5,9\nZ,-,1,5,9\n", "table for setting Z, shots 5, seed 9: counts sum 4 != shots 5"),
+    (HEADER + "Z,+,-3,1,9\nZ,-,4,1,9\n", "table for setting Z, shots 1, seed 9: counts must be nonnegative"),
+    (HEADER + f"Z,+,{CAP + 1},{CAP + 1},7\nZ,-,0,{CAP + 1},7\n",
+     f"table for setting Z, shots {CAP + 1}, seed 7: shots must be at most 10**18, got {CAP + 1}"),
+    # A quote, a lone carriage return or a NUL is no plain text, the header's included.
+    ('"setting","outcome","count","shots","seed"\n"Z","+","7","10","43"\n"Z","-","3","10","43"\n',
+     "CSV line 1: count tables hold no quote, carriage return or NUL, got '\"'"),
+    ("setting\r,outcome,count,shots,seed\nZ,+,1,1,1\n",
+     "CSV line 1: count tables hold no quote, carriage return or NUL, got '\\r'"),
+    (HEADER + '"Y",+,1,1,1\n"Y",-,0,1,1\n',
+     "CSV line 2: count tables hold no quote, carriage return or NUL, got '\"'"),
+    (HEADER + '"a\nb",+,1,1,1\n', "CSV line 2: count tables hold no quote, carriage return or NUL, got '\"'"),
+    (HEADER + "Z,+,7,10,43\r\r\nZ,-,3,10,43\r\n",
+     "CSV line 2: count tables hold no quote, carriage return or NUL, got '\\r'"),
+    (HEADER + "Z,+,7,10,43\nZ,-,3,10,43\r",
+     "CSV line 3: count tables hold no quote, carriage return or NUL, got '\\r'"),
+    (HEADER + "Z\0,+,7,10,43\nZ\0,-,3,10,43\n",
+     "CSV line 2: count tables hold no quote, carriage return or NUL, got '\\x00'"),
+    # Line numbers count blank lines and CRLF lines.
+    ("setting,outcome,count,shots,seed\r\nZ,+,1,1,1\r\n\r\nZ,0,1,1,1\r\n", "CSV line 4: unknown outcome label '0'"),
+    # The first faulty line wins, and a line's field count comes before
+    # its label, its label before its integers, its integers before a
+    # repeat.
+    (HEADER + "Z,+,1,1,1\nZ,0,0,1,1\nZ,+,1,1\n", "CSV line 3: unknown outcome label '0'"),
+    (HEADER + "Z,+,1\nZ,0,0,1,1\n", "CSV line 2: expected 5 fields, got ['Z', '+', '1']"),
+    (HEADER + "Z,0,x,1\n", "CSV line 2: expected 5 fields, got ['Z', '0', 'x', '1']"),
+    (HEADER + "Z,0,x,1,1\n", "CSV line 2: unknown outcome label '0'"),
+    (HEADER + "Z,+,1,1,1\nZ,+,x,1,1\n", "CSV line 3: count, shots and seed must be integers, got 'x', '1', '1'"),
+    (HEADER + "Z,+,1,1,1\nZ,+,1,1,\"1\"\n",
+     "CSV line 3: count tables hold no quote, carriage return or NUL, got '\"'"),
+    # A line fault wins over a table fault before it.
+    (HEADER + "Z,+,-3,1,9\nZ,-,4,1,9\nY,+,1,1,1\nY,-,0,1,1\nZ\n", "CSV line 6: expected 5 fields, got ['Z']"),
+    (HEADER + "Z,+,3,5,9\nZ,-,1,5,9\n\nY,+,1,1,1\rY,-,0,1,1\n",
+     "CSV line 5: count tables hold no quote, carriage return or NUL, got '\\r'"),
+    # Else the first table to appear that faults, and a table's outcome
+    # set comes before its negative counts, those before its cap, its cap
+    # before its sum.
+    (HEADER + "Y,+,3,5,9\nZ,+,-1,1,9\nY,-,1,5,9\nZ,-,2,1,9\n",
+     "table for setting Y, shots 5, seed 9: counts sum 4 != shots 5"),
+    (HEADER + "Y,+,1,1,9\nZ,+,-1,1,9\nY,-,0,1,9\nZ,-,2,1,9\nX,+,1,1,9\n",
+     "table for setting Z, shots 1, seed 9: counts must be nonnegative"),
+    (HEADER + "Z,+,-1,1,9\nZ,++,2,1,9\n",
+     "table for setting Z, shots 1, seed 9 has outcomes ['+', '++'], expected +, -"),
+    (HEADER + "Z,+,-3,1,9\nZ,-,3,1,9\n", "table for setting Z, shots 1, seed 9: counts must be nonnegative"),
+    (HEADER + f"Z,+,-1,{CAP + 1},7\nZ,-,{CAP + 2},{CAP + 1},7\n",
+     f"table for setting Z, shots {CAP + 1}, seed 7: counts must be nonnegative"),
+    (HEADER + f"Z,+,1,{CAP + 1},7\nZ,-,0,{CAP + 1},7\n",
+     f"table for setting Z, shots {CAP + 1}, seed 7: shots must be at most 10**18, got {CAP + 1}"),
+    (HEADER + f"Z,+,{CAP},{CAP},7\nZ,-,0,{CAP},7\nY,+,1,2,7\nY,-,0,2,7\n",
+     "table for setting Y, shots 2, seed 7: counts sum 1 != shots 2"),
+]
+
+
+class TestCountTableReader:
+    """`tables_from_csv`, the one reader of count tables: plain text with LF
+    or CRLF line ends, one row per outcome."""
+
+    def test_reads_tables_of_python_values(self):
+        tables = [("XX", (10, 20, 30, 40), 100, 42), ("Z", (7, 3), 10, 2**70), ("Y", (0, 0), 0, -1)]
+        read = tables_from_csv(tables_csv(tables))
+        assert read == tables
+        assert_obeys_every_rule(read)
+
+    def test_a_table_is_the_tuple_of_its_fields(self):
+        (table,) = tables_from_csv(tables_csv([("Z", (1, 2), 3, 0)]))
+        setting, counts, shots, seed = table
+        assert (setting, counts, shots, seed) == ("Z", (1, 2), 3, 0) == table
+        assert table._fields == ("setting", "counts", "shots", "seed")
+        assert len(table) == 4 and table[1] is table.counts and not hasattr(table, "__dict__")
+        with pytest.raises(AttributeError):
+            table.shots = 4
+
+    @pytest.mark.parametrize("text, tables", READS)
+    def test_reads(self, text, tables):
+        assert tables_from_csv(text) == tables
+
+    def test_a_table_at_the_cap_reads_and_bootstraps(self):
+        (table,) = tables_from_csv(tables_csv([("Z", (CAP, 0), CAP, 7)]))
+        assert table == ("Z", (CAP, 0), CAP, 7)
+        (point,), (std,) = bootstrap_std(lambda c: c[:, 0] / CAP, [table.counts], 2, resamples=3)
+        assert point == 1.0 and 0.0 < std < 1e-8
+
+    @pytest.mark.parametrize("text, message", REFUSALS)
+    def test_refuses(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tables_from_csv(text)
+
+    @pytest.mark.parametrize("text, want", [(text, want) for text, want in READS + REFUSALS if "\r" not in text])
+    def test_crlf_line_ends_read_as_lf(self, text, want):
+        # The same tables or the same error, line numbers included.
+        try:
+            got = tables_from_csv(text.replace("\n", "\r\n"))
+        except ValueError as err:
+            got = str(err)
+        assert got == want
+
+    @pytest.mark.parametrize("text, name", [(None, "NoneType"), (b"setting,outcome,count,shots,seed\n", "bytes"),
+                                            (5, "int")])
+    def test_refuses_what_is_not_text(self, text, name):
+        # None used to read as empty text and bytes failed inside io.StringIO.
+        with pytest.raises(TypeError, match=f"^CSV text must be a str, got {name}$"):
+            tables_from_csv(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(written_tables, st.sampled_from(["\n", "\r\n"]), st.data())
+    def test_written_tables_read_back(self, tables, end, data):
+        # Rows shuffled, blank lines put in: the tables come back in order of
+        # their first row.
+        rows = [(i, row) for i, table in enumerate(tables) for row in tables_csv([table], end).split(end)[1:-1]]
+        rows = data.draw(st.permutations(rows))
+        for _ in range(data.draw(st.integers(0, 2))):
+            rows.insert(data.draw(st.integers(0, len(rows))), (None, ""))
+        text = end.join([HEADER.strip(), *(row for _, row in rows)]) + data.draw(st.sampled_from([end, ""]))
+        read = tables_from_csv(text)
+        assert read == [tables[i] for i in dict.fromkeys(i for i, _ in rows if i is not None)]
+        assert_obeys_every_rule(read)
 
     @settings(max_examples=50, deadline=None)
     @given(st.data(), st.lists(st.integers(0, 2**62 - 1), min_size=1, max_size=40, unique=True))
-    def test_tomography_tables_take_the_columnar_pass(self, data, tags):
+    def test_tomography_tables_read_back(self, data, tags):
         # Each qubit's X, Y and Z tables, told apart by their seed column, as
-        # a tomography run over many qubits writes them.
+        # the tomo-batch workload writes them.
         tables = []
         for tag in tags:
             shots = data.draw(st.sampled_from([1000, 4000, 10000]))
             for axis in AXES:
                 plus = data.draw(st.integers(0, shots))
-                tables.append(CountsTable(axis, (plus, shots - plus), shots, tag))
-        assert _clean_tables(tables_to_csv(tables)) == tables
+                tables.append((axis, (plus, shots - plus), shots, tag))
+        assert tables_from_csv(tables_csv(tables)) == tables
 
-    @pytest.mark.parametrize("text", [
-        "",
-        "a,b,c\n",
-        "setting,outcome,count,shots,seed\n",
-        "setting,outcome,count,shots,seed\n\n\n",
-        "setting,outcome,count,shots,seed\nXX,++,10,100,42\nXX,+-,20,100,42\nXX,-+,30,100,42\n"
-        "XX,--,40,100,42\nZ,+,7,10,43\nZ,-,3,10,43\n",
-        "setting,outcome,count,shots,seed\nZ,+,7,10,43\nZ,-,3,10,43\nZ,+,9,10,43\n",
-        "setting,outcome,count,shots,seed\nZ,+,7,10,43\nZ,0,3,10,43\n",
-        "setting,outcome,count,shots,seed\nXX,++,7,10,43\nXX,+-,3,10,43\nXX,-+,0,10,43\n",
-        "setting,outcome,count,shots,seed\nZ,+,7\n",
-        "setting,outcome,count,shots,seed\nZ,+,x,4,0\nZ,-,1,4,0\n",
-        "setting,outcome,count,shots,seed\nZ,+,7.0,10,1\nZ,-,1,4,0\n",
-        "setting,outcome,count,shots,seed\nZ,+,3,4,s\nZ,-,1,4,0\n",
-        "setting,outcome,count,shots,seed\nZ,+,3,5,9\nZ,-,1,5,9\n",
-        # 7 and 07 name one table; a row of a later table comes between.
-        "setting,outcome,count,shots,seed\nZ,+,3,07,9\nX,+,1,1,9\nZ,-,4,7,0_9\nX,-,0,1,9\n",
-        'setting,outcome,count,shots,seed\n"Y\r",+,1,1,1\n"Y\r",-,0,1,1\n',
-        # A negative count and a carriage return, then a short row: the line fault wins.
-        'setting,outcome,count,shots,seed\nZ,+,-3,1,9\nZ,-,4,1,9\n"Y\r",+,1,1,1\n"Y\r",-,0,1,1\nZ\n',
-        # The same table faults without the short row: the first table to appear fails.
-        'setting,outcome,count,shots,seed\n"Y\r",+,1,1,1\nZ,+,-3,1,9\nZ,-,4,1,9\n"Y\r",-,0,1,1\n',
-        "setting,outcome,count,shots,seed\nZ,+,1,1,1\nZ,-,0,1,1\nZ,++,0,1,1\n",
-        "setting,outcome,count,shots,seed\nZ,+,1,1,1\nZ,-,0,1,1\nZ,++,0,1,1\nZ,+-,0,1,1\n",
-        # csv's first record here is [], so the header is missing.
-        "\nsetting,outcome,count,shots,seed\nZ,+,7,10,43\nZ,-,3,10,43\n",
-        "setting,outcome,count,shots,seed",
-        "setting,outcome,count,shots,seed\nZ,+,7,10,43\nZ,-,3,10,43",
-        "setting,outcome,count,shots,seed\n\nZ,+,7,10,43\n\n\nZ,-,3,10,43\n\n",
-        "setting,outcome,count,shots,seed\r\nZ,+,7,10,43\r\nZ,-,3,10,43\r\n",
-        # CRLF reads as LF; a carriage return left over goes to the row reader.
-        "\r\nsetting,outcome,count,shots,seed\r\nZ,+,7,10,43\r\nZ,-,3,10,43\r\n",
-        "setting,outcome,count,shots,seed\r\nZ,+,7,10,43\r\r\nZ,-,3,10,43\r\n",
-        "setting,outcome,count,shots,seed\r\nZ,+,7,10,43\r\nZ,-,3,10,43\r",
-        "setting,outcome,count,shots,seed\nZ,+,7,10,43\r\nZ,-,3,10,43\n",
-        '"setting","outcome","count","shots","seed"\n"Z","+","7","10","43"\n"Z","-","3","10","43"\n',
-        # Python 3.10's csv module refuses a NUL and 3.11 reads it as data;
-        # the columnar pass leaves it to the row reader either way.
-        "setting,outcome,count,shots,seed\nZ\0,+,7,10,43\nZ\0,-,3,10,43\n",
-        # csv.reader refuses a field longer than its size limit.
-        *(f"setting,outcome,count,shots,seed\n{'Z' * n},+,1,1,0\n{'Z' * n},-,0,1,0\n"
-          for n in (csv.field_size_limit(), csv.field_size_limit() + 1)),
-    ])
-    def test_matches_reference_reader_on_fixed_cases(self, text):
-        assert_readers_agree(text)
-
-    def test_line_ends_do_not_change_the_tables(self):
-        lf = ("setting,outcome,count,shots,seed\nXX,++,1,4,0\nXX,+-,1,4,0\nXX,-+,0,4,0\nXX,--,2,4,0\n"
-              "Z,+,7,10,43\nZ,-,3,10,43\n")
-        crlf = lf.replace("\n", "\r\n")
-        tables = _clean_tables(lf)
-        assert tables == _clean_tables(crlf) == _read_records(crlf) == tables_from_csv(crlf)
-        assert len(tables) == 2
-
-    @pytest.mark.parametrize("text, name", [(None, "NoneType"), (b"setting,outcome,count,shots,seed\n", "bytes"),
-                                            (5, "int")])
-    def test_refuses_what_is_not_text(self, text, name, monkeypatch):
-        # None used to read as empty text and bytes failed inside io.StringIO.
-        def no_reader(_):
-            raise AssertionError("a reader ran")
-        monkeypatch.setattr(measure, "_clean_tables", no_reader)
-        monkeypatch.setattr(measure, "_read_records", no_reader)
-        with pytest.raises(TypeError, match=f"^CSV text must be a str, got {name}$"):
-            tables_from_csv(text)
-
-    @pytest.mark.parametrize("before, message", [
-        ("", "CSV line 2: new-line character seen in unquoted field"),
-        ("Z,+,1,1,1\nZ,+,0,1,1\n", "CSV line 3: repeated outcome '+'"),
-        ("Z,+,1,1\n", "CSV line 2: expected 5 fields"),
-        ("Z,+,1,1,1\nZ,-,1,1,1\n", "CSV line 4: new-line character seen in unquoted field"),
-        ('"a\nb",+,1,1,1\n', "CSV line 4: new-line character seen in unquoted field"),
-    ])
-    def test_csv_error_after_a_faulty_line_reports_the_line(self, before, message):
-        # An unquoted carriage return stops the csv module itself: a one-line
-        # ValueError naming its line, unless a faulty line read before it is.
-        text = f"setting,outcome,count,shots,seed\n{before}Z\r,+,1,1,1\n"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}[^\n]*$") as caught:
-            tables_from_csv(text)
-        # The csv module's advice on opening a file does not apply to a string.
-        assert "do you need" not in str(caught.value)
-        assert_readers_agree(text)
-
-    def test_csv_error_in_the_header_names_line_one(self):
-        text = "setting\r,outcome,count,shots,seed\nZ,+,1,1,1\n"
-        with pytest.raises(ValueError, match="^CSV line 1: new-line character"):
-            tables_from_csv(text)
-        assert_readers_agree(text)
-
-    @pytest.mark.parametrize("text, line", [
-        ('setting,outcome,count,shots,seed\n"a\nb",+,1,1,1\nZ,0,1,1,1\n', 4),
-        ('setting,outcome,count,shots,seed\n"a\n\nb",+,1,1,1\n\n"c\nd",0,1,1,1\n', 6),
-        ('setting,outcome,count,shots,seed\r\nZ,+,1,1,1\r\n\r\nZ,0,1,1,1\r\n', 4),
-    ])
-    def test_line_numbers_count_file_lines_not_records(self, text, line):
-        # A quoted setting may hold newlines; the error names the file line
-        # on which the faulty record starts.
-        with pytest.raises(ValueError, match=f"^CSV line {line}: "):
-            tables_from_csv(text)
-        assert_readers_agree(text)
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(edited_count_text(), st.text(alphabet=',+-0179XZ "\r\n\0\x0b', max_size=60),
+                     st.text(alphabet=',+-0179XZ "\r\n\0\x0b', max_size=60).map(HEADER.__add__)))
+    def test_any_text_gives_tables_that_obey_every_rule_or_one_line_error(self, text):
+        try:
+            tables = tables_from_csv(text)
+        except ValueError as err:
+            message = str(err)
+            assert not set(message) & set("\n\r")
+            found = re.match(r"CSV line (\d+): |expected header |table for setting ", message)
+            assert found, message
+            assert found[1] is None or 1 <= int(found[1]) <= len(text.replace("\r\n", "\n").split("\n"))
+        else:
+            assert_obeys_every_rule(tables)
 
 
 class TestSeeds:

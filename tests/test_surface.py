@@ -27,10 +27,8 @@ SRC = ROOT / "src" / "realmask"
 # Public names that no pipeline calls yet, each kept for the ROADMAP item
 # that will.  A name leaves this list when its item makes it reachable.
 KEEP = {
-    # Item 5: `realmask analyze` reads count tables and decodes them.
-    "tables_to_csv",
+    # The tomo-batch workload reads it (items 1 and 26).
     "tables_from_csv",
-    "correlation_matrix",
     # Not a pipeline step, and item 4's statistics need no fit (item 12
     # deletes it): `perfbench/tracer.py` wraps `estimate.mle_qubit_batch` by
     # name, and without it `Tracer.install` raises AttributeError.
