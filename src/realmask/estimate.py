@@ -11,14 +11,15 @@ Three pipelines:
   call of `measure.generator(seed)`, and at most `measure.MAX_SHOTS` tests
   (`measure`'s count rule),
   and `qsv_interval` gives the estimate and interval of a pass count;
-* single-qubit tomography: the maximum-likelihood purity of (batch, 3, 2)
-  count arrays, rows in `measure.AXES` order, which the pipelines estimate
-  with `purity_from_counts`, (1 + r.r)/2 of the linear inversion r in real
-  arithmetic, 1 outside the ball; `mle_qubit_batch`, the full state fit
-  with each boundary fit a bisection of its own, stays only because
-  `perfbench/tracer.py` wraps it (ROADMAP item 12).  Purity error bars come
-  from the Poisson-resampling bootstrap (`bootstrap_std`), which estimates
-  the point counts in the call of their resamples;
+* single-qubit tomography: each qubit's squared Bloch length Q = r.r from
+  (..., 3, 2) count arrays, rows in `measure.AXES` order, estimated without
+  bias and with its exact binomial variance by `squared_bloch_length`, which
+  fig3's purities (1 + Q)/2 and fig5's concurrences sqrt(1 - Q) read.  No
+  pipeline calls `mle_qubit_batch` (the full state fit, each boundary fit a
+  bisection of its own), `purity_from_counts` (the MLE purity, (1 + r.r)/2
+  of the linear inversion, 1 outside the ball) or the Poisson-resampling
+  bootstrap `bootstrap_std`; they stay because `perfbench/tracer.py` wraps
+  them by name (ROADMAP items 1 and 12);
 * correlation decoding: the nine Pauli-pair correlators of the masked state
   (rows and columns in `measure.AXES` order) determine the real input density
   matrix through one constant linear map, derived from the masker by
@@ -105,7 +106,7 @@ def agresti_coull(passed: int, total: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Single-qubit maximum-likelihood tomography.
+# Single-qubit tomography.
 
 def _checked_counts(counts) -> np.ndarray:
     """Counts as a float (batch, 3, 2) array, a single (3, 2) array as a
@@ -203,6 +204,54 @@ def purity_from_counts(counts: np.ndarray) -> np.ndarray:
     """
     _r, r2 = _linear_inversion(_checked_counts(counts))
     return 0.5 * (1.0 + np.minimum(r2, 1.0))
+
+
+def squared_bloch_length(counts, shots: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Each qubit's squared Bloch length Q = sum_k r_k^2, estimated without
+    bias, and the variance of that estimate, from a (..., 3, 2) stack of X/Y/Z
+    count tables of `shots` shots each: two (...) float arrays.
+
+    Each axis is one Binomial(n, (1 + r_k)/2) draw, so with the linear
+    inversion r^_k = (n+_k - n-_k)/n the square u_k = (n r^_k^2 - 1)/(n - 1) is
+    unbiased for r_k^2, and Q^ = sum_k u_k, unclipped: it may leave [0, 1].
+    The outcome +-1 has cumulants k2 = 1 - r^2, k3 = -2r(1 - r^2) and k4 =
+    -2(1 - r^2)(1 - 3r^2), so Var(r^^2) = 4r^2 k2/n + 4r k3/n^2 + 2 k2^2/n^2 +
+    k4/n^3 exactly, a function of r^2 alone.  Var(u_k) = (n/(n - 1))^2
+    Var(r^_k^2) is evaluated at r_k^2 = clip(u_k, 0, 1), and the axes are
+    independent, so Var(Q^) = sum_k Var(u_k).
+
+    `shots` None is the limit n -> inf, in which analytic mode reads Born
+    tables as counts: Q^ = sum_k r^_k^2 with variance 0.  A one-shot table
+    carries no information about r^2, so at `shots` 1 Q^ is the plug-in
+    min(sum_k r^_k^2, 1), which is 1, and its variance is the stated bound
+    1/4, that of any quantity in [0, 1] (a standard deviation of its
+    half-range 1/2).  Otherwise `shots` is an integer in [1, `MAX_SHOTS`]
+    and every table must hold that many counts.
+    """
+    c = np.asarray(counts, dtype=float)
+    if c.shape[-2:] != (3, 2):
+        raise ValueError("counts must have shape (..., 3, 2)")
+    r, r2 = _linear_inversion(_checked_counts(c.reshape(-1, 3, 2)))
+    shape = c.shape[:-2]
+    if shots is None:
+        return r2.reshape(shape), np.zeros(shape)
+    n = _checked("shots", _count, shots)
+    if not (c.sum(axis=-1) == n).all():
+        raise ValueError(f"every table must hold shots = {n} counts")
+    if n == 1:
+        return np.minimum(r2, 1.0).reshape(shape), np.full(shape, 0.25)
+    u = (n * r * r - 1.0) / (n - 1.0)
+    return u.sum(axis=-1).reshape(shape), _square_variance(np.clip(u, 0.0, 1.0), n).sum(axis=-1).reshape(shape)
+
+
+def _square_variance(s, n: int):
+    """Var(u) of one axis's unbiased square u = (n r^^2 - 1)/(n - 1) at r^2 =
+    `s`, for n >= 2 shots: (n/(n - 1))^2 Var(r^^2), from the cumulants of the
+    outcome +-1 (`squared_bloch_length`)."""
+    n = float(n)
+    k2 = 1.0 - s
+    var = 4.0 * s * k2 / n - 8.0 * s * k2 / n**2 + 2.0 * k2 * k2 / n**2 - 2.0 * k2 * (1.0 - 3.0 * s) / n**3
+    return (n / (n - 1.0))**2 * var
 
 
 def bootstrap_std(

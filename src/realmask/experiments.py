@@ -7,8 +7,8 @@ holds it as a plain Python value: every random draw flows
 through a sub-seed derived from (config.seed, stream tags), so a rerun
 with the same config produces byte-identical report files.  Estimates are
 never emitted bare: verification fidelity errors are 95% confidence
-half-widths, the others standard deviations (fig4's in closed form, the rest
-bootstrapped), and each report row says which via its error_kind field.
+half-widths, the others standard deviations in closed form, and each report
+row says which via its error_kind field.
 
 Each figure splits into a seed-independent model and its seeded draws.  The
 model masks all its probes (`masker.mask_pure`) into one (n, 4, 4) stack
@@ -19,13 +19,14 @@ weights and fig5's |psi^T psi| of its phase probes.  It is built and checked
 once per process for each value of the config fields it reads
 (`_fig3_model`, `_fig4_model`, `_fig5_model`), never for the seed, and its
 arrays are read-only, so a run that reads a cached model checks no state.
-A figure's seeded draws take one call of each kind (`sample_counts`,
-fig3's `qsv_run`, and `poisson_resample` per bootstrap), each drawing its
-whole table from one generator keyed by one `measure.derive_seed` call on
-the seed and the call's tags: its family ("fig3.tomo", "fig3.qsv", ...),
-and for fig4 its probe too, so that each probe draws a stream of its own.
-Its point estimates ride in the estimator call of their bootstrap resamples
-(`estimate.bootstrap_std`); fig4's fidelity, linear in the counts, has none.
+A figure's seeded draws take one call of each kind (`sample_counts` and
+fig3's `qsv_run`), each drawing its whole table from one generator keyed by
+one `measure.derive_seed` call on the seed and the call's tags: its family
+("fig3.tomo", "fig3.qsv", ...), and for fig4 its probe too, so that each
+probe draws a stream of its own.  No estimate draws: fig3's purities and
+fig5's concurrences read each qubit's squared Bloch length and its exact
+variance (`estimate.squared_bloch_length`), and fig4's fidelity, linear in
+the counts, its closed-form variance.
 
 A figure draws counts, then estimates from them, and the two steps meet at
 plain counts: `_counts` gives the Born tables (analytic mode, read as counts
@@ -40,10 +41,9 @@ masker's magic-basis identity proves (`masker.masker_matrix`).
 A report states each fact of its run once, in its head: its name
 (`experiment`: "fig3", "fig4", "fig5" or "equiv", also the stem of its
 files), the seed and, for a figure, `noise_p`, the facts of its draws (fig3's
-`qsv_tests`, `shots_per_setting` and fig3's and fig5's bootstrap
-`resamples`, each None in analytic mode, which draws nothing) and
-`analytic`.  A row (`report_row`) holds only its estimate and what belongs
-to that estimate alone.
+`qsv_tests` and `shots_per_setting`, each None in analytic mode, which draws
+nothing) and `analytic`.  A row (`report_row`) holds only its estimate and
+what belongs to that estimate alone.
 
 A report is written as JSON with floats at 12 significant digits and as a
 CSV of that JSON's leaves: the header `path,value`, then one row per scalar
@@ -73,7 +73,7 @@ from .qcore import concurrence_from_purity, fidelity_with_pure, partial_trace
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 21
+REPORT_SCHEMA = 22
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
@@ -82,7 +82,6 @@ DEFAULT_PHI_GRID = (0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0)
 DEFAULT_SHOTS = {"fig3": 4000, "fig4": 4000, "fig5": 10000}
 DEFAULT_PROBE = 4
 DEFAULT_N_INPUTS = 100
-BOOTSTRAP_RESAMPLES = 100
 # Random preparation targets the equivalence check runs through the table at
 # once; it bounds the memory of a large --n-inputs run.
 EQUIV_BLOCK = 4096
@@ -220,32 +219,19 @@ def _counts(probs: np.ndarray, config: ExperimentConfig, experiment: str, *tags)
     return measure.sample_counts(probs, config.shots(experiment), derive_seed(config.seed, *tags))
 
 
-def _estimate(quantity, counts: np.ndarray, config: ExperimentConfig,
-              experiment: str) -> tuple[np.ndarray, np.ndarray]:
-    """`quantity` of each item of a stack of count tables, which it maps to
-    (m, ...) values, and their spread: zero in analytic mode, else the
-    bootstrap std, the stack resampled from the sub-seed tagged
-    "<experiment>.boot".  It reads only the counts, so counts from anywhere
-    estimate as drawn ones do."""
-    if config.analytic:
-        values = np.asarray(quantity(counts))
-        return values, np.zeros_like(values)
-    return estimate.bootstrap_std(quantity, counts, derive_seed(config.seed, f"{experiment}.boot"),
-                                  resamples=BOOTSTRAP_RESAMPLES)
+def _estimate(counts: np.ndarray, config: ExperimentConfig, experiment: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each qubit's squared Bloch length in a (..., 3, 2) stack of count
+    tables and its variance (`estimate.squared_bloch_length`): at
+    `config.shots(experiment)` shots, or in analytic mode, whose counts are
+    Born tables, the limit of infinitely many, with no variance.  It reads
+    only the counts, so counts from anywhere estimate as drawn ones do."""
+    return estimate.squared_bloch_length(counts, None if config.analytic else config.shots(experiment))
 
 
 # ---------------------------------------------------------------------------
 # fig3: verification fidelity + reduced-state purity for the four probes.
 
 PROBES = (1, 2, 3, 4)
-
-
-def _purities(counts: np.ndarray) -> np.ndarray:
-    """(m, 3) MLE purities of the path and polarization qubits of each
-    (2, 3, 2) count array of a stack, and their mean, whose spread fig3
-    reports."""
-    pur = estimate.purity_from_counts(counts.reshape(-1, 3, 2)).reshape(-1, 2)
-    return np.column_stack([pur, pur.mean(axis=1)])
 
 
 @lru_cache(maxsize=_MODELS_KEPT)
@@ -262,6 +248,8 @@ def _fig3_model(noise_p: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_fig3(config: ExperimentConfig) -> dict:
+    """Each probe's verification fidelity, and its path and polarization qubits' purities (1 + Q)/2 from their
+    squared Bloch lengths Q, unclipped, with their average, whose error is sqrt(Var Q_A + Var Q_B) / 4."""
     probs, fidelities = _fig3_model(config.noise_p)
     # Each probe's (eps_hat, error, eps_low, eps_high, passed); analytic mode draws no pass counts.
     if config.analytic:
@@ -269,17 +257,16 @@ def run_fig3(config: ExperimentConfig) -> dict:
     else:
         passes = estimate.qsv_run(fidelities, config.qsv_tests, derive_seed(config.seed, "fig3.qsv"))
         verdicts = [(*estimate.qsv_interval(passed, config.qsv_tests), passed) for passed in passes]
-    counts = _counts(probs, config, "fig3", "fig3.tomo")
-    pur, std = _estimate(_purities, counts, config, "fig3")
+    q, var = _estimate(_counts(probs, config, "fig3", "fig3.tomo"), config, "fig3")
+    pur = 0.5 * (1.0 + q)
     rows = [{"probe": idx, "target": PROBE_LABELS[idx],
              "fidelity": report_row(f"probe {idx} fidelity", 1.0 - eps, err, "ci95",
                                     eps_hat=eps, eps_low=low, eps_high=high, passed=passed),
              "purity": report_row(f"probe {idx} avg purity", avg, spread, "std",
                                   path_purity=pur_a, pol_purity=pur_b)}
-            for idx, (eps, err, low, high, passed), (pur_a, pur_b, avg), spread
-            in zip(PROBES, verdicts, pur.tolist(), std[:, 2].tolist())]
-    return {**_head(config, "fig3", qsv_tests=config.qsv_tests, shots_per_setting=config.shots("fig3"),
-                    resamples=BOOTSTRAP_RESAMPLES),
+            for idx, (eps, err, low, high, passed), (pur_a, pur_b), avg, spread
+            in zip(PROBES, verdicts, pur.tolist(), pur.mean(axis=1).tolist(), np.sqrt(var.sum(axis=1) / 16.0).tolist())]
+    return {**_head(config, "fig3", qsv_tests=config.qsv_tests, shots_per_setting=config.shots("fig3")),
             "probes": rows}
 
 
@@ -322,11 +309,6 @@ def run_fig4(config: ExperimentConfig, probe: int = DEFAULT_PROBE) -> dict:
 # ---------------------------------------------------------------------------
 # fig5: concurrence of the masked phase probes vs the cosine prediction.
 
-def _concurrence(counts: np.ndarray) -> np.ndarray:
-    """Concurrence from the MLE purity of each (3, 2) count array of a stack."""
-    return concurrence_from_purity(estimate.purity_from_counts(counts))
-
-
 @lru_cache(maxsize=_MODELS_KEPT)
 def _fig5_model(noise_p: float, phis: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """fig5's seed-independent arrays, read-only: |psi^T psi| of each phase
@@ -339,17 +321,22 @@ def _fig5_model(noise_p: float, phis: tuple[float, ...]) -> tuple[np.ndarray, np
 
 
 def run_fig5(config: ExperimentConfig) -> dict:
+    """Each phase probe's concurrence sqrt(1 - Q) from its path qubit's squared Bloch length Q, clipped to [0, 1],
+    with the delta method's error sd(Q) / (2 sqrt(max(1 - Q, sd(Q)))): the floor keeps it finite where Q reads 1
+    or more, and it is 0 only where sd(Q) is."""
     phis = config.phi_grid_deg
     pure, probs = _fig5_model(config.noise_p, phis)
-    counts = _counts(probs, config, "fig5", "fig5.tomo")
-    est, std = _estimate(_concurrence, counts, config, "fig5")
+    q, var = _estimate(_counts(probs, config, "fig5", "fig5.tomo"), config, "fig5")
+    # sqrt(1 - Q) through the purity (1 + Q)/2, the arithmetic analytic reports have always used.
+    est, sd = concurrence_from_purity(0.5 * (1.0 + q)), np.sqrt(var)
+    floor = np.maximum(1.0 - q, sd)
+    std = np.divide(sd, 2.0 * np.sqrt(floor), out=np.zeros_like(sd), where=floor > 0.0)
     if config.analytic and config.noise_p == 0.0:  # the pure states need no square root of a rounded 1 - purity
         est = pure
     points = [report_row(f"phi = {phi} deg", float(est[i]), float(std[i]), "std",
                          phi_deg=phi, theory_cos=math.cos(math.radians(phi)))
               for i, phi in enumerate(phis)]
-    return {**_head(config, "fig5", shots_per_setting=config.shots("fig5"), resamples=BOOTSTRAP_RESAMPLES),
-            "points": points}
+    return {**_head(config, "fig5", shots_per_setting=config.shots("fig5")), "points": points}
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,16 @@ table of (+, -) probabilities and `pair_probs` a pair's (9, 4) table of
 (++, +-, -+, --) probabilities, rows in `AXES` and `PAIRS` order; a stack of
 states gives a stack of tables.  Analytic and sampled runs read the same
 rows: probabilities are counts scaled to one shot, so every estimator that
-takes counts (`correlators`, `estimate.purity_from_counts`) reads a Born
+takes counts (`correlators`, `estimate.squared_bloch_length`) reads a Born
 table as it is, and analytic mode is a figure's sampled estimator run on
-its tables.
+its tables (`squared_bloch_length` in the limit of infinitely many
+shots).
 
 Counting model: each Pauli-pair (or single-qubit) setting is measured a fixed
 number of times, drawn as one multinomial over the Born probabilities into an
-integer count array.  Poisson fluctuation enters only through the resampling
-step used for error bars (one draw over a count array per estimate),
-mirroring the analysis pipeline rather than a physical source model.  The
+integer count array, so each axis of a qubit is one binomial draw, which
+the closed-form errors of `estimate` assume; no pipeline resamples counts
+(`poisson_resample` stays for `perfbench/tracer.py`, ROADMAP item 1).  The
 pipelines carry bare count arrays; `CountsTable` is the plain named tuple
 (setting, counts, shots, seed) that `tables_from_csv` builds.
 
@@ -118,7 +119,7 @@ def _integer(v) -> int:
 
 # The most shots per setting, tests per probe and counts: below the 2**63 - 1
 # trials of numpy's multinomial and binomial samplers and the largest mean of
-# its Poisson sampler, about 9.2e18, by which a bootstrap redraws each count.
+# its Poisson sampler, about 9.2e18, by which `poisson_resample` redraws each count.
 MAX_SHOTS = 10**18
 
 
@@ -345,10 +346,11 @@ def _fault(lines: list[str]) -> str:
             return f"CSV line {number}: count, shots and seed must be integers, got {count!r}, {shots!r}, {seed!r}"
         by_outcome = grouped.setdefault(key, {})
         if outcome in by_outcome:
-            return f"CSV line {number}: repeated outcome {outcome!r} for setting {setting}, shots {shots}, seed {seed}"
+            return (f"CSV line {number}: repeated outcome {outcome!r} for setting {setting!r}, "
+                    f"shots {shots!r}, seed {seed!r}")
         by_outcome[outcome] = value
     for (setting, shots, seed), by_outcome in grouped.items():
-        table = f"table for setting {setting}, shots {shots}, seed {seed}"
+        table = f"table for setting {setting!r}, shots {shots}, seed {seed}"
         labels = OUTCOMES_PAIR if len(by_outcome) == 4 else OUTCOMES_SINGLE
         if set(by_outcome) != set(labels):
             return f"{table} has outcomes {sorted(by_outcome)}, expected {', '.join(labels)}"

@@ -159,6 +159,18 @@ def exact_qsv_coverage(fidelity: float, n_tests: int) -> float:
     return math.fsum(covering)
 
 
+def exact_square_moments(n_shots: int, r: float) -> tuple[float, float]:
+    """The mean and variance of one axis's unbiased square u = (n r^^2 -
+    1)/(n - 1), r^ = (n+ - n-)/n, under the pipeline's own law n+ ~
+    Binomial(n, (1 + r)/2): sums over the n + 1 outcomes.  The oracle for
+    the moments of `estimate.squared_bloch_length` (ROADMAP item 9)."""
+    n = n_shots
+    weights = [binomial_pmf(k, n, (1.0 + r) / 2.0) for k in range(n + 1)]
+    squares = [(n * ((2 * k - n) / n) ** 2 - 1.0) / (n - 1.0) for k in range(n + 1)]
+    mean = math.fsum(w * u for w, u in zip(weights, squares))
+    return mean, math.fsum(w * (u - mean) ** 2 for w, u in zip(weights, squares))
+
+
 def round_floats(obj):
     """`obj` with every float rounded to 12 significant digits and every
     tuple made a list, as the report writer once prepared a report for

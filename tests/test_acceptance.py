@@ -6,7 +6,7 @@ lines; plain `pytest` runs them silently.
 Criteria 1-6 are exact-path (deterministic, noiseless); criteria 7-11 are
 seeded Monte Carlo reproductions of the experimental statistics at the
 experiment's sample sizes (5000 verification tests, 4000/10000 shots per
-setting, 100 bootstrap resamples).
+setting).
 """
 import math
 import time
@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from realmask import measure, optics, walk
-from realmask.estimate import agresti_coull, decode_real_state, purity_from_counts, qsv_interval, qsv_run
+from realmask.estimate import agresti_coull, decode_real_state, qsv_interval, qsv_run, squared_bloch_length
 from realmask.experiments import ExperimentConfig, phase_probe, probe_vector, run_fig3
 from realmask.masker import hr_unitaries, mask_pure, masker_matrix
 from realmask.measure import (
@@ -178,9 +178,9 @@ def test_criterion_7_fig3_fidelities():
 
 
 def test_criterion_8_fig3_purities():
-    """Average reduced purities in [0.48, 0.53] with bootstrap errors reported."""
+    """Average reduced purities in [0.48, 0.53] with closed-form errors reported."""
     report = run_fig3(ExperimentConfig(seed=SEED))
-    assert report["resamples"] == 100
+    assert "resamples" not in report
     purities = []
     for row in report["probes"]:
         p = row["purity"]
@@ -188,7 +188,7 @@ def test_criterion_8_fig3_purities():
         assert p["error_kind"] == "std"
         assert 0.0 < p["error"] < 0.02
         purities.append(p["estimate"])
-    _report(8, f"fig3 purities {[f'{p:.4f}' for p in purities]} (bootstrap std reported)")
+    _report(8, f"fig3 purities {[f'{p:.4f}' for p in purities]} (closed-form std reported)")
 
 
 def test_criterion_9_fig4_decoding():
@@ -224,8 +224,8 @@ def test_criterion_10_fig5_curve():
                 counts[i, k] = sample_counts(
                     prob_table[i][k], 10_000, derive_seed(SEED, "accept10", s, i, ax)
                 )
-        pur = purity_from_counts(counts)
-        c_est = np.sqrt(np.clip(2 * (1 - pur), 0.0, None))
+        q, _var = squared_bloch_length(counts, 10_000)
+        c_est = np.sqrt(np.clip(1 - q, 0.0, 1.0))
         dev = np.abs(c_est - theory)
         worst = max(worst, float(dev.max()))
         if (dev < 0.03).all():

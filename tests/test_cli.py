@@ -87,7 +87,7 @@ class TestReportFiles:
         cfg = ExperimentConfig(seed=3, noise_p=0.0, analytic=True, phi_grid_deg=(0.0, 45.0))
         assert report_texts(run_fig5(cfg))[1].splitlines() == [
             "path,value", f"schema,{experiments.REPORT_SCHEMA}", "experiment,fig5", "seed,3", "noise_p,0.0",
-            "shots_per_setting,", "resamples,", "analytic,true",
+            "shots_per_setting,", "analytic,true",
             "points.0.target,phi = 0.0 deg", "points.0.estimate,1.0", "points.0.error,0.0",
             "points.0.error_kind,std", "points.0.phi_deg,0.0", "points.0.theory_cos,1.0",
             "points.1.target,phi = 45.0 deg", "points.1.estimate,0.707106781187", "points.1.error,0.0",
@@ -96,7 +96,7 @@ class TestReportFiles:
     def test_fig3_csv_rows(self):
         lines = report_texts(run_fig3(ExperimentConfig(seed=3, analytic=True)))[1].splitlines()
         assert lines[:3] == ["path,value", f"schema,{experiments.REPORT_SCHEMA}", "experiment,fig3"]
-        assert lines[9:12] == ["probes.0.probe,1", "probes.0.target,|0>", "probes.0.fidelity.target,probe 1 fidelity"]
+        assert lines[8:11] == ["probes.0.probe,1", "probes.0.target,|0>", "probes.0.fidelity.target,probe 1 fidelity"]
 
     def test_write_report_creates_files(self, tmp_path):
         cfg = ExperimentConfig(seed=3, analytic=True)
@@ -108,7 +108,7 @@ class TestReportFiles:
     def test_report_carries_schema_version(self):
         doc = json.loads(report_texts(run_fig4(ExperimentConfig(seed=3, analytic=True)))[0])
         assert next(iter(doc)) == "schema"
-        assert doc["schema"] == experiments.REPORT_SCHEMA == 21
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 22
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError):
@@ -602,8 +602,9 @@ class TestCommandLine:
     @pytest.mark.parametrize("experiment", ["fig3", "fig4", "fig5"])
     @pytest.mark.parametrize("shots", ["1", "2"])
     def test_one_or_two_shots_give_finite_reports(self, experiment, shots, tmp_path):
-        # Many Poisson resamples of such tables hold no counts at all; each
-        # must still give a finite estimate and a valid report.
+        # Such tables give no unbiased square (one shot) or may read one
+        # outcome on every axis, with no variance (two shots); each must
+        # still give a finite estimate and a valid report.
         tests = ["--qsv-tests", "50"] if experiment == "fig3" else []
         rc = cli.main([experiment, "--shots", shots, *tests, "--out", str(tmp_path)])
         assert rc == 0

@@ -19,6 +19,7 @@ from realmask.estimate import (
     purity_from_counts,
     qsv_interval,
     qsv_run,
+    squared_bloch_length,
 )
 from realmask.experiments import ExperimentConfig, probe_vector, run_fig4
 from realmask.masker import masker_matrix
@@ -40,6 +41,7 @@ from helpers import (
     binomial_pmf,
     density,
     exact_qsv_coverage,
+    exact_square_moments,
     hr_combination,
     magic_basis,
     mask_state,
@@ -720,6 +722,81 @@ class TestPurityFromCounts:
 
         monkeypatch.setattr(estimate, "_sphere_fit", refuse)
         assert np.all(purity_from_counts(seeded_boundary_counts(5000, seed=91)) == 1.0)
+
+
+class TestSquaredBlochLength:
+    """`squared_bloch_length` against the exact binomial law of one axis, summed
+    by `helpers.exact_square_moments`."""
+
+    @pytest.mark.parametrize("n, r", [(2, 0.0), (5, 0.0), (7, 0.3), (40, 0.9)])
+    def test_the_square_is_unbiased_with_the_closed_form_variance(self, n, r):
+        mean, var = exact_square_moments(n, r)
+        assert mean == pytest.approx(r * r, abs=1e-12)
+        assert estimate._square_variance(r * r, n) == pytest.approx(var, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_each_outcome_gives_its_square_and_the_variance_at_it(self, n):
+        # Three axes of k and n - k counts, signs alternating: Q = 3 u_k, its
+        # variance three times that of u at r^2 = clip(u_k, 0, 1).
+        for k in range(n + 1):
+            u = (n * ((2 * k - n) / n) ** 2 - 1.0) / (n - 1.0)
+            q, var = squared_bloch_length([[k, n - k], [n - k, k], [k, n - k]], n)
+            assert q.shape == var.shape == ()
+            assert q == pytest.approx(3.0 * u, abs=1e-12)
+            assert var == pytest.approx(3.0 * estimate._square_variance(min(max(u, 0.0), 1.0), n), abs=1e-15)
+            assert var >= 0.0
+
+    def test_a_pure_axis_has_no_variance_and_a_mixed_one_has_some(self):
+        q, var = squared_bloch_length([[10, 0], [5, 5], [0, 10]], 10)
+        assert q == pytest.approx(2.0 - 1.0 / 9.0, abs=1e-15)
+        assert var == pytest.approx(estimate._square_variance(0.0, 10), abs=1e-18) and var > 0.0
+
+    def test_without_shots_it_is_the_squared_length_of_born_tables(self):
+        probs = axis_probs(np.stack([random_density(2, np.random.default_rng(seed)) for seed in range(5)]))
+        q, var = squared_bloch_length(probs, None)
+        r = (probs[..., 0] - probs[..., 1]) / (probs[..., 0] + probs[..., 1])
+        assert q.tobytes() == (r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2]).tobytes()
+        assert var.shape == (5,) and not var.any()
+
+    def test_one_shot_reads_the_plug_in_with_the_stated_bound(self):
+        counts = np.array([[[1, 0], [0, 1], [1, 0]], [[0, 1], [0, 1], [0, 1]]])
+        q, var = squared_bloch_length(counts, 1)
+        assert q.tolist() == [1.0, 1.0] and var.tolist() == [0.25, 0.25]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 9)] * 3), min_size=1, max_size=8), st.sampled_from([(-1,), (2, -1)]))
+    def test_each_item_of_a_stack_reads_as_it_would_alone(self, items, shape):
+        n = 9
+        counts = np.array([[[k, n - k] for k in item] for item in items])
+        if shape == (2, -1) and len(items) % 2:
+            counts = np.concatenate([counts, counts[:1]])
+        stacked = counts.reshape(*shape, 3, 2)
+        q, var = squared_bloch_length(stacked, n)
+        assert q.shape == var.shape == stacked.shape[:-2]
+        alone = [squared_bloch_length(item, n) for item in counts]
+        assert q.ravel().tobytes() == np.array([a for a, _ in alone]).tobytes()
+        assert var.ravel().tobytes() == np.array([b for _, b in alone]).tobytes()
+
+    def test_the_largest_shots_give_finite_moments(self):
+        n = 10**18
+        q, var = squared_bloch_length([[n, 0], [n // 2, n // 2], [0, n]], n)
+        assert math.isfinite(q) and math.isfinite(var) and var > 0.0
+        assert q == pytest.approx(2.0, abs=1e-15)
+
+    @pytest.mark.parametrize("counts, shots, message", [
+        (np.ones((3, 3)), 2, r"counts must have shape \(\.\.\., 3, 2\)"),
+        (np.ones(6), 2, r"counts must have shape \(\.\.\., 3, 2\)"),
+        ([[1, 1], [2, 0], [1, 0]], 2, "every table must hold shots = 2 counts"),
+        ([[1, 1], [2, 0], [3, -1]], 2, "counts must be nonnegative"),
+        ([[1, 1], [2, 0], [1, math.nan]], 2, "counts must be finite, got a NaN or infinite count"),
+        ([[1, 1], [2, 0], [1, 1]], 0, "shots must be "),
+        ([[1, 1], [2, 0], [1, 1]], 2.5, "shots must be "),
+        ([[1, 0], [1, 0], [1, 0]], True, "shots must be "),
+        ([[1, 1], [2, 0], [1, 1]], 10**19, "shots must be "),
+    ])
+    def test_refuses(self, counts, shots, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            squared_bloch_length(counts, shots)
 
 
 class TestBootstrap:

@@ -3,7 +3,7 @@
 The oracles below run each probe or phase point on its own, with its own
 density matrices and MLE calls, as the pipelines did before they processed a
 figure as one stack.  They draw as the one-generator law says: each of a
-run's draws (verification, tomography, bootstrap) takes one generator keyed
+run's draws (verification, tomography) takes one generator keyed
 by one sub-seed, and its rows are drawn from it one after another in the
 stack's order, so the reports must agree byte for byte.
 """
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from realmask import estimate, experiments, masker, measure, optics, qcore, walk
 from realmask.experiments import (
-    BOOTSTRAP_RESAMPLES,
     PROBE_LABELS,
     ExperimentConfig,
     phase_probe,
@@ -100,18 +99,9 @@ class TestProbes:
         assert report_texts(run_fig4(config, probe=np.int64(2))) == report_texts(run_fig4(config, probe=2))
 
 
-def oracle_bootstrap(quantity, counts, rng):
-    """Each point's spread over Poisson redraws of all the points' counts at
-    once, one redrawn stack after another: the std of its values down the
-    resamples."""
-    redrawn = rng.poisson(counts, size=(BOOTSTRAP_RESAMPLES, *counts.shape))
-    values = np.stack([quantity(redrawn[:, i]) for i in range(len(counts))], axis=1)
-    return np.std(values, axis=0, ddof=1).tolist()
-
-
 def oracle_fig3(config):
     shots = config.shots("fig3")
-    rows, all_counts = [], []
+    rows = []
     qsv, tomo = stream(config, "fig3.qsv"), stream(config, "fig3.tomo")
     for idx in (1, 2, 3, 4):
         a = probe_vector(idx)
@@ -132,56 +122,43 @@ def oracle_fig3(config):
             fid = oracle_row(f"probe {idx} fidelity", 1.0 - eps, max(eps - low, high - eps), "ci95",
                              eps_hat=eps, eps_low=low, eps_high=high, passed=passed)
             counts = np.array([oracle_pauli_counts(partial_trace(rho, k), shots, tomo) for k in ("A", "B")])
-            all_counts.append(counts)
-            pur_a, pur_b = estimate.purity_from_counts(counts).tolist()
-            std = None
+            (q_a, q_b), (var_a, var_b) = (v.tolist() for v in estimate.squared_bloch_length(counts, shots))
+            pur_a, pur_b = 0.5 * (1.0 + q_a), 0.5 * (1.0 + q_b)
+            std = math.sqrt((var_a + var_b) / 16.0)
         pur = oracle_row(f"probe {idx} avg purity", 0.5 * (pur_a + pur_b), std, "std",
                          path_purity=pur_a, pol_purity=pur_b)
         rows.append({"probe": idx, "target": PROBE_LABELS[idx], "fidelity": fid, "purity": pur})
     sampled = not config.analytic
-    if sampled:
-        spreads = oracle_bootstrap(
-            lambda c: estimate.purity_from_counts(c.reshape(-1, 3, 2)).reshape(-1, 2).mean(axis=1),
-            np.array(all_counts), stream(config, "fig3.boot"))
-        for row, spread in zip(rows, spreads):
-            row["purity"]["error"] = spread
     return {
         "experiment": "fig3", "seed": config.seed, "noise_p": config.noise_p,
         "qsv_tests": config.qsv_tests if sampled else None, "shots_per_setting": shots if sampled else None,
-        "resamples": BOOTSTRAP_RESAMPLES if sampled else None,
         "analytic": config.analytic, "probes": rows,
     }
 
 
 def oracle_fig5(config):
     shots = config.shots("fig5")
-    points, all_counts = [], []
+    points = []
     tomo = stream(config, "fig5.tomo")
-    for i, phi in enumerate(config.phi_grid_deg):
+    for phi in config.phi_grid_deg:
         ideal, rho = oracle_masked_probe(phase_probe(phi), config.noise_p)
         rho_path = partial_trace(rho, "A")
-
-        def conc(c):
-            return concurrence_from_purity(estimate.purity_from_counts(c))
-
         if config.analytic and config.noise_p == 0.0:
             est, std = spin_flip_concurrence(ideal), 0.0
         elif config.analytic:
             est, std = float(concurrence_from_purity(purity(rho_path))), 0.0
         else:
             counts = oracle_pauli_counts(rho_path, shots, tomo)
-            all_counts.append(counts)
-            est, std = float(conc(counts[None])[0]), None
+            (q,), (var,) = (v.tolist() for v in estimate.squared_bloch_length(counts[None], shots))
+            est, sd = float(concurrence_from_purity(0.5 * (1.0 + q))), math.sqrt(var)
+            floor = max(1.0 - q, sd)
+            std = sd / (2.0 * math.sqrt(floor)) if floor > 0.0 else 0.0
         points.append(oracle_row(f"phi = {phi} deg", est, std, "std",
                                  phi_deg=phi, theory_cos=math.cos(math.radians(phi))))
     sampled = not config.analytic
-    if sampled:
-        for point, spread in zip(points, oracle_bootstrap(conc, np.array(all_counts), stream(config, "fig5.boot"))):
-            point["error"] = spread
     return {
         "experiment": "fig5", "seed": config.seed, "noise_p": config.noise_p,
-        "shots_per_setting": shots if sampled else None, "resamples": BOOTSTRAP_RESAMPLES if sampled else None,
-        "analytic": config.analytic, "points": points,
+        "shots_per_setting": shots if sampled else None, "analytic": config.analytic, "points": points,
     }
 
 
@@ -191,8 +168,11 @@ CONFIGS = {
     "seed 20404": ExperimentConfig(seed=20404),
     "noiseless": ExperimentConfig(seed=1, noise_p=0.0),
     "one shot": ExperimentConfig(seed=1, shots_per_setting=1),
+    # Some qubits read one outcome on every axis: Q reads 3 with no variance.
+    "two shots noiseless": ExperimentConfig(seed=1, noise_p=0.0, shots_per_setting=2),
     "analytic": ExperimentConfig(seed=1, analytic=True),
     "analytic noiseless": ExperimentConfig(seed=1, noise_p=0.0, analytic=True),
+    "analytic noise 0.05": ExperimentConfig(seed=1, noise_p=0.05, analytic=True),
 }
 
 
@@ -216,12 +196,16 @@ def test_an_empty_phase_grid_is_refused(grid):
         ExperimentConfig(phi_grid_deg=grid)
 
 
-def test_noiseless_fig5_is_exactly_unentangled_at_90_degrees():
-    # The path qubit is pure at 90 degrees, so every fit and resample lies on
-    # the Bloch sphere: purity exactly 1, concurrence and its error exactly 0.
-    point = run_fig5(ExperimentConfig(seed=1, noise_p=0.0))["points"][-1]
+@pytest.mark.parametrize("seed", [1, 5])
+def test_noiseless_fig5_at_90_degrees_has_a_finite_nonzero_error(seed):
+    """The path qubit is pure at 90 degrees, so Q reads about 1, and at seed
+    5 more than 1, where the delta method's sqrt(1 - Q) is 0; the floor
+    sd(Q) keeps the error finite and nonzero, and the estimate within it."""
+    point = run_fig5(ExperimentConfig(seed=seed, noise_p=0.0))["points"][-1]
     assert point["phi_deg"] == 90.0
-    assert (point["estimate"], point["error"]) == (0.0, 0.0)
+    assert 0.0 < point["error"] < 0.02 and 0.0 <= point["estimate"] <= 2.0 * point["error"]
+    if seed == 5:
+        assert point["estimate"] == 0.0
 
 
 def test_analytic_noiseless_fig5_is_the_cosine():
@@ -293,6 +277,60 @@ def test_fig4_fidelity_error_is_calibrated(probe):
     assert abs(z.mean()) < 0.3
     assert 0.8 < z.std(ddof=1) < 1.2
     assert abs(np.mean(np.abs(z) <= 1.96) - 0.95) <= 3.0 * math.sqrt(0.95 * 0.05 / n)
+
+
+def calibration_z(run, rows) -> np.ndarray:
+    """(seed, row) array of z = (estimate - analytic value)/error over
+    `CALIBRATION_SEEDS` at the default config, for the rows that `rows`
+    picks from a report of `run`."""
+    truth = [row["estimate"] for row in rows(run(ExperimentConfig(analytic=True)))]
+    return np.array([[(row["estimate"] - want) / row["error"]
+                      for row, want in zip(rows(run(ExperimentConfig(seed=seed))), truth)]
+                     for seed in CALIBRATION_SEEDS])
+
+
+def test_fig3_purity_error_is_calibrated():
+    """Each probe's average purity, taken against the analytic value, has
+    |mean z| < 0.3, and its error is not smaller than its spread (sd z <=
+    1.2).  The reduced states are maximally mixed, where the plug-in
+    variance keeps a first-order term 4 r^2 (1 - r^2)/n that the true law
+    lacks, so the bars over-cover: sd z is 0.65-0.69.  The bootstrap read
+    mean z +0.94."""
+    z = calibration_z(run_fig3, lambda report: [probe["purity"] for probe in report["probes"]])
+    assert z.shape == (len(CALIBRATION_SEEDS), len(experiments.PROBES))
+    assert (np.abs(z.mean(axis=0)) < 0.3).all()
+    assert (z.std(axis=0, ddof=1) <= 1.2).all()
+
+
+def test_fig5_concurrence_error_is_calibrated():
+    """Every phase has |mean z| < 0.3.  At 15-90 degrees sd z lies in [0.8,
+    1.2] and C +- 1.96 error covers the analytic value in a binomial band
+    around 95% of the seeds; at 0 degrees the path qubit is maximally mixed
+    and the bars over-cover, so there sd z is only bounded by 1.2."""
+    assert ExperimentConfig().phi_grid_deg[0] == 0.0
+    z = calibration_z(run_fig5, lambda report: report["points"])
+    n = len(z)
+    assert (np.abs(z.mean(axis=0)) < 0.3).all()
+    assert z[:, 0].std(ddof=1) <= 1.2
+    spread = z[:, 1:].std(axis=0, ddof=1)
+    assert ((0.8 <= spread) & (spread <= 1.2)).all()
+    coverage = np.mean(np.abs(z[:, 1:]) <= 1.96, axis=0)
+    assert (np.abs(coverage - 0.95) <= 3.0 * math.sqrt(0.95 * 0.05 / n)).all()
+
+
+@pytest.mark.parametrize("run", [run_fig3, run_fig5])
+def test_a_one_shot_run_reports_the_stated_bound(run):
+    """One shot per table carries no information about Q: the plug-in reads
+    purity 1 and concurrence 0, and Q's variance is the bound 1/4 of any
+    quantity in [0, 1], so fig3's average purity has the error sqrt(1/4 +
+    1/4)/4 and fig5's concurrence sqrt(1/4) / (2 sqrt(max(1 - 1, 1/2)))."""
+    report = run(ExperimentConfig(seed=1, shots_per_setting=1))
+    if run is run_fig3:
+        rows, want = [probe["purity"] for probe in report["probes"]], (1.0, math.sqrt(0.5) / 4.0)
+    else:
+        rows, want = report["points"], (0.0, 0.5 / (2.0 * math.sqrt(0.5)))
+    assert {(row["estimate"], row["error"]) for row in rows} == {want}
+    assert all(0.0 < row["error"] < math.inf for row in rows)
 
 
 def test_noiseless_fig4_decodes_the_fourth_probe_exactly():
@@ -411,24 +449,24 @@ def test_figures_in_two_threads_equal_their_serial_reports():
 # (owner, name, calls in a cold op, calls in a warm op) of one default figures
 # op: fig3, fig4, fig5 and equiv, each report written.  The rows down to
 # `write_report` are the functions perfbench/tracer.py traces; then numpy's
-# `eigh` and `Philox` (one per `generator` call), the complex Bloch matrices
-# of the qubit MLE and the file opens.  A change that moves a count edits its
-# row.
+# `eigh` and `Philox` (one per `generator` call), the qubit estimator of fig3
+# and fig5, the complex Bloch matrices of the qubit MLE and the file opens.
+# A change that moves a count edits its row.
 OP_CALLS = (
     (qcore, "partial_trace", 3, 0),
     (masker, "mask_pure", 4, 0),
     (walk, "run_masking_walk", 1, 0),
     (optics, "simulate_masking", 1, 0),
     (optics, "solve_prep_angles", 3, 1),
-    (measure, "derive_seed", 7, 7),  # one per draw: 3 for fig3, 1 for fig4, 2 for fig5, 1 for equiv
-    (measure, "generator", 7, 7),
+    (measure, "derive_seed", 5, 5),  # one per draw: 2 for fig3, 1 for fig4, 1 for fig5, 1 for equiv
+    (measure, "generator", 5, 5),
     (measure, "sample_counts", 3, 3),
-    (measure, "poisson_resample", 2, 2),
+    (measure, "poisson_resample", 0, 0),
     (measure, "tables_from_csv", 0, 0),
     (estimate, "qsv_run", 1, 1),
     (estimate, "mle_qubit_batch", 0, 0),
-    (estimate, "purity_from_counts", 2, 2),
-    (estimate, "bootstrap_std", 2, 2),
+    (estimate, "purity_from_counts", 0, 0),
+    (estimate, "bootstrap_std", 0, 0),
     (estimate, "decode_real_state", 1, 1),
     (experiments, "run_fig3", 1, 1),
     (experiments, "run_fig4", 1, 1),
@@ -436,17 +474,16 @@ OP_CALLS = (
     (experiments, "run_equivalence", 1, 1),
     (experiments, "write_report", 4, 4),
     (np.linalg, "eigh", 1, 1),
-    (np.random, "Philox", 7, 7),
+    (np.random, "Philox", 5, 5),
+    (estimate, "squared_bloch_length", 2, 2),
     (estimate, "_bloch_matrices", 0, 0),
     (os, "open", 8, 8),
 )
 # Rows of the first argument over a warm op: fig3's 4 verification probes;
-# the count arrays resampled by fig3 (4) and fig5 (7); fig3's 8 qubits and
-# fig5's 7 with their 100 resamples each, estimated in one purity call per
-# figure; fig4's one correlation matrix, decoded as a stack of one.
-OP_ROWS = {"estimate.qsv_run": 4, "measure.poisson_resample": 11,
-           "estimate.purity_from_counts": 15 * (BOOTSTRAP_RESAMPLES + 1),
-           "estimate.decode_real_state": 1}
+# fig3's 4 probes (two qubits each) and fig5's 7 phases, each figure's qubits
+# estimated in one call; fig4's one correlation matrix, decoded as a stack of
+# one.
+OP_ROWS = {"estimate.qsv_run": 4, "estimate.squared_bloch_length": 11, "estimate.decode_real_state": 1}
 
 
 def _call_key(owner, name):
@@ -495,7 +532,7 @@ def test_a_figures_op_makes_its_pinned_calls(monkeypatch, tmp_path):
 
 def test_a_default_op_gives_each_stream_its_own_tag_text(monkeypatch):
     """A sub-seed hashes the `str` text of each tag, so two tag tuples of one
-    text, such as (4,) and ("4",), share a stream.  The 7 tag tuples a
+    text, such as (4,) and ("4",), share a stream.  The 5 tag tuples a
     default op derives (fig3, fig4, fig5 and equiv at `ExperimentConfig()`),
     each read as the texts of its parts, are pairwise distinct, and so are
     their sub-seeds.  `derive_seed` is wrapped in every namespace of the
@@ -514,8 +551,8 @@ def test_a_default_op_gives_each_stream_its_own_tag_text(monkeypatch):
                 monkeypatch.setattr(module, attr, recorded)
     for run in (run_fig3, run_fig4, run_fig5, experiments.run_equivalence):
         run(ExperimentConfig())
-    assert len(tags) == len(set(tags)) == 7
-    assert len(seeds) == len(set(seeds)) == 7
+    assert len(tags) == len(set(tags)) == 5
+    assert len(seeds) == len(set(seeds)) == 5
 
 
 def test_model_arrays_refuse_writes():
@@ -622,15 +659,14 @@ def test_report_row_key_order_and_extras():
 ESTIMATE = ["target", "estimate", "error", "error_kind"]
 # Per figure: the head's keys, then the keys of each row by where it sits.
 LAYOUT = {
-    "fig3": (["experiment", "seed", "noise_p", "qsv_tests", "shots_per_setting", "resamples", "analytic",
-              "probes"],
+    "fig3": (["experiment", "seed", "noise_p", "qsv_tests", "shots_per_setting", "analytic", "probes"],
              {"probes": ["probe", "target", "fidelity", "purity"],
               "fidelity": [*ESTIMATE, "eps_hat", "eps_low", "eps_high", "passed"],
               "purity": [*ESTIMATE, "path_purity", "pol_purity"]}),
     "fig4": (["experiment", "seed", "noise_p", "shots_per_setting", "analytic", "probe", "target",
               "correlators", "rho_raw", "rho_decoded", "fidelity"],
              {"fidelity": ESTIMATE}),
-    "fig5": (["experiment", "seed", "noise_p", "shots_per_setting", "resamples", "analytic", "points"],
+    "fig5": (["experiment", "seed", "noise_p", "shots_per_setting", "analytic", "points"],
              {"points": [*ESTIMATE, "phi_deg", "theory_cos"]}),
 }
 
@@ -663,14 +699,11 @@ def test_the_head_holds_the_run_facts_and_rows_only_their_estimates(run, analyti
 @pytest.mark.parametrize("analytic", [False, True], ids=["sampled", "analytic"])
 @pytest.mark.parametrize("run", [run_fig3, run_fig4, run_fig5])
 def test_a_head_states_the_draws_only_of_a_sampled_run(run, analytic):
-    """An analytic run draws nothing: its head's shots, the resamples of fig3
-    and fig5 and fig3's verification tests are null, whatever the config
-    holds.  fig4 draws no resamples, so its head has no `resamples`."""
+    """An analytic run draws nothing: its head's shots and fig3's
+    verification tests are null, whatever the config holds."""
     config = ExperimentConfig(seed=1, shots_per_setting=7, qsv_tests=11, analytic=analytic)
     report = run(config)
     drawn = {"shots_per_setting": 7}
-    if report["experiment"] != "fig4":
-        drawn["resamples"] = BOOTSTRAP_RESAMPLES
     if report["experiment"] == "fig3":
         drawn["qsv_tests"] = 11
     assert {key: report[key] for key in drawn} == ({key: None for key in drawn} if analytic else drawn)
@@ -752,7 +785,7 @@ def test_a_phase_grid_that_is_not_a_list_of_finite_numbers_is_refused(grid):
 
 def test_shots_beyond_the_cap_are_refused_before_any_run():
     # 2**63 - 1 shots at p = 0 used to run fig3 and fig4, then fail inside
-    # fig5's bootstrap with "row 6: count ... is not a whole number".
+    # fig5's Poisson resampling with "row 6: count ... is not a whole number".
     with pytest.raises(ValueError, match=rf"^shots_per_setting must be at most 10\*\*18, got {2**63 - 1}$"):
         ExperimentConfig(noise_p=0.0, shots_per_setting=2**63 - 1)
     config = ExperimentConfig(noise_p=0.0, shots_per_setting=measure.MAX_SHOTS, phi_grid_deg=(90.0,))

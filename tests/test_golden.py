@@ -59,15 +59,16 @@ RUNS = (
     ("analytic", ("fig5", "--analytic", "--seed", "1")),
     # Concurrence taken from the amplitudes of the pure phase probes.
     ("analytic_noiseless", ("fig5", "--analytic", "--noise-p", "0", "--seed", "1")),
-    # The pure phase probes: the 90-degree point and its resamples invert outside the
-    # Bloch ball, where the MLE purity is 1 (the one-shot runs invert outside it too).
+    # The pure phase probes: the 90-degree point's squared Bloch length reads
+    # about 1, where the delta method's error takes its floor.
     ("noiseless", ("fig5", "--noise-p", "0", "--seed", "1")),
     # Noiseless masked states: the pure densities, checked as they are.
     ("noiseless", ("fig3", "--noise-p", "0", "--seed", "1")),
-    ("one_shot", ("fig5", "--shots", "1", "--seed", "1")),  # axes with zero counts in the bootstrap resamples
-    # A one-shot decode, whose error is the variance bound of one-shot tables,
-    # and one-shot purities: point estimates with zero-count axes, estimated in
-    # the call of their resamples.
+    # One-shot runs, whose tables say nothing of a variance: each error is a
+    # stated bound, the variance bound of one-shot tables for the decode and
+    # that of a squared Bloch length in [0, 1] for the concurrences and
+    # purities, read beside the plug-in points 0 and 1.
+    ("one_shot", ("fig5", "--shots", "1", "--seed", "1")),
     ("one_shot", ("fig4", "--shots", "1", "--seed", "1")),
     ("one_shot", ("fig3", "--shots", "1", "--seed", "1")),
     # The other probes' decodes: the default runs decode only the fourth.

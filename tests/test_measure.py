@@ -480,6 +480,12 @@ written_tables = st.lists(
 ).map(lambda tables: [(setting, tuple(counts), sum(counts), seed) for setting, counts, seed in tables])
 
 
+# Characters of any text: the format's own, a quote, CR, LF and NUL, and the
+# line breaks of `str.splitlines` beyond those, which a setting may hold, and
+# an integer cell too where `int` strips them (\x0b, \x0c, \x85, \u2028, \u2029).
+TEXT_ALPHABET = ',+-0179XZ "\r\n\0\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
+
+
 @st.composite
 def edited_count_text(draw):
     """The text of a few tables with up to three edits: a character put in,
@@ -492,7 +498,7 @@ def edited_count_text(draw):
         edit = draw(st.sampled_from(["char", "drop", "repeat", "cell"]))
         if edit == "char":
             j = draw(st.integers(0, len(lines[i])))
-            lines[i] = lines[i][:j] + draw(st.sampled_from(list(',+-09 x"\r\0\n'))) + lines[i][j:]
+            lines[i] = lines[i][:j] + draw(st.sampled_from(list(',+-09 x"\r\0\n\x0b\u2028'))) + lines[i][j:]
         elif edit == "drop":
             del lines[i]
         elif edit == "repeat":
@@ -548,21 +554,25 @@ REFUSALS = [
       for count, shots, seed in [("1e3", "1", "1"), ("1", "0x10", "1"), ("1", "1", ""), ("1", "True", "1"),
                                  ("1", "1", "3.0")]),
     *((HEADER + f"Z,+,{shots},{shots},7\nZ,-,0,{shots},7\n",
-       f"table for setting Z, shots {shots}, seed 7: shots must be at most 10**18, got {shots}")
+       f"table for setting 'Z', shots {shots}, seed 7: shots must be at most 10**18, got {shots}")
       for shots in [10**19, 2**63, 2**64]),
     # A repeated outcome names the cells as written.
     (HEADER + "Z,+,7,10,43\nZ,-,3,10,43\nZ,+,9,010,43\n",
-     "CSV line 4: repeated outcome '+' for setting Z, shots 010, seed 43"),
+     "CSV line 4: repeated outcome '+' for setting 'Z', shots '010', seed '43'"),
     (HEADER + "XX,++,7,10,43\nXX,+-,3,10,43\nXX,-+,0,10,43\n",
-     "table for setting XX, shots 10, seed 43 has outcomes ['++', '+-', '-+'], expected +, -"),
+     "table for setting 'XX', shots 10, seed 43 has outcomes ['++', '+-', '-+'], expected +, -"),
     (HEADER + "Z,+,1,1,1\nZ,-,0,1,1\nZ,++,0,1,1\n",
-     "table for setting Z, shots 1, seed 1 has outcomes ['+', '++', '-'], expected +, -"),
+     "table for setting 'Z', shots 1, seed 1 has outcomes ['+', '++', '-'], expected +, -"),
     (HEADER + "Z,+,1,1,1\nZ,-,0,1,1\nZ,++,0,1,1\nZ,+-,0,1,1\n",
-     "table for setting Z, shots 1, seed 1 has outcomes ['+', '++', '+-', '-'], expected ++, +-, -+, --"),
-    (HEADER + "Z,+,3,5,9\nZ,-,1,5,9\n", "table for setting Z, shots 5, seed 9: counts sum 4 != shots 5"),
-    (HEADER + "Z,+,-3,1,9\nZ,-,4,1,9\n", "table for setting Z, shots 1, seed 9: counts must be nonnegative"),
+     "table for setting 'Z', shots 1, seed 1 has outcomes ['+', '++', '+-', '-'], expected ++, +-, -+, --"),
+    (HEADER + "Z,+,3,5,9\nZ,-,1,5,9\n", "table for setting 'Z', shots 5, seed 9: counts sum 4 != shots 5"),
+    (HEADER + "Z,+,-3,1,9\nZ,-,4,1,9\n", "table for setting 'Z', shots 1, seed 9: counts must be nonnegative"),
+    # Cells that hold a line break of `str.splitlines` are quoted, so each error is one line.
+    (HEADER + "Z\x0b,+,3,5,9\nZ\x0b,-,1,5,9\n", "table for setting 'Z\\x0b', shots 5, seed 9: counts sum 4 != shots 5"),
+    (HEADER + "Z,+,7,10,43\nZ,-,3,10,43\nZ\u2028,+,1,1,1\nZ,+,9,10\x85,\u202943\n",
+     "CSV line 5: repeated outcome '+' for setting 'Z', shots '10\\x85', seed '\\u202943'"),
     (HEADER + f"Z,+,{CAP + 1},{CAP + 1},7\nZ,-,0,{CAP + 1},7\n",
-     f"table for setting Z, shots {CAP + 1}, seed 7: shots must be at most 10**18, got {CAP + 1}"),
+     f"table for setting 'Z', shots {CAP + 1}, seed 7: shots must be at most 10**18, got {CAP + 1}"),
     # A quote, a lone carriage return or a NUL is no plain text, the header's included.
     ('"setting","outcome","count","shots","seed"\n"Z","+","7","10","43"\n"Z","-","3","10","43"\n',
      "CSV line 1: count tables hold no quote, carriage return or NUL, got '\"'"),
@@ -597,18 +607,18 @@ REFUSALS = [
     # set comes before its negative counts, those before its cap, its cap
     # before its sum.
     (HEADER + "Y,+,3,5,9\nZ,+,-1,1,9\nY,-,1,5,9\nZ,-,2,1,9\n",
-     "table for setting Y, shots 5, seed 9: counts sum 4 != shots 5"),
+     "table for setting 'Y', shots 5, seed 9: counts sum 4 != shots 5"),
     (HEADER + "Y,+,1,1,9\nZ,+,-1,1,9\nY,-,0,1,9\nZ,-,2,1,9\nX,+,1,1,9\n",
-     "table for setting Z, shots 1, seed 9: counts must be nonnegative"),
+     "table for setting 'Z', shots 1, seed 9: counts must be nonnegative"),
     (HEADER + "Z,+,-1,1,9\nZ,++,2,1,9\n",
-     "table for setting Z, shots 1, seed 9 has outcomes ['+', '++'], expected +, -"),
-    (HEADER + "Z,+,-3,1,9\nZ,-,3,1,9\n", "table for setting Z, shots 1, seed 9: counts must be nonnegative"),
+     "table for setting 'Z', shots 1, seed 9 has outcomes ['+', '++'], expected +, -"),
+    (HEADER + "Z,+,-3,1,9\nZ,-,3,1,9\n", "table for setting 'Z', shots 1, seed 9: counts must be nonnegative"),
     (HEADER + f"Z,+,-1,{CAP + 1},7\nZ,-,{CAP + 2},{CAP + 1},7\n",
-     f"table for setting Z, shots {CAP + 1}, seed 7: counts must be nonnegative"),
+     f"table for setting 'Z', shots {CAP + 1}, seed 7: counts must be nonnegative"),
     (HEADER + f"Z,+,1,{CAP + 1},7\nZ,-,0,{CAP + 1},7\n",
-     f"table for setting Z, shots {CAP + 1}, seed 7: shots must be at most 10**18, got {CAP + 1}"),
+     f"table for setting 'Z', shots {CAP + 1}, seed 7: shots must be at most 10**18, got {CAP + 1}"),
     (HEADER + f"Z,+,{CAP},{CAP},7\nZ,-,0,{CAP},7\nY,+,1,2,7\nY,-,0,2,7\n",
-     "table for setting Y, shots 2, seed 7: counts sum 1 != shots 2"),
+     "table for setting 'Y', shots 2, seed 7: counts sum 1 != shots 2"),
 ]
 
 
@@ -690,14 +700,14 @@ class TestCountTableReader:
         assert tables_from_csv(tables_csv(tables)) == tables
 
     @settings(max_examples=400, deadline=None)
-    @given(st.one_of(edited_count_text(), st.text(alphabet=',+-0179XZ "\r\n\0\x0b', max_size=60),
-                     st.text(alphabet=',+-0179XZ "\r\n\0\x0b', max_size=60).map(HEADER.__add__)))
+    @given(st.one_of(edited_count_text(), st.text(alphabet=TEXT_ALPHABET, max_size=60),
+                     st.text(alphabet=TEXT_ALPHABET, max_size=60).map(HEADER.__add__)))
     def test_any_text_gives_tables_that_obey_every_rule_or_one_line_error(self, text):
         try:
             tables = tables_from_csv(text)
         except ValueError as err:
             message = str(err)
-            assert not set(message) & set("\n\r")
+            assert len(message.splitlines()) == 1, message
             found = re.match(r"CSV line (\d+): |expected header |table for setting ", message)
             assert found, message
             assert found[1] is None or 1 <= int(found[1]) <= len(text.replace("\r\n", "\n").split("\n"))

@@ -33,6 +33,13 @@ KEEP = {
     # deletes it): `perfbench/tracer.py` wraps `estimate.mle_qubit_batch` by
     # name, and without it `Tracer.install` raises AttributeError.
     "mle_qubit_batch",
+    # No pipeline resamples or reads the MLE purity since fig3 and fig5 take
+    # `squared_bloch_length`; item 1 deletes them.  `perfbench/tracer.py`
+    # wraps all three by name, so `Tracer.install` would raise AttributeError
+    # without them, and the tomo-batch workload reads `purity_from_counts`.
+    "bootstrap_std",
+    "poisson_resample",
+    "purity_from_counts",
 }
 
 
