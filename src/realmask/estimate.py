@@ -226,9 +226,11 @@ def squared_bloch_length(counts, shots: int | None) -> tuple[np.ndarray, np.ndar
     min(sum_k r^_k^2, 1), which is 1, and its variance is the stated bound
     1/4, that of any quantity in [0, 1] (a standard deviation of its
     half-range 1/2).  Otherwise `shots` is an integer in [1, `MAX_SHOTS`]
-    and every table must hold that many counts.
+    and every table must hold that many counts, summed exactly when the
+    counts are integers (a float holds integers exactly only up to 2^53).
     """
-    c = np.asarray(counts, dtype=float)
+    raw = np.asarray(counts)
+    c = raw.astype(float)
     if c.shape[-2:] != (3, 2):
         raise ValueError("counts must have shape (..., 3, 2)")
     r, r2 = _linear_inversion(_checked_counts(c.reshape(-1, 3, 2)))
@@ -236,7 +238,9 @@ def squared_bloch_length(counts, shots: int | None) -> tuple[np.ndarray, np.ndar
     if shots is None:
         return r2.reshape(shape), np.zeros(shape)
     n = _checked("shots", _count, shots)
-    if not (c.sum(axis=-1) == n).all():
+    # Counts of at most n <= MAX_SHOTS each sum without int64 overflow.
+    exact = raw if raw.dtype.kind in "iu" else c
+    if not ((exact <= n).all() and (exact.sum(axis=-1) == n).all()):
         raise ValueError(f"every table must hold shots = {n} counts")
     if n == 1:
         return np.minimum(r2, 1.0).reshape(shape), np.full(shape, 0.25)

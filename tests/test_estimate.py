@@ -783,6 +783,16 @@ class TestSquaredBlochLength:
         assert math.isfinite(q) and math.isfinite(var) and var > 0.0
         assert q == pytest.approx(2.0, abs=1e-15)
 
+    def test_counts_above_two_to_the_53_are_summed_exactly(self):
+        # Each count rounds as a float, and the rounded pair sums to n - 2.
+        n = 18_014_398_445_206_346
+        counts = np.array([[9_007_199_178_507_249, 9_007_199_266_699_097]] * 3)
+        assert float(counts[0, 0]) + float(counts[0, 1]) != n
+        q, var = squared_bloch_length(counts, n)
+        assert math.isfinite(q) and math.isfinite(var)
+        with pytest.raises(ValueError, match=f"^every table must hold shots = {n} counts"):
+            squared_bloch_length(counts + np.array([1, 0]), n)
+
     @pytest.mark.parametrize("counts, shots, message", [
         (np.ones((3, 3)), 2, r"counts must have shape \(\.\.\., 3, 2\)"),
         (np.ones(6), 2, r"counts must have shape \(\.\.\., 3, 2\)"),
