@@ -12,9 +12,11 @@ Three pipelines:
   (`measure`'s count rule),
   and `qsv_interval` gives the estimate and interval of a pass count;
 * single-qubit tomography: each qubit's squared Bloch length Q = r.r from
-  (..., 3, 2) count arrays, rows in `measure.AXES` order, estimated without
+  (..., 3, 2) count arrays, rows in `measure.AXES` order, each r_k the
+  linear inversion `measure.correlators` of its axis, estimated without
   bias and with its exact binomial variance by `squared_bloch_length`, which
-  fig3's purities (1 + Q)/2 and fig5's concurrences sqrt(1 - Q) read.  No
+  fig3's purities (1 + Q)/2 and fig5's concurrences sqrt(1 - Q) read, at
+  shots None (analytic mode) in the limit of infinitely many shots.  No
   pipeline calls `mle_qubit_batch` (the full state fit, each boundary fit a
   bisection of its own), `purity_from_counts` (the MLE purity, (1 + r.r)/2
   of the linear inversion, 1 outside the ball) or the Poisson-resampling
@@ -40,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .masker import masker_matrix
-from .measure import PAIR_PAULIS, _checked, _count, _is_integer, generator, poisson_resample
+from .measure import PAIR_PAULIS, _checked, _count, _is_integer, correlators, generator, poisson_resample
 from .qcore import EPS_EXACT, EPS_NUMERIC, EPS_PROB, _as_field_array, _dagger, _row_prefix
 
 
@@ -123,10 +125,10 @@ def _checked_counts(counts) -> np.ndarray:
 
 
 def _linear_inversion(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n+ - n-)/n on each axis of (batch, 3, 2) counts, 0 on an axis without
-    counts, and each row's squared length r.r, above 1 outside the Bloch ball."""
-    n = c[:, :, 0] + c[:, :, 1]
-    r = np.divide(c[:, :, 0] - c[:, :, 1], n, out=np.zeros_like(n), where=n > 0)
+    """(n+ - n-)/n on each axis of (batch, 3, 2) counts (`measure.correlators`),
+    0 on an axis without counts, and each row's squared length r.r, above 1
+    outside the Bloch ball."""
+    r = correlators(c)
     return r, r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2]
 
 

@@ -28,15 +28,18 @@ fig5's concurrences read each qubit's squared Bloch length and its exact
 variance (`estimate.squared_bloch_length`), and fig4's fidelity, linear in
 the counts, its closed-form variance.
 
-A figure draws counts, then estimates from them, and the two steps meet at
-plain counts: `_counts` gives the Born tables (analytic mode, read as counts
-of one shot) or the drawn int64 counts, and `_estimate` reads only counts,
-so counts read back from a file estimate as drawn ones do.  The two are the
-one place that chooses between the modes, apart from fig3's verification:
-`estimate.qsv_run` draws pass counts and `estimate.qsv_interval` reads
-them, while analytic mode reads 1 - F with no width.  fig5 at p = 0 reads the
-concurrence of each pure masked probe M psi as |psi^T psi|, which the
-masker's magic-basis identity proves (`masker.masker_matrix`).
+Analytic mode is `shots` None: `ExperimentConfig.shots` gives None for it,
+the limit of infinitely many shots, and each figure reads its shots once
+and passes them on.  A figure draws counts, then estimates from them, and
+the two steps meet at plain counts: `_counts` gives the Born tables at
+shots None (read as counts of one shot) or the drawn int64 counts, and the
+estimators (`estimate.squared_bloch_length`, fig4's correlators) read only
+counts and shots, so counts read back from a file estimate as drawn ones
+do.  Only fig3's verification reads the mode itself: `estimate.qsv_run`
+draws pass counts and `estimate.qsv_interval` reads them, while analytic
+mode reads 1 - F with no width.  fig5 at p = 0 reads the concurrence of each
+pure masked probe M psi as |psi^T psi|, which the masker's magic-basis
+identity proves (`masker.masker_matrix`).
 
 A report states each fact of its run once, in its head: its name
 (`experiment`: "fig3", "fig4", "fig5" or "equiv", also the stem of its
@@ -69,7 +72,7 @@ import numpy as np
 from . import estimate, measure, optics, walk
 from .masker import mask_pure
 from .measure import _checked, _count, _integer, _is_integer, _is_number, _probability, derive_seed, generator
-from .qcore import concurrence_from_purity, fidelity_with_pure, partial_trace
+from .qcore import fidelity_with_pure, partial_trace
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
@@ -168,7 +171,10 @@ class ExperimentConfig:
         for field, check in FIELD_CHECKS.items():
             object.__setattr__(self, field, _checked(field, check, getattr(self, field)))
 
-    def shots(self, experiment: str) -> int:
+    def shots(self, experiment: str) -> int | None:
+        """Shots per setting of `experiment`'s draws; None in analytic mode, which draws nothing."""
+        if self.analytic:
+            return None
         return DEFAULT_SHOTS[experiment] if self.shots_per_setting is None else self.shots_per_setting
 
 
@@ -200,32 +206,22 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _head(config: ExperimentConfig, experiment: str, **drawn) -> dict:
-    """A figure report's head: name, seed, noise, the facts of its draws in the order given (None in analytic
-    mode) and `analytic`."""
-    return {"experiment": experiment, "seed": config.seed, "noise_p": config.noise_p,
-            **{key: None if config.analytic else value for key, value in drawn.items()},
+    """A figure report's head: name, seed, noise, the facts of its draws in the order given (each None in
+    analytic mode) and `analytic`."""
+    return {"experiment": experiment, "seed": config.seed, "noise_p": config.noise_p, **drawn,
             "analytic": config.analytic}
 
 
-def _counts(probs: np.ndarray, config: ExperimentConfig, experiment: str, *tags) -> np.ndarray:
+def _counts(probs: np.ndarray, shots: int | None, seed: int, *tags) -> np.ndarray:
     """The count tables of a stack of qubit (..., 3, 2) or pair (..., 9, 4)
-    Born tables.  In analytic mode they are `probs` itself, the tables read
-    as counts of one shot.  Sampled, they are drawn as int64 counts with
-    `config.shots(experiment)` shots in one `sample_counts` call, from the
-    sub-seed tagged `tags`.
+    Born tables.  At `shots` None (analytic mode) they are `probs` itself,
+    the tables read as counts of one shot.  Otherwise they are drawn as int64
+    counts of `shots` shots in one `sample_counts` call, from the sub-seed of
+    `seed` tagged `tags`.
     """
-    if config.analytic:
+    if shots is None:
         return probs
-    return measure.sample_counts(probs, config.shots(experiment), derive_seed(config.seed, *tags))
-
-
-def _estimate(counts: np.ndarray, config: ExperimentConfig, experiment: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each qubit's squared Bloch length in a (..., 3, 2) stack of count
-    tables and its variance (`estimate.squared_bloch_length`): at
-    `config.shots(experiment)` shots, or in analytic mode, whose counts are
-    Born tables, the limit of infinitely many, with no variance.  It reads
-    only the counts, so counts from anywhere estimate as drawn ones do."""
-    return estimate.squared_bloch_length(counts, None if config.analytic else config.shots(experiment))
+    return measure.sample_counts(probs, shots, derive_seed(seed, *tags))
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +247,14 @@ def run_fig3(config: ExperimentConfig) -> dict:
     """Each probe's verification fidelity, and its path and polarization qubits' purities (1 + Q)/2 from their
     squared Bloch lengths Q, unclipped, with their average, whose error is sqrt(Var Q_A + Var Q_B) / 4."""
     probs, fidelities = _fig3_model(config.noise_p)
+    shots, tests = config.shots("fig3"), config.qsv_tests
     # Each probe's (eps_hat, error, eps_low, eps_high, passed); analytic mode draws no pass counts.
     if config.analytic:
-        verdicts = [(e, 0.0, e, e, None) for e in (1.0 - fidelities).tolist()]
+        tests, verdicts = None, [(e, 0.0, e, e, None) for e in (1.0 - fidelities).tolist()]
     else:
-        passes = estimate.qsv_run(fidelities, config.qsv_tests, derive_seed(config.seed, "fig3.qsv"))
-        verdicts = [(*estimate.qsv_interval(passed, config.qsv_tests), passed) for passed in passes]
-    q, var = _estimate(_counts(probs, config, "fig3", "fig3.tomo"), config, "fig3")
+        passes = estimate.qsv_run(fidelities, tests, derive_seed(config.seed, "fig3.qsv"))
+        verdicts = [(*estimate.qsv_interval(passed, tests), passed) for passed in passes]
+    q, var = estimate.squared_bloch_length(_counts(probs, shots, config.seed, "fig3.tomo"), shots)
     pur = 0.5 * (1.0 + q)
     rows = [{"probe": idx, "target": PROBE_LABELS[idx],
              "fidelity": report_row(f"probe {idx} fidelity", 1.0 - eps, err, "ci95",
@@ -266,8 +263,7 @@ def run_fig3(config: ExperimentConfig) -> dict:
                                   path_purity=pur_a, pol_purity=pur_b)}
             for idx, (eps, err, low, high, passed), (pur_a, pur_b), avg, spread
             in zip(PROBES, verdicts, pur.tolist(), pur.mean(axis=1).tolist(), np.sqrt(var.sum(axis=1) / 16.0).tolist())]
-    return {**_head(config, "fig3", qsv_tests=config.qsv_tests, shots_per_setting=config.shots("fig3")),
-            "probes": rows}
+    return {**_head(config, "fig3", qsv_tests=tests, shots_per_setting=shots), "probes": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +284,16 @@ def run_fig4(config: ExperimentConfig, probe: int = DEFAULT_PROBE) -> dict:
     w_n^2 (1 - T_n^2) / (N_n - 1)) for N_n shots, or if a table has one shot the bound sqrt(sum_n w_n^2 / N_n)."""
     probe = _probe_index(probe)
     weights, probs = _fig4_model(config.noise_p, probe)
-    counts = _counts(probs, config, "fig4", "fig4", probe)
-    t, shots, error = measure.correlators(counts), counts.sum(axis=-1), 0.0
+    shots = config.shots("fig4")
+    counts = _counts(probs, shots, config.seed, "fig4", probe)
+    t, error = measure.correlators(counts), 0.0
     (rho_raw,), (rho_decoded,) = estimate.decode_real_state(t.reshape(1, 3, 3))
-    if not config.analytic:
-        var = (1.0 - t * t) / (shots - 1) if (shots > 1).all() else 1.0 / shots
+    if shots is not None:
+        n = counts.sum(axis=-1)
+        var = (1.0 - t * t) / (n - 1) if (n > 1).all() else 1.0 / n
         error = math.sqrt(math.fsum((weights[1:] * weights[1:] * var).tolist()))
     return {
-        **_head(config, "fig4", shots_per_setting=config.shots("fig4")),
+        **_head(config, "fig4", shots_per_setting=shots),
         "probe": probe,
         "target": PROBE_LABELS[probe],
         "correlators": t.reshape(3, 3).tolist(),
@@ -326,17 +324,17 @@ def run_fig5(config: ExperimentConfig) -> dict:
     or more, and it is 0 only where sd(Q) is."""
     phis = config.phi_grid_deg
     pure, probs = _fig5_model(config.noise_p, phis)
-    q, var = _estimate(_counts(probs, config, "fig5", "fig5.tomo"), config, "fig5")
-    # sqrt(1 - Q) through the purity (1 + Q)/2, the arithmetic analytic reports have always used.
-    est, sd = concurrence_from_purity(0.5 * (1.0 + q)), np.sqrt(var)
+    shots = config.shots("fig5")
+    q, var = estimate.squared_bloch_length(_counts(probs, shots, config.seed, "fig5.tomo"), shots)
+    est, sd = np.sqrt(np.clip(1.0 - q, 0.0, 1.0)), np.sqrt(var)
     floor = np.maximum(1.0 - q, sd)
     std = np.divide(sd, 2.0 * np.sqrt(floor), out=np.zeros_like(sd), where=floor > 0.0)
-    if config.analytic and config.noise_p == 0.0:  # the pure states need no square root of a rounded 1 - purity
+    if shots is None and config.noise_p == 0.0:  # the pure states need no square root of a rounded 1 - Q
         est = pure
     points = [report_row(f"phi = {phi} deg", float(est[i]), float(std[i]), "std",
                          phi_deg=phi, theory_cos=math.cos(math.radians(phi)))
               for i, phi in enumerate(phis)]
-    return {**_head(config, "fig5", shots_per_setting=config.shots("fig5")), "points": points}
+    return {**_head(config, "fig5", shots_per_setting=shots), "points": points}
 
 
 # ---------------------------------------------------------------------------
@@ -420,31 +418,21 @@ def _encode(obj, indent: str, path: str | None, out: list[str], rows: list[str])
         text = cell = repr(float(f"{obj:.12g}"))
     elif isinstance(obj, int):
         text = cell = int.__repr__(obj)
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, dict)):
+        keyed = isinstance(obj, dict)
+        brackets = "{}" if keyed else "[]"
         if not obj:
-            out.append("[]")
+            out.append(brackets)
             return
         inner, prefix = indent + "  ", "" if path is None else path + "."
-        sep = "[\n" + inner
-        for i, value in enumerate(obj):
-            out.append(sep)
-            _encode(value, inner, f"{prefix}{i}", out, rows)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "]")
-        return
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner, prefix = indent + "  ", "" if path is None else path + "."
-        sep = "{\n" + inner
-        for key, value in obj.items():
-            if not isinstance(key, str):
+        sep = brackets[0] + "\n" + inner
+        for key, value in obj.items() if keyed else zip(map(str, range(len(obj))), obj):
+            if keyed and not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {key.__class__.__name__}")
-            out.append(sep + encode_basestring_ascii(key) + ": ")
+            out.append(sep + encode_basestring_ascii(key) + ": " if keyed else sep)
             _encode(value, inner, prefix + key, out, rows)
             sep = ",\n" + inner
-        out.append("\n" + indent + "}")
+        out.append("\n" + indent + brackets[1])
         return
     else:
         raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")

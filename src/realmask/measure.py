@@ -4,12 +4,14 @@ Settings: every pipeline measures fixed Pauli settings, X/Y/Z on a qubit and
 the nine pairs XX..ZZ on a qubit pair.  `axis_probs` gives a qubit's (3, 2)
 table of (+, -) probabilities and `pair_probs` a pair's (9, 4) table of
 (++, +-, -+, --) probabilities, rows in `AXES` and `PAIRS` order; a stack of
-states gives a stack of tables.  Analytic and sampled runs read the same
-rows: probabilities are counts scaled to one shot, so every estimator that
-takes counts (`correlators`, `estimate.squared_bloch_length`) reads a Born
-table as it is, and analytic mode is a figure's sampled estimator run on
-its tables (`squared_bloch_length` in the limit of infinitely many
-shots).
+states gives a stack of tables.  `correlators` is the one reading of an
+outcome +-1: the mean (n+ - n-)/n of an axis table, (n++ - n+- - n-+ +
+n--)/n of a pair table, which `estimate`'s linear inversion takes too.
+Analytic and sampled runs read the same rows: probabilities are counts
+scaled to one shot, so every estimator that takes counts (`correlators`,
+`estimate.squared_bloch_length`) reads a Born table as it is, and analytic
+mode, shots None, is a figure's sampled estimator run on its tables
+(`squared_bloch_length` in the limit of infinitely many shots).
 
 Counting model: each Pauli-pair (or single-qubit) setting is measured a fixed
 number of times, drawn as one multinomial over the Born probabilities into an
@@ -227,15 +229,17 @@ def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
 
 
 def correlators(counts) -> np.ndarray:
-    """(n++ - n+- - n-+ + n--)/shots over the last axis of pair counts.
+    """The mean of the +-1 outcome of each table over the last axis: (n+ -
+    n-)/shots of (+, -) axis counts, (n++ - n+- - n-+ + n--)/shots of pair
+    counts.
 
     A table with no shots carries no information and gives 0.0, the value of
-    an uncorrelated pair.  No pipeline draws one, so a zero-shot table comes
-    only from a caller's counts.
+    an unpolarized axis or an uncorrelated pair.  No pipeline draws one, so a
+    zero-shot table comes only from a caller's counts.
     """
     c = np.asarray(counts, dtype=float)
     shots = c.sum(axis=-1)
-    diff = c[..., 0] - c[..., 1] - c[..., 2] + c[..., 3]
+    diff = c[..., 0] - c[..., 1] if c.shape[-1] == 2 else c[..., 0] - c[..., 1] - c[..., 2] + c[..., 3]
     return np.divide(diff, shots, out=np.zeros_like(shots), where=shots > 0)
 
 

@@ -144,7 +144,3 @@ def fidelity_with_pure(rho, target):
         raise ValueError(f"fidelity has spurious imaginary part {spurious:.3e}")
     return val.real
 
-
-def concurrence_from_purity(p) -> np.ndarray:
-    """sqrt(2 (1 - p)) elementwise, clamped to [0, 1] against rounded purities."""
-    return np.minimum(np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.asarray(p)))), 1.0)

@@ -27,7 +27,6 @@ from realmask.qcore import (
     _dagger,
     checked_density,
     checked_state,
-    concurrence_from_purity,
     partial_trace,
 )
 from realmask.walk import Local, RailState, Shift, extract_two_qubit, run
@@ -240,6 +239,13 @@ def wootters_concurrence(rho) -> float:
     r = np.asarray(rho, dtype=complex)
     lam = np.sqrt(np.clip(np.sort(np.linalg.eigvals(r @ yy @ r.conj() @ yy).real)[::-1], 0.0, None))
     return float(max(0.0, lam[0] - lam[1:].sum()))
+
+
+def concurrence_from_purity(p) -> np.ndarray:
+    """sqrt(2 (1 - p)) elementwise, clamped to [0, 1] against rounded purities:
+    the concurrence of a pure two-qubit state from the purity p of either
+    qubit.  The oracle of fig5's sqrt(1 - Q) at p = (1 + Q)/2."""
+    return np.minimum(np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.asarray(p)))), 1.0)
 
 
 def concurrence_pure(psi) -> float:

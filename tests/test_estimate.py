@@ -39,6 +39,7 @@ from realmask.qcore import BELL_PHI, EPS_EXACT, checked_density, fidelity_with_p
 
 from helpers import (
     binomial_pmf,
+    concurrence_from_purity,
     density,
     exact_qsv_coverage,
     exact_square_moments,
@@ -841,7 +842,7 @@ class TestBootstrap:
     def test_concurrence_std_at_zero_phase(self):
         # Masked (|0>+|1>)/sqrt(2): path qubit maximally mixed, concurrence 1.
         from realmask.masker import mask_pure
-        from realmask.qcore import concurrence_from_purity, partial_trace
+        from realmask.qcore import partial_trace
 
         psi = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)
         rho_path = partial_trace(density(mask_pure(psi)), "A")

@@ -38,10 +38,10 @@ from realmask.experiments import (
 )
 from realmask.masker import mask_pure
 from realmask.measure import derive_seed
-from realmask.qcore import concurrence_from_purity, fidelity_with_pure, partial_trace
+from realmask.qcore import fidelity_with_pure, partial_trace
 
-from helpers import (INT_DIGITS, density, json_leaf_rows, purity, reference_report_json, spin_flip_concurrence,
-                     tables_csv, wootters_concurrence)
+from helpers import (INT_DIGITS, concurrence_from_purity, density, json_leaf_rows, purity, reference_report_json,
+                     spin_flip_concurrence, tables_csv, wootters_concurrence)
 
 
 def oracle_row(target, estimate, error, error_kind, **extra):
@@ -565,15 +565,15 @@ def test_model_arrays_refuse_writes():
             arr.flat[0] = 0.0
 
 
-def target_tables(counts, config, experiment, *tags):
+def target_tables(counts, shots, seed, *tags):
     """A figure's count stack as (setting, counts, shots, seed) tables, one
     list per target (the stack's (3, 2) or (9, 4) items in order), a table
-    per row: setting the row's axis or pair label, seed the draw's sub-seed,
-    which every table of the draw shares, so only the target tells
-    same-setting tables apart."""
+    per row: setting the row's axis or pair label, seed the draw's sub-seed
+    of `seed` tagged `tags`, which every table of the draw shares, so only
+    the target tells same-setting tables apart."""
     labels = measure.AXES if counts.shape[-2] == len(measure.AXES) else measure.PAIRS
-    seed = derive_seed(config.seed, *tags)
-    return [[(label, tuple(row), config.shots(experiment), seed) for label, row in zip(labels, item)]
+    sub_seed = derive_seed(seed, *tags)
+    return [[(label, tuple(row), shots, sub_seed) for label, row in zip(labels, item)]
             for item in counts.reshape(-1, *counts.shape[-2:]).tolist()]
 
 
@@ -582,16 +582,16 @@ def target_tables(counts, config, experiment, *tags):
 def test_counts_read_back_from_csv_estimate_to_the_reports_bytes(run, seed, monkeypatch):
     """The seam end to end: a figure's drawn counts, int64 rows that sum to
     the shots, are written as count-table text, one text per target, and
-    read back with `tables_from_csv`; `_estimate` reads them in place of the
-    drawn ones and gives the report's bytes."""
+    read back with `tables_from_csv`; the figure's estimator reads them in
+    place of the drawn ones and gives the report's bytes."""
     config = ExperimentConfig(seed=seed)
     want = run(config)
     drawn, read = experiments._counts, []
 
-    def read_back(probs, config, experiment, *tags):
-        counts = drawn(probs, config, experiment, *tags)
-        assert counts.dtype == np.int64 and (counts.sum(axis=-1) == config.shots(experiment)).all()
-        texts = [tables_csv(tables) for tables in target_tables(counts, config, experiment, *tags)]
+    def read_back(probs, shots, seed, *tags):
+        counts = drawn(probs, shots, seed, *tags)
+        assert counts.dtype == np.int64 and (counts.sum(axis=-1) == shots).all()
+        texts = [tables_csv(tables) for tables in target_tables(counts, shots, seed, *tags)]
         read.append(np.array([[table.counts for table in measure.tables_from_csv(text)] for text in texts])
                     .reshape(counts.shape))
         assert read[-1] is not counts and np.array_equal(read[-1], counts)
@@ -790,6 +790,15 @@ def test_shots_beyond_the_cap_are_refused_before_any_run():
         ExperimentConfig(noise_p=0.0, shots_per_setting=2**63 - 1)
     config = ExperimentConfig(noise_p=0.0, shots_per_setting=measure.MAX_SHOTS, phi_grid_deg=(90.0,))
     assert [point["estimate"] for point in run_fig5(config)["points"]] == [0.0]
+
+
+@pytest.mark.parametrize("shots", [None, 7])
+def test_analytic_mode_is_shots_none(shots):
+    """Analytic mode draws nothing: its shots are None whatever the config
+    holds, the n -> inf limit that `squared_bloch_length` reads."""
+    for experiment, default in experiments.DEFAULT_SHOTS.items():
+        assert ExperimentConfig(shots_per_setting=shots, analytic=True).shots(experiment) is None
+        assert ExperimentConfig(shots_per_setting=shots).shots(experiment) == (default if shots is None else 7)
 
 
 def test_a_config_holds_plain_python_values():

@@ -263,6 +263,17 @@ class TestCorrelator:
             shots = npp + npm + nmp + nmm
             assert value == ((npp - npm - nmp + nmm) / shots if shots else 0.0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 10_000)] * 2), min_size=1, max_size=9))
+    def test_axis_tables_give_the_mean_of_their_outcome(self, tables):
+        # A (+, -) table reads (n+ - n-)/shots, the convention of the pair
+        # tables' correlators, and 0.0 without shots.
+        got = correlators(np.array(tables))
+        assert got.shape == (len(tables),)
+        for value, (n_plus, n_minus) in zip(got, tables):
+            assert value == ((n_plus - n_minus) / (n_plus + n_minus) if n_plus + n_minus else 0.0)
+        assert correlators([[3, 1], [0, 0], [0, 2]]).tolist() == [0.5, 0.0, -1.0]
+
     def test_zero_shot_table_reads_zero(self):
         assert correlators((0, 0, 0, 0)) == 0.0
         stack = np.array([[[0, 0, 0, 0], [3, 0, 0, 1]]] * 2)

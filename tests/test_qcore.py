@@ -12,12 +12,12 @@ from realmask.qcore import (
     PAULI_Z,
     checked_density,
     checked_state,
-    concurrence_from_purity,
     fidelity_with_pure,
     partial_trace,
 )
 
 from helpers import (
+    concurrence_from_purity,
     concurrence_pure,
     density,
     haar_state,
