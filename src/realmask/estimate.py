@@ -227,9 +227,13 @@ def squared_bloch_length(counts, shots: int | None) -> tuple[np.ndarray, np.ndar
     carries no information about r^2, so at `shots` 1 Q^ is the plug-in
     min(sum_k r^_k^2, 1), which is 1, and its variance is the stated bound
     1/4, that of any quantity in [0, 1] (a standard deviation of its
-    half-range 1/2).  Otherwise `shots` is an integer in [1, `MAX_SHOTS`]
-    and every table must hold that many counts, summed exactly when the
-    counts are integers (a float holds integers exactly only up to 2^53).
+    half-range 1/2).  A qubit whose three axes each read one outcome, as
+    every one-shot qubit does, reads the same way at any n: its u_k are all
+    1, so Q^ would be 3 with variance 0, yet no qubit is deterministic on
+    three axes.  On that event alone Q^ is not unbiased.  Otherwise `shots`
+    is an integer in [1, `MAX_SHOTS`] and every table must hold that many
+    counts, summed exactly when the counts are integers (a float holds
+    integers exactly only up to 2^53).
     """
     raw = np.asarray(counts)
     c = raw.astype(float)
@@ -247,7 +251,9 @@ def squared_bloch_length(counts, shots: int | None) -> tuple[np.ndarray, np.ndar
     if n == 1:
         return np.minimum(r2, 1.0).reshape(shape), np.full(shape, 0.25)
     u = (n * r * r - 1.0) / (n - 1.0)
-    return u.sum(axis=-1).reshape(shape), _square_variance(np.clip(u, 0.0, 1.0), n).sum(axis=-1).reshape(shape)
+    q, var = u.sum(axis=-1), _square_variance(np.clip(u, 0.0, 1.0), n).sum(axis=-1)
+    unanimous = (np.abs(r) == 1.0).all(axis=-1)
+    return np.where(unanimous, np.minimum(r2, 1.0), q).reshape(shape), np.where(unanimous, 0.25, var).reshape(shape)
 
 
 def _square_variance(s, n: int):

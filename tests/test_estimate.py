@@ -738,14 +738,26 @@ class TestSquaredBlochLength:
     @pytest.mark.parametrize("n", [2, 5, 40])
     def test_each_outcome_gives_its_square_and_the_variance_at_it(self, n):
         # Three axes of k and n - k counts, signs alternating: Q = 3 u_k, its
-        # variance three times that of u at r^2 = clip(u_k, 0, 1).
-        for k in range(n + 1):
+        # variance three times that of u at r^2 = clip(u_k, 0, 1).  At k = 0
+        # and n every axis reads one outcome (the next test).
+        for k in range(1, n):
             u = (n * ((2 * k - n) / n) ** 2 - 1.0) / (n - 1.0)
             q, var = squared_bloch_length([[k, n - k], [n - k, k], [k, n - k]], n)
             assert q.shape == var.shape == ()
             assert q == pytest.approx(3.0 * u, abs=1e-12)
             assert var == pytest.approx(3.0 * estimate._square_variance(min(max(u, 0.0), 1.0), n), abs=1e-15)
             assert var >= 0.0
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_three_unanimous_axes_read_as_one_shot_tables_do(self, n):
+        # Each axis reads one outcome, so every u_k is 1: Q would read 3 with
+        # no variance.  It reads the plug-in 1 with the stated bound 1/4.
+        counts = np.array([[[n, 0], [0, n], [n, 0]], [[0, n], [0, n], [0, n]], [[n, 0], [n - 1, 1], [0, n]]])
+        q, var = squared_bloch_length(counts, n)
+        assert q[:2].tolist() == [1.0, 1.0] and var[:2].tolist() == [0.25, 0.25]
+        # One mixed axis leaves the unbiased estimate, which may exceed 1.
+        u = (n * ((n - 2) / n) ** 2 - 1.0) / (n - 1.0)
+        assert q[2] == pytest.approx(2.0 + u, abs=1e-12) and var[2] > 0.0
 
     def test_a_pure_axis_has_no_variance_and_a_mixed_one_has_some(self):
         q, var = squared_bloch_length([[10, 0], [5, 5], [0, 10]], 10)

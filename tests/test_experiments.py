@@ -168,7 +168,7 @@ CONFIGS = {
     "seed 20404": ExperimentConfig(seed=20404),
     "noiseless": ExperimentConfig(seed=1, noise_p=0.0),
     "one shot": ExperimentConfig(seed=1, shots_per_setting=1),
-    # Some qubits read one outcome on every axis: Q reads 3 with no variance.
+    # Some qubits read one outcome on every axis: Q reads 1 with the one-shot bound.
     "two shots noiseless": ExperimentConfig(seed=1, noise_p=0.0, shots_per_setting=2),
     "analytic": ExperimentConfig(seed=1, analytic=True),
     "analytic noiseless": ExperimentConfig(seed=1, noise_p=0.0, analytic=True),
