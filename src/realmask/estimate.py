@@ -223,17 +223,18 @@ def squared_bloch_length(counts, shots: int | None) -> tuple[np.ndarray, np.ndar
     independent, so Var(Q^) = sum_k Var(u_k).
 
     `shots` None is the limit n -> inf, in which analytic mode reads Born
-    tables as counts: Q^ = sum_k r^_k^2 with variance 0.  A one-shot table
-    carries no information about r^2, so at `shots` 1 Q^ is the plug-in
-    min(sum_k r^_k^2, 1), which is 1, and its variance is the stated bound
-    1/4, that of any quantity in [0, 1] (a standard deviation of its
-    half-range 1/2).  A qubit whose three axes each read one outcome, as
-    every one-shot qubit does, reads the same way at any n: its u_k are all
-    1, so Q^ would be 3 with variance 0, yet no qubit is deterministic on
-    three axes.  On that event alone Q^ is not unbiased.  Otherwise `shots`
+    tables as counts: Q^ = sum_k r^_k^2 with variance 0.  Otherwise `shots`
     is an integer in [1, `MAX_SHOTS`] and every table must hold that many
     counts, summed exactly when the counts are integers (a float holds
     integers exactly only up to 2^53).
+
+    A one-shot table carries no information about r^2, so at `shots` 1 Q^
+    is the plug-in min(sum_k r^_k^2, 1), which is 1, and its variance is the
+    stated bound 1/4, that of any quantity in [0, 1] (a standard deviation
+    of its half-range 1/2).  A qubit whose three axes each read one outcome,
+    as every one-shot qubit does, reads the same way at any n: its u_k are
+    all 1, so Q^ would be 3 with variance 0, yet no qubit is deterministic
+    on three axes.  On that event alone Q^ is not unbiased.
     """
     raw = np.asarray(counts)
     c = raw.astype(float)
@@ -248,12 +249,12 @@ def squared_bloch_length(counts, shots: int | None) -> tuple[np.ndarray, np.ndar
     exact = raw if raw.dtype.kind in "iu" else c
     if not ((exact <= n).all() and (exact.sum(axis=-1) == n).all()):
         raise ValueError(f"every table must hold shots = {n} counts")
-    if n == 1:
-        return np.minimum(r2, 1.0).reshape(shape), np.full(shape, 0.25)
+    if n == 1:  # every qubit is unanimous, and u_k would divide by n - 1 = 0
+        return np.ones(shape), np.full(shape, 0.25)
     u = (n * r * r - 1.0) / (n - 1.0)
     q, var = u.sum(axis=-1), _square_variance(np.clip(u, 0.0, 1.0), n).sum(axis=-1)
     unanimous = (np.abs(r) == 1.0).all(axis=-1)
-    return np.where(unanimous, np.minimum(r2, 1.0), q).reshape(shape), np.where(unanimous, 0.25, var).reshape(shape)
+    return np.where(unanimous, 1.0, q).reshape(shape), np.where(unanimous, 0.25, var).reshape(shape)
 
 
 def _square_variance(s, n: int):
