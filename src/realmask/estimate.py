@@ -30,8 +30,10 @@ Three pipelines:
   is projected onto the nearest density matrix when shot noise pushes it
   slightly outside the cone, in real arithmetic (one real `eigh` per stack,
   each item decoded exactly as it would be alone).  fig4 reports the raw
-  decode's fidelity, linear in T and so unbiased, with a closed-form error;
-  the projection biases it low (Smolin et al., PRL 108, 070502, 2012).
+  decode's fidelity, linear in T and so unbiased, with a closed-form error
+  (`decode_fidelity` on the probe's `decode_weights`, read from counts and
+  shots as `squared_bloch_length` reads them); the projection biases it low
+  (Smolin et al., PRL 108, 070502, 2012).
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ import numpy as np
 
 from .masker import masker_matrix
 from .measure import PAIR_PAULIS, _checked, _count, _is_integer, correlators, generator, poisson_resample
-from .qcore import EPS_EXACT, EPS_NUMERIC, EPS_PROB, _as_field_array, _dagger, _row_prefix
+from .qcore import EPS_EXACT, EPS_NUMERIC, EPS_PROB, _as_field_array, _dagger, _row_prefix, fidelity_with_pure
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +210,19 @@ def purity_from_counts(counts: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.minimum(r2, 1.0))
 
 
+def _held_shots(counts: np.ndarray, shots) -> int:
+    """`shots` as an integer in [1, `MAX_SHOTS`], once every table along the
+    last axis of `counts` is seen to hold that many nonnegative counts,
+    summed exactly when the counts are integers (a float holds integers
+    exactly only up to 2^53)."""
+    n = _checked("shots", _count, shots)
+    # Counts in [0, n], n <= MAX_SHOTS, sum without int64 overflow.
+    exact = counts if counts.dtype.kind in "iu" else counts.astype(float)
+    if not (((0 <= exact) & (exact <= n)).all() and (exact.sum(axis=-1) == n).all()):
+        raise ValueError(f"every table must hold shots = {n} counts")
+    return n
+
+
 def squared_bloch_length(counts, shots: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Each qubit's squared Bloch length Q = sum_k r_k^2, estimated without
     bias, and the variance of that estimate, from a (..., 3, 2) stack of X/Y/Z
@@ -225,8 +240,7 @@ def squared_bloch_length(counts, shots: int | None) -> tuple[np.ndarray, np.ndar
     `shots` None is the limit n -> inf, in which analytic mode reads Born
     tables as counts: Q^ = sum_k r^_k^2 with variance 0.  Otherwise `shots`
     is an integer in [1, `MAX_SHOTS`] and every table must hold that many
-    counts, summed exactly when the counts are integers (a float holds
-    integers exactly only up to 2^53).
+    counts (`_held_shots`).
 
     A one-shot table carries no information about r^2, so at `shots` 1 Q^
     is the plug-in min(sum_k r^_k^2, 1), which is 1, and its variance is the
@@ -244,11 +258,7 @@ def squared_bloch_length(counts, shots: int | None) -> tuple[np.ndarray, np.ndar
     shape = c.shape[:-2]
     if shots is None:
         return r2.reshape(shape), np.zeros(shape)
-    n = _checked("shots", _count, shots)
-    # Counts of at most n <= MAX_SHOTS each sum without int64 overflow.
-    exact = raw if raw.dtype.kind in "iu" else c
-    if not ((exact <= n).all() and (exact.sum(axis=-1) == n).all()):
-        raise ValueError(f"every table must hold shots = {n} counts")
+    n = _held_shots(raw, shots)
     if n == 1:  # every qubit is unanimous, and u_k would divide by n - 1 = 0
         return np.ones(shape), np.full(shape, 0.25)
     u = (n * r * r - 1.0) / (n - 1.0)
@@ -390,3 +400,36 @@ def decode_real_state(t) -> tuple[np.ndarray, np.ndarray]:
     # terms in the same order whatever the stack, unlike a BLAS product.
     rho = (v[..., None, None, :] * _decode_map()).sum(axis=-1)
     return rho, project_to_density(rho)
+
+
+def decode_weights(target) -> np.ndarray:
+    """The (10,) weights w_n = <a|K_n|a> of a real ququart `target` a on the
+    decode map K, the identity term first and then the nine Pauli pairs in
+    `measure.PAIRS` order: the raw decode of correlators T has fidelity
+    w_0 + sum_n w_n T_n with a (`decode_fidelity`)."""
+    return fidelity_with_pure(np.moveaxis(_decode_map(), -1, 0), target)
+
+
+def decode_fidelity(counts, shots: int | None, weights) -> tuple[float, float]:
+    """The raw decode's fidelity F = w_0 + sum_n w_n T_n with the target of
+    `weights` (`decode_weights`), from its nine (9, 4) pair tables of `shots`
+    shots each, and its standard error: two floats.
+
+    F is linear in the correlators T_n, each the mean of the N outcomes +-1
+    of its table (`measure.correlators`), so it is unbiased and unclipped: it
+    may exceed 1.  Its error is sqrt(sum_n w_n^2 (1 - T_n^2)/(N - 1)), whose
+    square is an unbiased estimate of Var F, or at one shot, where no table
+    shows a spread, the bound sqrt(sum_n w_n^2 / N), as Var T_n <= 1/N.
+    `shots` None is the limit N -> inf, in which analytic mode reads Born
+    tables as counts and F has error 0.  Otherwise every table must hold
+    `shots` counts (`_held_shots`).
+    """
+    c, w = np.asarray(counts), np.asarray(weights, dtype=float)
+    if c.shape != (9, 4) or w.shape != (10,):
+        raise ValueError(f"need (9, 4) pair tables and (10,) weights, got shapes {c.shape} and {w.shape}")
+    t, error = correlators(c), 0.0
+    if shots is not None:
+        n = _held_shots(c, shots)
+        var = (1.0 - t * t) / (n - 1) if n > 1 else 1.0 / n
+        error = math.sqrt(math.fsum((w[1:] * w[1:] * var).tolist()))
+    return math.fsum([w[0], *(w[1:] * t).tolist()]), error

@@ -26,16 +26,16 @@ one `measure.derive_seed` call on the seed and the call's tags: its family
 probe draws a stream of its own.  No estimate draws: fig3's purities and
 fig5's concurrences read each qubit's squared Bloch length and its exact
 variance (`estimate.squared_bloch_length`), and fig4's fidelity, linear in
-the counts, its closed-form variance.
+the counts, has a closed-form error (`estimate.decode_fidelity`).
 
 Analytic mode is `shots` None: `ExperimentConfig.shots` gives None for it,
 the limit of infinitely many shots, and each figure reads its shots once
 and passes them on.  A figure draws counts, then estimates from them, and
 the two steps meet at plain counts: `_counts` gives the Born tables at
 shots None (read as counts of one shot) or the drawn int64 counts, and the
-estimators (`estimate.squared_bloch_length`, fig4's correlators) read only
-counts and shots, so counts read back from a file estimate as drawn ones
-do.  Only fig3's verification reads the mode itself: `estimate.qsv_run`
+estimators (`estimate.squared_bloch_length`, `estimate.decode_fidelity`)
+read only counts and shots, so counts read back from a file estimate as
+drawn ones do.  Only fig3's verification reads the mode itself: `estimate.qsv_run`
 draws pass counts and `estimate.qsv_interval` reads them, while analytic
 mode reads 1 - F with no width.  fig5 at p = 0 reads the concurrence of each
 pure masked probe M psi as |psi^T psi|, which the masker's magic-basis
@@ -271,36 +271,30 @@ def run_fig3(config: ExperimentConfig) -> dict:
 
 @lru_cache(maxsize=_MODELS_KEPT)
 def _fig4_model(noise_p: float, probe: int) -> tuple[np.ndarray, np.ndarray]:
-    """fig4's read-only model: the weights w_n = <a|K_n|a> of its probe a on `estimate._decode_map`, which give
-    the raw decode's fidelity w_0 + sum_n w_n T_n, and the (9, 4) Born table of the masked probe at `noise_p`."""
+    """fig4's read-only model: the decode weights of its probe (`estimate.decode_weights`) and the (9, 4) Born
+    table of the masked probe at `noise_p`."""
     a = probe_vector(probe)
-    return _read_only(fidelity_with_pure(np.moveaxis(estimate._decode_map(), -1, 0), a),
-                      measure.pair_probs(_masked_states(a[None], noise_p)[1][0]))
+    return _read_only(estimate.decode_weights(a), measure.pair_probs(_masked_states(a[None], noise_p)[1][0]))
 
 
 def run_fig4(config: ExperimentConfig, probe: int = DEFAULT_PROBE) -> dict:
-    """The probe's correlators T, their raw and projected decodes and the raw decode's fidelity F =
-    w_0 + sum_n w_n T_n, unbiased and unclipped (it may exceed 1), with its standard error sqrt(sum_n
-    w_n^2 (1 - T_n^2) / (N_n - 1)) for N_n shots, or if a table has one shot the bound sqrt(sum_n w_n^2 / N_n)."""
+    """The probe's correlators T, their raw and projected decodes and the raw decode's fidelity with the
+    probe, unclipped, with its standard error (`estimate.decode_fidelity`)."""
     probe = _probe_index(probe)
     weights, probs = _fig4_model(config.noise_p, probe)
     shots = config.shots("fig4")
     counts = _counts(probs, shots, config.seed, "fig4", probe)
-    t, error = measure.correlators(counts), 0.0
-    (rho_raw,), (rho_decoded,) = estimate.decode_real_state(t.reshape(1, 3, 3))
-    if shots is not None:
-        n = counts.sum(axis=-1)
-        var = (1.0 - t * t) / (n - 1) if (n > 1).all() else 1.0 / n
-        error = math.sqrt(math.fsum((weights[1:] * weights[1:] * var).tolist()))
+    t = measure.correlators(counts).reshape(3, 3)
+    rho_raw, rho_decoded = estimate.decode_real_state(t)
     return {
         **_head(config, "fig4", shots_per_setting=shots),
         "probe": probe,
         "target": PROBE_LABELS[probe],
-        "correlators": t.reshape(3, 3).tolist(),
+        "correlators": t.tolist(),
         "rho_raw": rho_raw.tolist(),
         "rho_decoded": rho_decoded.tolist(),
-        "fidelity": report_row(f"probe {probe} decode fidelity",
-                               math.fsum([weights[0], *(weights[1:] * t).tolist()]), error, "std"),
+        "fidelity": report_row(f"probe {probe} decode fidelity", *estimate.decode_fidelity(counts, shots, weights),
+                               "std"),
     }
 
 

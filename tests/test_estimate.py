@@ -13,7 +13,9 @@ from realmask import estimate, experiments
 from realmask.estimate import (
     agresti_coull,
     bootstrap_std,
+    decode_fidelity,
     decode_real_state,
+    decode_weights,
     mle_qubit_batch,
     project_to_density,
     purity_from_counts,
@@ -1078,6 +1080,62 @@ class TestDecode:
         assert np.abs(fidelity_with_pure(rho_proj, np.ones(4) / 2) - 0.25).max() < 1e-15
 
 
+def masked_pair_probs(probe: int, noise_p: float) -> np.ndarray:
+    """(9, 4) Born tables of the masked probe under depolarizing noise."""
+    a = probe_vector(probe)
+    return pair_probs(apply_depolarizing(mask_state(np.outer(a, a)), noise_p))
+
+
+class TestDecodeFidelity:
+    """`decode_fidelity` on the nine pair tables of a masked probe, with the
+    weights `decode_weights` gives that probe."""
+
+    @pytest.mark.parametrize("noise_p", [0.0, 0.01, 0.3])
+    @pytest.mark.parametrize("probe", [1, 2, 3, 4])
+    def test_analytic_tables_give_the_raw_decodes_fidelity_with_no_error(self, probe, noise_p):
+        a, probs = probe_vector(probe), masked_pair_probs(probe, noise_p)
+        fid, error = decode_fidelity(probs, None, decode_weights(a))
+        rho_raw = decode_real_state(correlators(probs).reshape(3, 3))[0]
+        assert type(fid) is float and type(error) is float
+        assert error == 0.0
+        assert abs(fid - fidelity_with_pure(rho_raw, a)) <= 1e-15
+
+    @pytest.mark.parametrize("probe", [1, 2, 3, 4])
+    def test_drawn_tables_give_the_raw_decodes_fidelity(self, probe):
+        a = probe_vector(probe)
+        counts = sample_counts(masked_pair_probs(probe, 0.3), 50, 11)
+        fid, error = decode_fidelity(counts, 50, decode_weights(a))
+        assert abs(fid - fidelity_with_pure(decode_real_state(correlators(counts).reshape(3, 3))[0], a)) <= 1e-15
+        assert 0.0 < error < math.inf
+
+    @pytest.mark.parametrize("table", [[2, 0, 0, 0], [4, 0, 0, 0], [4, -1, 0, 0], [2.5, 0, 0, 0],
+                                       [3, math.nan, 0, 0]])
+    def test_tables_that_do_not_hold_the_shots_are_refused(self, table):
+        counts = np.array([[1, 1, 1, 0]] * 9, dtype=np.asarray(table).dtype)
+        counts[4] = table
+        with pytest.raises(ValueError, match="^every table must hold shots = 3 counts$"):
+            decode_fidelity(counts, 3, decode_weights(probe_vector(4)))
+
+    @pytest.mark.parametrize("counts, weights, shots, message", [
+        (np.ones((3, 3, 4)), np.ones(10), 4, r"need \(9, 4\) pair tables and \(10,\) weights"),
+        (np.ones((9, 2)), np.ones(10), 2, r"need \(9, 4\) pair tables and \(10,\) weights"),
+        (np.ones((9, 4)), np.ones(9), 4, r"need \(9, 4\) pair tables and \(10,\) weights"),
+        (np.ones((9, 4)), np.ones(10), 0, "shots must be "),
+        (np.ones((9, 4)), np.ones(10), True, "shots must be "),
+    ])
+    def test_refuses(self, counts, weights, shots, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            decode_fidelity(counts, shots, weights)
+
+    @pytest.mark.parametrize("probe", [1, 2, 3, 4])
+    def test_one_shot_tables_give_the_variance_bound(self, probe):
+        # One shot per table shows no spread: the error is the bound
+        # sqrt(sum w_n^2 / N), as Var T_n <= 1/N.
+        w = decode_weights(probe_vector(probe))
+        counts = sample_counts(masked_pair_probs(probe, 0.01), 1, probe)
+        assert decode_fidelity(counts, 1, w)[1] == math.sqrt(math.fsum((w[1:] ** 2).tolist())) > 0.0
+
+
 @st.composite
 def unit_trace_stacks(draw) -> np.ndarray:
     """(n, d, d) stacks, d = 2 or 4, of unit-trace complex Hermitian or real
@@ -1146,7 +1204,7 @@ class TestProjection:
         assert calls == {"eigh": [((100, 4, 4), np.float64)], "eigvalsh": []}
         calls["eigh"].clear()
         run_fig4(ExperimentConfig(seed=4))
-        assert calls == {"eigh": [((1, 4, 4), np.float64)], "eigvalsh": []}
+        assert calls == {"eigh": [((4, 4), np.float64)], "eigvalsh": []}
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_refuses_a_non_finite_matrix(self, value):

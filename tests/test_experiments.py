@@ -351,23 +351,21 @@ def test_a_one_shot_fig4_reports_the_variance_bound(probe):
     assert row["error"] == math.sqrt(math.fsum((weights[1:] ** 2).tolist())) > 0.0
 
 
-def test_fig4_error_divides_by_the_shots_less_one(monkeypatch):
-    """Fixed tables of 2 and 3 shots, each with a correlator inside (-1, 1):
-    the error is sqrt(sum_n w_n^2 (1 - T_n^2) / (N_n - 1)), the unbiased
-    variance of each table's mean of its N_n outcomes +-1, not one over
-    N_n + 1, which the calibration gate cannot tell apart at 4000 shots."""
-    counts = np.array([[1, 1, 0, 0], [2, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 0], [0, 1, 0, 1],
-                       [0, 1, 0, 2], [0, 0, 1, 1], [1, 0, 2, 0], [1, 1, 0, 1]])
-    monkeypatch.setattr(experiments, "_counts", lambda *args, **kwargs: counts)
-    weights = experiments._fig4_model(ExperimentConfig().noise_p, 4)[0]
-    shots = counts.sum(axis=1).tolist()
-    t = [Fraction(int(a - b - c + d), n) for (a, b, c, d), n in zip(counts.tolist(), shots)]
-    assert sorted(set(shots)) == [2, 3] and all(abs(x) < 1 for x in t)
+def test_fig4_error_divides_by_the_shots_less_one():
+    """Fixed tables of 3 shots, each with a correlator inside (-1, 1): the
+    error is sqrt(sum_n w_n^2 (1 - T_n^2) / (N - 1)), the unbiased variance
+    of each table's mean of its N outcomes +-1, not one over N + 1, which the
+    calibration gate cannot tell apart at 4000 shots."""
+    counts = np.array([[2, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1], [0, 2, 0, 1],
+                       [1, 1, 0, 1], [0, 0, 1, 2], [2, 0, 1, 0], [0, 1, 0, 2]])
+    weights = estimate.decode_weights(probe_vector(4))
+    t = [Fraction(int(a - b - c + d), 3) for a, b, c, d in counts.tolist()]
+    assert all(abs(x) < 1 for x in t)
 
     def error(less):
-        return math.sqrt(sum(Fraction(w) ** 2 * (1 - x * x) / (n - less) for w, x, n in zip(weights[1:], t, shots)))
+        return math.sqrt(sum(Fraction(w) ** 2 * (1 - x * x) / (3 - less) for w, x in zip(weights[1:], t)))
 
-    got = run_fig4(ExperimentConfig(seed=1), 4)["fidelity"]["error"]
+    got = estimate.decode_fidelity(counts, 3, weights)[1]
     assert got == pytest.approx(error(1), rel=1e-12)
     assert got != pytest.approx(error(-1), rel=0.1)
 
@@ -379,7 +377,7 @@ def test_a_fig4_fidelity_above_one_is_reported_as_it_is(monkeypatch):
     weights = experiments._fig4_model(ExperimentConfig().noise_p, 3)[0]
     counts = np.array([[5, 0, 0, 0] if w >= 0 else [0, 5, 0, 0] for w in weights[1:]])
     monkeypatch.setattr(experiments, "_counts", lambda *args, **kwargs: counts)
-    rep = run_fig4(ExperimentConfig(seed=1), 3)
+    rep = run_fig4(ExperimentConfig(seed=1, shots_per_setting=5), 3)
     assert rep["fidelity"]["estimate"] == pytest.approx(1.5, abs=1e-12)
     assert rep["fidelity"]["error"] == 0.0
     assert np.linalg.eigvalsh(np.array(rep["rho_decoded"])).min() >= -1e-12
@@ -481,9 +479,9 @@ OP_CALLS = (
 )
 # Rows of the first argument over a warm op: fig3's 4 verification probes;
 # fig3's 4 probes (two qubits each) and fig5's 7 phases, each figure's qubits
-# estimated in one call; fig4's one correlation matrix, decoded as a stack of
-# one.
-OP_ROWS = {"estimate.qsv_run": 4, "estimate.squared_bloch_length": 11, "estimate.decode_real_state": 1}
+# estimated in one call; fig4's one (3, 3) correlation matrix, decoded as it
+# is.
+OP_ROWS = {"estimate.qsv_run": 4, "estimate.squared_bloch_length": 11, "estimate.decode_real_state": 3}
 
 
 def _call_key(owner, name):
