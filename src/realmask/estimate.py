@@ -417,9 +417,13 @@ def decode_fidelity(counts, shots: int | None, weights) -> tuple[float, float]:
 
     F is linear in the correlators T_n, each the mean of the N outcomes +-1
     of its table (`measure.correlators`), so it is unbiased and unclipped: it
-    may exceed 1.  Its error is sqrt(sum_n w_n^2 (1 - T_n^2)/(N - 1)), whose
-    square is an unbiased estimate of Var F, or at one shot, where no table
-    shows a spread, the bound sqrt(sum_n w_n^2 / N), as Var T_n <= 1/N.
+    may exceed 1.  Its error is sqrt(sum_n w_n^2 V_n), V_n = (1 - T_n^2)/(N -
+    1) the unbiased estimate of Var T_n.  A unanimous table, T_n = +-1,
+    shows no spread, though it does not prove its pair deterministic: its
+    V_n is the bound 4 q (1 - q)/N on Var T_n at the rule of three's 95%
+    upper bound q = min(3/N, 1/2) on the share of the other outcome (Hanley
+    & Lippman-Hand, JAMA 249, 1743, 1983).  Up to 6 shots that is 1/N, the
+    bound of any T_n in [-1, 1], and every one-shot table is unanimous.
     `shots` None is the limit N -> inf, in which analytic mode reads Born
     tables as counts and F has error 0.  Otherwise every table must hold
     `shots` counts (`_held_shots`).
@@ -430,6 +434,7 @@ def decode_fidelity(counts, shots: int | None, weights) -> tuple[float, float]:
     t, error = correlators(c), 0.0
     if shots is not None:
         n = _held_shots(c, shots)
-        var = (1.0 - t * t) / (n - 1) if n > 1 else 1.0 / n
+        q = min(3.0 / n, 0.5)
+        var = np.where(np.abs(t) == 1.0, 4.0 * q * (1.0 - q) / n, (1.0 - t * t) / max(n - 1, 1))
         error = math.sqrt(math.fsum((w[1:] * w[1:] * var).tolist()))
     return math.fsum([w[0], *(w[1:] * t).tolist()]), error

@@ -76,7 +76,7 @@ from .qcore import fidelity_with_pure, partial_trace
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 23
+REPORT_SCHEMA = 24
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000

@@ -108,7 +108,7 @@ class TestReportFiles:
     def test_report_carries_schema_version(self):
         doc = json.loads(report_texts(run_fig4(ExperimentConfig(seed=3, analytic=True)))[0])
         assert next(iter(doc)) == "schema"
-        assert doc["schema"] == experiments.REPORT_SCHEMA == 23
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 24
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError):

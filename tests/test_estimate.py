@@ -1,6 +1,7 @@
 import math
 import re
 import time
+from fractions import Fraction
 from functools import lru_cache
 from statistics import NormalDist
 
@@ -1100,10 +1101,11 @@ class TestDecodeFidelity:
         assert error == 0.0
         assert abs(fid - fidelity_with_pure(rho_raw, a)) <= 1e-15
 
+    @pytest.mark.parametrize("noise_p", [0.01, 0.3])
     @pytest.mark.parametrize("probe", [1, 2, 3, 4])
-    def test_drawn_tables_give_the_raw_decodes_fidelity(self, probe):
+    def test_drawn_tables_give_the_raw_decodes_fidelity(self, probe, noise_p):
         a = probe_vector(probe)
-        counts = sample_counts(masked_pair_probs(probe, 0.3), 50, 11)
+        counts = sample_counts(masked_pair_probs(probe, noise_p), 50, 11)
         fid, error = decode_fidelity(counts, 50, decode_weights(a))
         assert abs(fid - fidelity_with_pure(decode_real_state(correlators(counts).reshape(3, 3))[0], a)) <= 1e-15
         assert 0.0 < error < math.inf
@@ -1134,6 +1136,22 @@ class TestDecodeFidelity:
         w = decode_weights(probe_vector(probe))
         counts = sample_counts(masked_pair_probs(probe, 0.01), 1, probe)
         assert decode_fidelity(counts, 1, w)[1] == math.sqrt(math.fsum((w[1:] ** 2).tolist())) > 0.0
+
+    @pytest.mark.parametrize("n", [2, 5, 7, 4000])
+    def test_a_unanimous_table_reads_the_rule_of_three_bound(self, n):
+        # Five tables read one outcome each, four read n - 1 and 1.  A
+        # unanimous table's variance is 4 q (1 - q)/N at q = min(3/N, 1/2),
+        # which is 1/N up to 6 shots; the others keep (1 - T^2)/(N - 1).
+        w = decode_weights(probe_vector(3))
+        unanimous = [[n, 0, 0, 0], [0, n, 0, 0], [0, 0, n, 0], [0, 0, 0, n], [n, 0, 0, 0]]
+        counts = np.array(unanimous + [[n - 1, 1, 0, 0], [0, 1, 0, n - 1], [1, n - 1, 0, 0], [0, 0, 1, n - 1]])
+        q = min(Fraction(3, n), Fraction(1, 2))
+        bound = 4 * q * (1 - q) / n
+        assert (bound == Fraction(1, n)) == (n <= 6)
+        t = [Fraction(a - b - c + d, n) for a, b, c, d in counts.tolist()]
+        var = [bound if abs(x) == 1 else (1 - x * x) / (n - 1) for x in t]
+        want = math.sqrt(sum(Fraction(wn) ** 2 * v for wn, v in zip(w[1:], var)))
+        assert decode_fidelity(counts, n, w)[1] == pytest.approx(want, rel=1e-12)
 
 
 @st.composite

@@ -335,10 +335,29 @@ def test_a_one_shot_run_reports_the_stated_bound(run):
 
 def test_noiseless_fig4_decodes_the_fourth_probe_exactly():
     """At p = 0 the fidelity reads only correlators that are +-1 with
-    certainty, so it is 1 with no spread at every seed."""
+    certainty, so it is 1 at every seed.  Their tables are unanimous, which
+    4000 shots do not prove deterministic, so the error is the rule of
+    three's bound 4 q (1 - q)/N on each, q = 3/N."""
+    weights = experiments._fig4_model(0.0, 4)[0]
+    n = ExperimentConfig().shots("fig4")
+    q = 3.0 / n
     for seed in (1, 2, 3):
         row = run_fig4(ExperimentConfig(seed=seed, noise_p=0.0))["fidelity"]
-        assert abs(row["estimate"] - 1.0) <= 1e-12 and row["error"] == 0.0
+        assert abs(row["estimate"] - 1.0) <= 1e-12
+        assert row["error"] == pytest.approx(math.sqrt(math.fsum((weights[1:] ** 2).tolist()) * 4.0 * q * (1.0 - q) / n),
+                                             rel=1e-12)
+
+
+def test_a_two_shot_fig4_run_of_unanimous_tables_reports_the_bound():
+    """At 2 shots and p = 0.01 every table of this run reads one outcome and
+    the third probe's decode reads 4/3; each table's variance is the bound
+    1/N, so the error is sqrt(sum w_n^2 / 2), not 0."""
+    weights = experiments._fig4_model(0.01, 3)[0]
+    rep = run_fig4(ExperimentConfig(seed=77, shots_per_setting=2, noise_p=0.01), 3)
+    assert all(abs(x) == 1.0 for row in rep["correlators"] for x in row)
+    assert rep["fidelity"]["estimate"] == pytest.approx(4.0 / 3.0, abs=1e-12)
+    assert rep["fidelity"]["error"] == pytest.approx(math.sqrt(math.fsum((weights[1:] ** 2).tolist()) / 2.0),
+                                                     rel=1e-12)
 
 
 @pytest.mark.parametrize("probe", experiments.PROBES)
@@ -373,13 +392,15 @@ def test_fig4_error_divides_by_the_shots_less_one():
 def test_a_fig4_fidelity_above_one_is_reported_as_it_is(monkeypatch):
     """Counts whose raw decode reads more than 1 are not clipped: every
     correlator at the sign of its weight gives w_0 + sum |w_n|, 1.5 for the
-    third probe, and their tables of one outcome give zero spread."""
+    third probe, and their tables of one outcome give the bound 1/N of
+    each table's variance."""
     weights = experiments._fig4_model(ExperimentConfig().noise_p, 3)[0]
     counts = np.array([[5, 0, 0, 0] if w >= 0 else [0, 5, 0, 0] for w in weights[1:]])
     monkeypatch.setattr(experiments, "_counts", lambda *args, **kwargs: counts)
     rep = run_fig4(ExperimentConfig(seed=1, shots_per_setting=5), 3)
     assert rep["fidelity"]["estimate"] == pytest.approx(1.5, abs=1e-12)
-    assert rep["fidelity"]["error"] == 0.0
+    assert rep["fidelity"]["error"] == pytest.approx(math.sqrt(math.fsum((weights[1:] ** 2).tolist()) / 5.0),
+                                                     rel=1e-12)
     assert np.linalg.eigvalsh(np.array(rep["rho_decoded"])).min() >= -1e-12
 
 
