@@ -35,9 +35,9 @@ the two steps meet at plain counts: `_counts` gives the Born tables at
 shots None (read as counts of one shot) or the drawn int64 counts, and the
 estimators (`estimate.squared_bloch_length`, `estimate.decode_fidelity`)
 read only counts and shots, so counts read back from a file estimate as
-drawn ones do.  Only fig3's verification reads the mode itself: `estimate.qsv_run`
-draws pass counts and `estimate.qsv_interval` reads them, while analytic
-mode reads 1 - F with no width.  fig5 at p = 0 reads the concurrence of each
+drawn ones do.  Only fig3's verification reads the mode itself:
+`estimate.qsv_run` draws pass counts and `estimate.qsv_interval` reads
+them, while analytic mode reads 1 - F with no width.  fig5 at p = 0 reads the concurrence of each
 pure masked probe M psi as |psi^T psi|, which the masker's magic-basis
 identity proves (`masker.masker_matrix`).
 

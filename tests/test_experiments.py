@@ -341,11 +341,11 @@ def test_noiseless_fig4_decodes_the_fourth_probe_exactly():
     weights = experiments._fig4_model(0.0, 4)[0]
     n = ExperimentConfig().shots("fig4")
     q = 3.0 / n
+    want = math.sqrt(math.fsum((weights[1:] ** 2).tolist()) * 4.0 * q * (1.0 - q) / n)
     for seed in (1, 2, 3):
         row = run_fig4(ExperimentConfig(seed=seed, noise_p=0.0))["fidelity"]
         assert abs(row["estimate"] - 1.0) <= 1e-12
-        assert row["error"] == pytest.approx(math.sqrt(math.fsum((weights[1:] ** 2).tolist()) * 4.0 * q * (1.0 - q) / n),
-                                             rel=1e-12)
+        assert row["error"] == pytest.approx(want, rel=1e-12)
 
 
 def test_a_two_shot_fig4_run_of_unanimous_tables_reports_the_bound():
