@@ -34,6 +34,11 @@ Three pipelines:
   (`decode_fidelity` on the probe's `decode_weights`, read from counts and
   shots as `squared_bloch_length` reads them); the projection biases it low
   (Smolin et al., PRL 108, 070502, 2012).
+
+The four estimators that take counts (`squared_bloch_length`,
+`decode_fidelity`, `mle_qubit_batch` and `purity_from_counts`) check them
+only through `measure._count_tables`, so each fault of a count table is
+refused in the same words by all four.
 """
 from __future__ import annotations
 
@@ -44,7 +49,8 @@ from typing import Callable
 import numpy as np
 
 from .masker import masker_matrix
-from .measure import PAIR_PAULIS, _checked, _count, _is_integer, correlators, generator, poisson_resample
+from .measure import (PAIR_PAULIS, _checked, _count, _count_tables, _is_integer, correlators, generator,
+                      poisson_resample)
 from .qcore import EPS_EXACT, EPS_NUMERIC, EPS_PROB, _as_field_array, _dagger, _row_prefix, fidelity_with_pure
 
 
@@ -112,20 +118,6 @@ def agresti_coull(passed: int, total: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Single-qubit tomography.
 
-def _checked_counts(counts) -> np.ndarray:
-    """Counts as a float (batch, 3, 2) array, a single (3, 2) array as a
-    batch of one, every count finite and nonnegative."""
-    c = np.asarray(counts, dtype=float)
-    c = c[None] if c.ndim == 2 else c
-    if c.shape[1:] != (3, 2):
-        raise ValueError("counts must have shape (batch, 3, 2)")
-    if not np.isfinite(c).all():
-        raise ValueError("counts must be finite, got a NaN or infinite count")
-    if np.any(c < 0):
-        raise ValueError("counts must be nonnegative")
-    return c
-
-
 def _linear_inversion(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(n+ - n-)/n on each axis of (batch, 3, 2) counts (`measure.correlators`),
     0 on an axis without counts, and each row's squared length r.r, above 1
@@ -181,8 +173,9 @@ def _sphere_fit(n_plus: list[float], n_minus: list[float]) -> list[float]:
 def mle_qubit_batch(counts: np.ndarray) -> np.ndarray:
     """Exact maximum-likelihood qubit states for X/Y/Z counts of shape (batch, 3, 2).
 
-    Outcome 0 is +1; returns (batch, 2, 2) density matrices.  Counts must be
-    finite and nonnegative.  The concave log-likelihood sum_k n+_k log(1 +
+    Outcome 0 is +1; returns (batch, 2, 2) density matrices.  A single (3,
+    2) table is a batch of one, and the counts obey `measure._count_tables`
+    at shots None.  The concave log-likelihood sum_k n+_k log(1 +
     r_k) + n-_k log(1 - r_k) of the Bloch vector r peaks at the linear
     inversion r_k = (n+_k - n-_k)/n_k, the MLE whenever it lies in the Bloch
     ball.  Otherwise the MLE is the unique point of the sphere with g_k(r_k) =
@@ -191,7 +184,7 @@ def mle_qubit_batch(counts: np.ndarray) -> np.ndarray:
     is bit-identical in any batch.  An axis with no counts gets r_k = 0, the
     maximally mixed value.
     """
-    c = _checked_counts(counts)
+    c = _count_tables(counts, None, (3, 2), 1)[0].reshape(-1, 3, 2)
     r, r2 = _linear_inversion(c)
     for i in np.flatnonzero(r2 > 1.0):
         r[i] = _sphere_fit(c[i, :, 0].tolist(), c[i, :, 1].tolist())
@@ -200,27 +193,15 @@ def mle_qubit_batch(counts: np.ndarray) -> np.ndarray:
 
 def purity_from_counts(counts: np.ndarray) -> np.ndarray:
     """The purity tr(rho^2) of the constrained MLE of each count array of a
-    (batch, 3, 2) stack, with no sphere fit.
+    (batch, 3, 2) stack, with no sphere fit; the counts are checked as
+    `mle_qubit_batch` checks them.
 
     Inside the Bloch ball the MLE is the linear inversion r, whose purity
     is (1 + r.r)/2, computed in real float64 arithmetic; outside it the MLE
     lies on the sphere, so its purity is exactly 1.
     """
-    _r, r2 = _linear_inversion(_checked_counts(counts))
+    _r, r2 = _linear_inversion(_count_tables(counts, None, (3, 2), 1)[0].reshape(-1, 3, 2))
     return 0.5 * (1.0 + np.minimum(r2, 1.0))
-
-
-def _held_shots(counts: np.ndarray, shots) -> int:
-    """`shots` as an integer in [1, `MAX_SHOTS`], once every table along the
-    last axis of `counts` is seen to hold that many nonnegative counts,
-    summed exactly when the counts are integers (a float holds integers
-    exactly only up to 2^53)."""
-    n = _checked("shots", _count, shots)
-    # Counts in [0, n], n <= MAX_SHOTS, sum without int64 overflow.
-    exact = counts if counts.dtype.kind in "iu" else counts.astype(float)
-    if not (((0 <= exact) & (exact <= n)).all() and (exact.sum(axis=-1) == n).all()):
-        raise ValueError(f"every table must hold shots = {n} counts")
-    return n
 
 
 def squared_bloch_length(counts, shots: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -239,8 +220,8 @@ def squared_bloch_length(counts, shots: int | None) -> tuple[np.ndarray, np.ndar
 
     `shots` None is the limit n -> inf, in which analytic mode reads Born
     tables as counts: Q^ = sum_k r^_k^2 with variance 0.  Otherwise `shots`
-    is an integer in [1, `MAX_SHOTS`] and every table must hold that many
-    counts (`_held_shots`).
+    is an integer in [1, `MAX_SHOTS`].  The counts and shots obey
+    `measure._count_tables`, the one rule of a count table.
 
     A one-shot table carries no information about r^2, so at `shots` 1 Q^
     is the plug-in min(sum_k r^_k^2, 1), which is 1, and its variance is the
@@ -250,15 +231,11 @@ def squared_bloch_length(counts, shots: int | None) -> tuple[np.ndarray, np.ndar
     all 1, so Q^ would be 3 with variance 0, yet no qubit is deterministic
     on three axes.  On that event alone Q^ is not unbiased.
     """
-    raw = np.asarray(counts)
-    c = raw.astype(float)
-    if c.shape[-2:] != (3, 2):
-        raise ValueError("counts must have shape (..., 3, 2)")
-    r, r2 = _linear_inversion(_checked_counts(c.reshape(-1, 3, 2)))
+    c, n = _count_tables(counts, shots, (3, 2))
+    r, r2 = _linear_inversion(c.reshape(-1, 3, 2))
     shape = c.shape[:-2]
-    if shots is None:
+    if n is None:
         return r2.reshape(shape), np.zeros(shape)
-    n = _held_shots(raw, shots)
     if n == 1:  # every qubit is unanimous, and u_k would divide by n - 1 = 0
         return np.ones(shape), np.full(shape, 0.25)
     u = (n * r * r - 1.0) / (n - 1.0)
@@ -306,19 +283,6 @@ def bootstrap_std(
 
 # ---------------------------------------------------------------------------
 # Correlation-matrix decoding of the real input state.
-
-def validate_correlation_matrix(t) -> np.ndarray:
-    """A 3x3 correlation matrix or a (..., 3, 3) stack of them, every entry
-    finite and at most 1 in magnitude."""
-    arr = np.asarray(t, dtype=float)
-    if arr.shape[-2:] != (3, 3):
-        raise ValueError("correlation matrix must be 3x3")
-    if not np.isfinite(arr).all():
-        raise ValueError("correlation matrix has a NaN or infinite entry")
-    if np.abs(arr).max(initial=0.0) > 1.0 + EPS_PROB:
-        raise ValueError("correlator magnitude exceeds 1 beyond tolerance")
-    return arr
-
 
 def _simplex_projection(vals: np.ndarray) -> np.ndarray:
     """Euclidean projection of each real vector along the last axis onto the
@@ -388,12 +352,19 @@ def decode_real_state(t) -> tuple[np.ndarray, np.ndarray]:
     the raw reconstruction and its positivity projection, float64 arrays of
     shape (..., 4, 4) like the correlators.
 
-    `t` is a 3x3 correlation matrix or a (..., 3, 3) stack; each item maps
-    through the constant `_decode_map`, every entry of rho a signed sum of
-    quarters of 1 and the T_jk, then projects onto the density matrices in
-    real arithmetic: rho has no imaginary part by construction.
+    `t` is a 3x3 correlation matrix or a (..., 3, 3) stack, every entry
+    finite and at most 1 in magnitude; each item maps through the constant
+    `_decode_map`, every entry of rho a signed sum of quarters of 1 and the
+    T_jk, then projects onto the density matrices in real arithmetic: rho
+    has no imaginary part by construction.
     """
-    t = validate_correlation_matrix(t)
+    t = np.asarray(t, dtype=float)
+    if t.shape[-2:] != (3, 3):
+        raise ValueError("correlation matrix must be 3x3")
+    if not np.isfinite(t).all():
+        raise ValueError("correlation matrix has a NaN or infinite entry")
+    if np.abs(t).max(initial=0.0) > 1.0 + EPS_PROB:
+        raise ValueError("correlator magnitude exceeds 1 beyond tolerance")
     ones = np.ones(t.shape[:-2] + (1,))
     v = np.concatenate([ones, t.reshape(t.shape[:-2] + (9,))], axis=-1)
     # An elementwise product summed over the last axis adds each item's ten
@@ -425,15 +396,15 @@ def decode_fidelity(counts, shots: int | None, weights) -> tuple[float, float]:
     & Lippman-Hand, JAMA 249, 1743, 1983).  Up to 6 shots that is 1/N, the
     bound of any T_n in [-1, 1], and every one-shot table is unanimous.
     `shots` None is the limit N -> inf, in which analytic mode reads Born
-    tables as counts and F has error 0.  Otherwise every table must hold
-    `shots` counts (`_held_shots`).
+    tables as counts and F has error 0.  The nine tables, one (9, 4) array
+    with no stack ahead, and the shots obey `measure._count_tables`, as
+    `squared_bloch_length`'s do.
     """
-    c, w = np.asarray(counts), np.asarray(weights, dtype=float)
-    if c.shape != (9, 4) or w.shape != (10,):
-        raise ValueError(f"need (9, 4) pair tables and (10,) weights, got shapes {c.shape} and {w.shape}")
+    (c, n), w = _count_tables(counts, shots, (9, 4), 0), np.asarray(weights, dtype=float)
+    if w.shape != (10,):
+        raise ValueError(f"weights must have shape (10,), got {w.shape}")
     t, error = correlators(c), 0.0
-    if shots is not None:
-        n = _held_shots(c, shots)
+    if n is not None:
         q = min(3.0 / n, 0.5)
         var = np.where(np.abs(t) == 1.0, 4.0 * q * (1.0 - q) / n, (1.0 - t * t) / max(n - 1, 1))
         error = math.sqrt(math.fsum((w[1:] * w[1:] * var).tolist()))

@@ -12,6 +12,9 @@ scaled to one shot, so every estimator that takes counts (`correlators`,
 `estimate.squared_bloch_length`) reads a Born table as it is, and analytic
 mode, shots None, is a figure's sampled estimator run on its tables
 (`squared_bloch_length` in the limit of infinitely many shots).
+`_count_tables` is the one rule of a count table, through which `estimate`'s
+four count estimators read their counts: the tables' shape, finite
+nonnegative counts, and at a given `shots` whole counts summing to it.
 
 Counting model: each Pauli-pair (or single-qubit) setting is measured a fixed
 number of times, drawn as one multinomial over the Born probabilities into an
@@ -39,7 +42,8 @@ call is reproducible from its seed alone.  No stream is built at import.
 Number rules: `_integer`, `_count` (a positive integer of at most
 `MAX_SHOTS` = 10**18, the one cap of shots, tests and counts) and
 `_probability` are the library's one check of each kind of number, and
-`_checked(name, rule, value)` names the argument or config field in the error.
+`_checked(name, rule, value)` names the argument or config field in the error;
+`_count_tables` checks a count table's shots by `_count`.
 
 Count tables as CSV: `tables_from_csv`, the one reader, checks plain text
 column by column and table by table without the csv module; only when a rule
@@ -151,6 +155,36 @@ def _checked(field: str, check, v):
         return check(v)
     except ValueError as exc:
         raise ValueError(f"{field} {exc}") from None
+
+
+# How a count reader's refusal words the stack ahead of its tables, by the most axes it takes there (None: any).
+_STACK_WORDS = {None: "..., ", 0: "", 1: "batch, "}
+
+
+def _count_tables(counts, shots, table: tuple[int, int], stack: int | None = None) -> tuple[np.ndarray, int | None]:
+    """The float counts of a stack of count tables of shape `table`, (3, 2)
+    axis or (9, 4) pair tables, with at most `stack` axes ahead of them
+    (None: any), and `shots`: the one rule of a count table, by which every
+    estimator that takes counts checks them.
+
+    Every count must be finite and nonnegative.  `shots` None is analytic
+    mode, which reads a Born table as the counts of one shot; otherwise
+    `shots` is an integer in [1, `MAX_SHOTS`] and every table must hold that
+    many whole counts, summed exactly when the counts are integers (a float
+    holds integers exactly only up to 2^53).
+    """
+    n = None if shots is None else _checked("shots", _count, shots)
+    raw = np.asarray(counts)
+    c = raw.astype(float)
+    if c.shape[-2:] != table or (stack is not None and c.ndim > 2 + stack):
+        raise ValueError(f"counts must have shape ({_STACK_WORDS[stack]}{table[0]}, {table[1]})")
+    if not (np.isfinite(c) & (c >= 0)).all():
+        raise ValueError("counts must be finite and nonnegative")
+    # Integer counts of at most n <= MAX_SHOTS sum without int64 overflow.
+    exact = raw if raw.dtype.kind in "iu" else c
+    if n is not None and not (((c == np.floor(c)) & (exact <= n)).all() and (exact.sum(axis=-1) == n).all()):
+        raise ValueError(f"every table must hold shots = {n} whole counts")
+    return c, n
 
 
 def generator(seed: int) -> np.random.Generator:

@@ -54,7 +54,7 @@ EQUIVALENT = {
             "a midpoint exactly on the sphere is the root; either bracket end keeps it",
         "mle_qubit_batch: for i in np.flatnonzero(r2 > 1.0): [> -> >=]":
             "a linear inversion exactly on the sphere is also the sphere fit's answer",
-        "validate_correlation_matrix: if np.abs(arr).max(initial=0.0) > 1.0 + EPS_PROB: [> -> >=]": _ON_TOLERANCE,
+        "decode_real_state: if np.abs(t).max(initial=0.0) > 1.0 + EPS_PROB: [> -> >=]": _ON_TOLERANCE,
         "_simplex_projection: k = vals.shape[-1] - np.argmax(shifted[..., ::-1] > 0, axis=-1, keepdims=True) "
         "[> -> >=]": "a zero `shifted` entry gives the same shift whichever side of it k falls",
         "project_to_density: if not gap <= EPS_EXACT: [<= -> <]": _ON_TOLERANCE,

@@ -680,7 +680,7 @@ class TestExactMle:
         counts = np.full((2, 3, 2), 10.0)
         counts[1, 0, 1] = -1.0
         for estimator in (mle_qubit_batch, purity_from_counts):
-            with pytest.raises(ValueError, match="^counts must be nonnegative$"):
+            with pytest.raises(ValueError, match="^counts must be finite and nonnegative$"):
                 estimator(counts)
 
 
@@ -806,15 +806,15 @@ class TestSquaredBlochLength:
         assert float(counts[0, 0]) + float(counts[0, 1]) != n
         q, var = squared_bloch_length(counts, n)
         assert math.isfinite(q) and math.isfinite(var)
-        with pytest.raises(ValueError, match=f"^every table must hold shots = {n} counts"):
+        with pytest.raises(ValueError, match=f"^every table must hold shots = {n} whole counts$"):
             squared_bloch_length(counts + np.array([1, 0]), n)
 
     @pytest.mark.parametrize("counts, shots, message", [
         (np.ones((3, 3)), 2, r"counts must have shape \(\.\.\., 3, 2\)"),
         (np.ones(6), 2, r"counts must have shape \(\.\.\., 3, 2\)"),
-        ([[1, 1], [2, 0], [1, 0]], 2, "every table must hold shots = 2 counts"),
-        ([[1, 1], [2, 0], [3, -1]], 2, "counts must be nonnegative"),
-        ([[1, 1], [2, 0], [1, math.nan]], 2, "counts must be finite, got a NaN or infinite count"),
+        ([[1, 1], [2, 0], [1, 0]], 2, "every table must hold shots = 2 whole counts"),
+        ([[1, 1], [2, 0], [3, -1]], 2, "counts must be finite and nonnegative"),
+        ([[1, 1], [2, 0], [1, math.nan]], 2, "counts must be finite and nonnegative"),
         ([[1, 1], [2, 0], [1, 1]], 0, "shots must be "),
         ([[1, 1], [2, 0], [1, 1]], 2.5, "shots must be "),
         ([[1, 0], [1, 0], [1, 0]], True, "shots must be "),
@@ -1110,18 +1110,19 @@ class TestDecodeFidelity:
         assert abs(fid - fidelity_with_pure(decode_real_state(correlators(counts).reshape(3, 3))[0], a)) <= 1e-15
         assert 0.0 < error < math.inf
 
-    @pytest.mark.parametrize("table", [[2, 0, 0, 0], [4, 0, 0, 0], [4, -1, 0, 0], [2.5, 0, 0, 0],
-                                       [3, math.nan, 0, 0]])
+    @pytest.mark.parametrize("table", [[2, 0, 0, 0], [4, 0, 0, 0], [2.5, 0, 0, 0], [1.5, 1.5, 0, 0],
+                                       [0.5, 0.5, 1, 1]])
     def test_tables_that_do_not_hold_the_shots_are_refused(self, table):
         counts = np.array([[1, 1, 1, 0]] * 9, dtype=np.asarray(table).dtype)
         counts[4] = table
-        with pytest.raises(ValueError, match="^every table must hold shots = 3 counts$"):
+        with pytest.raises(ValueError, match="^every table must hold shots = 3 whole counts$"):
             decode_fidelity(counts, 3, decode_weights(probe_vector(4)))
 
     @pytest.mark.parametrize("counts, weights, shots, message", [
-        (np.ones((3, 3, 4)), np.ones(10), 4, r"need \(9, 4\) pair tables and \(10,\) weights"),
-        (np.ones((9, 2)), np.ones(10), 2, r"need \(9, 4\) pair tables and \(10,\) weights"),
-        (np.ones((9, 4)), np.ones(9), 4, r"need \(9, 4\) pair tables and \(10,\) weights"),
+        (np.ones((3, 3, 4)), np.ones(10), 4, r"counts must have shape \(9, 4\)$"),
+        (np.ones((9, 2)), np.ones(10), 2, r"counts must have shape \(9, 4\)$"),
+        (np.ones((1, 9, 4)), np.ones(10), 4, r"counts must have shape \(9, 4\)$"),
+        (np.ones((9, 4)), np.ones(9), 4, r"weights must have shape \(10,\), got \(9,\)$"),
         (np.ones((9, 4)), np.ones(10), 0, "shots must be "),
         (np.ones((9, 4)), np.ones(10), True, "shots must be "),
     ])
@@ -1152,6 +1153,80 @@ class TestDecodeFidelity:
         var = [bound if abs(x) == 1 else (1 - x * x) / (n - 1) for x in t]
         want = math.sqrt(sum(Fraction(wn) ** 2 * v for wn, v in zip(w[1:], var)))
         assert decode_fidelity(counts, n, w)[1] == pytest.approx(want, rel=1e-12)
+
+
+# Each estimator that reads count tables: its (rows, outcomes) table, the
+# words its refusal gives the stack ahead of the tables, whether it takes
+# shots, and a call on counts and shots.
+COUNT_READERS = {
+    "squared_bloch_length": ((3, 2), "..., ", True, squared_bloch_length),
+    "decode_fidelity": ((9, 4), "", True, lambda counts, shots: decode_fidelity(counts, shots, np.ones(10))),
+    "mle_qubit_batch": ((3, 2), "batch, ", False, lambda counts, shots: mle_qubit_batch(counts)),
+    "purity_from_counts": ((3, 2), "batch, ", False, lambda counts, shots: purity_from_counts(counts)),
+}
+
+
+# Each fault of a count table: the shots it is read at, the last table's
+# first two counts (None: every table an outcome short), and the refusal.
+COUNT_FAULTS = {
+    "nan": (None, [math.nan, 1.0], "counts must be finite and nonnegative"),
+    "inf": (None, [math.inf, 1.0], "counts must be finite and nonnegative"),
+    "-inf": (None, [-math.inf, 1.0], "counts must be finite and nonnegative"),
+    "negative": (None, [-1.0, 3.0], "counts must be finite and nonnegative"),
+    "an-outcome-short": (None, None, "counts must have shape ({stack}{rows}, {outcomes})"),
+    "negative-at-shots": (2, [3.0, -1.0], "counts must be finite and nonnegative"),
+    "nan-at-shots": (2, [math.nan, 1.0], "counts must be finite and nonnegative"),
+    "fractional": (2, [0.5, 1.5], "every table must hold shots = 2 whole counts"),
+    "too-few": (2, [1.0, 0.0], "every table must hold shots = 2 whole counts"),
+    "too-many": (2, [3.0, 0.0], "every table must hold shots = 2 whole counts"),
+    "no-shots": (0, [1.0, 1.0], "shots must be a positive integer, got 0"),
+}
+
+
+class TestCountTables:
+    """The four count readers check a table by one rule,
+    `measure._count_tables`, and refuse each fault in the same words."""
+
+    @pytest.mark.parametrize("reader, fault", [
+        pytest.param(reader, fault, id=f"{reader}-{fault}")
+        for fault in COUNT_FAULTS for reader in COUNT_READERS
+        # Two readers take no shots, so they read only analytic faults.
+        if COUNT_FAULTS[fault][0] is None or COUNT_READERS[reader][2]
+    ])
+    def test_every_reader_refuses_a_fault_in_the_same_words(self, reader, fault):
+        (rows, outcomes), stack, _takes_shots, read = COUNT_READERS[reader]
+        shots, last, message = COUNT_FAULTS[fault]
+        counts = np.zeros((rows, outcomes))
+        counts[:, :2] = 1.0
+        if last is None:
+            counts = counts[:, :-1]
+        else:
+            counts[-1, :2] = last
+        want = message.format(stack=stack, rows=rows, outcomes=outcomes)
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            read(counts, shots)
+
+    @pytest.mark.parametrize("reader", COUNT_READERS)
+    def test_every_reader_takes_the_valid_table(self, reader):
+        (rows, outcomes), _stack, _takes_shots, read = COUNT_READERS[reader]
+        counts = np.zeros((rows, outcomes), dtype=int)
+        counts[:, :2] = 1
+        read(counts, 2)
+        read(counts / 2.0, None)
+
+    def test_fractional_counts_are_refused_at_a_given_shots(self):
+        # Each table sums to the shots, yet no draw gives half a count.
+        with pytest.raises(ValueError, match="^every table must hold shots = 3 whole counts$"):
+            decode_fidelity(np.full((9, 4), 1.5) * [1, 1, 0, 0], 3, decode_weights(probe_vector(4)))
+        with pytest.raises(ValueError, match="^every table must hold shots = 3 whole counts$"):
+            squared_bloch_length([[2.5, 0.5], [1.5, 1.5], [3, 0]], 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_decode_fidelity_in_analytic_mode_refuses_a_faulty_table(self, bad):
+        # `correlators` alone reads a table whose sum is not positive as one of
+        # no shots, which would give the fidelity w_0 with error 0.
+        with pytest.raises(ValueError, match="^counts must be finite and nonnegative$"):
+            decode_fidelity(np.full((9, 4), bad), None, decode_weights(probe_vector(4)))
 
 
 @st.composite

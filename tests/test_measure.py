@@ -393,6 +393,85 @@ class TestNumberRules:
             measure._checked("x", fails, 1)
 
 
+AXIS_TABLES = [[1, 1], [2, 0], [0, 2]]  # two shots each, one count at the shots and one at 0
+
+
+class TestCountTables:
+    """`measure._count_tables`, the one rule of a count table that every
+    count reader of `estimate` checks through."""
+
+    @pytest.mark.parametrize("shots", [2, np.int64(2)])
+    def test_gives_the_float_counts_and_the_shots(self, shots):
+        c, n = measure._count_tables(AXIS_TABLES, shots, (3, 2))
+        assert c.dtype == float and c.tolist() == AXIS_TABLES
+        assert type(n) is int and n == 2
+
+    def test_analytic_mode_takes_born_tables(self):
+        born = np.array([[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]])
+        c, n = measure._count_tables(born, None, (3, 2))
+        assert n is None and np.array_equal(c, born)
+        assert measure._count_tables(np.zeros((9, 4)), None, (9, 4))[0].shape == (9, 4)
+
+    @pytest.mark.parametrize("shape, table, stack", [
+        ((3, 2), (3, 2), None), ((4, 5, 3, 2), (3, 2), None), ((3, 2), (3, 2), 1), ((4, 3, 2), (3, 2), 1),
+        ((9, 4), (9, 4), 0), ((0, 9, 4), (9, 4), None),
+    ])
+    def test_takes_the_stacks_of_its_tables(self, shape, table, stack):
+        counts = np.ones(shape, dtype=int)
+        assert measure._count_tables(counts, table[1], table, stack)[0].shape == shape
+        assert measure._count_tables(counts, None, table, stack)[0].shape == shape
+
+    @pytest.mark.parametrize("shape, table, stack, words", [
+        ((3, 3), (3, 2), None, "..., 3, 2"), ((6,), (3, 2), None, "..., 3, 2"), ((), (3, 2), None, "..., 3, 2"),
+        ((2, 2), (3, 2), None, "..., 3, 2"), ((1, 1, 3, 2), (3, 2), 1, "batch, 3, 2"),
+        ((2, 3, 3), (3, 2), 1, "batch, 3, 2"), ((1, 9, 4), (9, 4), 0, "9, 4"), ((9, 2), (9, 4), 0, "9, 4"),
+    ])
+    def test_refuses_tables_of_another_shape(self, shape, table, stack, words):
+        for shots in (None, 1):
+            with pytest.raises(ValueError, match=rf"^counts must have shape \({re.escape(words)}\)$"):
+                measure._count_tables(np.ones(shape), shots, table, stack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -0.5])
+    @pytest.mark.parametrize("shots", [None, 2])
+    def test_refuses_a_count_that_is_not_finite_and_nonnegative(self, bad, shots):
+        counts = np.array(AXIS_TABLES, dtype=float)
+        counts[2] = [bad, 2.0 - bad if np.isfinite(bad) else 0.0]
+        with pytest.raises(ValueError, match="^counts must be finite and nonnegative$"):
+            measure._count_tables(counts, shots, (3, 2))
+
+    @pytest.mark.parametrize("last", [[1, 0], [2, 1], [3, 0], [1.0, 0.0], [3.0, 0.0], [0.5, 1.5], [1.5, 0.5],
+                                      [0.5, 0.5], [2.5, 0]])
+    def test_refuses_tables_that_do_not_hold_the_shots(self, last):
+        counts = np.array([*AXIS_TABLES[:2], last])
+        with pytest.raises(ValueError, match="^every table must hold shots = 2 whole counts$"):
+            measure._count_tables(counts, 2, (3, 2))
+        assert measure._count_tables(counts, None, (3, 2))[1] is None
+
+    def test_integer_counts_are_summed_exactly(self):
+        # Each count rounds as a float, and the rounded pair sums to n - 2.
+        n = 18_014_398_445_206_346
+        counts = np.array([[9_007_199_178_507_249, 9_007_199_266_699_097]] * 3)
+        assert float(counts[0, 0]) + float(counts[0, 1]) != n
+        assert measure._count_tables(counts, n, (3, 2))[1] == n
+        with pytest.raises(ValueError, match=f"^every table must hold shots = {n} whole counts$"):
+            measure._count_tables(counts.astype(float), n, (3, 2))
+
+    def test_integer_counts_above_the_shots_are_refused_though_their_sum_wraps(self):
+        # The int64 sum 2 (2**63 - 1) + 4 wraps to 2, the shots.
+        counts = np.array([[1, 1, 0, 0]] * 8 + [[2**63 - 1, 2**63 - 1, 1, 3]], dtype=np.int64)
+        assert counts.sum(axis=-1).tolist() == [2] * 9
+        with pytest.raises(ValueError, match="^every table must hold shots = 2 whole counts$"):
+            measure._count_tables(counts, 2, (9, 4), 0)
+
+    @pytest.mark.parametrize("shots, rule", [
+        (0, "a positive integer, got 0"), (2.0, "an integer, got 2.0"), (True, "an integer, got True"),
+        (10**19, r"at most 10\*\*18, got 10000000000000000000"),
+    ])
+    def test_refuses_shots_that_are_no_count(self, shots, rule):
+        with pytest.raises(ValueError, match=f"^shots must be {rule}$"):
+            measure._count_tables(AXIS_TABLES, shots, (3, 2))
+
+
 class TestPoissonResample:
     def test_zero_counts_stay_zero(self):
         out = poisson_resample(np.zeros(4, dtype=int), 3, seed=5)
