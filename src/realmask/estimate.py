@@ -11,12 +11,14 @@ Three pipelines:
   call of `measure.generator(seed)`, and at most `measure.MAX_SHOTS` tests
   (`measure`'s count rule),
   and `qsv_interval` gives the estimate and interval of a pass count;
-* single-qubit tomography: each qubit's squared Bloch length Q = r.r from
-  (..., 3, 2) count arrays, rows in `measure.AXES` order, each r_k the
-  linear inversion `measure.correlators` of its axis, estimated without
-  bias and with its exact binomial variance by `squared_bloch_length`, which
-  fig3's purities (1 + Q)/2 and fig5's concurrences sqrt(1 - Q) read, at
-  shots None (analytic mode) in the limit of infinitely many shots.  No
+* single-qubit tomography: the squared Bloch length Q = r.r of both qubits
+  of a pair from its (..., 9, 4) pair tables, each r_k the linear inversion
+  `measure.correlators` of the axis table that sums the marginals of the
+  three tables measuring axis k, estimated without bias and with its exact
+  binomial variance, and the two qubits' covariance, by
+  `squared_bloch_length`, which fig3's purities (1 + Q)/2 and fig5's
+  concurrences sqrt(1 - Q) read, at shots None (analytic mode) in the limit
+  of infinitely many shots.  No
   pipeline calls `mle_qubit_batch` (the full state fit, each boundary fit a
   bisection of its own), `purity_from_counts` (the MLE purity, (1 + r.r)/2
   of the linear inversion, 1 outside the ball) or the Poisson-resampling
@@ -204,44 +206,64 @@ def purity_from_counts(counts: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.minimum(r2, 1.0))
 
 
-def squared_bloch_length(counts, shots: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Each qubit's squared Bloch length Q = sum_k r_k^2, estimated without
-    bias, and the variance of that estimate, from a (..., 3, 2) stack of X/Y/Z
-    count tables of `shots` shots each: two (...) float arrays.
+def squared_bloch_length(counts, shots: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each qubit's squared Bloch length Q = sum_k r_k^2 for both qubits A and
+    B of a pair, estimated without bias, the variances of those estimates
+    and their covariance, from a (..., 9, 4) stack of pair tables of `shots`
+    shots each, rows in `measure.PAIRS` order: (..., 2), (..., 2) and (...)
+    float arrays.
 
-    Each axis is one Binomial(n, (1 + r_k)/2) draw, so with the linear
-    inversion r^_k = (n+_k - n-_k)/n the square u_k = (n r^_k^2 - 1)/(n - 1) is
-    unbiased for r_k^2, and Q^ = sum_k u_k, unclipped: it may leave [0, 1].
-    The outcome +-1 has cumulants k2 = 1 - r^2, k3 = -2r(1 - r^2) and k4 =
-    -2(1 - r^2)(1 - 3r^2), so Var(r^^2) = 4r^2 k2/n + 4r k3/n^2 + 2 k2^2/n^2 +
-    k4/n^3 exactly, a function of r^2 alone.  Var(u_k) = (n/(n - 1))^2
-    Var(r^_k^2) is evaluated at r_k^2 = clip(u_k, 0, 1), and the axes are
-    independent, so Var(Q^) = sum_k Var(u_k).
+    A qubit's axis table is the sum of the marginals of the three pair
+    tables that measure that axis.  A marginal does not depend on the
+    partner's axis (no signalling), so each axis of a qubit is one
+    Binomial(m, (1 + r_k)/2) draw of m = 3N shots, N those of a table.  With
+    the linear inversion r^_k = (m+_k - m-_k)/m the square u_k = (m r^_k^2 -
+    1)/(m - 1) is unbiased for r_k^2, and Q^ = sum_k u_k, unclipped: it may
+    leave [0, 1].  The outcome +-1 has cumulants k2 = 1 - r^2, k3 = -2r(1 -
+    r^2) and k4 = -2(1 - r^2)(1 - 3r^2), so Var(r^^2) = 4r^2 k2/m + 4r
+    k3/m^2 + 2 k2^2/m^2 + k4/m^3 exactly, a function of r^2 alone.  Var(u_k)
+    = (m/(m - 1))^2 Var(r^_k^2) is evaluated at r_k^2 = clip(u_k, 0, 1), and
+    a qubit's axes are independent, so Var(Q^) = sum_k Var(u_k).
 
-    `shots` None is the limit n -> inf, in which analytic mode reads Born
-    tables as counts: Q^ = sum_k r^_k^2 with variance 0.  Otherwise `shots`
-    is an integer in [1, `MAX_SHOTS`].  The counts and shots obey
-    `measure._count_tables`, the one rule of a count table.
+    The two qubits share their tables, so Cov(Q^_A, Q^_B) is the sum over the
+    nine tables (j, k) of Cov(u_Aj, u_Bk) (`_square_covariance`), which is
+    linear in three moments of the table: t^2, x y t and x^2 y^2, x and y
+    the qubits' means and t the table's correlator.  Each moment is
+    estimated from the counts: t^2 by the table's own unbiased square (N t^^2
+    - 1)/(N - 1), x y t by P t^ with the unbiased product P = (m^2 x^ y^ -
+    N t^)/(m^2 - N) (E x^ y^ = x y + N (t - x y)/m^2, and a plug-in x^ y^
+    would read 3 times the covariance at x = y = 0), and x^2 y^2 by u_Aj u_Bk.
+    The estimate is not clipped: its spread is several times its size where
+    x = y = 0, so it is often negative, and at a few shots it may pass
+    sqrt(Var_A Var_B).
 
-    A one-shot table carries no information about r^2, so at `shots` 1 Q^
-    is the plug-in min(sum_k r^_k^2, 1), which is 1, and its variance is the
-    stated bound 1/4, that of any quantity in [0, 1] (a standard deviation
-    of its half-range 1/2).  A qubit whose three axes each read one outcome,
-    as every one-shot qubit does, reads the same way at any n: its u_k are
-    all 1, so Q^ would be 3 with variance 0, yet no qubit is deterministic
-    on three axes.  On that event alone Q^ is not unbiased.
+    `shots` None is the limit N -> inf, in which analytic mode reads Born
+    tables as counts: Q^ = sum_k r^_k^2 with variances and covariance 0.
+    Otherwise `shots` is an integer in [1, `MAX_SHOTS`].  The counts and
+    shots obey `measure._count_tables`, the one rule of a count table, at N.
+
+    A qubit whose three axes each read one outcome shows no spread, yet no
+    qubit is deterministic on three axes: its u_k are all 1, so Q^ would be 3
+    with variance 0.  It reads the plug-in Q^ = 1 instead, with the stated
+    bound 1/4 of its variance, that of any quantity in [0, 1] (a standard
+    deviation of its half-range 1/2).  On that event alone Q^ is not unbiased.
     """
-    c, n = _count_tables(counts, shots, (3, 2))
-    r, r2 = _linear_inversion(c.reshape(-1, 3, 2))
+    c, n = _count_tables(counts, shots, (9, 4))
     shape = c.shape[:-2]
+    # Axes (item, A's axis j, B's axis k, A's outcome, B's outcome).
+    c = c.reshape(-1, 3, 3, 2, 2)
+    r, r2 = _linear_inversion(np.stack([c.sum(axis=(2, 4)), c.sum(axis=(1, 3))], axis=1).reshape(-1, 3, 2))
     if n is None:
-        return r2.reshape(shape), np.zeros(shape)
-    if n == 1:  # every qubit is unanimous, and u_k would divide by n - 1 = 0
-        return np.ones(shape), np.full(shape, 0.25)
-    u = (n * r * r - 1.0) / (n - 1.0)
-    q, var = u.sum(axis=-1), _square_variance(np.clip(u, 0.0, 1.0), n).sum(axis=-1)
+        return r2.reshape(*shape, 2), np.zeros((*shape, 2)), np.zeros(shape)
+    m = 3 * n
+    r, u = r.reshape(-1, 2, 3), ((m * r * r - 1.0) / (m - 1.0)).reshape(-1, 2, 3)
     unanimous = (np.abs(r) == 1.0).all(axis=-1)
-    return np.where(unanimous, 1.0, q).reshape(shape), np.where(unanimous, 0.25, var).reshape(shape)
+    q = np.where(unanimous, 1.0, u.sum(axis=-1))
+    var = np.where(unanimous, 0.25, _square_variance(np.clip(u, 0.0, 1.0), m).sum(axis=-1))
+    t = correlators(c.reshape(-1, 3, 3, 4))
+    xyt = (m * m * r[:, 0, :, None] * r[:, 1, None, :] - n * t) / (m * m - n) * t
+    cov = _square_covariance((n * t * t - 1.0) / max(n - 1, 1), xyt, u[:, 0, :, None] * u[:, 1, None, :], n)
+    return q.reshape(*shape, 2), var.reshape(*shape, 2), cov.sum(axis=(1, 2)).reshape(shape)
 
 
 def _square_variance(s, n: int):
@@ -252,6 +274,20 @@ def _square_variance(s, n: int):
     k2 = 1.0 - s
     var = 4.0 * s * k2 / n - 8.0 * s * k2 / n**2 + 2.0 * k2 * k2 / n**2 - 2.0 * k2 * (1.0 - 3.0 * s) / n**3
     return (n / (n - 1.0))**2 * var
+
+
+def _square_covariance(t2, xyt, xxyy, n: int):
+    """Cov(u_Aj, u_Bk) of the unbiased squares of qubit A's axis j and qubit
+    B's axis k, each summed over three pair tables of `n` shots, which share
+    table (j, k), at its moments t^2 = `t2`, x y t = `xyt` and x^2 y^2 =
+    `xxyy` (`squared_bloch_length`).
+
+    With m = 3n, delta = t - x y, and S_A and S_B the sums of the two
+    marginals' outcomes +-1, the multinomial moments of the shared table give
+    Cov(S_A^2, S_B^2) = 2n(n - 1) delta^2 + 4n(m - 1)^2 x y delta, and u =
+    (S^2/m - 1)/(m - 1) divides it by m^2 (m - 1)^2."""
+    m = 3.0 * n
+    return (2.0 * n * (n - 1.0) * (t2 - 2.0 * xyt + xxyy) / (m - 1.0)**2 + 4.0 * n * (xyt - xxyy)) / (m * m)
 
 
 def bootstrap_std(

@@ -13,7 +13,8 @@ row says which via its error_kind field.
 Each figure splits into a seed-independent model and its seeded draws.  The
 model masks all its probes (`masker.mask_pure`) into one (n, 4, 4) stack
 under depolarizing noise, checked by `measure.apply_depolarizing`, and keeps
-only what the draws and analytic mode read of it: the Born tables, fig3's
+only what the draws and analytic mode read of it: the (n, 9, 4) Born tables
+of the nine Pauli-pair settings that every figure measures, fig3's
 fidelities of the masked probes with their noiseless images, fig4's fidelity
 weights and fig5's |psi^T psi| of its phase probes.  It is built and checked
 once per process for each value of the config fields it reads
@@ -25,8 +26,10 @@ one `measure.derive_seed` call on the seed and the call's tags: its family
 ("fig3.tomo", "fig3.qsv", ...), and for fig4 its probe too, so that each
 probe draws a stream of its own.  No estimate draws: fig3's purities and
 fig5's concurrences read each qubit's squared Bloch length and its exact
-variance (`estimate.squared_bloch_length`), and fig4's fidelity, linear in
-the counts, has a closed-form error (`estimate.decode_fidelity`).
+variance from the marginals of the pair tables, 3N shots on each axis, and
+fig3's average the two qubits' covariance too
+(`estimate.squared_bloch_length`), and fig4's fidelity, linear in the
+counts, has a closed-form error (`estimate.decode_fidelity`).
 
 Analytic mode is `shots` None: `ExperimentConfig.shots` gives None for it,
 the limit of infinitely many shots, and each figure reads its shots once
@@ -72,11 +75,11 @@ import numpy as np
 from . import estimate, measure, optics, walk
 from .masker import mask_pure
 from .measure import _checked, _count, _integer, _is_integer, _is_number, _probability, derive_seed, generator
-from .qcore import fidelity_with_pure, partial_trace
+from .qcore import fidelity_with_pure
 
 # Version of the JSON reports, bumped whenever the layout or the numbers that a
 # fixed config produces change.
-REPORT_SCHEMA = 24
+REPORT_SCHEMA = 25
 
 DEFAULT_SEED = 20404
 DEFAULT_QSV_TESTS = 5000
@@ -213,11 +216,11 @@ def _head(config: ExperimentConfig, experiment: str, **drawn) -> dict:
 
 
 def _counts(probs: np.ndarray, shots: int | None, seed: int, *tags) -> np.ndarray:
-    """The count tables of a stack of qubit (..., 3, 2) or pair (..., 9, 4)
-    Born tables.  At `shots` None (analytic mode) they are `probs` itself,
-    the tables read as counts of one shot.  Otherwise they are drawn as int64
-    counts of `shots` shots in one `sample_counts` call, from the sub-seed of
-    `seed` tagged `tags`.
+    """The count tables of a stack of (..., 9, 4) pair Born tables.  At
+    `shots` None (analytic mode) they are `probs` itself, the tables read as
+    counts of one shot.  Otherwise they are drawn as int64 counts of `shots`
+    shots in one `sample_counts` call, from the sub-seed of `seed` tagged
+    `tags`.
     """
     if shots is None:
         return probs
@@ -232,20 +235,21 @@ PROBES = (1, 2, 3, 4)
 
 @lru_cache(maxsize=_MODELS_KEPT)
 def _fig3_model(noise_p: float) -> tuple[np.ndarray, np.ndarray]:
-    """fig3's seed-independent arrays at `noise_p`, read-only: the (probe,
-    qubit, 3, 2) Born table of each masked probe's path (A) and polarization
-    (B) qubit, and the (4,) fidelities of the masked probes with their
-    noiseless images, which analytic mode reports and the verification
-    draws sample."""
+    """fig3's seed-independent arrays at `noise_p`, read-only: the (4, 9, 4)
+    pair Born tables of the masked probes, whose marginals give their path
+    (A) and polarization (B) qubits, and the (4,) fidelities of the masked
+    probes with their noiseless images, which analytic mode reports and the
+    verification draws sample."""
     probes = np.array([probe_vector(idx) for idx in PROBES])
     ideal, rho = _masked_states(probes, noise_p)
-    reduced = np.stack([partial_trace(rho, k) for k in ("A", "B")], axis=1)
-    return _read_only(measure.axis_probs(reduced), fidelity_with_pure(rho, ideal))
+    return _read_only(measure.pair_probs(rho), fidelity_with_pure(rho, ideal))
 
 
 def run_fig3(config: ExperimentConfig) -> dict:
     """Each probe's verification fidelity, and its path and polarization qubits' purities (1 + Q)/2 from their
-    squared Bloch lengths Q, unclipped, with their average, whose error is sqrt(Var Q_A + Var Q_B) / 4."""
+    squared Bloch lengths Q, unclipped, with their average, whose error is sqrt(Var Q_A + Var Q_B + 2 Cov(Q_A,
+    Q_B)) / 4: the two qubits are read from the same nine pair tables.  The masked probes' qubits have mean 0 on
+    every axis, where the covariance is a sum of squares, so a negative estimate of it reads as 0."""
     probs, fidelities = _fig3_model(config.noise_p)
     shots, tests = config.shots("fig3"), config.qsv_tests
     # Each probe's (eps_hat, error, eps_low, eps_high, passed); analytic mode draws no pass counts.
@@ -254,15 +258,15 @@ def run_fig3(config: ExperimentConfig) -> dict:
     else:
         passes = estimate.qsv_run(fidelities, tests, derive_seed(config.seed, "fig3.qsv"))
         verdicts = [(*estimate.qsv_interval(passed, tests), passed) for passed in passes]
-    q, var = estimate.squared_bloch_length(_counts(probs, shots, config.seed, "fig3.tomo"), shots)
-    pur = 0.5 * (1.0 + q)
+    q, var, cov = estimate.squared_bloch_length(_counts(probs, shots, config.seed, "fig3.tomo"), shots)
+    pur, spread = 0.5 * (1.0 + q), np.sqrt(var.sum(axis=1) + 2.0 * np.maximum(cov, 0.0)) / 4.0
     rows = [{"probe": idx, "target": PROBE_LABELS[idx],
              "fidelity": report_row(f"probe {idx} fidelity", 1.0 - eps, err, "ci95",
                                     eps_hat=eps, eps_low=low, eps_high=high, passed=passed),
              "purity": report_row(f"probe {idx} avg purity", avg, spread, "std",
                                   path_purity=pur_a, pol_purity=pur_b)}
             for idx, (eps, err, low, high, passed), (pur_a, pur_b), avg, spread
-            in zip(PROBES, verdicts, pur.tolist(), pur.mean(axis=1).tolist(), np.sqrt(var.sum(axis=1) / 16.0).tolist())]
+            in zip(PROBES, verdicts, pur.tolist(), pur.mean(axis=1).tolist(), spread.tolist())]
     return {**_head(config, "fig3", qsv_tests=tests, shots_per_setting=shots), "probes": rows}
 
 
@@ -305,11 +309,11 @@ def run_fig4(config: ExperimentConfig, probe: int = DEFAULT_PROBE) -> dict:
 def _fig5_model(noise_p: float, phis: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """fig5's seed-independent arrays, read-only: |psi^T psi| of each phase
     probe psi at `phis` (degrees), the concurrence of its noiseless masked
-    image, and the (n, 3, 2) Born table of their path (A) qubits at
-    `noise_p`."""
+    image, and the (n, 9, 4) pair Born tables of the masked probes at
+    `noise_p`, whose marginals give their path (A) qubits."""
     probes = np.array([phase_probe(phi) for phi in phis])
     states = _masked_states(probes, noise_p)[1]
-    return _read_only(np.abs((probes * probes).sum(axis=-1)), measure.axis_probs(partial_trace(states, "A")))
+    return _read_only(np.abs((probes * probes).sum(axis=-1)), measure.pair_probs(states))
 
 
 def run_fig5(config: ExperimentConfig) -> dict:
@@ -319,9 +323,9 @@ def run_fig5(config: ExperimentConfig) -> dict:
     phis = config.phi_grid_deg
     pure, probs = _fig5_model(config.noise_p, phis)
     shots = config.shots("fig5")
-    q, var = estimate.squared_bloch_length(_counts(probs, shots, config.seed, "fig5.tomo"), shots)
-    est, sd = np.sqrt(np.clip(1.0 - q, 0.0, 1.0)), np.sqrt(var)
-    floor = np.maximum(1.0 - q, sd)
+    q, var, _cov = estimate.squared_bloch_length(_counts(probs, shots, config.seed, "fig5.tomo"), shots)
+    est, sd = np.sqrt(np.clip(1.0 - q[:, 0], 0.0, 1.0)), np.sqrt(var[:, 0])
+    floor = np.maximum(1.0 - q[:, 0], sd)
     std = np.divide(sd, 2.0 * np.sqrt(floor), out=np.zeros_like(sd), where=floor > 0.0)
     if shots is None and config.noise_p == 0.0:  # the pure states need no square root of a rounded 1 - Q
         est = pure

@@ -1,12 +1,15 @@
 """Finite-shot measurement simulation.
 
-Settings: every pipeline measures fixed Pauli settings, X/Y/Z on a qubit and
-the nine pairs XX..ZZ on a qubit pair.  `axis_probs` gives a qubit's (3, 2)
-table of (+, -) probabilities and `pair_probs` a pair's (9, 4) table of
-(++, +-, -+, --) probabilities, rows in `AXES` and `PAIRS` order; a stack of
-states gives a stack of tables.  `correlators` is the one reading of an
-outcome +-1: the mean (n+ - n-)/n of an axis table, (n++ - n+- - n-+ +
-n--)/n of a pair table, which `estimate`'s linear inversion takes too.
+Settings: every pipeline measures a masked qubit pair as the apparatus
+does, in the nine product settings XX..ZZ, each read by four detectors.
+`pair_probs` gives a pair's (9, 4) table of (++, +-, -+, --) probabilities,
+rows in `PAIRS` order (the first letter the path qubit A's axis, the second
+the polarization qubit B's); a stack of states gives a stack of tables.  A
+qubit's (+, -) table of one axis, rows in `AXES` order, is the sum of the
+marginals of the three pair tables that measure that axis, as
+`estimate.squared_bloch_length` reads it.  `correlators` is the one reading
+of an outcome +-1: the mean (n+ - n-)/n of such an axis table, (n++ - n+- -
+n-+ + n--)/n of a pair table, which `estimate`'s linear inversion takes too.
 Analytic and sampled runs read the same rows: probabilities are counts
 scaled to one shot, so every estimator that takes counts (`correlators`,
 `estimate.squared_bloch_length`) reads a Born table as it is, and analytic
@@ -16,10 +19,12 @@ mode, shots None, is a figure's sampled estimator run on its tables
 four count estimators read their counts: the tables' shape, finite
 nonnegative counts, and at a given `shots` whole counts summing to it.
 
-Counting model: each Pauli-pair (or single-qubit) setting is measured a fixed
-number of times, drawn as one multinomial over the Born probabilities into an
-integer count array, so each axis of a qubit is one binomial draw, which
-the closed-form errors of `estimate` assume; no pipeline resamples counts
+Counting model: each Pauli-pair setting is measured a fixed number of times,
+drawn as one multinomial over its four Born probabilities into an integer
+count array.  A qubit's marginal does not depend on its partner's axis (no
+signalling), so each axis of a qubit, summed over its three pair tables of N
+shots, is one Binomial(3N, p) draw, which the closed-form errors of
+`estimate` assume; no pipeline resamples counts
 (`poisson_resample` stays for `perfbench/tracer.py`, ROADMAP item 1).  The
 pipelines carry bare count arrays; `CountsTable` is the plain named tuple
 (setting, counts, shots, seed) that `tables_from_csv` builds.
@@ -74,7 +79,6 @@ def _eigenprojectors(axis: str) -> tuple[np.ndarray, np.ndarray]:
     return (eye + PAULIS[axis]) / 2, (eye - PAULIS[axis]) / 2
 
 
-_AXIS_PLUS = np.stack([_eigenprojectors(a)[0] for a in AXES])
 _PAIR_PROJECTORS = np.stack([
     [np.kron(p, q) for p in _eigenprojectors(pair[0]) for q in _eigenprojectors(pair[1])]
     for pair in PAIRS
@@ -206,47 +210,27 @@ class CountsTable(NamedTuple):
     seed: int
 
 
-def _projector_probs(rho, projectors: np.ndarray) -> np.ndarray:
-    """tr(rho P) for every projector P of a (*k, d, d) stack and every matrix
-    of a (..., d, d) stack of states: shape (..., *k)."""
-    arr = _as_field_array(rho, "density matrix")
-    d = projectors.shape[-1]
-    if arr.shape[-2:] != (d, d):
-        raise ValueError(f"expected {d}x{d} density matrices, got shape {arr.shape}")
-    arr = arr.reshape(arr.shape[:-2] + (1,) * (projectors.ndim - 2) + (d, d))
-    return np.trace(arr @ projectors, axis1=-2, axis2=-1).real
-
-
-def axis_probs(rho) -> np.ndarray:
-    """(3, 2) table of (+, -) probabilities of a qubit, rows in `AXES` order;
-    (..., 3, 2) for a (..., 2, 2) stack.
-
-    Each row is [p, 1 - p] with p from the + projector.  A separate trace for
-    the - outcome can differ from 1 - p in the last bit, and that moves the
-    multinomial draw at p = 1/2, where the reduced qubits of masked real states
-    sit.
-    """
-    plus = _projector_probs(rho, _AXIS_PLUS)
-    return np.stack([plus, 1.0 - plus], axis=-1)
-
-
 def pair_probs(rho) -> np.ndarray:
     """(9, 4) table of (++, +-, -+, --) probabilities of a qubit pair, rows in
-    `PAIRS` order; (..., 9, 4) for a (..., 4, 4) stack."""
-    return _projector_probs(rho, _PAIR_PROJECTORS)
+    `PAIRS` order; (..., 9, 4) for a (..., 4, 4) stack: tr(rho P) for each
+    pair's four eigenprojectors P."""
+    arr = _as_field_array(rho, "density matrix")
+    if arr.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 density matrices, got shape {arr.shape}")
+    return np.trace(arr[..., None, None, :, :] @ _PAIR_PROJECTORS, axis1=-2, axis2=-1).real
 
 
 def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
-    """Integer counts of each row of a (..., k) probability table, k = 2 or 4,
-    from one multinomial draw of `shots` per row, the rows in C order in one
-    call of `generator(seed)`; deterministic per seed.  `shots` is an integer
-    in [1, `MAX_SHOTS`].  The whole table is checked before the draw, and an
-    error names the first faulty row.
+    """Integer counts of each row of a (..., 4) probability table, such as
+    `pair_probs` gives, from one multinomial draw of `shots` per row, the
+    rows in C order in one call of `generator(seed)`; deterministic per
+    seed.  `shots` is an integer in [1, `MAX_SHOTS`].  The whole table is
+    checked before the draw, and an error names the first faulty row.
     """
     shots = _checked("shots", _count, shots)
     p = np.asarray(probs, dtype=float)
-    if p.ndim < 1 or p.shape[-1] not in (2, 4):
-        raise ValueError("probs must have 2 or 4 entries")
+    if p.ndim < 1 or p.shape[-1] != 4:
+        raise ValueError("probs must have 4 entries")
     rows = p.reshape(-1, p.shape[-1])
     sums = rows.sum(axis=-1)
     bad = (rows < -EPS_EXACT).any(axis=-1)

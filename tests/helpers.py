@@ -162,12 +162,41 @@ def exact_square_moments(n_shots: int, r: float) -> tuple[float, float]:
     """The mean and variance of one axis's unbiased square u = (n r^^2 -
     1)/(n - 1), r^ = (n+ - n-)/n, under the pipeline's own law n+ ~
     Binomial(n, (1 + r)/2): sums over the n + 1 outcomes.  The oracle for
-    the moments of `estimate.squared_bloch_length` (ROADMAP item 9)."""
+    the moments of `estimate.squared_bloch_length`, whose axes sum three
+    pair tables, at n = 3N (ROADMAP item 9)."""
     n = n_shots
     weights = [binomial_pmf(k, n, (1.0 + r) / 2.0) for k in range(n + 1)]
     squares = [(n * ((2 * k - n) / n) ** 2 - 1.0) / (n - 1.0) for k in range(n + 1)]
     mean = math.fsum(w * u for w, u in zip(weights, squares))
     return mean, math.fsum(w * (u - mean) ** 2 for w, u in zip(weights, squares))
+
+
+def exact_square_covariance(n_shots: int, x: float, y: float, t: float) -> float:
+    """Cov(u_A, u_B) of the unbiased squares u = (S^2/m - 1)/(m - 1), m =
+    3N, of qubit A's and qubit B's axis, each summed over three pair tables
+    of N shots that share one table, under the pipeline's own law: the shared
+    table is multinomial over the outcomes (a, b) = +-1 with probability (1 +
+    a x + b y + a b t)/4, and each qubit's two other tables add 2N outcomes
+    of mean x or y, independent of all else.  Sums over the shared table's
+    outcomes and the sums of the other tables.  The oracle for
+    `estimate._square_covariance`."""
+    n, m = n_shots, 3 * n_shots
+    cells = [(a, b, (1.0 + a * x + b * y + a * b * t) / 4.0) for a in (1, -1) for b in (1, -1)]
+
+    def mean_square(s: int, mean: float) -> float:
+        # E u over the other tables' 2N outcomes, given the shared table's sum s.
+        return math.fsum(binomial_pmf(k, 2 * n, (1.0 + mean) / 2.0) * (((s + 2 * k - 2 * n) ** 2 / m - 1.0) / (m - 1.0))
+                         for k in range(2 * n + 1))
+
+    moments = [0.0, 0.0, 0.0]  # E u_A u_B, E u_A, E u_B
+    for counts in ((i, j, k, n - i - j - k) for i in range(n + 1) for j in range(n + 1 - i)
+                   for k in range(n + 1 - i - j)):
+        weight = math.factorial(n) * math.prod(p**c / math.factorial(c) for c, (_a, _b, p) in zip(counts, cells))
+        ua = mean_square(sum(c * a for c, (a, _b, _p) in zip(counts, cells)), x)
+        ub = mean_square(sum(c * b for c, (_a, b, _p) in zip(counts, cells)), y)
+        for index, value in enumerate((ua * ub, ua, ub)):
+            moments[index] += weight * value
+    return moments[0] - moments[1] * moments[2]
 
 
 def round_floats(obj):

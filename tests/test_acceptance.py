@@ -18,10 +18,8 @@ from realmask.estimate import agresti_coull, decode_real_state, qsv_interval, qs
 from realmask.experiments import ExperimentConfig, phase_probe, probe_vector, run_fig3
 from realmask.masker import hr_unitaries, mask_pure, masker_matrix
 from realmask.measure import (
-    AXES,
     PAIRS,
     apply_depolarizing,
-    axis_probs,
     correlators,
     derive_seed,
     pair_probs,
@@ -212,19 +210,14 @@ def test_criterion_9_fig4_decoding():
 def test_criterion_10_fig5_curve():
     """Noiseless concurrence tracks cos(phi) within 0.03 in >= 95% of 50 runs."""
     phis = (0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0)
-    reduced = [partial_trace(density(mask_pure(phase_probe(p))), "A") for p in phis]
-    prob_table = [axis_probs(rp) for rp in reduced]
+    prob_table = pair_probs(np.stack([density(mask_pure(phase_probe(p))) for p in phis]))
     theory = np.cos(np.radians(phis))
     runs_ok = 0
     worst = 0.0
     for s in range(50):
-        counts = np.empty((len(phis), 3, 2))
-        for i in range(len(phis)):
-            for k, ax in enumerate(AXES):
-                counts[i, k] = sample_counts(
-                    prob_table[i][k], 10_000, derive_seed(SEED, "accept10", s, i, ax)
-                )
-        q, _var = squared_bloch_length(counts, 10_000)
+        # Nine pair tables per phase; the path qubit's axes are their marginals.
+        counts = sample_counts(prob_table, 10_000, derive_seed(SEED, "accept10", s))
+        q = squared_bloch_length(counts, 10_000)[0][:, 0]
         c_est = np.sqrt(np.clip(1 - q, 0.0, 1.0))
         dev = np.abs(c_est - theory)
         worst = max(worst, float(dev.max()))

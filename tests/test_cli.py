@@ -108,7 +108,7 @@ class TestReportFiles:
     def test_report_carries_schema_version(self):
         doc = json.loads(report_texts(run_fig4(ExperimentConfig(seed=3, analytic=True)))[0])
         assert next(iter(doc)) == "schema"
-        assert doc["schema"] == experiments.REPORT_SCHEMA == 24
+        assert doc["schema"] == experiments.REPORT_SCHEMA == 25
 
     def test_non_finite_value_is_refused(self):
         with pytest.raises(ValueError):
@@ -227,26 +227,6 @@ class TestEquivalence:
         monkeypatch.setattr(experiments, "EQUIV_THRESHOLD", 0.0)
         rep = run_equivalence(ExperimentConfig(seed=9), n_inputs=5)
         assert rep["pass"] is False and rep["threshold"] == 0.0
-
-    def test_blocks_keep_the_input_stream(self, monkeypatch):
-        # Blocks draw the same preparation targets, in the same order, as one
-        # draw per target.
-        experiments._fixed_gaps()  # the basis targets are checked once, before this run
-        seen = []
-        real_solve = experiments.optics.solve_prep_angles
-
-        def recording_solve(a):
-            seen.append(np.array(a))
-            return real_solve(a)
-
-        monkeypatch.setattr(experiments, "EQUIV_BLOCK", 4)
-        monkeypatch.setattr(experiments.optics, "solve_prep_angles", recording_solve)
-        run_equivalence(ExperimentConfig(seed=9), n_inputs=10)
-        rng = measure.generator(experiments.derive_seed(9, "equiv"))
-        real = np.array([rng.normal(size=4) for _ in range(10)])
-        assert [len(a) for a in seen] == [4, 4, 2]
-        for got, w in zip(seen, (real[:4], real[4:8], real[8:])):
-            assert np.allclose(got, w / np.linalg.norm(w, axis=-1, keepdims=True), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("inject, moved", [
         (_swap_walk_coins, {"max_gap_masker_walk": 0.1}),

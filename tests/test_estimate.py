@@ -30,7 +30,6 @@ from realmask.measure import (
     AXES,
     PAIRS,
     apply_depolarizing,
-    axis_probs,
     correlators,
     derive_seed,
     generator,
@@ -38,13 +37,14 @@ from realmask.measure import (
     poisson_resample,
     sample_counts,
 )
-from realmask.qcore import BELL_PHI, EPS_EXACT, checked_density, fidelity_with_pure
+from realmask.qcore import BELL_PHI, EPS_EXACT, PAULIS, checked_density, fidelity_with_pure, partial_trace
 
 from helpers import (
     binomial_pmf,
     concurrence_from_purity,
     density,
     exact_qsv_coverage,
+    exact_square_covariance,
     exact_square_moments,
     hr_combination,
     magic_basis,
@@ -60,10 +60,9 @@ from helpers import (
 
 
 def bell_counts(rho, shots: int, seed: int) -> np.ndarray:
-    """(3, 2) X/Y/Z counts of a qubit."""
-    return np.array([
-        sample_counts(p, shots, derive_seed(seed, ax)) for ax, p in zip(AXES, axis_probs(rho))
-    ])
+    """(3, 2) X/Y/Z counts of a qubit, each axis one multinomial draw of its (+, -) probabilities."""
+    plus = [np.trace(rho @ (np.eye(2) + PAULIS[ax]) / 2).real for ax in AXES]
+    return np.array([generator(derive_seed(seed, ax)).multinomial(shots, [p, 1.0 - p]) for ax, p in zip(AXES, plus)])
 
 
 def exact_correlators(rho) -> np.ndarray:
@@ -728,101 +727,184 @@ class TestPurityFromCounts:
         assert np.all(purity_from_counts(seeded_boundary_counts(5000, seed=91)) == 1.0)
 
 
-class TestSquaredBlochLength:
-    """`squared_bloch_length` against the exact binomial law of one axis, summed
-    by `helpers.exact_square_moments`."""
+def table_moments(probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(3, 3) means x of qubit A and y of qubit B and the correlator t of
+    each pair table (j, k) of a (9, 4) Born table."""
+    p = np.asarray(probs).reshape(3, 3, 2, 2)
+    return (p[..., 0, :].sum(axis=-1) - p[..., 1, :].sum(axis=-1), p[..., 0].sum(axis=-1) - p[..., 1].sum(axis=-1),
+            p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1])
 
-    @pytest.mark.parametrize("n, r", [(2, 0.0), (5, 0.0), (7, 0.3), (40, 0.9)])
+
+def exact_covariance(probs, n: int) -> float:
+    """Cov(Q^_A, Q^_B) of nine pair tables of `n` shots each: the closed form
+    at the tables' own moments, summed over the tables."""
+    x, y, t = table_moments(probs)
+    return float(estimate._square_covariance(t * t, x * y * t, x * x * y * y, n).sum())
+
+
+def axis_tables(plus_a, plus_b, n: int) -> np.ndarray:
+    """(9, 4) pair tables of `n` shots whose A and B marginals, summed over
+    each axis's three tables, count `plus_a[j]` and `plus_b[k]` outcomes +
+    of 3n: each sum split as evenly as it goes over its three tables, and
+    each table's cells n++ = min(a, b), then the others, from its two
+    marginals a and b."""
+    def split(total):  # (3,) sums -> (3, 3) counts, row j over its three tables
+        base, extra = np.divmod(np.asarray(total), 3)
+        return base[:, None] + (np.arange(3) < extra[:, None])
+    a, b = split(plus_a), split(plus_b).T
+    both = np.minimum(a, b)
+    return np.stack([both, a - both, b - both, n - a - b + both], axis=-1).reshape(9, 4)
+
+
+class TestSquaredBlochLength:
+    """`squared_bloch_length` on nine pair tables: each qubit's axes are the
+    summed marginals of 3N shots, held to the exact binomial law of one axis
+    (`helpers.exact_square_moments`), and the qubits' covariance to the exact
+    law of a shared table (`helpers.exact_square_covariance`)."""
+
+    @pytest.mark.parametrize("n, r", [(3, 0.0), (6, 0.0), (9, 0.3), (120, 0.9)])
     def test_the_square_is_unbiased_with_the_closed_form_variance(self, n, r):
         mean, var = exact_square_moments(n, r)
         assert mean == pytest.approx(r * r, abs=1e-12)
         assert estimate._square_variance(r * r, n) == pytest.approx(var, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 5, 40])
+    @pytest.mark.parametrize("n", [1, 2, 5])
     def test_each_outcome_gives_its_square_and_the_variance_at_it(self, n):
-        # Three axes of k and n - k counts, signs alternating: Q = 3 u_k, its
-        # variance three times that of u at r^2 = clip(u_k, 0, 1).  At k = 0
-        # and n every axis reads one outcome (the next test).
-        for k in range(1, n):
-            u = (n * ((2 * k - n) / n) ** 2 - 1.0) / (n - 1.0)
-            q, var = squared_bloch_length([[k, n - k], [n - k, k], [k, n - k]], n)
-            assert q.shape == var.shape == ()
-            assert q == pytest.approx(3.0 * u, abs=1e-12)
-            assert var == pytest.approx(3.0 * estimate._square_variance(min(max(u, 0.0), 1.0), n), abs=1e-15)
-            assert var >= 0.0
+        # Three axes of k and m - k counts of m = 3n, signs alternating, for
+        # both qubits: Q = 3 u_k, its variance three times that of u at r^2 =
+        # clip(u_k, 0, 1).  At k = 0 and m every axis reads one outcome.
+        m = 3 * n
+        for k in range(1, m):
+            u = (m * ((2 * k - m) / m) ** 2 - 1.0) / (m - 1.0)
+            q, var, cov = squared_bloch_length(axis_tables([k, m - k, k], [m - k, k, k], n), n)
+            assert q.shape == var.shape == (2,) and cov.shape == ()
+            assert q == pytest.approx([3.0 * u] * 2, abs=1e-12)
+            want = 3.0 * estimate._square_variance(min(max(u, 0.0), 1.0), m)
+            assert var == pytest.approx([want] * 2, abs=1e-15) and (var >= 0.0).all()
 
-    @pytest.mark.parametrize("n", [2, 5])
-    def test_three_unanimous_axes_read_as_one_shot_tables_do(self, n):
-        # Each axis reads one outcome, so every u_k is 1: Q would read 3 with
-        # no variance.  It reads the plug-in 1 with the stated bound 1/4.
-        counts = np.array([[[n, 0], [0, n], [n, 0]], [[0, n], [0, n], [0, n]], [[n, 0], [n - 1, 1], [0, n]]])
-        q, var = squared_bloch_length(counts, n)
-        assert q[:2].tolist() == [1.0, 1.0] and var[:2].tolist() == [0.25, 0.25]
-        # One mixed axis leaves the unbiased estimate, which may exceed 1.
-        u = (n * ((n - 2) / n) ** 2 - 1.0) / (n - 1.0)
-        assert q[2] == pytest.approx(2.0 + u, abs=1e-12) and var[2] > 0.0
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_three_unanimous_axes_read_the_plug_in_with_the_stated_bound(self, n):
+        # Each of A's axes reads one outcome, so every u_k is 1: Q would read
+        # 3 with no variance.  It reads the plug-in 1 with the stated bound
+        # 1/4.  B has one mixed axis, so it keeps the unbiased estimate, which
+        # may exceed 1.
+        m = 3 * n
+        q, var, _cov = squared_bloch_length(axis_tables([m, 0, m], [m, m - 1, 0], n), n)
+        u = (m * ((m - 2) / m) ** 2 - 1.0) / (m - 1.0)
+        assert q[0] == 1.0 and var[0] == 0.25
+        assert q[1] == pytest.approx(2.0 + u, abs=1e-12) and var[1] > 0.0
 
     def test_a_pure_axis_has_no_variance_and_a_mixed_one_has_some(self):
-        q, var = squared_bloch_length([[10, 0], [5, 5], [0, 10]], 10)
-        assert q == pytest.approx(2.0 - 1.0 / 9.0, abs=1e-15)
-        assert var == pytest.approx(estimate._square_variance(0.0, 10), abs=1e-18) and var > 0.0
+        q, var, _cov = squared_bloch_length(axis_tables([30, 15, 0], [0, 15, 30], 10), 10)
+        assert q == pytest.approx([2.0 - 1.0 / 29.0] * 2, abs=1e-15)
+        assert var == pytest.approx([estimate._square_variance(0.0, 30)] * 2, abs=1e-18) and (var > 0.0).all()
 
-    def test_without_shots_it_is_the_squared_length_of_born_tables(self):
-        probs = axis_probs(np.stack([random_density(2, np.random.default_rng(seed)) for seed in range(5)]))
-        q, var = squared_bloch_length(probs, None)
-        r = (probs[..., 0] - probs[..., 1]) / (probs[..., 0] + probs[..., 1])
-        assert q.tobytes() == (r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2]).tobytes()
-        assert var.shape == (5,) and not var.any()
+    def test_without_shots_it_is_the_squared_length_of_both_reduced_states(self):
+        rhos = np.stack([random_density(4, np.random.default_rng(seed)) for seed in range(5)])
+        q, var, cov = squared_bloch_length(pair_probs(rhos), None)
+        for qubit, keep in enumerate("AB"):
+            reduced = partial_trace(rhos, keep)
+            want = [sum(np.trace(rho @ PAULIS[ax]).real ** 2 for ax in AXES) for rho in reduced]
+            assert q[:, qubit] == pytest.approx(want, abs=1e-15)
+        assert var.shape == (5, 2) and cov.shape == (5,) and not var.any() and not cov.any()
 
-    def test_one_shot_reads_the_plug_in_with_the_stated_bound(self):
-        counts = np.array([[[1, 0], [0, 1], [1, 0]], [[0, 1], [0, 1], [0, 1]]])
-        q, var = squared_bloch_length(counts, 1)
-        assert q.tolist() == [1.0, 1.0] and var.tolist() == [0.25, 0.25]
+    def test_one_shot_tables_give_three_shot_axes(self):
+        # Each axis of each qubit reads two outcomes + and one -: r = 1/3, so
+        # u = (3/9 - 1)/2 = -1/3 on every axis, unbiased where one shot alone
+        # could not be.
+        q, var, _cov = squared_bloch_length(axis_tables([2, 2, 2], [2, 2, 2], 1), 1)
+        assert q == pytest.approx([-1.0, -1.0], abs=1e-15)
+        assert var == pytest.approx([3.0 * estimate._square_variance(0.0, 3)] * 2, abs=1e-15)
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.tuples(*[st.integers(0, 9)] * 3), min_size=1, max_size=8), st.sampled_from([(-1,), (2, -1)]))
+    @given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 9)), min_size=1, max_size=8),
+           st.sampled_from([(-1,), (2, -1)]))
     def test_each_item_of_a_stack_reads_as_it_would_alone(self, items, shape):
         n = 9
-        counts = np.array([[[k, n - k] for k in item] for item in items])
+        counts = np.array([np.random.default_rng(seed).multinomial(n, np.ones(4) / 4, size=9) for seed, _ in items])
         if shape == (2, -1) and len(items) % 2:
             counts = np.concatenate([counts, counts[:1]])
-        stacked = counts.reshape(*shape, 3, 2)
-        q, var = squared_bloch_length(stacked, n)
-        assert q.shape == var.shape == stacked.shape[:-2]
+        stacked = counts.reshape(*shape, 9, 4)
+        got = squared_bloch_length(stacked, n)
+        assert [v.shape for v in got] == [(*stacked.shape[:-2], 2), (*stacked.shape[:-2], 2), stacked.shape[:-2]]
         alone = [squared_bloch_length(item, n) for item in counts]
-        assert q.ravel().tobytes() == np.array([a for a, _ in alone]).tobytes()
-        assert var.ravel().tobytes() == np.array([b for _, b in alone]).tobytes()
+        for value, want in zip(got, zip(*alone)):
+            assert value.tobytes() == np.array(want).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+    def test_the_qubits_swap_with_their_tables(self, seed, n):
+        # Table (j, k) read with the qubits' roles swapped is table (k, j)
+        # with its outcomes (a, b) read as (b, a).
+        counts = np.random.default_rng(seed).multinomial(n, np.random.default_rng(seed).dirichlet(np.ones(4)), size=9)
+        swapped = counts.reshape(3, 3, 2, 2).transpose(1, 0, 3, 2).reshape(9, 4)
+        (q, var, cov), (q_s, var_s, cov_s) = squared_bloch_length(counts, n), squared_bloch_length(swapped, n)
+        assert q.tolist() == q_s[::-1].tolist() and var.tolist() == var_s[::-1].tolist()
+        assert cov == pytest.approx(cov_s, rel=1e-12, abs=1e-300)
+
+    def test_the_covariance_estimate_is_not_clipped(self):
+        # One-shot tables whose marginals read a covariance beyond the bound
+        # sqrt(Var_A Var_B) of any covariance: the estimate stays unbiased.
+        q, var, cov = squared_bloch_length(np.array([[1, 0, 0, 0]] * 8 + [[0, 0, 0, 1]]), 1)
+        assert cov > math.sqrt(var[0] * var[1]) > 0.0
 
     def test_the_largest_shots_give_finite_moments(self):
         n = 10**18
-        q, var = squared_bloch_length([[n, 0], [n // 2, n // 2], [0, n]], n)
-        assert math.isfinite(q) and math.isfinite(var) and var > 0.0
-        assert q == pytest.approx(2.0, abs=1e-15)
+        counts = axis_tables([3 * n, 3 * n // 2, 0], [0, 3 * n // 2, 3 * n], n)
+        q, var, cov = squared_bloch_length(counts, n)
+        assert np.isfinite([*q, *var, cov]).all() and (var > 0.0).all()
+        assert q == pytest.approx([2.0, 2.0], abs=1e-15)
 
     def test_counts_above_two_to_the_53_are_summed_exactly(self):
         # Each count rounds as a float, and the rounded pair sums to n - 2.
         n = 18_014_398_445_206_346
-        counts = np.array([[9_007_199_178_507_249, 9_007_199_266_699_097]] * 3)
+        counts = np.array([[9_007_199_178_507_249, 9_007_199_266_699_097, 0, 0]] * 9)
         assert float(counts[0, 0]) + float(counts[0, 1]) != n
-        q, var = squared_bloch_length(counts, n)
-        assert math.isfinite(q) and math.isfinite(var)
+        assert np.isfinite(np.concatenate([np.ravel(v) for v in squared_bloch_length(counts, n)])).all()
         with pytest.raises(ValueError, match=f"^every table must hold shots = {n} whole counts$"):
-            squared_bloch_length(counts + np.array([1, 0]), n)
+            squared_bloch_length(counts + np.array([1, 0, 0, 0]), n)
 
     @pytest.mark.parametrize("counts, shots, message", [
-        (np.ones((3, 3)), 2, r"counts must have shape \(\.\.\., 3, 2\)"),
-        (np.ones(6), 2, r"counts must have shape \(\.\.\., 3, 2\)"),
-        ([[1, 1], [2, 0], [1, 0]], 2, "every table must hold shots = 2 whole counts"),
-        ([[1, 1], [2, 0], [3, -1]], 2, "counts must be finite and nonnegative"),
-        ([[1, 1], [2, 0], [1, math.nan]], 2, "counts must be finite and nonnegative"),
-        ([[1, 1], [2, 0], [1, 1]], 0, "shots must be "),
-        ([[1, 1], [2, 0], [1, 1]], 2.5, "shots must be "),
-        ([[1, 0], [1, 0], [1, 0]], True, "shots must be "),
-        ([[1, 1], [2, 0], [1, 1]], 10**19, "shots must be "),
+        (np.ones((3, 2)), 2, r"counts must have shape \(\.\.\., 9, 4\)"),
+        (np.ones((9, 2)), 2, r"counts must have shape \(\.\.\., 9, 4\)"),
+        (np.ones(36), 2, r"counts must have shape \(\.\.\., 9, 4\)"),
+        ([[1, 1, 0, 0]] * 8 + [[2, 1, 0, 0]], 2, "every table must hold shots = 2 whole counts"),
+        ([[1, 1, 0, 0]] * 8 + [[3, -1, 0, 0]], 2, "counts must be finite and nonnegative"),
+        ([[1, 1, 0, 0]] * 8 + [[1, math.nan, 0, 0]], 2, "counts must be finite and nonnegative"),
+        ([[1, 1, 0, 0]] * 9, 0, "shots must be "),
+        ([[1, 1, 0, 0]] * 9, 2.5, "shots must be "),
+        ([[1, 0, 0, 0]] * 9, True, "shots must be "),
+        ([[1, 1, 0, 0]] * 9, 10**19, "shots must be "),
     ])
     def test_refuses(self, counts, shots, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             squared_bloch_length(counts, shots)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("state", ["probe 1", "probe 4 noisy", "random pure", "random mixed"])
+    def test_the_closed_form_covariance_is_the_exact_law(self, state, n):
+        """`_square_covariance` at each table's moments, summed over the nine
+        tables, against the exact law of the shared table and the four tables
+        it does not share, enumerated outcome by outcome."""
+        rng = np.random.default_rng(3)
+        probs = {"probe 1": lambda: masked_pair_probs(1, 0.0), "probe 4 noisy": lambda: masked_pair_probs(4, 0.3),
+                 "random pure": lambda: pair_probs(density(random_unitary(4, rng)[:, 0])),
+                 "random mixed": lambda: pair_probs(random_density(4, rng))}[state]()
+        x, y, t = table_moments(probs)
+        want = math.fsum(exact_square_covariance(n, *args) for args in zip(x.ravel(), y.ravel(), t.ravel()))
+        assert exact_covariance(probs, n) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n, within", [(40, 0.2), (400, 0.1)])
+    @pytest.mark.parametrize("probe, noise_p", [(1, 0.0), (1, 0.3), (4, 0.0), (4, 0.3)])
+    def test_the_covariance_estimate_is_unbiased_at_the_masked_point(self, probe, noise_p, n, within):
+        """The reduced states of a masked probe are maximally mixed, x = y =
+        0, where a plug-in product x^ y^ reads about 3 times the covariance.
+        The estimate's mean over 40,000 draws (8 seeds of 5,000 tables each)
+        lies within `within` of the exact covariance."""
+        probs = masked_pair_probs(probe, noise_p)
+        estimates = [squared_bloch_length(sample_counts(np.broadcast_to(probs, (5000, 9, 4)), n, seed), n)[2]
+                     for seed in range(8)]
+        assert np.mean(estimates) == pytest.approx(exact_covariance(probs, n), rel=within)
 
 
 class TestBootstrap:
@@ -1159,7 +1241,7 @@ class TestDecodeFidelity:
 # words its refusal gives the stack ahead of the tables, whether it takes
 # shots, and a call on counts and shots.
 COUNT_READERS = {
-    "squared_bloch_length": ((3, 2), "..., ", True, squared_bloch_length),
+    "squared_bloch_length": ((9, 4), "..., ", True, squared_bloch_length),
     "decode_fidelity": ((9, 4), "", True, lambda counts, shots: decode_fidelity(counts, shots, np.ones(10))),
     "mle_qubit_batch": ((3, 2), "batch, ", False, lambda counts, shots: mle_qubit_batch(counts)),
     "purity_from_counts": ((3, 2), "batch, ", False, lambda counts, shots: purity_from_counts(counts)),
@@ -1219,7 +1301,7 @@ class TestCountTables:
         with pytest.raises(ValueError, match="^every table must hold shots = 3 whole counts$"):
             decode_fidelity(np.full((9, 4), 1.5) * [1, 1, 0, 0], 3, decode_weights(probe_vector(4)))
         with pytest.raises(ValueError, match="^every table must hold shots = 3 whole counts$"):
-            squared_bloch_length([[2.5, 0.5], [1.5, 1.5], [3, 0]], 3)
+            squared_bloch_length([[2.5, 0.5, 0, 0], [1.5, 1.5, 0, 0]] + [[3, 0, 0, 0]] * 7, 3)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_decode_fidelity_in_analytic_mode_refuses_a_faulty_table(self, bad):

@@ -60,9 +60,9 @@ def stream(config, *tags):
 
 
 def oracle_pauli_counts(rho, shots, rng):
-    """One state's X/Y/Z or pair tables, each one multinomial draw from `rng`."""
-    probs = measure.axis_probs(rho) if rho.shape[-1] == 2 else measure.pair_probs(rho)
-    return np.array([rng.multinomial(shots, p / p.sum()) for p in np.clip(probs, 0.0, None)])
+    """One state's nine pair tables, each one multinomial draw from `rng`."""
+    probs = np.clip(measure.pair_probs(rho), 0.0, None)
+    return np.array([rng.multinomial(shots, p / p.sum()) for p in probs])
 
 
 class TestProbes:
@@ -121,10 +121,10 @@ def oracle_fig3(config):
             low, high = min(low, eps), max(high, eps)
             fid = oracle_row(f"probe {idx} fidelity", 1.0 - eps, max(eps - low, high - eps), "ci95",
                              eps_hat=eps, eps_low=low, eps_high=high, passed=passed)
-            counts = np.array([oracle_pauli_counts(partial_trace(rho, k), shots, tomo) for k in ("A", "B")])
-            (q_a, q_b), (var_a, var_b) = (v.tolist() for v in estimate.squared_bloch_length(counts, shots))
+            (q_a, q_b), (var_a, var_b), cov = (v.tolist() for v in estimate.squared_bloch_length(
+                oracle_pauli_counts(rho, shots, tomo), shots))
             pur_a, pur_b = 0.5 * (1.0 + q_a), 0.5 * (1.0 + q_b)
-            std = math.sqrt((var_a + var_b) / 16.0)
+            std = math.sqrt(var_a + var_b + 2.0 * max(cov, 0.0)) / 4.0
         pur = oracle_row(f"probe {idx} avg purity", 0.5 * (pur_a + pur_b), std, "std",
                          path_purity=pur_a, pol_purity=pur_b)
         rows.append({"probe": idx, "target": PROBE_LABELS[idx], "fidelity": fid, "purity": pur})
@@ -148,8 +148,9 @@ def oracle_fig5(config):
         elif config.analytic:
             est, std = float(concurrence_from_purity(purity(rho_path))), 0.0
         else:
-            counts = oracle_pauli_counts(rho_path, shots, tomo)
-            (q,), (var,) = (v.tolist() for v in estimate.squared_bloch_length(counts[None], shots))
+            # The path qubit A of the nine pair tables.
+            (q, _q_b), (var, _var_b), _cov = (v.tolist() for v in estimate.squared_bloch_length(
+                oracle_pauli_counts(rho, shots, tomo), shots))
             est, sd = float(concurrence_from_purity(0.5 * (1.0 + q))), math.sqrt(var)
             floor = max(1.0 - q, sd)
             std = sd / (2.0 * math.sqrt(floor)) if floor > 0.0 else 0.0
@@ -167,8 +168,9 @@ CONFIGS = {
     "seed 9173": ExperimentConfig(seed=9173),
     "seed 20404": ExperimentConfig(seed=20404),
     "noiseless": ExperimentConfig(seed=1, noise_p=0.0),
+    # Each qubit axis sums three one-shot tables; fig5's 60-degree qubit reads one outcome on every axis, so its Q
+    # reads 1 with the stated bound 1/4.
     "one shot": ExperimentConfig(seed=1, shots_per_setting=1),
-    # Some qubits read one outcome on every axis: Q reads 1 with the one-shot bound.
     "two shots noiseless": ExperimentConfig(seed=1, noise_p=0.0, shots_per_setting=2),
     "analytic": ExperimentConfig(seed=1, analytic=True),
     "analytic noiseless": ExperimentConfig(seed=1, noise_p=0.0, analytic=True),
@@ -318,19 +320,31 @@ def test_fig5_concurrence_error_is_calibrated():
     assert (np.abs(coverage - 0.95) <= 3.0 * math.sqrt(0.95 * 0.05 / n)).all()
 
 
-@pytest.mark.parametrize("run", [run_fig3, run_fig5])
-def test_a_one_shot_run_reports_the_stated_bound(run):
-    """One shot per table carries no information about Q: the plug-in reads
-    purity 1 and concurrence 0, and Q's variance is the bound 1/4 of any
-    quantity in [0, 1], so fig3's average purity has the error sqrt(1/4 +
-    1/4)/4 and fig5's concurrence sqrt(1/4) / (2 sqrt(max(1 - 1, 1/2)))."""
-    report = run(ExperimentConfig(seed=1, shots_per_setting=1))
-    if run is run_fig3:
-        rows, want = [probe["purity"] for probe in report["probes"]], (1.0, math.sqrt(0.5) / 4.0)
-    else:
-        rows, want = report["points"], (0.0, 0.5 / (2.0 * math.sqrt(0.5)))
-    assert {(row["estimate"], row["error"]) for row in rows} == {want}
-    assert all(0.0 < row["error"] < math.inf for row in rows)
+def test_a_qubit_unanimous_on_its_three_axes_reports_the_stated_bound():
+    """At one shot per table and seed 1, fig5's 60-degree path qubit reads
+    one outcome on each axis's three tables: Q reads 1 with the stated
+    variance bound 1/4, so the concurrence is 0 with the error sqrt(1/4) /
+    (2 sqrt(max(1 - 1, 1/2)))."""
+    point = run_fig5(ExperimentConfig(seed=1, shots_per_setting=1))["points"][4]
+    assert point["phi_deg"] == 60.0
+    assert (point["estimate"], point["error"]) == (0.0, 0.5 / (2.0 * math.sqrt(0.5)))
+
+
+@pytest.mark.parametrize("shots", [1, 2, 3])
+@pytest.mark.parametrize("noise_p", [0.0, 0.01, 0.5])
+def test_fig3_error_is_never_below_that_of_independent_qubits(shots, noise_p):
+    """The masked probes' qubits have mean 0 on every axis, where Cov(Q_A,
+    Q_B) is a sum of squares, so a negative estimate reads as 0: the error
+    of the average purity is at least sqrt(Var Q_A + Var Q_B) / 4, and above
+    0.  At one shot per table, where the estimate of the covariance is all
+    noise, about 4% of probes read one below -(Var Q_A + Var Q_B) / 2."""
+    probs = experiments._fig3_model(noise_p)[0]
+    for seed in range(40):
+        config = ExperimentConfig(seed=seed, noise_p=noise_p, shots_per_setting=shots, qsv_tests=2)
+        q, var, cov = estimate.squared_bloch_length(experiments._counts(probs, shots, seed, "fig3.tomo"), shots)
+        errors = [probe["purity"]["error"] for probe in run_fig3(config)["probes"]]
+        assert errors == pytest.approx(np.sqrt(var.sum(axis=1) + 2.0 * np.maximum(cov, 0.0)) / 4.0, rel=1e-11)
+        assert (np.array(errors) >= np.sqrt(var.sum(axis=1)) / 4.0 * (1.0 - 1e-11)).all() and min(errors) > 0.0
 
 
 def test_noiseless_fig4_decodes_the_fourth_probe_exactly():
@@ -411,9 +425,8 @@ def clear_models():
 
 def test_each_masked_stack_is_checked_once_per_config(monkeypatch):
     """The first run of each figure at a config checks its (n, 4, 4) masked
-    stack once, in `apply_depolarizing`, and its reduced stacks in
-    `partial_trace`; fig3's verification reads the fidelities of the stack
-    and checks nothing more.  A run at another seed reads the cached model
+    stack once, in `apply_depolarizing`, and reads its pair tables and fig3's
+    verification its fidelities with no further check.  A run at another seed reads the cached model
     and checks no state.  No state check repairs a matrix, so only the
     positivity projection calls `eigh`, once per fig4 run, on its one
     decoded table."""
@@ -438,10 +451,9 @@ def test_each_masked_stack_is_checked_once_per_config(monkeypatch):
             got[name] = (checks[:], eighs[:])
             del checks[:], eighs[:]
     n = len(ExperimentConfig().phi_grid_deg)
-    assert first["fig3"][0] == [("apply_depolarizing", (4, 4, 4)), ("partial_trace", (4, 2, 2)),
-                                ("partial_trace", (4, 2, 2))]
+    assert first["fig3"][0] == [("apply_depolarizing", (4, 4, 4))]
     assert first["fig4"][0] == [("apply_depolarizing", (1, 4, 4))]
-    assert first["fig5"][0] == [("apply_depolarizing", (n, 4, 4)), ("partial_trace", (n, 2, 2))]
+    assert first["fig5"][0] == [("apply_depolarizing", (n, 4, 4))]
     assert second["fig3"][0] == second["fig4"][0] == second["fig5"][0] == []
     for log in (first, second):
         assert log["fig3"][1] == log["fig5"][1] == []
@@ -472,7 +484,7 @@ def test_figures_in_two_threads_equal_their_serial_reports():
 # and fig5, the complex Bloch matrices of the qubit MLE and the file opens.
 # A change that moves a count edits its row.
 OP_CALLS = (
-    (qcore, "partial_trace", 3, 0),
+    (qcore, "partial_trace", 0, 0),
     (masker, "mask_pure", 4, 0),
     (walk, "run_masking_walk", 1, 0),
     (optics, "simulate_masking", 1, 0),
@@ -499,9 +511,9 @@ OP_CALLS = (
     (os, "open", 8, 8),
 )
 # Rows of the first argument over a warm op: fig3's 4 verification probes;
-# fig3's 4 probes (two qubits each) and fig5's 7 phases, each figure's qubits
-# estimated in one call; fig4's one (3, 3) correlation matrix, decoded as it
-# is.
+# fig3's 4 probes and fig5's 7 phases, nine pair tables each, each figure's
+# qubits estimated in one call; fig4's one (3, 3) correlation matrix, decoded
+# as it is.
 OP_ROWS = {"estimate.qsv_run": 4, "estimate.squared_bloch_length": 11, "estimate.decode_real_state": 3}
 
 
@@ -586,13 +598,12 @@ def test_model_arrays_refuse_writes():
 
 def target_tables(counts, shots, seed, *tags):
     """A figure's count stack as (setting, counts, shots, seed) tables, one
-    list per target (the stack's (3, 2) or (9, 4) items in order), a table
-    per row: setting the row's axis or pair label, seed the draw's sub-seed
-    of `seed` tagged `tags`, which every table of the draw shares, so only
-    the target tells same-setting tables apart."""
-    labels = measure.AXES if counts.shape[-2] == len(measure.AXES) else measure.PAIRS
+    list per target (the stack's (9, 4) items in order), a table per row:
+    setting the row's pair label, seed the draw's sub-seed of `seed` tagged
+    `tags`, which every table of the draw shares, so only the target tells
+    same-setting tables apart."""
     sub_seed = derive_seed(seed, *tags)
-    return [[(label, tuple(row), shots, sub_seed) for label, row in zip(labels, item)]
+    return [[(label, tuple(row), shots, sub_seed) for label, row in zip(measure.PAIRS, item)]
             for item in counts.reshape(-1, *counts.shape[-2:]).tolist()]
 
 
@@ -811,6 +822,18 @@ def test_shots_beyond_the_cap_are_refused_before_any_run():
     assert [point["estimate"] for point in run_fig5(config)["points"]] == [0.0]
 
 
+@pytest.mark.parametrize("run", [run_fig3, run_fig5])
+def test_figures_run_at_the_shots_cap(run):
+    """Each qubit axis sums three tables of 10**18 shots, 3 * 10**18 in all,
+    beyond the cap of a count table: the tables are checked at their own
+    shots, so fig3 and fig5 run at the cap and give finite rows."""
+    report = run(ExperimentConfig(seed=1, shots_per_setting=measure.MAX_SHOTS))
+    rows = [probe["purity"] for probe in report["probes"]] if run is run_fig3 else report["points"]
+    assert len(rows) == {run_fig3: 4, run_fig5: 7}[run]
+    assert all(math.isfinite(row["estimate"]) and math.isfinite(row["error"]) for row in rows)
+    assert all(0.0 < row["error"] < 1e-8 for row in rows)
+
+
 @pytest.mark.parametrize("shots", [None, 7])
 def test_analytic_mode_is_shots_none(shots):
     """Analytic mode draws nothing: its shots are None whatever the config
@@ -865,6 +888,104 @@ def test_a_bool_noise_is_refused(run, noise_p):
     run(ExperimentConfig(seed=1, noise_p=float(noise_p), analytic=True))
     with pytest.raises(ValueError, match=rf"^noise_p must be a number in \[0, 1\], got {re.escape(repr(noise_p))}$"):
         run(ExperimentConfig(seed=1, noise_p=noise_p, analytic=True))
+
+
+# ---------------------------------------------------------------------------
+# equiv: each engine's gap, one engine perturbed at a time.
+
+@pytest.fixture
+def cold_gaps():
+    """Clear the cached gaps and layouts that a perturbation bypasses, before and after."""
+    caches = (experiments._fixed_gaps, optics.masking_layout, walk.masking_schedule)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_blocks_keep_the_input_stream(monkeypatch, cold_gaps):
+    # Blocks draw the same preparation targets, in the same order, as one
+    # draw per target.
+    experiments._fixed_gaps()  # the basis targets are checked once, before this run
+    seen = []
+    real_solve = optics.solve_prep_angles
+
+    def recording_solve(a):
+        seen.append(np.array(a))
+        return real_solve(a)
+
+    monkeypatch.setattr(experiments, "EQUIV_BLOCK", 4)
+    monkeypatch.setattr(optics, "solve_prep_angles", recording_solve)
+    experiments.run_equivalence(ExperimentConfig(seed=9), n_inputs=10)
+    rng = measure.generator(derive_seed(9, "equiv"))
+    real = np.array([rng.normal(size=4) for _ in range(10)])
+    assert [len(a) for a in seen] == [4, 4, 2]
+    for got, w in zip(seen, (real[:4], real[4:8], real[8:])):
+        assert np.allclose(got, w / np.linalg.norm(w, axis=-1, keepdims=True), rtol=0, atol=1e-15)
+
+
+def _turn_walk_coin(monkeypatch):
+    """The walk's coin on site -1 alone, its Z, turned by 1e-6 rad about Y."""
+    steps = list(walk.masking_schedule())
+    (i,) = [i for i, step in enumerate(steps) if isinstance(step, walk.Local) and step.sites == {-1}]
+    c, s = math.cos(1e-6), math.sin(1e-6)
+    steps[i] = walk.Local(np.array([[c, -s], [s, c]]) @ steps[i].u, steps[i].sites)
+    monkeypatch.setattr(walk, "masking_schedule", lambda: tuple(steps))
+    return float(np.abs(walk.run_masking_walk(np.eye(4)) - mask_pure(np.eye(4))).max())
+
+
+def _turn_plate(monkeypatch):
+    """The table's Z plate (HWP at 0 degrees) on rails -1 and 1 set to 1e-4 degrees."""
+    layout = list(optics.masking_layout())
+    (i,) = [i for i, step in enumerate(layout) if isinstance(step, walk.Local) and step.sites == {-1, 1}]
+    layout[i] = walk.Local(optics.hwp_jones(1e-4), layout[i].sites)
+    monkeypatch.setattr(optics, "masking_layout", lambda: tuple(layout))
+    return float(np.abs(optics.simulate_masking(np.eye(4)) - optics.MASKING_PHASE * mask_pure(np.eye(4))).max())
+
+
+def _turn_preparation(monkeypatch):
+    """H2 of the random targets' preparation, not the basis targets', off by 1e-4 degrees."""
+    real = optics.solve_prep_angles
+
+    def solve(a):
+        angles = real(a)
+        return angles if np.array_equal(a, np.eye(4)) else dataclasses.replace(angles, h2=angles.h2 + 1e-4)
+
+    monkeypatch.setattr(optics, "solve_prep_angles", solve)
+    rng = measure.generator(derive_seed(9, "equiv"))
+    a = rng.normal(size=(10, 4))
+    a /= np.linalg.norm(a, axis=-1, keepdims=True)
+    return float(np.abs(optics.simulate_preparation(solve(a)).amps - walk.encode_input(a).amps).max())
+
+
+def _turn_setting(monkeypatch):
+    """The path basis of the XZ setting turned by 1e-6 rad."""
+    real = optics.pauli_meas_setting
+    monkeypatch.setattr(optics, "pauli_meas_setting", lambda first, second: dataclasses.replace(
+        real(first, second), gamma=real(first, second).gamma + 1e-6 * (first + second == "XZ")))
+    states = np.eye(4)
+    want = measure.pair_probs(states[:, :, None] * states[:, None, :])[:, measure.PAIRS.index("XZ"), optics.SPCM_OUTCOMES]
+    return float(np.abs(optics.simulate_measurement(states, optics.pauli_meas_setting("X", "Z")) - want).max())
+
+
+@pytest.mark.parametrize("part, perturb", [("masker_walk", _turn_walk_coin), ("masker_optics", _turn_plate),
+                                           ("preparation", _turn_preparation), ("measurement", _turn_setting)])
+def test_each_engine_moves_its_own_gap(part, perturb, monkeypatch, cold_gaps):
+    """A small fault in one engine lifts that engine's gap above
+    `EQUIV_THRESHOLD` and leaves the others below it; `max_gap` is the
+    largest gap and the run fails.  The moved gap is at least the gap that
+    the fault gives on the basis targets (or, for the preparation, on the
+    run's own ten random targets), computed here through the engines."""
+    at_least = perturb(monkeypatch)
+    report = experiments.run_equivalence(ExperimentConfig(seed=9), n_inputs=10)
+    gaps = {key.removeprefix("max_gap_"): value for key, value in report.items() if key.startswith("max_gap_")}
+    assert list(gaps) == ["masker_walk", "masker_optics", "preparation", "measurement"]
+    assert [name for name, gap in gaps.items() if gap > experiments.EQUIV_THRESHOLD] == [part]
+    assert 1e-9 < at_least <= gaps[part] < 1e-3
+    if part != "measurement":  # the 16 states of the measurement check hold more than the basis
+        assert gaps[part] == at_least
+    assert report["max_gap"] == max(gaps.values()) == gaps[part] and report["pass"] is False
 
 
 # ---------------------------------------------------------------------------

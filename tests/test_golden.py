@@ -60,14 +60,15 @@ RUNS = (
     # Concurrence taken from the amplitudes of the pure phase probes.
     ("analytic_noiseless", ("fig5", "--analytic", "--noise-p", "0", "--seed", "1")),
     # The pure phase probes: the 90-degree point's squared Bloch length reads
-    # about 1, where the delta method's error takes its floor.
+    # above 1, where the delta method's error takes its floor.
     ("noiseless", ("fig5", "--noise-p", "0", "--seed", "1")),
     # Noiseless masked states: the pure densities, checked as they are.
     ("noiseless", ("fig3", "--noise-p", "0", "--seed", "1")),
-    # One-shot runs, whose tables say nothing of a variance: each error is a
-    # stated bound, the variance bound of one-shot tables for the decode and
-    # that of a squared Bloch length in [0, 1] for the concurrences and
-    # purities, read beside the plug-in points 0 and 1.
+    # One-shot runs.  fig4's one-shot tables say nothing of a variance, so its
+    # error is the variance bound of one-shot tables.  fig3's and fig5's
+    # qubits sum three one-shot tables on each axis, so their squared Bloch
+    # lengths are estimated without bias; fig5's 60-degree qubit reads one
+    # outcome on every axis, so its Q reads 1 with the stated bound 1/4.
     ("one_shot", ("fig5", "--shots", "1", "--seed", "1")),
     ("one_shot", ("fig4", "--shots", "1", "--seed", "1")),
     ("one_shot", ("fig3", "--shots", "1", "--seed", "1")),

@@ -14,7 +14,6 @@ from realmask.measure import (
     PAIRS,
     CountsTable,
     apply_depolarizing,
-    axis_probs,
     correlators,
     derive_seed,
     generator,
@@ -49,6 +48,13 @@ def oracle_pair_probs(rho: np.ndarray) -> np.ndarray:
 def oracle_axis_plus(rho: np.ndarray) -> np.ndarray:
     """tr(rho (1 + sigma)/2) for sigma = X, Y, Z."""
     return np.array([np.trace(rho @ (np.eye(2) + PAULIS[a]) / 2).real for a in "XYZ"])
+
+
+def marginal_plus(rho: np.ndarray) -> np.ndarray:
+    """(2, 3, 3) probability of the outcome + of qubit A and of qubit B on
+    each pair table (j, k) of `pair_probs`: its two marginals."""
+    joint = pair_probs(rho).reshape(3, 3, 2, 2)  # A's axis, B's axis, A's outcome, B's outcome
+    return np.stack([joint[..., 0, :].sum(axis=-1), joint[..., 0].sum(axis=-1)])
 
 
 @st.composite
@@ -114,46 +120,29 @@ class TestOutcomeProbs:
     def test_pair_probs_match_oracle(self, rho):
         assert np.array_equal(pair_probs(rho), oracle_pair_probs(rho))
 
-    @settings(max_examples=200, deadline=None)
-    @given(densities(2))
-    def test_axis_rows_are_plus_and_its_complement(self, rho):
-        probs = axis_probs(rho)
-        plus = oracle_axis_plus(rho)
-        assert probs.shape == (3, 2)
-        assert np.array_equal(probs[:, 0], plus)
-        assert np.array_equal(probs[:, 1], 1.0 - plus)
-
     @settings(max_examples=100, deadline=None)
     @given(densities(4))
     def test_marginals_match_reduced_states(self, rho):
-        joint = pair_probs(rho).reshape(3, 3, 2, 2)  # first axis, second axis, s1, s2
-        want_a = axis_probs(partial_trace(rho, "A"))
-        want_b = axis_probs(partial_trace(rho, "B"))
-        for j in range(3):
-            for k in range(3):
-                assert np.abs(joint[j, k].sum(axis=1) - want_a[j]).max() < 1e-12
-                assert np.abs(joint[j, k].sum(axis=0) - want_b[k]).max() < 1e-12
+        # A qubit's marginal does not depend on its partner's axis: each of
+        # the three tables that measure its axis gives the reduced state's
+        # probability, so their sum is one binomial law.
+        plus_a, plus_b = marginal_plus(rho)
+        assert np.abs(plus_a - oracle_axis_plus(partial_trace(rho, "A"))[:, None]).max() < 1e-12
+        assert np.abs(plus_b - oracle_axis_plus(partial_trace(rho, "B"))[None, :]).max() < 1e-12
 
     def test_masked_real_states_have_flat_marginals(self, rng):
         for _ in range(50):
-            out = mask_state(random_real_density(4, rng))
-            for qubit in ("A", "B"):
-                probs = axis_probs(partial_trace(out, qubit))
-                assert np.abs(probs - 0.5).max() < 1e-12
+            assert np.abs(marginal_plus(mask_state(random_real_density(4, rng))) - 0.5).max() < 1e-12
 
     def test_stack_rows_match_items_alone(self, rng):
-        rhos = np.stack([random_density(4, rng) for _ in range(5)])
+        rhos = np.stack([random_density(4, rng) for _ in range(6)])
         assert np.array_equal(pair_probs(rhos), [pair_probs(r) for r in rhos])
-        reduced = np.stack([partial_trace(rhos, "A"), partial_trace(rhos, "B")], axis=1)
-        probs = axis_probs(reduced)
-        assert probs.shape == (5, 2, 3, 2)
-        assert np.array_equal(probs, [[axis_probs(r) for r in row] for row in reduced])
+        assert np.array_equal(pair_probs(rhos.reshape(2, 3, 4, 4)), pair_probs(rhos).reshape(2, 3, 9, 4))
 
-    def test_wrong_dimension_rejected(self):
-        with pytest.raises(ValueError, match="4x4"):
-            pair_probs(np.eye(2) / 2)
-        with pytest.raises(ValueError, match="2x2"):
-            axis_probs(np.eye(4) / 4)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_wrong_dimension_rejected(self, dim):
+        with pytest.raises(ValueError, match=f"^expected 4x4 density matrices, got shape \\({dim}, {dim}\\)$"):
+            pair_probs(np.eye(dim) / dim)
 
 
 class TestSampleCounts:
@@ -202,13 +191,15 @@ class TestSampleCounts:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            sample_counts([0.5, 0.6], 10, 0)
+            sample_counts([0.5, 0.6, 0, 0], 10, 0)
         with pytest.raises(ValueError):
-            sample_counts([0.5, 0.5], 0, 0)
+            sample_counts([0.25] * 4, 0, 0)
 
-    @pytest.mark.parametrize("probs", [0.5, [0.2, 0.3, 0.5], [[1.0]]], ids=["scalar", "three", "one"])
-    def test_rejects_rows_of_neither_width(self, probs):
-        with pytest.raises(ValueError, match="^probs must have 2 or 4 entries$"):
+    # Every pipeline draws pair tables; a two-outcome row was a qubit's axis, which no caller draws.
+    @pytest.mark.parametrize("probs", [0.5, [0.2, 0.3, 0.5], [[1.0]], [0.5, 0.5], [[1.0, 0.0]] * 3],
+                             ids=["scalar", "three", "one", "two", "axis-table"])
+    def test_rejects_rows_of_another_width(self, probs):
+        with pytest.raises(ValueError, match="^probs must have 4 entries$"):
             sample_counts(probs, 10, 0)
 
     # 2.5 used to draw 2 shots and True one, 2**63 ended in an OverflowError
@@ -221,20 +212,20 @@ class TestSampleCounts:
     ])
     def test_rejects_a_bad_shot_count(self, shots, rule):
         with pytest.raises(ValueError, match=rf"^shots must be {rule}, got {re.escape(repr(shots))}$"):
-            sample_counts([0.5, 0.5], shots, 0)
+            sample_counts([0.25] * 4, shots, 0)
 
     def test_draws_the_largest_shot_count(self):
-        counts = sample_counts([0.5, 0.5], measure.MAX_SHOTS, 0)
+        counts = sample_counts([0.25] * 4, measure.MAX_SHOTS, 0)
         assert counts.sum() == 10**18 and counts.dtype == np.int64
 
     def test_a_draw_at_the_cap_bootstraps(self):
-        counts = sample_counts([[1.0, 0.0]], measure.MAX_SHOTS, 1)
-        assert counts.tolist() == [[10**18, 0]]
+        counts = sample_counts([[1.0, 0.0, 0.0, 0.0]], measure.MAX_SHOTS, 1)
+        assert counts.tolist() == [[10**18, 0, 0, 0]]
         (point,), (std,) = bootstrap_std(lambda c: c[:, 0] / 10**18, counts, 2, resamples=3)
         assert point == 1.0 and 0.0 < std < 1e-8
 
     def test_accepts_numpy_integer_shots(self):
-        assert np.array_equal(sample_counts([0.5, 0.5], np.int64(10), 4), sample_counts([0.5, 0.5], 10, 4))
+        assert np.array_equal(sample_counts([0.25] * 4, np.int64(10), 4), sample_counts([0.25] * 4, 10, 4))
 
 
 class TestCorrelator:
@@ -874,7 +865,7 @@ seeds = st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**64 - 1))
 class TestSeedRange:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
     def test_ends_are_accepted(self, seed):
-        assert np.array_equal(sample_counts([0.5, 0.5], 10, seed), generator(int(seed)).multinomial(10, [0.5, 0.5]))
+        assert np.array_equal(sample_counts([0.25] * 4, 10, seed), generator(int(seed)).multinomial(10, [0.25] * 4))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_neighbours_outside_are_refused(self, seed):
@@ -882,7 +873,7 @@ class TestSeedRange:
         with pytest.raises(ValueError, match=message):
             generator(seed)
         with pytest.raises(ValueError, match=message):
-            sample_counts([0.5, 0.5], 10, seed)
+            sample_counts([0.25] * 4, 10, seed)
 
     @pytest.mark.parametrize("seed", [1.0, True, "3", None, np.float64(2.0)])
     def test_non_integers_are_refused(self, seed):
@@ -919,10 +910,9 @@ class TestOneGenerator:
     each from that one generator, gives."""
 
     @settings(max_examples=40, deadline=None)
-    @given(st.data(), st.sampled_from([(), (1,), (5,), (2, 3), (0,)]), st.sampled_from([2, 4]),
-           st.integers(1, 5000), seeds)
-    def test_sample_counts_is_a_row_loop(self, data, shape, k, shots, seed):
-        probs = np.random.default_rng(data.draw(st.integers(0, 2**32))).dirichlet(np.ones(k), size=shape)
+    @given(st.data(), st.sampled_from([(), (1,), (5,), (2, 3), (0,)]), st.integers(1, 5000), seeds)
+    def test_sample_counts_is_a_row_loop(self, data, shape, shots, seed):
+        probs = np.random.default_rng(data.draw(st.integers(0, 2**32))).dirichlet(np.ones(4), size=shape)
         table = sample_counts(probs, shots, seed)
         assert table.shape == probs.shape and table.dtype == np.int64
         rng = generator(seed)
@@ -948,12 +938,12 @@ class TestOneGenerator:
         assert passes == [int(rng.binomial(n_tests, (1 + 2 * f) / 3)) for f in fids]
 
     @pytest.mark.parametrize("row, probs, match", [
-        (2, [0.5, 0.6], "probabilities sum to 1.1"),
-        (1, [1.5, -0.5], "negative probability"),
-        (0, [np.nan, 1.0], "probabilities sum to nan"),
+        (2, [0.5, 0.6, 0.0, 0.0], "probabilities sum to 1.1"),
+        (1, [1.5, -0.5, 0.0, 0.0], "negative probability"),
+        (0, [np.nan, 1.0, 0.0, 0.0], "probabilities sum to nan"),
     ])
     def test_bad_row_is_named(self, row, probs, match):
-        table = np.full((3, 2), 0.5)
+        table = np.full((3, 4), 0.25)
         table[row] = probs
         with pytest.raises(ValueError, match=f"^row {row}: {match}"):
             sample_counts(table, 10, 1)
@@ -966,13 +956,13 @@ class TestOneGenerator:
 
     def test_single_row_errors_keep_their_text(self):
         with pytest.raises(ValueError, match="^probabilities sum to"):
-            sample_counts([0.5, 0.6], 10, 0)
+            sample_counts([0.5, 0.6, 0.0, 0.0], 10, 0)
         with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), got -1$"):
-            sample_counts([0.5, 0.5], 10, -1)
+            sample_counts([0.25] * 4, 10, -1)
 
     # One seed per call: an array of seeds, one per row, is refused as no seed.
     @pytest.mark.parametrize("draw", [
-        lambda seed: sample_counts(np.full((2, 2), 0.5), 10, seed),
+        lambda seed: sample_counts(np.full((2, 4), 0.25), 10, seed),
         lambda seed: poisson_resample(np.ones((2, 4)), 2, seed),
         lambda seed: qsv_run([0.25, 0.25], 10, seed),
         lambda seed: bootstrap_std(purity_from_counts, np.full((2, 3, 2), 5), seed, resamples=10),
@@ -983,7 +973,7 @@ class TestOneGenerator:
 
     def test_a_faulty_table_is_named_before_a_faulty_seed(self):
         with pytest.raises(ValueError, match=r"^row 1: probabilities sum to"):
-            sample_counts([[0.5, 0.5], [0.5, 0.6]], 10, -1)
+            sample_counts([[0.25] * 4, [0.5, 0.6, 0.0, 0.0]], 10, -1)
         with pytest.raises(ValueError, match=r"^count -1 is not a whole number"):
             poisson_resample([[1, 2], [-1, 2]], 2, 2**64)
         with pytest.raises(ValueError, match=r"^row 0: fidelity must be"):

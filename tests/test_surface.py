@@ -40,6 +40,11 @@ KEEP = {
     "bootstrap_std",
     "poisson_resample",
     "purity_from_counts",
+    # No pipeline reduces a state since fig3 and fig5 read the marginals of
+    # their pair tables (item 28); `perfbench/tracer.py` wraps
+    # `qcore.partial_trace` by name, so `Tracer.install` would raise
+    # AttributeError without it.  Item 1 frees it.
+    "partial_trace",
 }
 
 
